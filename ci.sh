@@ -13,8 +13,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
@@ -22,8 +22,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> cargo build --release (offline-capable)"
 cargo build --release
 
-echo "==> cargo test -q (root workspace: units, integration, properties)"
-cargo test -q
+echo "==> cargo test -q --workspace (every crate: units, integration, properties)"
+cargo test -q --workspace
 
 echo "==> chaos suite (seeded fault injection; deterministic per seed)"
 cargo test -q --test chaos
@@ -70,6 +70,13 @@ echo "==> crash-recovery smoke + journaling overhead bench (writes BENCH_8.json)
 # system falls below 0.85x bare throughput.
 cargo run -q --release --example crash_recovery >/dev/null
 cat BENCH_8.json
+
+echo "==> benchmark self-check (benchmark/ is its own offline workspace)"
+# Harness unit tests, then every BENCHMARK.json workload at 1/20 size:
+# deliveries verified, zero failed operations, exact metrics repeat per
+# seed. About 2 s once built; the timed runs themselves are not part of CI.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- verify
 
 echo "==> bench workspace (needs registry access for criterion)"
 if (cd crates/bench && cargo metadata --format-version 1 >/dev/null 2>&1); then

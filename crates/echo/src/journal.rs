@@ -157,7 +157,7 @@ impl Journal {
     }
 
     /// Appends one entry stamped `at_ns`. Entries whose loss would break
-    /// exactly-once ([`JournalEntry::must_sync`]) force a sync; the rest
+    /// exactly-once (`JournalEntry::must_sync`) force a sync; the rest
     /// ride until the batch boundary fills.
     pub fn append(&mut self, at_ns: u64, entry: JournalEntry) {
         let force = entry.must_sync();

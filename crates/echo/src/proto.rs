@@ -2,6 +2,7 @@
 //! `ChannelOpenResponse`, per the paper's Fig. 4), the Fig. 5
 //! retro-transformation, and the network frame.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use morph::Transformation;
@@ -269,6 +270,33 @@ pub const FRAME_RESUME: u8 = 2;
 /// qos (1) + frag_index (2) + frag_count (2) + epoch (4) + crc32 (4).
 pub const FRAME_HEADER_LEN: usize = 34;
 
+/// Header field widths in wire order — the one table every field offset
+/// below derives from.
+const HEADER_LAYOUT: [usize; 9] = [1, 4, 8, 8, 1, 2, 2, 4, 4];
+
+/// Byte range of the `index`-th header field.
+const fn header_field(index: usize) -> Range<usize> {
+    let mut start = 0;
+    let mut i = 0;
+    while i < index {
+        start += HEADER_LAYOUT[i];
+        i += 1;
+    }
+    start..start + HEADER_LAYOUT[index]
+}
+
+const KIND_AT: usize = header_field(0).start;
+const CHANNEL_FIELD: Range<usize> = header_field(1);
+const SEQ_FIELD: Range<usize> = header_field(2);
+const TRACE_FIELD: Range<usize> = header_field(3);
+const QOS_AT: usize = header_field(4).start;
+const FRAG_INDEX_FIELD: Range<usize> = header_field(5);
+const FRAG_COUNT_FIELD: Range<usize> = header_field(6);
+const EPOCH_FIELD: Range<usize> = header_field(7);
+/// The checksum is the last header field: it covers everything before it
+/// and the payload after it.
+const CRC_FIELD: Range<usize> = header_field(8);
+
 /// An absent trace id on the wire: the frame joins no trace.
 pub const NO_TRACE: u64 = 0;
 
@@ -398,19 +426,85 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// The IEEE 802.3 generator polynomial, bit-reflected.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Input bytes the kernel consumes per step, one lookup table each.
+const CRC_LANES: usize = 16;
+
+/// Slicing-by-16 lookup tables (16 KiB): `CRC_TABLES[0][b]` is the CRC
+/// register after shifting byte `b` through eight zero-extended bit
+/// rounds, and `CRC_TABLES[k][b]` the same after `k` further zero bytes.
+static CRC_TABLES: [[u32; 256]; CRC_LANES] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; CRC_LANES] {
+    let mut tables = [[0u32; 256]; CRC_LANES];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & 0u32.wrapping_sub(crc & 1));
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < CRC_LANES {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE 802.3, reflected) over `bytes`, starting from `seed`
 /// (pass the return of a previous call to continue a running checksum;
-/// start with 0).
+/// start with 0). Each step folds the register into the first four bytes
+/// of a [`CRC_LANES`]-byte chunk and looks every byte up in the table for
+/// its distance from the chunk's end, so the lookups are independent of
+/// each other; the tail shorter than a chunk goes a byte at a time
+/// through the first table.
 fn crc32(seed: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !seed;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+    let mut chunks = bytes.chunks_exact(CRC_LANES);
+    for chunk in &mut chunks {
+        let mut next = 0;
+        for (i, &b) in chunk.iter().enumerate() {
+            let folded = if i < 4 { b ^ (crc >> (8 * i)) as u8 } else { b };
+            next ^= t[CRC_LANES - 1 - i][usize::from(folded)];
         }
+        crc = next;
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
+}
+
+/// The checksum a frame should carry: CRC-32 over every header field
+/// before the checksum slot, continued over the payload after it.
+/// `bytes` must hold at least a full header.
+fn frame_crc(bytes: &[u8]) -> u32 {
+    crc32(crc32(0, &bytes[..CRC_FIELD.start]), &bytes[FRAME_HEADER_LEN..])
+}
+
+/// Writes [`frame_crc`] into the checksum slot of an assembled frame.
+fn seal(bytes: &mut [u8]) {
+    let crc = frame_crc(bytes);
+    bytes[CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Little-endian bytes of one header field, `None` when `bytes` is too
+/// short to hold it.
+fn field<const N: usize>(bytes: &[u8], at: Range<usize>) -> Option<[u8; N]> {
+    bytes.get(at)?.try_into().ok()
 }
 
 /// Wraps a PBIO message in an ECho network frame:
@@ -460,9 +554,9 @@ pub fn frame_qos(
     out.extend_from_slice(&index.to_le_bytes());
     out.extend_from_slice(&count.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
-    let crc = crc32(crc32(0, &out), pbio_msg);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&[0; CRC_FIELD.end - CRC_FIELD.start]);
     out.extend_from_slice(pbio_msg);
+    seal(&mut out);
     WireBytes::from(out)
 }
 
@@ -479,9 +573,8 @@ pub fn frame_qos(
 pub fn restamp_epoch(bytes: &[u8], epoch: u32) -> WireBytes {
     assert!(bytes.len() >= FRAME_HEADER_LEN, "restamp of a non-frame");
     let mut out = bytes.to_vec();
-    out[26..30].copy_from_slice(&epoch.to_le_bytes());
-    let crc = crc32(crc32(0, &out[..30]), &out[FRAME_HEADER_LEN..]);
-    out[30..34].copy_from_slice(&crc.to_le_bytes());
+    out[EPOCH_FIELD].copy_from_slice(&epoch.to_le_bytes());
+    seal(&mut out);
     WireBytes::from(out)
 }
 
@@ -493,8 +586,7 @@ pub fn restamp_epoch(bytes: &[u8], epoch: u32) -> WireBytes {
 /// here may be wrong; that is inherent to reading damaged bytes, and the
 /// attribution stays deterministic for a given damaged frame.
 pub fn peek_trace(bytes: &[u8]) -> Option<u64> {
-    let raw = bytes.get(13..21)?;
-    let trace = u64::from_le_bytes(raw.try_into().expect("8-byte slice"));
+    let trace = u64::from_le_bytes(field(bytes, TRACE_FIELD)?);
     if trace == NO_TRACE {
         None
     } else {
@@ -507,14 +599,14 @@ pub fn peek_trace(bytes: &[u8]) -> Option<u64> {
 /// classify queued frames cheaply. Returns `None` for buffers too short
 /// to hold the field or carrying an unknown tier byte.
 pub fn peek_qos(bytes: &[u8]) -> Option<QosTier> {
-    QosTier::from_wire(*bytes.get(21)?)
+    QosTier::from_wire(*bytes.get(QOS_AT)?)
 }
 
 /// Best-effort read of the channel id from raw frame bytes, **without**
 /// checksum verification — used to key journal entries for frames the
 /// sender built itself (so corruption is not a concern on this path).
 pub fn peek_channel(bytes: &[u8]) -> Option<ChannelId> {
-    Some(ChannelId(u32::from_le_bytes(bytes.get(1..5)?.try_into().expect("4-byte slice"))))
+    Some(ChannelId(u32::from_le_bytes(field(bytes, CHANNEL_FIELD)?)))
 }
 
 /// Best-effort read of `(seq, frag_index, frag_count)` from raw frame
@@ -523,9 +615,9 @@ pub fn peek_channel(bytes: &[u8]) -> Option<ChannelId> {
 /// fragments leak into reassembly buffers. Returns `None` for buffers too
 /// short to hold the fields.
 pub fn peek_frag(bytes: &[u8]) -> Option<(u64, u16, u16)> {
-    let seq = u64::from_le_bytes(bytes.get(5..13)?.try_into().expect("8-byte slice"));
-    let index = u16::from_le_bytes(bytes.get(22..24)?.try_into().expect("2-byte slice"));
-    let count = u16::from_le_bytes(bytes.get(24..26)?.try_into().expect("2-byte slice"));
+    let seq = u64::from_le_bytes(field(bytes, SEQ_FIELD)?);
+    let index = u16::from_le_bytes(field(bytes, FRAG_INDEX_FIELD)?);
+    let count = u16::from_le_bytes(field(bytes, FRAG_COUNT_FIELD)?);
     Some((seq, index, count))
 }
 
@@ -533,7 +625,7 @@ pub fn peek_frag(bytes: &[u8]) -> Option<(u64, u16, u16)> {
 /// checksum verification — used to attribute fenced frames before full
 /// parsing. Returns `None` for buffers too short to hold the field.
 pub fn peek_epoch(bytes: &[u8]) -> Option<u32> {
-    Some(u32::from_le_bytes(bytes.get(26..30)?.try_into().expect("4-byte slice")))
+    Some(u32::from_le_bytes(field(bytes, EPOCH_FIELD)?))
 }
 
 /// Shed-priority class of a queued raw frame: `None` for control frames
@@ -541,7 +633,7 @@ pub fn peek_epoch(bytes: &[u8]) -> Option<u32> {
 /// shed first — unordered telemetry (0), then sequenced (1), then
 /// reliable events (2). Unreadable tiers classify as reliable.
 pub fn shed_class(bytes: &[u8]) -> Option<u8> {
-    if bytes.first() != Some(&FRAME_EVENT) {
+    if bytes.get(KIND_AT) != Some(&FRAME_EVENT) {
         return None;
     }
     Some(match peek_qos(bytes) {
@@ -564,23 +656,19 @@ pub fn unframe(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
     if bytes.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Truncated);
     }
-    let kind = bytes[0];
-    let channel = ChannelId(u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]));
-    let seq = u64::from_le_bytes([
-        bytes[5], bytes[6], bytes[7], bytes[8], bytes[9], bytes[10], bytes[11], bytes[12],
-    ]);
-    let trace = u64::from_le_bytes([
-        bytes[13], bytes[14], bytes[15], bytes[16], bytes[17], bytes[18], bytes[19], bytes[20],
-    ]);
-    let qos_byte = bytes[21];
-    let frag_index = u16::from_le_bytes([bytes[22], bytes[23]]);
-    let frag_count = u16::from_le_bytes([bytes[24], bytes[25]]);
-    let epoch = u32::from_le_bytes([bytes[26], bytes[27], bytes[28], bytes[29]]);
-    let stored = u32::from_le_bytes([bytes[30], bytes[31], bytes[32], bytes[33]]);
-    let payload = &bytes[FRAME_HEADER_LEN..];
-    if crc32(crc32(0, &bytes[..30]), payload) != stored {
+    let stored = u32::from_le_bytes(field(bytes, CRC_FIELD).ok_or(FrameError::Truncated)?);
+    if frame_crc(bytes) != stored {
         return Err(FrameError::BadChecksum);
     }
+    // The length check above covers every header field, so the peeks
+    // below cannot come back short.
+    let kind = bytes[KIND_AT];
+    let channel = peek_channel(bytes).ok_or(FrameError::Truncated)?;
+    let (seq, frag_index, frag_count) = peek_frag(bytes).ok_or(FrameError::Truncated)?;
+    let trace = u64::from_le_bytes(field(bytes, TRACE_FIELD).ok_or(FrameError::Truncated)?);
+    let qos_byte = bytes[QOS_AT];
+    let epoch = peek_epoch(bytes).ok_or(FrameError::Truncated)?;
+    let payload = &bytes[FRAME_HEADER_LEN..];
     let qos = QosTier::from_wire(qos_byte).ok_or(FrameError::BadQos(qos_byte))?;
     if frag_count == 0 || frag_index >= frag_count {
         return Err(FrameError::BadFragment { index: frag_index, count: frag_count });
@@ -592,6 +680,7 @@ pub fn unframe(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
 mod tests {
     use super::*;
     use morph::diff;
+    use simnet::XorShift64;
 
     fn members() -> Vec<MemberInfo> {
         vec![
@@ -733,8 +822,7 @@ mod tests {
     fn reseal(framed: &[u8], offset: usize, value: u8) -> Vec<u8> {
         let mut out = framed.to_vec();
         out[offset] = value;
-        let crc = crc32(crc32(0, &out[..30]), &out[FRAME_HEADER_LEN..]);
-        out[30..34].copy_from_slice(&crc.to_le_bytes());
+        seal(&mut out);
         out
     }
 
@@ -742,15 +830,15 @@ mod tests {
     fn checksum_valid_frames_with_impossible_fields_are_rejected() {
         let framed = frame(FRAME_EVENT, ChannelId(1), 4, NO_TRACE, b"ok");
         // Unknown QoS byte.
-        assert_eq!(unframe(&reseal(&framed, 21, 9)), Err(FrameError::BadQos(9)));
+        assert_eq!(unframe(&reseal(&framed, QOS_AT, 9)), Err(FrameError::BadQos(9)));
         // frag_count == 0.
         assert_eq!(
-            unframe(&reseal(&framed, 24, 0)),
+            unframe(&reseal(&framed, FRAG_COUNT_FIELD.start, 0)),
             Err(FrameError::BadFragment { index: 0, count: 0 })
         );
         // frag_index >= frag_count.
         assert_eq!(
-            unframe(&reseal(&framed, 22, 7)),
+            unframe(&reseal(&framed, FRAG_INDEX_FIELD.start, 7)),
             Err(FrameError::BadFragment { index: 7, count: 1 })
         );
     }
@@ -804,22 +892,185 @@ mod tests {
         }
     }
 
+    /// The bit-at-a-time routine the table kernel replaced, kept as the
+    /// oracle: eight shift/xor rounds per byte, straight from the
+    /// polynomial's definition.
+    fn crc32_bitwise(seed: u32, bytes: &[u8]) -> u32 {
+        let mut crc = !seed;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = 0u32.wrapping_sub(crc & 1);
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    fn random_bytes(rng: &mut XorShift64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// One 1,400-byte-budget fragment as `reliable_frag` puts it on the
+    /// wire: 34 header bytes + 1,400 of payload.
+    fn fragment_frame(rng: &mut XorShift64) -> WireBytes {
+        let payload = random_bytes(rng, 1400);
+        let framed =
+            frame_qos(FRAME_EVENT, ChannelId(6), 31, 0xF00D, QosTier::Reliable, 3, 47, 2, &payload);
+        assert_eq!(framed.len(), 1434);
+        framed
+    }
+
+    #[test]
+    fn crc32_known_answers() {
+        // The check value every CRC-32/ISO-HDLC catalogue lists.
+        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(0, b""), 0);
+    }
+
+    #[test]
+    fn table_kernel_agrees_with_the_bitwise_oracle() {
+        let mut rng = XorShift64::new(0xC4C);
+        // Every length through many chunks and every tail, at every start
+        // offset within a chunk of the underlying buffer.
+        let pool = random_bytes(&mut rng, CRC_LANES + 300);
+        for align in 0..CRC_LANES {
+            for len in 0..=300 {
+                let data = &pool[align..align + len];
+                assert_eq!(crc32(0, data), crc32_bitwise(0, data), "align {align}, length {len}");
+            }
+        }
+        // The frame sizes the benchmark workloads put on the wire.
+        for len in [86, 1_434, 9_658, 65_569] {
+            let data = random_bytes(&mut rng, len);
+            let seed = rng.next_u64() as u32;
+            assert_eq!(crc32(seed, &data), crc32_bitwise(seed, &data), "length {len}");
+        }
+    }
+
+    #[test]
+    fn crc32_continues_across_every_split_point() {
+        // frame_crc runs the header and the payload as two calls; the seam
+        // sits at byte 30, which is not a multiple of the chunk size.
+        let data = random_bytes(&mut XorShift64::new(0x5EA), 100);
+        let whole = crc32(0, &data);
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32(crc32(0, a), b), whole, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn header_field_offsets_tile_the_header() {
+        assert_eq!(HEADER_LAYOUT.iter().sum::<usize>(), FRAME_HEADER_LEN);
+        // Pinned literally too: a reordered layout table still sums to 34.
+        assert_eq!((KIND_AT, QOS_AT), (0, 21));
+        assert_eq!(CHANNEL_FIELD, 1..5);
+        assert_eq!(SEQ_FIELD, 5..13);
+        assert_eq!(TRACE_FIELD, 13..21);
+        assert_eq!(FRAG_INDEX_FIELD, 22..24);
+        assert_eq!(FRAG_COUNT_FIELD, 24..26);
+        assert_eq!(EPOCH_FIELD, 26..30);
+        assert_eq!(CRC_FIELD, 30..34);
+    }
+
+    #[test]
+    fn golden_frame_bytes_are_pinned() {
+        // Journals persist these bytes across restarts, so the wire image
+        // is a compatibility contract: any change to the layout, the
+        // endianness or the checksum polynomial (CRC-32C included) must
+        // fail here. The literals were produced by the bit-at-a-time
+        // implementation that preceded the table kernel.
+        let framed = frame_qos(
+            FRAME_EVENT,
+            ChannelId(0x0102_0304),
+            0x1112_1314_1516_1718,
+            0x2122_2324_2526_2728,
+            QosTier::SequencedUnreliable,
+            2,
+            5,
+            0x3132_3334,
+            b"golden payload",
+        );
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(
+            hex(&framed),
+            "01040302011817161514131211282726252423222101020005003433323\
+             1f9cb859c676f6c64656e207061796c6f6164"
+        );
+        assert_eq!(
+            hex(&restamp_epoch(&framed, 7)),
+            "01040302011817161514131211282726252423222101020005000700000\
+             009186a6c676f6c64656e207061796c6f6164"
+        );
+    }
+
     #[test]
     fn any_single_byte_flip_fails_the_checksum() {
         // The chaos fault model flips exactly one byte; CRC-32 must catch
-        // every such flip wherever it lands — header or payload.
-        let framed = frame(FRAME_EVENT, ChannelId(7), 9, 77, b"payload bytes");
-        assert!(unframe(&framed).is_ok());
-        for i in 0..framed.len() {
-            for flip in [0x01u8, 0x80, 0xFF] {
-                let mut damaged = framed.to_vec();
-                damaged[i] ^= flip;
+        // every such flip wherever it lands — header or payload — and, a
+        // fortiori, every single-bit flip.
+        let small = frame(FRAME_EVENT, ChannelId(7), 9, 77, b"payload bytes");
+        let fragment = fragment_frame(&mut XorShift64::new(0xB17));
+        for framed in [small, fragment] {
+            assert!(unframe(&framed).is_ok());
+            let mut damaged = framed.to_vec();
+            for i in 0..damaged.len() {
+                for flip in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                    damaged[i] ^= flip;
+                    assert_eq!(
+                        unframe(&damaged),
+                        Err(FrameError::BadChecksum),
+                        "flip {flip:#x} at byte {i} went undetected"
+                    );
+                    damaged[i] ^= flip;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_burst_up_to_32_bits_fails_the_checksum() {
+        // A degree-32 CRC detects every error burst no longer than 32
+        // bits. A burst of width w is any pattern whose first and last
+        // bits are set; the bits between are drawn from the PRNG.
+        let mut rng = XorShift64::new(0xB0057);
+        let framed = fragment_frame(&mut rng);
+        let total_bits = framed.len() * 8;
+        let mut damaged = framed.to_vec();
+        for width in 1..=32usize {
+            for _ in 0..64 {
+                let start = rng.below((total_bits - width + 1) as u64) as usize;
+                let interior = if width > 2 { rng.next_u64() } else { 0 };
+                let pattern =
+                    1u64 | (1u64 << (width - 1)) | (interior << 1 & ((1u64 << width) - 1));
+                let toggle = |buf: &mut [u8]| {
+                    for k in (0..width).filter(|k| pattern >> k & 1 == 1) {
+                        buf[(start + k) / 8] ^= 1 << ((start + k) % 8);
+                    }
+                };
+                toggle(&mut damaged);
                 assert_eq!(
                     unframe(&damaged),
                     Err(FrameError::BadChecksum),
-                    "flip {flip:#x} at byte {i} went undetected"
+                    "burst {pattern:#x} of {width} bits at bit {start} went undetected"
                 );
+                toggle(&mut damaged);
             }
+        }
+        assert!(unframe(&damaged).is_ok(), "every burst was undone");
+    }
+
+    #[test]
+    fn every_truncation_of_a_fragment_frame_is_rejected() {
+        let framed = fragment_frame(&mut XorShift64::new(0x7AC));
+        for len in 0..framed.len() {
+            let want = if len < FRAME_HEADER_LEN {
+                FrameError::Truncated
+            } else {
+                FrameError::BadChecksum
+            };
+            assert_eq!(unframe(&framed[..len]), Err(want), "truncated to {len} bytes");
         }
     }
 

@@ -2976,9 +2976,8 @@ mod tests {
                 let events = sys.take_events(ProcessId(i + 1));
                 assert_eq!(events, vec![(ch, Value::Record(vec![Value::Int(6)]))]);
             }
-            let compiles: u64 = (0..4)
-                .map(|i| sys.event_stats(ProcessId(i + 1), ch).unwrap().compiles as u64)
-                .sum();
+            let compiles: u64 =
+                (0..4).map(|i| sys.event_stats(ProcessId(i + 1), ch).unwrap().compiles).sum();
             let shared_hits: u64 = (0..4)
                 .map(|i| {
                     let reg = sys.event_registry(ProcessId(i + 1), ch).unwrap();
@@ -3250,7 +3249,7 @@ mod tests {
         for n in 0..32 {
             sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
         }
-        let floor = (16usize / 8).max(1);
+        let floor = 16usize / 8;
         assert_eq!(sys.adaptive_capacities().map(|(r, _, _)| r), Some(floor));
         assert!(sys.adaptive_overloaded());
         // Arrivals 1-4 admit freely (the 4th tightens 16→8), the 5th

@@ -293,7 +293,7 @@ pub enum RInsn {
         src: u32,
     },
     /// Fused path read: `dst = root.segs` with dynamic indices taken from
-    /// the `idx` registers (one per [`CSeg::Index`], in path order).
+    /// the `idx` registers (one per `CSeg::Index`, in path order).
     Load {
         /// Destination register.
         dst: u32,

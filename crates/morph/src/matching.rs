@@ -339,8 +339,7 @@ mod tests {
         let perfect = v2();
         let rollback = v1();
         let config = MatchConfig::new();
-        let m =
-            max_match(&[incoming.clone()], &[rollback.clone(), perfect.clone()], &config).unwrap();
+        let m = max_match(&[incoming], &[rollback, perfect], &config).unwrap();
         assert_eq!(m.to, 1, "perfect match must win");
         assert!(m.quality.is_perfect());
     }
@@ -349,7 +348,12 @@ mod tests {
     fn max_match_respects_thresholds() {
         let a = FormatBuilder::record("M").int("x").int("y").build_arc().unwrap();
         let b = FormatBuilder::record("M").int("z").build_arc().unwrap();
-        assert!(max_match(&[a.clone()], &[b.clone()], &MatchConfig::exact()).is_none());
+        assert!(max_match(
+            std::slice::from_ref(&a),
+            std::slice::from_ref(&b),
+            &MatchConfig::exact()
+        )
+        .is_none());
         let loose = MatchConfig { diff_threshold: 10, mismatch_threshold: 1.0 };
         assert!(max_match(&[a], &[b], &loose).is_some());
     }

@@ -657,7 +657,7 @@ mod tests {
             &policy,
             |req| {
                 calls += 1;
-                if calls % 3 == 0 {
+                if calls.is_multiple_of(3) {
                     server.lock().unwrap().handle(&req)
                 } else {
                     Err(MorphError::Config("transient".into()))

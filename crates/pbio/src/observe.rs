@@ -33,7 +33,7 @@ type StoreSegment = RwLock<HashMap<(FormatId, FormatId), Arc<ConversionPlan>>>;
 /// The shared, concurrently readable store behind one or more
 /// [`PlanCache`] handles.
 ///
-/// Entries are spread over [`STORE_SEGMENTS`] independently locked
+/// Entries are spread over `STORE_SEGMENTS` (16) independently locked
 /// segments, so the warm path (plan lookup) takes a single segment read
 /// lock — many threads resolving plans concurrently serialize only when
 /// they hash to the same segment *and* one of them is compiling. Cloning a
@@ -381,7 +381,7 @@ mod tests {
     fn plan_store_concurrent_readers_and_compilers_converge() {
         let store = PlanStore::new();
         let formats: Vec<_> = (0..8)
-            .map(|i| FormatBuilder::record(&format!("F{i}")).int("a").build_arc().unwrap())
+            .map(|i| FormatBuilder::record(format!("F{i}")).int("a").build_arc().unwrap())
             .collect();
         std::thread::scope(|s| {
             for _ in 0..4 {

@@ -36,6 +36,15 @@ for s in ${CHAOS_SEEDS:-1 7 42}; do
     CHAOS_SEED="$s" cargo test -q --test chaos
 done
 
+echo "==> chaos fresh seed (one new draw per run, so the matrix is not a fixed point)"
+# Invariants must hold under any seed; the scenarios' coverage assertions
+# apply to the curated seeds only (tests/chaos.rs `curated`). A failure
+# here reproduces with the printed command.
+fresh=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$fresh" ] || fresh=$(date +%s)
+echo "    CHAOS_SEED=$fresh cargo test -q --test chaos"
+CHAOS_SEED="$fresh" cargo test -q --test chaos
+
 echo "==> examples (offline smoke runs; each asserts its own output)"
 for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump; do
     echo "    cargo run --release --example $ex"

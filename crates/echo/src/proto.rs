@@ -2,8 +2,9 @@
 //! `ChannelOpenResponse`, per the paper's Fig. 4), the Fig. 5
 //! retro-transformation, and the network frame.
 
+use std::collections::HashSet;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use morph::Transformation;
 use pbio::{FormatBuilder, RecordFormat, Value, WireBytes};
@@ -31,64 +32,72 @@ pub struct MemberInfo {
     pub is_sink: bool,
 }
 
+/// Builds a static control-plane format on first use and hands out clones
+/// of the one `Arc` afterwards: the descriptions never change, so every
+/// process (and every control frame) shares a single validated tree
+/// instead of rebuilding it.
+fn shared_format(
+    cell: &'static OnceLock<Arc<RecordFormat>>,
+    describe: fn() -> FormatBuilder,
+) -> Arc<RecordFormat> {
+    Arc::clone(cell.get_or_init(|| describe().build_arc().expect("static format is valid")))
+}
+
 /// The `ChannelOpenRequest` format (one version suffices; morphing handles
 /// response evolution).
 pub fn channel_open_request() -> Arc<RecordFormat> {
-    FormatBuilder::record("ChannelOpenRequest")
-        .int("channel")
-        .string("contact")
-        .int("is_source")
-        .int("is_sink")
-        .build_arc()
-        .expect("static format is valid")
+    static FORMAT: OnceLock<Arc<RecordFormat>> = OnceLock::new();
+    shared_format(&FORMAT, || {
+        FormatBuilder::record("ChannelOpenRequest")
+            .int("channel")
+            .string("contact")
+            .int("is_source")
+            .int("is_sink")
+    })
 }
 
 /// Member entry of the v1.0 response: contact info + id (appears in up to
 /// three lists — the duplication the v2.0 redesign removed).
 pub fn member_v1() -> Arc<RecordFormat> {
-    FormatBuilder::record("Member")
-        .string("info")
-        .int("ID")
-        .build_arc()
-        .expect("static format is valid")
+    static FORMAT: OnceLock<Arc<RecordFormat>> = OnceLock::new();
+    shared_format(&FORMAT, || FormatBuilder::record("Member").string("info").int("ID"))
 }
 
 /// Member entry of the v2.0 response: contact info + id + role booleans
 /// (paper Fig. 4b).
 pub fn member_v2() -> Arc<RecordFormat> {
-    FormatBuilder::record("Member")
-        .string("info")
-        .int("ID")
-        .int("is_source")
-        .int("is_sink")
-        .build_arc()
-        .expect("static format is valid")
+    static FORMAT: OnceLock<Arc<RecordFormat>> = OnceLock::new();
+    shared_format(&FORMAT, || {
+        FormatBuilder::record("Member").string("info").int("ID").int("is_source").int("is_sink")
+    })
 }
 
 /// `ChannelOpenResponse` as in ECho v1.0 (paper Fig. 4a): the member list
 /// plus separate source and sink lists (a member can appear three times).
 pub fn channel_open_response_v1() -> Arc<RecordFormat> {
-    FormatBuilder::record("ChannelOpenResponse")
-        .int("channel")
-        .int("member_count")
-        .var_array_of("member_list", member_v1(), "member_count")
-        .int("src_count")
-        .var_array_of("src_list", member_v1(), "src_count")
-        .int("sink_count")
-        .var_array_of("sink_list", member_v1(), "sink_count")
-        .build_arc()
-        .expect("static format is valid")
+    static FORMAT: OnceLock<Arc<RecordFormat>> = OnceLock::new();
+    shared_format(&FORMAT, || {
+        FormatBuilder::record("ChannelOpenResponse")
+            .int("channel")
+            .int("member_count")
+            .var_array_of("member_list", member_v1(), "member_count")
+            .int("src_count")
+            .var_array_of("src_list", member_v1(), "src_count")
+            .int("sink_count")
+            .var_array_of("sink_list", member_v1(), "sink_count")
+    })
 }
 
 /// `ChannelOpenResponse` as in ECho v2.0 (paper Fig. 4b): one list with
 /// role flags — less than half the size of v1 on typical memberships.
 pub fn channel_open_response_v2() -> Arc<RecordFormat> {
-    FormatBuilder::record("ChannelOpenResponse")
-        .int("channel")
-        .int("member_count")
-        .var_array_of("member_list", member_v2(), "member_count")
-        .build_arc()
-        .expect("static format is valid")
+    static FORMAT: OnceLock<Arc<RecordFormat>> = OnceLock::new();
+    shared_format(&FORMAT, || {
+        FormatBuilder::record("ChannelOpenResponse")
+            .int("channel")
+            .int("member_count")
+            .var_array_of("member_list", member_v2(), "member_count")
+    })
 }
 
 /// The paper's Fig. 5 Ecode, extended with the `channel` routing field:
@@ -120,7 +129,16 @@ pub const RESPONSE_V2_TO_V1: &str = r#"
 /// The writer-supplied retro-transformation v2.0 → v1.0 (out-of-band
 /// meta-data attached to the v2 response format).
 pub fn response_retro_transformation() -> Transformation {
-    Transformation::new(channel_open_response_v2(), channel_open_response_v1(), RESPONSE_V2_TO_V1)
+    static XFORM: OnceLock<Transformation> = OnceLock::new();
+    XFORM
+        .get_or_init(|| {
+            Transformation::new(
+                channel_open_response_v2(),
+                channel_open_response_v1(),
+                RESPONSE_V2_TO_V1,
+            )
+        })
+        .clone()
 }
 
 /// The forward transformation v1.0 → v2.0, also shipped with the v2.0
@@ -155,7 +173,16 @@ pub const RESPONSE_V1_TO_V2: &str = r#"
 
 /// The forward transformation as out-of-band meta-data.
 pub fn response_forward_transformation() -> Transformation {
-    Transformation::new(channel_open_response_v1(), channel_open_response_v2(), RESPONSE_V1_TO_V2)
+    static XFORM: OnceLock<Transformation> = OnceLock::new();
+    XFORM
+        .get_or_init(|| {
+            Transformation::new(
+                channel_open_response_v1(),
+                channel_open_response_v2(),
+                RESPONSE_V1_TO_V2,
+            )
+        })
+        .clone()
 }
 
 /// Builds a v1.0 response value from a member list.
@@ -196,34 +223,26 @@ pub fn response_v2_value(channel: ChannelId, members: &[MemberInfo]) -> Value {
     ])
 }
 
-/// Extracts the member list from a decoded v1 response.
+/// Extracts the member list from a decoded v1 response, joining the
+/// source/sink lists back onto the members by contact.
 pub fn members_from_v1(value: &Value) -> Vec<MemberInfo> {
     let v1 = channel_open_response_v1();
-    let list = value.field(&v1, "member_list").and_then(Value::as_array).unwrap_or(&[]);
-    let srcs: Vec<String> = value
-        .field(&v1, "src_list")
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
+    let list = |name: &str| value.field(&v1, name).and_then(Value::as_array).unwrap_or(&[]);
+    let contacts = |name: &str| -> HashSet<&str> {
+        list(name).iter().filter_map(|m| m.as_record()?.first()?.as_str()).collect()
+    };
+    let (srcs, sinks) = (contacts("src_list"), contacts("sink_list"));
+    list("member_list")
         .iter()
-        .filter_map(|m| m.as_record()?.first()?.as_str().map(String::from))
-        .collect();
-    let sinks: Vec<String> = value
-        .field(&v1, "sink_list")
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(|m| m.as_record()?.first()?.as_str().map(String::from))
-        .collect();
-    list.iter()
         .filter_map(|m| {
             let r = m.as_record()?;
-            let contact = r.first()?.as_str()?.to_string();
+            let contact = r.first()?.as_str()?;
             let id = r.get(1)?.as_i64()?;
             Some(MemberInfo {
-                is_source: srcs.contains(&contact),
-                is_sink: sinks.contains(&contact),
-                contact,
+                contact: contact.to_string(),
                 id,
+                is_source: srcs.contains(contact),
+                is_sink: sinks.contains(contact),
             })
         })
         .collect()
@@ -738,6 +757,74 @@ mod tests {
         let ms = members();
         assert_eq!(members_from_v1(&response_v1_value(ChannelId(1), &ms)), ms);
         assert_eq!(members_from_v2(&response_v2_value(ChannelId(1), &ms)), ms);
+    }
+
+    #[test]
+    fn v1_role_join_skips_malformed_entries_and_keeps_member_order() {
+        let entry = |c: &str, id: i64| Value::Record(vec![Value::str(c), Value::Int(id)]);
+        let list = |items: Vec<Value>| [Value::Int(items.len() as i64), Value::Array(items)];
+        // "z:9" is listed as a source and a sink twice over; "m:5" in
+        // neither list; one member entry and one role entry are not
+        // (contact, id) records and are passed over, not errors.
+        let members = list(vec![entry("z:9", 9), Value::Int(0), entry("m:5", 5), entry("a:1", 1)]);
+        let srcs = list(vec![entry("z:9", 9), entry("z:9", 9), Value::Record(vec![Value::Int(3)])]);
+        let sinks = list(vec![entry("a:1", 1), entry("z:9", 9)]);
+        let resp = Value::Record(
+            [vec![Value::Int(1)], members.into(), srcs.into(), sinks.into()].concat(),
+        );
+        let info = |contact: &str, id, is_source, is_sink| MemberInfo {
+            contact: contact.into(),
+            id,
+            is_source,
+            is_sink,
+        };
+        assert_eq!(
+            members_from_v1(&resp),
+            vec![
+                info("z:9", 9, true, true),
+                info("m:5", 5, false, false),
+                info("a:1", 1, false, true)
+            ]
+        );
+        // A value that is not a response at all yields no members.
+        assert_eq!(members_from_v1(&Value::Int(7)), Vec::new());
+    }
+
+    /// `FormatId`s of the control formats as the parent commit (rebuilding
+    /// every tree per call) produced them: request, member v1/v2, response
+    /// v1/v2.
+    const CONTROL_FORMAT_IDS: [u64; 5] = [
+        0x95fa_be30_335d_078b,
+        0xfbf5_f4b0_f46f_14bd,
+        0x07e0_6f17_cf91_6f17,
+        0x324c_2abc_435c_e84b,
+        0x0362_036d_69f9_f777,
+    ];
+
+    #[test]
+    fn control_formats_are_built_once_and_keep_their_ids() {
+        let constructors: [fn() -> Arc<RecordFormat>; 5] = [
+            channel_open_request,
+            member_v1,
+            member_v2,
+            channel_open_response_v1,
+            channel_open_response_v2,
+        ];
+        for (build, id) in constructors.iter().zip(CONTROL_FORMAT_IDS) {
+            let (a, b) = (build(), build());
+            assert!(Arc::ptr_eq(&a, &b), "{}: every caller shares one tree", a.name());
+            assert_eq!(pbio::format_id(&a).0, id, "{}: wire identity moved", a.name());
+        }
+        // The two response transformations hang off those same trees.
+        let (v1, v2) = (channel_open_response_v1(), channel_open_response_v2());
+        for (build, from, to) in [
+            (response_retro_transformation as fn() -> Transformation, &v2, &v1),
+            (response_forward_transformation, &v1, &v2),
+        ] {
+            for t in [build(), build()] {
+                assert!(Arc::ptr_eq(t.from_format(), from) && Arc::ptr_eq(t.to_format(), to));
+            }
+        }
     }
 
     #[test]

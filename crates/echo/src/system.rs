@@ -1,7 +1,7 @@
 //! The ECho system: processes connected by event channels over a simulated
 //! network (paper Fig. 3).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use morph::{
@@ -317,6 +317,9 @@ impl ShardMetrics {
 pub struct EchoSystem {
     net: Network,
     nodes: Vec<NodeState>,
+    /// The network id of each process. Processes and network nodes are
+    /// created together, so `net_ids[i].index() == i`: a delivery or crash
+    /// transition names its process directly.
     net_ids: Vec<NodeId>,
     by_contact: HashMap<String, usize>,
     /// Channel directory: which process created each channel.
@@ -338,11 +341,16 @@ pub struct EchoSystem {
     /// Per-process pause flags: deliveries to a paused process buffer in
     /// `ingress` instead of dispatching.
     paused: Vec<bool>,
-    /// Per-process ingress buffers of `(sender index, arrival virtual
-    /// time, frame)`, filled while paused, drained by [`EchoSystem::run`]
-    /// once resumed. Bounded by `ingress_capacity` under the shed policy;
-    /// the arrival stamp feeds the queue-wait stage histogram.
-    ingress: Vec<VecDeque<(usize, u64, WireBytes)>>,
+    /// Per-process ingress buffers, filled while paused, drained by
+    /// [`EchoSystem::run`] once resumed. Each is bounded by
+    /// `ingress_capacity` under the shed policy.
+    ingress: Ingress,
+    /// Processes that may hold partial fragment sets, in process order —
+    /// the only ones a reassembly sweep visits. A process enters when one
+    /// of its frames settles as [`Disposition::FragmentBuffered`] (the
+    /// only way a set comes into being) and leaves when a sweep finds it
+    /// holding none.
+    reassembling: BTreeSet<usize>,
     /// Bound on each ingress buffer.
     ingress_capacity: usize,
     /// Flight recorder on the virtual clock: one causal trace per publish
@@ -361,6 +369,10 @@ pub struct EchoSystem {
     /// Cached per-shard metric handles (lazily created, re-fetched when
     /// the shard count changes).
     shard_metrics: Option<ShardMetrics>,
+    /// Each process's shard under `shard_metrics`' count: filled with the
+    /// handles, extended by [`EchoSystem::add_process`], so a sharded run
+    /// hashes a name once per process, not once per call.
+    shard_assign: Vec<usize>,
     /// Per-channel delivery tier; channels not present run
     /// [`QosTier::Reliable`].
     qos: HashMap<ChannelId, QosTier>,
@@ -426,6 +438,64 @@ struct PendingFrame {
     ctx: Option<TraceCtx>,
 }
 
+/// One buffered delivery: `(sender index, arrival virtual time, frame)`.
+/// The arrival stamp feeds the queue-wait stage histogram.
+type IngressEntry = (usize, u64, WireBytes);
+
+/// Per-process ingress buffers, filled while a process is paused and
+/// drained by the run loops once it resumes. The struct also keeps which
+/// processes hold anything and how much is held in total, so a loop turn
+/// visits only backlogged processes and reads the depth gauge without
+/// summing the population. Every mutation goes through the methods below;
+/// they are what keeps the three fields in step.
+#[derive(Default)]
+struct Ingress {
+    queues: Vec<VecDeque<IngressEntry>>,
+    /// Processes with a non-empty queue, in process order (the drain
+    /// order).
+    backlogged: BTreeSet<usize>,
+    /// Frames held across every queue.
+    total: usize,
+}
+
+impl Ingress {
+    fn add_process(&mut self) {
+        self.queues.push(VecDeque::new());
+    }
+
+    fn queue(&self, idx: usize) -> &VecDeque<IngressEntry> {
+        &self.queues[idx]
+    }
+
+    fn push(&mut self, idx: usize, entry: IngressEntry) {
+        self.queues[idx].push_back(entry);
+        self.backlogged.insert(idx);
+        self.total += 1;
+    }
+
+    fn pop(&mut self, idx: usize) -> Option<IngressEntry> {
+        self.remove(idx, 0)
+    }
+
+    fn remove(&mut self, idx: usize, pos: usize) -> Option<IngressEntry> {
+        let entry = self.queues[idx].remove(pos)?;
+        self.total -= 1;
+        if self.queues[idx].is_empty() {
+            self.backlogged.remove(&idx);
+        }
+        Some(entry)
+    }
+
+    /// Empties one process's queue, returning what it held in arrival
+    /// order.
+    fn take_all(&mut self, idx: usize) -> VecDeque<IngressEntry> {
+        let held = std::mem::take(&mut self.queues[idx]);
+        self.total -= held.len();
+        self.backlogged.remove(&idx);
+        held
+    }
+}
+
 /// Position of the frame a full queue sheds first: the earliest-queued
 /// frame of the lowest [`proto::shed_class`] present (unordered telemetry
 /// before sequenced before reliable events). `None` when nothing is
@@ -487,13 +557,15 @@ impl EchoSystem {
             retry: RetryPolicy::with_seed(0xEC40),
             retry_capacity: RETRY_QUEUE_CAPACITY,
             paused: Vec::new(),
-            ingress: Vec::new(),
+            ingress: Ingress::default(),
+            reassembling: BTreeSet::new(),
             ingress_capacity: INGRESS_CAPACITY,
             recorder,
             tracing: true,
             shards: 1,
             shared_caches: None,
             shard_metrics: None,
+            shard_assign: Vec::new(),
             qos: HashMap::new(),
             frame_budget: None,
             reassembly_limits: None,
@@ -533,10 +605,14 @@ impl EchoSystem {
         }
         let seq_floor = node.next_seq;
         let net_id = self.net.add_node(name.clone());
+        if let Some(m) = &self.shard_metrics {
+            self.shard_assign.push(shard_of_name(&name, m.shards));
+        }
+        debug_assert_eq!(net_id.index(), self.nodes.len(), "one network node per process");
         self.nodes.push(node);
         self.net_ids.push(net_id);
         self.paused.push(false);
-        self.ingress.push(VecDeque::new());
+        self.ingress.add_process();
         let mut journal = self.journal_batch.map(Journal::new);
         if let Some(j) = journal.as_mut() {
             j.append(self.net.now_ns(), JournalEntry::SeqFloor { next_seq: seq_floor });
@@ -998,7 +1074,7 @@ impl EchoSystem {
     /// buffer) and records the observation into the depth-over-time
     /// histogram, so snapshots expose the whole depth distribution.
     fn update_queue_depth(&self) {
-        let depth = self.pending.len() + self.ingress.iter().map(VecDeque::len).sum::<usize>();
+        let depth = self.pending.len() + self.ingress.total;
         self.metrics.queue_depth.set(depth as i64);
         self.metrics.depth_over_time.record(depth as u64);
     }
@@ -1217,12 +1293,11 @@ impl EchoSystem {
     /// loss.
     fn shed_ingress_set(&mut self, idx: usize, sender: usize, seq: u64, detail: &str) {
         let mut i = 0;
-        while i < self.ingress[idx].len() {
-            let (s, _, b) = &self.ingress[idx][i];
+        while let Some((s, _, b)) = self.ingress.queue(idx).get(i) {
             let mate =
                 *s == sender && proto::peek_frag(b).is_some_and(|(q, _, c)| q == seq && c > 1);
             if mate {
-                let (_, _, victim) = self.ingress[idx].remove(i).expect("index in bounds");
+                let (_, _, victim) = self.ingress.remove(idx, i).expect("index in bounds");
                 let ctx = proto::peek_trace(&victim).map(|t| TraceCtx::root(TraceId(t)));
                 self.shed_at(idx, &victim, detail, ctx);
             } else {
@@ -1243,12 +1318,12 @@ impl EchoSystem {
             let ctx = proto::peek_trace(&bytes).map(|t| TraceCtx::root(TraceId(t)));
             a.ingress.evaluate(now, &self.recorder, ctx);
         }
-        if self.ingress[idx].len() >= self.ingress_capacity_now() {
-            let victim_pos = shed_victim_pos(self.ingress[idx].iter().map(|(_, _, b)| &**b));
+        if self.ingress.queue(idx).len() >= self.ingress_capacity_now() {
+            let victim_pos = shed_victim_pos(self.ingress.queue(idx).iter().map(|(_, _, b)| &**b));
             match victim_pos {
                 Some(pos) => {
                     let (vs, _, victim) =
-                        self.ingress[idx].remove(pos).expect("position in bounds");
+                        self.ingress.remove(idx, pos).expect("position in bounds");
                     let ctx = proto::peek_trace(&victim).map(|t| TraceCtx::root(TraceId(t)));
                     let set = proto::peek_frag(&victim).filter(|&(_, _, count)| count > 1);
                     self.shed_at(
@@ -1286,7 +1361,7 @@ impl EchoSystem {
                 None => {}
             }
         }
-        self.ingress[idx].push_back((sender, now, bytes));
+        self.ingress.push(idx, (sender, now, bytes));
         self.update_queue_depth();
     }
 
@@ -1334,7 +1409,10 @@ impl EchoSystem {
                 self.metrics.frag_received.inc();
                 self.metrics.frag_reassembled.inc();
             }
-            Disposition::FragmentBuffered(_) => self.metrics.frag_received.inc(),
+            Disposition::FragmentBuffered(_) => {
+                self.metrics.frag_received.inc();
+                self.reassembling.insert(idx);
+            }
             Disposition::Stale(_) => self.metrics.sequenced_stale.inc(),
             Disposition::Duplicate(_, _) => self.metrics.dedup_dropped.inc(),
             Disposition::Fenced(_) => {
@@ -1403,11 +1481,7 @@ impl EchoSystem {
     /// opening crashes the owning process, a window closing restarts it.
     fn process_crash_transitions(&mut self, now_ns: u64) {
         for t in self.net.take_crash_transitions(now_ns) {
-            let idx = self
-                .net_ids
-                .iter()
-                .position(|&n| n == t.node)
-                .expect("crash transition for a known node");
+            let idx = t.node.index();
             if t.up {
                 self.restart_node(idx);
             } else {
@@ -1466,8 +1540,7 @@ impl EchoSystem {
         self.pending = kept;
         // Frames buffered at the crashed process's ingress vanish with
         // its memory too.
-        let buffered: Vec<_> = self.ingress[idx].drain(..).collect();
-        for (_, _, bytes) in buffered {
+        for (_, _, bytes) in self.ingress.take_all(idx) {
             let ctx = proto::peek_trace(&bytes).map(|t| TraceCtx::root(TraceId(t)));
             self.metrics.crash_lost_ingress.inc();
             self.metrics.quarantined(DeadReason::CrashLost);
@@ -1548,36 +1621,43 @@ impl EchoSystem {
         }
     }
 
-    /// Expires overdue partial fragment sets at every process (visited in
-    /// process order; each node sweeps its channels in id order, so the
-    /// pass is deterministic). Each expiry dead-letters inside the node as
+    /// Expires overdue partial fragment sets at every process that may
+    /// hold any (`reassembling`, visited in process order; each node sweeps
+    /// its channels in id order, so the pass is deterministic and expiries
+    /// dead-letter in the order a sweep of the whole population would
+    /// produce). Each expiry dead-letters inside the node as
     /// [`DeadReason::PartialFragments`] and counts here as
     /// `echo.frag.timeout`; the `echo.frag.buffered` gauge is refreshed to
-    /// the surviving depth.
+    /// the surviving depth, and processes left holding nothing drop out of
+    /// the set.
     fn sweep_reassembly(&mut self) {
         let now = self.net.now_ns();
         let mut depth = 0usize;
-        for node in &mut self.nodes {
-            let expired = node.sweep_reassembly(now);
-            for _ in 0..expired {
+        self.reassembling.retain(|&idx| {
+            let node = &mut self.nodes[idx];
+            for _ in 0..node.sweep_reassembly(now) {
                 self.metrics.frag_timeout.inc();
                 self.metrics.quarantined(DeadReason::PartialFragments);
             }
-            depth += node.reassembly_depth();
-        }
+            let held = node.reassembly_depth();
+            depth += held;
+            held > 0
+        });
         self.metrics.frag_buffered.set(depth as i64);
     }
 
     /// Dispatches every frame buffered for processes that are no longer
-    /// paused, in arrival order. Returns how many frames were dispatched.
+    /// paused — process order, arrival order within each. Returns how many
+    /// frames were dispatched.
     fn drain_ingress(&mut self) -> usize {
         let mut n = 0;
         let now = self.net.now_ns();
-        for idx in 0..self.nodes.len() {
-            while !self.paused[idx] {
-                let Some((sender, arrived_ns, bytes)) = self.ingress[idx].pop_front() else {
-                    break;
-                };
+        // Dispatching sends to the wire, never into an ingress buffer, so
+        // the processes to drain are known up front.
+        let resumed: Vec<usize> =
+            self.ingress.backlogged.iter().copied().filter(|&idx| !self.paused[idx]).collect();
+        for idx in resumed {
+            while let Some((sender, arrived_ns, bytes)) = self.ingress.pop(idx) {
                 // Queue-wait attribution: virtual time spent buffered
                 // before dispatch.
                 self.metrics.queue_wait.record(now.saturating_sub(arrived_ns));
@@ -1654,10 +1734,7 @@ impl EchoSystem {
             };
             // Drop the inbox copy; dispatch directly.
             let _ = self.net.recv(d.to);
-            let idx =
-                self.net_ids.iter().position(|&n| n == d.to).expect("delivery to a known node");
-            let sender =
-                self.net_ids.iter().position(|&n| n == d.from).expect("delivery from a known node");
+            let (idx, sender) = (d.to.index(), d.from.index());
             if self.paused[idx] {
                 self.buffer_ingress(idx, sender, d.payload);
             } else {
@@ -1719,12 +1796,9 @@ impl EchoSystem {
         assert!(shards > 0, "at least one shard required");
         if self.shard_metrics.as_ref().map(|m| m.shards) != Some(shards) {
             self.shard_metrics = Some(ShardMetrics::new(&self.metrics.registry, shards));
+            self.shard_assign = self.nodes.iter().map(|n| shard_of_name(&n.name, shards)).collect();
         }
         let sm = self.shard_metrics.clone().expect("created above");
-        let assign: Vec<usize> =
-            self.nodes.iter().map(|n| shard_of_name(&n.name, shards)).collect();
-        let idx_of: HashMap<NodeId, usize> =
-            self.net_ids.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let mut processed = 0;
         loop {
             self.process_crash_transitions(self.net.now_ns());
@@ -1763,16 +1837,16 @@ impl EchoSystem {
             // One round: everything currently in flight (up to the next
             // crash boundary), bucketed by the destination's shard in
             // global delivery order.
+            let shard_of = |to: NodeId| self.shard_assign[to.index()];
             let buckets = match boundary {
-                Some(t) => self.net.drain_ready_sharded_before(shards, t, |to| assign[idx_of[&to]]),
-                None => self.net.drain_ready_sharded(shards, |to| assign[idx_of[&to]]),
+                Some(t) => self.net.drain_ready_sharded_before(shards, t, shard_of),
+                None => self.net.drain_ready_sharded(shards, shard_of),
             };
             let mut mailboxes: Vec<Vec<(usize, usize, WireBytes)>> =
                 (0..shards).map(|_| Vec::new()).collect();
             for (shard, bucket) in buckets.into_iter().enumerate() {
                 for d in bucket {
-                    let idx = idx_of[&d.to];
-                    let sender = idx_of[&d.from];
+                    let (idx, sender) = (d.to.index(), d.from.index());
                     if self.paused[idx] {
                         self.buffer_ingress(idx, sender, d.payload);
                     } else {
@@ -1843,31 +1917,40 @@ impl EchoSystem {
             for (shard, mailbox) in mailboxes.iter().enumerate() {
                 sm.depth.get(shard).set(mailbox.len() as i64);
             }
-            // Fork: each worker exclusively owns its shard's processes and
-            // mailbox; counters it touches are pre-fetched atomics. Every
-            // node's clock is stamped on the driver thread first, so
-            // reassembly aging stays deterministic across shard counts.
+            // Fork: each worker exclusively owns its mailbox and the
+            // processes it is addressed to (this round's destinations only,
+            // handed out in process order); counters it touches are
+            // pre-fetched atomics. Each destination's clock is stamped on
+            // the driver thread first, so reassembly aging stays
+            // deterministic across shard counts.
             let round_now = self.net.now_ns();
-            for node in &mut self.nodes {
-                node.set_now(round_now);
-            }
+            let mut dests: Vec<usize> =
+                mailboxes.iter().flatten().map(|&(idx, _, _)| idx).collect();
+            dests.sort_unstable();
+            dests.dedup();
             let mut partitions: Vec<Vec<(usize, &mut NodeState)>> =
                 (0..shards).map(|_| Vec::new()).collect();
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                partitions[assign[i]].push((i, node));
+            let mut rest = self.nodes.as_mut_slice();
+            let mut base = 0;
+            for idx in dests {
+                let (node, tail) =
+                    rest[idx - base..].split_first_mut().expect("destination is a process");
+                node.set_now(round_now);
+                partitions[self.shard_assign[idx]].push((idx, node));
+                (rest, base) = (tail, idx + 1);
             }
             let outcomes: Vec<Vec<(usize, usize, FrameOutcome)>> = std::thread::scope(|scope| {
                 let workers: Vec<_> = mailboxes
                     .into_iter()
                     .zip(partitions)
-                    .map(|(mailbox, partition)| {
+                    .map(|(mailbox, mut partition)| {
                         scope.spawn(move || {
-                            let mut nodes: HashMap<usize, &mut NodeState> =
-                                partition.into_iter().collect();
                             let mut out = Vec::with_capacity(mailbox.len());
                             for (idx, sender, bytes) in mailbox {
-                                let node =
-                                    nodes.get_mut(&idx).expect("destination owned by this shard");
+                                let slot = partition
+                                    .binary_search_by_key(&idx, |&(i, _)| i)
+                                    .expect("destination owned by this shard");
+                                let node = &mut *partition[slot].1;
                                 out.push((idx, sender, node.handle_frame(sender as u64, &bytes)));
                             }
                             out
@@ -2310,12 +2393,12 @@ impl EchoSystem {
     /// buffer is at least 3/4 full. Publishers can poll this to slow down
     /// before shedding starts.
     pub fn backpressure(&self, proc: ProcessId) -> bool {
-        self.ingress[proc.0].len() * 4 >= self.ingress_capacity * 3
+        self.ingress.queue(proc.0).len() * 4 >= self.ingress_capacity * 3
     }
 
     /// Frames currently buffered for a (paused or resuming) process.
     pub fn ingress_depth(&self, proc: ProcessId) -> usize {
-        self.ingress[proc.0].len()
+        self.ingress.queue(proc.0).len()
     }
 
     /// Enables per-link bandwidth/RTT monitors on the underlying network:
@@ -3327,5 +3410,163 @@ mod tests {
         assert!(stats.near_matches >= 1, "MaxMatch path never taken: {stats:?}");
         assert_eq!(stats.morphs, 0, "a hand-written transformation ran: {stats:?}");
         assert_eq!(stats.compiles, 0, "transformation code was compiled: {stats:?}");
+    }
+
+    /// The virtual-time loop and the two-shard wall-clock runtime (both
+    /// stateless, so one value drives any number of systems).
+    fn both_drivers() -> [Box<dyn Driver>; 2] {
+        [Box::new(VirtualTimeDriver), Box::new(WallClockDriver::new(2))]
+    }
+
+    /// The `echo.*` part of the system registry's snapshot — counters,
+    /// gauges, histograms with their sample counts and buckets — as text.
+    fn echo_metrics(sys: &EchoSystem) -> String {
+        let mut snap = sys.registry().snapshot();
+        snap.counters.retain(|(name, _)| name.starts_with("echo."));
+        snap.gauges.retain(|(name, _)| name.starts_with("echo."));
+        snap.histograms.retain(|(name, _)| name.starts_with("echo."));
+        snap.to_text()
+    }
+
+    #[test]
+    fn idle_bystanders_change_nothing_the_system_reports() {
+        // One script — handshakes, a mixed-version fan-out, a fragmented
+        // publish, a paused sink, an unsubscribe — run with the processes
+        // it needs and again among 1,500 connected processes that never
+        // send or receive. The run loop must not be able to tell.
+        let script = |bystanders: usize, driver: &mut dyn Driver| {
+            let mut sys = EchoSystem::new();
+            let c = sys.add_process("creator", EchoVersion::V2);
+            let src = sys.add_process("source", EchoVersion::V2);
+            let old = sys.add_process("sink-v1", EchoVersion::V1);
+            let new = sys.add_process("sink-v2", EchoVersion::V2);
+            sys.connect_all(LinkParams::lan());
+            for i in 0..bystanders {
+                let idle = sys.add_process(format!("idle-{i}"), EchoVersion::V2);
+                sys.connect(c, idle, LinkParams::lan());
+                sys.connect(src, idle, LinkParams::lan());
+            }
+            let fmt = blob_format();
+            let ch = sys.create_channel(c);
+            sys.subscribe(src, ch, Role::source(), None).unwrap();
+            sys.subscribe(old, ch, Role::sink(), Some(&fmt)).unwrap();
+            sys.subscribe(new, ch, Role::sink(), Some(&fmt)).unwrap();
+            sys.run_with(driver);
+            sys.set_frame_budget(Some(64));
+            sys.pause_process(old);
+            for n in 0..3 {
+                sys.publish(src, ch, &fmt, &blob(n, 40 + 100 * n as usize)).unwrap();
+                sys.run_with(driver);
+            }
+            sys.resume_process(old);
+            sys.unsubscribe(new, ch).unwrap();
+            sys.run_with(driver);
+            sys.publish(src, ch, &fmt, &blob(9, 300)).unwrap();
+            sys.run_with(driver);
+            (sys.take_events(old), sys.take_events(new), echo_metrics(&sys), sys.now_ns())
+        };
+        for mut driver in both_drivers() {
+            let alone = script(0, &mut *driver);
+            assert_eq!((alone.0.len(), alone.1.len()), (4, 3), "the script delivers");
+            assert_eq!(alone, script(1500, &mut *driver));
+        }
+    }
+
+    /// One fragment of a never-completed two-fragment message, traced so
+    /// its dead letter shows up in the flight recorder.
+    fn orphan_fragment(ch: ChannelId, seq: u64) -> WireBytes {
+        proto::frame_qos(
+            proto::FRAME_EVENT,
+            ch,
+            seq,
+            TRACE_MARK | seq,
+            QosTier::Reliable,
+            0,
+            2,
+            0,
+            b"half",
+        )
+    }
+
+    /// Names of the nodes that quarantined something, in recorder order.
+    fn quarantine_order(sys: &EchoSystem) -> Vec<String> {
+        let events = sys.recorder().events();
+        let at = events.iter().filter(|e| e.name == "echo.quarantine");
+        at.map(|e| e.tag("node").expect("quarantines name their node").to_string()).collect()
+    }
+
+    #[test]
+    fn partials_on_two_processes_expire_in_process_order_and_crashes_leave_the_set_clean() {
+        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let ch = sys.create_channel(c);
+        sys.set_reassembly_limits(8, 1_000);
+        let buffered = |sys: &EchoSystem| sys.registry().snapshot().gauge("echo.frag.buffered");
+        // The higher-numbered process starts reassembling first.
+        sys.dispatch_frame(s2.0, c.0, &orphan_fragment(ch, 1));
+        sys.dispatch_frame(s1.0, c.0, &orphan_fragment(ch, 2));
+        sys.run();
+        assert_eq!(buffered(&sys), Some(2));
+        assert_eq!(sys.reassembling.iter().copied().collect::<Vec<_>>(), vec![s1.0, s2.0]);
+        // Both sets are overdue at the same sweep: process order decides.
+        sys.advance_ns(2_000);
+        sys.run();
+        assert_eq!(quarantine_order(&sys), ["pub-1", "sub-2"]);
+        let snap = sys.registry().snapshot();
+        assert_eq!(snap.counter("echo.frag.timeout"), Some(2));
+        assert_eq!(snap.counter("echo.deadletter.partial_fragments"), Some(2));
+        assert_eq!(buffered(&sys), Some(0));
+        assert!(sys.reassembling.is_empty(), "swept-empty processes leave the set");
+
+        // A crash wipes a process's partials behind the set's back; the
+        // next sweep notices and the gauge still returns to zero.
+        sys.dispatch_frame(s2.0, c.0, &orphan_fragment(ch, 3));
+        sys.run();
+        assert_eq!(buffered(&sys), Some(1));
+        let now = sys.now_ns();
+        sys.set_crash_windows(s2, &[(now + 10, now + 20)]);
+        sys.run();
+        let snap = sys.registry().snapshot();
+        assert_eq!(snap.counter("echo.crash.lost.partials"), Some(1));
+        assert_eq!(snap.counter("echo.frag.timeout"), Some(2), "lost to the crash, not timed out");
+        assert_eq!(buffered(&sys), Some(0));
+        assert_eq!(sys.reassembly_depth(s2), 0);
+        assert!(sys.reassembling.is_empty());
+    }
+
+    #[test]
+    fn resumed_backlogs_drain_in_process_order_then_arrival_order() {
+        for mut driver in both_drivers() {
+            let (mut sys, c, first, second) = three(EchoVersion::V2, EchoVersion::V2);
+            let ch = sys.create_channel(c);
+            let fmt = tick_format();
+            // The later process subscribes first, so each publish reaches
+            // it first: arrival order and process order disagree.
+            sys.subscribe(second, ch, Role::sink(), Some(&fmt)).unwrap();
+            sys.subscribe(first, ch, Role::sink(), Some(&fmt)).unwrap();
+            sys.run_with(&mut *driver);
+            sys.pause_process(first);
+            sys.pause_process(second);
+            for n in 0..3 {
+                sys.publish(c, ch, &fmt, &tick(n)).unwrap();
+            }
+            sys.run_with(&mut *driver);
+            assert_eq!((sys.ingress_depth(first), sys.ingress_depth(second)), (3, 3));
+            assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(6));
+            let seen = sys.recorder().events().len();
+            sys.resume_process(second);
+            sys.resume_process(first);
+            sys.run_with(&mut *driver);
+            let handled: Vec<String> = sys.recorder().events()[seen..]
+                .iter()
+                .filter(|e| e.name == "echo.handle")
+                .map(|e| e.tag("node").expect("handle spans name their node").to_string())
+                .collect();
+            assert_eq!(handled, ["pub-1", "pub-1", "pub-1", "sub-2", "sub-2", "sub-2"]);
+            let ticks: Vec<_> = (0..3).map(|n| (ch, tick(n))).collect();
+            assert_eq!(sys.take_events(first), ticks);
+            assert_eq!(sys.take_events(second), ticks);
+            assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(0));
+            assert!(sys.ingress.backlogged.is_empty() && sys.ingress.total == 0);
+        }
     }
 }

@@ -47,6 +47,16 @@ pub use fault::{FaultPlan, FaultStats, XorShift64};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(usize);
 
+impl NodeId {
+    /// The node's position in its network's insertion order:
+    /// [`Network::add_node`] hands out 0, 1, 2, … . A caller that adds its
+    /// own nodes one-to-one can use this as a direct index instead of
+    /// keeping a map.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)

@@ -44,6 +44,18 @@ fn seeds() -> Vec<u64> {
     }
 }
 
+/// True for the seeds the scenarios were written against: the fixed
+/// matrix above and ci.sh's 1/7/42 (the crash-restart storm's own
+/// matrix). Under those a scenario also asserts
+/// *coverage* — that its fault plan actually dropped, maimed, reordered.
+/// ci.sh additionally draws one fresh seed per run, and a fresh seed may
+/// draw none of a fault over a few dozen frames (about one in 150 for the
+/// fragmentation run's drops), so under it only the invariants are
+/// checked: conservation, exactly-once, byte-exactness, determinism.
+fn curated(seed: u64) -> bool {
+    SEEDS.contains(&seed) || STORM_SEEDS.contains(&seed)
+}
+
 fn tick_format() -> Arc<RecordFormat> {
     FormatBuilder::record("Tick").int("n").build_arc().unwrap()
 }
@@ -118,12 +130,14 @@ fn run_interop_chaos(seed: u64) -> InteropRun {
     let snap = sys.registry().snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
 
-    // The seeds are chosen so every fault class actually fired: 80 sends at
-    // ≥10% per-mille rates leave each class non-empty.
-    assert!(faults.dropped > 0, "seed {seed:#x}: no drops");
-    assert!(faults.corrupted > 0, "seed {seed:#x}: no corruption");
-    assert!(faults.duplicated > 0, "seed {seed:#x}: no duplicates");
-    assert!(faults.reordered > 0, "seed {seed:#x}: no reordering");
+    // The curated seeds are chosen so every fault class actually fired: 80
+    // sends at ≥10% per-mille rates leave each class non-empty.
+    if curated(seed) {
+        assert!(faults.dropped > 0, "seed {seed:#x}: no drops");
+        assert!(faults.corrupted > 0, "seed {seed:#x}: no corruption");
+        assert!(faults.duplicated > 0, "seed {seed:#x}: no duplicates");
+        assert!(faults.reordered > 0, "seed {seed:#x}: no reordering");
+    }
 
     // Accounting identity: every event frame that reached a sink is either
     // handled, suppressed as a duplicate, or quarantined as corrupt.
@@ -214,8 +228,10 @@ fn interop_survives_fault_injection_deterministically() {
         // — every span, timestamp, and fault tag across tens of faulty
         // deliveries — replays byte-for-byte.
         assert_eq!(first.chrome, second.chrome, "seed {seed:#x}: non-deterministic trace export");
-        assert!(first.chrome.contains("simnet.fault.dropped"), "drops are trace-visible");
-        assert!(first.chrome.contains("\"fault\":\"corrupt\""), "corruptions are trace-tagged");
+        if curated(seed) {
+            assert!(first.chrome.contains("simnet.fault.dropped"), "drops are trace-visible");
+            assert!(first.chrome.contains("\"fault\":\"corrupt\""), "corruptions are trace-tagged");
+        }
     }
 }
 
@@ -519,7 +535,12 @@ fn run_resolution_chaos(seed: u64) -> Vec<(&'static str, u64)> {
     let mut rx = MorphReceiver::new();
     rx.register_handler(&old_fmt(), move |v| sink.lock().unwrap().push(v));
 
-    let policy = RetryPolicy::with_seed(seed);
+    // Once the partition heals an exchange still fails about half the time
+    // (two hostile crossings), so the default budget of 8 runs out on
+    // roughly one seed in forty. CI draws a fresh seed per run: size the
+    // budget so exhaustion is out of reach (< 1e-6) for any seed. Runs
+    // that resolve within the default budget are unaffected.
+    let policy = RetryPolicy { budget: 24, ..RetryPolicy::with_seed(seed) };
     let net = RefCell::new(net);
     let server = RefCell::new(server);
     let seq = RefCell::new(0u64);
@@ -890,26 +911,46 @@ fn run_fragmentation_chaos(seed: u64) -> FragRun {
     sys.run();
 
     let faults = sys.fault_totals();
-    assert!(faults.dropped > 0, "seed {seed:#x}: no drops");
-    assert!(faults.duplicated > 0, "seed {seed:#x}: no duplicates");
-    assert!(faults.reordered > 0, "seed {seed:#x}: no reordering");
+    if curated(seed) {
+        assert!(faults.dropped > 0, "seed {seed:#x}: no drops");
+        assert!(faults.duplicated > 0, "seed {seed:#x}: no duplicates");
+        assert!(faults.reordered > 0, "seed {seed:#x}: no reordering");
+    }
 
     let snap = sys.registry().snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
 
-    // The exact accounting identity: every published message either
-    // reassembled and delivered, or dead-lettered as a partial fragment
-    // set, or was shed under backpressure (none here). Nothing vanishes.
+    // The exact accounting identity, fragment by fragment: what was put
+    // on the wire, less what the link dropped, plus what it duplicated,
+    // arrived — and every arrival was either accepted into a set or
+    // suppressed as a duplicate. Nothing vanishes.
+    let frag_sent = counter("echo.frag.sent");
+    assert_eq!(
+        frag_sent - faults.dropped + faults.duplicated,
+        counter("echo.frag.received") + counter("echo.dedup.dropped"),
+        "seed {seed:#x}: fragment books do not balance"
+    );
+    // Message by message: reassembled and delivered, dead-lettered as a
+    // partial set, or shed under backpressure (none here). The Reliable
+    // tier does not retransmit in-flight loss, so one more fate exists —
+    // a message whose *every* fragment the link dropped never reaches the
+    // receiver at all. The curated seeds have none; an arbitrary seed can
+    // (about one in 10^4), and each such message costs a full set of drops.
     let delivered = counter("echo.events.delivered");
     let partials = counter("echo.deadletter.partial_fragments");
     let shed = counter("echo.queue.shed");
-    assert_eq!(
-        delivered + partials + shed,
-        FRAG_EVENTS,
-        "seed {seed:#x}: {delivered} delivered + {partials} partial + {shed} shed != {FRAG_EVENTS}"
+    let never_arrived = FRAG_EVENTS - (delivered + partials + shed);
+    assert!(
+        never_arrived * (frag_sent / FRAG_EVENTS) <= faults.dropped,
+        "seed {seed:#x}: {delivered} delivered + {partials} partial + {shed} shed != {FRAG_EVENTS}, \
+         and {} drops cannot account for the rest",
+        faults.dropped
     );
-    assert!(partials > 0, "seed {seed:#x}: the drop rate must maim at least one message");
-    assert!(delivered > 0, "seed {seed:#x}: at least one message must survive");
+    if curated(seed) {
+        assert_eq!(never_arrived, 0, "seed {seed:#x}: a whole message was lost in flight");
+        assert!(partials > 0, "seed {seed:#x}: the drop rate must maim at least one message");
+        assert!(delivered > 0, "seed {seed:#x}: at least one message must survive");
+    }
     assert_eq!(counter("echo.frag.timeout"), partials, "every partial died by timeout");
     assert_eq!(counter("echo.frag.evicted"), 0, "the buffer bound was never hit");
     assert_eq!(counter("echo.frag.reassembled"), delivered);

@@ -45,6 +45,15 @@ fresh=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 echo "    CHAOS_SEED=$fresh cargo test -q --test chaos"
 CHAOS_SEED="$fresh" cargo test -q --test chaos
 
+echo "==> pbio decode mutation loop, fresh seed (the test step above ran the fixed one)"
+# Truncations, byte flips, hostile counts and random damage to a v2.0
+# response through the compiled decode kernels, checked against
+# GenericDecoder. A failure here reproduces with the printed command.
+fuzz=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$fuzz" ] || fuzz=$(date +%s)
+echo "    PBIO_FUZZ_SEED=$fuzz cargo test -q -p pbio --test wire decode_mutations"
+PBIO_FUZZ_SEED="$fuzz" cargo test -q -p pbio --test wire decode_mutations
+
 echo "==> examples (offline smoke runs; each asserts its own output)"
 for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump; do
     echo "    cargo run --release --example $ex"

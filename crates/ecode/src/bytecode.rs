@@ -15,7 +15,8 @@
 //!   dispatch and stack traffic on the warm fused morph path — the closest
 //!   this reproduction gets to the paper's native code generation — and adds
 //!   superinstructions ([`RInsn::CopyPath`], [`RInsn::BatchCopy`]) that fold
-//!   the hot fused sequences into single dispatches.
+//!   the hot fused sequences into single dispatches — a `CopyPath` carries a
+//!   whole *row* of field copies into one destination record.
 
 use std::sync::Arc;
 
@@ -250,6 +251,51 @@ pub enum ScalarConv {
     C2I,
     /// int → char (wrapping).
     I2C,
+}
+
+/// One `destination leaf = conv(source path)` pair of a [`CopyRow`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CopyEntry {
+    /// Root binding index of the source path.
+    pub src_root: u8,
+    /// Compiled source path segments.
+    pub src_segs: Arc<[CSeg]>,
+    /// Registers holding the source path's dynamic indices.
+    pub src_idx: Arc<[u32]>,
+    /// Last segment of the destination path, below the row's shared
+    /// prefix. A `CSeg::Index` leaf (single-entry rows only) takes the
+    /// last of the row's `dst_idx` registers.
+    pub dst_leaf: CSeg,
+    /// Optional scalar conversion applied to the copied value.
+    pub conv: Option<ScalarConv>,
+}
+
+/// The operands of [`RInsn::CopyPath`]:
+/// `dst_root.dst_segs.leaf = conv(source path)` for each entry, in order.
+///
+/// Observable behaviour is that of the entries executed one after the
+/// other as single copies: fuel is charged per entry, and when entry *j*
+/// fails (its source read, or the budget) the destination keeps entries
+/// `< j` — the element default-extended, exactly as *j* single copies would
+/// have left it. In a row of two or more entries no source may read the
+/// destination root (lowering folds only such runs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CopyRow {
+    /// Root binding index of the destination record.
+    pub dst_root: u8,
+    /// Destination segments shared by every entry: the whole path but the
+    /// leaf.
+    pub dst_segs: Arc<[CSeg]>,
+    /// Registers holding the destination path's dynamic indices.
+    pub dst_idx: Arc<[u32]>,
+    /// The copies, in statement order; never empty.
+    pub entries: Arc<[CopyEntry]>,
+    /// True when `dst_segs` ends in an array subscript and the entries'
+    /// leaves are exactly the element record's fields, in order: a write
+    /// one past the array's end then pushes the record built from the
+    /// copied values instead of extending with a default element and
+    /// overwriting it.
+    pub whole: bool,
 }
 
 /// One register-machine instruction. Registers are indices into a per-frame
@@ -502,25 +548,12 @@ pub enum RInsn {
     /// one-instruction trailer between inlined steps (the stack ISA needs
     /// `Pop; SyncRoot`, folded here into a single dispatch).
     SyncRoot(u8),
-    /// Superinstruction: `dst_root.dst_segs = conv(src_root.src_segs)` — a
-    /// whole field copy (the load→convert→store chain) in one dispatch,
-    /// without staging the value in a register.
-    CopyPath {
-        /// Root binding index of the source path.
-        src_root: u8,
-        /// Compiled source path segments.
-        src_segs: Arc<[CSeg]>,
-        /// Registers holding the source path's dynamic indices.
-        src_idx: Arc<[u32]>,
-        /// Root binding index of the destination path.
-        dst_root: u8,
-        /// Compiled destination path segments.
-        dst_segs: Arc<[CSeg]>,
-        /// Registers holding the destination path's dynamic indices.
-        dst_idx: Arc<[u32]>,
-        /// Optional scalar conversion applied to the copied value.
-        conv: Option<ScalarConv>,
-    },
+    /// Superinstruction: a row of field copies into one destination record
+    /// ([`CopyRow`]) — the load→convert→store chains of adjacent statements
+    /// like Fig. 5's `old.src_list[k].info = …; old.src_list[k].ID = …;` in
+    /// one dispatch with one destination navigation, and without staging
+    /// values in registers. A lone field copy is the one-entry row.
+    CopyPath(CopyRow),
     /// Superinstruction: the whole-array copy loop
     /// `for (; counter < limit; counter++) dst.segs[counter] = src.segs[counter]`
     /// executed as one bounds check plus one bulk range clone. Lowering only
@@ -667,13 +700,32 @@ fn render_rinsn(insn: &RInsn, strings: &[String]) -> String {
         RInsn::Ret { src: Some(r) } => format!("Ret r{r}"),
         RInsn::Ret { src: None } => "Ret".to_string(),
         RInsn::SyncRoot(r) => format!("SyncRoot root{r}"),
-        RInsn::CopyPath { src_root, src_segs, src_idx, dst_root, dst_segs, dst_idx, conv } => {
-            let conv = conv.map(|c| format!(" conv={c:?}")).unwrap_or_default();
-            format!(
-                "CopyPath {} = {}{conv}",
-                render_path(*dst_root, dst_segs, dst_idx),
-                render_path(*src_root, src_segs, src_idx),
-            )
+        RInsn::CopyPath(CopyRow { dst_root, dst_segs, dst_idx, entries, .. }) => {
+            let conv = |e: &CopyEntry| e.conv.map(|c| format!(" conv={c:?}")).unwrap_or_default();
+            let src = |e: &CopyEntry| render_path(e.src_root, &e.src_segs, &e.src_idx);
+            match &entries[..] {
+                // A lone copy prints as the assignment it is.
+                [e] => {
+                    let full: Vec<CSeg> = dst_segs.iter().copied().chain([e.dst_leaf]).collect();
+                    format!(
+                        "CopyPath {} = {}{}",
+                        render_path(*dst_root, &full, dst_idx),
+                        src(e),
+                        conv(e)
+                    )
+                }
+                row => {
+                    let cells: Vec<String> = row
+                        .iter()
+                        .map(|e| format!("{} = {}{}", render_segs(&[e.dst_leaf]), src(e), conv(e)))
+                        .collect();
+                    format!(
+                        "CopyPath {} {{ {} }}",
+                        render_path(*dst_root, dst_segs, dst_idx),
+                        cells.join("; ")
+                    )
+                }
+            }
         }
         RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => format!(
             "BatchCopy {}[r{counter}..r{limit}] = {}[r{counter}..r{limit}]",
@@ -735,17 +787,15 @@ pub(crate) fn map_registers(insn: &RInsn, f: impl Fn(u32) -> u32) -> RInsn {
         }
         RInsn::Ret { src } => RInsn::Ret { src: src.map(&f) },
         RInsn::SyncRoot(r) => RInsn::SyncRoot(*r),
-        RInsn::CopyPath { src_root, src_segs, src_idx, dst_root, dst_segs, dst_idx, conv } => {
-            RInsn::CopyPath {
-                src_root: *src_root,
-                src_segs: Arc::clone(src_segs),
-                src_idx: map_list(src_idx),
-                dst_root: *dst_root,
-                dst_segs: Arc::clone(dst_segs),
-                dst_idx: map_list(dst_idx),
-                conv: *conv,
-            }
-        }
+        RInsn::CopyPath(row) => RInsn::CopyPath(CopyRow {
+            dst_idx: map_list(&row.dst_idx),
+            entries: row
+                .entries
+                .iter()
+                .map(|e| CopyEntry { src_idx: map_list(&e.src_idx), ..e.clone() })
+                .collect(),
+            ..row.clone()
+        }),
         RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => {
             RInsn::BatchCopy {
                 counter: f(*counter),
@@ -793,6 +843,16 @@ mod tests {
         assert_eq!(code.len(), 4);
     }
 
+    fn entry(segs: &[CSeg], idx: &[u32], leaf: u32, conv: Option<ScalarConv>) -> CopyEntry {
+        CopyEntry {
+            src_root: 0,
+            src_segs: segs.into(),
+            src_idx: idx.into(),
+            dst_leaf: CSeg::Field(leaf),
+            conv,
+        }
+    }
+
     #[test]
     fn register_disassembly_renders_superinstructions() {
         let code = RCode {
@@ -806,15 +866,24 @@ mod tests {
                     dst_root: 1,
                     dst_segs: vec![CSeg::Field(2)].into(),
                 },
-                RInsn::CopyPath {
-                    src_root: 0,
-                    src_segs: vec![CSeg::Field(0)].into(),
-                    src_idx: vec![].into(),
+                RInsn::CopyPath(CopyRow {
                     dst_root: 1,
-                    dst_segs: vec![CSeg::Field(0)].into(),
+                    dst_segs: vec![].into(),
                     dst_idx: vec![].into(),
-                    conv: Some(ScalarConv::I2F),
-                },
+                    entries: vec![entry(&[CSeg::Field(0)], &[], 0, Some(ScalarConv::I2F))].into(),
+                    whole: false,
+                }),
+                RInsn::CopyPath(CopyRow {
+                    dst_root: 1,
+                    dst_segs: vec![CSeg::Field(2), CSeg::Index].into(),
+                    dst_idx: vec![0].into(),
+                    entries: vec![
+                        entry(&[CSeg::Field(1), CSeg::Index, CSeg::Field(0)], &[1], 0, None),
+                        entry(&[CSeg::Field(1), CSeg::Index, CSeg::Field(1)], &[1], 1, None),
+                    ]
+                    .into(),
+                    whole: true,
+                }),
                 RInsn::Ret { src: None },
             ],
             strings: vec![],
@@ -826,8 +895,11 @@ mod tests {
         assert_eq!(text.lines().count(), 1 + code.insns.len());
         assert!(text.contains("BatchCopy root1.2[r0..r1] = root0.1[r0..r1]"));
         assert!(text.contains("CopyPath root1.0 = root0.0 conv=I2F"));
+        assert!(text.contains(
+            "CopyPath root1.2[*] [r0] { .0 = root0.1[*].0 [r1]; .1 = root0.1[*].1 [r1] }"
+        ));
         assert_eq!(code.to_string(), text);
-        assert_eq!(code.len(), 4);
+        assert_eq!(code.len(), 5);
         assert!(!code.is_empty());
     }
 
@@ -839,5 +911,17 @@ mod tests {
         // Jump targets and roots are not register operands.
         assert_eq!(map_registers(&RInsn::Jmp(5), |r| r + 10), RInsn::Jmp(5));
         assert_eq!(map_registers(&RInsn::SyncRoot(2), |r| r + 10), RInsn::SyncRoot(2));
+        // A row's index registers live on the instruction and on each entry.
+        let row = RInsn::CopyPath(CopyRow {
+            dst_root: 1,
+            dst_segs: vec![CSeg::Field(2), CSeg::Index].into(),
+            dst_idx: vec![0].into(),
+            entries: vec![entry(&[CSeg::Field(1), CSeg::Index], &[1], 0, None)].into(),
+            whole: false,
+        });
+        let RInsn::CopyPath(row) = map_registers(&row, |r| r + 10) else {
+            panic!("map_registers changed the instruction kind");
+        };
+        assert_eq!((&row.dst_idx[..], &row.entries[0].src_idx[..]), (&[10][..], &[11][..]));
     }
 }

@@ -26,7 +26,9 @@
 
 use pbio::format_id;
 
-use crate::bytecode::{map_registers, CSeg, Code, FnCode, Insn, RCode, RFnCode, RInsn};
+use crate::bytecode::{
+    map_registers, CSeg, Code, CopyEntry, CopyRow, FnCode, Insn, RCode, RFnCode, RInsn,
+};
 use crate::error::{EcodeError, Result};
 use crate::rvm::{self, RunStats};
 use crate::tast::Binding;
@@ -209,23 +211,15 @@ impl FusedProgram {
                         segs: segs.clone(),
                         idx: idx.clone(),
                     },
-                    RInsn::CopyPath {
-                        src_root,
-                        src_segs,
-                        src_idx,
-                        dst_root,
-                        dst_segs,
-                        dst_idx,
-                        conv,
-                    } => RInsn::CopyPath {
-                        src_root: src_root + i as u8,
-                        src_segs: src_segs.clone(),
-                        src_idx: src_idx.clone(),
-                        dst_root: dst_root + i as u8,
-                        dst_segs: dst_segs.clone(),
-                        dst_idx: dst_idx.clone(),
-                        conv: *conv,
-                    },
+                    RInsn::CopyPath(row) => RInsn::CopyPath(CopyRow {
+                        dst_root: row.dst_root + i as u8,
+                        entries: row
+                            .entries
+                            .iter()
+                            .map(|e| CopyEntry { src_root: e.src_root + i as u8, ..e.clone() })
+                            .collect(),
+                        ..row.clone()
+                    }),
                     RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => {
                         RInsn::BatchCopy {
                             counter: *counter,

@@ -61,7 +61,7 @@ use std::sync::Arc;
 
 use pbio::{RecordFormat, Value};
 
-pub use bytecode::{Code, Insn, RCode, RInsn, ScalarConv};
+pub use bytecode::{Code, CopyEntry, CopyRow, Insn, RCode, RInsn, ScalarConv};
 pub use error::{EcodeError, Pos, Result};
 pub use fuse::{root_used_fields, FusedProgram};
 pub use lexer::{lex, Spanned, Tok};

@@ -15,7 +15,10 @@
 //!   linear-scan over live intervals (extended across backward jumps so
 //!   loop-carried values stay live).
 //! * **Superinstructions.** Whole field copies (`dst.f = src.g`, with an
-//!   optional scalar cast) become one [`RInsn::CopyPath`]; the canonical
+//!   optional scalar cast) become one [`RInsn::CopyPath`], and a run of
+//!   adjacent copies into fields of the same destination record (Fig. 5's
+//!   `old.src_list[k].info = …; old.src_list[k].ID = …;`) becomes one
+//!   `CopyPath` *row* that navigates to that record once; the canonical
 //!   per-element array-copy loop becomes one [`RInsn::BatchCopy`] when both
 //!   element types are identical and fixed-stride on the wire
 //!   ([`pbio::FieldType::wire_stride`] — metadata surfaced by the plan
@@ -23,9 +26,9 @@
 
 use std::sync::Arc;
 
-use pbio::{FieldType, RecordFormat};
+use pbio::FieldType;
 
-use crate::bytecode::{map_registers, CSeg, RCode, RFnCode, RInsn, ScalarConv};
+use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RFnCode, RInsn, ScalarConv};
 use crate::tast::{
     ArithOp, Binding, CastKind, CmpOp, TBinOp, TExpr, TExprKind, TPlace, TProgram, TSeg, TStmt, Ty,
 };
@@ -470,55 +473,101 @@ impl FnLower<'_> {
     }
 
     /// Recognizes a plain whole-field copy statement `dst_path = src_path`
-    /// (with an optional scalar cast) and emits a single
+    /// (with an optional scalar cast) and emits a single-entry
     /// [`RInsn::CopyPath`]. Returns false when the shape or the reorder
     /// legality (destination indices must be pure) does not hold.
     fn try_copy_path(&mut self, e: &TExpr) -> bool {
-        let TExprKind::Assign { place: TPlace::Path { root: d, segs: dsegs }, op: None, rhs } =
-            &e.kind
-        else {
-            return false;
-        };
-        let (src, conv) = match &rhs.kind {
-            TExprKind::ReadPath { root, segs } => ((root, segs), None),
-            TExprKind::Cast(kind, inner) => {
-                let TExprKind::ReadPath { root, segs } = &inner.kind else {
-                    return false;
-                };
-                let conv = match kind {
-                    CastKind::IntToDouble => ScalarConv::I2F,
-                    CastKind::DoubleToInt => ScalarConv::F2I,
-                    CastKind::CharToInt => ScalarConv::C2I,
-                    CastKind::IntToChar => ScalarConv::I2C,
-                    CastKind::DoubleToBool => return false,
-                };
-                ((root, segs), Some(conv))
-            }
-            _ => return false,
-        };
+        let Some(copy) = field_copy(e) else { return false };
         // The superinstruction performs the load after the destination's
         // indices are evaluated (the stack machine loads in between), so the
         // destination indices must be side-effect free.
-        let dst_pure = dsegs.iter().all(|s| match s {
+        let dst_pure = copy.dst_segs.iter().all(|s| match s {
             TSeg::Index(e) => is_pure(e),
             TSeg::Field(_) => true,
         });
         if !dst_pure {
             return false;
         }
-        let (src_root, src_segs) = src;
-        let (src_segs, src_idx) = self.path(src_segs);
-        let (dst_segs, dst_idx) = self.path(dsegs);
-        self.emit(RInsn::CopyPath {
-            src_root: *src_root as u8,
-            src_segs,
-            src_idx,
-            dst_root: *d as u8,
+        let entry = self.copy_entry(&copy);
+        let (dst_segs, dst_idx) = self.path(copy.dst_segs);
+        let (_, prefix) = dst_segs.split_last().expect("a path place has a segment");
+        self.emit(RInsn::CopyPath(CopyRow {
+            dst_root: copy.dst_root as u8,
+            dst_segs: prefix.into(),
+            dst_idx,
+            entries: [entry].into(),
+            whole: false,
+        }));
+        true
+    }
+
+    /// Lowers a copy's source subscripts and packs it as a row entry.
+    fn copy_entry(&mut self, copy: &FieldCopy<'_>) -> CopyEntry {
+        let (src_segs, src_idx) = self.path(copy.src_segs);
+        let dst_leaf = match copy.dst_segs.last().expect("a path place has a segment") {
+            TSeg::Field(i) => CSeg::Field(*i as u32),
+            TSeg::Index(_) => CSeg::Index,
+        };
+        CopyEntry { src_root: copy.src_root as u8, src_segs, src_idx, dst_leaf, conv: copy.conv }
+    }
+
+    /// Recognizes a run of two or more adjacent field copies into the same
+    /// destination record at the head of `stmts` and emits them as one
+    /// [`RInsn::CopyPath`] row. Returns how many statements the row took
+    /// (0: no row starts here).
+    ///
+    /// The row evaluates every index before its first store and reads no
+    /// register in between, so entries may only be folded when that is
+    /// unobservable: every subscript in the run is a local or a constant
+    /// (pure, cannot fail, cannot see a store), and no source reads the
+    /// destination root.
+    fn try_copy_row(&mut self, stmts: &[TStmt]) -> usize {
+        let Some((first, prefix, _)) = stmts.first().and_then(row_copy) else { return 0 };
+        let row: Vec<(FieldCopy<'_>, usize)> = stmts
+            .iter()
+            .map_while(row_copy)
+            .take_while(|(c, p, _)| c.dst_root == first.dst_root && *p == prefix)
+            .map(|(c, _, leaf)| (c, leaf))
+            .collect();
+        if row.len() < 2 {
+            return 0;
+        }
+        let mark = self.next_temp;
+        let entries: Vec<CopyEntry> = row.iter().map(|(copy, _)| self.copy_entry(copy)).collect();
+        let (dst_segs, dst_idx) = self.path(prefix);
+        // Whole-element rows: the prefix selects an array element whose
+        // record has exactly the row's leaves as fields, in order.
+        let elem_fields = match place_ty(self.bindings.get(first.dst_root), prefix) {
+            Some(FieldType::Record(r)) if matches!(prefix.last(), Some(TSeg::Index(_))) => {
+                r.fields().len()
+            }
+            _ => 0,
+        };
+        let whole =
+            row.len() == elem_fields && row.iter().map(|(_, leaf)| *leaf).eq(0..elem_fields);
+        self.emit(RInsn::CopyPath(CopyRow {
+            dst_root: first.dst_root as u8,
             dst_segs,
             dst_idx,
-            conv,
-        });
-        true
+            entries: entries.into(),
+            whole,
+        }));
+        self.next_temp = mark;
+        row.len()
+    }
+
+    /// Lowers a statement list, folding runs of field copies into rows.
+    fn stmts(&mut self, stmts: &[TStmt]) {
+        let mut at = 0;
+        while at < stmts.len() {
+            match self.try_copy_row(&stmts[at..]) {
+                0 => {
+                    self.stmt(&stmts[at]);
+                    at += 1;
+                }
+                taken => at += taken,
+            }
+        }
     }
 
     /// Recognizes the canonical array-copy loop
@@ -554,11 +603,8 @@ impl FnLower<'_> {
         }
         let Some(d_fields) = static_array_path(dsegs, i) else { return false };
         let Some(s_fields) = static_array_path(ssegs, i) else { return false };
-        let (Some(db), Some(sb)) = (self.bindings.get(*d), self.bindings.get(*s)) else {
-            return false;
-        };
         let (Some(de), Some(se)) =
-            (array_elem_ty(&db.format, &d_fields), array_elem_ty(&sb.format, &s_fields))
+            (place_ty(self.bindings.get(*d), dsegs), place_ty(self.bindings.get(*s), ssegs))
         else {
             return false;
         };
@@ -665,11 +711,7 @@ impl FnLower<'_> {
                     self.patch(j, step_pos);
                 }
             }
-            TStmt::Block(stmts) => {
-                for s in stmts {
-                    self.stmt(s);
-                }
-            }
+            TStmt::Block(stmts) => self.stmts(stmts),
             TStmt::Return(e) => {
                 let mark = self.next_temp;
                 match e {
@@ -693,6 +735,68 @@ impl FnLower<'_> {
             }
         }
     }
+}
+
+/// The statement shape `dst_path = src_path` / `dst_path = (cast) src_path`.
+struct FieldCopy<'e> {
+    dst_root: usize,
+    dst_segs: &'e [TSeg],
+    src_root: usize,
+    src_segs: &'e [TSeg],
+    conv: Option<ScalarConv>,
+}
+
+fn field_copy(e: &TExpr) -> Option<FieldCopy<'_>> {
+    let TExprKind::Assign { place: TPlace::Path { root, segs }, op: None, rhs } = &e.kind else {
+        return None;
+    };
+    let (src, conv) = match &rhs.kind {
+        TExprKind::Cast(kind, inner) => {
+            let conv = match kind {
+                CastKind::IntToDouble => ScalarConv::I2F,
+                CastKind::DoubleToInt => ScalarConv::F2I,
+                CastKind::CharToInt => ScalarConv::C2I,
+                CastKind::IntToChar => ScalarConv::I2C,
+                CastKind::DoubleToBool => return None,
+            };
+            (&inner.kind, Some(conv))
+        }
+        other => (other, None),
+    };
+    let TExprKind::ReadPath { root: src_root, segs: src_segs } = src else { return None };
+    Some(FieldCopy { dst_root: *root, dst_segs: segs, src_root: *src_root, src_segs, conv })
+}
+
+/// A field copy that may join a [`RInsn::CopyPath`] row, split into the
+/// copy, its destination prefix and its leaf field. See
+/// [`FnLower::try_copy_row`] for why subscripts must be plain.
+fn row_copy(s: &TStmt) -> Option<(FieldCopy<'_>, &[TSeg], usize)> {
+    let TStmt::Expr(e) = s else { return None };
+    let copy = field_copy(e)?;
+    let (leaf, prefix) = copy.dst_segs.split_last()?;
+    let TSeg::Field(leaf) = leaf else { return None };
+    let plain = copy.src_segs.iter().chain(prefix).all(|s| match s {
+        TSeg::Index(e) => matches!(e.kind, TExprKind::ReadLocal(_) | TExprKind::ConstI(_)),
+        TSeg::Field(_) => true,
+    });
+    (plain && !prefix.is_empty() && copy.src_root != copy.dst_root).then_some((copy, prefix, *leaf))
+}
+
+/// The declared type a path into `binding`'s record ends at.
+fn place_ty<'f>(binding: Option<&'f Binding>, segs: &[TSeg]) -> Option<&'f FieldType> {
+    let mut fields = binding?.format.fields();
+    let mut ty: Option<&FieldType> = None;
+    for seg in segs {
+        ty = Some(match (seg, ty) {
+            (TSeg::Field(i), _) => fields.get(*i)?.ty(),
+            (TSeg::Index(_), Some(FieldType::Array { elem, .. })) => elem,
+            (TSeg::Index(_), _) => return None,
+        });
+        if let Some(FieldType::Record(r)) = ty {
+            fields = r.fields();
+        }
+    }
+    ty
 }
 
 fn binop_insn(op: TBinOp, dst: u32, a: u32, b: u32) -> RInsn {
@@ -761,24 +865,6 @@ fn static_array_path(segs: &[TSeg], slot: usize) -> Option<Vec<CSeg>> {
         }
     }
     Some(out)
-}
-
-/// Resolves the element type of the array a field-only path points at.
-fn array_elem_ty<'f>(fmt: &'f Arc<RecordFormat>, segs: &[CSeg]) -> Option<&'f FieldType> {
-    let mut ty: Option<&FieldType> = None;
-    for seg in segs {
-        let CSeg::Field(i) = seg else { return None };
-        let fields = match ty {
-            None => fmt.fields(),
-            Some(FieldType::Record(r)) => r.fields(),
-            Some(_) => return None,
-        };
-        ty = Some(fields.get(*i as usize)?.ty());
-    }
-    match ty? {
-        FieldType::Array { elem, .. } => Some(elem),
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -885,9 +971,7 @@ pub(crate) fn lower(program: &TProgram) -> RCode {
             break_patches: Vec::new(),
             continue_patches: Vec::new(),
         };
-        for s in &program.stmts {
-            fl.stmt(s);
-        }
+        fl.stmts(&program.stmts);
         fl.emit(RInsn::Ret { src: None });
     }
     let main_end = insns.len();
@@ -904,9 +988,7 @@ pub(crate) fn lower(program: &TProgram) -> RCode {
             break_patches: Vec::new(),
             continue_patches: Vec::new(),
         };
-        for s in &f.stmts {
-            fl.stmt(s);
-        }
+        fl.stmts(&f.stmts);
         // Implicit return for falling off the end, mirroring the stack
         // compiler: zero of the return type for non-void.
         match &f.ret {

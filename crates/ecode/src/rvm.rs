@@ -10,18 +10,23 @@
 //!
 //! Two superinstructions do work no stack program can express in one step:
 //!
-//! * [`RInsn::CopyPath`] moves a whole field between roots (with an optional
-//!   scalar conversion) in a single dispatch.
+//! * [`RInsn::CopyPath`] moves a row of fields between roots (each with an
+//!   optional scalar conversion) in a single dispatch and one destination
+//!   navigation; a row that fills a whole new array element appends it by
+//!   value.
 //! * [`RInsn::BatchCopy`] replays an entire counted array-copy loop as one
 //!   bounds check plus a range `clone_from_slice`, charging fuel per element
 //!   so budgets stay comparable with the scalar loop it replaces.
 
 use pbio::{FieldType, RecordFormat, Value};
 
-use crate::bytecode::{CSeg, RCode, RInsn, ScalarConv};
+use crate::bytecode::{CSeg, CopyEntry, CopyRow, RCode, RInsn, ScalarConv};
 use crate::error::Result;
 use crate::tast::Binding;
-use crate::vm::{call_builtin, farith, fcmp, iarith, icmp, nav, rt_err, scmp, write_path};
+use crate::vm::{
+    array_mut, call_builtin, descend_mut, elem_mut, farith, fcmp, field_mut, iarith, icmp, nav,
+    nav_from, rt_err, scmp, walk_mut, write_path, TyRef,
+};
 
 const MAX_CALL_DEPTH: usize = 64;
 
@@ -133,6 +138,136 @@ fn nav_array_mut<'v, 'f>(
     let arr =
         cur.as_array_mut().ok_or_else(|| rt_err("path index applied to a non-array value"))?;
     Ok((arr, elem))
+}
+
+/// One row entry's value: its source, cloned and converted. `src` is the
+/// entry's root record, `frame` the current register window.
+fn read_entry(
+    src: &Value,
+    e: &CopyEntry,
+    frame: &[Value],
+    idx_scratch: &mut Vec<usize>,
+) -> Result<Value> {
+    idx_scratch.clear();
+    for &r in e.src_idx.iter() {
+        idx_scratch.push(to_index(&frame[r as usize])?);
+    }
+    let v = nav_from(src, &e.src_segs, idx_scratch)?.clone();
+    match e.conv {
+        Some(conv) => apply_conv(conv, v),
+        None => Ok(v),
+    }
+}
+
+/// What a multi-entry row reads from while its destination root is
+/// mutably borrowed: the roots on either side of it.
+struct RowSources<'a> {
+    below: &'a [Value],
+    above: &'a [Value],
+    frame: &'a [Value],
+}
+
+impl RowSources<'_> {
+    /// The value of entry `e` (not the row's first), charging its fuel.
+    fn next(&self, e: &CopyEntry, fuel: &mut u64, idx_scratch: &mut Vec<usize>) -> Result<Value> {
+        if *fuel == 0 {
+            return Err(rt_err("instruction budget exhausted"));
+        }
+        *fuel -= 1;
+        let (si, di) = (e.src_root as usize, self.below.len());
+        let src = match si.cmp(&di) {
+            std::cmp::Ordering::Less => self.below.get(si),
+            std::cmp::Ordering::Greater => self.above.get(si - di - 1),
+            std::cmp::Ordering::Equal => return Err(rt_err("copy row reads its destination")),
+        };
+        let src = src.ok_or_else(|| rt_err(format!("no root #{si}")))?;
+        read_entry(src, e, self.frame, idx_scratch)
+    }
+}
+
+/// Executes one [`RInsn::CopyPath`]; see [`CopyRow`] for the contract. Entry
+/// 0 was paid for by the dispatch; every further entry charges `fuel`.
+fn copy_row(
+    row: &CopyRow,
+    roots: &mut [Value],
+    bindings: &[Binding],
+    frame: &[Value],
+    fuel: &mut u64,
+    idx_scratch: &mut Vec<usize>,
+) -> Result<()> {
+    let no_root = |r: u8| rt_err(format!("no root #{r}"));
+    let (first, rest) = row.entries.split_first().ok_or_else(|| rt_err("empty copy row"))?;
+    // Entry 0 reads before the destination is touched, as a lone copy does
+    // (and, alone, may read the destination's own root).
+    let src = roots.get(first.src_root as usize).ok_or_else(|| no_root(first.src_root))?;
+    let v0 = read_entry(src, first, frame, idx_scratch)?;
+    idx_scratch.clear();
+    for &r in row.dst_idx.iter() {
+        idx_scratch.push(to_index(&frame[r as usize])?);
+    }
+    let mut it = idx_scratch.iter();
+    let di = row.dst_root as usize;
+    let binding = bindings.get(di).ok_or_else(|| no_root(row.dst_root))?;
+    let ty = TyRef::Rec(&binding.format);
+    if rest.is_empty() {
+        let dst = roots.get_mut(di).ok_or_else(|| no_root(row.dst_root))?;
+        let (rec, ty) = walk_mut(dst, ty, &row.dst_segs, &mut it)?;
+        *descend_mut(rec, ty, first.dst_leaf, &mut it)?.0 = v0;
+        return Ok(());
+    }
+
+    // The remaining entries read while the destination record is borrowed,
+    // so the roots are split around it.
+    let (below, at) = roots.split_at_mut(di.min(roots.len()));
+    let (dst, above) = at.split_first_mut().ok_or_else(|| no_root(row.dst_root))?;
+    let sources = RowSources { below, above, frame };
+
+    // One navigation to the destination record. Its leaves are fields, so
+    // the subscripts are spent once it is reached and the scratch is free
+    // for the sources again.
+    let (rec, ty) = match row.dst_segs.split_last() {
+        Some((CSeg::Index, head)) if row.whole => {
+            let (cur, ty) = walk_mut(dst, ty, head, &mut it)?;
+            let n = *it.next().expect("one index per CSeg::Index");
+            let (arr, elem_ty) = array_mut(cur, ty)?;
+            if n == arr.len() {
+                // A whole new element: built from the copied values and
+                // pushed. A row that stops early leaves the default element
+                // with the values it got to, as extending first would have.
+                let mut fields = Vec::with_capacity(row.entries.len());
+                fields.push(v0);
+                for e in rest {
+                    match sources.next(e, fuel, idx_scratch) {
+                        Ok(v) => fields.push(v),
+                        Err(err) => {
+                            let mut elem = Value::default_for(elem_ty);
+                            if let Some(slots) = elem.as_record_mut() {
+                                slots.iter_mut().zip(fields).for_each(|(slot, v)| *slot = v);
+                            }
+                            arr.push(elem);
+                            return Err(err);
+                        }
+                    }
+                }
+                arr.push(Value::Record(fields));
+                return Ok(());
+            }
+            (elem_mut(arr, elem_ty, n), TyRef::Ty(elem_ty))
+        }
+        _ => walk_mut(dst, ty, &row.dst_segs, &mut it)?,
+    };
+    let mut store = |e: &CopyEntry, v: Value| -> Result<()> {
+        let CSeg::Field(leaf) = e.dst_leaf else {
+            return Err(rt_err("copy row leaf is not a field"));
+        };
+        *field_mut(&mut *rec, ty, leaf)?.0 = v;
+        Ok(())
+    };
+    store(first, v0)?;
+    for e in rest {
+        store(e, sources.next(e, fuel, idx_scratch)?)?;
+    }
+    Ok(())
 }
 
 /// Executes register bytecode against the root values. See
@@ -355,20 +490,8 @@ pub(crate) fn run_with_fuel(
                 let root = roots.get_mut(ri).ok_or_else(|| rt_err(format!("no root #{r}")))?;
                 pbio::sync_length_fields(root, &binding.format);
             }
-            RInsn::CopyPath { src_root, src_segs, src_idx, dst_root, dst_segs, dst_idx, conv } => {
-                idx_scratch.clear();
-                for &r in src_idx.iter() {
-                    idx_scratch.push(to_index(&reg!(r))?);
-                }
-                let mut v = nav(roots, *src_root, src_segs, &idx_scratch)?.clone();
-                if let Some(conv) = conv {
-                    v = apply_conv(*conv, v)?;
-                }
-                idx_scratch.clear();
-                for &r in dst_idx.iter() {
-                    idx_scratch.push(to_index(&reg!(r))?);
-                }
-                write_path(roots, bindings, *dst_root, dst_segs, &idx_scratch, v)?;
+            RInsn::CopyPath(row) => {
+                copy_row(row, roots, bindings, &regs[base..], &mut fuel, &mut idx_scratch)?;
             }
             RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => {
                 let n = as_int(&reg!(*limit))?;
@@ -419,5 +542,119 @@ pub(crate) fn run_with_fuel(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EcodeCompiler;
+    use pbio::FormatBuilder;
+
+    /// `code` with every multi-entry row replaced by its entries as lone
+    /// copies, jump targets moved along: the scalar sequence a row stands
+    /// for, by the [`CopyRow`] contract.
+    fn unfolded(code: &RCode) -> RCode {
+        let mut new_pc = Vec::with_capacity(code.insns.len() + 1);
+        let mut insns = Vec::new();
+        for insn in &code.insns {
+            new_pc.push(insns.len() as u32);
+            match insn {
+                RInsn::CopyPath(row) if row.entries.len() > 1 => {
+                    insns.extend(row.entries.iter().map(|e| {
+                        RInsn::CopyPath(CopyRow {
+                            entries: [e.clone()].into(),
+                            whole: false,
+                            ..row.clone()
+                        })
+                    }));
+                }
+                other => insns.push(other.clone()),
+            }
+        }
+        new_pc.push(insns.len() as u32);
+        for insn in &mut insns {
+            match insn {
+                RInsn::Jmp(t) | RInsn::Jz { target: t, .. } | RInsn::Jnz { target: t, .. } => {
+                    *t = new_pc[*t as usize];
+                }
+                _ => {}
+            }
+        }
+        assert!(code.funcs.is_empty(), "the programs below declare no functions");
+        RCode { insns, ..code.clone() }
+    }
+
+    /// A row is observably its entries run one after the other — under
+    /// every instruction budget, so also wherever the budget runs out, and
+    /// whichever entry's source fails.
+    #[test]
+    fn row_equals_its_entries_as_lone_copies_under_every_budget() {
+        let elem = |name: &str| {
+            FormatBuilder::record(name).string("info").int("id").double("w").build_arc().unwrap()
+        };
+        let list = |name: &str| {
+            FormatBuilder::record(name).int("n").var_array_of("list", elem("E"), "n").build_arc()
+        };
+        let (from, to) = (list("From").unwrap(), list("To").unwrap());
+        let src = "int i; int k = 0; int last; \
+            for (i = 0; i < new.n - 1; i++) { \
+                if (i % 2 == 0) { \
+                    old.list[k].info = new.list[i].info; \
+                    old.list[k].id = new.list[i].id; \
+                    old.list[k].w = new.list[i].w; \
+                    k++; \
+                } \
+                old.list[i / 2].w = new.list[i].w; \
+                old.list[i / 2].info = new.list[i + 1].info; \
+            } \
+            last = k + 1; \
+            old.list[last].id = new.list[0].id; old.list[last].w = new.list[9].w;";
+        let prog = EcodeCompiler::new()
+            .bind_input("new", &from)
+            .bind_output("old", &to)
+            .compile(src)
+            .unwrap();
+        let folded = prog.rcode();
+        let scalar = unfolded(folded);
+        let n_rows = |c: &RCode| {
+            let multi = |i: &&RInsn| matches!(i, RInsn::CopyPath(r) if r.entries.len() > 1);
+            c.insns.iter().filter(multi).count()
+        };
+        assert_eq!((n_rows(folded), n_rows(&scalar)), (2, 0));
+        assert_eq!(scalar.insns.len(), folded.insns.len() + 3);
+
+        let input = Value::Record(vec![
+            Value::Int(4),
+            Value::Array(
+                (0..4)
+                    .map(|i| {
+                        Value::Record(vec![
+                            Value::str(format!("m{i}")),
+                            Value::Int(i),
+                            Value::Float(i as f64 / 2.0),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ]);
+        let roots = vec![input, Value::default_record(&to)];
+        let run = |code: &RCode, fuel: u64| {
+            let mut roots = roots.clone();
+            let result = run_with_fuel(code, prog.bindings(), &mut roots, fuel);
+            (result.map(|(v, _)| v).map_err(|e| e.to_string()), roots)
+        };
+        // The program ends in an out-of-bounds read at the second entry of
+        // its last row, reached once the budget is large enough.
+        let unbounded = run(folded, u64::MAX);
+        assert_eq!(unbounded, run(&scalar, u64::MAX));
+        assert_eq!(unbounded.0, Err("runtime error: array index 9 out of bounds (len 4)".into()));
+        let mut budget_stops = 0;
+        for fuel in 0..400 {
+            let got = run(folded, fuel);
+            assert_eq!(got, run(&scalar, fuel), "budget {fuel}");
+            budget_stops += u64::from(got != unbounded);
+        }
+        assert!(budget_stops > 50, "the sweep never reached the end: {budget_stops}");
     }
 }

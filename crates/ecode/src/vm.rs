@@ -164,8 +164,12 @@ pub(crate) fn nav<'v>(
     segs: &[CSeg],
     idx: &[usize],
 ) -> Result<&'v Value> {
-    let mut cur: &Value =
-        roots.get(root as usize).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    let from = roots.get(root as usize).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    nav_from(from, segs, idx)
+}
+
+/// [`nav`] below an already resolved root record.
+pub(crate) fn nav_from<'v>(mut cur: &'v Value, segs: &[CSeg], idx: &[usize]) -> Result<&'v Value> {
     let mut it = idx.iter();
     for seg in segs {
         match seg {
@@ -189,9 +193,91 @@ pub(crate) fn nav<'v>(
     Ok(cur)
 }
 
+/// The declared type at the current position of a writing navigation.
+#[derive(Clone, Copy)]
 pub(crate) enum TyRef<'f> {
     Rec(&'f RecordFormat),
     Ty(&'f FieldType),
+}
+
+/// The array a writing navigation is about to subscript, with its declared
+/// element type (what out-of-bounds writes extend it with).
+pub(crate) fn array_mut<'v, 'f>(
+    cur: &'v mut Value,
+    ty: TyRef<'f>,
+) -> Result<(&'v mut Vec<Value>, &'f FieldType)> {
+    let elem_ty = match ty {
+        TyRef::Ty(FieldType::Array { elem, .. }) => elem.as_ref(),
+        _ => return Err(rt_err("path index applied to a non-array field")),
+    };
+    let arr =
+        cur.as_array_mut().ok_or_else(|| rt_err("path index applied to a non-array value"))?;
+    Ok((arr, elem_ty))
+}
+
+/// Element `n` of `arr`, first extending the array with default elements
+/// when `n` is at or past its end.
+pub(crate) fn elem_mut<'v>(
+    arr: &'v mut Vec<Value>,
+    elem_ty: &FieldType,
+    n: usize,
+) -> &'v mut Value {
+    if n >= arr.len() {
+        arr.resize_with(n + 1, || Value::default_for(elem_ty));
+    }
+    &mut arr[n]
+}
+
+/// Record field `i` below a writing navigation.
+pub(crate) fn field_mut<'v, 'f>(
+    cur: &'v mut Value,
+    ty: TyRef<'f>,
+    i: u32,
+) -> Result<(&'v mut Value, TyRef<'f>)> {
+    let i = i as usize;
+    let field_ty = match ty {
+        TyRef::Rec(r) => r.fields().get(i),
+        TyRef::Ty(FieldType::Record(r)) => r.fields().get(i),
+        _ => None,
+    }
+    .ok_or_else(|| rt_err("path field does not match the bound format"))?
+    .ty();
+    let cur = cur
+        .as_record_mut()
+        .and_then(|fs| fs.get_mut(i))
+        .ok_or_else(|| rt_err("path field does not resolve to a record slot"))?;
+    Ok((cur, TyRef::Ty(field_ty)))
+}
+
+/// One segment of a writing navigation; `idx` supplies the subscript of a
+/// [`CSeg::Index`].
+pub(crate) fn descend_mut<'v, 'f>(
+    cur: &'v mut Value,
+    ty: TyRef<'f>,
+    seg: CSeg,
+    idx: &mut std::slice::Iter<'_, usize>,
+) -> Result<(&'v mut Value, TyRef<'f>)> {
+    match seg {
+        CSeg::Field(i) => field_mut(cur, ty, i),
+        CSeg::Index => {
+            let n = *idx.next().expect("one stack index per CSeg::Index");
+            let (arr, elem_ty) = array_mut(cur, ty)?;
+            Ok((elem_mut(arr, elem_ty, n), TyRef::Ty(elem_ty)))
+        }
+    }
+}
+
+/// [`descend_mut`] along every segment of `segs`.
+pub(crate) fn walk_mut<'v, 'f>(
+    mut cur: &'v mut Value,
+    mut ty: TyRef<'f>,
+    segs: &[CSeg],
+    idx: &mut std::slice::Iter<'_, usize>,
+) -> Result<(&'v mut Value, TyRef<'f>)> {
+    for seg in segs {
+        (cur, ty) = descend_mut(cur, ty, *seg, idx)?;
+    }
+    Ok((cur, ty))
 }
 
 /// Navigates a fused path for writing, auto-extending arrays with
@@ -206,45 +292,8 @@ pub(crate) fn write_path(
 ) -> Result<()> {
     let root_idx = root as usize;
     let binding = bindings.get(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
-    let mut cur: &mut Value =
-        roots.get_mut(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
-    let mut ty = TyRef::Rec(&binding.format);
-    let mut it = idx.iter();
-    for seg in segs {
-        match seg {
-            CSeg::Field(i) => {
-                let i = *i as usize;
-                let field_ty = match ty {
-                    TyRef::Rec(r) => r.fields().get(i),
-                    TyRef::Ty(FieldType::Record(r)) => r.fields().get(i),
-                    _ => None,
-                }
-                .ok_or_else(|| rt_err("path field does not match the bound format"))?
-                .ty();
-                cur = cur
-                    .as_record_mut()
-                    .and_then(|fs| fs.get_mut(i))
-                    .ok_or_else(|| rt_err("path field does not resolve to a record slot"))?;
-                ty = TyRef::Ty(field_ty);
-            }
-            CSeg::Index => {
-                let n = *it.next().expect("one stack index per CSeg::Index");
-                let elem_ty = match ty {
-                    TyRef::Ty(FieldType::Array { elem, .. }) => elem.as_ref(),
-                    _ => return Err(rt_err("path index applied to a non-array field")),
-                };
-                let arr = cur
-                    .as_array_mut()
-                    .ok_or_else(|| rt_err("path index applied to a non-array value"))?;
-                if n >= arr.len() {
-                    arr.resize_with(n + 1, || Value::default_for(elem_ty));
-                }
-                cur = &mut arr[n];
-                ty = TyRef::Ty(elem_ty);
-            }
-        }
-    }
-    *cur = value;
+    let cur = roots.get_mut(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    *walk_mut(cur, TyRef::Rec(&binding.format), segs, &mut idx.iter())?.0 = value;
     Ok(())
 }
 

@@ -273,6 +273,9 @@ struct RxMetrics {
     compile_ns: Arc<Histogram>,
     maxmatch_ns: Arc<Histogram>,
     fused_apply_ns: Arc<Histogram>,
+    /// `pbio.decode_ns`: the fused warm path's projected decode, split off
+    /// the `fused_apply_ns` interval.
+    decode_ns: Arc<Histogram>,
 }
 
 impl RxMetrics {
@@ -306,6 +309,7 @@ impl RxMetrics {
             compile_ns: registry.histogram("morph.compile_ns"),
             maxmatch_ns: registry.histogram("morph.maxmatch_ns"),
             fused_apply_ns: registry.histogram("morph.fused.apply_ns"),
+            decode_ns: registry.histogram("pbio.decode_ns"),
         }
     }
 
@@ -980,9 +984,10 @@ impl MorphReceiver {
                             if let Some(s) = span.as_mut() {
                                 s.tag("steps", &chain.steps().len().to_string());
                             }
-                            let _t = self.metrics.timer(&self.metrics.fused_apply_ns);
+                            let apply_timer = self.metrics.timer(&self.metrics.fused_apply_ns);
                             let mut roots = Vec::with_capacity(f.templates.len() + 1);
                             roots.push(f.decode.execute(msg)?);
+                            self.metrics.decode_ns.record(apply_timer.elapsed_ns());
                             roots.extend(f.templates.iter().cloned());
                             if self.register_vm {
                                 let stats = f.program.run_register(&mut roots)?;
@@ -1514,6 +1519,12 @@ mod tests {
         assert_eq!(snap.counter("morph.fused.skipped"), Some(0));
         // The cold pass ran the staged oracle once (1-step chain).
         assert_eq!(snap.counter("morph.staged.vm_invocations"), Some(1));
+        // Each fused apply books its decode under `pbio.decode_ns` (the cold
+        // pass does not), as the leading part of its own interval.
+        let decode = snap.histogram("pbio.decode_ns").unwrap();
+        let apply = snap.histogram("morph.fused.apply_ns").unwrap();
+        assert_eq!((decode.count, apply.count), (4, 4));
+        assert!(decode.sum <= apply.sum, "decode {} > apply {}", decode.sum, apply.sum);
 
         // And the fused output is the same value the staged path delivers.
         let vals = got.lock().unwrap();

@@ -180,6 +180,13 @@ impl Timer {
         Timer { histogram, clock, start_ns, stopped: false }
     }
 
+    /// Nanoseconds since the timer started, without stopping it or recording
+    /// anything: one clock read that splits the interval a running timer
+    /// covers, so a sub-phase needs no timer pair of its own.
+    pub fn elapsed_ns(&self) -> u64 {
+        self.clock.now_ns().saturating_sub(self.start_ns)
+    }
+
     /// Stops the timer, records the elapsed nanoseconds, and returns them.
     pub fn stop(mut self) -> u64 {
         self.finish()

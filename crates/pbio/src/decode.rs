@@ -17,36 +17,46 @@ use crate::error::{PbioError, Result};
 use crate::types::{ArrayLen, BasicType, FieldType, RecordFormat};
 use crate::value::Value;
 
-/// A read cursor over a wire payload.
+/// A read cursor over a wire payload: the unread tail of the buffer, so
+/// every read is one length comparison against what is left.
 #[derive(Debug)]
 pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
     order: ByteOrder,
 }
 
 impl<'a> Cursor<'a> {
     pub(crate) fn new(buf: &'a [u8], order: ByteOrder) -> Cursor<'a> {
-        Cursor { buf, pos: 0, order }
+        Cursor { rest: buf, order }
     }
 
     pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
+        self.rest.is_empty()
     }
 
     /// Bytes left to read — used by the plan executor to bounds-check a
     /// whole fixed-stride array with a single comparison.
     pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(PbioError::UnexpectedEof);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, rest) = self.rest.split_at_checked(n).ok_or(PbioError::UnexpectedEof)?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// Takes exactly `N` bytes as an array: the plan executor's scalar
+    /// reader, whose width was fixed when the plan was compiled.
+    pub(crate) fn fixed<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, rest) = self.rest.split_first_chunk::<N>().ok_or(PbioError::UnexpectedEof)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// Steps over `n` bytes without looking at them.
+    pub(crate) fn advance(&mut self, n: usize) -> Result<()> {
+        self.take(n).map(|_| ())
     }
 
     fn scalar(&mut self, width: usize) -> Result<[u8; 8]> {
@@ -63,7 +73,7 @@ impl<'a> Cursor<'a> {
         Ok(b)
     }
 
-    pub(crate) fn read_int(&mut self, width: usize) -> Result<i64> {
+    fn read_int(&mut self, width: usize) -> Result<i64> {
         let b = self.scalar(width)?;
         let v = u64::from_le_bytes(b);
         // Sign-extend from the declared width.
@@ -76,11 +86,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub(crate) fn read_uint(&mut self, width: usize) -> Result<u64> {
+    fn read_uint(&mut self, width: usize) -> Result<u64> {
         Ok(u64::from_le_bytes(self.scalar(width)?))
     }
 
-    pub(crate) fn read_float(&mut self, width: usize) -> Result<f64> {
+    fn read_float(&mut self, width: usize) -> Result<f64> {
         let b = self.scalar(width)?;
         if width == 4 {
             Ok(f64::from(f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))))
@@ -89,28 +99,30 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub(crate) fn read_char(&mut self) -> Result<u8> {
+    fn read_char(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn read_enum(&mut self) -> Result<i32> {
+    fn read_enum(&mut self) -> Result<i32> {
         Ok(self.read_int(4)? as i32)
     }
 
+    /// The bytes of the NUL-terminated string at the cursor, stepping past
+    /// the terminator.
+    fn take_c_str(&mut self) -> Result<&'a [u8]> {
+        let n = self.rest.iter().position(|&b| b == 0).ok_or(PbioError::UnexpectedEof)?;
+        let bytes = &self.rest[..n];
+        self.rest = &self.rest[n + 1..];
+        Ok(bytes)
+    }
+
     pub(crate) fn read_string(&mut self) -> Result<String> {
-        let rest = &self.buf[self.pos..];
-        let n = rest.iter().position(|&b| b == 0).ok_or(PbioError::UnexpectedEof)?;
-        let bytes = self.take(n)?;
-        self.pos += 1; // the NUL terminator
-        String::from_utf8(bytes.to_vec())
+        String::from_utf8(self.take_c_str()?.to_vec())
             .map_err(|_| PbioError::BadData("non-UTF-8 string payload".into()))
     }
 
     pub(crate) fn skip_string(&mut self) -> Result<()> {
-        let rest = &self.buf[self.pos..];
-        let n = rest.iter().position(|&b| b == 0).ok_or(PbioError::UnexpectedEof)?;
-        self.pos += n + 1;
-        Ok(())
+        self.take_c_str().map(|_| ())
     }
 }
 

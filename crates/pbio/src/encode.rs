@@ -77,7 +77,10 @@ impl Encoder {
 
     /// Creates an encoder with an explicit payload byte order.
     pub fn with_order(format: &RecordFormat, order: ByteOrder) -> Encoder {
-        Encoder { format: format.clone(), id: format_id(format), order }
+        // Id first: it is then memoised in the caller's format, and the
+        // clone below carries it.
+        let id = format_id(format);
+        Encoder { format: format.clone(), id, order }
     }
 
     /// The format this encoder writes.

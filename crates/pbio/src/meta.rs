@@ -43,7 +43,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Computes the wire identity of a format.
+/// The wire identity of a format. Computed from the canonical serialization
+/// on the first call for a given format value and remembered in it.
 ///
 /// # Examples
 ///
@@ -60,7 +61,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// # }
 /// ```
 pub fn format_id(format: &RecordFormat) -> FormatId {
-    FormatId(fnv1a(&serialize_format(format)))
+    format.id_or_init(|| FormatId(fnv1a(&serialize_format(format))))
 }
 
 // -- canonical serialization ------------------------------------------------
@@ -258,6 +259,20 @@ mod tests {
             .var_array_of("member_list", member, "member_count")
             .build()
             .unwrap()
+    }
+
+    /// The id is remembered in the format, travels with clones, and is not
+    /// part of the description: a format that has computed its id still
+    /// equals one that has not.
+    #[test]
+    fn format_id_is_memoised_and_invisible_to_equality() {
+        let (seen, fresh) = (nested_format(), nested_format());
+        let id = format_id(&seen);
+        assert_eq!(id, FormatId(fnv1a(&serialize_format(&seen))));
+        assert_eq!(seen, fresh);
+        assert_eq!(format_id(&seen.clone()), id);
+        assert_eq!(format_id(&fresh), id);
+        assert_eq!(crate::encode::Encoder::new(&fresh).id(), id);
     }
 
     #[test]

@@ -15,52 +15,191 @@
 use std::sync::Arc;
 
 use crate::decode::Cursor;
-use crate::encode::{parse_header, HEADER_LEN};
+use crate::encode::{parse_header, ByteOrder, HEADER_LEN};
 use crate::error::{PbioError, Result};
-use crate::types::{ArrayLen, BasicType, FieldType, RecordFormat};
+use crate::types::{ArrayLen, BasicType, Field, FieldType, RecordFormat, Width};
 use crate::value::Value;
 
-/// How a decoded wire scalar is materialized into the native value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cast {
-    /// Narrow/widen to a signed integer of the native width.
-    ToInt(crate::types::Width),
-    /// Narrow/widen to an unsigned integer of the native width.
-    ToUInt(crate::types::Width),
-    ToFloat,
-    Same,
+/// The payload's byte order as a type. [`ConversionPlan::execute`] reads the
+/// header's flag once and enters the executor monomorphised for it, so no
+/// scalar read below re-tests the order.
+trait Order {
+    fn u16(b: [u8; 2]) -> u16;
+    fn u32(b: [u8; 4]) -> u32;
+    fn u64(b: [u8; 8]) -> u64;
 }
 
-/// What scalar to read off the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WireScalar {
-    Int(usize),
-    UInt(usize),
-    Float(usize),
-    Char,
-    Enum,
-    Str,
+struct Le;
+struct Be;
+
+impl Order for Le {
+    fn u16(b: [u8; 2]) -> u16 {
+        u16::from_le_bytes(b)
+    }
+    fn u32(b: [u8; 4]) -> u32 {
+        u32::from_le_bytes(b)
+    }
+    fn u64(b: [u8; 8]) -> u64 {
+        u64::from_le_bytes(b)
+    }
 }
 
-impl WireScalar {
-    fn of(b: &BasicType) -> WireScalar {
-        match b {
-            BasicType::Int(w) => WireScalar::Int(w.bytes()),
-            BasicType::UInt(w) => WireScalar::UInt(w.bytes()),
-            BasicType::Float(w) => WireScalar::Float(w.bytes()),
-            BasicType::Char => WireScalar::Char,
-            BasicType::Enum { .. } => WireScalar::Enum,
-            BasicType::String => WireScalar::Str,
+impl Order for Be {
+    fn u16(b: [u8; 2]) -> u16 {
+        u16::from_be_bytes(b)
+    }
+    fn u32(b: [u8; 4]) -> u32 {
+        u32::from_be_bytes(b)
+    }
+    fn u64(b: [u8; 8]) -> u64 {
+        u64::from_be_bytes(b)
+    }
+}
+
+/// A wire integer's reader: signedness and width, fixed at compile time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IntRead {
+    I1,
+    I2,
+    I4,
+    I8,
+    U1,
+    U2,
+    U4,
+    U8,
+}
+
+impl IntRead {
+    fn new(signed: bool, w: Width) -> IntRead {
+        match (signed, w) {
+            (true, Width::W1) => IntRead::I1,
+            (true, Width::W2) => IntRead::I2,
+            (true, Width::W4) => IntRead::I4,
+            (true, Width::W8) => IntRead::I8,
+            (false, Width::W1) => IntRead::U1,
+            (false, Width::W2) => IntRead::U2,
+            (false, Width::W4) => IntRead::U4,
+            (false, Width::W8) => IntRead::U8,
+        }
+    }
+
+    fn signed(self) -> bool {
+        matches!(self, IntRead::I1 | IntRead::I2 | IntRead::I4 | IntRead::I8)
+    }
+
+    fn width(self) -> usize {
+        match self {
+            IntRead::I1 | IntRead::U1 => 1,
+            IntRead::I2 | IntRead::U2 => 2,
+            IntRead::I4 | IntRead::U4 => 4,
+            IntRead::I8 | IntRead::U8 => 8,
+        }
+    }
+
+    /// Reads the integer as a 64-bit pattern, sign-extended when the wire
+    /// type is signed and zero-extended when it is not: one checked take of
+    /// a fixed number of bytes.
+    fn bits<O: Order>(self, c: &mut Cursor<'_>) -> Result<u64> {
+        Ok(match self {
+            IntRead::I1 => i64::from(c.fixed::<1>()?[0] as i8) as u64,
+            IntRead::I2 => i64::from(O::u16(c.fixed()?) as i16) as u64,
+            IntRead::I4 => i64::from(O::u32(c.fixed()?) as i32) as u64,
+            IntRead::U1 => u64::from(c.fixed::<1>()?[0]),
+            IntRead::U2 => u64::from(O::u16(c.fixed()?)),
+            IntRead::U4 => u64::from(O::u32(c.fixed()?)),
+            IntRead::I8 | IntRead::U8 => O::u64(c.fixed()?),
+        })
+    }
+
+    /// The raw wire value as an element count. A negative count is
+    /// malformed data, as it is to [`crate::decode::GenericDecoder`].
+    fn count(self, bits: u64) -> Result<u64> {
+        if self.signed() && (bits as i64) < 0 {
+            return Err(PbioError::BadData("negative array length field".into()));
+        }
+        Ok(bits)
+    }
+}
+
+/// How the 64-bit pattern [`IntRead::bits`] produced becomes the native
+/// value. Casts that keep every wire value (same type, or widening without
+/// a sign change) are resolved to the plain `Int`/`UInt` forms at compile
+/// time, so the common case does no narrowing arithmetic per field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IntConv {
+    Int,
+    UInt,
+    /// C narrowing cast to a signed integer of this width.
+    WrapInt(Width),
+    /// C narrowing cast to an unsigned integer of this width.
+    WrapUInt(Width),
+    FloatFromInt,
+    FloatFromUInt,
+}
+
+impl IntConv {
+    /// `native` is the matched native basic type, `None` for a field that
+    /// is parsed but has no destination.
+    fn resolve(read: IntRead, native: Option<&BasicType>) -> IntConv {
+        match native {
+            Some(BasicType::Int(w)) => {
+                let keeps = *w == Width::W8
+                    || if read.signed() {
+                        w.bytes() >= read.width()
+                    } else {
+                        w.bytes() > read.width()
+                    };
+                if keeps {
+                    IntConv::Int
+                } else {
+                    IntConv::WrapInt(*w)
+                }
+            }
+            Some(BasicType::UInt(w)) => {
+                if *w == Width::W8 || (!read.signed() && w.bytes() >= read.width()) {
+                    IntConv::UInt
+                } else {
+                    IntConv::WrapUInt(*w)
+                }
+            }
+            Some(BasicType::Float(_)) if read.signed() => IntConv::FloatFromInt,
+            Some(BasicType::Float(_)) => IntConv::FloatFromUInt,
+            _ if read.signed() => IntConv::Int,
+            _ => IntConv::UInt,
+        }
+    }
+
+    fn apply(self, bits: u64) -> Value {
+        match self {
+            IntConv::Int => Value::Int(bits as i64),
+            IntConv::UInt => Value::UInt(bits),
+            IntConv::WrapInt(w) => Value::Int(w.wrap_i64(bits)),
+            IntConv::WrapUInt(w) => Value::UInt(w.wrap_u64(bits)),
+            IntConv::FloatFromInt => Value::Float(bits as i64 as f64),
+            IntConv::FloatFromUInt => Value::Float(bits as f64),
         }
     }
 }
 
 #[derive(Debug, Clone)]
 enum ElemPlan {
-    Basic {
-        read: WireScalar,
-        cast: Cast,
+    Int {
+        read: IntRead,
+        conv: IntConv,
     },
+    /// An integer that variable-length arrays of the same record level take
+    /// their length from: read like `Int`, and its raw wire value is also
+    /// remembered in the level's count slot `slot`.
+    Count {
+        read: IntRead,
+        conv: IntConv,
+        slot: usize,
+    },
+    F32,
+    F64,
+    Char,
+    Enum,
+    Str,
     Record(RecordPlan),
     Array {
         elem: Box<ElemPlan>,
@@ -76,9 +215,9 @@ enum ElemPlan {
 #[derive(Debug, Clone, Copy)]
 enum LenPlan {
     Fixed(usize),
-    /// Count comes from the wire field at this index of the *enclosing*
-    /// record level (already decoded — validated at compile time).
-    WireField(usize),
+    /// Count comes from this count slot of the *enclosing* record level
+    /// (already decoded — formats declare the length field first).
+    Counted(usize),
 }
 
 #[derive(Debug, Clone)]
@@ -86,19 +225,22 @@ struct Step {
     /// Destination field index in the native record, `None` to skip.
     dst: Option<usize>,
     elem: ElemPlan,
-    /// True if this wire field is an integer whose raw value must be
-    /// remembered for later variable-length arrays at this level.
-    is_count_source: bool,
 }
 
 #[derive(Debug, Clone)]
 struct RecordPlan {
-    /// Number of fields in the native record.
-    native_len: usize,
-    /// Pre-resolved values for native fields with no wire source.
-    prefill: Vec<(usize, Value)>,
     /// One step per wire field, in wire order.
     steps: Vec<Step>,
+    /// Count slots of this level ([`ElemPlan::Count`]). Zero for a record
+    /// without variable-length arrays, which then allocates no scratch.
+    n_counts: usize,
+    /// Number of fields in the native record.
+    native_len: usize,
+    /// `None` when the steps that have a destination land in native order
+    /// and cover every native field: the output is then reserved once and
+    /// pushed to. Otherwise the record to start from — declared defaults
+    /// where no wire field lands, placeholders where one will.
+    template: Option<Vec<Value>>,
     /// `(array_field, count_field)` native index pairs to re-synchronize
     /// after decoding, maintaining the length-field invariant.
     len_syncs: Vec<(usize, usize)>,
@@ -145,8 +287,7 @@ impl ConversionPlan {
     /// length-field invariants (cannot happen for formats built through
     /// [`RecordFormat::new`]).
     pub fn compile(wire: &Arc<RecordFormat>, native: &Arc<RecordFormat>) -> Result<ConversionPlan> {
-        let mut root = compile_record(wire, native)?;
-        patch_tree(&mut root, wire);
+        let root = compile_record(wire, Some(native))?;
         Ok(ConversionPlan { wire: Arc::clone(wire), native: Arc::clone(native), root })
     }
 
@@ -187,19 +328,16 @@ impl ConversionPlan {
             )));
         }
         let mut plan = ConversionPlan::identity(format)?;
-        let mut dropped = Vec::new();
-        for (i, step) in plan.root.steps.iter_mut().enumerate() {
-            if !used[i] {
+        let root = &mut plan.root;
+        for (step, &used) in root.steps.iter_mut().zip(used) {
+            if !used {
                 step.dst = None;
-                dropped.push(i);
             }
         }
-        for i in dropped {
-            let fd = &format.fields()[i];
-            let v = fd.default().cloned().unwrap_or_else(|| Value::default_for(fd.ty()));
-            plan.root.prefill.push((i, v));
+        root.len_syncs.retain(|&(arr, _)| used[arr]);
+        if used.contains(&false) {
+            root.template = Some(template_for(format.fields(), used));
         }
-        plan.root.len_syncs.retain(|&(arr, _)| used[arr]);
         Ok(plan)
     }
 
@@ -223,13 +361,7 @@ impl ConversionPlan {
     /// wire format — callers (the morphing receiver) route by id first.
     pub fn execute(&self, buf: &[u8]) -> Result<Value> {
         let h = parse_header(buf)?;
-        let payload = &buf[HEADER_LEN..HEADER_LEN + h.payload_len];
-        let mut c = Cursor::new(payload, h.order);
-        let v = exec_record(&self.root, &mut c)?;
-        if !c.at_end() {
-            return Err(PbioError::BadData("trailing bytes after record payload".into()));
-        }
-        Ok(v)
+        self.run(&buf[HEADER_LEN..HEADER_LEN + h.payload_len], h.order)
     }
 
     /// Executes the plan on a bare payload (no header), assuming
@@ -240,8 +372,17 @@ impl ConversionPlan {
     ///
     /// Same as [`ConversionPlan::execute`].
     pub fn execute_payload(&self, payload: &[u8]) -> Result<Value> {
-        let mut c = Cursor::new(payload, crate::encode::ByteOrder::Little);
-        let v = exec_record(&self.root, &mut c)?;
+        self.run(payload, ByteOrder::Little)
+    }
+
+    /// The one place the byte order is tested: everything below is
+    /// monomorphised for it.
+    fn run(&self, payload: &[u8], order: ByteOrder) -> Result<Value> {
+        let mut c = Cursor::new(payload, order);
+        let v = match order {
+            ByteOrder::Little => record::<Le>(&self.root, &mut c),
+            ByteOrder::Big => record::<Be>(&self.root, &mut c),
+        }?;
         if !c.at_end() {
             return Err(PbioError::BadData("trailing bytes after record payload".into()));
         }
@@ -269,76 +410,132 @@ fn types_match(wire: &FieldType, native: &FieldType) -> bool {
     }
 }
 
-fn compile_record(wire: &RecordFormat, native: &RecordFormat) -> Result<RecordPlan> {
-    let mut taken: Vec<bool> = vec![false; native.fields().len()];
-    let mut steps = Vec::with_capacity(wire.fields().len());
+/// The record to start a scattered decode from: the declared (or canonical)
+/// default of every native field no wire field lands on, a placeholder for
+/// the rest.
+fn template_for(native: &[Field], taken: &[bool]) -> Vec<Value> {
+    native
+        .iter()
+        .zip(taken)
+        .map(|(fd, &taken)| match (taken, fd.default()) {
+            (true, _) => Value::Int(0),
+            (false, Some(v)) => v.clone(),
+            (false, None) => Value::default_for(fd.ty()),
+        })
+        .collect()
+}
 
+/// One wire record level during compilation: where its variable-length
+/// arrays find their counts.
+struct Level<'a> {
+    wire: &'a RecordFormat,
+    /// Per wire field, its count slot when some array of this level names
+    /// it as length field.
+    slots: &'a [Option<usize>],
+}
+
+impl Level<'_> {
+    fn slot_of(&self, length_field: &str) -> Result<usize> {
+        self.wire
+            .field_index(length_field)
+            .and_then(|i| self.slots[i])
+            .ok_or_else(|| PbioError::BadFormat(format!("no length field `{length_field}`")))
+    }
+}
+
+/// Compiles one record level. With `native` absent every field is parsed
+/// for cursor advancement and nothing is stored.
+fn compile_record(wire: &RecordFormat, native: Option<&RecordFormat>) -> Result<RecordPlan> {
+    // Wire integers that feed variable-length arrays of this level (the
+    // arrays themselves, or arrays nested in their element type).
+    let mut slots: Vec<Option<usize>> = vec![None; wire.fields().len()];
+    let mut n_counts = 0;
     for wf in wire.fields() {
+        let mut ty = wf.ty();
+        while let FieldType::Array { elem, len } = ty {
+            if let ArrayLen::LengthField(name) = len {
+                let idx = wire
+                    .field_index(name)
+                    .ok_or_else(|| PbioError::BadFormat(format!("no length field `{name}`")))?;
+                if slots[idx].is_none() {
+                    slots[idx] = Some(n_counts);
+                    n_counts += 1;
+                }
+            }
+            ty = elem;
+        }
+    }
+    let level = Level { wire, slots: &slots };
+
+    let native_fields = native.map_or(&[][..], RecordFormat::fields);
+    let mut taken: Vec<bool> = vec![false; native_fields.len()];
+    let mut steps = Vec::with_capacity(wire.fields().len());
+    for (wf, slot) in wire.fields().iter().zip(&slots) {
         let dst = native
-            .field_index(wf.name())
-            .filter(|&i| !taken[i] && types_match(wf.ty(), native.fields()[i].ty()));
+            .and_then(|n| n.field_index(wf.name()))
+            .filter(|&i| !taken[i] && types_match(wf.ty(), native_fields[i].ty()));
         if let Some(i) = dst {
             taken[i] = true;
         }
-        let elem = compile_elem(wf.ty(), dst.map(|i| native.fields()[i].ty()))?;
-        steps.push(Step { dst, elem, is_count_source: false });
-    }
-
-    // Mark wire integer fields that feed variable-length arrays.
-    for wf in wire.fields() {
-        if let FieldType::Array { len: ArrayLen::LengthField(name), .. } = wf.ty() {
-            let idx = wire
-                .field_index(name)
-                .ok_or_else(|| PbioError::BadFormat(format!("no length field `{name}`")))?;
-            steps[idx].is_count_source = true;
+        let mut elem = compile_elem(wf.ty(), dst.map(|i| native_fields[i].ty()), &level)?;
+        if let Some(slot) = *slot {
+            let ElemPlan::Int { read, conv } = elem else {
+                return Err(PbioError::BadFormat(format!(
+                    "length field `{}` is not an integer",
+                    wf.name()
+                )));
+            };
+            elem = ElemPlan::Count { read, conv, slot };
         }
+        steps.push(Step { dst, elem });
     }
 
-    let prefill = native
-        .fields()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !taken[*i])
-        .map(|(i, fd)| (i, fd.default().cloned().unwrap_or_else(|| Value::default_for(fd.ty()))))
-        .collect();
+    let in_order = taken.iter().all(|&t| t) && steps.iter().filter_map(|s| s.dst).is_sorted();
+    let template = (!in_order).then(|| template_for(native_fields, &taken));
 
-    let len_syncs = native
-        .fields()
+    let len_syncs = native_fields
         .iter()
         .enumerate()
         .filter_map(|(i, fd)| match fd.ty() {
             FieldType::Array { len: ArrayLen::LengthField(name), .. } => {
-                native.field_index(name).map(|c| (i, c))
+                native?.field_index(name).map(|c| (i, c))
             }
             _ => None,
         })
         .collect();
 
-    Ok(RecordPlan { native_len: native.fields().len(), prefill, steps, len_syncs })
+    Ok(RecordPlan { steps, n_counts, native_len: native_fields.len(), template, len_syncs })
 }
 
-fn compile_elem(wire_ty: &FieldType, native_ty: Option<&FieldType>) -> Result<ElemPlan> {
+fn compile_elem(
+    wire_ty: &FieldType,
+    native_ty: Option<&FieldType>,
+    level: &Level<'_>,
+) -> Result<ElemPlan> {
     match (wire_ty, native_ty) {
-        (FieldType::Basic(wb), nb) => {
-            let cast = match nb {
-                None => Cast::Same,
-                Some(FieldType::Basic(nb)) => match nb {
-                    BasicType::Int(w) => Cast::ToInt(*w),
-                    BasicType::UInt(w) => Cast::ToUInt(*w),
-                    BasicType::Float(_) => Cast::ToFloat,
-                    _ => Cast::Same,
-                },
+        (FieldType::Basic(wb), nty) => {
+            let native = match nty {
+                None => None,
+                Some(FieldType::Basic(nb)) => Some(nb),
                 Some(_) => unreachable!("types_match checked basic-vs-basic"),
             };
-            Ok(ElemPlan::Basic { read: WireScalar::of(wb), cast })
+            let int = |signed: bool, w: Width| {
+                let read = IntRead::new(signed, w);
+                ElemPlan::Int { read, conv: IntConv::resolve(read, native) }
+            };
+            Ok(match wb {
+                BasicType::Int(w) => int(true, *w),
+                BasicType::UInt(w) => int(false, *w),
+                BasicType::Float(Width::W4) => ElemPlan::F32,
+                BasicType::Float(_) => ElemPlan::F64,
+                BasicType::Char => ElemPlan::Char,
+                BasicType::Enum { .. } => ElemPlan::Enum,
+                BasicType::String => ElemPlan::Str,
+            })
         }
-        (FieldType::Record(wr), None) => {
-            // Skipped nested record: compile against an empty destination by
-            // reusing the record plan machinery with all fields unmatched.
-            Ok(ElemPlan::Record(compile_skip_record(wr)?))
-        }
+        (FieldType::Record(wr), None) => Ok(ElemPlan::Record(compile_record(wr, None)?)),
         (FieldType::Record(wr), Some(FieldType::Record(nr))) => {
-            Ok(ElemPlan::Record(compile_record(wr, nr)?))
+            Ok(ElemPlan::Record(compile_record(wr, Some(nr))?))
         }
         (FieldType::Array { elem, len }, nty) => {
             let native_elem = match nty {
@@ -347,10 +544,10 @@ fn compile_elem(wire_ty: &FieldType, native_ty: Option<&FieldType>) -> Result<El
                 Some(_) => unreachable!("types_match checked array-vs-array"),
             };
             Ok(ElemPlan::Array {
-                elem: Box::new(compile_elem(elem, native_elem)?),
+                elem: Box::new(compile_elem(elem, native_elem, level)?),
                 len: match len {
                     ArrayLen::Fixed(n) => LenPlan::Fixed(*n),
-                    ArrayLen::LengthField(_) => LenPlan::WireField(0), // patched by caller
+                    ArrayLen::LengthField(name) => LenPlan::Counted(level.slot_of(name)?),
                 },
                 stride: elem.wire_stride(),
             })
@@ -359,175 +556,99 @@ fn compile_elem(wire_ty: &FieldType, native_ty: Option<&FieldType>) -> Result<El
     }
 }
 
-/// A record plan that parses (for cursor advancement) but stores nothing.
-fn compile_skip_record(wire: &RecordFormat) -> Result<RecordPlan> {
-    let mut steps = Vec::with_capacity(wire.fields().len());
-    for wf in wire.fields() {
-        steps.push(Step { dst: None, elem: compile_elem(wf.ty(), None)?, is_count_source: false });
-    }
-    for wf in wire.fields() {
-        if let FieldType::Array { len: ArrayLen::LengthField(name), .. } = wf.ty() {
-            let idx = wire
-                .field_index(name)
-                .ok_or_else(|| PbioError::BadFormat(format!("no length field `{name}`")))?;
-            steps[idx].is_count_source = true;
+/// Decodes one record level into its native record.
+fn record<O: Order>(plan: &RecordPlan, c: &mut Cursor<'_>) -> Result<Value> {
+    let mut counts = vec![0u64; plan.n_counts];
+    let mut out = match &plan.template {
+        Some(template) => template.clone(),
+        None => Vec::with_capacity(plan.native_len),
+    };
+    let pushing = plan.template.is_none();
+    for step in &plan.steps {
+        match step.dst {
+            None => skip::<O>(&step.elem, c, &mut counts)?,
+            Some(_) if pushing => out.push(build::<O>(&step.elem, c, &mut counts)?),
+            Some(dst) => out[dst] = build::<O>(&step.elem, c, &mut counts)?,
         }
     }
-    Ok(RecordPlan { native_len: 0, prefill: Vec::new(), steps, len_syncs: Vec::new() })
+    for &(arr, cnt) in &plan.len_syncs {
+        let n = out[arr].as_array().map_or(0, <[Value]>::len) as u64;
+        out[cnt] = match out[cnt] {
+            Value::UInt(_) => Value::UInt(n),
+            _ => Value::Int(n as i64),
+        };
+    }
+    Ok(Value::Record(out))
 }
 
-// `compile_elem` cannot know the index of a variable array's length field —
-// that information lives at the record level. Patch it here.
-fn patch_var_lens(plan: &mut RecordPlan, wire: &RecordFormat) {
-    for (step, wf) in plan.steps.iter_mut().zip(wire.fields()) {
-        if let (
-            ElemPlan::Array { len: len_plan @ LenPlan::WireField(_), .. },
-            FieldType::Array { len: ArrayLen::LengthField(name), .. },
-        ) = (&mut step.elem, wf.ty())
-        {
-            if let Some(idx) = wire.field_index(name) {
-                *len_plan = LenPlan::WireField(idx);
+/// The element count of an array about to be read. Fixed-stride ranges are
+/// bounds-checked as a block: one comparison proves every element read is
+/// in-bounds, which also justifies reserving the exact count (a hostile
+/// length field fails here instead of over-allocating).
+fn array_len(len: LenPlan, stride: Option<usize>, c: &Cursor<'_>, counts: &[u64]) -> Result<usize> {
+    let n = match len {
+        LenPlan::Fixed(n) => n,
+        LenPlan::Counted(slot) => {
+            usize::try_from(counts[slot]).map_err(|_| PbioError::UnexpectedEof)?
+        }
+    };
+    if let Some(s) = stride {
+        match n.checked_mul(s) {
+            Some(need) if need <= c.remaining() => {}
+            _ => return Err(PbioError::UnexpectedEof),
+        }
+    }
+    Ok(n)
+}
+
+/// Decodes one element into its native value. `counts` are the count slots
+/// of the enclosing record level.
+fn build<O: Order>(elem: &ElemPlan, c: &mut Cursor<'_>, counts: &mut [u64]) -> Result<Value> {
+    Ok(match elem {
+        ElemPlan::Int { read, conv } => conv.apply(read.bits::<O>(c)?),
+        ElemPlan::Count { read, conv, slot } => {
+            let bits = read.bits::<O>(c)?;
+            counts[*slot] = read.count(bits)?;
+            conv.apply(bits)
+        }
+        ElemPlan::F32 => Value::Float(f64::from(f32::from_bits(O::u32(c.fixed()?)))),
+        ElemPlan::F64 => Value::Float(f64::from_bits(O::u64(c.fixed()?))),
+        ElemPlan::Char => Value::Char(c.fixed::<1>()?[0]),
+        ElemPlan::Enum => Value::Enum(O::u32(c.fixed()?) as i32),
+        ElemPlan::Str => Value::Str(c.read_string()?),
+        ElemPlan::Record(rp) => record::<O>(rp, c)?,
+        ElemPlan::Array { elem, len, stride } => {
+            let n = array_len(*len, *stride, c, counts)?;
+            let mut es = Vec::with_capacity(if stride.is_some() { n } else { n.min(1 << 16) });
+            for _ in 0..n {
+                es.push(build::<O>(elem, c, counts)?);
             }
+            Value::Array(es)
         }
-    }
+    })
 }
 
-fn exec_record(plan: &RecordPlan, c: &mut Cursor<'_>) -> Result<Value> {
-    let mut out: Vec<Value> = Vec::new();
-    if plan.native_len > 0 {
-        out = vec![Value::Int(0); plan.native_len];
-        for (i, v) in &plan.prefill {
-            out[*i] = v.clone();
-        }
-    }
-    let mut counts: Vec<u64> = vec![0; plan.steps.len()];
-    for (wi, step) in plan.steps.iter().enumerate() {
-        let v = exec_elem(&step.elem, c, &counts, step.dst.is_some())?;
-        if step.is_count_source {
-            if let Some(ref v) = v {
-                counts[wi] = v.as_count().unwrap_or(0);
-            }
-        }
-        if let (Some(dst), Some(v)) = (step.dst, v) {
-            out[dst] = v;
-        }
-    }
-    let mut rec = Value::Record(out);
-    if let Value::Record(ref mut fields) = rec {
-        for &(arr, cnt) in &plan.len_syncs {
-            let n = fields[arr].as_array().map_or(0, <[Value]>::len) as u64;
-            fields[cnt] = match fields[cnt] {
-                Value::UInt(_) => Value::UInt(n),
-                _ => Value::Int(n as i64),
-            };
-        }
-    }
-    Ok(rec)
-}
-
-/// Decodes one element. `build` is false when the value is being skipped —
-/// strings and records are then parsed without allocation. Count-source
-/// integers are always materialized (cheap) so array lengths stay available.
-fn exec_elem(
-    elem: &ElemPlan,
-    c: &mut Cursor<'_>,
-    counts: &[u64],
-    build: bool,
-) -> Result<Option<Value>> {
+/// Parses one element for cursor advancement only: nothing is allocated.
+/// Count sources are still read, so array lengths stay available.
+fn skip<O: Order>(elem: &ElemPlan, c: &mut Cursor<'_>, counts: &mut [u64]) -> Result<()> {
     match elem {
-        ElemPlan::Basic { read, cast } => match read {
-            WireScalar::Int(w) => {
-                let v = c.read_int(*w)?;
-                Ok(Some(apply_cast_i(v, *cast)))
-            }
-            WireScalar::UInt(w) => {
-                let v = c.read_uint(*w)?;
-                Ok(Some(apply_cast_u(v, *cast)))
-            }
-            WireScalar::Float(w) => {
-                let v = c.read_float(*w)?;
-                Ok(Some(Value::Float(v)))
-            }
-            WireScalar::Char => Ok(Some(Value::Char(c.read_char()?))),
-            WireScalar::Enum => Ok(Some(Value::Enum(c.read_enum()?))),
-            WireScalar::Str => {
-                if build {
-                    Ok(Some(Value::Str(c.read_string()?)))
-                } else {
-                    c.skip_string()?;
-                    Ok(None)
-                }
-            }
-        },
+        ElemPlan::Int { read, .. } => c.advance(read.width()),
+        ElemPlan::Count { read, slot, .. } => {
+            counts[*slot] = read.count(read.bits::<O>(c)?)?;
+            Ok(())
+        }
+        ElemPlan::F32 | ElemPlan::Enum => c.advance(4),
+        ElemPlan::F64 => c.advance(8),
+        ElemPlan::Char => c.advance(1),
+        ElemPlan::Str => c.skip_string(),
         ElemPlan::Record(rp) => {
-            let v = exec_record(rp, c)?;
-            Ok(if build { Some(v) } else { None })
+            let mut counts = vec![0u64; rp.n_counts];
+            rp.steps.iter().try_for_each(|step| skip::<O>(&step.elem, c, &mut counts))
         }
         ElemPlan::Array { elem, len, stride } => {
-            let n = match len {
-                LenPlan::Fixed(n) => *n,
-                LenPlan::WireField(i) => counts[*i] as usize,
-            };
-            // Fixed-stride ranges are bounds-checked as a block: one
-            // comparison proves every element read is in-bounds, which also
-            // justifies reserving the exact count (a hostile length field
-            // fails here instead of over-allocating).
-            if let Some(s) = stride {
-                match n.checked_mul(*s) {
-                    Some(need) if need <= c.remaining() => {}
-                    _ => return Err(PbioError::UnexpectedEof),
-                }
-            }
-            if build {
-                let cap = if stride.is_some() { n } else { n.min(1 << 16) };
-                let mut es = Vec::with_capacity(cap);
-                for _ in 0..n {
-                    es.push(
-                        exec_elem(elem, c, counts, true)?
-                            .expect("build=true always yields a value"),
-                    );
-                }
-                Ok(Some(Value::Array(es)))
-            } else {
-                for _ in 0..n {
-                    exec_elem(elem, c, counts, false)?;
-                }
-                Ok(None)
-            }
+            let n = array_len(*len, *stride, c, counts)?;
+            (0..n).try_for_each(|_| skip::<O>(elem, c, counts))
         }
-    }
-}
-
-fn apply_cast_i(v: i64, cast: Cast) -> Value {
-    match cast {
-        Cast::ToInt(w) => Value::Int(w.wrap_i64(v as u64)),
-        Cast::ToUInt(w) => Value::UInt(w.wrap_u64(v as u64)),
-        Cast::ToFloat => Value::Float(v as f64),
-        Cast::Same => Value::Int(v),
-    }
-}
-
-fn apply_cast_u(v: u64, cast: Cast) -> Value {
-    match cast {
-        Cast::ToInt(w) => Value::Int(w.wrap_i64(v)),
-        Cast::ToUInt(w) => Value::UInt(w.wrap_u64(v)),
-        Cast::ToFloat => Value::Float(v as f64),
-        Cast::Same => Value::UInt(v),
-    }
-}
-
-fn patch_tree(plan: &mut RecordPlan, wire: &RecordFormat) {
-    patch_var_lens(plan, wire);
-    for (step, wf) in plan.steps.iter_mut().zip(wire.fields()) {
-        patch_elem(&mut step.elem, wf.ty());
-    }
-}
-
-fn patch_elem(elem: &mut ElemPlan, wire_ty: &FieldType) {
-    match (elem, wire_ty) {
-        (ElemPlan::Record(rp), FieldType::Record(wr)) => patch_tree(rp, wr),
-        (ElemPlan::Array { elem, .. }, FieldType::Array { elem: we, .. }) => patch_elem(elem, we),
-        _ => {}
     }
 }
 
@@ -768,6 +889,155 @@ mod tests {
         let payload = crate::encode::HEADER_LEN;
         bad[payload..payload + 4].copy_from_slice(&0x7fff_ffffu32.to_le_bytes());
         assert!(matches!(plan.execute(&bad), Err(PbioError::UnexpectedEof)));
+    }
+
+    /// Both payload byte orders through every fixed-width reader, at the
+    /// extremes of each width, under the identity plan and under widening,
+    /// narrowing and sign-changing casts: the plan equals the oracle.
+    #[test]
+    fn every_scalar_reader_agrees_with_the_oracle_in_both_orders() {
+        use crate::encode::ByteOrder;
+        use crate::types::{BasicType::*, Width::*};
+        let record = |tys: &[BasicType]| {
+            let mut b = FormatBuilder::record("S");
+            for (i, ty) in tys.iter().enumerate() {
+                b = b.field(format!("f{i}"), FieldType::Basic(ty.clone()));
+            }
+            b.char("c").float("f").double("d").build_arc().unwrap()
+        };
+        let wire_tys = [Int(W1), Int(W2), Int(W4), Int(W8), UInt(W1), UInt(W2), UInt(W4), UInt(W8)];
+        let from = record(&wire_tys);
+        let natives = [
+            from.clone(),
+            // Narrowest, widest, sign-flipped and float natives per field.
+            record(&vec![Int(W1); 8]),
+            record(&vec![UInt(W1); 8]),
+            record(&vec![Int(W8); 8]),
+            record(&vec![UInt(W8); 8]),
+            record(&[UInt(W2), Int(W1), UInt(W4), Int(W4), Int(W1), Int(W2), Int(W4), Int(W8)]),
+            record(&vec![Float(W8); 8]),
+        ];
+        let tail = [Value::Char(0xfe), Value::Float(-1.5), Value::Float(2.25e10)];
+        let lows: [i64; 4] = [i8::MIN.into(), i16::MIN.into(), i32::MIN.into(), i64::MIN];
+        let highs: [u64; 4] = [u8::MAX.into(), u16::MAX.into(), u32::MAX.into(), u64::MAX];
+        let low = lows.iter().map(|&v| Value::Int(v)).chain(highs.map(|_| Value::UInt(0)));
+        let high = lows.iter().map(|&v| Value::Int(-(v + 1))).chain(highs.map(Value::UInt));
+        let minus_one = lows.iter().map(|_| Value::Int(-1)).chain(highs.map(|_| Value::UInt(1)));
+        for fields in [low.collect::<Vec<_>>(), high.collect(), minus_one.collect()] {
+            let v = Value::Record(fields.into_iter().chain(tail.clone()).collect());
+            for order in [ByteOrder::Little, ByteOrder::Big] {
+                let wire = Encoder::with_order(&from, order).encode(&v).unwrap();
+                for to in &natives {
+                    let plan = ConversionPlan::compile(&from, to).unwrap();
+                    let oracle = crate::decode::GenericDecoder::new(from.clone(), to.clone());
+                    assert_eq!(
+                        plan.execute(&wire).unwrap(),
+                        oracle.decode(&wire).unwrap(),
+                        "{order:?} to {to}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A length field counts what is on the wire, whatever the receiver
+    /// casts it to: 300 elements stay 300 when the native count is a byte.
+    #[test]
+    fn count_source_keeps_its_wire_value_under_a_narrowing_cast() {
+        use crate::types::{BasicType, Width};
+        let elem = BasicType::Int(Width::W2);
+        let from = FormatBuilder::record("R")
+            .int("n")
+            .var_array_basic("vals", elem.clone(), "n")
+            .build_arc()
+            .unwrap();
+        let to = FormatBuilder::record("R")
+            .field("n", FieldType::Basic(BasicType::UInt(Width::W1)))
+            .var_array_basic("vals", elem, "n")
+            .build_arc()
+            .unwrap();
+        let vals: Vec<Value> = (0..300).map(Value::Int).collect();
+        let wire = Encoder::new(&from)
+            .encode(&Value::Record(vec![Value::Int(300), Value::Array(vals.clone())]))
+            .unwrap();
+        let out = ConversionPlan::compile(&from, &to).unwrap().execute(&wire).unwrap();
+        assert_eq!(out, crate::decode::GenericDecoder::new(from, to).decode(&wire).unwrap());
+        assert_eq!(out.as_record().unwrap()[1], Value::Array(vals));
+    }
+
+    /// A negative length field is malformed, not an empty array.
+    #[test]
+    fn negative_count_is_rejected_like_the_oracle_does() {
+        let fmt = resp(false);
+        let empty = Value::Record(vec![Value::Int(0), Value::Array(vec![])]);
+        let mut wire = Encoder::new(&fmt).encode(&empty).unwrap();
+        wire[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(-1i32).to_le_bytes());
+        assert!(crate::decode::GenericDecoder::new(fmt.clone(), fmt.clone())
+            .decode(&wire)
+            .is_err());
+        for used in [[true, true], [true, false], [false, false]] {
+            let plan = ConversionPlan::project(&fmt, &used).unwrap();
+            assert!(matches!(plan.execute(&wire), Err(PbioError::BadData(_))), "{used:?}");
+        }
+    }
+
+    /// Arrays nested in an array's element type take their length from the
+    /// same record level; the count need not be the record's first field.
+    #[test]
+    fn nested_array_levels_find_their_count() {
+        use crate::types::{ArrayLen, BasicType, Width};
+        let rows = FieldType::Array {
+            elem: Box::new(FieldType::Array {
+                elem: Box::new(FieldType::Basic(BasicType::Int(Width::W2))),
+                len: ArrayLen::LengthField("cols".into()),
+            }),
+            len: ArrayLen::Fixed(2),
+        };
+        let fmt = FormatBuilder::record("Grid")
+            .string("name")
+            .int("cols")
+            .field("rows", rows)
+            .build_arc()
+            .unwrap();
+        let row = |a, b, c| Value::Array(vec![Value::Int(a), Value::Int(b), Value::Int(c)]);
+        let v = Value::Record(vec![
+            Value::str("g"),
+            Value::Int(3),
+            Value::Array(vec![row(1, 2, 3), row(4, 5, 6)]),
+        ]);
+        let wire = Encoder::new(&fmt).encode(&v).unwrap();
+        assert_eq!(ConversionPlan::identity(&fmt).unwrap().execute(&wire).unwrap(), v);
+        // Projected away, the rows are still stepped over by their count.
+        let plan = ConversionPlan::project(&fmt, &[true, true, false]).unwrap();
+        let out = plan.execute(&wire).unwrap();
+        assert_eq!(out.as_record().unwrap()[..2], [Value::str("g"), Value::Int(3)]);
+    }
+
+    /// What `compile` resolves per record level: leaf records carry no
+    /// count scratch, records whose fields arrive in native order are
+    /// pushed to, the rest start from a template.
+    #[test]
+    fn record_levels_are_classified_at_compile_time() {
+        let leaf = |p: &ConversionPlan| match &p.root.steps[1].elem {
+            ElemPlan::Array { elem, .. } => match elem.as_ref() {
+                ElemPlan::Record(rp) => (rp.n_counts, rp.template.is_some()),
+                other => panic!("element is {other:?}"),
+            },
+            other => panic!("list is {other:?}"),
+        };
+        let identity = ConversionPlan::identity(&resp(true)).unwrap();
+        assert_eq!((identity.root.n_counts, identity.root.template.is_some()), (1, false));
+        assert_eq!(leaf(&identity), (0, false));
+        // Dropping trailing fields keeps native order; adding fields the
+        // wire lacks, or reordering, needs the template.
+        assert_eq!(leaf(&ConversionPlan::compile(&resp(true), &resp(false)).unwrap()), (0, false));
+        assert_eq!(leaf(&ConversionPlan::compile(&resp(false), &resp(true)).unwrap()), (0, true));
+        let ab = FormatBuilder::record("R").int("a").int("b").build_arc().unwrap();
+        let ba = FormatBuilder::record("R").int("b").int("a").build_arc().unwrap();
+        assert!(ConversionPlan::compile(&ab, &ba).unwrap().root.template.is_some());
+        let projected = ConversionPlan::project(&resp(true), &[true, false]).unwrap();
+        assert!(projected.root.template.is_some());
+        assert!(projected.root.len_syncs.is_empty());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! the morphing layer.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{PbioError, Result};
+use crate::meta::FormatId;
 use crate::value::Value;
 
 /// Width in bytes of an integer or floating-point wire field.
@@ -279,10 +280,22 @@ impl Field {
 
 /// A record format: an ordered list of named fields. The top-level format of
 /// an entire message is the paper's *base format*.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RecordFormat {
     name: String,
     fields: Vec<Field>,
+    /// The wire identity, filled by the first [`crate::format_id`] call: a
+    /// format is immutable once built, so its id is computed at most once
+    /// (and travels with clones).
+    id: OnceLock<FormatId>,
+}
+
+/// Formats compare by description; whether the id has been computed yet is
+/// not part of one.
+impl PartialEq for RecordFormat {
+    fn eq(&self, other: &RecordFormat) -> bool {
+        self.name == other.name && self.fields == other.fields
+    }
 }
 
 impl RecordFormat {
@@ -309,7 +322,12 @@ impl RecordFormat {
             }
             Self::validate_field_type(&name, f.name(), &f.ty, &fields[..i])?;
         }
-        Ok(RecordFormat { name, fields })
+        Ok(RecordFormat { name, fields, id: OnceLock::new() })
+    }
+
+    /// The memoised wire identity; `compute` runs on the first call only.
+    pub(crate) fn id_or_init(&self, compute: impl FnOnce() -> FormatId) -> FormatId {
+        *self.id.get_or_init(compute)
     }
 
     fn validate_field_type(

@@ -259,3 +259,185 @@ fn format_id_distinguishes_width_and_kind() {
     assert_ne!(format_id(&a), format_id(&c));
     assert_ne!(format_id(&b), format_id(&c));
 }
+
+// -- mutation loop over hostile payloads ------------------------------------------
+
+/// xorshift64* — the same tiny generator `tests/proptests.rs` uses.
+struct XorShift64(u64);
+
+impl XorShift64 {
+    fn new(seed: u64) -> XorShift64 {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        XorShift64((z ^ (z >> 31)) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// The paper's v2.0 `ChannelOpenResponse` (Fig. 4b), declared locally.
+fn response_v2() -> Arc<RecordFormat> {
+    let member = FormatBuilder::record("Member")
+        .string("info")
+        .int("ID")
+        .int("is_source")
+        .int("is_sink")
+        .build_arc()
+        .unwrap();
+    FormatBuilder::record("ChannelOpenResponse")
+        .int("channel")
+        .int("member_count")
+        .var_array_of("member_list", member, "member_count")
+        .build_arc()
+        .unwrap()
+}
+
+/// One plan under test beside its oracle: the generic identity decode with
+/// the plan's dead top-level fields defaulted.
+struct Checked {
+    format: Arc<RecordFormat>,
+    plan: ConversionPlan,
+    used: Vec<bool>,
+    oracle: GenericDecoder,
+}
+
+impl Checked {
+    fn new(format: &Arc<RecordFormat>, used: &[bool]) -> Checked {
+        Checked {
+            format: Arc::clone(format),
+            plan: ConversionPlan::project(format, used).unwrap(),
+            used: used.to_vec(),
+            oracle: GenericDecoder::new(Arc::clone(format), Arc::clone(format)),
+        }
+    }
+
+    /// Runs both decoders on `wire` and holds the plan to the oracle: same
+    /// verdict, same value, prompt. The one licensed difference: a plan
+    /// never looks inside a string it steps over, so bytes that are not
+    /// UTF-8 in a *dead* field fail the oracle only.
+    fn check(&self, wire: &[u8], what: &str) {
+        let started = std::time::Instant::now();
+        let got = self.plan.execute(wire);
+        let took = started.elapsed();
+        assert!(took.as_secs() < 2, "{what}: plan took {took:?} (used {:?})", self.used);
+        match (got, self.oracle.decode(wire)) {
+            (Ok(v), Ok(mut expect)) => {
+                let slots = expect.as_record_mut().unwrap();
+                for (i, fd) in self.format.fields().iter().enumerate() {
+                    if !self.used[i] {
+                        slots[i] = Value::default_for(fd.ty());
+                    }
+                }
+                assert_eq!(v, expect, "{what} (used {:?})", self.used);
+            }
+            (Err(_), Err(_)) => {}
+            (Ok(_), Err(PbioError::BadData(msg))) if msg.contains("UTF-8") && !self.used[2] => {}
+            (got, expect) => {
+                panic!("{what} (used {:?}): plan {got:?}, oracle {expect:?}", self.used)
+            }
+        }
+    }
+}
+
+/// Every truncation, every single-byte flip, hostile `member_count`s and a
+/// fixed budget of random multi-byte damage to an 8-member v2.0 response, in
+/// both byte orders, through [`ConversionPlan::execute`] — identity and
+/// projected: no panic, no hang, and verdict and value agree with
+/// [`GenericDecoder`]. The seed is `PBIO_FUZZ_SEED` (decimal) when set.
+#[test]
+fn decode_mutations_agree_with_generic_decoder() {
+    let seed = std::env::var("PBIO_FUZZ_SEED")
+        .ok()
+        .map(|s| s.trim().parse::<u64>().expect("PBIO_FUZZ_SEED is a decimal u64"))
+        .unwrap_or(0x5EED_0014);
+    println!("PBIO_FUZZ_SEED={seed}");
+    let mut rng = XorShift64::new(seed);
+    let format = response_v2();
+    let members: Vec<Value> = (0..8)
+        .map(|i| {
+            let info: String =
+                (0..rng.below(14)).map(|_| (b'a' + rng.below(26) as u8) as char).collect();
+            Value::Record(vec![
+                Value::str(info),
+                Value::Int(i),
+                Value::Int((rng.next() & 1) as i64),
+                Value::Int((rng.next() & 1) as i64),
+            ])
+        })
+        .collect();
+    let value = Value::Record(vec![Value::Int(7), Value::Int(8), Value::Array(members)]);
+    let plans = [
+        Checked::new(&format, &[true, true, true]),
+        Checked::new(&format, &[false, true, true]),
+        Checked::new(&format, &[true, true, false]),
+        Checked::new(&format, &[true, false, false]),
+    ];
+    let check = |wire: &[u8], what: &str| plans.iter().for_each(|p| p.check(wire, what));
+    let with_len = |mut wire: Vec<u8>| {
+        let len = (wire.len() - HEADER_LEN) as u32;
+        wire[12..16].copy_from_slice(&len.to_le_bytes());
+        wire
+    };
+
+    for order in [ByteOrder::Little, ByteOrder::Big] {
+        let wire = Encoder::with_order(&format, order).encode(&value).unwrap();
+        check(&wire, "intact");
+
+        // Truncations: the raw cut (the header notices), and the cut with
+        // the header's length made to agree (the decoders must).
+        for cut in 0..wire.len() {
+            check(&wire[..cut], &format!("{order:?} cut at {cut}"));
+            if cut >= HEADER_LEN {
+                check(&with_len(wire[..cut].to_vec()), &format!("{order:?} short payload {cut}"));
+            }
+        }
+        // Single-byte flips: all bits, one bit, and a drawn mask.
+        for at in 0..wire.len() {
+            for mask in [0xff, 0x01, 0x80, 1 + rng.below(255) as u8] {
+                let mut bad = wire.clone();
+                bad[at] ^= mask;
+                check(&bad, &format!("{order:?} byte {at} ^ {mask:#04x}"));
+            }
+        }
+        // Hostile counts, payload bytes 4..8.
+        for count in [-1, i32::MIN, i32::MAX, 0, 7, 9, 1 << 16] {
+            let mut bad = wire.clone();
+            let bytes = match order {
+                ByteOrder::Little => count.to_le_bytes(),
+                ByteOrder::Big => count.to_be_bytes(),
+            };
+            bad[HEADER_LEN + 4..HEADER_LEN + 8].copy_from_slice(&bytes);
+            check(&bad, &format!("{order:?} member_count = {count}"));
+        }
+        // Random damage: a few bytes overwritten, sometimes with a tail
+        // cut or grown, the header's length kept honest half the time.
+        for round in 0..2_000 {
+            let mut bad = wire.clone();
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(bad.len());
+                bad[at] = rng.next() as u8;
+            }
+            match rng.below(4) {
+                0 => bad.truncate(HEADER_LEN + rng.below(bad.len() - HEADER_LEN)),
+                1 => bad.extend((0..rng.below(9)).map(|_| rng.next() as u8)),
+                _ => {}
+            }
+            if rng.next() & 1 == 0 && bad.len() >= HEADER_LEN {
+                bad = with_len(bad);
+            }
+            check(&bad, &format!("{order:?} round {round}"));
+        }
+    }
+}

@@ -161,6 +161,65 @@ fn event_format_upgrade_mid_stream() {
     assert_eq!(stats.morphs, 1);
 }
 
+/// The decode stage of a sink's latency attribution is fed by the fused warm
+/// morph (and by nothing else): exact matches and the cold first morph leave
+/// `echo.stage.decode.ns` at zero, every later morphed delivery adds to it,
+/// and decode + morph never exceed the whole deliver pass.
+#[test]
+fn decode_stage_is_fed_by_warm_morphs() {
+    let mut sys = EchoSystem::new();
+    let c = sys.add_process("creator", EchoVersion::V2);
+    let publisher = sys.add_process("pub", EchoVersion::V2);
+    let old_sink = sys.add_process("old-sink", EchoVersion::V2);
+    sys.connect_all(LinkParams::lan());
+    let old_evt = event_format();
+    let new_evt = FormatBuilder::record("Sample")
+        .int("seq")
+        .double("value")
+        .string("unit")
+        .build_arc()
+        .unwrap();
+    sys.distribute_metadata(
+        &[old_evt.clone(), new_evt.clone()],
+        &[Transformation::new(
+            new_evt.clone(),
+            old_evt.clone(),
+            "old.seq = new.seq; old.value = new.value;",
+        )],
+    );
+    let ch = sys.create_channel(c);
+    sys.subscribe(publisher, ch, Role::source(), None).unwrap();
+    sys.subscribe(old_sink, ch, Role::sink(), Some(&old_evt)).unwrap();
+    sys.run();
+
+    let stage = |sys: &EchoSystem, name: &str| {
+        let snap = sys.event_registry(old_sink, ch).unwrap().snapshot();
+        let h = snap.histogram(&format!("echo.stage.{name}.ns")).unwrap();
+        (h.count, h.sum)
+    };
+    let unit = "a unit name long enough that decoding it takes measurable time";
+    let upgraded = |seq| Value::Record(vec![Value::Int(seq), Value::Float(1.0), Value::str(unit)]);
+
+    // An exact match, then the cold first morph: neither times its decode.
+    sys.publish(publisher, ch, &old_evt, &sample(0)).unwrap();
+    sys.publish(publisher, ch, &new_evt, &upgraded(1)).unwrap();
+    sys.run();
+    assert_eq!(stage(&sys, "decode"), (2, 0));
+
+    for seq in 2..202 {
+        sys.publish(publisher, ch, &new_evt, &upgraded(seq)).unwrap();
+    }
+    sys.run();
+    assert_eq!(sys.take_events(old_sink).len(), 202);
+    let (decode, morph, deliver) =
+        (stage(&sys, "decode"), stage(&sys, "morph"), stage(&sys, "deliver"));
+    assert_eq!((decode.0, morph.0, deliver.0), (202, 202, 202));
+    assert!(decode.1 > 0, "200 warm morphs booked no decode time");
+    assert!(decode.1 + morph.1 <= deliver.1, "{decode:?} + {morph:?} > {deliver:?}");
+    let rx = sys.event_registry(old_sink, ch).unwrap().snapshot();
+    assert_eq!(rx.histogram("pbio.decode_ns").unwrap().count, 200);
+}
+
 /// The v2 response message is materially smaller on the wire — the size
 /// reduction that motivated the format change (paper §4.1) — and overall
 /// control traffic shrinks accordingly in an all-roles deployment.

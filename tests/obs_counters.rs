@@ -57,6 +57,8 @@ fn first_message_cold_rest_warm() {
     assert_eq!(warm.histogram("morph.decide_ns").unwrap().count, 1);
     assert_eq!(warm.histogram("morph.compile_ns").unwrap().count, 1);
     assert_eq!(warm.histogram("morph.process_ns").unwrap().count, 100);
+    // Each warm (fused) replay books its decode; the cold pass did not.
+    assert_eq!(warm.histogram("pbio.decode_ns").unwrap().count, 100);
     assert_eq!(warm.counter("morph.messages"), Some(101));
 }
 

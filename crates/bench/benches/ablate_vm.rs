@@ -1,4 +1,4 @@
-//! Ablation — what "dynamic code generation" buys: the compiled bytecode VM
+//! Ablation — what "dynamic code generation" buys: the compiled register VM
 //! vs direct AST interpretation for the same Fig. 5 transformation.
 
 use bench::workload::{members_for_size, size_label, v2_message};

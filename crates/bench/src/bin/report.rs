@@ -391,23 +391,18 @@ fn vm() {
             step.from_format().name(),
             step.to_format().name()
         );
-        println!(
-            "   stack ISA: {} insns; register ISA: {} insns",
-            prog.code().len(),
-            prog.rcode().len()
-        );
-        print!("{}", ecode::dump::register(prog.rcode()));
+        println!("   {} insns", prog.rcode().len());
+        print!("{}", prog.rcode().disassemble());
     }
 
     let fused = compiled.fuse().expect("chain fuses");
     println!("\n-- fused: one register-VM pass over the whole chain ------------");
     println!(
-        "   stack ISA: {} insns; register ISA: {} insns (per-step Ret becomes a jump to the next step)",
-        fused.code().len(),
+        "   {} insns (per-step Ret becomes a jump to the next step)",
         fused.rcode().len()
     );
-    print!("{}", ecode::dump::register(fused.rcode()));
-    println!("\n  (stack-ISA oracle listing: ecode::dump::stack; see also: cargo run --example vm_dump)");
+    print!("{}", fused.rcode().disassemble());
+    println!("\n  (see also: cargo run --example vm_dump)");
 }
 
 fn main() {

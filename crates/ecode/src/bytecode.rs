@@ -1,243 +1,33 @@
-//! Bytecode instruction sets for the Ecode virtual machines.
+//! The register instruction set of the Ecode virtual machine.
 //!
-//! Two ISAs live here:
-//!
-//! * The **stack ISA** ([`Insn`]/[`Code`]): operands live on a value stack.
-//!   Access paths into the bound root records are *fused* into single
-//!   [`Insn::Load`] / [`Insn::Store`] instructions whose field indices were
-//!   resolved at compile time; dynamic array indices are evaluated onto the
-//!   stack first, then consumed by the access. This ISA is the semantic
-//!   reference ("the spec") — the tree-walking interpreter and the register
-//!   VM are checked against it.
-//! * The **register ISA** ([`RInsn`]/[`RCode`]): three-address instructions
-//!   over a flat file of `Value` registers, produced by
-//!   `lower.rs` from the same typed AST. It exists to cut per-message
-//!   dispatch and stack traffic on the warm fused morph path — the closest
-//!   this reproduction gets to the paper's native code generation — and adds
-//!   superinstructions ([`RInsn::CopyPath`], [`RInsn::BatchCopy`]) that fold
-//!   the hot fused sequences into single dispatches — a `CopyPath` carries a
-//!   whole *row* of field copies into one destination record.
+//! [`RInsn`]/[`RCode`] are three-address instructions over a flat file of
+//! `Value` registers, produced by `lower.rs` from the typed AST. Access paths
+//! into the bound root records are *fused* into single [`RInsn::Load`] /
+//! [`RInsn::Store`] instructions whose field indices were resolved at compile
+//! time; dynamic array subscripts are evaluated into index registers first,
+//! then consumed by the access. This is the closest this reproduction gets
+//! to the paper's native code generation, and it adds superinstructions
+//! ([`RInsn::CopyPath`], [`RInsn::BatchCopy`]) that fold the hot sequences
+//! of a morph into single dispatches — a `CopyPath` carries a whole *row* of
+//! field copies into one destination record. The tree-walking interpreter
+//! over the same typed AST is the semantic reference the register VM is
+//! checked against.
 
 use std::sync::Arc;
 
 use crate::tast::{ArithOp, Builtin, CmpOp};
 
 /// One compiled segment of a fused access path. Field indices are resolved
-/// at compile time; `Index` consumes one pre-evaluated index from the value
-/// stack (indices are pushed left-to-right before the access instruction).
+/// at compile time; `Index` consumes the next of the instruction's index
+/// registers (one per `Index`, in path order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CSeg {
     /// Descend into the record field with this index.
     Field(u32),
-    /// Descend into the array element whose index was pushed on the stack.
+    /// Descend into the array element whose subscript is in the next index
+    /// register.
     Index,
 }
-
-/// One VM instruction.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Insn {
-    /// Push integer constant.
-    ConstI(i64),
-    /// Push float constant.
-    ConstF(f64),
-    /// Push char constant.
-    ConstC(u8),
-    /// Push string constant from the pool.
-    ConstS(u32),
-    /// Push a copy of local slot.
-    LoadLocal(u32),
-    /// Pop into local slot.
-    StoreLocal(u32),
-    /// Fused path read: pop the pre-evaluated indices (one per `CSeg::Index`,
-    /// pushed left-to-right), navigate from the root, push a clone of the
-    /// value found.
-    Load {
-        /// Root binding index.
-        root: u8,
-        /// Number of `CSeg::Index` segments (pre-counted).
-        n_idx: u8,
-        /// Compiled path segments.
-        segs: Arc<[CSeg]>,
-    },
-    /// Fused path write: pop the pre-evaluated indices (pushed *after* the
-    /// value to store), then pop the value, navigate, write (auto-extending
-    /// arrays on out-of-bounds writes).
-    Store {
-        /// Root binding index.
-        root: u8,
-        /// Number of `CSeg::Index` segments (pre-counted).
-        n_idx: u8,
-        /// Compiled path segments.
-        segs: Arc<[CSeg]>,
-    },
-    /// Fused array-length read (`len(...)`).
-    LenOf {
-        /// Root binding index.
-        root: u8,
-        /// Number of `CSeg::Index` segments (pre-counted).
-        n_idx: u8,
-        /// Compiled path segments.
-        segs: Arc<[CSeg]>,
-    },
-    /// Integer arithmetic on the two topmost ints.
-    IArith(ArithOp),
-    /// Float arithmetic on the two topmost floats.
-    FArith(ArithOp),
-    /// Integer negation.
-    NegI,
-    /// Float negation.
-    NegF,
-    /// Integer comparison → int 0/1.
-    ICmp(CmpOp),
-    /// Float comparison → int 0/1.
-    FCmp(CmpOp),
-    /// String comparison → int 0/1.
-    SCmp(CmpOp),
-    /// String concatenation.
-    Concat,
-    /// Logical not on an int.
-    Not,
-    /// int → float.
-    I2F,
-    /// float → int (truncating).
-    F2I,
-    /// char → int.
-    C2I,
-    /// int → char (wrapping).
-    I2C,
-    /// float → 0/1 int (non-zero test).
-    FTest,
-    /// Unconditional jump to absolute instruction index.
-    Jmp(u32),
-    /// Pop int; jump if zero.
-    Jz(u32),
-    /// Pop int; jump if non-zero.
-    Jnz(u32),
-    /// Duplicate the top of the value stack.
-    Dup,
-    /// Discard the top of the value stack.
-    Pop,
-    /// Call a builtin with the given argument count (args on the stack).
-    Call(Builtin, u8),
-    /// Call a user-defined function by index into [`Code::funcs`]
-    /// (arguments on the stack, pushed left-to-right).
-    CallFn(u32),
-    /// Pop the top of stack and finish with it as the program result.
-    RetVal,
-    /// Finish with no result.
-    RetVoid,
-    /// Re-synchronize the length-field invariant of the root binding with
-    /// this index (see [`pbio::sync_length_fields`]). Never emitted by the
-    /// source compiler — only by chain fusion ([`crate::FusedProgram`]),
-    /// which inlines each step's post-run sync between inlined step bodies.
-    SyncRoot(u8),
-}
-
-/// Frame layout of one compiled user function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FnCode {
-    /// Absolute instruction index of the function's first instruction.
-    pub entry: u32,
-    /// Number of parameters (local slots `0..n_params`).
-    pub n_params: u32,
-    /// Total local slots including parameters.
-    pub n_locals: u32,
-}
-
-/// A compiled Ecode program: instructions plus constant pools and frame
-/// layout.
-#[derive(Debug, Clone)]
-pub struct Code {
-    /// Instruction stream (main body first, then each function).
-    pub insns: Vec<Insn>,
-    /// String constant pool.
-    pub strings: Vec<String>,
-    /// Number of local slots of the main body.
-    pub n_locals: usize,
-    /// Number of root bindings expected at run time.
-    pub n_roots: usize,
-    /// User-function frame layouts, indexed by `Insn::CallFn`.
-    pub funcs: Vec<FnCode>,
-}
-
-impl Code {
-    /// A rough size metric used in tests and reports (instruction count).
-    pub fn len(&self) -> usize {
-        self.insns.len()
-    }
-
-    /// True if the program contains no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.insns.is_empty()
-    }
-
-    /// Renders a human-readable disassembly (one instruction per line, with
-    /// function entry markers) — the compiled-code analogue of the
-    /// "conversion subroutine" the paper's DCG would emit.
-    pub fn disassemble(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(self.insns.len() * 24);
-        let _ = writeln!(
-            out,
-            "; {} insns, {} locals, {} roots, {} strings, {} fns",
-            self.insns.len(),
-            self.n_locals,
-            self.n_roots,
-            self.strings.len(),
-            self.funcs.len()
-        );
-        for (pc, insn) in self.insns.iter().enumerate() {
-            for (fi, f) in self.funcs.iter().enumerate() {
-                if f.entry as usize == pc {
-                    let _ =
-                        writeln!(out, "fn#{fi}: ; {} params, {} locals", f.n_params, f.n_locals);
-                }
-            }
-            let _ = match insn {
-                Insn::ConstS(i) => writeln!(
-                    out,
-                    "{pc:4}  ConstS({i})  ; {:?}",
-                    self.strings.get(*i as usize).map(String::as_str).unwrap_or("<bad>")
-                ),
-                Insn::Load { root, segs, .. } => {
-                    writeln!(out, "{pc:4}  Load r{root} {}", render_segs(segs))
-                }
-                Insn::Store { root, segs, .. } => {
-                    writeln!(out, "{pc:4}  Store r{root} {}", render_segs(segs))
-                }
-                Insn::LenOf { root, segs, .. } => {
-                    writeln!(out, "{pc:4}  LenOf r{root} {}", render_segs(segs))
-                }
-                other => writeln!(out, "{pc:4}  {other:?}"),
-            };
-        }
-        out
-    }
-}
-
-fn render_segs(segs: &[CSeg]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    for seg in segs {
-        match seg {
-            CSeg::Field(i) => {
-                let _ = write!(s, ".{i}");
-            }
-            CSeg::Index => s.push_str("[*]"),
-        }
-    }
-    s
-}
-
-impl std::fmt::Display for Code {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.disassemble())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Register ISA
-// ---------------------------------------------------------------------------
 
 /// A scalar conversion folded into a [`RInsn::CopyPath`] superinstruction
 /// (the load→convert→store chain of a field copy with an implicit cast).
@@ -545,8 +335,7 @@ pub enum RInsn {
     },
     /// Re-synchronize the length-field invariant of this root binding (see
     /// [`pbio::sync_length_fields`]). Only emitted by chain fusion — the
-    /// one-instruction trailer between inlined steps (the stack ISA needs
-    /// `Pop; SyncRoot`, folded here into a single dispatch).
+    /// one-instruction trailer between inlined steps.
     SyncRoot(u8),
     /// Superinstruction: a row of field copies into one destination record
     /// ([`CopyRow`]) — the load→convert→store chains of adjacent statements
@@ -591,9 +380,8 @@ pub struct RFnCode {
 }
 
 /// A compiled register-machine program: instructions plus constant pools
-/// and frame layout. Produced by the lowering pass from the same typed AST
-/// as [`Code`]; semantically equivalent by construction and checked against
-/// the stack VM by differential tests.
+/// and frame layout. Produced by the lowering pass from the typed AST and
+/// checked against the tree-walking interpreter by differential tests.
 #[derive(Debug, Clone)]
 pub struct RCode {
     /// Instruction stream (main body first, then each function).
@@ -609,7 +397,7 @@ pub struct RCode {
 }
 
 impl RCode {
-    /// Instruction count (the same rough size metric as [`Code::len`]).
+    /// A rough size metric used in tests and reports (instruction count).
     pub fn len(&self) -> usize {
         self.insns.len()
     }
@@ -644,6 +432,20 @@ impl RCode {
         }
         out
     }
+}
+
+fn render_segs(segs: &[CSeg]) -> String {
+    use std::fmt::Write as _;
+    let mut s = String::new();
+    for seg in segs {
+        match seg {
+            CSeg::Field(i) => {
+                let _ = write!(s, ".{i}");
+            }
+            CSeg::Index => s.push_str("[*]"),
+        }
+    }
+    s
 }
 
 fn render_regs(idx: &[u32]) -> String {
@@ -821,26 +623,29 @@ mod tests {
 
     #[test]
     fn disassembly_is_line_per_insn() {
-        let code = Code {
+        let code = RCode {
             insns: vec![
-                Insn::ConstI(1),
-                Insn::ConstS(0),
-                Insn::Load { root: 0, n_idx: 1, segs: vec![CSeg::Field(2), CSeg::Index].into() },
-                Insn::RetVoid,
+                RInsn::ConstI { dst: 0, v: 1 },
+                RInsn::ConstS { dst: 1, s: 0 },
+                RInsn::Load {
+                    dst: 1,
+                    root: 0,
+                    segs: vec![CSeg::Field(2), CSeg::Index].into(),
+                    idx: vec![0].into(),
+                },
+                RInsn::Ret { src: None },
             ],
             strings: vec!["hello".into()],
-            n_locals: 1,
+            n_regs: 2,
             n_roots: 1,
-            funcs: vec![FnCode { entry: 3, n_params: 0, n_locals: 0 }],
+            funcs: vec![RFnCode { entry: 3, n_params: 0, n_regs: 0 }],
         };
         let text = code.disassemble();
         assert_eq!(text.lines().count(), 1 + code.insns.len() + 1 /* fn marker */);
-        assert!(text.contains("ConstS(0)  ; \"hello\""));
-        assert!(text.contains("Load r0 .2[*]"));
+        assert!(text.contains("r1 = \"hello\""));
+        assert!(text.contains("r1 = Load root0.2[*] [r0]"));
         assert!(text.contains("fn#0:"));
         assert_eq!(code.to_string(), text);
-        assert!(!code.is_empty());
-        assert_eq!(code.len(), 4);
     }
 
     fn entry(segs: &[CSeg], idx: &[u32], leaf: u32, conv: Option<ScalarConv>) -> CopyEntry {

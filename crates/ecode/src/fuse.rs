@@ -1,5 +1,5 @@
 //! Chain fusion: compile a whole retro-transformation chain into **one**
-//! bytecode program.
+//! register program.
 //!
 //! A staged morph runs each chain step as its own VM invocation, with a
 //! freshly-allocated intermediate `Value` tree between steps. Fusion inlines
@@ -7,9 +7,9 @@
 //! fused program binds `m + 1` roots — the incoming message plus one output
 //! record per step — and threads them through, so a warm morph is one VM
 //! entry with no per-step dispatch. Between inlined bodies a
-//! [`Insn::SyncRoot`] re-establishes the length-field invariant exactly
+//! [`RInsn::SyncRoot`] re-establishes the length-field invariant exactly
 //! where the staged path called [`pbio::sync_length_fields`], keeping the
-//! fused result `Value`-identical to the staged oracle (differentially
+//! fused result `Value`-identical to the staged path (differentially
 //! tested in `tests/proptests.rs`).
 //!
 //! The rewrite is purely mechanical, which is what makes it safe:
@@ -17,42 +17,31 @@
 //! * jump targets, function entries, string-pool and function indices are
 //!   shifted by each step's placement offset;
 //! * root indices shift by the step's position (step *i* reads root *i*,
-//!   writes root *i + 1*);
-//! * *main-body* local slots shift by the sum of preceding steps' main
-//!   locals (function locals are frame-relative and need no shift);
-//! * *main-body* `RetVal`/`RetVoid` become jumps to the step's trailer
-//!   (`RetVal` through a `Pop` — the staged path ignores step return
-//!   values); function-body returns are untouched, they pop call frames.
+//!   writes root *i + 1*) — on `Load`/`Store`/`LenOf`, on a `CopyPath` row
+//!   and each of its entries, and on both ends of a `BatchCopy`;
+//! * *main-body* registers rebase by the sum of preceding steps' main
+//!   frames (function frames are window-relative and need no shift);
+//! * *main-body* `Ret` becomes a jump to the step's trailer — the staged
+//!   path ignores step return values, and a value left in a register needs
+//!   no cleanup; function-body returns are untouched, they pop call frames.
 
 use pbio::format_id;
 
-use crate::bytecode::{
-    map_registers, CSeg, Code, CopyEntry, CopyRow, FnCode, Insn, RCode, RFnCode, RInsn,
-};
+use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RFnCode, RInsn};
 use crate::error::{EcodeError, Result};
 use crate::rvm::{self, RunStats};
 use crate::tast::Binding;
-use crate::vm;
 use crate::EcodeProgram;
 use pbio::Value;
 
 /// A transformation chain compiled into a single VM program.
 ///
-/// Build with [`FusedProgram::compose`]; execute with [`FusedProgram::run`]
-/// against `m + 1` roots (incoming message first, then one default record
-/// per step's target format, in chain order). On return, the last root holds
-/// the final morphed value.
-///
-/// Composition produces *both* ISAs: the stack stream (the oracle,
-/// [`FusedProgram::run`]) and the register stream
-/// ([`FusedProgram::run_register`], the production engine). The register
-/// rewrite follows the same offset rules, with two differences: main-body
-/// *registers* rebase by the sum of preceding steps' main frames (function
-/// frames are window-relative and need no shift), and the step trailer is a
-/// bare `SyncRoot` — a register return value needs no `Pop`.
+/// Build with [`FusedProgram::compose`]; execute with
+/// [`FusedProgram::run_register`] against `m + 1` roots (incoming message
+/// first, then one default record per step's target format, in chain
+/// order). On return, the last root holds the final morphed value.
 #[derive(Debug, Clone)]
 pub struct FusedProgram {
-    code: Code,
     rcode: RCode,
     bindings: Vec<Binding>,
 }
@@ -93,78 +82,12 @@ impl FusedProgram {
             }
         }
 
-        let mut insns: Vec<Insn> = Vec::new();
-        let mut strings: Vec<String> = Vec::new();
-        let mut funcs: Vec<FnCode> = Vec::new();
-        let mut local_base: u32 = 0;
-        let last = steps.len() - 1;
-
-        for (i, p) in steps.iter().enumerate() {
-            let code = p.code();
-            let off = insns.len() as u32;
-            let string_base = strings.len() as u32;
-            let func_base = funcs.len() as u32;
-            // Everything before the first function entry is the main body
-            // (the compiler lays out main first, terminated by `RetVoid`).
-            let main_end =
-                code.funcs.iter().map(|f| f.entry as usize).min().unwrap_or(code.insns.len());
-            let tail_pop = off + code.insns.len() as u32;
-            let tail = tail_pop + 1;
-
-            for (pc, insn) in code.insns.iter().enumerate() {
-                let in_main = pc < main_end;
-                insns.push(match insn {
-                    Insn::Jmp(t) => Insn::Jmp(t + off),
-                    Insn::Jz(t) => Insn::Jz(t + off),
-                    Insn::Jnz(t) => Insn::Jnz(t + off),
-                    Insn::ConstS(s) => Insn::ConstS(s + string_base),
-                    Insn::CallFn(f) => Insn::CallFn(f + func_base),
-                    Insn::LoadLocal(slot) if in_main => Insn::LoadLocal(slot + local_base),
-                    Insn::StoreLocal(slot) if in_main => Insn::StoreLocal(slot + local_base),
-                    Insn::Load { root, n_idx, segs } => {
-                        Insn::Load { root: root + i as u8, n_idx: *n_idx, segs: segs.clone() }
-                    }
-                    Insn::Store { root, n_idx, segs } => {
-                        Insn::Store { root: root + i as u8, n_idx: *n_idx, segs: segs.clone() }
-                    }
-                    Insn::LenOf { root, n_idx, segs } => {
-                        Insn::LenOf { root: root + i as u8, n_idx: *n_idx, segs: segs.clone() }
-                    }
-                    Insn::RetVal if in_main => Insn::Jmp(tail_pop),
-                    Insn::RetVoid if in_main => Insn::Jmp(tail),
-                    other => other.clone(),
-                });
-            }
-            // Step trailer: discard a main-body `return` value, then restore
-            // the output root's length-field invariant. Non-last steps fall
-            // straight through into the next step's body.
-            insns.push(Insn::Pop);
-            insns.push(Insn::SyncRoot((i + 1) as u8));
-            if i == last {
-                insns.push(Insn::RetVoid);
-            }
-
-            strings.extend(code.strings.iter().cloned());
-            funcs.extend(code.funcs.iter().map(|f| FnCode { entry: f.entry + off, ..*f }));
-            local_base += code.n_locals as u32;
-        }
-
         let mut bindings = Vec::with_capacity(steps.len() + 1);
         bindings.push(steps[0].bindings()[0].clone());
         for p in steps {
             bindings.push(p.bindings()[1].clone());
         }
 
-        let code =
-            Code { insns, strings, n_locals: local_base as usize, n_roots: bindings.len(), funcs };
-        let rcode = Self::compose_register(steps, bindings.len());
-        Ok(FusedProgram { code, rcode, bindings })
-    }
-
-    /// Builds the fused register stream. Same step layout as the stack
-    /// compose (already validated): body, then a `SyncRoot(i + 1)` trailer
-    /// each step falls through (or jumps, on a main-body return) into.
-    fn compose_register(steps: &[&EcodeProgram], n_roots: usize) -> RCode {
         let mut insns: Vec<RInsn> = Vec::new();
         let mut strings: Vec<String> = Vec::new();
         let mut funcs: Vec<RFnCode> = Vec::new();
@@ -176,11 +99,13 @@ impl FusedProgram {
             let off = insns.len() as u32;
             let string_base = strings.len() as u32;
             let func_base = funcs.len() as u32;
+            // Everything before the first function entry is the main body
+            // (lowering lays out main first, terminated by a `Ret`).
             let main_end =
                 rc.funcs.iter().map(|f| f.entry as usize).min().unwrap_or(rc.insns.len());
             // The trailer sits right after the step's body; main-body
             // returns jump to it (any return value simply stays in its
-            // register — no stack to unwind).
+            // register).
             let tail = off + rc.insns.len() as u32;
 
             for (pc, insn) in rc.insns.iter().enumerate() {
@@ -249,38 +174,19 @@ impl FusedProgram {
             reg_base += rc.n_regs as u32;
         }
 
-        RCode { insns, strings, n_regs: reg_base as usize, n_roots, funcs }
+        let rcode =
+            RCode { insns, strings, n_regs: reg_base as usize, n_roots: bindings.len(), funcs };
+        Ok(FusedProgram { rcode, bindings })
     }
 
-    /// Executes the fused chain. `roots` must hold the incoming message
-    /// followed by one default record per step's target format; the last
-    /// root receives the final value.
+    /// Executes the fused chain — one register-VM pass wire-roots → final
+    /// `Value`. `roots` must hold the incoming message followed by one
+    /// default record per step's target format; the last root receives the
+    /// final value. Returns batch-superinstruction statistics.
     ///
     /// # Errors
     ///
     /// As [`EcodeProgram::run`].
-    pub fn run(&self, roots: &mut [Value]) -> Result<()> {
-        vm::run(&self.code, &self.bindings, roots)?;
-        Ok(())
-    }
-
-    /// [`FusedProgram::run`] with an instruction budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`FusedProgram::run`], plus fuel exhaustion.
-    pub fn run_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<()> {
-        vm::run_with_fuel(&self.code, &self.bindings, roots, fuel)?;
-        Ok(())
-    }
-
-    /// Executes the fused chain on the register VM — one register-VM pass
-    /// wire-roots → final `Value`. Returns batch-superinstruction
-    /// statistics. Differentially tested against [`FusedProgram::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FusedProgram::run`].
     pub fn run_register(&self, roots: &mut [Value]) -> Result<RunStats> {
         let (_, stats) = rvm::run(&self.rcode, &self.bindings, roots)?;
         Ok(stats)
@@ -294,11 +200,6 @@ impl FusedProgram {
     pub fn run_register_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<RunStats> {
         let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel)?;
         Ok(stats)
-    }
-
-    /// The fused bytecode (inspection/metrics).
-    pub fn code(&self) -> &Code {
-        &self.code
     }
 
     /// The fused register bytecode (inspection/metrics).
@@ -323,26 +224,65 @@ impl FusedProgram {
 /// every field used.
 ///
 /// This feeds the projected decode of a fused morph plan: fields the chain
-/// never touches are parsed but not materialized.
-pub fn root_used_fields(code: &Code, root: u8, n_fields: usize) -> Vec<bool> {
+/// never touches are parsed but not materialized — so every instruction
+/// that names a root must be listed here, or a field it reads is silently
+/// delivered as its default.
+pub fn root_used_fields(code: &RCode, root: u8, n_fields: usize) -> Vec<bool> {
     let mut used = vec![false; n_fields];
-    for insn in &code.insns {
-        let (r, segs) = match insn {
-            Insn::Load { root: r, segs, .. }
-            | Insn::Store { root: r, segs, .. }
-            | Insn::LenOf { root: r, segs, .. } => (*r, segs),
-            _ => continue,
-        };
+    let mut touch = |r: u8, first: Option<&CSeg>| {
         if r != root {
-            continue;
+            return;
         }
-        match segs.first() {
+        match first {
             Some(CSeg::Field(i)) if (*i as usize) < n_fields => used[*i as usize] = true,
-            _ => {
-                // Whole-root or dynamic access: give up field precision.
-                used.iter_mut().for_each(|u| *u = true);
-                return used;
+            // Whole-root or dynamic access: give up field precision.
+            _ => used.fill(true),
+        }
+    };
+    for insn in &code.insns {
+        // No wildcard arm: a new instruction has to be sorted into "names a
+        // root" or "does not" before this compiles.
+        match insn {
+            RInsn::Load { root: r, segs, .. }
+            | RInsn::Store { root: r, segs, .. }
+            | RInsn::LenOf { root: r, segs, .. } => touch(*r, segs.first()),
+            RInsn::CopyPath(row) => {
+                for e in row.entries.iter() {
+                    touch(row.dst_root, row.dst_segs.first().or(Some(&e.dst_leaf)));
+                    touch(e.src_root, e.src_segs.first());
+                }
             }
+            RInsn::BatchCopy { src_root, src_segs, dst_root, dst_segs, .. } => {
+                touch(*src_root, src_segs.first());
+                touch(*dst_root, dst_segs.first());
+            }
+            RInsn::SyncRoot(r) => touch(*r, None),
+            RInsn::ConstI { .. }
+            | RInsn::ConstF { .. }
+            | RInsn::ConstC { .. }
+            | RInsn::ConstS { .. }
+            | RInsn::Move { .. }
+            | RInsn::IArith { .. }
+            | RInsn::FArith { .. }
+            | RInsn::AddImmI { .. }
+            | RInsn::ICmp { .. }
+            | RInsn::FCmp { .. }
+            | RInsn::SCmp { .. }
+            | RInsn::Concat { .. }
+            | RInsn::NegI { .. }
+            | RInsn::NegF { .. }
+            | RInsn::Not { .. }
+            | RInsn::I2F { .. }
+            | RInsn::F2I { .. }
+            | RInsn::C2I { .. }
+            | RInsn::I2C { .. }
+            | RInsn::FTest { .. }
+            | RInsn::Jmp(_)
+            | RInsn::Jz { .. }
+            | RInsn::Jnz { .. }
+            | RInsn::Call { .. }
+            | RInsn::CallFn { .. }
+            | RInsn::Ret { .. } => {}
         }
     }
     used
@@ -368,32 +308,29 @@ mod tests {
         EcodeCompiler::new().bind_input("new", from).bind_output("old", to).compile(src).unwrap()
     }
 
-    /// Staged oracle: run each step on its own, syncing between steps.
+    /// The oracle: each step on its own on the tree-walker, syncing between
+    /// steps.
     fn staged(steps: &[&EcodeProgram], input: &Value) -> Value {
         let mut v = input.clone();
         for p in steps {
             let to = &p.bindings()[1].format;
             let mut roots = vec![v, Value::default_record(to)];
-            p.run(&mut roots).unwrap();
+            p.run_interp(&mut roots).unwrap();
             v = roots.pop().unwrap();
             pbio::sync_length_fields(&mut v, to);
         }
         v
     }
 
-    /// Runs the fused chain on both engines, asserting the register VM
-    /// matches the stack VM on every intermediate root, then returns the
-    /// final value.
-    fn fused(steps: &[&EcodeProgram], input: &Value) -> Value {
+    /// Runs the fused chain from `first` (the incoming message as decoded)
+    /// and returns the final value.
+    fn fused(steps: &[&EcodeProgram], first: &Value) -> Value {
         let fp = FusedProgram::compose(steps).unwrap();
-        let mut roots = vec![input.clone()];
+        let mut roots = vec![first.clone()];
         for p in steps {
             roots.push(Value::default_record(&p.bindings()[1].format));
         }
-        let mut reg_roots = roots.clone();
-        fp.run(&mut roots).unwrap();
-        fp.run_register(&mut reg_roots).unwrap();
-        assert_eq!(roots, reg_roots, "fused stack/register divergence");
+        fp.run_register(&mut roots).unwrap();
         roots.pop().unwrap()
     }
 
@@ -511,8 +448,6 @@ mod tests {
         let s1 = step(&a, &b, "while (1) {}");
         let fp = FusedProgram::compose(&[&s1]).unwrap();
         let mut roots = vec![Value::Record(vec![Value::Int(1)]), Value::default_record(&b)];
-        assert!(fp.run_with_fuel(&mut roots, 1_000).is_err());
-        let mut roots = vec![Value::Record(vec![Value::Int(1)]), Value::default_record(&b)];
         assert!(fp.run_register_with_fuel(&mut roots, 1_000).is_err());
     }
 
@@ -556,9 +491,9 @@ mod tests {
         let b = fmt("M", &["out"]);
         let s1 = step(&a, &b, "old.out = new.x + new.z;");
         let fp = FusedProgram::compose(&[&s1]).unwrap();
-        assert_eq!(root_used_fields(fp.code(), 0, 3), vec![true, false, true]);
+        assert_eq!(root_used_fields(fp.rcode(), 0, 3), vec![true, false, true]);
         // The output root is written, not part of root 0's mask.
-        assert_eq!(root_used_fields(fp.code(), 1, 1), vec![true]);
+        assert_eq!(root_used_fields(fp.rcode(), 1, 1), vec![true]);
     }
 
     #[test]
@@ -578,6 +513,70 @@ mod tests {
         );
         let fp = FusedProgram::compose(&[&s1]).unwrap();
         // `n` and `junk` are never touched; `items` is read via len + index.
-        assert_eq!(root_used_fields(fp.code(), 0, 3), vec![false, true, false]);
+        assert_eq!(root_used_fields(fp.rcode(), 0, 3), vec![false, true, false]);
+    }
+
+    /// The fused chain run on the decode projected to `root_used_fields`
+    /// must deliver what the tree-walker makes of the full message: a read
+    /// the scan misses would surface here as a default value.
+    fn assert_projection_is_invisible(steps: &[&EcodeProgram], used: &[bool], input: &Value) {
+        let from = &steps[0].bindings()[0].format;
+        let wire = pbio::Encoder::new(from).encode(input).unwrap();
+        let projected = pbio::ConversionPlan::project(from, used).unwrap().execute(&wire).unwrap();
+        assert_ne!(&projected, input, "the projection dropped nothing");
+        assert_eq!(fused(steps, &projected), staged(steps, input));
+    }
+
+    #[test]
+    fn used_field_scan_sees_every_entry_of_a_copy_row() {
+        // `x` and `y` are read, and `pair` written, only by one two-entry row.
+        let pair = fmt("P", &["a", "b"]);
+        let a = FormatBuilder::record("M").int("x").string("skip").int("y").build_arc().unwrap();
+        let b = FormatBuilder::record("M").int("spare").nested("pair", pair).build_arc().unwrap();
+        let s1 = step(&a, &b, "old.pair.a = new.x; old.pair.b = new.y;");
+        let insns = &s1.rcode().insns;
+        assert!(
+            matches!(&insns[..], [RInsn::CopyPath(r), RInsn::Ret { .. }] if r.entries.len() == 2)
+        );
+        // A step's own code has no `SyncRoot`, so its destination mask shows
+        // the row's `dst_root`.
+        assert_eq!(root_used_fields(s1.rcode(), 1, 2), vec![false, true]);
+        let fp = FusedProgram::compose(&[&s1]).unwrap();
+        let used = root_used_fields(fp.rcode(), 0, 3);
+        assert_eq!(used, vec![true, false, true]);
+        let input = Value::Record(vec![Value::Int(7), Value::str("unread"), Value::Int(9)]);
+        assert_projection_is_invisible(&[&s1], &used, &input);
+    }
+
+    #[test]
+    fn used_field_scan_sees_both_ends_of_a_batch_copy() {
+        // `new.vals` is read, and `old.vals` written, only by the `BatchCopy`
+        // the loop lowers to.
+        let vals = |b: FormatBuilder| {
+            b.int("n").var_array_basic("vals", pbio::BasicType::Int(pbio::Width::W8), "n")
+        };
+        let a = vals(FormatBuilder::record("M")).string("junk").build_arc().unwrap();
+        let b = vals(FormatBuilder::record("M")).build_arc().unwrap();
+        let s1 = step(&a, &b, "int i; for (i = 0; i < new.n; i++) old.vals[i] = new.vals[i];");
+        let insns = &s1.rcode().insns;
+        assert_eq!(insns.iter().filter(|i| matches!(i, RInsn::BatchCopy { .. })).count(), 1);
+        let names_vals = |i: &&RInsn| match i {
+            RInsn::Load { segs, .. } | RInsn::LenOf { segs, .. } | RInsn::Store { segs, .. } => {
+                segs.first() == Some(&CSeg::Field(1))
+            }
+            RInsn::CopyPath(_) => true,
+            _ => false,
+        };
+        assert_eq!(insns.iter().filter(names_vals).count(), 0);
+        assert_eq!(root_used_fields(s1.rcode(), 1, 2), vec![false, true]);
+        let fp = FusedProgram::compose(&[&s1]).unwrap();
+        let used = root_used_fields(fp.rcode(), 0, 3);
+        assert_eq!(used, vec![true, true, false]);
+        let input = Value::Record(vec![
+            Value::Int(3),
+            Value::Array(vec![Value::Int(4), Value::Int(5), Value::Int(6)]),
+            Value::str("unread"),
+        ]);
+        assert_projection_is_invisible(&[&s1], &used, &input);
     }
 }

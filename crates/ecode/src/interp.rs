@@ -492,7 +492,7 @@ fn call_builtin(b: Builtin, mut args: Vec<Value>) -> Result<Value> {
             _ => Err(bad()),
         },
         Builtin::Atoi => match args.pop() {
-            Some(Value::Str(s)) => Ok(Value::Int(crate::vm::atoi(&s))),
+            Some(Value::Str(s)) => Ok(Value::Int(crate::rvm::atoi(&s))),
             _ => Err(bad()),
         },
         Builtin::Itoa => match args.pop() {
@@ -500,7 +500,7 @@ fn call_builtin(b: Builtin, mut args: Vec<Value>) -> Result<Value> {
             _ => Err(bad()),
         },
         Builtin::Atof => match args.pop() {
-            Some(Value::Str(s)) => Ok(Value::Float(crate::vm::atof(&s))),
+            Some(Value::Str(s)) => Ok(Value::Float(crate::rvm::atof(&s))),
             _ => Err(bad()),
         },
         Builtin::Ftoa => match args.pop() {
@@ -510,8 +510,8 @@ fn call_builtin(b: Builtin, mut args: Vec<Value>) -> Result<Value> {
     }
 }
 
-/// Interprets the typed AST directly. Semantics match [`crate::vm::run`]
-/// exactly; differential tests enforce the agreement.
+/// Interprets the typed AST directly. The register VM's semantics match
+/// this function exactly; differential tests enforce the agreement.
 ///
 /// # Errors
 ///

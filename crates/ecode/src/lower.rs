@@ -1,15 +1,14 @@
-//! Lowers the typed AST to register bytecode — the second backend next to
-//! `compile.rs` (stack ISA).
+//! Lowers the typed AST to register bytecode.
 //!
-//! The lowering mirrors the stack compiler's evaluation order exactly (the
-//! stack VM is the semantic oracle), then goes further than a mechanical
-//! translation:
+//! The lowering keeps the tree-walking interpreter's evaluation order exactly
+//! (the interpreter is the semantic oracle), then goes further than a
+//! mechanical translation:
 //!
 //! * **Local pinning + stack-discipline temporaries.** Locals occupy the low
 //!   registers; expression temporaries are allocated upward and released per
 //!   statement. A read of a local usually uses its register directly — a
 //!   copy is inserted only when a later-evaluated sibling expression could
-//!   write locals, preserving the stack machine's copy-on-push semantics.
+//!   write locals, so an operand keeps the value it had when it was evaluated.
 //! * **Linear-scan compaction.** After lowering, virtual temporaries are
 //!   remapped onto a minimal set of physical registers by a classic
 //!   linear-scan over live intervals (extended across backward jumps so
@@ -227,7 +226,7 @@ impl FnLower<'_> {
                 dst
             }
             TExprKind::LogicalAnd(l, r) => {
-                // l ? (r != 0) : 0 — mirrors the stack compiler.
+                // l ? (r != 0) : 0
                 let t = self.alloc_temp();
                 let a = self.expr(l);
                 let jz = self.emit(RInsn::Jz { cond: a, target: 0 });
@@ -356,8 +355,7 @@ impl FnLower<'_> {
     /// Lowers an operand whose value must survive until the consuming
     /// instruction executes. If the result aliases a pinned local and
     /// something evaluated in between can write locals, the value is copied
-    /// into a temporary (the stack machine's copy-on-push, paid only when
-    /// needed).
+    /// into a temporary (a copy at evaluation time, paid only when needed).
     fn operand(&mut self, e: &TExpr, later_writes_locals: bool) -> u32 {
         let r = self.expr(e);
         if later_writes_locals && !self.is_temp(r) {
@@ -434,8 +432,8 @@ impl FnLower<'_> {
     }
 
     /// Lowers `place op= rhs`, returning the register holding the stored
-    /// value iff `want_value`. Mirrors the stack compiler's evaluation
-    /// order: compound assignments read the place first, plain assignments
+    /// value iff `want_value`. Evaluation order is the interpreter's:
+    /// compound assignments read the place first, plain assignments
     /// evaluate the value before the destination's indices.
     fn assign(
         &mut self,
@@ -479,8 +477,8 @@ impl FnLower<'_> {
     fn try_copy_path(&mut self, e: &TExpr) -> bool {
         let Some(copy) = field_copy(e) else { return false };
         // The superinstruction performs the load after the destination's
-        // indices are evaluated (the stack machine loads in between), so the
-        // destination indices must be side-effect free.
+        // indices are evaluated (a plain assignment evaluates its value
+        // first), so the destination indices must be side-effect free.
         let dst_pure = copy.dst_segs.iter().all(|s| match s {
             TSeg::Index(e) => is_pure(e),
             TSeg::Field(_) => true,
@@ -989,8 +987,8 @@ pub(crate) fn lower(program: &TProgram) -> RCode {
             continue_patches: Vec::new(),
         };
         fl.stmts(&f.stmts);
-        // Implicit return for falling off the end, mirroring the stack
-        // compiler: zero of the return type for non-void.
+        // Implicit return for falling off the end: zero of the return type
+        // for non-void.
         match &f.ret {
             Ty::Void => {
                 fl.emit(RInsn::Ret { src: None });

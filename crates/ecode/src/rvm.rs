@@ -1,14 +1,20 @@
 //! The register virtual machine — executes [`RCode`](crate::bytecode::RCode)
 //! produced by the lowering pass.
 //!
-//! Instruction semantics (arithmetic, navigation, error texts, fuel) are
-//! shared with the stack VM via its `pub(crate)` helpers, so the two engines
-//! disagree only in dispatch cost, never in observable behaviour — the stack
-//! VM remains the semantic oracle. The register file lives in one flat
+//! Values are [`pbio::Value`] trees; access paths into the bound root
+//! records are resolved through pre-compiled field indices, so execution
+//! never consults format meta-data except to materialize default elements
+//! when a write extends an array (the `old.src_list[src_count] = ...`
+//! pattern of the paper's Fig. 5, where the output list grows as the
+//! transformation discovers sources). The register file lives in one flat
 //! `Vec<Value>`; user-function calls open a fresh window at the top
 //! (Lua-style), with arguments cloned into the callee's low registers.
 //!
-//! Two superinstructions do work no stack program can express in one step:
+//! The tree-walking interpreter (`interp.rs`) is the semantic reference:
+//! differential tests hold this engine to its return values, final roots,
+//! error strings and the partial state an error leaves behind.
+//!
+//! Two superinstructions fold whole statement sequences into one dispatch:
 //!
 //! * [`RInsn::CopyPath`] moves a row of fields between roots (each with an
 //!   optional scalar conversion) in a single dispatch and one destination
@@ -21,13 +27,10 @@
 use pbio::{FieldType, RecordFormat, Value};
 
 use crate::bytecode::{CSeg, CopyEntry, CopyRow, RCode, RInsn, ScalarConv};
-use crate::error::Result;
-use crate::tast::Binding;
-use crate::vm::{
-    array_mut, call_builtin, descend_mut, elem_mut, farith, fcmp, field_mut, iarith, icmp, nav,
-    nav_from, rt_err, scmp, walk_mut, write_path, TyRef,
-};
+use crate::error::{EcodeError, Result};
+use crate::tast::{ArithOp, Binding, Builtin, CmpOp};
 
+/// Maximum user-function call depth (independent of fuel).
 const MAX_CALL_DEPTH: usize = 64;
 
 /// Execution statistics from one register-VM run. Surfaced by the morph
@@ -45,6 +48,10 @@ struct Frame {
     ret_pc: usize,
     ret_dst: u32,
     prev_base: usize,
+}
+
+fn rt_err(msg: impl Into<String>) -> EcodeError {
+    EcodeError::runtime(msg)
 }
 
 fn as_int(v: &Value) -> Result<i64> {
@@ -75,7 +82,7 @@ fn as_str(v: &Value) -> Result<&str> {
     }
 }
 
-/// Index-register → array subscript, with the stack VM's error texts.
+/// Index-register → array subscript.
 fn to_index(v: &Value) -> Result<usize> {
     match v {
         Value::Int(n) if *n >= 0 => Ok(*n as usize),
@@ -104,40 +111,245 @@ fn apply_conv(conv: ScalarConv, v: Value) -> Result<Value> {
     })
 }
 
-/// Walks a field-only path to the destination array for a batch copy,
-/// returning the array storage and its element type (for default-filling).
-fn nav_array_mut<'v, 'f>(
-    root: &'v mut Value,
-    fmt: &'f RecordFormat,
-    segs: &[CSeg],
-) -> Result<(&'v mut Vec<Value>, &'f FieldType)> {
-    let mut cur = root;
-    let mut ty: Option<&'f FieldType> = None;
-    for seg in segs {
-        let CSeg::Field(i) = seg else {
-            return Err(rt_err("batch path contains a dynamic segment"));
-        };
-        let i = *i as usize;
-        let field_ty = match ty {
-            None => fmt.fields().get(i),
-            Some(FieldType::Record(r)) => r.fields().get(i),
-            Some(_) => None,
+/// `a <op> b` as int 0/1 — ints, floats (IEEE: any comparison with a NaN
+/// but `!=` is false) and strings (bytewise) alike.
+fn compare<T: PartialOrd + ?Sized>(op: CmpOp, a: &T, b: &T) -> i64 {
+    let r = match op {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
+    };
+    i64::from(r)
+}
+
+fn iarith(op: ArithOp, a: i64, b: i64) -> Result<i64> {
+    match op {
+        ArithOp::Add => Ok(a.wrapping_add(b)),
+        ArithOp::Sub => Ok(a.wrapping_sub(b)),
+        ArithOp::Mul => Ok(a.wrapping_mul(b)),
+        ArithOp::Div => {
+            if b == 0 {
+                Err(rt_err("integer division by zero"))
+            } else {
+                Ok(a.wrapping_div(b))
+            }
         }
-        .ok_or_else(|| rt_err("path field does not match the bound format"))?
-        .ty();
-        cur = cur
-            .as_record_mut()
-            .and_then(|fs| fs.get_mut(i))
-            .ok_or_else(|| rt_err("path field does not resolve to a record slot"))?;
-        ty = Some(field_ty);
+        ArithOp::Mod => {
+            if b == 0 {
+                Err(rt_err("integer modulo by zero"))
+            } else {
+                Ok(a.wrapping_rem(b))
+            }
+        }
     }
-    let elem = match ty {
-        Some(FieldType::Array { elem, .. }) => elem.as_ref(),
+}
+
+fn farith(op: ArithOp, a: f64, b: f64) -> f64 {
+    match op {
+        ArithOp::Add => a + b,
+        ArithOp::Sub => a - b,
+        ArithOp::Mul => a * b,
+        ArithOp::Div => a / b,
+        ArithOp::Mod => a % b,
+    }
+}
+
+/// Navigates a fused path for reading; returns a reference to the value.
+fn nav<'v>(roots: &'v [Value], root: u8, segs: &[CSeg], idx: &[usize]) -> Result<&'v Value> {
+    let from = roots.get(root as usize).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    nav_from(from, segs, idx)
+}
+
+/// [`nav`] below an already resolved root record.
+fn nav_from<'v>(mut cur: &'v Value, segs: &[CSeg], idx: &[usize]) -> Result<&'v Value> {
+    let mut it = idx.iter();
+    for seg in segs {
+        match seg {
+            CSeg::Field(i) => {
+                cur = cur
+                    .as_record()
+                    .and_then(|fs| fs.get(*i as usize))
+                    .ok_or_else(|| rt_err("path field does not resolve to a record slot"))?;
+            }
+            CSeg::Index => {
+                let n = *it.next().expect("one index per CSeg::Index");
+                let arr = cur
+                    .as_array()
+                    .ok_or_else(|| rt_err("path index applied to a non-array value"))?;
+                cur = arr.get(n).ok_or_else(|| {
+                    rt_err(format!("array index {n} out of bounds (len {})", arr.len()))
+                })?;
+            }
+        }
+    }
+    Ok(cur)
+}
+
+/// The declared type at the current position of a writing navigation.
+#[derive(Clone, Copy)]
+enum TyRef<'f> {
+    Rec(&'f RecordFormat),
+    Ty(&'f FieldType),
+}
+
+/// The array a writing navigation is about to subscript, with its declared
+/// element type (what out-of-bounds writes extend it with).
+fn array_mut<'v, 'f>(
+    cur: &'v mut Value,
+    ty: TyRef<'f>,
+) -> Result<(&'v mut Vec<Value>, &'f FieldType)> {
+    let elem_ty = match ty {
+        TyRef::Ty(FieldType::Array { elem, .. }) => elem.as_ref(),
         _ => return Err(rt_err("path index applied to a non-array field")),
     };
     let arr =
         cur.as_array_mut().ok_or_else(|| rt_err("path index applied to a non-array value"))?;
-    Ok((arr, elem))
+    Ok((arr, elem_ty))
+}
+
+/// Element `n` of `arr`, first extending the array with default elements
+/// when `n` is at or past its end.
+fn elem_mut<'v>(arr: &'v mut Vec<Value>, elem_ty: &FieldType, n: usize) -> &'v mut Value {
+    if n >= arr.len() {
+        arr.resize_with(n + 1, || Value::default_for(elem_ty));
+    }
+    &mut arr[n]
+}
+
+/// Record field `i` below a writing navigation.
+fn field_mut<'v, 'f>(
+    cur: &'v mut Value,
+    ty: TyRef<'f>,
+    i: u32,
+) -> Result<(&'v mut Value, TyRef<'f>)> {
+    let i = i as usize;
+    let field_ty = match ty {
+        TyRef::Rec(r) => r.fields().get(i),
+        TyRef::Ty(FieldType::Record(r)) => r.fields().get(i),
+        _ => None,
+    }
+    .ok_or_else(|| rt_err("path field does not match the bound format"))?
+    .ty();
+    let cur = cur
+        .as_record_mut()
+        .and_then(|fs| fs.get_mut(i))
+        .ok_or_else(|| rt_err("path field does not resolve to a record slot"))?;
+    Ok((cur, TyRef::Ty(field_ty)))
+}
+
+/// One segment of a writing navigation; `idx` supplies the subscript of a
+/// [`CSeg::Index`].
+fn descend_mut<'v, 'f>(
+    cur: &'v mut Value,
+    ty: TyRef<'f>,
+    seg: CSeg,
+    idx: &mut std::slice::Iter<'_, usize>,
+) -> Result<(&'v mut Value, TyRef<'f>)> {
+    match seg {
+        CSeg::Field(i) => field_mut(cur, ty, i),
+        CSeg::Index => {
+            let n = *idx.next().expect("one index per CSeg::Index");
+            let (arr, elem_ty) = array_mut(cur, ty)?;
+            Ok((elem_mut(arr, elem_ty, n), TyRef::Ty(elem_ty)))
+        }
+    }
+}
+
+/// [`descend_mut`] along every segment of `segs`.
+fn walk_mut<'v, 'f>(
+    mut cur: &'v mut Value,
+    mut ty: TyRef<'f>,
+    segs: &[CSeg],
+    idx: &mut std::slice::Iter<'_, usize>,
+) -> Result<(&'v mut Value, TyRef<'f>)> {
+    for seg in segs {
+        (cur, ty) = descend_mut(cur, ty, *seg, idx)?;
+    }
+    Ok((cur, ty))
+}
+
+/// Navigates a fused path for writing, auto-extending arrays with
+/// format-appropriate default elements, and stores `value` at the end.
+fn write_path(
+    roots: &mut [Value],
+    bindings: &[Binding],
+    root: u8,
+    segs: &[CSeg],
+    idx: &[usize],
+    value: Value,
+) -> Result<()> {
+    let root_idx = root as usize;
+    let binding = bindings.get(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    let cur = roots.get_mut(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
+    *walk_mut(cur, TyRef::Rec(&binding.format), segs, &mut idx.iter())?.0 = value;
+    Ok(())
+}
+
+/// C `atoi` semantics: optional whitespace, optional sign, leading digits;
+/// anything unparsable is 0.
+pub(crate) fn atoi(s: &str) -> i64 {
+    let t = s.trim_start();
+    let (neg, t) = match t.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, t.strip_prefix('+').unwrap_or(t)),
+    };
+    let digits: String = t.chars().take_while(char::is_ascii_digit).collect();
+    let v = digits.parse::<i64>().unwrap_or(0);
+    if neg {
+        v.wrapping_neg()
+    } else {
+        v
+    }
+}
+
+/// C `atof`-ish semantics via Rust's parser on the leading float prefix.
+pub(crate) fn atof(s: &str) -> f64 {
+    let t = s.trim_start();
+    // Find the longest prefix that parses.
+    let mut best = 0.0;
+    let mut len = 0;
+    for (i, _) in t.char_indices().map(|(i, c)| (i + c.len_utf8(), c)) {
+        if let Ok(v) = t[..i].parse::<f64>() {
+            best = v;
+            len = i;
+        }
+    }
+    if len == 0 {
+        0.0
+    } else {
+        best
+    }
+}
+
+/// `builtin(args...)`, the arguments read from the `args` registers of
+/// `frame`.
+fn call_builtin(b: Builtin, args: &[u32], frame: &[Value]) -> Result<Value> {
+    let arg = |k: usize| &frame[args[k] as usize];
+    Ok(match (b, args.len()) {
+        (Builtin::Strlen, 1) => Value::Int(as_str(arg(0))?.len() as i64),
+        (Builtin::Strcat, 2) => {
+            let mut s = as_str(arg(0))?.to_owned();
+            s.push_str(as_str(arg(1))?);
+            Value::Str(s)
+        }
+        (Builtin::AbsI, 1) => Value::Int(as_int(arg(0))?.wrapping_abs()),
+        (Builtin::AbsF, 1) => Value::Float(as_float(arg(0))?.abs()),
+        (Builtin::MinI, 2) => Value::Int(as_int(arg(0))?.min(as_int(arg(1))?)),
+        (Builtin::MaxI, 2) => Value::Int(as_int(arg(0))?.max(as_int(arg(1))?)),
+        (Builtin::MinF, 2) => Value::Float(as_float(arg(0))?.min(as_float(arg(1))?)),
+        (Builtin::MaxF, 2) => Value::Float(as_float(arg(0))?.max(as_float(arg(1))?)),
+        (Builtin::Sqrt, 1) => Value::Float(as_float(arg(0))?.sqrt()),
+        (Builtin::Floor, 1) => Value::Float(as_float(arg(0))?.floor()),
+        (Builtin::Ceil, 1) => Value::Float(as_float(arg(0))?.ceil()),
+        (Builtin::Atoi, 1) => Value::Int(atoi(as_str(arg(0))?)),
+        (Builtin::Itoa, 1) => Value::Str(as_int(arg(0))?.to_string()),
+        (Builtin::Atof, 1) => Value::Float(atof(as_str(arg(0))?)),
+        (Builtin::Ftoa, 1) => Value::Str(as_float(arg(0))?.to_string()),
+        (b, n) => return Err(rt_err(format!("builtin {b:?} called with {n} arguments"))),
+    })
 }
 
 /// One row entry's value: its source, cloned and converted. `src` is the
@@ -275,8 +487,8 @@ fn copy_row(
 ///
 /// # Errors
 ///
-/// As the stack VM: division by zero, out-of-bounds reads, shape mismatches
-/// between roots and bound formats.
+/// Returns [`EcodeError::Runtime`] on division by zero, out-of-bounds reads,
+/// or shape mismatches between the roots and the bound formats.
 pub(crate) fn run(
     code: &RCode,
     bindings: &[Binding],
@@ -378,18 +590,18 @@ pub(crate) fn run_with_fuel(
             RInsn::ICmp { op, dst, a, b } => {
                 let x = as_int(&reg!(*a))?;
                 let y = as_int(&reg!(*b))?;
-                reg!(*dst) = Value::Int(icmp(*op, x, y));
+                reg!(*dst) = Value::Int(compare(*op, &x, &y));
             }
             RInsn::FCmp { op, dst, a, b } => {
                 let x = as_float(&reg!(*a))?;
                 let y = as_float(&reg!(*b))?;
-                reg!(*dst) = Value::Int(fcmp(*op, x, y));
+                reg!(*dst) = Value::Int(compare(*op, &x, &y));
             }
             RInsn::SCmp { op, dst, a, b } => {
                 let r = {
                     let x = as_str(&reg!(*a))?;
                     let y = as_str(&reg!(*b))?;
-                    scmp(*op, x, y)
+                    compare(*op, x, y)
                 };
                 reg!(*dst) = Value::Int(r);
             }
@@ -446,9 +658,7 @@ pub(crate) fn run_with_fuel(
                 }
             }
             RInsn::Call { f, dst, args } => {
-                let mut tmp: Vec<Value> = args.iter().map(|&r| reg!(r).clone()).collect();
-                call_builtin(*f, args.len() as u8, &mut tmp)?;
-                let v = tmp.pop().ok_or_else(|| rt_err("builtin returned no value"))?;
+                let v = call_builtin(*f, args, &regs[base..])?;
                 reg!(*dst) = v;
             }
             RInsn::CallFn { f, dst, args } => {
@@ -519,7 +729,9 @@ pub(crate) fn run_with_fuel(
                     let avail = src_arr.len();
                     let end = want.min(avail);
                     if end > start {
-                        let (dst_arr, elem_ty) = nav_array_mut(dst_v, &binding.format, dst_segs)?;
+                        let ty = TyRef::Rec(&binding.format);
+                        let (cur, ty) = walk_mut(dst_v, ty, dst_segs, &mut [].iter())?;
+                        let (dst_arr, elem_ty) = array_mut(cur, ty)?;
                         if dst_arr.len() < end {
                             dst_arr.resize_with(end, || Value::default_for(elem_ty));
                         }

@@ -1,5 +1,5 @@
 //! Program-level integration tests: realistic Ecode programs run on the
-//! engines (stack VM, reference interpreter, register VM) and must agree.
+//! register VM and on the reference interpreter (the oracle) and must agree.
 
 use std::sync::Arc;
 
@@ -241,10 +241,10 @@ fn compile_once_run_many_is_deterministic() {
 #[test]
 fn bytecode_is_inspectable() {
     let prog = compile("s.acc = 1 + 2;");
-    assert!(!prog.code().is_empty());
-    // Constant folding leaves exactly: ConstI(3), Store, RetVoid.
-    assert_eq!(prog.code().len(), 3);
-    assert!(prog.code().disassemble().contains("ConstI(3)"));
+    assert!(!prog.rcode().is_empty());
+    // Constant folding leaves exactly: the constant, Store, Ret.
+    assert_eq!(prog.rcode().len(), 3);
+    assert!(prog.rcode().disassemble().contains("r0 = 3"));
     assert_eq!(prog.bindings().len(), 1);
     assert_eq!(prog.bindings()[0].name, "s");
 }
@@ -255,21 +255,18 @@ fn bytecode_is_inspectable() {
 /// error's text.
 type Outcome = (Vec<Value>, Result<Option<Value>, String>);
 
-/// Runs `prog` on the tree-walker, the stack VM and the register VM with the
-/// same budget and asserts they agree on the roots they leave and on the
-/// return value or the error string.
-fn three_engines(prog: &EcodeProgram, roots: &[Value]) -> Outcome {
+/// Runs `prog` on the tree-walker (the oracle) and the register VM and
+/// asserts they agree on the roots they leave — also after an error — and
+/// on the return value or the error string.
+fn both_engines(prog: &EcodeProgram, roots: &[Value]) -> Outcome {
     let text = |e: EcodeError| e.to_string();
-    let mut stack = roots.to_vec();
-    let by_stack = prog.run(&mut stack).map_err(text);
     let mut interp = roots.to_vec();
-    assert_eq!(by_stack, prog.run_interp(&mut interp).map_err(text), "tree-walker: result");
-    assert_eq!(stack, interp, "tree-walker: roots");
+    let by_interp = prog.run_interp(&mut interp).map_err(text);
     let mut register = roots.to_vec();
     let by_register = prog.run_register(&mut register).map(|(v, _)| v).map_err(text);
-    assert_eq!(by_stack, by_register, "register VM: result");
-    assert_eq!(stack, register, "register VM: roots");
-    (stack, by_stack)
+    assert_eq!(by_interp, by_register, "register VM: result");
+    assert_eq!(interp, register, "register VM: roots");
+    (interp, by_interp)
 }
 
 /// The multi-entry rows of a program's register code, as (entries, whole).
@@ -359,7 +356,7 @@ fn fig5_agrees_on_three_engines() {
     let prog = fig5();
     for n in [0, 1, 2, 7, 40] {
         let (roots, ret) =
-            three_engines(&prog, &[v2_value(n), Value::default_record(&response_v1())]);
+            both_engines(&prog, &[v2_value(n), Value::default_record(&response_v1())]);
         assert_eq!(ret, Ok(None));
         roots[1].check(&response_v1()).unwrap();
         let list = |name| roots[1].field(&response_v1(), name).unwrap().as_array().unwrap().len();
@@ -372,7 +369,7 @@ fn fig5_agrees_on_three_engines() {
     // with the members before the gap converted.
     let mut short = v2_value(3);
     short.as_record_mut().unwrap()[0] = Value::Int(5);
-    let (roots, ret) = three_engines(&prog, &[short, Value::default_record(&response_v1())]);
+    let (roots, ret) = both_engines(&prog, &[short, Value::default_record(&response_v1())]);
     assert_eq!(ret, Err("runtime error: array index 3 out of bounds (len 3)".into()));
     assert_eq!(roots[1].field(&response_v1(), "member_list").unwrap().as_array().unwrap().len(), 3);
 }
@@ -381,7 +378,7 @@ fn fig5_agrees_on_three_engines() {
 fn fig5_lowers_to_three_whole_element_rows() {
     let prog = fig5();
     assert_eq!(rows(&prog), [(2, true); 3]);
-    let listing = ecode::dump::register(prog.rcode());
+    let listing = prog.rcode().disassemble();
     for list in [1, 3, 5] {
         let row = format!("CopyPath root1.{list}[*] [r");
         let line = listing.lines().find(|l| l.contains(&row)).unwrap_or_else(|| {
@@ -414,7 +411,7 @@ fn vm_dump_chain_lists_both_copy_superinstructions() {
         step(&wide, &narrow, "old.a = new.a + new.b;"),
         step(&narrow, &wide, "old.a = new.a; old.b = 0;"),
     );
-    let listing = ecode::dump::register(FusedProgram::compose(&[&s1, &s2]).unwrap().rcode());
+    let listing = FusedProgram::compose(&[&s1, &s2]).unwrap().rcode().disassemble();
     assert!(listing.contains("BatchCopy root1.1[r"), "{listing}");
     assert!(listing.contains("CopyPath root2.2 = root1.2"), "{listing}");
 }
@@ -488,7 +485,7 @@ fn row_appends_overwrites_and_fills_gaps() {
     ] {
         let prog = row_program(&format!("int i = 1; int j = 0; int k = {k}; {ROW}"));
         assert_eq!(rows(&prog), [(3, true)]);
-        let (roots, ret) = three_engines(&prog, &[row_input(2, 1), out_with(before)]);
+        let (roots, ret) = both_engines(&prog, &[row_input(2, 1), out_with(before)]);
         assert_eq!(ret, Ok(None));
         assert_eq!(roots[1].as_record().unwrap()[1], Value::Array(after), "k = {k}");
     }
@@ -498,7 +495,7 @@ fn row_appends_overwrites_and_fills_gaps() {
 fn row_stopped_by_a_bad_source_keeps_the_entries_before_it() {
     // `in.b[j]` is out of bounds: entry 2 of the row fails after entries 0
     // and 1 landed — in a default-extended element when appending, in the
-    // old element when overwriting — on every engine, with the same text.
+    // old element when overwriting — on both engines, with the same text.
     for (k, before, after) in [
         (0, vec![], vec![item(10.0, "s0", 0)]),
         (0, vec![item(1.0, "p", 1)], vec![item(10.0, "s0", 1)]),
@@ -506,7 +503,7 @@ fn row_stopped_by_a_bad_source_keeps_the_entries_before_it() {
     ] {
         let prog = row_program(&format!("int i = 0; int j = 4; int k = {k}; {ROW}"));
         assert_eq!(rows(&prog), [(3, true)]);
-        let (roots, ret) = three_engines(&prog, &[row_input(1, 2), out_with(before)]);
+        let (roots, ret) = both_engines(&prog, &[row_input(1, 2), out_with(before)]);
         assert_eq!(ret, Err("runtime error: array index 4 out of bounds (len 2)".into()));
         assert_eq!(roots[1].as_record().unwrap()[1], Value::Array(after), "k = {k}");
     }
@@ -517,7 +514,7 @@ fn row_stopped_by_a_bad_source_keeps_the_entries_before_it() {
         ("int i = 0; int j = 0; int k = 0 - 1;", "negative array index -1"),
     ] {
         let prog = row_program(&format!("{decls} {ROW}"));
-        let (roots, ret) = three_engines(&prog, &[row_input(1, 2), out_with(vec![])]);
+        let (roots, ret) = both_engines(&prog, &[row_input(1, 2), out_with(vec![])]);
         assert_eq!(ret, Err(format!("runtime error: {error}")));
         assert_eq!(roots[1], out_with(vec![]));
     }
@@ -589,8 +586,8 @@ fn register_fuel_is_charged_per_row_entry() {
 fn rows_survive_fusion_into_a_three_step_chain() {
     // v2 → v1 (Fig. 5's rows), then two steps that each rebuild the member
     // list through a row of their own: the fused register program keeps all
-    // five rows, rebased onto the step roots, and equals the fused stack
-    // program and the steps run one by one.
+    // five rows, rebased onto the step roots, and equals the steps run one
+    // by one on the tree-walker.
     let v1 = response_v1();
     let members = FormatBuilder::record("Members")
         .int("member_count")
@@ -625,15 +622,13 @@ fn rows_survive_fusion_into_a_three_step_chain() {
 
     let mut roots = vec![v2_value(9)];
     roots.extend(steps.iter().map(|p| Value::default_record(&p.bindings()[1].format)));
-    let (mut by_stack, mut by_register) = (roots.clone(), roots);
-    fused.run(&mut by_stack).unwrap();
+    let mut by_register = roots;
     fused.run_register(&mut by_register).unwrap();
-    assert_eq!(by_stack, by_register);
 
     let mut staged = v2_value(9);
     for p in &steps {
         let to = &p.bindings()[1].format;
-        let (mut roots, ret) = three_engines(p, &[staged, Value::default_record(to)]);
+        let (mut roots, ret) = both_engines(p, &[staged, Value::default_record(to)]);
         assert_eq!(ret, Ok(None));
         staged = roots.pop().unwrap();
         pbio::sync_length_fields(&mut staged, to);

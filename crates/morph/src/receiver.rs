@@ -139,8 +139,7 @@ enum Decision {
     /// Full morph: decode to the wire format, run the compiled chain, then
     /// (if the chain's end is a near match) adapt. Warm replays take the
     /// `fused` single-pass artifact when fusion succeeded at decide time;
-    /// the staged fields double as the cold path and the differential
-    /// oracle.
+    /// the staged fields are the cold path and the fallback when it did not.
     Morph {
         decode: Arc<ConversionPlan>,
         chain: CompiledChain,
@@ -260,12 +259,10 @@ struct RxMetrics {
     maxmatch_candidates: Arc<Counter>,
     fused_applies: Arc<Counter>,
     fused_vm_invocations: Arc<Counter>,
-    fused_intermediates: Arc<Counter>,
     fused_skipped: Arc<Counter>,
     staged_vm_invocations: Arc<Counter>,
     staged_intermediates: Arc<Counter>,
     vm_register_applies: Arc<Counter>,
-    vm_stack_applies: Arc<Counter>,
     batch_copies: Arc<Counter>,
     batch_elems: Arc<Counter>,
     decide_ns: Arc<Histogram>,
@@ -296,12 +293,10 @@ impl RxMetrics {
             maxmatch_candidates: registry.counter("morph.maxmatch.candidates"),
             fused_applies: registry.counter("morph.fused.apply"),
             fused_vm_invocations: registry.counter("morph.fused.vm_invocations"),
-            fused_intermediates: registry.counter("morph.fused.intermediates"),
             fused_skipped: registry.counter("morph.fused.skipped"),
             staged_vm_invocations: registry.counter("morph.staged.vm_invocations"),
             staged_intermediates: registry.counter("morph.staged.intermediates"),
             vm_register_applies: registry.counter("morph.vm.register.apply"),
-            vm_stack_applies: registry.counter("morph.vm.stack.apply"),
             batch_copies: registry.counter("ecode.batch.copies"),
             batch_elems: registry.counter("ecode.batch.copied_elems"),
             decide_ns: registry.histogram("morph.decide_ns"),
@@ -362,15 +357,6 @@ pub struct MorphReceiver {
     /// mutation that can change decisions (new reader, new transformation,
     /// threshold change).
     fingerprint: Option<u64>,
-    /// When true (the default), warm `Decision::Morph` replays run the
-    /// fused single-pass plan; when false they run the staged per-step
-    /// oracle. Tests and benches flip this to compare the two paths.
-    fusion: bool,
-    /// When true (the default), fused warm replays execute on the register
-    /// VM with superinstructions; when false they run the fused stack VM —
-    /// the semantic oracle the register engine is differentially tested
-    /// against. Orthogonal to `fusion` (which picks fused vs staged).
-    register_vm: bool,
     /// Compiled conversion plans, shared across decision-cache rebuilds.
     plans: PlanCache,
     metrics: RxMetrics,
@@ -433,8 +419,6 @@ impl MorphReceiver {
             cache: HashMap::new(),
             shared: None,
             fingerprint: None,
-            fusion: true,
-            register_vm: true,
             plans: PlanCache::new(Arc::clone(&registry)),
             metrics: RxMetrics::new(registry),
             trace: None,
@@ -650,25 +634,6 @@ impl MorphReceiver {
             Decision::Default { .. } => Explanation::DefaultHandler,
             Decision::Reject => Explanation::Rejected,
         })
-    }
-
-    /// Enables or disables the fused warm path (on by default). When
-    /// disabled, warm morph replays run the staged per-step pipeline —
-    /// decode, one VM invocation per chain step, adapter — which is the
-    /// differential-testing oracle for fusion and the "before" side of the
-    /// staged-vs-fused bench. Cached decisions (including their fused
-    /// plans) are kept; only the warm dispatch changes.
-    pub fn set_fusion(&mut self, enabled: bool) {
-        self.fusion = enabled;
-    }
-
-    /// Picks the execution engine for fused warm replays (register VM by
-    /// default). Disabling falls back to the fused *stack* VM — the
-    /// semantic oracle — with the same plans and the same observable
-    /// behaviour, only slower. Tests and benches flip this to compare the
-    /// two engines on identical traffic.
-    pub fn set_register_vm(&mut self, enabled: bool) {
-        self.register_vm = enabled;
     }
 
     /// Switches format matching to the importance-weighted variant: fields
@@ -932,7 +897,7 @@ impl MorphReceiver {
         chain: &CompiledChain,
     ) -> Option<Box<FusedMorph>> {
         let fused = chain.fuse().ok().and_then(|program| {
-            let used = root_used_fields(program.code(), 0, fm.fields().len());
+            let used = root_used_fields(program.rcode(), 0, fm.fields().len());
             let decode = ConversionPlan::project(fm, &used).ok()?;
             let templates =
                 program.bindings()[1..].iter().map(|b| Value::default_record(&b.format)).collect();
@@ -976,9 +941,9 @@ impl MorphReceiver {
                     // one VM invocation over the whole chain, no intermediate
                     // Value trees between steps. The cold pass stays staged so
                     // its per-stage spans remain observable, and so every
-                    // format's first message exercises the oracle the fused
-                    // path is differentially tested against.
-                    if !trace_stages && self.fusion {
+                    // format's first message takes the path the fused one
+                    // is differentially tested against.
+                    if !trace_stages {
                         if let Some(f) = fused {
                             let mut span = self.tspan("morph.apply.fused", None);
                             if let Some(s) = span.as_mut() {
@@ -989,15 +954,10 @@ impl MorphReceiver {
                             roots.push(f.decode.execute(msg)?);
                             self.metrics.decode_ns.record(apply_timer.elapsed_ns());
                             roots.extend(f.templates.iter().cloned());
-                            if self.register_vm {
-                                let stats = f.program.run_register(&mut roots)?;
-                                self.metrics.vm_register_applies.inc();
-                                self.metrics.batch_copies.add(stats.batch_copies);
-                                self.metrics.batch_elems.add(stats.batch_elems);
-                            } else {
-                                f.program.run(&mut roots)?;
-                                self.metrics.vm_stack_applies.inc();
-                            }
+                            let stats = f.program.run_register(&mut roots)?;
+                            self.metrics.vm_register_applies.inc();
+                            self.metrics.batch_copies.add(stats.batch_copies);
+                            self.metrics.batch_elems.add(stats.batch_elems);
                             let value = roots.pop().expect("fused program keeps its roots");
                             let value = match adapter {
                                 Some(a) => a.apply(&value)?,
@@ -1005,11 +965,6 @@ impl MorphReceiver {
                             };
                             self.metrics.fused_applies.inc();
                             self.metrics.fused_vm_invocations.inc();
-                            // Intermediate Value trees built between decode
-                            // and delivery: none, by construction. The
-                            // counter exists so that invariant is assertable
-                            // against morph.staged.intermediates.
-                            self.metrics.fused_intermediates.add(0);
                             self.invoke(*target, value);
                             return Ok(Delivery::Delivered(*target));
                         }
@@ -1500,9 +1455,9 @@ mod tests {
     #[test]
     fn warm_morph_is_one_fused_vm_pass_with_no_intermediates() {
         // Acceptance criterion for fusion: after the cold decision, every
-        // warm morph is exactly one VM invocation and builds zero
-        // intermediate Value trees — asserted through the morph.fused.*
-        // counters rather than timing.
+        // warm morph is exactly one VM invocation, and only the cold pass
+        // builds per-step intermediate Value trees — asserted through the
+        // morph.fused.* / morph.staged.* counters rather than timing.
         let (got, h) = sink();
         let mut rx = MorphReceiver::new();
         rx.register_handler(&v1(), h);
@@ -1515,10 +1470,11 @@ mod tests {
         let snap = rx.registry().snapshot();
         assert_eq!(snap.counter("morph.fused.apply"), Some(4));
         assert_eq!(snap.counter("morph.fused.vm_invocations"), Some(4));
-        assert_eq!(snap.counter("morph.fused.intermediates"), Some(0));
+        assert_eq!(snap.counter("morph.vm.register.apply"), Some(4));
         assert_eq!(snap.counter("morph.fused.skipped"), Some(0));
-        // The cold pass ran the staged oracle once (1-step chain).
+        // The cold pass ran the staged path once (1-step chain).
         assert_eq!(snap.counter("morph.staged.vm_invocations"), Some(1));
+        assert_eq!(snap.counter("morph.staged.intermediates"), Some(1));
         // Each fused apply books its decode under `pbio.decode_ns` (the cold
         // pass does not), as the leading part of its own interval.
         let decode = snap.histogram("pbio.decode_ns").unwrap();
@@ -1532,53 +1488,6 @@ mod tests {
         assert!(vals[1..].iter().all(|v| v == &vals[0]));
         vals[4].check(&v1()).unwrap();
         assert_eq!(vals[4].field(&v1(), "src_count"), Some(&Value::Int(2)));
-    }
-
-    #[test]
-    fn disabling_fusion_routes_warm_morphs_through_staged_oracle() {
-        let (got, h) = sink();
-        let mut rx = MorphReceiver::new();
-        rx.register_handler(&v1(), h);
-        rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
-        rx.set_fusion(false);
-        rx.process(&v2_message(2)).unwrap();
-        rx.process(&v2_message(2)).unwrap();
-        let snap = rx.registry().snapshot();
-        assert_eq!(snap.counter("morph.fused.apply"), Some(0));
-        assert_eq!(snap.counter("morph.staged.vm_invocations"), Some(2));
-        let vals = got.lock().unwrap();
-        assert_eq!(vals[0], vals[1]);
-    }
-
-    #[test]
-    fn register_and_stack_engines_deliver_identical_values() {
-        // The same warm traffic through both fused engines: the register VM
-        // must deliver byte-for-byte the values the stack oracle delivers,
-        // and each engine's applies surface under its own counter.
-        let (got_reg, h_reg) = sink();
-        let mut reg = MorphReceiver::new();
-        reg.register_handler(&v1(), h_reg);
-        reg.import_transformation(Transformation::new(v2(), v1(), FIG5));
-
-        let (got_stk, h_stk) = sink();
-        let mut stk = MorphReceiver::new();
-        stk.register_handler(&v1(), h_stk);
-        stk.import_transformation(Transformation::new(v2(), v1(), FIG5));
-        stk.set_register_vm(false);
-
-        for n in [0usize, 1, 3, 5] {
-            reg.process(&v2_message(n)).unwrap();
-            stk.process(&v2_message(n)).unwrap();
-        }
-        assert_eq!(*got_reg.lock().unwrap(), *got_stk.lock().unwrap());
-
-        let rsnap = reg.registry().snapshot();
-        // 3 warm replays (the first message was the cold staged pass).
-        assert_eq!(rsnap.counter("morph.vm.register.apply"), Some(3));
-        assert_eq!(rsnap.counter("morph.vm.stack.apply"), Some(0));
-        let ssnap = stk.registry().snapshot();
-        assert_eq!(ssnap.counter("morph.vm.register.apply"), Some(0));
-        assert_eq!(ssnap.counter("morph.vm.stack.apply"), Some(3));
     }
 
     #[test]

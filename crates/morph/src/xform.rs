@@ -504,7 +504,7 @@ mod tests {
         for step in cc.steps() {
             roots.push(Value::default_record(step.to_format()));
         }
-        fp.run(&mut roots).unwrap();
+        fp.run_register(&mut roots).unwrap();
         assert_eq!(roots.pop().unwrap(), cc.apply(input).unwrap());
         // Empty chains have nothing to fuse.
         assert!(CompiledChain::default().fuse().is_err());

@@ -1,11 +1,10 @@
-//! Disassembles a morph chain on both execution ISAs.
+//! Disassembles a morph chain's register code.
 //!
-//! Compiles the telemetry chain from `fused_bench` (array copy loop plus
-//! scalar math per step), fuses it, and prints the stack-ISA oracle
-//! listing next to the register-ISA listing that the warm path actually
-//! executes — making the superinstructions visible: the whole-field
-//! assignments fuse into `CopyPath` and each per-element copy loop
-//! collapses into one `BatchCopy`.
+//! Compiles a two-step telemetry chain (array copy loop plus scalar math
+//! per step), prints each step's register listing, then fuses the chain and
+//! prints the one program the warm path executes — making the
+//! superinstructions visible: the whole-field assignments fuse into
+//! `CopyPath` and each per-element copy loop collapses into one `BatchCopy`.
 //!
 //! Run with: `cargo run --example vm_dump`
 
@@ -40,19 +39,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             step.from_format().name(),
             step.to_format().name()
         );
-        println!("-- stack ISA (the oracle the interpreter tier executes) --");
-        print!("{}", ecode::dump::stack(prog.code()));
-        println!("\n-- register ISA (what the warm fused path executes) --");
-        print!("{}", ecode::dump::register(prog.rcode()));
+        print!("{}", prog.rcode().disassemble());
         println!();
     }
 
     let fused = compiled.fuse()?;
     println!("== fused chain: one pass, no intermediate trees ==\n");
-    print!("{}", ecode::dump::register(fused.rcode()));
+    let reg = fused.rcode().disassemble();
+    print!("{reg}");
 
-    // The listings really show the superinstructions this example is about.
-    let reg = ecode::dump::register(fused.rcode());
+    // The listing really shows the superinstructions this example is about.
     assert!(reg.contains("BatchCopy"), "array copy loops should batch:\n{reg}");
     assert!(reg.contains("CopyPath"), "field copies should fuse:\n{reg}");
     println!("\nboth copy superinstructions present: BatchCopy (array ranges), CopyPath (fields)");

@@ -2,9 +2,9 @@
 # Tier-1 gate for this repository. The root workspace has zero external
 # dependencies, so everything up to the bench step runs with no network
 # access: format, lints, docs, every test, the chaos seed matrix, the pbio
-# mutation loop, the smoke examples, the three gated bench examples
-# (fanout_bench, monitor_bench, crash_recovery) and the benchmark
-# self-check. The bench harness is a separate workspace (crates/bench) whose
+# mutation loop, the smoke examples, the three bench examples
+# (fanout_bench gated; monitor_bench and crash_recovery's overhead ratio
+# reported, not gated) and the benchmark self-check. The bench harness is a separate workspace (crates/bench) whose
 # `criterion` dev-dependency needs a reachable crates.io registry; its
 # tests run only when resolution succeeds and are skipped gracefully
 # offline — so nothing compiles it here, and a source check stands in for
@@ -83,16 +83,17 @@ cat BENCH_6.json
 
 echo "==> monitoring overhead bench (writes BENCH_7.json)"
 # The same warm workload with the full opt-in monitoring surface (link
-# monitors, adaptive watermarks, self-telemetry) on vs off; exits
-# non-zero if the monitored system falls below 0.95x bare throughput.
+# monitors, adaptive watermarks, self-telemetry) on vs off. The ratio is
+# reported, not gated: below 0.95x bare it prints a WARN line (stderr)
+# and still exits 0.
 cargo run -q --release --example monitor_bench >/dev/null
 cat BENCH_7.json
 
 echo "==> crash-recovery smoke + journaling overhead bench (writes BENCH_8.json)"
 # Part 1 replays a deterministic crash-restart conversation (both roles
-# die and come back; exactly-once must hold). Part 2 runs the Reliable
-# fan-out workload journaled vs bare and exits non-zero if the journaled
-# system falls below 0.85x bare throughput.
+# die and come back; exactly-once must hold — a hard failure). Part 2
+# runs the Reliable fan-out workload journaled vs bare; its ratio is
+# reported, not gated (WARN on stderr below 0.85x, exit 0).
 cargo run -q --release --example crash_recovery >/dev/null
 cat BENCH_8.json
 

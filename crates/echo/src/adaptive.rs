@@ -1,10 +1,10 @@
 //! Load-adaptive shed watermarks for the system's bounded queues.
 //!
-//! PR 7 made shedding *tier-ordered* (who is dropped); this module makes
-//! it *load-adaptive* (when dropping starts). Each bounded queue — the
-//! link-down retry queue, the per-process ingress buffers, and the sharded
-//! runtime's mailboxes — gets an [`obs::AdaptiveThreshold`] fed by its own
-//! arrival and drain events on the virtual clock. When the windowed
+//! The shed policy (`shed`) decides *who* is dropped; this module decides
+//! *when* dropping starts. Each bounded queue — the retry queue, the
+//! ingress buffers, the sharded runtime's mailboxes — owns a [`Bound`],
+//! whose [`obs::AdaptiveThreshold`] is fed that queue's own arrival and
+//! drain events on the virtual clock. When the windowed
 //! arrival rate overruns the drain rate the effective capacity halves
 //! (down to a floor), starting shed pressure *before* a fixed bound would
 //! overflow; when drains catch back up it doubles back toward the
@@ -29,8 +29,8 @@ use obs::{AdaptDecision, AdaptiveThreshold, Counter, FlightRecorder, Gauge, Regi
 const WINDOW_SLOTS: usize = 8;
 const WINDOW_SLOT_NS: u64 = 1_000_000;
 
-/// Metric labels of the adaptive queues, in [`AdaptiveShedding`] field
-/// order.
+/// Metric labels of the adaptive queues: the retry queue, the ingress
+/// buffers, the sharded runtime's mailboxes.
 pub(crate) const ADAPT_QUEUE_LABELS: [&str; 3] = ["retry", "ingress", "mailbox"];
 
 /// One bounded queue's adaptive watermark plus its accounting handles.
@@ -57,20 +57,10 @@ impl AdaptiveQueue {
         q
     }
 
-    /// Feeds one admission into the arrival window.
-    pub fn on_arrival(&mut self, now_ns: u64) {
-        self.threshold.on_arrival(now_ns);
-    }
-
-    /// Feeds one departure into the drain window.
-    pub fn on_drain(&mut self, now_ns: u64) {
-        self.threshold.on_drain(now_ns);
-    }
-
     /// Re-evaluates the watermark against the windowed rates, counting and
     /// trace-instrumenting any capacity change under `ctx` (or as a free
     /// instant-less decision when the triggering frame carried no trace).
-    pub fn evaluate(
+    fn evaluate(
         &mut self,
         now_ns: u64,
         recorder: &FlightRecorder,
@@ -93,42 +83,70 @@ impl AdaptiveQueue {
         }
         Some(decision)
     }
+}
 
-    /// The current adaptive bound (≤ the configured base capacity).
-    pub fn capacity(&self) -> usize {
-        self.threshold.capacity()
+/// A queue's bound: the configured capacity, pulled down by the adaptive
+/// watermark (once [`crate::EchoSystem::enable_adaptive_shedding`] opted
+/// in) while arrivals overrun drains.
+#[derive(Debug)]
+pub(crate) struct Bound {
+    /// The configured capacity — a ceiling once the bound adapts.
+    pub capacity: usize,
+    adaptive: Option<AdaptiveQueue>,
+}
+
+/// Default bound on the retry queue and on each ingress buffer.
+const QUEUE_CAPACITY: usize = 64;
+
+impl Default for Bound {
+    fn default() -> Bound {
+        Bound::new(QUEUE_CAPACITY)
+    }
+}
+
+impl Bound {
+    pub fn new(capacity: usize) -> Bound {
+        Bound { capacity, adaptive: None }
+    }
+
+    /// Makes the bound load-adaptive around `base`. Metric handles are
+    /// created here — systems that never opt in keep their snapshot
+    /// catalogue unchanged.
+    pub fn adapt(&mut self, registry: &Registry, label: &'static str, base: usize) {
+        self.adaptive = Some(AdaptiveQueue::new(registry, label, base));
+    }
+
+    /// The effective bound right now.
+    pub fn capacity_now(&self) -> usize {
+        self.adaptive_capacity().map_or(self.capacity, |adaptive| self.capacity.min(adaptive))
+    }
+
+    /// Feeds `n` admissions into the arrival window and re-evaluates the
+    /// watermark — before the admission test, so overload tightens the
+    /// bound for the very frame that revealed it.
+    pub fn arrived(&mut self, n: usize, now_ns: u64, rec: &FlightRecorder, ctx: Option<TraceCtx>) {
+        if let Some(a) = self.adaptive.as_mut() {
+            (0..n).for_each(|_| a.threshold.on_arrival(now_ns));
+            a.evaluate(now_ns, rec, ctx);
+        }
+    }
+
+    /// Feeds `n` departures into the drain window and re-evaluates.
+    pub fn drained(&mut self, n: usize, now_ns: u64, rec: &FlightRecorder) {
+        if let Some(a) = self.adaptive.as_mut() {
+            (0..n).for_each(|_| a.threshold.on_drain(now_ns));
+            a.evaluate(now_ns, rec, None);
+        }
+    }
+
+    /// The adaptive watermark's current bound (≤ its base), once enabled.
+    pub fn adaptive_capacity(&self) -> Option<usize> {
+        self.adaptive.as_ref().map(|a| a.threshold.capacity())
     }
 
     /// True while the watermark holds the queue in its tightened regime.
     pub fn overloaded(&self) -> bool {
-        self.threshold.overloaded()
-    }
-}
-
-/// The system's three adaptive watermarks, created by
-/// [`crate::EchoSystem::enable_adaptive_shedding`].
-#[derive(Debug)]
-pub(crate) struct AdaptiveShedding {
-    pub retry: AdaptiveQueue,
-    pub ingress: AdaptiveQueue,
-    pub mailbox: AdaptiveQueue,
-}
-
-impl AdaptiveShedding {
-    /// Builds the watermarks from the queues' configured base capacities.
-    /// Metric handles are created here — systems that never opt in keep
-    /// their snapshot catalogue unchanged.
-    pub fn new(
-        registry: &Registry,
-        retry_base: usize,
-        ingress_base: usize,
-        mailbox_base: usize,
-    ) -> AdaptiveShedding {
-        AdaptiveShedding {
-            retry: AdaptiveQueue::new(registry, ADAPT_QUEUE_LABELS[0], retry_base),
-            ingress: AdaptiveQueue::new(registry, ADAPT_QUEUE_LABELS[1], ingress_base),
-            mailbox: AdaptiveQueue::new(registry, ADAPT_QUEUE_LABELS[2], mailbox_base),
-        }
+        self.adaptive.as_ref().is_some_and(|a| a.threshold.overloaded())
     }
 }
 
@@ -143,26 +161,26 @@ mod tests {
         let reg = Registry::with_clock(clock.clone());
         let rec = FlightRecorder::new(64, clock.clone());
         let mut q = AdaptiveQueue::new(&reg, "retry", 64);
-        assert_eq!(q.capacity(), 64);
+        assert_eq!(q.threshold.capacity(), 64);
         // Overload: arrivals far outrun drains across the window.
         for i in 0..32 {
-            q.on_arrival(i * 100_000);
+            q.threshold.on_arrival(i * 100_000);
         }
         let d = q.evaluate(3_200_000, &rec, None);
         assert_eq!(d, Some(AdaptDecision::Tighten));
-        assert!(q.overloaded());
-        assert_eq!(q.capacity(), 32);
+        assert!(q.threshold.overloaded());
+        assert_eq!(q.threshold.capacity(), 32);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("echo.adaptive.retry.tightened"), Some(1));
         assert_eq!(snap.gauge("echo.adaptive.retry.capacity"), Some(32));
         // Recovery: drains dominate in a fresh window.
         let later = 3_200_000 + 10 * WINDOW_SLOT_NS;
         for i in 0..16 {
-            q.on_drain(later + i * 100_000);
+            q.threshold.on_drain(later + i * 100_000);
         }
         let d = q.evaluate(later + 1_600_000, &rec, None);
         assert_eq!(d, Some(AdaptDecision::Relax));
-        assert_eq!(q.capacity(), 64);
+        assert_eq!(q.threshold.capacity(), 64);
         assert_eq!(reg.snapshot().counter("echo.adaptive.retry.relaxed"), Some(1));
     }
 
@@ -173,7 +191,7 @@ mod tests {
         let rec = FlightRecorder::new(64, clock.clone());
         let mut q = AdaptiveQueue::new(&reg, "ingress", 16);
         for i in 0..32 {
-            q.on_arrival(i * 100_000);
+            q.threshold.on_arrival(i * 100_000);
         }
         let ctx = TraceCtx::root(obs::TraceId(7));
         q.evaluate(3_200_000, &rec, Some(ctx));

@@ -10,18 +10,24 @@
 //!   concurrency. Given the same seed it replays byte-identically — the
 //!   chaos suite and every snapshot-comparing test run under it.
 //! - [`WallClockDriver`] runs rounds of deliveries in parallel on real
-//!   `std::thread` workers, one per shard (see [`crate::shard_of_name`]).
-//!   Per-destination delivery order is still preserved (a process lives on
-//!   exactly one shard), but cross-process interleaving and wall-clock
-//!   timings are not reproducible — this driver trades replay determinism
-//!   for multi-core throughput.
+//!   `std::thread` workers, one per shard (see [`crate::shard_of_name`]),
+//!   trading replay determinism for multi-core throughput.
 //!
-//! Both produce the same *observable outcome* per process: the same events
+//! Both share one run loop (`EchoSystem::run_turns`) and differ only in
+//! how a ready turn is executed, so they produce the same *observable
+//! outcome* per process: the same events
 //! delivered in the same per-process order, the same dedup/quarantine
 //! decisions, the same aggregate counters (modulo `echo.shard.*`, which
 //! only the wall-clock driver emits).
 
-use crate::system::EchoSystem;
+use pbio::WireBytes;
+use simnet::NodeId;
+
+use crate::metrics::ShardMetrics;
+use crate::node::{FrameOutcome, NodeState};
+use crate::shard::shard_of_name;
+use crate::shed::shed_set;
+use crate::system::{wire_ctx, EchoSystem};
 
 /// A strategy for running an [`EchoSystem`] to quiescence.
 ///
@@ -74,11 +80,26 @@ pub const DEFAULT_MAILBOX_CAPACITY: usize = 16_384;
 /// deliveries in parallel — fork on the round's mailboxes, join before any
 /// network state is touched again.
 ///
-/// Mailboxes are bounded ([`WallClockDriver::with_mailbox_capacity`]) under
-/// the system-wide shed policy: overflow sheds the oldest *event* frame in
-/// the mailbox into the receiver's dead-letter queue (`DeadReason::Shed`,
-/// counted in `echo.queue.shed` and `echo.shard.mailbox.shed`); control
-/// frames are never shed and may exceed the bound.
+/// Invariants preserved from the single-threaded driver:
+///
+/// - **Per-destination FIFO**: mailboxes are filled in global
+///   `(deliver_at, seq)` order and each destination lives on exactly one
+///   shard, so every process sees its frames in simulated arrival order.
+/// - **Shed policy**: mailboxes are bounded
+///   ([`WallClockDriver::with_mailbox_capacity`]) under the system-wide
+///   shed policy: overflow sheds the oldest *event* frame of the lowest
+///   tier into the receiver's dead-letter queue (`DeadReason::Shed`,
+///   counted in `echo.queue.shed` and `echo.shard.mailbox.shed`); control
+///   frames are never shed and may exceed the bound.
+/// - **Pause/backpressure**: deliveries to paused processes buffer in
+///   their bounded ingress queues on the driver thread, exactly as in
+///   [`EchoSystem::run`].
+/// - **Retries**: link-down frames wait out their backoff in virtual time
+///   between rounds.
+///
+/// What is *not* preserved is cross-process interleaving: worker threads
+/// race in wall-clock time, so span orderings and wall-clock timings
+/// differ run to run. Deterministic replay needs [`VirtualTimeDriver`].
 #[derive(Debug, Clone, Copy)]
 pub struct WallClockDriver {
     shards: usize,
@@ -111,5 +132,237 @@ impl WallClockDriver {
 impl Driver for WallClockDriver {
     fn drive(&mut self, sys: &mut EchoSystem) -> usize {
         sys.run_sharded(self.shards, self.mailbox_capacity)
+    }
+}
+
+impl EchoSystem {
+    /// The run loop every driver shares. Each turn applies due crash
+    /// transitions, sweeps reassembly, publishes due telemetry, drains
+    /// resumed ingress buffers and pumps the retry queue; then, if frames
+    /// are deliverable, `execute` delivers some — one frame, or one
+    /// fork/join round — and reports how many it dispatched (`None`: there
+    /// was nothing to deliver after all). Deliveries never cross a pending
+    /// crash/restart boundary: `execute` stops short of the one it is
+    /// handed, and an idle turn advances the clock straight to it (or to
+    /// the next retry attempt, if sooner), so every transition fires at its
+    /// exact instant under every driver.
+    fn run_turns(
+        &mut self,
+        mut execute: impl FnMut(&mut EchoSystem, Option<u64>) -> Option<usize>,
+    ) -> usize {
+        let mut processed = 0;
+        loop {
+            self.process_crash_transitions(self.net.now_ns());
+            self.sweep_reassembly();
+            self.pump_telemetry();
+            processed += self.drain_ingress();
+            self.pump_pending();
+            let boundary = self.net.next_crash_transition();
+            let ready = match boundary {
+                Some(t) => self.net.next_delivery_at().is_some_and(|d| d < t),
+                None => !self.net.is_idle(),
+            };
+            if let Some(n) = if ready { execute(self, boundary) } else { None } {
+                processed += n;
+                continue;
+            }
+            // Nothing deliverable before the boundary (or an idle wire).
+            // Jump virtual time to whatever comes first: the boundary or
+            // the next retry attempt.
+            let target = match (boundary, self.pump_pending()) {
+                (Some(t), Some(r)) => Some(t.min(r)),
+                (Some(t), None) => Some(t),
+                (None, Some(r)) => Some(r),
+                (None, None) => None,
+            };
+            match target {
+                Some(at) => self.net.advance_ns(at.saturating_sub(self.net.now_ns())),
+                None if self.net.is_idle() => break,
+                None => {}
+            }
+        }
+        // A final sweep at quiescence: time advanced past the timeout with
+        // nothing left in flight still expires waiting partials.
+        self.sweep_reassembly();
+        processed
+    }
+
+    /// Runs the network to quiescence, dispatching every delivery through
+    /// the receiving process (which may send follow-ups) and pumping the
+    /// retry queue: frames refused by a down link are re-sent with backoff,
+    /// waiting out partitions in virtual time if need be. Returns the
+    /// number of deliveries processed.
+    ///
+    /// A process never fails on a received frame — corrupted, malformed, or
+    /// undeliverable frames are quarantined in its dead-letter queue and
+    /// counted (`echo.deadletter.*`), duplicates are suppressed and counted
+    /// (`echo.dedup.dropped`).
+    ///
+    /// Deliveries to a paused process ([`EchoSystem::pause_process`]) are
+    /// buffered, not dispatched; resumed processes drain their buffer here.
+    /// Bounded-queue overflow sheds warm (event) traffic into dead-letter
+    /// queues with [`morph::DeadReason::Shed`] and counts it in `echo.queue.shed`.
+    pub fn run(&mut self) -> usize {
+        self.run_turns(|sys, boundary| {
+            // `None`: every frame ahead of the boundary was addressed to a
+            // crashed process and vanished in the step.
+            let d = match boundary {
+                Some(t) => sys.net.step_before(t),
+                None => sys.net.step(),
+            }?;
+            // Drop the inbox copy; dispatch directly.
+            let _ = sys.net.recv(d.to);
+            let (idx, sender) = (d.to.index(), d.from.index());
+            if sys.paused[idx] {
+                sys.buffer_ingress(idx, sender, d.payload);
+                return Some(0);
+            }
+            sys.dispatch_frame(idx, sender, &d.payload);
+            Some(1)
+        })
+    }
+
+    /// Runs the system under the given [`Driver`] — the pluggable
+    /// counterpart to [`EchoSystem::run`]. `VirtualTimeDriver` reproduces
+    /// `run()` exactly; `WallClockDriver` executes rounds of deliveries on
+    /// real threads.
+    pub fn run_with(&mut self, driver: &mut dyn Driver) -> usize {
+        driver.drive(self)
+    }
+
+    /// Runs to quiescence on the multi-core runtime with the configured
+    /// shard count ([`EchoSystem::set_shards`]) and the default mailbox
+    /// bound. Equivalent to `run()` when one shard is configured, except
+    /// that frames are still batched per round.
+    pub fn run_wall_clock(&mut self) -> usize {
+        self.run_sharded(self.shards, DEFAULT_MAILBOX_CAPACITY)
+    }
+
+    /// The multi-core runtime behind [`WallClockDriver`] (see there for
+    /// what it preserves): each ready turn drains everything in flight into
+    /// per-shard mailboxes, forks one worker per shard to run
+    /// `handle_frame` over its mailbox, then joins and settles every
+    /// outcome — accounting and follow-up sends — on the driver thread,
+    /// where the network, retry queue, and system counters remain
+    /// single-threaded.
+    pub(crate) fn run_sharded(&mut self, shards: usize, mailbox_capacity: usize) -> usize {
+        assert!(shards > 0, "at least one shard required");
+        if self.shard_metrics.as_ref().map(|m| m.shards) != Some(shards) {
+            self.shard_metrics = Some(ShardMetrics::new(&self.metrics.registry, shards));
+            self.shard_assign = self.nodes.iter().map(|n| shard_of_name(&n.name, shards)).collect();
+        }
+        let sm = self.shard_metrics.clone().expect("created above");
+        self.mailbox.capacity = mailbox_capacity;
+        // As in [`EchoSystem::run`], no fork/join round ever straddles a
+        // crash/restart boundary.
+        self.run_turns(|sys, boundary| {
+            // One round: everything currently in flight (up to the next
+            // crash boundary), bucketed by the destination's shard in
+            // global delivery order.
+            let shard_of = |to: NodeId| sys.shard_assign[to.index()];
+            let buckets = match boundary {
+                Some(t) => sys.net.drain_ready_sharded_before(shards, t, shard_of),
+                None => sys.net.drain_ready_sharded(shards, shard_of),
+            };
+            let mut mailboxes: Vec<Vec<(usize, usize, WireBytes)>> =
+                (0..shards).map(|_| Vec::new()).collect();
+            for (shard, bucket) in buckets.into_iter().enumerate() {
+                for d in bucket {
+                    let (idx, sender) = (d.to.index(), d.from.index());
+                    if sys.paused[idx] {
+                        sys.buffer_ingress(idx, sender, d.payload);
+                    } else {
+                        mailboxes[shard].push((idx, sender, d.payload));
+                    }
+                }
+            }
+            // Adaptive mailbox watermark: this round's fill is the arrival
+            // burst; the previous round's settled frames were the drains.
+            let round_fill: usize = mailboxes.iter().map(Vec::len).sum();
+            sys.mailbox.arrived(round_fill, sys.net.now_ns(), &sys.recorder, None);
+            let mailbox_capacity = sys.mailbox.capacity_now();
+            // Bounded mailboxes: shed the lowest-tier event frames past
+            // the bound (control frames are never shed and may exceed it).
+            // A shed fragment takes its whole mailbox set with it — the
+            // message cannot complete anyway, and orphan fragments would
+            // only squat in the reassembly buffer until the timeout.
+            for mailbox in &mut mailboxes {
+                while mailbox.len() > mailbox_capacity {
+                    let flows = mailbox.iter().map(|(idx, sender, b)| ((*idx, *sender), &**b));
+                    let Some(set) = shed_set(flows) else { break };
+                    for (n, pos) in set.into_iter().enumerate() {
+                        let (idx, _, victim) = mailbox.remove(pos);
+                        let detail = [
+                            "shard mailbox full: lowest-tier frame shed",
+                            "shard mailbox full: fragment-set mate shed",
+                        ][n.min(1)];
+                        sm.shed.inc();
+                        sys.shed_at(idx, &victim, detail, wire_ctx(&victim));
+                    }
+                }
+            }
+            let round_frames: usize = mailboxes.iter().map(Vec::len).sum();
+            if round_frames == 0 {
+                return Some(0);
+            }
+            sm.rounds.inc();
+            for (shard, mailbox) in mailboxes.iter().enumerate() {
+                sm.depth.get(shard).set(mailbox.len() as i64);
+            }
+            // Fork: each worker exclusively owns its mailbox and the
+            // processes it is addressed to (this round's destinations only,
+            // handed out in process order); counters it touches are
+            // pre-fetched atomics. Each destination's clock is stamped on
+            // the driver thread first, so reassembly aging stays
+            // deterministic across shard counts.
+            let round_now = sys.net.now_ns();
+            let mut dests: Vec<usize> =
+                mailboxes.iter().flatten().map(|&(idx, _, _)| idx).collect();
+            dests.sort_unstable();
+            dests.dedup();
+            let mut partitions: Vec<Vec<(usize, &mut NodeState)>> =
+                (0..shards).map(|_| Vec::new()).collect();
+            let mut rest = sys.nodes.as_mut_slice();
+            let mut base = 0;
+            for idx in dests {
+                let (node, tail) =
+                    rest[idx - base..].split_first_mut().expect("destination is a process");
+                node.set_now(round_now);
+                partitions[sys.shard_assign[idx]].push((idx, node));
+                (rest, base) = (tail, idx + 1);
+            }
+            let outcomes: Vec<Vec<(usize, usize, FrameOutcome)>> = std::thread::scope(|scope| {
+                let workers: Vec<_> = mailboxes
+                    .into_iter()
+                    .zip(partitions)
+                    .map(|(mailbox, mut partition)| {
+                        scope.spawn(move || {
+                            let mut out = Vec::with_capacity(mailbox.len());
+                            for (idx, sender, bytes) in mailbox {
+                                let slot = partition
+                                    .binary_search_by_key(&idx, |&(i, _)| i)
+                                    .expect("destination owned by this shard");
+                                let node = &mut *partition[slot].1;
+                                out.push((idx, sender, node.handle_frame(sender as u64, &bytes)));
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
+            });
+            // Join: settle outcomes in shard order on the driver thread —
+            // disposition accounting and follow-up sends are
+            // single-threaded again.
+            for (shard, outs) in outcomes.into_iter().enumerate() {
+                sm.frames.get(shard).add(outs.len() as u64);
+                sm.depth.get(shard).set(0);
+                for (idx, sender, outcome) in outs {
+                    sys.settle_outcome(idx, sender, outcome);
+                }
+            }
+            sys.mailbox.drained(round_frames, sys.net.now_ns(), &sys.recorder);
+            Some(round_frames)
+        })
     }
 }

@@ -21,7 +21,9 @@
 //! clock, no I/O timing, fully deterministic and replayable per seed.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use obs::{Counter, Registry};
 use pbio::WireBytes;
 
 use crate::proto::ChannelId;
@@ -231,6 +233,89 @@ impl Journal {
             }
         }
         rec
+    }
+}
+
+/// Every process's journal (present once
+/// [`crate::EchoSystem::enable_journaling`] opted in), mirroring the
+/// journals' own accounting into `echo.journal.*`: entries appended /
+/// synced / torn off by crashes, synced entries replayed at restarts, and
+/// unacked frames redelivered under a new epoch.
+#[derive(Debug)]
+pub(crate) struct Journals {
+    slots: Vec<Option<Journal>>,
+    /// Fsync-batch boundary for the journals of future processes.
+    batch: Option<usize>,
+    appended: Arc<Counter>,
+    synced: Arc<Counter>,
+    lost: Arc<Counter>,
+    replayed: Arc<Counter>,
+    pub redelivered: Arc<Counter>,
+}
+
+impl Journals {
+    pub fn new(registry: &Registry) -> Journals {
+        Journals {
+            slots: Vec::new(),
+            batch: None,
+            appended: registry.counter("echo.journal.appended"),
+            synced: registry.counter("echo.journal.synced"),
+            lost: registry.counter("echo.journal.lost"),
+            replayed: registry.counter("echo.journal.replayed"),
+            redelivered: registry.counter("echo.journal.redelivered"),
+        }
+    }
+
+    /// A journal opens with its owner's sequence floor.
+    fn open(batch: usize, now_ns: u64, next_seq: u64) -> Journal {
+        let mut j = Journal::new(batch);
+        j.append(now_ns, JournalEntry::SeqFloor { next_seq });
+        j
+    }
+
+    /// Registers the next process, journaled if journaling is on.
+    pub fn add_process(&mut self, now_ns: u64, next_seq: u64) {
+        self.slots.push(self.batch.map(|batch| Journals::open(batch, now_ns, next_seq)));
+    }
+
+    /// Opts every process — `next_seqs` in process order, and all future
+    /// ones — into a journal with the given fsync-batch boundary.
+    pub fn enable(&mut self, batch: usize, now_ns: u64, next_seqs: impl Iterator<Item = u64>) {
+        self.batch = Some(batch);
+        for (slot, next_seq) in self.slots.iter_mut().zip(next_seqs) {
+            slot.get_or_insert_with(|| Journals::open(batch, now_ns, next_seq));
+        }
+    }
+
+    /// A process's journal, when journaling is on.
+    pub fn get(&self, owner: usize) -> Option<&Journal> {
+        self.slots[owner].as_ref()
+    }
+
+    /// Appends one entry to a process's journal (a no-op when journaling
+    /// is off), stamped `now_ns`.
+    pub fn append(&mut self, owner: usize, now_ns: u64, entry: JournalEntry) {
+        if let Some(j) = self.slots[owner].as_mut() {
+            let synced = j.stats().synced;
+            j.append(now_ns, entry);
+            self.appended.inc();
+            self.synced.add(j.stats().synced - synced);
+        }
+    }
+
+    /// The owner crashed: the modeled disk keeps only the synced prefix;
+    /// the unsynced tail is torn off with the process's memory.
+    pub fn crash(&mut self, owner: usize) {
+        if let Some(j) = self.slots[owner].as_mut() {
+            self.lost.add(j.crash() as u64);
+        }
+    }
+
+    /// The owner restarts: what its journal's synced prefix rebuilds.
+    pub fn replay(&self, owner: usize) -> Option<Recovered> {
+        let j = self.get(owner)?;
+        self.replayed.add(j.synced_len() as u64);
+        Some(j.replay())
     }
 }
 

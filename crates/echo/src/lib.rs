@@ -20,10 +20,15 @@
 mod adaptive;
 mod driver;
 pub mod frag;
+mod ingress;
 pub mod journal;
+mod metrics;
 mod node;
 pub mod proto;
+mod recovery;
+mod retry;
 mod shard;
+mod shed;
 mod system;
 pub mod telemetry;
 

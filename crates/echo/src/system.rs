@@ -1,32 +1,35 @@
 //! The ECho system: processes connected by event channels over a simulated
-//! network (paper Fig. 3).
+//! network (paper Fig. 3). [`EchoSystem`] is the facade — membership, the
+//! channel directory, the publish fan-out and per-tier send policy; the
+//! later stages of a message's life are modules of their own (see
+//! ARCHITECTURE.md's stage → module table).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use morph::{
     CompiledXform, DeadLetter, DeadReason, DecisionCache, MorphStats, RetryPolicy, Transformation,
 };
-use obs::{
-    Clock, Counter, CounterFamily, FlightRecorder, Gauge, GaugeFamily, Histogram, RateGauge,
-    Registry, SnapshotDelta, TraceCtx, TraceId,
-};
+use obs::{FlightRecorder, Registry, TraceCtx, TraceId};
 use pbio::{Encoder, PlanStore, RecordFormat, Value, WireBytes};
 use simnet::{FaultPlan, FaultStats, LinkBandwidth, LinkParams, NetError, Network, NodeId};
 
-use crate::adaptive::AdaptiveShedding;
-use crate::driver::Driver;
+use crate::adaptive::{Bound, ADAPT_QUEUE_LABELS};
+use crate::driver::DEFAULT_MAILBOX_CAPACITY;
 use crate::frag;
-use crate::journal::{Journal, JournalEntry, JournalStats};
-use crate::node::{Disposition, EchoVersion, FrameOutcome, NodeState, Role};
+use crate::ingress::Ingress;
+use crate::journal::{JournalEntry, JournalStats, Journals};
+use crate::metrics::{ShardMetrics, SysMetrics};
+use crate::node::{EchoVersion, NodeState, Role};
 use crate::proto::{self, ChannelId, MemberInfo, QosTier};
+use crate::retry::RetryQueue;
 use crate::shard::shard_of_name;
 use crate::telemetry;
 use crate::EchoError;
 
 /// Handle to an ECho process within an [`EchoSystem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProcessId(usize);
+pub struct ProcessId(pub(crate) usize);
 
 /// How many trace events the system flight recorder retains (oldest are
 /// evicted first; `FlightRecorder::dropped` counts evictions).
@@ -37,255 +40,9 @@ const TRACE_CAPACITY: usize = 8192;
 /// says.
 const TRACE_MARK: u64 = 1 << 63;
 
-/// Default bound on the link-down retry queue. Event frames beyond it are
-/// shed (drop-oldest); control frames are never shed.
-const RETRY_QUEUE_CAPACITY: usize = 64;
-
-/// Default bound on each paused process's ingress buffer, with the same
-/// shed policy as the retry queue.
-const INGRESS_CAPACITY: usize = 64;
-
-/// Window geometry for per-channel throughput: eight 1 ms virtual-time
-/// slots, matching the adaptive watermarks' horizon.
-const CHANNEL_RATE_SLOTS: usize = 8;
-const CHANNEL_RATE_SLOT_NS: u64 = 1_000_000;
-
-/// Per-channel counter handles, created lazily on first traffic.
-#[derive(Debug)]
-struct ChannelCounters {
-    published: Arc<Counter>,
-    delivered: Arc<Counter>,
-    filtered: Arc<Counter>,
-    /// `echo.ch.<id>.delivered_rate` — deliveries/second over the trailing
-    /// window, on the virtual clock (deterministic per run).
-    delivered_rate: RateGauge,
-}
-
-/// Cached handles into the system-level registry.
-///
-/// The registry runs on the network's *virtual* clock, so it must hold
-/// only deterministic values: event counters and simnet traffic totals.
-/// Wall-clock latency histograms live in the per-receiver registries
-/// instead (see [`EchoSystem::control_registry`]).
-#[derive(Debug)]
-struct SysMetrics {
-    registry: Arc<Registry>,
-    published: Arc<Counter>,
-    delivered: Arc<Counter>,
-    filtered: Arc<Counter>,
-    derived_compiled: Arc<Counter>,
-    dedup_dropped: Arc<Counter>,
-    deadletter_total: Arc<Counter>,
-    deadletter_by_reason: [Arc<Counter>; DeadReason::ALL.len()],
-    retry_enqueued: Arc<Counter>,
-    retry_attempts: Arc<Counter>,
-    retry_delivered: Arc<Counter>,
-    retry_giveup: Arc<Counter>,
-    /// `echo.retry.parked` — sends parked because the destination process
-    /// is inside a crash window; they wake at its scheduled restart
-    /// without burning backoff attempts.
-    retry_parked: Arc<Counter>,
-    /// `echo.crash.down` / `echo.crash.restarts` — crash windows opened
-    /// and incarnations started by the crash-restart lifecycle.
-    crash_down: Arc<Counter>,
-    crash_restarts: Arc<Counter>,
-    /// `echo.crash.lost.*` — volatile state erased by crash amnesia:
-    /// dedup triples, sequenced watermarks, reassembly partials (each also
-    /// dead-letters as `crash_lost`), queued retry frames, and warm morph
-    /// decisions.
-    crash_lost_dedup: Arc<Counter>,
-    crash_lost_watermarks: Arc<Counter>,
-    crash_lost_partials: Arc<Counter>,
-    crash_lost_retry: Arc<Counter>,
-    crash_lost_decisions: Arc<Counter>,
-    /// `echo.crash.lost.ingress` — frames that had left the wire but sat
-    /// in the crashed process's ingress buffer (each also dead-letters as
-    /// `crash_lost`).
-    crash_lost_ingress: Arc<Counter>,
-    /// `echo.epoch.fenced` — frames refused for carrying a pre-crash
-    /// epoch; `echo.epoch.resumed` — sender-incarnation bumps observed by
-    /// receivers (explicit resume handshakes or any higher-epoch frame);
-    /// `echo.epoch.handshakes` — explicit resume-handshake frames handled.
-    epoch_fenced: Arc<Counter>,
-    epoch_resumed: Arc<Counter>,
-    epoch_handshakes: Arc<Counter>,
-    /// `echo.journal.*` — durable-journal activity: entries appended /
-    /// synced / torn off by crashes, synced entries replayed at restarts,
-    /// and unacked frames redelivered under a new epoch.
-    journal_appended: Arc<Counter>,
-    journal_synced: Arc<Counter>,
-    journal_lost: Arc<Counter>,
-    journal_replayed: Arc<Counter>,
-    journal_redelivered: Arc<Counter>,
-    /// Combined depth of the retry queue and every ingress buffer.
-    queue_depth: Arc<Gauge>,
-    /// Frames dropped by load shedding (bounded queue overflow).
-    queue_shed: Arc<Counter>,
-    /// `echo.channel.<tier>.sent` — messages submitted per sink, by tier.
-    tier_sent: CounterFamily,
-    /// `echo.channel.<tier>.delivered` — event messages handed to an
-    /// application, by tier.
-    tier_delivered: CounterFamily,
-    /// `echo.channel.<tier>.dropped` — unreliable-tier frames absorbed at
-    /// send time by a down link or crashed peer (no retry, no dead
-    /// letter).
-    tier_dropped: CounterFamily,
-    /// `echo.channel.sequenced.stale` — sequenced frames dropped at a
-    /// receiver because a newer message from the same sender already
-    /// arrived (newest-wins).
-    sequenced_stale: Arc<Counter>,
-    /// `echo.frag.sent` — fragment frames put on the wire (only counted
-    /// when a message actually split).
-    frag_sent: Arc<Counter>,
-    /// `echo.frag.received` — fragment frames accepted into (or
-    /// completing) a reassembly set.
-    frag_received: Arc<Counter>,
-    /// `echo.frag.reassembled` — messages completed from fragments.
-    frag_reassembled: Arc<Counter>,
-    /// `echo.frag.timeout` — partial sets expired by the reassembly
-    /// timeout (each also dead-letters as `partial_fragments`).
-    frag_timeout: Arc<Counter>,
-    /// `echo.frag.evicted` — partial sets evicted by a full reassembly
-    /// buffer (each also dead-letters as `partial_fragments`).
-    frag_evicted: Arc<Counter>,
-    /// `echo.frag.superseded` — partial sets purged by a newer sequenced
-    /// message (newest-wins policy, not a fault: no dead letter).
-    frag_superseded: Arc<Counter>,
-    /// `echo.frag.buffered` — in-progress fragment sets across all
-    /// processes, refreshed by each reassembly sweep.
-    frag_buffered: Arc<Gauge>,
-    /// `echo.stage.queue_wait.ns` — virtual nanoseconds frames spent in an
-    /// ingress buffer before dispatch (the queue-wait stage of the latency
-    /// attribution; the wall-clock stages live in per-receiver registries).
-    queue_wait: Arc<Histogram>,
-    /// `echo.queue.depth_over_time` — every observed combined queue depth,
-    /// so a snapshot answers how deep the queues ran, not just how deep
-    /// they are.
-    depth_over_time: Arc<Histogram>,
-    /// The registry's (virtual) clock, for stamping rate windows.
-    clock: Arc<dyn Clock>,
-    per_channel: HashMap<ChannelId, ChannelCounters>,
-}
-
-/// Metric labels of [`QosTier::ALL`], in wire-byte order — the index of a
-/// tier's label equals `tier.to_wire()`.
-const TIER_LABELS: [&str; 3] = ["reliable", "sequenced", "unordered"];
-
-impl SysMetrics {
-    fn new(registry: Arc<Registry>) -> SysMetrics {
-        SysMetrics {
-            published: registry.counter("echo.events.published"),
-            delivered: registry.counter("echo.events.delivered"),
-            filtered: registry.counter("echo.events.filtered"),
-            derived_compiled: registry.counter("echo.derived.compiled"),
-            dedup_dropped: registry.counter("echo.dedup.dropped"),
-            deadletter_total: registry.counter("echo.deadletter.total"),
-            deadletter_by_reason: DeadReason::ALL
-                .map(|r| registry.counter(&format!("echo.deadletter.{}", r.label()))),
-            retry_enqueued: registry.counter("echo.retry.enqueued"),
-            retry_attempts: registry.counter("echo.retry.attempts"),
-            retry_delivered: registry.counter("echo.retry.delivered"),
-            retry_giveup: registry.counter("echo.retry.giveup"),
-            retry_parked: registry.counter("echo.retry.parked"),
-            crash_down: registry.counter("echo.crash.down"),
-            crash_restarts: registry.counter("echo.crash.restarts"),
-            crash_lost_dedup: registry.counter("echo.crash.lost.dedup"),
-            crash_lost_watermarks: registry.counter("echo.crash.lost.watermarks"),
-            crash_lost_partials: registry.counter("echo.crash.lost.partials"),
-            crash_lost_retry: registry.counter("echo.crash.lost.retry"),
-            crash_lost_decisions: registry.counter("echo.crash.lost.decisions"),
-            crash_lost_ingress: registry.counter("echo.crash.lost.ingress"),
-            epoch_fenced: registry.counter("echo.epoch.fenced"),
-            epoch_resumed: registry.counter("echo.epoch.resumed"),
-            epoch_handshakes: registry.counter("echo.epoch.handshakes"),
-            journal_appended: registry.counter("echo.journal.appended"),
-            journal_synced: registry.counter("echo.journal.synced"),
-            journal_lost: registry.counter("echo.journal.lost"),
-            journal_replayed: registry.counter("echo.journal.replayed"),
-            journal_redelivered: registry.counter("echo.journal.redelivered"),
-            queue_depth: registry.gauge("echo.queue.depth"),
-            queue_shed: registry.counter("echo.queue.shed"),
-            // Tier and fragmentation handles are created eagerly so every
-            // run's snapshot carries the full catalogue (byte-identical
-            // snapshots must not depend on which tiers saw traffic).
-            tier_sent: CounterFamily::labeled(&registry, "echo.channel", "sent", &TIER_LABELS),
-            tier_delivered: CounterFamily::labeled(
-                &registry,
-                "echo.channel",
-                "delivered",
-                &TIER_LABELS,
-            ),
-            tier_dropped: CounterFamily::labeled(
-                &registry,
-                "echo.channel",
-                "dropped",
-                &TIER_LABELS,
-            ),
-            sequenced_stale: registry.counter("echo.channel.sequenced.stale"),
-            frag_sent: registry.counter("echo.frag.sent"),
-            frag_received: registry.counter("echo.frag.received"),
-            frag_reassembled: registry.counter("echo.frag.reassembled"),
-            frag_timeout: registry.counter("echo.frag.timeout"),
-            frag_evicted: registry.counter("echo.frag.evicted"),
-            frag_superseded: registry.counter("echo.frag.superseded"),
-            frag_buffered: registry.gauge("echo.frag.buffered"),
-            queue_wait: registry.histogram("echo.stage.queue_wait.ns"),
-            depth_over_time: registry.histogram("echo.queue.depth_over_time"),
-            clock: registry.clock(),
-            per_channel: HashMap::new(),
-            registry,
-        }
-    }
-
-    fn quarantined(&self, reason: DeadReason) {
-        self.deadletter_total.inc();
-        let idx = DeadReason::ALL.iter().position(|&r| r == reason).unwrap_or(0);
-        self.deadletter_by_reason[idx].inc();
-    }
-
-    fn channel(&mut self, ch: ChannelId) -> &mut ChannelCounters {
-        self.per_channel.entry(ch).or_insert_with(|| ChannelCounters {
-            published: self.registry.counter(&format!("echo.ch.{}.published", ch.0)),
-            delivered: self.registry.counter(&format!("echo.ch.{}.delivered", ch.0)),
-            filtered: self.registry.counter(&format!("echo.ch.{}.filtered", ch.0)),
-            delivered_rate: RateGauge::new(
-                Arc::clone(&self.clock),
-                self.registry.gauge(&format!("echo.ch.{}.delivered_rate", ch.0)),
-                CHANNEL_RATE_SLOTS,
-                CHANNEL_RATE_SLOT_NS,
-            ),
-        })
-    }
-}
-
-/// Per-shard metric handles for the wall-clock runtime, pre-fetched so
-/// worker threads only ever touch lock-free atomics. Cached per shard
-/// count; re-fetched when the count changes.
-#[derive(Debug, Clone)]
-struct ShardMetrics {
-    shards: usize,
-    /// `echo.shard.<i>.frames` — frames dispatched by each worker.
-    frames: CounterFamily,
-    /// `echo.shard.<i>.mailbox.depth` — each shard's mailbox fill for the
-    /// round in flight (0 between rounds).
-    depth: GaugeFamily,
-    /// `echo.shard.mailbox.shed` — event frames shed by mailbox overflow
-    /// (also counted in the system-wide `echo.queue.shed`).
-    shed: Arc<Counter>,
-    /// `echo.shard.rounds` — fork/join rounds executed.
-    rounds: Arc<Counter>,
-}
-
-impl ShardMetrics {
-    fn new(registry: &Registry, shards: usize) -> ShardMetrics {
-        ShardMetrics {
-            shards,
-            frames: CounterFamily::new(registry, "echo.shard", "frames", shards),
-            depth: GaugeFamily::new(registry, "echo.shard", "mailbox.depth", shards),
-            shed: registry.counter("echo.shard.mailbox.shed"),
-            rounds: registry.counter("echo.shard.rounds"),
-        }
-    }
+/// The trace context a wire frame travels under, read off its header.
+pub(crate) fn wire_ctx(bytes: &[u8]) -> Option<TraceCtx> {
+    proto::peek_trace(bytes).map(|t| TraceCtx::root(TraceId(t)))
 }
 
 /// A complete simulated ECho deployment: processes, the network connecting
@@ -315,64 +72,57 @@ impl ShardMetrics {
 /// # }
 /// ```
 pub struct EchoSystem {
-    net: Network,
-    nodes: Vec<NodeState>,
+    pub(crate) net: Network,
+    pub(crate) nodes: Vec<NodeState>,
     /// The network id of each process. Processes and network nodes are
     /// created together, so `net_ids[i].index() == i`: a delivery or crash
     /// transition names its process directly.
-    net_ids: Vec<NodeId>,
-    by_contact: HashMap<String, usize>,
+    pub(crate) net_ids: Vec<NodeId>,
+    pub(crate) by_contact: HashMap<String, usize>,
     /// Channel directory: which process created each channel.
     directory: HashMap<ChannelId, usize>,
-    /// Derived subscriptions: per (channel, sink contact), the compiled
+    /// Derived subscriptions: per (channel, sink process), the compiled
     /// source-side filter/transformation.
-    derived: HashMap<(ChannelId, String), CompiledXform>,
+    derived: HashMap<(ChannelId, usize), CompiledXform>,
     next_channel: u32,
-    metrics: SysMetrics,
-    /// Frames refused by a down/partitioned link, awaiting re-send.
-    /// Bounded by `retry_capacity` under the shed policy.
-    pending: Vec<PendingFrame>,
-    /// Backoff/budget policy for those re-sends.
-    retry: RetryPolicy,
-    /// Bound on `pending`: when full, the oldest queued *event* frame is
-    /// shed to its sender's dead-letter queue; control frames are never
-    /// shed (they may exceed the bound).
-    retry_capacity: usize,
+    pub(crate) metrics: SysMetrics,
+    /// Frames refused by a down link or crashed peer, awaiting re-send.
+    pub(crate) retry: RetryQueue,
     /// Per-process pause flags: deliveries to a paused process buffer in
     /// `ingress` instead of dispatching.
-    paused: Vec<bool>,
+    pub(crate) paused: Vec<bool>,
     /// Per-process ingress buffers, filled while paused, drained by
-    /// [`EchoSystem::run`] once resumed. Each is bounded by
-    /// `ingress_capacity` under the shed policy.
-    ingress: Ingress,
+    /// [`EchoSystem::run`] once resumed.
+    pub(crate) ingress: Ingress,
     /// Processes that may hold partial fragment sets, in process order —
     /// the only ones a reassembly sweep visits. A process enters when one
-    /// of its frames settles as [`Disposition::FragmentBuffered`] (the
-    /// only way a set comes into being) and leaves when a sweep finds it
+    /// of its frames settles as `Disposition::FragmentBuffered` (the only
+    /// way a set comes into being) and leaves when a sweep finds it
     /// holding none.
-    reassembling: BTreeSet<usize>,
-    /// Bound on each ingress buffer.
-    ingress_capacity: usize,
+    pub(crate) reassembling: BTreeSet<usize>,
     /// Flight recorder on the virtual clock: one causal trace per publish
     /// or subscription, shared by every process and the network.
-    recorder: Arc<FlightRecorder>,
+    pub(crate) recorder: Arc<FlightRecorder>,
     /// When false, publishes carry [`proto::NO_TRACE`] and mint no spans —
     /// the high-rate data-plane mode. Control-plane operations
     /// (subscribe/unsubscribe) always trace; they are rare and diagnostic.
-    tracing: bool,
+    pub(crate) tracing: bool,
     /// Worker shard count used by [`EchoSystem::run_wall_clock`].
-    shards: usize,
+    pub(crate) shards: usize,
     /// System-wide morph caches, present once
     /// [`EchoSystem::enable_shared_morph_caches`] opted in; applied to
     /// every existing and future process.
     shared_caches: Option<(DecisionCache, PlanStore)>,
     /// Cached per-shard metric handles (lazily created, re-fetched when
     /// the shard count changes).
-    shard_metrics: Option<ShardMetrics>,
+    pub(crate) shard_metrics: Option<ShardMetrics>,
     /// Each process's shard under `shard_metrics`' count: filled with the
     /// handles, extended by [`EchoSystem::add_process`], so a sharded run
     /// hashes a name once per process, not once per call.
-    shard_assign: Vec<usize>,
+    pub(crate) shard_assign: Vec<usize>,
+    /// Bound on the sharded runtime's per-round mailboxes: the running
+    /// driver's capacity, under the adaptive watermark once enabled.
+    pub(crate) mailbox: Bound,
     /// Per-channel delivery tier; channels not present run
     /// [`QosTier::Reliable`].
     qos: HashMap<ChannelId, QosTier>,
@@ -382,134 +132,12 @@ pub struct EchoSystem {
     /// Reassembly bounds applied to every existing and future process once
     /// overridden ([`EchoSystem::set_reassembly_limits`]).
     reassembly_limits: Option<(usize, u64)>,
-    /// Load-adaptive shed watermarks, present once
-    /// [`EchoSystem::enable_adaptive_shedding`] opted in.
-    adaptive: Option<AdaptiveShedding>,
     /// Periodic self-telemetry publisher, present once
     /// [`EchoSystem::enable_self_telemetry`] opted in.
-    telemetry: Option<TelemetryState>,
+    pub(crate) telemetry: Option<telemetry::Publisher>,
     /// Per-process durable delivery journals, present once
     /// [`EchoSystem::enable_journaling`] opted in.
-    journals: Vec<Option<Journal>>,
-    /// Fsync-batch boundary for the journals of future processes.
-    journal_batch: Option<usize>,
-}
-
-/// State of the periodic self-telemetry publisher.
-struct TelemetryState {
-    proc: usize,
-    channel: ChannelId,
-    period_ns: u64,
-    /// Virtual time at or after which the next record publishes.
-    next_at_ns: u64,
-    /// The counters a record reports, as live handles with the value seen
-    /// at the last report — each record carries the delta since then.
-    /// Sampling these directly keeps the pump off the full-registry
-    /// snapshot path (every histogram cloned per period); semantically it
-    /// is still `Snapshot::delta` restricted to the record's fields.
-    /// Sorted by name, as `SnapshotDelta` promises.
-    sampled: Vec<(&'static str, Arc<Counter>, u64)>,
-    /// Virtual time of the last report, for the record's `elapsed_ns`.
-    last_at_ns: u64,
-    seq: u64,
-    /// The v2 record format, built once — rebuilding it per report would
-    /// defeat every pointer-keyed cache downstream of `publish`.
-    format: Arc<RecordFormat>,
-    /// `echo.telemetry.published` — records put on the wire.
-    published: Arc<Counter>,
-    /// `echo.telemetry.bytes` — encoded telemetry payload bytes.
-    bytes: Arc<Counter>,
-}
-
-/// A frame whose send was refused (link down); retried with backoff until
-/// the budget runs out.
-#[derive(Debug)]
-struct PendingFrame {
-    from: usize,
-    to: usize,
-    /// View of the framed buffer; re-send attempts clone the view, not
-    /// the bytes.
-    bytes: WireBytes,
-    /// Retries already spent.
-    attempts: u32,
-    /// Virtual time before which no re-send is attempted.
-    next_attempt_ns: u64,
-    /// Trace context the frame travels under (re-sends join it too).
-    ctx: Option<TraceCtx>,
-}
-
-/// One buffered delivery: `(sender index, arrival virtual time, frame)`.
-/// The arrival stamp feeds the queue-wait stage histogram.
-type IngressEntry = (usize, u64, WireBytes);
-
-/// Per-process ingress buffers, filled while a process is paused and
-/// drained by the run loops once it resumes. The struct also keeps which
-/// processes hold anything and how much is held in total, so a loop turn
-/// visits only backlogged processes and reads the depth gauge without
-/// summing the population. Every mutation goes through the methods below;
-/// they are what keeps the three fields in step.
-#[derive(Default)]
-struct Ingress {
-    queues: Vec<VecDeque<IngressEntry>>,
-    /// Processes with a non-empty queue, in process order (the drain
-    /// order).
-    backlogged: BTreeSet<usize>,
-    /// Frames held across every queue.
-    total: usize,
-}
-
-impl Ingress {
-    fn add_process(&mut self) {
-        self.queues.push(VecDeque::new());
-    }
-
-    fn queue(&self, idx: usize) -> &VecDeque<IngressEntry> {
-        &self.queues[idx]
-    }
-
-    fn push(&mut self, idx: usize, entry: IngressEntry) {
-        self.queues[idx].push_back(entry);
-        self.backlogged.insert(idx);
-        self.total += 1;
-    }
-
-    fn pop(&mut self, idx: usize) -> Option<IngressEntry> {
-        self.remove(idx, 0)
-    }
-
-    fn remove(&mut self, idx: usize, pos: usize) -> Option<IngressEntry> {
-        let entry = self.queues[idx].remove(pos)?;
-        self.total -= 1;
-        if self.queues[idx].is_empty() {
-            self.backlogged.remove(&idx);
-        }
-        Some(entry)
-    }
-
-    /// Empties one process's queue, returning what it held in arrival
-    /// order.
-    fn take_all(&mut self, idx: usize) -> VecDeque<IngressEntry> {
-        let held = std::mem::take(&mut self.queues[idx]);
-        self.total -= held.len();
-        self.backlogged.remove(&idx);
-        held
-    }
-}
-
-/// Position of the frame a full queue sheds first: the earliest-queued
-/// frame of the lowest [`proto::shed_class`] present (unordered telemetry
-/// before sequenced before reliable events). `None` when nothing is
-/// sheddable — the queue holds only control frames.
-fn shed_victim_pos<'a>(frames: impl Iterator<Item = &'a [u8]>) -> Option<usize> {
-    let mut best: Option<(u8, usize)> = None;
-    for (i, bytes) in frames.enumerate() {
-        if let Some(class) = proto::shed_class(bytes) {
-            if best.is_none_or(|(c, _)| class < c) {
-                best = Some((class, i));
-            }
-        }
-    }
-    best.map(|(_, i)| i)
+    pub(crate) journals: Journals,
 }
 
 impl Default for EchoSystem {
@@ -552,27 +180,23 @@ impl EchoSystem {
             directory: HashMap::new(),
             derived: HashMap::new(),
             next_channel: 1,
+            journals: Journals::new(&registry),
             metrics: SysMetrics::new(registry),
-            pending: Vec::new(),
-            retry: RetryPolicy::with_seed(0xEC40),
-            retry_capacity: RETRY_QUEUE_CAPACITY,
+            retry: RetryQueue::default(),
             paused: Vec::new(),
             ingress: Ingress::default(),
             reassembling: BTreeSet::new(),
-            ingress_capacity: INGRESS_CAPACITY,
             recorder,
             tracing: true,
             shards: 1,
             shared_caches: None,
             shard_metrics: None,
             shard_assign: Vec::new(),
+            mailbox: Bound::new(DEFAULT_MAILBOX_CAPACITY),
             qos: HashMap::new(),
             frame_budget: None,
             reassembly_limits: None,
-            adaptive: None,
             telemetry: None,
-            journals: Vec::new(),
-            journal_batch: None,
         }
     }
 
@@ -580,7 +204,7 @@ impl EchoSystem {
     /// out of the process's (disjoint) frame-sequence range with the high
     /// bit set, so they are nonzero and unique system-wide without any
     /// global coordination — and deterministic across identical runs.
-    fn alloc_trace(&mut self, proc: usize) -> TraceId {
+    pub(crate) fn alloc_trace(&mut self, proc: usize) -> TraceId {
         TraceId(self.nodes[proc].alloc_seq() | TRACE_MARK)
     }
 
@@ -613,11 +237,7 @@ impl EchoSystem {
         self.net_ids.push(net_id);
         self.paused.push(false);
         self.ingress.add_process();
-        let mut journal = self.journal_batch.map(Journal::new);
-        if let Some(j) = journal.as_mut() {
-            j.append(self.net.now_ns(), JournalEntry::SeqFloor { next_seq: seq_floor });
-        }
-        self.journals.push(journal);
+        self.journals.add_process(self.net.now_ns(), seq_floor);
         self.by_contact.insert(name, self.nodes.len() - 1);
         ProcessId(self.nodes.len() - 1)
     }
@@ -680,45 +300,54 @@ impl EchoSystem {
         if let Some(fmt) = expected_events {
             self.nodes[proc.0].expect_events(channel, fmt);
         }
-        let contact = self.nodes[proc.0].name.clone();
         if creator_idx == proc.0 {
             // Local subscription at the creator: no network round trip.
+            let contact = self.nodes[proc.0].name.clone();
             self.nodes[proc.0].add_member(channel, contact, role)?;
             return Ok(());
         }
+        self.send_membership_request(proc.0, creator_idx, channel, role, "echo.subscribe")
+    }
+
+    /// Frames `proc`'s membership request for `channel` — its contact and
+    /// the role it asks for (none: leave) — and sends it to the creator
+    /// under a fresh trace rooted at a `span_name` span.
+    fn send_membership_request(
+        &mut self,
+        proc: usize,
+        creator_idx: usize,
+        channel: ChannelId,
+        role: Role,
+        span_name: &'static str,
+    ) -> Result<(), EchoError> {
         let fmt = proto::channel_open_request();
         let req = Value::Record(vec![
             Value::Int(i64::from(channel.0)),
-            Value::str(contact),
+            Value::str(self.nodes[proc].name.clone()),
             Value::Int(i64::from(role.source)),
             Value::Int(i64::from(role.sink)),
         ]);
         let msg = Encoder::new(&fmt).encode(&req)?;
-        let seq = self.nodes[proc.0].alloc_seq();
-        let trace = self.alloc_trace(proc.0);
-        let mut span = self.recorder.start(trace, None, "echo.subscribe");
+        let seq = self.nodes[proc].alloc_seq();
+        let trace = self.alloc_trace(proc);
+        let mut span = self.recorder.start(trace, None, span_name);
         span.tag("channel", &channel.0.to_string());
-        span.tag("from", &self.nodes[proc.0].name);
+        span.tag("from", &self.nodes[proc].name);
         let ctx = Some(span.ctx());
-        let framed = proto::frame_qos(
-            proto::FRAME_CONTROL,
-            channel,
-            seq,
-            trace.0,
-            QosTier::Reliable,
-            0,
-            1,
-            self.nodes[proc.0].epoch(),
-            &msg,
-        );
-        let sent = self.send_with_retry(proc.0, creator_idx, framed, ctx);
+        let (kind, tier, epoch) =
+            (proto::FRAME_CONTROL, QosTier::Reliable, self.nodes[proc].epoch());
+        let framed = proto::frame_qos(kind, channel, seq, trace.0, tier, 0, 1, epoch, &msg);
+        let sent = self.send_with_retry(proc, creator_idx, framed, ctx);
         span.finish();
         sent
     }
 
     /// Unsubscribes `proc` from `channel`: the creator removes the member
-    /// and refreshes the remaining membership; local event expectations and
-    /// any derived subscription are dropped.
+    /// and refreshes the remaining membership, and any derived subscription
+    /// is dropped. The process's local event expectation stays: its
+    /// event-plane receiver (and that receiver's registry, see
+    /// [`EchoSystem::event_registry`]) survives for a later re-subscribe
+    /// or a post-mortem read.
     ///
     /// # Errors
     ///
@@ -728,40 +357,14 @@ impl EchoSystem {
             *self.directory.get(&channel).ok_or(EchoError::UnknownChannel(channel))?;
         self.nodes[proc.0].roles.remove(&channel);
         self.nodes[proc.0].memberships.remove(&channel);
-        let contact = self.nodes[proc.0].name.clone();
-        self.derived.remove(&(channel, contact.clone()));
+        self.derived.remove(&(channel, proc.0));
         if creator_idx == proc.0 {
+            let contact = self.nodes[proc.0].name.clone();
             self.nodes[proc.0].remove_member(channel, &contact);
             return Ok(());
         }
-        let fmt = proto::channel_open_request();
-        let req = Value::Record(vec![
-            Value::Int(i64::from(channel.0)),
-            Value::str(contact),
-            Value::Int(0),
-            Value::Int(0),
-        ]);
-        let msg = Encoder::new(&fmt).encode(&req)?;
-        let seq = self.nodes[proc.0].alloc_seq();
-        let trace = self.alloc_trace(proc.0);
-        let mut span = self.recorder.start(trace, None, "echo.unsubscribe");
-        span.tag("channel", &channel.0.to_string());
-        span.tag("from", &self.nodes[proc.0].name);
-        let ctx = Some(span.ctx());
-        let framed = proto::frame_qos(
-            proto::FRAME_CONTROL,
-            channel,
-            seq,
-            trace.0,
-            QosTier::Reliable,
-            0,
-            1,
-            self.nodes[proc.0].epoch(),
-            &msg,
-        );
-        let sent = self.send_with_retry(proc.0, creator_idx, framed, ctx);
-        span.finish();
-        sent
+        let leave = Role { source: false, sink: false };
+        self.send_membership_request(proc.0, creator_idx, channel, leave, "echo.unsubscribe")
     }
 
     /// Subscribes `proc` as a sink on a *derived* view of `channel`: the
@@ -790,8 +393,7 @@ impl EchoSystem {
                 .compile()?;
         self.metrics.derived_compiled.inc();
         self.subscribe(proc, channel, Role::sink(), Some(derived_format))?;
-        let contact = self.nodes[proc.0].name.clone();
-        self.derived.insert((channel, contact), xform);
+        self.derived.insert((channel, proc.0), xform);
         Ok(())
     }
 
@@ -837,7 +439,7 @@ impl EchoSystem {
         let ctx = root.as_ref().map(|s| s.ctx());
         let wire_trace = ctx.map_or(proto::NO_TRACE, |c| c.trace.0);
         let tier = self.channel_qos(channel);
-        let epoch = self.nodes[proc.0].epoch();
+        let header = (channel, wire_trace, tier, self.nodes[proc.0].epoch());
         // Raw fan-out: the frame set is built (and the payload copied)
         // once; every additional sink clones the views — Arc bumps, not
         // bytes. A message within the frame budget is one frame; larger
@@ -847,47 +449,32 @@ impl EchoSystem {
         let result = (|| -> Result<usize, EchoError> {
             for contact in sinks {
                 let Some(&dst) = self.by_contact.get(&contact) else { continue };
-                let frames = match self.derived.get(&(channel, contact.clone())) {
-                    Some(xform) if xform.from_format() == format => {
-                        // Source-side derivation: filter/reshape per subscriber.
-                        match xform.apply_filtered(event)? {
-                            None => {
-                                // Filtered out — nothing travels.
-                                self.metrics.filtered.inc();
-                                self.metrics.channel(channel).filtered.inc();
-                                if let Some(c) = ctx {
-                                    self.recorder.instant(
-                                        c.trace,
-                                        c.parent,
-                                        "echo.filtered",
-                                        &[("sink", &contact)],
-                                    );
-                                }
-                                continue;
+                let derivation =
+                    self.derived.get(&(channel, dst)).filter(|x| x.from_format() == format);
+                let frames = match derivation {
+                    // Source-side derivation: filter/reshape per subscriber.
+                    Some(xform) => {
+                        let Some(derived) = xform.apply_filtered(event)? else {
+                            // Filtered out — nothing travels.
+                            self.metrics.filtered.inc();
+                            self.metrics.channel(channel).filtered.inc();
+                            if let Some(c) = ctx {
+                                let sink = [("sink", &*contact)];
+                                self.recorder.instant(c.trace, c.parent, "echo.filtered", &sink);
                             }
-                            Some(derived) => {
-                                let t0 = std::time::Instant::now();
-                                let msg = Encoder::new(xform.to_format()).encode(&derived)?;
-                                self.nodes[proc.0].record_encode_ns(t0.elapsed().as_nanos() as u64);
-                                let seq = self.nodes[proc.0].alloc_seq();
-                                self.build_event_frames(channel, seq, wire_trace, tier, epoch, msg)?
-                            }
-                        }
+                            continue;
+                        };
+                        let to_format = Arc::clone(xform.to_format());
+                        self.encode_event_frames(proc.0, &to_format, &derived, header)?
                     }
                     // Different source format (or no derivation): send the raw
                     // event; the sink's own morphing receiver reconciles. One
                     // seq serves every recipient of the same frame set — dedup
                     // is per receiver.
-                    _ => {
+                    None => {
                         if raw_frames.is_none() {
-                            let t0 = std::time::Instant::now();
-                            let msg = Encoder::new(format).encode(event)?;
-                            self.nodes[proc.0].record_encode_ns(t0.elapsed().as_nanos() as u64);
-                            let seq = self.nodes[proc.0].alloc_seq();
-                            raw_frames =
-                                Some(self.build_event_frames(
-                                    channel, seq, wire_trace, tier, epoch, msg,
-                                )?);
+                            let frames = self.encode_event_frames(proc.0, format, event, header)?;
+                            raw_frames = Some(frames);
                         }
                         raw_frames.clone().expect("filled above")
                     }
@@ -910,57 +497,36 @@ impl EchoSystem {
         result
     }
 
-    /// Builds the wire frames for one encoded event message: a single
+    /// Encodes one event message at `proc` under its next seq and builds
+    /// its wire frames under `(channel, trace, tier, epoch)`: a single
     /// frame when it fits the frame budget (or no budget is set), a
-    /// fragment set sharing the message `seq` otherwise. Fragment payloads
-    /// are zero-copy views of `msg`; framing each is the only copy.
-    ///
-    /// # Errors
-    ///
+    /// fragment set sharing the message seq otherwise — zero-copy views of
+    /// the encoded message; framing each is the only copy. Fails with
     /// [`EchoError::MessageTooLarge`] when the split would exceed the
     /// wire's 16-bit fragment numbering.
-    fn build_event_frames(
-        &self,
-        channel: ChannelId,
-        seq: u64,
-        trace: u64,
-        tier: QosTier,
-        epoch: u32,
-        msg: Vec<u8>,
+    fn encode_event_frames(
+        &mut self,
+        proc: usize,
+        format: &Arc<RecordFormat>,
+        event: &Value,
+        (channel, trace, tier, epoch): (ChannelId, u64, QosTier, u32),
     ) -> Result<Vec<WireBytes>, EchoError> {
+        let t0 = std::time::Instant::now();
+        let msg = Encoder::new(format).encode(event)?;
+        self.nodes[proc].record_encode_ns(t0.elapsed().as_nanos() as u64);
+        let seq = self.nodes[proc].alloc_seq();
+        let frame = |index, count, payload: &[u8]| {
+            let kind = proto::FRAME_EVENT;
+            proto::frame_qos(kind, channel, seq, trace, tier, index, count, epoch, payload)
+        };
         let Some(budget) = self.frame_budget.filter(|&b| msg.len() > b) else {
-            return Ok(vec![proto::frame_qos(
-                proto::FRAME_EVENT,
-                channel,
-                seq,
-                trace,
-                tier,
-                0,
-                1,
-                epoch,
-                &msg,
-            )]);
+            return Ok(vec![frame(0, 1, &msg)]);
         };
         let len = msg.len();
         let payload = WireBytes::from(msg);
         let frags = frag::split_message(&payload, budget)
             .ok_or(EchoError::MessageTooLarge { len, budget })?;
-        Ok(frags
-            .iter()
-            .map(|f| {
-                proto::frame_qos(
-                    proto::FRAME_EVENT,
-                    channel,
-                    seq,
-                    trace,
-                    tier,
-                    f.index,
-                    f.count,
-                    epoch,
-                    &f.bytes,
-                )
-            })
-            .collect())
+        Ok(frags.iter().map(|f| frame(f.index, f.count, &f.bytes)).collect())
     }
 
     /// Sends one event frame under its tier's delivery policy. Reliable
@@ -982,20 +548,13 @@ impl EchoSystem {
             // The journaled half of exactly-once: the frame's key and bytes
             // go to the modeled disk before the wire sees them (WAL
             // discipline), so a crashed sender redelivers it on restart.
-            if self.journals[from].is_some() {
+            if self.journals.get(from).is_some() {
                 if let (Some(channel), Some((seq, frag_index, _))) =
                     (proto::peek_channel(&bytes), proto::peek_frag(&bytes))
                 {
-                    self.journal_append(
-                        from,
-                        JournalEntry::Sent {
-                            to: to as u64,
-                            channel,
-                            seq,
-                            frag_index,
-                            frame: bytes.clone(),
-                        },
-                    );
+                    let (to, frame) = (to as u64, bytes.clone());
+                    let entry = JournalEntry::Sent { to, channel, seq, frag_index, frame };
+                    self.journals.append(from, self.net.now_ns(), entry);
                 }
             }
             return self.send_with_retry(from, to, bytes, ctx);
@@ -1005,12 +564,8 @@ impl EchoSystem {
             Err(NetError::LinkDown(_, _) | NetError::NodeDown(_)) => {
                 self.metrics.tier_dropped.get(usize::from(tier.to_wire())).inc();
                 if let Some(c) = ctx {
-                    self.recorder.instant(
-                        c.trace,
-                        c.parent,
-                        "echo.qos.dropped",
-                        &[("tier", tier.label()), ("to", &self.nodes[to].name)],
-                    );
+                    let tags = [("tier", tier.label()), ("to", &*self.nodes[to].name)];
+                    self.recorder.instant(c.trace, c.parent, "echo.qos.dropped", &tags);
                 }
                 Ok(())
             }
@@ -1021,968 +576,19 @@ impl EchoSystem {
     /// Sheds a frame at `node`: counts the drop and quarantines the bytes
     /// in the node's dead-letter queue with [`DeadReason::Shed`] — every
     /// shed message stays accounted, none vanish silently.
-    fn shed_at(&mut self, node: usize, bytes: &[u8], detail: &str, ctx: Option<TraceCtx>) {
+    pub(crate) fn shed_at(&mut self, node: usize, bytes: &[u8], why: &str, ctx: Option<TraceCtx>) {
         self.metrics.queue_shed.inc();
         self.metrics.quarantined(DeadReason::Shed);
-        self.nodes[node].quarantine_shed(bytes, detail, ctx);
-    }
-
-    /// Tier-aware drop-oldest over the retry queue: evicts the oldest
-    /// queued event frame of the *lowest* shed class (unordered telemetry
-    /// first, reliable events last — [`proto::shed_class`]) into its
-    /// sender's dead-letter queue. When the victim is a fragment, its
-    /// queued set mates (same sender, destination, and message seq) shed
-    /// with it, so no orphan fragments travel on to rot in a reassembly
-    /// buffer. Returns false when the queue holds only control frames
-    /// (which are never shed).
-    fn shed_pending_victim(&mut self) -> bool {
-        let Some(pos) = shed_victim_pos(self.pending.iter().map(|p| &*p.bytes)) else {
-            return false;
-        };
-        let victim = self.pending.remove(pos);
-        let set = proto::peek_frag(&victim.bytes).filter(|&(_, _, count)| count > 1);
-        self.shed_at(
-            victim.from,
-            &victim.bytes,
-            "retry queue full: lowest-tier event frame shed",
-            victim.ctx,
-        );
-        if let Some((seq, _, _)) = set {
-            let mut i = 0;
-            while i < self.pending.len() {
-                let p = &self.pending[i];
-                let mate = p.from == victim.from
-                    && p.to == victim.to
-                    && proto::peek_frag(&p.bytes).is_some_and(|(s, _, c)| s == seq && c > 1);
-                if mate {
-                    let p = self.pending.remove(i);
-                    self.shed_at(
-                        p.from,
-                        &p.bytes,
-                        "retry queue full: fragment-set mate shed",
-                        p.ctx,
-                    );
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        true
+        self.nodes[node].quarantine_shed(bytes, why, ctx);
     }
 
     /// Refreshes the `echo.queue.depth` gauge (retry queue + every ingress
     /// buffer) and records the observation into the depth-over-time
     /// histogram, so snapshots expose the whole depth distribution.
-    fn update_queue_depth(&self) {
-        let depth = self.pending.len() + self.ingress.total;
+    pub(crate) fn update_queue_depth(&self) {
+        let depth = self.retry.len() + self.ingress.total();
         self.metrics.queue_depth.set(depth as i64);
         self.metrics.depth_over_time.record(depth as u64);
-    }
-
-    /// The retry queue's effective bound: the configured capacity, pulled
-    /// down by the adaptive watermark while arrivals overrun drains.
-    fn retry_capacity_now(&self) -> usize {
-        match &self.adaptive {
-            Some(a) => self.retry_capacity.min(a.retry.capacity()),
-            None => self.retry_capacity,
-        }
-    }
-
-    /// The ingress buffers' effective bound, under the same rule.
-    fn ingress_capacity_now(&self) -> usize {
-        match &self.adaptive {
-            Some(a) => self.ingress_capacity.min(a.ingress.capacity()),
-            None => self.ingress_capacity,
-        }
-    }
-
-    /// Sends a frame, absorbing link-down refusals into the retry queue:
-    /// the frame waits out a backoff (capped exponential, jittered by the
-    /// system [`RetryPolicy`]) and is re-sent by [`EchoSystem::run`] until
-    /// it gets through or the budget is spent. The queue is bounded
-    /// ([`EchoSystem::set_retry_queue_capacity`]): admitting past the cap
-    /// sheds the oldest queued event frame (or the newcomer itself when
-    /// only control frames are queued) into the sender's dead-letter queue
-    /// with [`DeadReason::Shed`]. Control frames are never shed. Other
-    /// network errors propagate — an unknown or unrouted peer is a
-    /// configuration bug, not an operational fault.
-    fn send_with_retry(
-        &mut self,
-        from: usize,
-        to: usize,
-        bytes: WireBytes,
-        ctx: Option<TraceCtx>,
-    ) -> Result<(), EchoError> {
-        // The clone hands the wire a view of the frame buffer; the bytes
-        // themselves are never copied again after `proto::frame`.
-        match self.net.send_traced(self.net_ids[from], self.net_ids[to], bytes.clone(), ctx) {
-            Ok(_) => Ok(()),
-            Err(NetError::LinkDown(_, _)) => {
-                // Feed the arrival window and re-evaluate the watermark
-                // before admission, so overload tightens the bound for
-                // this very frame.
-                let now = self.net.now_ns();
-                if let Some(a) = self.adaptive.as_mut() {
-                    a.retry.on_arrival(now);
-                    a.retry.evaluate(now, &self.recorder, ctx);
-                }
-                // A full queue sheds its lowest-tier queued event; when
-                // only control frames are queued, the newcomer is the sole
-                // sheddable load. A control newcomer never sheds: it is
-                // admitted beyond the bound.
-                if self.pending.len() >= self.retry_capacity_now()
-                    && !self.shed_pending_victim()
-                    && proto::shed_class(&bytes).is_some()
-                {
-                    self.shed_at(from, &bytes, "retry queue full: event frame shed", ctx);
-                    self.update_queue_depth();
-                    return Ok(());
-                }
-                self.metrics.retry_enqueued.inc();
-                if let Some(c) = ctx {
-                    self.recorder.instant(
-                        c.trace,
-                        c.parent,
-                        "echo.retry.enqueued",
-                        &[("from", &self.nodes[from].name), ("to", &self.nodes[to].name)],
-                    );
-                }
-                let next_attempt_ns = self.net.now_ns() + self.retry.backoff_ns(0);
-                self.pending.push(PendingFrame {
-                    from,
-                    to,
-                    bytes,
-                    attempts: 0,
-                    next_attempt_ns,
-                    ctx,
-                });
-                self.update_queue_depth();
-                Ok(())
-            }
-            // The *destination* is inside a crash window: burning
-            // capped-backoff attempts into a peer that cannot answer would
-            // waste the retry budget, so the frame parks until the window's
-            // scheduled end — zero attempts consumed — under the same shed
-            // admission as a down link. A send refused because the *sender*
-            // is down still propagates: that is a caller bug.
-            Err(NetError::NodeDown(down)) if down == self.net_ids[to] => {
-                let now = self.net.now_ns();
-                if let Some(a) = self.adaptive.as_mut() {
-                    a.retry.on_arrival(now);
-                    a.retry.evaluate(now, &self.recorder, ctx);
-                }
-                if self.pending.len() >= self.retry_capacity_now()
-                    && !self.shed_pending_victim()
-                    && proto::shed_class(&bytes).is_some()
-                {
-                    self.shed_at(from, &bytes, "retry queue full: event frame shed", ctx);
-                    self.update_queue_depth();
-                    return Ok(());
-                }
-                self.metrics.retry_parked.inc();
-                if let Some(c) = ctx {
-                    self.recorder.instant(
-                        c.trace,
-                        c.parent,
-                        "echo.retry.parked",
-                        &[("from", &self.nodes[from].name), ("to", &self.nodes[to].name)],
-                    );
-                }
-                let next_attempt_ns = self
-                    .net
-                    .node_down_until(down, now)
-                    .unwrap_or_else(|| now + self.retry.backoff_ns(0));
-                self.pending.push(PendingFrame {
-                    from,
-                    to,
-                    bytes,
-                    attempts: 0,
-                    next_attempt_ns,
-                    ctx,
-                });
-                self.update_queue_depth();
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Re-attempts every due pending frame once. Returns the earliest
-    /// not-yet-due attempt time, if any frames remain queued.
-    fn pump_pending(&mut self) -> Option<u64> {
-        let now = self.net.now_ns();
-        let before = self.pending.len();
-        let mut still_pending = Vec::new();
-        for mut p in std::mem::take(&mut self.pending) {
-            if p.next_attempt_ns > now {
-                still_pending.push(p);
-                continue;
-            }
-            // Peer-down awareness: a frame due while its destination is
-            // (still, or again) inside a crash window re-parks to the
-            // window's scheduled end without consuming an attempt.
-            if let Some(until) = self.net.node_down_until(self.net_ids[p.to], now) {
-                self.metrics.retry_parked.inc();
-                p.next_attempt_ns = until;
-                still_pending.push(p);
-                continue;
-            }
-            self.metrics.retry_attempts.inc();
-            match self.net.send_traced(
-                self.net_ids[p.from],
-                self.net_ids[p.to],
-                p.bytes.clone(),
-                p.ctx,
-            ) {
-                Ok(_) => self.metrics.retry_delivered.inc(),
-                Err(NetError::LinkDown(_, _)) => {
-                    p.attempts += 1;
-                    if p.attempts > self.retry.budget {
-                        // Budget spent: quarantine at the sender.
-                        self.metrics.retry_giveup.inc();
-                        self.metrics.quarantined(DeadReason::RetryExhausted);
-                        self.nodes[p.from].quarantine_send(
-                            &p.bytes,
-                            &format!("gave up after {} retries", self.retry.budget),
-                            p.ctx,
-                        );
-                    } else {
-                        p.next_attempt_ns = now + self.retry.backoff_ns(p.attempts);
-                        still_pending.push(p);
-                    }
-                }
-                // A crash window opening at this exact instant (half-open
-                // windows start *at* `from_ns`) parks without burning the
-                // attempt just spent — it never reached the peer's memory.
-                Err(NetError::NodeDown(down)) if down == self.net_ids[p.to] => {
-                    self.metrics.retry_parked.inc();
-                    p.next_attempt_ns = self
-                        .net
-                        .node_down_until(down, now)
-                        .unwrap_or_else(|| now + self.retry.backoff_ns(p.attempts));
-                    still_pending.push(p);
-                }
-                // The peer disappeared from the topology — config bug;
-                // surface it via the sender's quarantine, not a panic.
-                Err(e) => {
-                    self.metrics.retry_giveup.inc();
-                    self.metrics.quarantined(DeadReason::RetryExhausted);
-                    self.nodes[p.from].quarantine_send(&p.bytes, &e.to_string(), p.ctx);
-                }
-            }
-        }
-        let earliest = still_pending.iter().map(|p| p.next_attempt_ns).min();
-        // Every frame that left the queue — delivered or given up — is a
-        // drain event for the adaptive watermark.
-        let drained = before.saturating_sub(still_pending.len());
-        if let Some(a) = self.adaptive.as_mut() {
-            for _ in 0..drained {
-                a.retry.on_drain(now);
-            }
-            a.retry.evaluate(now, &self.recorder, None);
-        }
-        self.pending = still_pending;
-        self.update_queue_depth();
-        earliest
-    }
-
-    /// Removes every buffered fragment of the `(sender, seq)` set from a
-    /// process's ingress buffer and sheds each at the receiver — shedding
-    /// one fragment without its mates would leave orphans to rot in the
-    /// reassembly buffer until the timeout dead-letters them as a phantom
-    /// loss.
-    fn shed_ingress_set(&mut self, idx: usize, sender: usize, seq: u64, detail: &str) {
-        let mut i = 0;
-        while let Some((s, _, b)) = self.ingress.queue(idx).get(i) {
-            let mate =
-                *s == sender && proto::peek_frag(b).is_some_and(|(q, _, c)| q == seq && c > 1);
-            if mate {
-                let (_, _, victim) = self.ingress.remove(idx, i).expect("index in bounds");
-                let ctx = proto::peek_trace(&victim).map(|t| TraceCtx::root(TraceId(t)));
-                self.shed_at(idx, &victim, detail, ctx);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Buffers a delivery for a paused process, shedding under pressure:
-    /// when the (bounded) buffer is full, the oldest buffered event frame
-    /// of the lowest shed class — or the newcomer, if only control frames
-    /// are buffered — is quarantined at the receiver with
-    /// [`DeadReason::Shed`]. Fragments shed as whole sets.
-    fn buffer_ingress(&mut self, idx: usize, sender: usize, bytes: WireBytes) {
-        let now = self.net.now_ns();
-        if let Some(a) = self.adaptive.as_mut() {
-            a.ingress.on_arrival(now);
-            let ctx = proto::peek_trace(&bytes).map(|t| TraceCtx::root(TraceId(t)));
-            a.ingress.evaluate(now, &self.recorder, ctx);
-        }
-        if self.ingress.queue(idx).len() >= self.ingress_capacity_now() {
-            let victim_pos = shed_victim_pos(self.ingress.queue(idx).iter().map(|(_, _, b)| &**b));
-            match victim_pos {
-                Some(pos) => {
-                    let (vs, _, victim) =
-                        self.ingress.remove(idx, pos).expect("position in bounds");
-                    let ctx = proto::peek_trace(&victim).map(|t| TraceCtx::root(TraceId(t)));
-                    let set = proto::peek_frag(&victim).filter(|&(_, _, count)| count > 1);
-                    self.shed_at(
-                        idx,
-                        &victim,
-                        "ingress buffer full: lowest-tier event frame shed",
-                        ctx,
-                    );
-                    if let Some((seq, _, _)) = set {
-                        self.shed_ingress_set(
-                            idx,
-                            vs,
-                            seq,
-                            "ingress buffer full: fragment-set mate shed",
-                        );
-                    }
-                }
-                None if proto::shed_class(&bytes).is_some() => {
-                    let ctx = proto::peek_trace(&bytes).map(|t| TraceCtx::root(TraceId(t)));
-                    let set = proto::peek_frag(&bytes).filter(|&(_, _, count)| count > 1);
-                    self.shed_at(idx, &bytes, "ingress buffer full: event frame shed", ctx);
-                    // The newcomer's already-buffered set mates go with it.
-                    if let Some((seq, _, _)) = set {
-                        self.shed_ingress_set(
-                            idx,
-                            sender,
-                            seq,
-                            "ingress buffer full: fragment-set mate shed",
-                        );
-                    }
-                    self.update_queue_depth();
-                    return;
-                }
-                // Control frames are never shed: admit beyond the bound.
-                None => {}
-            }
-        }
-        self.ingress.push(idx, (sender, now, bytes));
-        self.update_queue_depth();
-    }
-
-    /// Dispatches one wire frame through the receiving process, accounting
-    /// its disposition and sending any follow-up frames — the single path
-    /// shared by live deliveries and drained ingress buffers.
-    fn dispatch_frame(&mut self, idx: usize, sender: usize, bytes: &WireBytes) {
-        // Stamp the receiver's clock so reassembly entries age against the
-        // virtual time this frame arrives at.
-        self.nodes[idx].set_now(self.net.now_ns());
-        let outcome = self.nodes[idx].handle_frame(sender as u64, bytes);
-        self.settle_outcome(idx, sender, outcome);
-    }
-
-    /// Settles a frame's [`FrameOutcome`]: counts its disposition and puts
-    /// any follow-up frames on the wire. Split from [`Self::dispatch_frame`]
-    /// so the sharded runtime can run `handle_frame` on worker threads and
-    /// settle the results here, on the driver thread, where the network and
-    /// system counters are single-threaded.
-    fn settle_outcome(&mut self, idx: usize, sender: usize, outcome: FrameOutcome) {
-        if outcome.resumed {
-            // The frame announced a fresh sender incarnation (an explicit
-            // resume handshake or any higher-epoch frame).
-            self.metrics.epoch_resumed.inc();
-        }
-        match outcome.disposition {
-            Disposition::Handled(kind, channel, tier) => {
-                if kind == proto::FRAME_EVENT {
-                    self.metrics.delivered.inc();
-                    let cc = self.metrics.channel(channel);
-                    cc.delivered.inc();
-                    cc.delivered_rate.record(1);
-                    self.metrics.tier_delivered.get(usize::from(tier.to_wire())).inc();
-                } else if kind == proto::FRAME_RESUME {
-                    self.metrics.epoch_handshakes.inc();
-                }
-            }
-            Disposition::Reassembled(channel, tier, _count) => {
-                self.metrics.delivered.inc();
-                let cc = self.metrics.channel(channel);
-                cc.delivered.inc();
-                cc.delivered_rate.record(1);
-                self.metrics.tier_delivered.get(usize::from(tier.to_wire())).inc();
-                // The completing fragment is a received fragment too.
-                self.metrics.frag_received.inc();
-                self.metrics.frag_reassembled.inc();
-            }
-            Disposition::FragmentBuffered(_) => {
-                self.metrics.frag_received.inc();
-                self.reassembling.insert(idx);
-            }
-            Disposition::Stale(_) => self.metrics.sequenced_stale.inc(),
-            Disposition::Duplicate(_, _) => self.metrics.dedup_dropped.inc(),
-            Disposition::Fenced(_) => {
-                self.metrics.epoch_fenced.inc();
-                self.metrics.quarantined(DeadReason::StaleEpoch);
-            }
-            Disposition::Quarantined(reason) => self.metrics.quarantined(reason),
-        }
-        // Recovery bookkeeping (no-ops without journals): the receiver
-        // persists its dedup triple and sequenced watermark, and the
-        // sender's journal discharges the redelivery obligation.
-        if let Some((seq, frag_index)) = outcome.seen {
-            self.journal_append(idx, JournalEntry::Seen { sender: sender as u64, seq, frag_index });
-        }
-        if let Some((channel, seq)) = outcome.watermark {
-            self.journal_append(
-                idx,
-                JournalEntry::Watermark { channel, sender: sender as u64, seq },
-            );
-        }
-        if let Some((channel, seq, frag_index)) = outcome.ack {
-            self.journal_append(
-                sender,
-                JournalEntry::Acked { to: idx as u64, channel, seq, frag_index },
-            );
-        }
-        // Partial sets the node evicted (capacity) or purged (newest-wins)
-        // while handling this frame were already dead-lettered / dropped
-        // inside the node; account them at the system level here.
-        for _ in 0..outcome.evicted_partials {
-            self.metrics.frag_evicted.inc();
-            self.metrics.quarantined(DeadReason::PartialFragments);
-        }
-        self.metrics.frag_superseded.add(u64::from(outcome.stale_partials));
-        for out in outcome.outgoing {
-            if let Some(&dst) = self.by_contact.get(&out.to_contact) {
-                // Follow-up frames keep travelling under the trace of the
-                // request that caused them (already in the frame header);
-                // their hop spans root at that trace.
-                let ctx = proto::peek_trace(&out.bytes).map(|t| TraceCtx::root(TraceId(t)));
-                // Link-down refusals land in the retry queue; a member
-                // with no route at all is dropped from this refresh (it
-                // will resync on its next own request).
-                let _ = self.send_with_retry(idx, dst, out.bytes, ctx);
-            }
-        }
-    }
-
-    /// Appends one entry to a process's journal (a no-op when journaling
-    /// is off), stamped with the current virtual time, mirroring the
-    /// journal's own accounting into `echo.journal.*`.
-    fn journal_append(&mut self, owner: usize, entry: JournalEntry) {
-        let now = self.net.now_ns();
-        if let Some(j) = self.journals[owner].as_mut() {
-            let before = j.stats();
-            j.append(now, entry);
-            let after = j.stats();
-            self.metrics.journal_appended.add(after.appended - before.appended);
-            self.metrics.journal_synced.add(after.synced - before.synced);
-        }
-    }
-
-    /// Applies every crash/restart boundary scheduled at or before
-    /// `now_ns`, in deterministic order (time, restarts before crashes,
-    /// node id — see [`simnet::Network::take_crash_transitions`]): a window
-    /// opening crashes the owning process, a window closing restarts it.
-    fn process_crash_transitions(&mut self, now_ns: u64) {
-        for t in self.net.take_crash_transitions(now_ns) {
-            let idx = t.node.index();
-            if t.up {
-                self.restart_node(idx);
-            } else {
-                self.crash_node(idx);
-            }
-        }
-    }
-
-    /// A crash window opens: the process drops its volatile state. What
-    /// survives is exactly the journal's synced prefix plus durable
-    /// configuration (channel ownership, memberships, formats); every loss
-    /// is counted in `echo.crash.lost.*` and the lost frames dead-letter
-    /// as [`DeadReason::CrashLost`], traces sealed with a `crash` stage.
-    fn crash_node(&mut self, idx: usize) {
-        self.metrics.crash_down.inc();
-        // The modeled disk keeps only the synced prefix; the unsynced
-        // journal tail is torn off with the process's memory.
-        if let Some(j) = self.journals[idx].as_mut() {
-            let lost = j.crash();
-            self.metrics.journal_lost.add(lost as u64);
-        }
-        // Amnesia inside the node: dedup window, sequenced watermarks,
-        // peer epochs, reassembly partials (each dead-lettered there),
-        // and warm morph decisions.
-        let report = self.nodes[idx].crash_amnesia();
-        self.metrics.crash_lost_dedup.add(report.dedup as u64);
-        self.metrics.crash_lost_watermarks.add(report.watermarks as u64);
-        self.metrics.crash_lost_partials.add(u64::from(report.partials));
-        for _ in 0..report.partials {
-            self.metrics.quarantined(DeadReason::CrashLost);
-        }
-        self.metrics.crash_lost_decisions.add(report.decisions as u64);
-        // The in-flight retry queue dies with the process. Journaled
-        // Reliable event frames are only *dropped* — the journal will
-        // redeliver them at restart — everything else queued here is a
-        // real loss and dead-letters.
-        let mut kept = Vec::new();
-        for p in std::mem::take(&mut self.pending) {
-            if p.from != idx {
-                kept.push(p);
-                continue;
-            }
-            self.metrics.crash_lost_retry.inc();
-            let journaled = self.journals[idx].is_some()
-                && p.bytes.first() == Some(&proto::FRAME_EVENT)
-                && proto::peek_qos(&p.bytes) == Some(QosTier::Reliable);
-            if !journaled {
-                self.metrics.quarantined(DeadReason::CrashLost);
-                self.nodes[idx].quarantine_crash(
-                    &p.bytes,
-                    "retry queue lost to process crash",
-                    p.ctx,
-                );
-            }
-        }
-        self.pending = kept;
-        // Frames buffered at the crashed process's ingress vanish with
-        // its memory too.
-        for (_, _, bytes) in self.ingress.take_all(idx) {
-            let ctx = proto::peek_trace(&bytes).map(|t| TraceCtx::root(TraceId(t)));
-            self.metrics.crash_lost_ingress.inc();
-            self.metrics.quarantined(DeadReason::CrashLost);
-            self.nodes[idx].quarantine_crash(&bytes, "ingress buffer lost to process crash", ctx);
-        }
-        self.update_queue_depth();
-    }
-
-    /// A crash window closes: the next incarnation starts. The epoch is
-    /// bumped first; a resume handshake to every reachable peer travels
-    /// ahead of the journal's redeliveries (sent at the same instant, it
-    /// takes the lower wire sequence), so receivers fence the dead
-    /// incarnation before its retransmitted traffic arrives. Redeliveries
-    /// are restamped with the new epoch and re-journaled, so a second
-    /// crash redelivers each message once, not once per incarnation.
-    fn restart_node(&mut self, idx: usize) {
-        self.metrics.crash_restarts.inc();
-        let epoch = self.nodes[idx].bump_epoch();
-        // Replay the synced prefix: receiver-side dedup window and
-        // watermarks, the sequence floor, and the redelivery obligations.
-        let mut redeliveries = Vec::new();
-        if let Some(j) = self.journals[idx].as_ref() {
-            let rec = j.replay();
-            self.metrics.journal_replayed.add(j.synced_len() as u64);
-            let node = &mut self.nodes[idx];
-            node.restore_seen(&rec.seen);
-            for (&(channel, sender), &seq) in &rec.watermarks {
-                node.restore_watermark(channel, sender, seq);
-            }
-            node.restore_seq_floor(rec.seq_floor);
-            redeliveries = rec.unacked.into_iter().collect();
-        }
-        // Resume handshake: an empty frame whose header carries the new
-        // incarnation, to every process this one has a link to.
-        for peer in 0..self.nodes.len() {
-            if peer == idx {
-                continue;
-            }
-            let seq = self.nodes[idx].alloc_seq();
-            let (wire_trace, ctx) = if self.tracing {
-                let t = self.alloc_trace(idx);
-                (t.0, Some(TraceCtx::root(t)))
-            } else {
-                (proto::NO_TRACE, None)
-            };
-            let frame = proto::frame_qos(
-                proto::FRAME_RESUME,
-                ChannelId(0),
-                seq,
-                wire_trace,
-                QosTier::Reliable,
-                0,
-                1,
-                epoch,
-                b"",
-            );
-            // Unlinked peers refuse the send with a routing error — not a
-            // session this restart needs to resume.
-            let _ = self.send_with_retry(idx, peer, frame, ctx);
-        }
-        // Redeliver every unacked Reliable frame in key order, under the
-        // new epoch.
-        for ((to, channel, seq, frag_index), frame) in redeliveries {
-            let restamped = proto::restamp_epoch(&frame, epoch);
-            self.journal_append(
-                idx,
-                JournalEntry::Sent { to, channel, seq, frag_index, frame: restamped.clone() },
-            );
-            self.metrics.journal_redelivered.inc();
-            let ctx = proto::peek_trace(&restamped).map(|t| TraceCtx::root(TraceId(t)));
-            let _ = self.send_with_retry(idx, to as usize, restamped, ctx);
-        }
-        // Floor the next incarnation's sequence numbers above everything
-        // this one has allocated (handshakes and redeliveries included).
-        if self.journals[idx].is_some() {
-            let floor = self.nodes[idx].next_seq;
-            self.journal_append(idx, JournalEntry::SeqFloor { next_seq: floor });
-        }
-    }
-
-    /// Expires overdue partial fragment sets at every process that may
-    /// hold any (`reassembling`, visited in process order; each node sweeps
-    /// its channels in id order, so the pass is deterministic and expiries
-    /// dead-letter in the order a sweep of the whole population would
-    /// produce). Each expiry dead-letters inside the node as
-    /// [`DeadReason::PartialFragments`] and counts here as
-    /// `echo.frag.timeout`; the `echo.frag.buffered` gauge is refreshed to
-    /// the surviving depth, and processes left holding nothing drop out of
-    /// the set.
-    fn sweep_reassembly(&mut self) {
-        let now = self.net.now_ns();
-        let mut depth = 0usize;
-        self.reassembling.retain(|&idx| {
-            let node = &mut self.nodes[idx];
-            for _ in 0..node.sweep_reassembly(now) {
-                self.metrics.frag_timeout.inc();
-                self.metrics.quarantined(DeadReason::PartialFragments);
-            }
-            let held = node.reassembly_depth();
-            depth += held;
-            held > 0
-        });
-        self.metrics.frag_buffered.set(depth as i64);
-    }
-
-    /// Dispatches every frame buffered for processes that are no longer
-    /// paused — process order, arrival order within each. Returns how many
-    /// frames were dispatched.
-    fn drain_ingress(&mut self) -> usize {
-        let mut n = 0;
-        let now = self.net.now_ns();
-        // Dispatching sends to the wire, never into an ingress buffer, so
-        // the processes to drain are known up front.
-        let resumed: Vec<usize> =
-            self.ingress.backlogged.iter().copied().filter(|&idx| !self.paused[idx]).collect();
-        for idx in resumed {
-            while let Some((sender, arrived_ns, bytes)) = self.ingress.pop(idx) {
-                // Queue-wait attribution: virtual time spent buffered
-                // before dispatch.
-                self.metrics.queue_wait.record(now.saturating_sub(arrived_ns));
-                self.dispatch_frame(idx, sender, &bytes);
-                n += 1;
-            }
-        }
-        if n > 0 {
-            if let Some(a) = self.adaptive.as_mut() {
-                for _ in 0..n {
-                    a.ingress.on_drain(now);
-                }
-                a.ingress.evaluate(now, &self.recorder, None);
-            }
-            self.update_queue_depth();
-        }
-        n
-    }
-
-    /// Runs the network to quiescence, dispatching every delivery through
-    /// the receiving process (which may send follow-ups) and pumping the
-    /// retry queue: frames refused by a down link are re-sent with backoff,
-    /// waiting out partitions in virtual time if need be. Returns the
-    /// number of deliveries processed.
-    ///
-    /// A process never fails on a received frame — corrupted, malformed, or
-    /// undeliverable frames are quarantined in its dead-letter queue and
-    /// counted (`echo.deadletter.*`), duplicates are suppressed and counted
-    /// (`echo.dedup.dropped`).
-    ///
-    /// Deliveries to a paused process ([`EchoSystem::pause_process`]) are
-    /// buffered, not dispatched; resumed processes drain their buffer here.
-    /// Bounded-queue overflow sheds warm (event) traffic into dead-letter
-    /// queues with [`DeadReason::Shed`] and counts it in `echo.queue.shed`.
-    pub fn run(&mut self) -> usize {
-        let mut processed = 0;
-        loop {
-            self.process_crash_transitions(self.net.now_ns());
-            self.sweep_reassembly();
-            self.pump_telemetry();
-            processed += self.drain_ingress();
-            self.pump_pending();
-            // Deliveries never cross a pending crash/restart boundary: the
-            // step is bounded at the next one, and an empty bounded step
-            // advances the clock straight to the boundary (or the next
-            // retry attempt, whichever is sooner), so every transition
-            // fires at its exact instant under every driver.
-            let boundary = self.net.next_crash_transition();
-            let stepped = match boundary {
-                Some(t) => self.net.step_before(t),
-                None => self.net.step(),
-            };
-            let Some(d) = stepped else {
-                // Nothing deliverable before the boundary (or an idle
-                // wire). Jump virtual time to whatever comes first: the
-                // boundary or the next retry attempt.
-                let target = match (boundary, self.pump_pending()) {
-                    (Some(t), Some(r)) => Some(t.min(r)),
-                    (Some(t), None) => Some(t),
-                    (None, Some(r)) => Some(r),
-                    (None, None) => None,
-                };
-                match target {
-                    Some(at) => {
-                        let now = self.net.now_ns();
-                        if at > now {
-                            self.net.advance_ns(at - now);
-                        }
-                        continue;
-                    }
-                    None if self.net.is_idle() => break,
-                    None => continue,
-                }
-            };
-            // Drop the inbox copy; dispatch directly.
-            let _ = self.net.recv(d.to);
-            let (idx, sender) = (d.to.index(), d.from.index());
-            if self.paused[idx] {
-                self.buffer_ingress(idx, sender, d.payload);
-            } else {
-                self.dispatch_frame(idx, sender, &d.payload);
-                processed += 1;
-            }
-        }
-        // A final sweep at quiescence: time advanced past the timeout with
-        // nothing left in flight still expires waiting partials.
-        self.sweep_reassembly();
-        processed
-    }
-
-    /// Runs the system under the given [`Driver`] — the pluggable
-    /// counterpart to [`EchoSystem::run`]. `VirtualTimeDriver` reproduces
-    /// `run()` exactly; `WallClockDriver` executes rounds of deliveries on
-    /// real threads.
-    pub fn run_with(&mut self, driver: &mut dyn Driver) -> usize {
-        driver.drive(self)
-    }
-
-    /// Runs to quiescence on the multi-core runtime with the configured
-    /// shard count ([`EchoSystem::set_shards`]) and the default mailbox
-    /// bound. Equivalent to `run()` when one shard is configured, except
-    /// that frames are still batched per round.
-    pub fn run_wall_clock(&mut self) -> usize {
-        self.run_sharded(self.shards, crate::driver::DEFAULT_MAILBOX_CAPACITY)
-    }
-
-    /// The multi-core runtime: repeatedly drains everything the network has
-    /// in flight into per-shard mailboxes (bucketed by a stable hash of the
-    /// destination's name, so one process is only ever touched by one
-    /// worker), forks one worker thread per shard to run `handle_frame`
-    /// over its mailbox, then joins and settles every outcome — accounting
-    /// and follow-up sends — on the driver thread, where the network,
-    /// retry queue, and system counters remain single-threaded.
-    ///
-    /// Invariants preserved from the single-threaded driver:
-    ///
-    /// - **Per-destination FIFO**: mailboxes are filled in global
-    ///   `(deliver_at, seq)` order and each destination lives on exactly
-    ///   one shard, so every process sees its frames in simulated arrival
-    ///   order.
-    /// - **Shed policy**: mailboxes are bounded; overflow sheds the oldest
-    ///   *event* frame into the receiver's dead-letter queue
-    ///   ([`DeadReason::Shed`], `echo.queue.shed`,
-    ///   `echo.shard.mailbox.shed`). Control frames are never shed.
-    /// - **Pause/backpressure**: deliveries to paused processes buffer in
-    ///   their bounded ingress queues on the driver thread, exactly as in
-    ///   `run()`.
-    /// - **Retries**: link-down frames wait out their backoff in virtual
-    ///   time between rounds.
-    ///
-    /// What is *not* preserved is cross-process interleaving: worker
-    /// threads race in wall-clock time, so span orderings and wall-clock
-    /// timings differ run to run. Deterministic replay needs
-    /// [`EchoSystem::run`] / [`crate::VirtualTimeDriver`].
-    pub(crate) fn run_sharded(&mut self, shards: usize, mailbox_capacity: usize) -> usize {
-        assert!(shards > 0, "at least one shard required");
-        if self.shard_metrics.as_ref().map(|m| m.shards) != Some(shards) {
-            self.shard_metrics = Some(ShardMetrics::new(&self.metrics.registry, shards));
-            self.shard_assign = self.nodes.iter().map(|n| shard_of_name(&n.name, shards)).collect();
-        }
-        let sm = self.shard_metrics.clone().expect("created above");
-        let mut processed = 0;
-        loop {
-            self.process_crash_transitions(self.net.now_ns());
-            self.sweep_reassembly();
-            self.pump_telemetry();
-            processed += self.drain_ingress();
-            self.pump_pending();
-            // As in [`EchoSystem::run`], no fork/join round ever straddles
-            // a crash/restart boundary: rounds are bounded at the next one
-            // and the clock jumps straight to it when nothing is
-            // deliverable first.
-            let boundary = self.net.next_crash_transition();
-            let ready = match boundary {
-                Some(t) => self.net.next_delivery_at().is_some_and(|d| d < t),
-                None => !self.net.is_idle(),
-            };
-            if !ready {
-                let target = match (boundary, self.pump_pending()) {
-                    (Some(t), Some(r)) => Some(t.min(r)),
-                    (Some(t), None) => Some(t),
-                    (None, Some(r)) => Some(r),
-                    (None, None) => None,
-                };
-                match target {
-                    Some(at) => {
-                        let now = self.net.now_ns();
-                        if at > now {
-                            self.net.advance_ns(at - now);
-                        }
-                        continue;
-                    }
-                    None if self.net.is_idle() => break,
-                    None => continue,
-                }
-            }
-            // One round: everything currently in flight (up to the next
-            // crash boundary), bucketed by the destination's shard in
-            // global delivery order.
-            let shard_of = |to: NodeId| self.shard_assign[to.index()];
-            let buckets = match boundary {
-                Some(t) => self.net.drain_ready_sharded_before(shards, t, shard_of),
-                None => self.net.drain_ready_sharded(shards, shard_of),
-            };
-            let mut mailboxes: Vec<Vec<(usize, usize, WireBytes)>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (shard, bucket) in buckets.into_iter().enumerate() {
-                for d in bucket {
-                    let (idx, sender) = (d.to.index(), d.from.index());
-                    if self.paused[idx] {
-                        self.buffer_ingress(idx, sender, d.payload);
-                    } else {
-                        mailboxes[shard].push((idx, sender, d.payload));
-                    }
-                }
-            }
-            // Adaptive mailbox watermark: this round's fill is the arrival
-            // burst; the previous round's settled frames were the drains.
-            let round_fill: usize = mailboxes.iter().map(Vec::len).sum();
-            let mailbox_capacity = {
-                let now = self.net.now_ns();
-                match self.adaptive.as_mut() {
-                    Some(a) => {
-                        for _ in 0..round_fill {
-                            a.mailbox.on_arrival(now);
-                        }
-                        a.mailbox.evaluate(now, &self.recorder, None);
-                        mailbox_capacity.min(a.mailbox.capacity())
-                    }
-                    None => mailbox_capacity,
-                }
-            };
-            // Bounded mailboxes: shed the lowest-tier event frames past
-            // the bound (control frames are never shed and may exceed it).
-            // A shed fragment takes its whole mailbox set with it — the
-            // message cannot complete anyway, and orphan fragments would
-            // only squat in the reassembly buffer until the timeout.
-            for mailbox in &mut mailboxes {
-                while mailbox.len() > mailbox_capacity {
-                    let Some(pos) = shed_victim_pos(mailbox.iter().map(|(_, _, b)| &**b)) else {
-                        break;
-                    };
-                    let (idx, vs, victim) = mailbox.remove(pos);
-                    let ctx = proto::peek_trace(&victim).map(|t| TraceCtx::root(TraceId(t)));
-                    let set = proto::peek_frag(&victim).filter(|&(_, _, count)| count > 1);
-                    sm.shed.inc();
-                    self.shed_at(idx, &victim, "shard mailbox full: lowest-tier frame shed", ctx);
-                    if let Some((seq, _, _)) = set {
-                        let mut i = 0;
-                        while i < mailbox.len() {
-                            let (mi, ms, b) = &mailbox[i];
-                            let mate = *mi == idx
-                                && *ms == vs
-                                && proto::peek_frag(b).is_some_and(|(s, _, c)| s == seq && c > 1);
-                            if mate {
-                                let (_, _, b) = mailbox.remove(i);
-                                let ctx = proto::peek_trace(&b).map(|t| TraceCtx::root(TraceId(t)));
-                                sm.shed.inc();
-                                self.shed_at(
-                                    idx,
-                                    &b,
-                                    "shard mailbox full: fragment-set mate shed",
-                                    ctx,
-                                );
-                            } else {
-                                i += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            let round_frames: usize = mailboxes.iter().map(Vec::len).sum();
-            if round_frames == 0 {
-                continue;
-            }
-            sm.rounds.inc();
-            for (shard, mailbox) in mailboxes.iter().enumerate() {
-                sm.depth.get(shard).set(mailbox.len() as i64);
-            }
-            // Fork: each worker exclusively owns its mailbox and the
-            // processes it is addressed to (this round's destinations only,
-            // handed out in process order); counters it touches are
-            // pre-fetched atomics. Each destination's clock is stamped on
-            // the driver thread first, so reassembly aging stays
-            // deterministic across shard counts.
-            let round_now = self.net.now_ns();
-            let mut dests: Vec<usize> =
-                mailboxes.iter().flatten().map(|&(idx, _, _)| idx).collect();
-            dests.sort_unstable();
-            dests.dedup();
-            let mut partitions: Vec<Vec<(usize, &mut NodeState)>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            let mut rest = self.nodes.as_mut_slice();
-            let mut base = 0;
-            for idx in dests {
-                let (node, tail) =
-                    rest[idx - base..].split_first_mut().expect("destination is a process");
-                node.set_now(round_now);
-                partitions[self.shard_assign[idx]].push((idx, node));
-                (rest, base) = (tail, idx + 1);
-            }
-            let outcomes: Vec<Vec<(usize, usize, FrameOutcome)>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = mailboxes
-                    .into_iter()
-                    .zip(partitions)
-                    .map(|(mailbox, mut partition)| {
-                        scope.spawn(move || {
-                            let mut out = Vec::with_capacity(mailbox.len());
-                            for (idx, sender, bytes) in mailbox {
-                                let slot = partition
-                                    .binary_search_by_key(&idx, |&(i, _)| i)
-                                    .expect("destination owned by this shard");
-                                let node = &mut *partition[slot].1;
-                                out.push((idx, sender, node.handle_frame(sender as u64, &bytes)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
-            });
-            // Join: settle outcomes in shard order on the driver thread —
-            // disposition accounting and follow-up sends are
-            // single-threaded again.
-            let mut settled = 0usize;
-            for (shard, outs) in outcomes.into_iter().enumerate() {
-                sm.frames.get(shard).add(outs.len() as u64);
-                sm.depth.get(shard).set(0);
-                for (idx, sender, outcome) in outs {
-                    self.settle_outcome(idx, sender, outcome);
-                    processed += 1;
-                    settled += 1;
-                }
-            }
-            if let Some(a) = self.adaptive.as_mut() {
-                let now = self.net.now_ns();
-                for _ in 0..settled {
-                    a.mailbox.on_drain(now);
-                }
-                a.mailbox.evaluate(now, &self.recorder, None);
-            }
-        }
-        // Final sweep at quiescence, as in [`EchoSystem::run`].
-        self.sweep_reassembly();
-        processed
     }
 
     /// Drains the events received by a process so far.
@@ -2066,7 +672,7 @@ impl EchoSystem {
 
     /// Replaces the retry policy for link-down re-sends.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
+        self.retry.policy = policy;
     }
 
     /// Turns publish-path tracing on or off (on by default). With tracing
@@ -2151,7 +757,7 @@ impl EchoSystem {
     /// oldest queued event frame (control frames are never shed) into the
     /// sender's dead-letter queue with [`DeadReason::Shed`].
     pub fn set_retry_queue_capacity(&mut self, capacity: usize) {
-        self.retry_capacity = capacity;
+        self.retry.bound.capacity = capacity;
     }
 
     /// Turns the fixed shed watermarks into **load-adaptive** ones: the
@@ -2174,42 +780,36 @@ impl EchoSystem {
     /// `set_ingress_capacity` overrides: the watermarks take the
     /// capacities configured at enable time as their bases.
     pub fn enable_adaptive_shedding(&mut self) {
-        self.adaptive = Some(AdaptiveShedding::new(
-            &self.metrics.registry,
-            self.retry_capacity,
-            self.ingress_capacity,
-            crate::driver::DEFAULT_MAILBOX_CAPACITY,
-        ));
+        let registry = &self.metrics.registry;
+        let [retry, ingress, mailbox] = ADAPT_QUEUE_LABELS;
+        self.retry.bound.adapt(registry, retry, self.retry.bound.capacity);
+        self.ingress.bound.adapt(registry, ingress, self.ingress.bound.capacity);
+        self.mailbox.adapt(registry, mailbox, DEFAULT_MAILBOX_CAPACITY);
         // A telemetry publisher enabled earlier picks up the decision
         // counters it could not sample yet, from zero; already-sampled
         // counters keep their baselines.
-        if self.telemetry.is_none() {
-            return;
+        if let Some(t) = self.telemetry.as_mut() {
+            t.sample(registry, &telemetry::SAMPLED_ADAPTIVE);
         }
-        let fresh = self.telemetry_sampled();
-        let Some(t) = self.telemetry.as_mut() else { return };
-        for entry in fresh {
-            if !t.sampled.iter().any(|(n, _, _)| *n == entry.0) {
-                t.sampled.push(entry);
-            }
-        }
-        t.sampled.sort_unstable_by_key(|&(n, _, _)| n);
     }
 
     /// The adaptive watermarks' current effective capacities as
     /// `(retry, ingress, mailbox)`, if adaptive shedding is enabled.
     pub fn adaptive_capacities(&self) -> Option<(usize, usize, usize)> {
-        self.adaptive
-            .as_ref()
-            .map(|a| (a.retry.capacity(), a.ingress.capacity(), a.mailbox.capacity()))
+        let [retry, ingress, mailbox] = [&self.retry.bound, &self.ingress.bound, &self.mailbox];
+        Some((
+            retry.adaptive_capacity()?,
+            ingress.adaptive_capacity()?,
+            mailbox.adaptive_capacity()?,
+        ))
     }
 
     /// True while any adaptive watermark holds its queue in the tightened
     /// (overloaded) regime.
     pub fn adaptive_overloaded(&self) -> bool {
-        self.adaptive.as_ref().is_some_and(|a| {
-            a.retry.overloaded() || a.ingress.overloaded() || a.mailbox.overloaded()
-        })
+        self.retry.bound.overloaded()
+            || self.ingress.bound.overloaded()
+            || self.mailbox.overloaded()
     }
 
     /// Starts periodic self-telemetry: every `period_ns` of virtual time
@@ -2234,95 +834,32 @@ impl EchoSystem {
         // so collectors of any era resolve it — older ones by MaxMatch,
         // with no transformations to distribute.
         self.distribute_metadata(&[telemetry::telemetry_format_v2()], &[]);
-        let now = self.net.now_ns();
-        let period_ns = period_ns.max(1);
-        self.telemetry = Some(TelemetryState {
-            proc: proc.0,
-            channel,
-            period_ns,
-            next_at_ns: now + period_ns,
-            sampled: self.telemetry_sampled(),
-            last_at_ns: now,
-            seq: 0,
-            format: telemetry::telemetry_format_v2(),
-            published: self.metrics.registry.counter("echo.telemetry.published"),
-            bytes: self.metrics.registry.counter("echo.telemetry.bytes"),
-        });
-    }
-
-    /// The counter handles a telemetry record samples, baselined at their
-    /// current values. Adaptive decision counters join the list only once
-    /// [`EchoSystem::enable_adaptive_shedding`] created them, keeping the
-    /// registry catalogue of non-adaptive systems unchanged.
-    fn telemetry_sampled(&self) -> Vec<(&'static str, Arc<Counter>, u64)> {
-        let mut names: Vec<&'static str> =
-            vec!["echo.events.delivered", "echo.events.published", "echo.queue.shed"];
-        if self.adaptive.is_some() {
-            names.extend([
-                "echo.adaptive.ingress.relaxed",
-                "echo.adaptive.ingress.tightened",
-                "echo.adaptive.mailbox.relaxed",
-                "echo.adaptive.mailbox.tightened",
-                "echo.adaptive.retry.relaxed",
-                "echo.adaptive.retry.tightened",
-            ]);
+        let registry = &self.metrics.registry;
+        let mut publisher =
+            telemetry::Publisher::new(registry, proc.0, channel, period_ns, self.net.now_ns());
+        if self.mailbox.adaptive_capacity().is_some() {
+            publisher.sample(registry, &telemetry::SAMPLED_ADAPTIVE);
         }
-        names.sort_unstable();
-        names
-            .into_iter()
-            .map(|n| {
-                let c = self.metrics.registry.counter(n);
-                let v = c.get();
-                (n, c, v)
-            })
-            .collect()
+        self.telemetry = Some(publisher);
     }
 
     /// Publishes a telemetry record if the reporting period has elapsed.
-    /// Called by the run loops; firing requires virtual time to advance,
-    /// so a quiescent system emits nothing.
-    fn pump_telemetry(&mut self) {
-        let Some(t) = &self.telemetry else { return };
-        let now = self.net.now_ns();
-        if now < t.next_at_ns {
+    /// Called by the run loop.
+    pub(crate) fn pump_telemetry(&mut self) {
+        let Some(t) = self.telemetry.as_mut() else { return };
+        let Some(value) = t.poll(self.net.now_ns(), self.metrics.queue_depth.get()) else {
             return;
-        }
-        let (proc, channel) = (t.proc, t.channel);
-        let published = Arc::clone(&t.published);
-        let bytes_counter = Arc::clone(&t.bytes);
-        let depth = self.metrics.queue_depth.get();
-        let t = self.telemetry.as_mut().expect("checked above");
-        let mut counters = Vec::with_capacity(t.sampled.len());
-        for (name, handle, last) in &mut t.sampled {
-            let v = handle.get();
-            counters.push(((*name).to_string(), v.saturating_sub(*last)));
-            *last = v;
-        }
-        let delta = SnapshotDelta {
-            elapsed_ns: now.saturating_sub(t.last_at_ns),
-            counters,
-            gauges: Vec::new(),
-            histogram_counts: Vec::new(),
         };
-        t.last_at_ns = now;
-        t.seq += 1;
-        let seq = t.seq;
-        t.next_at_ns = now + t.period_ns;
-        let value = telemetry::telemetry_value(seq, now, depth, &delta);
-        let fmt = Arc::clone(&t.format);
-        if let Ok(encoded) = Encoder::new(&fmt).encode(&value) {
-            bytes_counter.add(encoded.len() as u64);
-        }
-        published.inc();
+        let (proc, channel, fmt) = (ProcessId(t.proc), t.channel, Arc::clone(&t.format));
         // A publish failure (e.g. the emitter lost its subscription) must
         // not wedge the run loop; the period simply elapses again.
-        let _ = self.publish(ProcessId(proc), channel, &fmt, &value);
+        let _ = self.publish(proc, channel, &fmt, &value);
     }
 
     /// Caps each paused process's ingress buffer, with the same shed
     /// policy as the retry queue (victims quarantine at the *receiver*).
     pub fn set_ingress_capacity(&mut self, capacity: usize) {
-        self.ingress_capacity = capacity;
+        self.ingress.bound.capacity = capacity;
     }
 
     /// Sets a channel's delivery tier. Channels default to
@@ -2390,10 +927,11 @@ impl EchoSystem {
     }
 
     /// High-watermark backpressure signal: true once a process's ingress
-    /// buffer is at least 3/4 full. Publishers can poll this to slow down
-    /// before shedding starts.
+    /// buffer is at least 3/4 of its *effective* bound — the configured
+    /// capacity, or the adaptive watermark while that holds it lower.
+    /// Publishers can poll this to slow down before shedding starts.
     pub fn backpressure(&self, proc: ProcessId) -> bool {
-        self.ingress.queue(proc.0).len() * 4 >= self.ingress_capacity * 3
+        self.ingress.queue(proc.0).len() * 4 >= self.ingress.bound.capacity_now() * 3
     }
 
     /// Frames currently buffered for a (paused or resuming) process.
@@ -2457,7 +995,7 @@ impl EchoSystem {
 
     /// Frames currently waiting in the system retry queue.
     pub fn pending_retries(&self) -> usize {
-        self.pending.len()
+        self.retry.len()
     }
 
     /// Schedules crash windows on a process (half-open `[from_ns,
@@ -2478,20 +1016,13 @@ impl EchoSystem {
     /// crash-restarts": without it a restarted process neither redelivers
     /// its unacked frames nor remembers what it already delivered.
     pub fn enable_journaling(&mut self, batch: usize) {
-        self.journal_batch = Some(batch);
-        let now = self.net.now_ns();
-        for (i, slot) in self.journals.iter_mut().enumerate() {
-            if slot.is_none() {
-                let mut j = Journal::new(batch);
-                j.append(now, JournalEntry::SeqFloor { next_seq: self.nodes[i].next_seq });
-                *slot = Some(j);
-            }
-        }
+        let next_seqs = self.nodes.iter().map(|n| n.next_seq);
+        self.journals.enable(batch, self.net.now_ns(), next_seqs);
     }
 
     /// A process's journal self-accounting, when journaling is enabled.
     pub fn journal_stats(&self, proc: ProcessId) -> Option<JournalStats> {
-        self.journals[proc.0].as_ref().map(Journal::stats)
+        self.journals.get(proc.0).map(|j| j.stats())
     }
 
     /// A process's current incarnation number: 0 at birth, bumped by each
@@ -2504,7 +1035,7 @@ impl EchoSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{VirtualTimeDriver, WallClockDriver, DEFAULT_MAILBOX_CAPACITY};
+    use crate::{Driver, VirtualTimeDriver, WallClockDriver};
     use pbio::FormatBuilder;
 
     fn tick_format() -> Arc<RecordFormat> {
@@ -2940,6 +1471,38 @@ mod tests {
             "the newest four survive, in arrival order"
         );
         assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(0));
+    }
+
+    #[test]
+    fn backpressure_follows_the_adaptive_bound_and_fires_before_the_first_shed() {
+        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let ch = sys.create_channel(c);
+        let fmt = tick_format();
+        sys.subscribe(s1, ch, Role::source(), None).unwrap();
+        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
+        sys.run();
+        sys.enable_adaptive_shedding();
+        sys.pause_process(s2);
+        // A stalled consumer under a burst: arrivals with no drains pull
+        // the ingress watermark from its base of 64 down to base/8.
+        let shed = |sys: &EchoSystem| sys.registry().snapshot().counter("echo.queue.shed");
+        let mut signalled_at = None;
+        for n in 0..16 {
+            sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
+            sys.run();
+            if signalled_at.is_none() && sys.backpressure(s2) {
+                assert_eq!(shed(&sys), Some(0), "the signal must precede the first shed");
+                signalled_at = Some(sys.ingress_depth(s2));
+            }
+        }
+        let (_, ingress_bound, _) = sys.adaptive_capacities().unwrap();
+        assert_eq!(ingress_bound, 64 / 8, "the burst tightened the bound to its floor");
+        assert!(shed(&sys).unwrap() > 0, "shedding started at the tightened bound");
+        // 3/4 of the *effective* bound, not of the configured 64 (which
+        // would have waited for 48 frames — never reached at a bound of 8).
+        let depth = signalled_at.expect("backpressure never signalled");
+        assert!(depth <= ingress_bound, "signalled at depth {depth}");
+        assert!(sys.ingress_depth(s2) < 48);
     }
 
     /// Creator + publisher + `n` morphing v1-style sinks on an evolved
@@ -3566,7 +2129,7 @@ mod tests {
             assert_eq!(sys.take_events(first), ticks);
             assert_eq!(sys.take_events(second), ticks);
             assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(0));
-            assert!(sys.ingress.backlogged.is_empty() && sys.ingress.total == 0);
+            assert!(sys.ingress.backlogged().is_empty() && sys.ingress.total() == 0);
         }
     }
 }

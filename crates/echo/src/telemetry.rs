@@ -17,8 +17,10 @@
 
 use std::sync::Arc;
 
-use obs::SnapshotDelta;
-use pbio::{FormatBuilder, RecordFormat, Value};
+use obs::{Counter, Registry, SnapshotDelta};
+use pbio::{Encoder, FormatBuilder, RecordFormat, Value};
+
+use crate::proto::ChannelId;
 
 /// The v1 telemetry record — what first-generation collectors were built
 /// against: a sequence number, the sample time, and the headline event
@@ -85,10 +87,110 @@ pub fn telemetry_value(seq: u64, at_ns: u64, queue_depth: i64, delta: &SnapshotD
     ])
 }
 
+/// The counters every record reports, and the adaptive decision counters
+/// that join them only once adaptive shedding created them — sampling
+/// those earlier would put them in every system's registry catalogue.
+const SAMPLED: [&str; 3] = ["echo.events.delivered", "echo.events.published", "echo.queue.shed"];
+pub(crate) const SAMPLED_ADAPTIVE: [&str; 6] = [
+    "echo.adaptive.ingress.relaxed",
+    "echo.adaptive.ingress.tightened",
+    "echo.adaptive.mailbox.relaxed",
+    "echo.adaptive.mailbox.tightened",
+    "echo.adaptive.retry.relaxed",
+    "echo.adaptive.retry.tightened",
+];
+
+/// The periodic self-telemetry publisher: decides when a record is due
+/// and builds it; the system puts it on the channel.
+pub(crate) struct Publisher {
+    pub proc: usize,
+    pub channel: ChannelId,
+    /// The v2 record format, built once — rebuilding it per report would
+    /// defeat every pointer-keyed cache downstream of `publish`.
+    pub format: Arc<RecordFormat>,
+    period_ns: u64,
+    /// The counters a record reports, as live handles with the value seen
+    /// at the last report — `Snapshot::delta` restricted to the record's
+    /// fields, without the full-registry snapshot (every histogram cloned
+    /// per period). Sorted by name, as `SnapshotDelta` promises.
+    sampled: Vec<(&'static str, Arc<Counter>, u64)>,
+    /// Virtual time of the last report (or of enabling): the next one is
+    /// due a period later, and carries the time since as `elapsed_ns`.
+    last_at_ns: u64,
+    seq: u64,
+    /// `echo.telemetry.published` — records put on the wire.
+    published: Arc<Counter>,
+    /// `echo.telemetry.bytes` — encoded telemetry payload bytes.
+    bytes: Arc<Counter>,
+}
+
+impl Publisher {
+    pub fn new(
+        registry: &Registry,
+        proc: usize,
+        channel: ChannelId,
+        period_ns: u64,
+        now_ns: u64,
+    ) -> Publisher {
+        let mut publisher = Publisher {
+            proc,
+            channel,
+            format: telemetry_format_v2(),
+            period_ns: period_ns.max(1),
+            sampled: Vec::new(),
+            last_at_ns: now_ns,
+            seq: 0,
+            published: registry.counter("echo.telemetry.published"),
+            bytes: registry.counter("echo.telemetry.bytes"),
+        };
+        publisher.sample(registry, &SAMPLED);
+        publisher
+    }
+
+    /// Starts reporting the named counters, baselined at their current
+    /// values; counters already sampled keep their baselines.
+    pub fn sample(&mut self, registry: &Registry, names: &[&'static str]) {
+        for &name in names {
+            if !self.sampled.iter().any(|(n, _, _)| *n == name) {
+                let counter = registry.counter(name);
+                let seen = counter.get();
+                self.sampled.push((name, counter, seen));
+            }
+        }
+        self.sampled.sort_unstable_by_key(|&(n, _, _)| n);
+    }
+
+    /// The record to publish, if the reporting period has elapsed. Firing
+    /// requires virtual time to advance, so a quiescent system emits
+    /// nothing.
+    pub fn poll(&mut self, now_ns: u64, queue_depth: i64) -> Option<Value> {
+        if now_ns < self.last_at_ns + self.period_ns {
+            return None;
+        }
+        let sample = |(name, handle, last): &mut (&str, Arc<Counter>, u64)| {
+            let v = handle.get();
+            (name.to_string(), v.saturating_sub(std::mem::replace(last, v)))
+        };
+        let delta = SnapshotDelta {
+            elapsed_ns: now_ns.saturating_sub(self.last_at_ns),
+            counters: self.sampled.iter_mut().map(sample).collect(),
+            gauges: Vec::new(),
+            histogram_counts: Vec::new(),
+        };
+        self.last_at_ns = now_ns;
+        self.seq += 1;
+        let value = telemetry_value(self.seq, now_ns, queue_depth, &delta);
+        if let Ok(encoded) = Encoder::new(&self.format).encode(&value) {
+            self.bytes.add(encoded.len() as u64);
+        }
+        self.published.inc();
+        Some(value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::Registry;
 
     #[test]
     fn v2_value_matches_the_v2_format() {

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use echo::{proto, EchoSystem, EchoVersion, Role};
+use echo::{proto, EchoSystem, EchoVersion, ProcessId, Role};
 use message_morphing::prelude::*;
 use morph::{
     BreakerState, DeadLetterQueue, DeadReason, MetaServer, MorphError, PoolDelivery,
@@ -54,6 +54,33 @@ fn seeds() -> Vec<u64> {
 /// checked: conservation, exactly-once, byte-exactness, determinism.
 fn curated(seed: u64) -> bool {
     SEEDS.contains(&seed) || STORM_SEEDS.contains(&seed)
+}
+
+/// With `CHAOS_DUMP_DIR=<path>` set, writes what one scenario run left
+/// behind to `<path>/<scenario>-<seed>.txt`: the registry snapshot, every
+/// dead letter's reason and detail, and the flight-recorder export. Two
+/// checkouts dumping the same seeds into two directories turn "same
+/// bytes" into `diff -r parent/ change/` (see the verify skill).
+fn dump(scenario: &str, seed: u64, snapshot: &str, letters: &str, chrome: &str) {
+    let Ok(dir) = std::env::var("CHAOS_DUMP_DIR") else { return };
+    std::fs::create_dir_all(&dir).expect("CHAOS_DUMP_DIR is creatable");
+    let body = format!(
+        "== snapshot ==\n{snapshot}\n== dead letters ==\n{letters}== chrome ==\n{chrome}\n"
+    );
+    std::fs::write(format!("{dir}/{scenario}-{seed}.txt"), body).expect("dump file is writable");
+}
+
+/// [`dump`] for an `EchoSystem` scenario: snapshot, dead letters and
+/// recorder export are read off the system after the run.
+fn dump_system(scenario: &str, seed: u64, sys: &EchoSystem, procs: &[ProcessId]) {
+    let mut letters = String::new();
+    for (i, &p) in procs.iter().enumerate() {
+        for l in sys.dead_letters(p) {
+            letters += &format!("proc {i}: {}: {}\n", l.reason.label(), l.detail);
+        }
+    }
+    let snapshot = sys.registry().snapshot().to_text();
+    dump(scenario, seed, &snapshot, &letters, &sys.recorder().chrome_json());
 }
 
 fn tick_format() -> Arc<RecordFormat> {
@@ -204,6 +231,7 @@ fn run_interop_chaos(seed: u64) -> InteropRun {
 
     let v2_events = per_sink.pop().unwrap();
     let v1_events = per_sink.pop().unwrap();
+    dump_system("interop", seed, &sys, &[creator, publisher, v1_sink, v2_sink]);
     InteropRun {
         snapshot: snap.to_text(),
         chrome: sys.recorder().chrome_json(),
@@ -368,6 +396,7 @@ fn run_partition_heal(seed: u64) -> String {
     assert_eq!(counter("echo.retry.delivered"), PARTITION_EVENTS);
     assert_eq!(counter("echo.retry.giveup"), 0);
     assert!(counter("echo.retry.attempts") >= PARTITION_EVENTS);
+    dump_system("partition_heal", seed, &sys, &[creator, publisher, sink]);
     snap.to_text()
 }
 
@@ -585,6 +614,8 @@ fn resolution_survives_partition_heal_and_lossy_links() {
     for seed in seeds() {
         let first = run_resolution_chaos(seed);
         let second = run_resolution_chaos(seed);
+        // No system registry or recorder here: the fingerprint is the run.
+        dump("resolution", seed, &format!("{first:?}"), "", "");
         assert_eq!(first, second, "seed {seed:#x}: non-deterministic resolution");
     }
 }
@@ -829,6 +860,7 @@ fn total_meta_server_outage_degrades_and_recovers_deterministically() {
     for seed in seeds() {
         let first = run_failover_chaos(seed);
         let second = run_failover_chaos(seed);
+        dump("failover", seed, &first.snapshot, &first.tree, &first.chrome);
         assert_eq!(first.fingerprint, second.fingerprint, "seed {seed:#x}: non-deterministic run");
         assert_eq!(first.snapshot, second.snapshot, "seed {seed:#x}: non-deterministic snapshot");
         assert_eq!(first.tree, second.tree, "seed {seed:#x}: non-deterministic trace tree");
@@ -995,6 +1027,7 @@ fn run_fragmentation_chaos(seed: u64) -> FragRun {
         assert_eq!(quarantine.tag("stage"), Some("reassembly"));
     }
 
+    dump_system("fragmentation", seed, &sys, &[creator, publisher, sink]);
     FragRun {
         snapshot: snap.to_text(),
         chrome: sys.recorder().chrome_json(),
@@ -1143,6 +1176,7 @@ fn run_overload_chaos(seed: u64) -> OverloadRun {
             as u64;
     assert_eq!(shed_letters, shed, "seed {seed:#x}: every shed frame quarantines at the sender");
 
+    dump_system("overload", seed, &sys, &[creator, publisher, sink]);
     OverloadRun { snapshot: snap.to_text(), chrome, delivered, tightened, relaxed, shed }
 }
 
@@ -1369,6 +1403,7 @@ fn run_crash_restart_storm(seed: u64) -> StormRun {
     // Every fenced frame is inspectable in quarantine under `stale_epoch`.
     assert_eq!(delta("echo.deadletter.stale_epoch"), fenced);
 
+    dump_system("crash_restart_storm", seed, &sys, &[creator, publisher, sink]);
     StormRun {
         snapshot: snap.to_text(),
         chrome: sys.recorder().chrome_json(),

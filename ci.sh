@@ -1,10 +1,11 @@
 #!/bin/sh
 # Tier-1 gate for this repository. The root workspace has zero external
 # dependencies, so everything up to the bench step runs with no network
-# access: format, lints, docs, every test, the chaos seed matrix, the pbio
-# mutation loop, the smoke examples, the three bench examples
-# (fanout_bench gated; monitor_bench and crash_recovery's overhead ratio
-# reported, not gated) and the benchmark self-check. The bench harness is a separate workspace (crates/bench) whose
+# access: format, lints, docs, every test, the chaos seed matrix, the
+# seeded sharded-runtime scenario, the pbio mutation loop, the smoke
+# examples, the three bench examples (fanout_bench gated; monitor_bench
+# and crash_recovery's overhead ratio reported, not gated) and the
+# benchmark self-check. The bench harness is a separate workspace (crates/bench) whose
 # `criterion` dev-dependency needs a reachable crates.io registry; its
 # tests run only when resolution succeeds and are skipped gracefully
 # offline — so nothing compiles it here, and a source check stands in for
@@ -58,6 +59,17 @@ fresh=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$fresh" ] || fresh=$(date +%s)
 echo "    CHAOS_SEED=$fresh cargo test -q --test chaos"
 CHAOS_SEED="$fresh" cargo test -q --test chaos
+
+echo "==> sharded runtime, fresh seed (the test step above ran seeds 1/7/42)"
+# A scenario drawn from the seed — population, publishers, channels,
+# fragmentation, run cadence, a pause — must deliver under the wall-clock
+# driver what it delivers under the virtual-time driver: the sharded path
+# is the one the chaos suite never takes. A failure here reproduces with
+# the printed command.
+shard=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$shard" ] || shard=$(date +%s)
+echo "    SHARD_SEED=$shard cargo test -q --test shard seeded_scenario"
+SHARD_SEED="$shard" cargo test -q --test shard seeded_scenario
 
 echo "==> pbio decode mutation loop, fresh seed (the test step above ran the fixed one)"
 # Truncations, byte flips, hostile counts and random damage to a v2.0

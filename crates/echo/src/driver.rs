@@ -20,8 +20,9 @@
 //! decisions, the same aggregate counters (modulo `echo.shard.*`, which
 //! only the wall-clock driver emits).
 
-use pbio::WireBytes;
-use simnet::NodeId;
+use std::time::Instant;
+
+use simnet::{Delivery, NodeId};
 
 use crate::metrics::ShardMetrics;
 use crate::node::{FrameOutcome, NodeState};
@@ -206,12 +207,7 @@ impl EchoSystem {
         self.run_turns(|sys, boundary| {
             // `None`: every frame ahead of the boundary was addressed to a
             // crashed process and vanished in the step.
-            let d = match boundary {
-                Some(t) => sys.net.step_before(t),
-                None => sys.net.step(),
-            }?;
-            // Drop the inbox copy; dispatch directly.
-            let _ = sys.net.recv(d.to);
+            let d = sys.net.take_delivery(boundary)?;
             let (idx, sender) = (d.to.index(), d.from.index());
             if sys.paused[idx] {
                 sys.buffer_ingress(idx, sender, d.payload);
@@ -256,25 +252,24 @@ impl EchoSystem {
         // As in [`EchoSystem::run`], no fork/join round ever straddles a
         // crash/restart boundary.
         self.run_turns(|sys, boundary| {
+            let round_started = Instant::now();
             // One round: everything currently in flight (up to the next
             // crash boundary), bucketed by the destination's shard in
-            // global delivery order.
+            // global delivery order. Deliveries to paused processes go to
+            // their ingress buffers; the rest are the round's mailboxes.
             let shard_of = |to: NodeId| sys.shard_assign[to.index()];
-            let buckets = match boundary {
+            let mut mailboxes = match boundary {
                 Some(t) => sys.net.drain_ready_sharded_before(shards, t, shard_of),
                 None => sys.net.drain_ready_sharded(shards, shard_of),
             };
-            let mut mailboxes: Vec<Vec<(usize, usize, WireBytes)>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            for (shard, bucket) in buckets.into_iter().enumerate() {
-                for d in bucket {
-                    let (idx, sender) = (d.to.index(), d.from.index());
+            for mailbox in &mut mailboxes {
+                mailbox.retain(|d| {
+                    let idx = d.to.index();
                     if sys.paused[idx] {
-                        sys.buffer_ingress(idx, sender, d.payload);
-                    } else {
-                        mailboxes[shard].push((idx, sender, d.payload));
+                        sys.buffer_ingress(idx, d.from.index(), d.payload.clone());
                     }
-                }
+                    !sys.paused[idx]
+                });
             }
             // Adaptive mailbox watermark: this round's fill is the arrival
             // burst; the previous round's settled frames were the drains.
@@ -288,16 +283,18 @@ impl EchoSystem {
             // only squat in the reassembly buffer until the timeout.
             for mailbox in &mut mailboxes {
                 while mailbox.len() > mailbox_capacity {
-                    let flows = mailbox.iter().map(|(idx, sender, b)| ((*idx, *sender), &**b));
+                    let flows =
+                        mailbox.iter().map(|d| ((d.to.index(), d.from.index()), &*d.payload));
                     let Some(set) = shed_set(flows) else { break };
                     for (n, pos) in set.into_iter().enumerate() {
-                        let (idx, _, victim) = mailbox.remove(pos);
+                        let victim = mailbox.remove(pos);
                         let detail = [
                             "shard mailbox full: lowest-tier frame shed",
                             "shard mailbox full: fragment-set mate shed",
                         ][n.min(1)];
                         sm.shed.inc();
-                        sys.shed_at(idx, &victim, detail, wire_ctx(&victim));
+                        let ctx = wire_ctx(&victim.payload);
+                        sys.shed_at(victim.to.index(), &victim.payload, detail, ctx);
                     }
                 }
             }
@@ -309,15 +306,14 @@ impl EchoSystem {
             for (shard, mailbox) in mailboxes.iter().enumerate() {
                 sm.depth.get(shard).set(mailbox.len() as i64);
             }
-            // Fork: each worker exclusively owns its mailbox and the
-            // processes it is addressed to (this round's destinations only,
-            // handed out in process order); counters it touches are
-            // pre-fetched atomics. Each destination's clock is stamped on
-            // the driver thread first, so reassembly aging stays
-            // deterministic across shard counts.
+            // Fork: each worker exclusively owns the processes its mailbox
+            // is addressed to (this round's destinations only, handed out
+            // in process order); counters it touches are pre-fetched
+            // atomics. Each destination's clock is stamped on the driver
+            // thread first, so reassembly aging stays deterministic across
+            // shard counts.
             let round_now = sys.net.now_ns();
-            let mut dests: Vec<usize> =
-                mailboxes.iter().flatten().map(|&(idx, _, _)| idx).collect();
+            let mut dests: Vec<usize> = mailboxes.iter().flatten().map(|d| d.to.index()).collect();
             dests.sort_unstable();
             dests.dedup();
             let mut partitions: Vec<Vec<(usize, &mut NodeState)>> =
@@ -331,38 +327,63 @@ impl EchoSystem {
                 partitions[sys.shard_assign[idx]].push((idx, node));
                 (rest, base) = (tail, idx + 1);
             }
-            let outcomes: Vec<Vec<(usize, usize, FrameOutcome)>> = std::thread::scope(|scope| {
+            let forked = Instant::now();
+            let outcomes: Vec<Vec<Option<FrameOutcome>>> = std::thread::scope(|scope| {
                 let workers: Vec<_> = mailboxes
-                    .into_iter()
+                    .iter()
                     .zip(partitions)
-                    .map(|(mailbox, mut partition)| {
-                        scope.spawn(move || {
-                            let mut out = Vec::with_capacity(mailbox.len());
-                            for (idx, sender, bytes) in mailbox {
-                                let slot = partition
-                                    .binary_search_by_key(&idx, |&(i, _)| i)
-                                    .expect("destination owned by this shard");
-                                let node = &mut *partition[slot].1;
-                                out.push((idx, sender, node.handle_frame(sender as u64, &bytes)));
-                            }
-                            out
-                        })
+                    .map(|(mailbox, partition)| {
+                        scope.spawn(move || run_mailbox(mailbox, partition))
                     })
                     .collect();
                 workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
             });
-            // Join: settle outcomes in shard order on the driver thread —
-            // disposition accounting and follow-up sends are
-            // single-threaded again.
-            for (shard, outs) in outcomes.into_iter().enumerate() {
+            let joined = Instant::now();
+            // Join: settle outcomes in shard order, arrival order within
+            // the shard, on the driver thread — disposition accounting and
+            // follow-up sends are single-threaded again, and the frames
+            // (views of buffers every shard shares) are released here.
+            for (shard, (mailbox, outs)) in mailboxes.into_iter().zip(outcomes).enumerate() {
                 sm.frames.get(shard).add(outs.len() as u64);
                 sm.depth.get(shard).set(0);
-                for (idx, sender, outcome) in outs {
-                    sys.settle_outcome(idx, sender, outcome);
+                for (d, outcome) in mailbox.into_iter().zip(outs) {
+                    let outcome = outcome.expect("the worker handled every frame");
+                    sys.settle_outcome(d.to.index(), d.from.index(), outcome);
                 }
             }
             sys.mailbox.drained(round_frames, sys.net.now_ns(), &sys.recorder);
+            let ns = |d: std::time::Duration| d.as_nanos() as u64;
+            sm.round_drain_ns.record(ns(forked - round_started));
+            sm.round_fork_ns.record(ns(joined - forked));
+            sm.round_settle_ns.record(ns(joined.elapsed()));
             Some(round_frames)
         })
     }
+}
+
+/// One shard worker's round: every frame of `mailbox` through its
+/// destination's `handle_frame`. The frames are handled destination-major —
+/// each destination's frames back to back, so its state is fetched into
+/// cache once per round instead of once per frame, and in arrival order
+/// (per-destination FIFO is all a process can observe of the order). The
+/// outcomes come back in mailbox order, which is the order they settle in.
+/// `partition` holds the mailbox's destinations in process order.
+fn run_mailbox(
+    mailbox: &[Delivery],
+    mut partition: Vec<(usize, &mut NodeState)>,
+) -> Vec<Option<FrameOutcome>> {
+    let mut order: Vec<usize> = (0..mailbox.len()).collect();
+    order.sort_by_key(|&at| mailbox[at].to.index()); // stable: arrival order within a destination
+    let mut outcomes: Vec<Option<FrameOutcome>> = mailbox.iter().map(|_| None).collect();
+    // The sorted frames and the partition ascend together; every
+    // destination is in the partition.
+    let mut owner = 0;
+    for at in order {
+        let d = &mailbox[at];
+        while partition[owner].0 != d.to.index() {
+            owner += 1;
+        }
+        outcomes[at] = Some(partition[owner].1.handle_frame(d.from.index() as u64, &d.payload));
+    }
+    outcomes
 }

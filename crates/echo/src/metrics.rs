@@ -259,6 +259,13 @@ pub(crate) struct ShardMetrics {
     pub shed: Arc<Counter>,
     /// `echo.shard.rounds` — fork/join rounds executed.
     pub rounds: Arc<Counter>,
+    /// `echo.shard.round.{drain,fork,settle}_ns` — one *wall-clock* sample
+    /// per round: taking the round off the wire into mailboxes and
+    /// partitions, the workers' fork-to-join, and settling the outcomes.
+    /// The first and last are the serial share of a round.
+    pub round_drain_ns: Arc<Histogram>,
+    pub round_fork_ns: Arc<Histogram>,
+    pub round_settle_ns: Arc<Histogram>,
 }
 
 impl ShardMetrics {
@@ -269,6 +276,9 @@ impl ShardMetrics {
             depth: GaugeFamily::new(registry, "echo.shard", "mailbox.depth", shards),
             shed: registry.counter("echo.shard.mailbox.shed"),
             rounds: registry.counter("echo.shard.rounds"),
+            round_drain_ns: registry.histogram("echo.shard.round.drain_ns"),
+            round_fork_ns: registry.histogram("echo.shard.round.fork_ns"),
+            round_settle_ns: registry.histogram("echo.shard.round.settle_ns"),
         }
     }
 }

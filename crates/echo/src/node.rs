@@ -172,18 +172,23 @@ pub(crate) struct NodeState {
     control_rx: MorphReceiver,
     requests: ControlInbox,
     responses: ControlInbox,
-    event_rx: HashMap<ChannelId, MorphReceiver>,
-    /// Per-channel latency attribution probes, created with each event
-    /// receiver.
-    stage_probes: HashMap<ChannelId, StageProbe>,
+    /// The event plane of every channel this node expects events on,
+    /// sorted by channel: a frame resolves its channel's slot once and
+    /// indexes from there on.
+    planes: Vec<EventPlane>,
     /// `echo.stage.encode.ns` in the control registry — the publish-side
     /// stage of the latency attribution.
     encode_ns: Arc<Histogram>,
     events: EventInbox,
     /// Channels this node created, with their membership.
-    pub owned: HashMap<ChannelId, Vec<MemberInfo>>,
+    owned: HashMap<ChannelId, Vec<MemberInfo>>,
     /// Latest membership view per subscribed channel.
-    pub memberships: HashMap<ChannelId, Vec<MemberInfo>>,
+    memberships: HashMap<ChannelId, Vec<MemberInfo>>,
+    /// Per channel, the sinks of [`NodeState::sink_contacts`] resolved to
+    /// process indices, as [`NodeState::cache_sink_index`] stored them.
+    /// Volatile: an entry is dropped by whatever changes the channel's
+    /// member list, and the lot by a crash.
+    sink_index: HashMap<ChannelId, SinkIndex>,
     /// This node's role per channel.
     pub roles: HashMap<ChannelId, Role>,
     next_member_id: i64,
@@ -230,6 +235,26 @@ pub(crate) struct NodeState {
     shared_caches: Option<(DecisionCache, PlanStore)>,
 }
 
+/// A channel's resolved fan-out: the sink process indices, and the size of
+/// the contact table they were resolved against (it only grows, so its
+/// size is its version).
+struct SinkIndex {
+    contacts: usize,
+    sinks: Arc<[usize]>,
+}
+
+/// One channel's event plane at a node: the morphing receiver events are
+/// delivered into, and the channel's latency attribution — wall-clock
+/// `echo.stage.<stage>.ns` histograms in the receiver's registry, so one
+/// snapshot answers "where did the microseconds go" for that channel's
+/// deliveries.
+struct EventPlane {
+    channel: ChannelId,
+    rx: MorphReceiver,
+    /// Indexed by the `STAGE_*` constants.
+    stages: HistogramFamily,
+}
+
 /// Receiver-side trace context for one frame: the `echo.handle` span (open
 /// while the frame is dispatched) plus the trace id it travelled under.
 /// Both are `None` when the frame carried no trace or no recorder is
@@ -240,7 +265,7 @@ struct HandleTrace {
 }
 
 /// The receiver-side stage labels of the latency attribution family, in
-/// [`StageProbe`] index order. Two more stages live elsewhere: `encode` in
+/// [`EventPlane::stages`] index order. Two more stages live elsewhere: `encode` in
 /// the publisher's control registry, `queue_wait` (virtual time) in the
 /// system registry.
 const STAGE_LABELS: [&str; 4] = ["unframe", "decode", "morph", "deliver"];
@@ -249,27 +274,11 @@ const STAGE_DECODE: usize = 1;
 const STAGE_MORPH: usize = 2;
 const STAGE_DELIVER: usize = 3;
 
-/// Per-channel latency attribution: wall-clock `echo.stage.<stage>.ns`
-/// histograms in the channel's event registry, so one snapshot answers
-/// "where did the microseconds go" for that channel's deliveries.
-///
-/// `deliver` is the whole receiver dispatch; `decode` and `morph` are
-/// carved out of it by reading the sums of the receiver's own
-/// `pbio.decode_ns` and `morph.process_ns` histograms across the call —
-/// attribution without a second timer on either hot path.
-struct StageProbe {
-    stages: HistogramFamily,
-    pbio_decode: Arc<Histogram>,
-    morph_process: Arc<Histogram>,
-}
-
-impl StageProbe {
-    fn new(registry: &obs::Registry) -> StageProbe {
-        StageProbe {
-            stages: HistogramFamily::labeled(registry, "echo.stage", "ns", &STAGE_LABELS),
-            pbio_decode: registry.histogram("pbio.decode_ns"),
-            morph_process: registry.histogram("morph.process_ns"),
-        }
+impl EventPlane {
+    fn new(channel: ChannelId) -> EventPlane {
+        let rx = MorphReceiver::new();
+        let stages = HistogramFamily::labeled(rx.registry(), "echo.stage", "ns", &STAGE_LABELS);
+        EventPlane { channel, rx, stages }
     }
 
     /// Records the unframe cost of a frame bound for this channel.
@@ -277,41 +286,26 @@ impl StageProbe {
         self.stages.get(STAGE_UNFRAME).record(ns);
     }
 
-    /// Runs the receiver over a payload, attributing the elapsed wall time
-    /// across the deliver/decode/morph stages.
+    /// Runs the receiver over a payload. `deliver` is the whole receiver
+    /// dispatch; `decode` and `morph` are carved out of it. All three come
+    /// from the timing samples the receiver took for its own histograms
+    /// ([`morph::ProcessTiming`]) — attribution without a second clock
+    /// read on the hot path.
     fn deliver(
-        &self,
-        rx: &mut MorphReceiver,
+        &mut self,
         payload: &[u8],
         ctx: Option<TraceCtx>,
     ) -> Result<morph::Delivery, MorphError> {
-        let d0 = self.pbio_decode.sum();
-        let m0 = self.morph_process.sum();
-        let t0 = std::time::Instant::now();
-        let result = rx.process_traced(payload, ctx);
-        let deliver_ns = t0.elapsed().as_nanos() as u64;
-        let decode_ns = self.pbio_decode.sum().saturating_sub(d0);
-        // `morph.process_ns` times the whole Algorithm 2 pass, decoding
-        // included; the morph stage is what remains after decode.
-        let morph_ns = self.morph_process.sum().saturating_sub(m0).saturating_sub(decode_ns);
-        self.stages.get(STAGE_DELIVER).record(deliver_ns);
-        self.stages.get(STAGE_DECODE).record(decode_ns);
+        let (result, timing) = self.rx.process_timed(payload, ctx);
+        // A warm replay's time is the whole Algorithm 2 pass, decoding
+        // included; the morph stage is what remains after decode. A cold
+        // pass books no morph time (`morph.decide_ns` has it).
+        let morph_ns =
+            if timing.warm { timing.total_ns.saturating_sub(timing.decode_ns) } else { 0 };
+        self.stages.get(STAGE_DELIVER).record(timing.total_ns);
+        self.stages.get(STAGE_DECODE).record(timing.decode_ns);
         self.stages.get(STAGE_MORPH).record(morph_ns);
         result
-    }
-}
-
-/// Dispatches a payload into an event receiver, through the channel's
-/// stage probe when one exists.
-fn process_staged(
-    probe: Option<&StageProbe>,
-    rx: &mut MorphReceiver,
-    payload: &[u8],
-    ctx: Option<TraceCtx>,
-) -> Result<morph::Delivery, MorphError> {
-    match probe {
-        Some(p) => p.deliver(rx, payload, ctx),
-        None => rx.process_traced(payload, ctx),
     }
 }
 
@@ -344,12 +338,12 @@ impl NodeState {
             control_rx,
             requests,
             responses,
-            event_rx: HashMap::new(),
-            stage_probes: HashMap::new(),
+            planes: Vec::new(),
             encode_ns,
             events: Arc::new(Mutex::new(Vec::new())),
             owned: HashMap::new(),
             memberships: HashMap::new(),
+            sink_index: HashMap::new(),
             roles: HashMap::new(),
             next_member_id: 1,
             shared_xforms: Vec::new(),
@@ -380,9 +374,9 @@ impl NodeState {
     pub fn enable_shared_caches(&mut self, decisions: DecisionCache, plans: PlanStore) {
         self.control_rx.set_shared_decisions(decisions.clone());
         self.control_rx.set_plan_store(plans.clone());
-        for rx in self.event_rx.values_mut() {
-            rx.set_shared_decisions(decisions.clone());
-            rx.set_plan_store(plans.clone());
+        for plane in &mut self.planes {
+            plane.rx.set_shared_decisions(decisions.clone());
+            plane.rx.set_plan_store(plans.clone());
         }
         self.shared_caches = Some((decisions, plans));
     }
@@ -393,8 +387,8 @@ impl NodeState {
     /// morphing stages can attribute their spans.
     pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
         self.control_rx.registry().set_recorder(Arc::clone(&recorder));
-        for rx in self.event_rx.values() {
-            rx.registry().set_recorder(Arc::clone(&recorder));
+        for plane in &self.planes {
+            plane.rx.registry().set_recorder(Arc::clone(&recorder));
         }
         self.recorder = Some(recorder);
     }
@@ -523,9 +517,10 @@ impl NodeState {
             }
         }
         let mut decisions = self.control_rx.invalidate_decisions();
-        for rx in self.event_rx.values_mut() {
-            decisions += rx.invalidate_decisions();
+        for plane in &mut self.planes {
+            decisions += plane.rx.invalidate_decisions();
         }
+        self.sink_index.clear();
         AmnesiaReport { dedup, watermarks, partials, decisions }
     }
 
@@ -667,15 +662,15 @@ impl NodeState {
     pub fn import_metadata(&mut self, formats: &[Arc<RecordFormat>], xforms: &[Transformation]) {
         for f in formats {
             self.control_rx.import_format(Arc::clone(f));
-            for rx in self.event_rx.values_mut() {
-                rx.import_format(Arc::clone(f));
+            for plane in &mut self.planes {
+                plane.rx.import_format(Arc::clone(f));
             }
             self.shared_formats.push(Arc::clone(f));
         }
         for t in xforms {
             self.control_rx.import_transformation(t.clone());
-            for rx in self.event_rx.values_mut() {
-                rx.import_transformation(t.clone());
+            for plane in &mut self.planes {
+                plane.rx.import_transformation(t.clone());
             }
             self.shared_xforms.push(t.clone());
         }
@@ -684,8 +679,14 @@ impl NodeState {
     /// Registers the event format this node expects on `channel`; received
     /// (possibly morphed) events land in the node's event log.
     pub fn expect_events(&mut self, channel: ChannelId, format: &Arc<RecordFormat>) {
-        let rx = self.event_rx.entry(channel).or_default();
-        self.stage_probes.entry(channel).or_insert_with(|| StageProbe::new(rx.registry()));
+        let slot = self.plane_slot(channel).unwrap_or_else(|at| {
+            // A plane is most of a kilobyte and most nodes have one: grow
+            // by exactly that, not to `Vec`'s minimum of four.
+            self.planes.reserve_exact(1);
+            self.planes.insert(at, EventPlane::new(channel));
+            at
+        });
+        let rx = &mut self.planes[slot].rx;
         if let Some(rec) = &self.recorder {
             rx.registry().set_recorder(Arc::clone(rec));
         }
@@ -705,9 +706,32 @@ impl NodeState {
         }
     }
 
+    /// The slot of `channel`'s event plane, or where it would be inserted.
+    fn plane_slot(&self, channel: ChannelId) -> Result<usize, usize> {
+        self.planes.binary_search_by_key(&channel, |p| p.channel)
+    }
+
     /// Creates a channel owned by this node.
     pub fn create_channel(&mut self, channel: ChannelId) {
         self.owned.insert(channel, Vec::new());
+        self.sink_index.remove(&channel);
+    }
+
+    /// True when this node created `channel`.
+    pub fn owns(&self, channel: ChannelId) -> bool {
+        self.owned.contains_key(&channel)
+    }
+
+    /// The membership this node holds for `channel`: the authoritative
+    /// list of a channel it created, else its latest refreshed view.
+    pub fn members(&self, channel: ChannelId) -> Option<&[MemberInfo]> {
+        self.owned.get(&channel).or_else(|| self.memberships.get(&channel)).map(Vec::as_slice)
+    }
+
+    /// Forgets the refreshed view of `channel` (the node unsubscribed).
+    pub fn forget_membership(&mut self, channel: ChannelId) {
+        self.memberships.remove(&channel);
+        self.sink_index.remove(&channel);
     }
 
     /// Adds a member to an owned channel (idempotent on contact) and returns
@@ -720,6 +744,7 @@ impl NodeState {
     ) -> Result<&[MemberInfo], EchoError> {
         let id = self.next_member_id;
         let members = self.owned.get_mut(&channel).ok_or(EchoError::NotChannelOwner(channel))?;
+        self.sink_index.remove(&channel);
         match members.iter_mut().find(|m| m.contact == contact) {
             Some(m) => {
                 m.is_source |= role.source;
@@ -743,6 +768,7 @@ impl NodeState {
     pub fn remove_member(&mut self, channel: ChannelId, contact: &str) -> bool {
         match self.owned.get_mut(&channel) {
             Some(members) => {
+                self.sink_index.remove(&channel);
                 let before = members.len();
                 members.retain(|m| m.contact != contact);
                 members.len() != before
@@ -836,12 +862,15 @@ impl NodeState {
                 return FrameOutcome::settled(Disposition::Quarantined(DeadReason::Corrupt));
             }
         };
-        // Attribute the unframe cost to the destination channel's stage
-        // family (event frames only — control channels have no probe).
-        if frame.kind == proto::FRAME_EVENT {
-            if let Some(p) = self.stage_probes.get(&frame.channel) {
-                p.record_unframe(unframe_t0.elapsed().as_nanos() as u64);
-            }
+        // The channel's event plane is resolved here, once per frame. The
+        // unframe cost goes to its stage family (event frames only —
+        // control channels have none).
+        let plane = match frame.kind {
+            proto::FRAME_EVENT => self.plane_slot(frame.channel).ok(),
+            _ => None,
+        };
+        if let Some(slot) = plane {
+            self.planes[slot].record_unframe(unframe_t0.elapsed().as_nanos() as u64);
         }
         // Epoch fence, after checksum verification (a corrupt frame must
         // never move the fence) and before dedup (a fenced frame is
@@ -902,7 +931,7 @@ impl NodeState {
                     Err(e) => FrameOutcome::settled(self.quarantine(&e, bytes, ht, "control")),
                 }
             }
-            proto::FRAME_EVENT => self.handle_event(sender, bytes, &frame, ht),
+            proto::FRAME_EVENT => self.handle_event(sender, bytes, &frame, ht, plane),
             // A session-resume handshake: its whole job — the epoch bump —
             // already happened above. The empty frame delivers nothing, so
             // it never counts as an event delivery.
@@ -919,13 +948,15 @@ impl NodeState {
     }
 
     /// Event-plane dispatch: sequenced newest-wins policy, fragment
-    /// reassembly, then delivery into the channel's morphing receiver.
+    /// reassembly, then delivery into the channel's morphing receiver
+    /// (`plane`: its slot, when this node expects events on the channel).
     fn handle_event(
         &mut self,
         sender: u64,
         bytes: &WireBytes,
         frame: &proto::Frame<'_>,
         ht: HandleTrace,
+        plane: Option<usize>,
     ) -> FrameOutcome {
         let (channel, qos) = (frame.channel, frame.qos);
         let mut stale_partials = 0u16;
@@ -956,12 +987,11 @@ impl NodeState {
             watermark = Some((channel, frame.seq));
         }
         let mut outcome = if frame.is_fragment() {
-            self.handle_fragment(sender, bytes, frame, ht)
+            self.handle_fragment(sender, bytes, frame, ht, plane)
         } else {
             let ctx = ht.span.as_ref().map(|s| s.ctx());
-            if let Some(rx) = self.event_rx.get_mut(&channel) {
-                let probe = self.stage_probes.get(&channel);
-                if let Err(e) = process_staged(probe, rx, frame.payload, ctx) {
+            if let Some(slot) = plane {
+                if let Err(e) = self.planes[slot].deliver(frame.payload, ctx) {
                     let reason = deadletter::reason_for(&e);
                     let (trace, events) = self.seal_failed(ht, "event");
                     self.dlq.push_traced(reason, bytes, e.to_string(), trace, events);
@@ -987,6 +1017,7 @@ impl NodeState {
         bytes: &WireBytes,
         frame: &proto::Frame<'_>,
         ht: HandleTrace,
+        plane: Option<usize>,
     ) -> FrameOutcome {
         let (channel, qos) = (frame.channel, frame.qos);
         let payload = bytes.slice(proto::FRAME_HEADER_LEN..bytes.len());
@@ -1011,9 +1042,8 @@ impl NodeState {
         let disposition = match offer {
             Offer::Complete(payload) => {
                 let ctx = ht.span.as_ref().map(|s| s.ctx());
-                if let Some(rx) = self.event_rx.get_mut(&channel) {
-                    let probe = self.stage_probes.get(&channel);
-                    if let Err(e) = process_staged(probe, rx, &payload, ctx) {
+                if let Some(slot) = plane {
+                    if let Err(e) = self.planes[slot].deliver(&payload, ctx) {
                         let reason = deadletter::reason_for(&e);
                         let (trace, events) = self.seal_failed(ht, "event");
                         self.dlq.push_traced(reason, bytes, e.to_string(), trace, events);
@@ -1113,13 +1143,22 @@ impl NodeState {
             };
             let channel = proto::channel_of(&resp, &fmt).ok_or(EchoError::MalformedFrame)?;
             self.memberships.insert(channel, members);
+            self.sink_index.remove(&channel);
         }
         Ok(out)
     }
 
-    /// The sinks this node would publish to on `channel` (from its
-    /// membership view, or the authoritative list for owned channels),
-    /// excluding itself.
+    /// The contacts of the sinks this node would publish to on `channel`
+    /// (from its membership view, or the authoritative list for owned
+    /// channels), excluding itself, in member-list order.
+    pub fn sink_contacts(&self, channel: ChannelId) -> impl Iterator<Item = &str> {
+        let members = self.members(channel).unwrap_or_default();
+        members.iter().filter(|m| m.is_sink && m.contact != self.name).map(|m| &*m.contact)
+    }
+
+    /// The sinks of [`NodeState::sink_contacts`], recomputed from the member
+    /// lists — the oracle the sink index cache is tested against.
+    #[cfg(test)]
     pub fn sinks_of(&self, channel: ChannelId) -> Vec<String> {
         let list = self.owned.get(&channel).or_else(|| self.memberships.get(&channel));
         list.map(|ms| {
@@ -1131,9 +1170,23 @@ impl NodeState {
         .unwrap_or_default()
     }
 
-    /// Drains events received so far.
+    /// The cached resolution of [`NodeState::sink_contacts`] to process
+    /// indices, if one was stored since the channel's member list last
+    /// changed and against a contact table still `contacts` entries long.
+    pub fn sink_index(&self, channel: ChannelId, contacts: usize) -> Option<Arc<[usize]>> {
+        let cached = self.sink_index.get(&channel).filter(|c| c.contacts == contacts)?;
+        Some(Arc::clone(&cached.sinks))
+    }
+
+    /// Stores `sinks` as the resolution of `channel`'s sink contacts
+    /// against a contact table of `contacts` entries.
+    pub fn cache_sink_index(&mut self, channel: ChannelId, contacts: usize, sinks: Arc<[usize]>) {
+        self.sink_index.insert(channel, SinkIndex { contacts, sinks });
+    }
+
+    /// Hands over the events received so far.
     pub fn take_events(&mut self) -> Vec<(ChannelId, Value)> {
-        self.events.lock().expect("event lock").drain(..).collect()
+        std::mem::take(&mut *self.events.lock().expect("event lock"))
     }
 
     /// Control-plane morphing statistics.
@@ -1143,7 +1196,7 @@ impl NodeState {
 
     /// Event-plane morphing statistics for one channel.
     pub fn event_stats(&self, channel: ChannelId) -> Option<MorphStats> {
-        self.event_rx.get(&channel).map(MorphReceiver::stats)
+        self.plane_slot(channel).ok().map(|slot| self.planes[slot].rx.stats())
     }
 
     /// The observability registry behind the control-plane receiver.
@@ -1154,7 +1207,7 @@ impl NodeState {
     /// The observability registry behind the event-plane receiver on
     /// `channel`, if one exists.
     pub fn event_registry(&self, channel: ChannelId) -> Option<&Arc<obs::Registry>> {
-        self.event_rx.get(&channel).map(MorphReceiver::registry)
+        self.plane_slot(channel).ok().map(|slot| self.planes[slot].rx.registry())
     }
 }
 

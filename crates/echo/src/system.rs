@@ -356,7 +356,7 @@ impl EchoSystem {
         let creator_idx =
             *self.directory.get(&channel).ok_or(EchoError::UnknownChannel(channel))?;
         self.nodes[proc.0].roles.remove(&channel);
-        self.nodes[proc.0].memberships.remove(&channel);
+        self.nodes[proc.0].forget_membership(channel);
         self.derived.remove(&(channel, proc.0));
         if creator_idx == proc.0 {
             let contact = self.nodes[proc.0].name.clone();
@@ -414,14 +414,13 @@ impl EchoSystem {
         event: &Value,
     ) -> Result<usize, EchoError> {
         let node = &self.nodes[proc.0];
-        let is_owner = node.owned.contains_key(&channel);
         let is_source = node.roles.get(&channel).is_some_and(|r| r.source);
-        if !is_owner && !is_source {
+        if !node.owns(channel) && !is_source {
             return Err(EchoError::NotSubscribed(channel));
         }
         self.metrics.published.inc();
         self.metrics.channel(channel).published.inc();
-        let sinks = node.sinks_of(channel);
+        let sinks = self.sink_index(proc.0, channel);
         // One trace follows this event everywhere it goes: every per-sink
         // frame (raw or derived) carries the same id, so hops, morphing
         // stages, and dead letters at any receiver join one causal story.
@@ -441,17 +440,17 @@ impl EchoSystem {
         let tier = self.channel_qos(channel);
         let header = (channel, wire_trace, tier, self.nodes[proc.0].epoch());
         // Raw fan-out: the frame set is built (and the payload copied)
-        // once; every additional sink clones the views — Arc bumps, not
-        // bytes. A message within the frame budget is one frame; larger
-        // ones split into fragment frames sharing one seq.
+        // once; every sink is sent views of it — Arc bumps, not bytes. A
+        // message within the frame budget is one frame; larger ones split
+        // into fragment frames sharing one seq.
         let mut raw_frames: Option<Vec<WireBytes>> = None;
         let mut sent = 0;
         let result = (|| -> Result<usize, EchoError> {
-            for contact in sinks {
-                let Some(&dst) = self.by_contact.get(&contact) else { continue };
+            for &dst in sinks.iter() {
                 let derivation =
                     self.derived.get(&(channel, dst)).filter(|x| x.from_format() == format);
-                let frames = match derivation {
+                let derived_frames;
+                let frames: &[WireBytes] = match derivation {
                     // Source-side derivation: filter/reshape per subscriber.
                     Some(xform) => {
                         let Some(derived) = xform.apply_filtered(event)? else {
@@ -459,13 +458,15 @@ impl EchoSystem {
                             self.metrics.filtered.inc();
                             self.metrics.channel(channel).filtered.inc();
                             if let Some(c) = ctx {
-                                let sink = [("sink", &*contact)];
+                                let sink = [("sink", &*self.nodes[dst].name)];
                                 self.recorder.instant(c.trace, c.parent, "echo.filtered", &sink);
                             }
                             continue;
                         };
                         let to_format = Arc::clone(xform.to_format());
-                        self.encode_event_frames(proc.0, &to_format, &derived, header)?
+                        derived_frames =
+                            self.encode_event_frames(proc.0, &to_format, &derived, header)?;
+                        &derived_frames
                     }
                     // Different source format (or no derivation): send the raw
                     // event; the sink's own morphing receiver reconciles. One
@@ -476,15 +477,21 @@ impl EchoSystem {
                             let frames = self.encode_event_frames(proc.0, format, event, header)?;
                             raw_frames = Some(frames);
                         }
-                        raw_frames.clone().expect("filled above")
+                        raw_frames.as_deref().expect("filled above")
                     }
                 };
-                self.metrics.tier_sent.get(usize::from(tier.to_wire())).inc();
-                if frames.len() > 1 {
-                    self.metrics.frag_sent.add(frames.len() as u64);
-                }
-                for frame in frames {
-                    self.send_policied(proc.0, dst, frame, ctx, tier)?;
+                for (n, frame) in frames.iter().enumerate() {
+                    self.send_policied(proc.0, dst, frame.clone(), ctx, tier)?;
+                    // The books follow the wire: a message counts as sent
+                    // once its first frame was accepted (sent, queued for
+                    // retry, or absorbed by its tier), a fragment once it
+                    // was — never for a send refused with an error.
+                    if n == 0 {
+                        self.metrics.tier_sent.get(usize::from(tier.to_wire())).inc();
+                    }
+                    if frames.len() > 1 {
+                        self.metrics.frag_sent.inc();
+                    }
                 }
                 sent += 1;
             }
@@ -495,6 +502,26 @@ impl EchoSystem {
             span.finish();
         }
         result
+    }
+
+    /// The process indices `proc` publishes to on `channel`: its sink
+    /// contacts resolved through the contact table. Resolved once per
+    /// change of either — the node drops its cached copy whenever the
+    /// channel's member list changes, and a copy resolved against a
+    /// shorter contact table (a process was added since; a contact may
+    /// resolve now that did not before) is not handed out.
+    fn sink_index(&mut self, proc: usize, channel: ChannelId) -> Arc<[usize]> {
+        // `add_process` is the only writer of the contact table.
+        let contacts = self.nodes.len();
+        if let Some(sinks) = self.nodes[proc].sink_index(channel, contacts) {
+            return sinks;
+        }
+        let sinks: Arc<[usize]> = self.nodes[proc]
+            .sink_contacts(channel)
+            .filter_map(|contact| self.by_contact.get(contact).copied())
+            .collect();
+        self.nodes[proc].cache_sink_index(channel, contacts, Arc::clone(&sinks));
+        sinks
     }
 
     /// Encodes one event message at `proc` under its next seq and builds
@@ -599,8 +626,7 @@ impl EchoSystem {
     /// The membership view a process holds for a channel (creators return
     /// the authoritative list).
     pub fn members(&self, proc: ProcessId, channel: ChannelId) -> Option<Vec<MemberInfo>> {
-        let node = &self.nodes[proc.0];
-        node.owned.get(&channel).or_else(|| node.memberships.get(&channel)).cloned()
+        self.nodes[proc.0].members(channel).map(<[_]>::to_vec)
     }
 
     /// Control-plane morphing statistics of a process.
@@ -1983,11 +2009,15 @@ mod tests {
 
     /// The `echo.*` part of the system registry's snapshot — counters,
     /// gauges, histograms with their sample counts and buckets — as text.
+    /// The sharded runtime's per-round timings are left out: they are the
+    /// registry's only wall-clock samples, so no two runs agree on them.
     fn echo_metrics(sys: &EchoSystem) -> String {
         let mut snap = sys.registry().snapshot();
         snap.counters.retain(|(name, _)| name.starts_with("echo."));
         snap.gauges.retain(|(name, _)| name.starts_with("echo."));
-        snap.histograms.retain(|(name, _)| name.starts_with("echo."));
+        snap.histograms.retain(|(name, _)| {
+            name.starts_with("echo.") && !name.starts_with("echo.shard.round.")
+        });
         snap.to_text()
     }
 
@@ -2130,6 +2160,147 @@ mod tests {
             assert_eq!(sys.take_events(second), ticks);
             assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(0));
             assert!(sys.ingress.backlogged().is_empty() && sys.ingress.total() == 0);
+        }
+    }
+
+    /// The tier books follow the wire: `sent` is the denominator of every
+    /// tier identity, so a publish refused with a configuration error must
+    /// not count a message the wire never saw.
+    #[test]
+    fn a_refused_publish_leaves_the_tier_books_where_the_wire_is() {
+        let mut sys = EchoSystem::new();
+        let c = sys.add_process("creator", EchoVersion::V2);
+        let near = sys.add_process("near", EchoVersion::V2);
+        let lone = sys.add_process("unconnected", EchoVersion::V2);
+        sys.connect(c, near, LinkParams::lan());
+        let fmt = blob_format();
+        let ch = sys.create_channel(c);
+        let books = |sys: &EchoSystem| {
+            let snap = sys.registry().snapshot();
+            let counter = |name: &str| snap.counter(name).unwrap_or(0);
+            (
+                counter("echo.channel.reliable.sent"),
+                counter("echo.frag.sent"),
+                counter("simnet.messages"),
+            )
+        };
+
+        // No route: the only sink was provisioned but never connected.
+        sys.provision_sink(lone, ch, &fmt).unwrap();
+        let refused = sys.publish(c, ch, &fmt, &blob(0, 10));
+        assert!(matches!(refused, Err(EchoError::Net(NetError::NoRoute(..)))), "{refused:?}");
+        assert_eq!(books(&sys), (0, 0, 0), "nothing was sent, queued or dropped");
+        assert_eq!((sys.pending_retries(), sys.dead_letter_total(c)), (0, 0));
+
+        // A sink ahead of the refused one is on the books, the refused one
+        // is not — fragments included.
+        assert!(sys.nodes[c.0].remove_member(ch, "unconnected"));
+        sys.provision_sink(near, ch, &fmt).unwrap();
+        sys.provision_sink(lone, ch, &fmt).unwrap();
+        sys.set_frame_budget(Some(64));
+        let refused = sys.publish(c, ch, &fmt, &blob(1, 200));
+        assert!(matches!(refused, Err(EchoError::Net(NetError::NoRoute(..)))), "{refused:?}");
+        let (sent, frags, on_wire) = books(&sys);
+        assert_eq!(sent, 1, "the connected sink's message");
+        assert!(frags > 1 && frags == on_wire, "its fragments, all on the wire: {frags}");
+
+        // Oversized: the link refuses the first fragment frame.
+        assert!(sys.nodes[c.0].remove_member(ch, "unconnected"));
+        sys.run();
+        assert_eq!(sys.take_events(near), vec![(ch, blob(1, 200))]);
+        sys.set_link_mtu(c, near, 32);
+        let before = books(&sys);
+        let refused = sys.publish(c, ch, &fmt, &blob(2, 200));
+        assert!(matches!(refused, Err(EchoError::Net(NetError::Oversized { .. }))), "{refused:?}");
+        assert_eq!(books(&sys), before);
+    }
+
+    /// `publish` walks a cached resolution of the channel's sinks. After
+    /// everything that can change the member list or the contact table, at
+    /// the creator and at a non-creator source, the cache hands out what
+    /// `sinks_of` recomputes from scratch — and the next publish reaches
+    /// exactly those processes.
+    #[test]
+    fn the_sink_index_follows_every_membership_and_contact_change() {
+        let mut sys = EchoSystem::new();
+        let c = sys.add_process("creator", EchoVersion::V2);
+        let src = sys.add_process("source", EchoVersion::V2);
+        let [s1, s2, s3] = ["s1", "s2", "s3"].map(|n| sys.add_process(n, EchoVersion::V2));
+        sys.connect_all(LinkParams::lan());
+        let fmt = tick_format();
+        let ch = sys.create_channel(c);
+        sys.subscribe(src, ch, Role::source(), None).unwrap();
+        sys.run();
+
+        let mut n = 0;
+        let mut check = |sys: &mut EchoSystem, step: &str| {
+            for publisher in [c, src] {
+                let oracle: Vec<usize> = sys.nodes[publisher.0]
+                    .sinks_of(ch)
+                    .iter()
+                    .filter_map(|contact| sys.by_contact.get(contact).copied())
+                    .collect();
+                // Warm the cache, then ask again: the second answer is the
+                // cached one.
+                sys.sink_index(publisher.0, ch);
+                assert_eq!(&*sys.sink_index(publisher.0, ch), oracle, "{step}: index");
+                n += 1;
+                assert_eq!(sys.publish(publisher, ch, &fmt, &tick(n)).unwrap(), oracle.len());
+                sys.run();
+                let mut reached: Vec<usize> = (0..sys.nodes.len())
+                    .filter(|&i| !sys.take_events(ProcessId(i)).is_empty())
+                    .collect();
+                let mut expected = oracle;
+                expected.sort_unstable();
+                reached.sort_unstable();
+                assert_eq!(reached, expected, "{step}: publish from process {}", publisher.0);
+            }
+        };
+        check(&mut sys, "no sinks yet");
+
+        sys.subscribe(s1, ch, Role::sink(), Some(&fmt)).unwrap();
+        sys.run();
+        check(&mut sys, "subscribe");
+        // The refresh that told `source` about s2 arrives in this run.
+        sys.subscribe(s2, ch, Role::both(), Some(&fmt)).unwrap();
+        sys.run();
+        check(&mut sys, "second subscribe, refresh at the non-creator source");
+        assert_eq!(sys.sink_index(src.0, ch).len(), 2);
+
+        sys.unsubscribe(s1, ch).unwrap();
+        sys.run();
+        check(&mut sys, "unsubscribe");
+        // s2 publishing skips itself.
+        assert!(sys.sink_index(s2.0, ch).is_empty());
+
+        // Provisioning changes the creator's list only; the source learns
+        // of s3 with the next refresh.
+        sys.provision_sink(s3, ch, &fmt).unwrap();
+        check(&mut sys, "provision_sink");
+        assert_eq!((sys.sink_index(c.0, ch).len(), sys.sink_index(src.0, ch).len()), (2, 1));
+        sys.subscribe(s1, ch, Role::sink(), Some(&fmt)).unwrap();
+        sys.run();
+        check(&mut sys, "refresh after provisioning");
+        assert_eq!(sys.sink_index(src.0, ch).len(), 3);
+
+        // A member whose contact resolves only once its process exists:
+        // the join is on the creator's list before `add_process`.
+        sys.nodes[c.0].add_member(ch, "late".into(), Role::sink()).unwrap();
+        check(&mut sys, "member with an unresolved contact");
+        assert_eq!(sys.sink_index(c.0, ch).len(), 3);
+        let late = sys.add_process("late", EchoVersion::V2);
+        sys.connect(c, late, LinkParams::lan());
+        sys.nodes[late.0].expect_events(ch, &fmt);
+        check(&mut sys, "add_process resolves the contact");
+        assert_eq!(sys.sink_index(c.0, ch).len(), 4);
+
+        // Crash and restart, of a publisher and of a sink.
+        for (victim, step) in [(c, "publisher crash + restart"), (s2, "sink crash + restart")] {
+            let now = sys.now_ns();
+            sys.set_crash_windows(victim, &[(now + 10, now + 20)]);
+            sys.run();
+            assert_eq!(sys.epoch_of(victim), 1, "{step}");
+            check(&mut sys, step);
         }
     }
 }

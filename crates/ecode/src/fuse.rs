@@ -29,7 +29,7 @@ use pbio::format_id;
 
 use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RFnCode, RInsn};
 use crate::error::{EcodeError, Result};
-use crate::rvm::{self, RunStats};
+use crate::rvm::{self, RunStats, VmScratch};
 use crate::tast::Binding;
 use crate::EcodeProgram;
 use pbio::Value;
@@ -188,7 +188,21 @@ impl FusedProgram {
     ///
     /// As [`EcodeProgram::run`].
     pub fn run_register(&self, roots: &mut [Value]) -> Result<RunStats> {
-        let (_, stats) = rvm::run(&self.rcode, &self.bindings, roots)?;
+        self.run_register_with(roots, &mut VmScratch::default())
+    }
+
+    /// [`FusedProgram::run_register`] in working memory the caller keeps
+    /// across messages: on warm `scratch` the run allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`FusedProgram::run_register`].
+    pub fn run_register_with(
+        &self,
+        roots: &mut [Value],
+        scratch: &mut VmScratch,
+    ) -> Result<RunStats> {
+        let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, u64::MAX, scratch)?;
         Ok(stats)
     }
 
@@ -198,7 +212,8 @@ impl FusedProgram {
     ///
     /// As [`FusedProgram::run_register`], plus fuel exhaustion.
     pub fn run_register_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<RunStats> {
-        let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel)?;
+        let scratch = &mut VmScratch::default();
+        let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel, scratch)?;
         Ok(stats)
     }
 

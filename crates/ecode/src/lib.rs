@@ -64,7 +64,7 @@ pub use error::{EcodeError, Pos, Result};
 pub use fuse::{root_used_fields, FusedProgram};
 pub use lexer::{lex, Spanned, Tok};
 pub use parser::parse;
-pub use rvm::RunStats;
+pub use rvm::{RunStats, VmScratch};
 pub use tast::{Binding, TProgram, Ty};
 
 /// Compiler for Ecode programs: binds root records, then compiles source.
@@ -203,7 +203,13 @@ impl EcodeProgram {
         roots: &mut [Value],
         fuel: u64,
     ) -> Result<(Option<Value>, RunStats)> {
-        rvm::run_with_fuel(&self.rcode, &self.typed.bindings, roots, fuel)
+        rvm::run_with_fuel(
+            &self.rcode,
+            &self.typed.bindings,
+            roots,
+            fuel,
+            &mut VmScratch::default(),
+        )
     }
 
     /// The lowered register bytecode (inspection/metrics).

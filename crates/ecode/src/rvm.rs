@@ -50,6 +50,33 @@ struct Frame {
     prev_base: usize,
 }
 
+/// The register VM's working memory — register file, call stack, subscript
+/// scratch — kept by a caller that runs programs message after message
+/// ([`FusedProgram::run_register_with`](crate::FusedProgram::run_register_with)),
+/// so a run on warm scratch allocates nothing. Every run leaves the scratch
+/// empty again, whether it returned or failed: no value of one message
+/// outlives it here, and the next run starts from a cleared register file.
+#[derive(Default)]
+pub struct VmScratch {
+    regs: Vec<Value>,
+    frames: Vec<Frame>,
+    idx: Vec<usize>,
+}
+
+impl std::fmt::Debug for VmScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VmScratch").field("reg_capacity", &self.regs.capacity()).finish()
+    }
+}
+
+impl VmScratch {
+    fn clear(&mut self) {
+        self.regs.clear();
+        self.frames.clear();
+        self.idx.clear();
+    }
+}
+
 fn rt_err(msg: impl Into<String>) -> EcodeError {
     EcodeError::runtime(msg)
 }
@@ -494,7 +521,7 @@ pub(crate) fn run(
     bindings: &[Binding],
     roots: &mut [Value],
 ) -> Result<(Option<Value>, RunStats)> {
-    run_with_fuel(code, bindings, roots, u64::MAX)
+    run_with_fuel(code, bindings, roots, u64::MAX, &mut VmScratch::default())
 }
 
 /// [`run`] with an instruction budget. `BatchCopy` charges one unit per
@@ -508,7 +535,8 @@ pub(crate) fn run_with_fuel(
     code: &RCode,
     bindings: &[Binding],
     roots: &mut [Value],
-    mut fuel: u64,
+    fuel: u64,
+    scratch: &mut VmScratch,
 ) -> Result<(Option<Value>, RunStats)> {
     if roots.len() != code.n_roots {
         return Err(rt_err(format!(
@@ -517,10 +545,23 @@ pub(crate) fn run_with_fuel(
             roots.len()
         )));
     }
-    let mut regs: Vec<Value> = vec![Value::Int(0); code.n_regs];
-    let mut frames: Vec<Frame> = Vec::new();
+    debug_assert!(scratch.regs.is_empty(), "every run leaves the scratch empty");
+    scratch.regs.resize(code.n_regs, Value::Int(0));
+    let result = execute(code, bindings, roots, fuel, scratch);
+    scratch.clear();
+    result
+}
+
+/// The dispatch loop of [`run_with_fuel`], over a prepared `scratch`.
+fn execute(
+    code: &RCode,
+    bindings: &[Binding],
+    roots: &mut [Value],
+    mut fuel: u64,
+    scratch: &mut VmScratch,
+) -> Result<(Option<Value>, RunStats)> {
+    let VmScratch { regs, frames, idx: idx_scratch } = scratch;
     let mut base: usize = 0;
-    let mut idx_scratch: Vec<usize> = Vec::with_capacity(4);
     let mut pc: usize = 0;
     let mut stats = RunStats::default();
 
@@ -556,7 +597,7 @@ pub(crate) fn run_with_fuel(
                 for &r in idx.iter() {
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
-                let v = nav(roots, *root, segs, &idx_scratch)?.clone();
+                let v = nav(roots, *root, segs, idx_scratch)?.clone();
                 reg!(*dst) = v;
             }
             RInsn::Store { src, root, segs, idx } => {
@@ -565,14 +606,14 @@ pub(crate) fn run_with_fuel(
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
                 let v = reg!(*src).clone();
-                write_path(roots, bindings, *root, segs, &idx_scratch, v)?;
+                write_path(roots, bindings, *root, segs, idx_scratch, v)?;
             }
             RInsn::LenOf { dst, root, segs, idx } => {
                 idx_scratch.clear();
                 for &r in idx.iter() {
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
-                let v = nav(roots, *root, segs, &idx_scratch)?;
+                let v = nav(roots, *root, segs, idx_scratch)?;
                 let n =
                     v.as_array().ok_or_else(|| rt_err("len applied to a non-array value"))?.len();
                 reg!(*dst) = Value::Int(n as i64);
@@ -701,7 +742,7 @@ pub(crate) fn run_with_fuel(
                 pbio::sync_length_fields(root, &binding.format);
             }
             RInsn::CopyPath(row) => {
-                copy_row(row, roots, bindings, &regs[base..], &mut fuel, &mut idx_scratch)?;
+                copy_row(row, roots, bindings, &regs[base..], &mut fuel, idx_scratch)?;
             }
             RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => {
                 let n = as_int(&reg!(*limit))?;
@@ -853,7 +894,8 @@ mod tests {
         let roots = vec![input, Value::default_record(&to)];
         let run = |code: &RCode, fuel: u64| {
             let mut roots = roots.clone();
-            let result = run_with_fuel(code, prog.bindings(), &mut roots, fuel);
+            let result =
+                run_with_fuel(code, prog.bindings(), &mut roots, fuel, &mut VmScratch::default());
             (result.map(|(v, _)| v).map_err(|e| e.to_string()), roots)
         };
         // The program ends in an out-of-bounds read at the second entry of
@@ -868,5 +910,60 @@ mod tests {
             budget_stops += u64::from(got != unbounded);
         }
         assert!(budget_stops > 50, "the sweep never reached the end: {budget_stops}");
+    }
+
+    /// A run that fails part-way — out of fuel inside a user function, with
+    /// call frames open and the register file grown, or on a bad index —
+    /// leaves the scratch as good as new: the next run in it returns what a
+    /// run in fresh scratch returns, under every budget.
+    #[test]
+    fn scratch_that_saw_a_failed_run_behaves_like_fresh_scratch() {
+        let list = FormatBuilder::record("L")
+            .int("n")
+            .var_array_of("ids", FormatBuilder::record("E").int("id").build_arc().unwrap(), "n")
+            .int("pick")
+            .build_arc()
+            .unwrap();
+        let out = FormatBuilder::record("O").int("sum").int("picked").build_arc().unwrap();
+        let prog = EcodeCompiler::new()
+            .bind_input("new", &list)
+            .bind_output("old", &out)
+            .compile(
+                "int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); } \
+                 int i; int sum = 0; \
+                 for (i = 0; i < new.n; i++) { sum = sum + fib(new.ids[i].id); } \
+                 old.sum = sum; old.picked = new.ids[new.pick].id;",
+            )
+            .unwrap();
+        let input = |pick: i64| {
+            let ids = (3..8).map(|id| Value::Record(vec![Value::Int(id)])).collect();
+            vec![
+                Value::Record(vec![Value::Int(5), Value::Array(ids), Value::Int(pick)]),
+                Value::default_record(&out),
+            ]
+        };
+        let run = |scratch: &mut VmScratch, pick: i64, fuel: u64| {
+            let mut roots = input(pick);
+            let result = run_with_fuel(prog.rcode(), prog.bindings(), &mut roots, fuel, scratch);
+            (result.map_err(|e| e.to_string()), roots)
+        };
+        let fresh = |pick, fuel| run(&mut VmScratch::default(), pick, fuel);
+        let good = fresh(2, u64::MAX);
+        assert_eq!(good.1[1], Value::Record(vec![Value::Int(2 + 3 + 5 + 8 + 13), Value::Int(5)]));
+
+        let mut scratch = VmScratch::default();
+        let mut stopped_in_a_call = 0;
+        for fuel in (0..600).step_by(7) {
+            let starved = run(&mut scratch, 2, fuel);
+            assert_eq!(starved, fresh(2, fuel), "budget {fuel}");
+            stopped_in_a_call += u64::from(starved.0.is_err());
+            assert!(scratch.regs.is_empty() && scratch.frames.is_empty() && scratch.idx.is_empty());
+            assert_eq!(run(&mut scratch, 2, u64::MAX), good, "after running out at {fuel}");
+        }
+        assert!(stopped_in_a_call > 20, "the sweep must starve runs: {stopped_in_a_call}");
+        let bad_index = run(&mut scratch, 9, u64::MAX);
+        assert_eq!(bad_index, fresh(9, u64::MAX));
+        assert_eq!(bad_index.0, Err("runtime error: array index 9 out of bounds (len 5)".into()));
+        assert_eq!(run(&mut scratch, 2, u64::MAX), good, "after the bad index");
     }
 }

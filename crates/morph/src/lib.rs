@@ -69,6 +69,7 @@ pub use metaserver::{
 };
 pub use receiver::{
     DecisionCache, DefaultHandler, Delivery, Explanation, Handler, MorphReceiver, MorphStats,
+    ProcessTiming,
 };
 pub use resolver::{
     BreakerState, DrainReport, PendingSet, PoolDelivery, ResolverConfig, ResolverPool,

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
-use ecode::{root_used_fields, FusedProgram};
+use ecode::{root_used_fields, FusedProgram, VmScratch};
 use obs::{
     ActiveSpan, Clock, Counter, FlightRecorder, Histogram, Registry, SpanId, Timer, TraceCtx,
 };
@@ -45,6 +45,23 @@ pub enum Delivery {
     DeliveredDefault,
     /// No admissible match and no default handler — dropped.
     Rejected,
+}
+
+/// Where the time of one [`MorphReceiver::process_timed`] call went, on the
+/// receiver's registry clock — the samples the call itself recorded, handed
+/// to a caller that attributes them further (echo's per-channel stages)
+/// without timing the call a second time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProcessTiming {
+    /// Entry to exit of the call. On a warm replay this is the call's
+    /// `morph.process_ns` sample.
+    pub total_ns: u64,
+    /// The call's `pbio.decode_ns` sample: the projected decode of a fused
+    /// warm replay, 0 for every other kind of call.
+    pub decode_ns: u64,
+    /// True when a cached decision was replayed (`morph.process_ns` got a
+    /// sample); false on a cold pass or a failure before any decision.
+    pub warm: bool,
 }
 
 /// A human-inspectable description of a cached Algorithm 2 decision —
@@ -347,7 +364,10 @@ pub struct MorphReceiver {
     xforms: TransformationRegistry,
     /// Reader formats, in registration order.
     readers: Vec<Arc<RecordFormat>>,
-    handlers: HashMap<FormatId, Handler>,
+    /// One handler per reader format id — a short vector scanned per
+    /// delivery: a receiver registers a handful of formats, and a compare
+    /// or two is cheaper than hashing the id.
+    handlers: Vec<(FormatId, Handler)>,
     default_handler: Option<DefaultHandler>,
     cache: HashMap<FormatId, Arc<Decision>>,
     /// Optional L2: decisions shared with other receivers holding the same
@@ -363,6 +383,11 @@ pub struct MorphReceiver {
     /// Trace sink for the message currently inside
     /// [`MorphReceiver::process_traced`]; cleared on exit.
     trace: Option<TraceSink>,
+    /// The register VM's working memory and the fused program's root
+    /// vector, reused message after message; both are left empty by every
+    /// exit of a fused replay, errors included.
+    vm: VmScratch,
+    roots: Vec<Value>,
 }
 
 /// Where the currently processed message's trace events go.
@@ -414,7 +439,7 @@ impl MorphReceiver {
             known: FormatRegistry::new(),
             xforms: TransformationRegistry::new(),
             readers: Vec::new(),
-            handlers: HashMap::new(),
+            handlers: Vec::new(),
             default_handler: None,
             cache: HashMap::new(),
             shared: None,
@@ -422,6 +447,8 @@ impl MorphReceiver {
             plans: PlanCache::new(Arc::clone(&registry)),
             metrics: RxMetrics::new(registry),
             trace: None,
+            vm: VmScratch::default(),
+            roots: Vec::new(),
         }
     }
 
@@ -470,7 +497,10 @@ impl MorphReceiver {
         if !self.readers.iter().any(|r| format_id(r) == id) {
             self.readers.push(Arc::clone(format));
         }
-        self.handlers.insert(id, Box::new(handler));
+        match self.handlers.iter_mut().find(|(registered, _)| *registered == id) {
+            Some((_, h)) => *h = Box::new(handler),
+            None => self.handlers.push((id, Box::new(handler))),
+        }
         self.cache.clear(); // decisions may change with a new reader format
         self.fingerprint = None;
         id
@@ -702,14 +732,40 @@ impl MorphReceiver {
     ///
     /// Same contract as [`MorphReceiver::process`].
     pub fn process_traced(&mut self, msg: &[u8], ctx: Option<TraceCtx>) -> Result<Delivery> {
-        self.trace =
-            ctx.and_then(|ctx| self.registry().recorder().map(|rec| TraceSink { rec, ctx }));
-        let result = self.process_inner(msg);
-        self.trace = None;
-        result
+        self.process_timed(msg, ctx).0
     }
 
-    fn process_inner(&mut self, msg: &[u8]) -> Result<Delivery> {
+    /// [`MorphReceiver::process_traced`], also reporting the call's timing
+    /// samples ([`ProcessTiming`]). A warm replay reads the registry clock
+    /// at most three times — entry, after the projected decode of a fused
+    /// plan, exit — and every histogram it feeds shares those readings.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`MorphReceiver::process`].
+    pub fn process_timed(
+        &mut self,
+        msg: &[u8],
+        ctx: Option<TraceCtx>,
+    ) -> (Result<Delivery>, ProcessTiming) {
+        self.trace =
+            ctx.and_then(|ctx| self.registry().recorder().map(|rec| TraceSink { rec, ctx }));
+        let entered_ns = self.metrics.clock.now_ns();
+        let mut timing = ProcessTiming::default();
+        let result = self.process_inner(msg, entered_ns, &mut timing);
+        self.trace = None;
+        if !timing.warm {
+            timing.total_ns = self.metrics.clock.now_ns().saturating_sub(entered_ns);
+        }
+        (result, timing)
+    }
+
+    fn process_inner(
+        &mut self,
+        msg: &[u8],
+        entered_ns: u64,
+        timing: &mut ProcessTiming,
+    ) -> Result<Delivery> {
         self.metrics.messages.inc();
         let header = parse_header(msg).map_err(MorphError::Pbio)?;
         let id = header.format_id;
@@ -718,16 +774,16 @@ impl MorphReceiver {
         // deliberately covers only warm replays, so its distribution is the
         // steady-state per-message cost the paper's Fig. 10 compares against
         // the XML baseline; the cold path is `morph.decide_ns`. The L1 hit
-        // is a plain `HashMap` lookup + `Arc` clone: no locks, so warm
-        // receivers on different shards never contend.
-        if let Some(decision) = self.cache.get(&id).cloned() {
-            self.metrics.hits.inc();
-            let mut lookup = self.tspan("morph.lookup", None);
+        // is a plain `HashMap` lookup and the decision is replayed under a
+        // borrow: no lock, and no reference count for warm receivers on
+        // different shards to contend on.
+        if let Some((decision, mut applier)) = self.cached(id) {
+            applier.metrics.hits.inc();
+            let mut lookup = applier.tspan("morph.lookup", None);
             if let Some(s) = lookup.as_mut() {
                 s.tag("result", "hit");
             }
-            let _span = self.metrics.timer(&self.metrics.process_ns);
-            return self.apply_decision(&decision, msg, false);
+            return applier.replay(decision, msg, entered_ns, timing);
         }
 
         self.metrics.misses.inc();
@@ -748,17 +804,19 @@ impl MorphReceiver {
                 }
                 drop(lookup);
                 self.metrics.shared_hits.inc();
-                self.cache.insert(id, Arc::clone(&decision));
-                let _span = self.metrics.timer(&self.metrics.process_ns);
-                return self.apply_decision(&decision, msg, false);
+                self.cache.insert(id, decision);
+                let (decision, mut applier) = self.cached(id).expect("inserted above");
+                // The sample starts here, as the L2 lookup is cold-path work.
+                let started_ns = applier.metrics.clock.now_ns();
+                return applier.replay(decision, msg, started_ns, timing);
             }
         }
         drop(lookup);
 
-        let decision = Arc::new({
+        let decision = {
             let _span = self.metrics.timer(&self.metrics.decide_ns);
-            self.decide(id)?
-        });
+            Arc::new(self.decide(id)?)
+        };
         self.cache.insert(id, Arc::clone(&decision));
         if self.weights.is_none() {
             if let Some(shared) = self.shared.clone() {
@@ -767,20 +825,31 @@ impl MorphReceiver {
                 self.metrics.shared_inserts.inc();
             }
         }
-        self.apply_decision(&decision, msg, true)
+        self.applier().apply(&decision, msg, None, &mut 0)
+    }
+
+    /// The cached decision for `id` next to everything applying it touches:
+    /// the receiver split into disjoint borrows, so a warm hit runs under a
+    /// reference into the cache instead of its own `Arc` clone.
+    fn cached(&mut self, id: FormatId) -> Option<(&Decision, Applier<'_>)> {
+        let (cache, applier) = self.split();
+        Some((&**cache.get(&id)?, applier))
+    }
+
+    fn applier(&mut self) -> Applier<'_> {
+        self.split().1
+    }
+
+    fn split(&mut self) -> (&HashMap<FormatId, Arc<Decision>>, Applier<'_>) {
+        let MorphReceiver { cache, metrics, trace, handlers, default_handler, vm, roots, .. } =
+            self;
+        (cache, Applier { metrics, trace: trace.as_ref(), handlers, default_handler, vm, roots })
     }
 
     /// Starts a span under the in-flight trace, if one is attached.
     /// `parent = None` nests directly under the caller-provided context.
     fn tspan(&self, name: &str, parent: Option<SpanId>) -> Option<ActiveSpan> {
-        self.trace.as_ref().map(|t| t.rec.start(t.ctx.trace, parent.or(t.ctx.parent), name))
-    }
-
-    /// Records a zero-duration trace event, if a trace is attached.
-    fn tinstant(&self, name: &str, parent: Option<SpanId>, tags: &[(&str, &str)]) {
-        if let Some(t) = self.trace.as_ref() {
-            t.rec.instant(t.ctx.trace, parent.or(t.ctx.parent), name, tags);
-        }
+        span_in(self.trace.as_ref(), name, parent)
     }
 
     /// Runs the slow path of Algorithm 2 (lines 11–27) to produce a
@@ -908,132 +977,189 @@ impl MorphReceiver {
         }
         fused
     }
+}
 
-    fn apply_decision(
+/// [`MorphReceiver::tspan`] over a borrowed sink.
+fn span_in(trace: Option<&TraceSink>, name: &str, parent: Option<SpanId>) -> Option<ActiveSpan> {
+    trace.map(|t| t.rec.start(t.ctx.trace, parent.or(t.ctx.parent), name))
+}
+
+/// What applying a decision touches — metrics, the in-flight trace, the
+/// handlers and the VM's working memory — borrowed apart from the decision
+/// cache ([`MorphReceiver::cached`]). Handlers must not recursively call
+/// `process` (they receive values, not the receiver).
+struct Applier<'a> {
+    metrics: &'a RxMetrics,
+    trace: Option<&'a TraceSink>,
+    handlers: &'a mut Vec<(FormatId, Handler)>,
+    default_handler: &'a mut Option<DefaultHandler>,
+    vm: &'a mut VmScratch,
+    roots: &'a mut Vec<Value>,
+}
+
+impl Applier<'_> {
+    fn tspan(&self, name: &str, parent: Option<SpanId>) -> Option<ActiveSpan> {
+        span_in(self.trace, name, parent)
+    }
+
+    /// Records a zero-duration trace event, if a trace is attached.
+    fn tinstant(&self, name: &str, parent: Option<SpanId>, tags: &[(&str, &str)]) {
+        if let Some(t) = self.trace {
+            t.rec.instant(t.ctx.trace, parent.or(t.ctx.parent), name, tags);
+        }
+    }
+
+    /// A warm replay, timed from `started_ns`: whatever the outcome, one
+    /// `morph.process_ns` sample — and, when the decision has a fused plan,
+    /// one `morph.fused.apply_ns` sample — from a single closing clock read.
+    fn replay(
         &mut self,
         decision: &Decision,
         msg: &[u8],
-        trace_stages: bool,
+        started_ns: u64,
+        timing: &mut ProcessTiming,
     ) -> Result<Delivery> {
-        // The caller hands us its own `Arc` clone of the cached decision, so
-        // `&mut self.handlers` access borrows cleanly while the decision is
-        // read. Handlers must not recursively call `process` (they receive
-        // values, not the receiver).
-        //
-        // `trace_stages` is true only on the cold path: a warm replay is a
-        // single cached step, so beyond `morph.lookup` it records at most
-        // the one `morph.apply.fused` span of a fused morph.
-        let apply_span = if trace_stages { self.tspan("morph.apply", None) } else { None };
-        let aparent = apply_span.as_ref().map(|s| s.id());
-        let result = (|| -> Result<Delivery> {
-            match decision {
-                Decision::Plan { plan, target, .. } => {
-                    let value = {
-                        let _s =
-                            if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                        plan.execute(msg)?
-                    };
-                    self.invoke(*target, value);
-                    Ok(Delivery::Delivered(*target))
-                }
-                Decision::Morph { decode, chain, adapter, target, fused } => {
-                    // Warm replays take the fused plan: one projected decode,
-                    // one VM invocation over the whole chain, no intermediate
-                    // Value trees between steps. The cold pass stays staged so
-                    // its per-stage spans remain observable, and so every
-                    // format's first message takes the path the fused one
-                    // is differentially tested against.
-                    if !trace_stages {
-                        if let Some(f) = fused {
-                            let mut span = self.tspan("morph.apply.fused", None);
-                            if let Some(s) = span.as_mut() {
-                                s.tag("steps", &chain.steps().len().to_string());
-                            }
-                            let apply_timer = self.metrics.timer(&self.metrics.fused_apply_ns);
-                            let mut roots = Vec::with_capacity(f.templates.len() + 1);
-                            roots.push(f.decode.execute(msg)?);
-                            self.metrics.decode_ns.record(apply_timer.elapsed_ns());
-                            roots.extend(f.templates.iter().cloned());
-                            let stats = f.program.run_register(&mut roots)?;
-                            self.metrics.vm_register_applies.inc();
-                            self.metrics.batch_copies.add(stats.batch_copies);
-                            self.metrics.batch_elems.add(stats.batch_elems);
-                            let value = roots.pop().expect("fused program keeps its roots");
-                            let value = match adapter {
-                                Some(a) => a.apply(&value)?,
-                                None => value,
-                            };
-                            self.metrics.fused_applies.inc();
-                            self.metrics.fused_vm_invocations.inc();
-                            self.invoke(*target, value);
-                            return Ok(Delivery::Delivered(*target));
-                        }
-                    }
-                    let value = {
-                        let _s =
-                            if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                        decode.execute(msg)?
-                    };
-                    let value = {
-                        let mut s = if trace_stages {
-                            self.tspan("morph.transform", aparent)
-                        } else {
-                            None
-                        };
-                        if let Some(sp) = s.as_mut() {
-                            sp.tag("steps", &chain.steps().len().to_string());
-                        }
-                        chain.apply(value)?
-                    };
-                    let value = match adapter {
-                        Some(a) => {
-                            let _s = if trace_stages {
-                                self.tspan("morph.default_fill", aparent)
-                            } else {
-                                None
-                            };
-                            a.apply(&value)?
-                        }
-                        None => value,
-                    };
-                    // One VM invocation per step, one intermediate Value per
-                    // step boundary (plus the adapter input) — the costs the
-                    // fused path eliminates.
-                    self.metrics.staged_vm_invocations.add(chain.steps().len() as u64);
-                    self.metrics
-                        .staged_intermediates
-                        .add(chain.steps().len() as u64 + u64::from(adapter.is_some()));
-                    self.invoke(*target, value);
-                    Ok(Delivery::Delivered(*target))
-                }
-                Decision::Default { decode } => {
-                    let value = {
-                        let _s =
-                            if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                        decode.execute(msg)?
-                    };
-                    if trace_stages {
-                        self.tinstant("morph.default_delivery", aparent, &[]);
-                    }
-                    let fmt = Arc::clone(decode.wire_format());
-                    if let Some(h) = self.default_handler.as_mut() {
-                        h(&fmt, value);
-                    }
-                    Ok(Delivery::DeliveredDefault)
-                }
-                Decision::Reject => {
-                    if trace_stages {
-                        self.tinstant("morph.reject", aparent, &[]);
-                    }
-                    Ok(Delivery::Rejected)
-                }
-            }
-        })();
+        let result = self.apply(decision, msg, Some(started_ns), &mut timing.decode_ns);
+        let elapsed_ns = self.metrics.clock.now_ns().saturating_sub(started_ns);
+        self.metrics.process_ns.record(elapsed_ns);
+        if matches!(decision, Decision::Morph { fused: Some(_), .. }) {
+            self.metrics.fused_apply_ns.record(elapsed_ns);
+        }
+        (timing.total_ns, timing.warm) = (elapsed_ns, true);
         result
     }
 
+    /// Applies `decision` to `msg`. `warm_since` is the start of a warm
+    /// replay's timing sample, `None` on the cold pass. Only the cold pass
+    /// traces its stages: a warm replay is a single cached step, so beyond
+    /// `morph.lookup` it records at most the one `morph.apply.fused` span
+    /// of a fused morph — the plan only warm replays take, whose projected
+    /// decode reports its `pbio.decode_ns` sample through `decode_ns`.
+    fn apply(
+        &mut self,
+        decision: &Decision,
+        msg: &[u8],
+        warm_since: Option<u64>,
+        decode_ns: &mut u64,
+    ) -> Result<Delivery> {
+        let trace_stages = warm_since.is_none();
+        let apply_span = if trace_stages { self.tspan("morph.apply", None) } else { None };
+        let aparent = apply_span.as_ref().map(|s| s.id());
+        match decision {
+            Decision::Plan { plan, target, .. } => {
+                let value = {
+                    let _s = if trace_stages { self.tspan("morph.decode", aparent) } else { None };
+                    plan.execute(msg)?
+                };
+                self.invoke(*target, value);
+                Ok(Delivery::Delivered(*target))
+            }
+            Decision::Morph { decode, chain, adapter, target, fused } => {
+                // Warm replays take the fused plan: one projected decode,
+                // one VM invocation over the whole chain, no intermediate
+                // Value trees between steps. The cold pass stays staged so
+                // its per-stage spans remain observable, and so every
+                // format's first message takes the path the fused one
+                // is differentially tested against.
+                if let (Some(since_ns), Some(f)) = (warm_since, fused) {
+                    let mut span = self.tspan("morph.apply.fused", None);
+                    if let Some(s) = span.as_mut() {
+                        s.tag("steps", &chain.steps().len().to_string());
+                    }
+                    let value = self.run_fused(f, msg, since_ns, decode_ns);
+                    // Emptied on every exit: a failed message's values do
+                    // not outlive it here.
+                    self.roots.clear();
+                    let value = match adapter {
+                        Some(a) => a.apply(&value?)?,
+                        None => value?,
+                    };
+                    self.metrics.fused_applies.inc();
+                    self.metrics.fused_vm_invocations.inc();
+                    self.invoke(*target, value);
+                    return Ok(Delivery::Delivered(*target));
+                }
+                let value = {
+                    let _s = if trace_stages { self.tspan("morph.decode", aparent) } else { None };
+                    decode.execute(msg)?
+                };
+                let value = {
+                    let mut s =
+                        if trace_stages { self.tspan("morph.transform", aparent) } else { None };
+                    if let Some(sp) = s.as_mut() {
+                        sp.tag("steps", &chain.steps().len().to_string());
+                    }
+                    chain.apply(value)?
+                };
+                let value = match adapter {
+                    Some(a) => {
+                        let _s = if trace_stages {
+                            self.tspan("morph.default_fill", aparent)
+                        } else {
+                            None
+                        };
+                        a.apply(&value)?
+                    }
+                    None => value,
+                };
+                // One VM invocation per step, one intermediate Value per
+                // step boundary (plus the adapter input) — the costs the
+                // fused path eliminates.
+                self.metrics.staged_vm_invocations.add(chain.steps().len() as u64);
+                self.metrics
+                    .staged_intermediates
+                    .add(chain.steps().len() as u64 + u64::from(adapter.is_some()));
+                self.invoke(*target, value);
+                Ok(Delivery::Delivered(*target))
+            }
+            Decision::Default { decode } => {
+                let value = {
+                    let _s = if trace_stages { self.tspan("morph.decode", aparent) } else { None };
+                    decode.execute(msg)?
+                };
+                if trace_stages {
+                    self.tinstant("morph.default_delivery", aparent, &[]);
+                }
+                if let Some(h) = self.default_handler.as_mut() {
+                    h(decode.wire_format(), value);
+                }
+                Ok(Delivery::DeliveredDefault)
+            }
+            Decision::Reject => {
+                if trace_stages {
+                    self.tinstant("morph.reject", aparent, &[]);
+                }
+                Ok(Delivery::Rejected)
+            }
+        }
+    }
+
+    /// The fused single pass `wire bytes → Value(target)`, in the
+    /// receiver's reused root vector and VM scratch. The projected decode's
+    /// share of the replay (timed from `since_ns`) is read off the clock
+    /// once, recorded as `pbio.decode_ns` and reported through `decode_ns`.
+    fn run_fused(
+        &mut self,
+        f: &FusedMorph,
+        msg: &[u8],
+        since_ns: u64,
+        decode_ns: &mut u64,
+    ) -> Result<Value> {
+        self.roots.clear();
+        self.roots.reserve_exact(f.templates.len() + 1);
+        self.roots.push(f.decode.execute(msg)?);
+        *decode_ns = self.metrics.clock.now_ns().saturating_sub(since_ns);
+        self.metrics.decode_ns.record(*decode_ns);
+        self.roots.extend(f.templates.iter().cloned());
+        let stats = f.program.run_register_with(self.roots, self.vm)?;
+        self.metrics.vm_register_applies.inc();
+        self.metrics.batch_copies.add(stats.batch_copies);
+        self.metrics.batch_elems.add(stats.batch_elems);
+        Ok(self.roots.pop().expect("fused program keeps its roots"))
+    }
+
     fn invoke(&mut self, target: FormatId, value: Value) {
-        if let Some(h) = self.handlers.get_mut(&target) {
+        if let Some((_, h)) = self.handlers.iter_mut().find(|(id, _)| *id == target) {
             h(value);
         }
     }
@@ -1488,6 +1614,107 @@ mod tests {
         assert!(vals[1..].iter().all(|v| v == &vals[0]));
         vals[4].check(&v1()).unwrap();
         assert_eq!(vals[4].field(&v1(), "src_count"), Some(&Value::Int(2)));
+    }
+
+    /// A clock that counts how often it is read (and never repeats itself).
+    #[derive(Debug, Default)]
+    struct CountingClock {
+        reads: std::sync::atomic::AtomicU64,
+    }
+
+    impl Clock for CountingClock {
+        fn now_ns(&self) -> u64 {
+            self.reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn a_warm_replay_reads_the_clock_at_most_three_times() {
+        let clock = SArc::new(CountingClock::default());
+        let reads = |clock: &CountingClock| clock.reads.load(std::sync::atomic::Ordering::Relaxed);
+        let registry = Arc::new(Registry::with_clock(SArc::clone(&clock) as Arc<dyn Clock>));
+        let mut rx = MorphReceiver::with_registry(registry);
+        rx.register_handler(&v1(), |_| {});
+        rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+        let v1_message = Encoder::new(&v1()).encode(&Value::default_record(&v1())).unwrap();
+        rx.process(&v2_message(3)).unwrap(); // cold: a fused morph decision
+        rx.process(&v1_message).unwrap(); // cold: an exact-match plan
+
+        // Fused morph: entry, end of the projected decode, exit — shared by
+        // morph.process_ns, morph.fused.apply_ns and pbio.decode_ns.
+        let before = reads(&clock);
+        let (result, timing) = rx.process_timed(&v2_message(3), None);
+        result.unwrap();
+        assert_eq!(reads(&clock) - before, 3);
+        // The counting clock ticks once per read: the samples are the gaps.
+        assert_eq!(timing, ProcessTiming { total_ns: 2, decode_ns: 1, warm: true });
+        // A plan replay has no decode to split off.
+        let before = reads(&clock);
+        let (result, timing) = rx.process_timed(&v1_message, None);
+        result.unwrap();
+        assert_eq!(reads(&clock) - before, 2);
+        assert_eq!(timing, ProcessTiming { total_ns: 1, decode_ns: 0, warm: true });
+
+        // Each histogram still got its one sample per replay.
+        let snap = rx.registry().snapshot();
+        let count = |name: &str| snap.histogram(name).map(|h| h.count);
+        assert_eq!(count("morph.process_ns"), Some(2));
+        assert_eq!(count("morph.fused.apply_ns"), Some(1));
+        assert_eq!(count("pbio.decode_ns"), Some(1));
+    }
+
+    /// The fused replay runs in root and register storage the receiver
+    /// keeps across messages. A message that fails inside the VM must leave
+    /// none of itself there: the next message delivers what it delivers to
+    /// a receiver that never saw the bad one.
+    #[test]
+    fn a_failed_warm_replay_leaves_nothing_in_the_reused_scratch() {
+        let item = FormatBuilder::record("Item").string("tag").int("v").build_arc().unwrap();
+        let src = FormatBuilder::record("Pick")
+            .int("n")
+            .var_array_of("items", item, "n")
+            .int("at")
+            .build_arc()
+            .unwrap();
+        let dst = FormatBuilder::record("Pick").string("tag").int("total").build_arc().unwrap();
+        let code = "int i; int total = 0; \
+            for (i = 0; i < new.n; i++) { total = total + new.items[i].v; } \
+            old.total = total; old.tag = new.items[new.at].tag;";
+        let message = |at: i64| {
+            let items = (0..4)
+                .map(|i| Value::Record(vec![Value::str(format!("tag-{i}")), Value::Int(10 * i)]))
+                .collect();
+            let v = Value::Record(vec![Value::Int(4), Value::Array(items), Value::Int(at)]);
+            Encoder::new(&src).encode(&v).unwrap()
+        };
+        let subscriber = || {
+            let (got, h) = sink();
+            let mut rx = MorphReceiver::new();
+            rx.register_handler(&dst, h);
+            rx.import_transformation(Transformation::new(src.clone(), dst.clone(), code));
+            rx.process(&message(1)).unwrap(); // cold
+            (got, rx)
+        };
+
+        let (got, mut rx) = subscriber();
+        rx.process(&message(0)).unwrap();
+        let err = rx.process(&message(7)).unwrap_err();
+        assert!(err.to_string().contains("array index 7 out of bounds"), "{err}");
+        assert!(rx.roots.is_empty(), "the failed message's roots were dropped");
+        rx.process(&message(2)).unwrap();
+
+        let (expected, mut fresh) = subscriber();
+        fresh.process(&message(0)).unwrap();
+        fresh.process(&message(2)).unwrap();
+        assert_eq!(*got.lock().unwrap(), *expected.lock().unwrap());
+        assert_eq!(
+            got.lock().unwrap().last(),
+            Some(&Value::Record(vec![Value::str("tag-2"), Value::Int(60)]))
+        );
+        // All of it on the fused path: two good replays, one failed.
+        let snap = rx.registry().snapshot();
+        assert_eq!(snap.counter("morph.fused.apply"), Some(2));
+        assert_eq!(snap.histogram("morph.fused.apply_ns").map(|h| h.count), Some(3));
     }
 
     #[test]

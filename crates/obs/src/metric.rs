@@ -273,6 +273,38 @@ mod tests {
         assert_eq!(s.quantile(0.0), 1); // first bucket with any sample
     }
 
+    /// Concurrent recorders leave every field exact: no sample lost from
+    /// the count, the sum or a bucket, and both extremes found while the
+    /// other threads keep moving them.
+    #[test]
+    fn concurrent_recording_keeps_count_sum_min_max_exact() {
+        const THREADS: u64 = 4;
+        const SAMPLES: u64 = 100_000;
+        let h = Histogram::default();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (h, start) = (&h, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // Each thread walks its own residue class, downwards on
+                    // even threads and upwards on odd ones, so both extremes
+                    // keep moving while the others record.
+                    for i in 0..SAMPLES {
+                        let k = if t % 2 == 0 { SAMPLES - 1 - i } else { i };
+                        h.record(10 + k * THREADS + t);
+                    }
+                });
+            }
+        });
+        let s = h.snapshot();
+        let n = THREADS * SAMPLES;
+        assert_eq!(s.count, n);
+        assert_eq!(s.sum, 10 * n + n * (n - 1) / 2);
+        assert_eq!((s.min, s.max), (10, 10 + n - 1));
+        assert_eq!(s.buckets.iter().map(|&(_, c)| c).sum::<u64>(), n);
+    }
+
     #[test]
     fn counter_and_gauge_basics() {
         let c = Counter::default();

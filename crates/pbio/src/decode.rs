@@ -110,7 +110,7 @@ impl<'a> Cursor<'a> {
     /// The bytes of the NUL-terminated string at the cursor, stepping past
     /// the terminator.
     fn take_c_str(&mut self) -> Result<&'a [u8]> {
-        let n = self.rest.iter().position(|&b| b == 0).ok_or(PbioError::UnexpectedEof)?;
+        let n = find_nul(self.rest).ok_or(PbioError::UnexpectedEof)?;
         let bytes = &self.rest[..n];
         self.rest = &self.rest[n + 1..];
         Ok(bytes)
@@ -124,6 +124,27 @@ impl<'a> Cursor<'a> {
     pub(crate) fn skip_string(&mut self) -> Result<()> {
         self.take_c_str().map(|_| ())
     }
+}
+
+/// Offset of the first NUL in `bytes`, scanned a word at a time: a 64 KiB
+/// string payload is 8 K iterations instead of 64 K. `(w - 0x01…) & !w &
+/// 0x80…` is nonzero exactly when some byte of `w` is zero — subtracting one
+/// borrows into the high bit of a zero byte, and `!w` discards bytes whose
+/// high bit was set to begin with. The byte loop then runs over the one
+/// chunk that holds the NUL, or over the tail shorter than a word.
+fn find_nul(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut scanned = 0;
+    for chunk in chunks.by_ref() {
+        let w = u64::from_ne_bytes(chunk.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        if w.wrapping_sub(ONES) & !w & HIGHS != 0 {
+            break;
+        }
+        scanned += 8;
+    }
+    bytes[scanned..].iter().position(|&b| b == 0).map(|i| scanned + i)
 }
 
 fn decode_basic(c: &mut Cursor<'_>, b: &BasicType) -> Result<Value> {
@@ -396,6 +417,49 @@ mod tests {
                 Value::Record(vec![Value::str("beta"), Value::Int(2)]),
             ]),
         ])
+    }
+
+    /// `take_c_str` against the byte-at-a-time scan it replaced: every
+    /// string length 0..=40, every NUL offset (and none at all), every
+    /// start alignment, with high-bit bytes — the ones the word test has to
+    /// tell from a borrow — on both sides of the NUL, and a second NUL
+    /// behind the first.
+    #[test]
+    fn word_scan_finds_the_nul_the_byte_scan_finds() {
+        let noise = [0x80u8, 0xFF, 0x01, 0x7F, 0x81, 0xFE, 0x02];
+        for align in 0..8 {
+            for len in 0..=40usize {
+                for nul in (0..len).map(Some).chain([None]) {
+                    let mut buf = vec![0xAAu8; align];
+                    buf.extend((0..len).map(|i| noise[(i + align) % noise.len()]));
+                    if let Some(at) = nul {
+                        buf[align + at] = 0;
+                        // High-bit neighbours, then a later NUL to ignore.
+                        if at > 0 {
+                            buf[align + at - 1] = 0x80;
+                        }
+                        if at + 1 < len {
+                            buf[align + at + 1] = 0xFF;
+                        }
+                        if at + 3 < len {
+                            buf[align + len - 1] = 0;
+                        }
+                    }
+                    let text = &buf[align..];
+                    let expected = text.iter().position(|&b| b == 0);
+                    assert_eq!(expected, nul, "the fixture holds its NUL where it says");
+                    let mut c = Cursor::new(text, ByteOrder::Little);
+                    let case = format!("align {align}, len {len}, nul {nul:?}");
+                    match expected {
+                        Some(n) => {
+                            assert_eq!(c.take_c_str().unwrap(), &text[..n], "{case}");
+                            assert_eq!(c.remaining(), len - n - 1, "{case}: steps past the NUL");
+                        }
+                        None => assert_eq!(c.take_c_str(), Err(PbioError::UnexpectedEof), "{case}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

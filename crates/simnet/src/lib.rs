@@ -177,8 +177,10 @@ struct InFlight {
     /// Departure time — RTT sampling reads `deliver_at - sent_ns` at
     /// delivery, piggybacking on real traffic instead of probe frames.
     sent_ns: u64,
-    /// Open hop span, finished at delivery ([`Network::step`]).
-    span: Option<ActiveSpan>,
+    /// Open hop span, finished at delivery ([`Network::step`]). Boxed:
+    /// only traced sends carry one, and the delivery heap moves an
+    /// `InFlight` a dozen times between its push and its pop.
+    span: Option<Box<ActiveSpan>>,
 }
 
 // Ordered by (deliver_at, seq); used through `Reverse` for a min-heap.
@@ -214,6 +216,10 @@ struct LinkState {
     mtu: usize,
     /// Fault-injection state, when a [`FaultPlan`] is attached.
     fault: Option<FaultState>,
+    /// `simnet.link.<from>-><to>.bytes` / `.messages` in the attached
+    /// registry, created on the link's first send — kept with the link so
+    /// a send finds them with the lookup it makes anyway.
+    counters: Option<(Arc<Counter>, Arc<Counter>)>,
 }
 
 /// Per-link traffic statistics.
@@ -446,8 +452,6 @@ struct NetMetrics {
     fault_partition_blocked: Arc<Counter>,
     crash_blocked: Arc<Counter>,
     crash_dropped: Arc<Counter>,
-    /// Per directed link `(bytes, messages)`, created on first send.
-    per_link: HashMap<(NodeId, NodeId), (Arc<Counter>, Arc<Counter>)>,
 }
 
 /// The simulated network: nodes, links, a virtual clock, and an event queue.
@@ -549,9 +553,12 @@ impl Network {
             fault_partition_blocked: registry.counter("simnet.fault.partition_blocked"),
             crash_blocked: registry.counter("simnet.crash.blocked"),
             crash_dropped: registry.counter("simnet.crash.dropped"),
-            per_link: HashMap::new(),
             registry,
         });
+        // Handles fetched from a previously attached registry are stale.
+        for link in self.links.values_mut() {
+            link.counters = None;
+        }
     }
 
     /// Enables per-link bandwidth/RTT monitors over a rolling window of
@@ -911,7 +918,8 @@ impl Network {
             reordered: bool,
             duplicate: bool,
         }
-        let mut queued: Vec<Copy> = Vec::with_capacity(2);
+        // At most the original and one duplicate: no allocation.
+        let mut queued: [Option<Copy>; 2] = [None, None];
         let mut delta = FaultStats::default();
         let mut entered: u64 = 1;
         let deliver_at = match &mut link.fault {
@@ -928,7 +936,7 @@ impl Network {
                     let mut original = payload;
                     let (at, corrupted, reordered) =
                         Self::copy_faults(f, &mut delta, base_deliver, &mut original);
-                    queued.push(Copy {
+                    queued[0] = Some(Copy {
                         at,
                         payload: original,
                         corrupted,
@@ -941,7 +949,7 @@ impl Network {
                         delta.duplicated += 1;
                         let (at2, corrupted, reordered) =
                             Self::copy_faults(f, &mut delta, base_deliver, &mut copy);
-                        queued.push(Copy {
+                        queued[1] = Some(Copy {
                             at: at2,
                             payload: copy,
                             corrupted,
@@ -953,7 +961,7 @@ impl Network {
                 }
             }
             _ => {
-                queued.push(Copy {
+                queued[0] = Some(Copy {
                     at: base_deliver,
                     payload,
                     corrupted: false,
@@ -965,8 +973,8 @@ impl Network {
         };
         link.bytes += payload_len * entered;
         link.messages += entered;
-        if let Some(m) = &mut self.metrics {
-            let (bytes, messages) = m.per_link.entry((from, to)).or_insert_with(|| {
+        if let Some(m) = &self.metrics {
+            let (bytes, messages) = link.counters.get_or_insert_with(|| {
                 let link_name =
                     format!("simnet.link.{}->{}", &self.names[from.0], &self.names[to.0]);
                 (
@@ -978,10 +986,13 @@ impl Network {
             messages.add(entered);
             m.total_bytes.add(payload_len * entered);
             m.total_messages.add(entered);
-            m.fault_dropped.add(delta.dropped);
-            m.fault_corrupted.add(delta.corrupted);
-            m.fault_duplicated.add(delta.duplicated);
-            m.fault_reordered.add(delta.reordered);
+            // Four read-modify-writes a send that drew no fault can skip.
+            if delta != FaultStats::default() {
+                m.fault_dropped.add(delta.dropped);
+                m.fault_corrupted.add(delta.corrupted);
+                m.fault_duplicated.add(delta.duplicated);
+                m.fault_reordered.add(delta.reordered);
+            }
         }
         if delta.dropped > 0 {
             if let Some((rec, ctx)) = &trace {
@@ -994,7 +1005,7 @@ impl Network {
                 );
             }
         }
-        for c in queued {
+        for c in queued.into_iter().flatten() {
             let span = trace.as_ref().map(|(rec, ctx)| {
                 let mut span = rec.start_at(ctx.trace, ctx.parent, &link_label(), depart);
                 if c.duplicate {
@@ -1006,7 +1017,7 @@ impl Network {
                 if c.reordered {
                     span.tag("fault", "reorder");
                 }
-                span
+                Box::new(span)
             });
             self.seq += 1;
             self.queue.push(Reverse(InFlight {
@@ -1068,7 +1079,7 @@ impl Network {
     /// in [`Network::crash_stats`]. Returns `None` when nothing is in
     /// flight.
     pub fn step(&mut self) -> Option<Delivery> {
-        self.step_limited(None)
+        self.step_before_opt(None)
     }
 
     /// [`Network::step`] bounded at `before_ns`: delivers the next message
@@ -1076,14 +1087,23 @@ impl Network {
     /// in flight. Drivers use this to keep deliveries from crossing a
     /// crash-window boundary ([`Network::next_crash_transition`]).
     pub fn step_before(&mut self, before_ns: u64) -> Option<Delivery> {
-        self.step_limited(Some(before_ns))
+        self.step_before_opt(Some(before_ns))
     }
 
-    /// [`Network::step`] bounded by an optional cutoff: messages with
-    /// `deliver_at >= limit` stay in flight. Each pop re-checks the bound,
-    /// so a crash-discarded front never makes the loop overshoot past the
-    /// cutoff into later traffic.
-    fn step_limited(&mut self, before_ns: Option<u64>) -> Option<Delivery> {
+    fn step_before_opt(&mut self, before_ns: Option<u64>) -> Option<Delivery> {
+        let d = self.take_delivery(before_ns)?;
+        self.inboxes[d.to.0].push_back(d.clone());
+        Some(d)
+    }
+
+    /// [`Network::step`] / [`Network::step_before`] for a caller that
+    /// dispatches the delivery itself: the same delivery pipeline (clock
+    /// advance, hop-span finish, crash-window discards), bounded by the
+    /// optional cutoff, but nothing is deposited in the receiver's inbox —
+    /// there is nothing to [`Network::recv`] afterwards. Each pop re-checks
+    /// the bound, so a crash-discarded front never makes the loop overshoot
+    /// past the cutoff into later traffic.
+    pub fn take_delivery(&mut self, before_ns: Option<u64>) -> Option<Delivery> {
         loop {
             if let Some(limit) = before_ns {
                 match self.queue.peek() {
@@ -1124,9 +1144,12 @@ impl Network {
             if let Some(mon) = self.monitor_mut(m.from, m.to) {
                 mon.on_rtt(2 * m.deliver_at.saturating_sub(m.sent_ns));
             }
-            let d = Delivery { from: m.from, to: m.to, payload: m.payload, at_ns: m.deliver_at };
-            self.inboxes[d.to.0].push_back(d.clone());
-            return Some(d);
+            return Some(Delivery {
+                from: m.from,
+                to: m.to,
+                payload: m.payload,
+                at_ns: m.deliver_at,
+            });
         }
     }
 
@@ -1155,11 +1178,11 @@ impl Network {
     ///
     /// Each popped message goes through exactly the [`Network::step`]
     /// delivery pipeline (clock advance, hop-span finish, crash-window
-    /// drops) but bypasses the inboxes, like [`Network::run`]. Messages are
-    /// popped in global `(deliver_at, seq)` order, so within each bucket —
-    /// and hence for any single destination node — deliveries stay in
-    /// simulated arrival order even when buckets are then consumed on
-    /// different threads.
+    /// drops) but bypasses the inboxes ([`Network::take_delivery`]), like
+    /// [`Network::run`]. Messages are popped in global `(deliver_at, seq)`
+    /// order, so within each bucket — and hence for any single destination
+    /// node — deliveries stay in simulated arrival order even when buckets
+    /// are then consumed on different threads.
     ///
     /// Messages the callback-equivalent sends *during* shard processing are
     /// queued normally and picked up by the next round; the returned
@@ -1172,13 +1195,7 @@ impl Network {
     where
         F: Fn(NodeId) -> usize,
     {
-        assert!(shards > 0, "at least one shard required");
-        let mut buckets: Vec<Vec<Delivery>> = (0..shards).map(|_| Vec::new()).collect();
-        while let Some(d) = self.step() {
-            self.inboxes[d.to.0].pop_back(); // bypass inboxes, as in run()
-            buckets[shard_of(d.to)].push(d);
-        }
-        buckets
+        self.drain_sharded(shards, None, shard_of)
     }
 
     /// [`Network::drain_ready_sharded`] bounded by a time cutoff: drains
@@ -1199,10 +1216,21 @@ impl Network {
     where
         F: Fn(NodeId) -> usize,
     {
+        self.drain_sharded(shards, Some(before_ns), shard_of)
+    }
+
+    fn drain_sharded<F>(
+        &mut self,
+        shards: usize,
+        before_ns: Option<u64>,
+        shard_of: F,
+    ) -> Vec<Vec<Delivery>>
+    where
+        F: Fn(NodeId) -> usize,
+    {
         assert!(shards > 0, "at least one shard required");
         let mut buckets: Vec<Vec<Delivery>> = (0..shards).map(|_| Vec::new()).collect();
-        while let Some(d) = self.step_limited(Some(before_ns)) {
-            self.inboxes[d.to.0].pop_back(); // bypass inboxes, as in run()
+        while let Some(d) = self.take_delivery(before_ns) {
             buckets[shard_of(d.to)].push(d);
         }
         buckets
@@ -1216,8 +1244,7 @@ impl Network {
         F: FnMut(&mut Network, Delivery),
     {
         let mut n = 0;
-        while let Some(d) = self.step() {
-            self.inboxes[d.to.0].pop_back();
+        while let Some(d) = self.take_delivery(None) {
             on_delivery(self, d);
             n += 1;
         }

@@ -11,7 +11,12 @@
 //!
 //! The run measures warm throughput (frames/sec) at 1, 2, 4, and 8 shards
 //! on one shared system — same processes, same caches, same network —
-//! and writes the curve to `BENCH_6.json`.
+//! and writes the curve to `BENCH_6.json`. Next to each throughput line it
+//! prints where a frame's time went: `publish` and `take` (the `publish()`
+//! and `take_events()` calls, timed here) around the runtime's own split of
+//! every fork/join round, `drain` / `fork` / `settle`, read from the
+//! `echo.shard.round.*_ns` histograms. All but `fork` run on the driver
+//! thread — the serial share that bounds the shard curve.
 //!
 //! Two gates, deliberately different in strength:
 //!
@@ -69,6 +74,13 @@ fn reading(seq: i64) -> Value {
     Value::Record(vec![Value::str("lab-7"), Value::Int(seq), Value::Int(3), Value::Int(seq)])
 }
 
+/// Sums of the `echo.shard.round.{drain,fork,settle}_ns` histograms so far.
+fn round_sums(sys: &EchoSystem) -> [u64; 3] {
+    let snap = sys.registry().snapshot();
+    ["drain", "fork", "settle"]
+        .map(|phase| snap.histogram(&format!("echo.shard.round.{phase}_ns")).map_or(0, |h| h.sum))
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let subs = env_usize("FANOUT_SUBS", 10_000);
     let rounds = env_usize("FANOUT_ROUNDS", 3);
@@ -119,21 +131,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let processed = sys.run_with(&mut driver);
         assert_eq!(processed, subs, "every sink handles the warm-up frame");
 
+        let before = round_sums(&sys);
+        let mut publish_ns = 0;
         let start = Instant::now();
         for _ in 0..rounds {
+            let publishing = Instant::now();
             for _ in 0..batch {
                 seq += 1;
                 sys.publish(publisher, ch, &src, &reading(seq))?;
             }
+            publish_ns += publishing.elapsed().as_nanos() as u64;
             sys.run_with(&mut driver);
         }
         let elapsed = start.elapsed();
         let per_sec = frames_per_config as f64 / elapsed.as_secs_f64();
         curve.push((shards, elapsed.as_secs_f64() * 1e3, per_sec));
+        let [drain_ns, fork_ns, settle_ns] = {
+            let after = round_sums(&sys);
+            [0, 1, 2].map(|i| after[i] - before[i])
+        };
 
         // Every sink saw every event, morphed to its own format.
         let expected = 1 + rounds * batch;
-        let events = sys.take_events(sinks[0]);
+        let taking = Instant::now();
+        let taken: Vec<_> = sinks.iter().map(|&s| sys.take_events(s)).collect();
+        let take_ns = taking.elapsed().as_nanos() as u64;
+        let per_frame = |ns: u64| ns as f64 / frames_per_config as f64 / 1e3;
+        println!(
+            "{shards} shard(s): {per_sec:>9.0} frames/s | per frame (us): publish {:.2}, \
+             drain {:.2}, fork {:.2}, settle {:.2}, take {:.2}",
+            per_frame(publish_ns),
+            per_frame(drain_ns),
+            per_frame(fork_ns),
+            per_frame(settle_ns),
+            per_frame(take_ns),
+        );
+        let events = &taken[0];
         assert_eq!(events.len(), expected);
         assert_eq!(
             events[0].1,
@@ -144,9 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]),
             "delivered events are morphed src → dst"
         );
-        for &s in &sinks[1..] {
-            assert_eq!(sys.take_events(s).len(), expected);
-        }
+        assert!(taken.iter().all(|events| events.len() == expected));
     }
 
     let base = curve[0].2;

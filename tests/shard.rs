@@ -15,6 +15,11 @@
 //!    fault-injected scenario produce identical metric snapshots and
 //!    identical trace exports. (The wall-clock driver deliberately makes
 //!    no such promise.)
+//!
+//! Driver equivalence is also checked on a scenario drawn from a seed
+//! (`SHARD_SEED`, see [`seeded_scenario_delivers_identically_under_both_drivers`]):
+//! ci.sh draws a fresh one per run, because the sharded path is the one the
+//! chaos suite — virtual driver only — never takes.
 
 use std::sync::Arc;
 
@@ -309,5 +314,194 @@ fn mailbox_overflow_sheds_whole_fragment_sets_without_orphans() {
     for (_, v) in &events {
         let n = v.field(&blob_fmt(), "n").unwrap().as_i64().unwrap();
         assert_eq!(*v, blob(n), "surviving message must be intact");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Follow-ups inside a round.
+// ---------------------------------------------------------------------------
+
+fn tick_fmt() -> Arc<RecordFormat> {
+    FormatBuilder::record("Tick").int("n").build_arc().unwrap()
+}
+
+fn tick(n: i64) -> Value {
+    Value::Record(vec![Value::Int(n)])
+}
+
+/// Everything a process can tell of a run, for every process, plus the
+/// two totals every frame sent moves.
+type Observed = (Vec<Vec<(ChannelId, Value)>>, Vec<[Option<Vec<echo::MemberInfo>>; 2]>, u64, u64);
+
+/// Two channels with different creators take a wave of join requests at
+/// the same instant, so one fork/join round hands each creator several
+/// requests and every one of them fans follow-up frames out to the members
+/// so far. Workers handle a round destination-major, but its outcomes
+/// settle in shard order, arrival order within the shard: the follow-ups
+/// go out in the order the virtual driver sends them per link, every
+/// member's last refresh is the creator's last word, and the clock and the
+/// byte count end where the virtual driver leaves them.
+#[test]
+fn follow_ups_inside_a_round_settle_as_the_virtual_driver_sends_them() {
+    let scenario = |driver: &mut dyn Driver| -> (Observed, u64) {
+        let mut sys = EchoSystem::new();
+        let a = sys.add_process("creator-a", EchoVersion::V2);
+        let b = sys.add_process("creator-b", EchoVersion::V1);
+        // Same-length names: every join request is the same size, so a wave
+        // sent at one instant also arrives at one instant.
+        let members: Vec<ProcessId> = (0..8)
+            .map(|i| {
+                let version = if i % 3 == 0 { EchoVersion::V1 } else { EchoVersion::V2 };
+                sys.add_process(format!("member-{i}"), version)
+            })
+            .collect();
+        sys.connect_all(LinkParams::lan());
+        let fmt = tick_fmt();
+        let channels = [sys.create_channel(a), sys.create_channel(b)];
+        let join = |sys: &mut EchoSystem, wave: &[ProcessId]| {
+            for &m in wave {
+                for ch in channels {
+                    sys.subscribe(m, ch, Role::both(), Some(&fmt)).unwrap();
+                }
+            }
+        };
+        join(&mut sys, &members[..3]);
+        sys.run_with(driver);
+        // The second wave's requests share rounds with events in flight.
+        sys.publish(a, channels[0], &fmt, &tick(1)).unwrap();
+        join(&mut sys, &members[3..]);
+        sys.publish(b, channels[1], &fmt, &tick(2)).unwrap();
+        sys.run_with(driver);
+        // Everybody publishes on what it now believes the membership is.
+        for (n, &m) in members.iter().enumerate() {
+            sys.publish(m, channels[n % 2], &fmt, &tick(10 + n as i64)).unwrap();
+        }
+        sys.run_with(driver);
+        let everyone: Vec<ProcessId> = [a, b].into_iter().chain(members).collect();
+        let events = everyone.iter().map(|&p| sys.take_events(p)).collect();
+        let views = everyone.iter().map(|&p| channels.map(|ch| sys.members(p, ch))).collect();
+        let rounds = sys.registry().snapshot().counter("echo.shard.rounds").unwrap_or(0);
+        ((events, views, sys.now_ns(), sys.total_bytes()), rounds)
+    };
+    let (virt, _) = scenario(&mut VirtualTimeDriver);
+    let (events, views, ..) = &virt;
+    let full = |view: &Option<Vec<echo::MemberInfo>>| view.as_ref().is_some_and(|m| m.len() == 8);
+    assert!(views[2..].iter().all(|v| v.iter().all(full)), "every member's last refresh is whole");
+    assert_eq!(events[2].len(), 2 + 7, "member-0: both creators' ticks and the other members'");
+    for shards in [1usize, 2, 4, 8] {
+        let (wall, rounds) = scenario(&mut WallClockDriver::new(shards));
+        assert_eq!(wall, virt, "{shards}-shard run diverged from the virtual-time driver");
+        // Sixteen joins over two channels, each answered with a broadcast,
+        // in a handful of rounds: each creator took a wave per round.
+        assert!((3..=8).contains(&rounds), "{shards} shards: {rounds} rounds");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A scenario drawn from a seed.
+// ---------------------------------------------------------------------------
+
+/// Uniform in `lo..=hi`, from the xorshift64 generator simnet's fault plans
+/// use — in-tree, so the scenario a seed draws is the same on every machine.
+fn draw(rng: &mut simnet::XorShift64, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo + 1)
+}
+
+/// What a seed draws: a population, who publishes on which channel, whether
+/// events fragment, when the drivers run, one late joiner and one sink
+/// paused for a stretch of the stream. Returns every process's deliveries.
+fn seeded_scenario(seed: u64, driver: &mut dyn Driver) -> Vec<Vec<(ChannelId, Value)>> {
+    let rng = &mut simnet::XorShift64::new(seed);
+    let fmt = blob_fmt();
+    let mut sys = EchoSystem::new();
+    let publishers: Vec<ProcessId> = (0..draw(rng, 1, 3))
+        .map(|i| sys.add_process(format!("pub-{i}"), EchoVersion::V2))
+        .collect();
+    let sinks: Vec<ProcessId> = (0..draw(rng, 3, 24))
+        .map(|i| sys.add_process(format!("sink-{i}-{:x}", draw(rng, 0, 0xFFFF)), EchoVersion::V2))
+        .collect();
+    sys.connect_all(LinkParams::lan());
+    // Each channel is created by a different publisher where there is
+    // one; every other publisher joins it as a source.
+    let channels: Vec<ChannelId> = (0..draw(rng, 1, 2) as usize)
+        .map(|c| {
+            let creator = publishers[c % publishers.len()];
+            let ch = sys.create_channel(creator);
+            for &p in publishers.iter().filter(|&&p| p != creator) {
+                sys.subscribe(p, ch, Role::source(), None).unwrap();
+            }
+            ch
+        })
+        .collect();
+    let (late, settled) = sinks.split_last().expect("at least three sinks");
+    for &s in settled {
+        for &ch in &channels {
+            if draw(rng, 0, 3) > 0 {
+                sys.subscribe(s, ch, Role::sink(), Some(&fmt)).unwrap();
+            }
+        }
+    }
+    sys.run_with(driver);
+    if draw(rng, 0, 1) == 1 {
+        sys.set_frame_budget(Some(draw(rng, 24, 96) as usize));
+    }
+
+    let steps = draw(rng, 4, 10);
+    let paused = settled[draw(rng, 0, settled.len() as u64 - 1) as usize];
+    let pause_at = draw(rng, 0, steps - 2);
+    let resume_at = draw(rng, pause_at + 1, steps - 1);
+    let join_at = draw(rng, 0, steps - 1);
+    let mut n = 0;
+    for step in 0..steps {
+        if step == pause_at {
+            sys.pause_process(paused);
+        }
+        if step == resume_at {
+            sys.resume_process(paused);
+        }
+        if step == join_at {
+            // Joins with events in flight around its request.
+            sys.subscribe(*late, channels[0], Role::sink(), Some(&fmt)).unwrap();
+        }
+        for &p in &publishers {
+            for &ch in &channels {
+                n += 1;
+                let text = format!("{n:04}~").repeat(draw(rng, 1, 60) as usize);
+                sys.publish(p, ch, &fmt, &Value::Record(vec![Value::Int(n), Value::str(text)]))
+                    .unwrap();
+            }
+        }
+        if draw(rng, 0, 2) > 0 {
+            sys.run_with(driver);
+        }
+    }
+    sys.run_with(driver);
+    assert_eq!(sys.ingress_depth(paused), 0, "the resumed sink drained");
+    publishers.iter().chain(&sinks).map(|&p| sys.take_events(p)).collect()
+}
+
+/// Driver equivalence on a scenario nobody wrote by hand: `SHARD_SEED`
+/// (ci.sh draws a fresh one per run; three fixed ones otherwise) decides
+/// the population, the publishers, the channels, fragmentation, the run
+/// cadence and a pause — and the wall-clock driver, at several shard
+/// counts, must deliver to every process exactly what the virtual-time
+/// driver delivers, in the same order.
+#[test]
+fn seeded_scenario_delivers_identically_under_both_drivers() {
+    let seeds = match std::env::var("SHARD_SEED") {
+        Ok(v) => vec![v.parse().unwrap_or_else(|_| panic!("SHARD_SEED {v:?} is not a u64"))],
+        Err(_) => vec![1, 7, 42],
+    };
+    for seed in seeds {
+        let virt = seeded_scenario(seed, &mut VirtualTimeDriver);
+        let delivered: usize = virt.iter().map(Vec::len).sum();
+        assert!(delivered > 0, "seed {seed}: the scenario delivers nothing");
+        for shards in [1usize, 2, 3, 8] {
+            let wall = seeded_scenario(seed, &mut WallClockDriver::new(shards));
+            assert_eq!(
+                wall, virt,
+                "SHARD_SEED={seed}: {shards}-shard delivery diverged from the virtual-time driver"
+            );
+        }
     }
 }

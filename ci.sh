@@ -40,10 +40,7 @@ cargo build --release
 echo "==> cargo test -q --workspace (every crate: units, integration, properties)"
 cargo test -q --workspace
 
-echo "==> chaos suite (seeded fault injection; deterministic per seed)"
-cargo test -q --test chaos
-
-echo "==> chaos seed matrix (extra seeds beyond the baked-in trio)"
+echo "==> chaos seed matrix (extra seeds; the test step above ran the baked-in trio)"
 # Covers every scenario in tests/chaos.rs, including the fragmentation
 # run (loss + duplication + reordering over multi-fragment events).
 for s in ${CHAOS_SEEDS:-1 7 42}; do
@@ -81,7 +78,8 @@ echo "    PBIO_FUZZ_SEED=$fuzz cargo test -q -p pbio --test wire decode_mutation
 PBIO_FUZZ_SEED="$fuzz" cargo test -q -p pbio --test wire decode_mutations
 
 echo "==> examples (offline smoke runs; each asserts its own output)"
-for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump; do
+for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump \
+    b2b_broker format_server load_monitor weighted_matching; do
     echo "    cargo run --release --example $ex"
     cargo run -q --release --example "$ex" >/dev/null
 done

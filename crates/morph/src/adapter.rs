@@ -73,43 +73,27 @@ pub struct ValueAdapter {
     root: RecAdapt,
 }
 
-fn compile_elem(from: &FieldType, to: &FieldType) -> Option<ElemAdapt> {
+/// How values of `from` become values of `to`, given that `from`
+/// [can fill](FieldType::can_fill) `to`.
+fn adapt(from: &FieldType, to: &FieldType) -> ElemAdapt {
     if from == to {
-        return Some(ElemAdapt::Copy);
+        return ElemAdapt::Copy;
     }
     match (from, to) {
-        (FieldType::Basic(a), FieldType::Basic(b)) => {
-            if !a.convertible_to(b) {
-                return None;
-            }
-            Some(match b {
-                BasicType::Int(w) => ElemAdapt::Convert(ConvKind::Int(*w)),
-                BasicType::UInt(w) => ElemAdapt::Convert(ConvKind::UInt(*w)),
-                BasicType::Float(_) => ElemAdapt::Convert(ConvKind::Float),
-                // Char/Enum/String only convert to themselves, and identical
-                // types were handled by the Copy fast path above — reaching
-                // here means widths/variants differ in a representable way.
-                _ => ElemAdapt::Copy,
-            })
+        (FieldType::Basic(_), FieldType::Basic(b)) => match b {
+            BasicType::Int(w) => ElemAdapt::Convert(ConvKind::Int(*w)),
+            BasicType::UInt(w) => ElemAdapt::Convert(ConvKind::UInt(*w)),
+            BasicType::Float(_) => ElemAdapt::Convert(ConvKind::Float),
+            // Char/Enum/String only convert to themselves, and identical
+            // types were handled by the Copy fast path above — reaching
+            // here means widths/variants differ in a representable way.
+            _ => ElemAdapt::Copy,
+        },
+        (FieldType::Record(a), FieldType::Record(b)) => ElemAdapt::Nested(compile_record(a, b)),
+        (FieldType::Array { elem: a, .. }, FieldType::Array { elem: b, .. }) => {
+            ElemAdapt::Array(Box::new(adapt(a, b)))
         }
-        (FieldType::Record(a), FieldType::Record(b)) => {
-            Some(ElemAdapt::Nested(compile_record(a, b)))
-        }
-        (FieldType::Array { elem: a, len: la }, FieldType::Array { elem: b, len: lb }) => {
-            // Length discipline is part of the type (mirrors
-            // `pbio::ConversionPlan`): fixed↔variable conversions would
-            // break the target's length invariant.
-            let len_ok = match (la, lb) {
-                (ArrayLen::Fixed(n), ArrayLen::Fixed(m)) => n == m,
-                (ArrayLen::LengthField(_), ArrayLen::LengthField(_)) => true,
-                _ => false,
-            };
-            if !len_ok {
-                return None;
-            }
-            compile_elem(a, b).map(|e| ElemAdapt::Array(Box::new(e)))
-        }
-        _ => None,
+        _ => unreachable!("can_fill relates a type to one of its own kind"),
     }
 }
 
@@ -118,9 +102,8 @@ fn compile_record(from: &RecordFormat, to: &RecordFormat) -> RecAdapt {
     for fd in to.fields() {
         let source = from
             .field_index(fd.name())
-            .and_then(|i| {
-                compile_elem(from.fields()[i].ty(), fd.ty()).map(|e| FieldSource::Take(i, e))
-            })
+            .filter(|&i| from.fields()[i].ty().can_fill(fd.ty()))
+            .map(|i| FieldSource::Take(i, adapt(from.fields()[i].ty(), fd.ty())))
             .unwrap_or_else(|| {
                 FieldSource::Default(
                     fd.default().cloned().unwrap_or_else(|| Value::default_for(fd.ty())),

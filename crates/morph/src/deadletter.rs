@@ -19,7 +19,6 @@ use obs::{Counter, Registry, SpanEvent, TraceId};
 use pbio::WireBytes;
 
 use crate::error::MorphError;
-use crate::receiver::{Delivery, MorphReceiver};
 
 /// Why a message was quarantined instead of delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,28 +239,9 @@ pub fn reason_for(err: &MorphError) -> DeadReason {
     }
 }
 
-/// Processes `msg` through `rx`; on failure the message is quarantined in
-/// `dlq` instead of surfacing an error — the graceful-degradation path for
-/// subscribers that must survive hostile input. Returns the delivery
-/// outcome, [`Delivery::Rejected`] when quarantined.
-pub fn process_or_quarantine(
-    rx: &mut MorphReceiver,
-    msg: &[u8],
-    dlq: &mut DeadLetterQueue,
-) -> Delivery {
-    match rx.process(msg) {
-        Ok(d) => d,
-        Err(e) => {
-            dlq.push(reason_for(&e), msg, e.to_string());
-            Delivery::Rejected
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbio::{Encoder, FormatBuilder, Value};
 
     #[test]
     fn bounded_with_overflow_accounting() {
@@ -389,30 +369,5 @@ mod tests {
         assert_eq!(snap.counter("test.dlq.total"), Some(2));
         assert_eq!(snap.counter("test.dlq.malformed"), Some(2));
         assert_eq!(snap.counter("test.dlq.overflow"), Some(0));
-    }
-
-    #[test]
-    fn quarantine_instead_of_error() {
-        let v1 = FormatBuilder::record("M").int("x").build_arc().unwrap();
-        let mut rx = MorphReceiver::new();
-        rx.register_handler(&v1, |_| {});
-        let mut dlq = DeadLetterQueue::new(4);
-
-        // Garbage bytes: undecodable, quarantined, no error.
-        let d = process_or_quarantine(&mut rx, &[0xFF; 24], &mut dlq);
-        assert_eq!(d, Delivery::Rejected);
-        assert_eq!(dlq.count(DeadReason::Undecodable), 1);
-
-        // Unknown format id: unresolvable.
-        let v9 = FormatBuilder::record("Other").string("s").build_arc().unwrap();
-        let wire = Encoder::new(&v9).encode(&Value::Record(vec![Value::str("hi")])).unwrap();
-        let d = process_or_quarantine(&mut rx, &wire, &mut dlq);
-        assert_eq!(d, Delivery::Rejected);
-        assert_eq!(dlq.count(DeadReason::Unresolvable), 1);
-
-        // A good message still flows.
-        let wire = Encoder::new(&v1).encode(&Value::Record(vec![Value::Int(1)])).unwrap();
-        assert!(matches!(process_or_quarantine(&mut rx, &wire, &mut dlq), Delivery::Delivered(_)));
-        assert_eq!(dlq.total(), 2);
     }
 }

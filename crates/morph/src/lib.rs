@@ -58,7 +58,7 @@ pub mod weighted;
 mod xform;
 
 pub use adapter::ValueAdapter;
-pub use deadletter::{process_or_quarantine, DeadLetter, DeadLetterQueue, DeadReason};
+pub use deadletter::{DeadLetter, DeadLetterQueue, DeadReason};
 pub use error::{MorphError, Result};
 pub use matching::{
     diff, max_match, mismatch_ratio, type_weight, MatchConfig, MatchQuality, MaxMatch,

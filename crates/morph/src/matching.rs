@@ -1,11 +1,22 @@
 //! The paper's format-comparison machinery: `diff` (Algorithm 1), weights,
 //! the Mismatch Ratio, and the `MaxMatch` selection rule (§3.2).
+//!
+//! There is one traversal here. What a basic field is *worth* is its
+//! parameter, a [`Weigher`]: the paper counts every field as 1 ([`Unit`]),
+//! the §6 extension weighs it by dotted path
+//! ([`crate::weighted::WeightProfile`]). Whether a field of one format *is
+//! present in* the other is not a parameter: it is
+//! [`FieldType::can_fill`], the relation the conversion plan takes and
+//! defaults fields by, so what MaxMatch admits is what the plan then fills.
 
+use std::ops::AddAssign;
 use std::sync::Arc;
 
-use pbio::{BasicType, Field, FieldType, RecordFormat};
+use pbio::{FieldType, RecordFormat};
 
-/// Thresholds controlling how much mismatch `MaxMatch` tolerates.
+/// Thresholds controlling how much mismatch `MaxMatch` tolerates, in the
+/// mass `M` the matching sums in: field counts for the paper's, `f64`
+/// importance for the weighted one ([`crate::weighted::WeightedConfig`]).
 ///
 /// `DIFF_THRESHOLD` bounds `diff(f1, f2)` — basic fields of the incoming
 /// format the receiver would drop; `MISMATCH_THRESHOLD` bounds the Mismatch
@@ -15,9 +26,9 @@ use pbio::{BasicType, Field, FieldType, RecordFormat};
 /// paper: "In order to allow just perfect matches, set DIFF_THRESHOLD to
 /// zero").
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatchConfig {
-    /// Maximum tolerated `diff(f1, f2)` (absolute field count).
-    pub diff_threshold: usize,
+pub struct MatchConfig<M = usize> {
+    /// Maximum tolerated `diff(f1, f2)` (field count, or importance mass).
+    pub diff_threshold: M,
     /// Maximum tolerated Mismatch Ratio (fraction in `[0, 1]`).
     pub mismatch_threshold: f64,
 }
@@ -41,42 +52,120 @@ impl Default for MatchConfig {
     }
 }
 
+/// How Algorithm 1 weighs one basic field — the policy the traversal below
+/// is generic over.
+pub(crate) trait Weigher {
+    /// What the weights add up to.
+    type Mass: Copy + Default + PartialOrd + AddAssign;
+    /// As much of a field's position in the format tree as the weigher
+    /// looks at; the default is the root, above the top-level fields.
+    type Path: Default;
+    /// The position of the field `name` under `parent`. An array's elements
+    /// sit at the array's own position.
+    fn child(&self, parent: &Self::Path, name: &str) -> Self::Path;
+    /// The weight of the basic field at `at`.
+    fn basic(&self, at: &Self::Path) -> Self::Mass;
+    /// A mass as a term of the Mismatch Ratio.
+    fn as_f64(mass: Self::Mass) -> f64;
+}
+
+/// The paper's weigher: every basic field counts 1 wherever it sits, so the
+/// sums are integers and no position is tracked.
+struct Unit;
+
+impl Weigher for Unit {
+    type Mass = usize;
+    type Path = ();
+    fn child(&self, _: &(), _: &str) {}
+    fn basic(&self, _: &()) -> usize {
+        1
+    }
+    fn as_f64(mass: usize) -> f64 {
+        mass as f64
+    }
+}
+
+/// The type at the bottom of an array nesting: an array weighs, and is
+/// looked into, as one of its elements.
+fn element(mut ty: &FieldType) -> &FieldType {
+    while let FieldType::Array { elem, .. } = ty {
+        ty = elem;
+    }
+    ty
+}
+
+/// `W_f` under `w` of a field type at `at`: the weight of its basic fields,
+/// counting recursively through complex fields.
+fn weigh<W: Weigher>(w: &W, ty: &FieldType, at: &W::Path) -> W::Mass {
+    match element(ty) {
+        FieldType::Record(r) => weight_under(w, r, at),
+        _ => w.basic(at),
+    }
+}
+
+/// `W_f` under `w` of a format whose fields sit under `at`.
+pub(crate) fn weight_under<W: Weigher>(w: &W, format: &RecordFormat, at: &W::Path) -> W::Mass {
+    let mut total = W::Mass::default();
+    for f in format.fields() {
+        total += weigh(w, f.ty(), &w.child(at, f.name()));
+    }
+    total
+}
+
+/// What one direction of Algorithm 1 found: the mass of the basic fields of
+/// `f1` that are not present in `f2`, and whether there was any such field —
+/// under a weigher that may weigh a field 0, zero mass does not say so.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Missing<M> {
+    pub(crate) mass: M,
+    any: bool,
+}
+
+/// Algorithm 1 under `w`, over the record level at `at`: a field of `f1` is
+/// present in `f2` when `f2` has a field of that name it
+/// [can fill](FieldType::can_fill). An absent field is missed with its whole
+/// weight; a present one with what is missed inside it, and only records —
+/// directly, or as array elements — have an inside.
+pub(crate) fn miss<W: Weigher>(
+    w: &W,
+    f1: &RecordFormat,
+    f2: &RecordFormat,
+    at: &W::Path,
+) -> Missing<W::Mass> {
+    let mut out = Missing::default();
+    for f in f1.fields() {
+        let here = w.child(at, f.name());
+        match f2.field(f.name()) {
+            Some(g) if f.ty().can_fill(g.ty()) => {
+                if let (FieldType::Record(r1), FieldType::Record(r2)) =
+                    (element(f.ty()), element(g.ty()))
+                {
+                    let inside = miss(w, r1, r2, &here);
+                    out.mass += inside.mass;
+                    out.any |= inside.any;
+                }
+            }
+            _ => {
+                out.mass += weigh(w, f.ty(), &here);
+                out.any = true;
+            }
+        }
+    }
+    out
+}
+
 /// The paper's weight `W_f` of a field type: the number of basic-type
 /// fields, counting recursively through complex fields.
 pub fn type_weight(ty: &FieldType) -> usize {
-    match ty {
-        FieldType::Basic(_) => 1,
-        FieldType::Record(r) => r.weight(),
-        FieldType::Array { elem, .. } => type_weight(elem),
-    }
-}
-
-/// True when a basic field of `f1` "is present in" `f2`: same name and a
-/// convertible basic type (the paper borrows XML-style name-based matching,
-/// §2).
-fn basic_present(f: &Field, b: &BasicType, f2: &RecordFormat) -> bool {
-    match f2.field(f.name()) {
-        Some(g) => match g.ty() {
-            FieldType::Basic(b2) => b.convertible_to(b2),
-            _ => false,
-        },
-        None => false,
-    }
-}
-
-/// Finds the complex field of `f2` with the same name and complex kind as
-/// `f` (record↔record, array↔array).
-fn complex_counterpart<'f>(f: &Field, f2: &'f RecordFormat) -> Option<&'f Field> {
-    let g = f2.field(f.name())?;
-    match (f.ty(), g.ty()) {
-        (FieldType::Record(_), FieldType::Record(_)) => Some(g),
-        (FieldType::Array { .. }, FieldType::Array { .. }) => Some(g),
-        _ => None,
-    }
+    weigh(&Unit, ty, &())
 }
 
 /// Algorithm 1: the total number of basic-type fields present in `f1` but
-/// not in `f2`, recursing through complex fields by name.
+/// not in `f2`, recursing through complex fields by name. A field is present
+/// when `f2` has a field of the same name that it can fill
+/// ([`FieldType::can_fill`] — the paper borrows XML-style name-based
+/// matching, §2): a convertible basic type, a record, or an array of the
+/// same length discipline.
 ///
 /// # Examples
 ///
@@ -93,96 +182,102 @@ fn complex_counterpart<'f>(f: &Field, f2: &'f RecordFormat) -> Option<&'f Field>
 /// # }
 /// ```
 pub fn diff(f1: &RecordFormat, f2: &RecordFormat) -> usize {
-    let mut d12 = 0;
-    for f in f1.fields() {
-        match f.ty() {
-            FieldType::Basic(b) => {
-                if !basic_present(f, b, f2) {
-                    d12 += 1;
-                }
-            }
-            complex_ty => match complex_counterpart(f, f2) {
-                None => d12 += type_weight(complex_ty),
-                Some(g) => d12 += diff_types(complex_ty, g.ty()),
-            },
-        }
-    }
-    d12
-}
-
-/// `diff` lifted to field types (used when recursing into arrays, whose
-/// element records are compared positionlessly by name).
-fn diff_types(t1: &FieldType, t2: &FieldType) -> usize {
-    match (t1, t2) {
-        (FieldType::Record(r1), FieldType::Record(r2)) => diff(r1, r2),
-        (FieldType::Array { elem: e1, .. }, FieldType::Array { elem: e2, .. }) => {
-            diff_types(e1, e2)
-        }
-        (FieldType::Basic(b1), FieldType::Basic(b2)) => usize::from(!b1.convertible_to(b2)),
-        (t1, _) => type_weight(t1),
-    }
+    miss(&Unit, f1, f2, &()).mass
 }
 
 /// The Mismatch Ratio `Mr(f1, f2) = diff(f2, f1) / W_f2`: the fraction of
 /// the receiver format `f2` that has no source in `f1`.
 pub fn mismatch_ratio(f1: &RecordFormat, f2: &RecordFormat) -> f64 {
-    let w2 = f2.weight();
-    if w2 == 0 {
-        return 0.0;
-    }
-    diff(f2, f1) as f64 / w2 as f64
+    quality(&Unit, f1, f2).mismatch_ratio
 }
 
-/// The quality of a candidate `(f1, f2)` pair.
+/// The quality of a candidate `(f1, f2)` pair, in the mass `M` its weigher
+/// sums to: field counts for the paper's matching, `f64` importance for the
+/// weighted one.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatchQuality {
+pub struct MatchQuality<M = usize> {
     /// `diff(f1, f2)`: incoming fields the receiver would drop.
-    pub diff_fwd: usize,
+    pub diff_fwd: M,
     /// `diff(f2, f1)`: receiver fields that would take defaults.
-    pub diff_bwd: usize,
+    pub diff_bwd: M,
     /// `Mr(f1, f2)`.
     pub mismatch_ratio: f64,
+    /// No field is missing in either direction, whatever it weighs.
+    perfect: bool,
 }
 
 impl MatchQuality {
     /// Computes the quality of converting `f1` into `f2`.
     pub fn of(f1: &RecordFormat, f2: &RecordFormat) -> MatchQuality {
-        let diff_fwd = diff(f1, f2);
-        let diff_bwd = diff(f2, f1);
-        let w2 = f2.weight();
-        let mismatch_ratio = if w2 == 0 { 0.0 } else { diff_bwd as f64 / w2 as f64 };
-        MatchQuality { diff_fwd, diff_bwd, mismatch_ratio }
+        quality(&Unit, f1, f2)
     }
+}
 
-    /// A perfect matching pair: `diff(f1,f2) = diff(f2,f1) = 0`.
+impl<M: PartialOrd> MatchQuality<M> {
+    /// A perfect matching pair: `diff(f1,f2) = diff(f2,f1) = 0` field by
+    /// field — under a profile that weighs some fields 0, more than both
+    /// sums being 0.
     pub fn is_perfect(&self) -> bool {
-        self.diff_fwd == 0 && self.diff_bwd == 0
+        self.perfect
     }
 
     /// Whether this pair passes the thresholds.
-    pub fn admissible(&self, config: &MatchConfig) -> bool {
+    pub fn admissible(&self, config: &MatchConfig<M>) -> bool {
         self.diff_fwd <= config.diff_threshold && self.mismatch_ratio <= config.mismatch_threshold
     }
 
     /// The paper's preference order: least `Mr`, then least `diff(f1,f2)`.
-    fn better_than(&self, other: &MatchQuality) -> bool {
-        if self.mismatch_ratio != other.mismatch_ratio {
-            return self.mismatch_ratio < other.mismatch_ratio;
-        }
-        self.diff_fwd < other.diff_fwd
+    fn better_than(&self, other: &MatchQuality<M>) -> bool {
+        (self.mismatch_ratio, &self.diff_fwd) < (other.mismatch_ratio, &other.diff_fwd)
     }
+}
+
+/// The quality of `(f1, f2)` under `w`. `Mr` is 0 when no mass of `f2` is
+/// missing — an `f2` without weight included — and `f2` is weighed otherwise.
+pub(crate) fn quality<W: Weigher>(
+    w: &W,
+    f1: &RecordFormat,
+    f2: &RecordFormat,
+) -> MatchQuality<W::Mass> {
+    let root = W::Path::default();
+    let (fwd, bwd) = (miss(w, f1, f2, &root), miss(w, f2, f1, &root));
+    let whole = || W::as_f64(weight_under(w, f2, &root));
+    let mismatch_ratio =
+        if bwd.mass == W::Mass::default() { 0.0 } else { W::as_f64(bwd.mass) / whole() };
+    let perfect = !(fwd.any || bwd.any);
+    MatchQuality { diff_fwd: fwd.mass, diff_bwd: bwd.mass, mismatch_ratio, perfect }
 }
 
 /// The result of [`max_match`]: the chosen pair (by index into the two
 /// candidate slices) and its quality.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaxMatch {
+pub struct MaxMatch<M = usize> {
     /// Index into the first candidate set.
     pub from: usize,
     /// Index into the second candidate set.
     pub to: usize,
     /// Quality of the chosen pair.
-    pub quality: MatchQuality,
+    pub quality: MatchQuality<M>,
+}
+
+/// `MaxMatch(F1, F2)` under `w`: the double loop and preference order every
+/// matching policy shares.
+pub(crate) fn select<W: Weigher>(
+    w: &W,
+    set1: &[Arc<RecordFormat>],
+    set2: &[Arc<RecordFormat>],
+    config: &MatchConfig<W::Mass>,
+) -> Option<MaxMatch<W::Mass>> {
+    let mut best: Option<MaxMatch<W::Mass>> = None;
+    for (i, f1) in set1.iter().enumerate() {
+        for (j, f2) in set2.iter().enumerate() {
+            let q = quality(w, f1, f2);
+            if q.admissible(config) && best.as_ref().is_none_or(|b| q.better_than(&b.quality)) {
+                best = Some(MaxMatch { from: i, to: j, quality: q });
+            }
+        }
+    }
+    best
 }
 
 /// The paper's `MaxMatch(F1, F2)`: the admissible pair with the least
@@ -195,22 +290,7 @@ pub fn max_match(
     set2: &[Arc<RecordFormat>],
     config: &MatchConfig,
 ) -> Option<MaxMatch> {
-    let mut best: Option<MaxMatch> = None;
-    for (i, f1) in set1.iter().enumerate() {
-        for (j, f2) in set2.iter().enumerate() {
-            let q = MatchQuality::of(f1, f2);
-            if !q.admissible(config) {
-                continue;
-            }
-            let candidate = MaxMatch { from: i, to: j, quality: q };
-            match &best {
-                None => best = Some(candidate),
-                Some(b) if q.better_than(&b.quality) => best = Some(candidate),
-                Some(_) => {}
-            }
-        }
-    }
-    best
+    select(&Unit, set1, set2, config)
 }
 
 #[cfg(test)]
@@ -296,6 +376,38 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(diff(&a, &b), 2); // record-vs-array: all of x's weight
+    }
+
+    #[test]
+    fn an_array_of_another_length_discipline_is_absent() {
+        use pbio::{BasicType, Width};
+        let int = BasicType::Int(Width::W4);
+        let vals = |n| FieldType::Array {
+            elem: Box::new(FieldType::Record(member(true))),
+            len: pbio::ArrayLen::Fixed(n),
+        };
+        let var = FormatBuilder::record("M")
+            .int("n")
+            .var_array_basic("vals", int.clone(), "n")
+            .build_arc()
+            .unwrap();
+        let fixed4 = FormatBuilder::record("M")
+            .int("n")
+            .fixed_array("vals", FieldType::Basic(int), 4)
+            .build_arc()
+            .unwrap();
+        // Absent both ways, with the field's weight.
+        assert_eq!((diff(&var, &fixed4), diff(&fixed4, &var)), (1, 1));
+        let recs4 = FormatBuilder::record("M").field("vals", vals(4)).build_arc().unwrap();
+        let recs5 = FormatBuilder::record("M").field("vals", vals(5)).build_arc().unwrap();
+        assert_eq!(diff(&recs4, &recs5), 4, "a member record weighs 4");
+        assert_eq!(diff(&recs4, &recs4), 0);
+        // Near under the default thresholds, no match at all under exact().
+        let q = MatchQuality::of(&var, &fixed4);
+        assert!(!q.is_perfect() && q.admissible(&MatchConfig::new()));
+        let sets = (std::slice::from_ref(&var), std::slice::from_ref(&fixed4));
+        assert!(max_match(sets.0, sets.1, &MatchConfig::new()).is_some());
+        assert!(max_match(sets.0, sets.1, &MatchConfig::exact()).is_none());
     }
 
     #[test]

@@ -28,13 +28,14 @@
 
 use std::sync::Arc;
 
+use obs::TraceCtx;
 use pbio::{
     deserialize_format, format_id, serialize_format, FormatId, FormatRegistry, RecordFormat,
 };
 
 use crate::error::{MorphError, Result};
-use crate::receiver::MorphReceiver;
-use crate::xform::{Transformation, TransformationRegistry};
+use crate::receiver::{Delivery, MorphReceiver};
+use crate::xform::{put_chunk, take_chunk, take_u32, Transformation, TransformationRegistry};
 
 /// Request tag: fetch a format description by id.
 pub const REQ_FORMAT: u8 = 0x01;
@@ -57,27 +58,9 @@ fn bad(msg: &str) -> MorphError {
     MorphError::Protocol(msg.to_string())
 }
 
-fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
-    let Some(chunk) = bytes.get(*pos..*pos + 4) else {
-        return Err(bad("truncated length"));
-    };
-    let v = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    *pos += 4;
-    Ok(v)
-}
-
-fn take_chunk<'b>(bytes: &'b [u8], pos: &mut usize) -> Result<&'b [u8]> {
-    let len = take_u32(bytes, pos)? as usize;
-    let Some(s) = len.checked_add(*pos).and_then(|end| bytes.get(*pos..end)) else {
-        return Err(bad("truncated chunk"));
-    };
-    *pos += len;
-    Ok(s)
-}
-
-fn put_chunk(out: &mut Vec<u8>, chunk: &[u8]) {
-    out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-    out.extend_from_slice(chunk);
+/// The length-prefixed chunk at `*pos`; a protocol error when it is cut short.
+fn chunk<'b>(bytes: &'b [u8], pos: &mut usize) -> Result<&'b [u8]> {
+    take_chunk(bytes, pos).ok_or_else(|| bad("truncated chunk"))
 }
 
 /// The server side: a registry of formats and transformations answering
@@ -151,16 +134,12 @@ impl MetaServer {
                 Ok(out)
             }
             REQ_REGISTER_FORMAT => {
-                let mut pos = 0;
-                let meta = take_chunk(rest, &mut pos)?;
-                let fmt = deserialize_format(meta)?;
+                let fmt = deserialize_format(chunk(rest, &mut 0)?)?;
                 self.formats.register(Arc::new(fmt));
                 Ok(vec![RESP_ACK])
             }
             REQ_REGISTER_XFORM => {
-                let mut pos = 0;
-                let meta = take_chunk(rest, &mut pos)?;
-                let t = Transformation::deserialize(meta)?;
+                let t = Transformation::deserialize(chunk(rest, &mut 0)?)?;
                 self.register_transformation(t);
                 Ok(vec![RESP_ACK])
             }
@@ -214,11 +193,7 @@ impl MetaClient {
         let (&tag, rest) = response.split_first().ok_or_else(|| bad("empty response"))?;
         match tag {
             RESP_NOT_FOUND => Ok(None),
-            RESP_FORMAT => {
-                let mut pos = 0;
-                let meta = take_chunk(rest, &mut pos)?;
-                Ok(Some(deserialize_format(meta)?))
-            }
+            RESP_FORMAT => Ok(Some(deserialize_format(chunk(rest, &mut 0)?)?)),
             t => Err(bad(&format!("unexpected response tag {t:#x}"))),
         }
     }
@@ -234,10 +209,10 @@ impl MetaClient {
             return Err(bad(&format!("unexpected response tag {tag:#x}")));
         }
         let mut pos = 0;
-        let n = take_u32(rest, &mut pos)? as usize;
+        let n = take_u32(rest, &mut pos).ok_or_else(|| bad("truncated length"))? as usize;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(Transformation::deserialize(take_chunk(rest, &mut pos)?)?);
+            out.push(Transformation::deserialize(chunk(rest, &mut pos)?)?);
         }
         Ok(out)
     }
@@ -342,16 +317,116 @@ impl RetryPolicy {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        exp + z % (exp / 2 + 1)
+        exp.saturating_add(z % (exp / 2 + 1))
     }
 }
 
+/// Where the exchanges of one resolution go, and what their outcomes mean
+/// for the next one — the policy [`resolve_via`] is parameterised by.
+pub(crate) trait Endpoints {
+    /// What the exhaustion error says was tried, after "failed N times".
+    fn tried(&self) -> &'static str;
+    /// The endpoint for the next exchange. An error ends the resolution
+    /// there and then, without spending retry budget.
+    fn pick(&mut self, ctx: Option<TraceCtx>) -> Result<usize>;
+    /// The exchange with `endpoint` was answered.
+    fn on_success(&mut self, endpoint: usize, ctx: Option<TraceCtx>);
+    /// The exchange with `endpoint` failed.
+    fn on_failure(&mut self, endpoint: usize, ctx: Option<TraceCtx>);
+}
+
+/// The one-server policy: always endpoint 0, always willing.
+struct OneServer;
+
+impl Endpoints for OneServer {
+    fn tried(&self) -> &'static str {
+        ""
+    }
+    fn pick(&mut self, _: Option<TraceCtx>) -> Result<usize> {
+        Ok(0)
+    }
+    fn on_success(&mut self, _: usize, _: Option<TraceCtx>) {}
+    fn on_failure(&mut self, _: usize, _: Option<TraceCtx>) {}
+}
+
+/// The resolution loop: [`MetaClient::resolve_into`] with every round-trip
+/// sent to the endpoint `endpoints` picks and retried under `policy` — a
+/// failed attempt waits out the backoff (the caller-supplied `sleep`, e.g.
+/// advancing a simulated clock) and tries again until the budget is spent.
+/// Progress is counted on the receiver's registry as
+/// `morph.resolve.attempts` / `.retries` / `.resolved` / `.failures`; when
+/// `ctx` is given and that registry has a recorder attached, the whole
+/// resolution (every round-trip, every backoff) is one `morph.resolve` span
+/// tagged with the total attempt count and the outcome (`resolved` /
+/// `unknown` / `unavailable` / `failed`), and the endpoint policy records
+/// under it.
+pub(crate) fn resolve_via(
+    rx: &mut MorphReceiver,
+    id: FormatId,
+    policy: &RetryPolicy,
+    endpoints: &mut dyn Endpoints,
+    exchange: &mut dyn FnMut(usize, Vec<u8>) -> Result<Vec<u8>>,
+    sleep: &mut dyn FnMut(u64),
+    ctx: Option<TraceCtx>,
+) -> Result<Option<usize>> {
+    let registry = Arc::clone(rx.registry());
+    let span = ctx
+        .and_then(|c| registry.recorder().map(|r| (r, c)))
+        .map(|(r, c)| r.start(c.trace, c.parent, "morph.resolve"));
+    let inner = span.as_ref().map(|s| s.ctx()).or(ctx);
+    let attempts = registry.counter("morph.resolve.attempts");
+    let retries = registry.counter("morph.resolve.retries");
+    let resolved = registry.counter("morph.resolve.resolved");
+    let failures = registry.counter("morph.resolve.failures");
+    let mut tried = 0u64;
+    let result = MetaClient::resolve_into(rx, id, |req| {
+        let mut attempt = 0u32;
+        loop {
+            let endpoint = endpoints.pick(inner)?;
+            attempts.inc();
+            tried += 1;
+            match exchange(endpoint, req.clone()) {
+                Ok(resp) => {
+                    endpoints.on_success(endpoint, inner);
+                    return Ok(resp);
+                }
+                Err(e) => {
+                    endpoints.on_failure(endpoint, inner);
+                    if attempt >= policy.budget {
+                        return Err(MorphError::RetryExhausted(format!(
+                            "meta exchange failed {} times{}, last: {e}",
+                            attempt + 1,
+                            endpoints.tried()
+                        )));
+                    }
+                    retries.inc();
+                    sleep(policy.backoff_ns(attempt));
+                    attempt += 1;
+                }
+            }
+        }
+    });
+    let (outcome, counted) = match &result {
+        Ok(Some(_)) => ("resolved", Some(resolved)),
+        Ok(None) => ("unknown", None),
+        Err(MorphError::Unavailable(_)) => ("unavailable", Some(failures)),
+        Err(_) => ("failed", Some(failures)),
+    };
+    if let Some(counter) = counted {
+        counter.inc();
+    }
+    if let Some(mut s) = span {
+        s.tag("attempts", &tried.to_string());
+        s.tag("outcome", outcome);
+        s.finish();
+    }
+    result
+}
+
 /// Like [`MetaClient::resolve_into`], but each round-trip of the exchange
-/// is retried under `policy`: a failed attempt waits out the backoff (the
-/// caller-supplied `sleep`, e.g. advancing a simulated clock) and tries
-/// again until the budget is spent. Progress is counted on the receiver's
-/// registry as `morph.resolve.attempts` / `.retries` / `.resolved` /
-/// `.failures`.
+/// is retried under `policy`, with progress counted as
+/// `morph.resolve.attempts` / `.retries` / `.resolved` / `.failures` on the
+/// receiver's registry.
 ///
 /// # Errors
 ///
@@ -362,85 +437,35 @@ pub fn resolve_into_with_retry<E, S>(
     rx: &mut MorphReceiver,
     id: FormatId,
     policy: &RetryPolicy,
-    exchange: E,
-    sleep: S,
-) -> Result<Option<usize>>
-where
-    E: FnMut(Vec<u8>) -> Result<Vec<u8>>,
-    S: FnMut(u64),
-{
-    resolve_into_with_retry_traced(rx, id, policy, exchange, sleep, None)
-}
-
-/// [`resolve_into_with_retry`] attributed to a causal trace: when `ctx` is
-/// given and the receiver's registry has an attached recorder, the entire
-/// resolution (every round-trip, every backoff) is wrapped in one
-/// `morph.resolve` span tagged with the total attempt count and the
-/// outcome (`resolved` / `unknown` / `failed`).
-///
-/// # Errors
-///
-/// Same contract as [`resolve_into_with_retry`].
-pub fn resolve_into_with_retry_traced<E, S>(
-    rx: &mut MorphReceiver,
-    id: FormatId,
-    policy: &RetryPolicy,
     mut exchange: E,
     mut sleep: S,
-    ctx: Option<obs::TraceCtx>,
 ) -> Result<Option<usize>>
 where
     E: FnMut(Vec<u8>) -> Result<Vec<u8>>,
     S: FnMut(u64),
 {
-    let registry = Arc::clone(rx.registry());
-    let span = ctx
-        .and_then(|c| registry.recorder().map(|r| (r, c)))
-        .map(|(r, c)| r.start(c.trace, c.parent, "morph.resolve"));
-    let attempts = registry.counter("morph.resolve.attempts");
-    let retries = registry.counter("morph.resolve.retries");
-    let resolved = registry.counter("morph.resolve.resolved");
-    let failures = registry.counter("morph.resolve.failures");
-    let tried = std::cell::Cell::new(0u64);
-    let result = MetaClient::resolve_into(rx, id, |req| {
-        let mut attempt = 0u32;
-        loop {
-            attempts.inc();
-            tried.set(tried.get() + 1);
-            match exchange(req.clone()) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    if attempt >= policy.budget {
-                        return Err(MorphError::RetryExhausted(format!(
-                            "meta exchange failed {} times, last: {e}",
-                            attempt + 1
-                        )));
-                    }
-                    retries.inc();
-                    sleep(policy.backoff_ns(attempt));
-                    attempt += 1;
-                }
+    resolve_via(rx, id, policy, &mut OneServer, &mut |_, req| exchange(req), &mut sleep, None)
+}
+
+/// Algorithm 2 with out-of-band resolution around it: process the message,
+/// and when its wire format is unknown `resolve` the meta-data and process
+/// once more. A format the resolution does not know either stays
+/// [`MorphError::UnknownWireFormat`].
+pub(crate) fn process_resolving(
+    rx: &mut MorphReceiver,
+    msg: &[u8],
+    ctx: Option<TraceCtx>,
+    resolve: impl FnOnce(&mut MorphReceiver, FormatId) -> Result<Option<usize>>,
+) -> Result<Delivery> {
+    match rx.process_traced(msg, ctx) {
+        Err(MorphError::UnknownWireFormat(id)) => {
+            if resolve(rx, id)?.is_none() {
+                return Err(MorphError::UnknownWireFormat(id));
             }
+            rx.process_traced(msg, ctx)
         }
-    });
-    match &result {
-        Ok(Some(_)) => resolved.inc(),
-        Ok(None) => {}
-        Err(_) => failures.inc(),
+        other => other,
     }
-    if let Some(mut s) = span {
-        s.tag("attempts", &tried.get().to_string());
-        s.tag(
-            "outcome",
-            match &result {
-                Ok(Some(_)) => "resolved",
-                Ok(None) => "unknown",
-                Err(_) => "failed",
-            },
-        );
-        s.finish();
-    }
-    result
 }
 
 /// [`process_with_resolution`] with a [`RetryPolicy`] on every meta-data
@@ -456,20 +481,14 @@ pub fn process_with_resolution_retry<E, S>(
     policy: &RetryPolicy,
     exchange: E,
     sleep: S,
-) -> Result<crate::receiver::Delivery>
+) -> Result<Delivery>
 where
     E: FnMut(Vec<u8>) -> Result<Vec<u8>>,
     S: FnMut(u64),
 {
-    match rx.process(msg) {
-        Err(MorphError::UnknownWireFormat(id)) => {
-            if resolve_into_with_retry(rx, id, policy, exchange, sleep)?.is_none() {
-                return Err(MorphError::UnknownWireFormat(id));
-            }
-            rx.process(msg)
-        }
-        other => other,
-    }
+    process_resolving(rx, msg, None, |rx, id| {
+        resolve_into_with_retry(rx, id, policy, exchange, sleep)
+    })
 }
 
 /// Convenience wrapper: process a message, and on
@@ -485,25 +504,16 @@ pub fn process_with_resolution<E>(
     rx: &mut MorphReceiver,
     msg: &[u8],
     exchange: E,
-) -> Result<crate::receiver::Delivery>
+) -> Result<Delivery>
 where
     E: FnMut(Vec<u8>) -> Result<Vec<u8>>,
 {
-    match rx.process(msg) {
-        Err(MorphError::UnknownWireFormat(id)) => {
-            if MetaClient::resolve_into(rx, id, exchange)?.is_none() {
-                return Err(MorphError::UnknownWireFormat(id));
-            }
-            rx.process(msg)
-        }
-        other => other,
-    }
+    process_resolving(rx, msg, None, |rx, id| MetaClient::resolve_into(rx, id, exchange))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::Delivery;
     use pbio::{Encoder, FormatBuilder, Value};
     use std::sync::Mutex;
 
@@ -734,6 +744,117 @@ mod tests {
         for a in 6..70u32 {
             assert!(p.backoff_ns(a) >= p.max_backoff_ns, "attempt {a} is capped");
         }
+    }
+
+    /// An uncapped policy (`max_backoff_ns: u64::MAX`) saturates at the cap
+    /// once the shift would overflow; the jitter added on top must saturate
+    /// with it, not wrap toward zero (a hot retry spin in release builds, a
+    /// panic in debug ones).
+    #[test]
+    fn backoff_of_an_uncapped_policy_saturates_instead_of_wrapping() {
+        let p = RetryPolicy {
+            budget: 100,
+            base_backoff_ns: 1 << 40,
+            max_backoff_ns: u64::MAX,
+            jitter_seed: 5,
+        };
+        for attempt in 0..=100 {
+            let b = p.backoff_ns(attempt);
+            assert!(b >= p.base_backoff_ns, "attempt {attempt}: {b} below the base");
+        }
+        assert_eq!(p.backoff_ns(24), u64::MAX, "2^64 and beyond is the cap");
+    }
+
+    /// The one resolution loop under both endpoint policies, on a scripted
+    /// exchange where every round-trip fails twice and then gets through:
+    /// the same books and the same `morph.resolve` span either way.
+    #[test]
+    fn one_loop_keeps_the_same_books_under_both_endpoint_policies() {
+        use crate::resolver::{ResolverConfig, ResolverPool};
+        use obs::{FlightRecorder, Registry, VirtualClock};
+
+        let server = Mutex::new(MetaServer::new());
+        server.lock().unwrap().register_transformation(xform());
+        let clock = Arc::new(VirtualClock::new());
+        let policy = RetryPolicy { budget: 2, ..RetryPolicy::with_seed(11) };
+        // (attempts, retries, resolved, failures) and the span's tags.
+        let books = |rx: &MorphReceiver, rec: &FlightRecorder| {
+            let snap = rx.registry().snapshot();
+            let count = |what: &str| snap.counter(&format!("morph.resolve.{what}")).unwrap();
+            let spans: Vec<_> =
+                rec.events().into_iter().filter(|e| e.name == "morph.resolve").collect();
+            let last = spans.last().expect("a morph.resolve span");
+            let tag = |key: &str| last.tag(key).unwrap().to_string();
+            (
+                [count("attempts"), count("retries"), count("resolved"), count("failures")],
+                (spans.len(), tag("attempts"), tag("outcome")),
+            )
+        };
+        let traced_receiver = || {
+            let registry = Arc::new(Registry::with_clock(clock.clone()));
+            let rec = Arc::new(FlightRecorder::new(64, clock.clone()));
+            registry.set_recorder(Arc::clone(&rec));
+            let mut rx = MorphReceiver::with_registry(registry);
+            rx.register_handler(&v1(), |_v| {});
+            let ctx = TraceCtx::root(rec.next_trace_id());
+            (rx, rec, ctx)
+        };
+        let mut calls = 0u32;
+        let mut flaky = |_endpoint: usize, req: Vec<u8>| {
+            calls += 1;
+            if calls.is_multiple_of(3) {
+                server.lock().unwrap().handle(&req)
+            } else {
+                Err(MorphError::Config("transient".into()))
+            }
+        };
+        let slept = std::cell::Cell::new(0u64);
+        let mut sleep = |ns: u64| slept.set(slept.get() + ns);
+
+        // Format, transformations out of v2, transformations out of v1:
+        // three round-trips, three attempts each.
+        let expected = ([9, 6, 1, 0], (1, "9".to_string(), "resolved".to_string()));
+        let (mut rx, rec, ctx) = traced_receiver();
+        let id = format_id(&v2());
+        let installed =
+            resolve_via(&mut rx, id, &policy, &mut OneServer, &mut flaky, &mut sleep, Some(ctx));
+        assert_eq!(installed.unwrap(), Some(1));
+        assert_eq!(books(&rx, &rec), expected, "the one server");
+
+        let (mut rx, rec, ctx) = traced_receiver();
+        let cfg = ResolverConfig::with_seed(7);
+        let mut pool = ResolverPool::new(2, cfg, clock.clone(), rx.registry());
+        let installed = pool.resolve(&mut rx, id, &policy, &mut flaky, &mut sleep, Some(ctx));
+        assert_eq!(installed.unwrap(), Some(1));
+        assert_eq!(books(&rx, &rec), expected, "the replica pool");
+        assert!(slept.get() > 0, "backoffs were waited out");
+
+        // Past its budget a live-but-failing endpoint exhausts the retries,
+        // and each policy says so in its own words.
+        let mut down = |_endpoint: usize, _req: Vec<u8>| Err(MorphError::Config("down".into()));
+        let unknown = FormatId(9);
+        let err =
+            resolve_via(&mut rx, unknown, &policy, &mut OneServer, &mut down, &mut sleep, None);
+        let text = err.unwrap_err().to_string();
+        assert!(text.ends_with("meta exchange failed 3 times, last: configuration error: down"));
+        let err = pool.resolve(&mut rx, unknown, &policy, &mut down, &mut sleep, Some(ctx));
+        let text = err.unwrap_err().to_string();
+        assert!(text.ends_with("failed 3 times across replicas, last: configuration error: down"));
+        assert_eq!(books(&rx, &rec).0, [15, 10, 1, 2]);
+
+        // With every breaker open the pool answers at once: no exchange, no
+        // attempt, no retry spent — one failure, one span saying why.
+        while !pool.all_open() {
+            let _ = pool.resolve(&mut rx, unknown, &policy, &mut down, &mut sleep, None);
+        }
+        let ([attempts, retries, _, failures], _) = books(&rx, &rec);
+        let patient = RetryPolicy { budget: 100, ..policy.clone() };
+        let err = pool.resolve(&mut rx, unknown, &patient, &mut down, &mut sleep, Some(ctx));
+        assert!(matches!(err, Err(MorphError::Unavailable(_))));
+        assert_eq!(
+            books(&rx, &rec),
+            ([attempts, retries, 1, failures + 1], (3, "0".to_string(), "unavailable".to_string()))
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use pbio::{
 
 use crate::adapter::ValueAdapter;
 use crate::error::{MorphError, Result};
-use crate::matching::{max_match, MatchConfig, MatchQuality};
+use crate::matching::{max_match, MatchConfig, MaxMatch};
 use crate::weighted::{weighted_max_match, WeightProfile, WeightedConfig};
 use crate::xform::{CompiledChain, Transformation, TransformationRegistry};
 
@@ -117,6 +117,12 @@ struct Selected {
     from: usize,
     to: usize,
     perfect: bool,
+}
+
+impl<M: PartialOrd> From<MaxMatch<M>> for Selected {
+    fn from(m: MaxMatch<M>) -> Selected {
+        Selected { from: m.from, to: m.to, perfect: m.quality.is_perfect() }
+    }
 }
 
 /// A point-in-time view of receiver activity (exposed for tests, examples,
@@ -478,14 +484,6 @@ impl MorphReceiver {
         self.plans.registry()
     }
 
-    /// Redirects all future metric updates into `registry`, re-fetching
-    /// every handle. Totals already accumulated stay in the old registry;
-    /// compiled plans are kept.
-    pub fn set_registry(&mut self, registry: Arc<Registry>) {
-        self.plans.set_registry(Arc::clone(&registry));
-        self.metrics = RxMetrics::new(registry);
-    }
-
     /// Registers a reader format and the handler invoked for (possibly
     /// morphed) messages delivered in that format. Returns the format id.
     pub fn register_handler(
@@ -613,15 +611,6 @@ impl MorphReceiver {
         });
     }
 
-    /// Imports serialized format meta-data (see [`FormatRegistry::export`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates meta-data decoding errors.
-    pub fn import_format_metadata(&mut self, bytes: &[u8]) -> Result<usize> {
-        Ok(self.known.import(bytes)?)
-    }
-
     /// Activity counters, assembled from the registry-backed metrics.
     pub fn stats(&self) -> MorphStats {
         let m = &self.metrics;
@@ -675,27 +664,18 @@ impl MorphReceiver {
         self.fingerprint = None;
     }
 
-    /// The paper's MaxMatch under the receiver's active policy (weighted or
-    /// unweighted). "Perfect" is always the structural (unweighted) notion,
-    /// so zero-weight differences still route through the adapting plan.
+    /// The paper's MaxMatch under the receiver's active policy: the one
+    /// traversal, weighing by field count or by the importance profile.
+    /// "Perfect" is structural under both, so zero-weight differences still
+    /// route through the adapting plan.
     fn select(&self, set1: &[Arc<RecordFormat>], set2: &[Arc<RecordFormat>]) -> Option<Selected> {
         // Search cost scales with the candidate cross-product (every
         // (incoming, reader) pair is diffed), so that is what we count.
         self.metrics.maxmatch_candidates.add((set1.len() * set2.len()) as u64);
         let _span = self.metrics.timer(&self.metrics.maxmatch_ns);
         match &self.weights {
-            None => max_match(set1, set2, &self.config).map(|m| Selected {
-                from: m.from,
-                to: m.to,
-                perfect: m.quality.is_perfect(),
-            }),
-            Some((profile, wcfg)) => {
-                weighted_max_match(set1, set2, profile, wcfg).map(|m| Selected {
-                    from: m.from,
-                    to: m.to,
-                    perfect: MatchQuality::of(&set1[m.from], &set2[m.to]).is_perfect(),
-                })
-            }
+            None => max_match(set1, set2, &self.config).map(Into::into),
+            Some((profile, cfg)) => weighted_max_match(set1, set2, profile, cfg).map(Into::into),
         }
     }
 
@@ -1168,7 +1148,7 @@ impl Applier<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbio::{Encoder, FormatBuilder};
+    use pbio::{BasicType, Encoder, FieldType, FormatBuilder};
     use std::sync::{Arc as SArc, Mutex};
 
     type Sink = SArc<Mutex<Vec<Value>>>;
@@ -1345,6 +1325,55 @@ mod tests {
         // Rejection is cached too.
         assert_eq!(rx.process(&wire).unwrap(), Delivery::Rejected);
         assert_eq!(rx.stats().cache_hits, 1);
+    }
+
+    /// MaxMatch shares the plan's relation: an array that changes length
+    /// discipline is a field the plan will default, so the pair is a near
+    /// match — never "exact" while the handler gets zeros for sent values.
+    #[test]
+    fn a_length_discipline_mismatch_is_a_near_match_not_an_exact_one() {
+        let int = || FieldType::Basic(BasicType::Int(pbio::Width::W4));
+        let wire_fmt = FormatBuilder::record("Samples")
+            .int("n")
+            .var_array_basic("vals", BasicType::Int(pbio::Width::W4), "n")
+            .build_arc()
+            .unwrap();
+        let reader = FormatBuilder::record("Samples")
+            .int("n")
+            .fixed_array("vals", int(), 4)
+            .build_arc()
+            .unwrap();
+        let sent: Vec<Value> = (1..=4).map(Value::Int).collect();
+        let wire = Encoder::new(&wire_fmt)
+            .encode(&Value::Record(vec![Value::Int(4), Value::Array(sent)]))
+            .unwrap();
+        let wire_id = format_id(&wire_fmt);
+
+        // "Admit only perfect matches" does not admit it.
+        let (got, h) = sink();
+        let mut rx = MorphReceiver::with_config(MatchConfig::exact());
+        rx.register_handler(&reader, h);
+        rx.import_format(wire_fmt.clone());
+        assert_eq!(rx.process(&wire).unwrap(), Delivery::Rejected);
+        assert_eq!(rx.explain(wire_id), Some(Explanation::Rejected));
+        assert!(got.lock().unwrap().is_empty());
+        assert_eq!((rx.stats().exact_matches, rx.stats().rejects), (0, 1));
+
+        // The default thresholds do (one field of two defaulted: Mr 0.5),
+        // and say what it is.
+        let (got, h) = sink();
+        let mut rx = MorphReceiver::new();
+        let reader_id = rx.register_handler(&reader, h);
+        rx.import_format(wire_fmt);
+        assert_eq!(rx.process(&wire).unwrap(), Delivery::Delivered(reader_id));
+        assert_eq!(rx.explain(wire_id), Some(Explanation::NearMatch { target: reader_id }));
+        let snap = rx.registry().snapshot();
+        assert_eq!(snap.counter("morph.decision.near"), Some(1));
+        assert_eq!(snap.counter("morph.decision.exact"), Some(0));
+        assert_eq!(
+            got.lock().unwrap()[0],
+            Value::Record(vec![Value::Int(4), Value::Array(vec![Value::Int(0); 4])])
+        );
     }
 
     #[test]

@@ -32,11 +32,11 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use obs::{AdaptDecision, AdaptiveThreshold, Clock, Counter, Gauge, Registry, TraceCtx};
+use obs::{Clock, Counter, Gauge, Registry, TraceCtx};
 use pbio::{FormatId, WireBytes};
 
 use crate::error::{MorphError, Result};
-use crate::metaserver::{MetaClient, RetryPolicy};
+use crate::metaserver::{process_resolving, resolve_via, Endpoints, MetaClient, RetryPolicy};
 use crate::receiver::{Delivery, MorphReceiver};
 
 /// Tuning for a [`ResolverPool`]: breaker thresholds, cooldown schedule,
@@ -136,20 +136,6 @@ pub struct PendingSet {
     dropped: Arc<Counter>,
     failed: Arc<Counter>,
     depth: Arc<Gauge>,
-    adaptive: Option<PendingAdaptive>,
-}
-
-/// Optional load-adaptive watermark (see [`PendingSet::enable_adaptive`]):
-/// when parks outrun drains over the trailing window the effective bound
-/// tightens below the configured capacity, shedding the oldest messages
-/// sooner; when drains recover it relaxes back. Same window geometry as
-/// the echo layer's adaptive queues: eight 1 ms slots.
-#[derive(Debug)]
-struct PendingAdaptive {
-    threshold: AdaptiveThreshold,
-    clock: Arc<dyn Clock>,
-    tightened: Arc<Counter>,
-    relaxed: Arc<Counter>,
 }
 
 impl PendingSet {
@@ -164,42 +150,15 @@ impl PendingSet {
             dropped: registry.counter("morph.pending.dropped"),
             failed: registry.counter("morph.pending.failed"),
             depth: registry.gauge("morph.pending.depth"),
-            adaptive: None,
         }
-    }
-
-    /// Turns on the load-adaptive watermark: parks and drains feed
-    /// rolling-rate windows on `clock`, and sustained overload tightens
-    /// the effective bound (counted as `morph.pending.tightened` /
-    /// `.relaxed`) down to one eighth of the configured capacity.
-    pub fn enable_adaptive(&mut self, clock: Arc<dyn Clock>, registry: &Registry) {
-        let floor = (self.capacity / 8).max(1);
-        self.adaptive = Some(PendingAdaptive {
-            threshold: AdaptiveThreshold::new(self.capacity, floor, 8, 1_000_000),
-            clock,
-            tightened: registry.counter("morph.pending.tightened"),
-            relaxed: registry.counter("morph.pending.relaxed"),
-        });
     }
 
     /// Parks a message awaiting `id`'s meta-data. Parking a [`WireBytes`]
-    /// shares the receive buffer (no payload copy). When full — against
-    /// the adaptive watermark if enabled, the configured capacity
-    /// otherwise — the oldest parked message is shed and returned for
-    /// quarantining.
+    /// shares the receive buffer (no payload copy). When full, the oldest
+    /// parked message is shed and returned for quarantining.
     pub fn park(&mut self, id: FormatId, bytes: impl Into<WireBytes>) -> Option<WireBytes> {
         self.parked_total.inc();
-        if let Some(a) = self.adaptive.as_mut() {
-            let now = a.clock.now_ns();
-            a.threshold.on_arrival(now);
-            match a.threshold.evaluate(now) {
-                Some(AdaptDecision::Tighten) => a.tightened.inc(),
-                Some(AdaptDecision::Relax) => a.relaxed.inc(),
-                None => {}
-            }
-        }
-        let bound = self.effective_capacity();
-        let shed = if self.parked.len() >= bound {
+        let shed = if self.parked.len() >= self.capacity {
             self.dropped.inc();
             self.parked.pop_front().map(|(_, b)| b)
         } else {
@@ -213,17 +172,6 @@ impl PendingSet {
     /// Removes and returns the oldest parked message.
     pub fn pop(&mut self) -> Option<(FormatId, WireBytes)> {
         let front = self.parked.pop_front();
-        if front.is_some() {
-            if let Some(a) = self.adaptive.as_mut() {
-                let now = a.clock.now_ns();
-                a.threshold.on_drain(now);
-                match a.threshold.evaluate(now) {
-                    Some(AdaptDecision::Tighten) => a.tightened.inc(),
-                    Some(AdaptDecision::Relax) => a.relaxed.inc(),
-                    None => {}
-                }
-            }
-        }
         self.depth.set(self.parked.len() as i64);
         front
     }
@@ -249,16 +197,6 @@ impl PendingSet {
     /// The configured bound.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The bound parks are admitted against right now: the adaptive
-    /// watermark when enabled (≤ the configured capacity), the configured
-    /// capacity otherwise.
-    pub fn effective_capacity(&self) -> usize {
-        match &self.adaptive {
-            Some(a) => a.threshold.capacity().min(self.capacity),
-            None => self.capacity,
-        }
     }
 }
 
@@ -365,14 +303,6 @@ impl ResolverPool {
         &self.pending
     }
 
-    /// Turns on the pending set's load-adaptive watermark, clocked and
-    /// counted on this pool's clock and registry. See
-    /// [`PendingSet::enable_adaptive`].
-    pub fn enable_adaptive_pending(&mut self) {
-        let clock = Arc::clone(&self.clock);
-        self.pending.enable_adaptive(clock, &self.registry);
-    }
-
     /// True when every endpoint's breaker is open *and* still cooling
     /// down — the state in which resolution fails fast with
     /// [`MorphError::Unavailable`].
@@ -415,58 +345,6 @@ impl ResolverPool {
         self.endpoints[endpoint].state = BreakerState::HalfOpen;
         self.half_opened.inc();
         self.instant("morph.breaker.half_open", endpoint, ctx);
-    }
-
-    /// Picks the next admissible endpoint round-robin, transitioning
-    /// cooled-down open breakers to half-open on the way. `None` when every
-    /// breaker rejects — counted as `morph.breaker.rejected`.
-    fn pick(&mut self, ctx: Option<TraceCtx>) -> Option<usize> {
-        let now = self.clock.now_ns();
-        let n = self.endpoints.len();
-        for off in 0..n {
-            let i = (self.cursor + off) % n;
-            if !self.endpoint_allowed(i, now) {
-                continue;
-            }
-            if self.endpoints[i].state == BreakerState::Open {
-                self.half_open(i, ctx);
-            }
-            self.cursor = (i + 1) % n;
-            return Some(i);
-        }
-        self.rejected.inc();
-        if let (Some(rec), Some(c)) = (self.registry.recorder(), ctx) {
-            rec.instant(c.trace, c.parent, "morph.breaker.rejected", &[]);
-        }
-        None
-    }
-
-    /// Records a successful exchange: resets the failure count and closes
-    /// a non-closed breaker.
-    fn on_success(&mut self, endpoint: usize, ctx: Option<TraceCtx>) {
-        let ep = &mut self.endpoints[endpoint];
-        ep.failures = 0;
-        if ep.state != BreakerState::Closed {
-            ep.state = BreakerState::Closed;
-            self.closed.inc();
-            self.instant("morph.breaker.close", endpoint, ctx);
-        }
-    }
-
-    /// Records a failed exchange: a half-open trial failure or reaching the
-    /// threshold re-opens the breaker.
-    fn on_failure(&mut self, endpoint: usize, ctx: Option<TraceCtx>) {
-        let now = self.clock.now_ns();
-        let ep = &mut self.endpoints[endpoint];
-        ep.failures += 1;
-        let trip = ep.state == BreakerState::HalfOpen || ep.failures >= self.cfg.failure_threshold;
-        if trip && ep.state != BreakerState::Open {
-            ep.state = BreakerState::Open;
-            ep.opened_at_ns = now;
-            ep.opens += 1;
-            self.opened.inc();
-            self.instant("morph.breaker.open", endpoint, ctx);
-        }
     }
 
     /// Health-checks every endpoint currently admissible (closed,
@@ -528,66 +406,7 @@ impl ResolverPool {
         E: FnMut(usize, Vec<u8>) -> Result<Vec<u8>>,
         S: FnMut(u64),
     {
-        let registry = Arc::clone(rx.registry());
-        let span = ctx
-            .and_then(|c| registry.recorder().map(|r| (r, c)))
-            .map(|(r, c)| r.start(c.trace, c.parent, "morph.resolve"));
-        let inner = span.as_ref().map(|s| s.ctx()).or(ctx);
-        let attempts = registry.counter("morph.resolve.attempts");
-        let retries = registry.counter("morph.resolve.retries");
-        let resolved = registry.counter("morph.resolve.resolved");
-        let failures = registry.counter("morph.resolve.failures");
-        let tried = std::cell::Cell::new(0u64);
-        let result = MetaClient::resolve_into(rx, id, |req| {
-            let mut attempt = 0u32;
-            loop {
-                let Some(endpoint) = self.pick(inner) else {
-                    return Err(MorphError::Unavailable(format!(
-                        "all {} meta-server replicas have open circuit breakers",
-                        self.endpoints.len()
-                    )));
-                };
-                attempts.inc();
-                tried.set(tried.get() + 1);
-                match exchange(endpoint, req.clone()) {
-                    Ok(resp) => {
-                        self.on_success(endpoint, inner);
-                        return Ok(resp);
-                    }
-                    Err(e) => {
-                        self.on_failure(endpoint, inner);
-                        if attempt >= policy.budget {
-                            return Err(MorphError::RetryExhausted(format!(
-                                "meta exchange failed {} times across replicas, last: {e}",
-                                attempt + 1
-                            )));
-                        }
-                        retries.inc();
-                        sleep(policy.backoff_ns(attempt));
-                        attempt += 1;
-                    }
-                }
-            }
-        });
-        match &result {
-            Ok(Some(_)) => resolved.inc(),
-            Ok(None) => {}
-            Err(_) => failures.inc(),
-        }
-        if let Some(mut s) = span {
-            s.tag("attempts", &tried.get().to_string());
-            s.tag(
-                "outcome",
-                match &result {
-                    Ok(Some(_)) => "resolved",
-                    Ok(None) => "unknown",
-                    Err(MorphError::Unavailable(_)) => "unavailable",
-                    Err(_) => "failed",
-                },
-            );
-            s.finish();
-        }
-        result
+        resolve_via(rx, id, policy, self, &mut exchange, &mut sleep, ctx)
     }
 
     /// Re-processes parked messages, oldest first, resolving their formats
@@ -608,38 +427,19 @@ impl ResolverPool {
     {
         let mut report = DrainReport::default();
         while let Some((id, bytes)) = self.pending.pop() {
-            match rx.process_traced(&bytes, ctx) {
+            let outcome = process_resolving(rx, &bytes, ctx, |rx, id| {
+                self.resolve(rx, id, policy, &mut exchange, &mut sleep, ctx)
+            });
+            match outcome {
                 Ok(_) => {
                     self.pending.drained.inc();
                     report.delivered += 1;
                 }
-                Err(MorphError::UnknownWireFormat(_)) => {
-                    match self.resolve(rx, id, policy, &mut exchange, &mut sleep, ctx) {
-                        Ok(Some(_)) => match rx.process_traced(&bytes, ctx) {
-                            Ok(_) => {
-                                self.pending.drained.inc();
-                                report.delivered += 1;
-                            }
-                            Err(e) => {
-                                self.pending.failed.inc();
-                                report.failed.push((bytes, e));
-                            }
-                        },
-                        Err(MorphError::Unavailable(_)) => {
-                            // Still down: keep the message, stop draining.
-                            self.pending.unpop(id, bytes);
-                            report.requeued = self.pending.len();
-                            return report;
-                        }
-                        Ok(None) => {
-                            self.pending.failed.inc();
-                            report.failed.push((bytes, MorphError::UnknownWireFormat(id)));
-                        }
-                        Err(e) => {
-                            self.pending.failed.inc();
-                            report.failed.push((bytes, e));
-                        }
-                    }
+                Err(MorphError::Unavailable(_)) => {
+                    // Still down: keep the message, stop draining.
+                    self.pending.unpop(id, bytes);
+                    report.requeued = self.pending.len();
+                    return report;
                 }
                 Err(e) => {
                     self.pending.failed.inc();
@@ -679,28 +479,86 @@ impl ResolverPool {
         E: FnMut(usize, Vec<u8>) -> Result<Vec<u8>>,
         S: FnMut(u64),
     {
-        match rx.process_traced(msg, ctx) {
-            Err(MorphError::UnknownWireFormat(id)) => {
-                match self.resolve(rx, id, policy, &mut exchange, &mut sleep, ctx) {
-                    Ok(Some(_)) => {
-                        let d = rx.process_traced(msg, ctx)?;
-                        // The control plane just answered: recover anything
-                        // parked during the outage. Poison messages were
-                        // already counted (`morph.pending.failed`).
-                        if !self.pending.is_empty() {
-                            let _ = self.drain(rx, policy, &mut exchange, &mut sleep, ctx);
-                        }
-                        Ok(PoolDelivery::Delivered(d))
-                    }
-                    Ok(None) => Err(MorphError::UnknownWireFormat(id)),
-                    Err(MorphError::Unavailable(_)) => {
-                        let shed = self.pending.park(id, msg);
-                        Ok(PoolDelivery::Parked { shed })
-                    }
-                    Err(e) => Err(e),
-                }
+        let mut unknown = None;
+        let outcome = process_resolving(rx, msg, ctx, |rx, id| {
+            unknown = Some(id);
+            self.resolve(rx, id, policy, &mut exchange, &mut sleep, ctx)
+        });
+        match (outcome, unknown) {
+            (Err(MorphError::Unavailable(_)), Some(id)) => {
+                Ok(PoolDelivery::Parked { shed: self.pending.park(id, msg) })
             }
-            other => other.map(PoolDelivery::Delivered),
+            (Ok(d), Some(_)) if !self.pending.is_empty() => {
+                // The control plane just answered: recover anything parked
+                // during the outage. Poison messages were already counted
+                // (`morph.pending.failed`).
+                let _ = self.drain(rx, policy, &mut exchange, &mut sleep, ctx);
+                Ok(PoolDelivery::Delivered(d))
+            }
+            (outcome, _) => outcome.map(PoolDelivery::Delivered),
+        }
+    }
+}
+
+/// The replica-pool endpoint policy: round-robin over the endpoints whose
+/// breaker admits a request, breakers fed by every outcome, and
+/// [`MorphError::Unavailable`] when none admits one.
+impl Endpoints for ResolverPool {
+    fn tried(&self) -> &'static str {
+        " across replicas"
+    }
+
+    /// Picks the next admissible endpoint round-robin, transitioning
+    /// cooled-down open breakers to half-open on the way. Unavailable when
+    /// every breaker rejects — counted as `morph.breaker.rejected`.
+    fn pick(&mut self, ctx: Option<TraceCtx>) -> Result<usize> {
+        let now = self.clock.now_ns();
+        let n = self.endpoints.len();
+        for off in 0..n {
+            let i = (self.cursor + off) % n;
+            if !self.endpoint_allowed(i, now) {
+                continue;
+            }
+            if self.endpoints[i].state == BreakerState::Open {
+                self.half_open(i, ctx);
+            }
+            self.cursor = (i + 1) % n;
+            return Ok(i);
+        }
+        self.rejected.inc();
+        if let (Some(rec), Some(c)) = (self.registry.recorder(), ctx) {
+            rec.instant(c.trace, c.parent, "morph.breaker.rejected", &[]);
+        }
+        Err(MorphError::Unavailable(format!(
+            "all {n} meta-server replicas have open circuit breakers"
+        )))
+    }
+
+    /// Records a successful exchange: resets the failure count and closes
+    /// a non-closed breaker.
+    fn on_success(&mut self, endpoint: usize, ctx: Option<TraceCtx>) {
+        let ep = &mut self.endpoints[endpoint];
+        ep.failures = 0;
+        if ep.state != BreakerState::Closed {
+            ep.state = BreakerState::Closed;
+            self.closed.inc();
+            self.instant("morph.breaker.close", endpoint, ctx);
+        }
+    }
+
+    /// Records a failed exchange: a half-open trial failure or reaching the
+    /// threshold re-opens the breaker.
+    fn on_failure(&mut self, endpoint: usize, ctx: Option<TraceCtx>) {
+        let now = self.clock.now_ns();
+        let ep = &mut self.endpoints[endpoint];
+        ep.failures += 1;
+        let trip = ep.state == BreakerState::HalfOpen || ep.failures >= self.cfg.failure_threshold;
+        if trip && ep.state != BreakerState::Open {
+            ep.state = BreakerState::Open;
+            ep.opened_at_ns = now;
+            ep.opens += 1;
+            self.opened.inc();
+            self.instant("morph.breaker.open", endpoint, ctx);
         }
     }
 }
@@ -964,38 +822,6 @@ mod tests {
         // Drain order preserved for the survivors.
         assert_eq!(pending.pop().unwrap().0, FormatId(2));
         assert_eq!(pending.pop().unwrap().0, FormatId(3));
-    }
-
-    #[test]
-    fn adaptive_pending_tightens_under_park_pressure_and_relaxes() {
-        let clock = Arc::new(VirtualClock::new());
-        let reg = Arc::new(Registry::with_clock(clock.clone()));
-        let mut pending = PendingSet::with_registry(32, &reg);
-        pending.enable_adaptive(clock.clone(), &reg);
-        assert_eq!(pending.effective_capacity(), 32);
-
-        // A park burst with no drains overruns the window: the watermark
-        // halves and overflow shedding starts well before 32 parked.
-        let mut shed = 0;
-        for i in 0..24u64 {
-            clock.advance_ns(100_000);
-            if pending.park(FormatId(i), b"m").is_some() {
-                shed += 1;
-            }
-        }
-        assert!(pending.effective_capacity() < 32, "watermark never tightened");
-        assert!(shed > 0, "tightened watermark never shed");
-        let snap = reg.snapshot();
-        assert!(snap.counter("morph.pending.tightened").unwrap_or(0) >= 1);
-        assert_eq!(snap.counter("morph.pending.dropped"), Some(shed));
-
-        // Quiet period, then a drain run: the watermark relaxes back.
-        clock.advance_ns(20_000_000);
-        while pending.pop().is_some() {
-            clock.advance_ns(100_000);
-        }
-        assert_eq!(pending.effective_capacity(), 32);
-        assert!(reg.snapshot().counter("morph.pending.relaxed").unwrap_or(0) >= 1);
     }
 
     #[test]

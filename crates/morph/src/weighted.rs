@@ -5,19 +5,19 @@
 //!
 //! A [`WeightProfile`] assigns a non-negative importance to fields by
 //! dotted path (`member_list.info`), with `*` matching any single segment.
-//! The weighted analogues of Algorithm 1 then count *importance mass*
-//! instead of field count: `wdiff(f1, f2)` is the total importance of
-//! basic fields of `f1` absent from `f2`, and the weighted Mismatch Ratio
-//! normalizes by the target's total importance. A receiver can thus accept
-//! a format missing ten debug counters while rejecting one missing a
-//! single critical field.
+//! Algorithm 1 then counts *importance mass* instead of fields — the same
+//! traversal as [`crate::diff`], with a profile as its weigher — so
+//! `wdiff(f1, f2)` is the total importance of basic fields of `f1` absent
+//! from `f2`, and the weighted Mismatch Ratio normalizes by the target's
+//! total importance. A receiver can thus accept a format missing ten debug
+//! counters while rejecting one missing a single critical field.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pbio::{BasicType, Field, FieldType, RecordFormat};
+use pbio::RecordFormat;
 
-use crate::matching::MatchConfig;
+use crate::matching::{miss, quality, select, weight_under, MatchConfig, MaxMatch, Weigher};
 
 /// Default importance of a field not mentioned in the profile.
 pub const DEFAULT_IMPORTANCE: f64 = 1.0;
@@ -52,8 +52,8 @@ pub struct WeightProfile {
 }
 
 impl WeightProfile {
-    /// An empty profile: every field weighs [`DEFAULT_IMPORTANCE`],
-    /// reducing the weighted functions to the paper's unweighted ones.
+    /// An empty profile: every field weighs [`DEFAULT_IMPORTANCE`], which
+    /// makes the weighted functions compute the paper's unweighted ones.
     pub fn new() -> WeightProfile {
         WeightProfile { weights: HashMap::new() }
     }
@@ -91,11 +91,6 @@ impl WeightProfile {
         }
         best.map_or(DEFAULT_IMPORTANCE, |(_, _, w)| w)
     }
-
-    /// True if no weights are registered.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
 }
 
 /// Matches a dotted pattern against a dotted path. Segments match
@@ -119,109 +114,46 @@ fn segment_matches(pattern: &str, segment: &str) -> bool {
     }
 }
 
+/// A profile weighs a basic field by its dotted path and sums in `f64`.
+impl Weigher for WeightProfile {
+    type Mass = f64;
+    type Path = String;
+    fn child(&self, parent: &String, name: &str) -> String {
+        if parent.is_empty() {
+            name.to_string()
+        } else {
+            format!("{parent}.{name}")
+        }
+    }
+    fn basic(&self, at: &String) -> f64 {
+        self.importance(at)
+    }
+    fn as_f64(mass: f64) -> f64 {
+        mass
+    }
+}
+
 /// The weighted analogue of the paper's `W_f`: total importance mass of a
 /// format's basic fields.
 pub fn wweight(format: &RecordFormat, profile: &WeightProfile) -> f64 {
-    wweight_at(format, profile, "")
-}
-
-fn join(prefix: &str, name: &str) -> String {
-    if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}.{name}")
-    }
-}
-
-fn wweight_at(format: &RecordFormat, profile: &WeightProfile, prefix: &str) -> f64 {
-    format.fields().iter().map(|f| type_wweight(f.ty(), profile, &join(prefix, f.name()))).sum()
-}
-
-fn type_wweight(ty: &FieldType, profile: &WeightProfile, path: &str) -> f64 {
-    match ty {
-        FieldType::Basic(_) => profile.importance(path),
-        FieldType::Record(r) => wweight_at(r, profile, path),
-        FieldType::Array { elem, .. } => type_wweight(elem, profile, path),
-    }
+    weight_under(profile, format, &String::new())
 }
 
 /// Weighted Algorithm 1: total importance of basic fields of `f1` absent
 /// from `f2`.
 pub fn wdiff(f1: &RecordFormat, f2: &RecordFormat, profile: &WeightProfile) -> f64 {
-    wdiff_at(f1, f2, profile, "")
-}
-
-fn basic_present(f: &Field, b: &BasicType, f2: &RecordFormat) -> bool {
-    match f2.field(f.name()) {
-        Some(g) => match g.ty() {
-            FieldType::Basic(b2) => b.convertible_to(b2),
-            _ => false,
-        },
-        None => false,
-    }
-}
-
-fn wdiff_at(f1: &RecordFormat, f2: &RecordFormat, profile: &WeightProfile, prefix: &str) -> f64 {
-    let mut d = 0.0;
-    for f in f1.fields() {
-        let path = join(prefix, f.name());
-        match f.ty() {
-            FieldType::Basic(b) => {
-                if !basic_present(f, b, f2) {
-                    d += profile.importance(&path);
-                }
-            }
-            complex_ty => {
-                let counterpart = f2.field(f.name()).and_then(|g| match (complex_ty, g.ty()) {
-                    (FieldType::Record(_), FieldType::Record(_)) => Some(g.ty()),
-                    (FieldType::Array { .. }, FieldType::Array { .. }) => Some(g.ty()),
-                    _ => None,
-                });
-                match counterpart {
-                    None => d += type_wweight(complex_ty, profile, &path),
-                    Some(gty) => d += wdiff_types(complex_ty, gty, profile, &path),
-                }
-            }
-        }
-    }
-    d
-}
-
-fn wdiff_types(t1: &FieldType, t2: &FieldType, profile: &WeightProfile, path: &str) -> f64 {
-    match (t1, t2) {
-        (FieldType::Record(r1), FieldType::Record(r2)) => wdiff_at(r1, r2, profile, path),
-        (FieldType::Array { elem: e1, .. }, FieldType::Array { elem: e2, .. }) => {
-            wdiff_types(e1, e2, profile, path)
-        }
-        (FieldType::Basic(b1), FieldType::Basic(b2)) => {
-            if b1.convertible_to(b2) {
-                0.0
-            } else {
-                profile.importance(path)
-            }
-        }
-        (t1, _) => type_wweight(t1, profile, path),
-    }
+    miss(profile, f1, f2, &String::new()).mass
 }
 
 /// Weighted Mismatch Ratio: importance of `f2` fields with no source in
 /// `f1`, normalized by `f2`'s total importance.
 pub fn wmismatch_ratio(f1: &RecordFormat, f2: &RecordFormat, profile: &WeightProfile) -> f64 {
-    let w2 = wweight(f2, profile);
-    if w2 == 0.0 {
-        return 0.0;
-    }
-    wdiff(f2, f1, profile) / w2
+    quality(profile, f1, f2).mismatch_ratio
 }
 
-/// Thresholds for weighted matching (importance mass instead of counts).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedConfig {
-    /// Maximum tolerated `wdiff(f1, f2)` (importance mass dropped).
-    pub diff_threshold: f64,
-    /// Maximum tolerated weighted Mismatch Ratio.
-    pub mismatch_threshold: f64,
-}
+/// Thresholds for weighted matching: `diff_threshold` bounds the importance
+/// mass dropped (`wdiff(f1, f2)`) instead of a field count.
+pub type WeightedConfig = MatchConfig<f64>;
 
 impl From<MatchConfig> for WeightedConfig {
     fn from(c: MatchConfig) -> WeightedConfig {
@@ -233,17 +165,7 @@ impl From<MatchConfig> for WeightedConfig {
 }
 
 /// The chosen pair of a weighted MaxMatch, with its weighted quality.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedMatch {
-    /// Index into the first candidate set.
-    pub from: usize,
-    /// Index into the second candidate set.
-    pub to: usize,
-    /// `wdiff(f1, f2)`.
-    pub diff_fwd: f64,
-    /// Weighted Mismatch Ratio.
-    pub mismatch_ratio: f64,
-}
+pub type WeightedMatch = MaxMatch<f64>;
 
 /// Weighted MaxMatch: least weighted `Mr`, then least weighted `diff`,
 /// thresholded by `config`; ties broken by candidate order.
@@ -253,27 +175,7 @@ pub fn weighted_max_match(
     profile: &WeightProfile,
     config: &WeightedConfig,
 ) -> Option<WeightedMatch> {
-    let mut best: Option<WeightedMatch> = None;
-    for (i, f1) in set1.iter().enumerate() {
-        for (j, f2) in set2.iter().enumerate() {
-            let diff_fwd = wdiff(f1, f2, profile);
-            let mr = wmismatch_ratio(f1, f2, profile);
-            if diff_fwd > config.diff_threshold || mr > config.mismatch_threshold {
-                continue;
-            }
-            let cand = WeightedMatch { from: i, to: j, diff_fwd, mismatch_ratio: mr };
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    mr < b.mismatch_ratio || (mr == b.mismatch_ratio && diff_fwd < b.diff_fwd)
-                }
-            };
-            if better {
-                best = Some(cand);
-            }
-        }
-    }
-    best
+    select(profile, set1, set2, config)
 }
 
 #[cfg(test)]
@@ -404,7 +306,7 @@ mod tests {
 
     #[test]
     fn config_conversion() {
-        let c: WeightedConfig = MatchConfig { diff_threshold: 3, mismatch_threshold: 0.25 }.into();
+        let c = WeightedConfig::from(MatchConfig { diff_threshold: 3, mismatch_threshold: 0.25 });
         assert_eq!(c.diff_threshold, 3.0);
         assert_eq!(c.mismatch_threshold, 0.25);
     }

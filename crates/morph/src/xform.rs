@@ -11,6 +11,30 @@ use pbio::{format_id, FormatId, RecordFormat, Value};
 
 use crate::error::{MorphError, Result};
 
+/// Appends `chunk` behind its length as a little-endian `u32` — how every
+/// piece of out-of-band meta-data (a format description, a transformation,
+/// a server request's payload) is framed.
+pub(crate) fn put_chunk(out: &mut Vec<u8>, chunk: &[u8]) {
+    out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+    out.extend_from_slice(chunk);
+}
+
+/// Takes the little-endian `u32` at `*pos`; `None` when `bytes` ends first.
+pub(crate) fn take_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
+    let raw = bytes.get(*pos..)?.first_chunk::<4>()?;
+    *pos += 4;
+    Some(u32::from_le_bytes(*raw))
+}
+
+/// Takes the chunk [`put_chunk`] wrote at `*pos`; `None` when `bytes` ends
+/// first.
+pub(crate) fn take_chunk<'b>(bytes: &'b [u8], pos: &mut usize) -> Option<&'b [u8]> {
+    let len = take_u32(bytes, pos)? as usize;
+    let chunk = bytes.get(*pos..)?.get(..len)?;
+    *pos += len;
+    Some(chunk)
+}
+
 /// A writer-supplied transformation: Ecode source converting a message of
 /// `from` into a message of `to`.
 ///
@@ -69,8 +93,7 @@ impl Transformation {
         let to = pbio::serialize_format(&self.to);
         let mut out = Vec::with_capacity(from.len() + to.len() + self.source.len() + 12);
         for part in [&from[..], &to[..], self.source.as_bytes()] {
-            out.extend_from_slice(&(part.len() as u32).to_le_bytes());
-            out.extend_from_slice(part);
+            put_chunk(&mut out, part);
         }
         out
     }
@@ -84,28 +107,13 @@ impl Transformation {
     /// Returns [`MorphError::Pbio`] / [`MorphError::BadTransformation`] for
     /// malformed input.
     pub fn deserialize(bytes: &[u8]) -> Result<Transformation> {
-        fn chunk<'b>(bytes: &'b [u8], pos: &mut usize) -> Result<&'b [u8]> {
-            if *pos + 4 > bytes.len() {
-                return Err(MorphError::BadTransformation(
-                    "truncated transformation meta-data".into(),
-                ));
-            }
-            let len =
-                u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes")) as usize;
-            *pos += 4;
-            if *pos + len > bytes.len() {
-                return Err(MorphError::BadTransformation(
-                    "truncated transformation meta-data".into(),
-                ));
-            }
-            let s = &bytes[*pos..*pos + len];
-            *pos += len;
-            Ok(s)
-        }
+        let truncated =
+            || MorphError::BadTransformation("truncated transformation meta-data".into());
         let mut pos = 0;
-        let from = pbio::deserialize_format(chunk(bytes, &mut pos)?)?;
-        let to = pbio::deserialize_format(chunk(bytes, &mut pos)?)?;
-        let source = std::str::from_utf8(chunk(bytes, &mut pos)?)
+        let mut chunk = || take_chunk(bytes, &mut pos).ok_or_else(truncated);
+        let from = pbio::deserialize_format(chunk()?)?;
+        let to = pbio::deserialize_format(chunk()?)?;
+        let source = std::str::from_utf8(chunk()?)
             .map_err(|_| MorphError::BadTransformation("source is not UTF-8".into()))?
             .to_string();
         if pos != bytes.len() {
@@ -157,21 +165,33 @@ impl CompiledXform {
         &self.program
     }
 
+    /// The one body under the four public forms: `engine` runs the program
+    /// over `[input, default old]`, and `old` comes back — next to what the
+    /// program returned — with its variable-length array length fields
+    /// re-synchronized, so the output always satisfies the target format's
+    /// invariants.
+    fn run(
+        &self,
+        input: Value,
+        engine: impl FnOnce(&EcodeProgram, &mut [Value]) -> ecode::Result<Option<Value>>,
+    ) -> Result<(Option<Value>, Value)> {
+        let mut roots = vec![input, Value::default_record(&self.to)];
+        let returned = engine(&self.program, &mut roots)?;
+        let mut out = roots.pop().expect("two roots in, two out");
+        pbio::sync_length_fields(&mut out, &self.to);
+        Ok((returned, out))
+    }
+
     /// Applies the transformation to a decoded message value, producing a
-    /// value in the target format. Variable-length array length fields are
-    /// re-synchronized after the user code runs, so the output always
-    /// satisfies the target format's invariants.
+    /// value in the target format (length fields re-synchronized after the
+    /// user code runs).
     ///
     /// # Errors
     ///
     /// Returns [`MorphError::Ecode`] if the transformation code fails at
     /// runtime.
     pub fn apply(&self, input: &Value) -> Result<Value> {
-        let mut roots = vec![input.clone(), Value::default_record(&self.to)];
-        self.program.run(&mut roots)?;
-        let mut out = roots.pop().expect("two roots in, two out");
-        pbio::sync_length_fields(&mut out, &self.to);
-        Ok(out)
+        self.apply_owned(input.clone())
     }
 
     /// As [`CompiledXform::apply`], but takes the input by value to avoid a
@@ -181,11 +201,7 @@ impl CompiledXform {
     ///
     /// See [`CompiledXform::apply`].
     pub fn apply_owned(&self, input: Value) -> Result<Value> {
-        let mut roots = vec![input, Value::default_record(&self.to)];
-        self.program.run(&mut roots)?;
-        let mut out = roots.pop().expect("two roots in, two out");
-        pbio::sync_length_fields(&mut out, &self.to);
-        Ok(out)
+        Ok(self.run(input, EcodeProgram::run)?.1)
     }
 
     /// Applies the transformation *as a filter*: if the program executes
@@ -198,14 +214,8 @@ impl CompiledXform {
     ///
     /// See [`CompiledXform::apply`].
     pub fn apply_filtered(&self, input: &Value) -> Result<Option<Value>> {
-        let mut roots = vec![input.clone(), Value::default_record(&self.to)];
-        let ret = self.program.run(&mut roots)?;
-        if matches!(ret, Some(Value::Int(0))) {
-            return Ok(None);
-        }
-        let mut out = roots.pop().expect("two roots in, two out");
-        pbio::sync_length_fields(&mut out, &self.to);
-        Ok(Some(out))
+        let (returned, out) = self.run(input.clone(), EcodeProgram::run)?;
+        Ok((!matches!(returned, Some(Value::Int(0)))).then_some(out))
     }
 
     /// Applies using the reference interpreter instead of the VM (the
@@ -215,11 +225,7 @@ impl CompiledXform {
     ///
     /// See [`CompiledXform::apply`].
     pub fn apply_interp(&self, input: &Value) -> Result<Value> {
-        let mut roots = vec![input.clone(), Value::default_record(&self.to)];
-        self.program.run_interp(&mut roots)?;
-        let mut out = roots.pop().expect("two roots in, two out");
-        pbio::sync_length_fields(&mut out, &self.to);
-        Ok(out)
+        Ok(self.run(input.clone(), EcodeProgram::run_interp)?.1)
     }
 }
 
@@ -269,9 +275,7 @@ impl TransformationRegistry {
         let mut out = Vec::new();
         out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         for t in entries {
-            let bytes = t.serialize();
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            put_chunk(&mut out, &t.serialize());
         }
         out
     }
@@ -284,22 +288,12 @@ impl TransformationRegistry {
     /// Returns [`MorphError::BadTransformation`] for malformed input; on
     /// error a prefix may already have been imported.
     pub fn import(&mut self, bytes: &[u8]) -> Result<usize> {
-        if bytes.len() < 4 {
-            return Err(MorphError::BadTransformation("truncated registry export".into()));
-        }
-        let n = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        let mut pos = 4;
+        let truncated = || MorphError::BadTransformation("truncated registry export".into());
+        let mut pos = 0;
+        let n = take_u32(bytes, &mut pos).ok_or_else(truncated)? as usize;
         for _ in 0..n {
-            if pos + 4 > bytes.len() {
-                return Err(MorphError::BadTransformation("truncated registry export".into()));
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            pos += 4;
-            if pos + len > bytes.len() {
-                return Err(MorphError::BadTransformation("truncated registry export".into()));
-            }
-            self.register(Transformation::deserialize(&bytes[pos..pos + len])?);
-            pos += len;
+            let meta = take_chunk(bytes, &mut pos).ok_or_else(truncated)?;
+            self.register(Transformation::deserialize(meta)?);
         }
         Ok(n)
     }

@@ -280,18 +280,19 @@ pub fn convert_record(value: &Value, from: &RecordFormat, to: &RecordFormat) -> 
     rec
 }
 
-/// Structural compatibility, mirroring the conversion plan's `types_match`:
-/// a field only converts when its whole type tree is compatible — otherwise
-/// the target takes its default (rather than, say, a partially-converted
-/// array of the wrong length).
+/// The oracle's own copy of [`FieldType::can_fill`], kept apart on purpose:
+/// [`GenericDecoder`] is the reference the conversion plan is tested
+/// against, so it must not share the relation it checks (a unit test pins
+/// the two together). A field only converts when its whole type tree is
+/// compatible — otherwise the target takes its default (rather than, say, a
+/// partially-converted array of the wrong length).
 fn field_types_match(from: &FieldType, to: &FieldType) -> bool {
     match (from, to) {
         (FieldType::Basic(a), FieldType::Basic(b)) => a.convertible_to(b),
         (FieldType::Record(_), FieldType::Record(_)) => true,
         (FieldType::Array { elem: a, len: la }, FieldType::Array { elem: b, len: lb }) => {
-            // Length discipline is part of the type (see the plan's
-            // `types_match`): fixed↔variable conversions would break the
-            // target's length invariant.
+            // Length discipline is part of the type: fixed↔variable
+            // conversions would break the target's length invariant.
             let len_ok = match (la, lb) {
                 (ArrayLen::Fixed(n), ArrayLen::Fixed(m)) => n == m,
                 (ArrayLen::LengthField(_), ArrayLen::LengthField(_)) => true,
@@ -460,6 +461,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The oracle's relation is the shared one. Every ordered pair over a
+    /// generated universe: each basic kind (two widths where it has one, two
+    /// enum names), two records, and arrays — three length disciplines —
+    /// over all of those, nested twice.
+    #[test]
+    fn the_oracle_relation_equals_can_fill_on_every_generated_pair() {
+        use crate::types::{BasicType::*, EnumVariant, Width::*};
+        let named = |name: &str| Enum {
+            name: name.into(),
+            variants: vec![EnumVariant { name: "on".into(), discriminant: 1 }],
+        };
+        let basics = [Int(W4), Int(W8), UInt(W2), Float(W4), Float(W8), Char, String];
+        let mut universe: Vec<FieldType> = basics.into_iter().map(FieldType::Basic).collect();
+        universe.extend([named("a"), named("b")].map(FieldType::Basic));
+        universe.extend([member(), response()].map(FieldType::Record));
+        let lens = [ArrayLen::Fixed(2), ArrayLen::Fixed(3), ArrayLen::LengthField("n".into())];
+        let mut level = 0;
+        for _ in 0..2 {
+            let elems = universe[level..].to_vec();
+            level = universe.len();
+            for elem in &elems {
+                for len in &lens {
+                    let elem = Box::new(elem.clone());
+                    universe.push(FieldType::Array { elem, len: len.clone() });
+                }
+            }
+        }
+        assert_eq!(universe.len(), 11 * (1 + 3 + 9));
+        let mut related = 0;
+        for wire in &universe {
+            for native in &universe {
+                let oracle = field_types_match(wire, native);
+                assert_eq!(wire.can_fill(native), oracle, "{wire:?} -> {native:?}");
+                related += usize::from(oracle);
+            }
+        }
+        // Both answers occur, and often: the universe is not one-sided.
+        assert!(related > universe.len() && related < universe.len() * universe.len() / 4);
     }
 
     #[test]

@@ -48,7 +48,6 @@ mod bytes;
 mod decode;
 mod encode;
 mod error;
-mod inspect;
 mod meta;
 mod observe;
 mod plan;
@@ -62,9 +61,8 @@ pub use encode::{
     parse_header, ByteOrder, Encoder, WireHeader, FLAG_BIG_ENDIAN, HEADER_LEN, WIRE_VERSION,
 };
 pub use error::{PbioError, Result};
-pub use inspect::describe_message;
 pub use meta::{deserialize_format, format_id, serialize_format, FormatId};
-pub use observe::{CodecMetrics, PlanCache, PlanStore};
+pub use observe::{PlanCache, PlanStore};
 pub use plan::ConversionPlan;
 pub use registry::FormatRegistry;
 pub use types::{

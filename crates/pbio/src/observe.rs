@@ -1,48 +1,35 @@
-//! Instrumented entry points: the plan cache and observed encode/decode.
+//! The plan cache: conversion plans compiled once per format pair, counted.
 //!
 //! PBIO's performance story is *amortization* — pay for meta-data analysis
 //! and plan compilation once per format pair, then convert every message
-//! with a straight-line routine. This module makes that amortization
-//! measurable: [`PlanCache`] counts plan hits/misses and times compilations
-//! (`pbio.plan.*`), while [`CodecMetrics`] carries pre-fetched handles for
-//! the per-message encode/decode counters and latency histograms
-//! (`pbio.encode.*` / `pbio.decode.*`). All metric names are catalogued in
-//! `OBSERVABILITY.md` at the repository root.
+//! with a straight-line routine. [`PlanCache`] makes that amortization
+//! measurable: it counts plan hits/misses and times compilations
+//! (`pbio.plan.*`, catalogued in `OBSERVABILITY.md` at the repository root).
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use obs::{Clock, Counter, Histogram, Registry, Timer};
 
-use crate::encode::Encoder;
 use crate::error::Result;
 use crate::meta::{format_id, FormatId};
 use crate::plan::ConversionPlan;
 use crate::types::RecordFormat;
-use crate::value::Value;
 
-/// How many independently locked segments a [`PlanStore`] spreads its
-/// entries over. Concurrent warm-path readers on different segments never
-/// contend, and a cold compile write-locks only the one segment its key
-/// hashes to.
-const STORE_SEGMENTS: usize = 16;
+/// The plan map behind a [`PlanStore`], keyed by (wire id, native id).
+type Plans = RwLock<HashMap<(FormatId, FormatId), Arc<ConversionPlan>>>;
 
-/// One independently locked slice of a [`PlanStore`]'s plan map.
-type StoreSegment = RwLock<HashMap<(FormatId, FormatId), Arc<ConversionPlan>>>;
-
-/// The shared, concurrently readable store behind one or more
-/// [`PlanCache`] handles.
-///
-/// Entries are spread over `STORE_SEGMENTS` (16) independently locked
-/// segments, so the warm path (plan lookup) takes a single segment read
-/// lock — many threads resolving plans concurrently serialize only when
-/// they hash to the same segment *and* one of them is compiling. Cloning a
-/// `PlanStore` is an `Arc` bump: every clone sees (and contributes to) the
-/// same compiled plans, which is how thousands of receivers share one
-/// compile per format pair instead of paying it each.
+/// The shared store behind one or more [`PlanCache`] handles: one
+/// poison-tolerant `RwLock` around the plan map. Only a receiver's cold
+/// path — deciding what to do with a wire format it has not seen — looks a
+/// plan up; the decision it then caches holds its plans directly, so warm
+/// messages never come here and one lock is all the concurrency the store
+/// needs. Cloning a `PlanStore` is an `Arc` bump: every clone sees (and
+/// contributes to) the same compiled plans, which is how thousands of
+/// receivers share one compile per format pair instead of paying it each.
 #[derive(Debug, Clone, Default)]
 pub struct PlanStore {
-    segments: Arc<[StoreSegment; STORE_SEGMENTS]>,
+    plans: Arc<Plans>,
 }
 
 impl PlanStore {
@@ -51,38 +38,9 @@ impl PlanStore {
         PlanStore::default()
     }
 
-    /// Which segment a format pair lives in (a cheap FNV-style mix of the
-    /// two 64-bit ids — deterministic across runs and platforms).
-    fn segment_of(key: (FormatId, FormatId)) -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for word in [key.0 .0, key.1 .0] {
-            h ^= word;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h % STORE_SEGMENTS as u64) as usize
-    }
-
-    fn read(
-        &self,
-        key: (FormatId, FormatId),
-    ) -> RwLockReadGuard<'_, HashMap<(FormatId, FormatId), Arc<ConversionPlan>>> {
-        self.segments[PlanStore::segment_of(key)]
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write(
-        &self,
-        key: (FormatId, FormatId),
-    ) -> RwLockWriteGuard<'_, HashMap<(FormatId, FormatId), Arc<ConversionPlan>>> {
-        self.segments[PlanStore::segment_of(key)]
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// The compiled plan for a format pair, if present.
     pub fn get(&self, key: (FormatId, FormatId)) -> Option<Arc<ConversionPlan>> {
-        self.read(key).get(&key).cloned()
+        self.plans.read().unwrap_or_else(PoisonError::into_inner).get(&key).cloned()
     }
 
     /// Inserts a compiled plan, returning the canonical entry (an earlier
@@ -92,15 +50,13 @@ impl PlanStore {
         key: (FormatId, FormatId),
         plan: Arc<ConversionPlan>,
     ) -> Arc<ConversionPlan> {
-        Arc::clone(self.write(key).entry(key).or_insert(plan))
+        let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(plans.entry(key).or_insert(plan))
     }
 
-    /// Number of compiled plans across all segments.
+    /// Number of compiled plans.
     pub fn len(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.read().unwrap_or_else(std::sync::PoisonError::into_inner).len())
-            .sum()
+        self.plans.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when no plans are stored.
@@ -110,9 +66,7 @@ impl PlanStore {
 
     /// Drops every stored plan.
     pub fn clear(&self) {
-        for s in self.segments.iter() {
-            s.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-        }
+        self.plans.write().unwrap_or_else(PoisonError::into_inner).clear();
     }
 }
 
@@ -188,17 +142,6 @@ impl PlanCache {
         &self.registry
     }
 
-    /// Redirects future cache metrics into `registry`, re-fetching every
-    /// handle. Cached plans are kept; totals already accumulated stay in
-    /// the old registry.
-    pub fn set_registry(&mut self, registry: Arc<Registry>) {
-        self.clock = registry.clock();
-        self.hits = registry.counter("pbio.plan.hit");
-        self.misses = registry.counter("pbio.plan.miss");
-        self.compile_ns = registry.histogram("pbio.plan.compile_ns");
-        self.registry = registry;
-    }
-
     /// Returns the cached plan for this format pair, compiling (and timing
     /// the compilation as `pbio.plan.compile_ns`) on first use.
     ///
@@ -236,87 +179,6 @@ impl PlanCache {
     /// Drops every cached plan. Counters are cumulative and unaffected.
     pub fn clear(&self) {
         self.plans.clear();
-    }
-}
-
-/// Pre-fetched metric handles for the per-message encode/decode hot paths.
-///
-/// Registry lookups take a lock; a codec constructs one `CodecMetrics` up
-/// front and every subsequent [`Encoder::encode_observed`] /
-/// [`ConversionPlan::execute_observed`] call touches only lock-free atomics
-/// (plus one clock read per timing span).
-#[derive(Debug, Clone)]
-pub struct CodecMetrics {
-    clock: Arc<dyn Clock>,
-    encode_bytes: Arc<Counter>,
-    encode_messages: Arc<Counter>,
-    encode_ns: Arc<Histogram>,
-    decode_bytes: Arc<Counter>,
-    decode_messages: Arc<Counter>,
-    decode_ns: Arc<Histogram>,
-}
-
-impl CodecMetrics {
-    /// Fetches the `pbio.encode.*` / `pbio.decode.*` handles from `registry`.
-    pub fn new(registry: &Registry) -> CodecMetrics {
-        CodecMetrics {
-            clock: registry.clock(),
-            encode_bytes: registry.counter("pbio.encode.bytes"),
-            encode_messages: registry.counter("pbio.encode.messages"),
-            encode_ns: registry.histogram("pbio.encode_ns"),
-            decode_bytes: registry.counter("pbio.decode.bytes"),
-            decode_messages: registry.counter("pbio.decode.messages"),
-            decode_ns: registry.histogram("pbio.decode_ns"),
-        }
-    }
-}
-
-impl Encoder {
-    /// [`Encoder::encode`], also recording message count, output bytes, and
-    /// elapsed nanoseconds into `metrics`. Failed encodes record nothing.
-    ///
-    /// # Errors
-    ///
-    /// See [`Encoder::encode`].
-    pub fn encode_observed(&self, value: &Value, metrics: &CodecMetrics) -> Result<Vec<u8>> {
-        let timer = Timer::start(Arc::clone(&metrics.encode_ns), Arc::clone(&metrics.clock));
-        match self.encode(value) {
-            Ok(wire) => {
-                timer.stop();
-                metrics.encode_messages.inc();
-                metrics.encode_bytes.add(wire.len() as u64);
-                Ok(wire)
-            }
-            Err(e) => {
-                timer.cancel();
-                Err(e)
-            }
-        }
-    }
-}
-
-impl ConversionPlan {
-    /// [`ConversionPlan::execute`], also recording message count, input
-    /// bytes, and elapsed nanoseconds into `metrics`. Failed decodes record
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// See [`ConversionPlan::execute`].
-    pub fn execute_observed(&self, buf: &[u8], metrics: &CodecMetrics) -> Result<Value> {
-        let timer = Timer::start(Arc::clone(&metrics.decode_ns), Arc::clone(&metrics.clock));
-        match self.execute(buf) {
-            Ok(value) => {
-                timer.stop();
-                metrics.decode_messages.inc();
-                metrics.decode_bytes.add(buf.len() as u64);
-                Ok(value)
-            }
-            Err(e) => {
-                timer.cancel();
-                Err(e)
-            }
-        }
     }
 }
 
@@ -402,43 +264,5 @@ mod tests {
             }
         });
         assert_eq!(store.len(), 8, "racing compilers converge on one plan per pair");
-    }
-
-    #[test]
-    fn observed_codec_counts_bytes_messages_and_time() {
-        let reg = Registry::new();
-        let m = CodecMetrics::new(&reg);
-        let f = fmt("M");
-        let v = Value::Record(vec![Value::Int(7), Value::str("hello")]);
-        let enc = Encoder::new(&f);
-        let wire = enc.encode_observed(&v, &m).unwrap();
-        let plan = ConversionPlan::identity(&f).unwrap();
-        let back = plan.execute_observed(&wire, &m).unwrap();
-        assert_eq!(back, v);
-
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("pbio.encode.messages"), Some(1));
-        assert_eq!(snap.counter("pbio.decode.messages"), Some(1));
-        assert_eq!(snap.counter("pbio.encode.bytes"), Some(wire.len() as u64));
-        assert_eq!(snap.counter("pbio.decode.bytes"), Some(wire.len() as u64));
-        assert_eq!(snap.histogram("pbio.encode_ns").unwrap().count, 1);
-        assert_eq!(snap.histogram("pbio.decode_ns").unwrap().count, 1);
-    }
-
-    #[test]
-    fn failed_operations_record_nothing() {
-        let reg = Registry::new();
-        let m = CodecMetrics::new(&reg);
-        let f = fmt("M");
-        // Wrong shape: encode fails.
-        assert!(Encoder::new(&f).encode_observed(&Value::Int(1), &m).is_err());
-        // Garbage bytes: decode fails.
-        let plan = ConversionPlan::identity(&f).unwrap();
-        assert!(plan.execute_observed(b"not a message", &m).is_err());
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("pbio.encode.messages").unwrap_or(0), 0);
-        assert_eq!(snap.counter("pbio.decode.messages").unwrap_or(0), 0);
-        assert_eq!(snap.histogram("pbio.encode_ns").unwrap().count, 0);
-        assert_eq!(snap.histogram("pbio.decode_ns").unwrap().count, 0);
     }
 }

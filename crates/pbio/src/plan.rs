@@ -276,10 +276,10 @@ impl ConversionPlan {
     /// Compiles the conversion from `wire` (sender format) to `native`
     /// (receiver format).
     ///
-    /// Fields match by name when their types are structurally compatible
-    /// ([`BasicType::convertible_to`] for basics, recursive matching for
-    /// records/arrays). Unmatched wire fields are skipped; unmatched native
-    /// fields take their declared default (or the canonical zero value).
+    /// Fields match by name when the wire type can fill the native one
+    /// ([`FieldType::can_fill`]). Unmatched wire fields are skipped;
+    /// unmatched native fields take their declared default (or the canonical
+    /// zero value).
     ///
     /// # Errors
     ///
@@ -361,25 +361,10 @@ impl ConversionPlan {
     /// wire format — callers (the morphing receiver) route by id first.
     pub fn execute(&self, buf: &[u8]) -> Result<Value> {
         let h = parse_header(buf)?;
-        self.run(&buf[HEADER_LEN..HEADER_LEN + h.payload_len], h.order)
-    }
-
-    /// Executes the plan on a bare payload (no header), assuming
-    /// little-endian scalars. Used by transports that frame messages
-    /// themselves.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ConversionPlan::execute`].
-    pub fn execute_payload(&self, payload: &[u8]) -> Result<Value> {
-        self.run(payload, ByteOrder::Little)
-    }
-
-    /// The one place the byte order is tested: everything below is
-    /// monomorphised for it.
-    fn run(&self, payload: &[u8], order: ByteOrder) -> Result<Value> {
-        let mut c = Cursor::new(payload, order);
-        let v = match order {
+        let mut c = Cursor::new(&buf[HEADER_LEN..HEADER_LEN + h.payload_len], h.order);
+        // The one place the byte order is tested: everything below is
+        // monomorphised for it.
+        let v = match h.order {
             ByteOrder::Little => record::<Le>(&self.root, &mut c),
             ByteOrder::Big => record::<Be>(&self.root, &mut c),
         }?;
@@ -387,26 +372,6 @@ impl ConversionPlan {
             return Err(PbioError::BadData("trailing bytes after record payload".into()));
         }
         Ok(v)
-    }
-}
-
-fn types_match(wire: &FieldType, native: &FieldType) -> bool {
-    match (wire, native) {
-        (FieldType::Basic(a), FieldType::Basic(b)) => a.convertible_to(b),
-        (FieldType::Record(_), FieldType::Record(_)) => true,
-        (FieldType::Array { elem: a, len: la }, FieldType::Array { elem: b, len: lb }) => {
-            // The length discipline is part of the type: converting a
-            // variable array into a fixed one (or fixed arrays of different
-            // lengths) cannot preserve the target's length invariant, so
-            // such fields are unmatched and take defaults.
-            let len_ok = match (la, lb) {
-                (ArrayLen::Fixed(n), ArrayLen::Fixed(m)) => n == m,
-                (ArrayLen::LengthField(_), ArrayLen::LengthField(_)) => true,
-                _ => false,
-            };
-            len_ok && types_match(a, b)
-        }
-        _ => false,
     }
 }
 
@@ -473,7 +438,7 @@ fn compile_record(wire: &RecordFormat, native: Option<&RecordFormat>) -> Result<
     for (wf, slot) in wire.fields().iter().zip(&slots) {
         let dst = native
             .and_then(|n| n.field_index(wf.name()))
-            .filter(|&i| !taken[i] && types_match(wf.ty(), native_fields[i].ty()));
+            .filter(|&i| !taken[i] && wf.ty().can_fill(native_fields[i].ty()));
         if let Some(i) = dst {
             taken[i] = true;
         }
@@ -517,7 +482,7 @@ fn compile_elem(
             let native = match nty {
                 None => None,
                 Some(FieldType::Basic(nb)) => Some(nb),
-                Some(_) => unreachable!("types_match checked basic-vs-basic"),
+                Some(_) => unreachable!("can_fill relates basics to basics"),
             };
             let int = |signed: bool, w: Width| {
                 let read = IntRead::new(signed, w);
@@ -541,7 +506,7 @@ fn compile_elem(
             let native_elem = match nty {
                 None => None,
                 Some(FieldType::Array { elem: ne, .. }) => Some(ne.as_ref()),
-                Some(_) => unreachable!("types_match checked array-vs-array"),
+                Some(_) => unreachable!("can_fill relates arrays to arrays"),
             };
             Ok(ElemPlan::Array {
                 elem: Box::new(compile_elem(elem, native_elem, level)?),
@@ -552,7 +517,7 @@ fn compile_elem(
                 stride: elem.wire_stride(),
             })
         }
-        (FieldType::Record(_), Some(_)) => unreachable!("types_match checked record-vs-record"),
+        (FieldType::Record(_), Some(_)) => unreachable!("can_fill relates records to records"),
     }
 }
 

@@ -7,11 +7,17 @@
 //!   a pure decision-cache hit.
 //! - Registries driven by simnet's virtual clock produce **deterministic**
 //!   snapshots: identical runs render byte-identical text and JSON.
+//! - The `morph.*` and `pbio.*` sections of `OBSERVABILITY.md` list exactly
+//!   the names those layers register.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use echo::{EchoSystem, EchoVersion, Role};
-use morph::{MorphReceiver, Transformation};
+use morph::{
+    DeadLetterQueue, DeadReason, MetaServer, MorphReceiver, ResolverConfig, ResolverPool,
+    RetryPolicy, Transformation,
+};
 use obs::{Registry, VirtualClock};
 use pbio::{Encoder, FormatBuilder, Value};
 
@@ -116,4 +122,119 @@ fn echo_system_snapshots_are_deterministic() {
     assert_eq!(a, run());
     assert!(a.contains("echo.events.delivered"));
     assert!(a.contains("simnet.bytes"));
+}
+
+/// Names registered under `registry`, as the snapshot lists them.
+fn names_in(registry: &Registry, into: &mut BTreeSet<String>) {
+    let snap = registry.snapshot();
+    into.extend(snap.counters.into_iter().map(|(name, _)| name));
+    into.extend(snap.gauges.into_iter().map(|(name, _)| name));
+    into.extend(snap.histograms.into_iter().map(|(name, _)| name));
+}
+
+/// The metric names the given `###` sections of OBSERVABILITY.md tabulate.
+/// A row's first cell holds one or more backticked names; one that starts
+/// with a dot replaces the last segment of the row's first name
+/// (`` `a.b.c` / `.d` `` is `a.b.c` and `a.b.d`), and `<reason>` stands for
+/// every dead-letter reason.
+fn catalogued(sections: &[&str]) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let mut inside = false;
+    for line in include_str!("../OBSERVABILITY.md").lines() {
+        if line.starts_with("### ") {
+            inside = sections.iter().any(|s| line.starts_with(s));
+        }
+        if !inside || !line.starts_with("| `") {
+            continue;
+        }
+        let cell = line.split('|').nth(1).expect("a first cell");
+        let mut quoted = cell.split('`').skip(1).step_by(2);
+        let first = quoted.next().expect("a name in the first cell");
+        let stem = first.rsplit_once('.').expect("a dotted name").0;
+        for entry in std::iter::once(first).chain(quoted) {
+            let name =
+                if entry.starts_with('.') { format!("{stem}{entry}") } else { entry.to_string() };
+            match name.strip_suffix("<reason>") {
+                Some(prefix) => {
+                    names.extend(DeadReason::ALL.map(|r| format!("{prefix}{}", r.label())));
+                }
+                None => {
+                    names.insert(name);
+                }
+            }
+        }
+    }
+    names
+}
+
+/// The catalogue checks itself, `morph.*` and `pbio.*` sections: a system
+/// with its switches on, a receiver resolving through a `ResolverPool`, and
+/// a standalone dead-letter queue register every `morph.*` / `pbio.*` /
+/// `ecode.*` name there is — each must have its row, and each row its
+/// registrant.
+#[test]
+fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
+    let mut registered = BTreeSet::new();
+
+    let mut sys = EchoSystem::new();
+    sys.enable_shared_morph_caches();
+    sys.enable_adaptive_shedding();
+    sys.enable_journaling(1);
+    sys.enable_link_monitors(8, 1_000_000);
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let publisher = sys.add_process("pub", EchoVersion::V2);
+    let sink = sys.add_process("sink", EchoVersion::V1);
+    sys.connect_all(simnet::LinkParams::lan());
+    let fmt = FormatBuilder::record("Tick").int("n").build_arc().unwrap();
+    let ch = sys.create_channel(creator);
+    sys.subscribe(publisher, ch, Role::source(), None).unwrap();
+    sys.subscribe(sink, ch, Role::sink(), Some(&fmt)).unwrap();
+    sys.run();
+    for n in 0..3 {
+        sys.publish(publisher, ch, &fmt, &Value::Record(vec![Value::Int(n)])).unwrap();
+    }
+    sys.run();
+    assert_eq!(sys.take_events(sink).len(), 3);
+    for p in [creator, publisher, sink] {
+        names_in(sys.control_registry(p), &mut registered);
+        if let Some(events) = sys.event_registry(p, ch) {
+            names_in(events, &mut registered);
+        }
+    }
+
+    let v2 = FormatBuilder::record("Load").int("cpu").int("mem").build_arc().unwrap();
+    let v1 = FormatBuilder::record("Load").int("cpu").build_arc().unwrap();
+    let mut server = MetaServer::new();
+    server.register_transformation(Transformation::new(
+        v2.clone(),
+        v1.clone(),
+        "old.cpu = new.cpu;",
+    ));
+    let mut rx = MorphReceiver::new();
+    rx.register_handler(&v1, |_| {});
+    let clock: Arc<dyn obs::Clock> = Arc::new(VirtualClock::new());
+    let mut pool = ResolverPool::new(2, ResolverConfig::default(), clock, rx.registry());
+    let _dlq = DeadLetterQueue::with_registry(4, rx.registry(), "morph.deadletter");
+    let wire =
+        Encoder::new(&v2).encode(&Value::Record(vec![Value::Int(1), Value::Int(2)])).unwrap();
+    pool.process(
+        &mut rx,
+        &wire,
+        &RetryPolicy::default(),
+        |_, req| server.handle(&req),
+        |_| {},
+        None,
+    )
+    .unwrap();
+    names_in(rx.registry(), &mut registered);
+
+    registered.retain(|name| ["morph.", "pbio.", "ecode."].iter().any(|p| name.starts_with(p)));
+    let catalogued = catalogued(&["### `morph.*`", "### `pbio.*`"]);
+    let uncatalogued: Vec<_> = registered.difference(&catalogued).collect();
+    let unregistered: Vec<_> = catalogued.difference(&registered).collect();
+    assert!(
+        uncatalogued.is_empty() && unregistered.is_empty(),
+        "registered without an OBSERVABILITY.md row: {uncatalogued:?}\n\
+         catalogued but registered by nothing: {unregistered:?}"
+    );
 }

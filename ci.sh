@@ -2,8 +2,8 @@
 # Tier-1 gate for this repository. The root workspace has zero external
 # dependencies, so everything up to the bench step runs with no network
 # access: format, lints, docs, every test, the chaos seed matrix, the
-# seeded sharded-runtime scenario, the pbio mutation loop, the smoke
-# examples, the three bench examples (fanout_bench gated; monitor_bench
+# seeded sharded-runtime scenario, the pbio and meta-data mutation loops,
+# the smoke examples, the three bench examples (fanout_bench gated; monitor_bench
 # and crash_recovery's overhead ratio reported, not gated) and the
 # benchmark self-check. The bench harness is a separate workspace (crates/bench) whose
 # `criterion` dev-dependency needs a reachable crates.io registry; its
@@ -76,6 +76,17 @@ fuzz=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$fuzz" ] || fuzz=$(date +%s)
 echo "    PBIO_FUZZ_SEED=$fuzz cargo test -q -p pbio --test wire decode_mutations"
 PBIO_FUZZ_SEED="$fuzz" cargo test -q -p pbio --test wire decode_mutations
+
+echo "==> meta-data mutation loop, fresh seed (the test step above ran the fixed one)"
+# Truncations, byte flips, hostile counts and lengths at every offset, tag
+# and nesting floods against serialized format descriptions and
+# transformations: every parse returns, what is accepted is canonical and
+# its default record bounded. A failure here reproduces with the printed
+# command.
+meta=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$meta" ] || meta=$(date +%s)
+echo "    META_FUZZ_SEED=$meta cargo test -q --test proptests metadata_mutations"
+META_FUZZ_SEED="$meta" cargo test -q --test proptests metadata_mutations
 
 echo "==> examples (offline smoke runs; each asserts its own output)"
 for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump \

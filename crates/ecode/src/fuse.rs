@@ -1,16 +1,17 @@
 //! Chain fusion: compile a whole retro-transformation chain into **one**
 //! register program.
 //!
-//! A staged morph runs each chain step as its own VM invocation, with a
-//! freshly-allocated intermediate `Value` tree between steps. Fusion inlines
-//! every step's compiled body into a single instruction stream instead: the
-//! fused program binds `m + 1` roots — the incoming message plus one output
-//! record per step — and threads them through, so a warm morph is one VM
-//! entry with no per-step dispatch. Between inlined bodies a
-//! [`RInsn::SyncRoot`] re-establishes the length-field invariant exactly
-//! where the staged path called [`pbio::sync_length_fields`], keeping the
-//! fused result `Value`-identical to the staged path (differentially
-//! tested in `tests/proptests.rs`).
+//! Run step by step — as the oracle, the tree-walker folded over the chain,
+//! runs it — a chain costs one invocation per step and a freshly-allocated
+//! intermediate `Value` tree between steps. Fusion inlines every step's
+//! compiled body into a single instruction stream instead: the fused program
+//! binds `m + 1` roots — the incoming message plus one output record per
+//! step — and threads them through, so a morph is one VM entry with no
+//! per-step dispatch. Between inlined bodies a [`RInsn::SyncRoot`]
+//! re-establishes the length-field invariant exactly where the step-by-step
+//! run calls [`pbio::sync_length_fields`], keeping the fused result
+//! `Value`-identical to the oracle's (differentially tested in
+//! `tests/proptests.rs`).
 //!
 //! The rewrite is purely mechanical, which is what makes it safe:
 //!
@@ -21,9 +22,9 @@
 //!   and each of its entries, and on both ends of a `BatchCopy`;
 //! * *main-body* registers rebase by the sum of preceding steps' main
 //!   frames (function frames are window-relative and need no shift);
-//! * *main-body* `Ret` becomes a jump to the step's trailer — the staged
-//!   path ignores step return values, and a value left in a register needs
-//!   no cleanup; function-body returns are untouched, they pop call frames.
+//! * *main-body* `Ret` becomes a jump to the step's trailer — a chain
+//!   ignores step return values, and a value left in a register needs no
+//!   cleanup; function-body returns are untouched, they pop call frames.
 
 use pbio::format_id;
 
@@ -55,7 +56,7 @@ impl FusedProgram {
     /// Returns [`EcodeError::Runtime`] when the chain is empty, a step does
     /// not have exactly two roots, adjacent steps do not compose (step
     /// *i*'s output format differs from step *i + 1*'s input format), or
-    /// the chain exceeds the VM's `u8` root-index space.
+    /// the chain has 255 steps or more (roots are indexed by a `u8`).
     pub fn compose(steps: &[&EcodeProgram]) -> Result<FusedProgram> {
         if steps.is_empty() {
             return Err(EcodeError::runtime("cannot fuse an empty chain"));
@@ -188,31 +189,22 @@ impl FusedProgram {
     ///
     /// As [`EcodeProgram::run`].
     pub fn run_register(&self, roots: &mut [Value]) -> Result<RunStats> {
-        self.run_register_with(roots, &mut VmScratch::default())
+        self.run_register_with(roots, u64::MAX, &mut VmScratch::default())
     }
 
-    /// [`FusedProgram::run_register`] in working memory the caller keeps
-    /// across messages: on warm `scratch` the run allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`FusedProgram::run_register`].
-    pub fn run_register_with(
-        &self,
-        roots: &mut [Value],
-        scratch: &mut VmScratch,
-    ) -> Result<RunStats> {
-        let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, u64::MAX, scratch)?;
-        Ok(stats)
-    }
-
-    /// [`FusedProgram::run_register`] with an instruction budget.
+    /// [`FusedProgram::run_register`] under an instruction budget, in
+    /// working memory the caller keeps across messages: on warm `scratch`
+    /// the run allocates nothing.
     ///
     /// # Errors
     ///
     /// As [`FusedProgram::run_register`], plus fuel exhaustion.
-    pub fn run_register_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<RunStats> {
-        let scratch = &mut VmScratch::default();
+    pub fn run_register_with(
+        &self,
+        roots: &mut [Value],
+        fuel: u64,
+        scratch: &mut VmScratch,
+    ) -> Result<RunStats> {
         let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel, scratch)?;
         Ok(stats)
     }
@@ -463,7 +455,7 @@ mod tests {
         let s1 = step(&a, &b, "while (1) {}");
         let fp = FusedProgram::compose(&[&s1]).unwrap();
         let mut roots = vec![Value::Record(vec![Value::Int(1)]), Value::default_record(&b)];
-        assert!(fp.run_register_with_fuel(&mut roots, 1_000).is_err());
+        assert!(fp.run_register_with(&mut roots, 1_000, &mut VmScratch::default()).is_err());
     }
 
     #[test]

@@ -30,12 +30,13 @@ use std::sync::Arc;
 
 use obs::TraceCtx;
 use pbio::{
-    deserialize_format, format_id, serialize_format, FormatId, FormatRegistry, RecordFormat,
+    deserialize_format, format_id, put_chunk, serialize_format, take_chunk, take_u32, FormatId,
+    FormatRegistry, RecordFormat,
 };
 
 use crate::error::{MorphError, Result};
 use crate::receiver::{Delivery, MorphReceiver};
-use crate::xform::{put_chunk, take_chunk, take_u32, Transformation, TransformationRegistry};
+use crate::xform::{Transformation, TransformationRegistry};
 
 /// Request tag: fetch a format description by id.
 pub const REQ_FORMAT: u8 = 0x01;
@@ -209,8 +210,8 @@ impl MetaClient {
             return Err(bad(&format!("unexpected response tag {tag:#x}")));
         }
         let mut pos = 0;
-        let n = take_u32(rest, &mut pos).ok_or_else(|| bad("truncated length"))? as usize;
-        let mut out = Vec::with_capacity(n);
+        let n = take_u32(rest, &mut pos).ok_or_else(|| bad("truncated length"))?;
+        let mut out = Vec::new(); // `n` comes off the wire and sizes no reservation
         for _ in 0..n {
             out.push(Transformation::deserialize(chunk(rest, &mut pos)?)?);
         }

@@ -26,7 +26,7 @@ use crate::adapter::ValueAdapter;
 use crate::error::{MorphError, Result};
 use crate::matching::{max_match, MatchConfig, MaxMatch};
 use crate::weighted::{weighted_max_match, WeightProfile, WeightedConfig};
-use crate::xform::{CompiledChain, Transformation, TransformationRegistry};
+use crate::xform::{fuel_for, CompiledChain, Transformation, TransformationRegistry};
 
 /// A message handler: receives the decoded (and possibly morphed) value,
 /// shaped by the reader format it was registered for.
@@ -56,8 +56,8 @@ pub struct ProcessTiming {
     /// Entry to exit of the call. On a warm replay this is the call's
     /// `morph.process_ns` sample.
     pub total_ns: u64,
-    /// The call's `pbio.decode_ns` sample: the projected decode of a fused
-    /// warm replay, 0 for every other kind of call.
+    /// The call's `pbio.decode_ns` sample: the projected decode of a warm
+    /// morph replay, 0 for every other kind of call.
     pub decode_ns: u64,
     /// True when a cached decision was replayed (`morph.process_ns` got a
     /// sample); false on a cold pass or a failure before any decision.
@@ -159,19 +159,10 @@ enum Decision {
     /// Single compiled plan straight from wire bytes to the reader format —
     /// used when no transformation code is needed (perfect or near match).
     Plan { plan: Arc<ConversionPlan>, target: FormatId, exact: bool },
-    /// Full morph: decode to the wire format, run the compiled chain, then
-    /// (if the chain's end is a near match) adapt. Warm replays take the
-    /// `fused` single-pass artifact when fusion succeeded at decide time;
-    /// the staged fields are the cold path and the fallback when it did not.
-    Morph {
-        decode: Arc<ConversionPlan>,
-        chain: CompiledChain,
-        adapter: Option<ValueAdapter>,
-        target: FormatId,
-        /// Boxed to keep the cached-decision enum small; the indirection
-        /// is paid once per warm message, not per stage.
-        fused: Option<Box<FusedMorph>>,
-    },
+    /// Full morph: the one plan the first message of the format takes and
+    /// every later one replays. Boxed to keep the cached-decision enum small;
+    /// the indirection is paid once per message.
+    Morph(Box<MorphPlan>),
     /// Decode with the wire format and hand to the default handler.
     Default { decode: Arc<ConversionPlan> },
     /// Drop messages of this format.
@@ -248,19 +239,22 @@ impl std::fmt::Debug for DecisionCache {
     }
 }
 
-/// The fused warm-path plan built at decide time: one projected decode and
-/// one composed VM program covering the whole transformation chain, so a
-/// warm morph is a single pass `wire bytes → Value(target)` with exactly
-/// one VM invocation and no intermediate `Value` trees between stages.
-struct FusedMorph {
-    /// Projected decode: only the source fields the fused program actually
-    /// reads are materialized; dead fields are parsed past and defaulted.
-    decode: Arc<ConversionPlan>,
-    /// The whole chain, compiled into one bytecode program.
+/// What a morph decision executes, built once at decide time: one projected
+/// decode, one composed VM program covering the whole transformation chain,
+/// then (if the chain's end is a near match of the reader) the adapter — a
+/// single pass `wire bytes → Value(target)` with exactly one VM invocation
+/// and no intermediate `Value` trees between steps.
+struct MorphPlan {
+    /// Projected decode: only the source fields the program actually reads
+    /// are materialized; dead fields are parsed past and defaulted.
+    decode: ConversionPlan,
+    /// The whole chain, compiled into one register program.
     program: FusedProgram,
     /// Default output records (one per chain step), cloned per message as
     /// the program's writable roots.
     templates: Vec<Value>,
+    adapter: Option<ValueAdapter>,
+    target: FormatId,
 }
 
 /// Pre-fetched handles for the receiver's hot-path metrics (`morph.*` in
@@ -280,11 +274,6 @@ struct RxMetrics {
     shared_hits: Arc<Counter>,
     shared_inserts: Arc<Counter>,
     maxmatch_candidates: Arc<Counter>,
-    fused_applies: Arc<Counter>,
-    fused_vm_invocations: Arc<Counter>,
-    fused_skipped: Arc<Counter>,
-    staged_vm_invocations: Arc<Counter>,
-    staged_intermediates: Arc<Counter>,
     vm_register_applies: Arc<Counter>,
     batch_copies: Arc<Counter>,
     batch_elems: Arc<Counter>,
@@ -293,8 +282,8 @@ struct RxMetrics {
     compile_ns: Arc<Histogram>,
     maxmatch_ns: Arc<Histogram>,
     fused_apply_ns: Arc<Histogram>,
-    /// `pbio.decode_ns`: the fused warm path's projected decode, split off
-    /// the `fused_apply_ns` interval.
+    /// `pbio.decode_ns`: a warm morph's projected decode, split off the
+    /// `fused_apply_ns` interval.
     decode_ns: Arc<Histogram>,
 }
 
@@ -314,11 +303,6 @@ impl RxMetrics {
             shared_hits: registry.counter("morph.decision.shared_hit"),
             shared_inserts: registry.counter("morph.decision.shared_insert"),
             maxmatch_candidates: registry.counter("morph.maxmatch.candidates"),
-            fused_applies: registry.counter("morph.fused.apply"),
-            fused_vm_invocations: registry.counter("morph.fused.vm_invocations"),
-            fused_skipped: registry.counter("morph.fused.skipped"),
-            staged_vm_invocations: registry.counter("morph.staged.vm_invocations"),
-            staged_intermediates: registry.counter("morph.staged.intermediates"),
             vm_register_applies: registry.counter("morph.vm.register.apply"),
             batch_copies: registry.counter("ecode.batch.copies"),
             batch_elems: registry.counter("ecode.batch.copied_elems"),
@@ -389,9 +373,9 @@ pub struct MorphReceiver {
     /// Trace sink for the message currently inside
     /// [`MorphReceiver::process_traced`]; cleared on exit.
     trace: Option<TraceSink>,
-    /// The register VM's working memory and the fused program's root
+    /// The register VM's working memory and the morph program's root
     /// vector, reused message after message; both are left empty by every
-    /// exit of a fused replay, errors included.
+    /// exit of a morph, cold or warm, errors included.
     vm: VmScratch,
     roots: Vec<Value>,
 }
@@ -645,10 +629,10 @@ impl MorphReceiver {
             Decision::Plan { target, exact: false, .. } => {
                 Explanation::NearMatch { target: *target }
             }
-            Decision::Morph { target, chain, adapter, .. } => Explanation::Morph {
-                target: *target,
-                chain_len: chain.steps().len(),
-                adapted: adapter.is_some(),
+            Decision::Morph(m) => Explanation::Morph {
+                target: m.target,
+                chain_len: m.templates.len(),
+                adapted: m.adapter.is_some(),
             },
             Decision::Default { .. } => Explanation::DefaultHandler,
             Decision::Reject => Explanation::Rejected,
@@ -697,10 +681,10 @@ impl MorphReceiver {
     /// [`FlightRecorder`](obs::FlightRecorder).
     ///
     /// A *warm* message (decision cache hit) emits `morph.lookup` tagged
-    /// `result=hit`, plus — for morph decisions with a fused plan — one
-    /// `morph.apply.fused` span covering the single-pass replay; other
-    /// warm decisions stay at the lone lookup span because replaying them
-    /// *is* the whole warm path. A *cold* message additionally records
+    /// `result=hit`, plus — for morph decisions — one `morph.apply.fused`
+    /// span covering the single-pass replay; other warm decisions stay at
+    /// the lone lookup span because replaying them *is* the whole warm
+    /// path. A *cold* message takes the same plan and additionally records
     /// `morph.decide` (with `morph.maxmatch` / `morph.compile` children)
     /// and `morph.apply` (with per-stage `morph.decode` /
     /// `morph.transform` / `morph.default_fill` children).
@@ -717,8 +701,8 @@ impl MorphReceiver {
 
     /// [`MorphReceiver::process_traced`], also reporting the call's timing
     /// samples ([`ProcessTiming`]). A warm replay reads the registry clock
-    /// at most three times — entry, after the projected decode of a fused
-    /// plan, exit — and every histogram it feeds shares those readings.
+    /// at most three times — entry, after the projected decode of a morph,
+    /// exit — and every histogram it feeds shares those readings.
     ///
     /// # Errors
     ///
@@ -805,7 +789,7 @@ impl MorphReceiver {
                 self.metrics.shared_inserts.inc();
             }
         }
-        self.applier().apply(&decision, msg, None, &mut 0)
+        self.split().1.apply(&decision, msg, None, &mut 0)
     }
 
     /// The cached decision for `id` next to everything applying it touches:
@@ -816,14 +800,11 @@ impl MorphReceiver {
         Some((&**cache.get(&id)?, applier))
     }
 
-    fn applier(&mut self) -> Applier<'_> {
-        self.split().1
-    }
-
     fn split(&mut self) -> (&HashMap<FormatId, Arc<Decision>>, Applier<'_>) {
         let MorphReceiver { cache, metrics, trace, handlers, default_handler, vm, roots, .. } =
             self;
-        (cache, Applier { metrics, trace: trace.as_ref(), handlers, default_handler, vm, roots })
+        let trace = trace.as_ref();
+        (cache, Applier { metrics, trace, handlers, default_handler, vm, roots, apply_span: None })
     }
 
     /// Starts a span under the in-flight trace, if one is attached.
@@ -909,7 +890,11 @@ impl MorphReceiver {
             });
         }
 
-        // Lines 21–24: dynamic code generation, once, cached.
+        // Lines 21–24: dynamic code generation, once, cached. The compiled
+        // steps live only until they are fused: the decision keeps the one
+        // program, and a chain that cannot be fused (255 steps or more — the
+        // receiver's limit) fails the decision like a step that does not
+        // compile.
         let compile_tspan = self.tspan("morph.compile", dparent);
         let compile_span = self.metrics.timer(&self.metrics.compile_ns);
         let chain = CompiledChain::compile(&chosen.chain)?;
@@ -918,44 +903,26 @@ impl MorphReceiver {
             s.tag("steps", &chain.steps().len().to_string());
             s.finish();
         }
+        let program = chain.fuse()?;
+        // Decode only what the chain reads.
+        let used = root_used_fields(program.rcode(), 0, fm.fields().len());
+        let decode = self.plans.project(&fm, &used)?;
         if let Some(s) = decide_span.as_mut() {
             s.tag("outcome", "morph");
         }
         self.metrics.compiles.add(chain.steps().len() as u64);
         self.metrics.morphs.inc();
+        let templates =
+            program.bindings()[1..].iter().map(|b| Value::default_record(&b.format)).collect();
         let adapter =
             if m.perfect { None } else { Some(ValueAdapter::compile(&chosen.format, target)) };
-        let fused = self.fuse_decision(&fm, &chain);
-        Ok(Decision::Morph {
-            decode: self.plans.get_or_compile(&fm, &fm)?,
-            chain,
+        Ok(Decision::Morph(Box::new(MorphPlan {
+            decode,
+            program,
+            templates,
             adapter,
             target: target_id,
-            fused,
-        })
-    }
-
-    /// Builds the fused single-pass plan for a morph decision: the chain's
-    /// step programs inlined into one [`FusedProgram`], plus a decode plan
-    /// projected down to the source fields that program actually reads.
-    /// Fusion is best-effort — on failure the decision falls back to the
-    /// staged path and `morph.fused.skipped` is incremented.
-    fn fuse_decision(
-        &self,
-        fm: &Arc<RecordFormat>,
-        chain: &CompiledChain,
-    ) -> Option<Box<FusedMorph>> {
-        let fused = chain.fuse().ok().and_then(|program| {
-            let used = root_used_fields(program.rcode(), 0, fm.fields().len());
-            let decode = ConversionPlan::project(fm, &used).ok()?;
-            let templates =
-                program.bindings()[1..].iter().map(|b| Value::default_record(&b.format)).collect();
-            Some(Box::new(FusedMorph { decode: Arc::new(decode), program, templates }))
-        });
-        if fused.is_none() {
-            self.metrics.fused_skipped.inc();
-        }
-        fused
+        })))
     }
 }
 
@@ -975,6 +942,8 @@ struct Applier<'a> {
     default_handler: &'a mut Option<DefaultHandler>,
     vm: &'a mut VmScratch,
     roots: &'a mut Vec<Value>,
+    /// The cold pass's `morph.apply` span, open while its stages run.
+    apply_span: Option<ActiveSpan>,
 }
 
 impl Applier<'_> {
@@ -982,16 +951,28 @@ impl Applier<'_> {
         span_in(self.trace, name, parent)
     }
 
-    /// Records a zero-duration trace event, if a trace is attached.
-    fn tinstant(&self, name: &str, parent: Option<SpanId>, tags: &[(&str, &str)]) {
-        if let Some(t) = self.trace {
-            t.rec.instant(t.ctx.trace, parent.or(t.ctx.parent), name, tags);
+    /// A stage span of the cold pass, under its `morph.apply` span; `None`
+    /// on a warm replay (which has none) and when no trace is attached.
+    fn stage(&self, name: &str) -> Option<ActiveSpan> {
+        self.apply_span.as_ref().and_then(|a| self.tspan(name, Some(a.id())))
+    }
+
+    /// [`Applier::stage`] for a zero-duration event.
+    fn stage_instant(&self, name: &str) {
+        if let (Some(t), Some(a)) = (self.trace, &self.apply_span) {
+            t.rec.instant(t.ctx.trace, Some(a.id()), name, &[]);
         }
     }
 
+    /// `plan` over `msg`, as the `morph.decode` stage.
+    fn decode(&self, plan: &ConversionPlan, msg: &[u8]) -> pbio::Result<Value> {
+        let _s = self.stage("morph.decode");
+        plan.execute(msg)
+    }
+
     /// A warm replay, timed from `started_ns`: whatever the outcome, one
-    /// `morph.process_ns` sample — and, when the decision has a fused plan,
-    /// one `morph.fused.apply_ns` sample — from a single closing clock read.
+    /// `morph.process_ns` sample — and, for a morph decision, one
+    /// `morph.fused.apply_ns` sample — from a single closing clock read.
     fn replay(
         &mut self,
         decision: &Decision,
@@ -1002,7 +983,7 @@ impl Applier<'_> {
         let result = self.apply(decision, msg, Some(started_ns), &mut timing.decode_ns);
         let elapsed_ns = self.metrics.clock.now_ns().saturating_sub(started_ns);
         self.metrics.process_ns.record(elapsed_ns);
-        if matches!(decision, Decision::Morph { fused: Some(_), .. }) {
+        if matches!(decision, Decision::Morph(_)) {
             self.metrics.fused_apply_ns.record(elapsed_ns);
         }
         (timing.total_ns, timing.warm) = (elapsed_ns, true);
@@ -1013,8 +994,8 @@ impl Applier<'_> {
     /// replay's timing sample, `None` on the cold pass. Only the cold pass
     /// traces its stages: a warm replay is a single cached step, so beyond
     /// `morph.lookup` it records at most the one `morph.apply.fused` span
-    /// of a fused morph — the plan only warm replays take, whose projected
-    /// decode reports its `pbio.decode_ns` sample through `decode_ns`.
+    /// of a morph, whose projected decode reports its `pbio.decode_ns`
+    /// sample through `decode_ns`.
     fn apply(
         &mut self,
         decision: &Decision,
@@ -1022,120 +1003,81 @@ impl Applier<'_> {
         warm_since: Option<u64>,
         decode_ns: &mut u64,
     ) -> Result<Delivery> {
-        let trace_stages = warm_since.is_none();
-        let apply_span = if trace_stages { self.tspan("morph.apply", None) } else { None };
-        let aparent = apply_span.as_ref().map(|s| s.id());
+        self.apply_span = if warm_since.is_none() { self.tspan("morph.apply", None) } else { None };
         match decision {
             Decision::Plan { plan, target, .. } => {
-                let value = {
-                    let _s = if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                    plan.execute(msg)?
-                };
+                let value = self.decode(plan, msg)?;
                 self.invoke(*target, value);
                 Ok(Delivery::Delivered(*target))
             }
-            Decision::Morph { decode, chain, adapter, target, fused } => {
-                // Warm replays take the fused plan: one projected decode,
-                // one VM invocation over the whole chain, no intermediate
-                // Value trees between steps. The cold pass stays staged so
-                // its per-stage spans remain observable, and so every
-                // format's first message takes the path the fused one
-                // is differentially tested against.
-                if let (Some(since_ns), Some(f)) = (warm_since, fused) {
-                    let mut span = self.tspan("morph.apply.fused", None);
-                    if let Some(s) = span.as_mut() {
-                        s.tag("steps", &chain.steps().len().to_string());
-                    }
-                    let value = self.run_fused(f, msg, since_ns, decode_ns);
-                    // Emptied on every exit: a failed message's values do
-                    // not outlive it here.
-                    self.roots.clear();
-                    let value = match adapter {
-                        Some(a) => a.apply(&value?)?,
-                        None => value?,
-                    };
-                    self.metrics.fused_applies.inc();
-                    self.metrics.fused_vm_invocations.inc();
-                    self.invoke(*target, value);
-                    return Ok(Delivery::Delivered(*target));
+            Decision::Morph(m) => {
+                let mut replay_span =
+                    if warm_since.is_some() { self.tspan("morph.apply.fused", None) } else { None };
+                if let Some(s) = replay_span.as_mut() {
+                    s.tag("steps", &m.templates.len().to_string());
                 }
-                let value = {
-                    let _s = if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                    decode.execute(msg)?
-                };
-                let value = {
-                    let mut s =
-                        if trace_stages { self.tspan("morph.transform", aparent) } else { None };
-                    if let Some(sp) = s.as_mut() {
-                        sp.tag("steps", &chain.steps().len().to_string());
-                    }
-                    chain.apply(value)?
-                };
-                let value = match adapter {
-                    Some(a) => {
-                        let _s = if trace_stages {
-                            self.tspan("morph.default_fill", aparent)
-                        } else {
-                            None
-                        };
-                        a.apply(&value)?
-                    }
-                    None => value,
-                };
-                // One VM invocation per step, one intermediate Value per
-                // step boundary (plus the adapter input) — the costs the
-                // fused path eliminates.
-                self.metrics.staged_vm_invocations.add(chain.steps().len() as u64);
-                self.metrics
-                    .staged_intermediates
-                    .add(chain.steps().len() as u64 + u64::from(adapter.is_some()));
-                self.invoke(*target, value);
-                Ok(Delivery::Delivered(*target))
+                let value = self.morph(m, msg, warm_since, decode_ns);
+                // Emptied on every exit: a failed message's values do not
+                // outlive it here.
+                self.roots.clear();
+                self.invoke(m.target, value?);
+                Ok(Delivery::Delivered(m.target))
             }
             Decision::Default { decode } => {
-                let value = {
-                    let _s = if trace_stages { self.tspan("morph.decode", aparent) } else { None };
-                    decode.execute(msg)?
-                };
-                if trace_stages {
-                    self.tinstant("morph.default_delivery", aparent, &[]);
-                }
+                let value = self.decode(decode, msg)?;
+                self.stage_instant("morph.default_delivery");
                 if let Some(h) = self.default_handler.as_mut() {
                     h(decode.wire_format(), value);
                 }
                 Ok(Delivery::DeliveredDefault)
             }
             Decision::Reject => {
-                if trace_stages {
-                    self.tinstant("morph.reject", aparent, &[]);
-                }
+                self.stage_instant("morph.reject");
                 Ok(Delivery::Rejected)
             }
         }
     }
 
-    /// The fused single pass `wire bytes → Value(target)`, in the
-    /// receiver's reused root vector and VM scratch. The projected decode's
-    /// share of the replay (timed from `since_ns`) is read off the clock
-    /// once, recorded as `pbio.decode_ns` and reported through `decode_ns`.
-    fn run_fused(
+    /// The single pass of a morph decision, `wire bytes → Value(target)`, in
+    /// the receiver's reused root vector and VM scratch: projected decode,
+    /// one run of the whole chain under the message's instruction budget,
+    /// then the adapter if the decision has one. The first message of a
+    /// format runs it under the cold pass's stage spans; on a warm replay the
+    /// decode's share (timed from `warm_since`) is read off the clock once,
+    /// recorded as `pbio.decode_ns` and reported through `decode_ns`.
+    fn morph(
         &mut self,
-        f: &FusedMorph,
+        m: &MorphPlan,
         msg: &[u8],
-        since_ns: u64,
+        warm_since: Option<u64>,
         decode_ns: &mut u64,
     ) -> Result<Value> {
         self.roots.clear();
-        self.roots.reserve_exact(f.templates.len() + 1);
-        self.roots.push(f.decode.execute(msg)?);
-        *decode_ns = self.metrics.clock.now_ns().saturating_sub(since_ns);
-        self.metrics.decode_ns.record(*decode_ns);
-        self.roots.extend(f.templates.iter().cloned());
-        let stats = f.program.run_register_with(self.roots, self.vm)?;
+        self.roots.reserve_exact(m.templates.len() + 1);
+        self.roots.push(self.decode(&m.decode, msg)?);
+        if let Some(since_ns) = warm_since {
+            *decode_ns = self.metrics.clock.now_ns().saturating_sub(since_ns);
+            self.metrics.decode_ns.record(*decode_ns);
+        }
+        self.roots.extend(m.templates.iter().cloned());
+        let stats = {
+            let mut s = self.stage("morph.transform");
+            if let Some(s) = s.as_mut() {
+                s.tag("steps", &m.templates.len().to_string());
+            }
+            m.program.run_register_with(self.roots, fuel_for(msg.len()), self.vm)?
+        };
         self.metrics.vm_register_applies.inc();
         self.metrics.batch_copies.add(stats.batch_copies);
         self.metrics.batch_elems.add(stats.batch_elems);
-        Ok(self.roots.pop().expect("fused program keeps its roots"))
+        let value = self.roots.pop().expect("fused program keeps its roots");
+        match &m.adapter {
+            Some(a) => {
+                let _s = self.stage("morph.default_fill");
+                a.apply(&value)
+            }
+            None => Ok(value),
+        }
     }
 
     fn invoke(&mut self, target: FormatId, value: Value) {
@@ -1609,38 +1551,39 @@ mod tests {
 
     #[test]
     fn warm_morph_is_one_fused_vm_pass_with_no_intermediates() {
-        // Acceptance criterion for fusion: after the cold decision, every
-        // warm morph is exactly one VM invocation, and only the cold pass
-        // builds per-step intermediate Value trees — asserted through the
-        // morph.fused.* / morph.staged.* counters rather than timing.
+        // One plan, one count: the first message of a format and every
+        // later one are each exactly one VM pass over the whole chain —
+        // asserted through counters rather than timing.
         let (got, h) = sink();
         let mut rx = MorphReceiver::new();
         rx.register_handler(&v1(), h);
         rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
 
-        rx.process(&v2_message(3)).unwrap(); // cold: staged, decides + caches
+        rx.process(&v2_message(3)).unwrap(); // cold: decides, caches, runs the plan
         for _ in 0..4 {
-            rx.process(&v2_message(3)).unwrap(); // warm: fused
+            rx.process(&v2_message(3)).unwrap(); // warm: replays it
         }
         let snap = rx.registry().snapshot();
-        assert_eq!(snap.counter("morph.fused.apply"), Some(4));
-        assert_eq!(snap.counter("morph.fused.vm_invocations"), Some(4));
-        assert_eq!(snap.counter("morph.vm.register.apply"), Some(4));
-        assert_eq!(snap.counter("morph.fused.skipped"), Some(0));
-        // The cold pass ran the staged path once (1-step chain).
-        assert_eq!(snap.counter("morph.staged.vm_invocations"), Some(1));
-        assert_eq!(snap.counter("morph.staged.intermediates"), Some(1));
-        // Each fused apply books its decode under `pbio.decode_ns` (the cold
+        assert_eq!(snap.counter("morph.vm.register.apply"), Some(5), "cold + 4 warm");
+        assert_eq!(snap.counter("morph.compile.count"), Some(1));
+        // The decision compiled one plan — the projected decode it runs.
+        assert_eq!(snap.counter("pbio.plan.miss"), Some(1));
+        assert_eq!(snap.histogram("pbio.plan.compile_ns").unwrap().count, 1);
+        // Each warm replay books its decode under `pbio.decode_ns` (the cold
         // pass does not), as the leading part of its own interval.
         let decode = snap.histogram("pbio.decode_ns").unwrap();
         let apply = snap.histogram("morph.fused.apply_ns").unwrap();
         assert_eq!((decode.count, apply.count), (4, 4));
         assert!(decode.sum <= apply.sum, "decode {} > apply {}", decode.sum, apply.sum);
 
-        // And the fused output is the same value the staged path delivers.
+        // The first delivery equals every later one, and the oracle's: the
+        // tree-walker over the full decode.
         let vals = got.lock().unwrap();
         assert_eq!(vals.len(), 5);
         assert!(vals[1..].iter().all(|v| v == &vals[0]));
+        let full = ConversionPlan::identity(&v2()).unwrap().execute(&v2_message(3)).unwrap();
+        let oracle = Transformation::new(v2(), v1(), FIG5).compile().unwrap().apply_interp(&full);
+        assert_eq!(vals[0], oracle.unwrap());
         vals[4].check(&v1()).unwrap();
         assert_eq!(vals[4].field(&v1(), "src_count"), Some(&Value::Int(2)));
     }
@@ -1692,10 +1635,10 @@ mod tests {
         assert_eq!(count("pbio.decode_ns"), Some(1));
     }
 
-    /// The fused replay runs in root and register storage the receiver
-    /// keeps across messages. A message that fails inside the VM must leave
-    /// none of itself there: the next message delivers what it delivers to
-    /// a receiver that never saw the bad one.
+    /// A morph runs in root and register storage the receiver keeps across
+    /// messages. A message that fails inside the VM — the first of its format
+    /// or a later one — must leave none of itself there: the next message
+    /// delivers what it delivers to a receiver that never saw the bad one.
     #[test]
     fn a_failed_warm_replay_leaves_nothing_in_the_reused_scratch() {
         let item = FormatBuilder::record("Item").string("tag").int("v").build_arc().unwrap();
@@ -1721,15 +1664,19 @@ mod tests {
             let mut rx = MorphReceiver::new();
             rx.register_handler(&dst, h);
             rx.import_transformation(Transformation::new(src.clone(), dst.clone(), code));
-            rx.process(&message(1)).unwrap(); // cold
             (got, rx)
+        };
+        let out_of_bounds = |rx: &mut MorphReceiver| {
+            let err = rx.process(&message(7)).unwrap_err();
+            assert!(err.to_string().contains("array index 7 out of bounds"), "{err}");
+            assert!(rx.roots.is_empty(), "the failed message's roots were dropped");
         };
 
         let (got, mut rx) = subscriber();
+        out_of_bounds(&mut rx); // the cold pass fails: the decision stays cached
+        assert_eq!(rx.cached_decisions(), 1);
         rx.process(&message(0)).unwrap();
-        let err = rx.process(&message(7)).unwrap_err();
-        assert!(err.to_string().contains("array index 7 out of bounds"), "{err}");
-        assert!(rx.roots.is_empty(), "the failed message's roots were dropped");
+        out_of_bounds(&mut rx); // a warm replay fails
         rx.process(&message(2)).unwrap();
 
         let (expected, mut fresh) = subscriber();
@@ -1740,10 +1687,166 @@ mod tests {
             got.lock().unwrap().last(),
             Some(&Value::Record(vec![Value::str("tag-2"), Value::Int(60)]))
         );
-        // All of it on the fused path: two good replays, one failed.
+        // One compile, and only the passes that succeeded are counted; the
+        // three warm replays each left a sample, failed or not.
         let snap = rx.registry().snapshot();
-        assert_eq!(snap.counter("morph.fused.apply"), Some(2));
+        assert_eq!(snap.counter("morph.compile.count"), Some(1));
+        assert_eq!(snap.counter("morph.vm.register.apply"), Some(2));
         assert_eq!(snap.histogram("morph.fused.apply_ns").map(|h| h.count), Some(3));
+    }
+
+    /// The receiver runs wire-supplied code on a budget: a transformation
+    /// that never finishes costs its budget and an error — not the thread —
+    /// on the first message and on every later one, leaves nothing behind,
+    /// and the next format's messages flow as on a fresh receiver.
+    #[test]
+    fn a_looping_transformation_spends_its_budget_and_the_next_message_flows() {
+        let spin = FormatBuilder::record("ChannelOpenResponse").int("spin").build_arc().unwrap();
+        let spinning = Encoder::new(&spin).encode(&Value::Record(vec![Value::Int(1)])).unwrap();
+        let subscriber = || {
+            let (got, h) = sink();
+            let mut rx = MorphReceiver::new();
+            rx.register_handler(&v1(), h);
+            rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+            (got, rx)
+        };
+        let (got, mut rx) = subscriber();
+        rx.import_transformation(Transformation::new(spin.clone(), v1(), "while (1) {}"));
+        for pass in ["cold", "warm"] {
+            let err = rx.process(&spinning).unwrap_err();
+            assert!(matches!(err, MorphError::Ecode(_)), "{pass}: {err}");
+            assert!(err.to_string().contains("instruction budget exhausted"), "{pass}: {err}");
+            assert_eq!(crate::deadletter::reason_for(&err), crate::DeadReason::TransformFailed);
+            assert!(rx.roots.is_empty(), "{pass}: roots left behind");
+        }
+        assert_eq!(rx.registry().snapshot().counter("morph.vm.register.apply"), Some(0));
+        rx.process(&v2_message(3)).unwrap();
+
+        let (expected, mut fresh) = subscriber();
+        fresh.process(&v2_message(3)).unwrap();
+        assert_eq!(*got.lock().unwrap(), *expected.lock().unwrap());
+        assert_eq!(got.lock().unwrap().len(), 1);
+    }
+
+    /// A chain of `steps` one-field revisions `M{f0}` ← … ← `M{f<steps>}`,
+    /// each step adding one, and a message of the newest revision.
+    fn revisions(steps: usize) -> (Vec<Transformation>, Vec<u8>) {
+        let rev = |k: usize| {
+            FormatBuilder::record("M").int(format!("f{k}")).build_arc().expect("a valid format")
+        };
+        let xforms = (0..steps)
+            .map(|k| {
+                let code = format!("old.f{k} = new.f{} + 1;", k + 1);
+                Transformation::new(rev(k + 1), rev(k), code)
+            })
+            .collect();
+        let wire = Encoder::new(&rev(steps)).encode(&Value::Record(vec![Value::Int(0)])).unwrap();
+        (xforms, wire)
+    }
+
+    /// 254 steps is the longest chain a receiver runs; one more is a
+    /// decide-time error like a step that does not compile — nothing cached,
+    /// no other path taken — and a shorter route learned later still works.
+    #[test]
+    fn a_254_step_chain_morphs_and_a_255_step_chain_is_a_decide_time_error() {
+        let reader = FormatBuilder::record("M").int("f0").build_arc().unwrap();
+        let receiver = |steps: usize| {
+            let (xforms, wire) = revisions(steps);
+            let (got, h) = sink();
+            let mut rx = MorphReceiver::new();
+            rx.register_handler(&reader, h);
+            for t in xforms {
+                rx.import_transformation(t);
+            }
+            (got, rx, wire)
+        };
+
+        let (got, mut rx, wire) = receiver(254);
+        for _ in 0..2 {
+            assert!(matches!(rx.process(&wire).unwrap(), Delivery::Delivered(_)));
+        }
+        assert_eq!(*got.lock().unwrap(), vec![Value::Record(vec![Value::Int(254)]); 2]);
+        let id = parse_header(&wire).unwrap().format_id;
+        assert!(matches!(rx.explain(id), Some(Explanation::Morph { chain_len: 254, .. })));
+
+        let (got, mut rx, wire) = receiver(255);
+        for _ in 0..2 {
+            let err = rx.process(&wire).unwrap_err();
+            assert!(matches!(err, MorphError::Ecode(_)), "{err}");
+            assert!(err.to_string().contains("chain too long"), "{err}");
+        }
+        assert_eq!(rx.cached_decisions(), 0);
+        let snap = rx.registry().snapshot();
+        assert_eq!(snap.counter("morph.decision.morph"), Some(0));
+        assert_eq!(snap.counter("morph.vm.register.apply"), Some(0));
+        assert!(got.lock().unwrap().is_empty());
+        // A direct retro-transformation from the newest revision.
+        let newest = FormatBuilder::record("M").int("f255").build_arc().unwrap();
+        rx.import_transformation(Transformation::new(newest, reader.clone(), "old.f0 = -1;"));
+        assert!(matches!(rx.process(&wire).unwrap(), Delivery::Delivered(_)));
+        assert_eq!(*got.lock().unwrap(), vec![Value::Record(vec![Value::Int(-1)])]);
+    }
+
+    /// The span tree of a traced message, pinned once: the first message of
+    /// a format records the decision and the stages of the one plan; the
+    /// second replays that plan under a single span.
+    #[test]
+    fn a_cold_traced_morph_records_the_decision_and_the_stages_of_the_one_plan() {
+        // The reader is v1.0 plus one field, so the chain's end is a near
+        // match of it and the adapter stage runs too.
+        let reader = FormatBuilder::record("ChannelOpenResponse")
+            .int("member_count")
+            .var_array_of("member_list", member(false), "member_count")
+            .int("src_count")
+            .var_array_of("src_list", member(false), "src_count")
+            .int("sink_count")
+            .var_array_of("sink_list", member(false), "sink_count")
+            .int("extra")
+            .build_arc()
+            .unwrap();
+        let registry = Arc::new(Registry::new());
+        let recorder = Arc::new(FlightRecorder::new(256, registry.clock()));
+        registry.set_recorder(Arc::clone(&recorder));
+        let mut rx = MorphReceiver::with_registry(registry);
+        rx.register_handler(&reader, |_| {});
+        rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+
+        // (name, parent's name) of every span of a trace, in start order.
+        let tree = |trace: obs::TraceId| -> Vec<(String, Option<String>)> {
+            let mut events = recorder.trace_events(trace);
+            events.sort_by_key(|e| e.id.0);
+            let name_of = |id: SpanId| events.iter().find(|e| e.id == id).map(|e| e.name.clone());
+            events.iter().map(|e| (e.name.clone(), e.parent.and_then(name_of))).collect()
+        };
+        let spans = |tree: &[(&str, Option<&str>)]| -> Vec<(String, Option<String>)> {
+            tree.iter().map(|(n, p)| (n.to_string(), p.map(str::to_string))).collect()
+        };
+
+        let cold = TraceCtx::root(recorder.next_trace_id());
+        rx.process_traced(&v2_message(3), Some(cold)).unwrap();
+        assert_eq!(
+            tree(cold.trace),
+            spans(&[
+                ("morph.lookup", None),
+                ("morph.decide", None),
+                ("morph.maxmatch", Some("morph.decide")),
+                ("morph.compile", Some("morph.decide")),
+                ("morph.apply", None),
+                ("morph.decode", Some("morph.apply")),
+                ("morph.transform", Some("morph.apply")),
+                ("morph.default_fill", Some("morph.apply")),
+            ])
+        );
+        let events = recorder.trace_events(cold.trace);
+        let tag =
+            |name: &str, key: &str| events.iter().find(|e| e.name == name).and_then(|e| e.tag(key));
+        assert_eq!(tag("morph.lookup", "result"), Some("miss"));
+        assert_eq!(tag("morph.decide", "outcome"), Some("morph"));
+        assert_eq!(tag("morph.transform", "steps"), Some("1"));
+
+        let warm = TraceCtx::root(recorder.next_trace_id());
+        rx.process_traced(&v2_message(3), Some(warm)).unwrap();
+        assert_eq!(tree(warm.trace), spans(&[("morph.lookup", None), ("morph.apply.fused", None)]));
     }
 
     #[test]

@@ -7,32 +7,20 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use ecode::{EcodeCompiler, EcodeProgram};
-use pbio::{format_id, FormatId, RecordFormat, Value};
+use pbio::{format_id, put_chunk, take_chunk, take_u32, FormatId, RecordFormat, Value};
 
 use crate::error::{MorphError, Result};
 
-/// Appends `chunk` behind its length as a little-endian `u32` — how every
-/// piece of out-of-band meta-data (a format description, a transformation,
-/// a server request's payload) is framed.
-pub(crate) fn put_chunk(out: &mut Vec<u8>, chunk: &[u8]) {
-    out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-    out.extend_from_slice(chunk);
-}
-
-/// Takes the little-endian `u32` at `*pos`; `None` when `bytes` ends first.
-pub(crate) fn take_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let raw = bytes.get(*pos..)?.first_chunk::<4>()?;
-    *pos += 4;
-    Some(u32::from_le_bytes(*raw))
-}
-
-/// Takes the chunk [`put_chunk`] wrote at `*pos`; `None` when `bytes` ends
-/// first.
-pub(crate) fn take_chunk<'b>(bytes: &'b [u8], pos: &mut usize) -> Option<&'b [u8]> {
-    let len = take_u32(bytes, pos)? as usize;
-    let chunk = bytes.get(*pos..)?.get(..len)?;
-    *pos += len;
-    Some(chunk)
+/// The instruction budget of one run of wire-supplied transformation code
+/// over a message of `bytes` bytes: a constant, growing with the message —
+/// Fig. 5 spends about one instruction per byte it converts, a loop nested in
+/// a loop over the same array a few hundred. Code that has not finished by
+/// then (`while (1) {}`) fails with [`MorphError::Ecode`] and costs its
+/// message, not the thread that ran it.
+pub(crate) fn fuel_for(bytes: usize) -> u64 {
+    const BASE: u64 = 1 << 20;
+    const PER_BYTE: u64 = 1 << 8;
+    BASE + PER_BYTE * bytes as u64
 }
 
 /// A writer-supplied transformation: Ecode source converting a message of
@@ -166,17 +154,19 @@ impl CompiledXform {
     }
 
     /// The one body under the four public forms: `engine` runs the program
-    /// over `[input, default old]`, and `old` comes back — next to what the
+    /// over `[input, default old]` within the budget of a message the
+    /// input's size ([`fuel_for`]), and `old` comes back — next to what the
     /// program returned — with its variable-length array length fields
     /// re-synchronized, so the output always satisfies the target format's
     /// invariants.
     fn run(
         &self,
         input: Value,
-        engine: impl FnOnce(&EcodeProgram, &mut [Value]) -> ecode::Result<Option<Value>>,
+        engine: impl FnOnce(&EcodeProgram, &mut [Value], u64) -> ecode::Result<Option<Value>>,
     ) -> Result<(Option<Value>, Value)> {
+        let fuel = fuel_for(input.native_record_size(&self.from));
         let mut roots = vec![input, Value::default_record(&self.to)];
-        let returned = engine(&self.program, &mut roots)?;
+        let returned = engine(&self.program, &mut roots, fuel)?;
         let mut out = roots.pop().expect("two roots in, two out");
         pbio::sync_length_fields(&mut out, &self.to);
         Ok((returned, out))
@@ -189,7 +179,7 @@ impl CompiledXform {
     /// # Errors
     ///
     /// Returns [`MorphError::Ecode`] if the transformation code fails at
-    /// runtime.
+    /// runtime, or has not finished within its instruction budget.
     pub fn apply(&self, input: &Value) -> Result<Value> {
         self.apply_owned(input.clone())
     }
@@ -201,7 +191,7 @@ impl CompiledXform {
     ///
     /// See [`CompiledXform::apply`].
     pub fn apply_owned(&self, input: Value) -> Result<Value> {
-        Ok(self.run(input, EcodeProgram::run)?.1)
+        Ok(self.run(input, EcodeProgram::run_with_fuel)?.1)
     }
 
     /// Applies the transformation *as a filter*: if the program executes
@@ -214,7 +204,7 @@ impl CompiledXform {
     ///
     /// See [`CompiledXform::apply`].
     pub fn apply_filtered(&self, input: &Value) -> Result<Option<Value>> {
-        let (returned, out) = self.run(input.clone(), EcodeProgram::run)?;
+        let (returned, out) = self.run(input.clone(), EcodeProgram::run_with_fuel)?;
         Ok((!matches!(returned, Some(Value::Int(0)))).then_some(out))
     }
 
@@ -225,7 +215,7 @@ impl CompiledXform {
     ///
     /// See [`CompiledXform::apply`].
     pub fn apply_interp(&self, input: &Value) -> Result<Value> {
-        Ok(self.run(input.clone(), EcodeProgram::run_interp)?.1)
+        Ok(self.run(input.clone(), EcodeProgram::run_interp_with_fuel)?.1)
     }
 }
 
@@ -374,26 +364,13 @@ impl CompiledChain {
         &self.steps
     }
 
-    /// Applies the whole chain to a decoded value.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first runtime error.
-    pub fn apply(&self, input: Value) -> Result<Value> {
-        let mut v = input;
-        for step in &self.steps {
-            v = step.apply_owned(v)?;
-        }
-        Ok(v)
-    }
-
     /// Fuses the whole chain into a single VM program (one invocation per
     /// message instead of one per step — see [`ecode::FusedProgram`]).
     ///
     /// # Errors
     ///
-    /// Returns [`MorphError::Ecode`] when the chain is empty or does not
-    /// compose; callers fall back to the staged per-step path.
+    /// Returns [`MorphError::Ecode`] when the chain is empty, does not
+    /// compose, or has 255 steps or more.
     pub fn fuse(&self) -> Result<ecode::FusedProgram> {
         let steps: Vec<&EcodeProgram> = self.steps.iter().map(|s| &s.program).collect();
         Ok(ecode::FusedProgram::compose(&steps)?)
@@ -476,8 +453,8 @@ mod tests {
         ];
         let cc = CompiledChain::compile(&chain).unwrap();
         assert_eq!(cc.steps().len(), 2);
-        let out =
-            cc.apply(Value::Record(vec![Value::Int(4), Value::Int(0), Value::Int(0)])).unwrap();
+        let input = Value::Record(vec![Value::Int(4), Value::Int(0), Value::Int(0)]);
+        let out = cc.steps().iter().fold(input, |v, step| step.apply_owned(v).unwrap());
         assert_eq!(out, Value::Record(vec![Value::Int(50)]));
     }
 
@@ -499,9 +476,29 @@ mod tests {
             roots.push(Value::default_record(step.to_format()));
         }
         fp.run_register(&mut roots).unwrap();
-        assert_eq!(roots.pop().unwrap(), cc.apply(input).unwrap());
+        // The oracle: the tree-walker, step by step.
+        let oracle = cc.steps().iter().fold(input, |v, step| step.apply_interp(&v).unwrap());
+        assert_eq!(roots.pop().unwrap(), oracle);
+        assert_eq!(oracle, Value::Record(vec![Value::Int(50)]));
         // Empty chains have nothing to fuse.
         assert!(CompiledChain::default().fuse().is_err());
+    }
+
+    /// Wire-supplied code runs on a budget: a loop that never ends is an
+    /// error under every form, the oracle's included, and a filter's too.
+    #[test]
+    fn a_transformation_that_never_finishes_spends_its_budget_and_errs() {
+        let t = Transformation::new(fmt("M", &["a"]), fmt("M", &["b"]), "while (1) {}");
+        let cx = t.compile().unwrap();
+        let input = Value::Record(vec![Value::Int(1)]);
+        for result in [cx.apply(&input), cx.apply_owned(input.clone()), cx.apply_interp(&input)] {
+            let err = result.unwrap_err();
+            assert!(matches!(err, MorphError::Ecode(_)), "{err}");
+            assert!(err.to_string().contains("budget exhausted"), "{err}");
+        }
+        assert!(matches!(cx.apply_filtered(&input), Err(MorphError::Ecode(_))));
+        // The budget grows with the message.
+        assert!(fuel_for(64 << 10) > fuel_for(0) && fuel_for(0) >= 1 << 20);
     }
 
     #[test]

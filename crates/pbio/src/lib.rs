@@ -61,7 +61,9 @@ pub use encode::{
     parse_header, ByteOrder, Encoder, WireHeader, FLAG_BIG_ENDIAN, HEADER_LEN, WIRE_VERSION,
 };
 pub use error::{PbioError, Result};
-pub use meta::{deserialize_format, format_id, serialize_format, FormatId};
+pub use meta::{
+    deserialize_format, format_id, put_chunk, serialize_format, take_chunk, take_u32, FormatId,
+};
 pub use observe::{PlanCache, PlanStore};
 pub use plan::ConversionPlan;
 pub use registry::FormatRegistry;

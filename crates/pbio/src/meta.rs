@@ -76,9 +76,28 @@ const TAG_RECORD: u8 = 7;
 const TAG_ARRAY_FIXED: u8 = 8;
 const TAG_ARRAY_VAR: u8 = 9;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Appends `chunk` behind its length as a little-endian `u32` — how every
+/// piece of out-of-band meta-data (a name, a format description, a
+/// transformation, a server request's payload) is framed.
+pub fn put_chunk(out: &mut Vec<u8>, chunk: &[u8]) {
+    out.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
+    out.extend_from_slice(chunk);
+}
+
+/// Takes the little-endian `u32` at `*pos`; `None` when `bytes` ends first.
+pub fn take_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
+    let raw = bytes.get(*pos..)?.first_chunk::<4>()?;
+    *pos += 4;
+    Some(u32::from_le_bytes(*raw))
+}
+
+/// Takes the chunk [`put_chunk`] wrote at `*pos`; `None` when `bytes` ends
+/// first.
+pub fn take_chunk<'b>(bytes: &'b [u8], pos: &mut usize) -> Option<&'b [u8]> {
+    let len = take_u32(bytes, pos)? as usize;
+    let chunk = bytes.get(*pos..)?.get(..len)?;
+    *pos += len;
+    Some(chunk)
 }
 
 fn put_type(out: &mut Vec<u8>, ty: &FieldType) {
@@ -90,10 +109,10 @@ fn put_type(out: &mut Vec<u8>, ty: &FieldType) {
             BasicType::Char => out.push(TAG_CHAR),
             BasicType::Enum { name, variants } => {
                 out.push(TAG_ENUM);
-                put_str(out, name);
+                put_chunk(out, name.as_bytes());
                 out.extend_from_slice(&(variants.len() as u32).to_le_bytes());
                 for v in variants {
-                    put_str(out, &v.name);
+                    put_chunk(out, v.name.as_bytes());
                     out.extend_from_slice(&v.discriminant.to_le_bytes());
                 }
             }
@@ -111,7 +130,7 @@ fn put_type(out: &mut Vec<u8>, ty: &FieldType) {
                 }
                 ArrayLen::LengthField(f) => {
                     out.push(TAG_ARRAY_VAR);
-                    put_str(out, f);
+                    put_chunk(out, f.as_bytes());
                 }
             }
             put_type(out, elem);
@@ -120,10 +139,10 @@ fn put_type(out: &mut Vec<u8>, ty: &FieldType) {
 }
 
 fn put_record(out: &mut Vec<u8>, r: &RecordFormat) {
-    put_str(out, r.name());
+    put_chunk(out, r.name().as_bytes());
     out.extend_from_slice(&(r.fields().len() as u32).to_le_bytes());
     for f in r.fields() {
-        put_str(out, f.name());
+        put_chunk(out, f.name().as_bytes());
         put_type(out, f.ty());
     }
 }
@@ -137,14 +156,33 @@ pub fn serialize_format(format: &RecordFormat) -> Vec<u8> {
 
 // -- deserialization ----------------------------------------------------------
 
+/// How deep types may nest in a deserialized description. The parser — like
+/// every later walk over the format — recurses once per level, so the bound
+/// is what keeps a description of nothing but array tags off the end of the
+/// stack.
+const MAX_NESTING: usize = 32;
+
+/// How many values the default record of a deserialized description may
+/// hold: one per type, counted once per element of the fixed arrays around
+/// it. A fixed length is the one number in a description that costs memory
+/// its bytes do not pay for; under the cap, nothing a description makes a
+/// receiver build ([`crate::Value::default_record`]) outgrows it.
+const MAX_DEFAULT_VALUES: u64 = 1 << 20;
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Types open around the one being parsed.
+    depth: usize,
+    /// Default values the description stands for so far, and how many each
+    /// further type adds (the product of the fixed lengths around it).
+    values: u64,
+    repeat: u64,
 }
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(PbioError::UnexpectedEof);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -157,67 +195,68 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("slice is 4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("slice is 8 bytes")))
-    }
-
-    fn i32(&mut self) -> Result<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("slice is 4 bytes")))
+        take_u32(self.buf, &mut self.pos).ok_or(PbioError::UnexpectedEof)
     }
 
     fn string(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
+        let bytes = take_chunk(self.buf, &mut self.pos).ok_or(PbioError::UnexpectedEof)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| PbioError::BadData("non-UTF-8 string in format meta-data".into()))
     }
 }
 
+// Counts read off the wire size no reservation below: a vector grows as its
+// entries actually parse, so it never outgrows the bytes that described it.
+
 fn get_type(c: &mut Cursor<'_>) -> Result<FieldType> {
-    let tag = c.u8()?;
-    Ok(match tag {
+    c.depth += 1;
+    c.values = c.values.saturating_add(c.repeat);
+    if c.depth > MAX_NESTING || c.values > MAX_DEFAULT_VALUES {
+        return Err(PbioError::BadFormat(format!(
+            "format meta-data nests deeper than {MAX_NESTING} levels or describes more than \
+             {MAX_DEFAULT_VALUES} default values"
+        )));
+    }
+    let ty = match c.u8()? {
         TAG_INT => FieldType::Basic(BasicType::Int(Width::from_bytes(c.u8()? as usize)?)),
         TAG_UINT => FieldType::Basic(BasicType::UInt(Width::from_bytes(c.u8()? as usize)?)),
         TAG_FLOAT => FieldType::Basic(BasicType::Float(Width::from_bytes(c.u8()? as usize)?)),
         TAG_CHAR => FieldType::Basic(BasicType::Char),
         TAG_ENUM => {
             let name = c.string()?;
-            let n = c.u32()? as usize;
-            let mut variants = Vec::with_capacity(n);
-            for _ in 0..n {
-                let vname = c.string()?;
-                let disc = c.i32()?;
-                variants.push(EnumVariant { name: vname, discriminant: disc });
+            let mut variants = Vec::new();
+            for _ in 0..c.u32()? {
+                variants.push(EnumVariant { name: c.string()?, discriminant: c.u32()? as i32 });
             }
             FieldType::Basic(BasicType::Enum { name, variants })
         }
         TAG_STRING => FieldType::Basic(BasicType::String),
         TAG_RECORD => FieldType::Record(Arc::new(get_record(c)?)),
         TAG_ARRAY_FIXED => {
-            let n = c.u64()? as usize;
-            let elem = get_type(c)?;
-            FieldType::Array { elem: Box::new(elem), len: ArrayLen::Fixed(n) }
+            let n = u64::from_le_bytes(c.take(8)?.try_into().expect("slice is 8 bytes"));
+            // An empty array still stands for one look at its element type.
+            let around = c.repeat;
+            c.repeat = around.saturating_mul(n.max(1));
+            let elem = Box::new(get_type(c)?);
+            c.repeat = around;
+            // The element was counted `n` times over, so `n` is within the cap.
+            FieldType::Array { elem, len: ArrayLen::Fixed(n as usize) }
         }
         TAG_ARRAY_VAR => {
-            let f = c.string()?;
-            let elem = get_type(c)?;
-            FieldType::Array { elem: Box::new(elem), len: ArrayLen::LengthField(f) }
+            let len = ArrayLen::LengthField(c.string()?);
+            FieldType::Array { elem: Box::new(get_type(c)?), len }
         }
         t => return Err(PbioError::BadData(format!("unknown type tag {t} in format meta-data"))),
-    })
+    };
+    c.depth -= 1;
+    Ok(ty)
 }
 
 fn get_record(c: &mut Cursor<'_>) -> Result<RecordFormat> {
     let name = c.string()?;
-    let n = c.u32()? as usize;
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fname = c.string()?;
-        let ty = get_type(c)?;
-        fields.push(Field::new(fname, ty));
+    let mut fields = Vec::new();
+    for _ in 0..c.u32()? {
+        fields.push(Field::new(c.string()?, get_type(c)?));
     }
     RecordFormat::new(name, fields)
 }
@@ -233,7 +272,7 @@ fn get_record(c: &mut Cursor<'_>) -> Result<RecordFormat> {
 /// malformed input and [`PbioError::BadFormat`] if the encoded description
 /// violates format invariants.
 pub fn deserialize_format(bytes: &[u8]) -> Result<RecordFormat> {
-    let mut c = Cursor { buf: bytes, pos: 0 };
+    let mut c = Cursor { buf: bytes, pos: 0, depth: 0, values: 0, repeat: 1 };
     let r = get_record(&mut c)?;
     if c.pos != bytes.len() {
         return Err(PbioError::BadData("trailing bytes after format meta-data".into()));

@@ -166,6 +166,20 @@ impl PlanCache {
         Ok(self.plans.insert(key, plan))
     }
 
+    /// Compiles the projected decode of `format` ([`ConversionPlan::project`])
+    /// — the plan a morph decision runs. A mask is no format pair, so the plan
+    /// is not stored: the decision that asked for it keeps it, and every call
+    /// is a `pbio.plan.miss` with its `pbio.plan.compile_ns` sample.
+    ///
+    /// # Errors
+    ///
+    /// See [`ConversionPlan::project`].
+    pub fn project(&self, format: &Arc<RecordFormat>, used: &[bool]) -> Result<ConversionPlan> {
+        self.misses.inc();
+        let _timer = Timer::start(Arc::clone(&self.compile_ns), Arc::clone(&self.clock));
+        ConversionPlan::project(format, used)
+    }
+
     /// Number of distinct format pairs with compiled plans.
     pub fn len(&self) -> usize {
         self.plans.len()

@@ -15,7 +15,9 @@ use std::sync::Arc;
 use parking_lot_shim::RwLock;
 
 use crate::error::{PbioError, Result};
-use crate::meta::{deserialize_format, format_id, serialize_format, FormatId};
+use crate::meta::{
+    deserialize_format, format_id, put_chunk, serialize_format, take_chunk, take_u32, FormatId,
+};
 use crate::types::RecordFormat;
 
 // `pbio` keeps zero external dependencies; a tiny shim gives us the same
@@ -112,9 +114,7 @@ impl FormatRegistry {
         let mut entries: Vec<_> = map.iter().collect();
         entries.sort_by_key(|(id, _)| **id);
         for (_, fmt) in entries {
-            let bytes = serialize_format(fmt);
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            put_chunk(&mut out, &serialize_format(fmt));
         }
         out
     }
@@ -127,23 +127,11 @@ impl FormatRegistry {
     /// Returns decoding errors for malformed input; on error the registry
     /// may contain a prefix of the imported formats.
     pub fn import(&self, bytes: &[u8]) -> Result<usize> {
-        if bytes.len() < 4 {
-            return Err(PbioError::UnexpectedEof);
-        }
-        let n = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        let mut pos = 4;
+        let mut pos = 0;
+        let n = take_u32(bytes, &mut pos).ok_or(PbioError::UnexpectedEof)? as usize;
         for _ in 0..n {
-            if pos + 4 > bytes.len() {
-                return Err(PbioError::UnexpectedEof);
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            pos += 4;
-            if pos + len > bytes.len() {
-                return Err(PbioError::UnexpectedEof);
-            }
-            let fmt = deserialize_format(&bytes[pos..pos + len])?;
-            pos += len;
-            self.register(Arc::new(fmt));
+            let meta = take_chunk(bytes, &mut pos).ok_or(PbioError::UnexpectedEof)?;
+            self.register(Arc::new(deserialize_format(meta)?));
         }
         Ok(n)
     }

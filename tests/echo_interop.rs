@@ -161,6 +161,58 @@ fn event_format_upgrade_mid_stream() {
     assert_eq!(stats.morphs, 1);
 }
 
+/// A retro-transformation that never finishes — a writer's bug, or a hostile
+/// meta-server — costs each of its events the instruction budget and a
+/// `transform_failed` dead letter carrying the event's trace; the sink's
+/// worker comes back, the books balance, and the next event is delivered.
+#[test]
+fn a_looping_retro_transformation_is_quarantined_and_the_next_event_flows() {
+    let mut sys = EchoSystem::new();
+    let c = sys.add_process("creator", EchoVersion::V2);
+    let publisher = sys.add_process("pub", EchoVersion::V2);
+    let old_sink = sys.add_process("old-sink", EchoVersion::V2);
+    sys.connect_all(LinkParams::lan());
+    let old_evt = event_format();
+    let new_evt = FormatBuilder::record("Sample").int("seq").string("unit").build_arc().unwrap();
+    sys.distribute_metadata(
+        &[old_evt.clone(), new_evt.clone()],
+        &[Transformation::new(new_evt.clone(), old_evt.clone(), "while (1) {}")],
+    );
+    let ch = sys.create_channel(c);
+    sys.subscribe(publisher, ch, Role::source(), None).unwrap();
+    sys.subscribe(old_sink, ch, Role::sink(), Some(&old_evt)).unwrap();
+    sys.run();
+
+    // Two events of the looping format (the decision's first message and a
+    // replay of it), then one the sink reads as it is.
+    for seq in [1, 2] {
+        let event = Value::Record(vec![Value::Int(seq), Value::str("kelvin")]);
+        sys.publish(publisher, ch, &new_evt, &event).unwrap();
+        sys.run();
+    }
+    sys.publish(publisher, ch, &old_evt, &sample(3)).unwrap();
+    sys.run();
+
+    assert_eq!(sys.take_events(old_sink), vec![(ch, sample(3))]);
+    let letters = sys.dead_letters(old_sink);
+    assert_eq!(letters.len(), 2);
+    for letter in &letters {
+        assert_eq!(letter.reason, morph::DeadReason::TransformFailed);
+        assert!(letter.detail.contains("instruction budget exhausted"), "{}", letter.detail);
+        assert!(letter.trace.is_some(), "dead letter without trace context");
+        let quarantine = letter.events.iter().find(|e| e.name == "echo.quarantine");
+        assert!(quarantine.is_some(), "dead letter events lack the quarantine instant");
+    }
+    // Every published event is delivered or quarantined, nothing else.
+    let snap = sys.registry().snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(counter("echo.events.published"), 3);
+    assert_eq!(counter("echo.events.delivered"), 1);
+    assert_eq!(counter("echo.deadletter.transform_failed"), 2);
+    assert_eq!(counter("echo.deadletter.total"), 2);
+    assert_eq!(sys.pending_retries(), 0);
+}
+
 /// The decode stage of a sink's latency attribution is fed by the fused warm
 /// morph (and by nothing else): exact matches and the cold first morph leave
 /// `echo.stage.decode.ns` at zero, every later morphed delivery adds to it,

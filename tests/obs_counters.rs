@@ -48,7 +48,11 @@ fn first_message_cold_rest_warm() {
     assert_eq!(cold.counter("morph.compile.count"), Some(1));
     assert_eq!(cold.histogram("morph.decide_ns").unwrap().count, 1);
     assert_eq!(cold.histogram("morph.compile_ns").unwrap().count, 1);
+    // …the plan compile being the projected decode the decision runs, booked
+    // through the plan cache; and the cold pass is one VM pass like any other.
     assert_eq!(cold.histogram("pbio.plan.compile_ns").unwrap().count, 1);
+    assert_eq!(cold.counter("pbio.plan.miss"), Some(1));
+    assert_eq!(cold.counter("morph.vm.register.apply"), Some(1));
     assert!(cold.counter("morph.maxmatch.candidates").unwrap() >= 1);
 
     // Warm: the next 100 messages only hit the cache — no new misses,
@@ -63,8 +67,12 @@ fn first_message_cold_rest_warm() {
     assert_eq!(warm.histogram("morph.decide_ns").unwrap().count, 1);
     assert_eq!(warm.histogram("morph.compile_ns").unwrap().count, 1);
     assert_eq!(warm.histogram("morph.process_ns").unwrap().count, 100);
-    // Each warm (fused) replay books its decode; the cold pass did not.
+    assert_eq!(warm.histogram("pbio.plan.compile_ns").unwrap().count, 1);
+    // Each warm replay books its decode and its whole interval; the cold
+    // pass — the same plan, timed as part of the decision — did not.
     assert_eq!(warm.histogram("pbio.decode_ns").unwrap().count, 100);
+    assert_eq!(warm.histogram("morph.fused.apply_ns").unwrap().count, 100);
+    assert_eq!(warm.counter("morph.vm.register.apply"), Some(101));
     assert_eq!(warm.counter("morph.messages"), Some(101));
 }
 

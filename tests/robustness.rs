@@ -243,6 +243,101 @@ fn metaserver_mutated_requests_never_panic() {
     });
 }
 
+/// The description of `Load { int vals[3] }`, cut where a test patches it:
+/// everything up to the array's type, the array level itself (tag + `u64`
+/// length), and the element type.
+fn fixed_array_description() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let int = pbio::FieldType::Basic(pbio::BasicType::Int(pbio::Width::W4));
+    let format = FormatBuilder::record("Load").fixed_array("vals", int, 3).build().unwrap();
+    let bytes = pbio::serialize_format(&format);
+    let len_at = bytes.windows(8).position(|w| w == 3u64.to_le_bytes()).expect("the length");
+    let (head, rest) = bytes.split_at(len_at - 1);
+    let (level, elem) = rest.split_at(9);
+    (head.to_vec(), level.to_vec(), elem.to_vec())
+}
+
+/// `Load { int vals[len]…[len] }`, `levels` arrays deep.
+fn nested_fixed_arrays(levels: usize, len: u64) -> Vec<u8> {
+    let (head, mut level, elem) = fixed_array_description();
+    level[1..].copy_from_slice(&len.to_le_bytes());
+    [head, level.repeat(levels), elem].concat()
+}
+
+/// Three format descriptions that used to end the process — a reservation
+/// for a count no input could back (`rust_oom`), a megabyte of nested array
+/// tags (stack overflow), and a fixed length of 2^40 (the first default
+/// record of it never finishes) — are errors, promptly, at every door
+/// meta-data comes in by; and the bounds sit where they are documented.
+#[test]
+fn hostile_format_descriptions_are_errors_at_every_entry_point() {
+    use morph::metaserver::{REQ_REGISTER_FORMAT, RESP_FORMAT, RESP_XFORMS};
+    let started = std::time::Instant::now();
+    let good = nested_fixed_arrays(1, 3);
+    let hostile = [
+        // "A", then 2^32 - 1 fields.
+        [&[1, 0, 0, 0, b'A'][..], &[0xFF; 4]].concat(),
+        nested_fixed_arrays(200_000, 1),
+        nested_fixed_arrays(1, 1 << 40),
+        // One past each bound: 32 levels of types, 2^20 default values.
+        nested_fixed_arrays(32, 1),
+        nested_fixed_arrays(2, 1 << 10),
+        nested_fixed_arrays(1, (1 << 20) + 1),
+    ];
+    let framed = |tag: Option<u8>, count: Option<u32>, chunks: &[&[u8]]| {
+        let mut out: Vec<u8> = tag.into_iter().collect();
+        out.extend(count.into_iter().flat_map(u32::to_le_bytes));
+        chunks.iter().for_each(|c| pbio::put_chunk(&mut out, c));
+        out
+    };
+    for bad in &hostile {
+        let what = format!("{} bytes, {:02x?}…", bad.len(), &bad[..bad.len().min(24)]);
+        let err = pbio::deserialize_format(bad).expect_err(&what);
+        assert!(
+            matches!(err, pbio::PbioError::UnexpectedEof | pbio::PbioError::BadFormat(_)),
+            "{what}: {err}"
+        );
+        assert!(FormatRegistry::new().import(&framed(None, Some(1), &[bad])).is_err(), "{what}");
+        assert!(MetaClient::parse_format(&framed(Some(RESP_FORMAT), None, &[bad])).is_err());
+        assert!(MetaServer::new()
+            .handle(&framed(Some(REQ_REGISTER_FORMAT), None, &[bad]))
+            .is_err());
+        for (from, to) in [(bad, &good), (&good, bad)] {
+            let meta = framed(None, None, &[from, to, b"/* no code */"]);
+            assert!(Transformation::deserialize(&meta).is_err(), "{what}");
+            let resp = framed(Some(RESP_XFORMS), Some(1), &[&meta]);
+            assert!(MetaClient::parse_transformations(&resp).is_err(), "{what}");
+        }
+    }
+    // A count of transformations no response could back.
+    assert!(
+        MetaClient::parse_transformations(&framed(Some(RESP_XFORMS), Some(u32::MAX), &[])).is_err()
+    );
+    assert!(FormatRegistry::new().import(&u32::MAX.to_le_bytes()).is_err());
+
+    // Inside the bounds: 31 levels of arrays, and just under 2^20 values.
+    for ok in [nested_fixed_arrays(31, 1), nested_fixed_arrays(2, 1023)] {
+        let format = pbio::deserialize_format(&ok).unwrap();
+        assert_eq!(pbio::serialize_format(&format), ok);
+        Value::default_record(&format).check(&format).unwrap();
+    }
+    assert!(started.elapsed().as_secs() < 20, "took {:?}", started.elapsed());
+
+    // A receiver resolving through a server that answers with one of them
+    // counts a failed resolution and stays usable.
+    let mut rx = MorphReceiver::new();
+    rx.register_handler(&response_v1(), |_| {});
+    let resolved = morph::resolve_into_with_retry(
+        &mut rx,
+        pbio::format_id(&response_v2()),
+        &morph::RetryPolicy::default(),
+        |_| Ok(framed(Some(RESP_FORMAT), None, &[&hostile[2]])),
+        |_| {},
+    );
+    assert!(matches!(resolved, Err(MorphError::Pbio(pbio::PbioError::BadFormat(_)))));
+    assert_eq!(rx.registry().snapshot().counter("morph.resolve.failures"), Some(1));
+    assert!(matches!(rx.process(&sample_wire()), Err(MorphError::UnknownWireFormat(_))));
+}
+
 /// Random text never panics the XML parser or stylesheet parser.
 #[test]
 fn random_text_never_panics_xml() {

@@ -226,14 +226,6 @@ impl EchoSystem {
         driver.drive(self)
     }
 
-    /// Runs to quiescence on the multi-core runtime with the configured
-    /// shard count ([`EchoSystem::set_shards`]) and the default mailbox
-    /// bound. Equivalent to `run()` when one shard is configured, except
-    /// that frames are still batched per round.
-    pub fn run_wall_clock(&mut self) -> usize {
-        self.run_sharded(self.shards, DEFAULT_MAILBOX_CAPACITY)
-    }
-
     /// The multi-core runtime behind [`WallClockDriver`] (see there for
     /// what it preserves): each ready turn drains everything in flight into
     /// per-shard mailboxes, forks one worker per shard to run

@@ -6,7 +6,6 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use morph::DeadReason;
 use pbio::WireBytes;
 
 use crate::adaptive::Bound;
@@ -206,10 +205,7 @@ impl EchoSystem {
         let mut depth = 0usize;
         self.reassembling.retain(|&idx| {
             let node = &mut self.nodes[idx];
-            for _ in 0..node.sweep_reassembly(now) {
-                self.metrics.frag_timeout.inc();
-                self.metrics.quarantined(DeadReason::PartialFragments);
-            }
+            self.metrics.frag_timeout.add(u64::from(node.sweep_reassembly(now)));
             let held = node.reassembly_depth();
             depth += held;
             held > 0

@@ -29,6 +29,32 @@ pub(crate) struct ChannelCounters {
     pub delivered_rate: RateGauge,
 }
 
+/// `echo.deadletter.total` / `.<reason>`: the system's dead-letter books,
+/// shared by every process and counted where the letter is filed
+/// (`NodeState::dead_letter`). Atomics, so shard workers count directly.
+#[derive(Debug)]
+pub(crate) struct DeadLetterBooks {
+    total: Arc<Counter>,
+    by_reason: [Arc<Counter>; DeadReason::ALL.len()],
+}
+
+impl DeadLetterBooks {
+    pub fn new(registry: &Registry) -> DeadLetterBooks {
+        DeadLetterBooks {
+            total: registry.counter("echo.deadletter.total"),
+            by_reason: DeadReason::ALL
+                .map(|r| registry.counter(&format!("echo.deadletter.{}", r.label()))),
+        }
+    }
+
+    /// One more letter filed for `reason`.
+    pub fn count(&self, reason: DeadReason) {
+        self.total.inc();
+        let idx = DeadReason::ALL.iter().position(|&r| r == reason).unwrap_or(0);
+        self.by_reason[idx].inc();
+    }
+}
+
 /// Cached handles into the system-level registry (see the module docs
 /// for what may live there).
 #[derive(Debug)]
@@ -36,11 +62,13 @@ pub(crate) struct SysMetrics {
     pub registry: Arc<Registry>,
     pub published: Arc<Counter>,
     pub delivered: Arc<Counter>,
+    /// `echo.events.rejected` — fresh event messages no application
+    /// received (no admissible match, or no event plane on the channel).
+    pub rejected: Arc<Counter>,
     pub filtered: Arc<Counter>,
     pub derived_compiled: Arc<Counter>,
     pub dedup_dropped: Arc<Counter>,
-    pub deadletter_total: Arc<Counter>,
-    pub deadletter_by_reason: [Arc<Counter>; DeadReason::ALL.len()],
+    pub deadletters: Arc<DeadLetterBooks>,
     pub retry_enqueued: Arc<Counter>,
     pub retry_attempts: Arc<Counter>,
     pub retry_delivered: Arc<Counter>,
@@ -131,12 +159,11 @@ impl SysMetrics {
         SysMetrics {
             published: registry.counter("echo.events.published"),
             delivered: registry.counter("echo.events.delivered"),
+            rejected: registry.counter("echo.events.rejected"),
             filtered: registry.counter("echo.events.filtered"),
             derived_compiled: registry.counter("echo.derived.compiled"),
             dedup_dropped: registry.counter("echo.dedup.dropped"),
-            deadletter_total: registry.counter("echo.deadletter.total"),
-            deadletter_by_reason: DeadReason::ALL
-                .map(|r| registry.counter(&format!("echo.deadletter.{}", r.label()))),
+            deadletters: Arc::new(DeadLetterBooks::new(&registry)),
             retry_enqueued: registry.counter("echo.retry.enqueued"),
             retry_attempts: registry.counter("echo.retry.attempts"),
             retry_delivered: registry.counter("echo.retry.delivered"),
@@ -176,12 +203,6 @@ impl SysMetrics {
         }
     }
 
-    pub fn quarantined(&self, reason: DeadReason) {
-        self.deadletter_total.inc();
-        let idx = DeadReason::ALL.iter().position(|&r| r == reason).unwrap_or(0);
-        self.deadletter_by_reason[idx].inc();
-    }
-
     pub fn channel(&mut self, ch: ChannelId) -> &mut ChannelCounters {
         self.per_channel.entry(ch).or_insert_with(|| ChannelCounters {
             published: self.registry.counter(&format!("echo.ch.{}.published", ch.0)),
@@ -206,39 +227,33 @@ impl SysMetrics {
     }
 
     /// Counts what a receiver made of one frame: its disposition, and the
-    /// partial sets the node evicted (capacity — already dead-lettered
-    /// inside the node) or purged (newest-wins) while handling it.
+    /// partial sets the node evicted (capacity) or purged (newest-wins)
+    /// while handling it. Dead letters are already on the books: the node
+    /// counted each as it filed it.
     pub fn account(&mut self, outcome: &FrameOutcome) {
         if outcome.resumed {
             // The frame announced a fresh sender incarnation (an explicit
             // resume handshake or any higher-epoch frame).
             self.epoch_resumed.inc();
         }
+        if let Disposition::Reassembled(..) | Disposition::Rejected(_, 2..) = outcome.disposition {
+            // A set completed (its message delivered or rejected): the
+            // completing fragment is a received fragment too.
+            self.frag_received.inc();
+            self.frag_reassembled.inc();
+        }
         match outcome.disposition {
-            Disposition::Handled(proto::FRAME_EVENT, channel, tier) => {
-                self.delivered(channel, tier)
-            }
+            Disposition::Handled(proto::FRAME_EVENT, channel, tier)
+            | Disposition::Reassembled(channel, tier, _) => self.delivered(channel, tier),
             Disposition::Handled(proto::FRAME_RESUME, ..) => self.epoch_handshakes.inc(),
-            Disposition::Handled(..) => {}
-            Disposition::Reassembled(channel, tier, _count) => {
-                self.delivered(channel, tier);
-                // The completing fragment is a received fragment too.
-                self.frag_received.inc();
-                self.frag_reassembled.inc();
-            }
+            Disposition::Handled(..) | Disposition::Quarantined(_) => {}
+            Disposition::Rejected(..) => self.rejected.inc(),
             Disposition::FragmentBuffered(_) => self.frag_received.inc(),
             Disposition::Stale(_) => self.sequenced_stale.inc(),
             Disposition::Duplicate(_, _) => self.dedup_dropped.inc(),
-            Disposition::Fenced(_) => {
-                self.epoch_fenced.inc();
-                self.quarantined(DeadReason::StaleEpoch);
-            }
-            Disposition::Quarantined(reason) => self.quarantined(reason),
+            Disposition::Fenced(_) => self.epoch_fenced.inc(),
         }
-        for _ in 0..outcome.evicted_partials {
-            self.frag_evicted.inc();
-            self.quarantined(DeadReason::PartialFragments);
-        }
+        self.frag_evicted.add(u64::from(outcome.evicted_partials));
         self.frag_superseded.add(u64::from(outcome.stale_partials));
     }
 }

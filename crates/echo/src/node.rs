@@ -1,17 +1,20 @@
-//! ECho process state: channel bookkeeping plus the morphing receivers for
-//! control messages and per-channel events.
+//! ECho process state and its receive path: a frame's header is read once,
+//! the frame dispatched onto its channel's record ([`ChannelState`]), and
+//! whatever the process gives up on is filed by one routine,
+//! [`NodeState::dead_letter`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use morph::{
-    deadletter, DeadLetterQueue, DeadReason, DecisionCache, MorphError, MorphReceiver, MorphStats,
-    Transformation,
+    deadletter, DeadLetterQueue, DeadReason, DecisionCache, Delivery, MorphError, MorphReceiver,
+    MorphStats, Transformation,
 };
-use obs::{ActiveSpan, FlightRecorder, Histogram, HistogramFamily, SpanEvent, TraceCtx, TraceId};
+use obs::{ActiveSpan, FlightRecorder, Histogram, HistogramFamily, TraceCtx, TraceId};
 use pbio::{Encoder, PlanStore, RecordFormat, Value, WireBytes};
 
 use crate::frag::{Fragment, Offer, PartialSet, ReassemblyBuffer};
+use crate::metrics::DeadLetterBooks;
 use crate::proto::{self, ChannelId, FrameError, MemberInfo, QosTier};
 use crate::EchoError;
 
@@ -77,11 +80,17 @@ pub(crate) struct Outgoing {
 /// What became of one incoming frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Disposition {
-    /// Verified, fresh, and processed (kind, channel, tier).
+    /// Verified, fresh, and processed (kind, channel, tier); an event
+    /// frame's message reached the application.
     Handled(u8, ChannelId, QosTier),
-    /// A fragment that completed its set: the reassembled message was
-    /// processed (channel, tier, set size).
+    /// A fragment that completed its set: the reassembled message reached
+    /// the application (channel, tier, set size).
     Reassembled(ChannelId, QosTier, u16),
+    /// A fresh event message no application received: Algorithm 2 found
+    /// no admissible match, or the process has no event plane on the
+    /// channel (channel, size of the set it was reassembled from — 1 for a
+    /// whole frame). A policy outcome, not a dead letter.
+    Rejected(ChannelId, u16),
     /// A fragment buffered into the channel's reassembly buffer, its set
     /// still incomplete.
     FragmentBuffered(ChannelId),
@@ -118,9 +127,9 @@ pub(crate) struct FrameOutcome {
     /// (an explicit resume handshake or any higher-epoch frame).
     pub resumed: bool,
     /// For Reliable event frames that reached the receiver (handled,
-    /// buffered, or recognized as a duplicate): the `(channel, seq,
-    /// frag_index)` the sender may stop redelivering. The system folds it
-    /// into the sender's journal as an ack.
+    /// rejected, buffered, or recognized as a duplicate): the `(channel,
+    /// seq, frag_index)` the sender may stop redelivering. The system
+    /// folds it into the sender's journal as an ack.
     pub ack: Option<(ChannelId, u64, u16)>,
     /// For Reliable event frames freshly noted in the dedup window: the
     /// `(seq, frag_index)` a journaling receiver persists so the window
@@ -172,25 +181,13 @@ pub(crate) struct NodeState {
     control_rx: MorphReceiver,
     requests: ControlInbox,
     responses: ControlInbox,
-    /// The event plane of every channel this node expects events on,
-    /// sorted by channel: a frame resolves its channel's slot once and
-    /// indexes from there on.
-    planes: Vec<EventPlane>,
+    /// One record per channel this process knows of, sorted by id: a
+    /// frame resolves its channel's slot once and indexes from there on.
+    channels: Vec<ChannelState>,
     /// `echo.stage.encode.ns` in the control registry — the publish-side
     /// stage of the latency attribution.
     encode_ns: Arc<Histogram>,
     events: EventInbox,
-    /// Channels this node created, with their membership.
-    owned: HashMap<ChannelId, Vec<MemberInfo>>,
-    /// Latest membership view per subscribed channel.
-    memberships: HashMap<ChannelId, Vec<MemberInfo>>,
-    /// Per channel, the sinks of [`NodeState::sink_contacts`] resolved to
-    /// process indices, as [`NodeState::cache_sink_index`] stored them.
-    /// Volatile: an entry is dropped by whatever changes the channel's
-    /// member list, and the lot by a crash.
-    sink_index: HashMap<ChannelId, SinkIndex>,
-    /// This node's role per channel.
-    pub roles: HashMap<ChannelId, Role>,
     next_member_id: i64,
     /// Transformations to seed into future per-channel event receivers.
     shared_xforms: Vec<Transformation>,
@@ -213,18 +210,16 @@ pub(crate) struct NodeState {
     /// by index.
     seen_seqs: HashSet<(u64, u64, u16)>,
     seen_order: VecDeque<(u64, u64, u16)>,
-    /// In-progress fragment sets, per channel.
-    reassembly: HashMap<ChannelId, ReassemblyBuffer>,
-    reassembly_capacity: usize,
-    reassembly_timeout_ns: u64,
-    /// Sequenced newest-wins watermark: latest message seq seen per
-    /// (channel, sender). Frames trailing it are stale.
-    latest_seq: HashMap<(ChannelId, u64), u64>,
+    /// `(capacity, timeout_ns)` of every channel's reassembly buffer.
+    reassembly_limits: (usize, u64),
     /// Virtual time of the current dispatch round, stamped by the system
     /// before frames are handled; reassembly ages against it.
     now_ns: u64,
     /// Quarantine for frames that could not be delivered.
     dlq: DeadLetterQueue,
+    /// The system's `echo.deadletter.*` books, shared by every process and
+    /// kept by [`NodeState::dead_letter`] as it files each letter.
+    books: Arc<DeadLetterBooks>,
     /// Flight recorder for causal traces, shared system-wide.
     recorder: Option<Arc<FlightRecorder>>,
     /// System-wide morph caches, attached when the system opts in: every
@@ -235,12 +230,38 @@ pub(crate) struct NodeState {
     shared_caches: Option<(DecisionCache, PlanStore)>,
 }
 
-/// A channel's resolved fan-out: the sink process indices, and the size of
-/// the contact table they were resolved against (it only grows, so its
-/// size is its version).
-struct SinkIndex {
-    contacts: usize,
-    sinks: Arc<[usize]>,
+/// Everything a process keeps about one channel.
+struct ChannelState {
+    id: ChannelId,
+    /// The role this process subscribed with, until it leaves.
+    role: Option<Role>,
+    /// True when this process created the channel: `members` is then the
+    /// authoritative list, and refreshed views of it are ignored.
+    owned: bool,
+    /// The owned list, or the latest refreshed view.
+    members: Option<Vec<MemberInfo>>,
+    /// The sinks of [`NodeState::sink_contacts`] resolved to process
+    /// indices, as [`NodeState::cache_sink_index`] stored them, after the
+    /// size of the contact table they were resolved against (it only
+    /// grows, so its size is its version). Volatile: dropped by
+    /// [`ChannelState::members_mut`] and by a crash.
+    sink_index: Option<(usize, Arc<[usize]>)>,
+    /// Where events are delivered, when this process expects any here.
+    plane: Option<EventPlane>,
+    /// In-progress fragment sets.
+    reassembly: ReassemblyBuffer,
+    /// Sequenced newest-wins watermark: latest message seq seen per
+    /// sender. Frames trailing it are stale.
+    latest_seq: HashMap<u64, u64>,
+}
+
+impl ChannelState {
+    /// The member list, for writing: the sink index resolved from it is
+    /// dropped first, so no writer can forget to.
+    fn members_mut(&mut self) -> &mut Option<Vec<MemberInfo>> {
+        self.sink_index = None;
+        &mut self.members
+    }
 }
 
 /// One channel's event plane at a node: the morphing receiver events are
@@ -249,19 +270,26 @@ struct SinkIndex {
 /// snapshot answers "where did the microseconds go" for that channel's
 /// deliveries.
 struct EventPlane {
-    channel: ChannelId,
     rx: MorphReceiver,
     /// Indexed by the `STAGE_*` constants.
     stages: HistogramFamily,
 }
 
-/// Receiver-side trace context for one frame: the `echo.handle` span (open
-/// while the frame is dispatched) plus the trace id it travelled under.
-/// Both are `None` when the frame carried no trace or no recorder is
-/// attached.
-struct HandleTrace {
+/// The trace a frame travels under, as a dead letter or a policy instant
+/// joins it: the trace context, plus — while this process handles the
+/// frame — its open `echo.handle` span (the context then parents under
+/// it). Empty when the frame carried no trace or no recorder is attached.
+pub(crate) struct FrameTrace {
+    ctx: Option<TraceCtx>,
     span: Option<ActiveSpan>,
-    trace: Option<TraceId>,
+}
+
+/// A frame that is not being handled — queued, shed, given up — is
+/// dead-lettered under the context it travels in.
+impl From<Option<TraceCtx>> for FrameTrace {
+    fn from(ctx: Option<TraceCtx>) -> FrameTrace {
+        FrameTrace { ctx, span: None }
+    }
 }
 
 /// The receiver-side stage labels of the latency attribution family, in
@@ -275,15 +303,10 @@ const STAGE_MORPH: usize = 2;
 const STAGE_DELIVER: usize = 3;
 
 impl EventPlane {
-    fn new(channel: ChannelId) -> EventPlane {
+    fn new() -> EventPlane {
         let rx = MorphReceiver::new();
         let stages = HistogramFamily::labeled(rx.registry(), "echo.stage", "ns", &STAGE_LABELS);
-        EventPlane { channel, rx, stages }
-    }
-
-    /// Records the unframe cost of a frame bound for this channel.
-    fn record_unframe(&self, ns: u64) {
-        self.stages.get(STAGE_UNFRAME).record(ns);
+        EventPlane { rx, stages }
     }
 
     /// Runs the receiver over a payload. `deliver` is the whole receiver
@@ -291,11 +314,7 @@ impl EventPlane {
     /// from the timing samples the receiver took for its own histograms
     /// ([`morph::ProcessTiming`]) — attribution without a second clock
     /// read on the hot path.
-    fn deliver(
-        &mut self,
-        payload: &[u8],
-        ctx: Option<TraceCtx>,
-    ) -> Result<morph::Delivery, MorphError> {
+    fn deliver(&mut self, payload: &[u8], ctx: Option<TraceCtx>) -> Result<Delivery, MorphError> {
         let (result, timing) = self.rx.process_timed(payload, ctx);
         // A warm replay's time is the whole Algorithm 2 pass, decoding
         // included; the morph stage is what remains after decode. A cold
@@ -310,7 +329,7 @@ impl EventPlane {
 }
 
 impl NodeState {
-    pub fn new(name: String, version: EchoVersion) -> NodeState {
+    pub fn new(name: String, version: EchoVersion, books: Arc<DeadLetterBooks>) -> NodeState {
         let requests: ControlInbox = Arc::new(Mutex::new(Vec::new()));
         let responses: ControlInbox = Arc::new(Mutex::new(Vec::new()));
         let mut control_rx = MorphReceiver::new();
@@ -338,13 +357,9 @@ impl NodeState {
             control_rx,
             requests,
             responses,
-            planes: Vec::new(),
+            channels: Vec::new(),
             encode_ns,
             events: Arc::new(Mutex::new(Vec::new())),
-            owned: HashMap::new(),
-            memberships: HashMap::new(),
-            sink_index: HashMap::new(),
-            roles: HashMap::new(),
             next_member_id: 1,
             shared_xforms: Vec::new(),
             shared_formats: Vec::new(),
@@ -353,12 +368,10 @@ impl NodeState {
             peer_epochs: HashMap::new(),
             seen_seqs: HashSet::new(),
             seen_order: VecDeque::new(),
-            reassembly: HashMap::new(),
-            reassembly_capacity: REASSEMBLY_CAPACITY,
-            reassembly_timeout_ns: REASSEMBLY_TIMEOUT_NS,
-            latest_seq: HashMap::new(),
+            reassembly_limits: (REASSEMBLY_CAPACITY, REASSEMBLY_TIMEOUT_NS),
             now_ns: 0,
             dlq,
+            books,
             recorder: None,
             shared_caches: None,
         }
@@ -374,22 +387,21 @@ impl NodeState {
     pub fn enable_shared_caches(&mut self, decisions: DecisionCache, plans: PlanStore) {
         self.control_rx.set_shared_decisions(decisions.clone());
         self.control_rx.set_plan_store(plans.clone());
-        for plane in &mut self.planes {
+        for plane in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
             plane.rx.set_shared_decisions(decisions.clone());
             plane.rx.set_plan_store(plans.clone());
         }
         self.shared_caches = Some((decisions, plans));
     }
 
-    /// Attaches the system flight recorder: incoming frames that carry a
-    /// trace id get `echo.handle` spans, and the node's registries (control
-    /// plane now, event planes as they are created) gain the recorder so
-    /// morphing stages can attribute their spans.
+    /// Attaches the system flight recorder, before the node has any
+    /// channel: incoming frames that carry a trace id get `echo.handle`
+    /// spans, and the node's registries (control plane now, event planes
+    /// as they are created) gain the recorder so morphing stages can
+    /// attribute their spans.
     pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
+        debug_assert!(self.channels.is_empty(), "the recorder is attached at birth");
         self.control_rx.registry().set_recorder(Arc::clone(&recorder));
-        for plane in &self.planes {
-            plane.rx.registry().set_recorder(Arc::clone(&recorder));
-        }
         self.recorder = Some(recorder);
     }
 
@@ -431,16 +443,15 @@ impl NodeState {
 
     /// Re-bounds every (current and future) per-channel reassembly buffer.
     pub fn configure_reassembly(&mut self, capacity: usize, timeout_ns: u64) {
-        self.reassembly_capacity = capacity.max(1);
-        self.reassembly_timeout_ns = timeout_ns;
-        for buf in self.reassembly.values_mut() {
-            buf.set_limits(capacity, timeout_ns);
+        self.reassembly_limits = (capacity, timeout_ns);
+        for ch in &mut self.channels {
+            ch.reassembly.set_limits(capacity, timeout_ns);
         }
     }
 
     /// In-progress fragment sets across all channels.
     pub fn reassembly_depth(&self) -> usize {
-        self.reassembly.values().map(ReassemblyBuffer::len).sum()
+        self.channels.iter().map(|c| c.reassembly.len()).sum()
     }
 
     /// Expires partial fragment sets whose first fragment is older than
@@ -449,29 +460,15 @@ impl NodeState {
     /// so the sweep is deterministic. Returns how many sets expired.
     pub fn sweep_reassembly(&mut self, now_ns: u64) -> u16 {
         self.now_ns = now_ns;
-        let mut channels: Vec<ChannelId> = self.reassembly.keys().copied().collect();
-        channels.sort_unstable();
         let mut expired = 0u16;
-        for ch in channels {
-            let sets = match self.reassembly.get_mut(&ch) {
-                Some(buf) => buf.sweep(now_ns),
-                None => Vec::new(),
-            };
-            for p in sets {
-                self.quarantine_partial(&p, "reassembly timeout");
+        for at in 0..self.channels.len() {
+            for p in self.channels[at].reassembly.sweep(now_ns) {
+                let why = "reassembly timeout";
+                self.dead_letter_partial(DeadReason::PartialFragments, "reassembly", &p, why);
                 expired += 1;
             }
         }
         expired
-    }
-
-    /// Dead-letters a partial fragment set, quarantining its first-received
-    /// fragment frame as evidence and sealing the message's trace (if it
-    /// carried one) with a `reassembly`-stage quarantine event.
-    fn quarantine_partial(&mut self, p: &PartialSet, why: &str) {
-        let detail = format!("{} of {} fragments ({})", p.received, p.count, why);
-        let ctx = p.trace.map(|t| TraceCtx::root(TraceId(t)));
-        self.quarantine_dropped(DeadReason::PartialFragments, "reassembly", &p.frame, &detail, ctx);
     }
 
     /// This process's current incarnation number.
@@ -501,26 +498,20 @@ impl NodeState {
         let dedup = self.seen_seqs.len();
         self.seen_seqs.clear();
         self.seen_order.clear();
-        let watermarks = self.latest_seq.len();
-        self.latest_seq.clear();
         self.peer_epochs.clear();
-        let mut channels: Vec<ChannelId> = self.reassembly.keys().copied().collect();
-        channels.sort_unstable();
-        let mut partials = 0u16;
-        for ch in channels {
-            let sets = self.reassembly.get_mut(&ch).map(ReassemblyBuffer::drain_all);
-            for p in sets.unwrap_or_default() {
-                let detail = format!("{} of {} fragments (crash)", p.received, p.count);
-                let ctx = p.trace.map(|t| TraceCtx::root(TraceId(t)));
-                self.quarantine_dropped(DeadReason::CrashLost, "crash", &p.frame, &detail, ctx);
+        let (mut watermarks, mut partials) = (0, 0u16);
+        let mut decisions = self.control_rx.invalidate_decisions();
+        for at in 0..self.channels.len() {
+            let ch = &mut self.channels[at];
+            watermarks += ch.latest_seq.len();
+            ch.latest_seq.clear();
+            ch.sink_index = None;
+            decisions += ch.plane.as_mut().map_or(0, |p| p.rx.invalidate_decisions());
+            for p in ch.reassembly.drain_all() {
+                self.dead_letter_partial(DeadReason::CrashLost, "crash", &p, "crash");
                 partials += 1;
             }
         }
-        let mut decisions = self.control_rx.invalidate_decisions();
-        for plane in &mut self.planes {
-            decisions += plane.rx.invalidate_decisions();
-        }
-        self.sink_index.clear();
         AmnesiaReport { dedup, watermarks, partials, decisions }
     }
 
@@ -538,7 +529,7 @@ impl NodeState {
 
     /// Replays a journaled sequenced watermark (never regresses one).
     pub fn restore_watermark(&mut self, channel: ChannelId, sender: u64, seq: u64) {
-        let w = self.latest_seq.entry((channel, sender)).or_insert(seq);
+        let w = self.channel_mut(channel).latest_seq.entry(sender).or_insert(seq);
         *w = (*w).max(seq);
     }
 
@@ -550,62 +541,64 @@ impl NodeState {
 
     /// Opens the receiver-side trace for an incoming frame. Span ids do not
     /// cross the wire, so `echo.handle` joins the sender's trace (read
-    /// best-effort from the frame header, checksum or not) as a second root.
-    fn start_handle_trace(&self, bytes: &[u8]) -> HandleTrace {
-        let trace = proto::peek_trace(bytes).map(TraceId);
-        let span = match (self.recorder.as_ref(), trace) {
+    /// best-effort from the frame header, checksum or not — a frame that
+    /// fails it is still attributed) as a second root.
+    fn start_handle_trace(&self, bytes: &[u8]) -> FrameTrace {
+        let span = match (self.recorder.as_ref(), proto::peek_trace(bytes)) {
             (Some(rec), Some(t)) => {
-                let mut s = rec.start(t, None, "echo.handle");
+                let mut s = rec.start(TraceId(t), None, "echo.handle");
                 s.tag("node", &self.name);
                 Some(s)
             }
             _ => None,
         };
-        HandleTrace { span, trace }
+        FrameTrace { ctx: span.as_ref().map(ActiveSpan::ctx), span }
     }
 
-    /// Closes a frame's trace on the failure path: records an
-    /// `echo.quarantine` instant naming the stage that failed, finishes the
-    /// `echo.handle` span, and returns the trace context a dead letter
-    /// should embed (the id plus a frozen snapshot of the whole journey).
-    fn seal_failed(&self, ht: HandleTrace, stage: &str) -> (Option<TraceId>, Vec<SpanEvent>) {
-        let HandleTrace { span, trace } = ht;
-        match (self.recorder.as_ref(), trace) {
-            (Some(rec), Some(t)) => {
-                let parent = span.as_ref().map(|s| s.id());
-                rec.instant(
-                    t,
-                    parent,
-                    "echo.quarantine",
-                    &[("stage", stage), ("node", &self.name)],
-                );
-                if let Some(s) = span {
-                    s.finish();
-                }
-                (Some(t), rec.trace_events(t))
-            }
-            _ => (None, Vec::new()),
+    /// Records a policy instant (`echo.dedup`, `echo.stale`) in the trace
+    /// of a frame being handled.
+    fn trace_instant(&self, trace: &FrameTrace, name: &str) {
+        if let (Some(rec), Some(c)) = (self.recorder.as_ref(), trace.ctx) {
+            rec.instant(c.trace, c.parent, name, &[("node", &self.name)]);
         }
     }
 
-    /// Classifies a processing failure for quarantine, sealing the frame's
-    /// trace with the pipeline stage that rejected it.
-    fn quarantine(
+    /// Files a frame this process gives up on, received or its own — the
+    /// one place a dead letter is filed or counted: an `echo.quarantine`
+    /// instant naming the `stage`, a handled frame's `echo.handle` span
+    /// finished, the trace frozen into the letter, the letter queued and
+    /// counted in the system's `echo.deadletter.*` books.
+    pub fn dead_letter(
         &mut self,
-        err: &EchoError,
-        bytes: &[u8],
-        ht: HandleTrace,
+        reason: DeadReason,
         stage: &str,
+        bytes: &WireBytes,
+        detail: impl Into<String>,
+        trace: impl Into<FrameTrace>,
     ) -> Disposition {
-        let reason = match err {
-            EchoError::Morph(e) => deadletter::reason_for(e),
-            EchoError::Pbio(_) => DeadReason::Undecodable,
-            EchoError::MalformedFrame | EchoError::UnknownFrameKind(_) => DeadReason::Malformed,
-            _ => DeadReason::TransformFailed,
+        let FrameTrace { ctx, span } = trace.into();
+        let (trace, events) = match (self.recorder.as_ref(), ctx) {
+            (Some(rec), Some(c)) => {
+                let tags = [("stage", stage), ("node", &*self.name)];
+                rec.instant(c.trace, c.parent, "echo.quarantine", &tags);
+                if let Some(s) = span {
+                    s.finish();
+                }
+                (Some(c.trace), rec.trace_events(c.trace))
+            }
+            _ => (None, Vec::new()),
         };
-        let (trace, events) = self.seal_failed(ht, stage);
-        self.dlq.push_traced(reason, bytes, err.to_string(), trace, events);
+        self.dlq.push_traced(reason, bytes, detail, trace, events);
+        self.books.count(reason);
         Disposition::Quarantined(reason)
+    }
+
+    /// Dead-letters a partial fragment set, its first-received fragment
+    /// frame as the evidence, under the message's trace.
+    fn dead_letter_partial(&mut self, reason: DeadReason, stage: &str, p: &PartialSet, why: &str) {
+        let detail = format!("{} of {} fragments ({why})", p.received, p.count);
+        let ctx = p.trace.map(|t| TraceCtx::root(TraceId(t)));
+        self.dead_letter(reason, stage, &p.frame, detail, ctx);
     }
 
     /// The node's dead-letter queue (quarantined frames + totals).
@@ -613,63 +606,19 @@ impl NodeState {
         &self.dlq
     }
 
-    /// Quarantines an *outgoing* frame whose delivery was abandoned after
-    /// the retry budget ran out, sealing its trace (if it carried one) with
-    /// a `send-retry`-stage quarantine event.
-    pub fn quarantine_send(&mut self, bytes: &[u8], detail: &str, ctx: Option<TraceCtx>) {
-        self.quarantine_dropped(DeadReason::RetryExhausted, "send-retry", bytes, detail, ctx);
-    }
-
-    /// Quarantines a frame chosen as a load-shedding victim (a bounded
-    /// queue was full and this was the oldest warm-traffic entry), sealing
-    /// its trace (if it carried one) with a `shed`-stage quarantine event.
-    pub fn quarantine_shed(&mut self, bytes: &[u8], detail: &str, ctx: Option<TraceCtx>) {
-        self.quarantine_dropped(DeadReason::Shed, "shed", bytes, detail, ctx);
-    }
-
-    /// Quarantines a frame lost to a process crash — a retry-queue or
-    /// ingress-buffer entry that died with the process's memory — sealing
-    /// its trace (if it carried one) with a `crash`-stage quarantine event.
-    pub fn quarantine_crash(&mut self, bytes: &[u8], detail: &str, ctx: Option<TraceCtx>) {
-        self.quarantine_dropped(DeadReason::CrashLost, "crash", bytes, detail, ctx);
-    }
-
-    fn quarantine_dropped(
-        &mut self,
-        reason: DeadReason,
-        stage: &str,
-        bytes: &[u8],
-        detail: &str,
-        ctx: Option<TraceCtx>,
-    ) {
-        let (trace, events) = match (self.recorder.as_ref(), ctx) {
-            (Some(rec), Some(c)) => {
-                rec.instant(
-                    c.trace,
-                    c.parent,
-                    "echo.quarantine",
-                    &[("stage", stage), ("node", &self.name)],
-                );
-                (Some(c.trace), rec.trace_events(c.trace))
-            }
-            _ => (None, Vec::new()),
-        };
-        self.dlq.push_traced(reason, bytes, detail, trace, events);
-    }
-
     /// Learns out-of-band meta-data (formats + transformations), seeding
     /// both the control receiver and every event receiver.
     pub fn import_metadata(&mut self, formats: &[Arc<RecordFormat>], xforms: &[Transformation]) {
         for f in formats {
             self.control_rx.import_format(Arc::clone(f));
-            for plane in &mut self.planes {
+            for plane in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
                 plane.rx.import_format(Arc::clone(f));
             }
             self.shared_formats.push(Arc::clone(f));
         }
         for t in xforms {
             self.control_rx.import_transformation(t.clone());
-            for plane in &mut self.planes {
+            for plane in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
                 plane.rx.import_transformation(t.clone());
             }
             self.shared_xforms.push(t.clone());
@@ -679,14 +628,8 @@ impl NodeState {
     /// Registers the event format this node expects on `channel`; received
     /// (possibly morphed) events land in the node's event log.
     pub fn expect_events(&mut self, channel: ChannelId, format: &Arc<RecordFormat>) {
-        let slot = self.plane_slot(channel).unwrap_or_else(|at| {
-            // A plane is most of a kilobyte and most nodes have one: grow
-            // by exactly that, not to `Vec`'s minimum of four.
-            self.planes.reserve_exact(1);
-            self.planes.insert(at, EventPlane::new(channel));
-            at
-        });
-        let rx = &mut self.planes[slot].rx;
+        let at = self.record(&mut self.slot(channel), channel);
+        let rx = &mut self.channels[at].plane.get_or_insert_with(EventPlane::new).rx;
         if let Some(rec) = &self.recorder {
             rx.registry().set_recorder(Arc::clone(rec));
         }
@@ -706,45 +649,95 @@ impl NodeState {
         }
     }
 
-    /// The slot of `channel`'s event plane, or where it would be inserted.
-    fn plane_slot(&self, channel: ChannelId) -> Result<usize, usize> {
-        self.planes.binary_search_by_key(&channel, |p| p.channel)
+    /// The slot of `channel`'s record, or where it would be inserted.
+    fn slot(&self, channel: ChannelId) -> Result<usize, usize> {
+        self.channels.binary_search_by_key(&channel, |c| c.id)
+    }
+
+    fn channel(&self, channel: ChannelId) -> Option<&ChannelState> {
+        self.slot(channel).ok().map(|at| &self.channels[at])
+    }
+
+    /// The index of the record at `slot` — `channel`'s, created there if
+    /// this process has none yet (the slot then names it).
+    fn record(&mut self, slot: &mut Result<usize, usize>, channel: ChannelId) -> usize {
+        let at = match *slot {
+            Ok(at) => return at,
+            Err(at) => at,
+        };
+        // A record with a plane is most of a kilobyte and most processes
+        // have one: grow by exactly that, not to `Vec`'s minimum of four.
+        self.channels.reserve_exact(1);
+        let (capacity, timeout_ns) = self.reassembly_limits;
+        let record = ChannelState {
+            id: channel,
+            role: None,
+            owned: false,
+            members: None,
+            sink_index: None,
+            plane: None,
+            reassembly: ReassemblyBuffer::new(capacity, timeout_ns),
+            latest_seq: HashMap::new(),
+        };
+        self.channels.insert(at, record);
+        *slot = Ok(at);
+        at
+    }
+
+    fn channel_mut(&mut self, channel: ChannelId) -> &mut ChannelState {
+        let at = self.record(&mut self.slot(channel), channel);
+        &mut self.channels[at]
     }
 
     /// Creates a channel owned by this node.
     pub fn create_channel(&mut self, channel: ChannelId) {
-        self.owned.insert(channel, Vec::new());
-        self.sink_index.remove(&channel);
+        let ch = self.channel_mut(channel);
+        ch.owned = true;
+        *ch.members_mut() = Some(Vec::new());
     }
 
-    /// True when this node created `channel`.
-    pub fn owns(&self, channel: ChannelId) -> bool {
-        self.owned.contains_key(&channel)
+    /// The member list of a channel this node created, for writing.
+    fn owned_members_mut(&mut self, channel: ChannelId) -> Option<&mut Vec<MemberInfo>> {
+        let at = self.slot(channel).ok().filter(|&at| self.channels[at].owned)?;
+        self.channels[at].members_mut().as_mut()
     }
 
     /// The membership this node holds for `channel`: the authoritative
     /// list of a channel it created, else its latest refreshed view.
     pub fn members(&self, channel: ChannelId) -> Option<&[MemberInfo]> {
-        self.owned.get(&channel).or_else(|| self.memberships.get(&channel)).map(Vec::as_slice)
+        self.channel(channel)?.members.as_deref()
     }
 
-    /// Forgets the refreshed view of `channel` (the node unsubscribed).
-    pub fn forget_membership(&mut self, channel: ChannelId) {
-        self.memberships.remove(&channel);
-        self.sink_index.remove(&channel);
+    /// Records the role this node subscribed to `channel` with.
+    pub fn set_role(&mut self, channel: ChannelId, role: Role) {
+        self.channel_mut(channel).role = Some(role);
     }
 
-    /// Adds a member to an owned channel (idempotent on contact) and returns
-    /// the updated member list.
+    /// True when this node may publish on `channel`: it created the
+    /// channel or subscribed as a source.
+    pub fn may_publish(&self, channel: ChannelId) -> bool {
+        self.channel(channel).is_some_and(|c| c.owned || c.role.is_some_and(|r| r.source))
+    }
+
+    /// The node unsubscribed from `channel`: it drops its role and its
+    /// refreshed view of the membership.
+    pub fn leave(&mut self, channel: ChannelId) {
+        let ch = self.channel_mut(channel);
+        ch.role = None;
+        if !ch.owned {
+            *ch.members_mut() = None;
+        }
+    }
+
+    /// Adds a member to an owned channel (idempotent on contact).
     pub fn add_member(
         &mut self,
         channel: ChannelId,
         contact: String,
         role: Role,
-    ) -> Result<&[MemberInfo], EchoError> {
+    ) -> Result<(), EchoError> {
         let id = self.next_member_id;
-        let members = self.owned.get_mut(&channel).ok_or(EchoError::NotChannelOwner(channel))?;
-        self.sink_index.remove(&channel);
+        let members = self.owned_members_mut(channel).ok_or(EchoError::NotChannelOwner(channel))?;
         match members.iter_mut().find(|m| m.contact == contact) {
             Some(m) => {
                 m.is_source |= role.source;
@@ -760,27 +753,26 @@ impl NodeState {
                 self.next_member_id += 1;
             }
         }
-        Ok(self.owned[&channel].as_slice())
+        Ok(())
     }
 
     /// Removes a member from an owned channel (idempotent). Returns true
     /// if the contact was subscribed.
     pub fn remove_member(&mut self, channel: ChannelId, contact: &str) -> bool {
-        match self.owned.get_mut(&channel) {
-            Some(members) => {
-                self.sink_index.remove(&channel);
-                let before = members.len();
-                members.retain(|m| m.contact != contact);
-                members.len() != before
-            }
-            None => false,
-        }
+        self.owned_members_mut(channel).is_some_and(|members| {
+            let before = members.len();
+            members.retain(|m| m.contact != contact);
+            members.len() != before
+        })
     }
 
     /// Builds this node's version of the `ChannelOpenResponse` wire message
-    /// for an owned channel.
-    pub fn encode_response(&self, channel: ChannelId) -> Result<Vec<u8>, EchoError> {
-        let members = self.owned.get(&channel).ok_or(EchoError::NotChannelOwner(channel))?;
+    /// announcing `members` as `channel`'s membership.
+    fn encode_response(
+        &self,
+        channel: ChannelId,
+        members: &[MemberInfo],
+    ) -> Result<Vec<u8>, EchoError> {
         let (fmt, value) = match self.version {
             EchoVersion::V1 => {
                 (proto::channel_open_response_v1(), proto::response_v1_value(channel, members))
@@ -799,78 +791,30 @@ impl NodeState {
     /// node's dead-letter queue — a process on a hostile network degrades,
     /// it does not crash.
     pub fn handle_frame(&mut self, sender: u64, bytes: &WireBytes) -> FrameOutcome {
-        let mut resumed = false;
-        let mut outcome = self.handle_frame_inner(sender, bytes, &mut resumed);
-        outcome.resumed = resumed;
-        // Receiver-side recovery bookkeeping for Reliable event frames:
-        // `ack` names the (channel, seq, frag) the sender may stop
-        // redelivering; `seen` is the dedup triple a journaling receiver
-        // persists. Only dispositions that verified the checksum get them
-        // (the header peeks are unverified, but the CRC already passed).
-        if bytes.first() == Some(&proto::FRAME_EVENT)
-            && proto::peek_qos(bytes) == Some(QosTier::Reliable)
-        {
-            let key = proto::peek_channel(bytes)
-                .zip(proto::peek_frag(bytes))
-                .map(|(ch, (seq, index, _))| (ch, seq, index));
-            match outcome.disposition {
-                Disposition::Handled(..)
-                | Disposition::Reassembled(..)
-                | Disposition::FragmentBuffered(_) => {
-                    outcome.ack = key;
-                    outcome.seen = key.map(|(_, seq, index)| (seq, index));
-                }
-                // A duplicate still discharges the sender's redelivery
-                // obligation — the message already arrived once.
-                Disposition::Duplicate(..) => outcome.ack = key,
-                _ => {}
-            }
-        }
-        outcome
-    }
-
-    fn handle_frame_inner(
-        &mut self,
-        sender: u64,
-        bytes: &WireBytes,
-        resumed: &mut bool,
-    ) -> FrameOutcome {
-        let ht = self.start_handle_trace(bytes);
+        let trace = self.start_handle_trace(bytes);
         let unframe_t0 = std::time::Instant::now();
         let frame = match proto::unframe(bytes) {
             Ok(f) => f,
-            Err(
-                e
-                @ (FrameError::Truncated | FrameError::BadQos(_) | FrameError::BadFragment { .. }),
-            ) => {
-                let (trace, events) = self.seal_failed(ht, "unframe");
-                self.dlq.push_traced(DeadReason::Malformed, bytes, e.to_string(), trace, events);
-                return FrameOutcome::settled(Disposition::Quarantined(DeadReason::Malformed));
-            }
-            Err(FrameError::BadChecksum) => {
-                // Corruption is *detected and rejected* — the damaged bytes
-                // never reach a PBIO decoder. The trace id is read without
-                // checksum protection, so attribution here is best-effort.
-                let (trace, events) = self.seal_failed(ht, "unframe");
-                self.dlq.push_traced(
-                    DeadReason::Corrupt,
-                    bytes,
-                    "frame checksum mismatch",
-                    trace,
-                    events,
-                );
-                return FrameOutcome::settled(Disposition::Quarantined(DeadReason::Corrupt));
+            // Corruption is *detected and rejected* — the damaged bytes
+            // never reach a PBIO decoder. The trace id was read without
+            // checksum protection, so attribution here is best-effort.
+            Err(e) => {
+                let reason = match e {
+                    FrameError::BadChecksum => DeadReason::Corrupt,
+                    _ => DeadReason::Malformed,
+                };
+                let quarantined = self.dead_letter(reason, "unframe", bytes, e.to_string(), trace);
+                return FrameOutcome::settled(quarantined);
             }
         };
-        // The channel's event plane is resolved here, once per frame. The
-        // unframe cost goes to its stage family (event frames only —
-        // control channels have none).
-        let plane = match frame.kind {
-            proto::FRAME_EVENT => self.plane_slot(frame.channel).ok(),
-            _ => None,
-        };
-        if let Some(slot) = plane {
-            self.planes[slot].record_unframe(unframe_t0.elapsed().as_nanos() as u64);
+        // The channel's record is resolved here, once per frame. The
+        // unframe cost goes to its plane's stage family (event frames only
+        // — control frames route on their payload, not their channel).
+        let slot = self.slot(frame.channel);
+        if frame.kind == proto::FRAME_EVENT {
+            if let Some(plane) = slot.ok().and_then(|at| self.channels[at].plane.as_ref()) {
+                plane.stages.get(STAGE_UNFRAME).record(unframe_t0.elapsed().as_nanos() as u64);
+            }
         }
         // Epoch fence, after checksum verification (a corrupt frame must
         // never move the fence) and before dedup (a fenced frame is
@@ -880,192 +824,182 @@ impl NodeState {
         // (the explicit handshake may itself be lost or reordered).
         let known = self.peer_epochs.get(&sender).copied().unwrap_or(0);
         if frame.epoch < known {
-            let (trace, events) = self.seal_failed(ht, "epoch-fence");
-            self.dlq.push_traced(
-                DeadReason::StaleEpoch,
-                bytes,
-                format!("epoch {} fenced: sender resumed at epoch {known}", frame.epoch),
-                trace,
-                events,
-            );
+            let detail = format!("epoch {} fenced: sender resumed at epoch {known}", frame.epoch);
+            self.dead_letter(DeadReason::StaleEpoch, "epoch-fence", bytes, detail, trace);
             return FrameOutcome::settled(Disposition::Fenced(frame.channel));
         }
-        if frame.epoch > known {
+        let resumed = frame.epoch > known;
+        if resumed {
             self.peer_epochs.insert(sender, frame.epoch);
-            *resumed = true;
         }
-        if !self.note_seq(sender, frame.seq, frame.frag_index) {
-            if let (Some(rec), Some(t)) = (self.recorder.as_ref(), ht.trace) {
-                rec.instant(
-                    t,
-                    ht.span.as_ref().map(|s| s.id()),
-                    "echo.dedup",
-                    &[("node", &self.name)],
-                );
-            }
-            return FrameOutcome::settled(Disposition::Duplicate(frame.kind, frame.channel));
-        }
-        let ctx = ht.span.as_ref().map(|s| s.ctx());
-        let (kind, channel, msg) = (frame.kind, frame.channel, frame.payload);
-        match kind {
-            proto::FRAME_CONTROL => {
-                if frame.is_fragment() {
-                    // The control plane must stay whole: a fragmented
-                    // control frame is a protocol violation, not traffic.
-                    return FrameOutcome::settled(self.quarantine(
-                        &EchoError::MalformedFrame,
-                        bytes,
-                        ht,
-                        "control",
-                    ));
+        let mut outcome = if self.note_seq(sender, frame.seq, frame.frag_index) {
+            self.dispatch(sender, bytes, &frame, trace, slot)
+        } else {
+            self.trace_instant(&trace, "echo.dedup");
+            FrameOutcome::settled(Disposition::Duplicate(frame.kind, frame.channel))
+        };
+        outcome.resumed = resumed;
+        // Receiver-side recovery bookkeeping for Reliable event frames:
+        // `ack` names the (channel, seq, frag) the sender may stop
+        // redelivering; `seen` is the dedup triple a journaling receiver
+        // persists.
+        if frame.kind == proto::FRAME_EVENT && frame.qos == QosTier::Reliable {
+            let key = (frame.channel, frame.seq, frame.frag_index);
+            match outcome.disposition {
+                Disposition::Handled(..)
+                | Disposition::Reassembled(..)
+                | Disposition::Rejected(..)
+                | Disposition::FragmentBuffered(_) => {
+                    outcome.ack = Some(key);
+                    outcome.seen = Some((frame.seq, frame.frag_index));
                 }
-                match self.handle_control(msg, ctx, frame.trace) {
-                    Ok(outgoing) => FrameOutcome {
-                        outgoing,
-                        ..FrameOutcome::settled(Disposition::Handled(
-                            kind,
-                            channel,
-                            QosTier::Reliable,
-                        ))
-                    },
-                    Err(e) => FrameOutcome::settled(self.quarantine(&e, bytes, ht, "control")),
-                }
+                // A duplicate still discharges the sender's redelivery
+                // obligation — the message already arrived once.
+                Disposition::Duplicate(..) => outcome.ack = Some(key),
+                _ => {}
             }
-            proto::FRAME_EVENT => self.handle_event(sender, bytes, &frame, ht, plane),
-            // A session-resume handshake: its whole job — the epoch bump —
-            // already happened above. The empty frame delivers nothing, so
-            // it never counts as an event delivery.
-            proto::FRAME_RESUME => {
-                FrameOutcome::settled(Disposition::Handled(kind, channel, QosTier::Reliable))
-            }
-            k => FrameOutcome::settled(self.quarantine(
-                &EchoError::UnknownFrameKind(k),
-                bytes,
-                ht,
-                "dispatch",
-            )),
         }
+        outcome
     }
 
-    /// Event-plane dispatch: sequenced newest-wins policy, fragment
-    /// reassembly, then delivery into the channel's morphing receiver
-    /// (`plane`: its slot, when this node expects events on the channel).
+    /// Dispatches a verified, fresh frame on its kind (`slot`: its
+    /// channel's record, or where one would go).
+    fn dispatch(
+        &mut self,
+        sender: u64,
+        bytes: &WireBytes,
+        frame: &proto::Frame<'_>,
+        trace: FrameTrace,
+        slot: Result<usize, usize>,
+    ) -> FrameOutcome {
+        let handled = match frame.kind {
+            proto::FRAME_EVENT => return self.handle_event(sender, bytes, frame, trace, slot),
+            // The control plane must stay whole: a fragmented control
+            // frame is a protocol violation, not traffic.
+            proto::FRAME_CONTROL if frame.is_fragment() => Err(EchoError::MalformedFrame),
+            proto::FRAME_CONTROL => self.handle_control(frame.payload, trace.ctx, frame.trace),
+            // A session-resume handshake: its whole job — the epoch bump —
+            // already happened. The empty frame delivers nothing, so it
+            // never counts as an event delivery.
+            proto::FRAME_RESUME => Ok(Vec::new()),
+            k => Err(EchoError::UnknownFrameKind(k)),
+        };
+        let e = match handled {
+            Ok(outgoing) => {
+                let handled = Disposition::Handled(frame.kind, frame.channel, QosTier::Reliable);
+                return FrameOutcome { outgoing, ..FrameOutcome::settled(handled) };
+            }
+            Err(e) => e,
+        };
+        let reason = match &e {
+            EchoError::Morph(e) => deadletter::reason_for(e),
+            EchoError::Pbio(_) => DeadReason::Undecodable,
+            EchoError::MalformedFrame | EchoError::UnknownFrameKind(_) => DeadReason::Malformed,
+            _ => DeadReason::TransformFailed,
+        };
+        let stage = if frame.kind == proto::FRAME_CONTROL { "control" } else { "dispatch" };
+        FrameOutcome::settled(self.dead_letter(reason, stage, bytes, e.to_string(), trace))
+    }
+
+    /// Event-plane dispatch onto the channel's record: sequenced
+    /// newest-wins policy, fragment reassembly (partial sets the offer
+    /// evicted are dead-lettered here), then delivery into the channel's
+    /// morphing receiver.
     fn handle_event(
         &mut self,
         sender: u64,
         bytes: &WireBytes,
         frame: &proto::Frame<'_>,
-        ht: HandleTrace,
-        plane: Option<usize>,
+        trace: FrameTrace,
+        mut slot: Result<usize, usize>,
     ) -> FrameOutcome {
-        let (channel, qos) = (frame.channel, frame.qos);
-        let mut stale_partials = 0u16;
-        let mut watermark = None;
+        let (channel, qos, parts) = (frame.channel, frame.qos, frame.frag_count);
+        let (mut stale_partials, mut watermark, mut evicted_partials) = (0, None, 0);
         if qos == QosTier::SequencedUnreliable {
-            let latest = self.latest_seq.entry((channel, sender)).or_insert(frame.seq);
+            let at = self.record(&mut slot, channel);
+            let ch = &mut self.channels[at];
+            let latest = ch.latest_seq.entry(sender).or_insert(frame.seq);
             if frame.seq < *latest {
                 // Newest-wins: a fresher message already arrived from this
                 // sender — the stale frame is dropped, counted, never
                 // dead-lettered (this is policy, not failure).
-                if let (Some(rec), Some(t)) = (self.recorder.as_ref(), ht.trace) {
-                    rec.instant(
-                        t,
-                        ht.span.as_ref().map(|s| s.id()),
-                        "echo.stale",
-                        &[("node", &self.name)],
-                    );
-                }
+                self.trace_instant(&trace, "echo.stale");
                 return FrameOutcome::settled(Disposition::Stale(channel));
             }
             if frame.seq > *latest {
                 *latest = frame.seq;
                 // In-progress older sets from this sender are superseded.
-                if let Some(buf) = self.reassembly.get_mut(&channel) {
-                    stale_partials = buf.purge_below(sender, frame.seq).len() as u16;
-                }
+                stale_partials = ch.reassembly.purge_below(sender, frame.seq).len() as u16;
             }
             watermark = Some((channel, frame.seq));
         }
-        let mut outcome = if frame.is_fragment() {
-            self.handle_fragment(sender, bytes, frame, ht, plane)
-        } else {
-            let ctx = ht.span.as_ref().map(|s| s.ctx());
-            if let Some(slot) = plane {
-                if let Err(e) = self.planes[slot].deliver(frame.payload, ctx) {
-                    let reason = deadletter::reason_for(&e);
-                    let (trace, events) = self.seal_failed(ht, "event");
-                    self.dlq.push_traced(reason, bytes, e.to_string(), trace, events);
-                    return FrameOutcome {
-                        stale_partials,
-                        ..FrameOutcome::settled(Disposition::Quarantined(reason))
-                    };
+        let reassembled;
+        let disposition = 'event: {
+            let payload = if frame.is_fragment() {
+                let fragment = Fragment {
+                    index: frame.frag_index,
+                    count: parts,
+                    bytes: bytes.slice(proto::FRAME_HEADER_LEN..bytes.len()),
+                };
+                let wire_trace = (frame.trace != proto::NO_TRACE).then_some(frame.trace);
+                let at = self.record(&mut slot, channel);
+                let (offer, evicted) = self.channels[at].reassembly.offer(
+                    sender,
+                    frame.seq,
+                    fragment,
+                    bytes.clone(),
+                    wire_trace,
+                    self.now_ns,
+                );
+                evicted_partials = evicted.len() as u16;
+                for p in &evicted {
+                    let why = "evicted for a fresher set";
+                    self.dead_letter_partial(DeadReason::PartialFragments, "reassembly", p, why);
                 }
-            }
-            FrameOutcome::settled(Disposition::Handled(frame.kind, channel, qos))
-        };
-        outcome.stale_partials += stale_partials;
-        outcome.watermark = watermark;
-        outcome
-    }
-
-    /// One fragment of a larger message: offer it to the channel's bounded
-    /// reassembly buffer; deliver the reassembled payload when the set
-    /// completes. Partial sets the offer evicted are dead-lettered here.
-    fn handle_fragment(
-        &mut self,
-        sender: u64,
-        bytes: &WireBytes,
-        frame: &proto::Frame<'_>,
-        ht: HandleTrace,
-        plane: Option<usize>,
-    ) -> FrameOutcome {
-        let (channel, qos) = (frame.channel, frame.qos);
-        let payload = bytes.slice(proto::FRAME_HEADER_LEN..bytes.len());
-        let frag = Fragment { index: frame.frag_index, count: frame.frag_count, bytes: payload };
-        let (capacity, timeout) = (self.reassembly_capacity, self.reassembly_timeout_ns);
-        let buf = self
-            .reassembly
-            .entry(channel)
-            .or_insert_with(|| ReassemblyBuffer::new(capacity, timeout));
-        let (offer, evicted) = buf.offer(
-            sender,
-            frame.seq,
-            frag,
-            bytes.clone(),
-            proto::peek_trace(bytes),
-            self.now_ns,
-        );
-        let evicted_partials = evicted.len() as u16;
-        for p in &evicted {
-            self.quarantine_partial(p, "evicted for a fresher set");
-        }
-        let disposition = match offer {
-            Offer::Complete(payload) => {
-                let ctx = ht.span.as_ref().map(|s| s.ctx());
-                if let Some(slot) = plane {
-                    if let Err(e) = self.planes[slot].deliver(&payload, ctx) {
-                        let reason = deadletter::reason_for(&e);
-                        let (trace, events) = self.seal_failed(ht, "event");
-                        self.dlq.push_traced(reason, bytes, e.to_string(), trace, events);
-                        return FrameOutcome {
-                            evicted_partials,
-                            ..FrameOutcome::settled(Disposition::Quarantined(reason))
-                        };
+                match offer {
+                    Offer::Complete(payload) => {
+                        reassembled = payload;
+                        &reassembled[..]
+                    }
+                    Offer::Buffered => break 'event Disposition::FragmentBuffered(channel),
+                    // The dedup window already suppresses true duplicates;
+                    // a part landing twice past the window is treated the
+                    // same way.
+                    Offer::DuplicatePart => {
+                        break 'event Disposition::Duplicate(frame.kind, channel)
+                    }
+                    Offer::Mismatch => {
+                        let detail = EchoError::MalformedFrame.to_string();
+                        let malformed = DeadReason::Malformed;
+                        break 'event self.dead_letter(
+                            malformed,
+                            "reassembly",
+                            bytes,
+                            detail,
+                            trace,
+                        );
                     }
                 }
-                Disposition::Reassembled(channel, qos, frame.frag_count)
-            }
-            Offer::Buffered => Disposition::FragmentBuffered(channel),
-            // The dedup window already suppresses true duplicates; a part
-            // landing twice past the window is treated the same way.
-            Offer::DuplicatePart => Disposition::Duplicate(frame.kind, channel),
-            Offer::Mismatch => {
-                let quarantined =
-                    self.quarantine(&EchoError::MalformedFrame, bytes, ht, "reassembly");
-                return FrameOutcome { evicted_partials, ..FrameOutcome::settled(quarantined) };
+            } else {
+                frame.payload
+            };
+            let plane = slot.ok().and_then(|at| self.channels[at].plane.as_mut());
+            match plane.map(|p| p.deliver(payload, trace.ctx)) {
+                Some(Err(e)) => {
+                    let reason = deadletter::reason_for(&e);
+                    self.dead_letter(reason, "event", bytes, e.to_string(), trace)
+                }
+                None | Some(Ok(Delivery::Rejected)) => Disposition::Rejected(channel, parts),
+                Some(Ok(_)) if frame.is_fragment() => Disposition::Reassembled(channel, qos, parts),
+                Some(Ok(_)) => Disposition::Handled(frame.kind, channel, qos),
             }
         };
-        FrameOutcome { evicted_partials, ..FrameOutcome::settled(disposition) }
+        FrameOutcome {
+            evicted_partials,
+            stale_partials,
+            watermark,
+            ..FrameOutcome::settled(disposition)
+        }
     }
 
     /// `wire_trace` is the incoming frame's raw trace id; follow-up frames
@@ -1094,7 +1028,7 @@ impl NodeState {
                 source: req.field(&fmt, "is_source").and_then(Value::as_i64) == Some(1),
                 sink: req.field(&fmt, "is_sink").and_then(Value::as_i64) == Some(1),
             };
-            if !self.owned.contains_key(&channel) {
+            if !self.channel(channel).is_some_and(|c| c.owned) {
                 // Not ours: ignore (models a stale channel directory entry).
                 continue;
             }
@@ -1107,8 +1041,8 @@ impl NodeState {
             // Creator replies to the requester and refreshes every member —
             // the broadcast case where the paper notes negotiation is
             // impractical.
-            let resp = self.encode_response(channel)?;
-            let members = self.owned[&channel].clone();
+            let members = self.members(channel).unwrap_or_default().to_vec();
+            let resp = self.encode_response(channel, &members)?;
             for m in &members {
                 if m.contact != self.name {
                     let seq = self.alloc_seq();
@@ -1130,7 +1064,8 @@ impl NodeState {
             }
         }
 
-        // Responses: refresh membership views.
+        // Responses: refresh membership views (a creator's own list stays
+        // authoritative).
         let resps: Vec<Value> = self.responses.lock().expect("inbox lock").drain(..).collect();
         for resp in resps {
             let (fmt, members) = match self.version {
@@ -1142,8 +1077,10 @@ impl NodeState {
                 }
             };
             let channel = proto::channel_of(&resp, &fmt).ok_or(EchoError::MalformedFrame)?;
-            self.memberships.insert(channel, members);
-            self.sink_index.remove(&channel);
+            let ch = self.channel_mut(channel);
+            if !ch.owned {
+                *ch.members_mut() = Some(members);
+            }
         }
         Ok(out)
     }
@@ -1156,32 +1093,18 @@ impl NodeState {
         members.iter().filter(|m| m.is_sink && m.contact != self.name).map(|m| &*m.contact)
     }
 
-    /// The sinks of [`NodeState::sink_contacts`], recomputed from the member
-    /// lists — the oracle the sink index cache is tested against.
-    #[cfg(test)]
-    pub fn sinks_of(&self, channel: ChannelId) -> Vec<String> {
-        let list = self.owned.get(&channel).or_else(|| self.memberships.get(&channel));
-        list.map(|ms| {
-            ms.iter()
-                .filter(|m| m.is_sink && m.contact != self.name)
-                .map(|m| m.contact.clone())
-                .collect()
-        })
-        .unwrap_or_default()
-    }
-
     /// The cached resolution of [`NodeState::sink_contacts`] to process
     /// indices, if one was stored since the channel's member list last
     /// changed and against a contact table still `contacts` entries long.
     pub fn sink_index(&self, channel: ChannelId, contacts: usize) -> Option<Arc<[usize]>> {
-        let cached = self.sink_index.get(&channel).filter(|c| c.contacts == contacts)?;
-        Some(Arc::clone(&cached.sinks))
+        let (resolved_with, sinks) = self.channel(channel)?.sink_index.as_ref()?;
+        (*resolved_with == contacts).then(|| Arc::clone(sinks))
     }
 
     /// Stores `sinks` as the resolution of `channel`'s sink contacts
     /// against a contact table of `contacts` entries.
     pub fn cache_sink_index(&mut self, channel: ChannelId, contacts: usize, sinks: Arc<[usize]>) {
-        self.sink_index.insert(channel, SinkIndex { contacts, sinks });
+        self.channel_mut(channel).sink_index = Some((contacts, sinks));
     }
 
     /// Hands over the events received so far.
@@ -1196,7 +1119,7 @@ impl NodeState {
 
     /// Event-plane morphing statistics for one channel.
     pub fn event_stats(&self, channel: ChannelId) -> Option<MorphStats> {
-        self.plane_slot(channel).ok().map(|slot| self.planes[slot].rx.stats())
+        self.channel(channel)?.plane.as_ref().map(|p| p.rx.stats())
     }
 
     /// The observability registry behind the control-plane receiver.
@@ -1207,7 +1130,7 @@ impl NodeState {
     /// The observability registry behind the event-plane receiver on
     /// `channel`, if one exists.
     pub fn event_registry(&self, channel: ChannelId) -> Option<&Arc<obs::Registry>> {
-        self.plane_slot(channel).ok().map(|slot| self.planes[slot].rx.registry())
+        self.channel(channel)?.plane.as_ref().map(|p| p.rx.registry())
     }
 }
 
@@ -1215,6 +1138,12 @@ impl NodeState {
 mod tests {
     use super::*;
 
+    fn books() -> Arc<DeadLetterBooks> {
+        Arc::new(DeadLetterBooks::new(&obs::Registry::new()))
+    }
+
+    /// Test frames travel on channel 1, where the node has no event plane:
+    /// a fresh event message there settles as `Rejected`.
     fn event_frame(seq: u64) -> WireBytes {
         proto::frame(proto::FRAME_EVENT, ChannelId(1), seq, proto::NO_TRACE, b"")
     }
@@ -1225,39 +1154,39 @@ mod tests {
         // e.g. both starting their counters at 0 after a restart. Keying
         // dedup on the bare seq would silently drop the second sender's
         // traffic; the key must be the (sender, seq) pair.
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         let f = event_frame(7);
-        assert!(matches!(node.handle_frame(0, &f).disposition, Disposition::Handled(..)));
+        assert!(matches!(node.handle_frame(0, &f).disposition, Disposition::Rejected(..)));
         assert!(
-            matches!(node.handle_frame(1, &f).disposition, Disposition::Handled(..)),
+            matches!(node.handle_frame(1, &f).disposition, Disposition::Rejected(..)),
             "a different sender's seq 7 is fresh traffic, not a duplicate"
         );
         // True duplicates — same sender, same seq — are still suppressed,
         // for each sender independently.
         assert!(matches!(node.handle_frame(0, &f).disposition, Disposition::Duplicate(..)));
         assert!(matches!(node.handle_frame(1, &f).disposition, Disposition::Duplicate(..)));
-        assert!(matches!(node.handle_frame(2, &f).disposition, Disposition::Handled(..)));
+        assert!(matches!(node.handle_frame(2, &f).disposition, Disposition::Rejected(..)));
     }
 
     #[test]
     fn dedup_window_is_bounded_and_forgets_oldest_pairs() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         assert!(matches!(
             node.handle_frame(0, &event_frame(0)).disposition,
-            Disposition::Handled(..)
+            Disposition::Rejected(..)
         ));
         // Flood the window with fresh pairs until the first is evicted.
         for seq in 1..=(DEDUP_WINDOW as u64) {
             assert!(matches!(
                 node.handle_frame(0, &event_frame(seq)).disposition,
-                Disposition::Handled(..)
+                Disposition::Rejected(..)
             ));
         }
         // The oldest pair fell out of the sliding window: a replay of it is
         // no longer recognized (bounded memory trades off replay horizon).
         assert!(matches!(
             node.handle_frame(0, &event_frame(0)).disposition,
-            Disposition::Handled(..)
+            Disposition::Rejected(..)
         ));
         // A recent pair is still remembered.
         assert!(matches!(
@@ -1282,7 +1211,7 @@ mod tests {
 
     #[test]
     fn fragments_buffer_then_reassemble_on_completion() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         let a = frag_frame(QosTier::Reliable, 3, 0, 2, b"he");
         let b = frag_frame(QosTier::Reliable, 3, 1, 2, b"llo");
         assert!(matches!(
@@ -1292,7 +1221,7 @@ mod tests {
         assert_eq!(node.reassembly_depth(), 1);
         assert!(matches!(
             node.handle_frame(0, &a).disposition,
-            Disposition::Reassembled(ChannelId(1), QosTier::Reliable, 2)
+            Disposition::Rejected(ChannelId(1), 2)
         ));
         assert_eq!(node.reassembly_depth(), 0, "completed sets leave the buffer");
         // Replayed fragments of the finished set are plain duplicates.
@@ -1301,21 +1230,21 @@ mod tests {
 
     #[test]
     fn sequenced_channels_drop_stale_frames_newest_wins() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         let newer = frag_frame(QosTier::SequencedUnreliable, 9, 0, 1, b"new");
         let older = frag_frame(QosTier::SequencedUnreliable, 4, 0, 1, b"old");
-        assert!(matches!(node.handle_frame(0, &newer).disposition, Disposition::Handled(..)));
+        assert!(matches!(node.handle_frame(0, &newer).disposition, Disposition::Rejected(..)));
         assert!(matches!(
             node.handle_frame(0, &older).disposition,
             Disposition::Stale(ChannelId(1))
         ));
         // Another sender's seq 4 is fresh — watermarks are per sender.
-        assert!(matches!(node.handle_frame(1, &older).disposition, Disposition::Handled(..)));
+        assert!(matches!(node.handle_frame(1, &older).disposition, Disposition::Rejected(..)));
     }
 
     #[test]
     fn newer_sequenced_message_supersedes_in_progress_older_set() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         let part = frag_frame(QosTier::SequencedUnreliable, 4, 0, 3, b"x");
         assert!(matches!(
             node.handle_frame(0, &part).disposition,
@@ -1323,7 +1252,7 @@ mod tests {
         ));
         let newer = frag_frame(QosTier::SequencedUnreliable, 9, 0, 1, b"new");
         let outcome = node.handle_frame(0, &newer);
-        assert!(matches!(outcome.disposition, Disposition::Handled(..)));
+        assert!(matches!(outcome.disposition, Disposition::Rejected(..)));
         assert_eq!(outcome.stale_partials, 1, "the older partial set was purged");
         assert_eq!(node.reassembly_depth(), 0);
         assert_eq!(node.dead_letters().count(DeadReason::PartialFragments), 0, "policy, not DLQ");
@@ -1331,7 +1260,7 @@ mod tests {
 
     #[test]
     fn partial_sets_expire_into_the_dlq_as_partial_fragments() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         node.configure_reassembly(8, 1_000);
         let part = frag_frame(QosTier::Reliable, 7, 0, 2, b"half");
         assert!(matches!(
@@ -1352,7 +1281,7 @@ mod tests {
 
     #[test]
     fn fragmented_control_frames_are_protocol_violations() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         let bad = proto::frame_qos(
             proto::FRAME_CONTROL,
             ChannelId(1),
@@ -1372,11 +1301,11 @@ mod tests {
 
     #[test]
     fn higher_epoch_resumes_and_older_epoch_frames_are_fenced() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         // Any higher-epoch frame is an implicit resume handshake.
         let fresh = proto::restamp_epoch(&event_frame(8), 1);
         let out = node.handle_frame(0, &fresh);
-        assert!(matches!(out.disposition, Disposition::Handled(..)));
+        assert!(matches!(out.disposition, Disposition::Rejected(..)));
         assert!(out.resumed, "a higher epoch bumps the sender's incarnation");
         // Epoch-0 stragglers from the crashed incarnation are refused.
         let stale = node.handle_frame(0, &event_frame(9));
@@ -1385,18 +1314,18 @@ mod tests {
         assert_eq!(node.dead_letters().count(DeadReason::StaleEpoch), 1);
         // Same-epoch traffic flows; a duplicate resume bump never happens.
         let again = node.handle_frame(0, &proto::restamp_epoch(&event_frame(10), 1));
-        assert!(matches!(again.disposition, Disposition::Handled(..)));
+        assert!(matches!(again.disposition, Disposition::Rejected(..)));
         assert!(!again.resumed);
         // Other senders are unaffected by this sender's fence.
         assert!(matches!(
             node.handle_frame(1, &event_frame(9)).disposition,
-            Disposition::Handled(..)
+            Disposition::Rejected(..)
         ));
     }
 
     #[test]
     fn explicit_resume_handshake_bumps_without_delivering() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         let resume = proto::frame_qos(
             proto::FRAME_RESUME,
             ChannelId(0),
@@ -1417,11 +1346,25 @@ mod tests {
     }
 
     #[test]
+    fn processes_share_one_text_of_a_transformation() {
+        // Every process imports the control-plane transformations, as
+        // `EchoSystem::add_process` does; none copies the Ecode text.
+        let [a, b] = ["a", "b"].map(|name| {
+            let mut node = NodeState::new(name.into(), EchoVersion::V1, books());
+            node.import_metadata(&[], &[proto::response_retro_transformation()]);
+            node
+        });
+        let text = |node: &NodeState| node.shared_xforms[0].source().as_ptr();
+        assert_eq!(text(&a), text(&b));
+        assert_eq!(text(&a), proto::response_retro_transformation().source().as_ptr());
+    }
+
+    #[test]
     fn crash_amnesia_forgets_dedup_and_dead_letters_partials() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2);
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
         assert!(matches!(
             node.handle_frame(0, &event_frame(7)).disposition,
-            Disposition::Handled(..)
+            Disposition::Rejected(..)
         ));
         let part = frag_frame(QosTier::Reliable, 3, 0, 2, b"x");
         assert!(matches!(
@@ -1437,7 +1380,7 @@ mod tests {
         // which is exactly why exactly-once needs the journaled window.
         assert!(matches!(
             node.handle_frame(0, &event_frame(7)).disposition,
-            Disposition::Handled(..)
+            Disposition::Rejected(..)
         ));
         // Restoring the journaled triples brings suppression back.
         node.crash_amnesia();

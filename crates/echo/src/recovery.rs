@@ -43,9 +43,6 @@ impl EchoSystem {
         self.metrics.crash_lost_dedup.add(report.dedup as u64);
         self.metrics.crash_lost_watermarks.add(report.watermarks as u64);
         self.metrics.crash_lost_partials.add(u64::from(report.partials));
-        for _ in 0..report.partials {
-            self.metrics.quarantined(DeadReason::CrashLost);
-        }
         self.metrics.crash_lost_decisions.add(report.decisions as u64);
         // The in-flight retry queue dies with the process. Journaled
         // Reliable event frames are only *dropped* — the journal will
@@ -58,18 +55,16 @@ impl EchoSystem {
                 && p.bytes.first() == Some(&proto::FRAME_EVENT)
                 && proto::peek_qos(&p.bytes) == Some(QosTier::Reliable);
             if !redelivered {
-                self.metrics.quarantined(DeadReason::CrashLost);
-                let detail = "retry queue lost to process crash";
-                self.nodes[idx].quarantine_crash(&p.bytes, detail, p.ctx);
+                let (lost, detail) = (DeadReason::CrashLost, "retry queue lost to process crash");
+                self.nodes[idx].dead_letter(lost, "crash", &p.bytes, detail, p.ctx);
             }
         }
         // Frames buffered at the crashed process's ingress vanish with
         // its memory too.
         for (_, _, bytes) in self.ingress.take_all(idx) {
             self.metrics.crash_lost_ingress.inc();
-            self.metrics.quarantined(DeadReason::CrashLost);
-            let detail = "ingress buffer lost to process crash";
-            self.nodes[idx].quarantine_crash(&bytes, detail, wire_ctx(&bytes));
+            let (lost, detail) = (DeadReason::CrashLost, "ingress buffer lost to process crash");
+            self.nodes[idx].dead_letter(lost, "crash", &bytes, detail, wire_ctx(&bytes));
         }
         self.update_queue_depth();
     }

@@ -208,8 +208,8 @@ impl EchoSystem {
                 };
                 if let Some(detail) = given_up {
                     self.metrics.retry_giveup.inc();
-                    self.metrics.quarantined(DeadReason::RetryExhausted);
-                    self.nodes[p.from].quarantine_send(&p.bytes, &detail, p.ctx);
+                    let (reason, stage) = (DeadReason::RetryExhausted, "send-retry");
+                    self.nodes[p.from].dead_letter(reason, stage, &p.bytes, detail, p.ctx);
                     continue;
                 }
             }

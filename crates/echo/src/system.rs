@@ -107,8 +107,6 @@ pub struct EchoSystem {
     /// the high-rate data-plane mode. Control-plane operations
     /// (subscribe/unsubscribe) always trace; they are rare and diagnostic.
     pub(crate) tracing: bool,
-    /// Worker shard count used by [`EchoSystem::run_wall_clock`].
-    pub(crate) shards: usize,
     /// System-wide morph caches, present once
     /// [`EchoSystem::enable_shared_morph_caches`] opted in; applied to
     /// every existing and future process.
@@ -188,7 +186,6 @@ impl EchoSystem {
             reassembling: BTreeSet::new(),
             recorder,
             tracing: true,
-            shards: 1,
             shared_caches: None,
             shard_metrics: None,
             shard_assign: Vec::new(),
@@ -212,7 +209,8 @@ impl EchoSystem {
     /// its name.
     pub fn add_process(&mut self, name: impl Into<String>, version: EchoVersion) -> ProcessId {
         let name = name.into();
-        let mut node = NodeState::new(name.clone(), version);
+        let books = Arc::clone(&self.metrics.deadletters);
+        let mut node = NodeState::new(name.clone(), version, books);
         // Ship the standard control-plane meta-data with every process.
         node.import_metadata(
             &[proto::channel_open_response_v1(), proto::channel_open_response_v2()],
@@ -296,7 +294,7 @@ impl EchoSystem {
     ) -> Result<(), EchoError> {
         let creator_idx =
             *self.directory.get(&channel).ok_or(EchoError::UnknownChannel(channel))?;
-        self.nodes[proc.0].roles.insert(channel, role);
+        self.nodes[proc.0].set_role(channel, role);
         if let Some(fmt) = expected_events {
             self.nodes[proc.0].expect_events(channel, fmt);
         }
@@ -355,8 +353,7 @@ impl EchoSystem {
     pub fn unsubscribe(&mut self, proc: ProcessId, channel: ChannelId) -> Result<(), EchoError> {
         let creator_idx =
             *self.directory.get(&channel).ok_or(EchoError::UnknownChannel(channel))?;
-        self.nodes[proc.0].roles.remove(&channel);
-        self.nodes[proc.0].forget_membership(channel);
+        self.nodes[proc.0].leave(channel);
         self.derived.remove(&(channel, proc.0));
         if creator_idx == proc.0 {
             let contact = self.nodes[proc.0].name.clone();
@@ -413,9 +410,7 @@ impl EchoSystem {
         format: &Arc<RecordFormat>,
         event: &Value,
     ) -> Result<usize, EchoError> {
-        let node = &self.nodes[proc.0];
-        let is_source = node.roles.get(&channel).is_some_and(|r| r.source);
-        if !node.owns(channel) && !is_source {
+        if !self.nodes[proc.0].may_publish(channel) {
             return Err(EchoError::NotSubscribed(channel));
         }
         self.metrics.published.inc();
@@ -603,10 +598,15 @@ impl EchoSystem {
     /// Sheds a frame at `node`: counts the drop and quarantines the bytes
     /// in the node's dead-letter queue with [`DeadReason::Shed`] — every
     /// shed message stays accounted, none vanish silently.
-    pub(crate) fn shed_at(&mut self, node: usize, bytes: &[u8], why: &str, ctx: Option<TraceCtx>) {
+    pub(crate) fn shed_at(
+        &mut self,
+        node: usize,
+        bytes: &WireBytes,
+        why: &str,
+        ctx: Option<TraceCtx>,
+    ) {
         self.metrics.queue_shed.inc();
-        self.metrics.quarantined(DeadReason::Shed);
-        self.nodes[node].quarantine_shed(bytes, why, ctx);
+        self.nodes[node].dead_letter(DeadReason::Shed, "shed", bytes, why, ctx);
     }
 
     /// Refreshes the `echo.queue.depth` gauge (retry queue + every ingress
@@ -710,25 +710,11 @@ impl EchoSystem {
         self.tracing = tracing;
     }
 
-    /// Sets the worker shard count used by [`EchoSystem::run_wall_clock`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(shards > 0, "at least one shard required");
-        self.shards = shards;
-    }
-
-    /// The configured worker shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard (under the configured count) that owns a process — a pure
-    /// hash of its name, stable across runs ([`crate::shard_of_name`]).
-    pub fn shard_of(&self, proc: ProcessId) -> usize {
-        shard_of_name(&self.nodes[proc.0].name, self.shards)
+    /// The shard (of `shards`, as a [`crate::WallClockDriver`] runs them)
+    /// that owns a process — a pure hash of its name, stable across runs
+    /// ([`crate::shard_of_name`]).
+    pub fn shard_of(&self, proc: ProcessId, shards: usize) -> usize {
+        shard_of_name(&self.nodes[proc.0].name, shards)
     }
 
     /// Opts the whole system into shared morph caches: every process
@@ -772,7 +758,7 @@ impl EchoSystem {
     ) -> Result<(), EchoError> {
         let creator_idx =
             *self.directory.get(&channel).ok_or(EchoError::UnknownChannel(channel))?;
-        self.nodes[proc.0].roles.insert(channel, Role::sink());
+        self.nodes[proc.0].set_role(channel, Role::sink());
         self.nodes[proc.0].expect_events(channel, format);
         let contact = self.nodes[proc.0].name.clone();
         self.nodes[creator_idx].add_member(channel, contact, Role::sink())?;
@@ -1595,9 +1581,8 @@ mod tests {
     #[test]
     fn sharded_run_accounts_per_shard_frames_and_rounds() {
         let (mut sys, c, ch, new_fmt, _) = fanout_fixture(8);
-        sys.set_shards(2);
         sys.publish(c, ch, &new_fmt, &Value::Record(vec![Value::Int(3), Value::Int(1)])).unwrap();
-        let processed = sys.run_wall_clock();
+        let processed = sys.run_with(&mut WallClockDriver::new(2));
         assert_eq!(processed, 8);
         let snap = sys.registry().snapshot();
         assert_eq!(snap.counter("echo.events.delivered"), Some(8));
@@ -2218,8 +2203,8 @@ mod tests {
     /// `publish` walks a cached resolution of the channel's sinks. After
     /// everything that can change the member list or the contact table, at
     /// the creator and at a non-creator source, the cache hands out what
-    /// `sinks_of` recomputes from scratch — and the next publish reaches
-    /// exactly those processes.
+    /// `sink_contacts` recomputes from the member list — and the next
+    /// publish reaches exactly those processes.
     #[test]
     fn the_sink_index_follows_every_membership_and_contact_change() {
         let mut sys = EchoSystem::new();
@@ -2236,8 +2221,7 @@ mod tests {
         let mut check = |sys: &mut EchoSystem, step: &str| {
             for publisher in [c, src] {
                 let oracle: Vec<usize> = sys.nodes[publisher.0]
-                    .sinks_of(ch)
-                    .iter()
+                    .sink_contacts(ch)
                     .filter_map(|contact| sys.by_contact.get(contact).copied())
                     .collect();
                 // Warm the cache, then ask again: the second answer is the

@@ -33,7 +33,9 @@ pub(crate) fn fuel_for(bytes: usize) -> u64 {
 pub struct Transformation {
     from: Arc<RecordFormat>,
     to: Arc<RecordFormat>,
-    source: String,
+    /// Shared, not copied: every receiver a transformation is imported
+    /// into holds a reference to the one text.
+    source: Arc<str>,
 }
 
 impl Transformation {
@@ -42,7 +44,7 @@ impl Transformation {
     pub fn new(
         from: Arc<RecordFormat>,
         to: Arc<RecordFormat>,
-        source: impl Into<String>,
+        source: impl Into<Arc<str>>,
     ) -> Transformation {
         Transformation { from, to, source: source.into() }
     }
@@ -103,7 +105,7 @@ impl Transformation {
         let to = pbio::deserialize_format(chunk()?)?;
         let source = std::str::from_utf8(chunk()?)
             .map_err(|_| MorphError::BadTransformation("source is not UTF-8".into()))?
-            .to_string();
+            .into();
         if pos != bytes.len() {
             return Err(MorphError::BadTransformation(
                 "trailing bytes after transformation meta-data".into(),

@@ -7,6 +7,7 @@
 //! serialized out-of-band (see [`crate::meta`]), and compared structurally by
 //! the morphing layer.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -343,14 +344,18 @@ impl RecordFormat {
         if fields.is_empty() {
             return Err(PbioError::BadFormat(format!("record `{name}` has no fields")));
         }
-        for (i, f) in fields.iter().enumerate() {
-            if fields[..i].iter().any(|g| g.name == f.name) {
+        // The fields declared so far, by name: one lookup per check keeps a
+        // description of n fields (meta-data from the wire) O(n) to admit.
+        let mut earlier: HashMap<&str, &Field> = HashMap::with_capacity(fields.len());
+        for f in &fields {
+            if earlier.contains_key(f.name()) {
                 return Err(PbioError::BadFormat(format!(
                     "record `{name}` declares field `{}` twice",
                     f.name
                 )));
             }
-            Self::validate_field_type(&name, f.name(), &f.ty, &fields[..i])?;
+            Self::validate_field_type(&name, f.name(), &f.ty, &earlier)?;
+            earlier.insert(f.name(), f);
         }
         Ok(RecordFormat { name, fields, id: OnceLock::new() })
     }
@@ -364,7 +369,7 @@ impl RecordFormat {
         record: &str,
         field: &str,
         ty: &FieldType,
-        earlier: &[Field],
+        earlier: &HashMap<&str, &Field>,
     ) -> Result<()> {
         match ty {
             FieldType::Basic(BasicType::Float(w)) if w.bytes() < 4 => Err(PbioError::BadFormat(
@@ -373,8 +378,7 @@ impl RecordFormat {
             FieldType::Basic(_) | FieldType::Record(_) => Ok(()),
             FieldType::Array { elem, len } => {
                 if let ArrayLen::LengthField(lf) = len {
-                    let found = earlier.iter().find(|f| &f.name == lf);
-                    match found {
+                    match earlier.get(lf.as_str()) {
                         None => {
                             return Err(PbioError::BadFormat(format!(
                                 "array `{field}` of record `{record}` references length field \

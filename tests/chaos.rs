@@ -83,6 +83,24 @@ fn dump_system(scenario: &str, seed: u64, sys: &EchoSystem, procs: &[ProcessId])
     dump(scenario, seed, &snapshot, &letters, &sys.recorder().chrome_json());
 }
 
+/// The dead-letter books balance: for every reason, the system's
+/// `echo.deadletter.<reason>` equals the sum over `procs` — every process
+/// of the run — of what each one's own queue counted
+/// (`echo.node.deadletter.<reason>`). One routine files and counts both, so
+/// this holds by construction; the assertion pins it.
+fn assert_dead_letter_books(sys: &EchoSystem, procs: &[ProcessId]) {
+    let system = sys.registry().snapshot();
+    let nodes: Vec<_> = procs.iter().map(|&p| sys.control_registry(p).snapshot()).collect();
+    for label in DeadReason::ALL.map(DeadReason::label).into_iter().chain(["total"]) {
+        let filed: u64 = nodes
+            .iter()
+            .map(|node| node.counter(&format!("echo.node.deadletter.{label}")).unwrap_or(0))
+            .sum();
+        let counted = system.counter(&format!("echo.deadletter.{label}"));
+        assert_eq!(counted, Some(filed), "echo.deadletter.{label}");
+    }
+}
+
 fn tick_format() -> Arc<RecordFormat> {
     FormatBuilder::record("Tick").int("n").build_arc().unwrap()
 }
@@ -231,6 +249,7 @@ fn run_interop_chaos(seed: u64) -> InteropRun {
 
     let v2_events = per_sink.pop().unwrap();
     let v1_events = per_sink.pop().unwrap();
+    assert_dead_letter_books(&sys, &[creator, publisher, v1_sink, v2_sink]);
     dump_system("interop", seed, &sys, &[creator, publisher, v1_sink, v2_sink]);
     InteropRun {
         snapshot: snap.to_text(),
@@ -396,6 +415,7 @@ fn run_partition_heal(seed: u64) -> String {
     assert_eq!(counter("echo.retry.delivered"), PARTITION_EVENTS);
     assert_eq!(counter("echo.retry.giveup"), 0);
     assert!(counter("echo.retry.attempts") >= PARTITION_EVENTS);
+    assert_dead_letter_books(&sys, &[creator, publisher, sink]);
     dump_system("partition_heal", seed, &sys, &[creator, publisher, sink]);
     snap.to_text()
 }
@@ -447,6 +467,7 @@ fn exhausted_retry_budget_quarantines_at_the_sender() {
     let snap = sys.registry().snapshot();
     assert_eq!(snap.counter("echo.retry.giveup"), Some(1));
     assert_eq!(snap.counter("echo.deadletter.retry_exhausted"), Some(1));
+    assert_dead_letter_books(&sys, &[creator, publisher, sink]);
 }
 
 // ---------------------------------------------------------------------------
@@ -1027,6 +1048,7 @@ fn run_fragmentation_chaos(seed: u64) -> FragRun {
         assert_eq!(quarantine.tag("stage"), Some("reassembly"));
     }
 
+    assert_dead_letter_books(&sys, &[creator, publisher, sink]);
     dump_system("fragmentation", seed, &sys, &[creator, publisher, sink]);
     FragRun {
         snapshot: snap.to_text(),
@@ -1176,6 +1198,7 @@ fn run_overload_chaos(seed: u64) -> OverloadRun {
             as u64;
     assert_eq!(shed_letters, shed, "seed {seed:#x}: every shed frame quarantines at the sender");
 
+    assert_dead_letter_books(&sys, &[creator, publisher, sink]);
     dump_system("overload", seed, &sys, &[creator, publisher, sink]);
     OverloadRun { snapshot: snap.to_text(), chrome, delivered, tightened, relaxed, shed }
 }
@@ -1403,6 +1426,7 @@ fn run_crash_restart_storm(seed: u64) -> StormRun {
     // Every fenced frame is inspectable in quarantine under `stale_epoch`.
     assert_eq!(delta("echo.deadletter.stale_epoch"), fenced);
 
+    assert_dead_letter_books(&sys, &[creator, publisher, sink]);
     dump_system("crash_restart_storm", seed, &sys, &[creator, publisher, sink]);
     StormRun {
         snapshot: snap.to_text(),

@@ -323,3 +323,39 @@ fn v2_cuts_wire_traffic() {
         v1_msg.len()
     );
 }
+
+/// A message no application received is not a delivery. One sink reads a
+/// format that shares no field with the publisher's (Algorithm 2 finds no
+/// admissible match), another subscribed without a reader at all: both
+/// settle the event as rejected — counted, never delivered, never
+/// dead-lettered.
+#[test]
+fn a_message_no_application_received_is_not_a_delivery() {
+    let mut sys = EchoSystem::new();
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let src = sys.add_process("src", EchoVersion::V2);
+    let stranger = sys.add_process("stranger", EchoVersion::V2);
+    let readerless = sys.add_process("readerless", EchoVersion::V2);
+    sys.connect_all(LinkParams::lan());
+    let ch = sys.create_channel(creator);
+    let unrelated = FormatBuilder::record("Note").string("label").build_arc().unwrap();
+    // The publisher's format is known everywhere: resolving it is not
+    // what fails.
+    sys.distribute_metadata(&[event_format()], &[]);
+    sys.subscribe(src, ch, Role::source(), None).unwrap();
+    sys.subscribe(stranger, ch, Role::sink(), Some(&unrelated)).unwrap();
+    sys.subscribe(readerless, ch, Role::sink(), None).unwrap();
+    sys.run();
+
+    assert_eq!(sys.publish(src, ch, &event_format(), &sample(1)).unwrap(), 2);
+    sys.run();
+    assert!(sys.take_events(stranger).is_empty());
+    assert!(sys.take_events(readerless).is_empty());
+    let snap = sys.registry().snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(counter("echo.events.delivered"), 0);
+    assert_eq!(counter(&format!("echo.ch.{}.delivered", ch.0)), 0);
+    assert_eq!(counter("echo.channel.reliable.delivered"), 0);
+    assert_eq!(counter("echo.events.rejected"), 2);
+    assert_eq!(counter("echo.deadletter.total"), 0, "a policy outcome, not a dead letter");
+}

@@ -7,13 +7,13 @@
 //!   a pure decision-cache hit.
 //! - Registries driven by simnet's virtual clock produce **deterministic**
 //!   snapshots: identical runs render byte-identical text and JSON.
-//! - The `morph.*` and `pbio.*` sections of `OBSERVABILITY.md` list exactly
-//!   the names those layers register.
+//! - The `morph.*` and `pbio.*` sections of `OBSERVABILITY.md`, and its
+//!   `echo.*` sections, list exactly the names those layers register.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use echo::{EchoSystem, EchoVersion, Role};
+use echo::{EchoSystem, EchoVersion, QosTier, Role, WallClockDriver};
 use morph::{
     DeadLetterQueue, DeadReason, MetaServer, MorphReceiver, ResolverConfig, ResolverPool,
     RetryPolicy, Transformation,
@@ -143,9 +143,11 @@ fn names_in(registry: &Registry, into: &mut BTreeSet<String>) {
 /// The metric names the given `###` sections of OBSERVABILITY.md tabulate.
 /// A row's first cell holds one or more backticked names; one that starts
 /// with a dot replaces the last segment of the row's first name
-/// (`` `a.b.c` / `.d` `` is `a.b.c` and `a.b.d`), and `<reason>` stands for
-/// every dead-letter reason.
-fn catalogued(sections: &[&str]) -> BTreeSet<String> {
+/// (`` `a.b.c` / `.d` `` is `a.b.c` and `a.b.d`). `<reason>` stands for
+/// every dead-letter reason, and each placeholder of `expand` for each of
+/// its values.
+fn catalogued(sections: &[&str], expand: &[(&str, Vec<String>)]) -> BTreeSet<String> {
+    let reasons = ("<reason>", DeadReason::ALL.map(|r| r.label().to_string()).to_vec());
     let mut names = BTreeSet::new();
     let mut inside = false;
     for line in include_str!("../OBSERVABILITY.md").lines() {
@@ -162,14 +164,17 @@ fn catalogued(sections: &[&str]) -> BTreeSet<String> {
         for entry in std::iter::once(first).chain(quoted) {
             let name =
                 if entry.starts_with('.') { format!("{stem}{entry}") } else { entry.to_string() };
-            match name.strip_suffix("<reason>") {
-                Some(prefix) => {
-                    names.extend(DeadReason::ALL.map(|r| format!("{prefix}{}", r.label())));
-                }
-                None => {
-                    names.insert(name);
-                }
+            let mut row = vec![name];
+            for (placeholder, values) in std::iter::once(&reasons).chain(expand) {
+                row = row
+                    .into_iter()
+                    .flat_map(|name| match name.contains(placeholder) {
+                        true => values.iter().map(|v| name.replace(placeholder, v)).collect(),
+                        false => vec![name],
+                    })
+                    .collect();
             }
+            names.extend(row);
         }
     }
     names
@@ -237,7 +242,77 @@ fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     names_in(rx.registry(), &mut registered);
 
     registered.retain(|name| ["morph.", "pbio.", "ecode."].iter().any(|p| name.starts_with(p)));
-    let catalogued = catalogued(&["### `morph.*`", "### `pbio.*`"]);
+    let catalogued = catalogued(&["### `morph.*`", "### `pbio.*`"], &[]);
+    let uncatalogued: Vec<_> = registered.difference(&catalogued).collect();
+    let unregistered: Vec<_> = catalogued.difference(&registered).collect();
+    assert!(
+        uncatalogued.is_empty() && unregistered.is_empty(),
+        "registered without an OBSERVABILITY.md row: {uncatalogued:?}\n\
+         catalogued but registered by nothing: {unregistered:?}"
+    );
+}
+
+/// The catalogue checks itself, `echo.*` sections: a system with every
+/// opt-in on — shared caches, adaptive shedding, journaling, link monitors,
+/// self-telemetry — that runs traffic and one wall-clock round registers
+/// every `echo.*` name there is, in the system registry and in each
+/// process's control and event registries: each must have its row, and
+/// each row its registrant.
+#[test]
+fn the_echo_catalogue_sections_list_what_is_registered() {
+    const SHARDS: usize = 2;
+    let mut sys = EchoSystem::new();
+    sys.enable_shared_morph_caches();
+    sys.enable_adaptive_shedding();
+    sys.enable_journaling(1);
+    sys.enable_link_monitors(8, 1_000_000);
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let publisher = sys.add_process("pub", EchoVersion::V2);
+    let sink = sys.add_process("sink", EchoVersion::V1);
+    let procs = [creator, publisher, sink];
+    sys.connect_all(simnet::LinkParams::lan());
+    let fmt = FormatBuilder::record("Tick").int("n").build_arc().unwrap();
+    let work = sys.create_channel(creator);
+    let tele = sys.create_channel(creator);
+    sys.subscribe(publisher, work, Role::source(), None).unwrap();
+    sys.subscribe(sink, work, Role::sink(), Some(&fmt)).unwrap();
+    sys.subscribe(sink, tele, Role::sink(), Some(&echo::telemetry::telemetry_format_v2())).unwrap();
+    sys.run();
+    sys.enable_self_telemetry(creator, tele, 300_000);
+    for n in 0..10 {
+        sys.publish(publisher, work, &fmt, &Value::Record(vec![Value::Int(n)])).unwrap();
+        sys.run();
+    }
+    sys.publish(publisher, work, &fmt, &Value::Record(vec![Value::Int(10)])).unwrap();
+    sys.run_with(&mut WallClockDriver::new(SHARDS));
+    assert_eq!(sys.take_events(sink).iter().filter(|(ch, _)| *ch == work).count(), 11);
+
+    let mut registered = BTreeSet::new();
+    names_in(sys.registry(), &mut registered);
+    for p in procs {
+        names_in(sys.control_registry(p), &mut registered);
+        for ch in [work, tele] {
+            if let Some(events) = sys.event_registry(p, ch) {
+                names_in(events, &mut registered);
+            }
+        }
+    }
+    registered.retain(|name| name.starts_with("echo."));
+    let catalogued = catalogued(
+        &[
+            "### `echo.*`",
+            "### `echo.stage.*`",
+            "### `echo.adaptive.*`",
+            "### `echo.channel.*` / `echo.frag.*`",
+            "### `echo.shard.*`",
+        ],
+        &[
+            ("<id>", vec![work.0.to_string(), tele.0.to_string()]),
+            ("<tier>", QosTier::ALL.map(|t| t.label().to_string()).to_vec()),
+            ("<queue>", ["retry", "ingress", "mailbox"].map(String::from).to_vec()),
+            ("<i>", (0..SHARDS).map(|i| i.to_string()).collect()),
+        ],
+    );
     let uncatalogued: Vec<_> = registered.difference(&catalogued).collect();
     let unregistered: Vec<_> = catalogued.difference(&registered).collect();
     assert!(

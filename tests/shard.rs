@@ -70,19 +70,19 @@ fn shard_assignment_is_a_pure_function_of_name_and_count() {
 
 #[test]
 fn system_shard_of_agrees_with_the_standalone_hash() {
+    // The shard count is the driver's.
+    let shards = WallClockDriver::new(4).shards();
     let mut sys = EchoSystem::new();
-    sys.set_shards(4);
     let procs: Vec<(ProcessId, String)> = names(32, 7)
         .into_iter()
         .map(|n| (sys.add_process(n.clone(), EchoVersion::V2), n))
         .collect();
     for (p, name) in &procs {
-        assert_eq!(sys.shard_of(*p), shard_of_name(name, 4));
+        assert_eq!(sys.shard_of(*p, shards), shard_of_name(name, 4));
     }
     // A second system with the same names in a different order places
     // every process identically.
     let mut other = EchoSystem::new();
-    other.set_shards(4);
     let mut reversed: Vec<(ProcessId, String)> = names(32, 7)
         .into_iter()
         .rev()
@@ -90,7 +90,11 @@ fn system_shard_of_agrees_with_the_standalone_hash() {
         .collect();
     reversed.reverse();
     for ((a, name), (b, _)) in procs.iter().zip(&reversed) {
-        assert_eq!(sys.shard_of(*a), other.shard_of(*b), "placement of {name} diverged");
+        assert_eq!(
+            sys.shard_of(*a, shards),
+            other.shard_of(*b, shards),
+            "placement of {name} diverged"
+        );
     }
 }
 

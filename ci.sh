@@ -3,6 +3,7 @@
 # dependencies, so everything up to the bench step runs with no network
 # access: format, lints, docs, every test, the chaos seed matrix, the
 # seeded sharded-runtime scenario, the pbio and meta-data mutation loops,
+# the dedup window's oracle test on a fresh seed,
 # the smoke examples, the three bench examples (fanout_bench gated; monitor_bench
 # and crash_recovery's overhead ratio reported, not gated) and the
 # benchmark self-check. The bench harness is a separate workspace (crates/bench) whose
@@ -87,6 +88,16 @@ meta=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$meta" ] || meta=$(date +%s)
 echo "    META_FUZZ_SEED=$meta cargo test -q --test proptests metadata_mutations"
 META_FUZZ_SEED="$meta" cargo test -q --test proptests metadata_mutations
+
+echo "==> dedup window against its oracle, fresh seed (the test step above ran the fixed one)"
+# Seeded streams — 1–4 senders, sparse seqs, seqs near u64::MAX, 2–70-part
+# fragments, duplicates, reordering and replays past the horizon, journal
+# round trips — decided by the per-sender window and by a brute-force set
+# of every triple noted. A failure here reproduces with the printed command.
+dedup=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$dedup" ] || dedup=$(date +%s)
+echo "    DEDUP_SEED=$dedup cargo test -q -p echo --lib dedup::tests::window_matches"
+DEDUP_SEED="$dedup" cargo test -q -p echo --lib dedup::tests::window_matches
 
 echo "==> examples (offline smoke runs; each asserts its own output)"
 for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump \

@@ -164,11 +164,11 @@ impl EchoSystem {
             self.reassembling.insert(idx);
         }
         // Recovery bookkeeping (no-ops without journals): the receiver
-        // persists its dedup triple and sequenced watermark, and the
+        // persists its dedup note and sequenced watermark, and the
         // sender's journal discharges the redelivery obligation.
         let (now, from) = (self.net.now_ns(), sender as u64);
-        if let Some((seq, frag_index)) = outcome.seen {
-            self.journals.append(idx, now, JournalEntry::Seen { sender: from, seq, frag_index });
+        if let Some((seq, frag_index, frag_count)) = outcome.seen {
+            self.journals.append(idx, now, JournalEntry::seen(from, seq, frag_index, frag_count));
         }
         if let Some((channel, seq)) = outcome.watermark {
             self.journals.append(idx, now, JournalEntry::Watermark { channel, sender: from, seq });

@@ -1,14 +1,14 @@
 //! Durable delivery journal for crash-restart recovery.
 //!
-//! A crashed ECho process loses its volatile state — dedup windows,
+//! A crashed ECho process loses its volatile state — duplicate state,
 //! sequenced watermarks, reassembly partials, the in-flight retry queue —
 //! but the Reliable tier's contract (exactly-once delivery) must survive
 //! the restart. The [`Journal`] is the durable substrate that makes that
 //! possible: an append-only log of delivery-relevant facts (outgoing
-//! Reliable frames, delivery acks, dedup triples, sequenced watermarks,
-//! sequence floors), stamped with virtual time, that the owning system
-//! writes as traffic flows and replays on restart to rebuild exactly the
-//! state the tier contract requires.
+//! Reliable frames, delivery acks, frames noted by dedup, sequenced
+//! watermarks, sequence floors), stamped with virtual time, that the
+//! owning system writes as traffic flows and replays on restart to
+//! rebuild exactly the state the tier contract requires.
 //!
 //! "Durable" here is modeled, not physical: the journal is an in-memory
 //! `Vec` with an explicit *synced prefix*. Appends land in the unsynced
@@ -59,15 +59,28 @@ pub enum JournalEntry {
         /// Fragment index.
         frag_index: u16,
     },
-    /// This process noted an incoming `(sender, seq, frag_index)` triple
-    /// in its dedup window — the receiver-side half of exactly-once.
+    /// This process noted an incoming whole frame in its duplicate state —
+    /// the receiver-side half of exactly-once.
     Seen {
+        /// System-wide sender identity.
+        sender: u64,
+        /// Message sequence number.
+        seq: u64,
+        /// Fragment index: 0, the only index of a whole frame.
+        frag_index: u16,
+    },
+    /// [`JournalEntry::Seen`] for one fragment of a fragmented message:
+    /// the count tells a restart when the set is complete, so replay
+    /// rebuilds the state the live frames built.
+    SeenFragment {
         /// System-wide sender identity.
         sender: u64,
         /// Message sequence number.
         seq: u64,
         /// Fragment index.
         frag_index: u16,
+        /// Fragments in the message (> 1).
+        frag_count: u16,
     },
     /// Sequenced newest-wins watermark: the latest message seq seen from
     /// `sender` on `channel`.
@@ -89,6 +102,16 @@ pub enum JournalEntry {
 }
 
 impl JournalEntry {
+    /// The entry noting frame `frag_index` of sender `sender`'s
+    /// `frag_count`-part message `seq`.
+    pub(crate) fn seen(sender: u64, seq: u64, frag_index: u16, frag_count: u16) -> JournalEntry {
+        if frag_count > 1 {
+            JournalEntry::SeenFragment { sender, seq, frag_index, frag_count }
+        } else {
+            JournalEntry::Seen { sender, seq, frag_index }
+        }
+    }
+
     /// True for entries whose loss would break the Reliable contract —
     /// these are force-synced on append (WAL discipline). A lost `Acked`
     /// only costs a redundant redelivery that the receiver's (journaled)
@@ -110,9 +133,10 @@ pub struct Recovered {
     /// incarnation) overwrites the earlier frame bytes, so a second crash
     /// redelivers each message once, not once per incarnation.
     pub unacked: BTreeMap<(u64, ChannelId, u64, u16), WireBytes>,
-    /// Dedup triples in append order, replayed oldest-first so the
-    /// restored sliding window evicts in the original order.
-    pub seen: Vec<(u64, u64, u16)>,
+    /// Noted frames as `(sender, seq, frag_index, frag_count)`, in append
+    /// order: replayed oldest-first, they rebuild the duplicate state the
+    /// live frames built.
+    pub seen: Vec<(u64, u64, u16, u16)>,
     /// Sequenced newest-wins watermarks: latest seq per `(channel,
     /// sender)`.
     pub watermarks: BTreeMap<(ChannelId, u64), u64>,
@@ -206,8 +230,8 @@ impl Journal {
     }
 
     /// Replays the synced prefix into the state a restarted process needs:
-    /// unacked Sent frames (redelivery obligations), the dedup window
-    /// content, sequenced watermarks, and the sequence floor. Pure — the
+    /// unacked Sent frames (redelivery obligations), the frames dedup
+    /// noted, sequenced watermarks, and the sequence floor. Pure — the
     /// journal is not consumed, so a second crash replays identically plus
     /// whatever the next incarnation appended.
     pub fn replay(&self) -> Recovered {
@@ -221,7 +245,10 @@ impl Journal {
                     rec.unacked.remove(&(*to, *channel, *seq, *frag_index));
                 }
                 JournalEntry::Seen { sender, seq, frag_index } => {
-                    rec.seen.push((*sender, *seq, *frag_index));
+                    rec.seen.push((*sender, *seq, *frag_index, 1));
+                }
+                JournalEntry::SeenFragment { sender, seq, frag_index, frag_count } => {
+                    rec.seen.push((*sender, *seq, *frag_index, *frag_count));
                 }
                 JournalEntry::Watermark { channel, sender, seq } => {
                     let w = rec.watermarks.entry((*channel, *sender)).or_insert(*seq);
@@ -381,6 +408,7 @@ mod tests {
         j.append(0, JournalEntry::Watermark { channel: ChannelId(3), sender: 1, seq: 9 });
         j.append(1, JournalEntry::Watermark { channel: ChannelId(3), sender: 1, seq: 4 });
         j.append(2, JournalEntry::Seen { sender: 1, seq: 9, frag_index: 0 });
+        j.append(2, JournalEntry::seen(1, 10, 2, 3));
         j.append(3, sent(2, 5));
         // A redelivery by a later incarnation overwrites the same key.
         j.append(
@@ -396,7 +424,7 @@ mod tests {
         let rec = j.replay();
         assert_eq!(rec.seq_floor, 64);
         assert_eq!(rec.watermarks[&(ChannelId(3), 1)], 9, "watermarks never regress");
-        assert_eq!(rec.seen, vec![(1, 9, 0)]);
+        assert_eq!(rec.seen, vec![(1, 9, 0, 1), (1, 10, 2, 3)]);
         assert_eq!(rec.unacked.len(), 1);
         assert_eq!(rec.unacked[&(2, ChannelId(1), 5, 0)].to_vec(), vec![0xEE]);
     }

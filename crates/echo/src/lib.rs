@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 mod adaptive;
+mod dedup;
 mod driver;
 pub mod frag;
 mod ingress;

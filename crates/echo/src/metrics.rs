@@ -68,6 +68,10 @@ pub(crate) struct SysMetrics {
     pub filtered: Arc<Counter>,
     pub derived_compiled: Arc<Counter>,
     pub dedup_dropped: Arc<Counter>,
+    /// `echo.dedup.beyond_window` — the part of `echo.dedup.dropped` the
+    /// horizon decided: frames `DEDUP_WINDOW` or more seqs behind the
+    /// newest noted from their sender.
+    pub dedup_beyond_window: Arc<Counter>,
     pub deadletters: Arc<DeadLetterBooks>,
     pub retry_enqueued: Arc<Counter>,
     pub retry_attempts: Arc<Counter>,
@@ -82,9 +86,9 @@ pub(crate) struct SysMetrics {
     pub crash_down: Arc<Counter>,
     pub crash_restarts: Arc<Counter>,
     /// `echo.crash.lost.*` — volatile state erased by crash amnesia:
-    /// dedup triples, sequenced watermarks, reassembly partials (each also
-    /// dead-letters as `crash_lost`), queued retry frames, and warm morph
-    /// decisions.
+    /// frames noted by dedup (capped at the window), sequenced watermarks,
+    /// reassembly partials (each also dead-letters as `crash_lost`), queued
+    /// retry frames, and warm morph decisions.
     pub crash_lost_dedup: Arc<Counter>,
     pub crash_lost_watermarks: Arc<Counter>,
     pub crash_lost_partials: Arc<Counter>,
@@ -163,6 +167,7 @@ impl SysMetrics {
             filtered: registry.counter("echo.events.filtered"),
             derived_compiled: registry.counter("echo.derived.compiled"),
             dedup_dropped: registry.counter("echo.dedup.dropped"),
+            dedup_beyond_window: registry.counter("echo.dedup.beyond_window"),
             deadletters: Arc::new(DeadLetterBooks::new(&registry)),
             retry_enqueued: registry.counter("echo.retry.enqueued"),
             retry_attempts: registry.counter("echo.retry.attempts"),
@@ -235,6 +240,9 @@ impl SysMetrics {
             // The frame announced a fresh sender incarnation (an explicit
             // resume handshake or any higher-epoch frame).
             self.epoch_resumed.inc();
+        }
+        if outcome.beyond_window {
+            self.dedup_beyond_window.inc();
         }
         if let Disposition::Reassembled(..) | Disposition::Rejected(_, 2..) = outcome.disposition {
             // A set completed (its message delivered or rejected): the

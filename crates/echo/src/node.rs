@@ -3,7 +3,7 @@
 //! whatever the process gives up on is filed by one routine,
 //! [`NodeState::dead_letter`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use morph::{
@@ -13,14 +13,11 @@ use morph::{
 use obs::{ActiveSpan, FlightRecorder, Histogram, HistogramFamily, TraceCtx, TraceId};
 use pbio::{Encoder, PlanStore, RecordFormat, Value, WireBytes};
 
+use crate::dedup::{Dedup, Noted};
 use crate::frag::{Fragment, Offer, PartialSet, ReassemblyBuffer};
 use crate::metrics::DeadLetterBooks;
 use crate::proto::{self, ChannelId, FrameError, MemberInfo, QosTier};
 use crate::EchoError;
-
-/// How many recently seen `(sender, seq, frag_index)` triples a node
-/// remembers for duplicate suppression.
-const DEDUP_WINDOW: usize = 4096;
 
 /// Default bound on in-progress fragment sets per channel.
 const REASSEMBLY_CAPACITY: usize = 32;
@@ -98,7 +95,8 @@ pub(crate) enum Disposition {
     /// trails the latest seen from its sender on this channel.
     Stale(ChannelId),
     /// Verified but already seen (duplicate suppression by sender seq and
-    /// fragment index).
+    /// fragment index), or beyond the dedup horizon
+    /// ([`FrameOutcome::beyond_window`]).
     Duplicate(u8, ChannelId),
     /// Refused by the epoch fence: the frame carries an epoch below the
     /// sender's known incarnation — it was in flight when its sender
@@ -126,15 +124,19 @@ pub(crate) struct FrameOutcome {
     /// This frame bumped the sender's known epoch — the sender restarted
     /// (an explicit resume handshake or any higher-epoch frame).
     pub resumed: bool,
+    /// A [`Disposition::Duplicate`] decided by the horizon alone: the
+    /// frame's seq is `DEDUP_WINDOW` or more behind the newest one noted
+    /// from its sender.
+    pub beyond_window: bool,
     /// For Reliable event frames that reached the receiver (handled,
     /// rejected, buffered, or recognized as a duplicate): the `(channel,
     /// seq, frag_index)` the sender may stop redelivering. The system
     /// folds it into the sender's journal as an ack.
     pub ack: Option<(ChannelId, u64, u16)>,
-    /// For Reliable event frames freshly noted in the dedup window: the
-    /// `(seq, frag_index)` a journaling receiver persists so the window
-    /// survives its own crash.
-    pub seen: Option<(u64, u16)>,
+    /// For Reliable event frames freshly noted by dedup: the `(seq,
+    /// frag_index, frag_count)` a journaling receiver persists so its
+    /// duplicate state survives its own crash.
+    pub seen: Option<(u64, u16, u16)>,
     /// For sequenced event frames that passed newest-wins: the `(channel,
     /// latest seq)` watermark after this frame — a journaling receiver
     /// persists it so newest-wins still suppresses pre-crash traffic after
@@ -146,7 +148,8 @@ pub(crate) struct FrameOutcome {
 /// `echo.crash.lost.*` accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AmnesiaReport {
-    /// Dedup triples forgotten.
+    /// Frames noted by dedup since the last amnesia, capped at the
+    /// window.
     pub dedup: usize,
     /// Sequenced newest-wins watermarks forgotten.
     pub watermarks: usize,
@@ -164,6 +167,7 @@ impl FrameOutcome {
             evicted_partials: 0,
             stale_partials: 0,
             resumed: false,
+            beyond_window: false,
             ack: None,
             seen: None,
             watermark: None,
@@ -203,13 +207,10 @@ pub(crate) struct NodeState {
     /// implicit resume. Volatile — cleared by crash amnesia (fencing is a
     /// receiver-freshness guard, not durable contract state).
     peer_epochs: HashMap<u64, u32>,
-    /// Recently seen incoming `(sender, seq, frag_index)` triples, for
-    /// duplicate suppression. Keyed per sender: two senders may
-    /// legitimately emit overlapping sequence numbers without suppressing
-    /// each other; fragments of one message share a seq and are told apart
-    /// by index.
-    seen_seqs: HashSet<(u64, u64, u16)>,
-    seen_order: VecDeque<(u64, u64, u16)>,
+    /// Duplicate suppression, per sender: two senders may legitimately
+    /// emit overlapping sequence numbers without suppressing each other;
+    /// fragments of one message share a seq and are told apart by index.
+    dedup: Dedup,
     /// `(capacity, timeout_ns)` of every channel's reassembly buffer.
     reassembly_limits: (usize, u64),
     /// Virtual time of the current dispatch round, stamped by the system
@@ -366,8 +367,7 @@ impl NodeState {
             next_seq: 0,
             epoch: 0,
             peer_epochs: HashMap::new(),
-            seen_seqs: HashSet::new(),
-            seen_order: VecDeque::new(),
+            dedup: Dedup::default(),
             reassembly_limits: (REASSEMBLY_CAPACITY, REASSEMBLY_TIMEOUT_NS),
             now_ns: 0,
             dlq,
@@ -410,22 +410,6 @@ impl NodeState {
         let s = self.next_seq;
         self.next_seq += 1;
         s
-    }
-
-    /// Records an incoming `(sender, seq, frag_index)` triple; returns
-    /// false if it was seen before (a duplicate from the same sender). The
-    /// memory is a bounded sliding window.
-    fn note_seq(&mut self, sender: u64, seq: u64, index: u16) -> bool {
-        if !self.seen_seqs.insert((sender, seq, index)) {
-            return false;
-        }
-        self.seen_order.push_back((sender, seq, index));
-        if self.seen_order.len() > DEDUP_WINDOW {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen_seqs.remove(&old);
-            }
-        }
-        true
     }
 
     /// Stamps the virtual time frames handled next will observe (the
@@ -484,7 +468,7 @@ impl NodeState {
     }
 
     /// Crash amnesia: drops every piece of volatile per-peer state — the
-    /// dedup window, sequenced watermarks, peer epochs, in-progress
+    /// duplicate state, sequenced watermarks, peer epochs, in-progress
     /// fragment sets (each dead-lettered as [`DeadReason::CrashLost`]),
     /// and the morph receivers' private decision caches (a shared system
     /// cache survives: it models state outside the process). Durable
@@ -495,9 +479,7 @@ impl NodeState {
     /// and braces). Returns what was lost, for the system's
     /// `echo.crash.lost.*` counters.
     pub fn crash_amnesia(&mut self) -> AmnesiaReport {
-        let dedup = self.seen_seqs.len();
-        self.seen_seqs.clear();
-        self.seen_order.clear();
+        let dedup = self.dedup.forget();
         self.peer_epochs.clear();
         let (mut watermarks, mut partials) = (0, 0u16);
         let mut decisions = self.control_rx.invalidate_decisions();
@@ -515,14 +497,13 @@ impl NodeState {
         AmnesiaReport { dedup, watermarks, partials, decisions }
     }
 
-    /// Replays journaled dedup triples into the (fresh) sliding window,
-    /// oldest first, restoring the receiver half of exactly-once.
-    pub fn restore_seen(&mut self, triples: &[(u64, u64, u16)]) -> usize {
+    /// Replays journaled `(sender, seq, frag_index, frag_count)` notes into
+    /// the (fresh) duplicate state, oldest first, restoring the receiver
+    /// half of exactly-once. Returns how many were fresh.
+    pub fn restore_seen(&mut self, seen: &[(u64, u64, u16, u16)]) -> usize {
         let mut restored = 0;
-        for &(sender, seq, index) in triples {
-            if self.note_seq(sender, seq, index) {
-                restored += 1;
-            }
+        for &(sender, seq, index, count) in seen {
+            restored += usize::from(self.dedup.note(sender, seq, index, count) == Noted::Fresh);
         }
         restored
     }
@@ -832,17 +813,19 @@ impl NodeState {
         if resumed {
             self.peer_epochs.insert(sender, frame.epoch);
         }
-        let mut outcome = if self.note_seq(sender, frame.seq, frame.frag_index) {
+        let noted = self.dedup.note(sender, frame.seq, frame.frag_index, frame.frag_count);
+        let mut outcome = if noted == Noted::Fresh {
             self.dispatch(sender, bytes, &frame, trace, slot)
         } else {
             self.trace_instant(&trace, "echo.dedup");
-            FrameOutcome::settled(Disposition::Duplicate(frame.kind, frame.channel))
+            let duplicate = Disposition::Duplicate(frame.kind, frame.channel);
+            let beyond_window = noted == Noted::BeyondWindow;
+            FrameOutcome { beyond_window, ..FrameOutcome::settled(duplicate) }
         };
         outcome.resumed = resumed;
         // Receiver-side recovery bookkeeping for Reliable event frames:
         // `ack` names the (channel, seq, frag) the sender may stop
-        // redelivering; `seen` is the dedup triple a journaling receiver
-        // persists.
+        // redelivering; `seen` is the note a journaling receiver persists.
         if frame.kind == proto::FRAME_EVENT && frame.qos == QosTier::Reliable {
             let key = (frame.channel, frame.seq, frame.frag_index);
             match outcome.disposition {
@@ -851,7 +834,7 @@ impl NodeState {
                 | Disposition::Rejected(..)
                 | Disposition::FragmentBuffered(_) => {
                     outcome.ack = Some(key);
-                    outcome.seen = Some((frame.seq, frame.frag_index));
+                    outcome.seen = Some((frame.seq, frame.frag_index, frame.frag_count));
                 }
                 // A duplicate still discharges the sender's redelivery
                 // obligation — the message already arrived once.
@@ -962,9 +945,9 @@ impl NodeState {
                         &reassembled[..]
                     }
                     Offer::Buffered => break 'event Disposition::FragmentBuffered(channel),
-                    // The dedup window already suppresses true duplicates;
-                    // a part landing twice past the window is treated the
-                    // same way.
+                    // Dedup already suppresses duplicates inside its
+                    // horizon; a part reaching the buffer twice anyway is
+                    // treated the same way.
                     Offer::DuplicatePart => {
                         break 'event Disposition::Duplicate(frame.kind, channel)
                     }
@@ -1169,30 +1152,62 @@ mod tests {
     }
 
     #[test]
-    fn dedup_window_is_bounded_and_forgets_oldest_pairs() {
+    fn a_replay_beyond_the_horizon_is_a_duplicate() {
         let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
-        assert!(matches!(
-            node.handle_frame(0, &event_frame(0)).disposition,
-            Disposition::Rejected(..)
-        ));
-        // Flood the window with fresh pairs until the first is evicted.
-        for seq in 1..=(DEDUP_WINDOW as u64) {
-            assert!(matches!(
-                node.handle_frame(0, &event_frame(seq)).disposition,
-                Disposition::Rejected(..)
-            ));
+        let window = crate::dedup::DEDUP_WINDOW;
+        for seq in 0..=window {
+            let out = node.handle_frame(0, &event_frame(seq));
+            assert!(matches!(out.disposition, Disposition::Rejected(..)));
         }
-        // The oldest pair fell out of the sliding window: a replay of it is
-        // no longer recognized (bounded memory trades off replay horizon).
-        assert!(matches!(
-            node.handle_frame(0, &event_frame(0)).disposition,
-            Disposition::Rejected(..)
-        ));
-        // A recent pair is still remembered.
-        assert!(matches!(
-            node.handle_frame(0, &event_frame(DEDUP_WINDOW as u64)).disposition,
-            Disposition::Duplicate(..)
-        ));
+        // Seq 0 is a whole window behind the newest seq from its sender:
+        // the horizon drops it, whatever became of it before.
+        let old = node.handle_frame(0, &event_frame(0));
+        assert!(matches!(old.disposition, Disposition::Duplicate(..)));
+        assert!(old.beyond_window);
+        // Seq 1 is one short of the horizon: dropped because it was noted.
+        let recent = node.handle_frame(0, &event_frame(1));
+        assert!(matches!(recent.disposition, Disposition::Duplicate(..)));
+        assert!(!recent.beyond_window);
+    }
+
+    #[test]
+    fn seqs_at_the_top_of_the_range_do_not_overflow() {
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let mut decide = |seq| node.handle_frame(0, &event_frame(seq));
+        assert!(matches!(decide(u64::MAX).disposition, Disposition::Rejected(..)));
+        assert!(matches!(decide(u64::MAX - 1).disposition, Disposition::Rejected(..)));
+        assert!(matches!(decide(u64::MAX).disposition, Disposition::Duplicate(..)));
+        assert!(matches!(decide(u64::MAX - 1).disposition, Disposition::Duplicate(..)));
+        let wrapped = decide(0);
+        assert!(matches!(wrapped.disposition, Disposition::Duplicate(..)));
+        assert!(wrapped.beyond_window, "seq 0 is far below the newest, u64::MAX");
+    }
+
+    #[test]
+    fn two_senders_with_interleaved_gaps_keep_separate_windows() {
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let fresh = |d: Disposition| matches!(d, Disposition::Rejected(..));
+        let duplicate = |d: Disposition| matches!(d, Disposition::Duplicate(..));
+        // Sender 0 sends the even seqs, sender 1 every third: the gaps are
+        // other destinations' seqs, and neither sender's floor passes them.
+        for seq in 0..30 {
+            if seq % 2 == 0 {
+                assert!(fresh(node.handle_frame(0, &event_frame(seq)).disposition));
+            }
+            if seq % 3 == 0 {
+                assert!(fresh(node.handle_frame(1, &event_frame(seq)).disposition));
+            }
+        }
+        for seq in 0..30 {
+            let (a, b) = (&event_frame(seq), &event_frame(seq));
+            assert_eq!(duplicate(node.handle_frame(0, a).disposition), seq % 2 == 0, "{seq}");
+            assert_eq!(duplicate(node.handle_frame(1, b).disposition), seq % 3 == 0, "{seq}");
+        }
+        // The second pass noted every gap: both windows are now whole.
+        for seq in 0..30 {
+            assert!(duplicate(node.handle_frame(0, &event_frame(seq)).disposition));
+            assert!(duplicate(node.handle_frame(1, &event_frame(seq)).disposition));
+        }
     }
 
     fn frag_frame(qos: QosTier, seq: u64, index: u16, count: u16, payload: &[u8]) -> WireBytes {
@@ -1376,15 +1391,15 @@ mod tests {
         assert_eq!(report.partials, 1);
         assert_eq!(node.reassembly_depth(), 0);
         assert_eq!(node.dead_letters().count(DeadReason::CrashLost), 1);
-        // The window is gone: a replay of seq 7 reads as fresh traffic —
-        // which is exactly why exactly-once needs the journaled window.
+        // The state is gone: a replay of seq 7 reads as fresh traffic —
+        // which is exactly why exactly-once needs the journaled notes.
         assert!(matches!(
             node.handle_frame(0, &event_frame(7)).disposition,
             Disposition::Rejected(..)
         ));
-        // Restoring the journaled triples brings suppression back.
+        // Restoring the journaled notes brings suppression back.
         node.crash_amnesia();
-        assert_eq!(node.restore_seen(&[(0, 7, 0), (0, 3, 0)]), 2);
+        assert_eq!(node.restore_seen(&[(0, 7, 0, 1), (0, 3, 0, 2)]), 2);
         assert!(matches!(
             node.handle_frame(0, &event_frame(7)).disposition,
             Disposition::Duplicate(..)

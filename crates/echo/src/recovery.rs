@@ -36,7 +36,7 @@ impl EchoSystem {
     fn crash_node(&mut self, idx: usize) {
         self.metrics.crash_down.inc();
         self.journals.crash(idx);
-        // Amnesia inside the node: dedup window, sequenced watermarks,
+        // Amnesia inside the node: duplicate state, sequenced watermarks,
         // peer epochs, reassembly partials (each dead-lettered there),
         // and warm morph decisions.
         let report = self.nodes[idx].crash_amnesia();
@@ -79,7 +79,7 @@ impl EchoSystem {
     fn restart_node(&mut self, idx: usize) {
         self.metrics.crash_restarts.inc();
         let epoch = self.nodes[idx].bump_epoch();
-        // Replay the synced prefix: receiver-side dedup window and
+        // Replay the synced prefix: receiver-side duplicate state and
         // watermarks, the sequence floor, and the redelivery obligations.
         let mut redeliveries = Vec::new();
         if let Some(rec) = self.journals.replay(idx) {

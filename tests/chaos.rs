@@ -101,6 +101,15 @@ fn assert_dead_letter_books(sys: &EchoSystem, procs: &[ProcessId]) {
     }
 }
 
+/// The dedup horizon never decided anything: no frame arrived a whole
+/// window (`echo.dedup.beyond_window`) behind the newest seq its receiver
+/// had noted from its sender — every duplicate dropped was one the
+/// receiver had noted, so no scenario reorders or replays past the window.
+fn assert_horizon_unreached(sys: &EchoSystem) {
+    let beyond = sys.registry().snapshot().counter("echo.dedup.beyond_window");
+    assert_eq!(beyond, Some(0), "echo.dedup.beyond_window");
+}
+
 fn tick_format() -> Arc<RecordFormat> {
     FormatBuilder::record("Tick").int("n").build_arc().unwrap()
 }
@@ -250,6 +259,7 @@ fn run_interop_chaos(seed: u64) -> InteropRun {
     let v2_events = per_sink.pop().unwrap();
     let v1_events = per_sink.pop().unwrap();
     assert_dead_letter_books(&sys, &[creator, publisher, v1_sink, v2_sink]);
+    assert_horizon_unreached(&sys);
     dump_system("interop", seed, &sys, &[creator, publisher, v1_sink, v2_sink]);
     InteropRun {
         snapshot: snap.to_text(),
@@ -416,6 +426,7 @@ fn run_partition_heal(seed: u64) -> String {
     assert_eq!(counter("echo.retry.giveup"), 0);
     assert!(counter("echo.retry.attempts") >= PARTITION_EVENTS);
     assert_dead_letter_books(&sys, &[creator, publisher, sink]);
+    assert_horizon_unreached(&sys);
     dump_system("partition_heal", seed, &sys, &[creator, publisher, sink]);
     snap.to_text()
 }
@@ -468,6 +479,7 @@ fn exhausted_retry_budget_quarantines_at_the_sender() {
     assert_eq!(snap.counter("echo.retry.giveup"), Some(1));
     assert_eq!(snap.counter("echo.deadletter.retry_exhausted"), Some(1));
     assert_dead_letter_books(&sys, &[creator, publisher, sink]);
+    assert_horizon_unreached(&sys);
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,6 +1061,7 @@ fn run_fragmentation_chaos(seed: u64) -> FragRun {
     }
 
     assert_dead_letter_books(&sys, &[creator, publisher, sink]);
+    assert_horizon_unreached(&sys);
     dump_system("fragmentation", seed, &sys, &[creator, publisher, sink]);
     FragRun {
         snapshot: snap.to_text(),
@@ -1199,6 +1212,7 @@ fn run_overload_chaos(seed: u64) -> OverloadRun {
     assert_eq!(shed_letters, shed, "seed {seed:#x}: every shed frame quarantines at the sender");
 
     assert_dead_letter_books(&sys, &[creator, publisher, sink]);
+    assert_horizon_unreached(&sys);
     dump_system("overload", seed, &sys, &[creator, publisher, sink]);
     OverloadRun { snapshot: snap.to_text(), chrome, delivered, tightened, relaxed, shed }
 }
@@ -1427,6 +1441,7 @@ fn run_crash_restart_storm(seed: u64) -> StormRun {
     assert_eq!(delta("echo.deadletter.stale_epoch"), fenced);
 
     assert_dead_letter_books(&sys, &[creator, publisher, sink]);
+    assert_horizon_unreached(&sys);
     dump_system("crash_restart_storm", seed, &sys, &[creator, publisher, sink]);
     StormRun {
         snapshot: snap.to_text(),

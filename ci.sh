@@ -3,7 +3,8 @@
 # dependencies, so everything up to the bench step runs with no network
 # access: format, lints, docs, every test, the chaos seed matrix, the
 # seeded sharded-runtime scenario, the pbio and meta-data mutation loops,
-# the dedup window's oracle test on a fresh seed,
+# the dedup window's oracle test and the fragment reassembly model test on
+# fresh seeds,
 # the smoke examples, the three bench examples (fanout_bench gated; monitor_bench
 # and crash_recovery's overhead ratio reported, not gated) and the
 # benchmark self-check. The bench harness is a separate workspace (crates/bench) whose
@@ -98,6 +99,17 @@ dedup=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$dedup" ] || dedup=$(date +%s)
 echo "    DEDUP_SEED=$dedup cargo test -q -p echo --lib dedup::tests::window_matches"
 DEDUP_SEED="$dedup" cargo test -q -p echo --lib dedup::tests::window_matches
+
+echo "==> fragment reassembly against its model, fresh seed (the test step above ran the fixed one)"
+# Seeded offers — duplicated and out-of-order parts, indices past the count,
+# counts that change mid-set, sets that never complete — with sweeps,
+# newest-wins purges and crash drains against a small capacity, decided by
+# the buffer and by a brute-force model. A failure here reproduces with the
+# printed command.
+frag=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$frag" ] || frag=$(date +%s)
+echo "    FRAG_SEED=$frag cargo test -q -p echo --lib frag::tests::buffer_matches"
+FRAG_SEED="$frag" cargo test -q -p echo --lib frag::tests::buffer_matches
 
 echo "==> examples (offline smoke runs; each asserts its own output)"
 for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump \

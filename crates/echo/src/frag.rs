@@ -93,24 +93,40 @@ pub struct PartialSet {
     pub first_at_ns: u64,
 }
 
+/// One in-progress fragment set. Its memory follows what arrived, not what
+/// the first fragment claimed: the parts received, in arrival order, and a
+/// bitmap of `count` bits saying which indices those are.
 #[derive(Debug)]
 struct Entry {
     sender: u64,
     seq: u64,
     count: u16,
-    received: u16,
-    parts: Vec<Option<WireBytes>>,
+    parts: Vec<(u16, WireBytes)>,
+    seen: Vec<u64>,
     first_at_ns: u64,
     trace: Option<u64>,
     frame: WireBytes,
 }
 
 impl Entry {
+    fn received(&self) -> u16 {
+        // At most `count` parts, a `u16`.
+        self.parts.len() as u16
+    }
+
+    /// Marks `index` as received; false when it already was.
+    fn mark(&mut self, index: u16) -> bool {
+        let (word, bit) = (usize::from(index / 64), 1u64 << (index % 64));
+        let fresh = self.seen[word] & bit == 0;
+        self.seen[word] |= bit;
+        fresh
+    }
+
     fn into_partial(self) -> PartialSet {
         PartialSet {
             sender: self.sender,
             seq: self.seq,
-            received: self.received,
+            received: self.received(),
             count: self.count,
             trace: self.trace,
             frame: self.frame,
@@ -187,19 +203,19 @@ impl ReassemblyBuffer {
             if frag.count != entry.count {
                 return (Offer::Mismatch, Vec::new());
             }
-            let slot = &mut entry.parts[usize::from(frag.index)];
-            if slot.is_some() {
+            if !entry.mark(frag.index) {
                 return (Offer::DuplicatePart, Vec::new());
             }
-            *slot = Some(frag.bytes);
-            entry.received += 1;
-            if entry.received == entry.count {
-                let done = self.entries.remove(pos).expect("position just found");
-                let total: usize =
-                    done.parts.iter().map(|p| p.as_ref().expect("all parts present").len()).sum();
+            entry.parts.push((frag.index, frag.bytes));
+            if entry.received() == entry.count {
+                let mut done = self.entries.remove(pos).expect("position just found");
+                // Every index below `count` arrived once: sorted, they are
+                // the message in order.
+                done.parts.sort_unstable_by_key(|&(index, _)| index);
+                let total = done.parts.iter().map(|(_, part)| part.len()).sum();
                 let mut payload = Vec::with_capacity(total);
-                for part in &done.parts {
-                    payload.extend_from_slice(part.as_ref().expect("all parts present"));
+                for (_, part) in &done.parts {
+                    payload.extend_from_slice(part);
                 }
                 return (Offer::Complete(WireBytes::from(payload)), Vec::new());
             }
@@ -211,18 +227,18 @@ impl ReassemblyBuffer {
             let oldest = self.entries.pop_front().expect("len checked above");
             evicted.push(oldest.into_partial());
         }
-        let mut parts: Vec<Option<WireBytes>> = vec![None; usize::from(frag.count)];
-        parts[usize::from(frag.index)] = Some(frag.bytes);
-        self.entries.push_back(Entry {
+        let mut entry = Entry {
             sender,
             seq,
             count: frag.count,
-            received: 1,
-            parts,
+            parts: vec![(frag.index, frag.bytes)],
+            seen: vec![0; usize::from(frag.count).div_ceil(64)],
             first_at_ns: now_ns,
             trace,
             frame,
-        });
+        };
+        entry.mark(frag.index);
+        self.entries.push_back(entry);
         (Offer::Buffered, evicted)
     }
 
@@ -268,6 +284,10 @@ impl ReassemblyBuffer {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use simnet::XorShift64;
+
     use super::*;
 
     fn payload(n: usize) -> WireBytes {
@@ -395,5 +415,215 @@ mod tests {
         assert_eq!(purged.len(), 1, "only sender 1's older set goes");
         assert_eq!((purged[0].sender, purged[0].seq), (1, 5));
         assert_eq!(buf.len(), 2, "sender 1 seq 9 and sender 2 seq 3 survive");
+    }
+
+    /// The seed of [`buffer_matches_a_brute_force_model`]: `FRAG_SEED`, or
+    /// a fixed one.
+    fn seed() -> u64 {
+        match std::env::var("FRAG_SEED") {
+            Ok(v) => v.parse().unwrap_or_else(|_| panic!("FRAG_SEED {v:?} is not a u64")),
+            Err(_) => 31,
+        }
+    }
+
+    /// One set as the model keeps it: every part by index, in a map.
+    struct ModelSet {
+        sender: u64,
+        seq: u64,
+        count: u16,
+        parts: BTreeMap<u16, Vec<u8>>,
+        first_at_ns: u64,
+        trace: Option<u64>,
+        frame: Vec<u8>,
+    }
+
+    /// What the buffer promises, kept the slow way: sets in arrival order,
+    /// each a map from index to bytes, scanned in full on every call.
+    struct Model {
+        capacity: usize,
+        timeout_ns: u64,
+        sets: Vec<ModelSet>,
+    }
+
+    /// A partial set as both sides report it.
+    type Partial = (u64, u64, u16, u16, Option<u64>, Vec<u8>, u64);
+
+    fn partial(p: &PartialSet) -> Partial {
+        (p.sender, p.seq, p.received, p.count, p.trace, p.frame.to_vec(), p.first_at_ns)
+    }
+
+    fn model_partial(s: ModelSet) -> Partial {
+        let received = s.parts.len() as u16;
+        (s.sender, s.seq, received, s.count, s.trace, s.frame, s.first_at_ns)
+    }
+
+    /// An offer's outcome as both sides report it: the reassembled bytes
+    /// of a completion, or the kind of any other outcome.
+    fn outcome(offer: &Offer) -> (u8, Vec<u8>) {
+        match offer {
+            Offer::Complete(bytes) => (0, bytes.to_vec()),
+            Offer::Buffered => (1, Vec::new()),
+            Offer::DuplicatePart => (2, Vec::new()),
+            Offer::Mismatch => (3, Vec::new()),
+        }
+    }
+
+    impl Model {
+        #[allow(clippy::too_many_arguments)]
+        fn offer(
+            &mut self,
+            sender: u64,
+            seq: u64,
+            (index, count): (u16, u16),
+            bytes: &[u8],
+            frame: &[u8],
+            trace: Option<u64>,
+            now_ns: u64,
+        ) -> ((u8, Vec<u8>), Vec<Partial>) {
+            if count <= 1 {
+                return ((0, bytes.to_vec()), Vec::new());
+            }
+            if index >= count {
+                return ((3, Vec::new()), Vec::new());
+            }
+            if let Some(at) = self.sets.iter().position(|s| (s.sender, s.seq) == (sender, seq)) {
+                let set = &mut self.sets[at];
+                if set.count != count {
+                    return ((3, Vec::new()), Vec::new());
+                }
+                if set.parts.contains_key(&index) {
+                    return ((2, Vec::new()), Vec::new());
+                }
+                set.parts.insert(index, bytes.to_vec());
+                if set.parts.len() == usize::from(count) {
+                    let done = self.sets.remove(at);
+                    return ((0, done.parts.into_values().flatten().collect()), Vec::new());
+                }
+                return ((1, Vec::new()), Vec::new());
+            }
+            let mut evicted = Vec::new();
+            while self.sets.len() >= self.capacity {
+                evicted.push(model_partial(self.sets.remove(0)));
+            }
+            self.sets.push(ModelSet {
+                sender,
+                seq,
+                count,
+                parts: BTreeMap::from([(index, bytes.to_vec())]),
+                first_at_ns: now_ns,
+                trace,
+                frame: frame.to_vec(),
+            });
+            ((1, Vec::new()), evicted)
+        }
+
+        fn take(&mut self, mut gone: impl FnMut(&ModelSet) -> bool) -> Vec<Partial> {
+            let (out, kept) = std::mem::take(&mut self.sets).into_iter().partition(|s| gone(s));
+            self.sets = kept;
+            out.into_iter().map(model_partial).collect()
+        }
+
+        fn sweep(&mut self, now_ns: u64) -> Vec<Partial> {
+            // Only a prefix of sets old enough goes: arrival order is age order.
+            let old = self
+                .sets
+                .iter()
+                .take_while(|s| now_ns.saturating_sub(s.first_at_ns) >= self.timeout_ns)
+                .count();
+            self.sets.drain(..old).map(model_partial).collect()
+        }
+    }
+
+    /// Seeded streams of fragment offers — 1–3 senders, sets of 2–9 parts
+    /// and now and then a count of thousands, parts duplicated (with other
+    /// bytes), out of order, past the count, with a count that changes
+    /// mid-set, and sets that never complete — interleaved with sweeps on an
+    /// advancing clock, newest-wins purges and crash drains, against a
+    /// small capacity: the buffer and the brute-force model agree on every
+    /// outcome, every evicted, expired, purged and drained set, and the
+    /// number of sets held. Every set holds one part per fragment received
+    /// and a bitmap of its count in bits, nothing more.
+    #[test]
+    fn buffer_matches_a_brute_force_model() {
+        let seed = seed();
+        eprintln!("FRAG_SEED={seed}");
+        let mut rng = XorShift64::new(seed);
+        let (mut completed, mut evicted, mut expired) = (0, 0, 0);
+        for case in 0..64 {
+            let capacity = 1 + rng.below(6) as usize;
+            let timeout_ns = 20 + rng.below(200);
+            let mut buf = ReassemblyBuffer::new(capacity, timeout_ns);
+            let mut model = Model { capacity, timeout_ns, sets: Vec::new() };
+            let mut now = 0u64;
+            let mut counts: BTreeMap<(u64, u64), u16> = BTreeMap::new();
+            for step in 0..200 {
+                let what = format!("FRAG_SEED={seed} case {case} step {step}");
+                now += rng.below(20);
+                match rng.below(40) {
+                    0..=3 => {
+                        let got: Vec<Partial> = buf.sweep(now).iter().map(partial).collect();
+                        expired += got.len();
+                        assert_eq!(got, model.sweep(now), "{what}: sweep");
+                    }
+                    4 => {
+                        let (sender, seq) = (rng.below(3), rng.below(6));
+                        let got: Vec<Partial> =
+                            buf.purge_below(sender, seq).iter().map(partial).collect();
+                        let want = model.take(|s| s.sender == sender && s.seq < seq);
+                        assert_eq!(got, want, "{what}: purge_below");
+                    }
+                    5 => {
+                        let got: Vec<Partial> = buf.drain_all().iter().map(partial).collect();
+                        assert_eq!(got, model.take(|_| true), "{what}: drain_all");
+                    }
+                    _ => {
+                        let (sender, seq) = (rng.below(3), rng.below(6));
+                        let count =
+                            *counts.entry((sender, seq)).or_insert_with(|| match rng.below(10) {
+                                0 => 1,
+                                1 => 1000 + rng.below(64_000) as u16,
+                                _ => 2 + rng.below(8) as u16,
+                            });
+                        // Now and then a count that contradicts the set's,
+                        // or an index at or past it.
+                        let count = if rng.below(12) == 0 { count + 1 } else { count };
+                        let index = match rng.below(12) {
+                            0 => count.saturating_add(rng.below(3) as u16),
+                            _ => rng.below(u64::from(count.min(10))) as u16,
+                        };
+                        let bytes: Vec<u8> =
+                            (0..rng.below(6)).map(|_| rng.next_u64() as u8).collect();
+                        let frame: Vec<u8> = vec![index as u8, count as u8, step as u8];
+                        let trace = (rng.below(2) == 0).then(|| rng.next_u64());
+                        let frag = Fragment { index, count, bytes: WireBytes::from(bytes.clone()) };
+                        let (offer, gone) = buf.offer(
+                            sender,
+                            seq,
+                            frag,
+                            WireBytes::from(frame.clone()),
+                            trace,
+                            now,
+                        );
+                        let want =
+                            model.offer(sender, seq, (index, count), &bytes, &frame, trace, now);
+                        let got = (outcome(&offer), gone.iter().map(partial).collect());
+                        assert_eq!(got, want, "{what}: offer {index}/{count} of {sender}:{seq}");
+                        completed += usize::from(matches!(offer, Offer::Complete(_)) && count > 1);
+                        evicted += gone.len();
+                    }
+                }
+                assert_eq!(buf.len(), model.sets.len(), "{what}: sets held");
+                for e in &buf.entries {
+                    assert_eq!(e.seen.len(), usize::from(e.count).div_ceil(64), "{what}: bitmap");
+                    let set = model.sets.iter().find(|s| (s.sender, s.seq) == (e.sender, e.seq));
+                    assert_eq!(e.parts.len(), set.map_or(0, |s| s.parts.len()), "{what}: parts");
+                }
+            }
+        }
+        assert!(completed > 20, "FRAG_SEED={seed}: {completed} sets completed");
+        assert!(
+            evicted > 20 && expired > 0,
+            "FRAG_SEED={seed}: {evicted} evicted, {expired} expired"
+        );
     }
 }

@@ -30,7 +30,7 @@ use pbio::format_id;
 
 use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RFnCode, RInsn};
 use crate::error::{EcodeError, Result};
-use crate::rvm::{self, RunStats, VmScratch};
+use crate::rvm::{self, Routed, RunStats, ViewRoutes, VmScratch};
 use crate::tast::Binding;
 use crate::EcodeProgram;
 use pbio::Value;
@@ -206,6 +206,40 @@ impl FusedProgram {
         scratch: &mut VmScratch,
     ) -> Result<RunStats> {
         let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel, scratch)?;
+        Ok(stats)
+    }
+
+    /// Compiles every path along which the program reads root 0 against
+    /// `plan` — the identity or projected plan that will index its messages
+    /// ([`pbio::ConversionPlan::index`]) — for [`FusedProgram::run_view`].
+    /// Once per plan: a route is the lookup a read would otherwise make in
+    /// the plan, per message.
+    pub fn routes(&self, plan: &pbio::ConversionPlan) -> ViewRoutes {
+        ViewRoutes::compile(&self.rcode, plan)
+    }
+
+    /// [`FusedProgram::run_register_with`] reading the incoming message in
+    /// place: `view` is root 0 — the message as
+    /// [`pbio::ConversionPlan::index`] left it, read along `routes` compiled
+    /// against the same plan — and `roots` holds the rest, one default
+    /// record per step's target format; the last receives the final value.
+    /// No tree of the incoming message is built. Values, roots and errors
+    /// are those of a run on the message as that plan decodes it.
+    ///
+    /// # Errors
+    ///
+    /// As [`FusedProgram::run_register_with`]; a program that writes root 0
+    /// fails at that instruction.
+    pub fn run_view(
+        &self,
+        view: &pbio::WireView<'_>,
+        routes: &ViewRoutes,
+        roots: &mut [Value],
+        fuel: u64,
+        scratch: &mut VmScratch,
+    ) -> Result<RunStats> {
+        let view = Routed { view, routes };
+        let (_, stats) = rvm::run_view(&self.rcode, &self.bindings, &view, roots, fuel, scratch)?;
         Ok(stats)
     }
 

@@ -64,7 +64,7 @@ pub use error::{EcodeError, Pos, Result};
 pub use fuse::{root_used_fields, FusedProgram};
 pub use lexer::{lex, Spanned, Tok};
 pub use parser::parse;
-pub use rvm::{RunStats, VmScratch};
+pub use rvm::{RunStats, ViewRoutes, VmScratch};
 pub use tast::{Binding, TProgram, Ty};
 
 /// Compiler for Ecode programs: binds root records, then compiles source.

@@ -10,6 +10,11 @@
 //! `Vec<Value>`; user-function calls open a fresh window at the top
 //! (Lua-style), with arguments cloned into the callee's low registers.
 //!
+//! Root 0 — the incoming message — is read either from a decoded value or
+//! in place from the wire ([`pbio::WireView`], along routes compiled once
+//! per plan); the dispatch loop is one, compiled once for each way of
+//! reading it.
+//!
 //! The tree-walking interpreter (`interp.rs`) is the semantic reference:
 //! differential tests hold this engine to its return values, final roots,
 //! error strings and the partial state an error leaves behind.
@@ -184,13 +189,104 @@ fn farith(op: ArithOp, a: f64, b: f64) -> f64 {
     }
 }
 
-/// Navigates a fused path for reading; returns a reference to the value.
-fn nav<'v>(roots: &'v [Value], root: u8, segs: &[CSeg], idx: &[usize]) -> Result<&'v Value> {
-    let from = roots.get(root as usize).ok_or_else(|| rt_err(format!("no root #{root}")))?;
-    nav_from(from, segs, idx)
+/// Where in a program a read happens: instruction `pc`, and for a copy
+/// row its entry (for a `BatchCopy`, 0 for the array and 1 for its
+/// elements). A message read in place keys its compiled routes by it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Site {
+    pub(crate) pc: usize,
+    pub(crate) entry: usize,
 }
 
-/// [`nav`] below an already resolved root record.
+/// A root the VM reads and never writes: the decoded tree ([`Value`]), or
+/// a message read in place ([`Routed`]).
+///
+/// A read writes its value into the slot it is for — a register, a field
+/// of the record a row builds — rather than returning it: a value built from
+/// the wire and then moved through the stack is stored piece by piece and
+/// reloaded whole, and that reload stalls.
+pub(crate) trait Source {
+    /// The value at `segs` (subscripts from `idx`), into `out`; `out` is
+    /// left alone when the read fails.
+    fn load_into(&self, at: Site, segs: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()>;
+    /// The length of the array at `segs`; `None` when no array is there.
+    fn len_of(&self, at: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>>;
+    /// Elements `start..start + out.len()` of the array at the static path
+    /// `segs`, into `out`; the caller checked the range against the length.
+    fn read_range(&self, at: Site, segs: &[CSeg], start: usize, out: &mut [Value]) -> Result<()>;
+}
+
+impl Source for Value {
+    #[inline(always)]
+    fn load_into(&self, _: Site, segs: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()> {
+        *out = nav_from(self, segs, idx)?.clone();
+        Ok(())
+    }
+
+    #[inline]
+    fn len_of(&self, _: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
+        Ok(nav_from(self, segs, idx)?.as_array().map(<[Value]>::len))
+    }
+
+    fn read_range(&self, _: Site, segs: &[CSeg], start: usize, out: &mut [Value]) -> Result<()> {
+        let arr = nav_from(self, segs, &[])?.as_array().unwrap_or_default();
+        let end = start + out.len();
+        let src = arr
+            .get(start..end)
+            .ok_or_else(|| rt_err(format!("array index {end} out of bounds")))?;
+        out.clone_from_slice(src);
+        Ok(())
+    }
+}
+
+/// The incoming message read in place: its view, and the program's reads
+/// of it compiled against the plan that indexed it.
+pub(crate) struct Routed<'a> {
+    pub(crate) view: &'a pbio::WireView<'a>,
+    pub(crate) routes: &'a ViewRoutes,
+}
+
+impl Routed<'_> {
+    #[inline(always)]
+    fn route(&self, at: Site) -> Result<&pbio::Route> {
+        self.routes.get(at).ok_or_else(|| rt_err(format!("no route for instruction {}", at.pc)))
+    }
+}
+
+impl Source for Routed<'_> {
+    #[inline(always)]
+    fn load_into(&self, at: Site, _: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()> {
+        self.view.get_into(self.route(at)?, idx, out).map_err(miss)
+    }
+
+    #[inline]
+    fn len_of(&self, at: Site, _: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
+        self.view.len(self.route(at)?, idx).map_err(miss)
+    }
+
+    fn read_range(&self, at: Site, _: &[CSeg], start: usize, out: &mut [Value]) -> Result<()> {
+        let elements = self.route(Site { entry: 1, ..at })?;
+        for (k, slot) in (start..).zip(out.iter_mut()) {
+            self.view.get_into(elements, &[k], slot).map_err(miss)?;
+        }
+        Ok(())
+    }
+}
+
+/// A read that could not follow its path, as the tree walk reports it.
+fn miss(m: pbio::Miss) -> EcodeError {
+    match m {
+        pbio::Miss::OutOfBounds { index, len } => {
+            rt_err(format!("array index {index} out of bounds (len {len})"))
+        }
+        pbio::Miss::NotArray => rt_err("path index applied to a non-array value"),
+        pbio::Miss::NoField => rt_err("path field does not resolve to a record slot"),
+        pbio::Miss::Unchecked => rt_err("the message read in place does not fit its plan"),
+    }
+}
+
+/// Walks a fused path for reading below a root record.
+#[inline]
 fn nav_from<'v>(mut cur: &'v Value, segs: &[CSeg], idx: &[usize]) -> Result<&'v Value> {
     let mut it = idx.iter();
     for seg in segs {
@@ -213,6 +309,222 @@ fn nav_from<'v>(mut cur: &'v Value, segs: &[CSeg], idx: &[usize]) -> Result<&'v 
         }
     }
     Ok(cur)
+}
+
+/// A root to read: one of the value roots, or the one read in place.
+enum Src<'a, V: ?Sized> {
+    Tree(&'a Value),
+    View(&'a V),
+}
+
+impl<V: ?Sized> Clone for Src<'_, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V: ?Sized> Copy for Src<'_, V> {}
+
+impl<V: Source + ?Sized> Src<'_, V> {
+    #[inline(always)]
+    fn load_into(self, at: Site, segs: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()> {
+        match self {
+            Src::Tree(v) => v.load_into(at, segs, idx, out),
+            Src::View(v) => v.load_into(at, segs, idx, out),
+        }
+    }
+
+    #[inline]
+    fn len_of(self, at: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
+        match self {
+            Src::Tree(v) => v.len_of(at, segs, idx),
+            Src::View(v) => v.len_of(at, segs, idx),
+        }
+    }
+
+    fn read_range(self, at: Site, segs: &[CSeg], start: usize, out: &mut [Value]) -> Result<()> {
+        match self {
+            Src::Tree(v) => v.read_range(at, segs, start, out),
+            Src::View(v) => v.read_range(at, segs, start, out),
+        }
+    }
+}
+
+/// A fused program's reads of root 0, each path compiled against the plan
+/// that indexes its messages ([`pbio::ConversionPlan::route`]): what
+/// [`FusedProgram::run_view`](crate::FusedProgram::run_view) reads through.
+/// Build once per plan with
+/// [`FusedProgram::routes`](crate::FusedProgram::routes).
+#[derive(Debug, Clone)]
+pub struct ViewRoutes {
+    /// Per instruction, its first read site.
+    first: Vec<u32>,
+    /// Per read site, its route; [`NO_ROUTE`] for a read of another root.
+    sites: Vec<u32>,
+    /// Each path read, compiled once however often it is read.
+    routes: Vec<pbio::Route>,
+}
+
+/// The site of a read that does not read root 0.
+const NO_ROUTE: u32 = u32::MAX;
+
+impl ViewRoutes {
+    /// Compiles every path `code` reads root 0 along against `plan`.
+    pub(crate) fn compile(code: &RCode, plan: &pbio::ConversionPlan) -> ViewRoutes {
+        let mut seen: std::collections::HashMap<Vec<pbio::PathStep>, u32> = Default::default();
+        let mut routes = Vec::new();
+        let mut route = |segs: &[CSeg], tail: Option<pbio::PathStep>| {
+            let path: Vec<pbio::PathStep> = segs
+                .iter()
+                .map(|seg| match seg {
+                    CSeg::Field(i) => pbio::PathStep::Field(*i as usize),
+                    CSeg::Index => pbio::PathStep::Index,
+                })
+                .chain(tail)
+                .collect();
+            *seen.entry(path).or_insert_with_key(|path| {
+                routes.push(plan.route(path));
+                routes.len() as u32 - 1
+            })
+        };
+        let mut first = Vec::with_capacity(code.insns.len());
+        let mut sites = Vec::new();
+        for insn in &code.insns {
+            first.push(sites.len() as u32);
+            match insn {
+                RInsn::Load { root: 0, segs, .. } | RInsn::LenOf { root: 0, segs, .. } => {
+                    sites.push(route(segs, None));
+                }
+                // One site per entry, so an entry finds its route by
+                // position.
+                RInsn::CopyPath(row) => {
+                    sites.extend(row.entries.iter().map(|e| match e.src_root {
+                        0 => route(&e.src_segs, None),
+                        _ => NO_ROUTE,
+                    }))
+                }
+                RInsn::BatchCopy { src_root: 0, src_segs, .. } => {
+                    sites.push(route(src_segs, None));
+                    sites.push(route(src_segs, Some(pbio::PathStep::Index)));
+                }
+                _ => {}
+            }
+        }
+        ViewRoutes { first, sites, routes }
+    }
+
+    #[inline(always)]
+    fn get(&self, at: Site) -> Option<&pbio::Route> {
+        let site = *self.first.get(at.pc)? as usize + at.entry;
+        self.routes.get(*self.sites.get(site)? as usize)
+    }
+}
+
+/// Where a run reads root 0 from — the one thing the dispatch loop is
+/// generic over, so each way of reading is compiled on its own.
+trait RootZero<'r>: Copy {
+    /// What root 0 is read through when it is read in place.
+    type View: Source + ?Sized + 'r;
+    /// Root 0 read in place; `None` when it is the first of the values.
+    fn view(self) -> Option<&'r Self::View>;
+}
+
+/// Root 0 is the first of the value roots.
+#[derive(Clone, Copy)]
+struct FirstValue;
+
+impl<'r> RootZero<'r> for FirstValue {
+    type View = Value;
+
+    #[inline]
+    fn view(self) -> Option<&'r Value> {
+        None
+    }
+}
+
+impl<'r, V: Source + ?Sized> RootZero<'r> for &'r V {
+    type View = V;
+
+    #[inline]
+    fn view(self) -> Option<&'r V> {
+        Some(self)
+    }
+}
+
+/// The roots of one run: root 0 where `zero` says, and the value roots —
+/// every root, or roots 1 and up when root 0 is read in place.
+struct Roots<'r, Z> {
+    zero: Z,
+    values: &'r mut [Value],
+}
+
+impl<'r, Z: RootZero<'r>> Roots<'r, Z> {
+    /// How many roots precede the first value root.
+    #[inline]
+    fn first(&self) -> usize {
+        usize::from(self.zero.view().is_some())
+    }
+
+    fn count(&self) -> usize {
+        self.first() + self.values.len()
+    }
+
+    #[inline]
+    fn get(&self, r: u8) -> Result<Src<'_, Z::View>> {
+        let r = r as usize;
+        match self.zero.view() {
+            Some(v) if r == 0 => Ok(Src::View(v)),
+            _ => r
+                .checked_sub(self.first())
+                .and_then(|i| self.values.get(i))
+                .map(Src::Tree)
+                .ok_or_else(|| rt_err(format!("no root #{r}"))),
+        }
+    }
+
+    /// Root `r` to write, next to every other root to read.
+    #[inline]
+    fn split(&mut self, r: u8) -> Result<(&mut Value, Around<'_, Z::View>)> {
+        let view = self.zero.view();
+        let first = self.first();
+        let i = (r as usize)
+            .checked_sub(first)
+            .ok_or_else(|| rt_err("root #0 is read in place and cannot be written"))?;
+        let (below, at) = self.values.split_at_mut(i.min(self.values.len()));
+        let (dst, above) = at.split_first_mut().ok_or_else(|| rt_err(format!("no root #{r}")))?;
+        Ok((dst, Around { view, below, above, first, dst: r }))
+    }
+}
+
+/// The roots a write reads from while its destination is borrowed.
+struct Around<'a, V: ?Sized> {
+    view: Option<&'a V>,
+    below: &'a [Value],
+    above: &'a [Value],
+    first: usize,
+    dst: u8,
+}
+
+impl<'a, V: Source + ?Sized> Around<'a, V> {
+    /// Root `r`, which must not be the destination.
+    #[inline]
+    fn get(&self, r: u8) -> Result<Src<'a, V>> {
+        if r == self.dst {
+            return Err(rt_err("copy row reads its destination"));
+        }
+        let ri = r as usize;
+        match self.view {
+            Some(v) if ri == 0 => return Ok(Src::View(v)),
+            _ => {}
+        }
+        let i = ri - self.first;
+        let v = if i < self.below.len() {
+            self.below.get(i)
+        } else {
+            self.above.get(i - self.below.len() - 1)
+        };
+        v.map(Src::Tree).ok_or_else(|| rt_err(format!("no root #{r}")))
+    }
 }
 
 /// The declared type at the current position of a writing navigation.
@@ -301,17 +613,13 @@ fn walk_mut<'v, 'f>(
 /// Navigates a fused path for writing, auto-extending arrays with
 /// format-appropriate default elements, and stores `value` at the end.
 fn write_path(
-    roots: &mut [Value],
-    bindings: &[Binding],
-    root: u8,
+    dst: &mut Value,
+    binding: &Binding,
     segs: &[CSeg],
     idx: &[usize],
     value: Value,
 ) -> Result<()> {
-    let root_idx = root as usize;
-    let binding = bindings.get(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
-    let cur = roots.get_mut(root_idx).ok_or_else(|| rt_err(format!("no root #{root}")))?;
-    *walk_mut(cur, TyRef::Rec(&binding.format), segs, &mut idx.iter())?.0 = value;
+    *walk_mut(dst, TyRef::Rec(&binding.format), segs, &mut idx.iter())?.0 = value;
     Ok(())
 }
 
@@ -379,56 +687,59 @@ fn call_builtin(b: Builtin, args: &[u32], frame: &[Value]) -> Result<Value> {
     })
 }
 
-/// One row entry's value: its source, cloned and converted. `src` is the
-/// entry's root record, `frame` the current register window.
-fn read_entry(
-    src: &Value,
+/// One row entry's value — its source, read and converted — into `out`,
+/// which is left alone when the read or the conversion fails. `frame` is
+/// the current register window.
+#[inline(always)]
+fn read_entry<V: Source + ?Sized>(
+    src: Src<'_, V>,
+    at: Site,
     e: &CopyEntry,
     frame: &[Value],
     idx_scratch: &mut Vec<usize>,
-) -> Result<Value> {
+    out: &mut Value,
+) -> Result<()> {
     idx_scratch.clear();
     for &r in e.src_idx.iter() {
         idx_scratch.push(to_index(&frame[r as usize])?);
     }
-    let v = nav_from(src, &e.src_segs, idx_scratch)?.clone();
     match e.conv {
-        Some(conv) => apply_conv(conv, v),
-        None => Ok(v),
-    }
-}
-
-/// What a multi-entry row reads from while its destination root is
-/// mutably borrowed: the roots on either side of it.
-struct RowSources<'a> {
-    below: &'a [Value],
-    above: &'a [Value],
-    frame: &'a [Value],
-}
-
-impl RowSources<'_> {
-    /// The value of entry `e` (not the row's first), charging its fuel.
-    fn next(&self, e: &CopyEntry, fuel: &mut u64, idx_scratch: &mut Vec<usize>) -> Result<Value> {
-        if *fuel == 0 {
-            return Err(rt_err("instruction budget exhausted"));
+        None => src.load_into(at, &e.src_segs, idx_scratch, out),
+        Some(conv) => {
+            let mut raw = Value::Int(0);
+            src.load_into(at, &e.src_segs, idx_scratch, &mut raw)?;
+            *out = apply_conv(conv, raw)?;
+            Ok(())
         }
-        *fuel -= 1;
-        let (si, di) = (e.src_root as usize, self.below.len());
-        let src = match si.cmp(&di) {
-            std::cmp::Ordering::Less => self.below.get(si),
-            std::cmp::Ordering::Greater => self.above.get(si - di - 1),
-            std::cmp::Ordering::Equal => return Err(rt_err("copy row reads its destination")),
-        };
-        let src = src.ok_or_else(|| rt_err(format!("no root #{si}")))?;
-        read_entry(src, e, self.frame, idx_scratch)
     }
+}
+
+/// [`read_entry`] of an entry after a row's first, read while the row's
+/// destination is borrowed, charging its fuel.
+#[inline(always)]
+fn next_entry<V: Source + ?Sized>(
+    around: &Around<'_, V>,
+    at: Site,
+    e: &CopyEntry,
+    frame: &[Value],
+    fuel: &mut u64,
+    idx_scratch: &mut Vec<usize>,
+    out: &mut Value,
+) -> Result<()> {
+    if *fuel == 0 {
+        return Err(rt_err("instruction budget exhausted"));
+    }
+    *fuel -= 1;
+    read_entry(around.get(e.src_root)?, at, e, frame, idx_scratch, out)
 }
 
 /// Executes one [`RInsn::CopyPath`]; see [`CopyRow`] for the contract. Entry
-/// 0 was paid for by the dispatch; every further entry charges `fuel`.
-fn copy_row(
+/// 0 was paid for by the dispatch; every further entry charges `fuel`, and
+/// is read straight into the field it fills.
+fn copy_row<'r, Z: RootZero<'r>>(
     row: &CopyRow,
-    roots: &mut [Value],
+    pc: usize,
+    roots: &mut Roots<'r, Z>,
     bindings: &[Binding],
     frame: &[Value],
     fuel: &mut u64,
@@ -438,28 +749,24 @@ fn copy_row(
     let (first, rest) = row.entries.split_first().ok_or_else(|| rt_err("empty copy row"))?;
     // Entry 0 reads before the destination is touched, as a lone copy does
     // (and, alone, may read the destination's own root).
-    let src = roots.get(first.src_root as usize).ok_or_else(|| no_root(first.src_root))?;
-    let v0 = read_entry(src, first, frame, idx_scratch)?;
+    let mut v0 = Value::Int(0);
+    let at = Site { pc, entry: 0 };
+    read_entry(roots.get(first.src_root)?, at, first, frame, idx_scratch, &mut v0)?;
     idx_scratch.clear();
     for &r in row.dst_idx.iter() {
         idx_scratch.push(to_index(&frame[r as usize])?);
     }
     let mut it = idx_scratch.iter();
-    let di = row.dst_root as usize;
-    let binding = bindings.get(di).ok_or_else(|| no_root(row.dst_root))?;
+    let binding = bindings.get(row.dst_root as usize).ok_or_else(|| no_root(row.dst_root))?;
     let ty = TyRef::Rec(&binding.format);
+    // The remaining entries read while the destination record is borrowed,
+    // so the roots are split around it.
+    let (dst, around) = roots.split(row.dst_root)?;
     if rest.is_empty() {
-        let dst = roots.get_mut(di).ok_or_else(|| no_root(row.dst_root))?;
         let (rec, ty) = walk_mut(dst, ty, &row.dst_segs, &mut it)?;
         *descend_mut(rec, ty, first.dst_leaf, &mut it)?.0 = v0;
         return Ok(());
     }
-
-    // The remaining entries read while the destination record is borrowed,
-    // so the roots are split around it.
-    let (below, at) = roots.split_at_mut(di.min(roots.len()));
-    let (dst, above) = at.split_first_mut().ok_or_else(|| no_root(row.dst_root))?;
-    let sources = RowSources { below, above, frame };
 
     // One navigation to the destination record. Its leaves are fields, so
     // the subscripts are spent once it is reached and the scratch is free
@@ -475,17 +782,18 @@ fn copy_row(
                 // with the values it got to, as extending first would have.
                 let mut fields = Vec::with_capacity(row.entries.len());
                 fields.push(v0);
-                for e in rest {
-                    match sources.next(e, fuel, idx_scratch) {
-                        Ok(v) => fields.push(v),
-                        Err(err) => {
-                            let mut elem = Value::default_for(elem_ty);
-                            if let Some(slots) = elem.as_record_mut() {
-                                slots.iter_mut().zip(fields).for_each(|(slot, v)| *slot = v);
-                            }
-                            arr.push(elem);
-                            return Err(err);
+                for (j, e) in (1..).zip(rest) {
+                    let at = Site { pc, entry: j };
+                    fields.push(Value::Int(0));
+                    let slot = fields.last_mut().expect("just pushed");
+                    if let Err(err) = next_entry(&around, at, e, frame, fuel, idx_scratch, slot) {
+                        fields.pop();
+                        let mut elem = Value::default_for(elem_ty);
+                        if let Some(slots) = elem.as_record_mut() {
+                            slots.iter_mut().zip(fields).for_each(|(slot, v)| *slot = v);
                         }
+                        arr.push(elem);
+                        return Err(err);
                     }
                 }
                 arr.push(Value::Record(fields));
@@ -495,18 +803,20 @@ fn copy_row(
         }
         _ => walk_mut(dst, ty, &row.dst_segs, &mut it)?,
     };
-    let mut store = |e: &CopyEntry, v: Value| -> Result<()> {
-        let CSeg::Field(leaf) = e.dst_leaf else {
-            return Err(rt_err("copy row leaf is not a field"));
-        };
-        *field_mut(&mut *rec, ty, leaf)?.0 = v;
-        Ok(())
-    };
-    store(first, v0)?;
-    for e in rest {
-        store(e, sources.next(e, fuel, idx_scratch)?)?;
+    *leaf_of(first, rec, ty)? = v0;
+    for (j, e) in (1..).zip(rest) {
+        let out = leaf_of(e, rec, ty)?;
+        next_entry(&around, Site { pc, entry: j }, e, frame, fuel, idx_scratch, out)?;
     }
     Ok(())
+}
+
+/// The field of `rec` that row entry `e` fills.
+fn leaf_of<'v>(e: &CopyEntry, rec: &'v mut Value, ty: TyRef<'_>) -> Result<&'v mut Value> {
+    let CSeg::Field(leaf) = e.dst_leaf else {
+        return Err(rt_err("copy row leaf is not a field"));
+    };
+    Ok(field_mut(rec, ty, leaf)?.0)
 }
 
 /// Executes register bytecode against the root values. See
@@ -538,11 +848,42 @@ pub(crate) fn run_with_fuel(
     fuel: u64,
     scratch: &mut VmScratch,
 ) -> Result<(Option<Value>, RunStats)> {
-    if roots.len() != code.n_roots {
+    start(code, bindings, Roots { zero: FirstValue, values: roots }, fuel, scratch)
+}
+
+/// [`run_with_fuel`] with root 0 read in place through `view` — the
+/// incoming message as [`pbio::ConversionPlan::index`] left it — and `rest`
+/// as roots 1 and up. Root 0 is never written: a program that tries fails
+/// at that instruction.
+///
+/// # Errors
+///
+/// As [`run_with_fuel`].
+pub(crate) fn run_view(
+    code: &RCode,
+    bindings: &[Binding],
+    view: &Routed<'_>,
+    rest: &mut [Value],
+    fuel: u64,
+    scratch: &mut VmScratch,
+) -> Result<(Option<Value>, RunStats)> {
+    start(code, bindings, Roots { zero: view, values: rest }, fuel, scratch)
+}
+
+/// Checks the roots against the program, prepares `scratch`, runs, and
+/// leaves `scratch` empty again.
+fn start<'r, Z: RootZero<'r>>(
+    code: &RCode,
+    bindings: &[Binding],
+    roots: Roots<'r, Z>,
+    fuel: u64,
+    scratch: &mut VmScratch,
+) -> Result<(Option<Value>, RunStats)> {
+    if roots.count() != code.n_roots {
         return Err(rt_err(format!(
             "program expects {} root record(s), got {}",
             code.n_roots,
-            roots.len()
+            roots.count()
         )));
     }
     debug_assert!(scratch.regs.is_empty(), "every run leaves the scratch empty");
@@ -552,11 +893,12 @@ pub(crate) fn run_with_fuel(
     result
 }
 
-/// The dispatch loop of [`run_with_fuel`], over a prepared `scratch`.
-fn execute(
+/// The dispatch loop, over a prepared `scratch` — one loop whichever way
+/// root 0 is read.
+fn execute<'r, Z: RootZero<'r>>(
     code: &RCode,
     bindings: &[Binding],
-    roots: &mut [Value],
+    mut roots: Roots<'r, Z>,
     mut fuel: u64,
     scratch: &mut VmScratch,
 ) -> Result<(Option<Value>, RunStats)> {
@@ -576,6 +918,7 @@ fn execute(
             return Err(rt_err("instruction budget exhausted"));
         }
         fuel -= 1;
+        let at = pc;
         let insn = code
             .insns
             .get(pc)
@@ -597,8 +940,8 @@ fn execute(
                 for &r in idx.iter() {
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
-                let v = nav(roots, *root, segs, idx_scratch)?.clone();
-                reg!(*dst) = v;
+                let src = roots.get(*root)?;
+                src.load_into(Site { pc: at, entry: 0 }, segs, idx_scratch, &mut reg!(*dst))?;
             }
             RInsn::Store { src, root, segs, idx } => {
                 idx_scratch.clear();
@@ -606,16 +949,20 @@ fn execute(
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
                 let v = reg!(*src).clone();
-                write_path(roots, bindings, *root, segs, idx_scratch, v)?;
+                let binding = bindings
+                    .get(*root as usize)
+                    .ok_or_else(|| rt_err(format!("no root #{root}")))?;
+                write_path(roots.split(*root)?.0, binding, segs, idx_scratch, v)?;
             }
             RInsn::LenOf { dst, root, segs, idx } => {
                 idx_scratch.clear();
                 for &r in idx.iter() {
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
-                let v = nav(roots, *root, segs, idx_scratch)?;
-                let n =
-                    v.as_array().ok_or_else(|| rt_err("len applied to a non-array value"))?.len();
+                let n = roots
+                    .get(*root)?
+                    .len_of(Site { pc: at, entry: 0 }, segs, idx_scratch)?
+                    .ok_or_else(|| rt_err("len applied to a non-array value"))?;
                 reg!(*dst) = Value::Int(n as i64);
             }
             RInsn::IArith { op, dst, a, b } => {
@@ -738,11 +1085,10 @@ fn execute(
             RInsn::SyncRoot(r) => {
                 let ri = *r as usize;
                 let binding = bindings.get(ri).ok_or_else(|| rt_err(format!("no root #{r}")))?;
-                let root = roots.get_mut(ri).ok_or_else(|| rt_err(format!("no root #{r}")))?;
-                pbio::sync_length_fields(root, &binding.format);
+                pbio::sync_length_fields(roots.split(*r)?.0, &binding.format);
             }
             RInsn::CopyPath(row) => {
-                copy_row(row, roots, bindings, &regs[base..], &mut fuel, idx_scratch)?;
+                copy_row(row, at, &mut roots, bindings, &regs[base..], &mut fuel, idx_scratch)?;
             }
             RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => {
                 let n = as_int(&reg!(*limit))?;
@@ -756,18 +1102,17 @@ fn execute(
                     let (si, di) = (*src_root as usize, *dst_root as usize);
                     let binding =
                         bindings.get(di).ok_or_else(|| rt_err(format!("no root #{dst_root}")))?;
-                    if si >= roots.len() || di >= roots.len() || si == di {
+                    if si >= roots.count() || di >= roots.count() || si == di {
                         return Err(rt_err(format!("no root #{}", si.max(di))));
                     }
-                    // The lowering pass guarantees distinct roots, so the two
-                    // halves of a split borrow cover source and destination.
-                    let (lo, hi) = roots.split_at_mut(si.max(di));
-                    let (src_v, dst_v) =
-                        if si < di { (&lo[si], &mut hi[0]) } else { (&hi[0], &mut lo[di]) };
-                    let src_arr = nav(std::slice::from_ref(src_v), 0, src_segs, &[])?
-                        .as_array()
+                    // The lowering pass guarantees distinct roots, so the
+                    // source is readable beside the borrowed destination.
+                    let (dst_v, around) = roots.split(*dst_root)?;
+                    let src = around.get(*src_root)?;
+                    let site = Site { pc: at, entry: 0 };
+                    let avail = src
+                        .len_of(site, src_segs, &[])?
                         .ok_or_else(|| rt_err("path index applied to a non-array value"))?;
-                    let avail = src_arr.len();
                     let end = want.min(avail);
                     if end > start {
                         let ty = TyRef::Rec(&binding.format);
@@ -776,7 +1121,7 @@ fn execute(
                         if dst_arr.len() < end {
                             dst_arr.resize_with(end, || Value::default_for(elem_ty));
                         }
-                        dst_arr[start..end].clone_from_slice(&src_arr[start..end]);
+                        src.read_range(site, src_segs, start, &mut dst_arr[start..end])?;
                         let moved = (end - start) as u64;
                         stats.batch_copies += 1;
                         stats.batch_elems += moved;

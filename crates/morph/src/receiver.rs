@@ -13,13 +13,13 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
-use ecode::{root_used_fields, FusedProgram, VmScratch};
+use ecode::{root_used_fields, FusedProgram, ViewRoutes, VmScratch};
 use obs::{
     ActiveSpan, Clock, Counter, FlightRecorder, Histogram, Registry, SpanId, Timer, TraceCtx,
 };
 use pbio::{
     format_id, parse_header, ConversionPlan, FormatId, FormatRegistry, PlanCache, PlanStore,
-    RecordFormat, Value,
+    RecordFormat, Tape, Value,
 };
 
 use crate::adapter::ValueAdapter;
@@ -240,16 +240,20 @@ impl std::fmt::Debug for DecisionCache {
 }
 
 /// What a morph decision executes, built once at decide time: one projected
-/// decode, one composed VM program covering the whole transformation chain,
-/// then (if the chain's end is a near match of the reader) the adapter — a
-/// single pass `wire bytes → Value(target)` with exactly one VM invocation
-/// and no intermediate `Value` trees between steps.
+/// index pass, one composed VM program covering the whole transformation
+/// chain, then (if the chain's end is a near match of the reader) the
+/// adapter — a single pass `wire bytes → Value(target)` with exactly one VM
+/// invocation, no tree of the incoming message and no intermediate `Value`
+/// trees between steps.
 struct MorphPlan {
-    /// Projected decode: only the source fields the program actually reads
-    /// are materialized; dead fields are parsed past and defaulted.
+    /// The projection of the wire format to the fields the program reads:
+    /// it indexes each message for the program to read in place, checking
+    /// it as a decode would; the fields it drops are parsed past.
     decode: ConversionPlan,
     /// The whole chain, compiled into one register program.
     program: FusedProgram,
+    /// The program's reads of the message, compiled against `decode`.
+    routes: ViewRoutes,
     /// Default output records (one per chain step), cloned per message as
     /// the program's writable roots.
     templates: Vec<Value>,
@@ -378,6 +382,9 @@ pub struct MorphReceiver {
     /// exit of a morph, cold or warm, errors included.
     vm: VmScratch,
     roots: Vec<Value>,
+    /// The offset tape a morph reads its message through, reused message
+    /// after message. It holds offsets only, never a value.
+    tape: Tape,
 }
 
 /// Where the currently processed message's trace events go.
@@ -439,6 +446,7 @@ impl MorphReceiver {
             trace: None,
             vm: VmScratch::default(),
             roots: Vec::new(),
+            tape: Tape::default(),
         }
     }
 
@@ -801,10 +809,21 @@ impl MorphReceiver {
     }
 
     fn split(&mut self) -> (&HashMap<FormatId, Arc<Decision>>, Applier<'_>) {
-        let MorphReceiver { cache, metrics, trace, handlers, default_handler, vm, roots, .. } =
-            self;
+        let MorphReceiver {
+            cache, metrics, trace, handlers, default_handler, vm, roots, tape, ..
+        } = self;
         let trace = trace.as_ref();
-        (cache, Applier { metrics, trace, handlers, default_handler, vm, roots, apply_span: None })
+        let applier = Applier {
+            metrics,
+            trace,
+            handlers,
+            default_handler,
+            vm,
+            roots,
+            tape,
+            apply_span: None,
+        };
+        (cache, applier)
     }
 
     /// Starts a span under the in-flight trace, if one is attached.
@@ -907,6 +926,7 @@ impl MorphReceiver {
         // Decode only what the chain reads.
         let used = root_used_fields(program.rcode(), 0, fm.fields().len());
         let decode = self.plans.project(&fm, &used)?;
+        let routes = program.routes(&decode);
         if let Some(s) = decide_span.as_mut() {
             s.tag("outcome", "morph");
         }
@@ -919,6 +939,7 @@ impl MorphReceiver {
         Ok(Decision::Morph(Box::new(MorphPlan {
             decode,
             program,
+            routes,
             templates,
             adapter,
             target: target_id,
@@ -929,6 +950,15 @@ impl MorphReceiver {
 /// [`MorphReceiver::tspan`] over a borrowed sink.
 fn span_in(trace: Option<&TraceSink>, name: &str, parent: Option<SpanId>) -> Option<ActiveSpan> {
     trace.map(|t| t.rec.start(t.ctx.trace, parent.or(t.ctx.parent), name))
+}
+
+/// [`Applier::stage`] over borrowed parts.
+fn stage_in(
+    trace: Option<&TraceSink>,
+    apply: Option<&ActiveSpan>,
+    name: &str,
+) -> Option<ActiveSpan> {
+    apply.and_then(|a| span_in(trace, name, Some(a.id())))
 }
 
 /// What applying a decision touches — metrics, the in-flight trace, the
@@ -942,6 +972,7 @@ struct Applier<'a> {
     default_handler: &'a mut Option<DefaultHandler>,
     vm: &'a mut VmScratch,
     roots: &'a mut Vec<Value>,
+    tape: &'a mut Tape,
     /// The cold pass's `morph.apply` span, open while its stages run.
     apply_span: Option<ActiveSpan>,
 }
@@ -954,7 +985,7 @@ impl Applier<'_> {
     /// A stage span of the cold pass, under its `morph.apply` span; `None`
     /// on a warm replay (which has none) and when no trace is attached.
     fn stage(&self, name: &str) -> Option<ActiveSpan> {
-        self.apply_span.as_ref().and_then(|a| self.tspan(name, Some(a.id())))
+        stage_in(self.trace, self.apply_span.as_ref(), name)
     }
 
     /// [`Applier::stage`] for a zero-duration event.
@@ -1039,12 +1070,13 @@ impl Applier<'_> {
     }
 
     /// The single pass of a morph decision, `wire bytes → Value(target)`, in
-    /// the receiver's reused root vector and VM scratch: projected decode,
-    /// one run of the whole chain under the message's instruction budget,
-    /// then the adapter if the decision has one. The first message of a
-    /// format runs it under the cold pass's stage spans; on a warm replay the
-    /// decode's share (timed from `warm_since`) is read off the clock once,
-    /// recorded as `pbio.decode_ns` and reported through `decode_ns`.
+    /// the receiver's reused root vector, tape and VM scratch: the projected
+    /// index pass, one run of the whole chain reading the message in place
+    /// under the message's instruction budget, then the adapter if the
+    /// decision has one. The first message of a format runs it under the
+    /// cold pass's stage spans; on a warm replay the index pass's share
+    /// (timed from `warm_since`) is read off the clock once, recorded as
+    /// `pbio.decode_ns` and reported through `decode_ns`.
     fn morph(
         &mut self,
         m: &MorphPlan,
@@ -1052,20 +1084,22 @@ impl Applier<'_> {
         warm_since: Option<u64>,
         decode_ns: &mut u64,
     ) -> Result<Value> {
-        self.roots.clear();
-        self.roots.reserve_exact(m.templates.len() + 1);
-        self.roots.push(self.decode(&m.decode, msg)?);
+        let view = {
+            let _s = self.stage("morph.decode");
+            m.decode.index(msg, self.tape)?
+        };
         if let Some(since_ns) = warm_since {
             *decode_ns = self.metrics.clock.now_ns().saturating_sub(since_ns);
             self.metrics.decode_ns.record(*decode_ns);
         }
+        self.roots.clear();
         self.roots.extend(m.templates.iter().cloned());
         let stats = {
-            let mut s = self.stage("morph.transform");
+            let mut s = stage_in(self.trace, self.apply_span.as_ref(), "morph.transform");
             if let Some(s) = s.as_mut() {
                 s.tag("steps", &m.templates.len().to_string());
             }
-            m.program.run_register_with(self.roots, fuel_for(msg.len()), self.vm)?
+            m.program.run_view(&view, &m.routes, self.roots, fuel_for(msg.len()), self.vm)?
         };
         self.metrics.vm_register_applies.inc();
         self.metrics.batch_copies.add(stats.batch_copies);

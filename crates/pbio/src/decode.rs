@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use crate::encode::{parse_header, ByteOrder, HEADER_LEN};
 use crate::error::{PbioError, Result};
+use crate::plan::{min_wire_size, reservation};
 use crate::types::{ArrayLen, BasicType, FieldType, RecordFormat};
 use crate::value::Value;
 
@@ -56,7 +57,12 @@ impl<'a> Cursor<'a> {
 
     /// Steps over `n` bytes without looking at them.
     pub(crate) fn advance(&mut self, n: usize) -> Result<()> {
-        self.take(n).map(|_| ())
+        self.skip(n).then_some(()).ok_or(PbioError::UnexpectedEof)
+    }
+
+    /// The bytes not yet read.
+    pub(crate) fn unread(&self) -> &'a [u8] {
+        self.rest
     }
 
     fn scalar(&mut self, width: usize) -> Result<[u8; 8]> {
@@ -109,21 +115,43 @@ impl<'a> Cursor<'a> {
 
     /// The bytes of the NUL-terminated string at the cursor, stepping past
     /// the terminator.
-    fn take_c_str(&mut self) -> Result<&'a [u8]> {
-        let n = find_nul(self.rest).ok_or(PbioError::UnexpectedEof)?;
+    pub(crate) fn take_c_str(&mut self) -> Result<&'a [u8]> {
+        self.c_str().ok_or(PbioError::UnexpectedEof)
+    }
+
+    /// [`Cursor::take_c_str`], `None` at the end of the payload.
+    #[inline]
+    pub(crate) fn c_str(&mut self) -> Option<&'a [u8]> {
+        let n = find_nul(self.rest)?;
         let bytes = &self.rest[..n];
         self.rest = &self.rest[n + 1..];
-        Ok(bytes)
+        Some(bytes)
+    }
+
+    /// Steps over `n` bytes; false, and no step, when fewer are left.
+    #[inline]
+    pub(crate) fn skip(&mut self, n: usize) -> bool {
+        match self.rest.get(n..) {
+            Some(rest) => {
+                self.rest = rest;
+                true
+            }
+            None => false,
+        }
     }
 
     pub(crate) fn read_string(&mut self) -> Result<String> {
-        String::from_utf8(self.take_c_str()?.to_vec())
-            .map_err(|_| PbioError::BadData("non-UTF-8 string payload".into()))
+        String::from_utf8(self.take_c_str()?.to_vec()).map_err(|_| non_utf8())
     }
 
     pub(crate) fn skip_string(&mut self) -> Result<()> {
         self.take_c_str().map(|_| ())
     }
+}
+
+/// The error for string bytes that are not UTF-8.
+pub(crate) fn non_utf8() -> PbioError {
+    PbioError::BadData("non-UTF-8 string payload".into())
 }
 
 /// Offset of the first NUL in `bytes`, scanned a word at a time: a 64 KiB
@@ -195,7 +223,7 @@ fn decode_field(
                     })? as usize
                 }
             };
-            let mut es = Vec::with_capacity(n.min(1 << 16));
+            let mut es = Vec::with_capacity(reservation(n, min_wire_size(elem), c));
             for _ in 0..n {
                 es.push(decode_field(c, elem, counts, level)?);
             }
@@ -363,11 +391,13 @@ pub fn sync_length_fields(value: &mut Value, format: &RecordFormat) {
                 }
             }
             FieldType::Array { elem, len } => {
-                if let FieldType::Record(r) = elem.as_ref() {
-                    if let Some(Value::Array(es)) = fields.get_mut(i) {
-                        for e in es.iter_mut() {
-                            sync_length_fields(e, r);
-                        }
+                // Elements with only basic fields have nothing to repair.
+                let nested = |r: &RecordFormat| r.fields().iter().any(|f| !f.ty().is_basic());
+                if let (FieldType::Record(r), Some(Value::Array(es))) =
+                    (elem.as_ref(), fields.get_mut(i))
+                {
+                    if nested(r) {
+                        es.iter_mut().for_each(|e| sync_length_fields(e, r));
                     }
                 }
                 if let ArrayLen::LengthField(name) = len {

@@ -18,6 +18,8 @@
 //! big-endian payloads); receivers byte-swap only when necessary, as in the
 //! original "Native Data Representation" design.
 
+use std::sync::Arc;
+
 use crate::error::{PbioError, Result};
 use crate::meta::{format_id, FormatId};
 use crate::types::{ArrayLen, BasicType, FieldType, RecordFormat, Width};
@@ -64,23 +66,45 @@ pub enum ByteOrder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Encoder {
-    format: RecordFormat,
+    format: Arc<RecordFormat>,
     id: FormatId,
     order: ByteOrder,
 }
 
+/// A format an [`Encoder`] can be made for: a shared one (`&Arc`) is
+/// shared, a plain reference copied once.
+pub trait EncoderFormat {
+    /// The format, shared.
+    fn into_shared(self) -> Arc<RecordFormat>;
+}
+
+impl EncoderFormat for &Arc<RecordFormat> {
+    fn into_shared(self) -> Arc<RecordFormat> {
+        Arc::clone(self)
+    }
+}
+
+impl EncoderFormat for &RecordFormat {
+    fn into_shared(self) -> Arc<RecordFormat> {
+        // Id first: it is then memoised in the caller's format, and the
+        // copy carries it.
+        format_id(self);
+        Arc::new(self.clone())
+    }
+}
+
 impl Encoder {
-    /// Creates an encoder for `format` using little-endian payloads.
-    pub fn new(format: &RecordFormat) -> Encoder {
+    /// Creates an encoder for `format` using little-endian payloads. A
+    /// shared format (`&Arc<RecordFormat>`) is shared, not copied: making
+    /// an encoder per message costs a reference count.
+    pub fn new(format: impl EncoderFormat) -> Encoder {
         Encoder::with_order(format, ByteOrder::Little)
     }
 
     /// Creates an encoder with an explicit payload byte order.
-    pub fn with_order(format: &RecordFormat, order: ByteOrder) -> Encoder {
-        // Id first: it is then memoised in the caller's format, and the
-        // clone below carries it.
-        let id = format_id(format);
-        Encoder { format: format.clone(), id, order }
+    pub fn with_order(format: impl EncoderFormat, order: ByteOrder) -> Encoder {
+        let format = format.into_shared();
+        Encoder { id: format_id(&format), format, order }
     }
 
     /// The format this encoder writes.
@@ -373,7 +397,6 @@ pub fn parse_header(buf: &[u8]) -> Result<WireHeader> {
 mod tests {
     use super::*;
     use crate::types::FormatBuilder;
-    use std::sync::Arc;
 
     fn member() -> Arc<RecordFormat> {
         FormatBuilder::record("Member").string("info").int("ID").build_arc().unwrap()

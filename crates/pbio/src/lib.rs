@@ -54,11 +54,13 @@ mod plan;
 mod registry;
 mod types;
 mod value;
+mod view;
 
 pub use bytes::WireBytes;
 pub use decode::{convert_record, decode_payload, sync_length_fields, GenericDecoder};
 pub use encode::{
-    parse_header, ByteOrder, Encoder, WireHeader, FLAG_BIG_ENDIAN, HEADER_LEN, WIRE_VERSION,
+    parse_header, ByteOrder, Encoder, EncoderFormat, WireHeader, FLAG_BIG_ENDIAN, HEADER_LEN,
+    WIRE_VERSION,
 };
 pub use error::{PbioError, Result};
 pub use meta::{
@@ -71,3 +73,4 @@ pub use types::{
     ArrayLen, BasicType, EnumVariant, Field, FieldType, FormatBuilder, RecordFormat, Width,
 };
 pub use value::Value;
+pub use view::{Miss, PathStep, Route, Tape, WireView};

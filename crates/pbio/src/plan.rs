@@ -23,14 +23,14 @@ use crate::value::Value;
 /// The payload's byte order as a type. [`ConversionPlan::execute`] reads the
 /// header's flag once and enters the executor monomorphised for it, so no
 /// scalar read below re-tests the order.
-trait Order {
+pub(crate) trait Order {
     fn u16(b: [u8; 2]) -> u16;
     fn u32(b: [u8; 4]) -> u32;
     fn u64(b: [u8; 8]) -> u64;
 }
 
-struct Le;
-struct Be;
+pub(crate) struct Le;
+pub(crate) struct Be;
 
 impl Order for Le {
     fn u16(b: [u8; 2]) -> u16 {
@@ -58,7 +58,7 @@ impl Order for Be {
 
 /// A wire integer's reader: signedness and width, fixed at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IntRead {
+pub(crate) enum IntRead {
     I1,
     I2,
     I4,
@@ -87,7 +87,7 @@ impl IntRead {
         matches!(self, IntRead::I1 | IntRead::I2 | IntRead::I4 | IntRead::I8)
     }
 
-    fn width(self) -> usize {
+    pub(crate) fn width(self) -> usize {
         match self {
             IntRead::I1 | IntRead::U1 => 1,
             IntRead::I2 | IntRead::U2 => 2,
@@ -97,23 +97,32 @@ impl IntRead {
     }
 
     /// Reads the integer as a 64-bit pattern, sign-extended when the wire
-    /// type is signed and zero-extended when it is not: one checked take of
+    /// type is signed and zero-extended when it is not: one checked read of
     /// a fixed number of bytes.
-    fn bits<O: Order>(self, c: &mut Cursor<'_>) -> Result<u64> {
-        Ok(match self {
-            IntRead::I1 => i64::from(c.fixed::<1>()?[0] as i8) as u64,
-            IntRead::I2 => i64::from(O::u16(c.fixed()?) as i16) as u64,
-            IntRead::I4 => i64::from(O::u32(c.fixed()?) as i32) as u64,
-            IntRead::U1 => u64::from(c.fixed::<1>()?[0]),
-            IntRead::U2 => u64::from(O::u16(c.fixed()?)),
-            IntRead::U4 => u64::from(O::u32(c.fixed()?)),
-            IntRead::I8 | IntRead::U8 => O::u64(c.fixed()?),
+    pub(crate) fn bits<O: Order>(self, c: &mut Cursor<'_>) -> Result<u64> {
+        let bits = self.bits_of::<O>(c.unread()).ok_or(PbioError::UnexpectedEof)?;
+        c.skip(self.width());
+        Ok(bits)
+    }
+
+    /// [`IntRead::bits`] of the first bytes of `b`; `None` when `b` is too
+    /// short.
+    #[inline(always)]
+    pub(crate) fn bits_of<O: Order>(self, b: &[u8]) -> Option<u64> {
+        Some(match self {
+            IntRead::I1 => i64::from(*b.first()? as i8) as u64,
+            IntRead::I2 => i64::from(O::u16(*b.first_chunk()?) as i16) as u64,
+            IntRead::I4 => i64::from(O::u32(*b.first_chunk()?) as i32) as u64,
+            IntRead::U1 => u64::from(*b.first()?),
+            IntRead::U2 => u64::from(O::u16(*b.first_chunk()?)),
+            IntRead::U4 => u64::from(O::u32(*b.first_chunk()?)),
+            IntRead::I8 | IntRead::U8 => O::u64(*b.first_chunk()?),
         })
     }
 
     /// The raw wire value as an element count. A negative count is
     /// malformed data, as it is to [`crate::decode::GenericDecoder`].
-    fn count(self, bits: u64) -> Result<u64> {
+    pub(crate) fn count(self, bits: u64) -> Result<u64> {
         if self.signed() && (bits as i64) < 0 {
             return Err(PbioError::BadData("negative array length field".into()));
         }
@@ -126,7 +135,7 @@ impl IntRead {
 /// a sign change) are resolved to the plain `Int`/`UInt` forms at compile
 /// time, so the common case does no narrowing arithmetic per field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IntConv {
+pub(crate) enum IntConv {
     Int,
     UInt,
     /// C narrowing cast to a signed integer of this width.
@@ -169,7 +178,8 @@ impl IntConv {
         }
     }
 
-    fn apply(self, bits: u64) -> Value {
+    #[inline(always)]
+    pub(crate) fn apply(self, bits: u64) -> Value {
         match self {
             IntConv::Int => Value::Int(bits as i64),
             IntConv::UInt => Value::UInt(bits),
@@ -182,7 +192,7 @@ impl IntConv {
 }
 
 #[derive(Debug, Clone)]
-enum ElemPlan {
+pub(crate) enum ElemPlan {
     Int {
         read: IntRead,
         conv: IntConv,
@@ -200,7 +210,8 @@ enum ElemPlan {
     Char,
     Enum,
     Str,
-    Record(RecordPlan),
+    /// Boxed: a step is as small as its scalars, records sit elsewhere.
+    Record(Box<RecordPlan>),
     Array {
         elem: Box<ElemPlan>,
         len: LenPlan,
@@ -209,11 +220,14 @@ enum ElemPlan {
         /// execution bounds-check the whole range once and reserve the exact
         /// element count instead of a defensive cap.
         stride: Option<usize>,
+        /// The fewest payload bytes one element can occupy: what a claimed
+        /// count is checked against before anything is reserved for it.
+        min_size: usize,
     },
 }
 
 #[derive(Debug, Clone, Copy)]
-enum LenPlan {
+pub(crate) enum LenPlan {
     Fixed(usize),
     /// Count comes from this count slot of the *enclosing* record level
     /// (already decoded — formats declare the length field first).
@@ -221,29 +235,50 @@ enum LenPlan {
 }
 
 #[derive(Debug, Clone)]
-struct Step {
+pub(crate) struct Step {
     /// Destination field index in the native record, `None` to skip.
-    dst: Option<usize>,
-    elem: ElemPlan,
+    pub(crate) dst: Option<usize>,
+    pub(crate) elem: ElemPlan,
+    /// Where the field sits in its record on an index tape.
+    pub(crate) slot: Slot,
+}
+
+/// Where one field of a record sits in the record's block on an index tape
+/// ([`crate::view`]), and in the record's bytes when it has a fixed size.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Slot {
+    /// First word of the field's slot, counted from the block's first word.
+    pub(crate) word: u32,
+    /// The field's byte offset in its record, when the record has a fixed
+    /// size.
+    pub(crate) byte: u32,
+    /// The field's size when it is fixed (saturated at `u32::MAX`, which no
+    /// payload holds): its slot is then the one word holding its payload
+    /// offset, and everything below it is found by arithmetic.
+    pub(crate) size: Option<u32>,
 }
 
 #[derive(Debug, Clone)]
-struct RecordPlan {
+pub(crate) struct RecordPlan {
     /// One step per wire field, in wire order.
-    steps: Vec<Step>,
+    pub(crate) steps: Vec<Step>,
     /// Count slots of this level ([`ElemPlan::Count`]). Zero for a record
     /// without variable-length arrays, which then allocates no scratch.
-    n_counts: usize,
+    pub(crate) n_counts: usize,
     /// Number of fields in the native record.
     native_len: usize,
     /// `None` when the steps that have a destination land in native order
     /// and cover every native field: the output is then reserved once and
     /// pushed to. Otherwise the record to start from — declared defaults
     /// where no wire field lands, placeholders where one will.
-    template: Option<Vec<Value>>,
+    pub(crate) template: Option<Vec<Value>>,
     /// `(array_field, count_field)` native index pairs to re-synchronize
     /// after decoding, maintaining the length-field invariant.
-    len_syncs: Vec<(usize, usize)>,
+    pub(crate) len_syncs: Vec<(usize, usize)>,
+    /// Words of the record's block on an index tape.
+    pub(crate) width: u32,
+    /// The record's wire size, when every field has a fixed size.
+    pub(crate) fixed: Option<usize>,
 }
 
 /// A compiled wire-to-native conversion routine for one format pair.
@@ -269,7 +304,8 @@ struct RecordPlan {
 pub struct ConversionPlan {
     wire: Arc<RecordFormat>,
     native: Arc<RecordFormat>,
-    root: RecordPlan,
+    /// The top-level record, as the element a message is made of.
+    pub(crate) root: ElemPlan,
 }
 
 impl ConversionPlan {
@@ -287,7 +323,7 @@ impl ConversionPlan {
     /// length-field invariants (cannot happen for formats built through
     /// [`RecordFormat::new`]).
     pub fn compile(wire: &Arc<RecordFormat>, native: &Arc<RecordFormat>) -> Result<ConversionPlan> {
-        let root = compile_record(wire, Some(native))?;
+        let root = ElemPlan::Record(Box::new(compile_record(wire, Some(native))?));
         Ok(ConversionPlan { wire: Arc::clone(wire), native: Arc::clone(native), root })
     }
 
@@ -327,8 +363,7 @@ impl ConversionPlan {
                 format.fields().len()
             )));
         }
-        let mut plan = ConversionPlan::identity(format)?;
-        let root = &mut plan.root;
+        let mut root = compile_record(format, Some(format))?;
         for (step, &used) in root.steps.iter_mut().zip(used) {
             if !used {
                 step.dst = None;
@@ -338,7 +373,8 @@ impl ConversionPlan {
         if used.contains(&false) {
             root.template = Some(template_for(format.fields(), used));
         }
-        Ok(plan)
+        let root = ElemPlan::Record(Box::new(root));
+        Ok(ConversionPlan { wire: Arc::clone(format), native: Arc::clone(format), root })
     }
 
     /// The sender-side format.
@@ -365,8 +401,8 @@ impl ConversionPlan {
         // The one place the byte order is tested: everything below is
         // monomorphised for it.
         let v = match h.order {
-            ByteOrder::Little => record::<Le>(&self.root, &mut c),
-            ByteOrder::Big => record::<Be>(&self.root, &mut c),
+            ByteOrder::Little => build::<Le>(&self.root, &mut c, &mut []),
+            ByteOrder::Big => build::<Be>(&self.root, &mut c, &mut []),
         }?;
         if !c.at_end() {
             return Err(PbioError::BadData("trailing bytes after record payload".into()));
@@ -452,7 +488,7 @@ fn compile_record(wire: &RecordFormat, native: Option<&RecordFormat>) -> Result<
             };
             elem = ElemPlan::Count { read, conv, slot };
         }
-        steps.push(Step { dst, elem });
+        steps.push(Step { dst, elem, slot: Slot::default() });
     }
 
     let in_order = taken.iter().all(|&t| t) && steps.iter().filter_map(|s| s.dst).is_sorted();
@@ -469,7 +505,88 @@ fn compile_record(wire: &RecordFormat, native: Option<&RecordFormat>) -> Result<
         })
         .collect();
 
-    Ok(RecordPlan { steps, n_counts, native_len: native_fields.len(), template, len_syncs })
+    let (width, fixed) = layout(&mut steps)?;
+    Ok(RecordPlan {
+        steps,
+        n_counts,
+        native_len: native_fields.len(),
+        template,
+        len_syncs,
+        width,
+        fixed,
+    })
+}
+
+/// Each step's slot in a record's block on an index tape, and the block's
+/// width in words: one word for a fixed-size field (its payload offset), two
+/// for a string (its first byte and its index in the view's list of checked
+/// strings), a variable record's fields
+/// inline, three for an array of fixed-size elements (first byte, 64-bit
+/// count) and five for an array of variable ones (… and where its table of
+/// element positions starts, and how many entries it has).
+/// Returns the width, and the record's wire size when it is fixed.
+fn layout(steps: &mut [Step]) -> Result<(u32, Option<usize>)> {
+    let (mut width, mut bytes) = (0u32, Some(0usize));
+    for step in steps {
+        let size = fixed_size(&step.elem);
+        let byte = bytes.map_or(0, |b| u32::try_from(b).unwrap_or(u32::MAX));
+        let saturated = size.map(|n| u32::try_from(n).unwrap_or(u32::MAX));
+        step.slot = Slot { word: width, byte, size: saturated };
+        bytes = bytes.zip(size).and_then(|(b, n)| b.checked_add(n));
+        width = width
+            .checked_add(slot_words(&step.elem))
+            .ok_or_else(|| PbioError::BadFormat("record too wide to index".into()))?;
+    }
+    Ok((width, bytes))
+}
+
+/// Words of an element's slot on an index tape (see [`layout`]).
+pub(crate) fn slot_words(elem: &ElemPlan) -> u32 {
+    match elem {
+        _ if fixed_size(elem).is_some() => 1,
+        ElemPlan::Str => 2,
+        ElemPlan::Record(rp) => rp.width,
+        ElemPlan::Array { stride: Some(_), .. } => 3,
+        _ => 5,
+    }
+}
+
+/// The wire size of an element, when it is the same for every value.
+pub(crate) fn fixed_size(elem: &ElemPlan) -> Option<usize> {
+    match elem {
+        ElemPlan::Int { read, .. } | ElemPlan::Count { read, .. } => Some(read.width()),
+        ElemPlan::F32 | ElemPlan::Enum => Some(4),
+        ElemPlan::F64 => Some(8),
+        ElemPlan::Char => Some(1),
+        ElemPlan::Str => None,
+        ElemPlan::Record(rp) => rp.fixed,
+        ElemPlan::Array { len: LenPlan::Fixed(n), stride: Some(s), .. } => n.checked_mul(*s),
+        ElemPlan::Array { .. } => None,
+    }
+}
+
+/// The fewest payload bytes a value of `ty` can occupy — a string its NUL,
+/// a counted array nothing: what bounds the elements reserved for a count
+/// the message claims.
+pub(crate) fn min_wire_size(ty: &FieldType) -> usize {
+    match ty {
+        FieldType::Basic(b) => b.wire_stride().unwrap_or(1),
+        FieldType::Record(r) => {
+            r.fields().iter().fold(0, |n, f| n.saturating_add(min_wire_size(f.ty())))
+        }
+        FieldType::Array { elem, len: ArrayLen::Fixed(n) } => n.saturating_mul(min_wire_size(elem)),
+        FieldType::Array { .. } => 0,
+    }
+}
+
+/// How many elements to reserve for an array claiming `n` of at least
+/// `min_size` bytes each ([`min_wire_size`]): no more than the bytes left
+/// could hold, and none up front when an element may take no bytes at all.
+pub(crate) fn reservation(n: usize, min_size: usize, c: &Cursor<'_>) -> usize {
+    match min_size {
+        0 => 0,
+        m => n.min(c.remaining() / m),
+    }
 }
 
 fn compile_elem(
@@ -498,23 +615,25 @@ fn compile_elem(
                 BasicType::String => ElemPlan::Str,
             })
         }
-        (FieldType::Record(wr), None) => Ok(ElemPlan::Record(compile_record(wr, None)?)),
+        (FieldType::Record(wr), None) => Ok(ElemPlan::Record(Box::new(compile_record(wr, None)?))),
         (FieldType::Record(wr), Some(FieldType::Record(nr))) => {
-            Ok(ElemPlan::Record(compile_record(wr, Some(nr))?))
+            Ok(ElemPlan::Record(Box::new(compile_record(wr, Some(nr))?)))
         }
-        (FieldType::Array { elem, len }, nty) => {
+        (FieldType::Array { elem: wire_elem, len }, nty) => {
             let native_elem = match nty {
                 None => None,
                 Some(FieldType::Array { elem: ne, .. }) => Some(ne.as_ref()),
                 Some(_) => unreachable!("can_fill relates arrays to arrays"),
             };
+            let elem = compile_elem(wire_elem, native_elem, level)?;
             Ok(ElemPlan::Array {
-                elem: Box::new(compile_elem(elem, native_elem, level)?),
+                min_size: min_wire_size(wire_elem),
+                stride: fixed_size(&elem),
+                elem: Box::new(elem),
                 len: match len {
                     ArrayLen::Fixed(n) => LenPlan::Fixed(*n),
                     ArrayLen::LengthField(name) => LenPlan::Counted(level.slot_of(name)?),
                 },
-                stride: elem.wire_stride(),
             })
         }
         (FieldType::Record(_), Some(_)) => unreachable!("can_fill relates records to records"),
@@ -522,7 +641,7 @@ fn compile_elem(
 }
 
 /// Decodes one record level into its native record.
-fn record<O: Order>(plan: &RecordPlan, c: &mut Cursor<'_>) -> Result<Value> {
+pub(crate) fn record<O: Order>(plan: &RecordPlan, c: &mut Cursor<'_>) -> Result<Value> {
     let mut counts = vec![0u64; plan.n_counts];
     let mut out = match &plan.template {
         Some(template) => template.clone(),
@@ -550,7 +669,12 @@ fn record<O: Order>(plan: &RecordPlan, c: &mut Cursor<'_>) -> Result<Value> {
 /// bounds-checked as a block: one comparison proves every element read is
 /// in-bounds, which also justifies reserving the exact count (a hostile
 /// length field fails here instead of over-allocating).
-fn array_len(len: LenPlan, stride: Option<usize>, c: &Cursor<'_>, counts: &[u64]) -> Result<usize> {
+pub(crate) fn array_len(
+    len: LenPlan,
+    stride: Option<usize>,
+    c: &Cursor<'_>,
+    counts: &[u64],
+) -> Result<usize> {
     let n = match len {
         LenPlan::Fixed(n) => n,
         LenPlan::Counted(slot) => {
@@ -568,7 +692,11 @@ fn array_len(len: LenPlan, stride: Option<usize>, c: &Cursor<'_>, counts: &[u64]
 
 /// Decodes one element into its native value. `counts` are the count slots
 /// of the enclosing record level.
-fn build<O: Order>(elem: &ElemPlan, c: &mut Cursor<'_>, counts: &mut [u64]) -> Result<Value> {
+pub(crate) fn build<O: Order>(
+    elem: &ElemPlan,
+    c: &mut Cursor<'_>,
+    counts: &mut [u64],
+) -> Result<Value> {
     Ok(match elem {
         ElemPlan::Int { read, conv } => conv.apply(read.bits::<O>(c)?),
         ElemPlan::Count { read, conv, slot } => {
@@ -582,9 +710,9 @@ fn build<O: Order>(elem: &ElemPlan, c: &mut Cursor<'_>, counts: &mut [u64]) -> R
         ElemPlan::Enum => Value::Enum(O::u32(c.fixed()?) as i32),
         ElemPlan::Str => Value::Str(c.read_string()?),
         ElemPlan::Record(rp) => record::<O>(rp, c)?,
-        ElemPlan::Array { elem, len, stride } => {
+        ElemPlan::Array { elem, len, stride, min_size } => {
             let n = array_len(*len, *stride, c, counts)?;
-            let mut es = Vec::with_capacity(if stride.is_some() { n } else { n.min(1 << 16) });
+            let mut es = Vec::with_capacity(reservation(n, *min_size, c));
             for _ in 0..n {
                 es.push(build::<O>(elem, c, counts)?);
             }
@@ -595,7 +723,11 @@ fn build<O: Order>(elem: &ElemPlan, c: &mut Cursor<'_>, counts: &mut [u64]) -> R
 
 /// Parses one element for cursor advancement only: nothing is allocated.
 /// Count sources are still read, so array lengths stay available.
-fn skip<O: Order>(elem: &ElemPlan, c: &mut Cursor<'_>, counts: &mut [u64]) -> Result<()> {
+pub(crate) fn skip<O: Order>(
+    elem: &ElemPlan,
+    c: &mut Cursor<'_>,
+    counts: &mut [u64],
+) -> Result<()> {
     match elem {
         ElemPlan::Int { read, .. } => c.advance(read.width()),
         ElemPlan::Count { read, slot, .. } => {
@@ -610,7 +742,7 @@ fn skip<O: Order>(elem: &ElemPlan, c: &mut Cursor<'_>, counts: &mut [u64]) -> Re
             let mut counts = vec![0u64; rp.n_counts];
             rp.steps.iter().try_for_each(|step| skip::<O>(&step.elem, c, &mut counts))
         }
-        ElemPlan::Array { elem, len, stride } => {
+        ElemPlan::Array { elem, len, stride, .. } => {
             let n = array_len(*len, *stride, c, counts)?;
             (0..n).try_for_each(|_| skip::<O>(elem, c, counts))
         }
@@ -983,7 +1115,11 @@ mod tests {
     /// pushed to, the rest start from a template.
     #[test]
     fn record_levels_are_classified_at_compile_time() {
-        let leaf = |p: &ConversionPlan| match &p.root.steps[1].elem {
+        let root = |p: &ConversionPlan| match &p.root {
+            ElemPlan::Record(rp) => rp.clone(),
+            other => panic!("the root is {other:?}"),
+        };
+        let leaf = |p: &ConversionPlan| match &root(p).steps[1].elem {
             ElemPlan::Array { elem, .. } => match elem.as_ref() {
                 ElemPlan::Record(rp) => (rp.n_counts, rp.template.is_some()),
                 other => panic!("element is {other:?}"),
@@ -991,7 +1127,8 @@ mod tests {
             other => panic!("list is {other:?}"),
         };
         let identity = ConversionPlan::identity(&resp(true)).unwrap();
-        assert_eq!((identity.root.n_counts, identity.root.template.is_some()), (1, false));
+        let top = root(&identity);
+        assert_eq!((top.n_counts, top.template.is_some()), (1, false));
         assert_eq!(leaf(&identity), (0, false));
         // Dropping trailing fields keeps native order; adding fields the
         // wire lacks, or reordering, needs the template.
@@ -999,10 +1136,10 @@ mod tests {
         assert_eq!(leaf(&ConversionPlan::compile(&resp(false), &resp(true)).unwrap()), (0, true));
         let ab = FormatBuilder::record("R").int("a").int("b").build_arc().unwrap();
         let ba = FormatBuilder::record("R").int("b").int("a").build_arc().unwrap();
-        assert!(ConversionPlan::compile(&ab, &ba).unwrap().root.template.is_some());
+        assert!(root(&ConversionPlan::compile(&ab, &ba).unwrap()).template.is_some());
         let projected = ConversionPlan::project(&resp(true), &[true, false]).unwrap();
-        assert!(projected.root.template.is_some());
-        assert!(projected.root.len_syncs.is_empty());
+        assert!(root(&projected).template.is_some());
+        assert!(root(&projected).len_syncs.is_empty());
     }
 
     #[test]

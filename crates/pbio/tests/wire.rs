@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use pbio::{
     decode_payload, format_id, BasicType, ByteOrder, ConversionPlan, Encoder, EnumVariant,
-    FieldType, FormatBuilder, FormatRegistry, GenericDecoder, PbioError, RecordFormat, Value,
-    Width, HEADER_LEN,
+    FieldType, FormatBuilder, FormatRegistry, GenericDecoder, PathStep, PbioError, RecordFormat,
+    Route, Tape, Value, Width, HEADER_LEN,
 };
 
 fn color_enum() -> BasicType {
@@ -311,16 +311,55 @@ struct Checked {
     plan: ConversionPlan,
     used: Vec<bool>,
     oracle: GenericDecoder,
+    /// The message whole, each top-level field, the member list's length
+    /// and each member field, compiled against the plan.
+    whole: Route,
+    fields: Vec<Route>,
+    members: Vec<Route>,
 }
 
 impl Checked {
     fn new(format: &Arc<RecordFormat>, used: &[bool]) -> Checked {
+        let plan = ConversionPlan::project(format, used).unwrap();
+        let member = |f| plan.route(&[PathStep::Field(2), PathStep::Index, PathStep::Field(f)]);
         Checked {
             format: Arc::clone(format),
-            plan: ConversionPlan::project(format, used).unwrap(),
+            whole: plan.route(&[]),
+            fields: (0..3).map(|i| plan.route(&[PathStep::Field(i)])).collect(),
+            members: (0..4).map(member).collect(),
+            plan,
             used: used.to_vec(),
             oracle: GenericDecoder::new(Arc::clone(format), Arc::clone(format)),
         }
+    }
+
+    /// Indexes `wire` for reading in place and holds the view to `execute`:
+    /// it fails exactly when `execute` does, with the same error, and
+    /// otherwise reads what `execute` decodes — whole, field by field, the
+    /// member list's length, every member's every field and the member
+    /// just past the end.
+    fn check_view(&self, wire: &[u8], what: &str) {
+        let mut tape = Tape::default();
+        let (decoded, view) = (self.plan.execute(wire), self.plan.index(wire, &mut tape));
+        let (decoded, view) = match (decoded, view) {
+            (Ok(decoded), Ok(view)) => (decoded, view),
+            (Err(want), Err(got)) => return assert_eq!(got, want, "{what} (used {:?})", self.used),
+            (want, got) => panic!("{what} (used {:?}): index {got:?}, execute {want:?}", self.used),
+        };
+        assert_eq!(view.get(&self.whole, &[]).as_ref(), Ok(&decoded), "{what}: whole");
+        let fields = decoded.as_record().unwrap();
+        for (route, field) in self.fields.iter().zip(fields) {
+            assert_eq!(view.get(route, &[]).as_ref(), Ok(field), "{what}: a top-level field");
+        }
+        let list = fields[2].as_array().unwrap();
+        assert_eq!(view.len(&self.fields[2], &[]), Ok(Some(list.len())), "{what}: length");
+        for (k, member) in list.iter().enumerate() {
+            for (route, field) in self.members.iter().zip(member.as_record().unwrap()) {
+                assert_eq!(view.get(route, &[k]).as_ref(), Ok(field), "{what}: member {k}");
+            }
+        }
+        let past = view.get(&self.members[0], &[list.len()]);
+        assert_eq!(past, Err(pbio::Miss::OutOfBounds { index: list.len(), len: list.len() }));
     }
 
     /// Runs both decoders on `wire` and holds the plan to the oracle: same
@@ -328,6 +367,7 @@ impl Checked {
     /// never looks inside a string it steps over, so bytes that are not
     /// UTF-8 in a *dead* field fail the oracle only.
     fn check(&self, wire: &[u8], what: &str) {
+        self.check_view(wire, what);
         let started = std::time::Instant::now();
         let got = self.plan.execute(wire);
         let took = started.elapsed();
@@ -355,7 +395,9 @@ impl Checked {
 /// fixed budget of random multi-byte damage to an 8-member v2.0 response, in
 /// both byte orders, through [`ConversionPlan::execute`] — identity and
 /// projected: no panic, no hang, and verdict and value agree with
-/// [`GenericDecoder`]. The seed is `PBIO_FUZZ_SEED` (decimal) when set.
+/// [`GenericDecoder`]; and through [`ConversionPlan::index`]: it fails
+/// exactly when `execute` does, with the same error, and the view reads
+/// what `execute` decodes. The seed is `PBIO_FUZZ_SEED` (decimal) when set.
 #[test]
 fn decode_mutations_agree_with_generic_decoder() {
     let seed = std::env::var("PBIO_FUZZ_SEED")
@@ -384,7 +426,14 @@ fn decode_mutations_agree_with_generic_decoder() {
         Checked::new(&format, &[true, true, false]),
         Checked::new(&format, &[true, false, false]),
     ];
-    let check = |wire: &[u8], what: &str| plans.iter().for_each(|p| p.check(wire, what));
+    // The member list kept without its count: `execute` syncs the count to
+    // the list's length, which the oracle does not model, so this plan is
+    // held to `execute` only.
+    let synced = Checked::new(&format, &[true, false, true]);
+    let check = |wire: &[u8], what: &str| {
+        plans.iter().for_each(|p| p.check(wire, what));
+        synced.check_view(wire, what);
+    };
     let with_len = |mut wire: Vec<u8>| {
         let len = (wire.len() - HEADER_LEN) as u32;
         wire[12..16].copy_from_slice(&len.to_le_bytes());

@@ -6,30 +6,46 @@
 //! a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use echo::{EchoSystem, EchoVersion, WallClockDriver};
-use morph::Transformation;
+use echo::frag::{Fragment, ReassemblyBuffer};
+use echo::proto::{self, MemberInfo};
+use echo::{ChannelId, EchoSystem, EchoVersion, WallClockDriver};
+use morph::{Delivery, MorphReceiver, Transformation};
 use obs::Histogram;
-use pbio::{FormatBuilder, Value};
+use pbio::{ConversionPlan, Encoder, FormatBuilder, Tape, Value, WireBytes, HEADER_LEN};
 use simnet::LinkParams;
+
+mod common;
+use common::hand_written_v2_wire_to_v1;
 
 /// Bytes allocated and not yet freed, across every thread.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// The most `LIVE` has been since the last [`peak_from_here`].
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+/// Blocks allocated or reallocated.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
+fn grew(by: isize) {
+    let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+    PEAK.fetch_max(now, Ordering::Relaxed);
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// wrapper only adds the size of each block to, or takes it from, `LIVE`.
+// wrapper only counts the call and adds the size of each block to, or takes
+// it from, `LIVE`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        grew(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        grew(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
@@ -39,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        grew(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,6 +67,17 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn live() -> isize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Starts measuring the peak anew; returns the live heap it starts from.
+fn peak_from_here() -> isize {
+    let now = live();
+    PEAK.store(now, Ordering::Relaxed);
+    now
+}
+
+fn allocs() -> usize {
+    ALLOCS.load(Ordering::Relaxed)
 }
 
 /// The `fanout_small` shape at `sinks` sinks: one publisher, provisioned
@@ -146,4 +173,123 @@ fn an_unrecorded_histogram_costs_at_most_64_bytes() {
     h.record(2_000);
     assert_eq!(live() - before, recorded, "later samples allocate nothing");
     assert_eq!(h.snapshot().count, 2);
+}
+
+/// A fragment set's memory follows the fragments that arrived, not the
+/// count the first one claims: 32 sets of one 4-byte fragment, each
+/// claiming 65,535, hold at most the fragments plus `count / 8` bytes of
+/// bitmap per set — not a slot per claimed fragment (64 MiB).
+#[test]
+fn a_fragment_set_holds_what_arrived_not_what_it_claims() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const SETS: u64 = 32;
+    let mut buf = ReassemblyBuffer::new(64, u64::MAX);
+    let before = live();
+    for seq in 0..SETS {
+        let bytes = WireBytes::from(vec![seq as u8; 4]);
+        let frag = Fragment { index: 7, count: u16::MAX, bytes: bytes.clone() };
+        buf.offer(1, seq, frag, bytes, None, 0);
+    }
+    let held = (live() - before) as usize;
+    assert_eq!(buf.len(), SETS as usize);
+    let per_set = usize::from(u16::MAX) / 8 + 512;
+    assert!(held <= SETS as usize * per_set, "{SETS} one-fragment sets hold {held} B");
+}
+
+/// A count the payload cannot hold reserves nothing for it: 12 payload
+/// bytes claiming 65,535 members fail, through the compiled plan, the
+/// generic decoder and the index pass alike, having never held more than a
+/// few hundred bytes.
+#[test]
+fn a_claimed_count_is_not_reserved_for() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let v2 = proto::channel_open_response_v2();
+    let mut wire = Encoder::new(&v2).encode(&proto::response_v2_value(ChannelId(1), &[])).unwrap();
+    wire[HEADER_LEN + 4..HEADER_LEN + 8].copy_from_slice(&65_535i32.to_le_bytes());
+    wire.extend_from_slice(b"abc");
+    let len = (wire.len() - HEADER_LEN) as u32;
+    wire[12..16].copy_from_slice(&len.to_le_bytes());
+    assert_eq!(wire.len() - HEADER_LEN, 11);
+    let plan = ConversionPlan::identity(&v2).unwrap();
+    let generic = pbio::GenericDecoder::new(v2.clone(), v2.clone());
+    let mut tape = Tape::default();
+    let decoders: [(&str, &mut dyn FnMut() -> bool); 3] = [
+        ("plan", &mut || plan.execute(&wire).is_err()),
+        ("generic", &mut || generic.decode(&wire).is_err()),
+        ("index", &mut || plan.index(&wire, &mut tape).is_err()),
+    ];
+    for (name, decode) in decoders {
+        let before = peak_from_here();
+        assert!(decode(), "{name}: the message decodes");
+        let peak = PEAK.load(Ordering::Relaxed) - before;
+        assert!(peak <= 1024, "{name}: peaked {peak} B over its start");
+    }
+}
+
+/// A v2.0 `ChannelOpenResponse` of `n` members, encoded.
+fn v2_response(n: i64) -> Vec<u8> {
+    let members: Vec<MemberInfo> = (0..n)
+        .map(|i| MemberInfo {
+            contact: format!("host-{}:{}", i * 37 % 1000, 4_000 + i),
+            id: i,
+            is_source: i % 3 != 0,
+            is_sink: i % 2 == 0,
+        })
+        .collect();
+    let v2 = proto::channel_open_response_v2();
+    Encoder::new(&v2).encode(&proto::response_v2_value(ChannelId(7), &members)).unwrap()
+}
+
+/// A receiver that morphs v2.0 responses to the v1.0 handler it has.
+fn v1_receiver() -> MorphReceiver {
+    let mut rx = MorphReceiver::new();
+    rx.register_handler(&proto::channel_open_response_v1(), drop);
+    rx.import_transformation(proto::response_retro_transformation());
+    rx
+}
+
+/// One large morphed message does not fix a receiver's memory: after a
+/// 20,000-member response (about half a MiB of wire) and a few small ones,
+/// the live heap is back within a few KiB of where the small ones left it.
+#[test]
+fn a_large_morph_leaves_no_memory_behind() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, large) = (v2_response(4), v2_response(20_000));
+    let mut rx = v1_receiver();
+    for _ in 0..3 {
+        rx.process(&small).unwrap();
+    }
+    let before = live();
+    rx.process(&large).unwrap();
+    for _ in 0..3 {
+        rx.process(&small).unwrap();
+    }
+    let kept = live() - before;
+    assert!(
+        kept.unsigned_abs() <= 16 * 1024,
+        "{kept} B still held after a {} B message",
+        large.len()
+    );
+}
+
+/// A warm morph of the 400-member v2.0 response allocates what the
+/// hand-written converter allocates — the v1.0 value it delivers — and a
+/// constant more: no tree of the incoming message.
+#[test]
+fn a_warm_morph_allocates_what_the_hand_written_converter_does() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let wire = v2_response(400);
+    let mut rx = v1_receiver();
+    for _ in 0..3 {
+        assert!(matches!(rx.process(&wire).unwrap(), Delivery::Delivered(_)));
+    }
+
+    let before = allocs();
+    drop(hand_written_v2_wire_to_v1(&wire));
+    let by_hand = allocs() - before;
+    let before = allocs();
+    rx.process(&wire).unwrap();
+    let morph = allocs() - before;
+    assert!(by_hand > 1_000, "the converter allocates per member: {by_hand}");
+    assert!(morph <= by_hand + 32, "warm morph {morph} allocations, by hand {by_hand}");
 }

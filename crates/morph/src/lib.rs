@@ -14,7 +14,7 @@
 //! | `MaxMatch` with `DIFF_THRESHOLD` / `MISMATCH_THRESHOLD` | [`max_match`], [`MatchConfig`] |
 //! | Retro-transformations attached to formats (Fig. 1, Fig. 5) | [`Transformation`], [`TransformationRegistry`] |
 //! | Receiver-side processing with caching (Algorithm 2) | [`MorphReceiver`] |
-//! | Default-fill / extra-removal for near matches | [`ValueAdapter`] |
+//! | Default-fill / extra-removal for near matches (Algorithm 2 lines 28–30) | the receiver's compiled [`pbio::ConversionPlan`]s: `execute` on wire bytes, `convert` on a chain's output |
 //!
 //! ## End-to-end example
 //!
@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod adapter;
 pub mod deadletter;
 mod error;
 mod matching;
@@ -57,7 +56,6 @@ pub mod resolver;
 pub mod weighted;
 mod xform;
 
-pub use adapter::ValueAdapter;
 pub use deadletter::{DeadLetter, DeadLetterQueue, DeadReason};
 pub use error::{MorphError, Result};
 pub use matching::{

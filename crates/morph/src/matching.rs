@@ -325,6 +325,29 @@ mod tests {
     }
 
     #[test]
+    fn weight_counts_basic_fields_recursively() {
+        let inner = member(false); // 2 basic fields
+        let f = FormatBuilder::record("R")
+            .int("count")
+            .var_array_of("list", inner.clone(), "count")
+            .nested("one", inner)
+            .double("x")
+            .build_arc()
+            .unwrap();
+        // count(1) + list elem weight(2) + one(2) + x(1)
+        assert_eq!(type_weight(&FieldType::Record(f)), 6);
+        // An array weighs as one element, however deeply nested.
+        let grid = FieldType::Array {
+            elem: Box::new(FieldType::Array {
+                elem: Box::new(FieldType::Record(member(true))),
+                len: pbio::ArrayLen::Fixed(2),
+            }),
+            len: pbio::ArrayLen::Fixed(3),
+        };
+        assert_eq!(type_weight(&grid), 4);
+    }
+
+    #[test]
     fn diff_of_identical_formats_is_zero() {
         assert_eq!(diff(&v1(), &v1()), 0);
         assert_eq!(diff(&v2(), &v2()), 0);

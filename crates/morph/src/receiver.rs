@@ -22,7 +22,6 @@ use pbio::{
     RecordFormat, Tape, Value,
 };
 
-use crate::adapter::ValueAdapter;
 use crate::error::{MorphError, Result};
 use crate::matching::{max_match, MatchConfig, MaxMatch};
 use crate::weighted::{weighted_max_match, WeightProfile, WeightedConfig};
@@ -84,7 +83,8 @@ pub enum Explanation {
         target: FormatId,
         /// Number of compiled transformation steps.
         chain_len: usize,
-        /// Whether a final default-fill/extra-removal adapter runs after
+        /// Whether a final default-fill/extra-removal step — the conversion
+        /// plan from the chain's last format to the reader's — runs after
         /// the chain.
         adapted: bool,
     },
@@ -242,9 +242,9 @@ impl std::fmt::Debug for DecisionCache {
 /// What a morph decision executes, built once at decide time: one projected
 /// index pass, one composed VM program covering the whole transformation
 /// chain, then (if the chain's end is a near match of the reader) the
-/// adapter — a single pass `wire bytes → Value(target)` with exactly one VM
-/// invocation, no tree of the incoming message and no intermediate `Value`
-/// trees between steps.
+/// conversion plan from the chain's end to the reader — a single pass
+/// `wire bytes → Value(target)` with exactly one VM invocation, no tree of
+/// the incoming message and no intermediate `Value` trees between steps.
 struct MorphPlan {
     /// The projection of the wire format to the fields the program reads:
     /// it indexes each message for the program to read in place, checking
@@ -257,7 +257,11 @@ struct MorphPlan {
     /// Default output records (one per chain step), cloned per message as
     /// the program's writable roots.
     templates: Vec<Value>,
-    adapter: Option<ValueAdapter>,
+    /// Algorithm 2's default-fill and extra-removal of the chain's output,
+    /// when its format is a near match of the reader's: the plan for that
+    /// pair from the receiver's plan cache, run by
+    /// [`ConversionPlan::convert`].
+    adapter: Option<Arc<ConversionPlan>>,
     target: FormatId,
 }
 
@@ -285,9 +289,8 @@ struct RxMetrics {
     process_ns: Arc<Histogram>,
     compile_ns: Arc<Histogram>,
     maxmatch_ns: Arc<Histogram>,
-    fused_apply_ns: Arc<Histogram>,
     /// `pbio.decode_ns`: a warm morph's projected decode, split off the
-    /// `fused_apply_ns` interval.
+    /// `process_ns` interval.
     decode_ns: Arc<Histogram>,
 }
 
@@ -314,7 +317,6 @@ impl RxMetrics {
             process_ns: registry.histogram("morph.process_ns"),
             compile_ns: registry.histogram("morph.compile_ns"),
             maxmatch_ns: registry.histogram("morph.maxmatch_ns"),
-            fused_apply_ns: registry.histogram("morph.fused.apply_ns"),
             decode_ns: registry.histogram("pbio.decode_ns"),
         }
     }
@@ -927,6 +929,10 @@ impl MorphReceiver {
         let used = root_used_fields(program.rcode(), 0, fm.fields().len());
         let decode = self.plans.project(&fm, &used)?;
         let routes = program.routes(&decode);
+        // Lines 28–30: a near match of the reader is default-filled by the
+        // plan near matches of the wire format take, shared the same way.
+        let adapter =
+            if m.perfect { None } else { Some(self.plans.get_or_compile(&chosen.format, target)?) };
         if let Some(s) = decide_span.as_mut() {
             s.tag("outcome", "morph");
         }
@@ -934,8 +940,6 @@ impl MorphReceiver {
         self.metrics.morphs.inc();
         let templates =
             program.bindings()[1..].iter().map(|b| Value::default_record(&b.format)).collect();
-        let adapter =
-            if m.perfect { None } else { Some(ValueAdapter::compile(&chosen.format, target)) };
         Ok(Decision::Morph(Box::new(MorphPlan {
             decode,
             program,
@@ -1002,8 +1006,7 @@ impl Applier<'_> {
     }
 
     /// A warm replay, timed from `started_ns`: whatever the outcome, one
-    /// `morph.process_ns` sample — and, for a morph decision, one
-    /// `morph.fused.apply_ns` sample — from a single closing clock read.
+    /// `morph.process_ns` sample from a single closing clock read.
     fn replay(
         &mut self,
         decision: &Decision,
@@ -1014,9 +1017,6 @@ impl Applier<'_> {
         let result = self.apply(decision, msg, Some(started_ns), &mut timing.decode_ns);
         let elapsed_ns = self.metrics.clock.now_ns().saturating_sub(started_ns);
         self.metrics.process_ns.record(elapsed_ns);
-        if matches!(decision, Decision::Morph(_)) {
-            self.metrics.fused_apply_ns.record(elapsed_ns);
-        }
         (timing.total_ns, timing.warm) = (elapsed_ns, true);
         result
     }
@@ -1072,8 +1072,8 @@ impl Applier<'_> {
     /// The single pass of a morph decision, `wire bytes → Value(target)`, in
     /// the receiver's reused root vector, tape and VM scratch: the projected
     /// index pass, one run of the whole chain reading the message in place
-    /// under the message's instruction budget, then the adapter if the
-    /// decision has one. The first message of a format runs it under the
+    /// under the message's instruction budget, then the adapting plan if
+    /// the decision has one. The first message of a format runs it under the
     /// cold pass's stage spans; on a warm replay the index pass's share
     /// (timed from `warm_since`) is read off the clock once, recorded as
     /// `pbio.decode_ns` and reported through `decode_ns`.
@@ -1105,13 +1105,13 @@ impl Applier<'_> {
         self.metrics.batch_copies.add(stats.batch_copies);
         self.metrics.batch_elems.add(stats.batch_elems);
         let value = self.roots.pop().expect("fused program keeps its roots");
-        match &m.adapter {
-            Some(a) => {
+        Ok(match &m.adapter {
+            Some(plan) => {
                 let _s = self.stage("morph.default_fill");
-                a.apply(&value)
+                plan.convert(&value)
             }
-            None => Ok(value),
-        }
+            None => value,
+        })
     }
 
     fn invoke(&mut self, target: FormatId, value: Value) {
@@ -1606,9 +1606,9 @@ mod tests {
         // Each warm replay books its decode under `pbio.decode_ns` (the cold
         // pass does not), as the leading part of its own interval.
         let decode = snap.histogram("pbio.decode_ns").unwrap();
-        let apply = snap.histogram("morph.fused.apply_ns").unwrap();
-        assert_eq!((decode.count, apply.count), (4, 4));
-        assert!(decode.sum <= apply.sum, "decode {} > apply {}", decode.sum, apply.sum);
+        let process = snap.histogram("morph.process_ns").unwrap();
+        assert_eq!((decode.count, process.count), (4, 4));
+        assert!(decode.sum <= process.sum, "decode {} > process {}", decode.sum, process.sum);
 
         // The first delivery equals every later one, and the oracle's: the
         // tree-walker over the full decode.
@@ -1647,7 +1647,7 @@ mod tests {
         rx.process(&v1_message).unwrap(); // cold: an exact-match plan
 
         // Fused morph: entry, end of the projected decode, exit — shared by
-        // morph.process_ns, morph.fused.apply_ns and pbio.decode_ns.
+        // morph.process_ns and pbio.decode_ns.
         let before = reads(&clock);
         let (result, timing) = rx.process_timed(&v2_message(3), None);
         result.unwrap();
@@ -1665,7 +1665,6 @@ mod tests {
         let snap = rx.registry().snapshot();
         let count = |name: &str| snap.histogram(name).map(|h| h.count);
         assert_eq!(count("morph.process_ns"), Some(2));
-        assert_eq!(count("morph.fused.apply_ns"), Some(1));
         assert_eq!(count("pbio.decode_ns"), Some(1));
     }
 
@@ -1726,7 +1725,7 @@ mod tests {
         let snap = rx.registry().snapshot();
         assert_eq!(snap.counter("morph.compile.count"), Some(1));
         assert_eq!(snap.counter("morph.vm.register.apply"), Some(2));
-        assert_eq!(snap.histogram("morph.fused.apply_ns").map(|h| h.count), Some(3));
+        assert_eq!(snap.histogram("morph.process_ns").map(|h| h.count), Some(3));
     }
 
     /// The receiver runs wire-supplied code on a budget: a transformation
@@ -1881,6 +1880,63 @@ mod tests {
         let warm = TraceCtx::root(recorder.next_trace_id());
         rx.process_traced(&v2_message(3), Some(warm)).unwrap();
         assert_eq!(tree(warm.trace), spans(&[("morph.lookup", None), ("morph.apply.fused", None)]));
+    }
+
+    /// A chain that ends one near match short of the reader is default-filled
+    /// by a plan from the receiver's plan cache: compiled once per (chain
+    /// end, reader) pair, stored, and found by every receiver sharing the
+    /// store — as a near match of the wire format is.
+    #[test]
+    fn an_adapted_morph_takes_its_default_fill_plan_from_the_plan_cache() {
+        let reader = FormatBuilder::record("ChannelOpenResponse")
+            .int("member_count")
+            .var_array_of("member_list", member(false), "member_count")
+            .int("src_count")
+            .var_array_of("src_list", member(false), "src_count")
+            .field_with_default(
+                "epoch",
+                FieldType::Basic(BasicType::Int(pbio::Width::W4)),
+                Value::Int(9),
+            )
+            .build_arc()
+            .unwrap();
+        let store = PlanStore::new();
+        let subscriber = || {
+            let (got, h) = sink();
+            let mut rx = MorphReceiver::new();
+            rx.register_handler(&reader, h);
+            rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+            rx.set_plan_store(store.clone());
+            (got, rx)
+        };
+        let (got_a, mut a) = subscriber();
+        let (got_b, mut b) = subscriber();
+        for rx in [&mut a, &mut b] {
+            for _ in 0..2 {
+                rx.process(&v2_message(3)).unwrap();
+            }
+        }
+        let adapted =
+            Some(Explanation::Morph { target: format_id(&reader), chain_len: 1, adapted: true });
+        assert_eq!(a.explain(format_id(&v2())), adapted);
+
+        // The oracle: the tree-walker's v1.0 value, converted by name.
+        let full = ConversionPlan::identity(&v2()).unwrap().execute(&v2_message(3)).unwrap();
+        let end = Transformation::new(v2(), v1(), FIG5).compile().unwrap().apply_interp(&full);
+        let oracle = pbio::convert_record(&end.unwrap(), &v1(), &reader);
+        assert_eq!(oracle.field(&reader, "epoch"), Some(&Value::Int(9)));
+        for got in [&got_a, &got_b] {
+            assert_eq!(*got.lock().unwrap(), vec![oracle.clone(); 2]);
+        }
+        // A compiled its projection and the default-fill plan; B compiled its
+        // projection and found the stored plan.
+        assert_eq!(store.len(), 1);
+        let plans = |rx: &MorphReceiver| {
+            let snap = rx.registry().snapshot();
+            (snap.counter("pbio.plan.miss"), snap.counter("pbio.plan.hit"))
+        };
+        assert_eq!(plans(&a), (Some(2), Some(0)));
+        assert_eq!(plans(&b), (Some(1), Some(1)));
     }
 
     #[test]

@@ -200,7 +200,8 @@ mod tests {
         assert_eq!(wdiff(&a, &b, &p), diff(&a, &b) as f64);
         assert_eq!(wdiff(&b, &a, &p), diff(&b, &a) as f64);
         assert!((wmismatch_ratio(&a, &b, &p) - mismatch_ratio(&a, &b)).abs() < 1e-12);
-        assert_eq!(wweight(&a, &p), a.weight() as f64);
+        let unweighted = crate::matching::type_weight(&pbio::FieldType::Record(a.clone()));
+        assert_eq!(wweight(&a, &p), unweighted as f64);
     }
 
     #[test]

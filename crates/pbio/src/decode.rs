@@ -259,9 +259,11 @@ pub fn decode_payload(wire_format: &RecordFormat, buf: &[u8]) -> Result<Value> {
 /// their declared defaults; basic types convert when
 /// [`BasicType::convertible_to`] allows.
 ///
-/// This decoder exists as the baseline for the "specialized conversion plan"
-/// ablation (`bench/benches/ablate_plan.rs`); production paths should use
-/// [`crate::plan::ConversionPlan`].
+/// This decoder is the oracle the specialized [`crate::plan::ConversionPlan`]
+/// is tested against — its [`convert_record`] half also checks
+/// [`crate::plan::ConversionPlan::convert`] — and the baseline of the
+/// `ablate_plan` bench (`crates/bench/benches/ablate_plan.rs`); production
+/// paths use the plan.
 #[derive(Debug, Clone)]
 pub struct GenericDecoder {
     wire: Arc<RecordFormat>,

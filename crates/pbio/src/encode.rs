@@ -212,7 +212,7 @@ fn encode_uint(
 /// on the call stack. Rendering (allocation) happens only when an error is
 /// actually reported, keeping the encode hot path allocation-free.
 #[derive(Clone, Copy)]
-enum Path<'a> {
+pub(crate) enum Path<'a> {
     Root(&'a str),
     Field(&'a Path<'a>, &'a str),
     Index(&'a Path<'a>, usize),
@@ -310,7 +310,10 @@ fn encode_field(
     }
 }
 
-fn encode_record(
+/// Validates `value` against `format` and appends its payload to `out`: the
+/// one walk that decides whether a value conforms — [`Value::check`] runs it
+/// into a scratch buffer.
+pub(crate) fn encode_record(
     value: &Value,
     format: &RecordFormat,
     order: ByteOrder,

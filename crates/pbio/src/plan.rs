@@ -284,7 +284,10 @@ pub(crate) struct RecordPlan {
 /// A compiled wire-to-native conversion routine for one format pair.
 ///
 /// Compile once (e.g. on first receipt of an unseen format — Algorithm 2
-/// line 22), cache, and execute per message.
+/// line 22), cache, and execute per message. The same plan also converts a
+/// value already decoded in the wire format ([`ConversionPlan::convert`]):
+/// the one compiled form of "which field of one format fills which field of
+/// another", with [`crate::convert_record`] as its oracle.
 ///
 /// # Examples
 ///
@@ -408,6 +411,35 @@ impl ConversionPlan {
             return Err(PbioError::BadData("trailing bytes after record payload".into()));
         }
         Ok(v)
+    }
+
+    /// Executes the plan on a value already shaped by the wire format — a
+    /// transformation chain's output, where the chain ends one near match
+    /// short of the reader: the same steps, defaults, integer casts and
+    /// length-field syncs [`ConversionPlan::execute`] applies to wire bytes.
+    /// Floats keep their `f64` value (nothing rounds through `f32`), as in
+    /// [`crate::convert_record`], the meta-data-driven oracle.
+    ///
+    /// `value` is not checked against the wire format: a field it lacks
+    /// converts as `Value::Int(0)` would, and a value of another kind than
+    /// its field's is copied as it is.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # fn main() -> Result<(), pbio::PbioError> {
+    /// use pbio::{ConversionPlan, FormatBuilder, Value};
+    ///
+    /// let from = FormatBuilder::record("M").int("a").int("extra").build_arc()?;
+    /// let to = FormatBuilder::record("M").int("a").int("missing").build_arc()?;
+    /// let plan = ConversionPlan::compile(&from, &to)?;
+    /// let out = plan.convert(&Value::Record(vec![Value::Int(7), Value::Int(9)]));
+    /// assert_eq!(out, Value::Record(vec![Value::Int(7), Value::Int(0)]));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn convert(&self, value: &Value) -> Value {
+        convert(&self.root, value)
     }
 }
 
@@ -655,14 +687,53 @@ pub(crate) fn record<O: Order>(plan: &RecordPlan, c: &mut Cursor<'_>) -> Result<
             Some(dst) => out[dst] = build::<O>(&step.elem, c, &mut counts)?,
         }
     }
-    for &(arr, cnt) in &plan.len_syncs {
+    sync_counts(&plan.len_syncs, &mut out);
+    Ok(Value::Record(out))
+}
+
+/// Sets each native length field to its array's element count.
+fn sync_counts(len_syncs: &[(usize, usize)], out: &mut [Value]) {
+    for &(arr, cnt) in len_syncs {
         let n = out[arr].as_array().map_or(0, <[Value]>::len) as u64;
         out[cnt] = match out[cnt] {
             Value::UInt(_) => Value::UInt(n),
             _ => Value::Int(n as i64),
         };
     }
-    Ok(Value::Record(out))
+}
+
+/// [`ConversionPlan::convert`] of one element: `v` is shaped by the wire
+/// type the element was compiled from.
+fn convert(elem: &ElemPlan, v: &Value) -> Value {
+    match elem {
+        ElemPlan::Int { conv, .. } | ElemPlan::Count { conv, .. } => conv.apply(match v {
+            Value::Int(i) => *i as u64,
+            Value::UInt(u) => *u,
+            _ => 0,
+        }),
+        ElemPlan::F32 | ElemPlan::F64 => Value::Float(v.as_f64().unwrap_or(0.0)),
+        ElemPlan::Char | ElemPlan::Enum | ElemPlan::Str => v.clone(),
+        ElemPlan::Record(rp) => {
+            let fields = v.as_record().unwrap_or_default();
+            let mut out = match &rp.template {
+                Some(template) => template.clone(),
+                None => Vec::with_capacity(rp.native_len),
+            };
+            for (i, step) in rp.steps.iter().enumerate() {
+                let Some(dst) = step.dst else { continue };
+                let field = convert(&step.elem, fields.get(i).unwrap_or(&Value::Int(0)));
+                match rp.template {
+                    Some(_) => out[dst] = field,
+                    None => out.push(field),
+                }
+            }
+            sync_counts(&rp.len_syncs, &mut out);
+            Value::Record(out)
+        }
+        ElemPlan::Array { elem, .. } => Value::Array(
+            v.as_array().unwrap_or_default().iter().map(|e| convert(elem, e)).collect(),
+        ),
+    }
 }
 
 /// The element count of an array about to be read. Fixed-stride ranges are
@@ -1140,6 +1211,85 @@ mod tests {
         let projected = ConversionPlan::project(&resp(true), &[true, false]).unwrap();
         assert!(root(&projected).template.is_some());
         assert!(root(&projected).len_syncs.is_empty());
+    }
+
+    #[test]
+    fn convert_identity_is_a_clone() {
+        let f = FormatBuilder::record("M").int("a").string("s").build_arc().unwrap();
+        let v = Value::Record(vec![Value::Int(1), Value::str("x")]);
+        assert_eq!(ConversionPlan::identity(&f).unwrap().convert(&v), v);
+    }
+
+    #[test]
+    fn convert_drops_extras_fills_defaults_reorders() {
+        use crate::types::{BasicType, Width};
+        let from =
+            FormatBuilder::record("M").int("a").string("extra").int("b").build_arc().unwrap();
+        let to = FormatBuilder::record("M")
+            .int("b")
+            .int("a")
+            .field_with_default("mode", FieldType::Basic(BasicType::Int(Width::W4)), Value::Int(42))
+            .build_arc()
+            .unwrap();
+        let plan = ConversionPlan::compile(&from, &to).unwrap();
+        let out =
+            plan.convert(&Value::Record(vec![Value::Int(1), Value::str("junk"), Value::Int(2)]));
+        assert_eq!(out, Value::Record(vec![Value::Int(2), Value::Int(1), Value::Int(42)]));
+    }
+
+    #[test]
+    fn convert_casts_numeric_kinds() {
+        let from = FormatBuilder::record("M").int("x").uint("u").build_arc().unwrap();
+        let to = FormatBuilder::record("M").double("x").long("u").build_arc().unwrap();
+        let plan = ConversionPlan::compile(&from, &to).unwrap();
+        let out = plan.convert(&Value::Record(vec![Value::Int(3), Value::UInt(9)]));
+        assert_eq!(out, Value::Record(vec![Value::Float(3.0), Value::Int(9)]));
+    }
+
+    #[test]
+    fn convert_adapts_array_elements_and_syncs_lengths() {
+        let from = resp(true);
+        let to = resp(false);
+        let element = |info: &str, id, flags: [i64; 2]| {
+            let mut fields = vec![Value::str(info), Value::Int(id)];
+            fields.extend(flags.map(Value::Int));
+            Value::Record(fields)
+        };
+        let v = Value::Record(vec![
+            Value::Int(2),
+            Value::Array(vec![element("a", 1, [1, 0]), element("b", 2, [0, 1])]),
+        ]);
+        let out = ConversionPlan::compile(&from, &to).unwrap().convert(&v);
+        out.check(&to).unwrap();
+        assert_eq!(
+            out,
+            Value::Record(vec![
+                Value::Int(2),
+                Value::Array(vec![
+                    Value::Record(vec![Value::str("a"), Value::Int(1)]),
+                    Value::Record(vec![Value::str("b"), Value::Int(2)]),
+                ])
+            ])
+        );
+        // A reader count with no wire source is the array's length, not 0.
+        let renamed = FormatBuilder::record("Resp")
+            .int("n")
+            .var_array_of("list", member(false), "n")
+            .build_arc()
+            .unwrap();
+        let out = ConversionPlan::compile(&from, &renamed).unwrap().convert(&v);
+        assert_eq!(out.field(&renamed, "n"), Some(&Value::Int(2)));
+    }
+
+    #[test]
+    fn convert_takes_the_default_for_an_incompatible_kind() {
+        let from = FormatBuilder::record("M").string("x").build_arc().unwrap();
+        let to = FormatBuilder::record("M").int("x").build_arc().unwrap();
+        let plan = ConversionPlan::compile(&from, &to).unwrap();
+        assert_eq!(
+            plan.convert(&Value::Record(vec![Value::str("nope")])),
+            Value::Record(vec![Value::Int(0)])
+        );
     }
 
     #[test]

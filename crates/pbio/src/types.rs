@@ -230,9 +230,9 @@ impl FieldType {
     /// invariant, so such a field counts as absent.
     ///
     /// Everything that decides whether a field is taken from the wire or
-    /// filled with its default asks this one function: the conversion plan,
-    /// the morphing layer's value adapter, and MaxMatch's `diff` — what
-    /// MaxMatch admits is what the plan then fills.
+    /// filled with its default asks this one function: the conversion plan
+    /// (which also adapts a morph's output to a near-matching reader) and
+    /// MaxMatch's `diff` — what MaxMatch admits is what the plan then fills.
     #[inline]
     pub fn can_fill(&self, native: &FieldType) -> bool {
         match (self, native) {
@@ -423,22 +423,6 @@ impl RecordFormat {
     pub fn field(&self, name: &str) -> Option<&Field> {
         self.fields.iter().find(|f| f.name == name)
     }
-
-    /// The paper's *weight* `W_f`: the total number of basic-type fields in
-    /// this format, counting recursively through complex fields. Array
-    /// fields count by their element type (a list of records contributes the
-    /// weight of one record, matching per-field name comparison semantics).
-    pub fn weight(&self) -> usize {
-        self.fields.iter().map(|f| Self::type_weight(&f.ty)).sum()
-    }
-
-    fn type_weight(ty: &FieldType) -> usize {
-        match ty {
-            FieldType::Basic(_) => 1,
-            FieldType::Record(r) => r.weight(),
-            FieldType::Array { elem, .. } => Self::type_weight(elem),
-        }
-    }
 }
 
 impl fmt::Display for RecordFormat {
@@ -465,7 +449,7 @@ impl fmt::Display for RecordFormat {
 ///     .int("mem")
 ///     .int("net")
 ///     .build()?;
-/// assert_eq!(msg.weight(), 3);
+/// assert_eq!(msg.fields().len(), 3);
 /// # Ok(())
 /// # }
 /// ```
@@ -650,20 +634,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, PbioError::BadFormat(_)));
-    }
-
-    #[test]
-    fn weight_counts_basic_fields_recursively() {
-        let inner = contact(); // 2 basic fields
-        let f = FormatBuilder::record("R")
-            .int("count")
-            .var_array_of("list", inner.clone(), "count")
-            .nested("one", inner)
-            .double("x")
-            .build()
-            .unwrap();
-        // count(1) + list elem weight(2) + one(2) + x(1)
-        assert_eq!(f.weight(), 6);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 
 use std::fmt;
 
-use crate::error::{PbioError, Result};
-use crate::types::{ArrayLen, BasicType, FieldType, RecordFormat, Width};
+use crate::encode::{encode_record, ByteOrder, Path};
+use crate::error::Result;
+use crate::types::{ArrayLen, BasicType, FieldType, RecordFormat};
 
 /// A dynamically-typed value conforming (or intended to conform) to some
 /// [`RecordFormat`].
@@ -181,90 +182,17 @@ impl Value {
     }
 
     /// Checks that this value structurally conforms to `format`, including
-    /// integer range checks against declared widths and variable-array
-    /// count/length-field agreement.
+    /// integer range checks against declared widths, variable-array
+    /// count/length-field agreement and strings free of NUL bytes: exactly
+    /// what [`crate::Encoder::encode`] accepts, since it is the encoder's own
+    /// walk, writing into a scratch buffer.
     ///
     /// # Errors
     ///
-    /// Returns a [`PbioError`] describing the first mismatch found.
+    /// Returns the [`crate::PbioError`] encoding would return.
     pub fn check(&self, format: &RecordFormat) -> Result<()> {
-        self.check_record(format, format.name())
-    }
-
-    fn check_record(&self, format: &RecordFormat, path: &str) -> Result<()> {
-        let fields = self.as_record().ok_or_else(|| PbioError::TypeMismatch {
-            path: path.to_string(),
-            expected: format!("record {}", format.name()),
-            found: self.kind_name().to_string(),
-        })?;
-        if fields.len() != format.fields().len() {
-            return Err(PbioError::TypeMismatch {
-                path: path.to_string(),
-                expected: format!("{} fields", format.fields().len()),
-                found: format!("{} fields", fields.len()),
-            });
-        }
-        for (fv, fd) in fields.iter().zip(format.fields()) {
-            let fpath = format!("{path}.{}", fd.name());
-            fv.check_type(fd.ty(), &fpath)?;
-            if let FieldType::Array { len: ArrayLen::LengthField(lf), .. } = fd.ty() {
-                let declared = self
-                    .field_by_name(format, lf)
-                    .and_then(Value::as_count)
-                    .ok_or_else(|| PbioError::BadFormat(format!("bad length field `{lf}`")))?;
-                let actual = fv.as_array().map_or(0, <[Value]>::len) as u64;
-                if declared != actual {
-                    return Err(PbioError::LengthMismatch { path: fpath, declared, actual });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn field_by_name<'v>(&'v self, format: &RecordFormat, name: &str) -> Option<&'v Value> {
-        self.field(format, name)
-    }
-
-    fn check_type(&self, ty: &FieldType, path: &str) -> Result<()> {
-        match (ty, self) {
-            (FieldType::Basic(BasicType::Int(w)), Value::Int(v)) => check_int_width(*v, *w, path),
-            (FieldType::Basic(BasicType::UInt(w)), Value::UInt(v)) => {
-                check_uint_width(*v, *w, path)
-            }
-            (FieldType::Basic(BasicType::Float(_)), Value::Float(_)) => Ok(()),
-            (FieldType::Basic(BasicType::Char), Value::Char(_)) => Ok(()),
-            (FieldType::Basic(BasicType::Enum { name, variants }), Value::Enum(d)) => {
-                if variants.iter().any(|v| v.discriminant == *d) {
-                    Ok(())
-                } else {
-                    Err(PbioError::BadData(format!(
-                        "`{path}`: {d} is not a variant of enum {name}"
-                    )))
-                }
-            }
-            (FieldType::Basic(BasicType::String), Value::Str(_)) => Ok(()),
-            (FieldType::Record(r), v @ Value::Record(_)) => v.check_record(r, path),
-            (FieldType::Array { elem, len }, Value::Array(es)) => {
-                if let ArrayLen::Fixed(n) = len {
-                    if es.len() != *n {
-                        return Err(PbioError::LengthMismatch {
-                            path: path.to_string(),
-                            declared: *n as u64,
-                            actual: es.len() as u64,
-                        });
-                    }
-                }
-                for (i, e) in es.iter().enumerate() {
-                    e.check_type(elem, &format!("{path}[{i}]"))?;
-                }
-                Ok(())
-            }
-            (ty, v) => Err(PbioError::TypeMismatch {
-                path: path.to_string(),
-                expected: ty.describe(),
-                found: v.kind_name().to_string(),
-            }),
-        }
+        let root = Path::Root(format.name());
+        encode_record(self, format, ByteOrder::Little, &root, &mut Vec::new())
     }
 
     /// The size in bytes of the value laid out as a native, *unencoded* C
@@ -296,33 +224,6 @@ impl Value {
             }
             None => 0,
         }
-    }
-}
-
-fn check_int_width(v: i64, w: Width, path: &str) -> Result<()> {
-    let bits = w.bytes() as u32 * 8;
-    let (min, max) = if bits == 64 {
-        (i64::MIN, i64::MAX)
-    } else {
-        (-(1i64 << (bits - 1)), (1i64 << (bits - 1)) - 1)
-    };
-    if v < min || v > max {
-        Err(PbioError::IntOutOfRange { path: path.to_string(), value: v, width: w.bytes() as u8 })
-    } else {
-        Ok(())
-    }
-}
-
-fn check_uint_width(v: u64, w: Width, path: &str) -> Result<()> {
-    let bits = w.bytes() as u32 * 8;
-    if bits < 64 && v >= (1u64 << bits) {
-        Err(PbioError::IntOutOfRange {
-            path: path.to_string(),
-            value: v as i64,
-            width: w.bytes() as u8,
-        })
-    } else {
-        Ok(())
     }
 }
 
@@ -398,7 +299,8 @@ impl From<String> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::FormatBuilder;
+    use crate::error::PbioError;
+    use crate::types::{FormatBuilder, Width};
     use std::sync::Arc;
 
     fn member() -> Arc<RecordFormat> {
@@ -446,6 +348,16 @@ mod tests {
         let fmt = FormatBuilder::record("R").int("a").build().unwrap();
         let v = Value::Record(vec![Value::Int(1 << 40)]);
         assert!(matches!(v.check(&fmt), Err(PbioError::IntOutOfRange { .. })));
+    }
+
+    /// What `check` accepts the encoder sends: a string with a NUL inside
+    /// cannot travel NUL-terminated, so it does not conform.
+    #[test]
+    fn check_rejects_an_interior_nul_string() {
+        let fmt = FormatBuilder::record("R").string("s").build().unwrap();
+        let v = Value::Record(vec![Value::str("a\0b")]);
+        assert!(matches!(v.check(&fmt), Err(PbioError::BadData(_))));
+        Value::Record(vec![Value::str("ab")]).check(&fmt).unwrap();
     }
 
     #[test]

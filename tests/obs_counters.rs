@@ -7,8 +7,9 @@
 //!   a pure decision-cache hit.
 //! - Registries driven by simnet's virtual clock produce **deterministic**
 //!   snapshots: identical runs render byte-identical text and JSON.
-//! - The `morph.*` and `pbio.*` sections of `OBSERVABILITY.md`, and its
-//!   `echo.*` sections, list exactly the names those layers register.
+//! - The `morph.*` and `pbio.*` sections of `OBSERVABILITY.md`, its
+//!   `echo.*` sections and its `simnet.*` sections list exactly the names
+//!   those layers register.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -68,10 +69,10 @@ fn first_message_cold_rest_warm() {
     assert_eq!(warm.histogram("morph.compile_ns").unwrap().count, 1);
     assert_eq!(warm.histogram("morph.process_ns").unwrap().count, 100);
     assert_eq!(warm.histogram("pbio.plan.compile_ns").unwrap().count, 1);
-    // Each warm replay books its decode and its whole interval; the cold
-    // pass — the same plan, timed as part of the decision — did not.
+    // Each warm replay books its decode as part of its `morph.process_ns`
+    // interval; the cold pass — the same plan, timed as part of the
+    // decision — did not.
     assert_eq!(warm.histogram("pbio.decode_ns").unwrap().count, 100);
-    assert_eq!(warm.histogram("morph.fused.apply_ns").unwrap().count, 100);
     assert_eq!(warm.counter("morph.vm.register.apply"), Some(101));
     assert_eq!(warm.counter("morph.messages"), Some(101));
 }
@@ -180,6 +181,18 @@ fn catalogued(sections: &[&str], expand: &[(&str, Vec<String>)]) -> BTreeSet<Str
     names
 }
 
+/// Fails, naming the difference, unless every registered name has its row
+/// and every row its registrant.
+fn assert_catalogued(registered: &BTreeSet<String>, catalogued: &BTreeSet<String>) {
+    let uncatalogued: Vec<_> = registered.difference(catalogued).collect();
+    let unregistered: Vec<_> = catalogued.difference(registered).collect();
+    assert!(
+        uncatalogued.is_empty() && unregistered.is_empty(),
+        "registered without an OBSERVABILITY.md row: {uncatalogued:?}\n\
+         catalogued but registered by nothing: {unregistered:?}"
+    );
+}
+
 /// The catalogue checks itself, `morph.*` and `pbio.*` sections: a system
 /// with its switches on, a receiver resolving through a `ResolverPool`, and
 /// a standalone dead-letter queue register every `morph.*` / `pbio.*` /
@@ -242,14 +255,7 @@ fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     names_in(rx.registry(), &mut registered);
 
     registered.retain(|name| ["morph.", "pbio.", "ecode."].iter().any(|p| name.starts_with(p)));
-    let catalogued = catalogued(&["### `morph.*`", "### `pbio.*`"], &[]);
-    let uncatalogued: Vec<_> = registered.difference(&catalogued).collect();
-    let unregistered: Vec<_> = catalogued.difference(&registered).collect();
-    assert!(
-        uncatalogued.is_empty() && unregistered.is_empty(),
-        "registered without an OBSERVABILITY.md row: {uncatalogued:?}\n\
-         catalogued but registered by nothing: {unregistered:?}"
-    );
+    assert_catalogued(&registered, &catalogued(&["### `morph.*`", "### `pbio.*`"], &[]));
 }
 
 /// The catalogue checks itself, `echo.*` sections: a system with every
@@ -313,11 +319,39 @@ fn the_echo_catalogue_sections_list_what_is_registered() {
             ("<i>", (0..SHARDS).map(|i| i.to_string()).collect()),
         ],
     );
-    let uncatalogued: Vec<_> = registered.difference(&catalogued).collect();
-    let unregistered: Vec<_> = catalogued.difference(&registered).collect();
-    assert!(
-        uncatalogued.is_empty() && unregistered.is_empty(),
-        "registered without an OBSERVABILITY.md row: {uncatalogued:?}\n\
-         catalogued but registered by nothing: {unregistered:?}"
+    assert_catalogued(&registered, &catalogued);
+}
+
+/// The catalogue checks itself, `simnet.*` sections: a two-node network
+/// attached to a registry, with link monitors, a fault plan and a crash
+/// window, that carries traffic both ways registers every `simnet.*` name
+/// there is — each must have its row, and each row its registrant.
+#[test]
+fn the_simnet_catalogue_sections_list_what_is_registered() {
+    let mut net = simnet::Network::new();
+    let a = net.add_node("a");
+    let b = net.add_node("b");
+    net.connect(a, b, simnet::LinkParams::lan());
+    let registry = Arc::new(Registry::with_clock(Arc::new(net.virtual_clock())));
+    net.attach_registry(Arc::clone(&registry));
+    net.enable_link_monitors(8, 1_000_000);
+    let faults = simnet::FaultPlan::new(7).drop_per_mille(100).duplicate_per_mille(100);
+    net.set_fault_plan(a, b, faults.partition(2_000_000, 3_000_000));
+    net.set_crash_windows(b, &[(4_000_000, 5_000_000)]);
+    for _ in 0..60 {
+        // Refusals inside the partition or the crash window are counted.
+        let _ = net.send(a, b, vec![0u8; 64]);
+        let _ = net.send(b, a, vec![0u8; 64]);
+        net.advance_ns(100_000);
+        while net.step().is_some() {}
+    }
+
+    let mut registered = BTreeSet::new();
+    names_in(&registry, &mut registered);
+    registered.retain(|name| name.starts_with("simnet."));
+    let links = ("<from>-><to>", vec!["a->b".to_string(), "b->a".to_string()]);
+    assert_catalogued(
+        &registered,
+        &catalogued(&["### `simnet.*`", "### `simnet.link.*` monitors"], &[links]),
     );
 }

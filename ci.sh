@@ -3,8 +3,8 @@
 # dependencies, so everything up to the bench step runs with no network
 # access: format, lints, docs, every test, the chaos seed matrix, the
 # seeded sharded-runtime scenario, the pbio and meta-data mutation loops,
-# the dedup window's oracle test and the fragment reassembly model test on
-# fresh seeds,
+# the dedup window's oracle test, the fragment reassembly model test and
+# the journal fold's model test on fresh seeds,
 # the smoke examples, the three bench examples (fanout_bench gated; monitor_bench
 # and crash_recovery's overhead ratio reported, not gated) and the
 # benchmark self-check. The bench harness is a separate workspace (crates/bench) whose
@@ -110,6 +110,17 @@ frag=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$frag" ] || frag=$(date +%s)
 echo "    FRAG_SEED=$frag cargo test -q -p echo --lib frag::tests::buffer_matches"
 FRAG_SEED="$frag" cargo test -q -p echo --lib frag::tests::buffer_matches
+
+echo "==> journal fold against an unfolded log, fresh seed (the test step above ran the fixed one)"
+# Seeded streams of sends, acks (of owed, unknown and acked keys),
+# redeliveries, seen notes, watermarks, syncs and crashes: the folded
+# journal replays to what the log that never folds replays to, after
+# every step, and holds at most twice the slots replay needs. A failure
+# here reproduces with the printed command.
+journal=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$journal" ] || journal=$(date +%s)
+echo "    JOURNAL_SEED=$journal cargo test -q -p echo --lib journal::tests::fold_matches"
+JOURNAL_SEED="$journal" cargo test -q -p echo --lib journal::tests::fold_matches
 
 echo "==> examples (offline smoke runs; each asserts its own output)"
 for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump \

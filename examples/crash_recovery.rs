@@ -205,7 +205,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ratio = pair_ratios[pair_ratios.len() / 2];
 
     // The journaled system actually journaled: every Reliable frame left a
-    // WAL-forced Sent entry behind (plus its eventual ack).
+    // WAL-forced Sent entry behind (plus its eventual ack). `held` is what
+    // it still keeps: acked sends fold out of the synced prefix.
     let stats = journaled.sys.journal_stats(journaled.publisher).expect("journaling enabled");
     assert!(
         stats.appended >= (events * rounds * sinks) as u64,
@@ -217,8 +218,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {rounds} rounds, median interleaved pair\",\n  \"events_per_round\": {events},\n  \
          \"bare_events_per_sec\": {off:.0},\n  \"journaled_events_per_sec\": {on:.0},\n  \
          \"journaled_over_bare\": {ratio:.3},\n  \"journal_appended\": {},\n  \
-         \"gate\": \"reported\"\n}}\n",
-        stats.appended
+         \"journal_held\": {},\n  \"gate\": \"reported\"\n}}\n",
+        stats.appended, stats.held
     );
     std::fs::write("BENCH_8.json", &json)?;
     println!("{json}");

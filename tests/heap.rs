@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use echo::frag::{Fragment, ReassemblyBuffer};
 use echo::proto::{self, MemberInfo};
-use echo::{ChannelId, EchoSystem, EchoVersion, WallClockDriver};
+use echo::{ChannelId, EchoSystem, EchoVersion, QosTier, WallClockDriver};
 use morph::{Delivery, MorphReceiver, Transformation};
 use obs::Histogram;
 use pbio::{ConversionPlan, Encoder, FormatBuilder, Tape, Value, WireBytes, HEADER_LEN};
@@ -155,6 +155,49 @@ fn fanout_live_heap_is_flat_once_warm() {
     assert!(
         growth.unsigned_abs() <= 16 * SINKS,
         "live heap grew {growth} B from operation 10 to 100 (after each: {after:?})"
+    );
+}
+
+/// A reliable sender holds a frame until it is acknowledged: on a
+/// journaled Reliable exchange of fragmented messages (one publisher, one
+/// sink, an 8 KiB blob per operation in 1,400-byte frames), the live heap
+/// grows from operation 50 to operation 500 by at most 200 B per fragment
+/// received — the sink's journaled `SeenFragment` notes — not by the
+/// fragments' frames, which the publisher's journal would otherwise keep.
+#[test]
+fn a_journaled_reliable_exchange_keeps_no_acked_frame() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fmt = FormatBuilder::record("Blob").int("n").string("data").build_arc().unwrap();
+    let mut sys = EchoSystem::new();
+    sys.set_tracing(false);
+    let publisher = sys.add_process("publisher", EchoVersion::V2);
+    let sink = sys.add_process("sink", EchoVersion::V2);
+    sys.connect(publisher, sink, LinkParams::lan());
+    let ch = sys.create_channel(publisher);
+    sys.set_channel_qos(ch, QosTier::Reliable);
+    sys.set_frame_budget(Some(1_400));
+    sys.enable_journaling(8);
+    sys.provision_sink(sink, ch, &fmt).unwrap();
+    let data: String = (0..8 * 1024).map(|i| char::from(b'a' + (i % 26) as u8)).collect();
+    let received = |sys: &EchoSystem| sys.registry().counter("echo.frag.received").get();
+    let (mut live_at_50, mut received_at_50) = (0, 0);
+    for op in 1..=500 {
+        let blob = Value::Record(vec![Value::Int(op), Value::str(&data)]);
+        sys.publish(publisher, ch, &fmt, &blob).unwrap();
+        sys.run();
+        assert_eq!(sys.take_events(sink).len(), 1, "op {op}: the blob is delivered once");
+        if op == 50 {
+            live_at_50 = live();
+            received_at_50 = received(&sys);
+        }
+    }
+    let growth = live() - live_at_50;
+    let fragments = received(&sys) - received_at_50;
+    assert!(fragments >= 450 * 6, "{fragments} fragments received from operation 50 to 500");
+    assert!(
+        growth <= 200 * fragments as isize,
+        "live heap grew {growth} B over {fragments} fragments ({} B each)",
+        growth / fragments as isize
     );
 }
 

@@ -3,15 +3,17 @@
 # dependencies, so everything up to the bench step runs with no network
 # access: format, lints, docs, every test, the chaos seed matrix, the
 # seeded sharded-runtime scenario, the pbio and meta-data mutation loops,
-# the dedup window's oracle test, the fragment reassembly model test and
-# the journal fold's model test on fresh seeds,
-# the smoke examples, the three bench examples (fanout_bench gated; monitor_bench
-# and crash_recovery's overhead ratio reported, not gated) and the
-# benchmark self-check. The bench harness is a separate workspace (crates/bench) whose
-# `criterion` dev-dependency needs a reachable crates.io registry; its
-# tests run only when resolution succeeds and are skipped gracefully
-# offline — so nothing compiles it here, and a source check stands in for
-# the compiler on the names this repository removed.
+# the dedup window's oracle test, the fragment reassembly model test, the
+# journal fold's model test and the resealed-header damage loop on fresh
+# seeds, the pin on the one `unsafe` block (the frame CRC's call into its
+# carry-less-multiply kernel), the smoke examples, the three bench examples
+# (fanout_bench gated; monitor_bench and crash_recovery's overhead ratio
+# reported, not gated) and the benchmark self-check. The bench harness is
+# a separate workspace (crates/bench) whose `criterion` dev-dependency
+# needs a reachable crates.io registry; its tests run only when resolution
+# succeeds and are skipped gracefully offline — so nothing compiles it
+# here, and a source check stands in for the compiler on the names this
+# repository removed.
 #
 # Usage: ./ci.sh
 set -eu
@@ -29,6 +31,27 @@ if grep -rnE 'set_register_vm|set_fusion|dump::stack|(^|[^R])Insn::|\.code\(\)' 
     echo "    the names above belong to the deleted stack engine" >&2
     exit 1
 fi
+
+echo "==> unsafe surface (one block, in echo's CRC dispatch; every other crate forbids it)"
+# The frame CRC calls its PCLMULQDQ kernel in one `unsafe` block right
+# after the CPU check (crates/echo/src/crc.rs). Any other `unsafe` in the
+# product crates, or a lint setting that would let one in, fails here.
+unsafe_blocks=$(grep -rnE '\bunsafe[[:space:]]*\{' crates/*/src --include='*.rs' || true)
+unsafe_items=$(grep -rnE '\bunsafe[[:space:]]+(fn|impl|trait|extern)\b' crates/*/src --include='*.rs' || true)
+if [ "$(printf '%s\n' "$unsafe_blocks" | grep -c .)" -ne 1 ] \
+    || ! printf '%s\n' "$unsafe_blocks" | grep -q '^crates/echo/src/crc\.rs:' \
+    || [ -n "$unsafe_items" ]; then
+    printf '%s\n' "$unsafe_blocks" "$unsafe_items" >&2
+    echo "    want exactly one unsafe block, in crates/echo/src/crc.rs, and no unsafe items" >&2
+    exit 1
+fi
+grep -q '^#!\[deny(unsafe_code)\]' crates/echo/src/lib.rs \
+    && grep -q '^#!\[deny(clippy::undocumented_unsafe_blocks)\]' crates/echo/src/lib.rs \
+    || { echo "    crates/echo/src/lib.rs must deny unsafe_code and undocumented unsafe" >&2; exit 1; }
+for crate in ecode morph obs pbio simnet xmlt; do
+    grep -q '^#!\[forbid(unsafe_code)\]' "crates/$crate/src/lib.rs" \
+        || { echo "    crates/$crate/src/lib.rs must keep #![forbid(unsafe_code)]" >&2; exit 1; }
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -121,6 +144,18 @@ journal=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$journal" ] || journal=$(date +%s)
 echo "    JOURNAL_SEED=$journal cargo test -q -p echo --lib journal::tests::fold_matches"
 JOURNAL_SEED="$journal" cargo test -q -p echo --lib journal::tests::fold_matches
+
+echo "==> resealed-header damage loop, fresh seed (the test step above ran the fixed one)"
+# Every field of the 30 checksummed header bytes of event (whole and
+# fragmented), control and resume frames rewritten — seeded values and
+# edges — and the checksum sealed again, through NodeState::handle_frame:
+# every call returns, each rejection files one counted dead letter, and what
+# the node keeps stays within a constant times the frame length. A failure
+# here reproduces with the printed command.
+frame=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$frame" ] || frame=$(date +%s)
+echo "    FRAME_SEED=$frame cargo test -q -p echo --lib node::tests::resealed_header"
+FRAME_SEED="$frame" cargo test -q -p echo --lib node::tests::resealed_header
 
 echo "==> examples (offline smoke runs; each asserts its own output)"
 for ex in quickstart stats_dump echo_evolution trace_dump failover qos_telemetry self_telemetry vm_dump \

@@ -228,13 +228,24 @@ impl Parts {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::{HashMap, HashSet};
 
     use simnet::XorShift64;
 
     use super::*;
     use crate::journal::{Journal, JournalEntry};
+
+    /// Bytes `dedup` keeps: each sender's window, its ring once allocated,
+    /// and the bitmaps of its incomplete fragmented seqs.
+    pub(crate) fn held_bytes(dedup: &Dedup) -> usize {
+        let parts = |p: &Parts| std::mem::size_of::<Parts>() + p.bits.capacity() * 8;
+        let window = |s: &SenderWindow| {
+            let ring = if s.ring.is_some() { WORDS * 8 } else { 0 };
+            std::mem::size_of::<SenderWindow>() + ring + s.parts.iter().map(parts).sum::<usize>()
+        };
+        dedup.senders.iter().map(window).sum()
+    }
 
     const W: u64 = DEDUP_WINDOW;
 

@@ -283,12 +283,21 @@ impl ReassemblyBuffer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeMap;
 
     use simnet::XorShift64;
 
     use super::*;
+
+    /// Bytes `buffer` keeps beyond the frames it shares: each set's record,
+    /// its parts list and its bitmap.
+    pub(crate) fn held_bytes(buffer: &ReassemblyBuffer) -> usize {
+        let part = std::mem::size_of::<(u16, WireBytes)>();
+        let entry =
+            |e: &Entry| std::mem::size_of::<Entry>() + e.parts.len() * part + e.seen.capacity() * 8;
+        buffer.entries.iter().map(entry).sum()
+    }
 
     fn payload(n: usize) -> WireBytes {
         WireBytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<u8>>())

@@ -15,9 +15,11 @@
 //! transformation.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod adaptive;
+mod crc;
 mod dedup;
 mod driver;
 pub mod frag;

@@ -1119,6 +1119,8 @@ impl NodeState {
 
 #[cfg(test)]
 mod tests {
+    use simnet::XorShift64;
+
     use super::*;
 
     fn books() -> Arc<DeadLetterBooks> {
@@ -1404,5 +1406,171 @@ mod tests {
             node.handle_frame(0, &event_frame(7)).disposition,
             Disposition::Duplicate(..)
         ));
+    }
+
+    /// The seed of [`resealed_header_damage_is_counted_and_bounded`]:
+    /// `FRAME_SEED`, or a fixed one.
+    fn frame_seed() -> u64 {
+        match std::env::var("FRAME_SEED") {
+            Ok(v) => v.parse().unwrap_or_else(|_| panic!("FRAME_SEED {v:?} is not a u64")),
+            Err(_) => 28,
+        }
+    }
+
+    /// Bytes `node` keeps beyond the frames it shares: per channel, per
+    /// sender, per dead letter.
+    fn held_bytes(node: &NodeState) -> usize {
+        use std::mem::size_of;
+        let channel = |c: &ChannelState| {
+            size_of::<ChannelState>()
+                + crate::frag::tests::held_bytes(&c.reassembly)
+                + c.latest_seq.len() * size_of::<(u64, u64)>()
+        };
+        let letter = |l: &morph::DeadLetter| {
+            size_of::<morph::DeadLetter>()
+                + l.detail.capacity()
+                + l.events.len() * size_of::<obs::SpanEvent>()
+        };
+        node.channels.iter().map(channel).sum::<usize>()
+            + crate::dedup::tests::held_bytes(&node.dedup)
+            + node.peer_epochs.len() * size_of::<(u64, u32)>()
+            + node.dlq.letters().map(letter).sum::<usize>()
+    }
+
+    /// What the damage loop writes into header field `field` (`width`
+    /// bytes): all zeros, all ones, seeded random values, and the edges of
+    /// that field — unknown kinds and tiers, `index ≥ count`, epochs just
+    /// and far behind or ahead of the sender's 7.
+    fn damage_for(field: usize, width: usize, rng: &mut XorShift64) -> Vec<Vec<u8>> {
+        let edges: &[u64] = match field {
+            0 => &[1, 2, 3, 0x7F],
+            4 => &[1, 2, 3],
+            5 => &[2, 3, 0x8000],
+            6 => &[1, 2, 4],
+            7 => &[6, 8, 1 << 31],
+            _ => &[1, 1 << (8 * width - 1)],
+        };
+        let mut values = vec![vec![0; width], vec![0xFF; width]];
+        values.extend((0..6).map(|_| (0..width).map(|_| rng.next_u64() as u8).collect()));
+        values.extend(edges.iter().map(|v| v.to_le_bytes()[..width].to_vec()));
+        values
+    }
+
+    #[test]
+    fn resealed_header_damage_is_counted_and_bounded() {
+        // Each field of the 30 bytes the checksum covers is rewritten and
+        // the checksum sealed again, so the damage reaches every check
+        // behind the CRC. Every call must return; each frame the node gives
+        // up on files exactly one dead letter (plus one per partial set it
+        // evicts), counted by the node and by the system's books; and what
+        // the node keeps grows by at most HELD_PER_BYTE bytes per frame
+        // byte. A frame may claim 65,535 parts, and the reassembly set and
+        // the dedup window keep one bit per claimed part: 2 × 8 KiB for the
+        // 60-byte frames here.
+        const HELD_PER_BYTE: usize = 320;
+        let seed = frame_seed();
+        eprintln!("FRAME_SEED={seed}");
+        let mut rng = XorShift64::new(seed);
+        let tick = pbio::FormatBuilder::record("Tick").int("n").string("text").build_arc().unwrap();
+        let request = proto::channel_open_request();
+        let mut base = Vec::new();
+        for text in ["short".to_string(), "long ".repeat(20)] {
+            let event = Value::Record(vec![Value::Int(1), Value::str(&text)]);
+            let event = Encoder::new(&tick).encode(&event).unwrap();
+            let join = vec![Value::Int(1), Value::str(&text), Value::Int(0), Value::Int(1)];
+            let join = Encoder::new(&request).encode(&Value::Record(join)).unwrap();
+            let frame = |kind, index, count, payload: &[u8]| {
+                proto::frame_qos(
+                    kind,
+                    ChannelId(1),
+                    40,
+                    0xACE,
+                    QosTier::Reliable,
+                    index,
+                    count,
+                    7,
+                    payload,
+                )
+            };
+            for (kind, payload) in [
+                (proto::FRAME_EVENT, &event),
+                (proto::FRAME_CONTROL, &join),
+                (proto::FRAME_RESUME, &event),
+            ] {
+                // Whole, and as the middle part of three.
+                for (index, count) in [(0, 1), (1, 3)] {
+                    base.push(frame(kind, index, count, payload));
+                }
+            }
+        }
+        let payloads = base.iter().map(|f| f.len() - proto::FRAME_HEADER_LEN);
+        assert!(payloads.clone().any(|n| n < 64) && payloads.clone().any(|n| n > 64));
+        // A sender of its own for every damaged frame, known at epoch 7.
+        let hello = proto::frame_qos(
+            proto::FRAME_RESUME,
+            ChannelId(0),
+            0,
+            0,
+            QosTier::Reliable,
+            0,
+            1,
+            7,
+            b"",
+        );
+        let (mut reached, mut quarantined, mut fenced) = (0, 0, 0);
+        for framed in &base {
+            let registry = obs::Registry::new();
+            let books = Arc::new(DeadLetterBooks::new(&registry));
+            let mut node = NodeState::new("sink".into(), EchoVersion::V2, books);
+            node.expect_events(ChannelId(1), &tick);
+            // Letters per reason, then in all: as the node counts them and
+            // as the system's books do.
+            let tally = |node: &NodeState| {
+                let mut counts: Vec<(u64, u64)> = DeadReason::ALL
+                    .iter()
+                    .map(|&r| {
+                        let books = format!("echo.deadletter.{}", r.label());
+                        (node.dlq.count(r), registry.counter(&books).get())
+                    })
+                    .collect();
+                counts.push((node.dlq.total(), registry.counter("echo.deadletter.total").get()));
+                counts
+            };
+            for field in 0..proto::HEADER_LAYOUT.len() - 1 {
+                let at = proto::header_field(field);
+                for value in damage_for(field, at.len(), &mut rng) {
+                    let damaged = WireBytes::from(proto::tests::reseal(framed, at.start, &value));
+                    let sender = rng.next_u64();
+                    assert!(node.handle_frame(sender, &hello).resumed);
+                    let (held, mut want) = (held_bytes(&node), tally(&node));
+                    let out = node.handle_frame(sender, &damaged);
+                    let case = format!("FRAME_SEED={seed}: field {field} = {value:02x?}");
+                    let gave_up = match out.disposition {
+                        Disposition::Quarantined(reason) => Some(reason),
+                        Disposition::Fenced(_) => Some(DeadReason::StaleEpoch),
+                        _ => None,
+                    };
+                    let filed = gave_up
+                        .into_iter()
+                        .chain((0..out.evicted_partials).map(|_| DeadReason::PartialFragments));
+                    for reason in filed {
+                        let at = DeadReason::ALL.iter().position(|&r| r == reason).unwrap();
+                        for i in [at, DeadReason::ALL.len()] {
+                            want[i].0 += 1;
+                            want[i].1 += 1;
+                        }
+                    }
+                    assert_eq!(tally(&node), want, "{case}: dead letters per reason");
+                    let grew = held_bytes(&node).saturating_sub(held);
+                    assert!(grew <= HELD_PER_BYTE * damaged.len(), "{case}: kept {grew} bytes");
+                    reached += usize::from(proto::unframe(&damaged).is_ok());
+                    quarantined +=
+                        usize::from(gave_up.is_some_and(|r| r != DeadReason::StaleEpoch));
+                    fenced += usize::from(matches!(out.disposition, Disposition::Fenced(_)));
+                }
+            }
+        }
+        // The damage reached past the checksum, and each way out was taken.
+        assert!(reached > 0 && quarantined > 0 && fenced > 0, "{reached} {quarantined} {fenced}");
     }
 }

@@ -9,6 +9,8 @@ use std::sync::{Arc, OnceLock};
 use morph::Transformation;
 use pbio::{FormatBuilder, RecordFormat, Value, WireBytes};
 
+use crate::crc::crc32;
+
 /// Identifies an event channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId(pub u32);
@@ -291,10 +293,10 @@ pub const FRAME_HEADER_LEN: usize = 34;
 
 /// Header field widths in wire order — the one table every field offset
 /// below derives from.
-const HEADER_LAYOUT: [usize; 9] = [1, 4, 8, 8, 1, 2, 2, 4, 4];
+pub(crate) const HEADER_LAYOUT: [usize; 9] = [1, 4, 8, 8, 1, 2, 2, 4, 4];
 
 /// Byte range of the `index`-th header field.
-const fn header_field(index: usize) -> Range<usize> {
+pub(crate) const fn header_field(index: usize) -> Range<usize> {
     let mut start = 0;
     let mut i = 0;
     while i < index {
@@ -444,68 +446,6 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-/// The IEEE 802.3 generator polynomial, bit-reflected.
-const CRC_POLY: u32 = 0xEDB8_8320;
-
-/// Input bytes the kernel consumes per step, one lookup table each.
-const CRC_LANES: usize = 16;
-
-/// Slicing-by-16 lookup tables (16 KiB): `CRC_TABLES[0][b]` is the CRC
-/// register after shifting byte `b` through eight zero-extended bit
-/// rounds, and `CRC_TABLES[k][b]` the same after `k` further zero bytes.
-static CRC_TABLES: [[u32; 256]; CRC_LANES] = crc_tables();
-
-const fn crc_tables() -> [[u32; 256]; CRC_LANES] {
-    let mut tables = [[0u32; 256]; CRC_LANES];
-    let mut b = 0;
-    while b < 256 {
-        let mut crc = b as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = (crc >> 1) ^ (CRC_POLY & 0u32.wrapping_sub(crc & 1));
-            bit += 1;
-        }
-        tables[0][b] = crc;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < CRC_LANES {
-        let mut b = 0;
-        while b < 256 {
-            let prev = tables[k - 1][b];
-            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`, starting from `seed`
-/// (pass the return of a previous call to continue a running checksum;
-/// start with 0). Each step folds the register into the first four bytes
-/// of a [`CRC_LANES`]-byte chunk and looks every byte up in the table for
-/// its distance from the chunk's end, so the lookups are independent of
-/// each other; the tail shorter than a chunk goes a byte at a time
-/// through the first table.
-fn crc32(seed: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = !seed;
-    let mut chunks = bytes.chunks_exact(CRC_LANES);
-    for chunk in &mut chunks {
-        let mut next = 0;
-        for (i, &b) in chunk.iter().enumerate() {
-            let folded = if i < 4 { b ^ (crc >> (8 * i)) as u8 } else { b };
-            next ^= t[CRC_LANES - 1 - i][usize::from(folded)];
-        }
-        crc = next;
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
-    }
-    !crc
-}
 
 /// The checksum a frame should carry: CRC-32 over every header field
 /// before the checksum slot, continued over the payload after it.
@@ -696,10 +636,19 @@ pub fn unframe(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use morph::diff;
     use simnet::XorShift64;
+
+    /// Overwrites `value.len()` bytes of a valid frame at `at` and seals
+    /// the checksum again, so the result reaches the checks behind the CRC.
+    pub(crate) fn reseal(framed: &[u8], at: usize, value: &[u8]) -> Vec<u8> {
+        let mut out = framed.to_vec();
+        out[at..at + value.len()].copy_from_slice(value);
+        seal(&mut out);
+        out
+    }
 
     fn members() -> Vec<MemberInfo> {
         vec![
@@ -904,28 +853,19 @@ mod tests {
         assert_eq!(QosTier::UnorderedUnreliable.label(), "unordered");
     }
 
-    /// Rewrites one header byte of a valid frame and re-seals the CRC, so
-    /// the result exercises the post-checksum validation paths.
-    fn reseal(framed: &[u8], offset: usize, value: u8) -> Vec<u8> {
-        let mut out = framed.to_vec();
-        out[offset] = value;
-        seal(&mut out);
-        out
-    }
-
     #[test]
     fn checksum_valid_frames_with_impossible_fields_are_rejected() {
         let framed = frame(FRAME_EVENT, ChannelId(1), 4, NO_TRACE, b"ok");
         // Unknown QoS byte.
-        assert_eq!(unframe(&reseal(&framed, QOS_AT, 9)), Err(FrameError::BadQos(9)));
+        assert_eq!(unframe(&reseal(&framed, QOS_AT, &[9])), Err(FrameError::BadQos(9)));
         // frag_count == 0.
         assert_eq!(
-            unframe(&reseal(&framed, FRAG_COUNT_FIELD.start, 0)),
+            unframe(&reseal(&framed, FRAG_COUNT_FIELD.start, &[0])),
             Err(FrameError::BadFragment { index: 0, count: 0 })
         );
         // frag_index >= frag_count.
         assert_eq!(
-            unframe(&reseal(&framed, FRAG_INDEX_FIELD.start, 7)),
+            unframe(&reseal(&framed, FRAG_INDEX_FIELD.start, &[7])),
             Err(FrameError::BadFragment { index: 7, count: 1 })
         );
     }
@@ -979,21 +919,6 @@ mod tests {
         }
     }
 
-    /// The bit-at-a-time routine the table kernel replaced, kept as the
-    /// oracle: eight shift/xor rounds per byte, straight from the
-    /// polynomial's definition.
-    fn crc32_bitwise(seed: u32, bytes: &[u8]) -> u32 {
-        let mut crc = !seed;
-        for &b in bytes {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = 0u32.wrapping_sub(crc & 1);
-                crc = (crc >> 1) ^ (CRC_POLY & mask);
-            }
-        }
-        !crc
-    }
-
     fn random_bytes(rng: &mut XorShift64, len: usize) -> Vec<u8> {
         (0..len).map(|_| rng.next_u64() as u8).collect()
     }
@@ -1006,45 +931,6 @@ mod tests {
             frame_qos(FRAME_EVENT, ChannelId(6), 31, 0xF00D, QosTier::Reliable, 3, 47, 2, &payload);
         assert_eq!(framed.len(), 1434);
         framed
-    }
-
-    #[test]
-    fn crc32_known_answers() {
-        // The check value every CRC-32/ISO-HDLC catalogue lists.
-        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(0, b""), 0);
-    }
-
-    #[test]
-    fn table_kernel_agrees_with_the_bitwise_oracle() {
-        let mut rng = XorShift64::new(0xC4C);
-        // Every length through many chunks and every tail, at every start
-        // offset within a chunk of the underlying buffer.
-        let pool = random_bytes(&mut rng, CRC_LANES + 300);
-        for align in 0..CRC_LANES {
-            for len in 0..=300 {
-                let data = &pool[align..align + len];
-                assert_eq!(crc32(0, data), crc32_bitwise(0, data), "align {align}, length {len}");
-            }
-        }
-        // The frame sizes the benchmark workloads put on the wire.
-        for len in [86, 1_434, 9_658, 65_569] {
-            let data = random_bytes(&mut rng, len);
-            let seed = rng.next_u64() as u32;
-            assert_eq!(crc32(seed, &data), crc32_bitwise(seed, &data), "length {len}");
-        }
-    }
-
-    #[test]
-    fn crc32_continues_across_every_split_point() {
-        // frame_crc runs the header and the payload as two calls; the seam
-        // sits at byte 30, which is not a multiple of the chunk size.
-        let data = random_bytes(&mut XorShift64::new(0x5EA), 100);
-        let whole = crc32(0, &data);
-        for split in 0..=data.len() {
-            let (a, b) = data.split_at(split);
-            assert_eq!(crc32(crc32(0, a), b), whole, "split at {split}");
-        }
     }
 
     #[test]
@@ -1092,41 +978,61 @@ mod tests {
         );
     }
 
-    #[test]
-    fn any_single_byte_flip_fails_the_checksum() {
-        // The chaos fault model flips exactly one byte; CRC-32 must catch
-        // every such flip wherever it lands — header or payload — and, a
-        // fortiori, every single-bit flip.
-        let small = frame(FRAME_EVENT, ChannelId(7), 9, 77, b"payload bytes");
-        let fragment = fragment_frame(&mut XorShift64::new(0xB17));
-        for framed in [small, fragment] {
-            assert!(unframe(&framed).is_ok());
-            let mut damaged = framed.to_vec();
-            for i in 0..damaged.len() {
-                for flip in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
-                    damaged[i] ^= flip;
-                    assert_eq!(
-                        unframe(&damaged),
-                        Err(FrameError::BadChecksum),
-                        "flip {flip:#x} at byte {i} went undetected"
-                    );
-                    damaged[i] ^= flip;
-                }
+    /// Whole frames whose payloads sit on both sides of the folding
+    /// kernel's 64-byte threshold, up to the 9,650 bytes of a `cor_v2v1`
+    /// response.
+    fn frames_to_damage(rng: &mut XorShift64) -> Vec<WireBytes> {
+        [0, 29, 63, 64, 65, 1_400, 9_650]
+            .into_iter()
+            .map(|len| {
+                let payload = random_bytes(rng, len);
+                frame_qos(FRAME_EVENT, ChannelId(7), 9, 77, QosTier::Reliable, 0, 1, 2, &payload)
+            })
+            .collect()
+    }
+
+    /// Flips every bit, then every whole byte, of `framed` — header,
+    /// checksum field and payload — and expects each flip caught.
+    fn every_flip_is_caught(framed: &[u8]) {
+        assert!(unframe(framed).is_ok());
+        let mut damaged = framed.to_vec();
+        for i in 0..damaged.len() {
+            for flip in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+                damaged[i] ^= flip;
+                assert_eq!(
+                    unframe(&damaged),
+                    Err(FrameError::BadChecksum),
+                    "flip {flip:#x} at byte {i} of {} went undetected",
+                    damaged.len()
+                );
+                damaged[i] ^= flip;
             }
         }
     }
 
     #[test]
-    fn any_burst_up_to_32_bits_fails_the_checksum() {
-        // A degree-32 CRC detects every error burst no longer than 32
-        // bits. A burst of width w is any pattern whose first and last
-        // bits are set; the bits between are drawn from the PRNG.
-        let mut rng = XorShift64::new(0xB0057);
-        let framed = fragment_frame(&mut rng);
+    fn any_single_byte_flip_fails_the_checksum() {
+        // The chaos fault model flips exactly one byte; CRC-32 must catch
+        // every such flip wherever it lands and, a fortiori, every
+        // single-bit flip — whichever kernel computes it. As dispatched,
+        // payloads from 64 bytes on fold; held to the table, the frames
+        // stop at 1,434 bytes: unoptimised, the table kernel takes ~20 ns a
+        // byte, and the 9,684-byte frame alone would take 16 s (crc.rs
+        // holds it to the oracle at 9,658 and 65,569 bytes).
+        let frames = frames_to_damage(&mut XorShift64::new(0xB17));
+        frames.iter().for_each(|framed| every_flip_is_caught(framed));
+        crate::crc::tests::on_the_table(|| {
+            frames.iter().filter(|f| f.len() <= 1_434).for_each(|f| every_flip_is_caught(f));
+        });
+    }
+
+    /// Toggles seeded error bursts of every width up to 32 bits into
+    /// `framed` and expects each caught.
+    fn every_short_burst_is_caught(framed: &[u8], rng: &mut XorShift64) {
         let total_bits = framed.len() * 8;
         let mut damaged = framed.to_vec();
         for width in 1..=32usize {
-            for _ in 0..64 {
+            for _ in 0..16 {
                 let start = rng.below((total_bits - width + 1) as u64) as usize;
                 let interior = if width > 2 { rng.next_u64() } else { 0 };
                 let pattern =
@@ -1146,6 +1052,19 @@ mod tests {
             }
         }
         assert!(unframe(&damaged).is_ok(), "every burst was undone");
+    }
+
+    #[test]
+    fn any_burst_up_to_32_bits_fails_the_checksum() {
+        // A degree-32 CRC detects every error burst no longer than 32
+        // bits. A burst of width w is any pattern whose first and last
+        // bits are set; the bits between are drawn from the PRNG.
+        let mut rng = XorShift64::new(0xB0057);
+        let frames = frames_to_damage(&mut rng);
+        for framed in &frames {
+            every_short_burst_is_caught(framed, &mut rng);
+            crate::crc::tests::on_the_table(|| every_short_burst_is_caught(framed, &mut rng));
+        }
     }
 
     #[test]

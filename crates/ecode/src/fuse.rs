@@ -376,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_staged_on_scalar_chain() {
+    fn fused_matches_tree_walker_on_scalar_chain() {
         let a = fmt("M", &["x", "y"]);
         let b = fmt("M", &["sum"]);
         let c = fmt("M", &["twice"]);

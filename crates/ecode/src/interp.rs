@@ -1,9 +1,7 @@
 //! Reference tree-walking interpreter over the typed AST.
 //!
-//! Exists for two reasons: (1) differential testing against the bytecode VM
-//! — both must agree on every program — and (2) the "no dynamic code
-//! generation" arm of the `ablate_vm` benchmark, quantifying what compiling
-//! transformations buys over interpreting them.
+//! It is the spec the register VM is tested against: both must agree on
+//! every program, in values, roots and error strings.
 
 use pbio::{FieldType, RecordFormat, Value};
 

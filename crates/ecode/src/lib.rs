@@ -747,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn register_vm_runtime_errors_match_stack_vm() {
+    fn register_vm_runtime_errors_match_tree_walker() {
         let fmt = scalar_fmt();
         for src in ["return 1 / 0;", "return 1 % 0;", "return r.s + itoa(1 / 0);"] {
             let prog = EcodeCompiler::new().bind_output("r", &fmt).compile(src).unwrap();

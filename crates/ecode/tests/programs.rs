@@ -352,7 +352,7 @@ fn v2_value(n: i64) -> Value {
 }
 
 #[test]
-fn fig5_agrees_on_three_engines() {
+fn fig5_agrees_on_both_engines() {
     let prog = fig5();
     for n in [0, 1, 2, 7, 40] {
         let (roots, ret) =

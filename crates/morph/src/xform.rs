@@ -210,8 +210,8 @@ impl CompiledXform {
         Ok((!matches!(returned, Some(Value::Int(0)))).then_some(out))
     }
 
-    /// Applies using the reference interpreter instead of the VM (the
-    /// no-codegen baseline of the `ablate_vm` bench).
+    /// Applies using the reference interpreter instead of the VM: the
+    /// oracle the register VM's result is tested against.
     ///
     /// # Errors
     ///
@@ -461,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_chain_matches_staged_apply() {
+    fn fused_chain_matches_tree_walker_fold() {
         let r2 = fmt("M", &["a", "b", "c"]);
         let r1 = fmt("M", &["a", "b"]);
         let r0 = fmt("M", &["a"]);

@@ -261,9 +261,8 @@ pub fn decode_payload(wire_format: &RecordFormat, buf: &[u8]) -> Result<Value> {
 ///
 /// This decoder is the oracle the specialized [`crate::plan::ConversionPlan`]
 /// is tested against — its [`convert_record`] half also checks
-/// [`crate::plan::ConversionPlan::convert`] — and the baseline of the
-/// `ablate_plan` bench (`crates/bench/benches/ablate_plan.rs`); production
-/// paths use the plan.
+/// [`crate::plan::ConversionPlan::convert`]. Production paths use the
+/// plan.
 #[derive(Debug, Clone)]
 pub struct GenericDecoder {
     wire: Arc<RecordFormat>,

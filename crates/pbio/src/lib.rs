@@ -18,8 +18,8 @@
 //!   [`ConversionPlan`] per (wire format, native format) pair — the crate's
 //!   stand-in for PBIO's dynamic code generation — then converts every
 //!   subsequent message with no meta-data interpretation. The
-//!   fully-interpreted [`GenericDecoder`] is retained as the ablation
-//!   baseline.
+//!   fully-interpreted [`GenericDecoder`] is retained as the plan's test
+//!   oracle.
 //!
 //! ## Quick start
 //!

@@ -20,6 +20,9 @@
 //! - [`obs`] — zero-dependency observability: counters, histograms, and
 //!   scoped timers behind every morphing hot path (see `OBSERVABILITY.md`).
 //!
+//! [`paper`] holds the §5 evaluation workload shared by `tests/paper.rs`
+//! and `examples/paper_figures.rs`.
+//!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
 //! `EXPERIMENTS.md` for the reproduction of every table and figure.
 //!
@@ -64,6 +67,8 @@ pub use obs;
 pub use pbio;
 pub use simnet;
 pub use xmlt;
+
+pub mod paper;
 
 /// Commonly used items from every subsystem.
 pub mod prelude {

@@ -1,25 +1,28 @@
-//! Workload generation for the evaluation: `ChannelOpenResponse` messages
-//! sized to the paper's sweep points.
+//! The paper's §5 workload: `ChannelOpenResponse` messages sized to the
+//! evaluation's sweep points, the Fig. 5 rollback in Ecode and as its XSLT
+//! twin, and the five size columns of Table 1.
 //!
-//! The paper's §5 varies the size of the v2.0 `member_list` so that the
+//! The paper varies the size of the v2.0 `member_list` so that the
 //! *unencoded native* message size hits 100 B, 1 KB, 10 KB, 100 KB, 1 MB
-//! (and up to 10 MB in Table 1). We reproduce the same construction: member
-//! contact strings are realistic `host:port` strings, and sizes are tuned
-//! by member count.
+//! (and up to 10 MB in Table 1). Member contact strings are realistic
+//! `host:port` strings, and sizes are tuned by member count.
+//!
+//! `tests/paper.rs` asserts the exact figures (Table 1, link latency);
+//! `examples/paper_figures.rs` times Figs. 8–10 over [`SWEEP`].
 
 use std::sync::Arc;
 
 use morph::Transformation;
-use pbio::{FormatBuilder, RecordFormat, Value};
+use pbio::{Encoder, FormatBuilder, RecordFormat, Value};
 
 /// The v1.0 member entry (info + ID).
-pub fn member_v1() -> Arc<RecordFormat> {
+fn member_v1() -> Arc<RecordFormat> {
     FormatBuilder::record("Member").string("info").int("ID").build_arc().expect("static format")
 }
 
 /// The v2.0 member entry (info + ID + role flags). The flags are C
 /// booleans (`char`), as the paper's Fig. 4b comments them.
-pub fn member_v2() -> Arc<RecordFormat> {
+fn member_v2() -> Arc<RecordFormat> {
     FormatBuilder::record("Member")
         .string("info")
         .int("ID")
@@ -52,7 +55,7 @@ pub fn response_v2() -> Arc<RecordFormat> {
 }
 
 /// The paper's Fig. 5 transformation (v2.0 → v1.0 rollback).
-pub const FIG5: &str = r#"
+const FIG5: &str = r#"
     int i;
     int sink_count = 0;
     int src_count = 0;
@@ -130,7 +133,7 @@ pub fn v2_message(n: usize) -> Value {
 }
 
 /// The unencoded native size (bytes) of a v2 message with `n` members.
-pub fn v2_native_size(n: usize) -> usize {
+fn v2_native_size(n: usize) -> usize {
     v2_message(n).native_record_size(&response_v2())
 }
 
@@ -165,66 +168,40 @@ pub fn members_for_size(target_bytes: usize) -> usize {
 /// The paper's size sweep: 100 B, 1 KB, 10 KB, 100 KB, 1 MB.
 pub const SWEEP: [usize; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
 
-/// Human label for a sweep point.
-pub fn size_label(bytes: usize) -> String {
-    if bytes >= 1_000_000 {
-        format!("{}MB", bytes / 1_000_000)
-    } else if bytes >= 1_000 {
-        format!("{}KB", bytes / 1_000)
-    } else {
-        format!("{bytes}B")
+/// One column of Table 1, in bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Table1Row {
+    /// Member count generating this row.
+    pub members: usize,
+    /// Unencoded native size of the v2.0 message (the baseline column).
+    pub unencoded_v2: usize,
+    /// PBIO-encoded v2.0 wire size.
+    pub pbio_v2: usize,
+    /// Unencoded native size after rollback to v1.0.
+    pub unencoded_v1: usize,
+    /// XML-encoded v2.0 size.
+    pub xml_v2: usize,
+    /// XML-encoded v1.0 size.
+    pub xml_v1: usize,
+}
+
+/// The five size columns of Table 1 for a message of `n` members; the v1.0
+/// record is the Fig. 5 rollback of the v2.0 one.
+pub fn table1_row(n: usize) -> Table1Row {
+    let (v2, v1) = (response_v2(), response_v1());
+    let v2_val = v2_message(n);
+    let v1_val = fig5_rollback(&v2_val);
+    Table1Row {
+        members: n,
+        unencoded_v2: v2_val.native_record_size(&v2),
+        pbio_v2: Encoder::new(&v2).encode(&v2_val).expect("workload conforms").len(),
+        unencoded_v1: v1_val.native_record_size(&v1),
+        xml_v2: xmlt::value_to_xml(&v2_val, &v2).len(),
+        xml_v1: xmlt::value_to_xml(&v1_val, &v1).len(),
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn v2_message_conforms() {
-        for n in [0, 1, 7, 100] {
-            v2_message(n).check(&response_v2()).unwrap();
-        }
-    }
-
-    #[test]
-    fn members_for_size_hits_targets() {
-        for target in SWEEP {
-            let n = members_for_size(target);
-            let size = v2_native_size(n);
-            let err = (size as f64 - target as f64).abs() / target as f64;
-            assert!(
-                err < 0.5 || (target == 100),
-                "target {target}: n={n} gives {size} ({err:.2} relative error)"
-            );
-        }
-    }
-
-    #[test]
-    fn fig5_transformation_compiles_and_runs() {
-        let cx = fig5_transformation().compile().unwrap();
-        let out = cx.apply(&v2_message(10)).unwrap();
-        out.check(&response_v1()).unwrap();
-    }
-
-    #[test]
-    fn fig5_xsl_matches_ecode_semantics() {
-        let v = v2_message(6);
-        // Ecode path.
-        let ecode_out = fig5_transformation().compile().unwrap().apply(&v).unwrap();
-        // XSLT path.
-        let xml = xmlt::value_to_xml(&v, &response_v2());
-        let doc = xmlt::parse(&xml).unwrap();
-        let ss = xmlt::Stylesheet::parse(FIG5_XSL).unwrap();
-        let out = ss.transform(&doc).unwrap();
-        let xslt_out = xmlt::element_to_value(&out, &response_v1()).unwrap();
-        assert_eq!(ecode_out, xslt_out);
-    }
-
-    #[test]
-    fn size_labels() {
-        assert_eq!(size_label(100), "100B");
-        assert_eq!(size_label(10_000), "10KB");
-        assert_eq!(size_label(1_000_000), "1MB");
-    }
+/// Runs the compiled Fig. 5 transformation on a v2.0 response.
+pub fn fig5_rollback(v2_val: &Value) -> Value {
+    fig5_transformation().compile().expect("Fig. 5 compiles").apply(v2_val).expect("Fig. 5 runs")
 }

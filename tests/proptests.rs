@@ -768,9 +768,9 @@ fn gen_row_case(rng: &mut XorShift64) -> RowCase {
 /// Generated row-shaped programs agree on both engines in values, roots and
 /// error strings, alone and fused into a chain of one.
 #[test]
-fn row_shaped_programs_agree_on_three_engines() {
+fn row_shaped_programs_agree_on_both_engines() {
     let (mut folded, mut failed) = (0, 0);
-    for_cases("row_shaped_programs_agree_on_three_engines", |rng| {
+    for_cases("row_shaped_programs_agree_on_both_engines", |rng| {
         let RowCase { prog, src, to, roots, .. } = gen_row_case(rng);
         folded += prog
             .rcode()
@@ -1165,10 +1165,10 @@ fn gen_chain(rng: &mut XorShift64) -> ChainCase {
 /// be able to batch, and readers that lack a field of the chain's end or
 /// declare one it never had.
 #[test]
-fn fused_single_pass_matches_staged_oracle() {
+fn fused_single_pass_matches_tree_walker_oracle() {
     let mut adapter_exercised = false;
     let mut batch_exercised = false;
-    for_cases("fused_single_pass_matches_staged_oracle", |rng| {
+    for_cases("fused_single_pass_matches_tree_walker_oracle", |rng| {
         let ChainCase { formats, xforms, fields, hops } = gen_chain(rng);
 
         // The reader: the chain's end, or — a third of the time each — the

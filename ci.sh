@@ -164,8 +164,9 @@ cargo run -q --release --example fanout_bench >/dev/null
 cat BENCH_6.json
 
 echo "==> monitoring overhead bench (writes BENCH_7.json)"
-# The same warm workload with the full opt-in monitoring surface (link
-# monitors, adaptive watermarks, self-telemetry) on vs off. The ratio is
+# The same warm workload with the full opt-in monitoring surface
+# (`EchoConfig { link_monitors, adaptive_shedding }` plus
+# `enable_self_telemetry`) on vs off. The ratio is
 # reported, not gated: below 0.95x bare it prints a WARN line (stderr)
 # and still exits 0.
 cargo run -q --release --example monitor_bench >/dev/null

@@ -22,12 +22,13 @@ use std::sync::Arc;
 
 use obs::{AdaptDecision, AdaptiveThreshold, Counter, FlightRecorder, Gauge, Registry, TraceCtx};
 
-/// Window geometry shared by every adaptive queue: eight 1 ms slots, so
+/// Window geometry shared by every adaptive queue and by the link
+/// monitors ([`crate::EchoConfig::link_monitors`]): eight 1 ms slots, so
 /// rates compare over the trailing 8 ms of virtual time — long enough to
 /// smooth one round-trip's burst, short enough to react inside a chaos
 /// scenario's partition window.
-const WINDOW_SLOTS: usize = 8;
-const WINDOW_SLOT_NS: u64 = 1_000_000;
+pub(crate) const WINDOW_SLOTS: usize = 8;
+pub(crate) const WINDOW_SLOT_NS: u64 = 1_000_000;
 
 /// Metric labels of the adaptive queues: the retry queue, the ingress
 /// buffers, the sharded runtime's mailboxes.
@@ -86,8 +87,8 @@ impl AdaptiveQueue {
 }
 
 /// A queue's bound: the configured capacity, pulled down by the adaptive
-/// watermark (once [`crate::EchoSystem::enable_adaptive_shedding`] opted
-/// in) while arrivals overrun drains.
+/// watermark (when [`crate::EchoConfig::adaptive_shedding`] is set) while
+/// arrivals overrun drains.
 #[derive(Debug)]
 pub(crate) struct Bound {
     /// The configured capacity — a ceiling once the bound adapts.
@@ -95,25 +96,16 @@ pub(crate) struct Bound {
     adaptive: Option<AdaptiveQueue>,
 }
 
-/// Default bound on the retry queue and on each ingress buffer.
-const QUEUE_CAPACITY: usize = 64;
-
-impl Default for Bound {
-    fn default() -> Bound {
-        Bound::new(QUEUE_CAPACITY)
-    }
-}
-
 impl Bound {
     pub fn new(capacity: usize) -> Bound {
         Bound { capacity, adaptive: None }
     }
 
-    /// Makes the bound load-adaptive around `base`. Metric handles are
-    /// created here — systems that never opt in keep their snapshot
+    /// Makes the bound load-adaptive around its capacity. Metric handles
+    /// are created here — systems that never opt in keep their snapshot
     /// catalogue unchanged.
-    pub fn adapt(&mut self, registry: &Registry, label: &'static str, base: usize) {
-        self.adaptive = Some(AdaptiveQueue::new(registry, label, base));
+    pub fn adapt(&mut self, registry: &Registry, label: &'static str) {
+        self.adaptive = Some(AdaptiveQueue::new(registry, label, self.capacity));
     }
 
     /// The effective bound right now.

@@ -24,7 +24,6 @@ type IngressEntry = (usize, u64, WireBytes);
 /// processes hold anything and how much is held in total, so a loop turn
 /// visits only backlogged processes and reads the depth gauge without
 /// summing the population. Every mutation goes through the methods below.
-#[derive(Default)]
 pub(crate) struct Ingress {
     queues: Vec<VecDeque<IngressEntry>>,
     /// Processes with a non-empty queue, in process order (the drain
@@ -37,6 +36,11 @@ pub(crate) struct Ingress {
 }
 
 impl Ingress {
+    pub fn new(capacity: usize) -> Ingress {
+        let (queues, backlogged) = (Vec::new(), BTreeSet::new());
+        Ingress { queues, backlogged, total: 0, bound: Bound::new(capacity) }
+    }
+
     pub fn add_process(&mut self) {
         self.queues.push(VecDeque::new());
     }

@@ -43,7 +43,7 @@ pub use journal::{Journal, JournalEntry, JournalStats, Recovered};
 pub use node::{EchoVersion, Role};
 pub use proto::{ChannelId, Frame, FrameError, MemberInfo, QosTier};
 pub use shard::{fnv1a, shard_of_name};
-pub use system::{EchoSystem, ProcessId};
+pub use system::{EchoConfig, EchoSystem, ProcessId};
 
 /// Errors from the ECho middleware.
 #[derive(Debug, Clone, PartialEq)]

@@ -68,14 +68,11 @@ pub(crate) struct RetryQueue {
     pub bound: Bound,
 }
 
-impl Default for RetryQueue {
-    fn default() -> RetryQueue {
-        let (pending, policy) = (Vec::new(), RetryPolicy::with_seed(0xEC40));
-        RetryQueue { pending, policy, bound: Bound::default() }
-    }
-}
-
 impl RetryQueue {
+    pub fn new(policy: RetryPolicy, capacity: usize) -> RetryQueue {
+        RetryQueue { pending: Vec::new(), policy, bound: Bound::new(capacity) }
+    }
+
     /// Frames currently queued.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -86,7 +83,7 @@ impl RetryQueue {
     fn wake_at(&self, why: Refusal, attempts: u32, now_ns: u64) -> u64 {
         match why {
             Refusal::PeerDown(Some(until)) => until,
-            _ => now_ns + self.policy.backoff_ns(attempts),
+            _ => now_ns.saturating_add(self.policy.backoff_ns(attempts)),
         }
     }
 
@@ -113,7 +110,7 @@ impl RetryQueue {
 impl EchoSystem {
     /// Sends a frame, absorbing operational refusals into the retry queue
     /// (other network errors propagate). Admitting past the bound
-    /// ([`EchoSystem::set_retry_queue_capacity`]) sheds the oldest queued
+    /// ([`crate::EchoConfig::retry_queue_capacity`]) sheds the oldest queued
     /// event frame of the lowest tier — or the newcomer itself when only
     /// control frames are queued — into the sender's dead-letter queue with
     /// [`DeadReason::Shed`]; control frames are admitted beyond the bound.
@@ -232,7 +229,7 @@ mod tests {
         RetryPolicy { budget: 2, base_backoff_ns: 1_000, max_backoff_ns: 8_000, jitter_seed: 7 };
 
     fn queue() -> RetryQueue {
-        RetryQueue { policy: POLICY, ..RetryQueue::default() }
+        RetryQueue::new(POLICY, 64)
     }
 
     /// Queues a frame the way `send_with_retry` admits one.
@@ -284,6 +281,17 @@ mod tests {
         assert!(q.reschedule(&mut p, Refusal::PeerDown(None), 8_000));
         assert_eq!(p.next_attempt_ns, 8_000 + POLICY.backoff_ns(POLICY.budget));
         assert!(!q.reschedule(&mut p, Refusal::LinkDown, 9_000), "attempt budget + 1 gives up");
+    }
+
+    #[test]
+    fn a_never_backoff_waits_forever_instead_of_wrapping() {
+        let never = RetryPolicy { base_backoff_ns: u64::MAX, max_backoff_ns: u64::MAX, ..POLICY };
+        let mut q = RetryQueue::new(never, 64);
+        push(&mut q, 1, 1, Refusal::LinkDown, 5_000);
+        assert_eq!(wake_times(&q), [u64::MAX]);
+        let mut p = q.pending.pop().unwrap();
+        assert!(q.reschedule(&mut p, Refusal::LinkDown, 9_000));
+        assert_eq!(p.next_attempt_ns, u64::MAX);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub(crate) fn shed_set<'a, K: PartialEq>(
 mod tests {
     use super::*;
     use crate::proto::{ChannelId, QosTier};
-    use crate::{EchoSystem, EchoVersion, ProcessId};
+    use crate::{EchoConfig, EchoSystem, EchoVersion, ProcessId};
     use morph::DeadReason;
     use pbio::WireBytes;
     use simnet::{LinkParams, XorShift64};
@@ -196,13 +196,16 @@ mod tests {
             // mailbox bounded at `n` over an ideal wire (send order is
             // arrival order).
             for site in ["retry", "ingress", "mailbox"] {
-                let mut sys = EchoSystem::new();
+                let config = EchoConfig {
+                    retry_queue_capacity: n,
+                    ingress_capacity: n,
+                    ..Default::default()
+                };
+                let mut sys = EchoSystem::with_config(config);
                 for name in ["dst", "a", "b", "c"] {
                     sys.add_process(name, EchoVersion::V2);
                 }
                 sys.connect_all(LinkParams::ideal());
-                sys.set_retry_queue_capacity(n);
-                sys.set_ingress_capacity(n);
                 for sender in 1..=3 {
                     sys.set_link_up(ProcessId(sender), ProcessId(0), site != "retry");
                 }

@@ -14,7 +14,7 @@ use obs::{FlightRecorder, Registry, TraceCtx, TraceId};
 use pbio::{Encoder, PlanStore, RecordFormat, Value, WireBytes};
 use simnet::{FaultPlan, FaultStats, LinkBandwidth, LinkParams, NetError, Network, NodeId};
 
-use crate::adaptive::{Bound, ADAPT_QUEUE_LABELS};
+use crate::adaptive::{Bound, ADAPT_QUEUE_LABELS, WINDOW_SLOTS, WINDOW_SLOT_NS};
 use crate::driver::DEFAULT_MAILBOX_CAPACITY;
 use crate::frag;
 use crate::ingress::Ingress;
@@ -43,6 +43,54 @@ const TRACE_MARK: u64 = 1 << 63;
 /// The trace context a wire frame travels under, read off its header.
 pub(crate) fn wire_ctx(bytes: &[u8]) -> Option<TraceCtx> {
     proto::peek_trace(bytes).map(|t| TraceCtx::root(TraceId(t)))
+}
+
+/// What an [`EchoSystem`] is built with and keeps for its lifetime, read
+/// once by [`EchoSystem::with_config`]. The default is what
+/// [`EchoSystem::new`] builds.
+#[derive(Debug, Clone)]
+pub struct EchoConfig {
+    /// Backoff and attempt budget for re-sends the wire refused.
+    pub retry_policy: RetryPolicy,
+    /// Bound on the link-down retry queue. Admissions past it shed the
+    /// oldest queued event frame of the lowest tier (control frames are
+    /// never shed) into the sender's dead-letter queue with
+    /// [`DeadReason::Shed`].
+    pub retry_queue_capacity: usize,
+    /// Bound on each paused process's ingress buffer, with the retry
+    /// queue's shed policy (victims quarantine at the *receiver*).
+    pub ingress_capacity: usize,
+    /// Makes the retry queue, the ingress buffers and the sharded
+    /// runtime's mailboxes shed at **load-adaptive** watermarks: each
+    /// compares its windowed arrival rate against its drain rate on the
+    /// virtual clock, halving its effective capacity (down to a floor of
+    /// base/8) while arrivals overrun drains and doubling it back once
+    /// drains recover, with hysteresis. The capacities above are the
+    /// ceilings; shedding itself stays tier-ordered
+    /// ([`proto::shed_class`]). Every decision is counted
+    /// (`echo.adaptive.<queue>.tightened` / `.relaxed`), the live bound is
+    /// exported (`echo.adaptive.<queue>.capacity`), and decisions triggered
+    /// by a traced frame drop `echo.adaptive.tighten`/`.relax` instants
+    /// into its trace.
+    pub adaptive_shedding: bool,
+    /// Per-link bandwidth/RTT monitors over the adaptive watermarks'
+    /// window: a directed link gains rolling-window gauges
+    /// (`simnet.link.<from>-><to>.bandwidth_bps` / `.frames_per_sec` /
+    /// `.loss_per_mille` / `.rtt_ewma_ns`) once it carries a frame — see
+    /// [`simnet::Network::enable_link_monitors`].
+    pub link_monitors: bool,
+}
+
+impl Default for EchoConfig {
+    fn default() -> EchoConfig {
+        EchoConfig {
+            retry_policy: RetryPolicy::with_seed(0xEC40),
+            retry_queue_capacity: 64,
+            ingress_capacity: 64,
+            adaptive_shedding: false,
+            link_monitors: false,
+        }
+    }
 }
 
 /// A complete simulated ECho deployment: processes, the network connecting
@@ -155,10 +203,16 @@ impl std::fmt::Debug for EchoSystem {
 }
 
 impl EchoSystem {
-    /// Creates an empty system. The v2.0 → v1.0 `ChannelOpenResponse`
-    /// retro-transformation (paper Fig. 5) is pre-distributed as out-of-band
-    /// meta-data, as the v2.0 release would ship it.
+    /// Creates an empty system with the default [`EchoConfig`].
     pub fn new() -> EchoSystem {
+        EchoSystem::with_config(EchoConfig::default())
+    }
+
+    /// Creates an empty system built as `config` says. The v2.0 → v1.0
+    /// `ChannelOpenResponse` retro-transformation (paper Fig. 5) is
+    /// pre-distributed as out-of-band meta-data, as the v2.0 release would
+    /// ship it.
+    pub fn with_config(config: EchoConfig) -> EchoSystem {
         let mut net = Network::new();
         // The system registry stamps snapshots with *virtual* time and
         // mirrors the network's traffic totals, so two identical runs
@@ -170,6 +224,18 @@ impl EchoSystem {
         let recorder = Arc::new(FlightRecorder::new(TRACE_CAPACITY, Arc::new(net.virtual_clock())));
         registry.set_recorder(Arc::clone(&recorder));
         net.attach_recorder(Arc::clone(&recorder));
+        if config.link_monitors {
+            net.enable_link_monitors(WINDOW_SLOTS, WINDOW_SLOT_NS);
+        }
+        let mut retry = RetryQueue::new(config.retry_policy, config.retry_queue_capacity);
+        let mut ingress = Ingress::new(config.ingress_capacity);
+        let mut mailbox = Bound::new(DEFAULT_MAILBOX_CAPACITY);
+        if config.adaptive_shedding {
+            let [r, i, m] = ADAPT_QUEUE_LABELS;
+            retry.bound.adapt(&registry, r);
+            ingress.bound.adapt(&registry, i);
+            mailbox.adapt(&registry, m);
+        }
         EchoSystem {
             net,
             nodes: Vec::new(),
@@ -180,16 +246,16 @@ impl EchoSystem {
             next_channel: 1,
             journals: Journals::new(&registry),
             metrics: SysMetrics::new(registry),
-            retry: RetryQueue::default(),
+            retry,
             paused: Vec::new(),
-            ingress: Ingress::default(),
+            ingress,
             reassembling: BTreeSet::new(),
             recorder,
             tracing: true,
             shared_caches: None,
             shard_metrics: None,
             shard_assign: Vec::new(),
-            mailbox: Bound::new(DEFAULT_MAILBOX_CAPACITY),
+            mailbox,
             qos: HashMap::new(),
             frame_budget: None,
             reassembly_limits: None,
@@ -696,11 +762,6 @@ impl EchoSystem {
         self.nodes[proc.0].version
     }
 
-    /// Replaces the retry policy for link-down re-sends.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry.policy = policy;
-    }
-
     /// Turns publish-path tracing on or off (on by default). With tracing
     /// off, published frames carry [`proto::NO_TRACE`] and mint no spans —
     /// the mode for high-rate data-plane traffic, where per-event trace
@@ -765,46 +826,6 @@ impl EchoSystem {
         Ok(())
     }
 
-    /// Caps the link-down retry queue. Admissions past the cap shed the
-    /// oldest queued event frame (control frames are never shed) into the
-    /// sender's dead-letter queue with [`DeadReason::Shed`].
-    pub fn set_retry_queue_capacity(&mut self, capacity: usize) {
-        self.retry.bound.capacity = capacity;
-    }
-
-    /// Turns the fixed shed watermarks into **load-adaptive** ones: the
-    /// retry queue, the ingress buffers, and the sharded runtime's
-    /// mailboxes each compare their windowed arrival rate against their
-    /// drain rate on the virtual clock, halving the effective capacity
-    /// (down to a floor of base/8) while arrivals overrun drains and
-    /// doubling it back once drains recover — with hysteresis, so the
-    /// bound does not flap. The configured capacities become *ceilings*;
-    /// shedding itself stays tier-ordered ([`proto::shed_class`]).
-    ///
-    /// Every decision is counted (`echo.adaptive.<queue>.tightened` /
-    /// `.relaxed`), the live bound is exported
-    /// (`echo.adaptive.<queue>.capacity`), and decisions triggered by a
-    /// traced frame drop `echo.adaptive.tighten`/`.relax` instants into
-    /// its trace. Adaptation inputs are pure functions of virtual-clock
-    /// window state, so identical runs adapt identically.
-    ///
-    /// Call *after* any `set_retry_queue_capacity` /
-    /// `set_ingress_capacity` overrides: the watermarks take the
-    /// capacities configured at enable time as their bases.
-    pub fn enable_adaptive_shedding(&mut self) {
-        let registry = &self.metrics.registry;
-        let [retry, ingress, mailbox] = ADAPT_QUEUE_LABELS;
-        self.retry.bound.adapt(registry, retry, self.retry.bound.capacity);
-        self.ingress.bound.adapt(registry, ingress, self.ingress.bound.capacity);
-        self.mailbox.adapt(registry, mailbox, DEFAULT_MAILBOX_CAPACITY);
-        // A telemetry publisher enabled earlier picks up the decision
-        // counters it could not sample yet, from zero; already-sampled
-        // counters keep their baselines.
-        if let Some(t) = self.telemetry.as_mut() {
-            t.sample(registry, &telemetry::SAMPLED_ADAPTIVE);
-        }
-    }
-
     /// The adaptive watermarks' current effective capacities as
     /// `(retry, ingress, mailbox)`, if adaptive shedding is enabled.
     pub fn adaptive_capacities(&self) -> Option<(usize, usize, usize)> {
@@ -846,13 +867,10 @@ impl EchoSystem {
         // so collectors of any era resolve it — older ones by MaxMatch,
         // with no transformations to distribute.
         self.distribute_metadata(&[telemetry::telemetry_format_v2()], &[]);
-        let registry = &self.metrics.registry;
-        let mut publisher =
-            telemetry::Publisher::new(registry, proc.0, channel, period_ns, self.net.now_ns());
-        if self.mailbox.adaptive_capacity().is_some() {
-            publisher.sample(registry, &telemetry::SAMPLED_ADAPTIVE);
-        }
-        self.telemetry = Some(publisher);
+        let (registry, now) = (&self.metrics.registry, self.net.now_ns());
+        let adaptive = self.mailbox.adaptive_capacity().is_some();
+        self.telemetry =
+            Some(telemetry::Publisher::new(registry, proc.0, channel, period_ns, now, adaptive));
     }
 
     /// Publishes a telemetry record if the reporting period has elapsed.
@@ -866,12 +884,6 @@ impl EchoSystem {
         // A publish failure (e.g. the emitter lost its subscription) must
         // not wedge the run loop; the period simply elapses again.
         let _ = self.publish(proc, channel, &fmt, &value);
-    }
-
-    /// Caps each paused process's ingress buffer, with the same shed
-    /// policy as the retry queue (victims quarantine at the *receiver*).
-    pub fn set_ingress_capacity(&mut self, capacity: usize) {
-        self.ingress.bound.capacity = capacity;
     }
 
     /// Sets a channel's delivery tier. Channels default to
@@ -893,8 +905,8 @@ impl EchoSystem {
     /// bytes split into fragments of at most that size, reassembled at
     /// each receiver. `None` (the default) never fragments. Control frames
     /// are never fragmented. To traverse an MTU-limited link
-    /// ([`EchoSystem::set_link_mtu`]) the budget must be small enough that
-    /// budget + frame header ≤ MTU.
+    /// ([`simnet::Network::set_link_mtu`]) the budget must be small enough
+    /// that budget + frame header ≤ MTU.
     pub fn set_frame_budget(&mut self, budget: Option<usize>) {
         self.frame_budget = budget.map(|b| b.max(1));
     }
@@ -914,14 +926,6 @@ impl EchoSystem {
     /// all its channels.
     pub fn reassembly_depth(&self, proc: ProcessId) -> usize {
         self.nodes[proc.0].reassembly_depth()
-    }
-
-    /// Caps the payload size the (bidirectional) link between two
-    /// processes accepts; larger sends are refused with
-    /// [`simnet::NetError::Oversized`]. `0` lifts the cap. Pair with
-    /// [`EchoSystem::set_frame_budget`] so fragmented events fit.
-    pub fn set_link_mtu(&mut self, a: ProcessId, b: ProcessId, mtu: usize) {
-        self.net.set_link_mtu(self.net_ids[a.0], self.net_ids[b.0], mtu);
     }
 
     /// Pauses a process: models an overloaded or stalled consumer.
@@ -951,17 +955,9 @@ impl EchoSystem {
         self.ingress.queue(proc.0).len()
     }
 
-    /// Enables per-link bandwidth/RTT monitors on the underlying network:
-    /// every directed link gains rolling-window gauges
-    /// (`simnet.link.<from>-><to>.bandwidth_bps` / `.frames_per_sec` /
-    /// `.loss_per_mille` / `.rtt_ewma_ns`) in the system registry, sampled
-    /// on the virtual clock — see [`simnet::Network::enable_link_monitors`].
-    pub fn enable_link_monitors(&mut self, slots: usize, slot_ns: u64) {
-        self.net.enable_link_monitors(slots, slot_ns);
-    }
-
     /// The current windowed bandwidth/loss/RTT reading for the directed
-    /// link `from → to`, if link monitors are enabled and the link exists.
+    /// link `from → to`, once [`EchoConfig::link_monitors`] is set and the
+    /// link has carried a frame.
     pub fn link_bandwidth(&self, from: ProcessId, to: ProcessId) -> Option<LinkBandwidth> {
         self.net.link_bandwidth(self.net_ids[from.0], self.net_ids[to.0])
     }
@@ -1063,7 +1059,15 @@ mod tests {
         creator_v: EchoVersion,
         sub_v: EchoVersion,
     ) -> (EchoSystem, ProcessId, ProcessId, ProcessId) {
-        let mut sys = EchoSystem::new();
+        three_with(EchoConfig::default(), creator_v, sub_v)
+    }
+
+    fn three_with(
+        config: EchoConfig,
+        creator_v: EchoVersion,
+        sub_v: EchoVersion,
+    ) -> (EchoSystem, ProcessId, ProcessId, ProcessId) {
+        let mut sys = EchoSystem::with_config(config);
         let c = sys.add_process("creator", creator_v);
         let s1 = sys.add_process("pub-1", EchoVersion::V2);
         let s2 = sys.add_process("sub-2", sub_v);
@@ -1410,13 +1414,13 @@ mod tests {
 
     #[test]
     fn full_retry_queue_sheds_oldest_events_but_never_control() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let config = EchoConfig { retry_queue_capacity: 2, ..EchoConfig::default() };
+        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         let fmt = tick_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.set_retry_queue_capacity(2);
         sys.set_link_up(s1, s2, false);
         for n in 0..4 {
             sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
@@ -1449,13 +1453,13 @@ mod tests {
 
     #[test]
     fn paused_process_buffers_bounded_ingress_with_backpressure() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let config = EchoConfig { ingress_capacity: 4, ..EchoConfig::default() };
+        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         let fmt = tick_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.set_ingress_capacity(4);
         sys.pause_process(s2);
         assert!(!sys.backpressure(s2));
         for n in 0..6 {
@@ -1487,13 +1491,13 @@ mod tests {
 
     #[test]
     fn backpressure_follows_the_adaptive_bound_and_fires_before_the_first_shed() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let config = EchoConfig { adaptive_shedding: true, ..EchoConfig::default() };
+        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         let fmt = tick_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.enable_adaptive_shedding();
         sys.pause_process(s2);
         // A stalled consumer under a burst: arrivals with no drains pull
         // the ingress watermark from its base of 64 down to base/8.
@@ -1781,7 +1785,8 @@ mod tests {
 
     #[test]
     fn ingress_shed_takes_unordered_telemetry_before_reliable_events() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
+        let config = EchoConfig { ingress_capacity: 3, ..EchoConfig::default() };
+        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
         let reliable_ch = sys.create_channel(c);
         let telemetry_ch = sys.create_channel(c);
         let fmt = tick_format();
@@ -1791,7 +1796,6 @@ mod tests {
         }
         sys.run();
         sys.set_channel_qos(telemetry_ch, QosTier::UnorderedUnreliable);
-        sys.set_ingress_capacity(3);
         sys.pause_process(s2);
         // Arrival order: telemetry first, then reliable — but the *victims*
         // are chosen by tier, not age alone.
@@ -1866,7 +1870,7 @@ mod tests {
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
-        sys.set_link_mtu(s1, s2, 128);
+        sys.net.set_link_mtu(sys.net_ids[s1.0], sys.net_ids[s2.0], 128);
         // Unfragmented, the 500-byte event is refused by the wire outright.
         let err = sys.publish(s1, ch, &fmt, &blob(1, 500)).unwrap_err();
         assert!(matches!(err, EchoError::Net(NetError::Oversized { .. })), "got {err}");
@@ -1879,23 +1883,31 @@ mod tests {
 
     #[test]
     fn adaptive_watermark_tightens_retry_shedding_then_relaxes() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
-        let ch = sys.create_channel(c);
-        let fmt = tick_format();
-        sys.subscribe(s1, ch, Role::source(), None).unwrap();
-        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
-        sys.run();
-        sys.set_retry_queue_capacity(16);
         // A 10 ms first backoff outlasts the 8 ms adaptation window, so
         // the post-heal drains land in an arrival-free window and the
         // relax path is observable.
-        sys.set_retry_policy(RetryPolicy {
-            budget: 8,
-            base_backoff_ns: 10_000_000,
-            max_backoff_ns: 50_000_000,
-            jitter_seed: 1,
-        });
-        sys.enable_adaptive_shedding();
+        let config = EchoConfig {
+            retry_policy: RetryPolicy {
+                budget: 8,
+                base_backoff_ns: 10_000_000,
+                max_backoff_ns: 50_000_000,
+                jitter_seed: 1,
+            },
+            retry_queue_capacity: 16,
+            adaptive_shedding: true,
+            ..EchoConfig::default()
+        };
+        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
+        let ch = sys.create_channel(c);
+        let tele = sys.create_channel(c);
+        let fmt = tick_format();
+        sys.subscribe(s1, ch, Role::source(), None).unwrap();
+        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
+        // The collector sits on the creator → publisher link, which the
+        // partition below never touches.
+        sys.subscribe(s1, tele, Role::sink(), Some(&telemetry::telemetry_format_v2())).unwrap();
+        sys.run();
+        sys.enable_self_telemetry(c, tele, 1_000_000);
         assert_eq!(sys.adaptive_capacities(), Some((16, 64, DEFAULT_MAILBOX_CAPACITY)));
 
         // Partition, then a burst far past the drain rate (zero: nothing
@@ -1935,6 +1947,29 @@ mod tests {
         );
         // The survivors (newest-first retention) delivered on heal.
         assert_eq!(sys.take_events(s2).len(), 4);
+
+        // One more period flushes the last decisions into a record: the
+        // records carry every decision the registry counted, end to end.
+        sys.advance_ns(1_000_000);
+        sys.run();
+        let v2 = telemetry::telemetry_format_v2();
+        let records = sys.take_events(s1);
+        let carried = |field: &str| -> u64 {
+            records
+                .iter()
+                .map(|(_, v)| v.field(&v2, field).and_then(Value::as_i64).unwrap())
+                .sum::<i64>() as u64
+        };
+        let snap = sys.registry().snapshot();
+        let counted = |suffix: &str| -> u64 {
+            crate::adaptive::ADAPT_QUEUE_LABELS
+                .iter()
+                .map(|q| snap.counter(&format!("echo.adaptive.{q}.{suffix}")).unwrap())
+                .sum()
+        };
+        assert!(counted("tightened") >= 3 && counted("relaxed") >= 1);
+        assert_eq!(carried("adapt_tightened"), counted("tightened"));
+        assert_eq!(carried("adapt_relaxed"), counted("relaxed"));
     }
 
     #[test]
@@ -2193,7 +2228,7 @@ mod tests {
         assert!(sys.nodes[c.0].remove_member(ch, "unconnected"));
         sys.run();
         assert_eq!(sys.take_events(near), vec![(ch, blob(1, 200))]);
-        sys.set_link_mtu(c, near, 32);
+        sys.net.set_link_mtu(sys.net_ids[c.0], sys.net_ids[near.0], 32);
         let before = books(&sys);
         let refused = sys.publish(c, ch, &fmt, &blob(2, 200));
         assert!(matches!(refused, Err(EchoError::Net(NetError::Oversized { .. }))), "{refused:?}");

@@ -88,10 +88,10 @@ pub fn telemetry_value(seq: u64, at_ns: u64, queue_depth: i64, delta: &SnapshotD
 }
 
 /// The counters every record reports, and the adaptive decision counters
-/// that join them only once adaptive shedding created them — sampling
-/// those earlier would put them in every system's registry catalogue.
+/// that join them only on a system built with adaptive shedding — sampling
+/// them otherwise would put them in every system's registry catalogue.
 const SAMPLED: [&str; 3] = ["echo.events.delivered", "echo.events.published", "echo.queue.shed"];
-pub(crate) const SAMPLED_ADAPTIVE: [&str; 6] = [
+const SAMPLED_ADAPTIVE: [&str; 6] = [
     "echo.adaptive.ingress.relaxed",
     "echo.adaptive.ingress.tightened",
     "echo.adaptive.mailbox.relaxed",
@@ -125,46 +125,45 @@ pub(crate) struct Publisher {
 }
 
 impl Publisher {
+    /// A publisher reporting [`SAMPLED`], plus [`SAMPLED_ADAPTIVE`] when
+    /// `adaptive`, each counter baselined at its current value.
     pub fn new(
         registry: &Registry,
         proc: usize,
         channel: ChannelId,
         period_ns: u64,
         now_ns: u64,
+        adaptive: bool,
     ) -> Publisher {
-        let mut publisher = Publisher {
+        let adaptive_names = if adaptive { &SAMPLED_ADAPTIVE[..] } else { &[] };
+        let mut sampled: Vec<_> = SAMPLED
+            .iter()
+            .chain(adaptive_names)
+            .map(|&name| {
+                let counter = registry.counter(name);
+                let seen = counter.get();
+                (name, counter, seen)
+            })
+            .collect();
+        sampled.sort_unstable_by_key(|&(n, _, _)| n);
+        Publisher {
             proc,
             channel,
             format: telemetry_format_v2(),
             period_ns: period_ns.max(1),
-            sampled: Vec::new(),
+            sampled,
             last_at_ns: now_ns,
             seq: 0,
             published: registry.counter("echo.telemetry.published"),
             bytes: registry.counter("echo.telemetry.bytes"),
-        };
-        publisher.sample(registry, &SAMPLED);
-        publisher
-    }
-
-    /// Starts reporting the named counters, baselined at their current
-    /// values; counters already sampled keep their baselines.
-    pub fn sample(&mut self, registry: &Registry, names: &[&'static str]) {
-        for &name in names {
-            if !self.sampled.iter().any(|(n, _, _)| *n == name) {
-                let counter = registry.counter(name);
-                let seen = counter.get();
-                self.sampled.push((name, counter, seen));
-            }
         }
-        self.sampled.sort_unstable_by_key(|&(n, _, _)| n);
     }
 
     /// The record to publish, if the reporting period has elapsed. Firing
     /// requires virtual time to advance, so a quiescent system emits
     /// nothing.
     pub fn poll(&mut self, now_ns: u64, queue_depth: i64) -> Option<Value> {
-        if now_ns < self.last_at_ns + self.period_ns {
+        if now_ns < self.last_at_ns.saturating_add(self.period_ns) {
             return None;
         }
         let sample = |(name, handle, last): &mut (&str, Arc<Counter>, u64)| {
@@ -211,6 +210,15 @@ mod tests {
         assert_eq!(v.field(&fmt, "queue_depth").and_then(Value::as_i64), Some(5));
         assert_eq!(v.field(&fmt, "adapt_tightened").and_then(Value::as_i64), Some(3));
         assert_eq!(v.field(&fmt, "adapt_relaxed").and_then(Value::as_i64), Some(0));
+    }
+
+    #[test]
+    fn a_never_period_never_fires() {
+        let reg = Registry::new();
+        let mut publisher = Publisher::new(&reg, 0, ChannelId(1), u64::MAX, 1_000, false);
+        assert_eq!(publisher.poll(2_000, 0), None);
+        assert_eq!(publisher.poll(u64::MAX - 1, 0), None);
+        assert_eq!(reg.snapshot().counter("echo.telemetry.published"), Some(0));
     }
 
     #[test]

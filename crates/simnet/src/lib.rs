@@ -486,8 +486,8 @@ pub struct Network {
     /// Node count the monitor matrix was laid out for; it grows when
     /// nodes are added after monitors were enabled.
     monitor_stride: usize,
-    /// `(slots, slot_ns)` monitor window, once enabled; links connected
-    /// later pick it up lazily on first send.
+    /// `(slots, slot_ns)` monitor window, once enabled; each link picks
+    /// it up on its first send.
     monitor_cfg: Option<(usize, u64)>,
 }
 
@@ -562,22 +562,18 @@ impl Network {
     }
 
     /// Enables per-link bandwidth/RTT monitors over a rolling window of
-    /// `slots × slot_ns` virtual nanoseconds. Every directed link gains
+    /// `slots × slot_ns` virtual nanoseconds. A directed link gains
     /// windowed gauges (`simnet.link.<from>-><to>.bandwidth_bps`,
     /// `.frames_per_sec`, `.loss_per_mille`, `.rtt_ewma_ns`) and an RTT
-    /// histogram (`.rtt_ns`) in the attached registry, refreshed on each
-    /// send/delivery; RTT samples piggyback on the traffic already
-    /// flowing (each delivery contributes `2 × one-way latency`, so no
-    /// probe frames are injected). Readable programmatically via
-    /// [`Network::link_bandwidth`]. Call after [`Network::attach_registry`]
-    /// to get the gauges; without a registry the readings stay
-    /// query-only.
+    /// histogram (`.rtt_ns`) in the attached registry on its first send,
+    /// refreshed on each send/delivery after; RTT samples piggyback on the
+    /// traffic already flowing (each delivery contributes `2 × one-way
+    /// latency`, so no probe frames are injected). Readable
+    /// programmatically via [`Network::link_bandwidth`]. Call after
+    /// [`Network::attach_registry`] to get the gauges; without a registry
+    /// the readings stay query-only.
     pub fn enable_link_monitors(&mut self, slots: usize, slot_ns: u64) {
         self.monitor_cfg = Some((slots, slot_ns));
-        let links: Vec<(NodeId, NodeId)> = self.links.keys().copied().collect();
-        for (from, to) in links {
-            self.monitor_entry(from, to);
-        }
     }
 
     /// The monitor for a directed link, created lazily once monitors are

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use echo::telemetry::telemetry_format_v2;
-use echo::{EchoSystem, EchoVersion, ProcessId, Role};
+use echo::{EchoConfig, EchoSystem, EchoVersion, ProcessId, Role};
 use morph::Transformation;
 use pbio::{FormatBuilder, RecordFormat, Value};
 use simnet::LinkParams;
@@ -105,7 +105,9 @@ struct Rig {
 fn build(monitored: bool) -> Rig {
     let src = src_format();
     let dst = dst_format();
-    let mut sys = EchoSystem::new();
+    let config =
+        EchoConfig { link_monitors: monitored, adaptive_shedding: monitored, ..Default::default() };
+    let mut sys = EchoSystem::with_config(config);
     sys.set_tracing(false); // data-plane mode, as the other benches run
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
@@ -126,8 +128,6 @@ fn build(monitored: bool) -> Rig {
     if monitored {
         let tele = sys.create_channel(publisher);
         sys.subscribe(sink, tele, Role::sink(), Some(&telemetry_format_v2())).expect("subscribe");
-        sys.enable_link_monitors(8, 1_000_000);
-        sys.enable_adaptive_shedding();
         // 10ms of virtual time per report: frequent enough to exercise the
         // pump every round, sparse enough that the reports themselves (each
         // one a registry snapshot + a published frame) stay a trace gas in

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use echo::{proto, EchoSystem, EchoVersion, ProcessId, Role};
+use echo::{proto, EchoConfig, EchoSystem, EchoVersion, ProcessId, Role};
 use message_morphing::prelude::*;
 use morph::{
     BreakerState, DeadLetterQueue, DeadReason, MetaServer, MorphError, PoolDelivery,
@@ -1109,30 +1109,31 @@ struct OverloadRun {
 }
 
 fn run_overload_chaos(seed: u64) -> OverloadRun {
-    let mut sys = EchoSystem::new();
+    // The first backoff (10 ms + seeded jitter) outlasts the 8 ms
+    // adaptation window, so post-heal drains are judged against an
+    // arrival-free window and the relax path always runs.
+    let mut sys = EchoSystem::with_config(EchoConfig {
+        retry_policy: RetryPolicy {
+            budget: 8,
+            base_backoff_ns: 10_000_000,
+            max_backoff_ns: 50_000_000,
+            jitter_seed: seed,
+        },
+        retry_queue_capacity: OVERLOAD_RETRY_CAP,
+        adaptive_shedding: true,
+        link_monitors: true,
+        ..EchoConfig::default()
+    });
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
     sys.connect_all(LinkParams::lan());
-    sys.enable_link_monitors(8, 1_000_000);
 
     let fmt = tick_format();
     let ch = sys.create_channel(creator);
     sys.subscribe(publisher, ch, Role::source(), None).unwrap();
     sys.subscribe(sink, ch, Role::sink(), Some(&fmt)).unwrap();
     sys.run();
-
-    // The first backoff (10 ms + seeded jitter) outlasts the 8 ms
-    // adaptation window, so post-heal drains are judged against an
-    // arrival-free window and the relax path always runs.
-    sys.set_retry_queue_capacity(OVERLOAD_RETRY_CAP);
-    sys.set_retry_policy(RetryPolicy {
-        budget: 8,
-        base_backoff_ns: 10_000_000,
-        max_backoff_ns: 50_000_000,
-        jitter_seed: seed,
-    });
-    sys.enable_adaptive_shedding();
 
     // Partition the event path, then ramp the offered load: each round
     // publishes a bigger burst while the drain rate is pinned at zero.

@@ -10,11 +10,13 @@
 //! - The `morph.*` and `pbio.*` sections of `OBSERVABILITY.md`, its
 //!   `echo.*` sections and its `simnet.*` sections list exactly the names
 //!   those layers register.
+//! - The switch tables of `ARCHITECTURE.md` list exactly `EchoConfig`'s
+//!   fields and `EchoSystem`'s `set_*` / `enable_*` methods.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use echo::{EchoSystem, EchoVersion, QosTier, Role, WallClockDriver};
+use echo::{EchoConfig, EchoSystem, EchoVersion, QosTier, Role, WallClockDriver};
 use morph::{
     DeadLetterQueue, DeadReason, MetaServer, MorphReceiver, ResolverConfig, ResolverPool,
     RetryPolicy, Transformation,
@@ -202,11 +204,13 @@ fn assert_catalogued(registered: &BTreeSet<String>, catalogued: &BTreeSet<String
 fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     let mut registered = BTreeSet::new();
 
-    let mut sys = EchoSystem::new();
+    let mut sys = EchoSystem::with_config(EchoConfig {
+        adaptive_shedding: true,
+        link_monitors: true,
+        ..EchoConfig::default()
+    });
     sys.enable_shared_morph_caches();
-    sys.enable_adaptive_shedding();
     sys.enable_journaling(1);
-    sys.enable_link_monitors(8, 1_000_000);
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("pub", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V1);
@@ -267,11 +271,13 @@ fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
 #[test]
 fn the_echo_catalogue_sections_list_what_is_registered() {
     const SHARDS: usize = 2;
-    let mut sys = EchoSystem::new();
+    let mut sys = EchoSystem::with_config(EchoConfig {
+        adaptive_shedding: true,
+        link_monitors: true,
+        ..EchoConfig::default()
+    });
     sys.enable_shared_morph_caches();
-    sys.enable_adaptive_shedding();
     sys.enable_journaling(1);
-    sys.enable_link_monitors(8, 1_000_000);
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("pub", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V1);
@@ -354,4 +360,74 @@ fn the_simnet_catalogue_sections_list_what_is_registered() {
         &registered,
         &catalogued(&["### `simnet.*`", "### `simnet.link.*` monitors"], &[links]),
     );
+}
+
+/// The backticked names in the first cell of each body row, one set per
+/// table, in the `### Switches` section of ARCHITECTURE.md.
+fn switch_tables() -> Vec<BTreeSet<String>> {
+    let doc = include_str!("../ARCHITECTURE.md");
+    let section = doc.split("\n### Switches").nth(1).expect("a Switches section");
+    let section = section.split("\n#").next().unwrap();
+    let mut tables: Vec<BTreeSet<String>> = Vec::new();
+    let mut in_table = false;
+    for line in section.lines() {
+        if !line.starts_with('|') {
+            in_table = false;
+            continue;
+        }
+        if !in_table {
+            // A table's first row is its header.
+            tables.push(BTreeSet::new());
+            in_table = true;
+        } else if line.starts_with("| `") {
+            let cell = line.split('|').nth(1).expect("a first cell");
+            let names = cell.split('`').skip(1).step_by(2).map(str::to_string);
+            tables.last_mut().unwrap().extend(names);
+        }
+    }
+    tables
+}
+
+/// `EchoConfig`'s field names, read off its `Debug` form (top level only:
+/// a field's own braces nest).
+fn config_fields() -> BTreeSet<String> {
+    let debug = format!("{:?}", EchoConfig::default());
+    let body = debug.strip_prefix("EchoConfig { ").and_then(|b| b.strip_suffix(" }")).unwrap();
+    let (mut depth, mut start, mut fields) = (0, 0, Vec::new());
+    for (i, c) in body.char_indices() {
+        match c {
+            '{' | '(' | '[' => depth += 1,
+            '}' | ')' | ']' => depth -= 1,
+            ',' if depth == 0 => {
+                fields.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    fields.push(&body[start..]);
+    fields.iter().map(|f| f.split(':').next().unwrap().trim().to_string()).collect()
+}
+
+/// ARCHITECTURE.md's switch tables are the code's: the first lists
+/// `EchoConfig`'s fields, the other two (construction-time setters the
+/// benchmark still calls, run-time levers) every `pub fn set_*` /
+/// `enable_*` of `EchoSystem`, each once.
+#[test]
+fn the_switch_tables_list_the_config_and_every_setter() {
+    let tables = switch_tables();
+    assert_eq!(tables.len(), 3, "config, construction-time and run-time tables");
+    assert_eq!(tables[0], config_fields(), "the EchoConfig table");
+
+    let code = include_str!("../crates/echo/src/system.rs").split("#[cfg(test)]").next().unwrap();
+    let setters: BTreeSet<String> = code
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("pub fn "))
+        .filter(|rest| rest.starts_with("set_") || rest.starts_with("enable_"))
+        .map(|rest| rest.split(['(', '<']).next().unwrap().to_string())
+        .collect();
+    assert!(tables[1].is_disjoint(&tables[2]), "a setter listed twice");
+    let tabulated: BTreeSet<String> = tables[1].union(&tables[2]).cloned().collect();
+    assert_eq!(tabulated, setters, "the setter tables");
+    assert_eq!(setters.len(), 10);
 }

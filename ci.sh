@@ -4,10 +4,11 @@
 # runs with no network access: format, the pin on the one `unsafe` block
 # (the frame CRC's call into its carry-less-multiply kernel), lints, docs,
 # every test (the paper's exact Table 1 and link-latency figures among
-# them, tests/paper.rs), the chaos seed matrix, the seeded sharded-runtime
-# scenario, the pbio and meta-data mutation loops, the dedup window's
+# them, tests/paper.rs), the chaos seed matrix, and nine loops on fresh
+# seeds — chaos, the seeded sharded-runtime scenario, the pbio and
+# meta-data mutation loops, the engine differentials, the dedup window's
 # oracle test, the fragment reassembly model test, the journal fold's
-# model test and the resealed-header damage loop on fresh seeds, the smoke
+# model test and the resealed-header damage loop — the smoke
 # examples, the paper's timed figures (printed, not gated), the three
 # bench examples (fanout_bench gated; monitor_bench and crash_recovery's
 # overhead ratio reported, not gated) and the benchmark self-check.
@@ -99,6 +100,17 @@ meta=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$meta" ] || meta=$(date +%s)
 echo "    META_FUZZ_SEED=$meta cargo test -q --test proptests metadata_mutations"
 META_FUZZ_SEED="$meta" cargo test -q --test proptests metadata_mutations
+
+echo "==> engine differentials, fresh seed (the test step above ran the fixed stream)"
+# Every property in tests/proptests.rs — the register VM against the
+# tree-walker on generated expressions, loops, functions and rows, fused
+# chains against the oracle, the VM over the view against the VM over the
+# value — on a stream mixed from a new seed. A failure here reproduces
+# with the printed command.
+prop=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$prop" ] || prop=$(date +%s)
+echo "    PROP_SEED=$prop cargo test -q --test proptests"
+PROP_SEED="$prop" cargo test -q --test proptests
 
 echo "==> dedup window against its oracle, fresh seed (the test step above ran the fixed one)"
 # Seeded streams — 1–4 senders, sparse seqs, seqs near u64::MAX, 2–70-part

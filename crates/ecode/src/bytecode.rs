@@ -6,10 +6,10 @@
 //! [`RInsn::Store`] instructions whose field indices were resolved at compile
 //! time; dynamic array subscripts are evaluated into index registers first,
 //! then consumed by the access. This is the closest this reproduction gets
-//! to the paper's native code generation, and it adds superinstructions
-//! ([`RInsn::CopyPath`], [`RInsn::BatchCopy`]) that fold the hot sequences
-//! of a morph into single dispatches — a `CopyPath` carries a whole *row* of
-//! field copies into one destination record. The tree-walking interpreter
+//! to the paper's native code generation, and it adds a superinstruction,
+//! [`RInsn::CopyPath`], that folds the hot sequences of a morph into single
+//! dispatches — a whole *row* of field copies into one destination record.
+//! The tree-walking interpreter
 //! over the same typed AST is the semantic reference the register VM is
 //! checked against.
 
@@ -343,29 +343,6 @@ pub enum RInsn {
     /// one dispatch with one destination navigation, and without staging
     /// values in registers. A lone field copy is the one-entry row.
     CopyPath(CopyRow),
-    /// Superinstruction: the whole-array copy loop
-    /// `for (; counter < limit; counter++) dst.segs[counter] = src.segs[counter]`
-    /// executed as one bounds check plus one bulk range clone. Lowering only
-    /// emits this when both element types are identical and fixed-stride on
-    /// the wire ([`pbio::FieldType::wire_stride`]), so a range clone is
-    /// observationally identical to the per-element loop. On exit the
-    /// counter register holds the limit, exactly as the loop would leave it.
-    BatchCopy {
-        /// Register holding the loop counter (read and written).
-        counter: u32,
-        /// Register holding the exclusive end index (read once — legal
-        /// because the recognized loop's limit expression is pure and
-        /// disjoint from the destination root).
-        limit: u32,
-        /// Root binding index of the source array's record.
-        src_root: u8,
-        /// Static path (fields only) to the source array.
-        src_segs: Arc<[CSeg]>,
-        /// Root binding index of the destination array's record.
-        dst_root: u8,
-        /// Static path (fields only) to the destination array.
-        dst_segs: Arc<[CSeg]>,
-    },
 }
 
 /// Frame layout of one compiled user function in the register ISA.
@@ -529,11 +506,6 @@ fn render_rinsn(insn: &RInsn, strings: &[String]) -> String {
                 }
             }
         }
-        RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => format!(
-            "BatchCopy {}[r{counter}..r{limit}] = {}[r{counter}..r{limit}]",
-            render_path(*dst_root, dst_segs, &[]),
-            render_path(*src_root, src_segs, &[]),
-        ),
     }
 }
 
@@ -598,16 +570,6 @@ pub(crate) fn map_registers(insn: &RInsn, f: impl Fn(u32) -> u32) -> RInsn {
                 .collect(),
             ..row.clone()
         }),
-        RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => {
-            RInsn::BatchCopy {
-                counter: f(*counter),
-                limit: f(*limit),
-                src_root: *src_root,
-                src_segs: Arc::clone(src_segs),
-                dst_root: *dst_root,
-                dst_segs: Arc::clone(dst_segs),
-            }
-        }
     }
 }
 
@@ -663,14 +625,6 @@ mod tests {
         let code = RCode {
             insns: vec![
                 RInsn::ConstI { dst: 0, v: 0 },
-                RInsn::BatchCopy {
-                    counter: 0,
-                    limit: 1,
-                    src_root: 0,
-                    src_segs: vec![CSeg::Field(1)].into(),
-                    dst_root: 1,
-                    dst_segs: vec![CSeg::Field(2)].into(),
-                },
                 RInsn::CopyPath(CopyRow {
                     dst_root: 1,
                     dst_segs: vec![].into(),
@@ -698,13 +652,12 @@ mod tests {
         };
         let text = code.disassemble();
         assert_eq!(text.lines().count(), 1 + code.insns.len());
-        assert!(text.contains("BatchCopy root1.2[r0..r1] = root0.1[r0..r1]"));
         assert!(text.contains("CopyPath root1.0 = root0.0 conv=I2F"));
         assert!(text.contains(
             "CopyPath root1.2[*] [r0] { .0 = root0.1[*].0 [r1]; .1 = root0.1[*].1 [r1] }"
         ));
         assert_eq!(code.to_string(), text);
-        assert_eq!(code.len(), 5);
+        assert_eq!(code.len(), 4);
         assert!(!code.is_empty());
     }
 

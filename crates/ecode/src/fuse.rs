@@ -18,8 +18,8 @@
 //! * jump targets, function entries, string-pool and function indices are
 //!   shifted by each step's placement offset;
 //! * root indices shift by the step's position (step *i* reads root *i*,
-//!   writes root *i + 1*) — on `Load`/`Store`/`LenOf`, on a `CopyPath` row
-//!   and each of its entries, and on both ends of a `BatchCopy`;
+//!   writes root *i + 1*) — on `Load`/`Store`/`LenOf`, and on a `CopyPath`
+//!   row and each of its entries;
 //! * *main-body* registers rebase by the sum of preceding steps' main
 //!   frames (function frames are window-relative and need no shift);
 //! * *main-body* `Ret` becomes a jump to the step's trailer — a chain
@@ -30,7 +30,7 @@ use pbio::format_id;
 
 use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RFnCode, RInsn};
 use crate::error::{EcodeError, Result};
-use crate::rvm::{self, Routed, RunStats, ViewRoutes, VmScratch};
+use crate::rvm::{self, Routed, ViewRoutes, VmScratch};
 use crate::tast::Binding;
 use crate::EcodeProgram;
 use pbio::Value;
@@ -146,16 +146,6 @@ impl FusedProgram {
                             .collect(),
                         ..row.clone()
                     }),
-                    RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => {
-                        RInsn::BatchCopy {
-                            counter: *counter,
-                            limit: *limit,
-                            src_root: src_root + i as u8,
-                            src_segs: src_segs.clone(),
-                            dst_root: dst_root + i as u8,
-                            dst_segs: dst_segs.clone(),
-                        }
-                    }
                     RInsn::Ret { .. } if in_main => RInsn::Jmp(tail),
                     other => other.clone(),
                 };
@@ -183,18 +173,19 @@ impl FusedProgram {
     /// Executes the fused chain — one register-VM pass wire-roots → final
     /// `Value`. `roots` must hold the incoming message followed by one
     /// default record per step's target format; the last root receives the
-    /// final value. Returns batch-superinstruction statistics.
+    /// final value.
     ///
     /// # Errors
     ///
     /// As [`EcodeProgram::run`].
-    pub fn run_register(&self, roots: &mut [Value]) -> Result<RunStats> {
+    pub fn run_register(&self, roots: &mut [Value]) -> Result<()> {
         self.run_register_with(roots, u64::MAX, &mut VmScratch::default())
     }
 
-    /// [`FusedProgram::run_register`] under an instruction budget, in
-    /// working memory the caller keeps across messages: on warm `scratch`
-    /// the run allocates nothing.
+    /// [`FusedProgram::run_register`] under an instruction budget, which
+    /// also pays for the array elements and string bytes the program
+    /// builds, in working memory the caller keeps across messages: on warm
+    /// `scratch` the VM itself allocates nothing.
     ///
     /// # Errors
     ///
@@ -204,9 +195,8 @@ impl FusedProgram {
         roots: &mut [Value],
         fuel: u64,
         scratch: &mut VmScratch,
-    ) -> Result<RunStats> {
-        let (_, stats) = rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel, scratch)?;
-        Ok(stats)
+    ) -> Result<()> {
+        rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel, scratch).map(drop)
     }
 
     /// Compiles every path along which the program reads root 0 against
@@ -237,10 +227,9 @@ impl FusedProgram {
         roots: &mut [Value],
         fuel: u64,
         scratch: &mut VmScratch,
-    ) -> Result<RunStats> {
+    ) -> Result<()> {
         let view = Routed { view, routes };
-        let (_, stats) = rvm::run_view(&self.rcode, &self.bindings, &view, roots, fuel, scratch)?;
-        Ok(stats)
+        rvm::run_view(&self.rcode, &self.bindings, &view, roots, fuel, scratch).map(drop)
     }
 
     /// The fused register bytecode (inspection/metrics).
@@ -292,10 +281,6 @@ pub fn root_used_fields(code: &RCode, root: u8, n_fields: usize) -> Vec<bool> {
                     touch(row.dst_root, row.dst_segs.first().or(Some(&e.dst_leaf)));
                     touch(e.src_root, e.src_segs.first());
                 }
-            }
-            RInsn::BatchCopy { src_root, src_segs, dst_root, dst_segs, .. } => {
-                touch(*src_root, src_segs.first());
-                touch(*dst_root, dst_segs.first());
             }
             RInsn::SyncRoot(r) => touch(*r, None),
             RInsn::ConstI { .. }
@@ -512,13 +497,10 @@ mod tests {
             Value::Int(3),
             Value::Array(vec![Value::Int(4), Value::Int(5), Value::Int(6)]),
         ]);
-        let fp = FusedProgram::compose(&[&s1, &s2]).unwrap();
-        let mut roots = vec![input, Value::default_record(&b), Value::default_record(&a)];
-        let stats = fp.run_register(&mut roots).unwrap();
-        assert_eq!(stats.batch_copies, 2, "one BatchCopy per step");
-        assert_eq!(stats.batch_elems, 6);
+        let chain = [&s1, &s2];
+        assert_eq!(fused(&chain, &input), staged(&chain, &input));
         assert_eq!(
-            roots[2],
+            fused(&chain, &input),
             Value::Record(vec![
                 Value::Int(3),
                 Value::Array(vec![Value::Int(4), Value::Int(5), Value::Int(6)])
@@ -591,16 +573,14 @@ mod tests {
 
     #[test]
     fn used_field_scan_sees_both_ends_of_a_batch_copy() {
-        // `new.vals` is read, and `old.vals` written, only by the `BatchCopy`
-        // the loop lowers to.
+        // `new.vals` is read, and `old.vals` written, only by the one
+        // `CopyPath` the loop body lowers to.
         let vals = |b: FormatBuilder| {
             b.int("n").var_array_basic("vals", pbio::BasicType::Int(pbio::Width::W8), "n")
         };
         let a = vals(FormatBuilder::record("M")).string("junk").build_arc().unwrap();
         let b = vals(FormatBuilder::record("M")).build_arc().unwrap();
         let s1 = step(&a, &b, "int i; for (i = 0; i < new.n; i++) old.vals[i] = new.vals[i];");
-        let insns = &s1.rcode().insns;
-        assert_eq!(insns.iter().filter(|i| matches!(i, RInsn::BatchCopy { .. })).count(), 1);
         let names_vals = |i: &&RInsn| match i {
             RInsn::Load { segs, .. } | RInsn::LenOf { segs, .. } | RInsn::Store { segs, .. } => {
                 segs.first() == Some(&CSeg::Field(1))
@@ -608,7 +588,12 @@ mod tests {
             RInsn::CopyPath(_) => true,
             _ => false,
         };
-        assert_eq!(insns.iter().filter(names_vals).count(), 0);
+        let copies: Vec<&RInsn> = s1.rcode().insns.iter().filter(names_vals).collect();
+        assert!(
+            matches!(&copies[..], [RInsn::CopyPath(r)]
+                if r.dst_segs[..] == [CSeg::Field(1)] && r.entries[0].src_segs[0] == CSeg::Field(1)),
+            "{copies:?}"
+        );
         assert_eq!(root_used_fields(s1.rcode(), 1, 2), vec![false, true]);
         let fp = FusedProgram::compose(&[&s1]).unwrap();
         let used = root_used_fields(fp.rcode(), 0, 3);

@@ -1,7 +1,12 @@
 //! Reference tree-walking interpreter over the typed AST.
 //!
 //! It is the spec the register VM is tested against: both must agree on
-//! every program, in values, roots and error strings.
+//! every program, in values, roots and error strings. Its budget counts
+//! evaluation steps rather than instructions, and, as the VM's does, pays
+//! for what a run allocates — *k* units for a write that extends an array
+//! by *k* elements, one per byte of a concatenation's result — before the
+//! allocation is made, so a program that allocates without bound runs out
+//! on both engines.
 
 use pbio::{FieldType, RecordFormat, Value};
 
@@ -43,11 +48,24 @@ enum PathStep {
 
 impl<'p> Interp<'p> {
     fn burn(&mut self) -> Result<()> {
-        if self.fuel == 0 {
-            return Err(rt_err("instruction budget exhausted"));
-        }
-        self.fuel -= 1;
+        self.charge(1)
+    }
+
+    /// Spends `units` of the budget, or fails without spending any.
+    fn charge(&mut self, units: u64) -> Result<()> {
+        self.fuel =
+            self.fuel.checked_sub(units).ok_or_else(|| rt_err("instruction budget exhausted"))?;
         Ok(())
+    }
+
+    /// Pays for the string `op` builds from `a` and `b`, if it builds one.
+    fn charge_concat(&mut self, op: TBinOp, a: &Value, b: &Value) -> Result<()> {
+        match (op, a, b) {
+            (TBinOp::Concat, Value::Str(a), Value::Str(b)) => {
+                self.charge((a.len() + b.len()) as u64)
+            }
+            _ => Ok(()),
+        }
     }
 
     fn eval_segs(&mut self, roots: &mut [Value], segs: &[TSeg]) -> Result<Vec<PathStep>> {
@@ -105,7 +123,8 @@ impl<'p> Interp<'p> {
         value: Value,
     ) -> Result<()> {
         let steps = self.eval_segs(roots, segs)?;
-        let binding = &self.program.bindings[root];
+        let program = self.program;
+        let binding = &program.bindings[root];
         enum TyRef<'f> {
             Rec(&'f RecordFormat),
             Ty(&'f FieldType),
@@ -135,6 +154,7 @@ impl<'p> Interp<'p> {
                     };
                     let arr = cur.as_array_mut().ok_or_else(|| rt_err("index on non-array"))?;
                     if *n >= arr.len() {
+                        self.charge((n + 1 - arr.len()) as u64)?;
                         arr.resize_with(n + 1, || Value::default_for(elem_ty));
                     }
                     cur = &mut arr[*n];
@@ -203,6 +223,7 @@ impl<'p> Interp<'p> {
                             };
                             Value::Char(int_arith(*aop, a, b)? as u8)
                         } else {
+                            self.charge_concat(*op, &cur, &rhs_v)?;
                             binop(*op, cur, rhs_v)?
                         }
                     }
@@ -213,6 +234,7 @@ impl<'p> Interp<'p> {
             TExprKind::Binary(op, l, r) => {
                 let a = self.eval(roots, l)?;
                 let b = self.eval(roots, r)?;
+                self.charge_concat(*op, &a, &b)?;
                 binop(*op, a, b)
             }
             TExprKind::LogicalAnd(l, r) => {
@@ -284,6 +306,9 @@ impl<'p> Interp<'p> {
                 let mut vs = Vec::with_capacity(args.len());
                 for a in args {
                     vs.push(self.eval(roots, a)?);
+                }
+                if let (Builtin::Strcat, [a, b]) = (builtin, &vs[..]) {
+                    self.charge_concat(TBinOp::Concat, a, b)?;
                 }
                 call_builtin(*builtin, vs)
             }

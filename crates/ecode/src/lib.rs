@@ -5,8 +5,8 @@
 //! the ICDCS 2005 *Message Morphing* paper uses to express format
 //! transformations (its Fig. 5).
 //!
-//! The pipeline is lexer → parser → type checker → constant folding →
-//! lowering to register bytecode → register VM. Field names are resolved to
+//! The pipeline is lexer → parser → type checker → lowering to register
+//! bytecode → register VM. Field names are resolved to
 //! indices and numeric casts are inserted at compile time, so a compiled
 //! transformation executes without consulting format meta-data — this
 //! crate's analogue of the paper's dynamic *binary* code generation (see
@@ -45,7 +45,6 @@
 pub mod ast;
 mod bytecode;
 mod error;
-mod fold;
 mod fuse;
 mod interp;
 mod lexer;
@@ -64,7 +63,7 @@ pub use error::{EcodeError, Pos, Result};
 pub use fuse::{root_used_fields, FusedProgram};
 pub use lexer::{lex, Spanned, Tok};
 pub use parser::parse;
-pub use rvm::{RunStats, ViewRoutes, VmScratch};
+pub use rvm::{ViewRoutes, VmScratch};
 pub use tast::{Binding, TProgram, Ty};
 
 /// Compiler for Ecode programs: binds root records, then compiles source.
@@ -110,20 +109,6 @@ impl EcodeCompiler {
     /// Returns the first lexical, syntactic, or type error, with position.
     pub fn compile(&self, src: &str) -> Result<EcodeProgram> {
         let ast = parser::parse(src)?;
-        let mut typed = typeck::check(&ast, self.bindings.clone())?;
-        fold::fold_program(&mut typed);
-        let rcode = lower::lower(&typed);
-        Ok(EcodeProgram { typed, rcode })
-    }
-
-    /// Compiles without the constant-folding pass (the `ablate`-style
-    /// baseline; also handy when inspecting unoptimized bytecode).
-    ///
-    /// # Errors
-    ///
-    /// As [`EcodeCompiler::compile`].
-    pub fn compile_unoptimized(&self, src: &str) -> Result<EcodeProgram> {
-        let ast = parser::parse(src)?;
         let typed = typeck::check(&ast, self.bindings.clone())?;
         let rcode = lower::lower(&typed);
         Ok(EcodeProgram { typed, rcode })
@@ -152,13 +137,22 @@ impl EcodeProgram {
         self.run_with_fuel(roots, u64::MAX)
     }
 
-    /// Executes on the register VM with an instruction budget.
+    /// Executes on the register VM with an instruction budget, which also
+    /// pays for what the run allocates: one unit per array element a write
+    /// adds, one per byte of a concatenation's result, each charged before
+    /// the allocation is made.
     ///
     /// # Errors
     ///
     /// As [`EcodeProgram::run`], plus fuel exhaustion.
     pub fn run_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<Option<Value>> {
-        self.run_register_with_fuel(roots, fuel).map(|(ret, _)| ret)
+        rvm::run_with_fuel(
+            &self.rcode,
+            &self.typed.bindings,
+            roots,
+            fuel,
+            &mut VmScratch::default(),
+        )
     }
 
     /// Executes on the reference tree-walking interpreter — the language's
@@ -172,44 +166,14 @@ impl EcodeProgram {
         interp::run(&self.typed, roots)
     }
 
-    /// Executes on the interpreter with an instruction budget.
+    /// Executes on the interpreter with an instruction budget, which pays
+    /// for allocation as [`EcodeProgram::run_with_fuel`]'s does.
     ///
     /// # Errors
     ///
     /// As [`EcodeProgram::run`], plus fuel exhaustion.
     pub fn run_interp_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<Option<Value>> {
         interp::run_with_fuel(&self.typed, roots, fuel)
-    }
-
-    /// As [`EcodeProgram::run`], also returning the run's
-    /// batch-superinstruction statistics.
-    ///
-    /// # Errors
-    ///
-    /// As [`EcodeProgram::run`].
-    pub fn run_register(&self, roots: &mut [Value]) -> Result<(Option<Value>, RunStats)> {
-        rvm::run(&self.rcode, &self.typed.bindings, roots)
-    }
-
-    /// [`EcodeProgram::run_register`] with an instruction budget
-    /// (`BatchCopy` charges per element moved, so a budget means the same
-    /// whether or not a loop was batched).
-    ///
-    /// # Errors
-    ///
-    /// As [`EcodeProgram::run_register`], plus fuel exhaustion.
-    pub fn run_register_with_fuel(
-        &self,
-        roots: &mut [Value],
-        fuel: u64,
-    ) -> Result<(Option<Value>, RunStats)> {
-        rvm::run_with_fuel(
-            &self.rcode,
-            &self.typed.bindings,
-            roots,
-            fuel,
-            &mut VmScratch::default(),
-        )
     }
 
     /// The lowered register bytecode (inspection/metrics).
@@ -706,12 +670,10 @@ mod tests {
         ]);
         let mut interp_roots = vec![input.clone(), Value::default_record(&dst_f)];
         prog.run_interp(&mut interp_roots).unwrap();
-        let mut reg_roots = vec![input, Value::default_record(&dst_f)];
-        let (_, stats) = prog.run_register(&mut reg_roots).unwrap();
+        let mut reg_roots = vec![input.clone(), Value::default_record(&dst_f)];
+        prog.run(&mut reg_roots).unwrap();
         assert_eq!(interp_roots, reg_roots);
-        assert_eq!(stats.batch_copies, 1, "loop should lower to one BatchCopy");
-        assert_eq!(stats.batch_elems, 4);
-        assert!(prog.rcode().disassemble().contains("BatchCopy"));
+        assert_eq!(reg_roots[1], input);
     }
 
     #[test]
@@ -723,15 +685,14 @@ mod tests {
             .bind_output("old", &dst_f)
             .compile(code)
             .unwrap();
-        // Claims 5 elements, carries 2: the batch must report the scalar
-        // loop's out-of-bounds read at index 2, after copying the in-range
-        // prefix — as the tree-walker, which runs the loop, does.
+        // Claims 5 elements, carries 2: the copy loop reads out of bounds at
+        // index 2, after copying the in-range prefix, on both engines.
         let input =
             Value::Record(vec![Value::Int(5), Value::Array(vec![Value::Int(7), Value::Int(8)])]);
         let mut interp_roots = vec![input.clone(), Value::default_record(&dst_f)];
         let interp_err = prog.run_interp(&mut interp_roots).unwrap_err();
         let mut reg_roots = vec![input, Value::default_record(&dst_f)];
-        let reg_err = prog.run_register(&mut reg_roots).unwrap_err();
+        let reg_err = prog.run(&mut reg_roots).unwrap_err();
         assert_eq!(interp_err.to_string(), reg_err.to_string());
         assert_eq!(interp_err.to_string(), "runtime error: array index 2 out of bounds (len 2)");
         assert_eq!(interp_roots, reg_roots, "partial copy before the error must agree");
@@ -743,7 +704,55 @@ mod tests {
         let fmt = scalar_fmt();
         let prog = EcodeCompiler::new().bind_output("r", &fmt).compile("while (1) {}").unwrap();
         let mut roots = vec![Value::default_record(&fmt)];
-        assert!(prog.run_register_with_fuel(&mut roots, 10_000).is_err());
+        assert!(prog.run_with_fuel(&mut roots, 10_000).is_err());
+    }
+
+    /// An engine: runs a program on roots under a budget.
+    type Engine = fn(&EcodeProgram, &mut [Value], u64) -> Result<Option<Value>>;
+
+    const ENGINES: [(&str, Engine); 2] =
+        [("vm", EcodeProgram::run_with_fuel), ("interp", EcodeProgram::run_interp_with_fuel)];
+
+    /// The least budget under which `engine` finishes `prog` from `roots`.
+    fn least_fuel(engine: Engine, prog: &EcodeProgram, roots: &[Value]) -> u64 {
+        let (mut lo, mut hi) = (0, 1 << 20);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if engine(prog, &mut roots.to_vec(), mid).is_ok() {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// What a run allocates is charged to its budget, on both engines: a
+    /// write `k` elements past an array's end costs `k` more than a write
+    /// that adds one, and `+`, `+=` and `strcat` one unit per byte of their
+    /// result.
+    #[test]
+    fn allocation_is_charged_to_the_budget() {
+        let (src_f, dst_f) = array_pair();
+        let arrays = EcodeCompiler::new().bind_input("new", &src_f).bind_output("old", &dst_f);
+        let array_roots = [Value::default_record(&src_f), Value::default_record(&dst_f)];
+        let strings = EcodeCompiler::new().bind_output("r", &scalar_fmt());
+        let string_roots = [Value::default_record(&scalar_fmt())];
+        for (name, engine) in ENGINES {
+            let need = |k: usize| {
+                let prog = arrays.compile(&format!("old.vals[{k}] = 1;")).unwrap();
+                least_fuel(engine, &prog, &array_roots)
+            };
+            assert_eq!(need(994) - need(0), 994, "{name}");
+
+            for template in ["r.s = T + T;", "r.s = T; r.s += T;", "r.s = strcat(T, T);"] {
+                let need = |t: &str| {
+                    let src = format!("string t = \"{t}\"; {}", template.replace('T', "t"));
+                    least_fuel(engine, &strings.compile(&src).unwrap(), &string_roots)
+                };
+                assert_eq!(need("0123456789") - need("0"), 18, "{name}: {template}");
+            }
+        }
     }
 
     #[test]
@@ -754,7 +763,7 @@ mod tests {
             let mut a = vec![Value::default_record(&fmt)];
             let ea = prog.run_interp(&mut a).unwrap_err();
             let mut b = vec![Value::default_record(&fmt)];
-            let eb = prog.run_register(&mut b).unwrap_err();
+            let eb = prog.run(&mut b).unwrap_err();
             assert_eq!(ea.to_string(), eb.to_string(), "error divergence for {src}");
         }
     }

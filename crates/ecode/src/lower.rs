@@ -17,11 +17,7 @@
 //!   optional scalar cast) become one [`RInsn::CopyPath`], and a run of
 //!   adjacent copies into fields of the same destination record (Fig. 5's
 //!   `old.src_list[k].info = …; old.src_list[k].ID = …;`) becomes one
-//!   `CopyPath` *row* that navigates to that record once; the canonical
-//!   per-element array-copy loop becomes one [`RInsn::BatchCopy`] when both
-//!   element types are identical and fixed-stride on the wire
-//!   ([`pbio::FieldType::wire_stride`] — metadata surfaced by the plan
-//!   layer for exactly this purpose).
+//!   `CopyPath` *row* that navigates to that record once.
 
 use std::sync::Arc;
 
@@ -29,7 +25,7 @@ use pbio::FieldType;
 
 use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RFnCode, RInsn, ScalarConv};
 use crate::tast::{
-    ArithOp, Binding, CastKind, CmpOp, TBinOp, TExpr, TExprKind, TPlace, TProgram, TSeg, TStmt, Ty,
+    Binding, CastKind, CmpOp, TBinOp, TExpr, TExprKind, TPlace, TProgram, TSeg, TStmt, Ty,
 };
 
 // ---------------------------------------------------------------------------
@@ -94,19 +90,6 @@ fn writes_locals(e: &TExpr) -> bool {
 fn is_pure(e: &TExpr) -> bool {
     !any_node(e, &mut |k| {
         matches!(k, TExprKind::Assign { .. } | TExprKind::IncDec { .. } | TExprKind::CallUser(..))
-    })
-}
-
-/// True if `e` reads the local with this slot.
-fn reads_local(e: &TExpr, slot: usize) -> bool {
-    any_node(e, &mut |k| matches!(k, TExprKind::ReadLocal(s) if *s == slot))
-}
-
-/// True if `e` reads through the root binding with this index.
-fn reads_root(e: &TExpr, root: usize) -> bool {
-    any_node(e, &mut |k| {
-        matches!(k,
-            TExprKind::ReadPath { root: r, .. } | TExprKind::LenOf { root: r, .. } if *r == root)
     })
 }
 
@@ -568,61 +551,6 @@ impl FnLower<'_> {
         }
     }
 
-    /// Recognizes the canonical array-copy loop
-    /// `for (; i < limit; i++) dst.f[i] = src.g[i];` and emits one
-    /// [`RInsn::BatchCopy`]. Legality: the limit is pure, reads neither `i`
-    /// nor the destination root; both paths index with `i` as their only
-    /// (final) dynamic segment; the roots differ; and both element types
-    /// are identical and fixed-stride on the wire.
-    fn try_batch_copy(&mut self, cond: Option<&TExpr>, body: &TStmt, step: Option<&TExpr>) -> bool {
-        let Some(c) = cond else { return false };
-        let TExprKind::Binary(TBinOp::ICmp(CmpOp::Lt), l, limit) = &c.kind else {
-            return false;
-        };
-        let TExprKind::ReadLocal(i) = l.kind else { return false };
-        if !is_pure(limit) || reads_local(limit, i) {
-            return false;
-        }
-        let Some(step) = step else { return false };
-        if !step_is_increment(step, i) {
-            return false;
-        }
-        let Some(assign) = single_assign_stmt(body) else { return false };
-        let TExprKind::Assign { place: TPlace::Path { root: d, segs: dsegs }, op: None, rhs } =
-            &assign.kind
-        else {
-            return false;
-        };
-        let TExprKind::ReadPath { root: s, segs: ssegs } = &rhs.kind else {
-            return false;
-        };
-        if s == d || reads_root(limit, *d) {
-            return false;
-        }
-        let Some(d_fields) = static_array_path(dsegs, i) else { return false };
-        let Some(s_fields) = static_array_path(ssegs, i) else { return false };
-        let (Some(de), Some(se)) =
-            (place_ty(self.bindings.get(*d), dsegs), place_ty(self.bindings.get(*s), ssegs))
-        else {
-            return false;
-        };
-        if de != se || de.wire_stride().is_none() {
-            return false;
-        }
-        let mark = self.next_temp;
-        let limit_reg = self.expr(limit);
-        self.emit(RInsn::BatchCopy {
-            counter: i as u32,
-            limit: limit_reg,
-            src_root: *s as u8,
-            src_segs: s_fields.into(),
-            dst_root: *d as u8,
-            dst_segs: d_fields.into(),
-        });
-        self.next_temp = mark;
-        true
-    }
-
     /// Lowers an expression evaluated for effect only (statement position),
     /// using the single-instruction forms where possible.
     fn expr_stmt(&mut self, e: &TExpr) {
@@ -679,9 +607,6 @@ impl FnLower<'_> {
                 }
             }
             TStmt::Loop { cond, body, step } => {
-                if self.try_batch_copy(cond.as_ref(), body, step.as_ref()) {
-                    return;
-                }
                 self.break_patches.push(Vec::new());
                 self.continue_patches.push(Vec::new());
                 let top = self.here();
@@ -806,63 +731,6 @@ fn binop_insn(op: TBinOp, dst: u32, a: u32, b: u32) -> RInsn {
         TBinOp::FCmp(o) => RInsn::FCmp { op: o, dst, a, b },
         TBinOp::SCmp(o) => RInsn::SCmp { op: o, dst, a, b },
     }
-}
-
-/// `i++`, `++i`, or `i += 1` on exactly this local.
-fn step_is_increment(step: &TExpr, slot: usize) -> bool {
-    match &step.kind {
-        TExprKind::IncDec { place: TPlace::Local(s), inc: true, .. } => *s == slot,
-        TExprKind::Assign {
-            place: TPlace::Local(s),
-            op: Some(TBinOp::IArith(ArithOp::Add)),
-            rhs,
-        } => *s == slot && matches!(rhs.kind, TExprKind::ConstI(1)),
-        _ => false,
-    }
-}
-
-/// Unwraps nested single-statement blocks down to one `Expr` statement and
-/// returns its expression.
-fn single_assign_stmt(body: &TStmt) -> Option<&TExpr> {
-    match body {
-        TStmt::Expr(e) => Some(e),
-        TStmt::Block(stmts) => {
-            let mut inner = None;
-            for s in stmts {
-                match s {
-                    TStmt::Empty => {}
-                    other => {
-                        if inner.is_some() {
-                            return None;
-                        }
-                        inner = Some(other);
-                    }
-                }
-            }
-            single_assign_stmt(inner?)
-        }
-        _ => None,
-    }
-}
-
-/// A path of the shape `field.field...[i]`: all static fields with exactly
-/// one dynamic index — `ReadLocal(slot)` — as the final segment. Returns
-/// the field-only prefix.
-fn static_array_path(segs: &[TSeg], slot: usize) -> Option<Vec<CSeg>> {
-    let (last, prefix) = segs.split_last()?;
-    let TSeg::Index(e) = last else { return None };
-    let TExprKind::ReadLocal(s) = e.kind else { return None };
-    if s != slot {
-        return None;
-    }
-    let mut out = Vec::with_capacity(prefix.len());
-    for seg in prefix {
-        match seg {
-            TSeg::Field(i) => out.push(CSeg::Field(*i as u32)),
-            TSeg::Index(_) => return None,
-        }
-    }
-    Some(out)
 }
 
 // ---------------------------------------------------------------------------

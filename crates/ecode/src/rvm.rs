@@ -19,15 +19,16 @@
 //! differential tests hold this engine to its return values, final roots,
 //! error strings and the partial state an error leaves behind.
 //!
-//! Two superinstructions fold whole statement sequences into one dispatch:
+//! One superinstruction folds whole statement sequences into one dispatch:
+//! [`RInsn::CopyPath`] moves a row of fields between roots (each with an
+//! optional scalar conversion) in a single dispatch and one destination
+//! navigation; a row that fills a whole new array element appends it by
+//! value.
 //!
-//! * [`RInsn::CopyPath`] moves a row of fields between roots (each with an
-//!   optional scalar conversion) in a single dispatch and one destination
-//!   navigation; a row that fills a whole new array element appends it by
-//!   value.
-//! * [`RInsn::BatchCopy`] replays an entire counted array-copy loop as one
-//!   bounds check plus a range `clone_from_slice`, charging fuel per element
-//!   so budgets stay comparable with the scalar loop it replaces.
+//! The instruction budget (fuel) covers what a run allocates as well as
+//! what it dispatches: a write that extends an array by *k* elements costs
+//! *k* units, a concatenation one unit per byte of its result, each charged
+//! before the allocation is made.
 
 use pbio::{FieldType, RecordFormat, Value};
 
@@ -37,17 +38,6 @@ use crate::tast::{ArithOp, Binding, Builtin, CmpOp};
 
 /// Maximum user-function call depth (independent of fuel).
 const MAX_CALL_DEPTH: usize = 64;
-
-/// Execution statistics from one register-VM run. Surfaced by the morph
-/// layer as `ecode.batch.*` counters so batch-superinstruction
-/// effectiveness is observable in production.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Number of `BatchCopy` instructions that moved at least one element.
-    pub batch_copies: u64,
-    /// Total array elements moved by `BatchCopy` range clones.
-    pub batch_elems: u64,
-}
 
 struct Frame {
     ret_pc: usize,
@@ -84,6 +74,13 @@ impl VmScratch {
 
 fn rt_err(msg: impl Into<String>) -> EcodeError {
     EcodeError::runtime(msg)
+}
+
+/// Spends `units` of the budget, or fails without spending any when fewer
+/// are left: an allocation is paid for before it is made.
+fn charge(fuel: &mut u64, units: u64) -> Result<()> {
+    *fuel = fuel.checked_sub(units).ok_or_else(|| rt_err("instruction budget exhausted"))?;
+    Ok(())
 }
 
 fn as_int(v: &Value) -> Result<i64> {
@@ -190,8 +187,7 @@ fn farith(op: ArithOp, a: f64, b: f64) -> f64 {
 }
 
 /// Where in a program a read happens: instruction `pc`, and for a copy
-/// row its entry (for a `BatchCopy`, 0 for the array and 1 for its
-/// elements). A message read in place keys its compiled routes by it.
+/// row its entry. A message read in place keys its compiled routes by it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Site {
     pub(crate) pc: usize,
@@ -211,9 +207,6 @@ pub(crate) trait Source {
     fn load_into(&self, at: Site, segs: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()>;
     /// The length of the array at `segs`; `None` when no array is there.
     fn len_of(&self, at: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>>;
-    /// Elements `start..start + out.len()` of the array at the static path
-    /// `segs`, into `out`; the caller checked the range against the length.
-    fn read_range(&self, at: Site, segs: &[CSeg], start: usize, out: &mut [Value]) -> Result<()>;
 }
 
 impl Source for Value {
@@ -226,16 +219,6 @@ impl Source for Value {
     #[inline]
     fn len_of(&self, _: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
         Ok(nav_from(self, segs, idx)?.as_array().map(<[Value]>::len))
-    }
-
-    fn read_range(&self, _: Site, segs: &[CSeg], start: usize, out: &mut [Value]) -> Result<()> {
-        let arr = nav_from(self, segs, &[])?.as_array().unwrap_or_default();
-        let end = start + out.len();
-        let src = arr
-            .get(start..end)
-            .ok_or_else(|| rt_err(format!("array index {end} out of bounds")))?;
-        out.clone_from_slice(src);
-        Ok(())
     }
 }
 
@@ -262,14 +245,6 @@ impl Source for Routed<'_> {
     #[inline]
     fn len_of(&self, at: Site, _: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
         self.view.len(self.route(at)?, idx).map_err(miss)
-    }
-
-    fn read_range(&self, at: Site, _: &[CSeg], start: usize, out: &mut [Value]) -> Result<()> {
-        let elements = self.route(Site { entry: 1, ..at })?;
-        for (k, slot) in (start..).zip(out.iter_mut()) {
-            self.view.get_into(elements, &[k], slot).map_err(miss)?;
-        }
-        Ok(())
     }
 }
 
@@ -341,13 +316,6 @@ impl<V: Source + ?Sized> Src<'_, V> {
             Src::View(v) => v.len_of(at, segs, idx),
         }
     }
-
-    fn read_range(self, at: Site, segs: &[CSeg], start: usize, out: &mut [Value]) -> Result<()> {
-        match self {
-            Src::Tree(v) => v.read_range(at, segs, start, out),
-            Src::View(v) => v.read_range(at, segs, start, out),
-        }
-    }
 }
 
 /// A fused program's reads of root 0, each path compiled against the plan
@@ -373,14 +341,13 @@ impl ViewRoutes {
     pub(crate) fn compile(code: &RCode, plan: &pbio::ConversionPlan) -> ViewRoutes {
         let mut seen: std::collections::HashMap<Vec<pbio::PathStep>, u32> = Default::default();
         let mut routes = Vec::new();
-        let mut route = |segs: &[CSeg], tail: Option<pbio::PathStep>| {
+        let mut route = |segs: &[CSeg]| {
             let path: Vec<pbio::PathStep> = segs
                 .iter()
                 .map(|seg| match seg {
                     CSeg::Field(i) => pbio::PathStep::Field(*i as usize),
                     CSeg::Index => pbio::PathStep::Index,
                 })
-                .chain(tail)
                 .collect();
             *seen.entry(path).or_insert_with_key(|path| {
                 routes.push(plan.route(path));
@@ -393,19 +360,15 @@ impl ViewRoutes {
             first.push(sites.len() as u32);
             match insn {
                 RInsn::Load { root: 0, segs, .. } | RInsn::LenOf { root: 0, segs, .. } => {
-                    sites.push(route(segs, None));
+                    sites.push(route(segs));
                 }
                 // One site per entry, so an entry finds its route by
                 // position.
                 RInsn::CopyPath(row) => {
                     sites.extend(row.entries.iter().map(|e| match e.src_root {
-                        0 => route(&e.src_segs, None),
+                        0 => route(&e.src_segs),
                         _ => NO_ROUTE,
                     }))
-                }
-                RInsn::BatchCopy { src_root: 0, src_segs, .. } => {
-                    sites.push(route(src_segs, None));
-                    sites.push(route(src_segs, Some(pbio::PathStep::Index)));
                 }
                 _ => {}
             }
@@ -550,12 +513,18 @@ fn array_mut<'v, 'f>(
 }
 
 /// Element `n` of `arr`, first extending the array with default elements
-/// when `n` is at or past its end.
-fn elem_mut<'v>(arr: &'v mut Vec<Value>, elem_ty: &FieldType, n: usize) -> &'v mut Value {
+/// when `n` is at or past its end — one unit of `fuel` per element added.
+fn elem_mut<'v>(
+    arr: &'v mut Vec<Value>,
+    elem_ty: &FieldType,
+    n: usize,
+    fuel: &mut u64,
+) -> Result<&'v mut Value> {
     if n >= arr.len() {
+        charge(fuel, (n + 1 - arr.len()) as u64)?;
         arr.resize_with(n + 1, || Value::default_for(elem_ty));
     }
-    &mut arr[n]
+    Ok(&mut arr[n])
 }
 
 /// Record field `i` below a writing navigation.
@@ -580,19 +549,20 @@ fn field_mut<'v, 'f>(
 }
 
 /// One segment of a writing navigation; `idx` supplies the subscript of a
-/// [`CSeg::Index`].
+/// [`CSeg::Index`], and `fuel` pays for the elements it adds.
 fn descend_mut<'v, 'f>(
     cur: &'v mut Value,
     ty: TyRef<'f>,
     seg: CSeg,
     idx: &mut std::slice::Iter<'_, usize>,
+    fuel: &mut u64,
 ) -> Result<(&'v mut Value, TyRef<'f>)> {
     match seg {
         CSeg::Field(i) => field_mut(cur, ty, i),
         CSeg::Index => {
             let n = *idx.next().expect("one index per CSeg::Index");
             let (arr, elem_ty) = array_mut(cur, ty)?;
-            Ok((elem_mut(arr, elem_ty, n), TyRef::Ty(elem_ty)))
+            Ok((elem_mut(arr, elem_ty, n, fuel)?, TyRef::Ty(elem_ty)))
         }
     }
 }
@@ -603,9 +573,10 @@ fn walk_mut<'v, 'f>(
     mut ty: TyRef<'f>,
     segs: &[CSeg],
     idx: &mut std::slice::Iter<'_, usize>,
+    fuel: &mut u64,
 ) -> Result<(&'v mut Value, TyRef<'f>)> {
     for seg in segs {
-        (cur, ty) = descend_mut(cur, ty, *seg, idx)?;
+        (cur, ty) = descend_mut(cur, ty, *seg, idx, fuel)?;
     }
     Ok((cur, ty))
 }
@@ -618,8 +589,9 @@ fn write_path(
     segs: &[CSeg],
     idx: &[usize],
     value: Value,
+    fuel: &mut u64,
 ) -> Result<()> {
-    *walk_mut(dst, TyRef::Rec(&binding.format), segs, &mut idx.iter())?.0 = value;
+    *walk_mut(dst, TyRef::Rec(&binding.format), segs, &mut idx.iter(), fuel)?.0 = value;
     Ok(())
 }
 
@@ -640,36 +612,65 @@ pub(crate) fn atoi(s: &str) -> i64 {
     }
 }
 
-/// C `atof`-ish semantics via Rust's parser on the leading float prefix.
+/// C `atof`-ish semantics: after leading whitespace, the longest prefix
+/// Rust's float parser accepts, found in one scan ([`float_prefix`]) and
+/// parsed once; 0.0 when no prefix parses.
 pub(crate) fn atof(s: &str) -> f64 {
     let t = s.trim_start();
-    // Find the longest prefix that parses.
-    let mut best = 0.0;
-    let mut len = 0;
-    for (i, _) in t.char_indices().map(|(i, c)| (i + c.len_utf8(), c)) {
-        if let Ok(v) = t[..i].parse::<f64>() {
-            best = v;
-            len = i;
+    t[..float_prefix(t.as_bytes())].parse().unwrap_or(0.0)
+}
+
+/// The length of the longest prefix of `b` in the grammar of `f64`'s
+/// `FromStr`: an optional sign, then `inf`, `infinity` or `nan` in any case,
+/// or a number — digits with an optional `.` and fraction, at least one
+/// digit in all, and an exponent (`e`, optional sign, digits) only when it
+/// has a digit. Every byte of the grammar is ASCII, so the prefix ends on a
+/// character boundary.
+fn float_prefix(b: &[u8]) -> usize {
+    let digits = |from: usize| from + b[from..].iter().take_while(|c| c.is_ascii_digit()).count();
+    let sign = usize::from(matches!(b.first(), Some(b'+' | b'-')));
+    let word =
+        |w: &str| b.get(sign..sign + w.len()).is_some_and(|p| p.eq_ignore_ascii_case(w.as_bytes()));
+    if let Some(w) = ["infinity", "inf", "nan"].into_iter().find(|w| word(w)) {
+        return sign + w.len();
+    }
+    let mut end = digits(sign);
+    let whole = end > sign;
+    if b.get(end) == Some(&b'.') {
+        let frac_end = digits(end + 1);
+        if whole || frac_end > end + 1 {
+            end = frac_end;
         }
     }
-    if len == 0 {
-        0.0
-    } else {
-        best
+    if end == sign {
+        return 0;
     }
+    if matches!(b.get(end), Some(b'e' | b'E')) {
+        let exp = end + 1 + usize::from(matches!(b.get(end + 1), Some(b'+' | b'-')));
+        let exp_end = digits(exp);
+        if exp_end > exp {
+            end = exp_end;
+        }
+    }
+    end
+}
+
+/// `a` followed by `b`, its bytes paid from `fuel` first.
+fn concat(a: &str, b: &str, fuel: &mut u64) -> Result<Value> {
+    charge(fuel, (a.len() + b.len()) as u64)?;
+    let mut s = String::with_capacity(a.len() + b.len());
+    s.push_str(a);
+    s.push_str(b);
+    Ok(Value::Str(s))
 }
 
 /// `builtin(args...)`, the arguments read from the `args` registers of
-/// `frame`.
-fn call_builtin(b: Builtin, args: &[u32], frame: &[Value]) -> Result<Value> {
+/// `frame`; `strcat` pays for its result from `fuel`.
+fn call_builtin(b: Builtin, args: &[u32], frame: &[Value], fuel: &mut u64) -> Result<Value> {
     let arg = |k: usize| &frame[args[k] as usize];
     Ok(match (b, args.len()) {
         (Builtin::Strlen, 1) => Value::Int(as_str(arg(0))?.len() as i64),
-        (Builtin::Strcat, 2) => {
-            let mut s = as_str(arg(0))?.to_owned();
-            s.push_str(as_str(arg(1))?);
-            Value::Str(s)
-        }
+        (Builtin::Strcat, 2) => concat(as_str(arg(0))?, as_str(arg(1))?, fuel)?,
         (Builtin::AbsI, 1) => Value::Int(as_int(arg(0))?.wrapping_abs()),
         (Builtin::AbsF, 1) => Value::Float(as_float(arg(0))?.abs()),
         (Builtin::MinI, 2) => Value::Int(as_int(arg(0))?.min(as_int(arg(1))?)),
@@ -763,8 +764,8 @@ fn copy_row<'r, Z: RootZero<'r>>(
     // so the roots are split around it.
     let (dst, around) = roots.split(row.dst_root)?;
     if rest.is_empty() {
-        let (rec, ty) = walk_mut(dst, ty, &row.dst_segs, &mut it)?;
-        *descend_mut(rec, ty, first.dst_leaf, &mut it)?.0 = v0;
+        let (rec, ty) = walk_mut(dst, ty, &row.dst_segs, &mut it, fuel)?;
+        *descend_mut(rec, ty, first.dst_leaf, &mut it, fuel)?.0 = v0;
         return Ok(());
     }
 
@@ -773,13 +774,15 @@ fn copy_row<'r, Z: RootZero<'r>>(
     // for the sources again.
     let (rec, ty) = match row.dst_segs.split_last() {
         Some((CSeg::Index, head)) if row.whole => {
-            let (cur, ty) = walk_mut(dst, ty, head, &mut it)?;
+            let (cur, ty) = walk_mut(dst, ty, head, &mut it, fuel)?;
             let n = *it.next().expect("one index per CSeg::Index");
             let (arr, elem_ty) = array_mut(cur, ty)?;
             if n == arr.len() {
-                // A whole new element: built from the copied values and
+                // A whole new element: paid for as the one element that
+                // extending would add, then built from the copied values and
                 // pushed. A row that stops early leaves the default element
                 // with the values it got to, as extending first would have.
+                charge(fuel, 1)?;
                 let mut fields = Vec::with_capacity(row.entries.len());
                 fields.push(v0);
                 for (j, e) in (1..).zip(rest) {
@@ -799,9 +802,9 @@ fn copy_row<'r, Z: RootZero<'r>>(
                 arr.push(Value::Record(fields));
                 return Ok(());
             }
-            (elem_mut(arr, elem_ty, n), TyRef::Ty(elem_ty))
+            (elem_mut(arr, elem_ty, n, fuel)?, TyRef::Ty(elem_ty))
         }
-        _ => walk_mut(dst, ty, &row.dst_segs, &mut it)?,
+        _ => walk_mut(dst, ty, &row.dst_segs, &mut it, fuel)?,
     };
     *leaf_of(first, rec, ty)? = v0;
     for (j, e) in (1..).zip(rest) {
@@ -819,35 +822,22 @@ fn leaf_of<'v>(e: &CopyEntry, rec: &'v mut Value, ty: TyRef<'_>) -> Result<&'v m
     Ok(field_mut(rec, ty, leaf)?.0)
 }
 
-/// Executes register bytecode against the root values. See
-/// [`run_with_fuel`] for the budgeted variant.
+/// Executes register bytecode against the root values under an instruction
+/// budget, which also pays for what the run allocates (see the module
+/// documentation).
 ///
 /// # Errors
 ///
 /// Returns [`EcodeError::Runtime`] on division by zero, out-of-bounds reads,
-/// or shape mismatches between the roots and the bound formats.
-pub(crate) fn run(
-    code: &RCode,
-    bindings: &[Binding],
-    roots: &mut [Value],
-) -> Result<(Option<Value>, RunStats)> {
-    run_with_fuel(code, bindings, roots, u64::MAX, &mut VmScratch::default())
-}
-
-/// [`run`] with an instruction budget. `BatchCopy` charges one unit per
-/// element moved on top of its own dispatch, so budgets remain meaningful
-/// against the scalar loop it replaces.
-///
-/// # Errors
-///
-/// As [`run`], plus fuel exhaustion.
+/// shape mismatches between the roots and the bound formats, or fuel
+/// exhaustion.
 pub(crate) fn run_with_fuel(
     code: &RCode,
     bindings: &[Binding],
     roots: &mut [Value],
     fuel: u64,
     scratch: &mut VmScratch,
-) -> Result<(Option<Value>, RunStats)> {
+) -> Result<Option<Value>> {
     start(code, bindings, Roots { zero: FirstValue, values: roots }, fuel, scratch)
 }
 
@@ -866,7 +856,7 @@ pub(crate) fn run_view(
     rest: &mut [Value],
     fuel: u64,
     scratch: &mut VmScratch,
-) -> Result<(Option<Value>, RunStats)> {
+) -> Result<Option<Value>> {
     start(code, bindings, Roots { zero: view, values: rest }, fuel, scratch)
 }
 
@@ -878,7 +868,7 @@ fn start<'r, Z: RootZero<'r>>(
     roots: Roots<'r, Z>,
     fuel: u64,
     scratch: &mut VmScratch,
-) -> Result<(Option<Value>, RunStats)> {
+) -> Result<Option<Value>> {
     if roots.count() != code.n_roots {
         return Err(rt_err(format!(
             "program expects {} root record(s), got {}",
@@ -901,11 +891,10 @@ fn execute<'r, Z: RootZero<'r>>(
     mut roots: Roots<'r, Z>,
     mut fuel: u64,
     scratch: &mut VmScratch,
-) -> Result<(Option<Value>, RunStats)> {
+) -> Result<Option<Value>> {
     let VmScratch { regs, frames, idx: idx_scratch } = scratch;
     let mut base: usize = 0;
     let mut pc: usize = 0;
-    let mut stats = RunStats::default();
 
     macro_rules! reg {
         ($r:expr) => {
@@ -952,7 +941,7 @@ fn execute<'r, Z: RootZero<'r>>(
                 let binding = bindings
                     .get(*root as usize)
                     .ok_or_else(|| rt_err(format!("no root #{root}")))?;
-                write_path(roots.split(*root)?.0, binding, segs, idx_scratch, v)?;
+                write_path(roots.split(*root)?.0, binding, segs, idx_scratch, v, &mut fuel)?;
             }
             RInsn::LenOf { dst, root, segs, idx } => {
                 idx_scratch.clear();
@@ -998,9 +987,8 @@ fn execute<'r, Z: RootZero<'r>>(
                 reg!(*dst) = Value::Int(x.wrapping_add(*imm));
             }
             RInsn::Concat { dst, a, b } => {
-                let mut s = as_str(&reg!(*a))?.to_owned();
-                s.push_str(as_str(&reg!(*b))?);
-                reg!(*dst) = Value::Str(s);
+                let s = concat(as_str(&reg!(*a))?, as_str(&reg!(*b))?, &mut fuel)?;
+                reg!(*dst) = s;
             }
             RInsn::NegI { dst, src } => {
                 let x = as_int(&reg!(*src))?;
@@ -1046,7 +1034,7 @@ fn execute<'r, Z: RootZero<'r>>(
                 }
             }
             RInsn::Call { f, dst, args } => {
-                let v = call_builtin(*f, args, &regs[base..])?;
+                let v = call_builtin(*f, args, &regs[base..], &mut fuel)?;
                 reg!(*dst) = v;
             }
             RInsn::CallFn { f, dst, args } => {
@@ -1079,7 +1067,7 @@ fn execute<'r, Z: RootZero<'r>>(
                         pc = frame.ret_pc;
                         regs[base + frame.ret_dst as usize] = v.unwrap_or(Value::Int(0));
                     }
-                    None => return Ok((v, stats)),
+                    None => return Ok(v),
                 }
             }
             RInsn::SyncRoot(r) => {
@@ -1089,55 +1077,6 @@ fn execute<'r, Z: RootZero<'r>>(
             }
             RInsn::CopyPath(row) => {
                 copy_row(row, at, &mut roots, bindings, &regs[base..], &mut fuel, idx_scratch)?;
-            }
-            RInsn::BatchCopy { counter, limit, src_root, src_segs, dst_root, dst_segs } => {
-                let n = as_int(&reg!(*limit))?;
-                let i0 = as_int(&reg!(*counter))?;
-                if i0 < n {
-                    if i0 < 0 {
-                        return Err(rt_err(format!("negative array index {i0}")));
-                    }
-                    let start = i0 as usize;
-                    let want = n as usize;
-                    let (si, di) = (*src_root as usize, *dst_root as usize);
-                    let binding =
-                        bindings.get(di).ok_or_else(|| rt_err(format!("no root #{dst_root}")))?;
-                    if si >= roots.count() || di >= roots.count() || si == di {
-                        return Err(rt_err(format!("no root #{}", si.max(di))));
-                    }
-                    // The lowering pass guarantees distinct roots, so the
-                    // source is readable beside the borrowed destination.
-                    let (dst_v, around) = roots.split(*dst_root)?;
-                    let src = around.get(*src_root)?;
-                    let site = Site { pc: at, entry: 0 };
-                    let avail = src
-                        .len_of(site, src_segs, &[])?
-                        .ok_or_else(|| rt_err("path index applied to a non-array value"))?;
-                    let end = want.min(avail);
-                    if end > start {
-                        let ty = TyRef::Rec(&binding.format);
-                        let (cur, ty) = walk_mut(dst_v, ty, dst_segs, &mut [].iter())?;
-                        let (dst_arr, elem_ty) = array_mut(cur, ty)?;
-                        if dst_arr.len() < end {
-                            dst_arr.resize_with(end, || Value::default_for(elem_ty));
-                        }
-                        src.read_range(site, src_segs, start, &mut dst_arr[start..end])?;
-                        let moved = (end - start) as u64;
-                        stats.batch_copies += 1;
-                        stats.batch_elems += moved;
-                        fuel = fuel.saturating_sub(moved);
-                    }
-                    // A short source surfaces exactly as the scalar loop
-                    // would: an out-of-bounds read at the first missing
-                    // element, after the in-range prefix was copied.
-                    if want > avail {
-                        return Err(rt_err(format!(
-                            "array index {} out of bounds (len {avail})",
-                            start.max(avail)
-                        )));
-                    }
-                    reg!(*counter) = Value::Int(n);
-                }
             }
         }
     }
@@ -1241,7 +1180,7 @@ mod tests {
             let mut roots = roots.clone();
             let result =
                 run_with_fuel(code, prog.bindings(), &mut roots, fuel, &mut VmScratch::default());
-            (result.map(|(v, _)| v).map_err(|e| e.to_string()), roots)
+            (result.map_err(|e| e.to_string()), roots)
         };
         // The program ends in an out-of-bounds read at the second entry of
         // its last row, reached once the budget is large enough.
@@ -1255,6 +1194,49 @@ mod tests {
             budget_stops += u64::from(got != unbounded);
         }
         assert!(budget_stops > 50, "the sweep never reached the end: {budget_stops}");
+    }
+
+    /// The prefix-retry `atof` that [`atof`] replaces: every prefix parsed,
+    /// the longest that parses kept — quadratic in the string, and the
+    /// definition of the result.
+    fn atof_by_retry(s: &str) -> f64 {
+        let t = s.trim_start();
+        let mut best = 0.0;
+        for (i, c) in t.char_indices() {
+            if let Ok(v) = t[..i + c.len_utf8()].parse::<f64>() {
+                best = v;
+            }
+        }
+        best
+    }
+
+    /// One scan finds what retrying every prefix finds, on strings built
+    /// from the grammar's pieces and from junk: signs, `.5`, `1.`,
+    /// exponents with and without digits, `inf`/`infinity`/`nan` in any
+    /// case, junk tails and multibyte characters.
+    #[test]
+    fn atof_matches_the_prefix_retry_oracle() {
+        const PIECES: &[&str] = &[
+            "", " ", "\t", "\u{3000}", "+", "-", "0", "7", "42", "0009", ".", ".5", "1.", "e", "E",
+            "e5", "E-3", "e+", "e-", "inf", "INF", "Infinity", "iNfInItY", "infinit", "nan", "NaN",
+            "nAn", "x", "_", "é", "日本", "1e308", "9e999", "..", "++", "--",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut cases: Vec<String> = PIECES.iter().map(|p| p.to_string()).collect();
+        for _ in 0..20_000 {
+            let len = 1 + next(6);
+            cases.push((0..len).map(|_| PIECES[next(PIECES.len())]).collect());
+        }
+        for s in &cases {
+            let (got, want) = (atof(s), atof_by_retry(s));
+            assert!(got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(), "{s:?}");
+        }
     }
 
     /// A run that fails part-way — out of fuel inside a user function, with

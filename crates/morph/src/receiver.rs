@@ -283,8 +283,6 @@ struct RxMetrics {
     shared_inserts: Arc<Counter>,
     maxmatch_candidates: Arc<Counter>,
     vm_register_applies: Arc<Counter>,
-    batch_copies: Arc<Counter>,
-    batch_elems: Arc<Counter>,
     decide_ns: Arc<Histogram>,
     process_ns: Arc<Histogram>,
     compile_ns: Arc<Histogram>,
@@ -311,8 +309,6 @@ impl RxMetrics {
             shared_inserts: registry.counter("morph.decision.shared_insert"),
             maxmatch_candidates: registry.counter("morph.maxmatch.candidates"),
             vm_register_applies: registry.counter("morph.vm.register.apply"),
-            batch_copies: registry.counter("ecode.batch.copies"),
-            batch_elems: registry.counter("ecode.batch.copied_elems"),
             decide_ns: registry.histogram("morph.decide_ns"),
             process_ns: registry.histogram("morph.process_ns"),
             compile_ns: registry.histogram("morph.compile_ns"),
@@ -1094,16 +1090,14 @@ impl Applier<'_> {
         }
         self.roots.clear();
         self.roots.extend(m.templates.iter().cloned());
-        let stats = {
+        {
             let mut s = stage_in(self.trace, self.apply_span.as_ref(), "morph.transform");
             if let Some(s) = s.as_mut() {
                 s.tag("steps", &m.templates.len().to_string());
             }
-            m.program.run_view(&view, &m.routes, self.roots, fuel_for(msg.len()), self.vm)?
-        };
+            m.program.run_view(&view, &m.routes, self.roots, fuel_for(msg.len()), self.vm)?;
+        }
         self.metrics.vm_register_applies.inc();
-        self.metrics.batch_copies.add(stats.batch_copies);
-        self.metrics.batch_elems.add(stats.batch_elems);
         let value = self.roots.pop().expect("fused program keeps its roots");
         Ok(match &m.adapter {
             Some(plan) => {
@@ -1751,6 +1745,49 @@ mod tests {
             assert!(err.to_string().contains("instruction budget exhausted"), "{pass}: {err}");
             assert_eq!(crate::deadletter::reason_for(&err), crate::DeadReason::TransformFailed);
             assert!(rx.roots.is_empty(), "{pass}: roots left behind");
+        }
+        assert_eq!(rx.registry().snapshot().counter("morph.vm.register.apply"), Some(0));
+        rx.process(&v2_message(3)).unwrap();
+
+        let (expected, mut fresh) = subscriber();
+        fresh.process(&v2_message(3)).unwrap();
+        assert_eq!(*got.lock().unwrap(), *expected.lock().unwrap());
+        assert_eq!(got.lock().unwrap().len(), 1);
+    }
+
+    /// The budget also bounds what the code allocates: a transformation
+    /// that doubles a string without end, or writes ten million elements
+    /// out, fails on every message as a `transform_failed` dead letter with
+    /// nothing left behind, and the next format's messages flow as on a
+    /// fresh receiver.
+    #[test]
+    fn an_allocating_transformation_spends_its_budget_and_the_next_message_flows() {
+        let subscriber = || {
+            let (got, h) = sink();
+            let mut rx = MorphReceiver::new();
+            rx.register_handler(&v1(), h);
+            rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+            (got, rx)
+        };
+        let (got, mut rx) = subscriber();
+        let programs = [
+            (
+                "doubling",
+                "string t = \"xy\"; while (1) { t = t + t; old.member_list[0].info = t; }",
+            ),
+            ("far_write", "old.member_list[10000000].ID = 1;"),
+        ];
+        for (field, src) in programs {
+            let from = FormatBuilder::record("ChannelOpenResponse").int(field).build_arc().unwrap();
+            let msg = Encoder::new(&from).encode(&Value::Record(vec![Value::Int(1)])).unwrap();
+            rx.import_transformation(Transformation::new(from, v1(), src));
+            for pass in ["cold", "warm"] {
+                let err = rx.process(&msg).unwrap_err();
+                assert!(matches!(err, MorphError::Ecode(_)), "{field}, {pass}: {err}");
+                assert!(err.to_string().contains("instruction budget exhausted"), "{field}: {err}");
+                assert_eq!(crate::deadletter::reason_for(&err), crate::DeadReason::TransformFailed);
+                assert!(rx.roots.is_empty(), "{field}, {pass}: roots left behind");
+            }
         }
         assert_eq!(rx.registry().snapshot().counter("morph.vm.register.apply"), Some(0));
         rx.process(&v2_message(3)).unwrap();

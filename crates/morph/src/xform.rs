@@ -503,6 +503,41 @@ mod tests {
         assert!(fuel_for(64 << 10) > fuel_for(0) && fuel_for(0) >= 1 << 20);
     }
 
+    /// The budget bounds what wire-supplied code allocates, not only how
+    /// long it runs: under the budget of a 64-byte message, a string
+    /// doubled without end and a write ten million elements out fail on
+    /// both engines, having built no string longer than the budget and not
+    /// one element of the array.
+    #[test]
+    fn a_transformation_that_allocates_without_bound_spends_its_budget_and_errs() {
+        let from = FormatBuilder::record("M").string("s").build_arc().unwrap();
+        let to = FormatBuilder::record("M")
+            .string("s")
+            .int("n")
+            .var_array_basic("vals", pbio::BasicType::Int(pbio::Width::W8), "n")
+            .build_arc()
+            .unwrap();
+        let fuel = fuel_for(64);
+        let programs = [
+            ("doubling", "string t = new.s; while (1) { t = t + t; old.s = t; }"),
+            ("far write", "old.vals[10000000] = 1;"),
+        ];
+        for (what, src) in programs {
+            let cx = Transformation::new(from.clone(), to.clone(), src).compile().unwrap();
+            let runs = [EcodeProgram::run_with_fuel, EcodeProgram::run_interp_with_fuel];
+            for (engine, run) in ["vm", "interp"].into_iter().zip(runs) {
+                let mut roots =
+                    vec![Value::Record(vec![Value::str("xy")]), Value::default_record(&to)];
+                let err = run(cx.program(), &mut roots, fuel).unwrap_err();
+                assert!(err.to_string().contains("budget exhausted"), "{what}, {engine}: {err}");
+                let out = roots[1].as_record().unwrap();
+                let (built, elems) =
+                    (out[0].as_str().unwrap().len(), out[2].as_array().unwrap().len());
+                assert!(built as u64 <= fuel && elems == 0, "{what}, {engine}: {built}, {elems}");
+            }
+        }
+    }
+
     #[test]
     fn non_composing_chain_rejected() {
         let a = fmt("M", &["a"]);

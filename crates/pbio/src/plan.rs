@@ -216,7 +216,7 @@ pub(crate) enum ElemPlan {
         elem: Box<ElemPlan>,
         len: LenPlan,
         /// Fixed wire stride of one element, when every element occupies the
-        /// same number of payload bytes ([`FieldType::wire_stride`]). Lets
+        /// same number of payload bytes ([`fixed_size`]). Lets
         /// execution bounds-check the whole range once and reserve the exact
         /// element count instead of a defensive cap.
         stride: Option<usize>,

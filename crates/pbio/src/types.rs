@@ -147,10 +147,9 @@ impl BasicType {
     /// The fixed number of wire bytes one value of this type occupies, or
     /// `None` for variably-sized encodings (strings are NUL-terminated).
     ///
-    /// Fixed-stride metadata is what lets consumers treat a whole array
-    /// range as one block: the conversion-plan layer bounds-checks an entire
-    /// array with a single comparison, and the Ecode lowering pass emits a
-    /// batch range-copy superinstruction instead of a per-element loop.
+    /// Fixed-stride metadata is what lets the conversion-plan layer treat a
+    /// whole array range as one block, bounds-checking it with a single
+    /// comparison.
     pub fn wire_stride(&self) -> Option<usize> {
         match self {
             BasicType::Int(w) | BasicType::UInt(w) | BasicType::Float(w) => Some(w.bytes()),
@@ -247,27 +246,6 @@ impl FieldType {
                 same_discipline && a.can_fill(b)
             }
             _ => false,
-        }
-    }
-
-    /// The fixed number of wire bytes one value of this type occupies, or
-    /// `None` when the encoding is variably sized (strings anywhere in the
-    /// type, or variable-length nested arrays). See
-    /// [`BasicType::wire_stride`] for why consumers want this.
-    pub fn wire_stride(&self) -> Option<usize> {
-        match self {
-            FieldType::Basic(b) => b.wire_stride(),
-            FieldType::Record(r) => {
-                let mut total = 0usize;
-                for f in r.fields() {
-                    total = total.checked_add(f.ty().wire_stride()?)?;
-                }
-                Some(total)
-            }
-            FieldType::Array { elem, len } => match len {
-                ArrayLen::Fixed(n) => elem.wire_stride()?.checked_mul(*n),
-                ArrayLen::LengthField(_) => None,
-            },
         }
     }
 }
@@ -671,24 +649,5 @@ mod tests {
         assert_eq!(Float(Width::W8).wire_stride(), Some(8));
         assert_eq!(Char.wire_stride(), Some(1));
         assert_eq!(String.wire_stride(), None);
-
-        // Record stride is the sum of field strides — or None if any field
-        // is variably sized.
-        let fixed = FormatBuilder::record("P").int("x").long("y").build_arc().unwrap();
-        assert_eq!(FieldType::Record(fixed).wire_stride(), Some(12));
-        let var = FormatBuilder::record("P").int("x").string("s").build_arc().unwrap();
-        assert_eq!(FieldType::Record(var).wire_stride(), None);
-
-        // Fixed arrays multiply; length-field arrays are variably sized.
-        let arr = FieldType::Array {
-            elem: Box::new(FieldType::Basic(Int(Width::W8))),
-            len: ArrayLen::Fixed(3),
-        };
-        assert_eq!(arr.wire_stride(), Some(24));
-        let var_arr = FieldType::Array {
-            elem: Box::new(FieldType::Basic(Int(Width::W8))),
-            len: ArrayLen::LengthField("n".into()),
-        };
-        assert_eq!(var_arr.wire_stride(), None);
     }
 }

@@ -1,45 +1,28 @@
-//! Disassembles a morph chain's register code.
+//! Disassembles the paper's Fig. 5 transformation as the receiver runs it.
 //!
-//! Compiles a two-step telemetry chain (array copy loop plus scalar math
-//! per step), prints each step's register listing, then fuses the chain and
-//! prints the one program the warm path executes — making the
-//! superinstructions visible: the whole-field assignments fuse into
-//! `CopyPath` and each per-element copy loop collapses into one `BatchCopy`.
+//! Compiles the v2.0 → v1.0 `ChannelOpenResponse` rollback — the
+//! transformation `cor_v2v1` morphs with, there over ECho's response formats
+//! — prints its register listing, then fuses it into the one program the
+//! warm path executes, making the `CopyPath` superinstruction visible: each
+//! pair of `info`/`ID` copies into a new list element is one two-entry row
+//! that appends the whole element.
 //!
 //! Run with: `cargo run --example vm_dump`
 
-use std::sync::Arc;
-
-use message_morphing::prelude::*;
-use pbio::{BasicType, Width};
-
-fn samples(b: FormatBuilder) -> FormatBuilder {
-    b.int("n").var_array_basic("vals", BasicType::Int(Width::W8), "n")
-}
+use message_morphing::morph::CompiledChain;
+use message_morphing::paper::fig5_transformation;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let wide = samples(FormatBuilder::record("Telemetry")).long("a").long("b").build_arc()?;
-    let narrow = samples(FormatBuilder::record("Telemetry")).long("a").build_arc()?;
-    let copy = "int i; old.n = new.n; for (i = 0; i < new.n; i++) old.vals[i] = new.vals[i];";
-    let chain = [
-        Transformation::new(
-            Arc::clone(&wide),
-            Arc::clone(&narrow),
-            format!("{copy} old.a = new.a + new.b;"),
-        ),
-        Transformation::new(narrow, wide, format!("{copy} old.a = new.a; old.b = 0;")),
-    ];
-    let compiled = morph::CompiledChain::compile(&chain)?;
+    let compiled = CompiledChain::compile(&[fig5_transformation()])?;
 
     for (i, step) in compiled.steps().iter().enumerate() {
-        let prog = step.program();
         println!(
             "== step {}: {} -> {} ==\n",
             i + 1,
             step.from_format().name(),
             step.to_format().name()
         );
-        print!("{}", prog.rcode().disassemble());
+        print!("{}", step.program().rcode().disassemble());
         println!();
     }
 
@@ -48,9 +31,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reg = fused.rcode().disassemble();
     print!("{reg}");
 
-    // The listing really shows the superinstructions this example is about.
-    assert!(reg.contains("BatchCopy"), "array copy loops should batch:\n{reg}");
-    assert!(reg.contains("CopyPath"), "field copies should fuse:\n{reg}");
-    println!("\nboth copy superinstructions present: BatchCopy (array ranges), CopyPath (fields)");
+    // The listing really shows the rows this example is about: one per
+    // output list (`member_list`, `src_list`, `sink_list`), each filling
+    // both fields of a new element from the member being read.
+    for list in [1, 3, 5] {
+        let row = format!("CopyPath root1.{list}[*] [r");
+        let line = reg.lines().find(|l| l.contains(&row)).ok_or(format!("no row into {list}"))?;
+        assert!(line.contains("{ .0 = root0.1[*].0 [r0]; .1 = root0.1[*].1 [r0] }"), "{line}");
+    }
+    println!("\nthree two-entry rows, each appending a whole element to its list");
     Ok(())
 }

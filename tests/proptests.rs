@@ -219,16 +219,24 @@ fn value_for_type(ty: &FieldType, rng: &mut XorShift64) -> Value {
 }
 
 /// Runs `body` for [`CASES`] derived seeds, labelling failures with the
-/// iteration's seed so they reproduce standalone.
+/// iteration's seed so they reproduce standalone. `PROP_SEED=<n>` mixes a
+/// fresh stream into every property (`ci.sh` draws one per run); unset, the
+/// stream is the fixed one, so the plain test run is deterministic.
 fn for_cases(property: &str, mut body: impl FnMut(&mut XorShift64)) {
+    let mix = std::env::var("PROP_SEED")
+        .map(|s| s.trim().parse::<u64>().expect("PROP_SEED is a decimal u64"))
+        .unwrap_or(0);
     for case in 0..CASES {
-        let seed = 0xC0FFEE ^ (case << 32) ^ case;
+        let seed = 0xC0FFEE ^ (case << 32) ^ case ^ mix.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = XorShift64::new(seed);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             body(&mut rng);
         }));
         if let Err(e) = result {
-            eprintln!("property `{property}` failed at case {case} (seed {seed:#x})");
+            eprintln!(
+                "property `{property}` failed at case {case} (seed {seed:#x}); \
+                 reproduce with PROP_SEED={mix} cargo test -q --test proptests"
+            );
             std::panic::resume_unwind(e);
         }
     }
@@ -671,8 +679,8 @@ fn both_engines(
     let mut by_interp = roots.to_vec();
     let interp = prog.run_interp_with_fuel(&mut by_interp, FUEL).map_err(|e| e.to_string());
     let mut by_register = roots.to_vec();
-    let register = prog.run_register_with_fuel(&mut by_register, FUEL);
-    assert_eq!(interp, register.map(|(v, _)| v).map_err(|e| e.to_string()), "register: {src}");
+    let register = prog.run_with_fuel(&mut by_register, FUEL);
+    assert_eq!(interp, register.map_err(|e| e.to_string()), "register: {src}");
     assert_eq!(by_interp, by_register, "register VM roots, src: {src}");
     (by_interp, interp)
 }
@@ -866,33 +874,6 @@ fn fig5_morph_equals_the_hand_written_converter() {
     }
 }
 
-/// Constant folding is semantics-preserving: the optimized and unoptimized
-/// compilations of the same program agree (and both agree with the
-/// interpreter, which runs the folded AST).
-#[test]
-fn folding_preserves_semantics() {
-    for_cases("folding_preserves_semantics", |rng| {
-        let e = gen_int_expr(rng, 4);
-        let (a, b, c) = (rng.range_i64(-50, 49), rng.range_i64(-50, 49), rng.range_i64(-50, 49));
-        let src = format!("int a = {a}; int b = {b}; int c = {c}; return ({e}) + ({e});");
-        let fmt = FormatBuilder::record("R").int("x").build_arc().unwrap();
-        let compiler = EcodeCompiler::new().bind_output("r", &fmt);
-        let opt = compiler.compile(&src).unwrap();
-        let unopt = compiler.compile_unoptimized(&src).unwrap();
-        assert!(opt.rcode().len() <= unopt.rcode().len());
-        let mut r1 = vec![Value::default_record(&fmt)];
-        let mut r2 = vec![Value::default_record(&fmt)];
-        let v1 = opt.run_with_fuel(&mut r1, 1_000_000).unwrap();
-        let v2 = unopt.run_with_fuel(&mut r2, 1_000_000).unwrap();
-        assert_eq!(v1, v2);
-        // Both agree with the oracle, folded AST and unfolded.
-        let mut r3 = vec![Value::default_record(&fmt)];
-        let mut r4 = vec![Value::default_record(&fmt)];
-        assert_eq!(opt.run_interp_with_fuel(&mut r3, 1_000_000).unwrap(), v1);
-        assert_eq!(unopt.run_interp_with_fuel(&mut r4, 1_000_000).unwrap(), v1);
-    });
-}
-
 /// Programs routed through a user-defined function agree across both
 /// engines and with direct inlining.
 #[test]
@@ -1033,8 +1014,7 @@ fn a_perfect_match_never_defaults_what_the_sender_filled() {
 
 /// Field kinds the chain generator uses — each has an obvious Ecode
 /// assignment form, so random chains always compile. `Arr` is a
-/// fixed-stride long array (with its count field), the shape the register
-/// lowering can collapse into a `BatchCopy` superinstruction.
+/// fixed-stride long array (with its count field), copied by a loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum ChainKind {
     Long,
@@ -1069,10 +1049,9 @@ fn chain_format(name: &str, fields: &[(String, ChainKind)]) -> Arc<RecordFormat>
 }
 
 /// The copy statement for one retained field. Arrays copy element-wise;
-/// about half the time the loop is the canonical plain copy (which the
-/// register lowering turns into a `BatchCopy`), otherwise the element is
-/// perturbed so the loop must stay scalar — both shapes must agree across
-/// engines.
+/// about half the time the loop is the plain copy (its body one
+/// `CopyPath`), otherwise the element is perturbed on the way (a load, an
+/// add and a store) — both shapes must agree across engines.
 fn chain_copy_stmt(rng: &mut XorShift64, fname: &str, kind: ChainKind) -> String {
     match kind {
         ChainKind::Arr => {
@@ -1161,13 +1140,11 @@ fn gen_chain(rng: &mut XorShift64) -> ChainCase {
 /// message of a format and on the replay, over randomized formats and
 /// randomized 1–3-step retro-transformation chains — including target fields
 /// that no statement assigns (plan and oracle must default-fill identically),
-/// fixed-stride arrays copied by loops the register lowering may or may not
-/// be able to batch, and readers that lack a field of the chain's end or
-/// declare one it never had.
+/// fixed-stride arrays copied by loops, plain and perturbed, and readers
+/// that lack a field of the chain's end or declare one it never had.
 #[test]
 fn fused_single_pass_matches_tree_walker_oracle() {
     let mut adapter_exercised = false;
-    let mut batch_exercised = false;
     for_cases("fused_single_pass_matches_tree_walker_oracle", |rng| {
         let ChainCase { formats, xforms, fields, hops } = gen_chain(rng);
 
@@ -1191,6 +1168,16 @@ fn fused_single_pass_matches_tree_walker_oracle() {
 
         let v = value_for(&formats[0], rng);
         let wire = pbio::Encoder::new(&formats[0]).encode(&v).unwrap();
+        // A reader no generation of the chain is admissible for — one that
+        // adds a counted array to a one-field end: two of its three fields
+        // would take defaults — is rejected, and nothing else is.
+        let admissible = |f: &Arc<RecordFormat>| {
+            MatchQuality::of(f, &reader).admissible(&morph::MatchConfig::new())
+        };
+        if !formats.iter().any(admissible) {
+            assert_eq!(rx.process(&wire).unwrap(), Delivery::Rejected);
+            return;
+        }
         // Two messages: the first decides and runs the plan, the second
         // replays it from the decision cache.
         for _ in 0..2 {
@@ -1225,10 +1212,8 @@ fn fused_single_pass_matches_tree_walker_oracle() {
             assert_eq!(snap.counter("pbio.plan.miss"), Some(1 + u64::from(adapted)));
         }
         adapter_exercised |= adapted && steps > 0;
-        batch_exercised |= snap.counter("ecode.batch.copies").unwrap_or(0) > 0;
     });
     assert!(adapter_exercised, "no generated case ran an adapter behind a chain");
-    assert!(batch_exercised, "no generated case ran a BatchCopy superinstruction");
 }
 
 /// The fused program `fused` over the wire message `wire` (format `from`)
@@ -1283,8 +1268,8 @@ fn budget_sweep(
 /// error strings and the partial state an error or an exhausted budget
 /// leaves, under a sweep of budgets — and both with the tree-walker over the
 /// whole message: on the generated row programs (copies that run out of
-/// bounds part-way included), on generated 1–3-step fused chains (batched
-/// array copies included), and on programs that read a whole record and a
+/// bounds part-way included), on generated 1–3-step fused chains (array
+/// copy loops included), and on programs that read a whole record and a
 /// whole array, of variable-size and of fixed-size elements.
 #[test]
 fn vm_over_the_view_matches_vm_over_the_value_and_the_tree_walker() {

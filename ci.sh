@@ -72,7 +72,7 @@ CHAOS_SEED="$fresh" cargo test -q --test chaos
 
 echo "==> sharded runtime, fresh seed (the test step above ran seeds 1/7/42)"
 # A scenario drawn from the seed — population, publishers, channels,
-# fragmentation, run cadence, a pause — must deliver under the wall-clock
+# fragmentation, run cadence, a crash window — must deliver under the wall-clock
 # driver what it delivers under the virtual-time driver: the sharded path
 # is the one the chaos suite never takes. A failure here reproduces with
 # the printed command.

@@ -1,14 +1,14 @@
 //! Load-adaptive shed watermarks for the system's bounded queues.
 //!
 //! The shed policy (`shed`) decides *who* is dropped; this module decides
-//! *when* dropping starts. Each bounded queue — the retry queue, the
-//! ingress buffers, the sharded runtime's mailboxes — owns a [`Bound`],
-//! whose [`obs::AdaptiveThreshold`] is fed that queue's own arrival and
-//! drain events on the virtual clock. When the windowed
-//! arrival rate overruns the drain rate the effective capacity halves
-//! (down to a floor), starting shed pressure *before* a fixed bound would
-//! overflow; when drains catch back up it doubles back toward the
-//! configured base, with hysteresis so the capacity does not flap.
+//! *when* dropping starts. Each bounded queue — the retry queue and the
+//! sharded runtime's mailboxes — owns a [`Bound`], whose
+//! [`obs::AdaptiveThreshold`] is fed that queue's own arrival and drain
+//! events on the virtual clock. When the windowed arrival rate overruns
+//! the drain rate the effective capacity halves (down to a floor),
+//! starting shed pressure *before* a fixed bound would overflow; when
+//! drains catch back up it doubles back toward the configured base, with
+//! hysteresis so the capacity does not flap.
 //!
 //! Every adaptation decision is counted (`echo.adaptive.<queue>.tightened`
 //! / `.relaxed`), the live effective capacity is exported as a gauge
@@ -30,9 +30,9 @@ use obs::{AdaptDecision, AdaptiveThreshold, Counter, FlightRecorder, Gauge, Regi
 pub(crate) const WINDOW_SLOTS: usize = 8;
 pub(crate) const WINDOW_SLOT_NS: u64 = 1_000_000;
 
-/// Metric labels of the adaptive queues: the retry queue, the ingress
-/// buffers, the sharded runtime's mailboxes.
-pub(crate) const ADAPT_QUEUE_LABELS: [&str; 3] = ["retry", "ingress", "mailbox"];
+/// Metric labels of the adaptive queues: the retry queue and the sharded
+/// runtime's mailboxes.
+pub(crate) const ADAPT_QUEUE_LABELS: [&str; 2] = ["retry", "mailbox"];
 
 /// One bounded queue's adaptive watermark plus its accounting handles.
 #[derive(Debug)]
@@ -181,7 +181,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let reg = Registry::with_clock(clock.clone());
         let rec = FlightRecorder::new(64, clock.clone());
-        let mut q = AdaptiveQueue::new(&reg, "ingress", 16);
+        let mut q = AdaptiveQueue::new(&reg, "mailbox", 16);
         for i in 0..32 {
             q.threshold.on_arrival(i * 100_000);
         }
@@ -189,6 +189,6 @@ mod tests {
         q.evaluate(3_200_000, &rec, Some(ctx));
         let tree = rec.text_tree(obs::TraceId(7));
         assert!(tree.contains("echo.adaptive.tighten"), "missing instant in:\n{tree}");
-        assert!(tree.contains("queue=ingress"), "missing queue tag in:\n{tree}");
+        assert!(tree.contains("queue=mailbox"), "missing queue tag in:\n{tree}");
     }
 }

@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use simnet::{Delivery, NodeId};
+use simnet::Delivery;
 
 use crate::metrics::ShardMetrics;
 use crate::node::{FrameOutcome, NodeState};
@@ -92,9 +92,6 @@ pub const DEFAULT_MAILBOX_CAPACITY: usize = 16_384;
 ///   tier into the receiver's dead-letter queue (`DeadReason::Shed`,
 ///   counted in `echo.queue.shed` and `echo.shard.mailbox.shed`); control
 ///   frames are never shed and may exceed the bound.
-/// - **Pause/backpressure**: deliveries to paused processes buffer in
-///   their bounded ingress queues on the driver thread, exactly as in
-///   [`EchoSystem::run`].
 /// - **Retries**: link-down frames wait out their backoff in virtual time
 ///   between rounds.
 ///
@@ -138,15 +135,14 @@ impl Driver for WallClockDriver {
 
 impl EchoSystem {
     /// The run loop every driver shares. Each turn applies due crash
-    /// transitions, sweeps reassembly, publishes due telemetry, drains
-    /// resumed ingress buffers and pumps the retry queue; then, if frames
-    /// are deliverable, `execute` delivers some — one frame, or one
-    /// fork/join round — and reports how many it dispatched (`None`: there
-    /// was nothing to deliver after all). Deliveries never cross a pending
-    /// crash/restart boundary: `execute` stops short of the one it is
-    /// handed, and an idle turn advances the clock straight to it (or to
-    /// the next retry attempt, if sooner), so every transition fires at its
-    /// exact instant under every driver.
+    /// transitions, sweeps reassembly, publishes due telemetry and pumps
+    /// the retry queue; then, if frames are deliverable, `execute` delivers
+    /// some — one frame, or one fork/join round — and reports how many it
+    /// dispatched (`None`: there was nothing to deliver after all).
+    /// Deliveries never cross a pending crash/restart boundary: `execute`
+    /// stops short of the one it is handed, and an idle turn advances the
+    /// clock straight to it (or to the next retry attempt, if sooner), so
+    /// every transition fires at its exact instant under every driver.
     fn run_turns(
         &mut self,
         mut execute: impl FnMut(&mut EchoSystem, Option<u64>) -> Option<usize>,
@@ -156,7 +152,6 @@ impl EchoSystem {
             self.process_crash_transitions(self.net.now_ns());
             self.sweep_reassembly();
             self.pump_telemetry();
-            processed += self.drain_ingress();
             self.pump_pending();
             let boundary = self.net.next_crash_transition();
             let ready = match boundary {
@@ -199,8 +194,6 @@ impl EchoSystem {
     /// counted (`echo.deadletter.*`), duplicates are suppressed and counted
     /// (`echo.dedup.dropped`).
     ///
-    /// Deliveries to a paused process ([`EchoSystem::pause_process`]) are
-    /// buffered, not dispatched; resumed processes drain their buffer here.
     /// Bounded-queue overflow sheds warm (event) traffic into dead-letter
     /// queues with [`morph::DeadReason::Shed`] and counts it in `echo.queue.shed`.
     pub fn run(&mut self) -> usize {
@@ -208,12 +201,7 @@ impl EchoSystem {
             // `None`: every frame ahead of the boundary was addressed to a
             // crashed process and vanished in the step.
             let d = sys.net.take_delivery(boundary)?;
-            let (idx, sender) = (d.to.index(), d.from.index());
-            if sys.paused[idx] {
-                sys.buffer_ingress(idx, sender, d.payload);
-                return Some(0);
-            }
-            sys.dispatch_frame(idx, sender, &d.payload);
+            sys.dispatch_frame(d.to.index(), d.from.index(), &d.payload);
             Some(1)
         })
     }
@@ -247,21 +235,12 @@ impl EchoSystem {
             let round_started = Instant::now();
             // One round: everything currently in flight (up to the next
             // crash boundary), bucketed by the destination's shard in
-            // global delivery order. Deliveries to paused processes go to
-            // their ingress buffers; the rest are the round's mailboxes.
-            let shard_of = |to: NodeId| sys.shard_assign[to.index()];
-            let mut mailboxes = match boundary {
-                Some(t) => sys.net.drain_ready_sharded_before(shards, t, shard_of),
-                None => sys.net.drain_ready_sharded(shards, shard_of),
-            };
-            for mailbox in &mut mailboxes {
-                mailbox.retain(|d| {
-                    let idx = d.to.index();
-                    if sys.paused[idx] {
-                        sys.buffer_ingress(idx, d.from.index(), d.payload.clone());
-                    }
-                    !sys.paused[idx]
-                });
+            // global `(deliver_at, seq)` order, so each destination's
+            // mailbox keeps simulated arrival order. Follow-ups sent while
+            // the round settles go to the next round.
+            let mut mailboxes: Vec<Vec<Delivery>> = (0..shards).map(|_| Vec::new()).collect();
+            while let Some(d) = sys.net.take_delivery(boundary) {
+                mailboxes[sys.shard_assign[d.to.index()]].push(d);
             }
             // Adaptive mailbox watermark: this round's fill is the arrival
             // burst; the previous round's settled frames were the drains.

@@ -21,9 +21,9 @@
 mod adaptive;
 mod crc;
 mod dedup;
+mod dispatch;
 mod driver;
 pub mod frag;
-mod ingress;
 pub mod journal;
 mod metrics;
 mod node;

@@ -94,10 +94,6 @@ pub(crate) struct SysMetrics {
     pub crash_lost_partials: Arc<Counter>,
     pub crash_lost_retry: Arc<Counter>,
     pub crash_lost_decisions: Arc<Counter>,
-    /// `echo.crash.lost.ingress` — frames that had left the wire but sat
-    /// in the crashed process's ingress buffer (each also dead-letters as
-    /// `crash_lost`).
-    pub crash_lost_ingress: Arc<Counter>,
     /// `echo.epoch.fenced` — frames refused for carrying a pre-crash
     /// epoch; `echo.epoch.resumed` — sender-incarnation bumps observed by
     /// receivers (explicit resume handshakes or any higher-epoch frame);
@@ -105,7 +101,7 @@ pub(crate) struct SysMetrics {
     pub epoch_fenced: Arc<Counter>,
     pub epoch_resumed: Arc<Counter>,
     pub epoch_handshakes: Arc<Counter>,
-    /// Combined depth of the retry queue and every ingress buffer.
+    /// Depth of the retry queue.
     pub queue_depth: Arc<Gauge>,
     /// Frames dropped by load shedding (bounded queue overflow).
     pub queue_shed: Arc<Counter>,
@@ -142,13 +138,9 @@ pub(crate) struct SysMetrics {
     /// `echo.frag.buffered` — in-progress fragment sets across all
     /// processes, refreshed by each reassembly sweep.
     pub frag_buffered: Arc<Gauge>,
-    /// `echo.stage.queue_wait.ns` — virtual nanoseconds frames spent in an
-    /// ingress buffer before dispatch (the queue-wait stage of the latency
-    /// attribution; the wall-clock stages live in per-receiver registries).
-    pub queue_wait: Arc<Histogram>,
-    /// `echo.queue.depth_over_time` — every observed combined queue depth,
-    /// so a snapshot answers how deep the queues ran, not just how deep
-    /// they are.
+    /// `echo.queue.depth_over_time` — every observed retry-queue depth,
+    /// so a snapshot answers how deep the queue ran, not just how deep it
+    /// is.
     pub depth_over_time: Arc<Histogram>,
     pub per_channel: HashMap<ChannelId, ChannelCounters>,
 }
@@ -181,7 +173,6 @@ impl SysMetrics {
             crash_lost_partials: registry.counter("echo.crash.lost.partials"),
             crash_lost_retry: registry.counter("echo.crash.lost.retry"),
             crash_lost_decisions: registry.counter("echo.crash.lost.decisions"),
-            crash_lost_ingress: registry.counter("echo.crash.lost.ingress"),
             epoch_fenced: registry.counter("echo.epoch.fenced"),
             epoch_resumed: registry.counter("echo.epoch.resumed"),
             epoch_handshakes: registry.counter("echo.epoch.handshakes"),
@@ -201,7 +192,6 @@ impl SysMetrics {
             frag_evicted: registry.counter("echo.frag.evicted"),
             frag_superseded: registry.counter("echo.frag.superseded"),
             frag_buffered: registry.gauge("echo.frag.buffered"),
-            queue_wait: registry.histogram("echo.stage.queue_wait.ns"),
             depth_over_time: registry.histogram("echo.queue.depth_over_time"),
             per_channel: HashMap::new(),
             registry,

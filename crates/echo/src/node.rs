@@ -294,9 +294,8 @@ impl From<Option<TraceCtx>> for FrameTrace {
 }
 
 /// The receiver-side stage labels of the latency attribution family, in
-/// [`EventPlane::stages`] index order. Two more stages live elsewhere: `encode` in
-/// the publisher's control registry, `queue_wait` (virtual time) in the
-/// system registry.
+/// [`EventPlane::stages`] index order. One more stage lives elsewhere: `encode` in
+/// the publisher's control registry.
 const STAGE_LABELS: [&str; 4] = ["unframe", "decode", "morph", "deliver"];
 const STAGE_UNFRAME: usize = 0;
 const STAGE_DECODE: usize = 1;

@@ -334,7 +334,7 @@ pub enum QosTier {
     /// stale, never dead-lettered); link loss is not retried.
     SequencedUnreliable,
     /// Fire-and-forget telemetry: no retry, no ordering guarantee, and
-    /// first in line for load shedding under backpressure.
+    /// first in line for load shedding when a bounded queue is full.
     UnorderedUnreliable,
 }
 

@@ -59,13 +59,6 @@ impl EchoSystem {
                 self.nodes[idx].dead_letter(lost, "crash", &p.bytes, detail, p.ctx);
             }
         }
-        // Frames buffered at the crashed process's ingress vanish with
-        // its memory too.
-        for (_, _, bytes) in self.ingress.take_all(idx) {
-            self.metrics.crash_lost_ingress.inc();
-            let (lost, detail) = (DeadReason::CrashLost, "ingress buffer lost to process crash");
-            self.nodes[idx].dead_letter(lost, "crash", &bytes, detail, wire_ctx(&bytes));
-        }
         self.update_queue_depth();
     }
 

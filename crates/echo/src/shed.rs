@@ -1,12 +1,12 @@
 //! The shed policy: what a full bounded queue gives up first.
 //!
-//! The retry queue, the ingress buffers and the sharded runtime's
-//! mailboxes all overflow the same way, so the choice is written once, as
-//! a pure function of the queue's contents: the victim is the earliest
-//! frame of the lowest [`proto::shed_class`] (unordered telemetry, then
-//! sequenced, then reliable events; control frames are never shed), and a
-//! victim that is one fragment of a split message takes its queued set
-//! mates along, so no orphans travel on to rot in a reassembly buffer.
+//! The retry queue and the sharded runtime's mailboxes overflow the same
+//! way, so the choice is written once, as a pure function of the queue's
+//! contents: the victim is the earliest frame of the lowest
+//! [`proto::shed_class`] (unordered telemetry, then sequenced, then
+//! reliable events; control frames are never shed), and a victim that is
+//! one fragment of a split message takes its queued set mates along, so
+//! no orphans travel on to rot in a reassembly buffer.
 //! Each queue keeps its own admission test, removal and detail strings.
 
 use crate::proto;
@@ -175,15 +175,15 @@ mod tests {
     }
 
     #[test]
-    fn the_three_queues_pick_identical_victims_for_identical_contents() {
+    fn the_two_queues_pick_identical_victims_for_identical_contents() {
         let seed = 0x5ED5;
         let mut rng = XorShift64::new(seed);
         for round in 0..64 {
             let n = 4 + rng.below(12) as usize;
             let queue = random_queue(&mut rng, n);
-            // A control newcomer: admitted past the bound by the two
-            // admission queues, never a candidate in the mailbox, so all
-            // three choose among exactly the `n` queued frames.
+            // A control newcomer: admitted past the bound by the retry
+            // queue, never a candidate in the mailbox, so both choose among
+            // exactly the `n` queued frames.
             let newcomer = (1, control(99));
             let expect: Vec<Vec<u8>> = shed_set(queue.iter().map(|(s, b)| (*s, &**b)))
                 .map_or(Vec::new(), |set| {
@@ -192,15 +192,10 @@ mod tests {
 
             // The retry queue (every send towards `dst` refused by a down
             // link; victims dead-letter at their sender — one flow, so one
-            // sender), the ingress buffer of `dst`, and a one-shard
-            // mailbox bounded at `n` over an ideal wire (send order is
-            // arrival order).
-            for site in ["retry", "ingress", "mailbox"] {
-                let config = EchoConfig {
-                    retry_queue_capacity: n,
-                    ingress_capacity: n,
-                    ..Default::default()
-                };
+            // sender) and a one-shard mailbox bounded at `n` over an ideal
+            // wire (send order is arrival order).
+            for site in ["retry", "mailbox"] {
+                let config = EchoConfig { retry_queue_capacity: n, ..Default::default() };
                 let mut sys = EchoSystem::with_config(config);
                 for name in ["dst", "a", "b", "c"] {
                     sys.add_process(name, EchoVersion::V2);
@@ -212,7 +207,6 @@ mod tests {
                 for (sender, frame) in queue.iter().chain([&newcomer]) {
                     match site {
                         "retry" => sys.send_with_retry(*sender, 0, frame.clone(), None).unwrap(),
-                        "ingress" => sys.buffer_ingress(0, *sender, frame.clone()),
                         _ => {
                             let (from, to) = (sys.net_ids[*sender], sys.net_ids[0]);
                             sys.net.send_traced(from, to, frame.clone(), None).unwrap();

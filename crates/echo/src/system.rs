@@ -17,7 +17,6 @@ use simnet::{FaultPlan, FaultStats, LinkBandwidth, LinkParams, NetError, Network
 use crate::adaptive::{Bound, ADAPT_QUEUE_LABELS, WINDOW_SLOTS, WINDOW_SLOT_NS};
 use crate::driver::DEFAULT_MAILBOX_CAPACITY;
 use crate::frag;
-use crate::ingress::Ingress;
 use crate::journal::{JournalEntry, JournalStats, Journals};
 use crate::metrics::{ShardMetrics, SysMetrics};
 use crate::node::{EchoVersion, NodeState, Role};
@@ -57,17 +56,13 @@ pub struct EchoConfig {
     /// never shed) into the sender's dead-letter queue with
     /// [`DeadReason::Shed`].
     pub retry_queue_capacity: usize,
-    /// Bound on each paused process's ingress buffer, with the retry
-    /// queue's shed policy (victims quarantine at the *receiver*).
-    pub ingress_capacity: usize,
-    /// Makes the retry queue, the ingress buffers and the sharded
-    /// runtime's mailboxes shed at **load-adaptive** watermarks: each
-    /// compares its windowed arrival rate against its drain rate on the
-    /// virtual clock, halving its effective capacity (down to a floor of
-    /// base/8) while arrivals overrun drains and doubling it back once
-    /// drains recover, with hysteresis. The capacities above are the
-    /// ceilings; shedding itself stays tier-ordered
-    /// ([`proto::shed_class`]). Every decision is counted
+    /// Makes the retry queue and the sharded runtime's mailboxes shed at
+    /// **load-adaptive** watermarks: each compares its windowed arrival
+    /// rate against its drain rate on the virtual clock, halving its
+    /// effective capacity (down to a floor of base/8) while arrivals
+    /// overrun drains and doubling it back once drains recover, with
+    /// hysteresis. The capacities are the ceilings; shedding itself stays
+    /// tier-ordered ([`proto::shed_class`]). Every decision is counted
     /// (`echo.adaptive.<queue>.tightened` / `.relaxed`), the live bound is
     /// exported (`echo.adaptive.<queue>.capacity`), and decisions triggered
     /// by a traced frame drop `echo.adaptive.tighten`/`.relax` instants
@@ -86,7 +81,6 @@ impl Default for EchoConfig {
         EchoConfig {
             retry_policy: RetryPolicy::with_seed(0xEC40),
             retry_queue_capacity: 64,
-            ingress_capacity: 64,
             adaptive_shedding: false,
             link_monitors: false,
         }
@@ -136,12 +130,6 @@ pub struct EchoSystem {
     pub(crate) metrics: SysMetrics,
     /// Frames refused by a down link or crashed peer, awaiting re-send.
     pub(crate) retry: RetryQueue,
-    /// Per-process pause flags: deliveries to a paused process buffer in
-    /// `ingress` instead of dispatching.
-    pub(crate) paused: Vec<bool>,
-    /// Per-process ingress buffers, filled while paused, drained by
-    /// [`EchoSystem::run`] once resumed.
-    pub(crate) ingress: Ingress,
     /// Processes that may hold partial fragment sets, in process order —
     /// the only ones a reassembly sweep visits. A process enters when one
     /// of its frames settles as `Disposition::FragmentBuffered` (the only
@@ -228,12 +216,10 @@ impl EchoSystem {
             net.enable_link_monitors(WINDOW_SLOTS, WINDOW_SLOT_NS);
         }
         let mut retry = RetryQueue::new(config.retry_policy, config.retry_queue_capacity);
-        let mut ingress = Ingress::new(config.ingress_capacity);
         let mut mailbox = Bound::new(DEFAULT_MAILBOX_CAPACITY);
         if config.adaptive_shedding {
-            let [r, i, m] = ADAPT_QUEUE_LABELS;
+            let [r, m] = ADAPT_QUEUE_LABELS;
             retry.bound.adapt(&registry, r);
-            ingress.bound.adapt(&registry, i);
             mailbox.adapt(&registry, m);
         }
         EchoSystem {
@@ -247,8 +233,6 @@ impl EchoSystem {
             journals: Journals::new(&registry),
             metrics: SysMetrics::new(registry),
             retry,
-            paused: Vec::new(),
-            ingress,
             reassembling: BTreeSet::new(),
             recorder,
             tracing: true,
@@ -299,8 +283,6 @@ impl EchoSystem {
         debug_assert_eq!(net_id.index(), self.nodes.len(), "one network node per process");
         self.nodes.push(node);
         self.net_ids.push(net_id);
-        self.paused.push(false);
-        self.ingress.add_process();
         self.journals.add_process(self.net.now_ns(), seq_floor);
         self.by_contact.insert(name, self.nodes.len() - 1);
         ProcessId(self.nodes.len() - 1)
@@ -675,11 +657,11 @@ impl EchoSystem {
         self.nodes[node].dead_letter(DeadReason::Shed, "shed", bytes, why, ctx);
     }
 
-    /// Refreshes the `echo.queue.depth` gauge (retry queue + every ingress
-    /// buffer) and records the observation into the depth-over-time
-    /// histogram, so snapshots expose the whole depth distribution.
+    /// Refreshes the `echo.queue.depth` gauge (the retry queue's length)
+    /// and records the observation into the depth-over-time histogram, so
+    /// snapshots expose the whole depth distribution.
     pub(crate) fn update_queue_depth(&self) {
-        let depth = self.retry.len() + self.ingress.total();
+        let depth = self.retry.len();
         self.metrics.queue_depth.set(depth as i64);
         self.metrics.depth_over_time.record(depth as u64);
     }
@@ -827,22 +809,15 @@ impl EchoSystem {
     }
 
     /// The adaptive watermarks' current effective capacities as
-    /// `(retry, ingress, mailbox)`, if adaptive shedding is enabled.
-    pub fn adaptive_capacities(&self) -> Option<(usize, usize, usize)> {
-        let [retry, ingress, mailbox] = [&self.retry.bound, &self.ingress.bound, &self.mailbox];
-        Some((
-            retry.adaptive_capacity()?,
-            ingress.adaptive_capacity()?,
-            mailbox.adaptive_capacity()?,
-        ))
+    /// `(retry, mailbox)`, if adaptive shedding is enabled.
+    pub fn adaptive_capacities(&self) -> Option<(usize, usize)> {
+        Some((self.retry.bound.adaptive_capacity()?, self.mailbox.adaptive_capacity()?))
     }
 
     /// True while any adaptive watermark holds its queue in the tightened
     /// (overloaded) regime.
     pub fn adaptive_overloaded(&self) -> bool {
-        self.retry.bound.overloaded()
-            || self.ingress.bound.overloaded()
-            || self.mailbox.overloaded()
+        self.retry.bound.overloaded() || self.mailbox.overloaded()
     }
 
     /// Starts periodic self-telemetry: every `period_ns` of virtual time
@@ -926,33 +901,6 @@ impl EchoSystem {
     /// all its channels.
     pub fn reassembly_depth(&self, proc: ProcessId) -> usize {
         self.nodes[proc.0].reassembly_depth()
-    }
-
-    /// Pauses a process: models an overloaded or stalled consumer.
-    /// Deliveries addressed to it buffer in a bounded ingress queue
-    /// instead of dispatching; the rest of the system keeps running.
-    pub fn pause_process(&mut self, proc: ProcessId) {
-        self.paused[proc.0] = true;
-    }
-
-    /// Resumes a paused process; its buffered frames drain — through the
-    /// exact dispatch path live deliveries take — on the next
-    /// [`EchoSystem::run`].
-    pub fn resume_process(&mut self, proc: ProcessId) {
-        self.paused[proc.0] = false;
-    }
-
-    /// High-watermark backpressure signal: true once a process's ingress
-    /// buffer is at least 3/4 of its *effective* bound — the configured
-    /// capacity, or the adaptive watermark while that holds it lower.
-    /// Publishers can poll this to slow down before shedding starts.
-    pub fn backpressure(&self, proc: ProcessId) -> bool {
-        self.ingress.queue(proc.0).len() * 4 >= self.ingress.bound.capacity_now() * 3
-    }
-
-    /// Frames currently buffered for a (paused or resuming) process.
-    pub fn ingress_depth(&self, proc: ProcessId) -> usize {
-        self.ingress.queue(proc.0).len()
     }
 
     /// The current windowed bandwidth/loss/RTT reading for the directed
@@ -1451,76 +1399,6 @@ mod tests {
         assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(0));
     }
 
-    #[test]
-    fn paused_process_buffers_bounded_ingress_with_backpressure() {
-        let config = EchoConfig { ingress_capacity: 4, ..EchoConfig::default() };
-        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
-        let ch = sys.create_channel(c);
-        let fmt = tick_format();
-        sys.subscribe(s1, ch, Role::source(), None).unwrap();
-        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
-        sys.run();
-        sys.pause_process(s2);
-        assert!(!sys.backpressure(s2));
-        for n in 0..6 {
-            sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
-        }
-        sys.run();
-        // All six frames arrived, but the consumer is stalled: 4 buffered,
-        // the 2 oldest shed at the *receiver*.
-        assert_eq!(sys.ingress_depth(s2), 4);
-        assert!(sys.backpressure(s2), "high watermark (3/4) reached");
-        assert!(sys.take_events(s2).is_empty(), "nothing dispatched while paused");
-        let snap = sys.registry().snapshot();
-        assert_eq!(snap.counter("echo.queue.shed"), Some(2));
-        assert_eq!(snap.gauge("echo.queue.depth"), Some(4));
-        assert_eq!(sys.dead_letters(s2).iter().filter(|l| l.reason == DeadReason::Shed).count(), 2);
-        // Resume: the buffer drains through the normal dispatch path.
-        sys.resume_process(s2);
-        sys.run();
-        assert_eq!(sys.ingress_depth(s2), 0);
-        assert!(!sys.backpressure(s2));
-        let events = sys.take_events(s2);
-        assert_eq!(
-            events,
-            vec![(ch, tick(2)), (ch, tick(3)), (ch, tick(4)), (ch, tick(5))],
-            "the newest four survive, in arrival order"
-        );
-        assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(0));
-    }
-
-    #[test]
-    fn backpressure_follows_the_adaptive_bound_and_fires_before_the_first_shed() {
-        let config = EchoConfig { adaptive_shedding: true, ..EchoConfig::default() };
-        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
-        let ch = sys.create_channel(c);
-        let fmt = tick_format();
-        sys.subscribe(s1, ch, Role::source(), None).unwrap();
-        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
-        sys.run();
-        sys.pause_process(s2);
-        // A stalled consumer under a burst: arrivals with no drains pull
-        // the ingress watermark from its base of 64 down to base/8.
-        let shed = |sys: &EchoSystem| sys.registry().snapshot().counter("echo.queue.shed");
-        let mut signalled_at = None;
-        for n in 0..16 {
-            sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
-            sys.run();
-            if signalled_at.is_none() && sys.backpressure(s2) {
-                assert_eq!(shed(&sys), Some(0), "the signal must precede the first shed");
-                signalled_at = Some(sys.ingress_depth(s2));
-            }
-        }
-        let (_, ingress_bound, _) = sys.adaptive_capacities().unwrap();
-        assert_eq!(ingress_bound, 64 / 8, "the burst tightened the bound to its floor");
-        assert!(shed(&sys).unwrap() > 0, "shedding started at the tightened bound");
-        // 3/4 of the *effective* bound, not of the configured 64 (which
-        // would have waited for 48 frames — never reached at a bound of 8).
-        let depth = signalled_at.expect("backpressure never signalled");
-        assert!(depth <= ingress_bound, "signalled at depth {depth}");
-        assert!(sys.ingress_depth(s2) < 48);
-    }
-
     /// Creator + publisher + `n` morphing v1-style sinks on an evolved
     /// format, fully wired, ready to publish.
     fn fanout_fixture(
@@ -1784,42 +1662,6 @@ mod tests {
     }
 
     #[test]
-    fn ingress_shed_takes_unordered_telemetry_before_reliable_events() {
-        let config = EchoConfig { ingress_capacity: 3, ..EchoConfig::default() };
-        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
-        let reliable_ch = sys.create_channel(c);
-        let telemetry_ch = sys.create_channel(c);
-        let fmt = tick_format();
-        for ch in [reliable_ch, telemetry_ch] {
-            sys.subscribe(s1, ch, Role::source(), None).unwrap();
-            sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
-        }
-        sys.run();
-        sys.set_channel_qos(telemetry_ch, QosTier::UnorderedUnreliable);
-        sys.pause_process(s2);
-        // Arrival order: telemetry first, then reliable — but the *victims*
-        // are chosen by tier, not age alone.
-        sys.publish(s1, telemetry_ch, &fmt, &tick(10)).unwrap();
-        sys.publish(s1, reliable_ch, &fmt, &tick(1)).unwrap();
-        sys.publish(s1, reliable_ch, &fmt, &tick(2)).unwrap();
-        sys.publish(s1, telemetry_ch, &fmt, &tick(11)).unwrap();
-        sys.publish(s1, reliable_ch, &fmt, &tick(3)).unwrap();
-        sys.run();
-        sys.resume_process(s2);
-        sys.run();
-        let events = sys.take_events(s2);
-        assert_eq!(
-            events,
-            vec![(reliable_ch, tick(1)), (reliable_ch, tick(2)), (reliable_ch, tick(3))],
-            "both telemetry frames shed; every reliable event survived"
-        );
-        let snap = sys.registry().snapshot();
-        assert_eq!(snap.counter("echo.queue.shed"), Some(2));
-        assert_eq!(snap.counter("echo.channel.reliable.delivered"), Some(3));
-        assert_eq!(snap.counter("echo.channel.unordered.delivered"), Some(0));
-    }
-
-    #[test]
     fn partial_fragment_sets_time_out_into_the_dlq() {
         let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
@@ -1908,7 +1750,7 @@ mod tests {
         sys.subscribe(s1, tele, Role::sink(), Some(&telemetry::telemetry_format_v2())).unwrap();
         sys.run();
         sys.enable_self_telemetry(c, tele, 1_000_000);
-        assert_eq!(sys.adaptive_capacities(), Some((16, 64, DEFAULT_MAILBOX_CAPACITY)));
+        assert_eq!(sys.adaptive_capacities(), Some((16, DEFAULT_MAILBOX_CAPACITY)));
 
         // Partition, then a burst far past the drain rate (zero: nothing
         // leaves a retry queue while the link is down). The watermark
@@ -1919,7 +1761,7 @@ mod tests {
             sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
         }
         let floor = 16usize / 8;
-        assert_eq!(sys.adaptive_capacities().map(|(r, _, _)| r), Some(floor));
+        assert_eq!(sys.adaptive_capacities().map(|(r, _)| r), Some(floor));
         assert!(sys.adaptive_overloaded());
         // Arrivals 1-4 admit freely (the 4th tightens 16→8), the 5th
         // tightens to 4 and from there shed-one-admit-one holds the queue
@@ -1941,7 +1783,7 @@ mod tests {
         let snap = sys.registry().snapshot();
         assert!(snap.counter("echo.adaptive.retry.relaxed").unwrap_or(0) >= 1);
         assert!(
-            sys.adaptive_capacities().map(|(r, _, _)| r).unwrap() > floor,
+            sys.adaptive_capacities().map(|(r, _)| r).unwrap() > floor,
             "watermark still at floor after recovery: {:?}",
             sys.adaptive_capacities()
         );
@@ -2044,9 +1886,9 @@ mod tests {
     #[test]
     fn idle_bystanders_change_nothing_the_system_reports() {
         // One script — handshakes, a mixed-version fan-out, a fragmented
-        // publish, a paused sink, an unsubscribe — run with the processes
-        // it needs and again among 1,500 connected processes that never
-        // send or receive. The run loop must not be able to tell.
+        // publish, a sink's crash window, an unsubscribe — run with the
+        // processes it needs and again among 1,500 connected processes that
+        // never send or receive. The run loop must not be able to tell.
         let script = |bystanders: usize, driver: &mut dyn Driver| {
             let mut sys = EchoSystem::new();
             let c = sys.add_process("creator", EchoVersion::V2);
@@ -2066,12 +1908,12 @@ mod tests {
             sys.subscribe(new, ch, Role::sink(), Some(&fmt)).unwrap();
             sys.run_with(driver);
             sys.set_frame_budget(Some(64));
-            sys.pause_process(old);
+            let now = sys.now_ns();
+            sys.set_crash_windows(old, &[(now, now + 2_000_000)]);
             for n in 0..3 {
                 sys.publish(src, ch, &fmt, &blob(n, 40 + 100 * n as usize)).unwrap();
                 sys.run_with(driver);
             }
-            sys.resume_process(old);
             sys.unsubscribe(new, ch).unwrap();
             sys.run_with(driver);
             sys.publish(src, ch, &fmt, &blob(9, 300)).unwrap();
@@ -2144,43 +1986,6 @@ mod tests {
         assert_eq!(buffered(&sys), Some(0));
         assert_eq!(sys.reassembly_depth(s2), 0);
         assert!(sys.reassembling.is_empty());
-    }
-
-    #[test]
-    fn resumed_backlogs_drain_in_process_order_then_arrival_order() {
-        for mut driver in both_drivers() {
-            let (mut sys, c, first, second) = three(EchoVersion::V2, EchoVersion::V2);
-            let ch = sys.create_channel(c);
-            let fmt = tick_format();
-            // The later process subscribes first, so each publish reaches
-            // it first: arrival order and process order disagree.
-            sys.subscribe(second, ch, Role::sink(), Some(&fmt)).unwrap();
-            sys.subscribe(first, ch, Role::sink(), Some(&fmt)).unwrap();
-            sys.run_with(&mut *driver);
-            sys.pause_process(first);
-            sys.pause_process(second);
-            for n in 0..3 {
-                sys.publish(c, ch, &fmt, &tick(n)).unwrap();
-            }
-            sys.run_with(&mut *driver);
-            assert_eq!((sys.ingress_depth(first), sys.ingress_depth(second)), (3, 3));
-            assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(6));
-            let seen = sys.recorder().events().len();
-            sys.resume_process(second);
-            sys.resume_process(first);
-            sys.run_with(&mut *driver);
-            let handled: Vec<String> = sys.recorder().events()[seen..]
-                .iter()
-                .filter(|e| e.name == "echo.handle")
-                .map(|e| e.tag("node").expect("handle spans name their node").to_string())
-                .collect();
-            assert_eq!(handled, ["pub-1", "pub-1", "pub-1", "sub-2", "sub-2", "sub-2"]);
-            let ticks: Vec<_> = (0..3).map(|n| (ch, tick(n))).collect();
-            assert_eq!(sys.take_events(first), ticks);
-            assert_eq!(sys.take_events(second), ticks);
-            assert_eq!(sys.registry().snapshot().gauge("echo.queue.depth"), Some(0));
-            assert!(sys.ingress.backlogged().is_empty() && sys.ingress.total() == 0);
-        }
     }
 
     /// The tier books follow the wire: `sent` is the denominator of every

@@ -91,9 +91,7 @@ pub fn telemetry_value(seq: u64, at_ns: u64, queue_depth: i64, delta: &SnapshotD
 /// that join them only on a system built with adaptive shedding — sampling
 /// them otherwise would put them in every system's registry catalogue.
 const SAMPLED: [&str; 3] = ["echo.events.delivered", "echo.events.published", "echo.queue.shed"];
-const SAMPLED_ADAPTIVE: [&str; 6] = [
-    "echo.adaptive.ingress.relaxed",
-    "echo.adaptive.ingress.tightened",
+const SAMPLED_ADAPTIVE: [&str; 4] = [
     "echo.adaptive.mailbox.relaxed",
     "echo.adaptive.mailbox.tightened",
     "echo.adaptive.retry.relaxed",
@@ -198,7 +196,7 @@ mod tests {
         reg.counter("echo.events.delivered").add(9);
         reg.counter("echo.queue.shed").inc();
         reg.counter("echo.adaptive.retry.tightened").add(2);
-        reg.counter("echo.adaptive.ingress.tightened").add(1);
+        reg.counter("echo.adaptive.mailbox.tightened").add(1);
         let before = Registry::new().snapshot();
         let delta = reg.snapshot().delta(&before);
         let v = telemetry_value(3, 1_000, 5, &delta);

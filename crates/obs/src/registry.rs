@@ -31,7 +31,7 @@ use crate::trace::{json_escape, FlightRecorder};
 /// println!("{}", snap.to_text());
 /// ```
 pub struct Registry {
-    clock: RwLock<Arc<dyn Clock>>,
+    clock: Arc<dyn Clock>,
     recorder: RwLock<Option<Arc<FlightRecorder>>>,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
@@ -64,7 +64,7 @@ impl Registry {
     /// [`crate::VirtualClock`] advanced by a deterministic simulator).
     pub fn with_clock(clock: Arc<dyn Clock>) -> Registry {
         Registry {
-            clock: RwLock::new(clock),
+            clock,
             recorder: RwLock::new(None),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
@@ -85,21 +85,15 @@ impl Registry {
         self.recorder.read().expect("registry recorder lock").clone()
     }
 
-    /// Replaces the clock. Timers started before the swap finish on the
-    /// clock they started with.
-    pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        *self.clock.write().expect("registry clock lock") = clock;
-    }
-
     /// The registry clock's current time.
     pub fn now_ns(&self) -> u64 {
-        self.clock.read().expect("registry clock lock").now_ns()
+        self.clock.now_ns()
     }
 
     /// The current clock handle. Hot paths cache this alongside their
     /// metric handles so they can start [`Timer`]s without registry locks.
     pub fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&*self.clock.read().expect("registry clock lock"))
+        Arc::clone(&self.clock)
     }
 
     /// Returns (creating on first use) the counter with this name.
@@ -123,7 +117,7 @@ impl Registry {
     /// Starts a scoped timer that records its elapsed nanoseconds into the
     /// histogram `name` when dropped (or explicitly [`Timer::stop`]ped).
     pub fn timer(&self, name: &str) -> Timer {
-        Timer::start(self.histogram(name), Arc::clone(&*self.clock.read().expect("clock lock")))
+        Timer::start(self.histogram(name), self.clock())
     }
 
     /// A point-in-time copy of every metric, stamped with the registry

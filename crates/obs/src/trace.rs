@@ -427,21 +427,13 @@ impl FlightRecorder {
     /// one `tid` (by order of first appearance); the full trace id is in
     /// `args.trace`.
     pub fn chrome_json(&self) -> String {
-        self.chrome_json_of(&self.events())
-    }
-
-    /// [`FlightRecorder::chrome_json`] restricted to one trace.
-    pub fn chrome_json_for(&self, trace: TraceId) -> String {
-        self.chrome_json_of(&self.trace_events(trace))
-    }
-
-    fn chrome_json_of(&self, events: &[SpanEvent]) -> String {
         use std::fmt::Write;
         fn us(ns: u64) -> String {
             format!("{}.{:03}", ns / 1000, ns % 1000)
         }
+        let events = self.events();
         let mut tids: HashMap<TraceId, usize> = HashMap::new();
-        for e in events {
+        for e in &events {
             let next = tids.len() + 1;
             tids.entry(e.trace).or_insert(next);
         }

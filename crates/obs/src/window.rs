@@ -1,7 +1,7 @@
 //! Rolling windows, EWMAs, and load-adaptive thresholds.
 //!
-//! The backpressure stack wants *rates*, not totals: "how many frames
-//! arrived in the last 10 ms" is what a shed decision needs, and a plain
+//! Load shedding wants *rates*, not totals: "how many frames arrived in
+//! the last 10 ms" is what a shed decision needs, and a plain
 //! [`crate::Counter`] cannot answer it. A [`RollingWindow`] keeps a fixed
 //! ring of time slots and forgets old ones as time passes; an [`Ewma`]
 //! smooths a sample stream with pure integer arithmetic; a [`RateGauge`]
@@ -325,16 +325,6 @@ impl AdaptiveThreshold {
     /// tighten, cleared only once capacity has relaxed back to base).
     pub fn overloaded(&self) -> bool {
         self.overloaded
-    }
-
-    /// Windowed arrivals per second at `now_ns`.
-    pub fn arrival_rate(&self, now_ns: u64) -> u64 {
-        self.arrivals.rate_per_sec(now_ns)
-    }
-
-    /// Windowed drains per second at `now_ns`.
-    pub fn drain_rate(&self, now_ns: u64) -> u64 {
-        self.drains.rate_per_sec(now_ns)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Shared, cheaply-clonable wire buffers.
 //!
 //! Every layer of the stack used to pass message bytes as `Vec<u8>`,
-//! copying the frame at each hop: send, retry queue, ingress buffer,
+//! copying the frame at each hop: send, retry queue, shard mailbox,
 //! dedup, quarantine. [`WireBytes`] replaces those copies with a reference
 //! count — an `Arc<[u8]>` plus a byte range, so framing, payload views,
 //! and dead-letter retention all share the single allocation made at

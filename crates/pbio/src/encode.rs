@@ -123,7 +123,8 @@ impl Encoder {
     ///
     /// Returns [`PbioError::TypeMismatch`] / [`PbioError::IntOutOfRange`] /
     /// [`PbioError::LengthMismatch`] if the value does not conform to the
-    /// encoder's format.
+    /// encoder's format, and [`PbioError::BadData`] if its payload is
+    /// longer than the header's 32-bit length field can say.
     pub fn encode(&self, value: &Value) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(HEADER_LEN + 64);
         self.encode_into(value, &mut out)?;
@@ -147,10 +148,18 @@ impl Encoder {
         out.extend_from_slice(&0u32.to_le_bytes()); // patched below
         let payload_start = out.len();
         encode_record(value, &self.format, self.order, &Path::Root(self.format.name()), out)?;
-        let len = (out.len() - payload_start) as u32;
+        let len = payload_len(out.len() - payload_start)?;
         out[start + 12..start + 16].copy_from_slice(&len.to_le_bytes());
         Ok(())
     }
+}
+
+/// The header's length field for a payload of `n` bytes: 32 bits, so a
+/// longer payload is refused rather than wrapped.
+fn payload_len(n: usize) -> Result<u32> {
+    u32::try_from(n).map_err(|_| {
+        PbioError::BadData(format!("payload of {n} bytes overflows the 32-bit length field"))
+    })
 }
 
 fn put_scalar(out: &mut Vec<u8>, bytes: &[u8; 8], width: usize, order: ByteOrder) {
@@ -400,6 +409,14 @@ pub fn parse_header(buf: &[u8]) -> Result<WireHeader> {
 mod tests {
     use super::*;
     use crate::types::FormatBuilder;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn payload_length_is_checked_at_the_32_bit_limit() {
+        assert_eq!(payload_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let over = payload_len(u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(&over, PbioError::BadData(m) if m.contains("4294967296")), "{over}");
+    }
 
     fn member() -> Arc<RecordFormat> {
         FormatBuilder::record("Member").string("info").int("ID").build_arc().unwrap()

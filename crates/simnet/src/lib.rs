@@ -27,8 +27,6 @@
 #![forbid(unsafe_code)]
 
 mod fault;
-#[cfg(test)]
-mod partition_tests;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -1075,30 +1073,24 @@ impl Network {
     /// in [`Network::crash_stats`]. Returns `None` when nothing is in
     /// flight.
     pub fn step(&mut self) -> Option<Delivery> {
-        self.step_before_opt(None)
-    }
-
-    /// [`Network::step`] bounded at `before_ns`: delivers the next message
-    /// only if it lands strictly before the cutoff, leaving later traffic
-    /// in flight. Drivers use this to keep deliveries from crossing a
-    /// crash-window boundary ([`Network::next_crash_transition`]).
-    pub fn step_before(&mut self, before_ns: u64) -> Option<Delivery> {
-        self.step_before_opt(Some(before_ns))
-    }
-
-    fn step_before_opt(&mut self, before_ns: Option<u64>) -> Option<Delivery> {
-        let d = self.take_delivery(before_ns)?;
+        let d = self.take_delivery(None)?;
         self.inboxes[d.to.0].push_back(d.clone());
         Some(d)
     }
 
-    /// [`Network::step`] / [`Network::step_before`] for a caller that
-    /// dispatches the delivery itself: the same delivery pipeline (clock
-    /// advance, hop-span finish, crash-window discards), bounded by the
-    /// optional cutoff, but nothing is deposited in the receiver's inbox —
-    /// there is nothing to [`Network::recv`] afterwards. Each pop re-checks
-    /// the bound, so a crash-discarded front never makes the loop overshoot
-    /// past the cutoff into later traffic.
+    /// [`Network::step`] for a caller that dispatches the delivery itself:
+    /// the same delivery pipeline (clock advance, hop-span finish,
+    /// crash-window discards), but nothing is deposited in the receiver's
+    /// inbox — there is nothing to [`Network::recv`] afterwards. With a
+    /// cutoff, only a message landing strictly before `before_ns` is
+    /// delivered and later traffic stays in flight: drivers use this to
+    /// keep deliveries from crossing a crash-window boundary
+    /// ([`Network::next_crash_transition`]). Each pop re-checks the bound,
+    /// so a crash-discarded front never makes the loop overshoot past the
+    /// cutoff into later traffic. Messages come out in global
+    /// `(deliver_at, seq)` order, so a caller that buckets them (the
+    /// wall-clock driver's per-shard mailboxes) keeps every destination's
+    /// deliveries in simulated arrival order.
     pub fn take_delivery(&mut self, before_ns: Option<u64>) -> Option<Delivery> {
         loop {
             if let Some(limit) = before_ns {
@@ -1166,70 +1158,6 @@ impl Network {
     /// falls due before the next delivery.
     pub fn next_delivery_at(&self) -> Option<u64> {
         self.queue.peek().map(|Reverse(m)| m.deliver_at)
-    }
-
-    /// Drains **every** message currently in flight, bucketed by the
-    /// destination's shard — the batch boundary of the wall-clock driver's
-    /// fork-join rounds (see `echo::WallClockDriver`).
-    ///
-    /// Each popped message goes through exactly the [`Network::step`]
-    /// delivery pipeline (clock advance, hop-span finish, crash-window
-    /// drops) but bypasses the inboxes ([`Network::take_delivery`]), like
-    /// [`Network::run`]. Messages are popped in global `(deliver_at, seq)`
-    /// order, so within each bucket — and hence for any single destination
-    /// node — deliveries stay in simulated arrival order even when buckets
-    /// are then consumed on different threads.
-    ///
-    /// Messages the callback-equivalent sends *during* shard processing are
-    /// queued normally and picked up by the next round; the returned
-    /// batch is a consistent snapshot of the in-flight set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or `shard_of` returns an index `>= shards`.
-    pub fn drain_ready_sharded<F>(&mut self, shards: usize, shard_of: F) -> Vec<Vec<Delivery>>
-    where
-        F: Fn(NodeId) -> usize,
-    {
-        self.drain_sharded(shards, None, shard_of)
-    }
-
-    /// [`Network::drain_ready_sharded`] bounded by a time cutoff: drains
-    /// only messages with `deliver_at < before_ns`, leaving later traffic
-    /// in flight. The batch boundary a crash-aware driver needs — a round
-    /// must not straddle a crash-window boundary, or deliveries after a
-    /// restart would be handled with pre-restart state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or `shard_of` returns an index `>= shards`.
-    pub fn drain_ready_sharded_before<F>(
-        &mut self,
-        shards: usize,
-        before_ns: u64,
-        shard_of: F,
-    ) -> Vec<Vec<Delivery>>
-    where
-        F: Fn(NodeId) -> usize,
-    {
-        self.drain_sharded(shards, Some(before_ns), shard_of)
-    }
-
-    fn drain_sharded<F>(
-        &mut self,
-        shards: usize,
-        before_ns: Option<u64>,
-        shard_of: F,
-    ) -> Vec<Vec<Delivery>>
-    where
-        F: Fn(NodeId) -> usize,
-    {
-        assert!(shards > 0, "at least one shard required");
-        let mut buckets: Vec<Vec<Delivery>> = (0..shards).map(|_| Vec::new()).collect();
-        while let Some(d) = self.take_delivery(before_ns) {
-            buckets[shard_of(d.to)].push(d);
-        }
-        buckets
     }
 
     /// Steps until idle, invoking `on_delivery` for each message (inboxes
@@ -1606,7 +1534,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_ready_sharded_buckets_by_destination_and_keeps_order() {
+    fn take_delivery_keeps_each_destinations_order() {
         let mut net = Network::new();
         let src = net.add_node("src");
         let even = net.add_node("even");
@@ -1617,24 +1545,28 @@ mod tests {
             let to = if i % 2 == 0 { even } else { odd };
             net.send(src, to, vec![i]).unwrap();
         }
-        let buckets = net.drain_ready_sharded(2, |n| n.0 % 2);
-        assert!(net.is_idle(), "the whole in-flight set is drained");
-        // even=NodeId(1) -> shard 1, odd=NodeId(2) -> shard 0.
-        assert_eq!(buckets[1].iter().map(|d| d.payload[0]).collect::<Vec<_>>(), [0, 2, 4]);
-        assert_eq!(buckets[0].iter().map(|d| d.payload[0]).collect::<Vec<_>>(), [1, 3, 5]);
-        assert!(buckets.iter().flatten().all(|d| d.from == src));
+        // The cutoff is strict: ideal links land at 0, so a cutoff of 0
+        // holds every message back.
+        assert!(net.take_delivery(Some(0)).is_none());
+        let mut by_dest = [Vec::new(), Vec::new(), Vec::new()];
+        while let Some(d) = net.take_delivery(Some(1)) {
+            assert_eq!(d.from, src);
+            by_dest[d.to.index()].push(d.payload[0]);
+        }
+        assert!(net.is_idle(), "the whole in-flight set is taken");
+        assert_eq!(by_dest, [vec![], vec![0, 2, 4], vec![1, 3, 5]]);
         // Inboxes were bypassed, as in run().
         assert!(net.recv(even).is_none());
         assert!(net.recv(odd).is_none());
     }
 
     #[test]
-    fn drain_ready_sharded_respects_crash_windows() {
+    fn take_delivery_discards_frames_landing_in_a_crash_window() {
         let (mut net, a, b) = pair(LinkParams::lan());
         net.send(a, b, vec![1]).unwrap();
         net.set_crash_windows(b, &[(0, u64::MAX)]);
-        let buckets = net.drain_ready_sharded(1, |_| 0);
-        assert!(buckets[0].is_empty());
+        assert!(net.take_delivery(None).is_none());
+        assert!(net.is_idle());
         assert_eq!(net.crash_stats().dropped, 1);
     }
 
@@ -1647,3 +1579,7 @@ mod tests {
         );
     }
 }
+
+#[cfg(test)]
+#[path = "tests/partition.rs"]
+mod partition_tests;

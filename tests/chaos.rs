@@ -996,7 +996,7 @@ fn run_fragmentation_chaos(seed: u64) -> FragRun {
         "seed {seed:#x}: fragment books do not balance"
     );
     // Message by message: reassembled and delivered, dead-lettered as a
-    // partial set, or shed under backpressure (none here). The Reliable
+    // partial set, or shed by a full queue (none here). The Reliable
     // tier does not retransmit in-flight loss, so one more fate exists —
     // a message whose *every* fragment the link dropped never reaches the
     // receiver at all. The curated seeds have none; an arbitrary seed can
@@ -1122,7 +1122,6 @@ fn run_overload_chaos(seed: u64) -> OverloadRun {
         retry_queue_capacity: OVERLOAD_RETRY_CAP,
         adaptive_shedding: true,
         link_monitors: true,
-        ..EchoConfig::default()
     });
     let creator = sys.add_process("creator", EchoVersion::V2);
     let publisher = sys.add_process("publisher", EchoVersion::V2);
@@ -1153,7 +1152,7 @@ fn run_overload_chaos(seed: u64) -> OverloadRun {
     let floor = (OVERLOAD_RETRY_CAP / 8).max(1);
     assert!(sys.adaptive_overloaded(), "seed {seed:#x}: ramp never registered as overload");
     assert_eq!(
-        sys.adaptive_capacities().map(|(r, _, _)| r),
+        sys.adaptive_capacities().map(|(r, _)| r),
         Some(floor),
         "seed {seed:#x}: watermark not at floor"
     );
@@ -1180,7 +1179,7 @@ fn run_overload_chaos(seed: u64) -> OverloadRun {
     let shed = snap.counter("echo.queue.shed").unwrap_or(0);
     assert!(relaxed >= 1, "seed {seed:#x}: recovery never relaxed the watermark");
     assert!(
-        sys.adaptive_capacities().map(|(r, _, _)| r).unwrap() > floor,
+        sys.adaptive_capacities().map(|(r, _)| r).unwrap() > floor,
         "seed {seed:#x}: capacity still at floor after recovery"
     );
 
@@ -1359,7 +1358,6 @@ fn run_crash_restart_storm(seed: u64) -> StormRun {
             "echo.epoch.fenced",
             "echo.epoch.resumed",
             "echo.epoch.handshakes",
-            "echo.crash.lost.ingress",
             "echo.crash.lost.dedup",
             "echo.crash.lost.retry",
             "echo.crash.lost.decisions",
@@ -1423,9 +1421,9 @@ fn run_crash_restart_storm(seed: u64) -> StormRun {
     // wire carried (fault duplicates included) minus the copies the wire
     // itself dropped and the resume handshakes; each surviving copy is
     // delivered, deduplicated, epoch-fenced, or lost to a crashed process
-    // (discarded in flight at a down node, or erased from a crashed
-    // ingress buffer) — shed stays zero, and nothing else exists.
-    let crash_lost = delta("simnet.crash.dropped") + delta("echo.crash.lost.ingress");
+    // (discarded in flight at a down node) — shed stays zero, and nothing
+    // else exists.
+    let crash_lost = delta("simnet.crash.dropped");
     let sent =
         delta("simnet.messages") - delta("simnet.fault.dropped") - delta("echo.epoch.handshakes");
     let delivered = delta("echo.events.delivered");

@@ -321,7 +321,7 @@ fn the_echo_catalogue_sections_list_what_is_registered() {
         &[
             ("<id>", vec![work.0.to_string(), tele.0.to_string()]),
             ("<tier>", QosTier::ALL.map(|t| t.label().to_string()).to_vec()),
-            ("<queue>", ["retry", "ingress", "mailbox"].map(String::from).to_vec()),
+            ("<queue>", ["retry", "mailbox"].map(String::from).to_vec()),
             ("<i>", (0..SHARDS).map(|i| i.to_string()).collect()),
         ],
     );

@@ -413,7 +413,7 @@ fn draw(rng: &mut simnet::XorShift64, lo: u64, hi: u64) -> u64 {
 
 /// What a seed draws: a population, who publishes on which channel, whether
 /// events fragment, when the drivers run, one late joiner and one sink
-/// paused for a stretch of the stream. Returns every process's deliveries.
+/// crashed for a window of virtual time. Returns every process's deliveries.
 fn seeded_scenario(seed: u64, driver: &mut dyn Driver) -> Vec<Vec<(ChannelId, Value)>> {
     let rng = &mut simnet::XorShift64::new(seed);
     let fmt = blob_fmt();
@@ -451,17 +451,17 @@ fn seeded_scenario(seed: u64, driver: &mut dyn Driver) -> Vec<Vec<(ChannelId, Va
     }
 
     let steps = draw(rng, 4, 10);
-    let paused = settled[draw(rng, 0, settled.len() as u64 - 1) as usize];
-    let pause_at = draw(rng, 0, steps - 2);
-    let resume_at = draw(rng, pause_at + 1, steps - 1);
+    let crashed = settled[draw(rng, 0, settled.len() as u64 - 1) as usize];
+    let crash_at = draw(rng, 0, steps - 1);
+    // Opens as the step's publishes set out or up to one LAN hop later,
+    // so frames on the wire meet it; closes within a few hops.
+    let (opens, lasts) = (draw(rng, 0, 100_000), draw(rng, 1, 2_000_000));
     let join_at = draw(rng, 0, steps - 1);
     let mut n = 0;
     for step in 0..steps {
-        if step == pause_at {
-            sys.pause_process(paused);
-        }
-        if step == resume_at {
-            sys.resume_process(paused);
+        if step == crash_at {
+            let at = sys.now_ns() + opens;
+            sys.set_crash_windows(crashed, &[(at, at + lasts)]);
         }
         if step == join_at {
             // Joins with events in flight around its request.
@@ -480,14 +480,14 @@ fn seeded_scenario(seed: u64, driver: &mut dyn Driver) -> Vec<Vec<(ChannelId, Va
         }
     }
     sys.run_with(driver);
-    assert_eq!(sys.ingress_depth(paused), 0, "the resumed sink drained");
+    assert_eq!(sys.epoch_of(crashed), 1, "the crashed sink restarted");
     publishers.iter().chain(&sinks).map(|&p| sys.take_events(p)).collect()
 }
 
 /// Driver equivalence on a scenario nobody wrote by hand: `SHARD_SEED`
 /// (ci.sh draws a fresh one per run; three fixed ones otherwise) decides
 /// the population, the publishers, the channels, fragmentation, the run
-/// cadence and a pause — and the wall-clock driver, at several shard
+/// cadence and a crash window — and the wall-clock driver, at several shard
 /// counts, must deliver to every process exactly what the virtual-time
 /// driver delivers, in the same order.
 #[test]

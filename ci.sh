@@ -4,14 +4,15 @@
 # runs with no network access: format, the pin on the one `unsafe` block
 # (the frame CRC's call into its carry-less-multiply kernel), lints, docs,
 # every test (the paper's exact Table 1 and link-latency figures among
-# them, tests/paper.rs), the chaos seed matrix, and nine loops on fresh
+# them, tests/paper.rs), the chaos seed matrix, and ten loops on fresh
 # seeds — chaos, the seeded sharded-runtime scenario, the pbio and
 # meta-data mutation loops, the engine differentials, the dedup window's
-# oracle test, the fragment reassembly model test, the journal fold's
-# model test and the resealed-header damage loop — the smoke
-# examples, the paper's timed figures (printed, not gated), the three
-# bench examples (fanout_bench gated; monitor_bench and crash_recovery's
-# overhead ratio reported, not gated) and the benchmark self-check.
+# oracle test, the fragment reassembly model test, the histogram's model
+# test, the journal fold's model test and the resealed-header damage
+# loop — the smoke examples, the paper's timed figures (printed, not
+# gated), the three bench examples (fanout_bench gated; monitor_bench and
+# crash_recovery's overhead ratio reported, not gated) and the benchmark
+# self-check.
 #
 # Usage: ./ci.sh
 set -eu
@@ -132,6 +133,16 @@ frag=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$frag" ] || frag=$(date +%s)
 echo "    FRAG_SEED=$frag cargo test -q -p echo --lib frag::tests::buffer_matches"
 FRAG_SEED="$frag" cargo test -q -p echo --lib frag::tests::buffer_matches
+
+echo "==> histogram against a plain 65-bucket model, fresh seed (the test step above ran the fixed one)"
+# Seeded samples — 0, 1, u64::MAX, values far above and below the window
+# the first sample places — and two threads recording at once: count,
+# sum, min, max and every bucket match the model's. A failure here
+# reproduces with the printed command.
+hist=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+[ -n "$hist" ] || hist=$(date +%s)
+echo "    HIST_SEED=$hist cargo test -q -p obs --lib metric::tests::matches_a_plain_model"
+HIST_SEED="$hist" cargo test -q -p obs --lib metric::tests::matches_a_plain_model
 
 echo "==> journal fold against an unfolded log, fresh seed (the test step above ran the fixed one)"
 # Seeded streams of sends, acks (of owed, unknown and acked keys),

@@ -1,6 +1,6 @@
 //! The metric registry: named handles, scoped timers, and snapshots.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::clock::{Clock, MonotonicClock};
@@ -12,7 +12,9 @@ use crate::trace::{json_escape, FlightRecorder};
 /// Names are dot-separated lowercase paths (`morph.decision.hit`); see
 /// `OBSERVABILITY.md` at the repository root for the full catalogue. Handle
 /// lookup takes a lock, so hot paths should fetch their handles once and
-/// keep the `Arc`s; updates on the handles themselves are lock-free.
+/// keep the `Arc`s; updates on the handles themselves are lock-free. A name
+/// is held once per process however many registries register it: every
+/// registry keys its metrics by one shared, interned copy.
 ///
 /// # Examples
 ///
@@ -33,9 +35,50 @@ use crate::trace::{json_escape, FlightRecorder};
 pub struct Registry {
     clock: Arc<dyn Clock>,
     recorder: RwLock<Option<Arc<FlightRecorder>>>,
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    counters: Mutex<Metrics<Counter>>,
+    gauges: Mutex<Metrics<Gauge>>,
+    histograms: Mutex<Metrics<Histogram>>,
+}
+
+/// One kind of metric in a registry, by interned name.
+type Metrics<T> = BTreeMap<Arc<str>, Arc<T>>;
+
+/// The interned metric names: every name some registry in the process has
+/// registered, one allocation each.
+struct Names {
+    names: BTreeSet<Arc<str>>,
+    /// The size at which names no registry still holds are dropped.
+    prune_at: usize,
+}
+
+static NAMES: Mutex<Names> = Mutex::new(Names { names: BTreeSet::new(), prune_at: 64 });
+
+/// The process's one copy of `name`. Names no registry holds any more are
+/// dropped each time the set doubles, so the set stays within twice the
+/// names in use.
+fn intern(name: &str) -> Arc<str> {
+    let mut interned = NAMES.lock().expect("metric name interner lock");
+    if let Some(n) = interned.names.get(name) {
+        return Arc::clone(n);
+    }
+    if interned.names.len() >= interned.prune_at {
+        interned.names.retain(|n| Arc::strong_count(n) > 1);
+        interned.prune_at = (2 * interned.names.len()).max(64);
+    }
+    let n: Arc<str> = Arc::from(name);
+    interned.names.insert(Arc::clone(&n));
+    n
+}
+
+/// The metric `name` in `metrics`, created on first use.
+fn handle<T: Default>(metrics: &Mutex<Metrics<T>>, name: &str) -> Arc<T> {
+    let mut map = metrics.lock().expect("registry lock");
+    if let Some(m) = map.get(name) {
+        return Arc::clone(m);
+    }
+    let m = Arc::<T>::default();
+    map.insert(intern(name), Arc::clone(&m));
+    m
 }
 
 impl std::fmt::Debug for Registry {
@@ -98,20 +141,17 @@ impl Registry {
 
     /// Returns (creating on first use) the counter with this name.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("registry lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        handle(&self.counters, name)
     }
 
     /// Returns (creating on first use) the gauge with this name.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("registry lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        handle(&self.gauges, name)
     }
 
     /// Returns (creating on first use) the histogram with this name.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("registry lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
+        handle(&self.histograms, name)
     }
 
     /// Starts a scoped timer that records its elapsed nanoseconds into the
@@ -132,21 +172,21 @@ impl Registry {
                 .lock()
                 .expect("registry lock")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .map(|(k, v)| (k.to_string(), v.get()))
                 .collect(),
             gauges: self
                 .gauges
                 .lock()
                 .expect("registry lock")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .map(|(k, v)| (k.to_string(), v.get()))
                 .collect(),
             histograms: self
                 .histograms
                 .lock()
                 .expect("registry lock")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, v)| (k.to_string(), v.snapshot()))
                 .collect(),
         }
     }
@@ -480,6 +520,34 @@ mod tests {
         assert_eq!(reg.counter("a").get(), 2);
         reg.gauge("g").set(7);
         assert_eq!(reg.gauge("g").get(), 7);
+    }
+
+    /// Two registries naming one metric hold one copy of the name; names
+    /// no registry holds any more leave the interner as it grows.
+    #[test]
+    fn names_are_held_once_and_dropped_when_unused() {
+        let key = |reg: &Registry, name: &str| {
+            let map = reg.counters.lock().unwrap();
+            Arc::clone(map.get_key_value(name).unwrap().0)
+        };
+        let (a, b) = (Registry::new(), Registry::new());
+        a.counter("interned.shared");
+        b.counter("interned.shared");
+        assert!(Arc::ptr_eq(&key(&a, "interned.shared"), &key(&b, "interned.shared")));
+
+        let gone = Registry::new();
+        gone.counter("interned.gone");
+        drop(gone);
+        let interned = || NAMES.lock().unwrap().names.contains("interned.gone");
+        assert!(interned());
+        // Growing the interner past twice its size prunes at least once.
+        let keep = Registry::new();
+        let grow = 2 * NAMES.lock().unwrap().names.len() + 64;
+        for i in 0..grow {
+            keep.counter(&format!("interned.kept.{i}"));
+        }
+        assert!(!interned(), "a name no registry holds is dropped");
+        assert!(NAMES.lock().unwrap().names.contains("interned.shared"));
     }
 
     #[test]

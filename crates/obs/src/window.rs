@@ -67,9 +67,9 @@ impl RollingWindow {
         RollingWindow { slot_ns, slots: vec![Slot::default(); slots] }
     }
 
-    /// Total width of the window in nanoseconds.
+    /// Total width of the window in nanoseconds (`u64::MAX` if wider).
     pub fn window_ns(&self) -> u64 {
-        self.slot_ns * self.slots.len() as u64
+        self.slot_ns.saturating_mul(self.slots.len() as u64)
     }
 
     /// Records a sample at clock reading `now_ns`.
@@ -97,9 +97,11 @@ impl RollingWindow {
     /// Windowed rate: `sum / span` per second, where the span is the
     /// elapsed time rounded up to a slot boundary, capped at the window
     /// width — so early readings (before a full window has passed) are not
-    /// diluted by time that never happened.
+    /// diluted by time that never happened. The arithmetic saturates, so a
+    /// clock near `u64::MAX` reads a full window.
     pub fn rate_per_sec(&self, now_ns: u64) -> u64 {
-        let span = self.window_ns().min((now_ns / self.slot_ns + 1) * self.slot_ns);
+        let elapsed = (now_ns / self.slot_ns + 1).saturating_mul(self.slot_ns);
+        let span = self.window_ns().min(elapsed);
         let rate = u128::from(self.sum(now_ns)) * 1_000_000_000 / u128::from(span);
         u64::try_from(rate).unwrap_or(u64::MAX)
     }
@@ -371,6 +373,20 @@ mod tests {
         assert_eq!(w.rate_per_sec(500_000), 100_000);
         // Once the window is full the span caps at 10 ms.
         assert_eq!(w.rate_per_sec(9_999_999), 10_000);
+    }
+
+    /// A clock at the end of time reads a full window: 5 over 4 ms is
+    /// 1,250/s, and a window too wide for `u64` is `u64::MAX` wide.
+    #[test]
+    fn window_arithmetic_saturates_near_u64_max() {
+        let now = u64::MAX - 10;
+        let mut w = RollingWindow::new(4, 1_000_000);
+        w.record(now, 5);
+        assert_eq!(w.window_ns(), 4_000_000);
+        assert_eq!(w.rate_per_sec(now), 1_250);
+        let wide = RollingWindow::new(4, now);
+        assert_eq!(wide.window_ns(), u64::MAX);
+        assert_eq!(wide.rate_per_sec(now), 0);
     }
 
     #[test]

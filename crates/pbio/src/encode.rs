@@ -295,6 +295,10 @@ fn encode_field(
                     path.render()
                 )));
             }
+            // One reservation for the bytes and the NUL: reserving for the
+            // bytes alone sizes the buffer exactly, and the NUL would then
+            // double it.
+            out.reserve(s.len() + 1);
             out.extend_from_slice(s.as_bytes());
             out.push(0);
             Ok(())
@@ -428,6 +432,22 @@ mod tests {
             .var_array_of("list", member(), "count")
             .build()
             .unwrap()
+    }
+
+    /// A long string grows the buffer once, to what it needs: the NUL
+    /// after it does not double a buffer sized exactly to its bytes.
+    #[test]
+    fn a_long_string_and_its_nul_are_reserved_together() {
+        let fmt = FormatBuilder::record("Blob").string("data").build().unwrap();
+        let data = "x".repeat(65_500);
+        let wire = Encoder::new(&fmt).encode(&Value::Record(vec![Value::str(&data)])).unwrap();
+        assert_eq!(wire.len(), HEADER_LEN + data.len() + 1);
+        assert!(
+            wire.capacity() < wire.len() * 3 / 2,
+            "{} B encoded into a buffer of {} B",
+            wire.len(),
+            wire.capacity()
+        );
     }
 
     #[test]

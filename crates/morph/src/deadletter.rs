@@ -37,8 +37,8 @@ pub enum DeadReason {
     /// A retry budget was exhausted before the message could be sent or
     /// resolved.
     RetryExhausted,
-    /// Dropped by load shedding: a bounded queue or pending set was full
-    /// and this message was the chosen victim (drop-oldest warm traffic).
+    /// Dropped by load shedding: a bounded queue was full and this message
+    /// was the chosen victim (drop-oldest warm traffic).
     Shed,
     /// A fragmented message whose fragment set never completed: the
     /// reassembly timeout elapsed, or the bounded reassembly buffer
@@ -233,7 +233,6 @@ pub fn reason_for(err: &MorphError) -> DeadReason {
     match err {
         MorphError::Pbio(_) => DeadReason::Undecodable,
         MorphError::UnknownWireFormat(_) => DeadReason::Unresolvable,
-        MorphError::Unavailable(_) => DeadReason::Unresolvable,
         MorphError::RetryExhausted(_) => DeadReason::RetryExhausted,
         _ => DeadReason::TransformFailed,
     }

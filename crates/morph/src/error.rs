@@ -20,9 +20,6 @@ pub enum MorphError {
     Protocol(String),
     /// A resolution retry budget was exhausted without success.
     RetryExhausted(String),
-    /// Every meta-data replica is unreachable (all circuit breakers open):
-    /// the control plane is down and only cached decisions can be served.
-    Unavailable(String),
     /// Configuration error (bad thresholds, duplicate handler, ...).
     Config(String),
 }
@@ -38,7 +35,6 @@ impl fmt::Display for MorphError {
             MorphError::BadTransformation(msg) => write!(f, "bad transformation: {msg}"),
             MorphError::Protocol(msg) => write!(f, "meta protocol: {msg}"),
             MorphError::RetryExhausted(msg) => write!(f, "retry budget exhausted: {msg}"),
-            MorphError::Unavailable(msg) => write!(f, "meta-data service unavailable: {msg}"),
             MorphError::Config(msg) => write!(f, "configuration error: {msg}"),
         }
     }

@@ -52,7 +52,6 @@ mod error;
 mod matching;
 pub mod metaserver;
 mod receiver;
-pub mod resolver;
 pub mod weighted;
 mod xform;
 
@@ -61,16 +60,10 @@ pub use error::{MorphError, Result};
 pub use matching::{
     diff, max_match, mismatch_ratio, type_weight, MatchConfig, MatchQuality, MaxMatch,
 };
-pub use metaserver::{
-    process_with_resolution, process_with_resolution_retry, resolve_into_with_retry, MetaClient,
-    MetaServer, RetryPolicy,
-};
+pub use metaserver::{process_with_resolution, MetaClient, MetaServer, RetryPolicy};
 pub use receiver::{
     DecisionCache, DefaultHandler, Delivery, Explanation, Handler, MorphReceiver, MorphStats,
     ProcessTiming,
-};
-pub use resolver::{
-    BreakerState, DrainReport, PendingSet, PoolDelivery, ResolverConfig, ResolverPool,
 };
 pub use xform::{
     CompiledChain, CompiledXform, ReachableFormat, Transformation, TransformationRegistry,

@@ -11,7 +11,11 @@
 //! byte messages, so they run over any transport (the integration tests
 //! drive them over simulated-network request/response exchanges). The
 //! client plugs into a [`crate::MorphReceiver`] through
-//! [`MetaClient::resolve_into`] and [`process_with_resolution`].
+//! [`MetaClient::resolve_into`] and [`process_with_resolution`], which
+//! check what the server answers instead of trusting it: every message
+//! must be exactly as long as its contents, every transformation must start
+//! at the format asked about, and one resolution installs at most
+//! [`MAX_RESOLVED_FORMATS`] formats.
 //!
 //! Wire protocol (all integers little-endian):
 //!
@@ -28,7 +32,6 @@
 
 use std::sync::Arc;
 
-use obs::TraceCtx;
 use pbio::{
     deserialize_format, format_id, put_chunk, serialize_format, take_chunk, take_u32, FormatId,
     FormatRegistry, RecordFormat,
@@ -55,6 +58,13 @@ pub const RESP_NOT_FOUND: u8 = 0x8e;
 /// Response tag: registration accepted.
 pub const RESP_ACK: u8 = 0x8f;
 
+/// The most formats one [`MetaClient::resolve_into`] installs: the format
+/// asked about and every format its transformation closure reaches. A
+/// revision chain (Fig. 1) is a handful of hops; a server whose closure
+/// reaches further is answering something else, and the resolution stops
+/// with a protocol error instead of following it.
+pub const MAX_RESOLVED_FORMATS: usize = 64;
+
 fn bad(msg: &str) -> MorphError {
     MorphError::Protocol(msg.to_string())
 }
@@ -62,6 +72,24 @@ fn bad(msg: &str) -> MorphError {
 /// The length-prefixed chunk at `*pos`; a protocol error when it is cut short.
 fn chunk<'b>(bytes: &'b [u8], pos: &mut usize) -> Result<&'b [u8]> {
     take_chunk(bytes, pos).ok_or_else(|| bad("truncated chunk"))
+}
+
+/// `bytes` is exactly one length-prefixed chunk: the chunk, or a protocol
+/// error when it is cut short or followed by anything.
+fn only_chunk(bytes: &[u8]) -> Result<&[u8]> {
+    let mut pos = 0;
+    let c = chunk(bytes, &mut pos)?;
+    no_trailing_bytes(bytes, pos)?;
+    Ok(c)
+}
+
+/// A protocol error unless `pos` is the end of `bytes`.
+fn no_trailing_bytes(bytes: &[u8], pos: usize) -> Result<()> {
+    if pos == bytes.len() {
+        Ok(())
+    } else {
+        Err(bad("trailing bytes"))
+    }
 }
 
 /// The server side: a registry of formats and transformations answering
@@ -135,12 +163,12 @@ impl MetaServer {
                 Ok(out)
             }
             REQ_REGISTER_FORMAT => {
-                let fmt = deserialize_format(chunk(rest, &mut 0)?)?;
+                let fmt = deserialize_format(only_chunk(rest)?)?;
                 self.formats.register(Arc::new(fmt));
                 Ok(vec![RESP_ACK])
             }
             REQ_REGISTER_XFORM => {
-                let t = Transformation::deserialize(chunk(rest, &mut 0)?)?;
+                let t = Transformation::deserialize(only_chunk(rest)?)?;
                 self.register_transformation(t);
                 Ok(vec![RESP_ACK])
             }
@@ -194,7 +222,7 @@ impl MetaClient {
         let (&tag, rest) = response.split_first().ok_or_else(|| bad("empty response"))?;
         match tag {
             RESP_NOT_FOUND => Ok(None),
-            RESP_FORMAT => Ok(Some(deserialize_format(chunk(rest, &mut 0)?)?)),
+            RESP_FORMAT => Ok(Some(deserialize_format(only_chunk(rest)?)?)),
             t => Err(bad(&format!("unexpected response tag {t:#x}"))),
         }
     }
@@ -215,51 +243,113 @@ impl MetaClient {
         for _ in 0..n {
             out.push(Transformation::deserialize(chunk(rest, &mut pos)?)?);
         }
+        no_trailing_bytes(rest, pos)?;
         Ok(out)
     }
 
-    /// Resolves an unknown wire format against a server (synchronously, via
-    /// the caller-supplied `exchange` transport closure) and installs the
+    /// Resolves an unknown wire format against a server and installs the
     /// format plus every transformation reachable from it into `rx`.
     /// Returns how many transformations were installed, or `Ok(None)` if
     /// the server does not know the format either.
     ///
+    /// Each round-trip goes through the caller-supplied `exchange` transport
+    /// closure, synchronously, and is retried under `policy`: a failed
+    /// attempt waits out the backoff (the caller-supplied `sleep`, e.g.
+    /// advancing a simulated clock) and tries again until the budget is
+    /// spent. Callers whose exchange cannot fail pass
+    /// `&RetryPolicy::default()` and `|_| {}`. Progress is counted on the
+    /// receiver's registry as `morph.resolve.attempts` / `.retries` /
+    /// `.resolved` / `.failures`.
+    ///
     /// # Errors
     ///
-    /// Propagates transport and protocol errors from `exchange`.
-    pub fn resolve_into<E>(
+    /// [`MorphError::RetryExhausted`], naming the last transport error, once
+    /// a single round-trip has failed `policy.budget + 1` times;
+    /// [`MorphError::Protocol`] for a transformation that does not start at
+    /// the format asked about, or a closure beyond
+    /// [`MAX_RESOLVED_FORMATS`]; errors parsing the responses propagate
+    /// unchanged.
+    pub fn resolve_into<E, S>(
         rx: &mut MorphReceiver,
         id: FormatId,
+        policy: &RetryPolicy,
         mut exchange: E,
+        mut sleep: S,
     ) -> Result<Option<usize>>
     where
         E: FnMut(Vec<u8>) -> Result<Vec<u8>>,
+        S: FnMut(u64),
     {
-        let resp = exchange(Self::want_format(id))?;
-        let Some(fmt) = Self::parse_format(&resp)? else {
-            return Ok(None);
-        };
-        let fmt = Arc::new(fmt);
-        rx.import_format(Arc::clone(&fmt));
-        // Pull the transformation closure breadth-first so multi-hop
-        // revision chains (Fig. 1) resolve in one pass.
-        let mut installed = 0;
-        let mut frontier = vec![format_id(&fmt)];
-        let mut seen = vec![format_id(&fmt)];
-        while let Some(cur) = frontier.pop() {
-            let resp = exchange(Self::want_transformations(cur))?;
-            for t in Self::parse_transformations(&resp)? {
-                let to = t.to_id();
-                rx.import_transformation(t);
-                installed += 1;
-                if !seen.contains(&to) {
-                    seen.push(to);
-                    frontier.push(to);
+        let registry = rx.registry();
+        let attempts = registry.counter("morph.resolve.attempts");
+        let retries = registry.counter("morph.resolve.retries");
+        let resolved = registry.counter("morph.resolve.resolved");
+        let failures = registry.counter("morph.resolve.failures");
+        let mut round_trip = |req: Vec<u8>| {
+            let mut attempt = 0u32;
+            loop {
+                attempts.inc();
+                match exchange(req.clone()) {
+                    Ok(resp) => return Ok(resp),
+                    Err(e) if attempt >= policy.budget => {
+                        return Err(MorphError::RetryExhausted(format!(
+                            "meta exchange failed {} times, last: {e}",
+                            attempt + 1
+                        )));
+                    }
+                    Err(_) => {
+                        retries.inc();
+                        sleep(policy.backoff_ns(attempt));
+                        attempt += 1;
+                    }
                 }
             }
+        };
+        let result = install_closure(rx, id, &mut round_trip);
+        match &result {
+            Ok(Some(_)) => resolved.inc(),
+            Ok(None) => {}
+            Err(_) => failures.inc(),
         }
-        Ok(Some(installed))
+        result
     }
+}
+
+/// The walk behind [`MetaClient::resolve_into`]: fetch `id`'s description,
+/// then the transformations out of it and out of every format they reach,
+/// so a multi-hop revision chain (Fig. 1) resolves in one pass.
+fn install_closure(
+    rx: &mut MorphReceiver,
+    id: FormatId,
+    round_trip: &mut dyn FnMut(Vec<u8>) -> Result<Vec<u8>>,
+) -> Result<Option<usize>> {
+    let Some(fmt) = MetaClient::parse_format(&round_trip(MetaClient::want_format(id))?)? else {
+        return Ok(None);
+    };
+    let fmt = Arc::new(fmt);
+    rx.import_format(Arc::clone(&fmt));
+    let mut installed = 0;
+    let mut frontier = vec![format_id(&fmt)];
+    let mut seen = vec![format_id(&fmt)];
+    while let Some(cur) = frontier.pop() {
+        let resp = round_trip(MetaClient::want_transformations(cur))?;
+        for t in MetaClient::parse_transformations(&resp)? {
+            if t.from_id() != cur {
+                return Err(bad("transformation not from the format asked about"));
+            }
+            let to = t.to_id();
+            if !seen.contains(&to) {
+                if seen.len() == MAX_RESOLVED_FORMATS {
+                    return Err(bad("transformation closure beyond MAX_RESOLVED_FORMATS"));
+                }
+                seen.push(to);
+                frontier.push(to);
+            }
+            rx.import_transformation(t);
+            installed += 1;
+        }
+    }
+    Ok(Some(installed))
 }
 
 /// Retry policy for meta-data exchanges over lossy transports: a bounded
@@ -322,161 +412,18 @@ impl RetryPolicy {
     }
 }
 
-/// Where the exchanges of one resolution go, and what their outcomes mean
-/// for the next one — the policy [`resolve_via`] is parameterised by.
-pub(crate) trait Endpoints {
-    /// What the exhaustion error says was tried, after "failed N times".
-    fn tried(&self) -> &'static str;
-    /// The endpoint for the next exchange. An error ends the resolution
-    /// there and then, without spending retry budget.
-    fn pick(&mut self, ctx: Option<TraceCtx>) -> Result<usize>;
-    /// The exchange with `endpoint` was answered.
-    fn on_success(&mut self, endpoint: usize, ctx: Option<TraceCtx>);
-    /// The exchange with `endpoint` failed.
-    fn on_failure(&mut self, endpoint: usize, ctx: Option<TraceCtx>);
-}
-
-/// The one-server policy: always endpoint 0, always willing.
-struct OneServer;
-
-impl Endpoints for OneServer {
-    fn tried(&self) -> &'static str {
-        ""
-    }
-    fn pick(&mut self, _: Option<TraceCtx>) -> Result<usize> {
-        Ok(0)
-    }
-    fn on_success(&mut self, _: usize, _: Option<TraceCtx>) {}
-    fn on_failure(&mut self, _: usize, _: Option<TraceCtx>) {}
-}
-
-/// The resolution loop: [`MetaClient::resolve_into`] with every round-trip
-/// sent to the endpoint `endpoints` picks and retried under `policy` — a
-/// failed attempt waits out the backoff (the caller-supplied `sleep`, e.g.
-/// advancing a simulated clock) and tries again until the budget is spent.
-/// Progress is counted on the receiver's registry as
-/// `morph.resolve.attempts` / `.retries` / `.resolved` / `.failures`; when
-/// `ctx` is given and that registry has a recorder attached, the whole
-/// resolution (every round-trip, every backoff) is one `morph.resolve` span
-/// tagged with the total attempt count and the outcome (`resolved` /
-/// `unknown` / `unavailable` / `failed`), and the endpoint policy records
-/// under it.
-pub(crate) fn resolve_via(
-    rx: &mut MorphReceiver,
-    id: FormatId,
-    policy: &RetryPolicy,
-    endpoints: &mut dyn Endpoints,
-    exchange: &mut dyn FnMut(usize, Vec<u8>) -> Result<Vec<u8>>,
-    sleep: &mut dyn FnMut(u64),
-    ctx: Option<TraceCtx>,
-) -> Result<Option<usize>> {
-    let registry = Arc::clone(rx.registry());
-    let span = ctx
-        .and_then(|c| registry.recorder().map(|r| (r, c)))
-        .map(|(r, c)| r.start(c.trace, c.parent, "morph.resolve"));
-    let inner = span.as_ref().map(|s| s.ctx()).or(ctx);
-    let attempts = registry.counter("morph.resolve.attempts");
-    let retries = registry.counter("morph.resolve.retries");
-    let resolved = registry.counter("morph.resolve.resolved");
-    let failures = registry.counter("morph.resolve.failures");
-    let mut tried = 0u64;
-    let result = MetaClient::resolve_into(rx, id, |req| {
-        let mut attempt = 0u32;
-        loop {
-            let endpoint = endpoints.pick(inner)?;
-            attempts.inc();
-            tried += 1;
-            match exchange(endpoint, req.clone()) {
-                Ok(resp) => {
-                    endpoints.on_success(endpoint, inner);
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    endpoints.on_failure(endpoint, inner);
-                    if attempt >= policy.budget {
-                        return Err(MorphError::RetryExhausted(format!(
-                            "meta exchange failed {} times{}, last: {e}",
-                            attempt + 1,
-                            endpoints.tried()
-                        )));
-                    }
-                    retries.inc();
-                    sleep(policy.backoff_ns(attempt));
-                    attempt += 1;
-                }
-            }
-        }
-    });
-    let (outcome, counted) = match &result {
-        Ok(Some(_)) => ("resolved", Some(resolved)),
-        Ok(None) => ("unknown", None),
-        Err(MorphError::Unavailable(_)) => ("unavailable", Some(failures)),
-        Err(_) => ("failed", Some(failures)),
-    };
-    if let Some(counter) = counted {
-        counter.inc();
-    }
-    if let Some(mut s) = span {
-        s.tag("attempts", &tried.to_string());
-        s.tag("outcome", outcome);
-        s.finish();
-    }
-    result
-}
-
-/// Like [`MetaClient::resolve_into`], but each round-trip of the exchange
-/// is retried under `policy`, with progress counted as
-/// `morph.resolve.attempts` / `.retries` / `.resolved` / `.failures` on the
-/// receiver's registry.
+/// Algorithm 2 with out-of-band resolution around it — the full "unseen
+/// format arrives, meta-data fetched out of band, morphing proceeds" flow:
+/// process the message, and when its wire format is unknown resolve the
+/// meta-data through [`MetaClient::resolve_into`], every round-trip under
+/// `policy`, and process once more. A format the server does not know
+/// either stays [`MorphError::UnknownWireFormat`].
 ///
 /// # Errors
 ///
-/// [`MorphError::RetryExhausted`] once a single round-trip has failed
-/// `policy.budget + 1` times; protocol errors from response parsing
-/// propagate unchanged.
-pub fn resolve_into_with_retry<E, S>(
-    rx: &mut MorphReceiver,
-    id: FormatId,
-    policy: &RetryPolicy,
-    mut exchange: E,
-    mut sleep: S,
-) -> Result<Option<usize>>
-where
-    E: FnMut(Vec<u8>) -> Result<Vec<u8>>,
-    S: FnMut(u64),
-{
-    resolve_via(rx, id, policy, &mut OneServer, &mut |_, req| exchange(req), &mut sleep, None)
-}
-
-/// Algorithm 2 with out-of-band resolution around it: process the message,
-/// and when its wire format is unknown `resolve` the meta-data and process
-/// once more. A format the resolution does not know either stays
-/// [`MorphError::UnknownWireFormat`].
-pub(crate) fn process_resolving(
-    rx: &mut MorphReceiver,
-    msg: &[u8],
-    ctx: Option<TraceCtx>,
-    resolve: impl FnOnce(&mut MorphReceiver, FormatId) -> Result<Option<usize>>,
-) -> Result<Delivery> {
-    match rx.process_traced(msg, ctx) {
-        Err(MorphError::UnknownWireFormat(id)) => {
-            if resolve(rx, id)?.is_none() {
-                return Err(MorphError::UnknownWireFormat(id));
-            }
-            rx.process_traced(msg, ctx)
-        }
-        other => other,
-    }
-}
-
-/// [`process_with_resolution`] with a [`RetryPolicy`] on every meta-data
-/// round-trip — the resilient path for lossy or partitioned networks.
-///
-/// # Errors
-///
-/// As [`process_with_resolution`], plus [`MorphError::RetryExhausted`]
-/// when the transport stays broken past the budget.
-pub fn process_with_resolution_retry<E, S>(
+/// Processing errors other than the first unknown-format miss, and the
+/// errors of [`MetaClient::resolve_into`].
+pub fn process_with_resolution<E, S>(
     rx: &mut MorphReceiver,
     msg: &[u8],
     policy: &RetryPolicy,
@@ -487,35 +434,22 @@ where
     E: FnMut(Vec<u8>) -> Result<Vec<u8>>,
     S: FnMut(u64),
 {
-    process_resolving(rx, msg, None, |rx, id| {
-        resolve_into_with_retry(rx, id, policy, exchange, sleep)
-    })
-}
-
-/// Convenience wrapper: process a message, and on
-/// [`MorphError::UnknownWireFormat`] resolve the meta-data through
-/// `exchange` and retry once — the full "unseen format arrives, meta-data
-/// fetched out of band, morphing proceeds" flow.
-///
-/// # Errors
-///
-/// Propagates processing errors other than the first unknown-format miss,
-/// and transport errors from `exchange`.
-pub fn process_with_resolution<E>(
-    rx: &mut MorphReceiver,
-    msg: &[u8],
-    exchange: E,
-) -> Result<Delivery>
-where
-    E: FnMut(Vec<u8>) -> Result<Vec<u8>>,
-{
-    process_resolving(rx, msg, None, |rx, id| MetaClient::resolve_into(rx, id, exchange))
+    match rx.process(msg) {
+        Err(MorphError::UnknownWireFormat(id)) => {
+            if MetaClient::resolve_into(rx, id, policy, exchange, sleep)?.is_none() {
+                return Err(MorphError::UnknownWireFormat(id));
+            }
+            rx.process(msg)
+        }
+        other => other,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pbio::{Encoder, FormatBuilder, Value};
+    use std::collections::HashMap;
     use std::sync::Mutex;
 
     fn v2() -> Arc<RecordFormat> {
@@ -567,6 +501,29 @@ mod tests {
         assert!(MetaClient::parse_format(&[]).is_err());
         assert!(MetaClient::parse_format(&[0x55]).is_err());
         assert!(MetaClient::parse_transformations(&[RESP_FORMAT]).is_err());
+
+        // A chunked message is exactly its chunks: bytes after them are
+        // refused, and the refused registration registers nothing.
+        fn trailing<T>(r: Result<T>) -> bool {
+            matches!(r, Err(MorphError::Protocol(m)) if m == "trailing bytes")
+        }
+        let junk = |mut msg: Vec<u8>| {
+            msg.extend_from_slice(b"junk");
+            msg
+        };
+        assert!(trailing(server.handle(&junk(MetaClient::register_format(&v2())))));
+        assert!(trailing(server.handle(&junk(MetaClient::register_transformation(&xform())))));
+        let resp = server.handle(&MetaClient::want_format(format_id(&v2()))).unwrap();
+        assert_eq!(resp, vec![RESP_NOT_FOUND]);
+        let mut format_reply = vec![RESP_FORMAT];
+        put_chunk(&mut format_reply, &serialize_format(&v2()));
+        assert!(MetaClient::parse_format(&format_reply).unwrap().is_some());
+        assert!(trailing(MetaClient::parse_format(&junk(format_reply))));
+        let mut xforms_reply = vec![RESP_XFORMS];
+        xforms_reply.extend_from_slice(&1u32.to_le_bytes());
+        put_chunk(&mut xforms_reply, &xform().serialize());
+        assert_eq!(MetaClient::parse_transformations(&xforms_reply).unwrap().len(), 1);
+        assert!(trailing(MetaClient::parse_transformations(&junk(xforms_reply))));
     }
 
     #[test]
@@ -589,16 +546,16 @@ mod tests {
         assert!(matches!(rx.process(&wire), Err(MorphError::UnknownWireFormat(_))));
 
         // With resolution it succeeds — one fetch, then cached forever.
-        let d = process_with_resolution(&mut rx, &wire, |req| server.lock().unwrap().handle(&req))
-            .unwrap();
+        let policy = RetryPolicy::default();
+        let exchange = |req: Vec<u8>| server.lock().unwrap().handle(&req);
+        let d = process_with_resolution(&mut rx, &wire, &policy, exchange, |_| {}).unwrap();
         assert!(matches!(d, Delivery::Delivered(_)));
         assert_eq!(got.lock().unwrap()[0], Value::Record(vec![Value::Int(42)]));
 
         // Steady state: no more server traffic.
         let before = server.lock().unwrap().requests_served();
         for _ in 0..5 {
-            process_with_resolution(&mut rx, &wire, |req| server.lock().unwrap().handle(&req))
-                .unwrap();
+            process_with_resolution(&mut rx, &wire, &policy, exchange, |_| {}).unwrap();
         }
         assert_eq!(server.lock().unwrap().requests_served(), before);
     }
@@ -618,30 +575,123 @@ mod tests {
         }
         let mut rx = MorphReceiver::new();
         rx.register_handler(&r0, |_v| {});
-        let installed = MetaClient::resolve_into(&mut rx, format_id(&v2()), |req| {
-            server.lock().unwrap().handle(&req)
-        })
+        let installed = MetaClient::resolve_into(
+            &mut rx,
+            format_id(&v2()),
+            &RetryPolicy::default(),
+            |req| server.lock().unwrap().handle(&req),
+            |_| {},
+        )
         .unwrap();
         assert_eq!(installed, Some(2), "both hops fetched in one resolution");
     }
 
+    /// A server whose every answer names one hop more: the walk stops with
+    /// a protocol error once it would install more than
+    /// [`MAX_RESOLVED_FORMATS`] formats, instead of following the server as
+    /// far as it goes. The script gives up by itself after 10,000 hops, so
+    /// an unbounded walk ends too, and fails on the exchange count. A reply
+    /// naming a transformation out of another format than the one asked
+    /// about is refused. Either way the receiver keeps delivering what it
+    /// already knew.
+    #[test]
+    fn resolution_walks_a_bounded_closure_of_the_format_asked_about() {
+        const SCRIPT_HOPS: usize = 10_000;
+        let hop = |k: usize| FormatBuilder::record(format!("Hop{k}")).int("x").build_arc().unwrap();
+        let mut hops = vec![hop(0)];
+        let mut index = HashMap::from([(format_id(&hops[0]), 0)]);
+        let mut exchanges = 0usize;
+        let endless = |req: Vec<u8>| {
+            exchanges += 1;
+            let id = FormatId(u64::from_le_bytes(req[1..].try_into().unwrap()));
+            let k = index[&id];
+            if req[0] == REQ_FORMAT {
+                let mut out = vec![RESP_FORMAT];
+                put_chunk(&mut out, &serialize_format(&hops[k]));
+                return Ok(out);
+            }
+            let mut out = vec![RESP_XFORMS];
+            if k + 1 == SCRIPT_HOPS {
+                out.extend_from_slice(&0u32.to_le_bytes());
+                return Ok(out);
+            }
+            if hops.len() == k + 1 {
+                hops.push(hop(k + 1));
+                index.insert(format_id(&hops[k + 1]), k + 1);
+            }
+            let t = Transformation::new(hops[k].clone(), hops[k + 1].clone(), "old.x = new.x;");
+            out.extend_from_slice(&1u32.to_le_bytes());
+            put_chunk(&mut out, &t.serialize());
+            Ok(out)
+        };
+
+        let mut rx = MorphReceiver::new();
+        rx.register_handler(&v1(), |_v| {});
+        let known = Encoder::new(&v1()).encode(&Value::Record(vec![Value::Int(5)])).unwrap();
+        assert!(matches!(rx.process(&known), Ok(Delivery::Delivered(_))));
+
+        let policy = RetryPolicy::default();
+        let first = format_id(&hop(0));
+        let err = MetaClient::resolve_into(&mut rx, first, &policy, endless, |_| {});
+        assert!(
+            exchanges <= MAX_RESOLVED_FORMATS + 2,
+            "{exchanges} exchanges for a closure bounded at {MAX_RESOLVED_FORMATS} formats: {err:?}"
+        );
+        assert!(matches!(err, Err(MorphError::Protocol(_))), "{err:?}");
+        assert_eq!(rx.registry().snapshot().counter("morph.resolve.failures"), Some(1));
+        assert!(matches!(rx.process(&known), Ok(Delivery::Delivered(_))));
+
+        // Every transformations reply names the ones out of v2, whatever
+        // was asked: the one out of v2 is no answer about v1.
+        let server = Mutex::new(MetaServer::new());
+        server.lock().unwrap().register_transformation(xform());
+        let out_of_v2 = MetaClient::want_transformations(format_id(&v2()));
+        let err = MetaClient::resolve_into(
+            &mut rx,
+            format_id(&v1()),
+            &policy,
+            |req| {
+                let req = if req[0] == REQ_XFORMS { out_of_v2.clone() } else { req };
+                server.lock().unwrap().handle(&req)
+            },
+            |_| {},
+        );
+        assert!(matches!(err, Err(MorphError::Protocol(_))), "{err:?}");
+        assert!(matches!(rx.process(&known), Ok(Delivery::Delivered(_))));
+    }
+
+    /// With no retry budget the first transport error ends the resolution,
+    /// named in the exhaustion error.
     #[test]
     fn transport_failures_propagate() {
         let mut rx = MorphReceiver::new();
         rx.register_handler(&v1(), |_v| {});
-        let err = MetaClient::resolve_into(&mut rx, FormatId(7), |_req| {
-            Err(MorphError::Config("link down".into()))
-        })
+        let fail_fast = RetryPolicy { budget: 0, ..RetryPolicy::default() };
+        let names_the_link = |err: MorphError| {
+            matches!(&err, MorphError::RetryExhausted(m)
+                if m.ends_with("failed 1 times, last: configuration error: link down"))
+        };
+        let err = MetaClient::resolve_into(
+            &mut rx,
+            FormatId(7),
+            &fail_fast,
+            |_req| Err(MorphError::Config("link down".into())),
+            |_| {},
+        )
         .unwrap_err();
-        assert!(matches!(err, MorphError::Config(_)));
+        assert!(names_the_link(err));
         // And through the process wrapper.
         let wire =
             Encoder::new(&v2()).encode(&Value::Record(vec![Value::Int(1), Value::Int(2)])).unwrap();
-        let err = process_with_resolution(&mut rx, &wire, |_req| {
-            Err(MorphError::Config("link down".into()))
-        })
+        let err = process_with_resolution(
+            &mut rx,
+            &wire,
+            &fail_fast,
+            |_req| Err(MorphError::Config("link down".into())),
+            |_| {},
+        )
         .unwrap_err();
-        assert!(matches!(err, MorphError::Config(_)));
+        assert!(names_the_link(err));
     }
 
     #[test]
@@ -662,7 +712,7 @@ mod tests {
         let policy = RetryPolicy { budget: 3, ..RetryPolicy::with_seed(11) }; // > 2 failures
         let mut calls = 0u32;
         let mut slept = 0u64;
-        let d = process_with_resolution_retry(
+        let d = process_with_resolution(
             &mut rx,
             &wire,
             &policy,
@@ -693,7 +743,7 @@ mod tests {
         rx.register_handler(&v1(), |_v| {});
         let policy = RetryPolicy { budget: 2, ..RetryPolicy::default() };
         let mut calls = 0u32;
-        let err = resolve_into_with_retry(
+        let err = MetaClient::resolve_into(
             &mut rx,
             FormatId(7),
             &policy,
@@ -766,98 +816,6 @@ mod tests {
         assert_eq!(p.backoff_ns(24), u64::MAX, "2^64 and beyond is the cap");
     }
 
-    /// The one resolution loop under both endpoint policies, on a scripted
-    /// exchange where every round-trip fails twice and then gets through:
-    /// the same books and the same `morph.resolve` span either way.
-    #[test]
-    fn one_loop_keeps_the_same_books_under_both_endpoint_policies() {
-        use crate::resolver::{ResolverConfig, ResolverPool};
-        use obs::{FlightRecorder, Registry, VirtualClock};
-
-        let server = Mutex::new(MetaServer::new());
-        server.lock().unwrap().register_transformation(xform());
-        let clock = Arc::new(VirtualClock::new());
-        let policy = RetryPolicy { budget: 2, ..RetryPolicy::with_seed(11) };
-        // (attempts, retries, resolved, failures) and the span's tags.
-        let books = |rx: &MorphReceiver, rec: &FlightRecorder| {
-            let snap = rx.registry().snapshot();
-            let count = |what: &str| snap.counter(&format!("morph.resolve.{what}")).unwrap();
-            let spans: Vec<_> =
-                rec.events().into_iter().filter(|e| e.name == "morph.resolve").collect();
-            let last = spans.last().expect("a morph.resolve span");
-            let tag = |key: &str| last.tag(key).unwrap().to_string();
-            (
-                [count("attempts"), count("retries"), count("resolved"), count("failures")],
-                (spans.len(), tag("attempts"), tag("outcome")),
-            )
-        };
-        let traced_receiver = || {
-            let registry = Arc::new(Registry::with_clock(clock.clone()));
-            let rec = Arc::new(FlightRecorder::new(64, clock.clone()));
-            registry.set_recorder(Arc::clone(&rec));
-            let mut rx = MorphReceiver::with_registry(registry);
-            rx.register_handler(&v1(), |_v| {});
-            let ctx = TraceCtx::root(rec.next_trace_id());
-            (rx, rec, ctx)
-        };
-        let mut calls = 0u32;
-        let mut flaky = |_endpoint: usize, req: Vec<u8>| {
-            calls += 1;
-            if calls.is_multiple_of(3) {
-                server.lock().unwrap().handle(&req)
-            } else {
-                Err(MorphError::Config("transient".into()))
-            }
-        };
-        let slept = std::cell::Cell::new(0u64);
-        let mut sleep = |ns: u64| slept.set(slept.get() + ns);
-
-        // Format, transformations out of v2, transformations out of v1:
-        // three round-trips, three attempts each.
-        let expected = ([9, 6, 1, 0], (1, "9".to_string(), "resolved".to_string()));
-        let (mut rx, rec, ctx) = traced_receiver();
-        let id = format_id(&v2());
-        let installed =
-            resolve_via(&mut rx, id, &policy, &mut OneServer, &mut flaky, &mut sleep, Some(ctx));
-        assert_eq!(installed.unwrap(), Some(1));
-        assert_eq!(books(&rx, &rec), expected, "the one server");
-
-        let (mut rx, rec, ctx) = traced_receiver();
-        let cfg = ResolverConfig::with_seed(7);
-        let mut pool = ResolverPool::new(2, cfg, clock.clone(), rx.registry());
-        let installed = pool.resolve(&mut rx, id, &policy, &mut flaky, &mut sleep, Some(ctx));
-        assert_eq!(installed.unwrap(), Some(1));
-        assert_eq!(books(&rx, &rec), expected, "the replica pool");
-        assert!(slept.get() > 0, "backoffs were waited out");
-
-        // Past its budget a live-but-failing endpoint exhausts the retries,
-        // and each policy says so in its own words.
-        let mut down = |_endpoint: usize, _req: Vec<u8>| Err(MorphError::Config("down".into()));
-        let unknown = FormatId(9);
-        let err =
-            resolve_via(&mut rx, unknown, &policy, &mut OneServer, &mut down, &mut sleep, None);
-        let text = err.unwrap_err().to_string();
-        assert!(text.ends_with("meta exchange failed 3 times, last: configuration error: down"));
-        let err = pool.resolve(&mut rx, unknown, &policy, &mut down, &mut sleep, Some(ctx));
-        let text = err.unwrap_err().to_string();
-        assert!(text.ends_with("failed 3 times across replicas, last: configuration error: down"));
-        assert_eq!(books(&rx, &rec).0, [15, 10, 1, 2]);
-
-        // With every breaker open the pool answers at once: no exchange, no
-        // attempt, no retry spent — one failure, one span saying why.
-        while !pool.all_open() {
-            let _ = pool.resolve(&mut rx, unknown, &policy, &mut down, &mut sleep, None);
-        }
-        let ([attempts, retries, _, failures], _) = books(&rx, &rec);
-        let patient = RetryPolicy { budget: 100, ..policy.clone() };
-        let err = pool.resolve(&mut rx, unknown, &patient, &mut down, &mut sleep, Some(ctx));
-        assert!(matches!(err, Err(MorphError::Unavailable(_))));
-        assert_eq!(
-            books(&rx, &rec),
-            ([attempts, retries, 1, failures + 1], (3, "0".to_string(), "unavailable".to_string()))
-        );
-    }
-
     #[test]
     fn backoff_jitter_bounded_over_ten_thousand_seed_attempt_pairs() {
         // Property: for every (seed, attempt) pair the backoff is at least
@@ -888,9 +846,14 @@ mod tests {
         rx.register_handler(&v1(), |_v| {});
         let wire =
             Encoder::new(&v2()).encode(&Value::Record(vec![Value::Int(1), Value::Int(2)])).unwrap();
-        let err =
-            process_with_resolution(&mut rx, &wire, |req| server.lock().unwrap().handle(&req))
-                .unwrap_err();
+        let err = process_with_resolution(
+            &mut rx,
+            &wire,
+            &RetryPolicy::default(),
+            |req| server.lock().unwrap().handle(&req),
+            |_| {},
+        )
+        .unwrap_err();
         assert!(matches!(err, MorphError::UnknownWireFormat(_)));
     }
 }

@@ -427,7 +427,7 @@ impl MorphReceiver {
     }
 
     /// Creates a receiver with explicit thresholds and registry.
-    pub fn with_config_and_registry(config: MatchConfig, registry: Arc<Registry>) -> MorphReceiver {
+    fn with_config_and_registry(config: MatchConfig, registry: Arc<Registry>) -> MorphReceiver {
         MorphReceiver {
             config,
             weights: None,

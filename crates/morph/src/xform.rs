@@ -192,7 +192,7 @@ impl CompiledXform {
     /// # Errors
     ///
     /// See [`CompiledXform::apply`].
-    pub fn apply_owned(&self, input: Value) -> Result<Value> {
+    fn apply_owned(&self, input: Value) -> Result<Value> {
         Ok(self.run(input, EcodeProgram::run_with_fuel)?.1)
     }
 

@@ -58,11 +58,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => panic!("expected an unknown format, got {other:?}"),
     }
 
-    let delivery = morph::process_with_resolution(&mut consumer, &tick, |request| {
-        // In deployment this closure is a network round trip; here it is a
-        // direct call into the server.
-        server.lock().unwrap().handle(&request)
-    })?;
+    // In deployment `exchange` is a network round trip, retried under the
+    // policy with `sleep` waiting out each backoff; here it is a direct call
+    // into the server, which cannot fail.
+    let policy = morph::RetryPolicy::default();
+    let exchange = |request: Vec<u8>| server.lock().unwrap().handle(&request);
+    let delivery = morph::process_with_resolution(&mut consumer, &tick, &policy, exchange, |_| {})?;
     println!("after resolution: {delivery:?}");
     println!("decision now cached: {}", consumer.explain(pbio::format_id(&v2)).expect("cached"));
 
@@ -75,9 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Value::Int(900 + i),
             Value::str("NYSE"),
         ]))?;
-        morph::process_with_resolution(&mut consumer, &tick, |req| {
-            server.lock().unwrap().handle(&req)
-        })?;
+        morph::process_with_resolution(&mut consumer, &tick, &policy, exchange, |_| {})?;
     }
     let served_after = server.lock().unwrap().requests_served();
     println!("1000 further ticks: {} additional server request(s)", served_after - served_before);

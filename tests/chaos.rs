@@ -23,11 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use echo::{proto, EchoConfig, EchoSystem, EchoVersion, ProcessId, Role};
 use message_morphing::prelude::*;
-use morph::{
-    BreakerState, DeadLetterQueue, DeadReason, MetaServer, MorphError, PoolDelivery,
-    ResolverConfig, ResolverPool, RetryPolicy, Transformation,
-};
-use obs::{Clock, FlightRecorder, Registry, TraceCtx, TraceId};
+use morph::{DeadReason, MetaServer, MorphError, RetryPolicy, Transformation};
 use pbio::RecordFormat;
 use simnet::{FaultPlan, LinkParams, Network};
 
@@ -606,7 +602,7 @@ fn run_resolution_chaos(seed: u64) -> Vec<(&'static str, u64)> {
     let net = RefCell::new(net);
     let server = RefCell::new(server);
     let seq = RefCell::new(0u64);
-    let delivery = morph::process_with_resolution_retry(
+    let delivery = morph::process_with_resolution(
         &mut rx,
         &msg,
         &policy,
@@ -650,265 +646,6 @@ fn resolution_survives_partition_heal_and_lossy_links() {
         // No system registry or recorder here: the fingerprint is the run.
         dump("resolution", seed, &format!("{first:?}"), "", "");
         assert_eq!(first, second, "seed {seed:#x}: non-deterministic resolution");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 4: total control-plane outage — replicated meta-servers behind
-// circuit breakers, stale-cache serving, bounded parking, exactly-once drain.
-// ---------------------------------------------------------------------------
-
-fn alarm_fmt() -> Arc<RecordFormat> {
-    FormatBuilder::record("Alarm").int("code").int("level").build_arc().unwrap()
-}
-
-fn alarm_old() -> Arc<RecordFormat> {
-    FormatBuilder::record("Alarm").int("code").build_arc().unwrap()
-}
-
-fn alarm_retro() -> Transformation {
-    Transformation::new(alarm_fmt(), alarm_old(), "old.code = new.code;")
-}
-
-/// What one failover run produced, for cross-run byte-equality.
-struct FailoverRun {
-    fingerprint: Vec<(&'static str, u64)>,
-    snapshot: String,
-    /// `text_tree` of the trace every pool operation ran under.
-    tree: String,
-    chrome: String,
-}
-
-/// Virtual length of the replica outage — longer than every backoff the
-/// first cold resolve can burn, so its whole retry storm hits dead nodes.
-const OUTAGE_NS: u64 = 500_000_000;
-
-/// The trace all of scenario 4 runs under, so the breaker's whole
-/// closed → open → half-open → closed arc lands in one trace tree.
-const FAILOVER_TRACE: TraceId = TraceId(0xFA11);
-
-fn run_failover_chaos(seed: u64) -> FailoverRun {
-    let mut net = Network::new();
-    let reader = net.add_node("reader");
-    let metas = [net.add_node("meta-0"), net.add_node("meta-1"), net.add_node("meta-2")];
-    for &m in &metas {
-        net.connect(reader, m, LinkParams::lan());
-    }
-    let clock = Arc::new(net.virtual_clock());
-    let recorder = Arc::new(FlightRecorder::new(4096, Arc::clone(&clock) as Arc<dyn Clock>));
-    net.attach_recorder(Arc::clone(&recorder));
-
-    // The receiver's registry lives on the network's virtual clock from
-    // birth, so even its latency histograms replay byte-identically.
-    let registry = Arc::new(Registry::with_clock(Arc::clone(&clock) as Arc<dyn Clock>));
-    registry.set_recorder(Arc::clone(&recorder));
-    net.attach_registry(Arc::clone(&registry));
-    let got = Arc::new(Mutex::new(Vec::new()));
-    let mut rx = MorphReceiver::with_registry(registry);
-    let sink = Arc::clone(&got);
-    rx.register_handler(&old_fmt(), move |v| sink.lock().unwrap().push(v));
-    let sink = Arc::clone(&got);
-    rx.register_handler(&alarm_old(), move |v| sink.lock().unwrap().push(v));
-
-    // Three identically-seeded replicas of the format server.
-    let servers: Vec<RefCell<MetaServer>> = (0..metas.len())
-        .map(|_| {
-            let mut s = MetaServer::new();
-            s.register_format(new_fmt());
-            s.register_transformation(retro());
-            s.register_format(alarm_fmt());
-            s.register_transformation(alarm_retro());
-            RefCell::new(s)
-        })
-        .collect();
-
-    // The long cooldown keeps every tripped breaker firmly open for the
-    // rest of the outage (retry backoffs advance virtual time, but far less
-    // than a second); the heal below advances well past it.
-    let cfg = ResolverConfig {
-        cooldown_ns: 1_000_000_000,
-        pending_capacity: 2,
-        ..ResolverConfig::with_seed(seed)
-    };
-    let mut pool =
-        ResolverPool::new(metas.len(), cfg, Arc::clone(&clock) as Arc<dyn Clock>, rx.registry());
-    // 3 replicas × threshold 3 = 9 failures must fit inside the budget for
-    // a dead-plane resolve to end in `Unavailable` (all breakers open, the
-    // message parks) rather than `RetryExhausted`.
-    let policy = RetryPolicy { budget: 12, ..RetryPolicy::with_seed(seed) };
-    let mut dlq = DeadLetterQueue::with_registry(8, rx.registry(), "chaos.deadletter");
-
-    let ctx = Some(TraceCtx::root(FAILOVER_TRACE));
-    let net = RefCell::new(net);
-    let seq = RefCell::new(0u64);
-    let exchanges = RefCell::new(0u64);
-    let mut exchange = |ep: usize, req: Vec<u8>| {
-        *exchanges.borrow_mut() += 1;
-        framed_exchange(&net, &servers[ep], &seq, reader, metas[ep], req)
-    };
-    let mut sleep = |ns: u64| net.borrow_mut().advance_ns(ns);
-    let reading = |raw: i64| {
-        Encoder::new(&new_fmt())
-            .encode(&Value::Record(vec![Value::Int(raw), Value::Int(2), Value::str("kPa")]))
-            .unwrap()
-    };
-    let alarm = |code: i64| {
-        Encoder::new(&alarm_fmt())
-            .encode(&Value::Record(vec![Value::Int(code), Value::Int(9)]))
-            .unwrap()
-    };
-
-    // Healthy warm-up: the Reading format resolves through the pool and
-    // the receiver's decision cache warms.
-    let d = pool.process(&mut rx, &reading(1), &policy, &mut exchange, &mut sleep, ctx).unwrap();
-    assert!(matches!(d, PoolDelivery::Delivered(_)));
-    for ep in 0..metas.len() {
-        assert_eq!(pool.state(ep), BreakerState::Closed);
-    }
-
-    // Crash every replica at once: the control plane is entirely gone.
-    let t0 = net.borrow().now_ns();
-    for &m in &metas {
-        net.borrow_mut().set_crash_windows(m, &[(t0, t0 + OUTAGE_NS)]);
-    }
-
-    // Warm traffic rides the stale cache: zero loss, zero control bytes.
-    let before = *exchanges.borrow();
-    for raw in 2..=6 {
-        let d =
-            pool.process(&mut rx, &reading(raw), &policy, &mut exchange, &mut sleep, ctx).unwrap();
-        assert!(matches!(d, PoolDelivery::Delivered(_)));
-    }
-    assert_eq!(
-        *exchanges.borrow(),
-        before,
-        "seed {seed:#x}: warm traffic touched the dead control plane"
-    );
-
-    // Cold traffic parks. The first resolve burns through the replicas
-    // (threshold failures each, every send refused with `NodeDown`), opens
-    // every breaker, and later messages fail fast with zero exchanges.
-    let d = pool.process(&mut rx, &alarm(101), &policy, &mut exchange, &mut sleep, ctx).unwrap();
-    assert!(matches!(d, PoolDelivery::Parked { shed: None }));
-    assert!(pool.all_open(), "seed {seed:#x}: dead-plane resolve left a breaker closed");
-    let after_first = *exchanges.borrow();
-    assert_eq!(after_first - before, 9, "threshold × replicas exchanges, not one more");
-
-    let d = pool.process(&mut rx, &alarm(102), &policy, &mut exchange, &mut sleep, ctx).unwrap();
-    assert!(matches!(d, PoolDelivery::Parked { shed: None }));
-    // The pending set holds 2: the third park sheds the oldest message,
-    // which the caller quarantines — nothing disappears silently.
-    let d = pool.process(&mut rx, &alarm(103), &policy, &mut exchange, &mut sleep, ctx).unwrap();
-    let PoolDelivery::Parked { shed: Some(bytes) } = d else {
-        panic!("seed {seed:#x}: overflowing park did not shed the oldest message");
-    };
-    assert_eq!(bytes, alarm(101), "drop-oldest: the first parked alarm is the one shed");
-    dlq.push(DeadReason::Shed, &bytes, "pending set full during control-plane outage");
-    assert_eq!(*exchanges.borrow(), after_first, "open breakers reject without an exchange");
-    assert_eq!(pool.pending().len(), 2);
-
-    // Warm formats still flow while every breaker is open.
-    let d = pool.process(&mut rx, &reading(7), &policy, &mut exchange, &mut sleep, ctx).unwrap();
-    assert!(matches!(d, PoolDelivery::Delivered(_)));
-
-    // Heal: replicas restart, cooldowns elapse, probes walk every breaker
-    // open → half-open → closed, and the parked backlog drains.
-    net.borrow_mut().advance_ns(OUTAGE_NS + 1_500_000_000);
-    let healthy = pool.probe(&mut exchange, ctx);
-    assert_eq!(healthy, metas.len(), "seed {seed:#x}: a healed replica failed its probe");
-    for ep in 0..metas.len() {
-        assert_eq!(pool.state(ep), BreakerState::Closed);
-    }
-    let report = pool.drain(&mut rx, &policy, &mut exchange, &mut sleep, ctx);
-    assert_eq!(report.delivered, 2, "both surviving parked alarms drain");
-    assert_eq!(report.requeued, 0);
-    assert!(report.failed.is_empty());
-    assert!(pool.pending().is_empty());
-
-    // Exactly-once, in order: the seven readings (value = raw × 2), then
-    // the surviving alarms oldest-first. The shed alarm was never applied.
-    let values: Vec<Value> = got.lock().unwrap().clone();
-    let expect: Vec<Value> = [2, 4, 6, 8, 10, 12, 14, 102, 103]
-        .iter()
-        .map(|&n| Value::Record(vec![Value::Int(n)]))
-        .collect();
-    assert_eq!(values, expect, "seed {seed:#x}: delivery order or exactly-once broken");
-
-    // The shed message is inspectable in quarantine, reason and all.
-    assert_eq!(dlq.len(), 1);
-    let letter = dlq.letters().next().unwrap();
-    assert_eq!(letter.reason, DeadReason::Shed);
-    assert_eq!(letter.bytes, alarm(101));
-
-    let snap = rx.registry().snapshot();
-    let counter = |name: &str| snap.counter(name).unwrap_or(0);
-    // Each endpoint tripped exactly once and closed exactly once; the two
-    // fail-fast parks and the final pick of the first resolve rejected.
-    assert_eq!(counter("morph.breaker.open"), 3);
-    assert_eq!(counter("morph.breaker.half_open"), 3);
-    assert_eq!(counter("morph.breaker.close"), 3);
-    assert_eq!(counter("morph.breaker.rejected"), 3);
-    assert_eq!(counter("morph.breaker.probes"), 3);
-    assert_eq!(counter("morph.pending.parked"), 3);
-    assert_eq!(counter("morph.pending.drained"), 2);
-    assert_eq!(counter("morph.pending.dropped"), 1);
-    assert_eq!(counter("morph.pending.failed"), 0);
-    assert_eq!(snap.gauge("morph.pending.depth"), Some(0));
-    assert_eq!(counter("chaos.deadletter.shed"), 1);
-
-    let net = net.into_inner();
-    // Every outage-time exchange was refused at the (dead) process, and
-    // both books agree.
-    assert_eq!(net.crash_stats().blocked, 9);
-    assert_eq!(counter("simnet.crash.blocked"), 9);
-
-    let fingerprint = vec![
-        ("exchanges", *exchanges.borrow()),
-        ("crash_blocked", net.crash_stats().blocked),
-        ("breaker_open", counter("morph.breaker.open")),
-        ("breaker_rejected", counter("morph.breaker.rejected")),
-        ("parked", counter("morph.pending.parked")),
-        ("drained", counter("morph.pending.drained")),
-        ("shed", counter("morph.pending.dropped")),
-        ("resolve_attempts", counter("morph.resolve.attempts")),
-        ("resolve_retries", counter("morph.resolve.retries")),
-        ("now_ns", net.now_ns()),
-    ];
-    FailoverRun {
-        fingerprint,
-        snapshot: snap.to_text(),
-        tree: recorder.text_tree(FAILOVER_TRACE),
-        chrome: recorder.chrome_json(),
-    }
-}
-
-/// The full robustness arc under a total meta-server outage: warm formats
-/// lose nothing while every replica is down, the circuit breakers walk
-/// closed → open → half-open → closed in both the metrics and the trace
-/// tree, parked messages drain exactly once after the heal, the shed
-/// message is quarantined under `Shed` — and the entire run, trace export
-/// included, replays byte-identically per seed.
-#[test]
-fn total_meta_server_outage_degrades_and_recovers_deterministically() {
-    for seed in seeds() {
-        let first = run_failover_chaos(seed);
-        let second = run_failover_chaos(seed);
-        dump("failover", seed, &first.snapshot, &first.tree, &first.chrome);
-        assert_eq!(first.fingerprint, second.fingerprint, "seed {seed:#x}: non-deterministic run");
-        assert_eq!(first.snapshot, second.snapshot, "seed {seed:#x}: non-deterministic snapshot");
-        assert_eq!(first.tree, second.tree, "seed {seed:#x}: non-deterministic trace tree");
-        assert_eq!(first.chrome, second.chrome, "seed {seed:#x}: non-deterministic trace export");
-        // The breaker's whole life-cycle is readable off the trace tree.
-        for name in [
-            "morph.breaker.open",
-            "morph.breaker.half_open",
-            "morph.breaker.close",
-            "morph.breaker.rejected",
-        ] {
-            assert!(first.tree.contains(name), "seed {seed:#x}: {name} missing from trace tree");
-        }
-        assert!(first.tree.contains("morph.resolve"), "resolve spans missing from trace tree");
-        assert!(first.chrome.contains("morph.breaker.open"), "breaker trips missing from export");
     }
 }
 

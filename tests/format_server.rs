@@ -9,7 +9,9 @@
 use std::sync::{Arc, Mutex};
 
 use message_morphing::prelude::*;
-use morph::{metaserver, Delivery, MetaClient, MetaServer, MorphError, Transformation};
+use morph::{
+    metaserver, Delivery, MetaClient, MetaServer, MorphError, RetryPolicy, Transformation,
+};
 use pbio::RecordFormat;
 use simnet::{LinkParams, Network};
 
@@ -93,9 +95,14 @@ fn meta_data_resolves_across_the_network() {
 
     // With on-demand resolution over the WAN link to the server.
     let t_before = net.now_ns();
-    let d = morph::process_with_resolution(&mut rx, &msg, |req| {
-        exchange_over(&mut net, reader, server_node, &mut server, req)
-    })
+    let policy = RetryPolicy::default();
+    let d = morph::process_with_resolution(
+        &mut rx,
+        &msg,
+        &policy,
+        |req| exchange_over(&mut net, reader, server_node, &mut server, req),
+        |_| {},
+    )
     .unwrap();
     assert!(matches!(d, Delivery::Delivered(_)));
     assert_eq!(got.lock().unwrap()[0], Value::Record(vec![Value::Int(42)]));
@@ -105,9 +112,13 @@ fn meta_data_resolves_across_the_network() {
     // Steady state: the cached decision serves without network traffic.
     let t_before = net.now_ns();
     for _ in 0..10 {
-        morph::process_with_resolution(&mut rx, &msg, |req| {
-            exchange_over(&mut net, reader, server_node, &mut server, req)
-        })
+        morph::process_with_resolution(
+            &mut rx,
+            &msg,
+            &policy,
+            |req| exchange_over(&mut net, reader, server_node, &mut server, req),
+            |_| {},
+        )
         .unwrap();
     }
     assert_eq!(net.now_ns(), t_before, "no further out-of-band traffic");
@@ -128,8 +139,14 @@ fn resolution_cost_is_paid_once_per_format_not_per_message() {
         .unwrap();
 
     for _ in 0..100 {
-        morph::process_with_resolution(&mut rx, &wire, |req| server.lock().unwrap().handle(&req))
-            .unwrap();
+        morph::process_with_resolution(
+            &mut rx,
+            &wire,
+            &RetryPolicy::default(),
+            |req| server.lock().unwrap().handle(&req),
+            |_| {},
+        )
+        .unwrap();
     }
     // 1 format fetch + 2 closure queries (one per discovered node).
     assert!(

@@ -17,10 +17,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use echo::{EchoConfig, EchoSystem, EchoVersion, QosTier, Role, WallClockDriver};
-use morph::{
-    DeadLetterQueue, DeadReason, MetaServer, MorphReceiver, ResolverConfig, ResolverPool,
-    RetryPolicy, Transformation,
-};
+use morph::{DeadLetterQueue, DeadReason, MetaServer, MorphReceiver, RetryPolicy, Transformation};
 use obs::{Registry, VirtualClock};
 use pbio::{Encoder, FormatBuilder, Value};
 
@@ -196,10 +193,10 @@ fn assert_catalogued(registered: &BTreeSet<String>, catalogued: &BTreeSet<String
 }
 
 /// The catalogue checks itself, `morph.*` and `pbio.*` sections: a system
-/// with its switches on, a receiver resolving through a `ResolverPool`, and
-/// a standalone dead-letter queue register every `morph.*` / `pbio.*` /
-/// `ecode.*` name there is — each must have its row, and each row its
-/// registrant.
+/// with its switches on, a receiver resolving through
+/// `process_with_resolution`, and a standalone dead-letter queue register
+/// every `morph.*` / `pbio.*` / `ecode.*` name there is — each must have
+/// its row, and each row its registrant.
 #[test]
 fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     let mut registered = BTreeSet::new();
@@ -242,18 +239,15 @@ fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     ));
     let mut rx = MorphReceiver::new();
     rx.register_handler(&v1, |_| {});
-    let clock: Arc<dyn obs::Clock> = Arc::new(VirtualClock::new());
-    let mut pool = ResolverPool::new(2, ResolverConfig::default(), clock, rx.registry());
     let _dlq = DeadLetterQueue::with_registry(4, rx.registry(), "morph.deadletter");
     let wire =
         Encoder::new(&v2).encode(&Value::Record(vec![Value::Int(1), Value::Int(2)])).unwrap();
-    pool.process(
+    morph::process_with_resolution(
         &mut rx,
         &wire,
         &RetryPolicy::default(),
-        |_, req| server.handle(&req),
+        |req| server.handle(&req),
         |_| {},
-        None,
     )
     .unwrap();
     names_in(rx.registry(), &mut registered);

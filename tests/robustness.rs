@@ -326,7 +326,7 @@ fn hostile_format_descriptions_are_errors_at_every_entry_point() {
     // counts a failed resolution and stays usable.
     let mut rx = MorphReceiver::new();
     rx.register_handler(&response_v1(), |_| {});
-    let resolved = morph::resolve_into_with_retry(
+    let resolved = MetaClient::resolve_into(
         &mut rx,
         pbio::format_id(&response_v2()),
         &morph::RetryPolicy::default(),

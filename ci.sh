@@ -10,9 +10,9 @@
 # oracle test, the fragment reassembly model test, the histogram's model
 # test, the journal fold's model test and the resealed-header damage
 # loop — the smoke examples, the paper's timed figures (printed, not
-# gated), the three bench examples (fanout_bench gated; monitor_bench and
-# crash_recovery's overhead ratio reported, not gated) and the benchmark
-# self-check.
+# gated), the three bench examples (fanout_bench gated; monitor_bench's
+# self-telemetry overhead and crash_recovery's journaling overhead
+# reported, not gated) and the benchmark self-check.
 #
 # Usage: ./ci.sh
 set -eu
@@ -187,11 +187,9 @@ cargo run -q --release --example fanout_bench >/dev/null
 cat BENCH_6.json
 
 echo "==> monitoring overhead bench (writes BENCH_7.json)"
-# The same warm workload with the full opt-in monitoring surface
-# (`EchoConfig { link_monitors, adaptive_shedding }` plus
-# `enable_self_telemetry`) on vs off. The ratio is
-# reported, not gated: below 0.95x bare it prints a WARN line (stderr)
-# and still exits 0.
+# The same warm workload with self-telemetry (`enable_self_telemetry`)
+# on vs off. The ratio is reported, not gated: below 0.95x bare it
+# prints a WARN line (stderr) and still exits 0.
 cargo run -q --release --example monitor_bench >/dev/null
 cat BENCH_7.json
 

@@ -228,7 +228,6 @@ impl EchoSystem {
             self.shard_assign = self.nodes.iter().map(|n| shard_of_name(&n.name, shards)).collect();
         }
         let sm = self.shard_metrics.clone().expect("created above");
-        self.mailbox.capacity = mailbox_capacity;
         // As in [`EchoSystem::run`], no fork/join round ever straddles a
         // crash/restart boundary.
         self.run_turns(|sys, boundary| {
@@ -242,11 +241,6 @@ impl EchoSystem {
             while let Some(d) = sys.net.take_delivery(boundary) {
                 mailboxes[sys.shard_assign[d.to.index()]].push(d);
             }
-            // Adaptive mailbox watermark: this round's fill is the arrival
-            // burst; the previous round's settled frames were the drains.
-            let round_fill: usize = mailboxes.iter().map(Vec::len).sum();
-            sys.mailbox.arrived(round_fill, sys.net.now_ns(), &sys.recorder, None);
-            let mailbox_capacity = sys.mailbox.capacity_now();
             // Bounded mailboxes: shed the lowest-tier event frames past
             // the bound (control frames are never shed and may exceed it).
             // A shed fragment takes its whole mailbox set with it — the
@@ -322,7 +316,6 @@ impl EchoSystem {
                     sys.settle_outcome(d.to.index(), d.from.index(), outcome);
                 }
             }
-            sys.mailbox.drained(round_frames, sys.net.now_ns(), &sys.recorder);
             let ns = |d: std::time::Duration| d.as_nanos() as u64;
             sm.round_drain_ns.record(ns(forked - round_started));
             sm.round_fork_ns.record(ns(joined - forked));

@@ -18,7 +18,6 @@
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-mod adaptive;
 mod crc;
 mod dedup;
 mod dispatch;

@@ -14,7 +14,7 @@ use crate::node::{Disposition, FrameOutcome};
 use crate::proto::{self, ChannelId, QosTier};
 
 /// Window geometry for per-channel throughput: eight 1 ms virtual-time
-/// slots, matching the adaptive watermarks' horizon.
+/// slots, so a rate covers the trailing 8 ms.
 const CHANNEL_RATE_SLOTS: usize = 8;
 const CHANNEL_RATE_SLOT_NS: u64 = 1_000_000;
 

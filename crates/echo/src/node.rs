@@ -1059,7 +1059,12 @@ impl NodeState {
                 }
             };
             let channel = proto::channel_of(&resp, &fmt).ok_or(EchoError::MalformedFrame)?;
-            let ch = self.channel_mut(channel);
+            // No record: this process never joined the channel. Ignore the
+            // response, as a request for a channel not ours is ignored —
+            // a record is most of a kilobyte, and a peer must not be able
+            // to make one per id it names.
+            let Ok(at) = self.slot(channel) else { continue };
+            let ch = &mut self.channels[at];
             if !ch.owned {
                 *ch.members_mut() = Some(members);
             }
@@ -1313,6 +1318,53 @@ mod tests {
             node.handle_frame(0, &bad).disposition,
             Disposition::Quarantined(DeadReason::Malformed)
         ));
+    }
+
+    /// A `ChannelOpenResponse` frame naming `channel` — the wire's raw
+    /// `int` — with one member, the creator.
+    fn response_frame(channel: i64, seq: u64) -> WireBytes {
+        let creator =
+            MemberInfo { contact: "creator".into(), id: 1, is_source: false, is_sink: false };
+        let Value::Record(mut fields) = proto::response_v2_value(ChannelId(0), &[creator]) else {
+            unreachable!("a response is a record")
+        };
+        fields[0] = Value::Int(channel);
+        let payload = Encoder::new(&proto::channel_open_response_v2())
+            .encode(&Value::Record(fields))
+            .unwrap();
+        proto::frame(proto::FRAME_CONTROL, ChannelId(0), seq, proto::NO_TRACE, &payload)
+    }
+
+    #[test]
+    fn responses_for_channels_never_joined_make_no_record() {
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        node.set_role(ChannelId(1), Role::sink());
+        for seq in 0..64 {
+            let out = node.handle_frame(0, &response_frame(1_000 + seq as i64, seq));
+            assert!(matches!(out.disposition, Disposition::Handled(..)), "seq {seq}");
+        }
+        assert_eq!(node.channels.len(), 1, "a record per channel named on the wire");
+        assert_eq!(node.members(ChannelId(1)), None);
+        // The joined channel's view still refreshes.
+        node.handle_frame(0, &response_frame(1, 64));
+        assert_eq!(node.members(ChannelId(1)).map(<[MemberInfo]>::len), Some(1));
+    }
+
+    #[test]
+    fn a_negative_channel_id_is_malformed() {
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        node.set_role(ChannelId(1), Role::sink());
+        let request = proto::channel_open_request();
+        let join = [Value::Int(-1), Value::str("peer"), Value::Int(0), Value::Int(1)];
+        let join = Encoder::new(&request).encode(&Value::Record(join.to_vec())).unwrap();
+        let join = proto::frame(proto::FRAME_CONTROL, ChannelId(0), 1, proto::NO_TRACE, &join);
+        for frame in [response_frame(-1, 0), join] {
+            assert!(matches!(
+                node.handle_frame(0, &frame).disposition,
+                Disposition::Quarantined(DeadReason::Malformed)
+            ));
+        }
+        assert_eq!(node.channels.len(), 1);
     }
 
     #[test]

@@ -270,9 +270,11 @@ pub fn members_from_v2(value: &Value) -> Vec<MemberInfo> {
         .collect()
 }
 
-/// Channel id carried in a control message (field `channel`).
+/// Channel id carried in a control message (field `channel`); `None`
+/// when the field is missing or its value is no channel id (negative, or
+/// past `u32::MAX`).
 pub fn channel_of(value: &Value, format: &RecordFormat) -> Option<ChannelId> {
-    value.field(format, "channel")?.as_i64().map(|v| ChannelId(v as u32))
+    value.field(format, "channel")?.as_i64().and_then(|v| u32::try_from(v).ok()).map(ChannelId)
 }
 
 // -- framing ---------------------------------------------------------------

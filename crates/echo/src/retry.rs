@@ -13,7 +13,6 @@ use obs::TraceCtx;
 use pbio::WireBytes;
 use simnet::{NetError, Network, NodeId};
 
-use crate::adaptive::Bound;
 use crate::proto;
 use crate::shed::shed_set;
 use crate::system::EchoSystem;
@@ -65,12 +64,13 @@ pub(crate) struct RetryQueue {
     pending: Vec<PendingFrame>,
     /// Backoff and budget for re-sends.
     pub policy: RetryPolicy,
-    pub bound: Bound,
+    /// Admissions past this many queued frames shed.
+    pub capacity: usize,
 }
 
 impl RetryQueue {
     pub fn new(policy: RetryPolicy, capacity: usize) -> RetryQueue {
-        RetryQueue { pending: Vec::new(), policy, bound: Bound::new(capacity) }
+        RetryQueue { pending: Vec::new(), policy, capacity }
     }
 
     /// Frames currently queued.
@@ -127,10 +127,7 @@ impl EchoSystem {
         let Err(e) = sent else { return Ok(()) };
         let now = self.net.now_ns();
         let why = refusal(e, &self.net, self.net_ids[to], now)?;
-        // The arrival is fed to the watermark before the admission test,
-        // so overload tightens the bound for this very frame.
-        self.retry.bound.arrived(1, now, &self.recorder, ctx);
-        if self.retry.len() >= self.retry.bound.capacity_now() {
+        if self.retry.len() >= self.retry.capacity {
             match shed_set(self.retry.pending.iter().map(|p| ((p.from, p.to), &*p.bytes))) {
                 Some(set) => {
                     for (n, pos) in set.into_iter().enumerate() {
@@ -170,7 +167,6 @@ impl EchoSystem {
     /// remain queued.
     pub(crate) fn pump_pending(&mut self) -> Option<u64> {
         let now = self.net.now_ns();
-        let before = self.retry.len();
         for mut p in std::mem::take(&mut self.retry.pending) {
             if p.next_attempt_ns <= now {
                 let (from, to) = (self.net_ids[p.from], self.net_ids[p.to]);
@@ -212,9 +208,6 @@ impl EchoSystem {
             }
             self.retry.pending.push(p);
         }
-        // Every frame that left the queue — delivered or given up — is a
-        // drain event for the adaptive watermark.
-        self.retry.bound.drained(before - self.retry.len(), now, &self.recorder);
         self.update_queue_depth();
         self.retry.pending.iter().map(|p| p.next_attempt_ns).min()
     }

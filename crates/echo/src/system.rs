@@ -12,10 +12,8 @@ use morph::{
 };
 use obs::{FlightRecorder, Registry, TraceCtx, TraceId};
 use pbio::{Encoder, PlanStore, RecordFormat, Value, WireBytes};
-use simnet::{FaultPlan, FaultStats, LinkBandwidth, LinkParams, NetError, Network, NodeId};
+use simnet::{FaultPlan, FaultStats, LinkParams, NetError, Network, NodeId};
 
-use crate::adaptive::{Bound, ADAPT_QUEUE_LABELS, WINDOW_SLOTS, WINDOW_SLOT_NS};
-use crate::driver::DEFAULT_MAILBOX_CAPACITY;
 use crate::frag;
 use crate::journal::{JournalEntry, JournalStats, Journals};
 use crate::metrics::{ShardMetrics, SysMetrics};
@@ -56,34 +54,11 @@ pub struct EchoConfig {
     /// never shed) into the sender's dead-letter queue with
     /// [`DeadReason::Shed`].
     pub retry_queue_capacity: usize,
-    /// Makes the retry queue and the sharded runtime's mailboxes shed at
-    /// **load-adaptive** watermarks: each compares its windowed arrival
-    /// rate against its drain rate on the virtual clock, halving its
-    /// effective capacity (down to a floor of base/8) while arrivals
-    /// overrun drains and doubling it back once drains recover, with
-    /// hysteresis. The capacities are the ceilings; shedding itself stays
-    /// tier-ordered ([`proto::shed_class`]). Every decision is counted
-    /// (`echo.adaptive.<queue>.tightened` / `.relaxed`), the live bound is
-    /// exported (`echo.adaptive.<queue>.capacity`), and decisions triggered
-    /// by a traced frame drop `echo.adaptive.tighten`/`.relax` instants
-    /// into its trace.
-    pub adaptive_shedding: bool,
-    /// Per-link bandwidth/RTT monitors over the adaptive watermarks'
-    /// window: a directed link gains rolling-window gauges
-    /// (`simnet.link.<from>-><to>.bandwidth_bps` / `.frames_per_sec` /
-    /// `.loss_per_mille` / `.rtt_ewma_ns`) once it carries a frame — see
-    /// [`simnet::Network::enable_link_monitors`].
-    pub link_monitors: bool,
 }
 
 impl Default for EchoConfig {
     fn default() -> EchoConfig {
-        EchoConfig {
-            retry_policy: RetryPolicy::with_seed(0xEC40),
-            retry_queue_capacity: 64,
-            adaptive_shedding: false,
-            link_monitors: false,
-        }
+        EchoConfig { retry_policy: RetryPolicy::with_seed(0xEC40), retry_queue_capacity: 64 }
     }
 }
 
@@ -154,9 +129,6 @@ pub struct EchoSystem {
     /// handles, extended by [`EchoSystem::add_process`], so a sharded run
     /// hashes a name once per process, not once per call.
     pub(crate) shard_assign: Vec<usize>,
-    /// Bound on the sharded runtime's per-round mailboxes: the running
-    /// driver's capacity, under the adaptive watermark once enabled.
-    pub(crate) mailbox: Bound,
     /// Per-channel delivery tier; channels not present run
     /// [`QosTier::Reliable`].
     qos: HashMap<ChannelId, QosTier>,
@@ -212,16 +184,7 @@ impl EchoSystem {
         let recorder = Arc::new(FlightRecorder::new(TRACE_CAPACITY, Arc::new(net.virtual_clock())));
         registry.set_recorder(Arc::clone(&recorder));
         net.attach_recorder(Arc::clone(&recorder));
-        if config.link_monitors {
-            net.enable_link_monitors(WINDOW_SLOTS, WINDOW_SLOT_NS);
-        }
-        let mut retry = RetryQueue::new(config.retry_policy, config.retry_queue_capacity);
-        let mut mailbox = Bound::new(DEFAULT_MAILBOX_CAPACITY);
-        if config.adaptive_shedding {
-            let [r, m] = ADAPT_QUEUE_LABELS;
-            retry.bound.adapt(&registry, r);
-            mailbox.adapt(&registry, m);
-        }
+        let retry = RetryQueue::new(config.retry_policy, config.retry_queue_capacity);
         EchoSystem {
             net,
             nodes: Vec::new(),
@@ -239,7 +202,6 @@ impl EchoSystem {
             shared_caches: None,
             shard_metrics: None,
             shard_assign: Vec::new(),
-            mailbox,
             qos: HashMap::new(),
             frame_budget: None,
             reassembly_limits: None,
@@ -808,18 +770,6 @@ impl EchoSystem {
         Ok(())
     }
 
-    /// The adaptive watermarks' current effective capacities as
-    /// `(retry, mailbox)`, if adaptive shedding is enabled.
-    pub fn adaptive_capacities(&self) -> Option<(usize, usize)> {
-        Some((self.retry.bound.adaptive_capacity()?, self.mailbox.adaptive_capacity()?))
-    }
-
-    /// True while any adaptive watermark holds its queue in the tightened
-    /// (overloaded) regime.
-    pub fn adaptive_overloaded(&self) -> bool {
-        self.retry.bound.overloaded() || self.mailbox.overloaded()
-    }
-
     /// Starts periodic self-telemetry: every `period_ns` of virtual time
     /// (while the system runs), `proc` publishes one
     /// [`telemetry::telemetry_format_v2`] record on `channel` carrying the
@@ -843,9 +793,7 @@ impl EchoSystem {
         // with no transformations to distribute.
         self.distribute_metadata(&[telemetry::telemetry_format_v2()], &[]);
         let (registry, now) = (&self.metrics.registry, self.net.now_ns());
-        let adaptive = self.mailbox.adaptive_capacity().is_some();
-        self.telemetry =
-            Some(telemetry::Publisher::new(registry, proc.0, channel, period_ns, now, adaptive));
+        self.telemetry = Some(telemetry::Publisher::new(registry, proc.0, channel, period_ns, now));
     }
 
     /// Publishes a telemetry record if the reporting period has elapsed.
@@ -901,13 +849,6 @@ impl EchoSystem {
     /// all its channels.
     pub fn reassembly_depth(&self, proc: ProcessId) -> usize {
         self.nodes[proc.0].reassembly_depth()
-    }
-
-    /// The current windowed bandwidth/loss/RTT reading for the directed
-    /// link `from → to`, once [`EchoConfig::link_monitors`] is set and the
-    /// link has carried a frame.
-    pub fn link_bandwidth(&self, from: ProcessId, to: ProcessId) -> Option<LinkBandwidth> {
-        self.net.link_bandwidth(self.net_ids[from.0], self.net_ids[to.0])
     }
 
     /// Attaches a [`FaultPlan`] to the (bidirectional) link between two
@@ -1724,105 +1665,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_watermark_tightens_retry_shedding_then_relaxes() {
-        // A 10 ms first backoff outlasts the 8 ms adaptation window, so
-        // the post-heal drains land in an arrival-free window and the
-        // relax path is observable.
-        let config = EchoConfig {
-            retry_policy: RetryPolicy {
-                budget: 8,
-                base_backoff_ns: 10_000_000,
-                max_backoff_ns: 50_000_000,
-                jitter_seed: 1,
-            },
-            retry_queue_capacity: 16,
-            adaptive_shedding: true,
-            ..EchoConfig::default()
-        };
-        let (mut sys, c, s1, s2) = three_with(config, EchoVersion::V2, EchoVersion::V2);
-        let ch = sys.create_channel(c);
-        let tele = sys.create_channel(c);
-        let fmt = tick_format();
-        sys.subscribe(s1, ch, Role::source(), None).unwrap();
-        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
-        // The collector sits on the creator → publisher link, which the
-        // partition below never touches.
-        sys.subscribe(s1, tele, Role::sink(), Some(&telemetry::telemetry_format_v2())).unwrap();
-        sys.run();
-        sys.enable_self_telemetry(c, tele, 1_000_000);
-        assert_eq!(sys.adaptive_capacities(), Some((16, DEFAULT_MAILBOX_CAPACITY)));
-
-        // Partition, then a burst far past the drain rate (zero: nothing
-        // leaves a retry queue while the link is down). The watermark
-        // halves to its floor and shedding starts well before the fixed
-        // bound of 16 would fill.
-        sys.set_link_up(s1, s2, false);
-        for n in 0..32 {
-            sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
-        }
-        let floor = 16usize / 8;
-        assert_eq!(sys.adaptive_capacities().map(|(r, _)| r), Some(floor));
-        assert!(sys.adaptive_overloaded());
-        // Arrivals 1-4 admit freely (the 4th tightens 16→8), the 5th
-        // tightens to 4 and from there shed-one-admit-one holds the queue
-        // at the length it had when the watermark crossed it — far below
-        // the fixed bound of 16.
-        assert_eq!(sys.pending_retries(), 4, "queue held at the crossing length");
-        let snap = sys.registry().snapshot();
-        assert!(snap.counter("echo.adaptive.retry.tightened").unwrap_or(0) >= 3);
-        assert_eq!(snap.gauge("echo.adaptive.retry.capacity"), Some(floor as i64));
-        assert_eq!(snap.counter("echo.queue.shed"), Some(28));
-
-        // Heal before the first retry fires: the survivors deliver in one
-        // drain batch 10 ms later, by which time the arrival burst has
-        // aged out of the window — drains dominate and the watermark
-        // relaxes back off its floor.
-        sys.set_link_up(s1, s2, true);
-        sys.run();
-        assert_eq!(sys.pending_retries(), 0);
-        let snap = sys.registry().snapshot();
-        assert!(snap.counter("echo.adaptive.retry.relaxed").unwrap_or(0) >= 1);
-        assert!(
-            sys.adaptive_capacities().map(|(r, _)| r).unwrap() > floor,
-            "watermark still at floor after recovery: {:?}",
-            sys.adaptive_capacities()
-        );
-        // The survivors (newest-first retention) delivered on heal.
-        assert_eq!(sys.take_events(s2).len(), 4);
-
-        // One more period flushes the last decisions into a record: the
-        // records carry every decision the registry counted, end to end.
-        sys.advance_ns(1_000_000);
-        sys.run();
-        let v2 = telemetry::telemetry_format_v2();
-        let records = sys.take_events(s1);
-        let carried = |field: &str| -> u64 {
-            records
-                .iter()
-                .map(|(_, v)| v.field(&v2, field).and_then(Value::as_i64).unwrap())
-                .sum::<i64>() as u64
-        };
-        let snap = sys.registry().snapshot();
-        let counted = |suffix: &str| -> u64 {
-            crate::adaptive::ADAPT_QUEUE_LABELS
-                .iter()
-                .map(|q| snap.counter(&format!("echo.adaptive.{q}.{suffix}")).unwrap())
-                .sum()
-        };
-        assert!(counted("tightened") >= 3 && counted("relaxed") >= 1);
-        assert_eq!(carried("adapt_tightened"), counted("tightened"));
-        assert_eq!(carried("adapt_relaxed"), counted("relaxed"));
-    }
-
-    #[test]
     fn self_telemetry_publishes_v2_that_v1_collectors_morph_with_no_code() {
         let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
         let tele = sys.create_channel(c);
         let work = sys.create_channel(c);
         let fmt = tick_format();
         // The collector is a *v1-era* sink: it registered the six-field
-        // telemetry record and has never heard of queue_depth or the
-        // adaptive counters.
+        // telemetry record and has never heard of queue_depth.
         sys.subscribe(s2, tele, Role::sink(), Some(&telemetry::telemetry_format_v1())).unwrap();
         sys.subscribe(s1, work, Role::source(), None).unwrap();
         sys.subscribe(c, work, Role::sink(), Some(&fmt)).unwrap();

@@ -37,10 +37,10 @@ pub fn telemetry_format_v1() -> Arc<RecordFormat> {
         .expect("static telemetry format")
 }
 
-/// The current (v2) telemetry record: v1's fields plus the queue-depth
-/// gauge and the adaptive-shedding decision counters this PR introduces.
-/// The name is unchanged — v1 collectors morph v2 records on receipt, no
-/// renegotiation, exactly as the paper's evolving exchanges do.
+/// The current (v2) telemetry record: v1's fields plus the retry queue's
+/// depth at the sample time. The name is unchanged — v1 collectors morph
+/// v2 records on receipt, no renegotiation, exactly as the paper's
+/// evolving exchanges do.
 pub fn telemetry_format_v2() -> Arc<RecordFormat> {
     FormatBuilder::record("EchoTelemetry")
         .long("seq")
@@ -50,8 +50,6 @@ pub fn telemetry_format_v2() -> Arc<RecordFormat> {
         .long("delivered")
         .long("shed")
         .long("queue_depth")
-        .long("adapt_tightened")
-        .long("adapt_relaxed")
         .build_arc()
         .expect("static telemetry format")
 }
@@ -62,18 +60,9 @@ fn long(v: u64) -> Value {
 }
 
 /// Builds one v2 telemetry record from a reporting period's registry
-/// delta. Counters absent from the delta (e.g. adaptive shedding never
-/// enabled) report zero.
+/// delta. Counters absent from the delta report zero.
 pub fn telemetry_value(seq: u64, at_ns: u64, queue_depth: i64, delta: &SnapshotDelta) -> Value {
     let c = |name: &str| long(delta.counter(name).unwrap_or(0));
-    let adapt = |suffix: &str| {
-        long(
-            super::adaptive::ADAPT_QUEUE_LABELS
-                .iter()
-                .filter_map(|q| delta.counter(&format!("echo.adaptive.{q}.{suffix}")))
-                .sum(),
-        )
-    };
     Value::Record(vec![
         long(seq),
         long(at_ns),
@@ -82,21 +71,11 @@ pub fn telemetry_value(seq: u64, at_ns: u64, queue_depth: i64, delta: &SnapshotD
         c("echo.events.delivered"),
         c("echo.queue.shed"),
         Value::Int(queue_depth),
-        adapt("tightened"),
-        adapt("relaxed"),
     ])
 }
 
-/// The counters every record reports, and the adaptive decision counters
-/// that join them only on a system built with adaptive shedding — sampling
-/// them otherwise would put them in every system's registry catalogue.
+/// The counters every record reports, sorted by name.
 const SAMPLED: [&str; 3] = ["echo.events.delivered", "echo.events.published", "echo.queue.shed"];
-const SAMPLED_ADAPTIVE: [&str; 4] = [
-    "echo.adaptive.mailbox.relaxed",
-    "echo.adaptive.mailbox.tightened",
-    "echo.adaptive.retry.relaxed",
-    "echo.adaptive.retry.tightened",
-];
 
 /// The periodic self-telemetry publisher: decides when a record is due
 /// and builds it; the system puts it on the channel.
@@ -123,27 +102,23 @@ pub(crate) struct Publisher {
 }
 
 impl Publisher {
-    /// A publisher reporting [`SAMPLED`], plus [`SAMPLED_ADAPTIVE`] when
-    /// `adaptive`, each counter baselined at its current value.
+    /// A publisher reporting [`SAMPLED`], each counter baselined at its
+    /// current value.
     pub fn new(
         registry: &Registry,
         proc: usize,
         channel: ChannelId,
         period_ns: u64,
         now_ns: u64,
-        adaptive: bool,
     ) -> Publisher {
-        let adaptive_names = if adaptive { &SAMPLED_ADAPTIVE[..] } else { &[] };
-        let mut sampled: Vec<_> = SAMPLED
+        let sampled = SAMPLED
             .iter()
-            .chain(adaptive_names)
             .map(|&name| {
                 let counter = registry.counter(name);
                 let seen = counter.get();
                 (name, counter, seen)
             })
             .collect();
-        sampled.sort_unstable_by_key(|&(n, _, _)| n);
         Publisher {
             proc,
             channel,
@@ -195,8 +170,6 @@ mod tests {
         reg.counter("echo.events.published").add(10);
         reg.counter("echo.events.delivered").add(9);
         reg.counter("echo.queue.shed").inc();
-        reg.counter("echo.adaptive.retry.tightened").add(2);
-        reg.counter("echo.adaptive.mailbox.tightened").add(1);
         let before = Registry::new().snapshot();
         let delta = reg.snapshot().delta(&before);
         let v = telemetry_value(3, 1_000, 5, &delta);
@@ -206,14 +179,12 @@ mod tests {
         assert!(!bytes.is_empty());
         assert_eq!(v.field(&fmt, "published").and_then(Value::as_i64), Some(10));
         assert_eq!(v.field(&fmt, "queue_depth").and_then(Value::as_i64), Some(5));
-        assert_eq!(v.field(&fmt, "adapt_tightened").and_then(Value::as_i64), Some(3));
-        assert_eq!(v.field(&fmt, "adapt_relaxed").and_then(Value::as_i64), Some(0));
     }
 
     #[test]
     fn a_never_period_never_fires() {
         let reg = Registry::new();
-        let mut publisher = Publisher::new(&reg, 0, ChannelId(1), u64::MAX, 1_000, false);
+        let mut publisher = Publisher::new(&reg, 0, ChannelId(1), u64::MAX, 1_000);
         assert_eq!(publisher.poll(2_000, 0), None);
         assert_eq!(publisher.poll(u64::MAX - 1, 0), None);
         assert_eq!(reg.snapshot().counter("echo.telemetry.published"), Some(0));

@@ -77,4 +77,4 @@ pub use family::{CounterFamily, GaugeFamily, HistogramFamily};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, Snapshot, SnapshotDelta, Timer};
 pub use trace::{ActiveSpan, FlightRecorder, SpanEvent, SpanId, SpanKind, TraceCtx, TraceId};
-pub use window::{AdaptDecision, AdaptiveThreshold, Ewma, RateGauge, RollingWindow};
+pub use window::{RateGauge, RollingWindow};

@@ -500,11 +500,6 @@ impl SnapshotDelta {
     pub fn gauge(&self, name: &str) -> Option<i64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
-
-    /// The increase in a histogram's sample count, if present.
-    pub fn histogram_count(&self, name: &str) -> Option<u64> {
-        self.histogram_counts.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
 }
 
 #[cfg(test)]
@@ -665,7 +660,7 @@ mod tests {
         assert_eq!(d.counter("fresh"), Some(1));
         assert_eq!(d.counter("missing"), None);
         assert_eq!(d.gauge("depth"), Some(-4));
-        assert_eq!(d.histogram_count("lat_ns"), Some(2));
+        assert_eq!(d.histogram_counts, [("lat_ns".to_string(), 2)]);
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! Rolling windows, EWMAs, and load-adaptive thresholds.
+//! Rolling windows and windowed-rate gauges.
 //!
-//! Load shedding wants *rates*, not totals: "how many frames arrived in
-//! the last 10 ms" is what a shed decision needs, and a plain
-//! [`crate::Counter`] cannot answer it. A [`RollingWindow`] keeps a fixed
-//! ring of time slots and forgets old ones as time passes; an [`Ewma`]
-//! smooths a sample stream with pure integer arithmetic; a [`RateGauge`]
-//! ties a window to a registry gauge through the pluggable [`Clock`], so
-//! virtual-time chaos runs produce byte-identical rates; and an
-//! [`AdaptiveThreshold`] turns windowed arrival-vs-drain imbalance into
-//! tighten/relax capacity decisions with hysteresis.
+//! A rate wants recent samples, not totals: "how many events were
+//! delivered in the last 8 ms" is a question a plain [`crate::Counter`]
+//! cannot answer. A [`RollingWindow`] keeps a fixed ring of time slots and
+//! forgets old ones as time passes; a [`RateGauge`] ties a window to a
+//! registry gauge through the pluggable [`Clock`], so virtual-time chaos
+//! runs produce byte-identical rates.
 //!
 //! Everything here is deterministic integer math over clock readings —
 //! no floats, no wall-clock reads, no allocation after construction. Fed
 //! from a [`crate::VirtualClock`], two replays of the same event sequence
-//! make byte-identical decisions; that property is pinned by the chaos
-//! suite and documented as an invariant in `ARCHITECTURE.md`.
+//! publish byte-identical rates.
 
 use std::sync::Arc;
 
@@ -121,56 +117,6 @@ impl RollingWindow {
     }
 }
 
-/// An exponentially weighted moving average in pure integer arithmetic.
-///
-/// `alpha = num/den` is the weight of each new sample. Integer division
-/// truncates, so the average is deterministic across platforms — the
-/// property the byte-identical chaos replays rely on — at the cost of a
-/// floor bias of at most one unit per update.
-///
-/// ```
-/// let mut e = obs::Ewma::new(1, 4); // alpha = 0.25
-/// e.observe(100);
-/// assert_eq!(e.get(), 100); // first sample seeds the average
-/// e.observe(200);
-/// assert_eq!(e.get(), 125);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    num: u64,
-    den: u64,
-    value: Option<u64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `num/den`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < num <= den`.
-    pub fn new(num: u64, den: u64) -> Ewma {
-        assert!(num > 0 && num <= den, "alpha must be in (0, 1]");
-        Ewma { num, den, value: None }
-    }
-
-    /// Folds one sample in. The first sample seeds the average directly.
-    pub fn observe(&mut self, sample: u64) {
-        self.value = Some(match self.value {
-            None => sample,
-            Some(v) => {
-                let blended = u128::from(self.num) * u128::from(sample)
-                    + u128::from(self.den - self.num) * u128::from(v);
-                u64::try_from(blended / u128::from(self.den)).unwrap_or(u64::MAX)
-            }
-        });
-    }
-
-    /// The current average (0 before any sample).
-    pub fn get(&self) -> u64 {
-        self.value.unwrap_or(0)
-    }
-}
-
 /// A registry [`Gauge`] that publishes a windowed rate.
 ///
 /// Each [`RateGauge::record`] stamps the sample with the owning clock,
@@ -208,125 +154,6 @@ impl RateGauge {
     /// The current windowed rate per second.
     pub fn rate_per_sec(&self) -> u64 {
         self.window.rate_per_sec(self.clock.now_ns())
-    }
-}
-
-/// A capacity decision made by [`AdaptiveThreshold::evaluate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptDecision {
-    /// Arrivals outpace drains: the effective capacity was halved (not
-    /// below the floor).
-    Tighten,
-    /// The overload cleared: the effective capacity was doubled (not above
-    /// the base).
-    Relax,
-}
-
-/// Fewest windowed arrivals before a tighten decision can trigger —
-/// guards against reacting to a handful of samples at startup.
-const MIN_ARRIVALS: u64 = 4;
-
-/// A load-adaptive capacity: windowed arrival rate vs drain rate with
-/// hysteresis.
-///
-/// The threshold watches two [`RollingWindow`]s — one fed by
-/// [`AdaptiveThreshold::on_arrival`], one by
-/// [`AdaptiveThreshold::on_drain`] — and derives the *effective* capacity
-/// of a bounded queue from their imbalance:
-///
-/// - **tighten** (halve capacity, never below the floor) when windowed
-///   arrivals exceed drains by more than 25% (`a·4 > d·5`);
-/// - **relax** (double capacity, never above the base) when arrivals fall
-///   below 75% of drains (`a·4 < d·3`) after an overload;
-/// - the band in between changes nothing — that gap *is* the hysteresis,
-///   so a load hovering near the boundary cannot flap the capacity.
-///
-/// Decisions are pure functions of clock readings and the two windows:
-/// driven by a virtual clock, identical event sequences yield identical
-/// decision sequences.
-///
-/// ```
-/// use obs::{AdaptDecision, AdaptiveThreshold};
-///
-/// let mut t = AdaptiveThreshold::new(64, 8, 4, 1_000_000);
-/// assert_eq!(t.capacity(), 64);
-/// // A burst of arrivals with no drains tightens the bound.
-/// for now in 0..8u64 {
-///     t.on_arrival(now);
-/// }
-/// assert_eq!(t.evaluate(8), Some(AdaptDecision::Tighten));
-/// assert_eq!(t.capacity(), 32);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AdaptiveThreshold {
-    arrivals: RollingWindow,
-    drains: RollingWindow,
-    base: usize,
-    floor: usize,
-    capacity: usize,
-    overloaded: bool,
-}
-
-impl AdaptiveThreshold {
-    /// Creates a threshold that starts at `base` capacity and tightens no
-    /// further than `floor`, judged over a `slots × slot_ns` window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `floor` is zero or exceeds `base`.
-    pub fn new(base: usize, floor: usize, slots: usize, slot_ns: u64) -> AdaptiveThreshold {
-        assert!(floor > 0 && floor <= base, "need 0 < floor <= base");
-        AdaptiveThreshold {
-            arrivals: RollingWindow::new(slots, slot_ns),
-            drains: RollingWindow::new(slots, slot_ns),
-            base,
-            floor,
-            capacity: base,
-            overloaded: false,
-        }
-    }
-
-    /// Counts one arrival (an admission attempt) at `now_ns`.
-    pub fn on_arrival(&mut self, now_ns: u64) {
-        self.arrivals.record(now_ns, 1);
-    }
-
-    /// Counts one drain (a departure that freed a slot) at `now_ns`.
-    pub fn on_drain(&mut self, now_ns: u64) {
-        self.drains.record(now_ns, 1);
-    }
-
-    /// Re-judges the arrival/drain balance at `now_ns`, stepping the
-    /// effective capacity at most once. Returns the decision taken, if
-    /// any; callers count and trace it.
-    pub fn evaluate(&mut self, now_ns: u64) -> Option<AdaptDecision> {
-        let a = self.arrivals.count(now_ns);
-        let d = self.drains.count(now_ns);
-        if a >= MIN_ARRIVALS && a * 4 > d * 5 {
-            self.overloaded = true;
-            if self.capacity > self.floor {
-                self.capacity = (self.capacity / 2).max(self.floor);
-                return Some(AdaptDecision::Tighten);
-            }
-        } else if self.overloaded && a * 4 < d * 3 {
-            if self.capacity < self.base {
-                self.capacity = (self.capacity * 2).min(self.base);
-                return Some(AdaptDecision::Relax);
-            }
-            self.overloaded = false;
-        }
-        None
-    }
-
-    /// The current effective capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// True while the threshold considers the queue overloaded (set by a
-    /// tighten, cleared only once capacity has relaxed back to base).
-    pub fn overloaded(&self) -> bool {
-        self.overloaded
     }
 }
 
@@ -390,17 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_is_deterministic_integer_math() {
-        let mut e = Ewma::new(1, 4);
-        for s in [100, 200, 100, 50] {
-            e.observe(s);
-        }
-        // 100 → 125 → 118 (floor) → 101: pure integer, same on every box.
-        assert_eq!(e.get(), 101);
-        assert_eq!(Ewma::new(1, 2).get(), 0);
-    }
-
-    #[test]
     fn rate_gauge_publishes_through_registry() {
         let clock = Arc::new(VirtualClock::new());
         let reg = Registry::with_clock(clock.clone());
@@ -414,57 +230,5 @@ mod tests {
         rg.refresh();
         assert_eq!(reg.snapshot().gauge("x.rate"), Some(0));
         assert_eq!(rg.rate_per_sec(), 0);
-    }
-
-    #[test]
-    fn threshold_tightens_steps_down_and_relaxes_back() {
-        let mut t = AdaptiveThreshold::new(64, 8, 4, 1_000);
-        // Balanced load: nothing happens.
-        for now in 0..8u64 {
-            t.on_arrival(now);
-            t.on_drain(now);
-        }
-        assert_eq!(t.evaluate(10), None);
-        assert_eq!(t.capacity(), 64);
-        // Sustained overload tightens stepwise down to the floor.
-        for now in 10..40u64 {
-            t.on_arrival(now);
-        }
-        assert_eq!(t.evaluate(40), Some(AdaptDecision::Tighten));
-        assert_eq!(t.capacity(), 32);
-        assert!(t.overloaded());
-        assert_eq!(t.evaluate(41), Some(AdaptDecision::Tighten));
-        assert_eq!(t.evaluate(42), Some(AdaptDecision::Tighten));
-        assert_eq!(t.capacity(), 8);
-        // At the floor further overload changes nothing.
-        assert_eq!(t.evaluate(43), None);
-        // The load clears: a full window later drains dominate → relax
-        // back up to base, then the overload flag clears.
-        let calm = 10_000u64;
-        for i in 0..8u64 {
-            t.on_drain(calm + i);
-        }
-        assert_eq!(t.evaluate(calm + 8), Some(AdaptDecision::Relax));
-        assert_eq!(t.evaluate(calm + 9), Some(AdaptDecision::Relax));
-        assert_eq!(t.evaluate(calm + 10), Some(AdaptDecision::Relax));
-        assert_eq!(t.capacity(), 64);
-        assert!(t.overloaded(), "flag clears only after capacity is back at base");
-        assert_eq!(t.evaluate(calm + 11), None);
-        assert!(!t.overloaded());
-    }
-
-    #[test]
-    fn threshold_hysteresis_band_holds_steady() {
-        let mut t = AdaptiveThreshold::new(16, 4, 2, 1_000);
-        // Arrivals inside (0.75·d, 1.25·d]: never tightens, never relaxes.
-        for now in 0..10u64 {
-            t.on_arrival(now);
-            t.on_drain(now);
-        }
-        for now in 10..20u64 {
-            assert_eq!(t.evaluate(now), None);
-        }
-        assert_eq!(t.capacity(), 16);
-        assert!(!t.overloaded());
     }
 }

@@ -45,7 +45,7 @@ pub struct WireBytes {
 
 impl WireBytes {
     /// Wraps an already-shared buffer without copying.
-    pub fn from_arc(buf: Arc<[u8]>) -> WireBytes {
+    fn from_arc(buf: Arc<[u8]>) -> WireBytes {
         let end = buf.len();
         WireBytes { buf, start: 0, end }
     }

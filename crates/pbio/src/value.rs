@@ -196,10 +196,9 @@ impl Value {
     }
 
     /// The size in bytes of the value laid out as a native, *unencoded* C
-    /// data structure (8-byte ints/pointers where applicable) — the paper's
-    /// Table 1 "Unencoded" baseline. Strings count their bytes plus a NUL;
-    /// arrays count elements.
-    pub fn native_size(&self, ty: &FieldType) -> usize {
+    /// data structure (8-byte ints/pointers where applicable). Strings
+    /// count their bytes plus a NUL; arrays count elements.
+    fn native_size(&self, ty: &FieldType) -> usize {
         match (ty, self) {
             (FieldType::Basic(b), v) => match (b, v) {
                 (BasicType::Int(w) | BasicType::UInt(w) | BasicType::Float(w), _) => w.bytes(),
@@ -216,7 +215,9 @@ impl Value {
         }
     }
 
-    /// Native size of a full record (see [`Value::native_size`]).
+    /// The size in bytes of a full record laid out as a native, *unencoded*
+    /// C data structure — the paper's Table 1 "Unencoded" baseline.
+    /// Strings count their bytes plus a NUL; arrays count elements.
     pub fn native_record_size(&self, format: &RecordFormat) -> usize {
         match self.as_record() {
             Some(fields) => {

@@ -1,21 +1,19 @@
 //! Monitoring-overhead benchmark: the same warm morphing workload with
-//! the observability extras off vs fully on.
+//! self-telemetry off vs on.
 //!
-//! The "on" configuration enables everything this repo's monitoring
-//! surface can opt into: per-link bandwidth/RTT monitors, load-adaptive
-//! shed watermarks, and periodic self-telemetry publishing registry
-//! deltas over an event channel. The "off" configuration runs the
+//! The "on" configuration publishes the system registry's counter deltas
+//! over an event channel every 10 ms of virtual time, to a collector
+//! subscribed on the sink's process. The "off" configuration runs the
 //! identical workload bare. Always-on instrumentation (per-stage latency
 //! histograms, per-channel rate gauges) is present in both, as it is in
 //! any real run.
 //!
 //! The expectation: monitored throughput stays within 5% of bare
-//! throughput (`on >= 0.95x off`) — rolling windows and piggybacked RTT
-//! samples are integer arithmetic on readings the hot path already takes.
-//! The median back-to-back pair ratio is *reported, not gated*: it sits
-//! 0.954-0.989 on an unchanged tree, too close to the bar for a single
-//! run to decide, so a lower reading prints a `WARN` line and the example
-//! still exits 0. The curve lands in `BENCH_7.json`.
+//! throughput (`on >= 0.95x off`) — a record is three counter reads and
+//! one small publish per period. The median back-to-back pair ratio is
+//! *reported, not gated*: single runs scatter around the bar on a shared
+//! 2-vCPU machine, so a lower reading prints a `WARN` line and the
+//! example still exits 0. The curve lands in `BENCH_7.json`.
 //!
 //! Knobs (env): `MONITOR_EVENTS` (events per round, default 6000),
 //! `MONITOR_ROUNDS` (default 10).
@@ -26,7 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use echo::telemetry::telemetry_format_v2;
-use echo::{EchoConfig, EchoSystem, EchoVersion, ProcessId, Role};
+use echo::{EchoSystem, EchoVersion, ProcessId, Role};
 use morph::Transformation;
 use pbio::{FormatBuilder, RecordFormat, Value};
 use simnet::LinkParams;
@@ -100,14 +98,12 @@ struct Rig {
     ch: echo::ChannelId,
 }
 
-/// Builds one publisher → one morphing sink, optionally with the whole
-/// opt-in monitoring surface switched on.
+/// Builds one publisher → one morphing sink, optionally with
+/// self-telemetry switched on.
 fn build(monitored: bool) -> Rig {
     let src = src_format();
     let dst = dst_format();
-    let config =
-        EchoConfig { link_monitors: monitored, adaptive_shedding: monitored, ..Default::default() };
-    let mut sys = EchoSystem::with_config(config);
+    let mut sys = EchoSystem::new();
     sys.set_tracing(false); // data-plane mode, as the other benches run
     let publisher = sys.add_process("publisher", EchoVersion::V2);
     let sink = sys.add_process("sink", EchoVersion::V2);
@@ -195,25 +191,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     pair_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
     let ratio = pair_ratios[pair_ratios.len() / 2];
 
-    // The monitored system actually monitored: links report bandwidth,
-    // telemetry was published, the watermarks exist.
-    let bw = monitored
-        .sys
-        .link_bandwidth(monitored.publisher, monitored.sink)
-        .expect("link monitor enabled");
-    assert!(bw.bytes_per_sec > 0 || bw.frames_per_sec > 0, "the monitor saw traffic: {bw:?}");
+    // The monitored system actually monitored: telemetry was published.
     let snap = monitored.sys.registry().snapshot();
     let telemetry = snap.counter("echo.telemetry.published").unwrap_or(0);
     assert!(telemetry > 0, "self-telemetry fired during the run");
-    assert!(monitored.sys.adaptive_capacities().is_some());
 
     let json = format!(
         "{{\n  \"workload\": \"1 publisher -> 1 morphing sink, warm path, {events} events x \
          {rounds} rounds, median interleaved pair\",\n  \"events_per_round\": {events},\n  \
          \"bare_frames_per_sec\": {off:.0},\n  \"monitored_frames_per_sec\": {on:.0},\n  \
          \"monitored_over_bare\": {ratio:.3},\n  \"telemetry_records\": {telemetry},\n  \
-         \"monitors\": \"link bandwidth/RTT windows + adaptive watermarks + self-telemetry\",\n  \
-         \"gate\": \"reported\"\n}}\n"
+         \"monitors\": \"self-telemetry\",\n  \"gate\": \"reported\"\n}}\n"
     );
     std::fs::write("BENCH_7.json", &json)?;
     println!("{json}");

@@ -5,10 +5,10 @@
 //! [`EchoSystem::enable_self_telemetry`] periodically publishes the
 //! system registry's counter deltas as a versioned PBIO record on an
 //! ordinary `SequencedUnreliable` channel. The emitter speaks the current
-//! v2 record (with queue depth and adaptive-shedding counters); the
+//! v2 record (v1's six fields plus the retry queue's depth); the
 //! collector here is deliberately *v1-era* — it subscribed with the
 //! six-field first-generation format and has never heard of the new
-//! fields. MaxMatch drops them on receipt with **zero hand-written
+//! field. MaxMatch drops it on receipt with **zero hand-written
 //! transformations**, exactly the paper's evolving-exchange story applied
 //! to the monitoring plane itself.
 //!

@@ -201,11 +201,7 @@ fn assert_catalogued(registered: &BTreeSet<String>, catalogued: &BTreeSet<String
 fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     let mut registered = BTreeSet::new();
 
-    let mut sys = EchoSystem::with_config(EchoConfig {
-        adaptive_shedding: true,
-        link_monitors: true,
-        ..EchoConfig::default()
-    });
+    let mut sys = EchoSystem::new();
     sys.enable_shared_morph_caches();
     sys.enable_journaling(1);
     let creator = sys.add_process("creator", EchoVersion::V2);
@@ -257,19 +253,14 @@ fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
 }
 
 /// The catalogue checks itself, `echo.*` sections: a system with every
-/// opt-in on — shared caches, adaptive shedding, journaling, link monitors,
-/// self-telemetry — that runs traffic and one wall-clock round registers
-/// every `echo.*` name there is, in the system registry and in each
-/// process's control and event registries: each must have its row, and
-/// each row its registrant.
+/// opt-in on — shared caches, journaling, self-telemetry — that runs
+/// traffic and one wall-clock round registers every `echo.*` name there
+/// is, in the system registry and in each process's control and event
+/// registries: each must have its row, and each row its registrant.
 #[test]
 fn the_echo_catalogue_sections_list_what_is_registered() {
     const SHARDS: usize = 2;
-    let mut sys = EchoSystem::with_config(EchoConfig {
-        adaptive_shedding: true,
-        link_monitors: true,
-        ..EchoConfig::default()
-    });
+    let mut sys = EchoSystem::new();
     sys.enable_shared_morph_caches();
     sys.enable_journaling(1);
     let creator = sys.add_process("creator", EchoVersion::V2);
@@ -308,24 +299,22 @@ fn the_echo_catalogue_sections_list_what_is_registered() {
         &[
             "### `echo.*`",
             "### `echo.stage.*`",
-            "### `echo.adaptive.*`",
             "### `echo.channel.*` / `echo.frag.*`",
             "### `echo.shard.*`",
         ],
         &[
             ("<id>", vec![work.0.to_string(), tele.0.to_string()]),
             ("<tier>", QosTier::ALL.map(|t| t.label().to_string()).to_vec()),
-            ("<queue>", ["retry", "mailbox"].map(String::from).to_vec()),
             ("<i>", (0..SHARDS).map(|i| i.to_string()).collect()),
         ],
     );
     assert_catalogued(&registered, &catalogued);
 }
 
-/// The catalogue checks itself, `simnet.*` sections: a two-node network
-/// attached to a registry, with link monitors, a fault plan and a crash
-/// window, that carries traffic both ways registers every `simnet.*` name
-/// there is — each must have its row, and each row its registrant.
+/// The catalogue checks itself, `simnet.*` section: a two-node network
+/// attached to a registry, with a fault plan and a crash window, that
+/// carries traffic both ways registers every `simnet.*` name there is —
+/// each must have its row, and each row its registrant.
 #[test]
 fn the_simnet_catalogue_sections_list_what_is_registered() {
     let mut net = simnet::Network::new();
@@ -334,7 +323,6 @@ fn the_simnet_catalogue_sections_list_what_is_registered() {
     net.connect(a, b, simnet::LinkParams::lan());
     let registry = Arc::new(Registry::with_clock(Arc::new(net.virtual_clock())));
     net.attach_registry(Arc::clone(&registry));
-    net.enable_link_monitors(8, 1_000_000);
     let faults = simnet::FaultPlan::new(7).drop_per_mille(100).duplicate_per_mille(100);
     net.set_fault_plan(a, b, faults.partition(2_000_000, 3_000_000));
     net.set_crash_windows(b, &[(4_000_000, 5_000_000)]);
@@ -350,10 +338,7 @@ fn the_simnet_catalogue_sections_list_what_is_registered() {
     names_in(&registry, &mut registered);
     registered.retain(|name| name.starts_with("simnet."));
     let links = ("<from>-><to>", vec!["a->b".to_string(), "b->a".to_string()]);
-    assert_catalogued(
-        &registered,
-        &catalogued(&["### `simnet.*`", "### `simnet.link.*` monitors"], &[links]),
-    );
+    assert_catalogued(&registered, &catalogued(&["### `simnet.*`"], &[links]));
 }
 
 /// The backticked names in the first cell of each body row, one set per

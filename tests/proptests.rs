@@ -1748,7 +1748,7 @@ fn rolling_window_slot_rotation_across_clock_jumps() {
 
 /// Monotonicity both ways: recording more at the same instant never
 /// lowers the windowed sum or rate, and letting time pass without
-/// recording never raises them. The EWMA stays inside the sample range.
+/// recording never raises them.
 #[test]
 fn window_rate_monotonicity_and_ewma_bounds() {
     for_cases("window_rate_monotonicity_and_ewma_bounds", |rng| {
@@ -1768,22 +1768,6 @@ fn window_rate_monotonicity_and_ewma_bounds() {
             let sum_now = w.sum(now);
             let later = now + rng.below(2 * slot_ns * slots as u64);
             assert!(w.sum(later) <= sum_now, "aging out must not create samples");
-        }
-
-        let num = 1 + rng.below(8);
-        let den = num + rng.below(8);
-        let mut e = obs::Ewma::new(num, den);
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for _ in 0..32 {
-            let s = rng.below(1_000_000);
-            lo = lo.min(s);
-            hi = hi.max(s);
-            e.observe(s);
-            assert!(
-                (lo..=hi).contains(&e.get()),
-                "EWMA {} escaped the observed range {lo}..={hi}",
-                e.get()
-            );
         }
     });
 }

@@ -23,7 +23,6 @@ const CHANNEL_RATE_SLOT_NS: u64 = 1_000_000;
 pub(crate) struct ChannelCounters {
     pub published: Arc<Counter>,
     pub delivered: Arc<Counter>,
-    pub filtered: Arc<Counter>,
     /// `echo.ch.<id>.delivered_rate` — deliveries/second over the trailing
     /// window, on the virtual clock (deterministic per run).
     pub delivered_rate: RateGauge,
@@ -65,8 +64,6 @@ pub(crate) struct SysMetrics {
     /// `echo.events.rejected` — fresh event messages no application
     /// received (no admissible match, or no event plane on the channel).
     pub rejected: Arc<Counter>,
-    pub filtered: Arc<Counter>,
-    pub derived_compiled: Arc<Counter>,
     pub dedup_dropped: Arc<Counter>,
     /// `echo.dedup.beyond_window` — the part of `echo.dedup.dropped` the
     /// horizon decided: frames `DEDUP_WINDOW` or more seqs behind the
@@ -156,8 +153,6 @@ impl SysMetrics {
             published: registry.counter("echo.events.published"),
             delivered: registry.counter("echo.events.delivered"),
             rejected: registry.counter("echo.events.rejected"),
-            filtered: registry.counter("echo.events.filtered"),
-            derived_compiled: registry.counter("echo.derived.compiled"),
             dedup_dropped: registry.counter("echo.dedup.dropped"),
             dedup_beyond_window: registry.counter("echo.dedup.beyond_window"),
             deadletters: Arc::new(DeadLetterBooks::new(&registry)),
@@ -202,7 +197,6 @@ impl SysMetrics {
         self.per_channel.entry(ch).or_insert_with(|| ChannelCounters {
             published: self.registry.counter(&format!("echo.ch.{}.published", ch.0)),
             delivered: self.registry.counter(&format!("echo.ch.{}.delivered", ch.0)),
-            filtered: self.registry.counter(&format!("echo.ch.{}.filtered", ch.0)),
             delivered_rate: RateGauge::new(
                 self.registry.clock(),
                 self.registry.gauge(&format!("echo.ch.{}.delivered_rate", ch.0)),

@@ -608,7 +608,7 @@ impl NodeState {
     /// Registers the event format this node expects on `channel`; received
     /// (possibly morphed) events land in the node's event log.
     pub fn expect_events(&mut self, channel: ChannelId, format: &Arc<RecordFormat>) {
-        let at = self.record(&mut self.slot(channel), channel);
+        let at = self.record(channel);
         let rx = &mut self.channels[at].plane.get_or_insert_with(EventPlane::new).rx;
         if let Some(rec) = &self.recorder {
             rx.registry().set_recorder(Arc::clone(rec));
@@ -638,10 +638,10 @@ impl NodeState {
         self.slot(channel).ok().map(|at| &self.channels[at])
     }
 
-    /// The index of the record at `slot` — `channel`'s, created there if
-    /// this process has none yet (the slot then names it).
-    fn record(&mut self, slot: &mut Result<usize, usize>, channel: ChannelId) -> usize {
-        let at = match *slot {
+    /// The index of `channel`'s record, created if this process has none
+    /// yet.
+    fn record(&mut self, channel: ChannelId) -> usize {
+        let at = match self.slot(channel) {
             Ok(at) => return at,
             Err(at) => at,
         };
@@ -660,12 +660,11 @@ impl NodeState {
             latest_seq: HashMap::new(),
         };
         self.channels.insert(at, record);
-        *slot = Ok(at);
         at
     }
 
     fn channel_mut(&mut self, channel: ChannelId) -> &mut ChannelState {
-        let at = self.record(&mut self.slot(channel), channel);
+        let at = self.record(channel);
         &mut self.channels[at]
     }
 
@@ -886,19 +885,24 @@ impl NodeState {
     /// Event-plane dispatch onto the channel's record: sequenced
     /// newest-wins policy, fragment reassembly (partial sets the offer
     /// evicted are dead-lettered here), then delivery into the channel's
-    /// morphing receiver.
+    /// morphing receiver. A frame for a channel this process has no record
+    /// of settles as `Rejected` before any of that: nothing here reads the
+    /// channel, so it costs no record, watermark or reassembly set.
     fn handle_event(
         &mut self,
         sender: u64,
         bytes: &WireBytes,
         frame: &proto::Frame<'_>,
         trace: FrameTrace,
-        mut slot: Result<usize, usize>,
+        slot: Result<usize, usize>,
     ) -> FrameOutcome {
         let (channel, qos, parts) = (frame.channel, frame.qos, frame.frag_count);
+        // One rejected frame, fragment or whole: a fragment starts no set,
+        // so the fragment books (`echo.frag.*`, `partial_fragments`)
+        // count nothing for it.
+        let Ok(at) = slot else { return FrameOutcome::settled(Disposition::Rejected(channel, 1)) };
         let (mut stale_partials, mut watermark, mut evicted_partials) = (0, None, 0);
         if qos == QosTier::SequencedUnreliable {
-            let at = self.record(&mut slot, channel);
             let ch = &mut self.channels[at];
             let latest = ch.latest_seq.entry(sender).or_insert(frame.seq);
             if frame.seq < *latest {
@@ -924,7 +928,6 @@ impl NodeState {
                     bytes: bytes.slice(proto::FRAME_HEADER_LEN..bytes.len()),
                 };
                 let wire_trace = (frame.trace != proto::NO_TRACE).then_some(frame.trace);
-                let at = self.record(&mut slot, channel);
                 let (offer, evicted) = self.channels[at].reassembly.offer(
                     sender,
                     frame.seq,
@@ -965,8 +968,7 @@ impl NodeState {
             } else {
                 frame.payload
             };
-            let plane = slot.ok().and_then(|at| self.channels[at].plane.as_mut());
-            match plane.map(|p| p.deliver(payload, trace.ctx)) {
+            match self.channels[at].plane.as_mut().map(|p| p.deliver(payload, trace.ctx)) {
                 Some(Err(e)) => {
                     let reason = deadletter::reason_for(&e);
                     self.dead_letter(reason, "event", bytes, e.to_string(), trace)
@@ -1137,6 +1139,14 @@ mod tests {
         proto::frame(proto::FRAME_EVENT, ChannelId(1), seq, proto::NO_TRACE, b"")
     }
 
+    /// A node with a record of channel 1 — a sink's role — but no event
+    /// plane there, so its fragments and watermarks have a place to live.
+    fn member_node() -> NodeState {
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        node.set_role(ChannelId(1), Role::sink());
+        node
+    }
+
     #[test]
     fn dedup_keys_on_sender_and_seq_not_seq_alone() {
         // Two independent senders may emit overlapping sequence numbers —
@@ -1232,7 +1242,7 @@ mod tests {
 
     #[test]
     fn fragments_buffer_then_reassemble_on_completion() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let mut node = member_node();
         let a = frag_frame(QosTier::Reliable, 3, 0, 2, b"he");
         let b = frag_frame(QosTier::Reliable, 3, 1, 2, b"llo");
         assert!(matches!(
@@ -1251,7 +1261,7 @@ mod tests {
 
     #[test]
     fn sequenced_channels_drop_stale_frames_newest_wins() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let mut node = member_node();
         let newer = frag_frame(QosTier::SequencedUnreliable, 9, 0, 1, b"new");
         let older = frag_frame(QosTier::SequencedUnreliable, 4, 0, 1, b"old");
         assert!(matches!(node.handle_frame(0, &newer).disposition, Disposition::Rejected(..)));
@@ -1265,7 +1275,7 @@ mod tests {
 
     #[test]
     fn newer_sequenced_message_supersedes_in_progress_older_set() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let mut node = member_node();
         let part = frag_frame(QosTier::SequencedUnreliable, 4, 0, 3, b"x");
         assert!(matches!(
             node.handle_frame(0, &part).disposition,
@@ -1281,7 +1291,7 @@ mod tests {
 
     #[test]
     fn partial_sets_expire_into_the_dlq_as_partial_fragments() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let mut node = member_node();
         node.configure_reassembly(8, 1_000);
         let part = frag_frame(QosTier::Reliable, 7, 0, 2, b"half");
         assert!(matches!(
@@ -1298,6 +1308,28 @@ mod tests {
             node.handle_frame(0, &late).disposition,
             Disposition::FragmentBuffered(_)
         ));
+    }
+
+    #[test]
+    fn event_frames_for_channels_never_joined_make_no_record() {
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let frame = |channel, seq, tier, count| {
+            let ch = ChannelId(channel);
+            proto::frame_qos(proto::FRAME_EVENT, ch, seq, proto::NO_TRACE, tier, 0, count, 0, b"x")
+        };
+        let mut watermarks = 0;
+        for seq in 0..100 {
+            let channel = 1_000 + seq as u32;
+            let out = node.handle_frame(0, &frame(channel, seq, QosTier::SequencedUnreliable, 1));
+            assert_eq!(out.disposition, Disposition::Rejected(ChannelId(channel), 1));
+            watermarks += usize::from(out.watermark.is_some());
+        }
+        assert_eq!(node.channels.len(), 0, "no record per channel named on the wire");
+        assert_eq!(watermarks, 0, "nor a watermark to journal");
+        // A fragment is one rejected frame too: no set is started.
+        let out = node.handle_frame(0, &frame(5_000, 100, QosTier::Reliable, 2));
+        assert_eq!(out.disposition, Disposition::Rejected(ChannelId(5_000), 1));
+        assert_eq!((node.channels.len(), node.reassembly_depth()), (0, 0));
     }
 
     #[test]
@@ -1429,7 +1461,7 @@ mod tests {
 
     #[test]
     fn crash_amnesia_forgets_dedup_and_dead_letters_partials() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let mut node = member_node();
         assert!(matches!(
             node.handle_frame(0, &event_frame(7)).disposition,
             Disposition::Rejected(..)

@@ -150,7 +150,7 @@ pub fn response_retro_transformation() -> Transformation {
 /// false — syntactically fine, semantically lossy. This is the paper's
 /// point that transformations "can guarantee both syntactic and semantic
 /// compatibility".
-pub const RESPONSE_V1_TO_V2: &str = r#"
+const RESPONSE_V1_TO_V2: &str = r#"
     int i;
     int j;
     old.channel = new.channel;
@@ -355,7 +355,7 @@ impl QosTier {
     }
 
     /// Decodes a wire byte; `None` for values no tier encodes to.
-    pub fn from_wire(b: u8) -> Option<QosTier> {
+    fn from_wire(b: u8) -> Option<QosTier> {
         QosTier::ALL.get(usize::from(b)).copied()
     }
 
@@ -585,7 +585,7 @@ pub fn peek_frag(bytes: &[u8]) -> Option<(u64, u16, u16)> {
 /// Best-effort read of the sender epoch from raw frame bytes, **without**
 /// checksum verification — used to attribute fenced frames before full
 /// parsing. Returns `None` for buffers too short to hold the field.
-pub fn peek_epoch(bytes: &[u8]) -> Option<u32> {
+fn peek_epoch(bytes: &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(field(bytes, EPOCH_FIELD)?))
 }
 

@@ -7,9 +7,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use morph::{
-    CompiledXform, DeadLetter, DeadReason, DecisionCache, MorphStats, RetryPolicy, Transformation,
-};
+use morph::{DeadLetter, DeadReason, DecisionCache, MorphStats, RetryPolicy, Transformation};
 use obs::{FlightRecorder, Registry, TraceCtx, TraceId};
 use pbio::{Encoder, PlanStore, RecordFormat, Value, WireBytes};
 use simnet::{FaultPlan, FaultStats, LinkParams, NetError, Network, NodeId};
@@ -98,9 +96,6 @@ pub struct EchoSystem {
     pub(crate) by_contact: HashMap<String, usize>,
     /// Channel directory: which process created each channel.
     directory: HashMap<ChannelId, usize>,
-    /// Derived subscriptions: per (channel, sink process), the compiled
-    /// source-side filter/transformation.
-    derived: HashMap<(ChannelId, usize), CompiledXform>,
     next_channel: u32,
     pub(crate) metrics: SysMetrics,
     /// Frames refused by a down link or crashed peer, awaiting re-send.
@@ -191,7 +186,6 @@ impl EchoSystem {
             net_ids: Vec::new(),
             by_contact: HashMap::new(),
             directory: HashMap::new(),
-            derived: HashMap::new(),
             next_channel: 1,
             journals: Journals::new(&registry),
             metrics: SysMetrics::new(registry),
@@ -351,11 +345,10 @@ impl EchoSystem {
     }
 
     /// Unsubscribes `proc` from `channel`: the creator removes the member
-    /// and refreshes the remaining membership, and any derived subscription
-    /// is dropped. The process's local event expectation stays: its
-    /// event-plane receiver (and that receiver's registry, see
-    /// [`EchoSystem::event_registry`]) survives for a later re-subscribe
-    /// or a post-mortem read.
+    /// and refreshes the remaining membership. The process's local event
+    /// expectation stays: its event-plane receiver (and that receiver's
+    /// registry, see [`EchoSystem::event_registry`]) survives for a later
+    /// re-subscribe or a post-mortem read.
     ///
     /// # Errors
     ///
@@ -364,7 +357,6 @@ impl EchoSystem {
         let creator_idx =
             *self.directory.get(&channel).ok_or(EchoError::UnknownChannel(channel))?;
         self.nodes[proc.0].leave(channel);
-        self.derived.remove(&(channel, proc.0));
         if creator_idx == proc.0 {
             let contact = self.nodes[proc.0].name.clone();
             self.nodes[proc.0].remove_member(channel, &contact);
@@ -374,45 +366,14 @@ impl EchoSystem {
         self.send_membership_request(proc.0, creator_idx, channel, leave, "echo.unsubscribe")
     }
 
-    /// Subscribes `proc` as a sink on a *derived* view of `channel`: the
-    /// supplied Ecode runs **at each source** (compiled there once, as in
-    /// ECho's derived event channels), filtering and reshaping events
-    /// before they travel. The code binds the source's event format as
-    /// read-only `new` and the derived format as writable `old`; executing
-    /// `return 0;` suppresses the event for this subscriber.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EchoError::UnknownChannel`], [`EchoError::Morph`] for code
-    /// that fails to compile, and network errors.
-    pub fn subscribe_derived(
-        &mut self,
-        proc: ProcessId,
-        channel: ChannelId,
-        source_format: &Arc<RecordFormat>,
-        derived_format: &Arc<RecordFormat>,
-        code: &str,
-    ) -> Result<(), EchoError> {
-        // Compile eagerly: registration is the natural DCG point, and a
-        // bad filter should fail loudly at the subscriber, not at sources.
-        let xform =
-            Transformation::new(Arc::clone(source_format), Arc::clone(derived_format), code)
-                .compile()?;
-        self.metrics.derived_compiled.inc();
-        self.subscribe(proc, channel, Role::sink(), Some(derived_format))?;
-        self.derived.insert((channel, proc.0), xform);
-        Ok(())
-    }
-
     /// Publishes an event on a channel: the source encodes in its own
-    /// format and submits to every sink it knows of. Sinks holding a
-    /// derived subscription get their filter/transformation applied *here*,
-    /// at the source, before anything is sent.
+    /// format and submits to every sink it knows of; each sink's morphing
+    /// receiver reconciles the format.
     ///
     /// # Errors
     ///
     /// Returns [`EchoError::NotSubscribed`] when `proc` is not a source on
-    /// the channel, plus encoding/network/filter errors.
+    /// the channel, plus encoding/network errors.
     pub fn publish(
         &mut self,
         proc: ProcessId,
@@ -426,11 +387,11 @@ impl EchoSystem {
         self.metrics.published.inc();
         self.metrics.channel(channel).published.inc();
         let sinks = self.sink_index(proc.0, channel);
-        // One trace follows this event everywhere it goes: every per-sink
-        // frame (raw or derived) carries the same id, so hops, morphing
-        // stages, and dead letters at any receiver join one causal story.
-        // With tracing off ([`EchoSystem::set_tracing`]) frames travel
-        // under NO_TRACE and no spans are minted at all.
+        // One trace follows this event everywhere it goes: every sink's
+        // frames carry the same id, so hops, morphing stages, and dead
+        // letters at any receiver join one causal story. With tracing off
+        // ([`EchoSystem::set_tracing`]) frames travel under NO_TRACE and no
+        // spans are minted at all.
         let mut root = if self.tracing {
             let trace = self.alloc_trace(proc.0);
             let mut span = self.recorder.start(trace, None, "echo.publish");
@@ -444,47 +405,17 @@ impl EchoSystem {
         let wire_trace = ctx.map_or(proto::NO_TRACE, |c| c.trace.0);
         let tier = self.channel_qos(channel);
         let header = (channel, wire_trace, tier, self.nodes[proc.0].epoch());
-        // Raw fan-out: the frame set is built (and the payload copied)
-        // once; every sink is sent views of it — Arc bumps, not bytes. A
-        // message within the frame budget is one frame; larger ones split
-        // into fragment frames sharing one seq.
-        let mut raw_frames: Option<Vec<WireBytes>> = None;
         let mut sent = 0;
         let result = (|| -> Result<usize, EchoError> {
+            if sinks.is_empty() {
+                return Ok(0);
+            }
+            // The frame set is built (and the payload copied) once, under
+            // one seq — dedup is per receiver; every sink is sent views of
+            // it, Arc bumps, not bytes. A message within the frame budget
+            // is one frame; larger ones split into fragment frames.
+            let frames = self.encode_event_frames(proc.0, format, event, header)?;
             for &dst in sinks.iter() {
-                let derivation =
-                    self.derived.get(&(channel, dst)).filter(|x| x.from_format() == format);
-                let derived_frames;
-                let frames: &[WireBytes] = match derivation {
-                    // Source-side derivation: filter/reshape per subscriber.
-                    Some(xform) => {
-                        let Some(derived) = xform.apply_filtered(event)? else {
-                            // Filtered out — nothing travels.
-                            self.metrics.filtered.inc();
-                            self.metrics.channel(channel).filtered.inc();
-                            if let Some(c) = ctx {
-                                let sink = [("sink", &*self.nodes[dst].name)];
-                                self.recorder.instant(c.trace, c.parent, "echo.filtered", &sink);
-                            }
-                            continue;
-                        };
-                        let to_format = Arc::clone(xform.to_format());
-                        derived_frames =
-                            self.encode_event_frames(proc.0, &to_format, &derived, header)?;
-                        &derived_frames
-                    }
-                    // Different source format (or no derivation): send the raw
-                    // event; the sink's own morphing receiver reconciles. One
-                    // seq serves every recipient of the same frame set — dedup
-                    // is per receiver.
-                    None => {
-                        if raw_frames.is_none() {
-                            let frames = self.encode_event_frames(proc.0, format, event, header)?;
-                            raw_frames = Some(frames);
-                        }
-                        raw_frames.as_deref().expect("filled above")
-                    }
-                };
                 for (n, frame) in frames.iter().enumerate() {
                     self.send_policied(proc.0, dst, frame.clone(), ctx, tier)?;
                     // The books follow the wire: a message counts as sent
@@ -820,7 +751,7 @@ impl EchoSystem {
     }
 
     /// The delivery tier a channel's events travel under.
-    pub fn channel_qos(&self, channel: ChannelId) -> QosTier {
+    fn channel_qos(&self, channel: ChannelId) -> QosTier {
         self.qos.get(&channel).copied().unwrap_or(QosTier::Reliable)
     }
 
@@ -1094,82 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_channel_filters_at_source() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
-        let ch = sys.create_channel(c);
-        let fmt = tick_format();
-        sys.subscribe(s1, ch, Role::source(), None).unwrap();
-        // s2 only wants even ticks, and only the sequence number.
-        let derived = FormatBuilder::record("TickSeq").int("n").build_arc().unwrap();
-        sys.subscribe_derived(
-            s2,
-            ch,
-            &fmt,
-            &derived,
-            "if (new.n % 2 != 0) return 0; old.n = new.n;",
-        )
-        .unwrap();
-        sys.run();
-        for n in 0..6 {
-            sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
-        }
-        sys.run();
-        let events = sys.take_events(s2);
-        let seqs: Vec<i64> =
-            events.iter().map(|(_, v)| v.field(&derived, "n").unwrap().as_i64().unwrap()).collect();
-        assert_eq!(seqs, vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn derived_channel_reduces_wire_traffic() {
-        // The point of source-side derivation: filtered events never travel.
-        let run = |derived: bool| -> u64 {
-            let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
-            let ch = sys.create_channel(c);
-            let fmt = tick_format();
-            sys.subscribe(s1, ch, Role::source(), None).unwrap();
-            if derived {
-                let dfmt = FormatBuilder::record("T").int("n").build_arc().unwrap();
-                sys.subscribe_derived(s2, ch, &fmt, &dfmt, "return 0;").unwrap();
-            } else {
-                sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
-            }
-            sys.run();
-            let before = sys.total_bytes();
-            for n in 0..20 {
-                sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
-            }
-            sys.run();
-            sys.total_bytes() - before
-        };
-        let full = run(false);
-        let filtered = run(true);
-        assert_eq!(filtered, 0, "drop-all derivation sends nothing");
-        assert!(full > 0);
-    }
-
-    #[test]
-    fn derived_and_plain_sinks_coexist() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
-        let plain = sys.add_process("plain-sink", EchoVersion::V2);
-        sys.connect_all(LinkParams::lan());
-        let ch = sys.create_channel(c);
-        let fmt = tick_format();
-        sys.subscribe(s1, ch, Role::source(), None).unwrap();
-        sys.subscribe(plain, ch, Role::sink(), Some(&fmt)).unwrap();
-        let dfmt = FormatBuilder::record("T").int("n").build_arc().unwrap();
-        sys.subscribe_derived(s2, ch, &fmt, &dfmt, "if (new.n < 2) return 0; old.n = new.n;")
-            .unwrap();
-        sys.run();
-        for n in 0..4 {
-            sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
-        }
-        sys.run();
-        assert_eq!(sys.take_events(plain).len(), 4, "plain sink sees everything");
-        assert_eq!(sys.take_events(s2).len(), 2, "derived sink sees the tail");
-    }
-
-    #[test]
     fn unsubscribe_removes_member_and_stops_delivery() {
         let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
@@ -1193,31 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_drops_derived_subscription() {
-        let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
-        let ch = sys.create_channel(c);
-        let fmt = tick_format();
-        sys.subscribe(s1, ch, Role::source(), None).unwrap();
-        let dfmt = FormatBuilder::record("T").int("n").build_arc().unwrap();
-        sys.subscribe_derived(s2, ch, &fmt, &dfmt, "old.n = new.n;").unwrap();
-        sys.run();
-        sys.publish(s1, ch, &fmt, &tick(1)).unwrap();
-        sys.run();
-        assert_eq!(sys.take_events(s2).len(), 1);
-        // After unsubscribing, re-subscribing plainly must not reuse the
-        // stale derived transformation.
-        sys.unsubscribe(s2, ch).unwrap();
-        sys.run();
-        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
-        sys.run();
-        sys.publish(s1, ch, &fmt, &tick(2)).unwrap();
-        sys.run();
-        let events = sys.take_events(s2);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].1, tick(2), "raw event, not the derived shape");
-    }
-
-    #[test]
     fn unsubscribe_by_creator_is_local() {
         let (mut sys, c, _s1, _s2) = three(EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
@@ -1229,16 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_channel_bad_code_fails_at_registration() {
-        let (mut sys, c, _s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
-        let ch = sys.create_channel(c);
-        let fmt = tick_format();
-        let dfmt = FormatBuilder::record("T").int("n").build_arc().unwrap();
-        let err = sys.subscribe_derived(s2, ch, &fmt, &dfmt, "old.nosuch = 1;").unwrap_err();
-        assert!(matches!(err, EchoError::Morph(_)));
-    }
-
-    #[test]
     fn system_registry_counts_events() {
         let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
         let plain = sys.add_process("plain-sink", EchoVersion::V2);
@@ -1247,23 +1067,18 @@ mod tests {
         let fmt = tick_format();
         sys.subscribe(s1, ch, Role::source(), None).unwrap();
         sys.subscribe(plain, ch, Role::sink(), Some(&fmt)).unwrap();
-        let dfmt = FormatBuilder::record("T").int("n").build_arc().unwrap();
-        sys.subscribe_derived(s2, ch, &fmt, &dfmt, "if (new.n < 2) return 0; old.n = new.n;")
-            .unwrap();
+        sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
         for n in 0..4 {
             sys.publish(s1, ch, &fmt, &tick(n)).unwrap();
         }
         sys.run();
         let snap = sys.registry().snapshot();
-        // 4 publish() calls; each reaches the plain sink, and 2 of 4 pass
-        // the derived filter at the source.
+        // 4 publish() calls, each reaching both sinks.
         assert_eq!(snap.counter("echo.events.published"), Some(4));
-        assert_eq!(snap.counter("echo.events.filtered"), Some(2));
-        assert_eq!(snap.counter("echo.events.delivered"), Some(6));
-        assert_eq!(snap.counter("echo.derived.compiled"), Some(1));
+        assert_eq!(snap.counter("echo.events.delivered"), Some(8));
         assert_eq!(snap.counter(&format!("echo.ch.{}.published", ch.0)), Some(4));
-        assert_eq!(snap.counter(&format!("echo.ch.{}.delivered", ch.0)), Some(6));
+        assert_eq!(snap.counter(&format!("echo.ch.{}.delivered", ch.0)), Some(8));
         // The attached network mirrors its traffic into the same registry,
         // and the snapshot is stamped with virtual time.
         assert!(snap.counter("simnet.messages").unwrap_or(0) > 0);
@@ -1804,6 +1619,10 @@ mod tests {
         let (mut sys, c, s1, s2) = three(EchoVersion::V2, EchoVersion::V2);
         let ch = sys.create_channel(c);
         sys.set_reassembly_limits(8, 1_000);
+        // Both hold a record of the channel, where their fragment sets live.
+        for s in [s1, s2] {
+            sys.nodes[s.0].set_role(ch, Role::sink());
+        }
         let buffered = |sys: &EchoSystem| sys.registry().snapshot().gauge("echo.frag.buffered");
         // The higher-numbered process starts reassembling first.
         sys.dispatch_frame(s2.0, c.0, &orphan_fragment(ch, 1));

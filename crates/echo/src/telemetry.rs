@@ -61,7 +61,7 @@ fn long(v: u64) -> Value {
 
 /// Builds one v2 telemetry record from a reporting period's registry
 /// delta. Counters absent from the delta report zero.
-pub fn telemetry_value(seq: u64, at_ns: u64, queue_depth: i64, delta: &SnapshotDelta) -> Value {
+fn telemetry_value(seq: u64, at_ns: u64, queue_depth: i64, delta: &SnapshotDelta) -> Value {
     let c = |name: &str| long(delta.counter(name).unwrap_or(0));
     Value::Record(vec![
         long(seq),

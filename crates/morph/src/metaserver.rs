@@ -14,8 +14,8 @@
 //! [`MetaClient::resolve_into`] and [`process_with_resolution`], which
 //! check what the server answers instead of trusting it: every message
 //! must be exactly as long as its contents, every transformation must start
-//! at the format asked about, and one resolution installs at most
-//! [`MAX_RESOLVED_FORMATS`] formats.
+//! at the format asked about, and one resolution installs at most 64
+//! formats (`MAX_RESOLVED_FORMATS`).
 //!
 //! Wire protocol (all integers little-endian):
 //!
@@ -42,19 +42,19 @@ use crate::receiver::{Delivery, MorphReceiver};
 use crate::xform::{Transformation, TransformationRegistry};
 
 /// Request tag: fetch a format description by id.
-pub const REQ_FORMAT: u8 = 0x01;
+const REQ_FORMAT: u8 = 0x01;
 /// Request tag: fetch the transformations whose source is the given id.
-pub const REQ_XFORMS: u8 = 0x02;
+const REQ_XFORMS: u8 = 0x02;
 /// Request tag: register a format description.
 pub const REQ_REGISTER_FORMAT: u8 = 0x03;
 /// Request tag: register a transformation.
-pub const REQ_REGISTER_XFORM: u8 = 0x04;
+const REQ_REGISTER_XFORM: u8 = 0x04;
 /// Response tag: a format description follows.
 pub const RESP_FORMAT: u8 = 0x81;
 /// Response tag: a list of transformations follows.
 pub const RESP_XFORMS: u8 = 0x82;
 /// Response tag: the id is unknown to the server.
-pub const RESP_NOT_FOUND: u8 = 0x8e;
+const RESP_NOT_FOUND: u8 = 0x8e;
 /// Response tag: registration accepted.
 pub const RESP_ACK: u8 = 0x8f;
 
@@ -63,7 +63,7 @@ pub const RESP_ACK: u8 = 0x8f;
 /// revision chain (Fig. 1) is a handful of hops; a server whose closure
 /// reaches further is answering something else, and the resolution stops
 /// with a protocol error instead of following it.
-pub const MAX_RESOLVED_FORMATS: usize = 64;
+const MAX_RESOLVED_FORMATS: usize = 64;
 
 fn bad(msg: &str) -> MorphError {
     MorphError::Protocol(msg.to_string())
@@ -130,7 +130,7 @@ impl MetaServer {
     /// # Errors
     ///
     /// Returns an error only for *malformed* requests; lookups that miss
-    /// answer with [`RESP_NOT_FOUND`].
+    /// answer with `RESP_NOT_FOUND`.
     pub fn handle(&mut self, request: &[u8]) -> Result<Vec<u8>> {
         self.served += 1;
         let (&tag, rest) = request.split_first().ok_or_else(|| bad("empty request"))?;
@@ -217,7 +217,7 @@ impl MetaClient {
     /// # Errors
     ///
     /// Returns an error for malformed responses; `Ok(None)` for
-    /// [`RESP_NOT_FOUND`].
+    /// `RESP_NOT_FOUND`.
     pub fn parse_format(response: &[u8]) -> Result<Option<RecordFormat>> {
         let (&tag, rest) = response.split_first().ok_or_else(|| bad("empty response"))?;
         match tag {
@@ -266,8 +266,8 @@ impl MetaClient {
     /// [`MorphError::RetryExhausted`], naming the last transport error, once
     /// a single round-trip has failed `policy.budget + 1` times;
     /// [`MorphError::Protocol`] for a transformation that does not start at
-    /// the format asked about, or a closure beyond
-    /// [`MAX_RESOLVED_FORMATS`]; errors parsing the responses propagate
+    /// the format asked about, or a closure beyond 64 formats
+    /// (`MAX_RESOLVED_FORMATS`); errors parsing the responses propagate
     /// unchanged.
     pub fn resolve_into<E, S>(
         rx: &mut MorphReceiver,

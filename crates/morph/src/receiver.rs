@@ -396,7 +396,7 @@ impl std::fmt::Debug for MorphReceiver {
         f.debug_struct("MorphReceiver")
             .field("config", &self.config)
             .field("readers", &self.readers.iter().map(|r| r.name()).collect::<Vec<_>>())
-            .field("cached_decisions", &self.cache.len())
+            .field("cached_decisions", &self.cached_decisions())
             .field("stats", &self.stats())
             .finish()
     }
@@ -622,7 +622,7 @@ impl MorphReceiver {
     }
 
     /// Number of distinct wire formats with cached decisions.
-    pub fn cached_decisions(&self) -> usize {
+    fn cached_decisions(&self) -> usize {
         self.cache.len()
     }
 

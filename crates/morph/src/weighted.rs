@@ -17,10 +17,10 @@ use std::sync::Arc;
 
 use pbio::RecordFormat;
 
-use crate::matching::{miss, quality, select, weight_under, MatchConfig, MaxMatch, Weigher};
+use crate::matching::{miss, quality, select, MatchConfig, MaxMatch, Weigher};
 
 /// Default importance of a field not mentioned in the profile.
-pub const DEFAULT_IMPORTANCE: f64 = 1.0;
+const DEFAULT_IMPORTANCE: f64 = 1.0;
 
 /// A set of importance weights keyed by dotted field path.
 ///
@@ -52,7 +52,7 @@ pub struct WeightProfile {
 }
 
 impl WeightProfile {
-    /// An empty profile: every field weighs [`DEFAULT_IMPORTANCE`], which
+    /// An empty profile: every field weighs 1.0 (`DEFAULT_IMPORTANCE`), which
     /// makes the weighted functions compute the paper's unweighted ones.
     pub fn new() -> WeightProfile {
         WeightProfile { weights: HashMap::new() }
@@ -133,12 +133,6 @@ impl Weigher for WeightProfile {
     }
 }
 
-/// The weighted analogue of the paper's `W_f`: total importance mass of a
-/// format's basic fields.
-pub fn wweight(format: &RecordFormat, profile: &WeightProfile) -> f64 {
-    weight_under(profile, format, &String::new())
-}
-
 /// Weighted Algorithm 1: total importance of basic fields of `f1` absent
 /// from `f2`.
 pub fn wdiff(f1: &RecordFormat, f2: &RecordFormat, profile: &WeightProfile) -> f64 {
@@ -164,17 +158,15 @@ impl From<MatchConfig> for WeightedConfig {
     }
 }
 
-/// The chosen pair of a weighted MaxMatch, with its weighted quality.
-pub type WeightedMatch = MaxMatch<f64>;
-
 /// Weighted MaxMatch: least weighted `Mr`, then least weighted `diff`,
-/// thresholded by `config`; ties broken by candidate order.
+/// thresholded by `config`; ties broken by candidate order. The chosen
+/// pair comes back with its weighted quality.
 pub fn weighted_max_match(
     set1: &[Arc<RecordFormat>],
     set2: &[Arc<RecordFormat>],
     profile: &WeightProfile,
     config: &WeightedConfig,
-) -> Option<WeightedMatch> {
+) -> Option<MaxMatch<f64>> {
     select(profile, set1, set2, config)
 }
 
@@ -201,7 +193,8 @@ mod tests {
         assert_eq!(wdiff(&b, &a, &p), diff(&b, &a) as f64);
         assert!((wmismatch_ratio(&a, &b, &p) - mismatch_ratio(&a, &b)).abs() < 1e-12);
         let unweighted = crate::matching::type_weight(&pbio::FieldType::Record(a.clone()));
-        assert_eq!(wweight(&a, &p), unweighted as f64);
+        let weighted = crate::matching::weight_under(&p, &a, &String::new());
+        assert_eq!(weighted, unweighted as f64);
     }
 
     #[test]

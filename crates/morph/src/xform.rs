@@ -155,23 +155,23 @@ impl CompiledXform {
         &self.program
     }
 
-    /// The one body under the four public forms: `engine` runs the program
-    /// over `[input, default old]` within the budget of a message the
-    /// input's size ([`fuel_for`]), and `old` comes back — next to what the
-    /// program returned — with its variable-length array length fields
-    /// re-synchronized, so the output always satisfies the target format's
-    /// invariants.
+    /// The one body under the three forms: `engine` runs the program over
+    /// `[input, default old]` within the budget of a message the input's
+    /// size ([`fuel_for`]), and `old` comes back with its variable-length
+    /// array length fields re-synchronized, so the output always satisfies
+    /// the target format's invariants. What the program returned is not
+    /// read.
     fn run(
         &self,
         input: Value,
         engine: impl FnOnce(&EcodeProgram, &mut [Value], u64) -> ecode::Result<Option<Value>>,
-    ) -> Result<(Option<Value>, Value)> {
+    ) -> Result<Value> {
         let fuel = fuel_for(input.native_record_size(&self.from));
         let mut roots = vec![input, Value::default_record(&self.to)];
-        let returned = engine(&self.program, &mut roots, fuel)?;
+        engine(&self.program, &mut roots, fuel)?;
         let mut out = roots.pop().expect("two roots in, two out");
         pbio::sync_length_fields(&mut out, &self.to);
-        Ok((returned, out))
+        Ok(out)
     }
 
     /// Applies the transformation to a decoded message value, producing a
@@ -193,21 +193,7 @@ impl CompiledXform {
     ///
     /// See [`CompiledXform::apply`].
     fn apply_owned(&self, input: Value) -> Result<Value> {
-        Ok(self.run(input, EcodeProgram::run_with_fuel)?.1)
-    }
-
-    /// Applies the transformation *as a filter*: if the program executes
-    /// `return 0;` the event is suppressed (`Ok(None)`); any other return
-    /// value — or none — delivers the transformed output. This is the
-    /// contract of derived event channels, where subscriber-supplied code
-    /// runs at the source to filter and reshape events before they travel.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledXform::apply`].
-    pub fn apply_filtered(&self, input: &Value) -> Result<Option<Value>> {
-        let (returned, out) = self.run(input.clone(), EcodeProgram::run_with_fuel)?;
-        Ok((!matches!(returned, Some(Value::Int(0)))).then_some(out))
+        self.run(input, EcodeProgram::run_with_fuel)
     }
 
     /// Applies using the reference interpreter instead of the VM: the
@@ -217,7 +203,7 @@ impl CompiledXform {
     ///
     /// See [`CompiledXform::apply`].
     pub fn apply_interp(&self, input: &Value) -> Result<Value> {
-        Ok(self.run(input.clone(), EcodeProgram::run_interp_with_fuel)?.1)
+        self.run(input.clone(), EcodeProgram::run_interp_with_fuel)
     }
 }
 
@@ -487,7 +473,7 @@ mod tests {
     }
 
     /// Wire-supplied code runs on a budget: a loop that never ends is an
-    /// error under every form, the oracle's included, and a filter's too.
+    /// error under every form, the oracle's included.
     #[test]
     fn a_transformation_that_never_finishes_spends_its_budget_and_errs() {
         let t = Transformation::new(fmt("M", &["a"]), fmt("M", &["b"]), "while (1) {}");
@@ -498,7 +484,6 @@ mod tests {
             assert!(matches!(err, MorphError::Ecode(_)), "{err}");
             assert!(err.to_string().contains("budget exhausted"), "{err}");
         }
-        assert!(matches!(cx.apply_filtered(&input), Err(MorphError::Ecode(_))));
         // The budget grows with the message.
         assert!(fuel_for(64 << 10) > fuel_for(0) && fuel_for(0) >= 1 << 20);
     }

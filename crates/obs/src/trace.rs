@@ -110,7 +110,7 @@ pub struct SpanEvent {
 
 impl SpanEvent {
     /// The elapsed interval (zero for instants).
-    pub fn duration_ns(&self) -> u64 {
+    fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
 

@@ -24,7 +24,6 @@ use crate::metric::Gauge;
 struct Slot {
     epoch: u64,
     sum: u64,
-    count: u64,
 }
 
 /// A fixed-slot rolling window over a monotonic nanosecond clock.
@@ -74,20 +73,19 @@ impl RollingWindow {
         let idx = (epoch % self.slots.len() as u64) as usize;
         let slot = &mut self.slots[idx];
         if slot.epoch != epoch {
-            *slot = Slot { epoch, sum: 0, count: 0 };
+            *slot = Slot { epoch, sum: 0 };
         }
         slot.sum += value;
-        slot.count += 1;
     }
 
-    /// Sum of the samples still inside the window at `now_ns`.
+    /// Sum of the samples still inside the window at `now_ns`: the slots
+    /// whose epoch is still inside it. A slot written at epoch `e` stays
+    /// visible while the current epoch is `< e + slots` — exactly until
+    /// its ring position is reused.
     pub fn sum(&self, now_ns: u64) -> u64 {
-        self.fold(now_ns, |s| s.sum)
-    }
-
-    /// Number of samples still inside the window at `now_ns`.
-    pub fn count(&self, now_ns: u64) -> u64 {
-        self.fold(now_ns, |s| s.count)
+        let epoch = now_ns / self.slot_ns;
+        let n = self.slots.len() as u64;
+        self.slots.iter().filter(|s| s.epoch <= epoch && epoch - s.epoch < n).map(|s| s.sum).sum()
     }
 
     /// Windowed rate: `sum / span` per second, where the span is the
@@ -100,20 +98,6 @@ impl RollingWindow {
         let span = self.window_ns().min(elapsed);
         let rate = u128::from(self.sum(now_ns)) * 1_000_000_000 / u128::from(span);
         u64::try_from(rate).unwrap_or(u64::MAX)
-    }
-
-    /// Folds `f` over the slots whose epoch is still inside the window at
-    /// `now_ns`. A slot written at epoch `e` stays visible while the
-    /// current epoch is `< e + slots` — exactly until its ring position is
-    /// reused.
-    fn fold(&self, now_ns: u64, f: impl Fn(&Slot) -> u64) -> u64 {
-        let epoch = now_ns / self.slot_ns;
-        let n = self.slots.len() as u64;
-        self.slots
-            .iter()
-            .filter(|s| (s.sum > 0 || s.count > 0) && s.epoch <= epoch && epoch - s.epoch < n)
-            .map(f)
-            .sum()
     }
 }
 
@@ -169,7 +153,6 @@ mod tests {
         w.record(0, 5);
         w.record(150, 7);
         assert_eq!(w.sum(150), 12);
-        assert_eq!(w.count(150), 2);
         // At t=399 both slots are still inside the 400 ns window.
         assert_eq!(w.sum(399), 12);
         // At t=400 the epoch-0 slot ages out; at t=500 the epoch-1 slot.

@@ -28,9 +28,9 @@ use crate::value::Value;
 /// Size in bytes of the fixed wire header.
 pub const HEADER_LEN: usize = 16;
 /// First magic byte.
-pub const MAGIC0: u8 = b'P';
+const MAGIC0: u8 = b'P';
 /// Second magic byte.
-pub const MAGIC1: u8 = b'B';
+const MAGIC1: u8 = b'B';
 /// Wire protocol version emitted by this crate.
 pub const WIRE_VERSION: u8 = 1;
 /// Header flag bit: payload integers/floats are big-endian.
@@ -137,7 +137,7 @@ impl Encoder {
     ///
     /// See [`Encoder::encode`]. On error, `out` may contain a partial
     /// message and should be truncated by the caller.
-    pub fn encode_into(&self, value: &Value, out: &mut Vec<u8>) -> Result<()> {
+    fn encode_into(&self, value: &Value, out: &mut Vec<u8>) -> Result<()> {
         let start = out.len();
         let flags = match self.order {
             ByteOrder::Little => 0,

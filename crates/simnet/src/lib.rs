@@ -201,8 +201,6 @@ struct LinkState {
     next_free_ns: u64,
     /// Bytes carried (for traffic accounting).
     bytes: u64,
-    /// Messages carried.
-    messages: u64,
     /// Administratively down (sends fail; in-flight messages still arrive).
     down: bool,
     /// Maximum payload size accepted by the link; 0 means unlimited.
@@ -213,26 +211,6 @@ struct LinkState {
     /// registry, created on the link's first send — kept with the link so
     /// a send finds them with the lookup it makes anyway.
     counters: Option<(Arc<Counter>, Arc<Counter>)>,
-}
-
-/// Per-link traffic statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LinkStats {
-    /// Total payload bytes carried.
-    pub bytes: u64,
-    /// Messages carried.
-    pub messages: u64,
-}
-
-/// Accounting for scheduled node-crash windows
-/// ([`Network::set_crash_windows`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CrashStats {
-    /// Sends refused because an endpoint was inside a crash window.
-    pub blocked: u64,
-    /// In-flight messages discarded because their destination was crashed
-    /// at delivery time.
-    pub dropped: u64,
 }
 
 /// A crash-window boundary crossed as virtual time advanced — the raw
@@ -282,7 +260,6 @@ pub struct Network {
     /// Scheduled `[from_ns, until_ns)` crash windows per node — the
     /// server-loss mirror of [`FaultPlan`]'s partition windows.
     crash_windows: HashMap<NodeId, Vec<(u64, u64)>>,
-    crash_stats: CrashStats,
     /// Every crash-window boundary, flattened and sorted by
     /// `(at_ns, restart-before-crash, node)` — rebuilt whenever windows
     /// change. `crash_cursor` marks the prefix already handed out by
@@ -398,8 +375,8 @@ impl Network {
     /// Schedules crash windows for a node: during any half-open
     /// `[from_ns, until_ns)` window the node is down — sends from or to it
     /// are refused with [`NetError::NodeDown`], and in-flight messages
-    /// reaching it are silently discarded (counted in
-    /// [`Network::crash_stats`]). The mirror of [`FaultPlan`]'s scheduled
+    /// reaching it are silently discarded (counted in an attached
+    /// registry's `simnet.crash.dropped`). The mirror of [`FaultPlan`]'s scheduled
     /// partition windows for *process* loss: replica crashes become
     /// injectable and, being pure schedule, replayable per seed. Replaces
     /// any previous windows for the node.
@@ -480,11 +457,6 @@ impl Network {
         covered.then_some(t)
     }
 
-    /// Accounting for crash-window refusals and drops.
-    pub fn crash_stats(&self) -> CrashStats {
-        self.crash_stats
-    }
-
     /// Advances virtual time by `delta_ns` without delivering anything —
     /// models a component waiting (e.g. a retry backoff) while the network
     /// is quiet. Time never runs backwards past queued deliveries; they
@@ -562,7 +534,6 @@ impl Network {
         // the process is down, not the link.
         for node in [from, to] {
             if self.node_crashed_at(node, now) {
-                self.crash_stats.blocked += 1;
                 if let Some(m) = &self.metrics {
                     m.crash_blocked.inc();
                 }
@@ -679,7 +650,6 @@ impl Network {
             }
         };
         link.bytes += payload_len * entered;
-        link.messages += entered;
         if let Some(m) = &self.metrics {
             let (bytes, messages) = link.counters.get_or_insert_with(|| {
                 let link_name =
@@ -779,7 +749,7 @@ impl Network {
     /// delivery time and depositing it in the receiver's inbox. Messages
     /// whose destination is inside a crash window at delivery time are
     /// discarded (the process is not there to receive them) and accounted
-    /// in [`Network::crash_stats`]. Returns `None` when nothing is in
+    /// in an attached registry's `simnet.crash.dropped`. Returns `None` when nothing is in
     /// flight.
     pub fn step(&mut self) -> Option<Delivery> {
         let d = self.take_delivery(None)?;
@@ -828,7 +798,6 @@ impl Network {
                 span.finish(); // commits [depart..deliver] on the virtual clock
             }
             if crashed {
-                self.crash_stats.dropped += 1;
                 if let Some(mm) = &self.metrics {
                     mm.crash_dropped.inc();
                 }
@@ -899,11 +868,6 @@ impl Network {
                 link.mtu = mtu;
             }
         }
-    }
-
-    /// Traffic statistics for the directed link `from → to`.
-    pub fn link_stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
-        self.links.get(&(from, to)).map(|l| LinkStats { bytes: l.bytes, messages: l.messages })
     }
 
     /// Total bytes carried across all directed links.
@@ -1070,12 +1034,13 @@ mod tests {
     #[test]
     fn stats_account_bytes_and_messages() {
         let (mut net, a, b) = pair(LinkParams::lan());
+        let reg = Arc::new(Registry::new());
+        net.attach_registry(Arc::clone(&reg));
         net.send(a, b, vec![0u8; 10]).unwrap();
         net.send(a, b, vec![0u8; 20]).unwrap();
-        let s = net.link_stats(a, b).unwrap();
-        assert_eq!(s.bytes, 30);
-        assert_eq!(s.messages, 2);
-        assert_eq!(net.link_stats(b, a).unwrap(), LinkStats::default());
+        assert_eq!(reg.counter("simnet.link.a->b.bytes").get(), 30);
+        assert_eq!(reg.counter("simnet.link.a->b.messages").get(), 2);
+        assert_eq!(reg.counter("simnet.link.b->a.messages").get(), 0);
         assert_eq!(net.total_bytes(), 30);
     }
 
@@ -1150,16 +1115,18 @@ mod tests {
     #[test]
     fn crash_windows_block_sends_and_drop_inflight() {
         let (mut net, a, b) = pair(LinkParams::lan());
+        let reg = Arc::new(Registry::new());
+        net.attach_registry(Arc::clone(&reg));
         // In flight before the crash: dropped at delivery time, since the
         // process is gone when the message arrives.
         net.send(a, b, vec![1]).unwrap();
         net.set_crash_windows(b, &[(50_000, 10_000_000)]);
         assert!(net.step().is_none(), "delivery inside the window is discarded");
-        assert_eq!(net.crash_stats().dropped, 1);
+        assert_eq!(reg.counter("simnet.crash.dropped").get(), 1);
         // New sends in either direction are refused while b is down.
         assert_eq!(net.send(a, b, vec![2]).unwrap_err(), NetError::NodeDown(b));
         assert_eq!(net.send(b, a, vec![3]).unwrap_err(), NetError::NodeDown(b));
-        assert_eq!(net.crash_stats().blocked, 2);
+        assert_eq!(reg.counter("simnet.crash.blocked").get(), 2);
         // Windows are half-open: down at from_ns, back at until_ns.
         assert!(net.node_crashed_at(b, 50_000));
         assert!(!net.node_crashed_at(b, 49_999));
@@ -1231,11 +1198,13 @@ mod tests {
     #[test]
     fn take_delivery_discards_frames_landing_in_a_crash_window() {
         let (mut net, a, b) = pair(LinkParams::lan());
+        let reg = Arc::new(Registry::new());
+        net.attach_registry(Arc::clone(&reg));
         net.send(a, b, vec![1]).unwrap();
         net.set_crash_windows(b, &[(0, u64::MAX)]);
         assert!(net.take_delivery(None).is_none());
         assert!(net.is_idle());
-        assert_eq!(net.crash_stats().dropped, 1);
+        assert_eq!(reg.counter("simnet.crash.dropped").get(), 1);
     }
 
     #[test]

@@ -60,6 +60,8 @@ fn partition_failures_do_not_consume_link_time() {
     // A refused send must not advance the transmitter: after heal, delivery
     // times look exactly as if the failed attempts never happened.
     let (mut net, a, b) = pair(LinkParams { latency_ns: 0, bandwidth_bps: 1_000_000 });
+    let reg = Arc::new(Registry::new());
+    net.attach_registry(Arc::clone(&reg));
     net.set_link_up(a, b, false);
     for _ in 0..5 {
         assert!(net.send(a, b, vec![0; 1000]).is_err());
@@ -67,7 +69,7 @@ fn partition_failures_do_not_consume_link_time() {
     net.set_link_up(a, b, true);
     let t = net.send(a, b, vec![0; 1000]).unwrap();
     assert_eq!(t, 1_000_000, "only the successful send consumed tx time");
-    assert_eq!(net.link_stats(a, b).unwrap().messages, 1);
+    assert_eq!(reg.counter("simnet.link.a->b.messages").get(), 1);
 }
 
 #[test]
@@ -123,13 +125,13 @@ fn fault_plan_accounting_identity_holds() {
     let stats = net.fault_stats(a, b).unwrap();
     assert!(stats.dropped > 0 && stats.duplicated > 0 && stats.corrupted > 0);
     assert_eq!(delivered, SENDS - stats.dropped + stats.duplicated);
-    let link = net.link_stats(a, b).unwrap();
-    assert_eq!(link.messages, delivered + stats.dropped);
-    assert_eq!(link.bytes, link.messages * 16);
+    let messages = reg.counter("simnet.link.a->b.messages").get();
+    assert_eq!(messages, delivered + stats.dropped);
+    assert_eq!(reg.counter("simnet.link.a->b.bytes").get(), messages * 16);
 
     // The registry mirrors the same numbers.
     let snap = reg.snapshot();
-    assert_eq!(snap.counter("simnet.messages"), Some(link.messages));
+    assert_eq!(snap.counter("simnet.messages"), Some(messages));
     assert_eq!(snap.counter("simnet.fault.dropped"), Some(stats.dropped));
     assert_eq!(snap.counter("simnet.fault.duplicated"), Some(stats.duplicated));
     assert_eq!(snap.counter("simnet.fault.corrupted"), Some(stats.corrupted));
@@ -170,12 +172,14 @@ fn corruption_flips_exactly_one_byte() {
 #[test]
 fn dropped_messages_are_silent_to_the_sender() {
     let (mut net, a, b) = pair(LinkParams::ideal());
+    let reg = Arc::new(Registry::new());
+    net.attach_registry(Arc::clone(&reg));
     net.set_fault_plan(a, b, FaultPlan::new(5).drop_per_mille(1000));
     // The send "succeeds" — loss is only visible to the receiver.
     net.send(a, b, vec![1, 2, 3]).unwrap();
     assert!(net.step().is_none(), "the message never arrives");
     assert_eq!(net.fault_stats(a, b).unwrap().dropped, 1);
-    assert_eq!(net.link_stats(a, b).unwrap().messages, 1, "it still used the wire");
+    assert_eq!(reg.counter("simnet.link.a->b.messages").get(), 1, "it still used the wire");
 }
 
 #[test]

@@ -14,18 +14,10 @@ pub enum XmlNode {
 
 impl XmlNode {
     /// The element, if this node is one.
-    pub fn as_element(&self) -> Option<&Element> {
+    fn as_element(&self) -> Option<&Element> {
         match self {
             XmlNode::Element(e) => Some(e),
             XmlNode::Text(_) => None,
-        }
-    }
-
-    /// The text content, if this node is a text node.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            XmlNode::Text(t) => Some(t),
-            XmlNode::Element(_) => None,
         }
     }
 
@@ -149,10 +141,8 @@ mod tests {
     #[test]
     fn node_accessors() {
         let t = XmlNode::Text("hi".into());
-        assert_eq!(t.as_text(), Some("hi"));
         assert!(t.as_element().is_none());
         let e = XmlNode::Element(Element::new("x"));
         assert!(e.as_element().is_some());
-        assert!(e.as_text().is_none());
     }
 }

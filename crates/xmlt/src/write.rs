@@ -18,7 +18,7 @@ pub fn escape_into(text: &str, out: &mut String) {
 
 /// Serializes an element into `out` (compact form, no added whitespace —
 /// whitespace is significant in the evaluation's message-size comparisons).
-pub fn write_into(el: &Element, out: &mut String) {
+fn write_into(el: &Element, out: &mut String) {
     out.push('<');
     out.push_str(&el.name);
     for (k, v) in &el.attrs {

@@ -751,7 +751,7 @@ impl Stylesheet {
     /// # Errors
     ///
     /// As [`Stylesheet::parse`].
-    pub fn from_element(root: &Element) -> Result<Stylesheet> {
+    fn from_element(root: &Element) -> Result<Stylesheet> {
         if xsl_name(root) != Some("stylesheet") && xsl_name(root) != Some("transform") {
             return Err(XmlError::Stylesheet("root must be <xsl:stylesheet>".into()));
         }

@@ -27,13 +27,21 @@ static LIVE: AtomicIsize = AtomicIsize::new(0);
 static PEAK: AtomicIsize = AtomicIsize::new(0);
 /// Blocks allocated or reallocated.
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Blocks allocated or reallocated to at least `LARGE_FROM` bytes (none
+/// while it is `usize::MAX`).
+static LARGE: AtomicUsize = AtomicUsize::new(0);
+static LARGE_FROM: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 struct Counting;
 
-fn grew(by: isize) {
+/// A block of `size` bytes was handed out, `by` bytes more than before.
+fn grew(size: usize, by: isize) {
     let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
     PEAK.fetch_max(now, Ordering::Relaxed);
     ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if size >= LARGE_FROM.load(Ordering::Relaxed) {
+        LARGE.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
@@ -41,12 +49,12 @@ fn grew(by: isize) {
 // it from, `LIVE`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size() as isize);
+        grew(layout.size(), layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size() as isize);
+        grew(layout.size(), layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
@@ -56,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grew(new_size as isize - layout.size() as isize);
+        grew(new_size, new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -231,6 +239,52 @@ fn a_journaled_reliable_exchange_keeps_no_acked_frame() {
         "live heap grew {growth} B over {fragments} fragments ({} B each)",
         growth / fragments as isize
     );
+}
+
+/// Publishes a 16 KiB event to `sinks` provisioned sinks after one warm-up
+/// publish (which creates what a publish keeps: the sink index, the
+/// channel's counters, the links' queues). Returns the frame's length, the
+/// blocks of at least that length the second publish allocated, and the
+/// live heap it left behind.
+fn publish_large(sinks: usize) -> (usize, usize, isize) {
+    let fmt = FormatBuilder::record("Blob").string("data").build_arc().unwrap();
+    let event = Value::Record(vec![Value::str("x".repeat(16 << 10))]);
+    let mut sys = EchoSystem::new();
+    sys.set_tracing(false);
+    let publisher = sys.add_process("publisher", EchoVersion::V2);
+    let ch = sys.create_channel(publisher);
+    for i in 0..sinks {
+        let sink = sys.add_process(format!("sink-{i}"), EchoVersion::V2);
+        sys.connect(publisher, sink, LinkParams::lan());
+        sys.provision_sink(sink, ch, &fmt).unwrap();
+    }
+    assert_eq!(sys.publish(publisher, ch, &fmt, &event).unwrap(), sinks);
+    sys.run();
+    assert_eq!(sys.registry().counter("echo.events.delivered").get(), sinks as u64);
+    let frame_len = proto::FRAME_HEADER_LEN + Encoder::new(&fmt).encode(&event).unwrap().len();
+    LARGE_FROM.store(frame_len, Ordering::Relaxed);
+    let (large, before) = (LARGE.load(Ordering::Relaxed), live());
+    assert_eq!(sys.publish(publisher, ch, &fmt, &event).unwrap(), sinks);
+    let (large, held) = (LARGE.load(Ordering::Relaxed) - large, live() - before);
+    LARGE_FROM.store(usize::MAX, Ordering::Relaxed);
+    (frame_len, large, held)
+}
+
+/// ARCHITECTURE.md invariant 4, single copy: a publish frames its payload
+/// once and sends every sink a view of that frame. Published to eight
+/// sinks, a 16 KiB event allocates the frame-sized blocks a publish to one
+/// sink does — not a frame per sink — and the eight frames in flight hold
+/// the payload once. For one sink there are two such blocks: the frame's
+/// `Vec`, and the shared `Arc<[u8]>` that `WireBytes::from` moves it into,
+/// which copies it again.
+#[test]
+fn a_publish_to_eight_sinks_frames_its_payload_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (frame_len, one, _) = publish_large(1);
+    let (_, eight, held) = publish_large(8);
+    assert_eq!(eight, one, "blocks of at least the frame's {frame_len} B: 8 sinks vs 1");
+    assert!(one <= 2, "{one} blocks of at least {frame_len} B for one sink");
+    assert!(held < 2 * frame_len as isize, "{held} B held for 8 sinks of a {frame_len} B frame");
 }
 
 /// A histogram that never records costs at most 64 bytes behind its

@@ -12,6 +12,8 @@
 //!   those layers register.
 //! - The switch tables of `ARCHITECTURE.md` list exactly `EchoConfig`'s
 //!   fields and `EchoSystem`'s `set_*` / `enable_*` methods.
+//! - Every span and instant name in `OBSERVABILITY.md`'s span vocabulary
+//!   is one the product code can record.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -409,4 +411,43 @@ fn the_switch_tables_list_the_config_and_every_setter() {
     let tabulated: BTreeSet<String> = tables[1].union(&tables[2]).cloned().collect();
     assert_eq!(tabulated, setters, "the setter tables");
     assert_eq!(setters.len(), 10);
+}
+
+/// The non-test source of every crate under `crates/`: each
+/// `crates/<name>/src/*.rs` cut at its first `#[cfg(test)]` (a test module
+/// kept in a file of its own lives in a subdirectory).
+fn product_source() -> String {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files: Vec<_> = std::fs::read_dir(crates)
+        .unwrap()
+        .filter_map(|krate| std::fs::read_dir(krate.unwrap().path().join("src")).ok())
+        .flatten()
+        .map(|file| file.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|e| e == "rs"))
+        .collect();
+    files.sort();
+    let text = |path| std::fs::read_to_string(path).unwrap();
+    files.iter().map(|path| text(path).split("#[cfg(test)]").next().unwrap().to_string()).collect()
+}
+
+/// OBSERVABILITY.md's span vocabulary names what the code records: each
+/// backticked name in a row's first cell (`` `a` / `b` `` rows give one
+/// name each) occurs as a string literal in the product source. Names with
+/// a `<placeholder>` are built at run time and skipped.
+#[test]
+fn the_span_vocabulary_lists_names_the_code_records() {
+    let doc = include_str!("../OBSERVABILITY.md");
+    let section = doc.split("\n### Span vocabulary").nth(1).expect("a Span vocabulary section");
+    let section = section.split("\n#").next().unwrap();
+    let names: Vec<&str> = section
+        .lines()
+        .filter(|line| line.starts_with("| `"))
+        .flat_map(|line| line.split('|').nth(1).unwrap().split('`').skip(1).step_by(2))
+        .filter(|name| !name.contains('<'))
+        .collect();
+    assert!(names.len() >= 20, "{} names read: {names:?}", names.len());
+    let source = product_source();
+    let unrecorded: Vec<_> =
+        names.iter().filter(|name| !source.contains(&format!("\"{name}\""))).collect();
+    assert!(unrecorded.is_empty(), "in the span vocabulary, recorded by nothing: {unrecorded:?}");
 }

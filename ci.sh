@@ -103,11 +103,12 @@ echo "    META_FUZZ_SEED=$meta cargo test -q --test proptests metadata_mutations
 META_FUZZ_SEED="$meta" cargo test -q --test proptests metadata_mutations
 
 echo "==> engine differentials, fresh seed (the test step above ran the fixed stream)"
-# Every property in tests/proptests.rs — the register VM against the
-# tree-walker on generated expressions, loops, functions and rows, fused
-# chains against the oracle, the VM over the view against the VM over the
-# value — on a stream mixed from a new seed. A failure here reproduces
-# with the printed command.
+# Every property in tests/proptests.rs — the register VM, reading its
+# input in place, against the tree-walker on generated expressions, loops,
+# functions and rows, fused chains against the oracle, and the VM's partial
+# states under a sweep of budgets against the tree-walker's — on a stream
+# mixed from a new seed. A failure here reproduces with the printed
+# command.
 prop=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
 [ -n "$prop" ] || prop=$(date +%s)
 echo "    PROP_SEED=$prop cargo test -q --test proptests"

@@ -35,12 +35,14 @@ use crate::tast::Binding;
 use crate::EcodeProgram;
 use pbio::Value;
 
-/// A transformation chain compiled into a single VM program.
+/// A transformation chain compiled into a single VM program — the one form
+/// in which the register VM runs Ecode.
 ///
 /// Build with [`FusedProgram::compose`]; execute with
-/// [`FusedProgram::run_register`] against `m + 1` roots (incoming message
-/// first, then one default record per step's target format, in chain
-/// order). On return, the last root holds the final morphed value.
+/// [`FusedProgram::run_view`]: root 0 is the incoming message, read in place
+/// and never written, and roots 1 to `m` are one record per step's target
+/// format, in chain order. On return, the last root holds the final morphed
+/// value. A step's main-body `return` ends that step; its value is not read.
 #[derive(Debug, Clone)]
 pub struct FusedProgram {
     rcode: RCode,
@@ -170,35 +172,6 @@ impl FusedProgram {
         Ok(FusedProgram { rcode, bindings })
     }
 
-    /// Executes the fused chain — one register-VM pass wire-roots → final
-    /// `Value`. `roots` must hold the incoming message followed by one
-    /// default record per step's target format; the last root receives the
-    /// final value.
-    ///
-    /// # Errors
-    ///
-    /// As [`EcodeProgram::run`].
-    pub fn run_register(&self, roots: &mut [Value]) -> Result<()> {
-        self.run_register_with(roots, u64::MAX, &mut VmScratch::default())
-    }
-
-    /// [`FusedProgram::run_register`] under an instruction budget, which
-    /// also pays for the array elements and string bytes the program
-    /// builds, in working memory the caller keeps across messages: on warm
-    /// `scratch` the VM itself allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`FusedProgram::run_register`], plus fuel exhaustion.
-    pub fn run_register_with(
-        &self,
-        roots: &mut [Value],
-        fuel: u64,
-        scratch: &mut VmScratch,
-    ) -> Result<()> {
-        rvm::run_with_fuel(&self.rcode, &self.bindings, roots, fuel, scratch).map(drop)
-    }
-
     /// Compiles every path along which the program reads root 0 against
     /// `plan` — the identity or projected plan that will index its messages
     /// ([`pbio::ConversionPlan::index`]) — for [`FusedProgram::run_view`].
@@ -208,18 +181,22 @@ impl FusedProgram {
         ViewRoutes::compile(&self.rcode, plan)
     }
 
-    /// [`FusedProgram::run_register_with`] reading the incoming message in
-    /// place: `view` is root 0 — the message as
-    /// [`pbio::ConversionPlan::index`] left it, read along `routes` compiled
-    /// against the same plan — and `roots` holds the rest, one default
-    /// record per step's target format; the last receives the final value.
-    /// No tree of the incoming message is built. Values, roots and errors
-    /// are those of a run on the message as that plan decodes it.
+    /// Executes the fused chain — one register-VM pass — under an
+    /// instruction budget, which also pays for the array elements and
+    /// string bytes the program builds and copies, in working memory the
+    /// caller keeps across messages: on warm `scratch` the VM itself
+    /// allocates nothing. `view` is root 0 — the incoming message as
+    /// [`pbio::ConversionPlan::index`] left it, read in place along `routes`
+    /// compiled against the same plan — and `roots` holds the rest, one
+    /// record per step's target format (a default one, or whatever the
+    /// caller starts it from); the last receives the final value. No tree of
+    /// the incoming message is built.
     ///
     /// # Errors
     ///
-    /// As [`FusedProgram::run_register_with`]; a program that writes root 0
-    /// fails at that instruction.
+    /// Returns [`EcodeError::Runtime`] on division by zero, out-of-bounds
+    /// reads, shape mismatches between roots and bound formats, a write to
+    /// root 0, or fuel exhaustion.
     pub fn run_view(
         &self,
         view: &pbio::WireView<'_>,
@@ -229,7 +206,33 @@ impl FusedProgram {
         scratch: &mut VmScratch,
     ) -> Result<()> {
         let view = Routed { view, routes };
-        rvm::run_view(&self.rcode, &self.bindings, &view, roots, fuel, scratch).map(drop)
+        rvm::run_view(&self.rcode, &self.bindings, &view, roots, fuel, scratch)
+    }
+
+    /// [`FusedProgram::run_view`] over a decoded message, kept for the
+    /// benchmark harness's `ecode.run` timing only: `roots[0]` is encoded
+    /// under the first binding's format, indexed with
+    /// [`pbio::ConversionPlan::identity`], and read in place, with no budget,
+    /// while `roots[1..]` are written. What it times therefore includes that
+    /// encoding and indexing. ROADMAP item 7(c) deletes it with the harness's
+    /// call.
+    ///
+    /// # Errors
+    ///
+    /// As [`FusedProgram::run_view`], plus [`EcodeError::Runtime`] when
+    /// `roots` is empty or `roots[0]` does not fit the first binding's
+    /// format.
+    pub fn run_register(&self, roots: &mut [Value]) -> Result<()> {
+        let (input, rest) =
+            roots.split_first_mut().ok_or_else(|| EcodeError::runtime("no root #0"))?;
+        let format = &self.bindings[0].format;
+        let pbio_err = |e: pbio::PbioError| EcodeError::runtime(e.to_string());
+        let wire = pbio::Encoder::new(format).encode(input).map_err(pbio_err)?;
+        let plan = pbio::ConversionPlan::identity(format).map_err(pbio_err)?;
+        let mut tape = pbio::Tape::default();
+        let view = plan.index(&wire, &mut tape).map_err(pbio_err)?;
+        let routes = self.routes(&plan);
+        self.run_view(&view, &routes, rest, u64::MAX, &mut VmScratch::default())
     }
 
     /// The fused register bytecode (inspection/metrics).
@@ -317,6 +320,7 @@ pub fn root_used_fields(code: &RCode, root: u8, n_fields: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::run_vm;
     use crate::EcodeCompiler;
     use pbio::FormatBuilder;
     use pbio::RecordFormat;
@@ -348,15 +352,18 @@ mod tests {
         v
     }
 
-    /// Runs the fused chain from `first` (the incoming message as decoded)
-    /// and returns the final value.
+    /// One default record per step's target format: the fused chain's
+    /// roots 1 and up.
+    fn outputs(steps: &[&EcodeProgram]) -> Vec<Value> {
+        steps.iter().map(|p| Value::default_record(&p.bindings()[1].format)).collect()
+    }
+
+    /// Runs the fused chain on the message `first`, read in place, and
+    /// returns the final value.
     fn fused(steps: &[&EcodeProgram], first: &Value) -> Value {
         let fp = FusedProgram::compose(steps).unwrap();
-        let mut roots = vec![first.clone()];
-        for p in steps {
-            roots.push(Value::default_record(&p.bindings()[1].format));
-        }
-        fp.run_register(&mut roots).unwrap();
+        let mut roots = outputs(steps);
+        run_vm(&fp, first, &mut roots, u64::MAX).unwrap();
         roots.pop().unwrap()
     }
 
@@ -473,8 +480,8 @@ mod tests {
         let b = fmt("M", &["y"]);
         let s1 = step(&a, &b, "while (1) {}");
         let fp = FusedProgram::compose(&[&s1]).unwrap();
-        let mut roots = vec![Value::Record(vec![Value::Int(1)]), Value::default_record(&b)];
-        assert!(fp.run_register_with(&mut roots, 1_000, &mut VmScratch::default()).is_err());
+        let input = Value::Record(vec![Value::Int(1)]);
+        assert!(run_vm(&fp, &input, &mut [Value::default_record(&b)], 1_000).is_err());
     }
 
     #[test]
@@ -539,15 +546,22 @@ mod tests {
         assert_eq!(root_used_fields(fp.rcode(), 0, 3), vec![false, true, false]);
     }
 
-    /// The fused chain run on the decode projected to `root_used_fields`
-    /// must deliver what the tree-walker makes of the full message: a read
-    /// the scan misses would surface here as a default value.
+    /// The fused chain reading the message through the plan projected to
+    /// `root_used_fields` must deliver what the tree-walker makes of the
+    /// full message: a read the scan misses would surface here as a default
+    /// value, or fail.
     fn assert_projection_is_invisible(steps: &[&EcodeProgram], used: &[bool], input: &Value) {
         let from = &steps[0].bindings()[0].format;
         let wire = pbio::Encoder::new(from).encode(input).unwrap();
-        let projected = pbio::ConversionPlan::project(from, used).unwrap().execute(&wire).unwrap();
-        assert_ne!(&projected, input, "the projection dropped nothing");
-        assert_eq!(fused(steps, &projected), staged(steps, input));
+        let plan = pbio::ConversionPlan::project(from, used).unwrap();
+        assert_ne!(&plan.execute(&wire).unwrap(), input, "the projection dropped nothing");
+        let fp = FusedProgram::compose(steps).unwrap();
+        let mut tape = pbio::Tape::default();
+        let view = plan.index(&wire, &mut tape).unwrap();
+        let mut roots = outputs(steps);
+        let scratch = &mut VmScratch::default();
+        fp.run_view(&view, &fp.routes(&plan), &mut roots, u64::MAX, scratch).unwrap();
+        assert_eq!(roots.pop().unwrap(), staged(steps, input));
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Reference tree-walking interpreter over the typed AST.
 //!
 //! It is the spec the register VM is tested against: both must agree on
-//! every program, in values, roots and error strings. Its budget counts
-//! evaluation steps rather than instructions, and, as the VM's does, pays
-//! for what a run allocates — *k* units for a write that extends an array
-//! by *k* elements, one per byte of a concatenation's result — before the
+//! every program, in roots and error strings. Its budget counts evaluation
+//! steps rather than instructions, and, as the VM's does, pays for what a
+//! run allocates — *k* units for a write that extends an array by *k*
+//! elements, one per byte of a concatenation's result, one per byte of a
+//! string a read, a constant or an assignment copies — before the
 //! allocation is made, so a program that allocates without bound runs out
 //! on both engines.
 
 use pbio::{FieldType, RecordFormat, Value};
 
 use crate::error::{EcodeError, Result};
+use crate::rvm::text_bytes;
 use crate::tast::*;
 
 fn rt_err(msg: impl Into<String>) -> EcodeError {
@@ -88,8 +90,21 @@ impl<'p> Interp<'p> {
         Ok(out)
     }
 
-    fn read(&mut self, roots: &mut [Value], root: usize, segs: &[TSeg]) -> Result<Value> {
+    /// A clone of `v`, its string bytes paid first.
+    fn paid_clone(&mut self, v: &Value) -> Result<Value> {
+        self.charge(text_bytes(v))?;
+        Ok(v.clone())
+    }
+
+    /// The value at a path, its subscripts evaluated.
+    fn locate<'r>(
+        &mut self,
+        roots: &'r mut [Value],
+        root: usize,
+        segs: &[TSeg],
+    ) -> Result<&'r Value> {
         let p = EvalPath { root, segs: self.eval_segs(roots, segs)? };
+        let roots: &'r [Value] = roots;
         let mut cur: &Value = &roots[p.root];
         for s in &p.segs {
             cur = match s {
@@ -105,12 +120,17 @@ impl<'p> Interp<'p> {
                 }
             };
         }
-        Ok(cur.clone())
+        Ok(cur)
+    }
+
+    fn read(&mut self, roots: &mut [Value], root: usize, segs: &[TSeg]) -> Result<Value> {
+        let v = self.locate(roots, root, segs)?;
+        self.paid_clone(v)
     }
 
     fn len_of(&mut self, roots: &mut [Value], root: usize, segs: &[TSeg]) -> Result<Value> {
-        let v = self.read(roots, root, segs)?;
-        v.as_array()
+        self.locate(roots, root, segs)?
+            .as_array()
             .map(|a| Value::Int(a.len() as i64))
             .ok_or_else(|| rt_err("len() target is not an array"))
     }
@@ -168,9 +188,14 @@ impl<'p> Interp<'p> {
 
     fn read_place(&mut self, roots: &mut [Value], place: &TPlace) -> Result<Value> {
         match place {
-            TPlace::Local(slot) => Ok(self.locals[*slot].clone()),
+            TPlace::Local(slot) => self.read_local(*slot),
             TPlace::Path { root, segs } => self.read(roots, *root, segs),
         }
+    }
+
+    fn read_local(&mut self, slot: usize) -> Result<Value> {
+        self.charge(text_bytes(&self.locals[slot]))?;
+        Ok(self.locals[slot].clone())
     }
 
     fn write_place(&mut self, roots: &mut [Value], place: &TPlace, value: Value) -> Result<()> {
@@ -189,8 +214,11 @@ impl<'p> Interp<'p> {
             TExprKind::ConstI(v) => Ok(Value::Int(*v)),
             TExprKind::ConstF(v) => Ok(Value::Float(*v)),
             TExprKind::ConstC(c) => Ok(Value::Char(*c)),
-            TExprKind::ConstS(s) => Ok(Value::Str(s.clone())),
-            TExprKind::ReadLocal(slot) => Ok(self.locals[*slot].clone()),
+            TExprKind::ConstS(s) => {
+                self.charge(s.len() as u64)?;
+                Ok(Value::Str(s.clone()))
+            }
+            TExprKind::ReadLocal(slot) => self.read_local(*slot),
             TExprKind::ReadPath { root, segs } => self.read(roots, *root, segs),
             TExprKind::LenOf { root, segs } => self.len_of(roots, *root, segs),
             TExprKind::Assign { place, op, rhs } => {
@@ -228,7 +256,8 @@ impl<'p> Interp<'p> {
                         }
                     }
                 };
-                self.write_place(roots, place, v.clone())?;
+                let stored = self.paid_clone(&v)?;
+                self.write_place(roots, place, stored)?;
                 Ok(v)
             }
             TExprKind::Binary(op, l, r) => {

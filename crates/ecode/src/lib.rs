@@ -18,8 +18,8 @@
 //!
 //! ```
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use ecode::EcodeCompiler;
-//! use pbio::{FormatBuilder, Value};
+//! use ecode::{EcodeCompiler, FusedProgram, VmScratch};
+//! use pbio::{ConversionPlan, Encoder, FormatBuilder, Tape, Value};
 //!
 //! let newf = FormatBuilder::record("New").int("a").int("b").build_arc()?;
 //! let oldf = FormatBuilder::record("Old").int("sum").build_arc()?;
@@ -28,13 +28,16 @@
 //!     .bind_input("new", &newf)
 //!     .bind_output("old", &oldf)
 //!     .compile("old.sum = new.a + new.b;")?;
+//! let fused = FusedProgram::compose(&[&program])?;
 //!
-//! let mut roots = vec![
-//!     Value::Record(vec![Value::Int(2), Value::Int(3)]),
-//!     Value::default_record(&oldf),
-//! ];
-//! program.run(&mut roots)?;
-//! assert_eq!(roots[1], Value::Record(vec![Value::Int(5)]));
+//! // The VM reads the incoming message in place, from its wire bytes.
+//! let msg = Encoder::new(&newf).encode(&Value::Record(vec![Value::Int(2), Value::Int(3)]))?;
+//! let plan = ConversionPlan::identity(&newf)?;
+//! let mut tape = Tape::default();
+//! let view = plan.index(&msg, &mut tape)?;
+//! let mut out = [Value::default_record(&oldf)];
+//! fused.run_view(&view, &fused.routes(&plan), &mut out, 1 << 20, &mut VmScratch::default())?;
+//! assert_eq!(out[0], Value::Record(vec![Value::Int(5)]));
 //! # Ok(())
 //! # }
 //! ```
@@ -115,9 +118,10 @@ impl EcodeCompiler {
     }
 }
 
-/// A compiled Ecode program, executable by the register VM (the
-/// production engine) or the reference interpreter (the specification and
-/// no-codegen baseline).
+/// A compiled Ecode program: run by the reference interpreter (the
+/// specification and no-codegen baseline) here, and by the register VM
+/// once fused into a chain ([`FusedProgram::compose`], then
+/// [`FusedProgram::run_view`]).
 #[derive(Debug, Clone)]
 pub struct EcodeProgram {
     typed: TProgram,
@@ -125,53 +129,29 @@ pub struct EcodeProgram {
 }
 
 impl EcodeProgram {
-    /// Executes on the register VM. `roots` must match the bindings in
-    /// order and shape; writable roots are mutated in place. Returns the
-    /// program's `return` value, if any.
+    /// Executes on the reference tree-walking interpreter — the language's
+    /// specification, which the register VM is differentially tested
+    /// against. `roots` must match the bindings in order and shape;
+    /// writable roots are mutated in place. Returns the program's `return`
+    /// value, if any.
     ///
     /// # Errors
     ///
     /// Returns [`EcodeError::Runtime`] on division by zero, out-of-bounds
     /// reads, or shape mismatches between roots and bound formats.
-    pub fn run(&self, roots: &mut [Value]) -> Result<Option<Value>> {
-        self.run_with_fuel(roots, u64::MAX)
-    }
-
-    /// Executes on the register VM with an instruction budget, which also
-    /// pays for what the run allocates: one unit per array element a write
-    /// adds, one per byte of a concatenation's result, each charged before
-    /// the allocation is made.
-    ///
-    /// # Errors
-    ///
-    /// As [`EcodeProgram::run`], plus fuel exhaustion.
-    pub fn run_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<Option<Value>> {
-        rvm::run_with_fuel(
-            &self.rcode,
-            &self.typed.bindings,
-            roots,
-            fuel,
-            &mut VmScratch::default(),
-        )
-    }
-
-    /// Executes on the reference tree-walking interpreter — the language's
-    /// specification, which [`EcodeProgram::run`] is differentially tested
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// As [`EcodeProgram::run`].
     pub fn run_interp(&self, roots: &mut [Value]) -> Result<Option<Value>> {
         interp::run(&self.typed, roots)
     }
 
-    /// Executes on the interpreter with an instruction budget, which pays
-    /// for allocation as [`EcodeProgram::run_with_fuel`]'s does.
+    /// Executes on the interpreter with an instruction budget, which also
+    /// pays for what the run allocates and copies, as the VM's does: one
+    /// unit per array element a write adds, one per byte of a
+    /// concatenation's result or of a string copied, each charged before
+    /// the allocation is made.
     ///
     /// # Errors
     ///
-    /// As [`EcodeProgram::run`], plus fuel exhaustion.
+    /// As [`EcodeProgram::run_interp`], plus fuel exhaustion.
     pub fn run_interp_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<Option<Value>> {
         interp::run_with_fuel(&self.typed, roots, fuel)
     }
@@ -192,191 +172,242 @@ mod tests {
     use super::*;
     use pbio::FormatBuilder;
 
+    /// Runs `fused` on the register VM as a receiver does: `input` encoded
+    /// under root 0's format, indexed with the identity plan and read in
+    /// place, `outputs` written as roots 1 and up.
+    pub(crate) fn run_vm(
+        fused: &FusedProgram,
+        input: &Value,
+        outputs: &mut [Value],
+        fuel: u64,
+    ) -> Result<()> {
+        let format = &fused.bindings()[0].format;
+        let wire = pbio::Encoder::new(format).encode(input).expect("the input fits its format");
+        let plan = pbio::ConversionPlan::identity(format).expect("an identity plan");
+        let mut tape = pbio::Tape::default();
+        let view = plan.index(&wire, &mut tape).expect("an encoded message indexes");
+        fused.run_view(&view, &fused.routes(&plan), outputs, fuel, &mut VmScratch::default())
+    }
+
+    /// `prog` fused alone, on the register VM: `roots[0]` is its input, the
+    /// rest are written.
+    fn vm(prog: &EcodeProgram, roots: &mut [Value], fuel: u64) -> Result<()> {
+        let fused = FusedProgram::compose(&[prog]).expect("a two-root program fuses");
+        let (input, outputs) = roots.split_first_mut().expect("an input root");
+        run_vm(&fused, input, outputs, fuel)
+    }
+
+    /// `prog` on the tree-walker, its written roots' length fields synced
+    /// after a run that returns, as the fused program's trailer syncs them.
+    fn interp(prog: &EcodeProgram, roots: &mut [Value], fuel: u64) -> Result<()> {
+        prog.run_interp_with_fuel(roots, fuel)?;
+        for (root, binding) in roots.iter_mut().zip(prog.bindings()).skip(1) {
+            pbio::sync_length_fields(root, &binding.format);
+        }
+        Ok(())
+    }
+
+    /// An engine: runs a program on roots under a budget.
+    type Engine = fn(&EcodeProgram, &mut [Value], u64) -> Result<()>;
+
+    const ENGINES: [(&str, Engine); 2] = [("vm", vm), ("interp", interp)];
+
+    /// What an engine left behind: the roots, and success or the error's
+    /// text.
+    type Outcome = (Vec<Value>, std::result::Result<(), String>);
+
+    /// Both engines on `prog` from `roots`, unbudgeted: they must leave the
+    /// same roots — also after an error — and the same result or error
+    /// text. Returns what they agreed on.
+    fn both_engines(prog: &EcodeProgram, roots: &[Value]) -> Outcome {
+        let run = |engine: Engine| {
+            let mut after = roots.to_vec();
+            let result = engine(prog, &mut after, u64::MAX).map_err(|e| e.to_string());
+            (after, result)
+        };
+        let by_interp = run(interp);
+        assert_eq!(run(vm), by_interp, "register VM vs tree-walker");
+        by_interp
+    }
+
     fn scalar_fmt() -> Arc<RecordFormat> {
         FormatBuilder::record("S").int("i").double("d").string("s").char("c").build_arc().unwrap()
     }
 
-    /// Runs `src` with a single writable root of `scalar_fmt`, on the
-    /// register VM and the interpreter, asserting agreement; returns the
-    /// final root and the return value.
-    fn run_both(src: &str) -> (Value, Option<Value>) {
+    /// `src` reading `new` and writing `r`, both of `scalar_fmt`.
+    fn scalar_program(src: &str) -> EcodeProgram {
         let fmt = scalar_fmt();
-        let prog = EcodeCompiler::new()
+        EcodeCompiler::new()
+            .bind_input("new", &fmt)
             .bind_output("r", &fmt)
             .compile(src)
-            .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
-        let mut roots_vm = vec![Value::default_record(&fmt)];
-        let ret_vm = prog.run(&mut roots_vm).unwrap();
-        let mut roots_it = vec![Value::default_record(&fmt)];
-        let ret_it = prog.run_interp(&mut roots_it).unwrap();
-        assert_eq!(roots_vm, roots_it, "vm/interp root divergence for {src}");
-        assert_eq!(ret_vm, ret_it, "vm/interp return divergence for {src}");
-        (roots_vm.pop().expect("one root"), ret_vm)
+            .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"))
     }
 
-    fn ret_int(src: &str) -> i64 {
-        match run_both(src).1 {
-            Some(Value::Int(v)) => v,
-            other => panic!("expected int return, got {other:?}"),
+    fn scalar_roots() -> [Value; 2] {
+        [Value::default_record(&scalar_fmt()), Value::default_record(&scalar_fmt())]
+    }
+
+    /// Runs [`scalar_program`] on both engines, asserting agreement, and
+    /// returns the fields of `r` — where the cases below store the value
+    /// under test.
+    fn run_both(src: &str) -> Vec<Value> {
+        let (mut roots, result) = both_engines(&scalar_program(src), &scalar_roots());
+        result.unwrap_or_else(|e| panic!("{e}\n{src}"));
+        match roots.pop() {
+            Some(Value::Record(fields)) => fields,
+            other => panic!("expected a record, got {other:?}"),
+        }
+    }
+
+    /// The int `src` stores in `r.i`.
+    fn int_of(src: &str) -> i64 {
+        match run_both(src)[0] {
+            Value::Int(v) => v,
+            ref other => panic!("expected an int in r.i, got {other:?}"),
         }
     }
 
     #[test]
     fn arithmetic_and_precedence() {
-        assert_eq!(ret_int("return 1 + 2 * 3;"), 7);
-        assert_eq!(ret_int("return (1 + 2) * 3;"), 9);
-        assert_eq!(ret_int("return 7 / 2;"), 3);
-        assert_eq!(ret_int("return 7 % 3;"), 1);
-        assert_eq!(ret_int("return -7 / 2;"), -3); // C truncation
-        assert_eq!(ret_int("return -(3 - 5);"), 2);
+        assert_eq!(int_of("r.i = 1 + 2 * 3;"), 7);
+        assert_eq!(int_of("r.i = (1 + 2) * 3;"), 9);
+        assert_eq!(int_of("r.i = 7 / 2;"), 3);
+        assert_eq!(int_of("r.i = 7 % 3;"), 1);
+        assert_eq!(int_of("r.i = -7 / 2;"), -3); // C truncation
+        assert_eq!(int_of("r.i = -(3 - 5);"), 2);
     }
 
     #[test]
     fn float_arithmetic() {
-        let (_, ret) = run_both("return 1.5 * 2.0 + 1;");
-        assert_eq!(ret, Some(Value::Float(4.0)));
-        let (_, ret) = run_both("return 7 / 2.0;");
-        assert_eq!(ret, Some(Value::Float(3.5)));
+        assert_eq!(run_both("r.d = 1.5 * 2.0 + 1;")[1], Value::Float(4.0));
+        assert_eq!(run_both("r.d = 7 / 2.0;")[1], Value::Float(3.5));
     }
 
     #[test]
     fn comparisons_and_logic() {
-        assert_eq!(ret_int("return 1 < 2 && 2 < 3;"), 1);
-        assert_eq!(ret_int("return 1 > 2 || 3 > 2;"), 1);
-        assert_eq!(ret_int("return !(1 == 1);"), 0);
-        assert_eq!(ret_int("return 1.5 > 1.0;"), 1);
-        assert_eq!(ret_int("return \"abc\" == \"abc\";"), 1);
-        assert_eq!(ret_int("return \"abc\" < \"abd\";"), 1);
+        assert_eq!(int_of("r.i = 1 < 2 && 2 < 3;"), 1);
+        assert_eq!(int_of("r.i = 1 > 2 || 3 > 2;"), 1);
+        assert_eq!(int_of("r.i = !(1 == 1);"), 0);
+        assert_eq!(int_of("r.i = 1.5 > 1.0;"), 1);
+        assert_eq!(int_of("r.i = \"abc\" == \"abc\";"), 1);
+        assert_eq!(int_of("r.i = \"abc\" < \"abd\";"), 1);
     }
 
     #[test]
     fn short_circuit_does_not_evaluate_rhs() {
         // Division by zero on the rhs must not occur.
-        assert_eq!(ret_int("return 0 && 1 / 0;"), 0);
-        assert_eq!(ret_int("return 1 || 1 / 0;"), 1);
+        assert_eq!(int_of("r.i = 0 && 1 / 0;"), 0);
+        assert_eq!(int_of("r.i = 1 || 1 / 0;"), 1);
     }
 
     #[test]
     fn loops_and_control_flow() {
-        assert_eq!(ret_int("int s = 0; int i; for (i = 1; i <= 10; i++) s += i; return s;"), 55);
+        assert_eq!(int_of("int s = 0; int i; for (i = 1; i <= 10; i++) s += i; r.i = s;"), 55);
         assert_eq!(
-            ret_int("int s = 0; int i = 0; while (i < 5) { i++; if (i == 3) continue; s += i; } return s;"),
+            int_of("int s = 0; int i = 0; while (i < 5) { i++; if (i == 3) continue; s += i; } r.i = s;"),
             12
         );
-        assert_eq!(ret_int("int i; for (i = 0; ; i++) { if (i == 7) break; } return i;"), 7);
+        assert_eq!(int_of("int i; for (i = 0; ; i++) { if (i == 7) break; } r.i = i;"), 7);
+        // A main-body `return` ends the run where it stands.
+        assert_eq!(int_of("r.i = 1; if (r.i == 1) return; r.i = 2;"), 1);
     }
 
     #[test]
     fn incdec_semantics() {
-        assert_eq!(ret_int("int i = 5; int j = i++; return j * 100 + i;"), 506);
-        assert_eq!(ret_int("int i = 5; int j = ++i; return j * 100 + i;"), 606);
-        assert_eq!(ret_int("int i = 5; int j = i--; return j * 100 + i;"), 504);
-        assert_eq!(ret_int("int i = 5; int j = --i; return j * 100 + i;"), 404);
+        assert_eq!(int_of("int i = 5; int j = i++; r.i = j * 100 + i;"), 506);
+        assert_eq!(int_of("int i = 5; int j = ++i; r.i = j * 100 + i;"), 606);
+        assert_eq!(int_of("int i = 5; int j = i--; r.i = j * 100 + i;"), 504);
+        assert_eq!(int_of("int i = 5; int j = --i; r.i = j * 100 + i;"), 404);
     }
 
     #[test]
     fn compound_assignment() {
-        assert_eq!(ret_int("int x = 10; x += 5; x -= 3; x *= 2; x /= 4; x %= 4; return x;"), 2);
+        assert_eq!(int_of("int x = 10; x += 5; x -= 3; x *= 2; x /= 4; x %= 4; r.i = x;"), 2);
     }
 
     #[test]
     fn ternary() {
-        assert_eq!(ret_int("return 3 > 2 ? 10 : 20;"), 10);
-        assert_eq!(ret_int("return 3 < 2 ? 10 : 20;"), 20);
-        let (_, r) = run_both("return 1 ? 1 : 2.5;");
-        assert_eq!(r, Some(Value::Float(1.0)));
+        assert_eq!(int_of("r.i = 3 > 2 ? 10 : 20;"), 10);
+        assert_eq!(int_of("r.i = 3 < 2 ? 10 : 20;"), 20);
+        // An int branch beside a double one makes a double: halving it is
+        // not integer division.
+        assert_eq!(run_both("r.d = (1 ? 1 : 2.5) / 2;")[1], Value::Float(0.5));
     }
 
     #[test]
     fn strings() {
-        let (_, r) = run_both(r#"return "foo" + "bar";"#);
-        assert_eq!(r, Some(Value::str("foobar")));
-        assert_eq!(ret_int(r#"return strlen("hello");"#), 5);
-        let (_, r) = run_both(r#"return strcat("a", "b");"#);
-        assert_eq!(r, Some(Value::str("ab")));
-        let (root, _) = run_both(r#"r.s = "x"; r.s += "y";"#);
-        assert_eq!(root.as_record().unwrap()[2], Value::str("xy"));
+        assert_eq!(run_both(r#"r.s = "foo" + "bar";"#)[2], Value::str("foobar"));
+        assert_eq!(int_of(r#"r.i = strlen("hello");"#), 5);
+        assert_eq!(run_both(r#"r.s = strcat("a", "b");"#)[2], Value::str("ab"));
+        assert_eq!(run_both(r#"r.s = "x"; r.s += "y";"#)[2], Value::str("xy"));
     }
 
     #[test]
     fn chars() {
-        let (root, _) = run_both("r.c = 'A'; r.c += 1;");
-        assert_eq!(root.as_record().unwrap()[3], Value::Char(b'B'));
-        assert_eq!(ret_int("char c = 'a'; return c + 0;"), 97);
-        let (root, _) = run_both("r.c = 'z'; r.c++;");
-        assert_eq!(root.as_record().unwrap()[3], Value::Char(b'{'));
+        assert_eq!(run_both("r.c = 'A'; r.c += 1;")[3], Value::Char(b'B'));
+        assert_eq!(int_of("char c = 'a'; r.i = c + 0;"), 97);
+        assert_eq!(run_both("r.c = 'z'; r.c++;")[3], Value::Char(b'{'));
     }
 
     #[test]
     fn numeric_casts() {
-        let (root, _) = run_both("r.d = 3; r.i = 2.9;");
-        let fs = root.as_record().unwrap();
+        let fs = run_both("r.d = 3; r.i = 2.9;");
         assert_eq!(fs[1], Value::Float(3.0));
         assert_eq!(fs[0], Value::Int(2));
     }
 
     #[test]
     fn builtins() {
-        assert_eq!(ret_int("return abs(-5);"), 5);
-        assert_eq!(ret_int("return min(3, 7) + max(3, 7);"), 10);
-        let (_, r) = run_both("return sqrt(9.0);");
-        assert_eq!(r, Some(Value::Float(3.0)));
-        let (_, r) = run_both("return floor(2.7) + ceil(2.1);");
-        assert_eq!(r, Some(Value::Float(5.0)));
-        let (_, r) = run_both("return fabs(-2.5);");
-        assert_eq!(r, Some(Value::Float(2.5)));
-        let (_, r) = run_both("return min(1.5, 2) + max(1, 0.5);");
-        assert_eq!(r, Some(Value::Float(2.5)));
+        assert_eq!(int_of("r.i = abs(-5);"), 5);
+        assert_eq!(int_of("r.i = min(3, 7) + max(3, 7);"), 10);
+        assert_eq!(run_both("r.d = sqrt(9.0);")[1], Value::Float(3.0));
+        assert_eq!(run_both("r.d = floor(2.7) + ceil(2.1);")[1], Value::Float(5.0));
+        assert_eq!(run_both("r.d = fabs(-2.5);")[1], Value::Float(2.5));
+        assert_eq!(run_both("r.d = min(1.5, 2) + max(1, 0.5);")[1], Value::Float(2.5));
     }
 
     #[test]
     fn string_number_conversions() {
-        assert_eq!(ret_int(r#"return atoi("42");"#), 42);
-        assert_eq!(ret_int(r#"return atoi("  -17 trailing");"#), -17);
-        assert_eq!(ret_int(r#"return atoi("+8");"#), 8);
-        assert_eq!(ret_int(r#"return atoi("nope");"#), 0);
-        let (_, r) = run_both(r#"return itoa(-5) + "!";"#);
-        assert_eq!(r, Some(Value::str("-5!")));
-        let (_, r) = run_both(r#"return atof("2.5xyz") * 2;"#);
-        assert_eq!(r, Some(Value::Float(5.0)));
-        let (_, r) = run_both(r#"return atof("garbage");"#);
-        assert_eq!(r, Some(Value::Float(0.0)));
-        let (_, r) = run_both("return ftoa(1.25);");
-        assert_eq!(r, Some(Value::str("1.25")));
+        assert_eq!(int_of(r#"r.i = atoi("42");"#), 42);
+        assert_eq!(int_of(r#"r.i = atoi("  -17 trailing");"#), -17);
+        assert_eq!(int_of(r#"r.i = atoi("+8");"#), 8);
+        assert_eq!(int_of(r#"r.i = atoi("nope");"#), 0);
+        assert_eq!(run_both(r#"r.s = itoa(-5) + "!";"#)[2], Value::str("-5!"));
+        assert_eq!(run_both(r#"r.d = atof("2.5xyz") * 2;"#)[1], Value::Float(5.0));
+        assert_eq!(run_both(r#"r.d = atof("garbage");"#)[1], Value::Float(0.0));
+        assert_eq!(run_both("r.s = ftoa(1.25);")[2], Value::str("1.25"));
         // The evolution use case: a string id becomes an int id.
-        assert_eq!(ret_int(r#"return atoi("id-42");"#), 0);
-        assert_eq!(ret_int(r#"return atoi("1234") % 100;"#), 34);
+        assert_eq!(int_of(r#"r.i = atoi("id-42");"#), 0);
+        assert_eq!(int_of(r#"r.i = atoi("1234") % 100;"#), 34);
     }
 
     #[test]
     fn division_by_zero_is_runtime_error() {
-        let fmt = scalar_fmt();
-        let prog = EcodeCompiler::new().bind_output("r", &fmt).compile("return 1 / 0;").unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        assert!(matches!(prog.run(&mut roots), Err(EcodeError::Runtime(_))));
-        let mut roots = vec![Value::default_record(&fmt)];
-        assert!(matches!(prog.run_interp(&mut roots), Err(EcodeError::Runtime(_))));
-        let prog2 = EcodeCompiler::new().bind_output("r", &fmt).compile("return 1 % 0;").unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        assert!(prog2.run(&mut roots).is_err());
+        for (src, what) in [("r.i = 1 / 0;", "division"), ("r.i = 1 % 0;", "modulo")] {
+            let (roots, result) = both_engines(&scalar_program(src), &scalar_roots());
+            assert_eq!(result, Err(format!("runtime error: integer {what} by zero")));
+            assert_eq!(roots, scalar_roots());
+        }
     }
 
     #[test]
     fn fuel_limits_runaway_loops() {
-        let fmt = scalar_fmt();
-        let prog = EcodeCompiler::new().bind_output("r", &fmt).compile("while (1) {}").unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        assert!(prog.run_with_fuel(&mut roots, 10_000).is_err());
-        let mut roots = vec![Value::default_record(&fmt)];
-        assert!(prog.run_interp_with_fuel(&mut roots, 10_000).is_err());
+        let prog = scalar_program("while (1) {}");
+        for (name, engine) in ENGINES {
+            let err = engine(&prog, &mut scalar_roots(), 10_000).unwrap_err();
+            assert_eq!(err.to_string(), "runtime error: instruction budget exhausted", "{name}");
+        }
     }
 
     #[test]
     fn wrong_root_count_rejected() {
-        let fmt = scalar_fmt();
-        let prog = EcodeCompiler::new().bind_output("r", &fmt).compile("r.i = 1;").unwrap();
-        assert!(prog.run(&mut []).is_err());
-        assert!(prog.run_interp(&mut []).is_err());
+        let prog = scalar_program("r.i = 1;");
+        let fused = FusedProgram::compose(&[&prog]).unwrap();
+        let input = Value::default_record(&scalar_fmt());
+        let err = run_vm(&fused, &input, &mut [], u64::MAX).unwrap_err();
+        assert_eq!(err.to_string(), "runtime error: program expects 2 root record(s), got 1");
+        assert!(prog.run_interp(&mut [input]).is_err());
     }
 
     #[test]
@@ -445,12 +476,9 @@ mod tests {
             ]),
         ]);
 
-        for engine in ["vm", "interp"] {
+        for (engine, run) in ENGINES {
             let mut roots = vec![input.clone(), Value::default_record(&v1)];
-            match engine {
-                "vm" => prog.run(&mut roots).unwrap(),
-                _ => prog.run_interp(&mut roots).unwrap(),
-            };
+            run(&prog, &mut roots, u64::MAX).unwrap();
             let old = &roots[1];
             assert_eq!(old.field(&v1, "member_count"), Some(&Value::Int(3)), "{engine}");
             assert_eq!(old.field(&v1, "src_count"), Some(&Value::Int(2)), "{engine}");
@@ -475,17 +503,21 @@ mod tests {
             .var_array_of("list", member, "count")
             .build_arc()
             .unwrap();
-        let prog =
-            EcodeCompiler::new().bind_input("r", &fmt).compile("return len(r.list);").unwrap();
-        let mut roots = vec![Value::Record(vec![
+        let prog = EcodeCompiler::new()
+            .bind_input("r", &fmt)
+            .bind_output("o", &scalar_fmt())
+            .compile("o.i = len(r.list);")
+            .unwrap();
+        let input = Value::Record(vec![
             Value::Int(2),
             Value::Array(vec![
                 Value::Record(vec![Value::str("a"), Value::Int(1)]),
                 Value::Record(vec![Value::str("b"), Value::Int(2)]),
             ]),
-        ])];
-        assert_eq!(prog.run(&mut roots).unwrap(), Some(Value::Int(2)));
-        assert_eq!(prog.run_interp(&mut roots).unwrap(), Some(Value::Int(2)));
+        ]);
+        let (roots, result) = both_engines(&prog, &[input, Value::default_record(&scalar_fmt())]);
+        assert_eq!(result, Ok(()));
+        assert_eq!(roots[1].as_record().unwrap()[0], Value::Int(2));
     }
 
     #[test]
@@ -496,47 +528,46 @@ mod tests {
             .var_array_of("list", member, "count")
             .build_arc()
             .unwrap();
-        let read =
-            EcodeCompiler::new().bind_output("r", &fmt).compile("return r.list[5].ID;").unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        assert!(read.run(&mut roots).is_err());
-        assert!(read.run_interp(&mut roots).is_err());
+        let compiler = EcodeCompiler::new().bind_input("new", &fmt).bind_output("r", &fmt);
+        let roots = [Value::default_record(&fmt), Value::default_record(&fmt)];
+        // Past the end of the message read in place, and of a written root.
+        for read in ["r.count = new.list[5].ID;", "r.count = r.list[5].ID;"] {
+            let (after, result) = both_engines(&compiler.compile(read).unwrap(), &roots);
+            assert_eq!(result, Err("runtime error: array index 5 out of bounds (len 0)".into()));
+            assert_eq!(after, roots, "{read}");
+        }
 
-        let write = EcodeCompiler::new()
-            .bind_output("r", &fmt)
-            .compile("r.list[2].ID = 9; r.count = 3;")
-            .unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        write.run(&mut roots).unwrap();
-        let arr = roots[0].field(&fmt, "list").unwrap().as_array().unwrap();
+        let write = compiler.compile("r.list[2].ID = 9; r.count = 3;").unwrap();
+        let (after, result) = both_engines(&write, &roots);
+        assert_eq!(result, Ok(()));
+        let arr = after[1].field(&fmt, "list").unwrap().as_array().unwrap();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2], Value::Record(vec![Value::Int(9)]));
-        roots[0].check(&fmt).unwrap();
+        after[1].check(&fmt).unwrap();
     }
 
     #[test]
     fn user_functions_basic() {
-        assert_eq!(ret_int("int add(int a, int b) { return a + b; } return add(2, 3);"), 5);
-        assert_eq!(ret_int("int twice(int x) { return x * 2; } return twice(twice(twice(1)));"), 8);
-        let (_, r) = run_both("double half(double x) { return x / 2.0; } return half(5);");
-        assert_eq!(r, Some(Value::Float(2.5)));
-        let (_, r) =
-            run_both(r#"string greet(string who) { return "hi " + who; } return greet("bob");"#);
-        assert_eq!(r, Some(Value::str("hi bob")));
+        assert_eq!(int_of("int add(int a, int b) { return a + b; } r.i = add(2, 3);"), 5);
+        assert_eq!(int_of("int twice(int x) { return x * 2; } r.i = twice(twice(twice(1)));"), 8);
+        let half = "double half(double x) { return x / 2.0; } r.d = half(5);";
+        assert_eq!(run_both(half)[1], Value::Float(2.5));
+        let greet = r#"string greet(string who) { return "hi " + who; } r.s = greet("bob");"#;
+        assert_eq!(run_both(greet)[2], Value::str("hi bob"));
     }
 
     #[test]
     fn user_functions_recursion() {
         assert_eq!(
-            ret_int("int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); } return fib(12);"),
+            int_of("int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); } r.i = fib(12);"),
             144
         );
         // Mutual recursion works because signatures are collected first.
         assert_eq!(
-            ret_int(
+            int_of(
                 "int is_even(int n) { if (n == 0) return 1; return is_odd(n - 1); }
                  int is_odd(int n) { if (n == 0) return 0; return is_even(n - 1); }
-                 return is_even(10) * 10 + is_odd(7);"
+                 r.i = is_even(10) * 10 + is_odd(7);"
             ),
             11
         );
@@ -544,32 +575,24 @@ mod tests {
 
     #[test]
     fn user_functions_side_effects_on_roots() {
-        let fmt = scalar_fmt();
-        let prog = EcodeCompiler::new()
-            .bind_output("r", &fmt)
-            .compile("void bump() { r.i = r.i + 1; } bump(); bump(); bump();")
-            .unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        prog.run(&mut roots).unwrap();
-        assert_eq!(roots[0].as_record().unwrap()[0], Value::Int(3));
-        let mut roots2 = vec![Value::default_record(&fmt)];
-        prog.run_interp(&mut roots2).unwrap();
-        assert_eq!(roots, roots2);
+        assert_eq!(int_of("void bump() { r.i = r.i + 1; } bump(); bump(); bump();"), 3);
     }
 
     #[test]
     fn user_functions_shadow_builtins_and_fall_off_end() {
         // A user `max` wins over the builtin.
-        assert_eq!(ret_int("int max(int a, int b) { return a * b; } return max(3, 4);"), 12);
+        assert_eq!(int_of("int max(int a, int b) { return a * b; } r.i = max(3, 4);"), 12);
         // Falling off the end of a non-void function yields zero.
-        assert_eq!(ret_int("int f() { } return f() + 7;"), 7);
+        assert_eq!(int_of("int f() { } r.i = f() + 7;"), 7);
     }
 
     #[test]
     fn user_function_arg_coercion() {
-        let (_, r) = run_both("double f(double x) { return x + 0.5; } return f(2);");
-        assert_eq!(r, Some(Value::Float(2.5)));
-        assert_eq!(ret_int("int f(int x) { return x; } return f('A');"), 65);
+        assert_eq!(
+            run_both("double f(double x) { return x + 0.5; } r.d = f(2);")[1],
+            Value::Float(2.5)
+        );
+        assert_eq!(int_of("int f(int x) { return x; } r.i = f('A');"), 65);
     }
 
     #[test]
@@ -593,26 +616,18 @@ mod tests {
 
     #[test]
     fn runaway_recursion_overflows_cleanly() {
-        let fmt = scalar_fmt();
-        let prog = EcodeCompiler::new()
-            .bind_output("r", &fmt)
-            .compile("int f(int n) { return f(n + 1); } return f(0);")
-            .unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        let err = prog.run(&mut roots).unwrap_err();
-        assert!(matches!(err, EcodeError::Runtime(msg) if msg.contains("overflow")));
-        let mut roots = vec![Value::default_record(&fmt)];
-        let err = prog.run_interp(&mut roots).unwrap_err();
-        assert!(matches!(err, EcodeError::Runtime(msg) if msg.contains("overflow")));
+        let prog = scalar_program("int f(int n) { return f(n + 1); } r.i = f(0);");
+        let (_, result) = both_engines(&prog, &scalar_roots());
+        assert_eq!(result, Err("runtime error: call stack overflow".into()));
     }
 
     #[test]
     fn function_locals_are_isolated() {
         // Function locals must not clobber main-body locals or other frames.
         assert_eq!(
-            ret_int(
+            int_of(
                 "int f(int x) { int a = x * 10; return a; }
-                 int a = 1; int b = f(2); int c = f(3); return a + b + c;"
+                 int a = 1; int b = f(2); int c = f(3); r.i = a + b + c;"
             ),
             51
         );
@@ -629,10 +644,11 @@ mod tests {
             .build_arc()
             .unwrap();
         let prog = EcodeCompiler::new()
+            .bind_input("new", &fmt)
             .bind_output("r", &fmt)
             .compile("r.best[0] = r.list[1]; r.best_count = 1;")
             .unwrap();
-        let mut roots = vec![Value::Record(vec![
+        let r = Value::Record(vec![
             Value::Int(2),
             Value::Array(vec![
                 Value::Record(vec![Value::str("a"), Value::Int(1)]),
@@ -640,9 +656,10 @@ mod tests {
             ]),
             Value::Int(0),
             Value::Array(vec![]),
-        ])];
-        prog.run(&mut roots).unwrap();
-        let best = roots[0].field(&fmt, "best").unwrap().as_array().unwrap();
+        ]);
+        let (roots, result) = both_engines(&prog, &[Value::default_record(&fmt), r]);
+        assert_eq!(result, Ok(()));
+        let best = roots[1].field(&fmt, "best").unwrap().as_array().unwrap();
         assert_eq!(best[0], Value::Record(vec![Value::str("b"), Value::Int(2)]));
     }
 
@@ -668,50 +685,35 @@ mod tests {
             Value::Int(4),
             Value::Array((0..4).map(|k| Value::Int(k * 11)).collect()),
         ]);
-        let mut interp_roots = vec![input.clone(), Value::default_record(&dst_f)];
-        prog.run_interp(&mut interp_roots).unwrap();
-        let mut reg_roots = vec![input.clone(), Value::default_record(&dst_f)];
-        prog.run(&mut reg_roots).unwrap();
-        assert_eq!(interp_roots, reg_roots);
-        assert_eq!(reg_roots[1], input);
+        let (roots, result) = both_engines(&prog, &[input.clone(), Value::default_record(&dst_f)]);
+        assert_eq!(result, Ok(()));
+        assert_eq!(roots[1], input);
     }
 
     #[test]
     fn batch_copy_short_source_errors_like_scalar_loop() {
         let (src_f, dst_f) = array_pair();
-        let code = "int i; for (i = 0; i < new.n; i++) old.vals[i] = new.vals[i];";
+        // Copies three elements past the source's end: the loop reads out of
+        // bounds at index 2, after copying the in-range prefix, on both
+        // engines.
+        let code = "int i; for (i = 0; i < new.n + 3; i++) old.vals[i] = new.vals[i];";
         let prog = EcodeCompiler::new()
             .bind_input("new", &src_f)
             .bind_output("old", &dst_f)
             .compile(code)
             .unwrap();
-        // Claims 5 elements, carries 2: the copy loop reads out of bounds at
-        // index 2, after copying the in-range prefix, on both engines.
         let input =
-            Value::Record(vec![Value::Int(5), Value::Array(vec![Value::Int(7), Value::Int(8)])]);
-        let mut interp_roots = vec![input.clone(), Value::default_record(&dst_f)];
-        let interp_err = prog.run_interp(&mut interp_roots).unwrap_err();
-        let mut reg_roots = vec![input, Value::default_record(&dst_f)];
-        let reg_err = prog.run(&mut reg_roots).unwrap_err();
-        assert_eq!(interp_err.to_string(), reg_err.to_string());
-        assert_eq!(interp_err.to_string(), "runtime error: array index 2 out of bounds (len 2)");
-        assert_eq!(interp_roots, reg_roots, "partial copy before the error must agree");
-        assert_eq!(reg_roots[1].as_record().unwrap()[1].as_array().unwrap().len(), 2);
+            Value::Record(vec![Value::Int(2), Value::Array(vec![Value::Int(7), Value::Int(8)])]);
+        let (roots, result) = both_engines(&prog, &[input, Value::default_record(&dst_f)]);
+        assert_eq!(result, Err("runtime error: array index 2 out of bounds (len 2)".into()));
+        assert_eq!(roots[1].as_record().unwrap()[1].as_array().unwrap().len(), 2);
     }
 
     #[test]
     fn register_vm_honours_fuel() {
-        let fmt = scalar_fmt();
-        let prog = EcodeCompiler::new().bind_output("r", &fmt).compile("while (1) {}").unwrap();
-        let mut roots = vec![Value::default_record(&fmt)];
-        assert!(prog.run_with_fuel(&mut roots, 10_000).is_err());
+        let prog = scalar_program("while (1) {}");
+        assert!(vm(&prog, &mut scalar_roots(), 10_000).is_err());
     }
-
-    /// An engine: runs a program on roots under a budget.
-    type Engine = fn(&EcodeProgram, &mut [Value], u64) -> Result<Option<Value>>;
-
-    const ENGINES: [(&str, Engine); 2] =
-        [("vm", EcodeProgram::run_with_fuel), ("interp", EcodeProgram::run_interp_with_fuel)];
 
     /// The least budget under which `engine` finishes `prog` from `roots`.
     fn least_fuel(engine: Engine, prog: &EcodeProgram, roots: &[Value]) -> u64 {
@@ -729,42 +731,48 @@ mod tests {
 
     /// What a run allocates is charged to its budget, on both engines: a
     /// write `k` elements past an array's end costs `k` more than a write
-    /// that adds one, and `+`, `+=` and `strcat` one unit per byte of their
-    /// result.
+    /// that adds one; `+`, `+=` and `strcat` one unit per byte of their
+    /// result; and every copy of a string one unit per byte copied — the
+    /// constant, and each read, move and store of it, as each engine makes
+    /// them.
     #[test]
     fn allocation_is_charged_to_the_budget() {
         let (src_f, dst_f) = array_pair();
         let arrays = EcodeCompiler::new().bind_input("new", &src_f).bind_output("old", &dst_f);
         let array_roots = [Value::default_record(&src_f), Value::default_record(&dst_f)];
-        let strings = EcodeCompiler::new().bind_output("r", &scalar_fmt());
-        let string_roots = [Value::default_record(&scalar_fmt())];
-        for (name, engine) in ENGINES {
+        // Per template, what nine more bytes in `t` cost on the VM and on the
+        // tree-walker: 9 for the constant, 9 for each copy of `t` (the VM
+        // moves it into its local; the tree-walker reads it at each use),
+        // 18 for each two-`t` result built, and 9 or 18 for each store and
+        // read of `r.s`.
+        let templates = [
+            ("r.s = T + T;", [9 + 9 + 18 + 18, 9 + 18 + 18 + 18]),
+            ("r.s = T; r.s += T;", [9 + 9 + 9 + 9 + 18 + 18, 9 + 9 + 9 + 9 + 9 + 18 + 18]),
+            ("r.s = strcat(T, T);", [9 + 9 + 18 + 18, 9 + 18 + 18 + 18]),
+            ("string u = T; r.s = u;", [9 + 9 + 9 + 9, 9 + 9 + 9 + 9]),
+        ];
+        for (e, (name, engine)) in ENGINES.into_iter().enumerate() {
             let need = |k: usize| {
                 let prog = arrays.compile(&format!("old.vals[{k}] = 1;")).unwrap();
                 least_fuel(engine, &prog, &array_roots)
             };
             assert_eq!(need(994) - need(0), 994, "{name}");
 
-            for template in ["r.s = T + T;", "r.s = T; r.s += T;", "r.s = strcat(T, T);"] {
+            for (template, extra) in templates {
                 let need = |t: &str| {
                     let src = format!("string t = \"{t}\"; {}", template.replace('T', "t"));
-                    least_fuel(engine, &strings.compile(&src).unwrap(), &string_roots)
+                    least_fuel(engine, &scalar_program(&src), &scalar_roots())
                 };
-                assert_eq!(need("0123456789") - need("0"), 18, "{name}: {template}");
+                assert_eq!(need("0123456789") - need("0"), extra[e], "{name}: {template}");
             }
         }
     }
 
     #[test]
     fn register_vm_runtime_errors_match_tree_walker() {
-        let fmt = scalar_fmt();
-        for src in ["return 1 / 0;", "return 1 % 0;", "return r.s + itoa(1 / 0);"] {
-            let prog = EcodeCompiler::new().bind_output("r", &fmt).compile(src).unwrap();
-            let mut a = vec![Value::default_record(&fmt)];
-            let ea = prog.run_interp(&mut a).unwrap_err();
-            let mut b = vec![Value::default_record(&fmt)];
-            let eb = prog.run(&mut b).unwrap_err();
-            assert_eq!(ea.to_string(), eb.to_string(), "error divergence for {src}");
+        for src in ["r.i = 1 / 0;", "r.i = 1 % 0;", "r.s = r.s + itoa(1 / 0);"] {
+            let (_, result) = both_engines(&scalar_program(src), &scalar_roots());
+            assert!(result.is_err(), "{src}");
         }
     }
 }

@@ -10,14 +10,14 @@
 //! `Vec<Value>`; user-function calls open a fresh window at the top
 //! (Lua-style), with arguments cloned into the callee's low registers.
 //!
-//! Root 0 — the incoming message — is read either from a decoded value or
-//! in place from the wire ([`pbio::WireView`], along routes compiled once
-//! per plan); the dispatch loop is one, compiled once for each way of
-//! reading it.
+//! Root 0 — the incoming message — is read-only and always read in place
+//! from the wire ([`pbio::WireView`], along routes compiled once per plan);
+//! roots 1 and up are the values the run writes. There is one dispatch
+//! loop, over that one arrangement of roots.
 //!
 //! The tree-walking interpreter (`interp.rs`) is the semantic reference:
-//! differential tests hold this engine to its return values, final roots,
-//! error strings and the partial state an error leaves behind.
+//! differential tests hold this engine to its final roots, error strings
+//! and the partial state an error leaves behind.
 //!
 //! One superinstruction folds whole statement sequences into one dispatch:
 //! [`RInsn::CopyPath`] moves a row of fields between roots (each with an
@@ -27,8 +27,12 @@
 //!
 //! The instruction budget (fuel) covers what a run allocates as well as
 //! what it dispatches: a write that extends an array by *k* elements costs
-//! *k* units, a concatenation one unit per byte of its result, each charged
-//! before the allocation is made.
+//! *k* units, a concatenation one unit per byte of its result, and every
+//! copy of a string — a constant, a move, a load, a store, a copy-row
+//! entry, a call's arguments and its return value — one unit per byte
+//! copied, each charged before the allocation is made (a whole record or
+//! array read in place is built from the message's bytes first, and paid
+//! before it is stored).
 
 use pbio::{FieldType, RecordFormat, Value};
 
@@ -47,7 +51,7 @@ struct Frame {
 
 /// The register VM's working memory — register file, call stack, subscript
 /// scratch — kept by a caller that runs programs message after message
-/// ([`FusedProgram::run_register_with`](crate::FusedProgram::run_register_with)),
+/// ([`FusedProgram::run_view`](crate::FusedProgram::run_view)),
 /// so a run on warm scratch allocates nothing. Every run leaves the scratch
 /// empty again, whether it returned or failed: no value of one message
 /// outlives it here, and the next run starts from a cleared register file.
@@ -189,37 +193,9 @@ fn farith(op: ArithOp, a: f64, b: f64) -> f64 {
 /// Where in a program a read happens: instruction `pc`, and for a copy
 /// row its entry. A message read in place keys its compiled routes by it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Site {
-    pub(crate) pc: usize,
-    pub(crate) entry: usize,
-}
-
-/// A root the VM reads and never writes: the decoded tree ([`Value`]), or
-/// a message read in place ([`Routed`]).
-///
-/// A read writes its value into the slot it is for — a register, a field
-/// of the record a row builds — rather than returning it: a value built from
-/// the wire and then moved through the stack is stored piece by piece and
-/// reloaded whole, and that reload stalls.
-pub(crate) trait Source {
-    /// The value at `segs` (subscripts from `idx`), into `out`; `out` is
-    /// left alone when the read fails.
-    fn load_into(&self, at: Site, segs: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()>;
-    /// The length of the array at `segs`; `None` when no array is there.
-    fn len_of(&self, at: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>>;
-}
-
-impl Source for Value {
-    #[inline(always)]
-    fn load_into(&self, _: Site, segs: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()> {
-        *out = nav_from(self, segs, idx)?.clone();
-        Ok(())
-    }
-
-    #[inline]
-    fn len_of(&self, _: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
-        Ok(nav_from(self, segs, idx)?.as_array().map(<[Value]>::len))
-    }
+struct Site {
+    pc: usize,
+    entry: usize,
 }
 
 /// The incoming message read in place: its view, and the program's reads
@@ -233,18 +209,6 @@ impl Routed<'_> {
     #[inline(always)]
     fn route(&self, at: Site) -> Result<&pbio::Route> {
         self.routes.get(at).ok_or_else(|| rt_err(format!("no route for instruction {}", at.pc)))
-    }
-}
-
-impl Source for Routed<'_> {
-    #[inline(always)]
-    fn load_into(&self, at: Site, _: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()> {
-        self.view.get_into(self.route(at)?, idx, out).map_err(miss)
-    }
-
-    #[inline]
-    fn len_of(&self, at: Site, _: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
-        self.view.len(self.route(at)?, idx).map_err(miss)
     }
 }
 
@@ -286,34 +250,75 @@ fn nav_from<'v>(mut cur: &'v Value, segs: &[CSeg], idx: &[usize]) -> Result<&'v 
     Ok(cur)
 }
 
-/// A root to read: one of the value roots, or the one read in place.
-enum Src<'a, V: ?Sized> {
+/// The bytes of every string in `v`: what copying it costs the budget.
+pub(crate) fn text_bytes(v: &Value) -> u64 {
+    match v {
+        Value::Str(s) => s.len() as u64,
+        Value::Record(vs) | Value::Array(vs) => vs.iter().map(text_bytes).sum(),
+        _ => 0,
+    }
+}
+
+/// A clone of `v`, its string bytes paid from `fuel` before it is made.
+#[inline(always)]
+fn paid_clone(v: &Value, fuel: &mut u64) -> Result<Value> {
+    charge(fuel, text_bytes(v))?;
+    Ok(v.clone())
+}
+
+/// A root to read: the message read in place (root 0), or a value root.
+///
+/// A read writes its value into the slot it is for — a register, a field
+/// of the record a row builds — rather than returning it: a value built from
+/// the wire and then moved through the stack is stored piece by piece and
+/// reloaded whole, and that reload stalls.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    View(&'a Routed<'a>),
     Tree(&'a Value),
-    View(&'a V),
 }
 
-impl<V: ?Sized> Clone for Src<'_, V> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<V: ?Sized> Copy for Src<'_, V> {}
-
-impl<V: Source + ?Sized> Src<'_, V> {
+impl Src<'_> {
+    /// The value at `segs` (subscripts from `idx`) into `out`, its string
+    /// bytes paid from `fuel` before they are copied; `out` is left alone
+    /// when the read or the payment fails. A whole record or array read in
+    /// place is built from the message's bytes first (at most the message's
+    /// length), and paid before it is stored.
     #[inline(always)]
-    fn load_into(self, at: Site, segs: &[CSeg], idx: &[usize], out: &mut Value) -> Result<()> {
+    fn load_into(
+        self,
+        at: Site,
+        segs: &[CSeg],
+        idx: &[usize],
+        out: &mut Value,
+        fuel: &mut u64,
+    ) -> Result<()> {
         match self {
-            Src::Tree(v) => v.load_into(at, segs, idx, out),
-            Src::View(v) => v.load_into(at, segs, idx, out),
+            Src::Tree(root) => *out = paid_clone(nav_from(root, segs, idx)?, fuel)?,
+            Src::View(r) => {
+                let route = r.route(at)?;
+                if route.is_scalar() {
+                    return r.view.get_into(route, idx, out).map_err(miss);
+                }
+                if let Some(s) = r.view.text(route, idx).map_err(miss)? {
+                    charge(fuel, s.len() as u64)?;
+                    *out = Value::Str(s.to_owned());
+                    return Ok(());
+                }
+                let v = r.view.get(route, idx).map_err(miss)?;
+                charge(fuel, text_bytes(&v))?;
+                *out = v;
+            }
         }
+        Ok(())
     }
 
+    /// The length of the array at `segs`; `None` when no array is there.
     #[inline]
     fn len_of(self, at: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
         match self {
-            Src::Tree(v) => v.len_of(at, segs, idx),
-            Src::View(v) => v.len_of(at, segs, idx),
+            Src::Tree(root) => Ok(nav_from(root, segs, idx)?.as_array().map(<[Value]>::len)),
+            Src::View(r) => r.view.len(r.route(at)?, idx).map_err(miss),
         }
     }
 }
@@ -383,110 +388,58 @@ impl ViewRoutes {
     }
 }
 
-/// Where a run reads root 0 from — the one thing the dispatch loop is
-/// generic over, so each way of reading is compiled on its own.
-trait RootZero<'r>: Copy {
-    /// What root 0 is read through when it is read in place.
-    type View: Source + ?Sized + 'r;
-    /// Root 0 read in place; `None` when it is the first of the values.
-    fn view(self) -> Option<&'r Self::View>;
+fn no_root(r: u8) -> EcodeError {
+    rt_err(format!("no root #{r}"))
 }
 
-/// Root 0 is the first of the value roots.
-#[derive(Clone, Copy)]
-struct FirstValue;
-
-impl<'r> RootZero<'r> for FirstValue {
-    type View = Value;
-
-    #[inline]
-    fn view(self) -> Option<&'r Value> {
-        None
-    }
-}
-
-impl<'r, V: Source + ?Sized> RootZero<'r> for &'r V {
-    type View = V;
-
-    #[inline]
-    fn view(self) -> Option<&'r V> {
-        Some(self)
-    }
-}
-
-/// The roots of one run: root 0 where `zero` says, and the value roots —
-/// every root, or roots 1 and up when root 0 is read in place.
-struct Roots<'r, Z> {
-    zero: Z,
+/// The roots of one run: root 0 read in place, roots 1 and up as values.
+struct Roots<'r> {
+    view: &'r Routed<'r>,
     values: &'r mut [Value],
 }
 
-impl<'r, Z: RootZero<'r>> Roots<'r, Z> {
-    /// How many roots precede the first value root.
+impl Roots<'_> {
     #[inline]
-    fn first(&self) -> usize {
-        usize::from(self.zero.view().is_some())
-    }
-
-    fn count(&self) -> usize {
-        self.first() + self.values.len()
-    }
-
-    #[inline]
-    fn get(&self, r: u8) -> Result<Src<'_, Z::View>> {
-        let r = r as usize;
-        match self.zero.view() {
-            Some(v) if r == 0 => Ok(Src::View(v)),
-            _ => r
-                .checked_sub(self.first())
-                .and_then(|i| self.values.get(i))
-                .map(Src::Tree)
-                .ok_or_else(|| rt_err(format!("no root #{r}"))),
+    fn get(&self, r: u8) -> Result<Src<'_>> {
+        match (r as usize).checked_sub(1) {
+            None => Ok(Src::View(self.view)),
+            Some(i) => self.values.get(i).map(Src::Tree).ok_or_else(|| no_root(r)),
         }
     }
 
     /// Root `r` to write, next to every other root to read.
     #[inline]
-    fn split(&mut self, r: u8) -> Result<(&mut Value, Around<'_, Z::View>)> {
-        let view = self.zero.view();
-        let first = self.first();
+    fn split(&mut self, r: u8) -> Result<(&mut Value, Around<'_>)> {
         let i = (r as usize)
-            .checked_sub(first)
+            .checked_sub(1)
             .ok_or_else(|| rt_err("root #0 is read in place and cannot be written"))?;
         let (below, at) = self.values.split_at_mut(i.min(self.values.len()));
-        let (dst, above) = at.split_first_mut().ok_or_else(|| rt_err(format!("no root #{r}")))?;
-        Ok((dst, Around { view, below, above, first, dst: r }))
+        let (dst, above) = at.split_first_mut().ok_or_else(|| no_root(r))?;
+        Ok((dst, Around { view: self.view, below, above, dst: r }))
     }
 }
 
 /// The roots a write reads from while its destination is borrowed.
-struct Around<'a, V: ?Sized> {
-    view: Option<&'a V>,
+struct Around<'a> {
+    view: &'a Routed<'a>,
     below: &'a [Value],
     above: &'a [Value],
-    first: usize,
     dst: u8,
 }
 
-impl<'a, V: Source + ?Sized> Around<'a, V> {
+impl<'a> Around<'a> {
     /// Root `r`, which must not be the destination.
     #[inline]
-    fn get(&self, r: u8) -> Result<Src<'a, V>> {
+    fn get(&self, r: u8) -> Result<Src<'a>> {
         if r == self.dst {
             return Err(rt_err("copy row reads its destination"));
         }
-        let ri = r as usize;
-        match self.view {
-            Some(v) if ri == 0 => return Ok(Src::View(v)),
-            _ => {}
-        }
-        let i = ri - self.first;
-        let v = if i < self.below.len() {
-            self.below.get(i)
-        } else {
-            self.above.get(i - self.below.len() - 1)
+        let v = match (r as usize).checked_sub(1) {
+            None => return Ok(Src::View(self.view)),
+            Some(i) if i < self.below.len() => self.below.get(i),
+            Some(i) => self.above.get(i - self.below.len() - 1),
         };
-        v.map(Src::Tree).ok_or_else(|| rt_err(format!("no root #{r}")))
+        v.map(Src::Tree).ok_or_else(|| no_root(r))
     }
 }
 
@@ -688,15 +641,17 @@ fn call_builtin(b: Builtin, args: &[u32], frame: &[Value], fuel: &mut u64) -> Re
     })
 }
 
-/// One row entry's value — its source, read and converted — into `out`,
-/// which is left alone when the read or the conversion fails. `frame` is
-/// the current register window.
+/// One row entry's value — its source, read (its string bytes paid from
+/// `fuel`) and converted — into `out`, which is left alone when the read,
+/// the payment or the conversion fails. `frame` is the current register
+/// window.
 #[inline(always)]
-fn read_entry<V: Source + ?Sized>(
-    src: Src<'_, V>,
+fn read_entry(
+    src: Src<'_>,
     at: Site,
     e: &CopyEntry,
     frame: &[Value],
+    fuel: &mut u64,
     idx_scratch: &mut Vec<usize>,
     out: &mut Value,
 ) -> Result<()> {
@@ -705,10 +660,10 @@ fn read_entry<V: Source + ?Sized>(
         idx_scratch.push(to_index(&frame[r as usize])?);
     }
     match e.conv {
-        None => src.load_into(at, &e.src_segs, idx_scratch, out),
+        None => src.load_into(at, &e.src_segs, idx_scratch, out, fuel),
         Some(conv) => {
             let mut raw = Value::Int(0);
-            src.load_into(at, &e.src_segs, idx_scratch, &mut raw)?;
+            src.load_into(at, &e.src_segs, idx_scratch, &mut raw, fuel)?;
             *out = apply_conv(conv, raw)?;
             Ok(())
         }
@@ -718,8 +673,8 @@ fn read_entry<V: Source + ?Sized>(
 /// [`read_entry`] of an entry after a row's first, read while the row's
 /// destination is borrowed, charging its fuel.
 #[inline(always)]
-fn next_entry<V: Source + ?Sized>(
-    around: &Around<'_, V>,
+fn next_entry(
+    around: &Around<'_>,
     at: Site,
     e: &CopyEntry,
     frame: &[Value],
@@ -727,32 +682,28 @@ fn next_entry<V: Source + ?Sized>(
     idx_scratch: &mut Vec<usize>,
     out: &mut Value,
 ) -> Result<()> {
-    if *fuel == 0 {
-        return Err(rt_err("instruction budget exhausted"));
-    }
-    *fuel -= 1;
-    read_entry(around.get(e.src_root)?, at, e, frame, idx_scratch, out)
+    charge(fuel, 1)?;
+    read_entry(around.get(e.src_root)?, at, e, frame, fuel, idx_scratch, out)
 }
 
 /// Executes one [`RInsn::CopyPath`]; see [`CopyRow`] for the contract. Entry
 /// 0 was paid for by the dispatch; every further entry charges `fuel`, and
 /// is read straight into the field it fills.
-fn copy_row<'r, Z: RootZero<'r>>(
+fn copy_row(
     row: &CopyRow,
     pc: usize,
-    roots: &mut Roots<'r, Z>,
+    roots: &mut Roots<'_>,
     bindings: &[Binding],
     frame: &[Value],
     fuel: &mut u64,
     idx_scratch: &mut Vec<usize>,
 ) -> Result<()> {
-    let no_root = |r: u8| rt_err(format!("no root #{r}"));
     let (first, rest) = row.entries.split_first().ok_or_else(|| rt_err("empty copy row"))?;
     // Entry 0 reads before the destination is touched, as a lone copy does
     // (and, alone, may read the destination's own root).
     let mut v0 = Value::Int(0);
     let at = Site { pc, entry: 0 };
-    read_entry(roots.get(first.src_root)?, at, first, frame, idx_scratch, &mut v0)?;
+    read_entry(roots.get(first.src_root)?, at, first, frame, fuel, idx_scratch, &mut v0)?;
     idx_scratch.clear();
     for &r in row.dst_idx.iter() {
         idx_scratch.push(to_index(&frame[r as usize])?);
@@ -822,33 +773,19 @@ fn leaf_of<'v>(e: &CopyEntry, rec: &'v mut Value, ty: TyRef<'_>) -> Result<&'v m
     Ok(field_mut(rec, ty, leaf)?.0)
 }
 
-/// Executes register bytecode against the root values under an instruction
-/// budget, which also pays for what the run allocates (see the module
-/// documentation).
+/// Executes register bytecode under an instruction budget, which also pays
+/// for what the run allocates and copies (see the module documentation):
+/// root 0 is read in place through `view` — the incoming message as
+/// [`pbio::ConversionPlan::index`] left it — and `rest` holds roots 1 and
+/// up. Root 0 is never written: a program that tries fails at that
+/// instruction. Checks the roots against the program, prepares `scratch`,
+/// runs, and leaves `scratch` empty again.
 ///
 /// # Errors
 ///
 /// Returns [`EcodeError::Runtime`] on division by zero, out-of-bounds reads,
 /// shape mismatches between the roots and the bound formats, or fuel
 /// exhaustion.
-pub(crate) fn run_with_fuel(
-    code: &RCode,
-    bindings: &[Binding],
-    roots: &mut [Value],
-    fuel: u64,
-    scratch: &mut VmScratch,
-) -> Result<Option<Value>> {
-    start(code, bindings, Roots { zero: FirstValue, values: roots }, fuel, scratch)
-}
-
-/// [`run_with_fuel`] with root 0 read in place through `view` — the
-/// incoming message as [`pbio::ConversionPlan::index`] left it — and `rest`
-/// as roots 1 and up. Root 0 is never written: a program that tries fails
-/// at that instruction.
-///
-/// # Errors
-///
-/// As [`run_with_fuel`].
 pub(crate) fn run_view(
     code: &RCode,
     bindings: &[Binding],
@@ -856,42 +793,27 @@ pub(crate) fn run_view(
     rest: &mut [Value],
     fuel: u64,
     scratch: &mut VmScratch,
-) -> Result<Option<Value>> {
-    start(code, bindings, Roots { zero: view, values: rest }, fuel, scratch)
-}
-
-/// Checks the roots against the program, prepares `scratch`, runs, and
-/// leaves `scratch` empty again.
-fn start<'r, Z: RootZero<'r>>(
-    code: &RCode,
-    bindings: &[Binding],
-    roots: Roots<'r, Z>,
-    fuel: u64,
-    scratch: &mut VmScratch,
-) -> Result<Option<Value>> {
-    if roots.count() != code.n_roots {
-        return Err(rt_err(format!(
-            "program expects {} root record(s), got {}",
-            code.n_roots,
-            roots.count()
-        )));
+) -> Result<()> {
+    let got = 1 + rest.len();
+    if got != code.n_roots {
+        let expects = code.n_roots;
+        return Err(rt_err(format!("program expects {expects} root record(s), got {got}")));
     }
     debug_assert!(scratch.regs.is_empty(), "every run leaves the scratch empty");
     scratch.regs.resize(code.n_regs, Value::Int(0));
-    let result = execute(code, bindings, roots, fuel, scratch);
+    let result = execute(code, bindings, Roots { view, values: rest }, fuel, scratch);
     scratch.clear();
     result
 }
 
-/// The dispatch loop, over a prepared `scratch` — one loop whichever way
-/// root 0 is read.
-fn execute<'r, Z: RootZero<'r>>(
+/// The dispatch loop, over a prepared `scratch`.
+fn execute(
     code: &RCode,
     bindings: &[Binding],
-    mut roots: Roots<'r, Z>,
+    mut roots: Roots<'_>,
     mut fuel: u64,
     scratch: &mut VmScratch,
-) -> Result<Option<Value>> {
+) -> Result<()> {
     let VmScratch { regs, frames, idx: idx_scratch } = scratch;
     let mut base: usize = 0;
     let mut pc: usize = 0;
@@ -918,10 +840,12 @@ fn execute<'r, Z: RootZero<'r>>(
             RInsn::ConstF { dst, v } => reg!(*dst) = Value::Float(*v),
             RInsn::ConstC { dst, v } => reg!(*dst) = Value::Char(*v),
             RInsn::ConstS { dst, s } => {
-                reg!(*dst) = Value::Str(code.strings[*s as usize].clone());
+                let s = &code.strings[*s as usize];
+                charge(&mut fuel, s.len() as u64)?;
+                reg!(*dst) = Value::Str(s.clone());
             }
             RInsn::Move { dst, src } => {
-                let v = reg!(*src).clone();
+                let v = paid_clone(&reg!(*src), &mut fuel)?;
                 reg!(*dst) = v;
             }
             RInsn::Load { dst, root, segs, idx } => {
@@ -930,14 +854,15 @@ fn execute<'r, Z: RootZero<'r>>(
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
                 let src = roots.get(*root)?;
-                src.load_into(Site { pc: at, entry: 0 }, segs, idx_scratch, &mut reg!(*dst))?;
+                let at = Site { pc: at, entry: 0 };
+                src.load_into(at, segs, idx_scratch, &mut reg!(*dst), &mut fuel)?;
             }
             RInsn::Store { src, root, segs, idx } => {
                 idx_scratch.clear();
                 for &r in idx.iter() {
                     idx_scratch.push(to_index(&reg!(r))?);
                 }
-                let v = reg!(*src).clone();
+                let v = paid_clone(&reg!(*src), &mut fuel)?;
                 let binding = bindings
                     .get(*root as usize)
                     .ok_or_else(|| rt_err(format!("no root #{root}")))?;
@@ -1051,7 +976,7 @@ fn execute<'r, Z: RootZero<'r>>(
                 let new_base = regs.len();
                 regs.resize(new_base + fc.n_regs as usize, Value::Int(0));
                 for (k, &r) in args.iter().enumerate() {
-                    let v = regs[base + r as usize].clone();
+                    let v = paid_clone(&regs[base + r as usize], &mut fuel)?;
                     regs[new_base + k] = v;
                 }
                 frames.push(Frame { ret_pc: pc, ret_dst: *dst, prev_base: base });
@@ -1059,16 +984,16 @@ fn execute<'r, Z: RootZero<'r>>(
                 pc = fc.entry as usize;
             }
             RInsn::Ret { src } => {
-                let v = src.map(|r| reg!(r).clone());
-                match frames.pop() {
-                    Some(frame) => {
-                        regs.truncate(base);
-                        base = frame.prev_base;
-                        pc = frame.ret_pc;
-                        regs[base + frame.ret_dst as usize] = v.unwrap_or(Value::Int(0));
-                    }
-                    None => return Ok(v),
-                }
+                // The main body's return value is not read.
+                let Some(frame) = frames.pop() else { return Ok(()) };
+                let v = match src {
+                    Some(r) => paid_clone(&reg!(*r), &mut fuel)?,
+                    None => Value::Int(0),
+                };
+                regs.truncate(base);
+                base = frame.prev_base;
+                pc = frame.ret_pc;
+                regs[base + frame.ret_dst as usize] = v;
             }
             RInsn::SyncRoot(r) => {
                 let ri = *r as usize;
@@ -1087,6 +1012,27 @@ mod tests {
     use super::*;
     use crate::EcodeCompiler;
     use pbio::FormatBuilder;
+
+    /// `code` run as a receiver runs it: `input` encoded under the first
+    /// binding's format, indexed with the identity plan and read in place;
+    /// `rest` is written. Returns the result as text, and `rest`.
+    fn run_in_place(
+        code: &RCode,
+        bindings: &[Binding],
+        input: &Value,
+        mut rest: Vec<Value>,
+        fuel: u64,
+        scratch: &mut VmScratch,
+    ) -> (std::result::Result<(), String>, Vec<Value>) {
+        let format = &bindings[0].format;
+        let wire = pbio::Encoder::new(format).encode(input).unwrap();
+        let plan = pbio::ConversionPlan::identity(format).unwrap();
+        let routes = ViewRoutes::compile(code, &plan);
+        let mut tape = pbio::Tape::default();
+        let view = Routed { view: &plan.index(&wire, &mut tape).unwrap(), routes: &routes };
+        let result = run_view(code, bindings, &view, &mut rest, fuel, scratch);
+        (result.map_err(|e| e.to_string()), rest)
+    }
 
     /// `code` with every multi-entry row replaced by its entries as lone
     /// copies, jump targets moved along: the scalar sequence a row stands
@@ -1175,12 +1121,9 @@ mod tests {
                     .collect(),
             ),
         ]);
-        let roots = vec![input, Value::default_record(&to)];
         let run = |code: &RCode, fuel: u64| {
-            let mut roots = roots.clone();
-            let result =
-                run_with_fuel(code, prog.bindings(), &mut roots, fuel, &mut VmScratch::default());
-            (result.map_err(|e| e.to_string()), roots)
+            let rest = vec![Value::default_record(&to)];
+            run_in_place(code, prog.bindings(), &input, rest, fuel, &mut VmScratch::default())
         };
         // The program ends in an out-of-bounds read at the second entry of
         // its last row, reached once the budget is large enough.
@@ -1262,21 +1205,15 @@ mod tests {
                  old.sum = sum; old.picked = new.ids[new.pick].id;",
             )
             .unwrap();
-        let input = |pick: i64| {
-            let ids = (3..8).map(|id| Value::Record(vec![Value::Int(id)])).collect();
-            vec![
-                Value::Record(vec![Value::Int(5), Value::Array(ids), Value::Int(pick)]),
-                Value::default_record(&out),
-            ]
-        };
         let run = |scratch: &mut VmScratch, pick: i64, fuel: u64| {
-            let mut roots = input(pick);
-            let result = run_with_fuel(prog.rcode(), prog.bindings(), &mut roots, fuel, scratch);
-            (result.map_err(|e| e.to_string()), roots)
+            let ids = (3..8).map(|id| Value::Record(vec![Value::Int(id)])).collect();
+            let input = Value::Record(vec![Value::Int(5), Value::Array(ids), Value::Int(pick)]);
+            let rest = vec![Value::default_record(&out)];
+            run_in_place(prog.rcode(), prog.bindings(), &input, rest, fuel, scratch)
         };
         let fresh = |pick, fuel| run(&mut VmScratch::default(), pick, fuel);
         let good = fresh(2, u64::MAX);
-        assert_eq!(good.1[1], Value::Record(vec![Value::Int(2 + 3 + 5 + 8 + 13), Value::Int(5)]));
+        assert_eq!(good.1[0], Value::Record(vec![Value::Int(2 + 3 + 5 + 8 + 13), Value::Int(5)]));
 
         let mut scratch = VmScratch::default();
         let mut stopped_in_a_call = 0;

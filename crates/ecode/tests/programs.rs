@@ -1,10 +1,46 @@
 //! Program-level integration tests: realistic Ecode programs run on the
-//! register VM and on the reference interpreter (the oracle) and must agree.
+//! register VM — as a receiver runs it, reading root 0 in place — and on the
+//! reference interpreter (the oracle) and must agree.
 
 use std::sync::Arc;
 
-use ecode::{EcodeCompiler, EcodeError, EcodeProgram, FusedProgram, RInsn};
-use pbio::{FormatBuilder, RecordFormat, Value};
+use ecode::{EcodeCompiler, EcodeError, EcodeProgram, FusedProgram, RInsn, VmScratch};
+use pbio::{ConversionPlan, Encoder, FormatBuilder, RecordFormat, Tape, Value};
+
+/// Runs `fused` on the register VM as a receiver does: `input` encoded
+/// under root 0's format, indexed with the identity plan and read in place,
+/// `outputs` written as roots 1 and up.
+fn run_vm(
+    fused: &FusedProgram,
+    input: &Value,
+    outputs: &mut [Value],
+    fuel: u64,
+) -> Result<(), EcodeError> {
+    let format = &fused.bindings()[0].format;
+    let wire = Encoder::new(format).encode(input).expect("the input fits its format");
+    let plan = ConversionPlan::identity(format).unwrap();
+    let mut tape = Tape::default();
+    let view = plan.index(&wire, &mut tape).unwrap();
+    fused.run_view(&view, &fused.routes(&plan), outputs, fuel, &mut VmScratch::default())
+}
+
+/// `prog` fused alone, on the register VM: `roots[0]` is its input, the
+/// rest are written.
+fn vm(prog: &EcodeProgram, roots: &mut [Value], fuel: u64) -> Result<(), EcodeError> {
+    let fused = FusedProgram::compose(&[prog]).unwrap();
+    let (input, outputs) = roots.split_first_mut().unwrap();
+    run_vm(&fused, input, outputs, fuel)
+}
+
+/// `prog` on the tree-walker, its written roots' length fields synced after
+/// a run that returns, as the fused program's trailer syncs them.
+fn interp(prog: &EcodeProgram, roots: &mut [Value], fuel: u64) -> Result<(), EcodeError> {
+    prog.run_interp_with_fuel(roots, fuel)?;
+    for (root, binding) in roots.iter_mut().zip(prog.bindings()).skip(1) {
+        pbio::sync_length_fields(root, &binding.format);
+    }
+    Ok(())
+}
 
 fn scratch() -> Arc<RecordFormat> {
     let item = FormatBuilder::record("Item").string("key").int("val").build_arc().unwrap();
@@ -32,23 +68,32 @@ fn empty_scratch(n_items: usize) -> Value {
     ])
 }
 
+/// `src` writing (and reading) `s`, after an unread input `new`; both roots
+/// are of the scratch format.
 fn compile(src: &str) -> EcodeProgram {
     EcodeCompiler::new()
+        .bind_input("new", &scratch())
         .bind_output("s", &scratch())
         .compile(src)
         .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"))
 }
 
-/// Runs on both engines, asserts agreement, returns (root, return value).
-fn run_both(src: &str, input: Value) -> (Value, Option<Value>) {
+/// Runs on both engines with `s` starting as `start`, asserts agreement,
+/// returns `s` — where the programs below store their results.
+fn run_both(src: &str, start: Value) -> Value {
     let prog = compile(src);
-    let mut vm_roots = vec![input.clone()];
-    let vm_ret = prog.run_with_fuel(&mut vm_roots, 50_000_000).unwrap();
-    let mut it_roots = vec![input];
-    let it_ret = prog.run_interp_with_fuel(&mut it_roots, 50_000_000).unwrap();
-    assert_eq!(vm_roots, it_roots, "engine divergence (roots)");
-    assert_eq!(vm_ret, it_ret, "engine divergence (return)");
-    (vm_roots.pop().unwrap(), vm_ret)
+    let roots = [empty_scratch(0), start];
+    let runs = [vm, interp].map(|engine| {
+        let mut after = roots.to_vec();
+        engine(&prog, &mut after, 50_000_000).unwrap();
+        after
+    });
+    assert_eq!(runs[0], runs[1], "engine divergence (roots)");
+    runs[0][1].clone()
+}
+
+fn acc(s: &Value) -> Option<&Value> {
+    s.field(&scratch(), "acc")
 }
 
 #[test]
@@ -62,10 +107,9 @@ fn gcd_with_functions() {
             }
             return a;
         }
-        return gcd(462, 1071);
+        s.acc = gcd(462, 1071);
     "#;
-    let (_, ret) = run_both(src, empty_scratch(0));
-    assert_eq!(ret, Some(Value::Int(21)));
+    assert_eq!(acc(&run_both(src, empty_scratch(0))), Some(&Value::Int(21)));
 }
 
 #[test]
@@ -96,7 +140,7 @@ fn selection_sort_on_root_array() {
                 .collect(),
         );
     }
-    let (root, _) = run_both(src, input);
+    let root = run_both(src, input);
     let out: Vec<i64> = root
         .field(&scratch(), "items")
         .unwrap()
@@ -122,7 +166,7 @@ fn string_report_building() {
             s.sacc = join(s.sacc, s.items[i].key);
         }
     "#;
-    let (root, _) = run_both(src, empty_scratch(3));
+    let root = run_both(src, empty_scratch(3));
     assert_eq!(root.field(&scratch(), "sacc"), Some(&Value::str("k0,k1,k2")));
 }
 
@@ -140,7 +184,7 @@ fn numeric_integration_loop() {
         }
         s.facc = sum * h;
     "#;
-    let (root, _) = run_both(src, empty_scratch(0));
+    let root = run_both(src, empty_scratch(0));
     let Some(Value::Float(v)) = root.field(&scratch(), "facc").cloned() else {
         panic!("facc not set")
     };
@@ -159,10 +203,9 @@ fn collatz_with_early_exit() {
             }
             return c;
         }
-        return steps(27);
+        s.acc = steps(27);
     "#;
-    let (_, ret) = run_both(src, empty_scratch(0));
-    assert_eq!(ret, Some(Value::Int(111)));
+    assert_eq!(acc(&run_both(src, empty_scratch(0))), Some(&Value::Int(111)));
 }
 
 #[test]
@@ -185,11 +228,13 @@ fn histogram_via_write_extension() {
         }
         h.n = 7;
     "#;
-    let prog = EcodeCompiler::new().bind_output("h", &fmt).compile(src).unwrap();
-    let mut roots = vec![Value::Record(vec![Value::Int(0), Value::Array(vec![])])];
-    prog.run(&mut roots).unwrap();
-    roots[0].check(&fmt).unwrap();
-    let counts: Vec<i64> = roots[0]
+    let prog =
+        EcodeCompiler::new().bind_input("new", &fmt).bind_output("h", &fmt).compile(src).unwrap();
+    let empty = Value::Record(vec![Value::Int(0), Value::Array(vec![])]);
+    let mut roots = vec![empty.clone(), empty];
+    vm(&prog, &mut roots, u64::MAX).unwrap();
+    roots[1].check(&fmt).unwrap();
+    let counts: Vec<i64> = roots[1]
         .field(&fmt, "buckets")
         .unwrap()
         .as_array()
@@ -217,8 +262,8 @@ fn fuel_bounds_function_heavy_programs() {
         for (i = 0; i < 1000000; i++) { s.acc = burn(1000); }
     "#;
     let prog = compile(src);
-    let mut roots = vec![empty_scratch(0)];
-    assert!(matches!(prog.run_with_fuel(&mut roots, 100_000), Err(EcodeError::Runtime(_))));
+    let mut roots = vec![empty_scratch(0), empty_scratch(0)];
+    assert!(matches!(vm(&prog, &mut roots, 100_000), Err(EcodeError::Runtime(_))));
 }
 
 #[test]
@@ -227,9 +272,9 @@ fn compile_once_run_many_is_deterministic() {
     let prog = compile(src);
     let mut expected = None;
     for _ in 0..5 {
-        let mut roots = vec![empty_scratch(10)];
-        prog.run(&mut roots).unwrap();
-        let acc = roots[0].field(&scratch(), "acc").cloned();
+        let mut roots = vec![empty_scratch(0), empty_scratch(10)];
+        vm(&prog, &mut roots, u64::MAX).unwrap();
+        let acc = acc(&roots[1]).cloned();
         match &expected {
             None => expected = Some(acc),
             Some(e) => assert_eq!(&acc, e),
@@ -245,28 +290,28 @@ fn bytecode_is_inspectable() {
     // Exactly: the constant, Store, Ret.
     assert_eq!(prog.rcode().len(), 3);
     assert!(prog.rcode().disassemble().contains("r0 = 3"));
-    assert_eq!(prog.bindings().len(), 1);
-    assert_eq!(prog.bindings()[0].name, "s");
+    assert_eq!(prog.bindings().len(), 2);
+    assert_eq!(prog.bindings()[1].name, "s");
 }
 
 // -- CopyPath rows ------------------------------------------------------------
 
-/// What one engine left behind: the roots, and the return value or the
-/// error's text.
-type Outcome = (Vec<Value>, Result<Option<Value>, String>);
+/// What one engine left behind: the roots, and success or the error's
+/// text.
+type Outcome = (Vec<Value>, Result<(), String>);
 
 /// Runs `prog` on the tree-walker (the oracle) and the register VM and
 /// asserts they agree on the roots they leave — also after an error — and
-/// on the return value or the error string.
+/// on success or the error string.
 fn both_engines(prog: &EcodeProgram, roots: &[Value]) -> Outcome {
-    let text = |e: EcodeError| e.to_string();
-    let mut interp = roots.to_vec();
-    let by_interp = prog.run_interp(&mut interp).map_err(text);
-    let mut register = roots.to_vec();
-    let by_register = prog.run(&mut register).map_err(text);
-    assert_eq!(by_interp, by_register, "register VM: result");
-    assert_eq!(interp, register, "register VM: roots");
-    (interp, by_interp)
+    let [by_register, by_interp] = [vm, interp].map(|engine| {
+        let mut after = roots.to_vec();
+        let result = engine(prog, &mut after, u64::MAX).map_err(|e| e.to_string());
+        (after, result)
+    });
+    assert_eq!(by_register.1, by_interp.1, "register VM: result");
+    assert_eq!(by_register.0, by_interp.0, "register VM: roots");
+    by_interp
 }
 
 /// The multi-entry rows of a program's register code, as (entries, whole).
@@ -357,7 +402,7 @@ fn fig5_agrees_on_both_engines() {
     for n in [0, 1, 2, 7, 40] {
         let (roots, ret) =
             both_engines(&prog, &[v2_value(n), Value::default_record(&response_v1())]);
-        assert_eq!(ret, Ok(None));
+        assert_eq!(ret, Ok(()));
         roots[1].check(&response_v1()).unwrap();
         let list = |name| roots[1].field(&response_v1(), name).unwrap().as_array().unwrap().len();
         assert_eq!(
@@ -365,11 +410,26 @@ fn fig5_agrees_on_both_engines() {
             (n as usize, (n as usize).div_ceil(3), (n as usize).div_ceil(2))
         );
     }
-    // A v2 message that lies about its length fails the same way everywhere,
-    // with the members before the gap converted.
+    // A v2 message that lies about its length never reaches an engine: it
+    // does not encode, and bytes forged to say so fail the index pass.
     let mut short = v2_value(3);
     short.as_record_mut().unwrap()[0] = Value::Int(5);
-    let (roots, ret) = both_engines(&prog, &[short, Value::default_record(&response_v1())]);
+    assert!(Encoder::new(&response_v2()).encode(&short).is_err());
+    let mut forged = Encoder::new(&response_v2()).encode(&v2_value(3)).unwrap();
+    // `member_count` leads the payload, a little-endian 32-bit int.
+    let count = &mut forged[pbio::HEADER_LEN..pbio::HEADER_LEN + 4];
+    assert_eq!(count, 3i32.to_le_bytes());
+    count.copy_from_slice(&5i32.to_le_bytes());
+    let plan = ConversionPlan::identity(&response_v2()).unwrap();
+    assert!(plan.index(&forged, &mut Tape::default()).is_err());
+    // Reading past the end fails the same way on both engines, with the
+    // members before it converted.
+    let past = EcodeCompiler::new()
+        .bind_input("new", &response_v2())
+        .bind_output("old", &response_v1())
+        .compile(&FIG5.replace("i < new.member_count", "i < new.member_count + 2"))
+        .unwrap();
+    let (roots, ret) = both_engines(&past, &[v2_value(3), Value::default_record(&response_v1())]);
     assert_eq!(ret, Err("runtime error: array index 3 out of bounds (len 3)".into()));
     assert_eq!(roots[1].field(&response_v1(), "member_list").unwrap().as_array().unwrap().len(), 3);
 }
@@ -485,7 +545,7 @@ fn row_appends_overwrites_and_fills_gaps() {
         let prog = row_program(&format!("int i = 1; int j = 0; int k = {k}; {ROW}"));
         assert_eq!(rows(&prog), [(3, true)]);
         let (roots, ret) = both_engines(&prog, &[row_input(2, 1), out_with(before)]);
-        assert_eq!(ret, Ok(None));
+        assert_eq!(ret, Ok(()));
         assert_eq!(roots[1].as_record().unwrap()[1], Value::Array(after), "k = {k}");
     }
 }
@@ -557,15 +617,15 @@ fn register_fuel_is_charged_per_row_entry() {
     // One row of three entries and nothing else but the local initialisers:
     // sweeping the budget must visit every prefix of the row — nothing, the
     // default-extended element with entry 0, with entries 0–1, the whole
-    // element — in that order, one budget unit apart, as three single
-    // copies would.
+    // element — in that order, one budget unit apart plus one per byte an
+    // entry copies, as three single copies would.
     let prog = row_program(&format!("int i = 1; int j = 0; int k = 0; {ROW}"));
     let states =
         [vec![], vec![item(11.0, "", 0)], vec![item(11.0, "s1", 0)], vec![item(11.0, "s1", 100)]];
     let mut seen = Vec::new();
     for fuel in 0.. {
         let mut roots = vec![row_input(2, 1), out_with(vec![])];
-        let result = prog.run_with_fuel(&mut roots, fuel);
+        let result = vm(&prog, &mut roots, fuel);
         let items = roots[1].as_record().unwrap()[1].as_array().unwrap().to_vec();
         let at = states.iter().position(|s| *s == items).expect("a prefix state of the row");
         seen.push(at);
@@ -577,7 +637,8 @@ fn register_fuel_is_charged_per_row_entry() {
     }
     assert!(seen.windows(2).all(|w| w[0] <= w[1] && w[1] - w[0] <= 1), "{seen:?}");
     let at = |state| seen.iter().filter(|&&s| s == state).count();
-    assert_eq!((at(1), at(2)), (1, 1), "one budget unit per entry: {seen:?}");
+    // Entry 1 copies the two bytes of "s1".
+    assert_eq!((at(1), at(2)), (1 + 2, 1), "one budget unit per entry: {seen:?}");
     assert_eq!(seen.last(), Some(&3));
 }
 
@@ -619,18 +680,16 @@ fn rows_survive_fusion_into_a_three_step_chain() {
         .collect();
     assert_eq!(fused_rows, [(0, 1, 2), (0, 1, 2), (0, 1, 2), (1, 2, 2), (2, 3, 2)]);
 
-    let mut roots = vec![v2_value(9)];
-    roots.extend(steps.iter().map(|p| Value::default_record(&p.bindings()[1].format)));
-    let mut by_register = roots;
-    fused.run_register(&mut by_register).unwrap();
+    let mut by_register: Vec<Value> =
+        steps.iter().map(|p| Value::default_record(&p.bindings()[1].format)).collect();
+    run_vm(&fused, &v2_value(9), &mut by_register, u64::MAX).unwrap();
 
     let mut staged = v2_value(9);
     for p in &steps {
         let to = &p.bindings()[1].format;
         let (mut roots, ret) = both_engines(p, &[staged, Value::default_record(to)]);
-        assert_eq!(ret, Ok(None));
+        assert_eq!(ret, Ok(()));
         staged = roots.pop().unwrap();
-        pbio::sync_length_fields(&mut staged, to);
     }
     assert_eq!(by_register.last(), Some(&staged));
     assert_eq!(staged.as_record().unwrap()[1].as_array().unwrap().len(), 9);

@@ -155,55 +155,25 @@ impl CompiledXform {
         &self.program
     }
 
-    /// The one body under the three forms: `engine` runs the program over
-    /// `[input, default old]` within the budget of a message the input's
-    /// size ([`fuel_for`]), and `old` comes back with its variable-length
-    /// array length fields re-synchronized, so the output always satisfies
-    /// the target format's invariants. What the program returned is not
-    /// read.
-    fn run(
-        &self,
-        input: Value,
-        engine: impl FnOnce(&EcodeProgram, &mut [Value], u64) -> ecode::Result<Option<Value>>,
-    ) -> Result<Value> {
-        let fuel = fuel_for(input.native_record_size(&self.from));
-        let mut roots = vec![input, Value::default_record(&self.to)];
-        engine(&self.program, &mut roots, fuel)?;
-        let mut out = roots.pop().expect("two roots in, two out");
-        pbio::sync_length_fields(&mut out, &self.to);
-        Ok(out)
-    }
-
-    /// Applies the transformation to a decoded message value, producing a
-    /// value in the target format (length fields re-synchronized after the
-    /// user code runs).
+    /// Applies the transformation to a decoded message value on the
+    /// reference interpreter — the oracle the register VM's deliveries are
+    /// tested against — within the instruction budget a receiver gives a
+    /// message the input's size. The output's variable-length array length
+    /// fields are re-synchronized after the code runs, so it always
+    /// satisfies the target format's invariants. What the program returned
+    /// is not read.
     ///
     /// # Errors
     ///
     /// Returns [`MorphError::Ecode`] if the transformation code fails at
     /// runtime, or has not finished within its instruction budget.
-    pub fn apply(&self, input: &Value) -> Result<Value> {
-        self.apply_owned(input.clone())
-    }
-
-    /// As [`CompiledXform::apply`], but takes the input by value to avoid a
-    /// clone when the caller no longer needs it.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledXform::apply`].
-    fn apply_owned(&self, input: Value) -> Result<Value> {
-        self.run(input, EcodeProgram::run_with_fuel)
-    }
-
-    /// Applies using the reference interpreter instead of the VM: the
-    /// oracle the register VM's result is tested against.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledXform::apply`].
     pub fn apply_interp(&self, input: &Value) -> Result<Value> {
-        self.run(input.clone(), EcodeProgram::run_interp_with_fuel)
+        let fuel = fuel_for(input.native_record_size(&self.from));
+        let mut roots = vec![input.clone(), Value::default_record(&self.to)];
+        self.program.run_interp_with_fuel(&mut roots, fuel)?;
+        let mut out = roots.pop().expect("two roots in, two out");
+        pbio::sync_length_fields(&mut out, &self.to);
+        Ok(out)
     }
 }
 
@@ -378,13 +348,41 @@ mod tests {
         b.build_arc().unwrap()
     }
 
+    /// `fused` on the register VM as a receiver runs it: `input` encoded
+    /// under root 0's format, indexed with the identity plan and read in
+    /// place; `outputs` are written.
+    fn run_vm(
+        fused: &ecode::FusedProgram,
+        input: &Value,
+        outputs: &mut [Value],
+        fuel: u64,
+    ) -> ecode::Result<()> {
+        let from = &fused.bindings()[0].format;
+        let wire = pbio::Encoder::new(from).encode(input).unwrap();
+        let plan = pbio::ConversionPlan::identity(from).unwrap();
+        let mut tape = pbio::Tape::default();
+        let view = plan.index(&wire, &mut tape).unwrap();
+        let scratch = &mut ecode::VmScratch::default();
+        fused.run_view(&view, &fused.routes(&plan), outputs, fuel, scratch)
+    }
+
+    /// [`CompiledXform::apply_interp`]'s register-VM twin: `cx` fused alone,
+    /// run by [`run_vm`] under the same budget.
+    fn apply_vm(cx: &CompiledXform, input: &Value) -> Result<Value> {
+        let fused = ecode::FusedProgram::compose(&[cx.program()])?;
+        let mut out = [Value::default_record(cx.to_format())];
+        run_vm(&fused, input, &mut out, fuel_for(input.native_record_size(cx.from_format())))?;
+        let [out] = out;
+        Ok(out)
+    }
+
     #[test]
     fn compile_and_apply_simple_xform() {
         let from = fmt("M", &["a", "b"]);
         let to = fmt("M", &["sum"]);
         let t = Transformation::new(from, to, "old.sum = new.a + new.b;");
         let cx = t.compile().unwrap();
-        let out = cx.apply(&Value::Record(vec![Value::Int(2), Value::Int(3)])).unwrap();
+        let out = apply_vm(&cx, &Value::Record(vec![Value::Int(2), Value::Int(3)])).unwrap();
         assert_eq!(out, Value::Record(vec![Value::Int(5)]));
         let out2 = cx.apply_interp(&Value::Record(vec![Value::Int(2), Value::Int(3)])).unwrap();
         assert_eq!(out, out2);
@@ -442,7 +440,7 @@ mod tests {
         let cc = CompiledChain::compile(&chain).unwrap();
         assert_eq!(cc.steps().len(), 2);
         let input = Value::Record(vec![Value::Int(4), Value::Int(0), Value::Int(0)]);
-        let out = cc.steps().iter().fold(input, |v, step| step.apply_owned(v).unwrap());
+        let out = cc.steps().iter().fold(input, |v, step| apply_vm(step, &v).unwrap());
         assert_eq!(out, Value::Record(vec![Value::Int(50)]));
     }
 
@@ -459,11 +457,9 @@ mod tests {
         let fp = cc.fuse().unwrap();
         assert_eq!(fp.n_roots(), 3);
         let input = Value::Record(vec![Value::Int(4), Value::Int(0), Value::Int(0)]);
-        let mut roots = vec![input.clone()];
-        for step in cc.steps() {
-            roots.push(Value::default_record(step.to_format()));
-        }
-        fp.run_register(&mut roots).unwrap();
+        let mut roots: Vec<Value> =
+            cc.steps().iter().map(|step| Value::default_record(step.to_format())).collect();
+        run_vm(&fp, &input, &mut roots, u64::MAX).unwrap();
         // The oracle: the tree-walker, step by step.
         let oracle = cc.steps().iter().fold(input, |v, step| step.apply_interp(&v).unwrap());
         assert_eq!(roots.pop().unwrap(), oracle);
@@ -479,7 +475,7 @@ mod tests {
         let t = Transformation::new(fmt("M", &["a"]), fmt("M", &["b"]), "while (1) {}");
         let cx = t.compile().unwrap();
         let input = Value::Record(vec![Value::Int(1)]);
-        for result in [cx.apply(&input), cx.apply_owned(input.clone()), cx.apply_interp(&input)] {
+        for result in [apply_vm(&cx, &input), cx.apply_interp(&input)] {
             let err = result.unwrap_err();
             assert!(matches!(err, MorphError::Ecode(_)), "{err}");
             assert!(err.to_string().contains("budget exhausted"), "{err}");
@@ -509,18 +505,114 @@ mod tests {
         ];
         for (what, src) in programs {
             let cx = Transformation::new(from.clone(), to.clone(), src).compile().unwrap();
-            let runs = [EcodeProgram::run_with_fuel, EcodeProgram::run_interp_with_fuel];
-            for (engine, run) in ["vm", "interp"].into_iter().zip(runs) {
-                let mut roots =
-                    vec![Value::Record(vec![Value::str("xy")]), Value::default_record(&to)];
-                let err = run(cx.program(), &mut roots, fuel).unwrap_err();
-                assert!(err.to_string().contains("budget exhausted"), "{what}, {engine}: {err}");
-                let out = roots[1].as_record().unwrap();
+            for (engine, (err, out)) in ["vm", "interp"].into_iter().zip(on_both(&cx, fuel)) {
+                assert!(err.contains("budget exhausted"), "{what}, {engine}: {err}");
+                let out = out.as_record().unwrap();
                 let (built, elems) =
                     (out[0].as_str().unwrap().len(), out[2].as_array().unwrap().len());
                 assert!(built as u64 <= fuel && elems == 0, "{what}, {engine}: {built}, {elems}");
             }
         }
+    }
+
+    /// `cx` run from the input `{ s: "xy" }` under `fuel` on the register VM
+    /// and on the tree-walker, each expected to fail: the error's text and
+    /// the output root it left, per engine.
+    fn on_both(cx: &CompiledXform, fuel: u64) -> [(String, Value); 2] {
+        let input = Value::Record(vec![Value::str("xy")]);
+        let fused = ecode::FusedProgram::compose(&[cx.program()]).unwrap();
+        let mut out = [Value::default_record(cx.to_format())];
+        let vm = run_vm(&fused, &input, &mut out, fuel).unwrap_err().to_string();
+        let [by_vm] = out;
+        let mut roots = [input, Value::default_record(cx.to_format())];
+        let interp = cx.program().run_interp_with_fuel(&mut roots, fuel).unwrap_err().to_string();
+        let [_, by_interp] = roots;
+        [(vm, by_vm), (interp, by_interp)]
+    }
+
+    /// The bytes of every string in `v`.
+    fn text_bytes(v: &Value) -> u64 {
+        match v {
+            Value::Str(s) => s.len() as u64,
+            Value::Record(vs) | Value::Array(vs) => vs.iter().map(text_bytes).sum(),
+            _ => 0,
+        }
+    }
+
+    /// Copying a string costs one unit per byte copied, on both engines:
+    /// under the budget of a 64-byte message, a 64-byte string stored into
+    /// array element after array element runs out having left at most the
+    /// budget's worth of bytes in the output — where one unit per copy would
+    /// let it hold about 64 bytes per few units. The paper's Fig. 5 morph of
+    /// a message the size of the benchmark's (400 members) needs a small
+    /// part of its own message's budget.
+    #[test]
+    fn string_copies_are_paid_per_byte_and_fig5_stays_well_within_its_budget() {
+        let from = FormatBuilder::record("M").string("s").build_arc().unwrap();
+        let item = FormatBuilder::record("I").string("s").build_arc().unwrap();
+        let to = FormatBuilder::record("M")
+            .int("n")
+            .var_array_of("list", item, "n")
+            .build_arc()
+            .unwrap();
+        let src = "string t = new.s; int i; for (i = 0; i < 5; i++) t = t + t; \
+                   for (i = 0; ; i++) old.list[i].s = t;";
+        let cx = Transformation::new(from, to, src).compile().unwrap();
+        let fuel = fuel_for(64);
+        for (engine, (err, out)) in ["vm", "interp"].into_iter().zip(on_both(&cx, fuel)) {
+            assert!(err.contains("budget exhausted"), "{engine}: {err}");
+            let held = text_bytes(&out);
+            assert!(held <= fuel, "{engine}: {held} bytes held on a budget of {fuel}");
+            assert!(held > fuel / 4, "{engine}: the loop stopped early, at {held} bytes");
+        }
+
+        let member = || FormatBuilder::record("Member").string("info").int("ID");
+        let v2_member = member().int("is_source").int("is_sink").build_arc().unwrap();
+        let v1_member = member().build_arc().unwrap();
+        let list = |b: FormatBuilder, name: &str, elem: &Arc<RecordFormat>| {
+            b.int(format!("{name}_count")).var_array_of(
+                name,
+                Arc::clone(elem),
+                format!("{name}_count"),
+            )
+        };
+        let v2 = list(FormatBuilder::record("R"), "member", &v2_member).build_arc().unwrap();
+        let v1 = list(FormatBuilder::record("R"), "member", &v1_member);
+        let v1 = list(list(v1, "src", &v1_member), "sink", &v1_member).build_arc().unwrap();
+        let fig5 = "int i; int sinks = 0; int srcs = 0; \
+            old.member_count = new.member_count; \
+            for (i = 0; i < new.member_count; i++) { \
+                old.member[i].info = new.member[i].info; old.member[i].ID = new.member[i].ID; \
+                if (new.member[i].is_source) { \
+                    old.src[srcs].info = new.member[i].info; old.src[srcs].ID = new.member[i].ID; \
+                    srcs++; } \
+                if (new.member[i].is_sink) { \
+                    old.sink[sinks].info = new.member[i].info; old.sink[sinks].ID = new.member[i].ID; \
+                    sinks++; } } \
+            old.src_count = srcs; old.sink_count = sinks;";
+        let cx = Transformation::new(Arc::clone(&v2), v1, fig5).compile().unwrap();
+        let members = (0..400).map(|i| {
+            let info = Value::str(format!("host{:03}:7{:03}", i % 997, i));
+            Value::Record(vec![info, Value::Int(i), Value::Int(1), Value::Int(1)])
+        });
+        let input = Value::Record(vec![Value::Int(400), Value::Array(members.collect())]);
+        let budget = fuel_for(pbio::Encoder::new(&v2).encode(&input).unwrap().len());
+        let fused = ecode::FusedProgram::compose(&[cx.program()]).unwrap();
+        let needs = |fuel| {
+            let mut out = [Value::default_record(cx.to_format())];
+            run_vm(&fused, &input, &mut out, fuel).is_ok()
+        };
+        let (mut lo, mut hi) = (0, budget);
+        assert!(needs(hi));
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if needs(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        assert!(lo * 10 < budget, "Fig. 5 needs {lo} of its budget of {budget}");
     }
 
     #[test]
@@ -548,11 +640,9 @@ mod tests {
         assert_eq!(back.to_id(), t.to_id());
         assert_eq!(back.source(), t.source());
         // The deserialized transformation compiles and behaves identically.
-        let out = back
-            .compile()
-            .unwrap()
-            .apply(&Value::Record(vec![Value::Int(4), Value::Int(5)]))
-            .unwrap();
+        let out =
+            apply_vm(&back.compile().unwrap(), &Value::Record(vec![Value::Int(4), Value::Int(5)]))
+                .unwrap();
         assert_eq!(out, Value::Record(vec![Value::Int(9)]));
     }
 
@@ -615,8 +705,9 @@ mod tests {
                 Value::Record(vec![Value::Int(8)]),
             ]),
         ]);
-        let out = cx.apply(&input).unwrap();
+        let out = apply_vm(&cx, &input).unwrap();
         assert_eq!(out.field(&to, "n"), Some(&Value::Int(2)));
+        assert_eq!(cx.apply_interp(&input).unwrap(), out);
         out.check(&to).unwrap();
     }
 }

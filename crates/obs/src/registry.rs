@@ -226,11 +226,6 @@ impl Timer {
         self.finish()
     }
 
-    /// Abandons the timer without recording anything.
-    pub fn cancel(mut self) {
-        self.stopped = true;
-    }
-
     fn finish(&mut self) -> u64 {
         self.stopped = true;
         let elapsed = self.clock.now_ns().saturating_sub(self.start_ns);
@@ -557,13 +552,6 @@ mod tests {
         assert_eq!(h.count, 1);
         assert_eq!(h.min, 1234);
         assert_eq!(snap.at_ns, 1234);
-    }
-
-    #[test]
-    fn cancelled_timer_records_nothing() {
-        let reg = Registry::new();
-        reg.timer("x_ns").cancel();
-        assert!(reg.snapshot().histogram("x_ns").unwrap().count == 0);
     }
 
     #[test]

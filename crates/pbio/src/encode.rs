@@ -553,5 +553,36 @@ mod tests {
         enc.encode_into(&Value::Record(vec![Value::Int(2)]), &mut buf).unwrap();
         assert_eq!(buf.len(), 2 * one);
         assert!(parse_header(&buf[one..]).is_ok());
+
+        // A message appended after a prefix of other bytes — odd-sized, so
+        // nothing lines up by accident — decodes to the value it was
+        // encoded from, in both byte orders: its length field and payload
+        // are placed from where it starts, not from the buffer's start.
+        let fmt = FormatBuilder::record("Msg")
+            .string("s")
+            .long("n")
+            .var_array_basic("xs", BasicType::Int(Width::W2), "n")
+            .double("d")
+            .build_arc()
+            .unwrap();
+        let plan = crate::ConversionPlan::identity(&fmt).unwrap();
+        let value = Value::Record(vec![
+            Value::str("prefix-proof"),
+            Value::Int(3),
+            Value::Array(vec![Value::Int(-7), Value::Int(0), Value::Int(300)]),
+            Value::Float(2.5),
+        ]);
+        for order in [ByteOrder::Little, ByteOrder::Big] {
+            let enc = Encoder::with_order(&fmt, order);
+            let mut buf = vec![0xA5; 13];
+            enc.encode_into(&value, &mut buf).unwrap();
+            assert_eq!(&buf[..13], &[0xA5; 13], "{order:?}: the prefix is untouched");
+            assert_eq!(buf[13..], enc.encode(&value).unwrap()[..], "{order:?}");
+            assert_eq!(plan.execute(&buf[13..]).unwrap(), value, "{order:?}");
+            // And a second one after it.
+            let mid = buf.len();
+            enc.encode_into(&value, &mut buf).unwrap();
+            assert_eq!(plan.execute(&buf[mid..]).unwrap(), value, "{order:?}: second message");
+        }
     }
 }

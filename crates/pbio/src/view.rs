@@ -347,6 +347,14 @@ pub struct Route {
     path: Box<[PathStep]>,
 }
 
+impl Route {
+    /// Whether the route ends at a number, a char or an enum: what it reads
+    /// holds no string.
+    pub fn is_scalar(&self) -> bool {
+        matches!(self.end, End::Int(..) | End::Scalar(_))
+    }
+}
+
 /// How a route gets to its end. A top-level field, and a field of an
 /// element of a top-level array, are straight-line — every read of the
 /// benchmark's morphing workloads is one of the two, and following them as
@@ -534,6 +542,25 @@ impl<'v> WireView<'v> {
             _ => *out = self.get_far(route, subscripts)?,
         }
         Ok(())
+    }
+
+    /// The string at `route`, borrowed from the message — what
+    /// [`WireView::get`] would copy out of it; `None` when the route does
+    /// not end at a string.
+    ///
+    /// # Errors
+    ///
+    /// As [`WireView::get`].
+    #[inline(always)]
+    pub fn text(
+        &self,
+        route: &Route,
+        subscripts: &[usize],
+    ) -> std::result::Result<Option<&'v str>, Miss> {
+        match route.end {
+            End::Str => self.text_at(self.follow(route, subscripts)?).map(Some),
+            _ => Ok(None),
+        }
     }
 
     /// [`WireView::get`] of anything but an integer or a string.

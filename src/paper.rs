@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use morph::Transformation;
+use morph::{MorphReceiver, Transformation};
 use pbio::{Encoder, FormatBuilder, RecordFormat, Value};
 
 /// The v1.0 member entry (info + ID).
@@ -201,7 +201,15 @@ pub fn table1_row(n: usize) -> Table1Row {
     }
 }
 
-/// Runs the compiled Fig. 5 transformation on a v2.0 response.
+/// Rolls a v2.0 response back to v1.0 the way a v1.0 receiver does: the
+/// message encoded, morphed by a [`MorphReceiver`] that holds the Fig. 5
+/// transformation, and the record it delivers returned.
 pub fn fig5_rollback(v2_val: &Value) -> Value {
-    fig5_transformation().compile().expect("Fig. 5 compiles").apply(v2_val).expect("Fig. 5 runs")
+    let (tx, delivered) = std::sync::mpsc::channel();
+    let mut rx = MorphReceiver::new();
+    rx.register_handler(&response_v1(), move |v| tx.send(v).expect("the caller waits"));
+    rx.import_transformation(fig5_transformation());
+    let wire = Encoder::new(&response_v2()).encode(v2_val).expect("workload conforms");
+    rx.process(&wire).expect("Fig. 5 runs");
+    delivered.try_recv().expect("Fig. 5 delivers a v1.0 record")
 }

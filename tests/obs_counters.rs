@@ -451,3 +451,35 @@ fn the_span_vocabulary_lists_names_the_code_records() {
         names.iter().filter(|name| !source.contains(&format!("\"{name}\""))).collect();
     assert!(unrecorded.is_empty(), "in the span vocabulary, recorded by nothing: {unrecorded:?}");
 }
+
+/// Every line of ARCHITECTURE.md that starts `Held by:` names tests that
+/// exist: its
+/// backticked tokens are a file (`*.rs`, from the repository root)
+/// followed by one or more function names, and each name must be a
+/// `#[test] fn` in the file named before it.
+#[test]
+fn the_held_by_lines_name_existing_tests() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = include_str!("../ARCHITECTURE.md");
+    let mut cited = 0;
+    for line in doc.lines().filter_map(|line| line.trim_start().strip_prefix("Held by:")) {
+        let mut file: Option<(&str, String)> = None;
+        for token in line.split('`').skip(1).step_by(2) {
+            if token.ends_with(".rs") {
+                let text = std::fs::read_to_string(root.join(token))
+                    .unwrap_or_else(|e| panic!("`Held by:` cites {token}: {e}"));
+                file = Some((token, text));
+                continue;
+            }
+            let (path, text) =
+                file.as_ref().unwrap_or_else(|| panic!("{token}: no file before it"));
+            let is_test = text.split("#[test]").skip(1).any(|after| {
+                let after = after.trim_start();
+                after.strip_prefix("fn ").is_some_and(|f| f.split('(').next() == Some(token))
+            });
+            assert!(is_test, "`Held by:` cites {path} {token}, which is not a #[test] fn there");
+            cited += 1;
+        }
+    }
+    assert!(cited >= 5, "{cited} tests cited");
+}

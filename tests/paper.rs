@@ -12,7 +12,7 @@ use message_morphing::paper::{
     fig5_rollback, fig5_transformation, members_for_size, response_v1, response_v2, table1_row,
     v2_message, Table1Row, FIG5_XSL, SWEEP,
 };
-use morph::{Delivery, MorphReceiver};
+use morph::{CompiledChain, Delivery, MorphReceiver};
 use pbio::{Encoder, Value};
 use simnet::{LinkParams, Network};
 
@@ -134,4 +134,85 @@ fn members_for_size_hits_targets() {
         assert!(n == 0 || size(n).abs_diff(target) <= size(n - 1).abs_diff(target));
         assert!(size(n).abs_diff(target) * 50 < target, "target {target}: {} B", size(n));
     }
+}
+
+/// Fig. 5's register code as compiled: the listing `examples/vm_dump.rs`
+/// prints for its one step.
+const FIG5_STEP_LISTING: &str = concat!(
+    "; register ISA: 28 insns, 4 regs, 2 roots, 0 strings, 0 fns\n",
+    "   0  r3 = 0\n",
+    "   1  r0 = r3\n",
+    "   2  r3 = 0\n",
+    "   3  r1 = r3\n",
+    "   4  r3 = 0\n",
+    "   5  r2 = r3\n",
+    "   6  CopyPath root1.0 = root0.0\n",
+    "   7  r3 = 0\n",
+    "   8  r0 = r3\n",
+    "   9  r3 = Load root0.0\n",
+    "  10  r3 = ICmp.Lt r0, r3\n",
+    "  11  Jz r3 -> 25\n",
+    "  12  CopyPath root1.1[*] [r0] { .0 = root0.1[*].0 [r0]; .1 = root0.1[*].1 [r0] }\n",
+    "  13  r3 = Load root0.1[*].2 [r0]\n",
+    "  14  r3 = C2I r3\n",
+    "  15  Jz r3 -> 18\n",
+    "  16  CopyPath root1.3[*] [r2] { .0 = root0.1[*].0 [r0]; .1 = root0.1[*].1 [r0] }\n",
+    "  17  r2 = r2 + 1\n",
+    "  18  r3 = Load root0.1[*].3 [r0]\n",
+    "  19  r3 = C2I r3\n",
+    "  20  Jz r3 -> 23\n",
+    "  21  CopyPath root1.5[*] [r1] { .0 = root0.1[*].0 [r0]; .1 = root0.1[*].1 [r0] }\n",
+    "  22  r1 = r1 + 1\n",
+    "  23  r0 = r0 + 1\n",
+    "  24  Jmp 9\n",
+    "  25  Store root1.2 = r2\n",
+    "  26  Store root1.4 = r1\n",
+    "  27  Ret\n",
+);
+
+/// Fig. 5 fused into a chain of one, as the receiver runs it: the step's
+/// code, its main-body `Ret` turned into a jump to the trailer that syncs
+/// the output's length fields.
+const FIG5_FUSED_LISTING: &str = concat!(
+    "; register ISA: 30 insns, 4 regs, 2 roots, 0 strings, 0 fns\n",
+    "   0  r3 = 0\n",
+    "   1  r0 = r3\n",
+    "   2  r3 = 0\n",
+    "   3  r1 = r3\n",
+    "   4  r3 = 0\n",
+    "   5  r2 = r3\n",
+    "   6  CopyPath root1.0 = root0.0\n",
+    "   7  r3 = 0\n",
+    "   8  r0 = r3\n",
+    "   9  r3 = Load root0.0\n",
+    "  10  r3 = ICmp.Lt r0, r3\n",
+    "  11  Jz r3 -> 25\n",
+    "  12  CopyPath root1.1[*] [r0] { .0 = root0.1[*].0 [r0]; .1 = root0.1[*].1 [r0] }\n",
+    "  13  r3 = Load root0.1[*].2 [r0]\n",
+    "  14  r3 = C2I r3\n",
+    "  15  Jz r3 -> 18\n",
+    "  16  CopyPath root1.3[*] [r2] { .0 = root0.1[*].0 [r0]; .1 = root0.1[*].1 [r0] }\n",
+    "  17  r2 = r2 + 1\n",
+    "  18  r3 = Load root0.1[*].3 [r0]\n",
+    "  19  r3 = C2I r3\n",
+    "  20  Jz r3 -> 23\n",
+    "  21  CopyPath root1.5[*] [r1] { .0 = root0.1[*].0 [r0]; .1 = root0.1[*].1 [r0] }\n",
+    "  22  r1 = r1 + 1\n",
+    "  23  r0 = r0 + 1\n",
+    "  24  Jmp 9\n",
+    "  25  Store root1.2 = r2\n",
+    "  26  Store root1.4 = r1\n",
+    "  27  Jmp 28\n",
+    "  28  SyncRoot root1\n",
+    "  29  Ret\n",
+);
+
+/// The register code of the Fig. 5 transformation — compiled, and fused
+/// into the one program a receiver runs — is pinned byte for byte: a
+/// change to lowering, fusion or the disassembler shows here.
+#[test]
+fn fig5_disassembly_is_pinned() {
+    let chain = CompiledChain::compile(&[fig5_transformation()]).unwrap();
+    assert_eq!(chain.steps()[0].program().rcode().disassemble(), FIG5_STEP_LISTING);
+    assert_eq!(chain.fuse().unwrap().rcode().disassemble(), FIG5_FUSED_LISTING);
 }

@@ -561,24 +561,27 @@ fn gen_int_expr(rng: &mut XorShift64, depth: u32) -> String {
     }
 }
 
+/// `src` reading `new` and writing `r`, both of a one-int format, with
+/// roots to run it from.
+fn int_program(src: &str) -> (EcodeProgram, [Value; 2]) {
+    let fmt = FormatBuilder::record("R").long("x").build_arc().unwrap();
+    let prog = EcodeCompiler::new().bind_input("new", &fmt).bind_output("r", &fmt).compile(src);
+    let roots = [Value::default_record(&fmt), Value::default_record(&fmt)];
+    (prog.unwrap_or_else(|e| panic!("{e}: {src}")), roots)
+}
+
 /// The register VM agrees with the reference interpreter (the semantic
-/// oracle) on arbitrary expressions (results, output roots, and wrap-around
-/// arithmetic included).
+/// oracle) on arbitrary expressions, their values stored in the output
+/// root (wrap-around arithmetic included).
 #[test]
 fn vm_matches_interpreter() {
     for_cases("vm_matches_interpreter", |rng| {
         let e = gen_int_expr(rng, 4);
         let (a, b, c) =
             (rng.range_i64(-1000, 999), rng.range_i64(-1000, 999), rng.range_i64(-1000, 999));
-        let src = format!("int a = {a}; int b = {b}; int c = {c}; return {e};");
-        let fmt = FormatBuilder::record("R").int("x").build_arc().unwrap();
-        let prog = EcodeCompiler::new().bind_output("r", &fmt).compile(&src).unwrap();
-        let mut roots_vm = vec![Value::default_record(&fmt)];
-        let mut roots_it = vec![Value::default_record(&fmt)];
-        let vm = prog.run_with_fuel(&mut roots_vm, 1_000_000).unwrap();
-        let it = prog.run_interp_with_fuel(&mut roots_it, 1_000_000).unwrap();
-        assert_eq!(vm, it, "src: {src}");
-        assert_eq!(roots_vm, roots_it);
+        let src = format!("int a = {a}; int b = {b}; int c = {c}; r.x = {e};");
+        let (prog, roots) = int_program(&src);
+        assert_eq!(both_engines(&prog, &roots, &src).1, Ok(()), "src: {src}");
     });
 }
 
@@ -596,15 +599,10 @@ fn vm_matches_interpreter_loops() {
                  if (i % 3 == 0) continue;
                  s += i;
              }}
-             return s;"
+             r.x = s;"
         );
-        let fmt = FormatBuilder::record("R").int("x").build_arc().unwrap();
-        let prog = EcodeCompiler::new().bind_output("r", &fmt).compile(&src).unwrap();
-        let mut r1 = vec![Value::default_record(&fmt)];
-        let mut r2 = vec![Value::default_record(&fmt)];
-        let vm = prog.run_with_fuel(&mut r1, 1_000_000).unwrap();
-        let it = prog.run_interp_with_fuel(&mut r2, 1_000_000).unwrap();
-        assert_eq!(vm, it);
+        let (prog, roots) = int_program(&src);
+        assert_eq!(both_engines(&prog, &roots, &src).1, Ok(()), "src: {src}");
     });
 }
 
@@ -662,24 +660,58 @@ fn transformation_vm_matches_interp() {
             .collect();
         let input = Value::Record(vec![Value::Int(n as i64), Value::Array(members)]);
         input.check(&from).unwrap();
-        assert_eq!(cx.apply(&input).unwrap(), cx.apply_interp(&input).unwrap());
+        let mut by_vm = [input.clone(), Value::default_record(cx.to_format())];
+        vm(cx.program(), &mut by_vm, 1_000_000).unwrap();
+        assert_eq!(by_vm[1], cx.apply_interp(&input).unwrap());
     });
 }
 
+/// `fused` on the register VM as a receiver runs it: `input` encoded under
+/// root 0's format, indexed with the identity plan and read in place, and
+/// `outputs` written.
+fn run_vm(
+    fused: &ecode::FusedProgram,
+    input: &Value,
+    outputs: &mut [Value],
+    fuel: u64,
+) -> ecode::Result<()> {
+    let format = &fused.bindings()[0].format;
+    let wire = Encoder::new(format).encode(input).expect("the input fits its format");
+    let plan = pbio::ConversionPlan::identity(format).unwrap();
+    let mut tape = pbio::Tape::default();
+    let view = plan.index(&wire, &mut tape).unwrap();
+    fused.run_view(&view, &fused.routes(&plan), outputs, fuel, &mut ecode::VmScratch::default())
+}
+
+/// `prog` fused alone, on the register VM: `roots[0]` is its input, the
+/// rest are written.
+fn vm(prog: &EcodeProgram, roots: &mut [Value], fuel: u64) -> ecode::Result<()> {
+    let fused = ecode::FusedProgram::compose(&[prog]).unwrap();
+    let (input, outputs) = roots.split_first_mut().unwrap();
+    run_vm(&fused, input, outputs, fuel)
+}
+
+/// What an engine left behind: the roots (or the output roots), and
+/// success or the error's text.
+type Outcome = (Vec<Value>, Result<(), String>);
+
 /// The tree-walker (the oracle) and the register VM on one program and one
 /// set of roots: they must leave the same roots — also after an error — and
-/// report the same return value or the same error text. Returns what they
-/// agreed on.
-fn both_engines(
-    prog: &EcodeProgram,
-    roots: &[Value],
-    src: &str,
-) -> (Vec<Value>, Result<Option<Value>, String>) {
+/// report success or the same error text. The tree-walker's written roots
+/// are length-synced after a run that returns, as the fused program's
+/// trailer syncs them. Returns what they agreed on.
+fn both_engines(prog: &EcodeProgram, roots: &[Value], src: &str) -> Outcome {
     const FUEL: u64 = 1_000_000;
     let mut by_interp = roots.to_vec();
-    let interp = prog.run_interp_with_fuel(&mut by_interp, FUEL).map_err(|e| e.to_string());
+    let interp = prog.run_interp_with_fuel(&mut by_interp, FUEL).map(drop);
+    if interp.is_ok() {
+        for (root, binding) in by_interp.iter_mut().zip(prog.bindings()).skip(1) {
+            pbio::sync_length_fields(root, &binding.format);
+        }
+    }
+    let interp = interp.map_err(|e| e.to_string());
     let mut by_register = roots.to_vec();
-    let register = prog.run_with_fuel(&mut by_register, FUEL);
+    let register = vm(prog, &mut by_register, FUEL);
     assert_eq!(interp, register.map_err(|e| e.to_string()), "register: {src}");
     assert_eq!(by_interp, by_register, "register VM roots, src: {src}");
     (by_interp, interp)
@@ -687,12 +719,10 @@ fn both_engines(
 
 /// A generated row-shaped program: runs of adjacent copies into the fields
 /// of one destination element — the shape lowering folds into `CopyPath`
-/// rows — with its source text, its two formats and a pair of roots.
+/// rows — with its source text and a pair of roots.
 struct RowCase {
     prog: EcodeProgram,
     src: String,
-    from: Arc<RecordFormat>,
-    to: Arc<RecordFormat>,
     roots: [Value; 2],
 }
 
@@ -770,40 +800,24 @@ fn gen_row_case(rng: &mut XorShift64) -> RowCase {
     };
     let input = elems(&from, n, rng);
     let output = elems(&to, rng.usize_below(3), rng);
-    RowCase { prog, src, from, to, roots: [input, output] }
+    RowCase { prog, src, roots: [input, output] }
 }
 
-/// Generated row-shaped programs agree on both engines in values, roots and
-/// error strings, alone and fused into a chain of one.
+/// Generated row-shaped programs agree on both engines — the register VM
+/// reading the message in place as a receiver does — in roots and error
+/// strings.
 #[test]
 fn row_shaped_programs_agree_on_both_engines() {
     let (mut folded, mut failed) = (0, 0);
     for_cases("row_shaped_programs_agree_on_both_engines", |rng| {
-        let RowCase { prog, src, to, roots, .. } = gen_row_case(rng);
+        let RowCase { prog, src, roots } = gen_row_case(rng);
         folded += prog
             .rcode()
             .insns
             .iter()
             .filter(|i| matches!(i, ecode::RInsn::CopyPath(r) if r.entries.len() > 1))
             .count();
-        let (mut after, result) = both_engines(&prog, &roots, &src);
-
-        // The same step as a fused chain of one: the fused program agrees
-        // with the oracle's plain run — the roots as they stood when an
-        // error stopped it, the length-synced roots on success.
-        let fused = ecode::FusedProgram::compose(&[&prog]).unwrap();
-        let mut by_fused = roots.to_vec();
-        let fused_result = fused
-            .run_register_with(&mut by_fused, 1_000_000, &mut ecode::VmScratch::default())
-            .map(|_| ())
-            .map_err(|e| e.to_string());
-        assert_eq!(fused_result, result.map(|_| ()), "fused vs plain, src: {src}");
-        if fused_result.is_err() {
-            failed += 1;
-        } else {
-            pbio::sync_length_fields(&mut after[1], &to);
-        }
-        assert_eq!(by_fused, after, "fused roots, src: {src}");
+        failed += u64::from(both_engines(&prog, &roots, &src).1.is_err());
     });
     assert!(folded >= CASES as usize, "the generator stopped producing rows: {folded}");
     assert!((8..CASES - 8).contains(&failed), "failing and passing runs both matter: {failed}");
@@ -849,7 +863,7 @@ fn fig5_morph_equals_the_hand_written_converter() {
         let wire = Encoder::new(&v2).encode(&value).unwrap();
         let roots = [value, Value::default_record(&v1)];
         let (after, result) = both_engines(&prog, &roots, "Fig. 5");
-        assert_eq!(result, Ok(None));
+        assert_eq!(result, Ok(()));
         assert_eq!(after[1], hand_written_v2_wire_to_v1(&wire));
     });
 
@@ -881,24 +895,17 @@ fn functions_are_transparent() {
     for_cases("functions_are_transparent", |rng| {
         let e = gen_int_expr(rng, 3);
         let x = rng.range_i64(-100, 99);
-        let fmt = FormatBuilder::record("R").int("x").build_arc().unwrap();
-        let compiler = EcodeCompiler::new().bind_output("r", &fmt);
-        let via_fn = format!(
-            "int f(int a, int b, int c) {{ return {e}; }} return f({x}, {x} + 1, {x} - 1);"
-        );
-        let inline = format!("int a = {x}; int b = {x} + 1; int c = {x} - 1; return {e};");
-        let pf = compiler.compile(&via_fn).unwrap();
-        let pi = compiler.compile(&inline).unwrap();
-        let mut r1 = vec![Value::default_record(&fmt)];
-        let mut r2 = vec![Value::default_record(&fmt)];
-        let v1 = pf.run_with_fuel(&mut r1, 1_000_000).unwrap();
-        let v2 = pi.run_with_fuel(&mut r2, 1_000_000).unwrap();
-        assert_eq!(v1, v2);
-        // And the interpreter agrees with the VM's register-window call
-        // frames on the function version.
-        let mut r3 = vec![Value::default_record(&fmt)];
-        let v3 = pf.run_interp_with_fuel(&mut r3, 1_000_000).unwrap();
-        assert_eq!(v1, v3);
+        let via_fn =
+            format!("int f(int a, int b, int c) {{ return {e}; }} r.x = f({x}, {x} + 1, {x} - 1);");
+        let inline = format!("int a = {x}; int b = {x} + 1; int c = {x} - 1; r.x = {e};");
+        let (pf, roots) = int_program(&via_fn);
+        let (pi, _) = int_program(&inline);
+        let mut by_inline = roots.clone();
+        vm(&pi, &mut by_inline, 1_000_000).unwrap();
+        // The interpreter agrees with the VM's register-window call frames
+        // on the function version, and both with the inlined body.
+        let (by_fn, result) = both_engines(&pf, &roots, &via_fn);
+        assert_eq!((by_fn, result), (by_inline.to_vec(), Ok(())), "{via_fn}");
     });
 }
 
@@ -1216,87 +1223,122 @@ fn fused_single_pass_matches_tree_walker_oracle() {
     assert!(adapter_exercised, "no generated case ran an adapter behind a chain");
 }
 
-/// The fused program `fused` over the wire message `wire` (format `from`)
-/// under `fuel`, run two ways: reading the message in place — through the
-/// view of the plan its reads project to — and over the value that plan
-/// decodes. Both must leave the same roots, also where an error or the
-/// budget stopped them, and return the same result or error text. Returns
-/// what they agreed on.
-fn view_matches_value(
-    fused: &ecode::FusedProgram,
-    from: &Arc<RecordFormat>,
-    wire: &[u8],
+/// The error a run stopped by its budget reports, on both engines.
+const OUT_OF_FUEL: &str = "runtime error: instruction budget exhausted";
+
+/// The tree-walker over the chain `steps` from `input`, step after step —
+/// step *k* from `outputs[k]`, reading step *k − 1*'s output as it finished
+/// and was length-synced. Returns the unbudgeted run's outputs and result,
+/// and every state of the outputs a budget can stop it in: each step under
+/// every budget that stops it (its own output as the budget left it, the
+/// earlier ones final, the later ones as they started), and each step's
+/// output as it finished, before and after the sync.
+fn walked(steps: &[&EcodeProgram], input: &Value, outputs: &[Value]) -> (Outcome, Vec<Vec<Value>>) {
+    let mut outs = outputs.to_vec();
+    let mut states = vec![outs.clone()];
+    let mut v = input.clone();
+    for (k, p) in steps.iter().enumerate() {
+        let run = |fuel| {
+            let mut roots = [v.clone(), outputs[k].clone()];
+            let result = p.run_interp_with_fuel(&mut roots, fuel).map(drop);
+            let [_, out] = roots;
+            (out, result.map_err(|e| e.to_string()))
+        };
+        let mut fuel = 0;
+        let result = loop {
+            let (out, result) = run(fuel);
+            outs[k] = out;
+            states.push(outs.clone());
+            if result.as_ref().map_err(String::as_str) != Err(OUT_OF_FUEL) {
+                break result;
+            }
+            fuel += 1;
+        };
+        if result.is_err() {
+            states.dedup();
+            return ((outs, result), states);
+        }
+        pbio::sync_length_fields(&mut outs[k], &p.bindings()[1].format);
+        states.push(outs.clone());
+        v = outs[k].clone();
+    }
+    states.dedup();
+    ((outs, Ok(())), states)
+}
+
+/// The chain `steps` fused and run on the register VM from `outputs`, over
+/// `input`'s wire message read in place through the plan its reads project
+/// to — as a receiver reads it — against the tree-walker ([`walked`]). The
+/// unbudgeted runs must leave the same outputs and report the same result or
+/// error text; under every budget below 96 and then every ninth up to
+/// `top`, the VM must either finish as unbudgeted or run out of fuel,
+/// leaving outputs the tree-walker stops in under some budget of its own.
+/// Returns what the unbudgeted runs agreed on and how many budgets stopped
+/// the VM short.
+fn in_place_agrees_with_the_tree_walker(
+    steps: &[&EcodeProgram],
+    input: &Value,
     outputs: &[Value],
-    fuel: u64,
+    top: u64,
     what: &str,
-) -> (Vec<Value>, Result<(), String>) {
+) -> (Outcome, usize) {
+    let from = &steps[0].bindings()[0].format;
+    let fused = ecode::FusedProgram::compose(steps).unwrap();
     let used = ecode::root_used_fields(fused.rcode(), 0, from.fields().len());
     let plan = pbio::ConversionPlan::project(from, &used).unwrap();
     let routes = fused.routes(&plan);
+    let wire = Encoder::new(from).encode(input).unwrap();
     let mut tape = pbio::Tape::default();
-    let view = plan.index(wire, &mut tape).unwrap();
+    let view = plan.index(&wire, &mut tape).unwrap();
     let scratch = &mut ecode::VmScratch::default();
-    let mut in_place = outputs.to_vec();
-    let by_view = fused.run_view(&view, &routes, &mut in_place, fuel, scratch);
-    let mut decoded = vec![plan.execute(wire).unwrap()];
-    decoded.extend_from_slice(outputs);
-    let by_value = fused.run_register_with(&mut decoded, fuel, scratch);
-    let (by_view, by_value) = (by_view.map(|_| ()), by_value.map(|_| ()));
-    let by_view = by_view.map_err(|e| e.to_string());
-    assert_eq!(by_view, by_value.map_err(|e| e.to_string()), "{what}, fuel {fuel}");
-    assert_eq!(in_place[..], decoded[1..], "{what}, fuel {fuel}: roots");
-    (in_place, by_view)
-}
-
-/// [`view_matches_value`] under every budget below 96 and then every ninth
-/// up to `top`; returns how many budgets stopped the run short of `full`.
-fn budget_sweep(
-    fused: &ecode::FusedProgram,
-    from: &Arc<RecordFormat>,
-    wire: &[u8],
-    outputs: &[Value],
-    top: u64,
-    full: &(Vec<Value>, Result<(), String>),
-) -> usize {
-    let budgets = (0..96).chain((96..top).step_by(9));
-    let run = |fuel| view_matches_value(fused, from, wire, outputs, fuel, "sweep");
-    budgets.map(run).filter(|got| got != full).count()
-}
-
-/// The register VM reading the message in place agrees with the register
-/// VM over the value the projected plan decodes — in values, final roots,
-/// error strings and the partial state an error or an exhausted budget
-/// leaves, under a sweep of budgets — and both with the tree-walker over the
-/// whole message: on the generated row programs (copies that run out of
-/// bounds part-way included), on generated 1–3-step fused chains (array
-/// copy loops included), and on programs that read a whole record and a
-/// whole array, of variable-size and of fixed-size elements.
-#[test]
-fn vm_over_the_view_matches_vm_over_the_value_and_the_tree_walker() {
-    const FULL: u64 = 1_000_000;
+    let mut run = |fuel| {
+        let mut outs = outputs.to_vec();
+        let result = fused.run_view(&view, &routes, &mut outs, fuel, scratch);
+        (outs, result.map_err(|e| e.to_string()))
+    };
+    let (full, states) = walked(steps, input, outputs);
+    assert_eq!(run(1_000_000), full, "{what}: the VM vs the tree-walker");
     let mut stopped = 0;
-    for_cases("vm_over_the_view: rows", |rng| {
-        let RowCase { prog, src, from, to, roots } = gen_row_case(rng);
-        let wire = Encoder::new(&from).encode(&roots[0]).unwrap();
-        let fused = ecode::FusedProgram::compose(&[&prog]).unwrap();
-        let full = view_matches_value(&fused, &from, &wire, &roots[1..], FULL, &src);
-        stopped += budget_sweep(&fused, &from, &wire, &roots[1..], 300, &full);
-        let mut walked = roots.to_vec();
-        let result = prog.run_interp_with_fuel(&mut walked, FULL).map(|_| ());
-        assert_eq!(full.1, result.map_err(|e| e.to_string()), "tree-walker, src: {src}");
-        if full.1.is_ok() {
-            pbio::sync_length_fields(&mut walked[1], &to);
+    for fuel in (0..96).chain((96..top).step_by(9)) {
+        let (outs, result) = run(fuel);
+        if (&outs, &result) == (&full.0, &full.1) {
+            continue;
         }
-        assert_eq!(full.0[..], walked[1..], "tree-walker roots, src: {src}");
+        assert_eq!(
+            result.as_ref().map_err(String::as_str),
+            Err(OUT_OF_FUEL),
+            "{what}, fuel {fuel}"
+        );
+        assert!(states.contains(&outs), "{what}, fuel {fuel}: no tree-walker state is {outs:?}");
+        stopped += 1;
+    }
+    (full, stopped)
+}
+
+/// The register VM reading the message in place — the one way it runs —
+/// agrees with the tree-walker: unbudgeted, in final roots and error
+/// strings; and under a sweep of budgets, each run either finishes as the
+/// unbudgeted one does or runs out, in a partial state the tree-walker also
+/// stops in under some budget. On the generated row programs (copies that
+/// run out of bounds part-way included), on generated 1–3-step fused chains
+/// (array copy loops included), and on programs that read a whole record and
+/// a whole array, of variable-size and of fixed-size elements.
+#[test]
+fn vm_reading_in_place_matches_the_tree_walker_under_every_budget() {
+    let mut stopped = 0;
+    for_cases("vm_reading_in_place: rows", |rng| {
+        let RowCase { prog, src, roots } = gen_row_case(rng);
+        stopped +=
+            in_place_agrees_with_the_tree_walker(&[&prog], &roots[0], &roots[1..], 300, &src).1;
     });
-    for_cases("vm_over_the_view: chains", |rng| {
+    for_cases("vm_reading_in_place: chains", |rng| {
         let ChainCase { formats, xforms, .. } = gen_chain(rng);
         let v = value_for(&formats[0], rng);
-        let wire = Encoder::new(&formats[0]).encode(&v).unwrap();
-        let fused = morph::CompiledChain::compile(&xforms).unwrap().fuse().unwrap();
+        let compiled = morph::CompiledChain::compile(&xforms).unwrap();
+        let steps: Vec<&EcodeProgram> = compiled.steps().iter().map(|s| s.program()).collect();
         let outputs: Vec<Value> = formats[1..].iter().map(|f| Value::default_record(f)).collect();
-        let full = view_matches_value(&fused, &formats[0], &wire, &outputs, FULL, "chain");
-        stopped += budget_sweep(&fused, &formats[0], &wire, &outputs, 600, &full);
+        let (full, n) = in_place_agrees_with_the_tree_walker(&steps, &v, &outputs, 600, "chain");
+        stopped += n;
         let end = xforms.iter().fold(v, |v, t| t.compile().unwrap().apply_interp(&v).unwrap());
         assert_eq!((full.1, full.0.last()), (Ok(()), Some(&end)), "the tree-walker's chain");
     });
@@ -1326,23 +1368,13 @@ fn vm_over_the_view_matches_vm_over_the_value_and_the_tree_walker() {
                old.k = new.k; old.pts = new.pts; old.corner = new.pts[0];";
     let prog = EcodeCompiler::new().bind_input("new", &from).bind_output("old", &to).compile(src);
     let prog = prog.unwrap();
-    let fused = ecode::FusedProgram::compose(&[&prog]).unwrap();
     let mut failed = 0;
-    for_cases("vm_over_the_view: whole reads", |rng| {
+    for_cases("vm_reading_in_place: whole reads", |rng| {
         let input = value_for(&from, rng);
-        let wire = Encoder::new(&from).encode(&input).unwrap();
         let outputs = [Value::default_record(&to)];
-        let full = view_matches_value(&fused, &from, &wire, &outputs, FULL, src);
-        stopped += budget_sweep(&fused, &from, &wire, &outputs, 40, &full);
-        let mut walked = vec![input, Value::default_record(&to)];
-        let result = prog.run_interp_with_fuel(&mut walked, FULL).map(|_| ());
-        assert_eq!(full.1, result.map_err(|e| e.to_string()), "tree-walker, whole reads");
-        if full.1.is_ok() {
-            pbio::sync_length_fields(&mut walked[1], &to);
-        } else {
-            failed += 1;
-        }
-        assert_eq!(full.0[..], walked[1..], "tree-walker roots, whole reads");
+        let (full, n) = in_place_agrees_with_the_tree_walker(&[&prog], &input, &outputs, 40, src);
+        stopped += n;
+        failed += u64::from(full.1.is_err());
     });
     assert!(stopped > 1_000, "the sweeps never stopped a run: {stopped}");
     assert!((4..CASES - 4).contains(&failed), "whole reads past the end both ways: {failed}");

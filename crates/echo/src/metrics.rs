@@ -8,24 +8,17 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use morph::DeadReason;
-use obs::{Counter, CounterFamily, Gauge, GaugeFamily, Histogram, RateGauge, Registry};
+use obs::{Counter, CounterFamily, Gauge, GaugeFamily, Histogram, Registry};
 
 use crate::node::{Disposition, FrameOutcome};
 use crate::proto::{self, ChannelId, QosTier};
 
-/// Window geometry for per-channel throughput: eight 1 ms virtual-time
-/// slots, so a rate covers the trailing 8 ms.
-const CHANNEL_RATE_SLOTS: usize = 8;
-const CHANNEL_RATE_SLOT_NS: u64 = 1_000_000;
-
-/// Per-channel counter handles, created lazily on first traffic.
+/// Per-channel counter handles, created lazily on first traffic. A
+/// channel's delivery rate is `Snapshot::delta` over `delivered`.
 #[derive(Debug)]
 pub(crate) struct ChannelCounters {
     pub published: Arc<Counter>,
     pub delivered: Arc<Counter>,
-    /// `echo.ch.<id>.delivered_rate` — deliveries/second over the trailing
-    /// window, on the virtual clock (deterministic per run).
-    pub delivered_rate: RateGauge,
 }
 
 /// `echo.deadletter.total` / `.<reason>`: the system's dead-letter books,
@@ -197,21 +190,13 @@ impl SysMetrics {
         self.per_channel.entry(ch).or_insert_with(|| ChannelCounters {
             published: self.registry.counter(&format!("echo.ch.{}.published", ch.0)),
             delivered: self.registry.counter(&format!("echo.ch.{}.delivered", ch.0)),
-            delivered_rate: RateGauge::new(
-                self.registry.clock(),
-                self.registry.gauge(&format!("echo.ch.{}.delivered_rate", ch.0)),
-                CHANNEL_RATE_SLOTS,
-                CHANNEL_RATE_SLOT_NS,
-            ),
         })
     }
 
     /// One event message handed to an application.
     fn delivered(&mut self, channel: ChannelId, tier: QosTier) {
         self.delivered.inc();
-        let cc = self.channel(channel);
-        cc.delivered.inc();
-        cc.delivered_rate.record(1);
+        self.channel(channel).delivered.inc();
         self.tier_delivered.get(usize::from(tier.to_wire())).inc();
     }
 

@@ -25,8 +25,8 @@ const REASSEMBLY_CAPACITY: usize = 32;
 /// Default virtual-clock age at which a partial fragment set dead-letters.
 const REASSEMBLY_TIMEOUT_NS: u64 = 500_000_000;
 
-/// How many quarantined messages a node keeps (counters track the true
-/// totals beyond this bound).
+/// How many quarantined messages a node keeps (the queue's total and the
+/// system books count every letter beyond this bound).
 const DLQ_CAPACITY: usize = 256;
 
 /// Which historical ECho release a process runs (determines which
@@ -314,8 +314,12 @@ impl EventPlane {
     /// from the timing samples the receiver took for its own histograms
     /// ([`morph::ProcessTiming`]) — attribution without a second clock
     /// read on the hot path.
-    fn deliver(&mut self, payload: &[u8], ctx: Option<TraceCtx>) -> Result<Delivery, MorphError> {
-        let (result, timing) = self.rx.process_timed(payload, ctx);
+    fn deliver(
+        &mut self,
+        payload: &[u8],
+        trace: Option<(&Arc<FlightRecorder>, TraceCtx)>,
+    ) -> Result<Delivery, MorphError> {
+        let (result, timing) = self.rx.process_timed(payload, trace);
         // A warm replay's time is the whole Algorithm 2 pass, decoding
         // included; the morph stage is what remains after decode. A cold
         // pass books no morph time (`morph.decide_ns` has it).
@@ -345,11 +349,6 @@ impl NodeState {
         control_rx.register_handler(&resp_fmt, move |v| {
             resp_sink.lock().expect("inbox lock").push(v);
         });
-        let dlq = DeadLetterQueue::with_registry(
-            DLQ_CAPACITY,
-            control_rx.registry(),
-            "echo.node.deadletter",
-        );
         let encode_ns = control_rx.registry().histogram("echo.stage.encode.ns");
         NodeState {
             name,
@@ -369,7 +368,7 @@ impl NodeState {
             dedup: Dedup::default(),
             reassembly_limits: (REASSEMBLY_CAPACITY, REASSEMBLY_TIMEOUT_NS),
             now_ns: 0,
-            dlq,
+            dlq: DeadLetterQueue::new(DLQ_CAPACITY),
             books,
             recorder: None,
             shared_caches: None,
@@ -393,14 +392,11 @@ impl NodeState {
         self.shared_caches = Some((decisions, plans));
     }
 
-    /// Attaches the system flight recorder, before the node has any
-    /// channel: incoming frames that carry a trace id get `echo.handle`
-    /// spans, and the node's registries (control plane now, event planes
-    /// as they are created) gain the recorder so morphing stages can
+    /// Attaches the system flight recorder: incoming frames that carry a
+    /// trace id get `echo.handle` spans, and the node hands the recorder
+    /// to its receivers with each traced message so morphing stages can
     /// attribute their spans.
     pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        debug_assert!(self.channels.is_empty(), "the recorder is attached at birth");
-        self.control_rx.registry().set_recorder(Arc::clone(&recorder));
         self.recorder = Some(recorder);
     }
 
@@ -610,9 +606,6 @@ impl NodeState {
     pub fn expect_events(&mut self, channel: ChannelId, format: &Arc<RecordFormat>) {
         let at = self.record(channel);
         let rx = &mut self.channels[at].plane.get_or_insert_with(EventPlane::new).rx;
-        if let Some(rec) = &self.recorder {
-            rx.registry().set_recorder(Arc::clone(rec));
-        }
         if let Some((decisions, plans)) = &self.shared_caches {
             rx.set_shared_decisions(decisions.clone());
             rx.set_plan_store(plans.clone());
@@ -968,7 +961,8 @@ impl NodeState {
             } else {
                 frame.payload
             };
-            match self.channels[at].plane.as_mut().map(|p| p.deliver(payload, trace.ctx)) {
+            let traced = self.recorder.as_ref().zip(trace.ctx);
+            match self.channels[at].plane.as_mut().map(|p| p.deliver(payload, traced)) {
                 Some(Err(e)) => {
                     let reason = deadletter::reason_for(&e);
                     self.dead_letter(reason, "event", bytes, e.to_string(), trace)
@@ -995,7 +989,7 @@ impl NodeState {
         ctx: Option<TraceCtx>,
         wire_trace: u64,
     ) -> Result<Vec<Outgoing>, EchoError> {
-        self.control_rx.process_traced(msg, ctx)?;
+        self.control_rx.process_traced(msg, self.recorder.as_ref().zip(ctx))?;
         let mut out = Vec::new();
 
         // Requests: only meaningful at channel creators.
@@ -1130,7 +1124,18 @@ mod tests {
     use super::*;
 
     fn books() -> Arc<DeadLetterBooks> {
-        Arc::new(DeadLetterBooks::new(&obs::Registry::new()))
+        books_on(&obs::Registry::new())
+    }
+
+    /// System books kept in `registry`, so a test can read back what a
+    /// node filed ([`filed`]).
+    fn books_on(registry: &obs::Registry) -> Arc<DeadLetterBooks> {
+        Arc::new(DeadLetterBooks::new(registry))
+    }
+
+    /// Letters filed for `reason`, as the books in `registry` count them.
+    fn filed(registry: &obs::Registry, reason: DeadReason) -> u64 {
+        registry.counter(&format!("echo.deadletter.{}", reason.label())).get()
     }
 
     /// Test frames travel on channel 1, where the node has no event plane:
@@ -1142,7 +1147,12 @@ mod tests {
     /// A node with a record of channel 1 — a sink's role — but no event
     /// plane there, so its fragments and watermarks have a place to live.
     fn member_node() -> NodeState {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        member_node_on(&obs::Registry::new())
+    }
+
+    /// [`member_node`], filing into books kept in `registry`.
+    fn member_node_on(registry: &obs::Registry) -> NodeState {
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books_on(registry));
         node.set_role(ChannelId(1), Role::sink());
         node
     }
@@ -1275,7 +1285,8 @@ mod tests {
 
     #[test]
     fn newer_sequenced_message_supersedes_in_progress_older_set() {
-        let mut node = member_node();
+        let registry = obs::Registry::new();
+        let mut node = member_node_on(&registry);
         let part = frag_frame(QosTier::SequencedUnreliable, 4, 0, 3, b"x");
         assert!(matches!(
             node.handle_frame(0, &part).disposition,
@@ -1286,12 +1297,13 @@ mod tests {
         assert!(matches!(outcome.disposition, Disposition::Rejected(..)));
         assert_eq!(outcome.stale_partials, 1, "the older partial set was purged");
         assert_eq!(node.reassembly_depth(), 0);
-        assert_eq!(node.dead_letters().count(DeadReason::PartialFragments), 0, "policy, not DLQ");
+        assert_eq!(filed(&registry, DeadReason::PartialFragments), 0, "policy, not DLQ");
     }
 
     #[test]
     fn partial_sets_expire_into_the_dlq_as_partial_fragments() {
-        let mut node = member_node();
+        let registry = obs::Registry::new();
+        let mut node = member_node_on(&registry);
         node.configure_reassembly(8, 1_000);
         let part = frag_frame(QosTier::Reliable, 7, 0, 2, b"half");
         assert!(matches!(
@@ -1301,7 +1313,7 @@ mod tests {
         assert_eq!(node.sweep_reassembly(999), 0, "not old enough yet");
         assert_eq!(node.sweep_reassembly(1_000), 1);
         assert_eq!(node.reassembly_depth(), 0);
-        assert_eq!(node.dead_letters().count(DeadReason::PartialFragments), 1);
+        assert_eq!(filed(&registry, DeadReason::PartialFragments), 1);
         // The late sibling now starts a fresh (doomed) set, not a revival.
         let late = frag_frame(QosTier::Reliable, 7, 1, 2, b"late");
         assert!(matches!(
@@ -1401,7 +1413,8 @@ mod tests {
 
     #[test]
     fn higher_epoch_resumes_and_older_epoch_frames_are_fenced() {
-        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books());
+        let registry = obs::Registry::new();
+        let mut node = NodeState::new("sink".into(), EchoVersion::V2, books_on(&registry));
         // Any higher-epoch frame is an implicit resume handshake.
         let fresh = proto::restamp_epoch(&event_frame(8), 1);
         let out = node.handle_frame(0, &fresh);
@@ -1411,7 +1424,7 @@ mod tests {
         let stale = node.handle_frame(0, &event_frame(9));
         assert!(matches!(stale.disposition, Disposition::Fenced(ChannelId(1))));
         assert!(stale.ack.is_none(), "a fenced frame is not an arrival");
-        assert_eq!(node.dead_letters().count(DeadReason::StaleEpoch), 1);
+        assert_eq!(filed(&registry, DeadReason::StaleEpoch), 1);
         // Same-epoch traffic flows; a duplicate resume bump never happens.
         let again = node.handle_frame(0, &proto::restamp_epoch(&event_frame(10), 1));
         assert!(matches!(again.disposition, Disposition::Rejected(..)));
@@ -1461,7 +1474,8 @@ mod tests {
 
     #[test]
     fn crash_amnesia_forgets_dedup_and_dead_letters_partials() {
-        let mut node = member_node();
+        let registry = obs::Registry::new();
+        let mut node = member_node_on(&registry);
         assert!(matches!(
             node.handle_frame(0, &event_frame(7)).disposition,
             Disposition::Rejected(..)
@@ -1475,7 +1489,7 @@ mod tests {
         assert_eq!(report.dedup, 2);
         assert_eq!(report.partials, 1);
         assert_eq!(node.reassembly_depth(), 0);
-        assert_eq!(node.dead_letters().count(DeadReason::CrashLost), 1);
+        assert_eq!(filed(&registry, DeadReason::CrashLost), 1);
         // The state is gone: a replay of seq 7 reads as fresh traffic —
         // which is exactly why exactly-once needs the journaled notes.
         assert!(matches!(
@@ -1603,20 +1617,14 @@ mod tests {
         let (mut reached, mut quarantined, mut fenced) = (0, 0, 0);
         for framed in &base {
             let registry = obs::Registry::new();
-            let books = Arc::new(DeadLetterBooks::new(&registry));
-            let mut node = NodeState::new("sink".into(), EchoVersion::V2, books);
+            let mut node = NodeState::new("sink".into(), EchoVersion::V2, books_on(&registry));
             node.expect_events(ChannelId(1), &tick);
-            // Letters per reason, then in all: as the node counts them and
-            // as the system's books do.
+            // Letters per reason and in all, as the system's books count
+            // them; then in all as the node's own queue does.
             let tally = |node: &NodeState| {
-                let mut counts: Vec<(u64, u64)> = DeadReason::ALL
-                    .iter()
-                    .map(|&r| {
-                        let books = format!("echo.deadletter.{}", r.label());
-                        (node.dlq.count(r), registry.counter(&books).get())
-                    })
-                    .collect();
-                counts.push((node.dlq.total(), registry.counter("echo.deadletter.total").get()));
+                let mut counts: Vec<u64> = DeadReason::ALL.map(|r| filed(&registry, r)).to_vec();
+                counts.push(registry.counter("echo.deadletter.total").get());
+                counts.push(node.dlq.total());
                 counts
             };
             for field in 0..proto::HEADER_LAYOUT.len() - 1 {
@@ -1638,9 +1646,8 @@ mod tests {
                         .chain((0..out.evicted_partials).map(|_| DeadReason::PartialFragments));
                     for reason in filed {
                         let at = DeadReason::ALL.iter().position(|&r| r == reason).unwrap();
-                        for i in [at, DeadReason::ALL.len()] {
-                            want[i].0 += 1;
-                            want[i].1 += 1;
+                        for i in [at, DeadReason::ALL.len(), DeadReason::ALL.len() + 1] {
+                            want[i] += 1;
                         }
                     }
                     assert_eq!(tally(&node), want, "{case}: dead letters per reason");

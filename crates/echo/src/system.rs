@@ -177,7 +177,6 @@ impl EchoSystem {
         // The recorder shares the virtual clock, so span timestamps — and
         // therefore exported traces — are deterministic per seed.
         let recorder = Arc::new(FlightRecorder::new(TRACE_CAPACITY, Arc::new(net.virtual_clock())));
-        registry.set_recorder(Arc::clone(&recorder));
         net.attach_recorder(Arc::clone(&recorder));
         let retry = RetryQueue::new(config.retry_policy, config.retry_queue_capacity);
         EchoSystem {
@@ -1502,7 +1501,9 @@ mod tests {
         let snap = sys.registry().snapshot();
         let published = snap.counter("echo.telemetry.published").unwrap_or(0);
         assert!(published >= 3, "telemetry fired {published} times");
-        assert!(snap.counter("echo.telemetry.bytes").unwrap_or(0) > 0);
+        // Every record encodes to the same 72 B: a 16 B PBIO header and
+        // seven 8 B longs.
+        assert_eq!(snap.counter("echo.telemetry.bytes"), Some(72 * published));
 
         // The v1 collector decoded every v2 record via MaxMatch +
         // default-fill: near-match adaptation only, zero transformation

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use obs::{Counter, Registry, SnapshotDelta};
+use obs::{Counter, Registry};
 use pbio::{Encoder, FormatBuilder, RecordFormat, Value};
 
 use crate::proto::ChannelId;
@@ -59,23 +59,29 @@ fn long(v: u64) -> Value {
     Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
 
-/// Builds one v2 telemetry record from a reporting period's registry
-/// delta. Counters absent from the delta report zero.
-fn telemetry_value(seq: u64, at_ns: u64, queue_depth: i64, delta: &SnapshotDelta) -> Value {
-    let c = |name: &str| long(delta.counter(name).unwrap_or(0));
+/// The counters every record reports, in record-field order.
+const SAMPLED: [&str; 3] = ["echo.events.published", "echo.events.delivered", "echo.queue.shed"];
+
+/// Builds one v2 telemetry record: a reporting period's deltas of the
+/// [`SAMPLED`] counters, in their order, and the queue depth at `at_ns`.
+fn telemetry_value(
+    seq: u64,
+    at_ns: u64,
+    elapsed_ns: u64,
+    deltas: [u64; SAMPLED.len()],
+    queue_depth: i64,
+) -> Value {
+    let [published, delivered, shed] = deltas.map(long);
     Value::Record(vec![
         long(seq),
         long(at_ns),
-        long(delta.elapsed_ns),
-        c("echo.events.published"),
-        c("echo.events.delivered"),
-        c("echo.queue.shed"),
+        long(elapsed_ns),
+        published,
+        delivered,
+        shed,
         Value::Int(queue_depth),
     ])
 }
-
-/// The counters every record reports, sorted by name.
-const SAMPLED: [&str; 3] = ["echo.events.delivered", "echo.events.published", "echo.queue.shed"];
 
 /// The periodic self-telemetry publisher: decides when a record is due
 /// and builds it; the system puts it on the channel.
@@ -86,11 +92,14 @@ pub(crate) struct Publisher {
     /// defeat every pointer-keyed cache downstream of `publish`.
     pub format: Arc<RecordFormat>,
     period_ns: u64,
-    /// The counters a record reports, as live handles with the value seen
-    /// at the last report — `Snapshot::delta` restricted to the record's
-    /// fields, without the full-registry snapshot (every histogram cloned
-    /// per period). Sorted by name, as `SnapshotDelta` promises.
-    sampled: Vec<(&'static str, Arc<Counter>, u64)>,
+    /// The [`SAMPLED`] counters as live handles, each with the value seen
+    /// at the last report: the period's deltas without a registry
+    /// snapshot (every histogram cloned per period).
+    sampled: [(Arc<Counter>, u64); SAMPLED.len()],
+    /// The encoded length of every record: all its fields are `long`s,
+    /// so each record encodes to the same bytes (72: the 16-byte PBIO
+    /// header and seven 8-byte fields).
+    record_len: u64,
     /// Virtual time of the last report (or of enabling): the next one is
     /// due a period later, and carries the time since as `elapsed_ns`.
     last_at_ns: u64,
@@ -111,20 +120,20 @@ impl Publisher {
         period_ns: u64,
         now_ns: u64,
     ) -> Publisher {
-        let sampled = SAMPLED
-            .iter()
-            .map(|&name| {
-                let counter = registry.counter(name);
-                let seen = counter.get();
-                (name, counter, seen)
-            })
-            .collect();
+        let format = telemetry_format_v2();
+        let zero = telemetry_value(0, 0, 0, [0; SAMPLED.len()], 0);
+        let record = Encoder::new(&format).encode(&zero).expect("a telemetry record encodes");
         Publisher {
             proc,
             channel,
-            format: telemetry_format_v2(),
+            format,
             period_ns: period_ns.max(1),
-            sampled,
+            sampled: SAMPLED.map(|name| {
+                let counter = registry.counter(name);
+                let seen = counter.get();
+                (counter, seen)
+            }),
+            record_len: record.len() as u64,
             last_at_ns: now_ns,
             seq: 0,
             published: registry.counter("echo.telemetry.published"),
@@ -139,24 +148,16 @@ impl Publisher {
         if now_ns < self.last_at_ns.saturating_add(self.period_ns) {
             return None;
         }
-        let sample = |(name, handle, last): &mut (&str, Arc<Counter>, u64)| {
+        let deltas = self.sampled.each_mut().map(|(handle, last)| {
             let v = handle.get();
-            (name.to_string(), v.saturating_sub(std::mem::replace(last, v)))
-        };
-        let delta = SnapshotDelta {
-            elapsed_ns: now_ns.saturating_sub(self.last_at_ns),
-            counters: self.sampled.iter_mut().map(sample).collect(),
-            gauges: Vec::new(),
-            histogram_counts: Vec::new(),
-        };
+            v.saturating_sub(std::mem::replace(last, v))
+        });
+        let elapsed_ns = now_ns.saturating_sub(self.last_at_ns);
         self.last_at_ns = now_ns;
         self.seq += 1;
-        let value = telemetry_value(self.seq, now_ns, queue_depth, &delta);
-        if let Ok(encoded) = Encoder::new(&self.format).encode(&value) {
-            self.bytes.add(encoded.len() as u64);
-        }
+        self.bytes.add(self.record_len);
         self.published.inc();
-        Some(value)
+        Some(telemetry_value(self.seq, now_ns, elapsed_ns, deltas, queue_depth))
     }
 }
 
@@ -166,19 +167,33 @@ mod tests {
 
     #[test]
     fn v2_value_matches_the_v2_format() {
+        let v = telemetry_value(3, 1_000, 400, [10, 9, 1], 5);
+        let fmt = telemetry_format_v2();
+        // Encodes cleanly, to the fixed record length, and the fields land
+        // where the format says.
+        let bytes = pbio::Encoder::new(&fmt).encode(&v).expect("encodes");
+        assert_eq!(bytes.len(), pbio::HEADER_LEN + 7 * 8);
+        let field = |name| v.field(&fmt, name).and_then(Value::as_i64);
+        let fields =
+            ["seq", "at_ns", "elapsed_ns", "published", "delivered", "shed", "queue_depth"];
+        assert_eq!(fields.map(field), [3, 1_000, 400, 10, 9, 1, 5].map(Some));
+    }
+
+    #[test]
+    fn a_record_reports_the_period_deltas_and_counts_its_fixed_length() {
         let reg = Registry::new();
+        reg.counter("echo.events.published").add(4);
+        let mut publisher = Publisher::new(&reg, 0, ChannelId(1), 100, 1_000);
         reg.counter("echo.events.published").add(10);
         reg.counter("echo.events.delivered").add(9);
         reg.counter("echo.queue.shed").inc();
-        let before = Registry::new().snapshot();
-        let delta = reg.snapshot().delta(&before);
-        let v = telemetry_value(3, 1_000, 5, &delta);
-        let fmt = telemetry_format_v2();
-        // Encodes cleanly, and the fields land where the format says.
-        let bytes = pbio::Encoder::new(&fmt).encode(&v).expect("encodes");
-        assert!(!bytes.is_empty());
-        assert_eq!(v.field(&fmt, "published").and_then(Value::as_i64), Some(10));
-        assert_eq!(v.field(&fmt, "queue_depth").and_then(Value::as_i64), Some(5));
+        let v = publisher.poll(1_150, 2).expect("a period elapsed");
+        assert_eq!(v, telemetry_value(1, 1_150, 150, [10, 9, 1], 2));
+        let v = publisher.poll(1_250, 0).expect("a period elapsed");
+        assert_eq!(v, telemetry_value(2, 1_250, 100, [0, 0, 0], 0));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("echo.telemetry.published"), Some(2));
+        assert_eq!(snap.counter("echo.telemetry.bytes"), Some(2 * 72));
     }
 
     #[test]

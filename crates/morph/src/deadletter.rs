@@ -7,16 +7,15 @@
 //! the subscriber for each one turns a lossy network into an unusable
 //! application; silently discarding them hides real faults. A
 //! [`DeadLetterQueue`] is the middle road: quarantine the raw bytes with a
-//! [`DeadReason`], count every admission in the observability registry,
-//! and keep memory bounded by evicting the oldest entry when full (the
-//! counters still record the true totals).
+//! [`DeadReason`], count every admission, and keep memory bounded by
+//! evicting the oldest entry when full (the total still counts every
+//! letter). Per-reason counts are the caller's books: `echo` keeps them
+//! system-wide (`echo.deadletter.*`), where the letter is filed.
 
+use obs::{SpanEvent, TraceId};
+use pbio::WireBytes;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
-
-use obs::{Counter, Registry, SpanEvent, TraceId};
-use pbio::WireBytes;
 
 use crate::error::MorphError;
 
@@ -55,8 +54,8 @@ pub enum DeadReason {
 }
 
 impl DeadReason {
-    /// Stable lowercase label, used as the metric-name suffix
-    /// (`<prefix>.<label>`).
+    /// Stable lowercase label, used as a metric-name suffix
+    /// (`echo.deadletter.<label>`).
     pub fn label(self) -> &'static str {
         match self {
             DeadReason::Corrupt => "corrupt",
@@ -114,38 +113,25 @@ pub struct DeadLetter {
     pub events: Vec<SpanEvent>,
 }
 
-/// A bounded FIFO of [`DeadLetter`]s with per-reason counters.
+/// A bounded FIFO of [`DeadLetter`]s and the count of every letter ever
+/// admitted.
 ///
-/// Admissions beyond the capacity evict the oldest entry and count as
-/// `<prefix>.overflow`; totals (`<prefix>.total`, per-reason) always
-/// reflect every quarantined message, kept or evicted.
+/// Admissions beyond the capacity evict the oldest entry; [`total`]
+/// counts every quarantined message, kept or evicted, so the letters
+/// evicted are `total() - len()`.
+///
+/// [`total`]: DeadLetterQueue::total
 #[derive(Debug)]
 pub struct DeadLetterQueue {
     capacity: usize,
     letters: VecDeque<DeadLetter>,
-    total: Arc<Counter>,
-    overflow: Arc<Counter>,
-    by_reason: [Arc<Counter>; DeadReason::ALL.len()],
+    total: u64,
 }
 
 impl DeadLetterQueue {
-    /// Creates a queue holding at most `capacity` letters, with counters
-    /// `<prefix>.total`, `<prefix>.overflow`, and `<prefix>.<reason>` in
-    /// `registry`.
-    pub fn with_registry(capacity: usize, registry: &Registry, prefix: &str) -> DeadLetterQueue {
-        DeadLetterQueue {
-            capacity: capacity.max(1),
-            letters: VecDeque::new(),
-            total: registry.counter(&format!("{prefix}.total")),
-            overflow: registry.counter(&format!("{prefix}.overflow")),
-            by_reason: DeadReason::ALL
-                .map(|r| registry.counter(&format!("{prefix}.{}", r.label()))),
-        }
-    }
-
-    /// Creates a queue with a private registry (tests, simple setups).
+    /// Creates a queue holding at most `capacity` letters (at least one).
     pub fn new(capacity: usize) -> DeadLetterQueue {
-        DeadLetterQueue::with_registry(capacity, &Registry::new(), "morph.deadletter")
+        DeadLetterQueue { capacity: capacity.max(1), letters: VecDeque::new(), total: 0 }
     }
 
     /// Quarantines a message. O(1); evicts the oldest letter when full.
@@ -174,12 +160,9 @@ impl DeadLetterQueue {
         trace: Option<TraceId>,
         events: Vec<SpanEvent>,
     ) {
-        self.total.inc();
-        let idx = DeadReason::ALL.iter().position(|&r| r == reason).unwrap_or(0);
-        self.by_reason[idx].inc();
+        self.total += 1;
         if self.letters.len() == self.capacity {
             self.letters.pop_front();
-            self.overflow.inc();
         }
         self.letters.push_back(DeadLetter {
             reason,
@@ -207,23 +190,7 @@ impl DeadLetterQueue {
 
     /// Total messages ever quarantined (including evicted ones).
     pub fn total(&self) -> u64 {
-        self.total.get()
-    }
-
-    /// Letters evicted because the queue was full (`total - retained`).
-    pub fn overflow(&self) -> u64 {
-        self.overflow.get()
-    }
-
-    /// Messages quarantined for `reason` (including evicted ones).
-    pub fn count(&self, reason: DeadReason) -> u64 {
-        let idx = DeadReason::ALL.iter().position(|&r| r == reason).unwrap_or(0);
-        self.by_reason[idx].get()
-    }
-
-    /// Removes and returns the oldest letter (for reprocessing).
-    pub fn pop(&mut self) -> Option<DeadLetter> {
-        self.letters.pop_front()
+        self.total
     }
 }
 
@@ -250,12 +217,11 @@ mod tests {
         dlq.push(DeadReason::Undecodable, b"c", "3");
         assert_eq!(dlq.len(), 2, "capacity enforced");
         assert_eq!(dlq.total(), 3, "totals count evicted letters");
-        assert_eq!(dlq.count(DeadReason::Corrupt), 2);
-        assert_eq!(dlq.count(DeadReason::Undecodable), 1);
         // Oldest was evicted.
-        assert_eq!(dlq.pop().unwrap().bytes, b"b");
-        assert_eq!(dlq.pop().unwrap().reason, DeadReason::Undecodable);
-        assert!(dlq.is_empty());
+        let kept: Vec<_> = dlq.letters().map(|l| (l.reason, l.bytes.clone())).collect();
+        assert_eq!(kept[0], (DeadReason::Corrupt, b"b".into()));
+        assert_eq!(kept[1], (DeadReason::Undecodable, b"c".into()));
+        assert!(DeadLetterQueue::new(2).is_empty());
     }
 
     #[test]
@@ -267,32 +233,27 @@ mod tests {
         // The three newest survive, in admission order.
         let kept: Vec<u8> = dlq.letters().map(|l| l.bytes[0]).collect();
         assert_eq!(kept, vec![7, 8, 9]);
-        // pop() drains in the same oldest-first order.
-        assert_eq!(dlq.pop().unwrap().detail, "m7");
-        assert_eq!(dlq.pop().unwrap().detail, "m8");
-        assert_eq!(dlq.pop().unwrap().detail, "m9");
-        assert!(dlq.pop().is_none());
+        let details: Vec<&str> = dlq.letters().map(|l| l.detail.as_str()).collect();
+        assert_eq!(details, ["m7", "m8", "m9"]);
     }
 
     #[test]
     fn overflow_accounting_stays_consistent() {
         let mut dlq = DeadLetterQueue::new(4);
-        assert_eq!(dlq.overflow(), 0);
+        assert_eq!((dlq.total(), dlq.len()), (0, 0));
         for i in 0u8..11 {
             dlq.push(DeadReason::TransformFailed, &[i], "x");
-            // Invariant after every push: everything admitted is either
-            // retained or counted as overflow.
-            assert_eq!(dlq.total(), dlq.overflow() + dlq.len() as u64);
-            assert!(dlq.len() <= 4);
+            // Invariant after every push: everything admitted is counted,
+            // the newest `capacity` letters are retained, and the rest —
+            // `total - len` — were evicted oldest first.
+            assert_eq!(dlq.total(), u64::from(i) + 1);
+            assert_eq!(dlq.len(), usize::from(i + 1).min(4));
+            let oldest = dlq.letters().next().unwrap().bytes[0];
+            assert_eq!(u64::from(oldest), dlq.total() - dlq.len() as u64);
         }
         assert_eq!(dlq.total(), 11);
         assert_eq!(dlq.len(), 4);
-        assert_eq!(dlq.overflow(), 7);
-        // Popping releases letters without disturbing the counters.
-        dlq.pop();
-        assert_eq!(dlq.total(), 11);
-        assert_eq!(dlq.overflow(), 7);
-        assert_eq!(dlq.len(), 3);
+        assert_eq!(dlq.total() - dlq.len() as u64, 7);
     }
 
     #[test]
@@ -302,7 +263,6 @@ mod tests {
         dlq.push(DeadReason::Malformed, b"b", "second");
         assert_eq!(dlq.len(), 1, "zero capacity is clamped to one");
         assert_eq!(dlq.letters().next().unwrap().detail, "second");
-        assert_eq!(dlq.overflow(), 1);
         assert_eq!(dlq.total(), 2);
     }
 
@@ -345,7 +305,8 @@ mod tests {
         dlq.push(DeadReason::TransformFailed, original.clone(), "vm trap");
         assert_eq!(original.ref_count(), 2, "push added a reference, not a copy");
 
-        let letter = dlq.pop().unwrap();
+        let letter = dlq.letters().next().unwrap().clone();
+        drop(dlq);
         assert!(letter.bytes.same_buffer(&original), "letter aliases the receive buffer");
         assert_eq!(letter.bytes, original);
 
@@ -356,17 +317,5 @@ mod tests {
         assert_eq!(original.ref_count(), 3);
         drop((letter, inspected));
         assert_eq!(original.ref_count(), 1);
-    }
-
-    #[test]
-    fn registry_counters_mirror_reasons() {
-        let reg = Registry::new();
-        let mut dlq = DeadLetterQueue::with_registry(8, &reg, "test.dlq");
-        dlq.push(DeadReason::Malformed, b"x", "short");
-        dlq.push(DeadReason::Malformed, b"y", "short");
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("test.dlq.total"), Some(2));
-        assert_eq!(snap.counter("test.dlq.malformed"), Some(2));
-        assert_eq!(snap.counter("test.dlq.overflow"), Some(0));
     }
 }

@@ -683,8 +683,7 @@ impl MorphReceiver {
 
     /// Like [`MorphReceiver::process`], but attributes the work to a causal
     /// trace: every stage of Algorithm 2 this message exercises is recorded
-    /// as a span under `ctx` in the registry's attached
-    /// [`FlightRecorder`](obs::FlightRecorder).
+    /// as a span under the context in the [`FlightRecorder`] it comes with.
     ///
     /// A *warm* message (decision cache hit) emits `morph.lookup` tagged
     /// `result=hit`, plus — for morph decisions — one `morph.apply.fused`
@@ -695,14 +694,17 @@ impl MorphReceiver {
     /// and `morph.apply` (with per-stage `morph.decode` /
     /// `morph.transform` / `morph.default_fill` children).
     ///
-    /// With `ctx == None`, or when no recorder is attached to the
-    /// receiver's registry, this is exactly `process`.
+    /// With `trace == None` this is exactly `process`.
     ///
     /// # Errors
     ///
     /// Same contract as [`MorphReceiver::process`].
-    pub fn process_traced(&mut self, msg: &[u8], ctx: Option<TraceCtx>) -> Result<Delivery> {
-        self.process_timed(msg, ctx).0
+    pub fn process_traced(
+        &mut self,
+        msg: &[u8],
+        trace: Option<(&Arc<FlightRecorder>, TraceCtx)>,
+    ) -> Result<Delivery> {
+        self.process_timed(msg, trace).0
     }
 
     /// [`MorphReceiver::process_traced`], also reporting the call's timing
@@ -716,10 +718,9 @@ impl MorphReceiver {
     pub fn process_timed(
         &mut self,
         msg: &[u8],
-        ctx: Option<TraceCtx>,
+        trace: Option<(&Arc<FlightRecorder>, TraceCtx)>,
     ) -> (Result<Delivery>, ProcessTiming) {
-        self.trace =
-            ctx.and_then(|ctx| self.registry().recorder().map(|rec| TraceSink { rec, ctx }));
+        self.trace = trace.map(|(rec, ctx)| TraceSink { rec: Arc::clone(rec), ctx });
         let entered_ns = self.metrics.clock.now_ns();
         let mut timing = ProcessTiming::default();
         let result = self.process_inner(msg, entered_ns, &mut timing);
@@ -1874,10 +1875,8 @@ mod tests {
             .int("extra")
             .build_arc()
             .unwrap();
-        let registry = Arc::new(Registry::new());
-        let recorder = Arc::new(FlightRecorder::new(256, registry.clock()));
-        registry.set_recorder(Arc::clone(&recorder));
-        let mut rx = MorphReceiver::with_registry(registry);
+        let mut rx = MorphReceiver::new();
+        let recorder = Arc::new(FlightRecorder::new(256, rx.registry().clock()));
         rx.register_handler(&reader, |_| {});
         rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
 
@@ -1893,7 +1892,7 @@ mod tests {
         };
 
         let cold = TraceCtx::root(recorder.next_trace_id());
-        rx.process_traced(&v2_message(3), Some(cold)).unwrap();
+        rx.process_traced(&v2_message(3), Some((&recorder, cold))).unwrap();
         assert_eq!(
             tree(cold.trace),
             spans(&[
@@ -1915,7 +1914,7 @@ mod tests {
         assert_eq!(tag("morph.transform", "steps"), Some("1"));
 
         let warm = TraceCtx::root(recorder.next_trace_id());
-        rx.process_traced(&v2_message(3), Some(warm)).unwrap();
+        rx.process_traced(&v2_message(3), Some((&recorder, warm))).unwrap();
         assert_eq!(tree(warm.trace), spans(&[("morph.lookup", None), ("morph.apply.fused", None)]));
     }
 

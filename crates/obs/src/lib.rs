@@ -70,11 +70,9 @@ mod family;
 mod metric;
 mod registry;
 mod trace;
-mod window;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use family::{CounterFamily, GaugeFamily, HistogramFamily};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, Snapshot, SnapshotDelta, Timer};
 pub use trace::{ActiveSpan, FlightRecorder, SpanEvent, SpanId, SpanKind, TraceCtx, TraceId};
-pub use window::{RateGauge, RollingWindow};

@@ -1,11 +1,11 @@
 //! The metric registry: named handles, scoped timers, and snapshots.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::trace::{json_escape, FlightRecorder};
+use crate::trace::json_escape;
 
 /// A registry of named metrics sharing one [`Clock`].
 ///
@@ -34,7 +34,6 @@ use crate::trace::{json_escape, FlightRecorder};
 /// ```
 pub struct Registry {
     clock: Arc<dyn Clock>,
-    recorder: RwLock<Option<Arc<FlightRecorder>>>,
     counters: Mutex<Metrics<Counter>>,
     gauges: Mutex<Metrics<Gauge>>,
     histograms: Mutex<Metrics<Histogram>>,
@@ -108,24 +107,10 @@ impl Registry {
     pub fn with_clock(clock: Arc<dyn Clock>) -> Registry {
         Registry {
             clock,
-            recorder: RwLock::new(None),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Attaches a [`FlightRecorder`] so components holding this registry
-    /// can also emit trace events. Several registries may share one
-    /// recorder (the `echo` system attaches one recorder, clocked on
-    /// virtual time, to every registry in the process).
-    pub fn set_recorder(&self, recorder: Arc<FlightRecorder>) {
-        *self.recorder.write().expect("registry recorder lock") = Some(recorder);
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.recorder.read().expect("registry recorder lock").clone()
     }
 
     /// The registry clock's current time.

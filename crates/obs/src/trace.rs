@@ -500,14 +500,14 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
 
-    fn recorder(cap: usize) -> (Arc<FlightRecorder>, Arc<VirtualClock>) {
+    fn virtual_recorder(cap: usize) -> (Arc<FlightRecorder>, Arc<VirtualClock>) {
         let clock = Arc::new(VirtualClock::new());
         (Arc::new(FlightRecorder::new(cap, clock.clone())), clock)
     }
 
     #[test]
     fn spans_nest_and_export_as_a_tree() {
-        let (rec, clock) = recorder(64);
+        let (rec, clock) = virtual_recorder(64);
         let trace = rec.next_trace_id();
         let root = rec.start(trace, None, "publish");
         clock.advance_ns(100);
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let (rec, _clock) = recorder(2);
+        let (rec, _clock) = virtual_recorder(2);
         let t = rec.next_trace_id();
         for i in 0..5 {
             rec.instant(t, None, &format!("e{i}"), &[]);
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn drop_finishes_unfinished_spans() {
-        let (rec, clock) = recorder(8);
+        let (rec, clock) = virtual_recorder(8);
         let t = rec.next_trace_id();
         {
             let _span = rec.start(t, None, "implicit");
@@ -556,7 +556,7 @@ mod tests {
 
     #[test]
     fn traces_are_isolated_and_ctx_links_parents() {
-        let (rec, _clock) = recorder(64);
+        let (rec, _clock) = virtual_recorder(64);
         let ta = rec.next_trace_id();
         let tb = rec.next_trace_id();
         assert_ne!(ta, tb);
@@ -573,7 +573,7 @@ mod tests {
     #[test]
     fn chrome_json_is_deterministic_and_escaped() {
         let build = || {
-            let (rec, clock) = recorder(64);
+            let (rec, clock) = virtual_recorder(64);
             let t = rec.next_trace_id();
             let mut s = rec.start(t, None, "weird\"name\n");
             clock.advance_ns(1234);

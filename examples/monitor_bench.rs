@@ -5,8 +5,8 @@
 //! over an event channel every 10 ms of virtual time, to a collector
 //! subscribed on the sink's process. The "off" configuration runs the
 //! identical workload bare. Always-on instrumentation (per-stage latency
-//! histograms, per-channel rate gauges) is present in both, as it is in
-//! any real run.
+//! histograms, per-channel counters) is present in both, as it is in any
+//! real run.
 //!
 //! The expectation: monitored throughput stays within 5% of bare
 //! throughput (`on >= 0.95x off`) — a record is three counter reads and

@@ -79,22 +79,15 @@ fn dump_system(scenario: &str, seed: u64, sys: &EchoSystem, procs: &[ProcessId])
     dump(scenario, seed, &snapshot, &letters, &sys.recorder().chrome_json());
 }
 
-/// The dead-letter books balance: for every reason, the system's
-/// `echo.deadletter.<reason>` equals the sum over `procs` — every process
-/// of the run — of what each one's own queue counted
-/// (`echo.node.deadletter.<reason>`). One routine files and counts both, so
-/// this holds by construction; the assertion pins it.
+/// The dead-letter books balance: the system's `echo.deadletter.total`
+/// equals the sum over `procs` — every process of the run — of the letters
+/// each one's own queue admitted (`EchoSystem::dead_letter_total`), evicted
+/// ones included. One routine files the letter and counts it, so this
+/// holds by construction; the assertion pins it.
 fn assert_dead_letter_books(sys: &EchoSystem, procs: &[ProcessId]) {
-    let system = sys.registry().snapshot();
-    let nodes: Vec<_> = procs.iter().map(|&p| sys.control_registry(p).snapshot()).collect();
-    for label in DeadReason::ALL.map(DeadReason::label).into_iter().chain(["total"]) {
-        let filed: u64 = nodes
-            .iter()
-            .map(|node| node.counter(&format!("echo.node.deadletter.{label}")).unwrap_or(0))
-            .sum();
-        let counted = system.counter(&format!("echo.deadletter.{label}"));
-        assert_eq!(counted, Some(filed), "echo.deadletter.{label}");
-    }
+    let filed: u64 = procs.iter().map(|&p| sys.dead_letter_total(p)).sum();
+    let counted = sys.registry().snapshot().counter("echo.deadletter.total");
+    assert_eq!(counted, Some(filed), "echo.deadletter.total");
 }
 
 /// The dedup horizon never decided anything: no frame arrived a whole

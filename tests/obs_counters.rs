@@ -13,13 +13,14 @@
 //! - The switch tables of `ARCHITECTURE.md` list exactly `EchoConfig`'s
 //!   fields and `EchoSystem`'s `set_*` / `enable_*` methods.
 //! - Every span and instant name in `OBSERVABILITY.md`'s span vocabulary
-//!   is one the product code can record.
+//!   is one the product code can record, and every metric or span name
+//!   the product code spells out is catalogued there.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use echo::{EchoConfig, EchoSystem, EchoVersion, QosTier, Role, WallClockDriver};
-use morph::{DeadLetterQueue, DeadReason, MetaServer, MorphReceiver, RetryPolicy, Transformation};
+use morph::{DeadReason, MetaServer, MorphReceiver, RetryPolicy, Transformation};
 use obs::{Registry, VirtualClock};
 use pbio::{Encoder, FormatBuilder, Value};
 
@@ -142,12 +143,27 @@ fn names_in(registry: &Registry, into: &mut BTreeSet<String>) {
     into.extend(snap.histograms.into_iter().map(|(name, _)| name));
 }
 
-/// The metric names the given `###` sections of OBSERVABILITY.md tabulate.
-/// A row's first cell holds one or more backticked names; one that starts
-/// with a dot replaces the last segment of the row's first name
-/// (`` `a.b.c` / `.d` `` is `a.b.c` and `a.b.d`). `<reason>` stands for
-/// every dead-letter reason, and each placeholder of `expand` for each of
-/// its values.
+/// The names in the first cell of an OBSERVABILITY.md table row: one or
+/// more backticked names, where one that starts with a dot replaces the
+/// last segment of the row's first name (`` `a.b.c` / `.d` `` is `a.b.c`
+/// and `a.b.d`).
+fn row_names(line: &str) -> Vec<String> {
+    let cell = line.split('|').nth(1).expect("a first cell");
+    let mut quoted = cell.split('`').skip(1).step_by(2);
+    let first = quoted.next().expect("a name in the first cell");
+    let stem = first.rsplit_once('.').map_or(first, |(stem, _)| stem);
+    std::iter::once(first)
+        .chain(quoted)
+        .map(|entry| match entry.starts_with('.') {
+            true => format!("{stem}{entry}"),
+            false => entry.to_string(),
+        })
+        .collect()
+}
+
+/// The metric names the given `###` sections of OBSERVABILITY.md tabulate
+/// ([`row_names`]). `<reason>` stands for every dead-letter reason, and
+/// each placeholder of `expand` for each of its values.
 fn catalogued(sections: &[&str], expand: &[(&str, Vec<String>)]) -> BTreeSet<String> {
     let reasons = ("<reason>", DeadReason::ALL.map(|r| r.label().to_string()).to_vec());
     let mut names = BTreeSet::new();
@@ -159,13 +175,7 @@ fn catalogued(sections: &[&str], expand: &[(&str, Vec<String>)]) -> BTreeSet<Str
         if !inside || !line.starts_with("| `") {
             continue;
         }
-        let cell = line.split('|').nth(1).expect("a first cell");
-        let mut quoted = cell.split('`').skip(1).step_by(2);
-        let first = quoted.next().expect("a name in the first cell");
-        let stem = first.rsplit_once('.').expect("a dotted name").0;
-        for entry in std::iter::once(first).chain(quoted) {
-            let name =
-                if entry.starts_with('.') { format!("{stem}{entry}") } else { entry.to_string() };
+        for name in row_names(line) {
             let mut row = vec![name];
             for (placeholder, values) in std::iter::once(&reasons).chain(expand) {
                 row = row
@@ -195,10 +205,10 @@ fn assert_catalogued(registered: &BTreeSet<String>, catalogued: &BTreeSet<String
 }
 
 /// The catalogue checks itself, `morph.*` and `pbio.*` sections: a system
-/// with its switches on, a receiver resolving through
-/// `process_with_resolution`, and a standalone dead-letter queue register
-/// every `morph.*` / `pbio.*` / `ecode.*` name there is — each must have
-/// its row, and each row its registrant.
+/// with its switches on and a receiver resolving through
+/// `process_with_resolution` register every `morph.*` / `pbio.*` /
+/// `ecode.*` name there is — each must have its row, and each row its
+/// registrant.
 #[test]
 fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     let mut registered = BTreeSet::new();
@@ -237,7 +247,6 @@ fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     ));
     let mut rx = MorphReceiver::new();
     rx.register_handler(&v1, |_| {});
-    let _dlq = DeadLetterQueue::with_registry(4, rx.registry(), "morph.deadletter");
     let wire =
         Encoder::new(&v2).encode(&Value::Record(vec![Value::Int(1), Value::Int(2)])).unwrap();
     morph::process_with_resolution(
@@ -450,6 +459,125 @@ fn the_span_vocabulary_lists_names_the_code_records() {
     let unrecorded: Vec<_> =
         names.iter().filter(|name| !source.contains(&format!("\"{name}\""))).collect();
     assert!(unrecorded.is_empty(), "in the span vocabulary, recorded by nothing: {unrecorded:?}");
+}
+
+/// The string literals of Rust `source`, comments skipped: plain, byte
+/// and raw strings, escapes left as written.
+fn string_literals(source: &str) -> Vec<String> {
+    let chars: Vec<char> = source.chars().collect();
+    let (mut literals, mut i) = (Vec::new(), 0);
+    let at = |i: usize| chars.get(i).copied().unwrap_or('\0');
+    while i < chars.len() {
+        match (chars[i], at(i + 1)) {
+            ('/', '/') => {
+                while i < chars.len() && chars[i] != '\n' {
+                    i += 1;
+                }
+            }
+            ('/', '*') => {
+                i += 2;
+                while i < chars.len() && !(chars[i] == '*' && at(i + 1) == '/') {
+                    i += 1;
+                }
+                i += 2;
+            }
+            // A char literal (`'"'`, `'\''`); any other quote is a lifetime's.
+            ('\'', '\\') => {
+                i += 2;
+                while at(i) != '\'' {
+                    i += 1;
+                }
+                i += 1;
+            }
+            ('\'', _) if at(i + 2) == '\'' => i += 3,
+            ('r', '"' | '#')
+                if i == 0 || !(chars[i - 1].is_alphanumeric() || chars[i - 1] == '_') =>
+            {
+                let hashes = chars[i + 1..].iter().take_while(|&&c| c == '#').count();
+                if at(i + 1 + hashes) != '"' {
+                    i += 1;
+                    continue;
+                }
+                let start = i + 2 + hashes;
+                let mut end = start;
+                while !(chars[end] == '"' && (1..=hashes).all(|k| at(end + k) == '#')) {
+                    end += 1;
+                }
+                literals.push(chars[start..end].iter().collect());
+                i = end + 1 + hashes;
+            }
+            ('"', _) => {
+                let mut end = i + 1;
+                while chars[end] != '"' {
+                    end += if chars[end] == '\\' { 2 } else { 1 };
+                }
+                literals.push(chars[i + 1..end].iter().collect());
+                i = end + 1;
+            }
+            _ => i += 1,
+        }
+    }
+    literals
+}
+
+/// `name` with every `{…}` (a `format!` hole) and `<…>` (a catalogue
+/// placeholder) read as `<>`.
+fn placeholders_unified(name: &str) -> String {
+    let mut out = String::new();
+    let mut inside = false;
+    for c in name.chars() {
+        match c {
+            '{' | '<' if !inside => {
+                inside = true;
+                out.push_str("<>");
+            }
+            '}' | '>' if inside => inside = false,
+            _ if inside => {}
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// The other direction of the catalogue checks: every metric or span name
+/// the product source spells out — a dotted string literal under `echo.`,
+/// `morph.`, `simnet.`, `pbio.` or `ecode.`, a `format!` template's holes
+/// read as placeholders — is catalogued in OBSERVABILITY.md: a name in the
+/// first cell of one of its tables, or a prefix of one followed by `.`
+/// (`"echo.stage"`, the stem of `echo.stage.<stage>.ns`). A placeholder on
+/// either side stands for any one segment.
+#[test]
+fn every_name_the_code_spells_is_catalogued() {
+    let catalogued: Vec<Vec<String>> = include_str!("../OBSERVABILITY.md")
+        .lines()
+        .filter(|line| line.starts_with("| `"))
+        .flat_map(row_names)
+        .map(|name| placeholders_unified(&name).split('.').map(str::to_string).collect())
+        .collect();
+    assert!(catalogued.len() >= 100, "{} names read", catalogued.len());
+    let covered = |name: &str| {
+        let segments: Vec<&str> = name.split('.').collect();
+        catalogued.iter().any(|doc| {
+            segments.len() <= doc.len()
+                && segments
+                    .iter()
+                    .zip(doc)
+                    .all(|(code, doc)| code == doc || code.contains("<>") || doc.contains("<>"))
+        })
+    };
+    let prefixes = ["echo.", "morph.", "simnet.", "pbio.", "ecode."];
+    let names: BTreeSet<String> = string_literals(&product_source())
+        .into_iter()
+        .filter(|lit| prefixes.iter().any(|p| lit.starts_with(p)))
+        .filter(|lit| !lit.contains(char::is_whitespace))
+        .map(|lit| placeholders_unified(&lit))
+        .collect();
+    assert!(names.len() >= 100, "{} names spelled: {names:?}", names.len());
+    let uncatalogued: Vec<_> = names.iter().filter(|name| !covered(name)).collect();
+    assert!(
+        uncatalogued.is_empty(),
+        "spelled in the code, not in OBSERVABILITY.md: {uncatalogued:?}"
+    );
 }
 
 /// Every line of ARCHITECTURE.md that starts `Held by:` names tests that

@@ -1727,110 +1727,3 @@ fn journal_replay_matches_brute_force_across_crash_cuts() {
         assert_eq!(stats.synced + lost_total + in_flight, appended_total);
     });
 }
-
-// -- rolling-window properties --------------------------------------------------
-
-/// Reference model for `RollingWindow`: keep every recorded (epoch, value)
-/// and re-derive visibility from the documented rule — a sample recorded
-/// at epoch `e` is visible at the current epoch `E` while `E - e < slots`.
-fn model_window_sum(records: &[(u64, u64)], now_ns: u64, slots: u64, slot_ns: u64) -> u64 {
-    let epoch_now = now_ns / slot_ns;
-    records
-        .iter()
-        .filter(|&&(at, _)| {
-            let e = at / slot_ns;
-            e <= epoch_now && epoch_now - e < slots
-        })
-        .map(|&(_, v)| v)
-        .sum()
-}
-
-/// Under arbitrary forward clock jumps — within a slot, across several
-/// slots, past whole windows — slot rotation never loses a live sample and
-/// never resurrects a stale one: the ring agrees with a from-scratch model
-/// at every step.
-#[test]
-fn rolling_window_slot_rotation_across_clock_jumps() {
-    for_cases("rolling_window_slot_rotation_across_clock_jumps", |rng| {
-        let slots = 1 + rng.usize_below(8);
-        let slot_ns = 1 + rng.below(1_000);
-        let mut w = obs::RollingWindow::new(slots, slot_ns);
-        let mut records: Vec<(u64, u64)> = Vec::new();
-        let mut now = rng.below(1_000);
-        for _ in 0..64 {
-            // Jump geometry: mostly small steps, sometimes past the window.
-            now += match rng.below(4) {
-                0 => rng.below(slot_ns.max(2) / 2 + 1),         // intra-slot
-                1 => slot_ns + rng.below(slot_ns),              // next slot
-                2 => rng.below(3 * slot_ns * slots as u64 + 1), // multi-window
-                _ => 0,                                         // same instant
-            };
-            let v = rng.below(1_000);
-            w.record(now, v);
-            records.push((now, v));
-            let want_sum = model_window_sum(&records, now, slots as u64, slot_ns);
-            assert_eq!(w.sum(now), want_sum, "sum diverged at t={now}");
-        }
-        // Reading far past the last record finds every slot stale.
-        let far = now + slot_ns * (slots as u64 + 1);
-        assert_eq!(w.sum(far), 0);
-    });
-}
-
-/// Monotonicity both ways: recording more at the same instant never
-/// lowers the windowed sum or rate, and letting time pass without
-/// recording never raises them.
-#[test]
-fn window_rate_monotonicity_and_ewma_bounds() {
-    for_cases("window_rate_monotonicity_and_ewma_bounds", |rng| {
-        let slots = 1 + rng.usize_below(6);
-        let slot_ns = 1 + rng.below(10_000);
-        let mut w = obs::RollingWindow::new(slots, slot_ns);
-        let mut now = 0u64;
-        for _ in 0..32 {
-            now += rng.below(2 * slot_ns);
-            let before_sum = w.sum(now);
-            let before_rate = w.rate_per_sec(now);
-            w.record(now, 1 + rng.below(100));
-            assert!(w.sum(now) > before_sum, "recording must raise the sum");
-            assert!(w.rate_per_sec(now) >= before_rate, "recording must not lower the rate");
-            // Forgetting is monotone: with no new samples, the sum can
-            // only shrink as the window slides.
-            let sum_now = w.sum(now);
-            let later = now + rng.below(2 * slot_ns * slots as u64);
-            assert!(w.sum(later) <= sum_now, "aging out must not create samples");
-        }
-    });
-}
-
-/// Clock-source equivalence: a `RateGauge` driven through a virtual clock
-/// publishes exactly the rate a bare `RollingWindow` computes from the
-/// same explicit timestamps. Rates are pure functions of clock readings —
-/// swap in a wall clock producing the same readings and nothing changes,
-/// which is why virtual-time chaos replays are byte-identical.
-#[test]
-fn rate_gauge_matches_explicit_window_on_same_readings() {
-    for_cases("rate_gauge_matches_explicit_window_on_same_readings", |rng| {
-        let slots = 1 + rng.usize_below(6);
-        let slot_ns = 1 + rng.below(100_000);
-        let clock = Arc::new(obs::VirtualClock::new());
-        let reg = obs::Registry::with_clock(clock.clone());
-        let mut rg = obs::RateGauge::new(clock.clone(), reg.gauge("prop.rate"), slots, slot_ns);
-        let mut bare = obs::RollingWindow::new(slots, slot_ns);
-        let mut now = 0u64;
-        for _ in 0..48 {
-            now += rng.below(3 * slot_ns);
-            clock.set_ns(now);
-            let v = rng.below(500);
-            rg.record(v);
-            bare.record(now, v);
-            let want = bare.rate_per_sec(now);
-            assert_eq!(rg.rate_per_sec(), want, "rate diverged at t={now}");
-            assert_eq!(
-                reg.snapshot().gauge("prop.rate"),
-                Some(i64::try_from(want).unwrap()),
-                "published gauge diverged at t={now}"
-            );
-        }
-    });
-}

@@ -11,7 +11,7 @@ use morph::{
     MorphStats, Transformation,
 };
 use obs::{ActiveSpan, FlightRecorder, Histogram, HistogramFamily, TraceCtx, TraceId};
-use pbio::{Encoder, PlanStore, RecordFormat, Value, WireBytes};
+use pbio::{Encoder, RecordFormat, Value, WireBytes};
 
 use crate::dedup::{Dedup, Noted};
 use crate::frag::{Fragment, Offer, PartialSet, ReassemblyBuffer};
@@ -223,12 +223,12 @@ pub(crate) struct NodeState {
     books: Arc<DeadLetterBooks>,
     /// Flight recorder for causal traces, shared system-wide.
     recorder: Option<Arc<FlightRecorder>>,
-    /// System-wide morph caches, attached when the system opts in: every
-    /// receiver (control plane and event planes, existing and future)
-    /// shares one decision cache and one conversion-plan store, so the
-    /// cold-path work of MaxMatch + plan compilation is paid once per
-    /// compatible receiver population instead of once per receiver.
-    shared_caches: Option<(DecisionCache, PlanStore)>,
+    /// The system-wide decision cache, attached when the system opts in:
+    /// every receiver (control plane and event planes, existing and
+    /// future) shares it, so the cold-path work of MaxMatch + compilation
+    /// is paid once per compatible receiver population instead of once per
+    /// receiver.
+    shared_decisions: Option<DecisionCache>,
 }
 
 /// Everything a process keeps about one channel.
@@ -371,25 +371,22 @@ impl NodeState {
             dlq: DeadLetterQueue::new(DLQ_CAPACITY),
             books,
             recorder: None,
-            shared_caches: None,
+            shared_decisions: None,
         }
     }
 
-    /// Attaches system-wide morph caches: the control receiver and every
-    /// event receiver (existing and future) consult the shared decision
-    /// cache and conversion-plan store before paying MaxMatch or a plan
-    /// compile. Sharing is safe across mixed-version nodes because the
-    /// decision cache keys on each receiver's compatibility fingerprint —
+    /// Attaches the system-wide decision cache: the control receiver and
+    /// every event receiver (existing and future) consult it before paying
+    /// MaxMatch or a compile. Sharing is safe across mixed-version nodes
+    /// because the cache keys on each receiver's compatibility fingerprint —
     /// receivers with different readers or transformations never exchange
     /// decisions.
-    pub fn enable_shared_caches(&mut self, decisions: DecisionCache, plans: PlanStore) {
+    pub fn enable_shared_caches(&mut self, decisions: DecisionCache) {
         self.control_rx.set_shared_decisions(decisions.clone());
-        self.control_rx.set_plan_store(plans.clone());
         for plane in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
             plane.rx.set_shared_decisions(decisions.clone());
-            plane.rx.set_plan_store(plans.clone());
         }
-        self.shared_caches = Some((decisions, plans));
+        self.shared_decisions = Some(decisions);
     }
 
     /// Attaches the system flight recorder: incoming frames that carry a
@@ -606,9 +603,8 @@ impl NodeState {
     pub fn expect_events(&mut self, channel: ChannelId, format: &Arc<RecordFormat>) {
         let at = self.record(channel);
         let rx = &mut self.channels[at].plane.get_or_insert_with(EventPlane::new).rx;
-        if let Some((decisions, plans)) = &self.shared_caches {
+        if let Some(decisions) = &self.shared_decisions {
             rx.set_shared_decisions(decisions.clone());
-            rx.set_plan_store(plans.clone());
         }
         let sink = Arc::clone(&self.events);
         rx.register_handler(format, move |v| {
@@ -989,7 +985,7 @@ impl NodeState {
         ctx: Option<TraceCtx>,
         wire_trace: u64,
     ) -> Result<Vec<Outgoing>, EchoError> {
-        self.control_rx.process_traced(msg, self.recorder.as_ref().zip(ctx))?;
+        self.control_rx.process_timed(msg, self.recorder.as_ref().zip(ctx)).0?;
         let mut out = Vec::new();
 
         // Requests: only meaningful at channel creators.

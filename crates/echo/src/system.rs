@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use morph::{DeadLetter, DeadReason, DecisionCache, MorphStats, RetryPolicy, Transformation};
 use obs::{FlightRecorder, Registry, TraceCtx, TraceId};
-use pbio::{Encoder, PlanStore, RecordFormat, Value, WireBytes};
+use pbio::{Encoder, RecordFormat, Value, WireBytes};
 use simnet::{FaultPlan, FaultStats, LinkParams, NetError, Network, NodeId};
 
 use crate::frag;
@@ -113,10 +113,10 @@ pub struct EchoSystem {
     /// the high-rate data-plane mode. Control-plane operations
     /// (subscribe/unsubscribe) always trace; they are rare and diagnostic.
     pub(crate) tracing: bool,
-    /// System-wide morph caches, present once
-    /// [`EchoSystem::enable_shared_morph_caches`] opted in; applied to
+    /// The system-wide decision cache, present once
+    /// [`EchoSystem::enable_shared_morph_caches`] opted in; attached to
     /// every existing and future process.
-    shared_caches: Option<(DecisionCache, PlanStore)>,
+    shared_decisions: Option<DecisionCache>,
     /// Cached per-shard metric handles (lazily created, re-fetched when
     /// the shard count changes).
     pub(crate) shard_metrics: Option<ShardMetrics>,
@@ -192,7 +192,7 @@ impl EchoSystem {
             reassembling: BTreeSet::new(),
             recorder,
             tracing: true,
-            shared_caches: None,
+            shared_decisions: None,
             shard_metrics: None,
             shard_assign: Vec::new(),
             qos: HashMap::new(),
@@ -224,8 +224,8 @@ impl EchoSystem {
         // Disjoint 2^48-wide sequence ranges make frame seqs sender-unique.
         node.next_seq = (self.nodes.len() as u64) << 48;
         node.set_recorder(Arc::clone(&self.recorder));
-        if let Some((decisions, plans)) = &self.shared_caches {
-            node.enable_shared_caches(decisions.clone(), plans.clone());
+        if let Some(decisions) = &self.shared_decisions {
+            node.enable_shared_caches(decisions.clone());
         }
         if let Some((capacity, timeout_ns)) = self.reassembly_limits {
             node.configure_reassembly(capacity, timeout_ns);
@@ -652,12 +652,14 @@ impl EchoSystem {
         shard_of_name(&self.nodes[proc.0].name, shards)
     }
 
-    /// Opts the whole system into shared morph caches: every process
-    /// (existing and future) consults one system-wide decision cache and
-    /// one conversion-plan store, so MaxMatch and plan compilation for a
-    /// given writer format are paid once per *compatible receiver
-    /// population* instead of once per receiver — the difference between
-    /// O(subscribers) and O(1) cold-path cost on a 10k-sink fan-out.
+    /// Opts the whole system into the shared morph decision cache: every
+    /// receiver of every process (existing and future) consults one
+    /// system-wide [`DecisionCache`], so MaxMatch, compilation and the plans
+    /// a decision holds for a given writer format are paid once per
+    /// *compatible receiver population* instead of once per receiver — the
+    /// difference between O(subscribers) and O(1) cold-path cost on a
+    /// 10k-sink fan-out. Each receiver's conversion-plan cache stays its
+    /// own: a receiver that takes a shared decision compiles no plan.
     ///
     /// Off by default: sharing shifts which receiver pays the cold-path
     /// work, which perturbs per-receiver `morph.*`/`pbio.*` counters (and
@@ -666,11 +668,10 @@ impl EchoSystem {
     /// decisions they could not have computed themselves.
     pub fn enable_shared_morph_caches(&mut self) {
         let decisions = DecisionCache::new();
-        let plans = PlanStore::default();
         for node in &mut self.nodes {
-            node.enable_shared_caches(decisions.clone(), plans.clone());
+            node.enable_shared_caches(decisions.clone());
         }
-        self.shared_caches = Some((decisions, plans));
+        self.shared_decisions = Some(decisions);
     }
 
     /// Registers `proc` as a sink on `channel` *without* the subscription

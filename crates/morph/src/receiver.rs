@@ -18,8 +18,8 @@ use obs::{
     ActiveSpan, Clock, Counter, FlightRecorder, Histogram, Registry, SpanId, Timer, TraceCtx,
 };
 use pbio::{
-    format_id, parse_header, ConversionPlan, FormatId, FormatRegistry, PlanCache, PlanStore,
-    RecordFormat, Tape, Value,
+    format_id, parse_header, ConversionPlan, FormatId, FormatRegistry, PlanCache, RecordFormat,
+    Tape, Value,
 };
 
 use crate::error::{MorphError, Result};
@@ -185,7 +185,9 @@ enum Decision {
 /// lock here, and only the one receiver that actually computes the decision
 /// takes the write lock. In a fan-out of thousands of identical
 /// subscribers, MaxMatch + dynamic code generation then run **once**
-/// system-wide instead of once per subscriber.
+/// system-wide instead of once per subscriber. It is the one store that
+/// receivers share: a decision holds its conversion plans, so a shared hit
+/// compiles nothing, and each receiver's [`PlanCache`] stays its own.
 ///
 /// Cloning is an `Arc` bump; all clones share the same entries.
 #[derive(Clone, Default)]
@@ -218,18 +220,8 @@ impl DecisionCache {
     }
 
     /// Number of cached decisions across all fingerprints.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.inner.read().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-
-    /// True when the cache holds no decisions.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached decision.
-    pub fn clear(&self) {
-        self.inner.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
     }
 }
 
@@ -369,11 +361,12 @@ pub struct MorphReceiver {
     /// mutation that can change decisions (new reader, new transformation,
     /// threshold change).
     fingerprint: Option<u64>,
-    /// Compiled conversion plans, shared across decision-cache rebuilds.
+    /// Compiled conversion plans, kept across decision-cache rebuilds;
+    /// this receiver's own, never shared.
     plans: PlanCache,
     metrics: RxMetrics,
     /// Trace sink for the message currently inside
-    /// [`MorphReceiver::process_traced`]; cleared on exit.
+    /// [`MorphReceiver::process_timed`]; cleared on exit.
     trace: Option<TraceSink>,
     /// The register VM's working memory and the morph program's root
     /// vector, reused message after message; both are left empty by every
@@ -516,13 +509,6 @@ impl MorphReceiver {
     /// consult or populate the shared cache.
     pub fn set_shared_decisions(&mut self, cache: DecisionCache) {
         self.shared = Some(cache);
-    }
-
-    /// Replaces the conversion-plan store with a shared one (see
-    /// [`pbio::PlanCache::set_store`]): plan compilations are then shared
-    /// with every other receiver holding the same store.
-    pub fn set_plan_store(&mut self, store: PlanStore) {
-        self.plans.set_store(store);
     }
 
     /// Drops every privately cached decision (the warm L1), modeling a
@@ -678,39 +664,27 @@ impl MorphReceiver {
     /// transformation-runtime failures. A *rejection* (no admissible match)
     /// is not an error — it returns [`Delivery::Rejected`].
     pub fn process(&mut self, msg: &[u8]) -> Result<Delivery> {
-        self.process_traced(msg, None)
+        self.process_timed(msg, None).0
     }
 
     /// Like [`MorphReceiver::process`], but attributes the work to a causal
-    /// trace: every stage of Algorithm 2 this message exercises is recorded
-    /// as a span under the context in the [`FlightRecorder`] it comes with.
+    /// trace and reports the call's timing samples ([`ProcessTiming`]).
     ///
-    /// A *warm* message (decision cache hit) emits `morph.lookup` tagged
+    /// Every stage of Algorithm 2 this message exercises is recorded as a
+    /// span under the context in the [`FlightRecorder`] it comes with. A
+    /// *warm* message (decision cache hit) emits `morph.lookup` tagged
     /// `result=hit`, plus — for morph decisions — one `morph.apply.fused`
     /// span covering the single-pass replay; other warm decisions stay at
     /// the lone lookup span because replaying them *is* the whole warm
     /// path. A *cold* message takes the same plan and additionally records
     /// `morph.decide` (with `morph.maxmatch` / `morph.compile` children)
     /// and `morph.apply` (with per-stage `morph.decode` /
-    /// `morph.transform` / `morph.default_fill` children).
+    /// `morph.transform` / `morph.default_fill` children). With
+    /// `trace == None` the result is exactly `process`'s.
     ///
-    /// With `trace == None` this is exactly `process`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MorphReceiver::process`].
-    pub fn process_traced(
-        &mut self,
-        msg: &[u8],
-        trace: Option<(&Arc<FlightRecorder>, TraceCtx)>,
-    ) -> Result<Delivery> {
-        self.process_timed(msg, trace).0
-    }
-
-    /// [`MorphReceiver::process_traced`], also reporting the call's timing
-    /// samples ([`ProcessTiming`]). A warm replay reads the registry clock
-    /// at most three times — entry, after the projected decode of a morph,
-    /// exit — and every histogram it feeds shares those readings.
+    /// A warm replay reads the registry clock at most three times — entry,
+    /// after the projected decode of a morph, exit — and every histogram it
+    /// feeds shares those readings.
     ///
     /// # Errors
     ///
@@ -1892,7 +1866,7 @@ mod tests {
         };
 
         let cold = TraceCtx::root(recorder.next_trace_id());
-        rx.process_traced(&v2_message(3), Some((&recorder, cold))).unwrap();
+        rx.process_timed(&v2_message(3), Some((&recorder, cold))).0.unwrap();
         assert_eq!(
             tree(cold.trace),
             spans(&[
@@ -1914,14 +1888,14 @@ mod tests {
         assert_eq!(tag("morph.transform", "steps"), Some("1"));
 
         let warm = TraceCtx::root(recorder.next_trace_id());
-        rx.process_traced(&v2_message(3), Some((&recorder, warm))).unwrap();
+        rx.process_timed(&v2_message(3), Some((&recorder, warm))).0.unwrap();
         assert_eq!(tree(warm.trace), spans(&[("morph.lookup", None), ("morph.apply.fused", None)]));
     }
 
     /// A chain that ends one near match short of the reader is default-filled
     /// by a plan from the receiver's plan cache: compiled once per (chain
-    /// end, reader) pair, stored, and found by every receiver sharing the
-    /// store — as a near match of the wire format is.
+    /// end, reader) pair and kept when the decision is rebuilt — as a near
+    /// match of the wire format is.
     #[test]
     fn an_adapted_morph_takes_its_default_fill_plan_from_the_plan_cache() {
         let reader = FormatBuilder::record("ChannelOpenResponse")
@@ -1936,43 +1910,36 @@ mod tests {
             )
             .build_arc()
             .unwrap();
-        let store = PlanStore::new();
-        let subscriber = || {
-            let (got, h) = sink();
-            let mut rx = MorphReceiver::new();
-            rx.register_handler(&reader, h);
-            rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
-            rx.set_plan_store(store.clone());
-            (got, rx)
-        };
-        let (got_a, mut a) = subscriber();
-        let (got_b, mut b) = subscriber();
-        for rx in [&mut a, &mut b] {
-            for _ in 0..2 {
-                rx.process(&v2_message(3)).unwrap();
-            }
+        let (got, h) = sink();
+        let mut rx = MorphReceiver::new();
+        rx.register_handler(&reader, h);
+        rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+        for _ in 0..2 {
+            rx.process(&v2_message(3)).unwrap();
         }
         let adapted =
             Some(Explanation::Morph { target: format_id(&reader), chain_len: 1, adapted: true });
-        assert_eq!(a.explain(format_id(&v2())), adapted);
+        assert_eq!(rx.explain(format_id(&v2())), adapted);
 
         // The oracle: the tree-walker's v1.0 value, converted by name.
         let full = ConversionPlan::identity(&v2()).unwrap().execute(&v2_message(3)).unwrap();
         let end = Transformation::new(v2(), v1(), FIG5).compile().unwrap().apply_interp(&full);
         let oracle = pbio::convert_record(&end.unwrap(), &v1(), &reader);
         assert_eq!(oracle.field(&reader, "epoch"), Some(&Value::Int(9)));
-        for got in [&got_a, &got_b] {
-            assert_eq!(*got.lock().unwrap(), vec![oracle.clone(); 2]);
-        }
-        // A compiled its projection and the default-fill plan; B compiled its
-        // projection and found the stored plan.
-        assert_eq!(store.len(), 1);
+        assert_eq!(*got.lock().unwrap(), vec![oracle.clone(); 2]);
+
+        // The decision compiled its projection and the default-fill plan.
         let plans = |rx: &MorphReceiver| {
             let snap = rx.registry().snapshot();
             (snap.counter("pbio.plan.miss"), snap.counter("pbio.plan.hit"))
         };
-        assert_eq!(plans(&a), (Some(2), Some(0)));
-        assert_eq!(plans(&b), (Some(1), Some(1)));
+        assert_eq!(plans(&rx), (Some(2), Some(0)));
+        // Rebuilt, it compiles its projection again and finds the stored plan.
+        assert_eq!(rx.invalidate_decisions(), 1);
+        rx.process(&v2_message(3)).unwrap();
+        assert_eq!(rx.explain(format_id(&v2())), adapted);
+        assert_eq!(plans(&rx), (Some(3), Some(1)));
+        assert_eq!(*got.lock().unwrap(), vec![oracle; 3]);
     }
 
     #[test]
@@ -2003,7 +1970,6 @@ mod tests {
         b.process(&v2_message(3)).unwrap(); // shared hit: no decide, no DCG
 
         assert_eq!(shared.len(), 1);
-        assert!(!shared.is_empty());
         assert_eq!(a.stats().compiles, 1);
         assert_eq!(b.stats().compiles, 0, "B must reuse A's compiled decision");
         let snap_a = a.registry().snapshot();
@@ -2020,10 +1986,7 @@ mod tests {
         let snap_b = b.registry().snapshot();
         assert_eq!(snap_b.counter("morph.decision.shared_hit"), Some(1));
         assert_eq!(snap_b.counter("morph.decision.hit"), Some(1));
-
-        shared.clear();
-        assert!(shared.is_empty());
-        assert!(!format!("{shared:?}").is_empty());
+        assert_eq!(format!("{shared:?}"), "DecisionCache { decisions: 1 }");
     }
 
     #[test]
@@ -2099,7 +2062,7 @@ mod tests {
             WeightedConfig { diff_threshold: 100.0, mismatch_threshold: 1.0 },
         );
         a.process(&v2_message(1)).unwrap();
-        assert!(shared.is_empty(), "weighted decisions must stay private");
+        assert_eq!(shared.len(), 0, "weighted decisions must stay private");
         assert_eq!(a.registry().snapshot().counter("morph.decision.shared_insert"), Some(0));
     }
 

@@ -7,7 +7,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use ecode::{EcodeCompiler, EcodeProgram};
-use pbio::{format_id, put_chunk, take_chunk, take_u32, FormatId, RecordFormat, Value};
+use pbio::{format_id, put_chunk, take_chunk, FormatId, RecordFormat, Value};
 
 use crate::error::{MorphError, Result};
 
@@ -201,49 +201,9 @@ impl TransformationRegistry {
         self.by_from.get(&from).map_or(&[], Vec::as_slice)
     }
 
-    /// Total number of registered transformations.
-    pub fn len(&self) -> usize {
-        self.by_from.values().map(Vec::len).sum()
-    }
-
     /// Iterates over every registered transformation (no defined order).
     pub fn iter(&self) -> impl Iterator<Item = &Transformation> {
         self.by_from.values().flatten()
-    }
-
-    /// True if no transformations are registered.
-    pub fn is_empty(&self) -> bool {
-        self.by_from.is_empty()
-    }
-
-    /// Serializes every transformation for out-of-band transfer.
-    pub fn export(&self) -> Vec<u8> {
-        let mut entries: Vec<&Transformation> = self.by_from.values().flatten().collect();
-        entries.sort_by_key(|t| (t.from_id(), t.to_id(), t.source.len()));
-        let mut out = Vec::new();
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for t in entries {
-            put_chunk(&mut out, &t.serialize());
-        }
-        out
-    }
-
-    /// Merges serialized transformations (from
-    /// [`TransformationRegistry::export`]) into this registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorphError::BadTransformation`] for malformed input; on
-    /// error a prefix may already have been imported.
-    pub fn import(&mut self, bytes: &[u8]) -> Result<usize> {
-        let truncated = || MorphError::BadTransformation("truncated registry export".into());
-        let mut pos = 0;
-        let n = take_u32(bytes, &mut pos).ok_or_else(truncated)? as usize;
-        for _ in 0..n {
-            let meta = take_chunk(bytes, &mut pos).ok_or_else(truncated)?;
-            self.register(Transformation::deserialize(meta)?);
-        }
-        Ok(n)
     }
 
     /// Computes Algorithm 2's `Ft`: every format reachable from `start` via
@@ -657,25 +617,6 @@ mod tests {
         let mut bytes = t.serialize();
         bytes.push(0);
         assert!(Transformation::deserialize(&bytes).is_err());
-    }
-
-    #[test]
-    fn registry_export_import_roundtrip() {
-        let mut reg = TransformationRegistry::new();
-        reg.register(Transformation::new(
-            fmt("M", &["a", "b"]),
-            fmt("M", &["a"]),
-            "old.a = new.a;",
-        ));
-        reg.register(Transformation::new(fmt("M", &["a"]), fmt("N", &["x"]), "old.x = new.a;"));
-        let mut other = TransformationRegistry::new();
-        assert_eq!(other.import(&reg.export()).unwrap(), 2);
-        assert_eq!(other.len(), 2);
-        // Closures computed from the imported registry match the original.
-        let start = fmt("M", &["a", "b"]);
-        assert_eq!(other.closure(&start).len(), reg.closure(&start).len());
-        // Garbage rejected.
-        assert!(TransformationRegistry::new().import(&[0, 1]).is_err());
     }
 
     #[test]

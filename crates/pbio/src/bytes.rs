@@ -3,9 +3,9 @@
 //! Every layer of the stack used to pass message bytes as `Vec<u8>`,
 //! copying the frame at each hop: send, retry queue, shard mailbox,
 //! dedup, quarantine. [`WireBytes`] replaces those copies with a reference
-//! count — an `Arc<[u8]>` plus a byte range, so framing, payload views,
-//! and dead-letter retention all share the single allocation made at
-//! encode time.
+//! count — an `Arc` around the `Vec` the bytes were built in, plus a byte
+//! range, so framing, payload views, and dead-letter retention all share
+//! the one buffer the bytes were written into.
 //!
 //! Equality, ordering, and hashing are defined over the *byte content*,
 //! never over the pointer: two `WireBytes` with equal bytes are equal even
@@ -21,9 +21,9 @@ use std::sync::Arc;
 /// An immutable, reference-counted byte buffer with a sub-range view.
 ///
 /// Cloning is O(1) and never copies payload bytes; [`WireBytes::slice`]
-/// produces a narrower view sharing the same allocation. The single copy
-/// in a frame's life is the one made when the buffer is first built (at
-/// encode/framing time).
+/// produces a narrower view sharing the same allocation. Wrapping a `Vec`
+/// takes the vector as it is: only the borrowed conversions (`&[u8]`,
+/// `&Vec<u8>`, `&[u8; N]`) copy.
 ///
 /// # Examples
 ///
@@ -38,18 +38,12 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct WireBytes {
-    buf: Arc<[u8]>,
+    buf: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl WireBytes {
-    /// Wraps an already-shared buffer without copying.
-    fn from_arc(buf: Arc<[u8]>) -> WireBytes {
-        let end = buf.len();
-        WireBytes { buf, start: 0, end }
-    }
-
     /// The viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf[self.start..self.end]
@@ -114,13 +108,14 @@ impl AsRef<[u8]> for WireBytes {
 
 impl From<Vec<u8>> for WireBytes {
     fn from(v: Vec<u8>) -> WireBytes {
-        WireBytes::from_arc(v.into())
+        let end = v.len();
+        WireBytes { buf: Arc::new(v), start: 0, end }
     }
 }
 
 impl From<&[u8]> for WireBytes {
     fn from(v: &[u8]) -> WireBytes {
-        WireBytes::from_arc(v.into())
+        WireBytes::from(v.to_vec())
     }
 }
 

@@ -8,10 +8,11 @@
 //! PBIO's defining properties, all reproduced here:
 //!
 //! * **Out-of-band meta-data.** Writers declare the names, types, and order
-//!   of record fields ([`FormatBuilder`] / [`RecordFormat`]); descriptions
-//!   travel once via a [`FormatRegistry`], while each wire message carries
-//!   only a 16-byte header with a compact [`FormatId`] — under the 30-byte
-//!   overhead the paper reports in Table 1.
+//!   of record fields ([`FormatBuilder`] / [`RecordFormat`]); a description
+//!   travels once ([`serialize_format`]) into each peer's
+//!   [`FormatRegistry`], while each wire message carries only a 16-byte
+//!   header with a compact [`FormatId`] — under the 30-byte overhead the
+//!   paper reports in Table 1.
 //! * **Native-format encoding.** [`Encoder`] lays fields out in declaration
 //!   order in the writer's byte order; no per-field tags, no text.
 //! * **Specialized conversion on receipt.** The receiver compiles a
@@ -66,7 +67,7 @@ pub use error::{PbioError, Result};
 pub use meta::{
     deserialize_format, format_id, put_chunk, serialize_format, take_chunk, take_u32, FormatId,
 };
-pub use observe::{PlanCache, PlanStore};
+pub use observe::PlanCache;
 pub use plan::ConversionPlan;
 pub use registry::FormatRegistry;
 pub use types::{

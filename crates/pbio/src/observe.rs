@@ -5,9 +5,12 @@
 //! with a straight-line routine. [`PlanCache`] makes that amortization
 //! measurable: it counts plan hits/misses and times compilations
 //! (`pbio.plan.*`, catalogued in `OBSERVABILITY.md` at the repository root).
+//! Each cache belongs to one receiver and is never shared: what receivers
+//! share is their morph *decisions* (`morph::DecisionCache`), which hold
+//! their plans.
 
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use obs::{Clock, Counter, Histogram, Registry, Timer};
 
@@ -15,60 +18,6 @@ use crate::error::Result;
 use crate::meta::{format_id, FormatId};
 use crate::plan::ConversionPlan;
 use crate::types::RecordFormat;
-
-/// The plan map behind a [`PlanStore`], keyed by (wire id, native id).
-type Plans = RwLock<HashMap<(FormatId, FormatId), Arc<ConversionPlan>>>;
-
-/// The shared store behind one or more [`PlanCache`] handles: one
-/// poison-tolerant `RwLock` around the plan map. Only a receiver's cold
-/// path — deciding what to do with a wire format it has not seen — looks a
-/// plan up; the decision it then caches holds its plans directly, so warm
-/// messages never come here and one lock is all the concurrency the store
-/// needs. Cloning a `PlanStore` is an `Arc` bump: every clone sees (and
-/// contributes to) the same compiled plans, which is how thousands of
-/// receivers share one compile per format pair instead of paying it each.
-#[derive(Debug, Clone, Default)]
-pub struct PlanStore {
-    plans: Arc<Plans>,
-}
-
-impl PlanStore {
-    /// Creates an empty store.
-    pub fn new() -> PlanStore {
-        PlanStore::default()
-    }
-
-    /// The compiled plan for a format pair, if present.
-    pub fn get(&self, key: (FormatId, FormatId)) -> Option<Arc<ConversionPlan>> {
-        self.plans.read().unwrap_or_else(PoisonError::into_inner).get(&key).cloned()
-    }
-
-    /// Inserts a compiled plan, returning the canonical entry (an earlier
-    /// racer's plan wins so every caller converges on one `Arc`).
-    pub fn insert(
-        &self,
-        key: (FormatId, FormatId),
-        plan: Arc<ConversionPlan>,
-    ) -> Arc<ConversionPlan> {
-        let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(plans.entry(key).or_insert(plan))
-    }
-
-    /// Number of compiled plans.
-    pub fn len(&self) -> usize {
-        self.plans.read().unwrap_or_else(PoisonError::into_inner).len()
-    }
-
-    /// True when no plans are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every stored plan.
-    pub fn clear(&self) {
-        self.plans.write().unwrap_or_else(PoisonError::into_inner).clear();
-    }
-}
 
 /// A memoizing store of compiled [`ConversionPlan`]s, keyed by
 /// (wire format, native format) identity, with cache behaviour exported
@@ -88,7 +37,7 @@ impl PlanStore {
 /// use std::sync::Arc;
 /// use pbio::{FormatBuilder, PlanCache};
 ///
-/// let cache = PlanCache::new(Arc::new(obs::Registry::new()));
+/// let mut cache = PlanCache::new(Arc::new(obs::Registry::new()));
 /// let fmt = FormatBuilder::record("M").int("a").build_arc()?;
 /// let p1 = cache.get_or_compile(&fmt, &fmt)?; // miss: compiles
 /// let p2 = cache.get_or_compile(&fmt, &fmt)?; // hit: shared Arc
@@ -103,38 +52,23 @@ impl PlanStore {
 pub struct PlanCache {
     registry: Arc<Registry>,
     clock: Arc<dyn Clock>,
-    plans: PlanStore,
+    plans: HashMap<(FormatId, FormatId), Arc<ConversionPlan>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     compile_ns: Arc<Histogram>,
 }
 
 impl PlanCache {
-    /// Creates an empty cache reporting into `registry`, with a private
-    /// [`PlanStore`] (use [`PlanCache::set_store`] to share one).
+    /// Creates an empty cache reporting into `registry`.
     pub fn new(registry: Arc<Registry>) -> PlanCache {
         PlanCache {
             clock: registry.clock(),
             hits: registry.counter("pbio.plan.hit"),
             misses: registry.counter("pbio.plan.miss"),
             compile_ns: registry.histogram("pbio.plan.compile_ns"),
-            plans: PlanStore::new(),
+            plans: HashMap::new(),
             registry,
         }
-    }
-
-    /// A shareable handle to the underlying [`PlanStore`]. Handing this to
-    /// another cache (via [`PlanCache::set_store`]) makes both resolve from
-    /// — and compile into — the same plans; metrics stay per-cache.
-    pub fn store(&self) -> PlanStore {
-        self.plans.clone()
-    }
-
-    /// Replaces the underlying store with a shared one. Plans already in
-    /// the old private store are abandoned (they are cheap views; the
-    /// shared store re-converges on one compile per pair system-wide).
-    pub fn set_store(&mut self, store: PlanStore) {
-        self.plans = store;
     }
 
     /// The registry this cache reports into.
@@ -149,21 +83,21 @@ impl PlanCache {
     ///
     /// See [`ConversionPlan::compile`].
     pub fn get_or_compile(
-        &self,
+        &mut self,
         wire: &Arc<RecordFormat>,
         native: &Arc<RecordFormat>,
     ) -> Result<Arc<ConversionPlan>> {
         let key = (format_id(wire), format_id(native));
-        if let Some(plan) = self.plans.get(key) {
+        if let Some(plan) = self.plans.get(&key) {
             self.hits.inc();
-            return Ok(plan);
+            return Ok(Arc::clone(plan));
         }
         self.misses.inc();
         let timer = Timer::start(Arc::clone(&self.compile_ns), Arc::clone(&self.clock));
         let plan = Arc::new(ConversionPlan::compile(wire, native)?);
         timer.stop();
-        // A concurrent compiler may have won the race; converge on its plan.
-        Ok(self.plans.insert(key, plan))
+        self.plans.insert(key, Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Compiles the projected decode of `format` ([`ConversionPlan::project`])
@@ -179,21 +113,6 @@ impl PlanCache {
         let _timer = Timer::start(Arc::clone(&self.compile_ns), Arc::clone(&self.clock));
         ConversionPlan::project(format, used)
     }
-
-    /// Number of distinct format pairs with compiled plans.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True when no plans are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached plan. Counters are cumulative and unaffected.
-    pub fn clear(&self) {
-        self.plans.clear();
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +126,7 @@ mod tests {
 
     #[test]
     fn plan_cache_compiles_once_per_pair() {
-        let cache = PlanCache::new(Arc::new(Registry::new()));
+        let mut cache = PlanCache::new(Arc::new(Registry::new()));
         let f = fmt("M");
         let g = FormatBuilder::record("M").int("a").build_arc().unwrap();
         let p1 = cache.get_or_compile(&f, &g).unwrap();
@@ -215,7 +134,7 @@ mod tests {
         let p3 = cache.get_or_compile(&f, &f).unwrap();
         assert!(Arc::ptr_eq(&p1, &p2));
         assert!(!Arc::ptr_eq(&p1, &p3));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.plans.len(), 2);
         let snap = cache.registry().snapshot();
         assert_eq!(snap.counter("pbio.plan.hit"), Some(1));
         assert_eq!(snap.counter("pbio.plan.miss"), Some(2));
@@ -224,59 +143,12 @@ mod tests {
 
     #[test]
     fn plan_cache_clear_keeps_counters() {
-        let cache = PlanCache::new(Arc::new(Registry::new()));
+        let mut cache = PlanCache::new(Arc::new(Registry::new()));
         let f = fmt("M");
         cache.get_or_compile(&f, &f).unwrap();
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
+        cache.plans.clear();
         cache.get_or_compile(&f, &f).unwrap();
         let snap = cache.registry().snapshot();
         assert_eq!(snap.counter("pbio.plan.miss"), Some(2), "recompile after clear");
-    }
-
-    #[test]
-    fn shared_store_serves_both_caches_with_one_compile() {
-        let a = PlanCache::new(Arc::new(Registry::new()));
-        let mut b = PlanCache::new(Arc::new(Registry::new()));
-        b.set_store(a.store());
-        let f = fmt("M");
-        let p1 = a.get_or_compile(&f, &f).unwrap();
-        let p2 = b.get_or_compile(&f, &f).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2), "one compile, one canonical plan");
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        // The second cache resolved from the shared store: a hit in its
-        // own metrics, no second compile anywhere.
-        assert_eq!(b.registry().snapshot().counter("pbio.plan.hit"), Some(1));
-        assert_eq!(b.registry().snapshot().counter("pbio.plan.miss"), Some(0));
-        assert_eq!(a.registry().snapshot().counter("pbio.plan.miss"), Some(1));
-    }
-
-    #[test]
-    fn plan_store_concurrent_readers_and_compilers_converge() {
-        let store = PlanStore::new();
-        let formats: Vec<_> = (0..8)
-            .map(|i| FormatBuilder::record(format!("F{i}")).int("a").build_arc().unwrap())
-            .collect();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let store = store.clone();
-                let formats = formats.clone();
-                s.spawn(move || {
-                    let cache = {
-                        let mut c = PlanCache::new(Arc::new(Registry::new()));
-                        c.set_store(store);
-                        c
-                    };
-                    for _ in 0..50 {
-                        for f in &formats {
-                            cache.get_or_compile(f, f).unwrap();
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(store.len(), 8, "racing compilers converge on one plan per pair");
     }
 }

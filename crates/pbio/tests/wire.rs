@@ -4,9 +4,9 @@
 use std::sync::Arc;
 
 use pbio::{
-    decode_payload, format_id, BasicType, ByteOrder, ConversionPlan, Encoder, EnumVariant,
-    FieldType, FormatBuilder, FormatRegistry, GenericDecoder, PathStep, PbioError, RecordFormat,
-    Route, Tape, Value, Width, HEADER_LEN,
+    decode_payload, deserialize_format, format_id, serialize_format, BasicType, ByteOrder,
+    ConversionPlan, Encoder, EnumVariant, FieldType, FormatBuilder, FormatRegistry, GenericDecoder,
+    PathStep, PbioError, RecordFormat, Route, Tape, Value, Width, HEADER_LEN,
 };
 
 fn color_enum() -> BasicType {
@@ -158,31 +158,32 @@ fn enums_with_different_names_do_not_convert() {
     assert_ne!(format_id(&from), format_id(&to));
 }
 
+/// 400 formats registered on one side reach the other one description at
+/// a time, through the format server's wire form, and resolve by the same
+/// ids there.
 #[test]
-fn registry_is_usable_from_many_threads() {
-    let reg = Arc::new(FormatRegistry::new());
-    let mut handles = Vec::new();
+fn a_registry_of_400_formats_round_trips_through_serialize_format() {
+    let mut reg = FormatRegistry::new();
+    let mut shipped = Vec::new();
     for t in 0..8 {
-        let reg = Arc::clone(&reg);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..50 {
-                let fmt = FormatBuilder::record(format!("T{t}_{i}"))
-                    .int("a")
-                    .string("b")
-                    .build_arc()
-                    .unwrap();
-                let id = reg.register(fmt);
-                assert!(reg.lookup(id).is_ok());
-            }
-        }));
+        for i in 0..50 {
+            let fmt = FormatBuilder::record(format!("T{t}_{i}"))
+                .int("a")
+                .string("b")
+                .build_arc()
+                .unwrap();
+            let id = reg.register(Arc::clone(&fmt));
+            shipped.push((id, serialize_format(&fmt)));
+        }
     }
-    for h in handles {
-        h.join().unwrap();
+    let mut other = FormatRegistry::new();
+    for (id, meta) in &shipped {
+        assert_eq!(other.register(Arc::new(deserialize_format(meta).unwrap())), *id);
     }
-    assert_eq!(reg.len(), 8 * 50);
-    // Export/import of the whole population round-trips.
-    let other = FormatRegistry::new();
-    assert_eq!(other.import(&reg.export()).unwrap(), 400);
+    for (id, meta) in &shipped {
+        assert_eq!(serialize_format(&other.lookup(*id).unwrap()), *meta);
+        assert_eq!(other.lookup(*id).unwrap().name(), reg.lookup(*id).unwrap().name());
+    }
 }
 
 #[test]

@@ -359,3 +359,76 @@ fn a_message_no_application_received_is_not_a_delivery() {
     assert_eq!(counter("echo.events.rejected"), 2);
     assert_eq!(counter("echo.deadletter.total"), 0, "a policy outcome, not a dead letter");
 }
+
+/// The shared decision cache is the one store receivers share. In a mixed
+/// V1/V2 population with shared caches — some sinks provisioned, some
+/// subscribed, so membership responses are morphed at the V1 nodes, and
+/// half the sinks reading an older event format — each compatible receiver
+/// population decides a format once and every other receiver takes that
+/// decision from the shared cache, plans included: no receiver's plan cache
+/// is ever hit, so a conversion-plan store shared beside the decision cache
+/// would change none of the counts below.
+#[test]
+fn shared_caches_decide_once_per_population_and_share_no_plan() {
+    let new = FormatBuilder::record("Sample").int("seq").double("value").int("unit").build_arc();
+    let new = new.unwrap();
+    let old = event_format();
+    let retro = Transformation::new(
+        Arc::clone(&new),
+        Arc::clone(&old),
+        "old.seq = new.seq; old.value = new.value;",
+    );
+    let mut sys = EchoSystem::new();
+    sys.enable_shared_morph_caches();
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let src = sys.add_process("src", EchoVersion::V2);
+    let sinks: Vec<_> = (0..12)
+        .map(|i| {
+            let v = if i % 2 == 0 { EchoVersion::V1 } else { EchoVersion::V2 };
+            sys.add_process(format!("sink-{i}"), v)
+        })
+        .collect();
+    sys.connect_all(LinkParams::lan());
+    let ch = sys.create_channel(creator);
+    sys.distribute_metadata(&[Arc::clone(&new), Arc::clone(&old)], &[retro]);
+    sys.subscribe(src, ch, Role::source(), None).unwrap();
+    for (i, &p) in sinks.iter().enumerate() {
+        let reads = if i % 4 < 2 { &old } else { &new };
+        if i % 3 == 0 {
+            sys.provision_sink(p, ch, reads).unwrap();
+        } else {
+            sys.subscribe(p, ch, Role::sink(), Some(reads)).unwrap();
+        }
+    }
+    sys.run();
+    for seq in 0..3 {
+        let event = Value::Record(vec![Value::Int(seq), Value::Float(seq as f64), Value::Int(7)]);
+        assert_eq!(sys.publish(src, ch, &new, &event).unwrap(), sinks.len());
+        sys.run();
+    }
+    for &p in &sinks {
+        assert_eq!(sys.take_events(p).len(), 3);
+    }
+
+    let procs: Vec<_> = [creator, src].into_iter().chain(sinks.iter().copied()).collect();
+    let snaps: Vec<Snapshot> = procs
+        .iter()
+        .flat_map(|&p| [Some(sys.control_registry(p)), sys.event_registry(p, ch)])
+        .flatten()
+        .map(|r| r.snapshot())
+        .collect();
+    let sum = |name: &str| snaps.iter().map(|s| s.counter(name).unwrap_or(0)).sum::<u64>();
+    let counts = [
+        "pbio.plan.hit",
+        "pbio.plan.miss",
+        "morph.compile.count",
+        "morph.decision.shared_hit",
+        "morph.decision.shared_insert",
+    ]
+    .map(sum);
+    // Five (fingerprint, wire format) pairs are decided once each — requests
+    // and v2.0 responses at V2 control planes, responses morphed at V1
+    // control planes, events at old- and new-format event planes: five plan
+    // compiles, two morphs of one step each, and 21 shared hits.
+    assert_eq!(counts, [0, 5, 2, 21, 5], "over {} registries", snaps.len());
+}

@@ -276,17 +276,57 @@ fn publish_large(sinks: usize) -> (usize, usize, isize) {
 /// once and sends every sink a view of that frame. Published to eight
 /// sinks, a 16 KiB event allocates the frame-sized blocks a publish to one
 /// sink does — not a frame per sink — and the eight frames in flight hold
-/// the payload once. For one sink there are two such blocks: the frame's
-/// `Vec`, and the shared `Arc<[u8]>` that `WireBytes::from` moves it into,
-/// which copies it again.
+/// the payload once. For one sink there is one such block: the frame's
+/// `Vec`, which `WireBytes::from` keeps as it is.
 #[test]
 fn a_publish_to_eight_sinks_frames_its_payload_once() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (frame_len, one, _) = publish_large(1);
     let (_, eight, held) = publish_large(8);
     assert_eq!(eight, one, "blocks of at least the frame's {frame_len} B: 8 sinks vs 1");
-    assert!(one <= 2, "{one} blocks of at least {frame_len} B for one sink");
+    assert_eq!(one, 1, "blocks of at least {frame_len} B for one sink");
     assert!(held < 2 * frame_len as isize, "{held} B held for 8 sinks of a {frame_len} B frame");
+}
+
+/// A fragmented publish keeps its payload where the encoder wrote it: a
+/// 64 KiB event in 1,400-byte frames allocates one block of at least the
+/// payload's length — the encoder's buffer, which the fragments view —
+/// and its fragment frames carry the payload once plus one frame header
+/// each.
+#[test]
+fn a_fragmented_publish_allocates_its_payload_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fmt = FormatBuilder::record("Blob").string("data").build_arc().unwrap();
+    let event = Value::Record(vec![Value::str("x".repeat(64 << 10))]);
+    let payload_len = Encoder::new(&fmt).encode(&event).unwrap().len();
+    let mut sys = EchoSystem::new();
+    sys.set_tracing(false);
+    sys.set_frame_budget(Some(1_400));
+    let publisher = sys.add_process("publisher", EchoVersion::V2);
+    let sink = sys.add_process("sink", EchoVersion::V2);
+    sys.connect(publisher, sink, LinkParams::lan());
+    let ch = sys.create_channel(publisher);
+    sys.provision_sink(sink, ch, &fmt).unwrap();
+    let sent = |sys: &EchoSystem| {
+        let r = sys.registry();
+        (r.counter("simnet.bytes").get(), r.counter("simnet.messages").get())
+    };
+    for op in 0..2 {
+        let (bytes, frames) = sent(&sys);
+        LARGE_FROM.store(payload_len, Ordering::Relaxed);
+        let large = LARGE.load(Ordering::Relaxed);
+        assert_eq!(sys.publish(publisher, ch, &fmt, &event).unwrap(), 1);
+        let large = LARGE.load(Ordering::Relaxed) - large;
+        LARGE_FROM.store(usize::MAX, Ordering::Relaxed);
+        let (after_bytes, after_frames) = sent(&sys);
+        let (bytes, frames) = (after_bytes - bytes, after_frames - frames);
+        assert_eq!(large, 1, "op {op}: blocks of at least the payload's {payload_len} B");
+        assert!(frames > 40, "op {op}: {frames} fragment frames");
+        let header = proto::FRAME_HEADER_LEN as u64;
+        assert_eq!(bytes, payload_len as u64 + frames * header, "op {op}: {frames} frames");
+        sys.run();
+        assert_eq!(sys.take_events(sink).len(), 1, "op {op}: the event is delivered once");
+    }
 }
 
 /// A histogram that never records costs at most 64 bytes behind its

@@ -179,19 +179,17 @@ fn every_reader_generation_accepts_every_writer_generation() {
 
 #[test]
 fn chains_survive_serialization() {
-    // Ship the whole transformation set out of band, byte-for-byte, and
-    // rebuild the closure on the other side.
-    let mut reg = TransformationRegistry::new();
-    reg.register(xform_2_to_1());
-    reg.register(xform_1_to_0());
-    let bytes = reg.export();
+    // Ship each transformation out of band, byte-for-byte, as the format
+    // server does, and rebuild the closure on the other side.
+    let mut imported = TransformationRegistry::new();
+    for t in [xform_2_to_1(), xform_1_to_0()] {
+        imported.register(Transformation::deserialize(&t.serialize()).unwrap());
+    }
 
     let mut rx = MorphReceiver::new();
     let got = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&got);
     rx.register_handler(&rev0(), move |v| sink.lock().unwrap().push(v));
-    let mut imported = TransformationRegistry::new();
-    imported.import(&bytes).unwrap();
     let reachable = imported.closure(&rev2());
     assert_eq!(reachable.len(), 3);
     for r in reachable {

@@ -296,7 +296,6 @@ fn hostile_format_descriptions_are_errors_at_every_entry_point() {
             matches!(err, pbio::PbioError::UnexpectedEof | pbio::PbioError::BadFormat(_)),
             "{what}: {err}"
         );
-        assert!(FormatRegistry::new().import(&framed(None, Some(1), &[bad])).is_err(), "{what}");
         assert!(MetaClient::parse_format(&framed(Some(RESP_FORMAT), None, &[bad])).is_err());
         assert!(MetaServer::new()
             .handle(&framed(Some(REQ_REGISTER_FORMAT), None, &[bad]))
@@ -312,7 +311,6 @@ fn hostile_format_descriptions_are_errors_at_every_entry_point() {
     assert!(
         MetaClient::parse_transformations(&framed(Some(RESP_XFORMS), Some(u32::MAX), &[])).is_err()
     );
-    assert!(FormatRegistry::new().import(&u32::MAX.to_le_bytes()).is_err());
 
     // Inside the bounds: 31 levels of arrays, and just under 2^20 values.
     for ok in [nested_fixed_arrays(31, 1), nested_fixed_arrays(2, 1023)] {

@@ -18,6 +18,14 @@
 set -eu
 cd "$(dirname "$0")"
 
+# A new 32-bit seed for a fresh-seed loop below, from /dev/urandom (the
+# clock when it cannot be read).
+fresh_seed() {
+    seed=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
+    [ -n "$seed" ] || seed=$(date +%s)
+    echo "$seed"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -66,8 +74,7 @@ echo "==> chaos fresh seed (one new draw per run, so the matrix is not a fixed p
 # Invariants must hold under any seed; the scenarios' coverage assertions
 # apply to the curated seeds only (tests/chaos.rs `curated`). A failure
 # here reproduces with the printed command.
-fresh=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$fresh" ] || fresh=$(date +%s)
+fresh=$(fresh_seed)
 echo "    CHAOS_SEED=$fresh cargo test -q --test chaos"
 CHAOS_SEED="$fresh" cargo test -q --test chaos
 
@@ -77,8 +84,7 @@ echo "==> sharded runtime, fresh seed (the test step above ran seeds 1/7/42)"
 # driver what it delivers under the virtual-time driver: the sharded path
 # is the one the chaos suite never takes. A failure here reproduces with
 # the printed command.
-shard=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$shard" ] || shard=$(date +%s)
+shard=$(fresh_seed)
 echo "    SHARD_SEED=$shard cargo test -q --test shard seeded_scenario"
 SHARD_SEED="$shard" cargo test -q --test shard seeded_scenario
 
@@ -86,8 +92,7 @@ echo "==> pbio decode mutation loop, fresh seed (the test step above ran the fix
 # Truncations, byte flips, hostile counts and random damage to a v2.0
 # response through the compiled decode kernels, checked against
 # GenericDecoder. A failure here reproduces with the printed command.
-fuzz=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$fuzz" ] || fuzz=$(date +%s)
+fuzz=$(fresh_seed)
 echo "    PBIO_FUZZ_SEED=$fuzz cargo test -q -p pbio --test wire decode_mutations"
 PBIO_FUZZ_SEED="$fuzz" cargo test -q -p pbio --test wire decode_mutations
 
@@ -97,8 +102,7 @@ echo "==> meta-data mutation loop, fresh seed (the test step above ran the fixed
 # transformations: every parse returns, what is accepted is canonical and
 # its default record bounded. A failure here reproduces with the printed
 # command.
-meta=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$meta" ] || meta=$(date +%s)
+meta=$(fresh_seed)
 echo "    META_FUZZ_SEED=$meta cargo test -q --test proptests metadata_mutations"
 META_FUZZ_SEED="$meta" cargo test -q --test proptests metadata_mutations
 
@@ -109,8 +113,7 @@ echo "==> engine differentials, fresh seed (the test step above ran the fixed st
 # states under a sweep of budgets against the tree-walker's — on a stream
 # mixed from a new seed. A failure here reproduces with the printed
 # command.
-prop=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$prop" ] || prop=$(date +%s)
+prop=$(fresh_seed)
 echo "    PROP_SEED=$prop cargo test -q --test proptests"
 PROP_SEED="$prop" cargo test -q --test proptests
 
@@ -119,8 +122,7 @@ echo "==> dedup window against its oracle, fresh seed (the test step above ran t
 # fragments, duplicates, reordering and replays past the horizon, journal
 # round trips — decided by the per-sender window and by a brute-force set
 # of every triple noted. A failure here reproduces with the printed command.
-dedup=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$dedup" ] || dedup=$(date +%s)
+dedup=$(fresh_seed)
 echo "    DEDUP_SEED=$dedup cargo test -q -p echo --lib dedup::tests::window_matches"
 DEDUP_SEED="$dedup" cargo test -q -p echo --lib dedup::tests::window_matches
 
@@ -130,8 +132,7 @@ echo "==> fragment reassembly against its model, fresh seed (the test step above
 # newest-wins purges and crash drains against a small capacity, decided by
 # the buffer and by a brute-force model. A failure here reproduces with the
 # printed command.
-frag=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$frag" ] || frag=$(date +%s)
+frag=$(fresh_seed)
 echo "    FRAG_SEED=$frag cargo test -q -p echo --lib frag::tests::buffer_matches"
 FRAG_SEED="$frag" cargo test -q -p echo --lib frag::tests::buffer_matches
 
@@ -140,8 +141,7 @@ echo "==> histogram against a plain 65-bucket model, fresh seed (the test step a
 # the first sample places — and two threads recording at once: count,
 # sum, min, max and every bucket match the model's. A failure here
 # reproduces with the printed command.
-hist=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$hist" ] || hist=$(date +%s)
+hist=$(fresh_seed)
 echo "    HIST_SEED=$hist cargo test -q -p obs --lib metric::tests::matches_a_plain_model"
 HIST_SEED="$hist" cargo test -q -p obs --lib metric::tests::matches_a_plain_model
 
@@ -151,8 +151,7 @@ echo "==> journal fold against an unfolded log, fresh seed (the test step above 
 # journal replays to what the log that never folds replays to, after
 # every step, and holds at most twice the slots replay needs. A failure
 # here reproduces with the printed command.
-journal=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$journal" ] || journal=$(date +%s)
+journal=$(fresh_seed)
 echo "    JOURNAL_SEED=$journal cargo test -q -p echo --lib journal::tests::fold_matches"
 JOURNAL_SEED="$journal" cargo test -q -p echo --lib journal::tests::fold_matches
 
@@ -163,8 +162,7 @@ echo "==> resealed-header damage loop, fresh seed (the test step above ran the f
 # every call returns, each rejection files one counted dead letter, and what
 # the node keeps stays within a constant times the frame length. A failure
 # here reproduces with the printed command.
-frame=$(od -An -N4 -tu4 /dev/urandom 2>/dev/null | tr -d ' \n')
-[ -n "$frame" ] || frame=$(date +%s)
+frame=$(fresh_seed)
 echo "    FRAME_SEED=$frame cargo test -q -p echo --lib node::tests::resealed_header"
 FRAME_SEED="$frame" cargo test -q -p echo --lib node::tests::resealed_header
 

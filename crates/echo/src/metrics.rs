@@ -1,8 +1,8 @@
 //! Cached handles into the system-level registry, and the accounting of
 //! settled frames. That registry runs on the network's *virtual* clock, so
 //! it holds only deterministic values: event counters and simnet traffic
-//! totals. Wall-clock latency histograms live in the per-receiver
-//! registries instead (see [`crate::EchoSystem::control_registry`]).
+//! totals. Wall-clock latency histograms live in each process's registry
+//! instead (see [`crate::EchoSystem::control_registry`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;

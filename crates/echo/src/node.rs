@@ -7,10 +7,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use morph::{
-    deadletter, DeadLetterQueue, DeadReason, DecisionCache, Delivery, MorphError, MorphReceiver,
-    MorphStats, Transformation,
+    deadletter, DeadLetterQueue, DeadReason, DecisionCache, Delivery, MorphReceiver, Transformation,
 };
-use obs::{ActiveSpan, FlightRecorder, Histogram, HistogramFamily, TraceCtx, TraceId};
+use obs::{ActiveSpan, FlightRecorder, Histogram, Registry, TraceCtx, TraceId};
 use pbio::{Encoder, RecordFormat, Value, WireBytes};
 
 use crate::dedup::{Dedup, Noted};
@@ -182,15 +181,22 @@ type EventInbox = Arc<Mutex<Vec<(ChannelId, Value)>>>;
 pub(crate) struct NodeState {
     pub name: String,
     pub version: EchoVersion,
+    /// The process's one wall-clock registry: its control receiver and
+    /// every event receiver report `morph.*` / `pbio.*` into it, beside
+    /// the process's stage timings.
+    registry: Arc<Registry>,
     control_rx: MorphReceiver,
     requests: ControlInbox,
     responses: ControlInbox,
     /// One record per channel this process knows of, sorted by id: a
     /// frame resolves its channel's slot once and indexes from there on.
     channels: Vec<ChannelState>,
-    /// `echo.stage.encode.ns` in the control registry — the publish-side
-    /// stage of the latency attribution.
+    /// The latency attribution, `echo.stage.<stage>.ns` in the registry:
+    /// the publish-side encode, and per event frame on a channel with an
+    /// event receiver its unframe and its whole receiver dispatch.
     encode_ns: Arc<Histogram>,
+    unframe_ns: Arc<Histogram>,
+    deliver_ns: Arc<Histogram>,
     events: EventInbox,
     next_member_id: i64,
     /// Transformations to seed into future per-channel event receivers.
@@ -247,8 +253,9 @@ struct ChannelState {
     /// grows, so its size is its version). Volatile: dropped by
     /// [`ChannelState::members_mut`] and by a crash.
     sink_index: Option<(usize, Arc<[usize]>)>,
-    /// Where events are delivered, when this process expects any here.
-    plane: Option<EventPlane>,
+    /// The morphing receiver events are delivered into, when this process
+    /// expects any here.
+    plane: Option<MorphReceiver>,
     /// In-progress fragment sets.
     reassembly: ReassemblyBuffer,
     /// Sequenced newest-wins watermark: latest message seq seen per
@@ -263,17 +270,6 @@ impl ChannelState {
         self.sink_index = None;
         &mut self.members
     }
-}
-
-/// One channel's event plane at a node: the morphing receiver events are
-/// delivered into, and the channel's latency attribution — wall-clock
-/// `echo.stage.<stage>.ns` histograms in the receiver's registry, so one
-/// snapshot answers "where did the microseconds go" for that channel's
-/// deliveries.
-struct EventPlane {
-    rx: MorphReceiver,
-    /// Indexed by the `STAGE_*` constants.
-    stages: HistogramFamily,
 }
 
 /// The trace a frame travels under, as a dead letter or a policy instant
@@ -293,50 +289,12 @@ impl From<Option<TraceCtx>> for FrameTrace {
     }
 }
 
-/// The receiver-side stage labels of the latency attribution family, in
-/// [`EventPlane::stages`] index order. One more stage lives elsewhere: `encode` in
-/// the publisher's control registry.
-const STAGE_LABELS: [&str; 4] = ["unframe", "decode", "morph", "deliver"];
-const STAGE_UNFRAME: usize = 0;
-const STAGE_DECODE: usize = 1;
-const STAGE_MORPH: usize = 2;
-const STAGE_DELIVER: usize = 3;
-
-impl EventPlane {
-    fn new() -> EventPlane {
-        let rx = MorphReceiver::new();
-        let stages = HistogramFamily::labeled(rx.registry(), "echo.stage", "ns", &STAGE_LABELS);
-        EventPlane { rx, stages }
-    }
-
-    /// Runs the receiver over a payload. `deliver` is the whole receiver
-    /// dispatch; `decode` and `morph` are carved out of it. All three come
-    /// from the timing samples the receiver took for its own histograms
-    /// ([`morph::ProcessTiming`]) — attribution without a second clock
-    /// read on the hot path.
-    fn deliver(
-        &mut self,
-        payload: &[u8],
-        trace: Option<(&Arc<FlightRecorder>, TraceCtx)>,
-    ) -> Result<Delivery, MorphError> {
-        let (result, timing) = self.rx.process_timed(payload, trace);
-        // A warm replay's time is the whole Algorithm 2 pass, decoding
-        // included; the morph stage is what remains after decode. A cold
-        // pass books no morph time (`morph.decide_ns` has it).
-        let morph_ns =
-            if timing.warm { timing.total_ns.saturating_sub(timing.decode_ns) } else { 0 };
-        self.stages.get(STAGE_DELIVER).record(timing.total_ns);
-        self.stages.get(STAGE_DECODE).record(timing.decode_ns);
-        self.stages.get(STAGE_MORPH).record(morph_ns);
-        result
-    }
-}
-
 impl NodeState {
     pub fn new(name: String, version: EchoVersion, books: Arc<DeadLetterBooks>) -> NodeState {
         let requests: ControlInbox = Arc::new(Mutex::new(Vec::new()));
         let responses: ControlInbox = Arc::new(Mutex::new(Vec::new()));
-        let mut control_rx = MorphReceiver::new();
+        let registry = Arc::new(Registry::new());
+        let mut control_rx = MorphReceiver::with_registry(Arc::clone(&registry));
         let req_sink = Arc::clone(&requests);
         control_rx.register_handler(&proto::channel_open_request(), move |v| {
             req_sink.lock().expect("inbox lock").push(v);
@@ -349,15 +307,17 @@ impl NodeState {
         control_rx.register_handler(&resp_fmt, move |v| {
             resp_sink.lock().expect("inbox lock").push(v);
         });
-        let encode_ns = control_rx.registry().histogram("echo.stage.encode.ns");
         NodeState {
             name,
             version,
+            encode_ns: registry.histogram("echo.stage.encode.ns"),
+            unframe_ns: registry.histogram("echo.stage.unframe.ns"),
+            deliver_ns: registry.histogram("echo.stage.deliver.ns"),
+            registry,
             control_rx,
             requests,
             responses,
             channels: Vec::new(),
-            encode_ns,
             events: Arc::new(Mutex::new(Vec::new())),
             next_member_id: 1,
             shared_xforms: Vec::new(),
@@ -383,8 +343,8 @@ impl NodeState {
     /// decisions.
     pub fn enable_shared_caches(&mut self, decisions: DecisionCache) {
         self.control_rx.set_shared_decisions(decisions.clone());
-        for plane in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
-            plane.rx.set_shared_decisions(decisions.clone());
+        for rx in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
+            rx.set_shared_decisions(decisions.clone());
         }
         self.shared_decisions = Some(decisions);
     }
@@ -411,8 +371,8 @@ impl NodeState {
         self.now_ns = now_ns;
     }
 
-    /// Records one publish-side encode duration into the control
-    /// registry's `echo.stage.encode.ns`.
+    /// Records one publish-side encode duration into
+    /// `echo.stage.encode.ns`.
     pub fn record_encode_ns(&self, ns: u64) {
         self.encode_ns.record(ns);
     }
@@ -480,7 +440,7 @@ impl NodeState {
             watermarks += ch.latest_seq.len();
             ch.latest_seq.clear();
             ch.sink_index = None;
-            decisions += ch.plane.as_mut().map_or(0, |p| p.rx.invalidate_decisions());
+            decisions += ch.plane.as_mut().map_or(0, MorphReceiver::invalidate_decisions);
             for p in ch.reassembly.drain_all() {
                 self.dead_letter_partial(DeadReason::CrashLost, "crash", &p, "crash");
                 partials += 1;
@@ -584,25 +544,32 @@ impl NodeState {
     pub fn import_metadata(&mut self, formats: &[Arc<RecordFormat>], xforms: &[Transformation]) {
         for f in formats {
             self.control_rx.import_format(Arc::clone(f));
-            for plane in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
-                plane.rx.import_format(Arc::clone(f));
+            for rx in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
+                rx.import_format(Arc::clone(f));
             }
             self.shared_formats.push(Arc::clone(f));
         }
         for t in xforms {
             self.control_rx.import_transformation(t.clone());
-            for plane in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
-                plane.rx.import_transformation(t.clone());
+            for rx in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
+                rx.import_transformation(t.clone());
             }
             self.shared_xforms.push(t.clone());
         }
     }
 
     /// Registers the event format this node expects on `channel`; received
-    /// (possibly morphed) events land in the node's event log.
+    /// (possibly morphed) events land in the node's event log. The
+    /// channel's receiver, made on first use, reports into the process's
+    /// registry; the meta-data it is seeded with is a set, so seeding it
+    /// again (a re-subscribe) leaves its compatibility fingerprint as it
+    /// was.
     pub fn expect_events(&mut self, channel: ChannelId, format: &Arc<RecordFormat>) {
         let at = self.record(channel);
-        let rx = &mut self.channels[at].plane.get_or_insert_with(EventPlane::new).rx;
+        let registry = &self.registry;
+        let rx = self.channels[at]
+            .plane
+            .get_or_insert_with(|| MorphReceiver::with_registry(Arc::clone(registry)));
         if let Some(decisions) = &self.shared_decisions {
             rx.set_shared_decisions(decisions.clone());
         }
@@ -776,13 +743,13 @@ impl NodeState {
             }
         };
         // The channel's record is resolved here, once per frame. The
-        // unframe cost goes to its plane's stage family (event frames only
-        // — control frames route on their payload, not their channel).
+        // unframe stage times event frames for a receiver only — control
+        // frames route on their payload, not their channel.
         let slot = self.slot(frame.channel);
-        if frame.kind == proto::FRAME_EVENT {
-            if let Some(plane) = slot.ok().and_then(|at| self.channels[at].plane.as_ref()) {
-                plane.stages.get(STAGE_UNFRAME).record(unframe_t0.elapsed().as_nanos() as u64);
-            }
+        if frame.kind == proto::FRAME_EVENT
+            && slot.is_ok_and(|at| self.channels[at].plane.is_some())
+        {
+            self.unframe_ns.record(unframe_t0.elapsed().as_nanos() as u64);
         }
         // Epoch fence, after checksum verification (a corrupt frame must
         // never move the fence) and before dedup (a fenced frame is
@@ -957,8 +924,15 @@ impl NodeState {
             } else {
                 frame.payload
             };
+            // The deliver stage is the whole receiver dispatch, timed by
+            // the receiver's own clock readings.
             let traced = self.recorder.as_ref().zip(trace.ctx);
-            match self.channels[at].plane.as_mut().map(|p| p.deliver(payload, traced)) {
+            let delivered = self.channels[at].plane.as_mut().map(|rx| {
+                let (result, total_ns) = rx.process_timed(payload, traced);
+                self.deliver_ns.record(total_ns);
+                result
+            });
+            match delivered {
                 Some(Err(e)) => {
                     let reason = deadletter::reason_for(&e);
                     self.dead_letter(reason, "event", bytes, e.to_string(), trace)
@@ -1091,25 +1065,15 @@ impl NodeState {
         std::mem::take(&mut *self.events.lock().expect("event lock"))
     }
 
-    /// Control-plane morphing statistics.
-    pub fn control_stats(&self) -> MorphStats {
-        self.control_rx.stats()
+    /// The process's one wall-clock registry: every receiver's `morph.*` /
+    /// `pbio.*` metrics and the `echo.stage.*` timings.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
     }
 
-    /// Event-plane morphing statistics for one channel.
-    pub fn event_stats(&self, channel: ChannelId) -> Option<MorphStats> {
-        self.channel(channel)?.plane.as_ref().map(|p| p.rx.stats())
-    }
-
-    /// The observability registry behind the control-plane receiver.
-    pub fn control_registry(&self) -> &Arc<obs::Registry> {
-        self.control_rx.registry()
-    }
-
-    /// The observability registry behind the event-plane receiver on
-    /// `channel`, if one exists.
-    pub fn event_registry(&self, channel: ChannelId) -> Option<&Arc<obs::Registry>> {
-        self.channel(channel)?.plane.as_ref().map(|p| p.rx.registry())
+    /// True when this process has an event receiver on `channel`.
+    pub fn has_event_plane(&self, channel: ChannelId) -> bool {
+        self.channel(channel).is_some_and(|c| c.plane.is_some())
     }
 }
 

@@ -345,9 +345,9 @@ impl EchoSystem {
 
     /// Unsubscribes `proc` from `channel`: the creator removes the member
     /// and refreshes the remaining membership. The process's local event
-    /// expectation stays: its event-plane receiver (and that receiver's
-    /// registry, see [`EchoSystem::event_registry`]) survives for a later
-    /// re-subscribe or a post-mortem read.
+    /// expectation stays: its event-plane receiver (see
+    /// [`EchoSystem::event_registry`]) survives for a later re-subscribe or
+    /// a post-mortem read.
     ///
     /// # Errors
     ///
@@ -569,14 +569,10 @@ impl EchoSystem {
         self.nodes[proc.0].members(channel).map(<[_]>::to_vec)
     }
 
-    /// Control-plane morphing statistics of a process.
-    pub fn control_stats(&self, proc: ProcessId) -> MorphStats {
-        self.nodes[proc.0].control_stats()
-    }
-
-    /// Event-plane morphing statistics of a process on one channel.
-    pub fn event_stats(&self, proc: ProcessId, channel: ChannelId) -> Option<MorphStats> {
-        self.nodes[proc.0].event_stats(channel)
+    /// Morphing statistics of a process: its control plane and its event
+    /// planes on every channel, counted together.
+    pub fn morph_stats(&self, proc: ProcessId) -> MorphStats {
+        MorphStats::of(self.nodes[proc.0].registry())
     }
 
     /// The system-level observability registry: `echo.*` event counters
@@ -608,17 +604,19 @@ impl EchoSystem {
         seen
     }
 
-    /// The registry behind a process's control-plane morphing receiver:
-    /// `morph.*` and `pbio.*` metrics, including wall-clock latency
-    /// histograms (`morph.decide_ns`, `pbio.plan.compile_ns`, …).
+    /// The process's one wall-clock registry, which its control-plane
+    /// receiver and every event-plane receiver report into: `morph.*` and
+    /// `pbio.*` metrics, including latency histograms (`morph.decide_ns`,
+    /// `pbio.plan.compile_ns`, …), and the `echo.stage.*` timings.
     pub fn control_registry(&self, proc: ProcessId) -> &Arc<Registry> {
-        self.nodes[proc.0].control_registry()
+        self.nodes[proc.0].registry()
     }
 
-    /// The registry behind a process's event-plane receiver on `channel`,
-    /// if the process expects events there.
+    /// The same registry as [`EchoSystem::control_registry`], if the
+    /// process expects events on `channel`.
     pub fn event_registry(&self, proc: ProcessId, channel: ChannelId) -> Option<&Arc<Registry>> {
-        self.nodes[proc.0].event_registry(channel)
+        let node = &self.nodes[proc.0];
+        node.has_event_plane(channel).then(|| node.registry())
     }
 
     /// Current virtual time (nanoseconds).
@@ -662,7 +660,7 @@ impl EchoSystem {
     /// own: a receiver that takes a shared decision compiles no plan.
     ///
     /// Off by default: sharing shifts which receiver pays the cold-path
-    /// work, which perturbs per-receiver `morph.*`/`pbio.*` counters (and
+    /// work, which perturbs per-process `morph.*`/`pbio.*` counters (and
     /// therefore byte-identical chaos snapshots). Decision sharing is
     /// fingerprint-keyed, so mixed-version receivers never exchange
     /// decisions they could not have computed themselves.
@@ -930,10 +928,10 @@ mod tests {
         assert!(members.iter().any(|m| m.contact == "pub-1" && m.is_source && !m.is_sink));
         // Morphing happened at the v1 node (its stats show a compiled
         // transformation), not at the creator.
-        let stats = sys.control_stats(s2);
+        let stats = sys.morph_stats(s2);
         assert!(stats.morphs >= 1, "stats: {stats:?}");
         assert!(stats.compiles >= 1);
-        assert_eq!(sys.control_stats(c).morphs, 0);
+        assert_eq!(sys.morph_stats(c).morphs, 0);
         // Events flow to the v1 sink.
         sys.publish(s1, ch, &fmt, &tick(1)).unwrap();
         sys.run();
@@ -955,7 +953,7 @@ mod tests {
         assert_eq!(members[0].contact, "sub-2");
         assert!(members[0].is_sink, "role flags recovered from the v1 sink list");
         assert!(!members[0].is_source);
-        assert!(sys.control_stats(s2).morphs >= 1);
+        assert!(sys.morph_stats(s2).morphs >= 1);
     }
 
     #[test]
@@ -1008,7 +1006,7 @@ mod tests {
         sys.run();
         let events = sys.take_events(s2);
         assert_eq!(events, vec![(ch, Value::Record(vec![Value::Int(42)]))]);
-        assert_eq!(sys.event_stats(s2, ch).unwrap().morphs, 1);
+        assert_eq!(sys.morph_stats(s2).morphs, 1);
     }
 
     #[test]
@@ -1106,7 +1104,7 @@ mod tests {
         sys.subscribe(s2, ch, Role::sink(), Some(&fmt)).unwrap();
         sys.run();
         // The v1 subscriber morphed the creator's v2 response: its
-        // control-plane registry saw the cold path.
+        // registry saw the control plane's cold path.
         let snap = sys.control_registry(s2).snapshot();
         assert!(snap.counter("morph.decision.miss").unwrap_or(0) >= 1);
         assert!(snap.counter("morph.decision.morph").unwrap_or(0) >= 1);
@@ -1271,8 +1269,7 @@ mod tests {
                 let events = sys.take_events(ProcessId(i + 1));
                 assert_eq!(events, vec![(ch, Value::Record(vec![Value::Int(6)]))]);
             }
-            let compiles: u64 =
-                (0..4).map(|i| sys.event_stats(ProcessId(i + 1), ch).unwrap().compiles).sum();
+            let compiles: u64 = (0..4).map(|i| sys.morph_stats(ProcessId(i + 1)).compiles).sum();
             let shared_hits: u64 = (0..4)
                 .map(|i| {
                     let reg = sys.event_registry(ProcessId(i + 1), ch).unwrap();
@@ -1523,7 +1520,7 @@ mod tests {
             assert!(v.field(&v1, "elapsed_ns").and_then(Value::as_i64).unwrap() > 0);
             assert!(v.field(&v1, "published").and_then(Value::as_i64).unwrap() >= 0);
         }
-        let stats = sys.event_stats(s2, tele).unwrap();
+        let stats = sys.morph_stats(s2);
         assert!(stats.near_matches >= 1, "MaxMatch path never taken: {stats:?}");
         assert_eq!(stats.morphs, 0, "a hand-written transformation ran: {stats:?}");
         assert_eq!(stats.compiles, 0, "transformation code was compiled: {stats:?}");

@@ -118,7 +118,7 @@ pub struct DeadLetter {
 ///
 /// Admissions beyond the capacity evict the oldest entry; [`total`]
 /// counts every quarantined message, kept or evicted, so the letters
-/// evicted are `total() - len()`.
+/// evicted are `total()` less the letters held.
 ///
 /// [`total`]: DeadLetterQueue::total
 #[derive(Debug)]
@@ -134,24 +134,13 @@ impl DeadLetterQueue {
         DeadLetterQueue { capacity: capacity.max(1), letters: VecDeque::new(), total: 0 }
     }
 
-    /// Quarantines a message. O(1); evicts the oldest letter when full.
-    /// Passing an existing [`WireBytes`] (or a clone of one) is free of
-    /// payload copies; `&[u8]` / `Vec<u8>` arguments are promoted to a
-    /// fresh shared buffer.
-    pub fn push(
-        &mut self,
-        reason: DeadReason,
-        bytes: impl Into<WireBytes>,
-        detail: impl Into<String>,
-    ) {
-        self.push_traced(reason, bytes, detail, None, Vec::new());
-    }
-
     /// Quarantines a message along with its causal-trace context: the
     /// trace id it travelled under and a snapshot of that trace's events
     /// (typically `recorder.trace_events(trace)` taken right after the
-    /// failure was recorded). Eviction when full behaves as in
-    /// [`DeadLetterQueue::push`].
+    /// failure was recorded). O(1); evicts the oldest letter when full.
+    /// Passing an existing [`WireBytes`] (or a clone of one) is free of
+    /// payload copies; `&[u8]` / `Vec<u8>` arguments are promoted to a
+    /// fresh shared buffer.
     pub fn push_traced(
         &mut self,
         reason: DeadReason,
@@ -178,16 +167,6 @@ impl DeadLetterQueue {
         self.letters.iter()
     }
 
-    /// Number of letters currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.letters.len()
-    }
-
-    /// True when nothing is quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.letters.is_empty()
-    }
-
     /// Total messages ever quarantined (including evicted ones).
     pub fn total(&self) -> u64 {
         self.total
@@ -209,26 +188,40 @@ pub fn reason_for(err: &MorphError) -> DeadReason {
 mod tests {
     use super::*;
 
+    /// Quarantines a message that travelled under no trace.
+    fn push(
+        dlq: &mut DeadLetterQueue,
+        reason: DeadReason,
+        bytes: impl Into<WireBytes>,
+        detail: impl Into<String>,
+    ) {
+        dlq.push_traced(reason, bytes, detail, None, Vec::new());
+    }
+
+    fn held(dlq: &DeadLetterQueue) -> usize {
+        dlq.letters().count()
+    }
+
     #[test]
     fn bounded_with_overflow_accounting() {
         let mut dlq = DeadLetterQueue::new(2);
-        dlq.push(DeadReason::Corrupt, b"a", "1");
-        dlq.push(DeadReason::Corrupt, b"b", "2");
-        dlq.push(DeadReason::Undecodable, b"c", "3");
-        assert_eq!(dlq.len(), 2, "capacity enforced");
+        push(&mut dlq, DeadReason::Corrupt, b"a", "1");
+        push(&mut dlq, DeadReason::Corrupt, b"b", "2");
+        push(&mut dlq, DeadReason::Undecodable, b"c", "3");
+        assert_eq!(held(&dlq), 2, "capacity enforced");
         assert_eq!(dlq.total(), 3, "totals count evicted letters");
         // Oldest was evicted.
         let kept: Vec<_> = dlq.letters().map(|l| (l.reason, l.bytes.clone())).collect();
         assert_eq!(kept[0], (DeadReason::Corrupt, b"b".into()));
         assert_eq!(kept[1], (DeadReason::Undecodable, b"c".into()));
-        assert!(DeadLetterQueue::new(2).is_empty());
+        assert_eq!(held(&DeadLetterQueue::new(2)), 0);
     }
 
     #[test]
     fn overflow_evicts_strictly_oldest_first() {
         let mut dlq = DeadLetterQueue::new(3);
         for i in 0u8..10 {
-            dlq.push(DeadReason::Corrupt, &[i], format!("m{i}"));
+            push(&mut dlq, DeadReason::Corrupt, &[i], format!("m{i}"));
         }
         // The three newest survive, in admission order.
         let kept: Vec<u8> = dlq.letters().map(|l| l.bytes[0]).collect();
@@ -240,28 +233,28 @@ mod tests {
     #[test]
     fn overflow_accounting_stays_consistent() {
         let mut dlq = DeadLetterQueue::new(4);
-        assert_eq!((dlq.total(), dlq.len()), (0, 0));
+        assert_eq!((dlq.total(), held(&dlq)), (0, 0));
         for i in 0u8..11 {
-            dlq.push(DeadReason::TransformFailed, &[i], "x");
+            push(&mut dlq, DeadReason::TransformFailed, &[i], "x");
             // Invariant after every push: everything admitted is counted,
             // the newest `capacity` letters are retained, and the rest —
             // `total - len` — were evicted oldest first.
             assert_eq!(dlq.total(), u64::from(i) + 1);
-            assert_eq!(dlq.len(), usize::from(i + 1).min(4));
+            assert_eq!(held(&dlq), usize::from(i + 1).min(4));
             let oldest = dlq.letters().next().unwrap().bytes[0];
-            assert_eq!(u64::from(oldest), dlq.total() - dlq.len() as u64);
+            assert_eq!(u64::from(oldest), dlq.total() - held(&dlq) as u64);
         }
         assert_eq!(dlq.total(), 11);
-        assert_eq!(dlq.len(), 4);
-        assert_eq!(dlq.total() - dlq.len() as u64, 7);
+        assert_eq!(held(&dlq), 4);
+        assert_eq!(dlq.total() - held(&dlq) as u64, 7);
     }
 
     #[test]
     fn capacity_floor_is_one_letter() {
         let mut dlq = DeadLetterQueue::new(0);
-        dlq.push(DeadReason::Malformed, b"a", "first");
-        dlq.push(DeadReason::Malformed, b"b", "second");
-        assert_eq!(dlq.len(), 1, "zero capacity is clamped to one");
+        push(&mut dlq, DeadReason::Malformed, b"a", "first");
+        push(&mut dlq, DeadReason::Malformed, b"b", "second");
+        assert_eq!(held(&dlq), 1, "zero capacity is clamped to one");
         assert_eq!(dlq.letters().next().unwrap().detail, "second");
         assert_eq!(dlq.total(), 2);
     }
@@ -290,7 +283,7 @@ mod tests {
         assert_eq!(letter.events.len(), 1);
         assert_eq!(letter.events[0].name, "echo.handle");
         // Untraced pushes leave the context empty.
-        dlq.push(DeadReason::Corrupt, b"x", "no trace");
+        push(&mut dlq, DeadReason::Corrupt, b"x", "no trace");
         assert_eq!(dlq.letters().last().unwrap().trace, None);
     }
 
@@ -302,7 +295,7 @@ mod tests {
         assert_eq!(original.ref_count(), 1);
 
         let mut dlq = DeadLetterQueue::new(4);
-        dlq.push(DeadReason::TransformFailed, original.clone(), "vm trap");
+        push(&mut dlq, DeadReason::TransformFailed, original.clone(), "vm trap");
         assert_eq!(original.ref_count(), 2, "push added a reference, not a copy");
 
         let letter = dlq.letters().next().unwrap().clone();

@@ -63,7 +63,6 @@ pub use matching::{
 pub use metaserver::{process_with_resolution, MetaClient, MetaServer, RetryPolicy};
 pub use receiver::{
     DecisionCache, DefaultHandler, Delivery, Explanation, Handler, MorphReceiver, MorphStats,
-    ProcessTiming,
 };
 pub use xform::{
     CompiledChain, CompiledXform, ReachableFormat, Transformation, TransformationRegistry,

@@ -46,23 +46,6 @@ pub enum Delivery {
     Rejected,
 }
 
-/// Where the time of one [`MorphReceiver::process_timed`] call went, on the
-/// receiver's registry clock — the samples the call itself recorded, handed
-/// to a caller that attributes them further (echo's per-channel stages)
-/// without timing the call a second time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProcessTiming {
-    /// Entry to exit of the call. On a warm replay this is the call's
-    /// `morph.process_ns` sample.
-    pub total_ns: u64,
-    /// The call's `pbio.decode_ns` sample: the projected decode of a warm
-    /// morph replay, 0 for every other kind of call.
-    pub decode_ns: u64,
-    /// True when a cached decision was replayed (`morph.process_ns` got a
-    /// sample); false on a cold pass or a failure before any decision.
-    pub warm: bool,
-}
-
 /// A human-inspectable description of a cached Algorithm 2 decision —
 /// what the receiver will do with every further message of one format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,6 +135,23 @@ pub struct MorphStats {
     pub rejects: u64,
     /// Transformation snippets compiled (dynamic code generation events).
     pub compiles: u64,
+}
+
+impl MorphStats {
+    /// The counters of every receiver reporting into `registry`.
+    pub fn of(registry: &Registry) -> MorphStats {
+        let count = |name: &str| registry.counter(name).get();
+        MorphStats {
+            messages: count("morph.messages"),
+            cache_hits: count("morph.decision.hit"),
+            exact_matches: count("morph.decision.exact"),
+            morphs: count("morph.decision.morph"),
+            near_matches: count("morph.decision.near"),
+            defaults: count("morph.decision.default"),
+            rejects: count("morph.decision.reject"),
+            compiles: count("morph.compile.count"),
+        }
+    }
 }
 
 /// The cached, specialized disposition for one wire format.
@@ -570,12 +570,15 @@ impl MorphReceiver {
     /// Invalidation is targeted: a new transformation edge can only change
     /// the decision for a wire format whose transformation closure reaches
     /// the edge's source format, so only those cached decisions are
-    /// dropped. Warm decisions for unrelated formats survive the import.
+    /// dropped. Warm decisions for unrelated formats survive the import,
+    /// and a transformation the receiver already holds changes nothing.
     pub fn import_transformation(&mut self, t: Transformation) {
         let new_src = t.from_id();
         self.known.register(Arc::clone(t.from_format()));
         self.known.register(Arc::clone(t.to_format()));
-        self.xforms.register(t);
+        if !self.xforms.register(t) {
+            return;
+        }
         self.fingerprint = None;
         let known = &self.known;
         let xforms = &self.xforms;
@@ -587,24 +590,11 @@ impl MorphReceiver {
         });
     }
 
-    /// Activity counters, assembled from the registry-backed metrics.
+    /// Activity counters, read off the registry: with
+    /// [`MorphReceiver::with_registry`] they count every receiver that
+    /// reports there.
     pub fn stats(&self) -> MorphStats {
-        let m = &self.metrics;
-        MorphStats {
-            messages: m.messages.get(),
-            cache_hits: m.hits.get(),
-            exact_matches: m.exact.get(),
-            morphs: m.morphs.get(),
-            near_matches: m.near.get(),
-            defaults: m.defaults.get(),
-            rejects: m.rejects.get(),
-            compiles: m.compiles.get(),
-        }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> MatchConfig {
-        self.config
+        MorphStats::of(self.registry())
     }
 
     /// Number of distinct wire formats with cached decisions.
@@ -668,7 +658,8 @@ impl MorphReceiver {
     }
 
     /// Like [`MorphReceiver::process`], but attributes the work to a causal
-    /// trace and reports the call's timing samples ([`ProcessTiming`]).
+    /// trace and reports the call's time on the registry clock: entry to
+    /// exit, or on a warm replay its `morph.process_ns` sample.
     ///
     /// Every stage of Algorithm 2 this message exercises is recorded as a
     /// span under the context in the [`FlightRecorder`] it comes with. A
@@ -693,23 +684,23 @@ impl MorphReceiver {
         &mut self,
         msg: &[u8],
         trace: Option<(&Arc<FlightRecorder>, TraceCtx)>,
-    ) -> (Result<Delivery>, ProcessTiming) {
+    ) -> (Result<Delivery>, u64) {
         self.trace = trace.map(|(rec, ctx)| TraceSink { rec: Arc::clone(rec), ctx });
         let entered_ns = self.metrics.clock.now_ns();
-        let mut timing = ProcessTiming::default();
-        let result = self.process_inner(msg, entered_ns, &mut timing);
+        let mut warm_ns = None;
+        let result = self.process_inner(msg, entered_ns, &mut warm_ns);
         self.trace = None;
-        if !timing.warm {
-            timing.total_ns = self.metrics.clock.now_ns().saturating_sub(entered_ns);
-        }
-        (result, timing)
+        let total_ns =
+            warm_ns.unwrap_or_else(|| self.metrics.clock.now_ns().saturating_sub(entered_ns));
+        (result, total_ns)
     }
 
+    /// `warm_ns` receives a warm replay's `morph.process_ns` sample.
     fn process_inner(
         &mut self,
         msg: &[u8],
         entered_ns: u64,
-        timing: &mut ProcessTiming,
+        warm_ns: &mut Option<u64>,
     ) -> Result<Delivery> {
         self.metrics.messages.inc();
         let header = parse_header(msg).map_err(MorphError::Pbio)?;
@@ -728,7 +719,7 @@ impl MorphReceiver {
             if let Some(s) = lookup.as_mut() {
                 s.tag("result", "hit");
             }
-            return applier.replay(decision, msg, entered_ns, timing);
+            return applier.replay(decision, msg, entered_ns, warm_ns);
         }
 
         self.metrics.misses.inc();
@@ -753,7 +744,7 @@ impl MorphReceiver {
                 let (decision, mut applier) = self.cached(id).expect("inserted above");
                 // The sample starts here, as the L2 lookup is cold-path work.
                 let started_ns = applier.metrics.clock.now_ns();
-                return applier.replay(decision, msg, started_ns, timing);
+                return applier.replay(decision, msg, started_ns, warm_ns);
             }
         }
         drop(lookup);
@@ -770,7 +761,7 @@ impl MorphReceiver {
                 self.metrics.shared_inserts.inc();
             }
         }
-        self.split().1.apply(&decision, msg, None, &mut 0)
+        self.split().1.apply(&decision, msg, None)
     }
 
     /// The cached decision for `id` next to everything applying it touches:
@@ -977,18 +968,19 @@ impl Applier<'_> {
     }
 
     /// A warm replay, timed from `started_ns`: whatever the outcome, one
-    /// `morph.process_ns` sample from a single closing clock read.
+    /// `morph.process_ns` sample from a single closing clock read, also
+    /// handed back through `sample_ns`.
     fn replay(
         &mut self,
         decision: &Decision,
         msg: &[u8],
         started_ns: u64,
-        timing: &mut ProcessTiming,
+        sample_ns: &mut Option<u64>,
     ) -> Result<Delivery> {
-        let result = self.apply(decision, msg, Some(started_ns), &mut timing.decode_ns);
+        let result = self.apply(decision, msg, Some(started_ns));
         let elapsed_ns = self.metrics.clock.now_ns().saturating_sub(started_ns);
         self.metrics.process_ns.record(elapsed_ns);
-        (timing.total_ns, timing.warm) = (elapsed_ns, true);
+        *sample_ns = Some(elapsed_ns);
         result
     }
 
@@ -996,14 +988,12 @@ impl Applier<'_> {
     /// replay's timing sample, `None` on the cold pass. Only the cold pass
     /// traces its stages: a warm replay is a single cached step, so beyond
     /// `morph.lookup` it records at most the one `morph.apply.fused` span
-    /// of a morph, whose projected decode reports its `pbio.decode_ns`
-    /// sample through `decode_ns`.
+    /// of a morph.
     fn apply(
         &mut self,
         decision: &Decision,
         msg: &[u8],
         warm_since: Option<u64>,
-        decode_ns: &mut u64,
     ) -> Result<Delivery> {
         self.apply_span = if warm_since.is_none() { self.tspan("morph.apply", None) } else { None };
         match decision {
@@ -1018,7 +1008,7 @@ impl Applier<'_> {
                 if let Some(s) = replay_span.as_mut() {
                     s.tag("steps", &m.templates.len().to_string());
                 }
-                let value = self.morph(m, msg, warm_since, decode_ns);
+                let value = self.morph(m, msg, warm_since);
                 // Emptied on every exit: a failed message's values do not
                 // outlive it here.
                 self.roots.clear();
@@ -1046,22 +1036,15 @@ impl Applier<'_> {
     /// under the message's instruction budget, then the adapting plan if
     /// the decision has one. The first message of a format runs it under the
     /// cold pass's stage spans; on a warm replay the index pass's share
-    /// (timed from `warm_since`) is read off the clock once, recorded as
-    /// `pbio.decode_ns` and reported through `decode_ns`.
-    fn morph(
-        &mut self,
-        m: &MorphPlan,
-        msg: &[u8],
-        warm_since: Option<u64>,
-        decode_ns: &mut u64,
-    ) -> Result<Value> {
+    /// (timed from `warm_since`) is read off the clock once and recorded as
+    /// `pbio.decode_ns`.
+    fn morph(&mut self, m: &MorphPlan, msg: &[u8], warm_since: Option<u64>) -> Result<Value> {
         let view = {
             let _s = self.stage("morph.decode");
             m.decode.index(msg, self.tape)?
         };
         if let Some(since_ns) = warm_since {
-            *decode_ns = self.metrics.clock.now_ns().saturating_sub(since_ns);
-            self.metrics.decode_ns.record(*decode_ns);
+            self.metrics.decode_ns.record(self.metrics.clock.now_ns().saturating_sub(since_ns));
         }
         self.roots.clear();
         self.roots.extend(m.templates.iter().cloned());
@@ -1618,23 +1601,24 @@ mod tests {
         // Fused morph: entry, end of the projected decode, exit — shared by
         // morph.process_ns and pbio.decode_ns.
         let before = reads(&clock);
-        let (result, timing) = rx.process_timed(&v2_message(3), None);
+        let (result, total_ns) = rx.process_timed(&v2_message(3), None);
         result.unwrap();
         assert_eq!(reads(&clock) - before, 3);
         // The counting clock ticks once per read: the samples are the gaps.
-        assert_eq!(timing, ProcessTiming { total_ns: 2, decode_ns: 1, warm: true });
+        assert_eq!(total_ns, 2);
         // A plan replay has no decode to split off.
         let before = reads(&clock);
-        let (result, timing) = rx.process_timed(&v1_message, None);
+        let (result, total_ns) = rx.process_timed(&v1_message, None);
         result.unwrap();
         assert_eq!(reads(&clock) - before, 2);
-        assert_eq!(timing, ProcessTiming { total_ns: 1, decode_ns: 0, warm: true });
+        assert_eq!(total_ns, 1);
 
-        // Each histogram still got its one sample per replay.
+        // Each histogram got its one sample per replay, the call's time
+        // among them.
         let snap = rx.registry().snapshot();
-        let count = |name: &str| snap.histogram(name).map(|h| h.count);
-        assert_eq!(count("morph.process_ns"), Some(2));
-        assert_eq!(count("pbio.decode_ns"), Some(1));
+        let sample = |name: &str| snap.histogram(name).map(|h| (h.count, h.sum));
+        assert_eq!(sample("morph.process_ns"), Some((2, 3)));
+        assert_eq!(sample("pbio.decode_ns"), Some((1, 1)));
     }
 
     /// A morph runs in root and register storage the receiver keeps across

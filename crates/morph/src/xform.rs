@@ -191,9 +191,16 @@ impl TransformationRegistry {
         TransformationRegistry { by_from: HashMap::new() }
     }
 
-    /// Registers a transformation under its source format.
-    pub fn register(&mut self, t: Transformation) {
-        self.by_from.entry(t.from_id()).or_default().push(t);
+    /// Registers a transformation under its source format. Returns false,
+    /// registering nothing, when the registry already holds it (same
+    /// source and target format, same source text): it is a set.
+    pub fn register(&mut self, t: Transformation) -> bool {
+        let held = self.by_from.entry(t.from_id()).or_default();
+        let known = held.iter().any(|h| h.to_id() == t.to_id() && h.source() == t.source());
+        if !known {
+            held.push(t);
+        }
+        !known
     }
 
     /// Transformations whose source is `from`.
@@ -386,6 +393,20 @@ mod tests {
         let reach = reg.closure(&a);
         assert_eq!(reach.len(), 2, "cycle must not loop forever");
         assert_eq!(reach[1].chain.len(), 1, "shortest chain wins");
+    }
+
+    #[test]
+    fn registering_a_held_transformation_again_changes_nothing() {
+        let a = fmt("M", &["a"]);
+        let b = fmt("M", &["b"]);
+        let mut reg = TransformationRegistry::new();
+        assert!(reg.register(Transformation::new(a.clone(), b.clone(), "old.b = new.a;")));
+        assert!(!reg.register(Transformation::new(a.clone(), b.clone(), "old.b = new.a;")));
+        assert_eq!(reg.iter().count(), 1);
+        // Another text, or another target, is another transformation.
+        assert!(reg.register(Transformation::new(a.clone(), b.clone(), "old.b = new.a + 1;")));
+        assert!(reg.register(Transformation::new(a.clone(), a.clone(), "old.a = new.a;")));
+        assert_eq!(reg.outgoing(format_id(&a)).len(), 3);
     }
 
     #[test]

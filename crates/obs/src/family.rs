@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use crate::metric::{Counter, Gauge, Histogram};
+use crate::metric::{Counter, Gauge};
 use crate::registry::Registry;
 
 /// An indexed family of counters named `<prefix>.<i>.<name>`.
@@ -130,66 +130,6 @@ impl GaugeFamily {
     }
 }
 
-/// An indexed family of histograms named `<prefix>.<i>.<name>` or (via
-/// [`HistogramFamily::labeled`]) `<prefix>.<label>.<name>` — e.g. the
-/// per-stage latency attribution families `echo.stage.<stage>_ns`.
-#[derive(Debug, Clone)]
-pub struct HistogramFamily {
-    handles: Vec<Arc<Histogram>>,
-}
-
-impl HistogramFamily {
-    /// Fetches (creating on first use) the `n` member histograms.
-    pub fn new(registry: &Registry, prefix: &str, name: &str, n: usize) -> HistogramFamily {
-        HistogramFamily {
-            handles: (0..n).map(|i| registry.histogram(&format!("{prefix}.{i}.{name}"))).collect(),
-        }
-    }
-
-    /// Fetches a family keyed by static labels: `<prefix>.<label>.<name>`
-    /// for each label, in label order.
-    ///
-    /// ```
-    /// let reg = obs::Registry::new();
-    /// let stages =
-    ///     obs::HistogramFamily::labeled(&reg, "echo.stage", "ns", &["decode", "deliver"]);
-    /// stages.get(0).record(250);
-    /// assert_eq!(reg.snapshot().histogram("echo.stage.decode.ns").unwrap().count, 1);
-    /// ```
-    pub fn labeled(
-        registry: &Registry,
-        prefix: &str,
-        name: &str,
-        labels: &[&str],
-    ) -> HistogramFamily {
-        HistogramFamily {
-            handles: labels
-                .iter()
-                .map(|l| registry.histogram(&format!("{prefix}.{l}.{name}")))
-                .collect(),
-        }
-    }
-
-    /// The member histogram for index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn get(&self, i: usize) -> &Arc<Histogram> {
-        &self.handles[i]
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// True when the family has no members.
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,22 +145,6 @@ mod tests {
         assert_send_sync::<FlightRecorder>();
         assert_send_sync::<CounterFamily>();
         assert_send_sync::<GaugeFamily>();
-        assert_send_sync::<HistogramFamily>();
-    }
-
-    #[test]
-    fn histogram_family_members_follow_label_order() {
-        let reg = Registry::new();
-        let fam = HistogramFamily::labeled(&reg, "echo.stage", "ns", &["decode", "morph"]);
-        assert_eq!(fam.len(), 2);
-        assert!(!fam.is_empty());
-        fam.get(0).record(100);
-        fam.get(1).record(200);
-        fam.get(1).record(300);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histogram("echo.stage.decode.ns").unwrap().count, 1);
-        assert_eq!(snap.histogram("echo.stage.morph.ns").unwrap().sum, 500);
-        assert_eq!(snap.histogram("echo.stage.morph.ns").unwrap().count, 2);
     }
 
     #[test]

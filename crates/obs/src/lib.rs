@@ -72,7 +72,7 @@ mod registry;
 mod trace;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
-pub use family::{CounterFamily, GaugeFamily, HistogramFamily};
+pub use family::{CounterFamily, GaugeFamily};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, Snapshot, SnapshotDelta, Timer};
 pub use trace::{ActiveSpan, FlightRecorder, SpanEvent, SpanId, SpanKind, TraceCtx, TraceId};

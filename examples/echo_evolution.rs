@@ -58,17 +58,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The v1.0 subscribers did the morphing; the creator did nothing extra.
+    // No event has flowed yet: this is the control plane's activity.
     println!("\ncontrol-plane morphing activity:");
     for &(p, name) in &[(creator, "creator"), (sim, "sim"), (viz, "viz"), (logger, "logger")] {
-        let s = sys.control_stats(p);
+        let s = sys.morph_stats(p);
         println!(
             "  {name:10} messages={} morphs={} compiles={} cache_hits={}",
             s.messages, s.morphs, s.compiles, s.cache_hits
         );
     }
-    assert!(sys.control_stats(viz).morphs >= 1);
-    assert!(sys.control_stats(logger).morphs >= 1);
-    assert_eq!(sys.control_stats(creator).morphs, 0);
+    assert!(sys.morph_stats(viz).morphs >= 1);
+    assert!(sys.morph_stats(logger).morphs >= 1);
+    assert_eq!(sys.morph_stats(creator).morphs, 0);
 
     // Data flows to every sink regardless of its middleware version.
     let event = Value::Record(vec![

@@ -89,9 +89,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The proof of "zero hand-written transformations": the collector's
-    // event-plane stats show near-match adaptation only — no
-    // transformation chain ran, no snippet was ever compiled.
-    let stats = sys.event_stats(collector, tele).expect("collector subscribed");
+    // morph stats (a v2 process, so its control plane morphs nothing
+    // either) show near-match adaptation only — no transformation chain
+    // ran, no snippet was ever compiled.
+    let stats = sys.morph_stats(collector);
     println!(
         "\ncollector morph stats: {} near-matches, {} morphs, {} compiles",
         stats.near_matches, stats.morphs, stats.compiles

@@ -140,7 +140,7 @@ fn run_interop_chaos(seed: u64) -> InteropRun {
     // Membership settled over clean links; the v1 subscriber morphed the
     // creator's v2 responses on receipt (paper §4.1).
     assert_eq!(sys.members(publisher, ch).unwrap().len(), 3);
-    assert!(sys.control_stats(v1_sink).morphs >= 1);
+    assert!(sys.morph_stats(v1_sink).morphs >= 1);
 
     // Now make the event-plane links hostile. Only publisher→sink traffic
     // is subject: control traffic flows creator↔member.

@@ -67,7 +67,7 @@ fn broadcast_to_mixed_fleet() {
     }
     // Old subscribers morphed; new ones matched exactly.
     for &(p, v) in &subs {
-        let s = sys.control_stats(p);
+        let s = sys.morph_stats(p);
         match v {
             EchoVersion::V1 => assert!(s.morphs >= 1, "v1 sub must morph: {s:?}"),
             EchoVersion::V2 => assert_eq!(s.morphs, 0, "v2 sub must not morph: {s:?}"),
@@ -77,7 +77,7 @@ fn broadcast_to_mixed_fleet() {
     // despite receiving up to 10 membership refreshes.
     for &(p, v) in &subs {
         if v == EchoVersion::V1 {
-            assert_eq!(sys.control_stats(p).compiles, 1);
+            assert_eq!(sys.morph_stats(p).compiles, 1);
         }
     }
 }
@@ -156,8 +156,10 @@ fn event_format_upgrade_mid_stream() {
     assert_eq!(events.len(), 2);
     assert_eq!(events[0].1, sample(1));
     assert_eq!(events[1].1, Value::Record(vec![Value::Int(2), Value::Float(3.0)]));
-    let stats = sys.event_stats(old_sink, ch).unwrap();
-    assert_eq!(stats.exact_matches, 1);
+    // The sink's control plane decided once too: the creator's v2.0
+    // membership response, an exact match at a v2.0 process.
+    let stats = sys.morph_stats(old_sink);
+    assert_eq!(stats.exact_matches, 2);
     assert_eq!(stats.morphs, 1);
 }
 
@@ -213,10 +215,10 @@ fn a_looping_retro_transformation_is_quarantined_and_the_next_event_flows() {
     assert_eq!(sys.pending_retries(), 0);
 }
 
-/// The decode stage of a sink's latency attribution is fed by the fused warm
-/// morph (and by nothing else): exact matches and the cold first morph leave
-/// `echo.stage.decode.ns` at zero, every later morphed delivery adds to it,
-/// and decode + morph never exceed the whole deliver pass.
+/// A sink's timings nest: the decode of a warm morph (`pbio.decode_ns`, fed
+/// by the fused warm morph and by nothing else — exact matches and the cold
+/// first morph book none) lies inside its replay (`morph.process_ns`), and
+/// every replay inside the deliver stage, which times all events.
 #[test]
 fn decode_stage_is_fed_by_warm_morphs() {
     let mut sys = EchoSystem::new();
@@ -244,9 +246,9 @@ fn decode_stage_is_fed_by_warm_morphs() {
     sys.subscribe(old_sink, ch, Role::sink(), Some(&old_evt)).unwrap();
     sys.run();
 
-    let stage = |sys: &EchoSystem, name: &str| {
+    let histogram = |sys: &EchoSystem, name: &str| {
         let snap = sys.event_registry(old_sink, ch).unwrap().snapshot();
-        let h = snap.histogram(&format!("echo.stage.{name}.ns")).unwrap();
+        let h = snap.histogram(name).unwrap();
         (h.count, h.sum)
     };
     let unit = "a unit name long enough that decoding it takes measurable time";
@@ -256,20 +258,22 @@ fn decode_stage_is_fed_by_warm_morphs() {
     sys.publish(publisher, ch, &old_evt, &sample(0)).unwrap();
     sys.publish(publisher, ch, &new_evt, &upgraded(1)).unwrap();
     sys.run();
-    assert_eq!(stage(&sys, "decode"), (2, 0));
+    assert_eq!(histogram(&sys, "pbio.decode_ns"), (0, 0));
 
     for seq in 2..202 {
         sys.publish(publisher, ch, &new_evt, &upgraded(seq)).unwrap();
     }
     sys.run();
     assert_eq!(sys.take_events(old_sink).len(), 202);
-    let (decode, morph, deliver) =
-        (stage(&sys, "decode"), stage(&sys, "morph"), stage(&sys, "deliver"));
-    assert_eq!((decode.0, morph.0, deliver.0), (202, 202, 202));
+    let (decode, process, deliver) = (
+        histogram(&sys, "pbio.decode_ns"),
+        histogram(&sys, "morph.process_ns"),
+        histogram(&sys, "echo.stage.deliver.ns"),
+    );
+    assert_eq!((decode.0, process.0, deliver.0), (200, 200, 202));
     assert!(decode.1 > 0, "200 warm morphs booked no decode time");
-    assert!(decode.1 + morph.1 <= deliver.1, "{decode:?} + {morph:?} > {deliver:?}");
-    let rx = sys.event_registry(old_sink, ch).unwrap().snapshot();
-    assert_eq!(rx.histogram("pbio.decode_ns").unwrap().count, 200);
+    assert!(decode.1 <= process.1, "{decode:?} > {process:?}");
+    assert!(process.1 <= deliver.1, "{process:?} > {deliver:?}");
 }
 
 /// The v2 response message is materially smaller on the wire — the size
@@ -410,13 +414,9 @@ fn shared_caches_decide_once_per_population_and_share_no_plan() {
         assert_eq!(sys.take_events(p).len(), 3);
     }
 
+    // One registry per process holds its control and event planes.
     let procs: Vec<_> = [creator, src].into_iter().chain(sinks.iter().copied()).collect();
-    let snaps: Vec<Snapshot> = procs
-        .iter()
-        .flat_map(|&p| [Some(sys.control_registry(p)), sys.event_registry(p, ch)])
-        .flatten()
-        .map(|r| r.snapshot())
-        .collect();
+    let snaps: Vec<Snapshot> = procs.iter().map(|&p| sys.control_registry(p).snapshot()).collect();
     let sum = |name: &str| snaps.iter().map(|s| s.counter(name).unwrap_or(0)).sum::<u64>();
     let counts = [
         "pbio.plan.hit",
@@ -431,4 +431,54 @@ fn shared_caches_decide_once_per_population_and_share_no_plan() {
     // control planes, events at old- and new-format event planes: five plan
     // compiles, two morphs of one step each, and 21 shared hits.
     assert_eq!(counts, [0, 5, 2, 21, 5], "over {} registries", snaps.len());
+}
+
+/// A sink that leaves and subscribes again holds each transformation once:
+/// its event receiver keeps its population's compatibility fingerprint, so
+/// the one decision the population pays for reaches it from the shared
+/// cache. (Re-importing the seeded transformations used to register each a
+/// second time, which moved the fingerprint: both sinks compiled.)
+#[test]
+fn a_resubscribed_sink_shares_decisions_with_its_population() {
+    let new = FormatBuilder::record("Sample").int("seq").double("value").int("unit").build_arc();
+    let new = new.unwrap();
+    let old = event_format();
+    let retro = Transformation::new(
+        Arc::clone(&new),
+        Arc::clone(&old),
+        "old.seq = new.seq; old.value = new.value;",
+    );
+    let mut sys = EchoSystem::new();
+    sys.enable_shared_morph_caches();
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let src = sys.add_process("src", EchoVersion::V2);
+    let a = sys.add_process("sink-a", EchoVersion::V2);
+    let b = sys.add_process("sink-b", EchoVersion::V2);
+    sys.connect_all(LinkParams::lan());
+    let ch = sys.create_channel(creator);
+    sys.distribute_metadata(&[Arc::clone(&new), Arc::clone(&old)], &[retro]);
+    sys.subscribe(src, ch, Role::source(), None).unwrap();
+    sys.subscribe(a, ch, Role::sink(), Some(&old)).unwrap();
+    sys.run();
+    sys.unsubscribe(a, ch).unwrap();
+    sys.run();
+    sys.subscribe(a, ch, Role::sink(), Some(&old)).unwrap();
+    sys.subscribe(b, ch, Role::sink(), Some(&old)).unwrap();
+    sys.run();
+
+    // Compiles and shared hits of the two sinks' event receivers.
+    let counts = |sys: &EchoSystem| {
+        ["morph.compile.count", "morph.decision.shared_hit"].map(|name| {
+            [a, b].iter().map(|&p| sys.event_registry(p, ch).unwrap().counter(name).get()).sum()
+        })
+    };
+    let before: [u64; 2] = counts(&sys);
+    let event = Value::Record(vec![Value::Int(1), Value::Float(2.0), Value::Int(7)]);
+    assert_eq!(sys.publish(src, ch, &new, &event).unwrap(), 2);
+    sys.run();
+    assert_eq!(sys.take_events(a).len(), 1);
+    assert_eq!(sys.take_events(b).len(), 1);
+    let after = counts(&sys);
+    let paid = [after[0] - before[0], after[1] - before[1]];
+    assert_eq!(paid, [1, 1], "[compiles, shared hits] of the event");
 }

@@ -7,6 +7,8 @@
 //!   a pure decision-cache hit.
 //! - Registries driven by simnet's virtual clock produce **deterministic**
 //!   snapshots: identical runs render byte-identical text and JSON.
+//! - An ECho process has one wall-clock registry, shared by its control
+//!   plane, its event planes and its stage timings.
 //! - The `morph.*` and `pbio.*` sections of `OBSERVABILITY.md`, its
 //!   `echo.*` sections and its `simnet.*` sections list exactly the names
 //!   those layers register.
@@ -135,6 +137,43 @@ fn echo_system_snapshots_are_deterministic() {
     assert!(a.contains("simnet.bytes"));
 }
 
+/// A process reports into one wall-clock registry: its control plane, its
+/// event planes on two channels and its stage timings all count there.
+#[test]
+fn a_process_reports_into_one_registry() {
+    let mut sys = EchoSystem::new();
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let publisher = sys.add_process("pub", EchoVersion::V2);
+    let sink = sys.add_process("sink", EchoVersion::V1);
+    sys.connect_all(simnet::LinkParams::lan());
+    let fmt = FormatBuilder::record("Tick").int("n").build_arc().unwrap();
+    let channels = [sys.create_channel(creator), sys.create_channel(creator)];
+    for ch in channels {
+        sys.subscribe(publisher, ch, Role::source(), None).unwrap();
+        sys.subscribe(sink, ch, Role::sink(), Some(&fmt)).unwrap();
+    }
+    sys.run();
+
+    let registry = Arc::clone(sys.control_registry(sink));
+    for ch in channels {
+        assert!(Arc::ptr_eq(&registry, sys.event_registry(sink, ch).unwrap()));
+    }
+    // So far the sink's messages are the membership responses its control
+    // plane morphed, one per channel joined.
+    let control = registry.counter("morph.messages").get();
+    assert_eq!(control, 2);
+    for (n, ch) in (0..5).zip(channels.into_iter().cycle()) {
+        sys.publish(publisher, ch, &fmt, &Value::Record(vec![Value::Int(n)])).unwrap();
+    }
+    sys.run();
+    let events = sys.take_events(sink);
+    assert_eq!(events.len(), 5);
+    assert_eq!(events.iter().filter(|(ch, _)| *ch == channels[1]).count(), 2);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("morph.messages"), Some(control + 5));
+    assert_eq!(snap.histogram("echo.stage.deliver.ns").unwrap().count, 5);
+}
+
 /// Names registered under `registry`, as the snapshot lists them.
 fn names_in(registry: &Registry, into: &mut BTreeSet<String>) {
     let snap = registry.snapshot();
@@ -232,9 +271,6 @@ fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
     assert_eq!(sys.take_events(sink).len(), 3);
     for p in [creator, publisher, sink] {
         names_in(sys.control_registry(p), &mut registered);
-        if let Some(events) = sys.event_registry(p, ch) {
-            names_in(events, &mut registered);
-        }
     }
 
     let v2 = FormatBuilder::record("Load").int("cpu").int("mem").build_arc().unwrap();
@@ -266,8 +302,8 @@ fn the_morph_and_pbio_catalogue_sections_list_what_is_registered() {
 /// The catalogue checks itself, `echo.*` sections: a system with every
 /// opt-in on — shared caches, journaling, self-telemetry — that runs
 /// traffic and one wall-clock round registers every `echo.*` name there
-/// is, in the system registry and in each process's control and event
-/// registries: each must have its row, and each row its registrant.
+/// is, in the system registry and in each process's registry: each must
+/// have its row, and each row its registrant.
 #[test]
 fn the_echo_catalogue_sections_list_what_is_registered() {
     const SHARDS: usize = 2;
@@ -299,11 +335,6 @@ fn the_echo_catalogue_sections_list_what_is_registered() {
     names_in(sys.registry(), &mut registered);
     for p in procs {
         names_in(sys.control_registry(p), &mut registered);
-        for ch in [work, tele] {
-            if let Some(events) = sys.event_registry(p, ch) {
-                names_in(events, &mut registered);
-            }
-        }
     }
     registered.retain(|name| name.starts_with("echo."));
     let catalogued = catalogued(

@@ -191,7 +191,8 @@ pub(crate) struct NodeState {
     /// One record per channel this process knows of, sorted by id: a
     /// frame resolves its channel's slot once and indexes from there on.
     channels: Vec<ChannelState>,
-    /// The latency attribution, `echo.stage.<stage>.ns` in the registry:
+    /// The latency attribution, `echo.stage.<stage>.ns` in the registry,
+    /// on its clock and for sampled messages only ([`proto::sampled`]):
     /// the publish-side encode, and per event frame on a channel with an
     /// event receiver its unframe and its whole receiver dispatch.
     encode_ns: Arc<Histogram>,
@@ -291,9 +292,19 @@ impl From<Option<TraceCtx>> for FrameTrace {
 
 impl NodeState {
     pub fn new(name: String, version: EchoVersion, books: Arc<DeadLetterBooks>) -> NodeState {
+        NodeState::with_registry(name, version, books, Arc::new(Registry::new()))
+    }
+
+    /// [`NodeState::new`], reporting into `registry` and timing on its
+    /// clock.
+    fn with_registry(
+        name: String,
+        version: EchoVersion,
+        books: Arc<DeadLetterBooks>,
+        registry: Arc<Registry>,
+    ) -> NodeState {
         let requests: ControlInbox = Arc::new(Mutex::new(Vec::new()));
         let responses: ControlInbox = Arc::new(Mutex::new(Vec::new()));
-        let registry = Arc::new(Registry::new());
         let mut control_rx = MorphReceiver::with_registry(Arc::clone(&registry));
         let req_sink = Arc::clone(&requests);
         control_rx.register_handler(&proto::channel_open_request(), move |v| {
@@ -371,10 +382,19 @@ impl NodeState {
         self.now_ns = now_ns;
     }
 
-    /// Records one publish-side encode duration into
-    /// `echo.stage.encode.ns`.
-    pub fn record_encode_ns(&self, ns: u64) {
-        self.encode_ns.record(ns);
+    /// Encodes one event message and allocates its seq, timing the encode
+    /// into `echo.stage.encode.ns` when that seq is sampled.
+    pub fn encode_event(
+        &mut self,
+        format: &Arc<RecordFormat>,
+        event: &Value,
+    ) -> Result<(u64, Vec<u8>), EchoError> {
+        let started_ns = proto::sampled(self.next_seq).then(|| self.registry.now_ns());
+        let msg = Encoder::new(format).encode(event)?;
+        if let Some(started_ns) = started_ns {
+            self.encode_ns.record(self.registry.now_ns().saturating_sub(started_ns));
+        }
+        Ok((self.alloc_seq(), msg))
     }
 
     /// Re-bounds every (current and future) per-channel reassembly buffer.
@@ -727,7 +747,12 @@ impl NodeState {
     /// it does not crash.
     pub fn handle_frame(&mut self, sender: u64, bytes: &WireBytes) -> FrameOutcome {
         let trace = self.start_handle_trace(bytes);
-        let unframe_t0 = std::time::Instant::now();
+        // Only a sampled frame starts the unframe timer, so its seq is
+        // peeked before the checksum check; a frame that passes the check
+        // carries the seq peeked here.
+        let unframe_since = proto::peek_frag(bytes)
+            .filter(|&(seq, ..)| proto::sampled(seq))
+            .map(|_| self.registry.now_ns());
         let frame = match proto::unframe(bytes) {
             Ok(f) => f,
             // Corruption is *detected and rejected* — the damaged bytes
@@ -746,10 +771,12 @@ impl NodeState {
         // unframe stage times event frames for a receiver only — control
         // frames route on their payload, not their channel.
         let slot = self.slot(frame.channel);
-        if frame.kind == proto::FRAME_EVENT
-            && slot.is_ok_and(|at| self.channels[at].plane.is_some())
-        {
-            self.unframe_ns.record(unframe_t0.elapsed().as_nanos() as u64);
+        if let Some(since_ns) = unframe_since {
+            if frame.kind == proto::FRAME_EVENT
+                && slot.is_ok_and(|at| self.channels[at].plane.is_some())
+            {
+                self.unframe_ns.record(self.registry.now_ns().saturating_sub(since_ns));
+            }
         }
         // Epoch fence, after checksum verification (a corrupt frame must
         // never move the fence) and before dedup (a fenced frame is
@@ -814,7 +841,7 @@ impl NodeState {
             // The control plane must stay whole: a fragmented control
             // frame is a protocol violation, not traffic.
             proto::FRAME_CONTROL if frame.is_fragment() => Err(EchoError::MalformedFrame),
-            proto::FRAME_CONTROL => self.handle_control(frame.payload, trace.ctx, frame.trace),
+            proto::FRAME_CONTROL => self.handle_control(frame, trace.ctx),
             // A session-resume handshake: its whole job — the epoch bump —
             // already happened. The empty frame delivers nothing, so it
             // never counts as an event delivery.
@@ -924,12 +951,15 @@ impl NodeState {
             } else {
                 frame.payload
             };
-            // The deliver stage is the whole receiver dispatch, timed by
-            // the receiver's own clock readings.
+            // The deliver stage is the whole receiver dispatch of a sampled
+            // message, timed by the receiver's own clock readings.
             let traced = self.recorder.as_ref().zip(trace.ctx);
+            let sampled = proto::sampled(frame.seq);
             let delivered = self.channels[at].plane.as_mut().map(|rx| {
-                let (result, total_ns) = rx.process_timed(payload, traced);
-                self.deliver_ns.record(total_ns);
+                let (result, total_ns) = rx.process_timed(payload, traced, sampled);
+                if let Some(total_ns) = total_ns {
+                    self.deliver_ns.record(total_ns);
+                }
                 result
             });
             match delivered {
@@ -950,16 +980,16 @@ impl NodeState {
         }
     }
 
-    /// `wire_trace` is the incoming frame's raw trace id; follow-up frames
-    /// (membership responses) travel under the same trace, so a
-    /// subscription's whole request→broadcast fan-out is one causal story.
+    /// Follow-up frames (membership responses) travel under the incoming
+    /// frame's raw trace id, so a subscription's whole request→broadcast
+    /// fan-out is one causal story.
     fn handle_control(
         &mut self,
-        msg: &[u8],
+        frame: &proto::Frame<'_>,
         ctx: Option<TraceCtx>,
-        wire_trace: u64,
     ) -> Result<Vec<Outgoing>, EchoError> {
-        self.control_rx.process_timed(msg, self.recorder.as_ref().zip(ctx)).0?;
+        let (traced, sampled) = (self.recorder.as_ref().zip(ctx), proto::sampled(frame.seq));
+        self.control_rx.process_timed(frame.payload, traced, sampled).0?;
         let mut out = Vec::new();
 
         // Requests: only meaningful at channel creators.
@@ -1000,7 +1030,7 @@ impl NodeState {
                             proto::FRAME_CONTROL,
                             channel,
                             seq,
-                            wire_trace,
+                            frame.trace,
                             QosTier::Reliable,
                             0,
                             1,
@@ -1416,6 +1446,57 @@ mod tests {
         assert!(out.ack.is_none(), "resume frames are not Reliable event traffic");
         // A duplicate of the same handshake is absorbed by dedup.
         assert!(matches!(node.handle_frame(0, &resume).disposition, Disposition::Duplicate(..)));
+    }
+
+    /// A clock that counts how often it is read (and never repeats itself).
+    #[derive(Debug, Default)]
+    struct CountingClock(std::sync::atomic::AtomicU64);
+
+    impl obs::Clock for CountingClock {
+        fn now_ns(&self) -> u64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn only_a_sampled_event_frame_reads_the_process_clock() {
+        let clock = Arc::new(CountingClock::default());
+        let reads = || clock.0.load(std::sync::atomic::Ordering::Relaxed);
+        let registry = Arc::new(Registry::with_clock(Arc::clone(&clock) as Arc<dyn obs::Clock>));
+        let mut node =
+            NodeState::with_registry("sink".into(), EchoVersion::V2, books(), registry.clone());
+        let old = pbio::FormatBuilder::record("Tick").int("n").build_arc().unwrap();
+        let new = pbio::FormatBuilder::record("Tick").int("n").int("scale").build_arc().unwrap();
+        let retro = Transformation::new(new.clone(), old.clone(), "old.n = new.n * new.scale;");
+        node.import_metadata(&[old.clone(), new.clone()], &[retro]);
+        node.expect_events(ChannelId(1), &old);
+        let event = Value::Record(vec![Value::Int(2), Value::Int(3)]);
+        let event = Encoder::new(&new).encode(&event).unwrap();
+        let frame =
+            |seq| proto::frame(proto::FRAME_EVENT, ChannelId(1), seq, proto::NO_TRACE, &event);
+        let mut deliver = |seq| {
+            let before = reads();
+            let out = node.handle_frame(0, &frame(seq));
+            assert!(matches!(out.disposition, Disposition::Handled(..)), "seq {seq}");
+            reads() - before
+        };
+        // The cold decision times itself whatever the seq; then a warm
+        // unsampled morph reads the clock never, and a warm sampled one
+        // five times: the unframe pair, then the receiver's entry, end of
+        // decode and exit.
+        let timed = (1..).find(|&seq| proto::sampled(seq)).unwrap();
+        assert!(timed > 2 && !proto::sampled(timed + 1));
+        deliver(1);
+        assert_eq!(deliver(2), 0);
+        assert_eq!(deliver(timed), 5);
+        assert_eq!(deliver(timed + 1), 0);
+        let snap = registry.snapshot();
+        let count = |name: &str| snap.histogram(name).map(|h| h.count);
+        for stage in ["echo.stage.unframe.ns", "echo.stage.deliver.ns", "morph.process_ns"] {
+            assert_eq!(count(stage), Some(1), "{stage}");
+        }
+        assert_eq!(snap.counter("morph.messages"), Some(4));
+        assert_eq!(node.take_events().len(), 4);
     }
 
     #[test]

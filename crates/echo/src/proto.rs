@@ -323,6 +323,27 @@ const CRC_FIELD: Range<usize> = header_field(8);
 /// An absent trace id on the wire: the frame joins no trace.
 pub const NO_TRACE: u64 = 0;
 
+/// One message in this many is timed: its encode at the sender, and its
+/// unframe and delivery at every process it reaches
+/// (`echo.stage.*`, `morph.process_ns`, `pbio.decode_ns`). Counters still
+/// count every message.
+pub const SAMPLE_EVERY: u64 = 64;
+
+/// Whether the message with frame seq `seq` is timed: one seq in
+/// [`SAMPLE_EVERY`] of any run of seqs, whatever its stride.
+///
+/// The rule reads the seq, not the trace id: with tracing off every frame
+/// carries [`NO_TRACE`]. Every fragment, retry and duplicate of a message
+/// carries its seq, so a message is timed at its sender and at every
+/// stage of every sink, or nowhere. The seq is scrambled (Fibonacci
+/// hashing) before it is compared, because a process's seqs are not all
+/// its messages': trace ids come from the same counter, so with tracing
+/// on a publisher's event seqs step by two and `seq % SAMPLE_EVERY == 0`
+/// would time none of them.
+pub fn sampled(seq: u64) -> bool {
+    seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) <= u64::MAX / SAMPLE_EVERY
+}
+
 /// Per-channel delivery-guarantee tier, carried in every frame header so a
 /// receiver enforces policy straight off the (CRC-protected) wire — no
 /// side-channel registry distribution is needed.
@@ -890,6 +911,21 @@ pub(crate) mod tests {
         // An event frame cut too short to read its tier sheds as reliable.
         assert_eq!(shed_class(&mk(QosTier::UnorderedUnreliable)[..20]), Some(2));
         assert_eq!(shed_class(&[]), None);
+    }
+
+    /// Any run of message seqs is timed one in `SAMPLE_EVERY`: consecutive
+    /// seqs (tracing off), every other one (tracing on, a trace id between
+    /// two events) or sparser, in any process's seq range.
+    #[test]
+    fn one_message_in_sample_every_is_timed_at_every_stride() {
+        let runs = 100;
+        for stride in 1..=4 {
+            for base in (0..4).map(|p: u64| p << 48).chain([7]) {
+                let seqs = (0..runs * SAMPLE_EVERY).map(|i| base + stride * i);
+                let timed = seqs.filter(|&seq| sampled(seq)).count() as u64;
+                assert!(timed.abs_diff(runs) <= 3, "stride {stride} from {base}: {timed}");
+            }
+        }
     }
 
     #[test]

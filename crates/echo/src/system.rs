@@ -473,10 +473,7 @@ impl EchoSystem {
         event: &Value,
         (channel, trace, tier, epoch): (ChannelId, u64, QosTier, u32),
     ) -> Result<Vec<WireBytes>, EchoError> {
-        let t0 = std::time::Instant::now();
-        let msg = Encoder::new(format).encode(event)?;
-        self.nodes[proc].record_encode_ns(t0.elapsed().as_nanos() as u64);
-        let seq = self.nodes[proc].alloc_seq();
+        let (seq, msg) = self.nodes[proc].encode_event(format, event)?;
         let frame = |index, count, payload: &[u8]| {
             let kind = proto::FRAME_EVENT;
             proto::frame_qos(kind, channel, seq, trace, tier, index, count, epoch, payload)

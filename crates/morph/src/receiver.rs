@@ -469,6 +469,11 @@ impl MorphReceiver {
 
     /// Registers a reader format and the handler invoked for (possibly
     /// morphed) messages delivered in that format. Returns the format id.
+    ///
+    /// A new reader format can change every decision, so it clears the
+    /// cached ones; replacing the handler of a registered reader changes
+    /// none (a decision names its target format, not its handler), so the
+    /// warm decisions survive it.
     pub fn register_handler(
         &mut self,
         format: &Arc<RecordFormat>,
@@ -477,13 +482,13 @@ impl MorphReceiver {
         let id = self.known.register(Arc::clone(format));
         if !self.readers.iter().any(|r| format_id(r) == id) {
             self.readers.push(Arc::clone(format));
+            self.cache.clear();
+            self.fingerprint = None;
         }
         match self.handlers.iter_mut().find(|(registered, _)| *registered == id) {
             Some((_, h)) => *h = Box::new(handler),
             None => self.handlers.push((id, Box::new(handler))),
         }
-        self.cache.clear(); // decisions may change with a new reader format
-        self.fingerprint = None;
         id
     }
 
@@ -654,12 +659,17 @@ impl MorphReceiver {
     /// transformation-runtime failures. A *rejection* (no admissible match)
     /// is not an error — it returns [`Delivery::Rejected`].
     pub fn process(&mut self, msg: &[u8]) -> Result<Delivery> {
-        self.process_timed(msg, None).0
+        self.process_timed(msg, None, true).0
     }
 
     /// Like [`MorphReceiver::process`], but attributes the work to a causal
-    /// trace and reports the call's time on the registry clock: entry to
-    /// exit, or on a warm replay its `morph.process_ns` sample.
+    /// trace and times the call only when `sampled`. A sampled call reports
+    /// its time on the registry clock: entry to exit, or on a warm replay
+    /// its `morph.process_ns` sample. An unsampled call reads no clock,
+    /// records no `morph.process_ns` or `pbio.decode_ns` sample and
+    /// returns `None`. Either way every counter counts the message, and a
+    /// cold pass times its decision (`morph.decide_ns` and its parts, once
+    /// per format).
     ///
     /// Every stage of Algorithm 2 this message exercises is recorded as a
     /// span under the context in the [`FlightRecorder`] it comes with. A
@@ -673,9 +683,10 @@ impl MorphReceiver {
     /// `morph.transform` / `morph.default_fill` children). With
     /// `trace == None` the result is exactly `process`'s.
     ///
-    /// A warm replay reads the registry clock at most three times — entry,
-    /// after the projected decode of a morph, exit — and every histogram it
-    /// feeds shares those readings.
+    /// A sampled warm replay reads the registry clock at most three times —
+    /// entry, after the projected decode of a morph, exit — and every
+    /// histogram it feeds shares those readings; an unsampled one reads it
+    /// never.
     ///
     /// # Errors
     ///
@@ -684,22 +695,25 @@ impl MorphReceiver {
         &mut self,
         msg: &[u8],
         trace: Option<(&Arc<FlightRecorder>, TraceCtx)>,
-    ) -> (Result<Delivery>, u64) {
+        sampled: bool,
+    ) -> (Result<Delivery>, Option<u64>) {
         self.trace = trace.map(|(rec, ctx)| TraceSink { rec: Arc::clone(rec), ctx });
-        let entered_ns = self.metrics.clock.now_ns();
+        let entered_ns = sampled.then(|| self.metrics.clock.now_ns());
         let mut warm_ns = None;
         let result = self.process_inner(msg, entered_ns, &mut warm_ns);
         self.trace = None;
-        let total_ns =
-            warm_ns.unwrap_or_else(|| self.metrics.clock.now_ns().saturating_sub(entered_ns));
+        let total_ns = entered_ns.map(|entered_ns| {
+            warm_ns.unwrap_or_else(|| self.metrics.clock.now_ns().saturating_sub(entered_ns))
+        });
         (result, total_ns)
     }
 
-    /// `warm_ns` receives a warm replay's `morph.process_ns` sample.
+    /// `entered_ns` is the sampled call's entry reading, `None` unsampled;
+    /// `warm_ns` receives a sampled warm replay's `morph.process_ns` sample.
     fn process_inner(
         &mut self,
         msg: &[u8],
-        entered_ns: u64,
+        entered_ns: Option<u64>,
         warm_ns: &mut Option<u64>,
     ) -> Result<Delivery> {
         self.metrics.messages.inc();
@@ -743,7 +757,7 @@ impl MorphReceiver {
                 self.cache.insert(id, decision);
                 let (decision, mut applier) = self.cached(id).expect("inserted above");
                 // The sample starts here, as the L2 lookup is cold-path work.
-                let started_ns = applier.metrics.clock.now_ns();
+                let started_ns = entered_ns.map(|_| applier.metrics.clock.now_ns());
                 return applier.replay(decision, msg, started_ns, warm_ns);
             }
         }
@@ -761,7 +775,7 @@ impl MorphReceiver {
                 self.metrics.shared_inserts.inc();
             }
         }
-        self.split().1.apply(&decision, msg, None)
+        self.split().1.apply(&decision, msg, Pass::Cold)
     }
 
     /// The cached decision for `id` next to everything applying it touches:
@@ -927,6 +941,16 @@ fn stage_in(
     apply.and_then(|a| span_in(trace, name, Some(a.id())))
 }
 
+/// How [`Applier::apply`] runs a decision.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// The message that caused the decision: its stages are traced.
+    Cold,
+    /// A replay of a cached decision, timed from the given clock reading
+    /// when its message is sampled.
+    Warm(Option<u64>),
+}
+
 /// What applying a decision touches — metrics, the in-flight trace, the
 /// handlers and the VM's working memory — borrowed apart from the decision
 /// cache ([`MorphReceiver::cached`]). Handlers must not recursively call
@@ -967,35 +991,31 @@ impl Applier<'_> {
         plan.execute(msg)
     }
 
-    /// A warm replay, timed from `started_ns`: whatever the outcome, one
-    /// `morph.process_ns` sample from a single closing clock read, also
-    /// handed back through `sample_ns`.
+    /// A warm replay, timed from `started_ns` when its message is sampled:
+    /// whatever the outcome, one `morph.process_ns` sample from a single
+    /// closing clock read, also handed back through `sample_ns`.
     fn replay(
         &mut self,
         decision: &Decision,
         msg: &[u8],
-        started_ns: u64,
+        started_ns: Option<u64>,
         sample_ns: &mut Option<u64>,
     ) -> Result<Delivery> {
-        let result = self.apply(decision, msg, Some(started_ns));
-        let elapsed_ns = self.metrics.clock.now_ns().saturating_sub(started_ns);
-        self.metrics.process_ns.record(elapsed_ns);
-        *sample_ns = Some(elapsed_ns);
+        let result = self.apply(decision, msg, Pass::Warm(started_ns));
+        if let Some(started_ns) = started_ns {
+            let elapsed_ns = self.metrics.clock.now_ns().saturating_sub(started_ns);
+            self.metrics.process_ns.record(elapsed_ns);
+            *sample_ns = Some(elapsed_ns);
+        }
         result
     }
 
-    /// Applies `decision` to `msg`. `warm_since` is the start of a warm
-    /// replay's timing sample, `None` on the cold pass. Only the cold pass
-    /// traces its stages: a warm replay is a single cached step, so beyond
-    /// `morph.lookup` it records at most the one `morph.apply.fused` span
-    /// of a morph.
-    fn apply(
-        &mut self,
-        decision: &Decision,
-        msg: &[u8],
-        warm_since: Option<u64>,
-    ) -> Result<Delivery> {
-        self.apply_span = if warm_since.is_none() { self.tspan("morph.apply", None) } else { None };
+    /// Applies `decision` to `msg`. Only the cold pass traces its stages: a
+    /// warm replay is a single cached step, so beyond `morph.lookup` it
+    /// records at most the one `morph.apply.fused` span of a morph.
+    fn apply(&mut self, decision: &Decision, msg: &[u8], pass: Pass) -> Result<Delivery> {
+        let cold = matches!(pass, Pass::Cold);
+        self.apply_span = if cold { self.tspan("morph.apply", None) } else { None };
         match decision {
             Decision::Plan { plan, target, .. } => {
                 let value = self.decode(plan, msg)?;
@@ -1004,11 +1024,11 @@ impl Applier<'_> {
             }
             Decision::Morph(m) => {
                 let mut replay_span =
-                    if warm_since.is_some() { self.tspan("morph.apply.fused", None) } else { None };
+                    if cold { None } else { self.tspan("morph.apply.fused", None) };
                 if let Some(s) = replay_span.as_mut() {
                     s.tag("steps", &m.templates.len().to_string());
                 }
-                let value = self.morph(m, msg, warm_since);
+                let value = self.morph(m, msg, pass);
                 // Emptied on every exit: a failed message's values do not
                 // outlive it here.
                 self.roots.clear();
@@ -1035,15 +1055,15 @@ impl Applier<'_> {
     /// index pass, one run of the whole chain reading the message in place
     /// under the message's instruction budget, then the adapting plan if
     /// the decision has one. The first message of a format runs it under the
-    /// cold pass's stage spans; on a warm replay the index pass's share
-    /// (timed from `warm_since`) is read off the clock once and recorded as
-    /// `pbio.decode_ns`.
-    fn morph(&mut self, m: &MorphPlan, msg: &[u8], warm_since: Option<u64>) -> Result<Value> {
+    /// cold pass's stage spans; on a sampled warm replay the index pass's
+    /// share (timed from the replay's start) is read off the clock once and
+    /// recorded as `pbio.decode_ns`.
+    fn morph(&mut self, m: &MorphPlan, msg: &[u8], pass: Pass) -> Result<Value> {
         let view = {
             let _s = self.stage("morph.decode");
             m.decode.index(msg, self.tape)?
         };
-        if let Some(since_ns) = warm_since {
+        if let Pass::Warm(Some(since_ns)) = pass {
             self.metrics.decode_ns.record(self.metrics.clock.now_ns().saturating_sub(since_ns));
         }
         self.roots.clear();
@@ -1393,6 +1413,28 @@ mod tests {
     }
 
     #[test]
+    fn replacing_a_readers_handler_keeps_the_warm_decisions() {
+        let (got1, h1) = sink();
+        let mut rx = MorphReceiver::new();
+        let id1 = rx.register_handler(&v1(), h1);
+        rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+        rx.process(&v2_message(1)).unwrap();
+        assert_eq!(rx.cached_decisions(), 1);
+        // The same reader with a new handler: the decision stays warm and
+        // delivers to the new handler alone.
+        let (got2, h2) = sink();
+        assert_eq!(rx.register_handler(&v1(), h2), id1);
+        assert_eq!(rx.cached_decisions(), 1);
+        assert_eq!(rx.process(&v2_message(1)).unwrap(), Delivery::Delivered(id1));
+        assert_eq!((got1.lock().unwrap().len(), got2.lock().unwrap().len()), (1, 1));
+        let stats = rx.stats();
+        assert_eq!((stats.compiles, stats.cache_hits), (1, 1));
+        // A new reader, by contrast, clears them.
+        rx.register_handler(&v2(), |_| {});
+        assert_eq!(rx.cached_decisions(), 0);
+    }
+
+    #[test]
     fn weighted_policy_changes_admission() {
         use crate::weighted::{WeightProfile, WeightedConfig};
         // The incoming format is missing the reader's critical field; only
@@ -1601,24 +1643,35 @@ mod tests {
         // Fused morph: entry, end of the projected decode, exit — shared by
         // morph.process_ns and pbio.decode_ns.
         let before = reads(&clock);
-        let (result, total_ns) = rx.process_timed(&v2_message(3), None);
+        let (result, total_ns) = rx.process_timed(&v2_message(3), None, true);
         result.unwrap();
         assert_eq!(reads(&clock) - before, 3);
         // The counting clock ticks once per read: the samples are the gaps.
-        assert_eq!(total_ns, 2);
+        assert_eq!(total_ns, Some(2));
         // A plan replay has no decode to split off.
         let before = reads(&clock);
-        let (result, total_ns) = rx.process_timed(&v1_message, None);
+        let (result, total_ns) = rx.process_timed(&v1_message, None, true);
         result.unwrap();
         assert_eq!(reads(&clock) - before, 2);
-        assert_eq!(total_ns, 1);
+        assert_eq!(total_ns, Some(1));
 
-        // Each histogram got its one sample per replay, the call's time
-        // among them.
+        // Unsampled, neither replay reads the clock at all.
+        let before = reads(&clock);
+        for message in [v2_message(3), v1_message] {
+            let (result, total_ns) = rx.process_timed(&message, None, false);
+            result.unwrap();
+            assert_eq!(total_ns, None);
+        }
+        assert_eq!(reads(&clock) - before, 0);
+
+        // Each histogram got its one sample per sampled replay, the call's
+        // time among them; the counters count every replay.
         let snap = rx.registry().snapshot();
         let sample = |name: &str| snap.histogram(name).map(|h| (h.count, h.sum));
         assert_eq!(sample("morph.process_ns"), Some((2, 3)));
         assert_eq!(sample("pbio.decode_ns"), Some((1, 1)));
+        assert_eq!(snap.counter("morph.decision.hit"), Some(4));
+        assert_eq!(snap.counter("morph.vm.register.apply"), Some(3));
     }
 
     /// A morph runs in root and register storage the receiver keeps across
@@ -1850,7 +1903,7 @@ mod tests {
         };
 
         let cold = TraceCtx::root(recorder.next_trace_id());
-        rx.process_timed(&v2_message(3), Some((&recorder, cold))).0.unwrap();
+        rx.process_timed(&v2_message(3), Some((&recorder, cold)), true).0.unwrap();
         assert_eq!(
             tree(cold.trace),
             spans(&[
@@ -1872,7 +1925,7 @@ mod tests {
         assert_eq!(tag("morph.transform", "steps"), Some("1"));
 
         let warm = TraceCtx::root(recorder.next_trace_id());
-        rx.process_timed(&v2_message(3), Some((&recorder, warm))).0.unwrap();
+        rx.process_timed(&v2_message(3), Some((&recorder, warm)), true).0.unwrap();
         assert_eq!(tree(warm.trace), spans(&[("morph.lookup", None), ("morph.apply.fused", None)]));
     }
 

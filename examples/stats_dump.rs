@@ -8,7 +8,9 @@
 //! - `morph.decision.miss` / `morph.decision.hit` — the decision cache
 //!   (Algorithm 2 lines 6–9: one miss per wire format, then hits only).
 //! - `morph.decide_ns` — cold-path latency (one sample per miss, large).
-//! - `morph.process_ns` — warm replay latency (many samples, small).
+//! - `morph.process_ns` — warm replay latency, one sample per sampled
+//!   replay: the timers time one message in 64 (`echo::proto::sampled`),
+//!   while the counters count every message.
 //!
 //! The sink is one process, so one registry holds both of its receivers:
 //! the control plane's, which morphed the creator's v2.0 membership
@@ -52,6 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Before any event, the sink's registry counts its control plane's
     // work alone: the membership responses it morphed.
     let control_hits = sys.control_registry(sink).counter("morph.decision.hit").get();
+    let control_timed = sys.control_registry(sink).histogram("morph.process_ns").count();
 
     // One cold event, then a warm stream.
     for n in 0..=WARM_EVENTS as i64 {
@@ -96,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cold.mean()
     );
     println!(
-        "warm replay:   {} samples, mean {} ns (cached transform + plan)",
+        "warm replay:   {} samples of {hit} replays, mean {} ns (cached transform + plan)",
         warm.count,
         warm.mean()
     );
@@ -111,5 +114,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // response and the event plane's first event.
     assert_eq!(miss, 2, "exactly one cold decision per plane");
     assert_eq!(hit - control_hits, WARM_EVENTS as u64, "every later event hits the cache");
+    // The publisher, the second process, numbers its frames and trace ids
+    // from 1 << 48: its subscribe took two, and each traced publish takes a
+    // trace id and then its frame's seq, so event n travels under seq
+    // (1 << 48) + 3 + 2n. Event 0 is the cold one.
+    let sampled = (1..=WARM_EVENTS as u64)
+        .filter(|n| message_morphing::echo::proto::sampled((1 << 48) + 3 + 2 * n))
+        .count() as u64;
+    assert!(sampled > 0);
+    assert_eq!(warm.count - control_timed, sampled, "one sample per sampled warm event");
     Ok(())
 }

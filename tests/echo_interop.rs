@@ -218,7 +218,9 @@ fn a_looping_retro_transformation_is_quarantined_and_the_next_event_flows() {
 /// A sink's timings nest: the decode of a warm morph (`pbio.decode_ns`, fed
 /// by the fused warm morph and by nothing else — exact matches and the cold
 /// first morph book none) lies inside its replay (`morph.process_ns`), and
-/// every replay inside the deliver stage, which times all events.
+/// every replay inside the deliver stage, which times every event. Each
+/// times only the sampled messages (`echo::proto::sampled`), the same ones
+/// at every stage.
 #[test]
 fn decode_stage_is_fed_by_warm_morphs() {
     let mut sys = EchoSystem::new();
@@ -265,12 +267,21 @@ fn decode_stage_is_fed_by_warm_morphs() {
     }
     sys.run();
     assert_eq!(sys.take_events(old_sink).len(), 202);
+    // The publisher, the second process, numbers its frames and trace ids
+    // from 1 << 48. Its subscribe took two, and each traced publish takes a
+    // trace id and then its frame's seq: event i travels under seq
+    // (1 << 48) + 3 + 2i.
+    let timed = |events: std::ops::Range<u64>| {
+        events.filter(|i| echo::proto::sampled((1 << 48) + 3 + 2 * i)).count() as u64
+    };
+    let warm = timed(2..202);
+    assert!(warm > 0);
     let (decode, process, deliver) = (
         histogram(&sys, "pbio.decode_ns"),
         histogram(&sys, "morph.process_ns"),
         histogram(&sys, "echo.stage.deliver.ns"),
     );
-    assert_eq!((decode.0, process.0, deliver.0), (200, 200, 202));
+    assert_eq!((decode.0, process.0, deliver.0), (warm, warm, timed(0..202)));
     assert!(decode.1 > 0, "200 warm morphs booked no decode time");
     assert!(decode.1 <= process.1, "{decode:?} > {process:?}");
     assert!(process.1 <= deliver.1, "{process:?} > {deliver:?}");
@@ -481,4 +492,42 @@ fn a_resubscribed_sink_shares_decisions_with_its_population() {
     let after = counts(&sys);
     let paid = [after[0] - before[0], after[1] - before[1]];
     assert_eq!(paid, [1, 1], "[compiles, shared hits] of the event");
+}
+
+/// A sink that leaves and subscribes again keeps its warm decisions: the
+/// re-subscribe registers the same reader format with a new handler, which
+/// changes no decision, so the event after it replays the one compiled
+/// before (without shared caches, nothing else could supply it).
+#[test]
+fn a_resubscribe_keeps_the_warm_decisions() {
+    let new = FormatBuilder::record("Sample").int("seq").double("value").int("unit").build_arc();
+    let new = new.unwrap();
+    let old = event_format();
+    let retro = Transformation::new(
+        Arc::clone(&new),
+        Arc::clone(&old),
+        "old.seq = new.seq; old.value = new.value;",
+    );
+    let mut sys = EchoSystem::new();
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let src = sys.add_process("src", EchoVersion::V2);
+    let sink = sys.add_process("sink", EchoVersion::V2);
+    sys.connect_all(LinkParams::lan());
+    let ch = sys.create_channel(creator);
+    sys.distribute_metadata(&[Arc::clone(&new), Arc::clone(&old)], &[retro]);
+    sys.subscribe(src, ch, Role::source(), None).unwrap();
+    sys.subscribe(sink, ch, Role::sink(), Some(&old)).unwrap();
+    sys.run();
+    let event = |seq| Value::Record(vec![Value::Int(seq), Value::Float(2.0), Value::Int(7)]);
+    assert_eq!(sys.publish(src, ch, &new, &event(1)).unwrap(), 1);
+    sys.run();
+    sys.unsubscribe(sink, ch).unwrap();
+    sys.run();
+    sys.subscribe(sink, ch, Role::sink(), Some(&old)).unwrap();
+    sys.run();
+    assert_eq!(sys.publish(src, ch, &new, &event(2)).unwrap(), 1);
+    sys.run();
+    assert_eq!(sys.take_events(sink).len(), 2);
+    let stats = sys.morph_stats(sink);
+    assert_eq!((stats.compiles, stats.morphs), (1, 1), "{stats:?}");
 }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use echo::{EchoConfig, EchoSystem, EchoVersion, QosTier, Role, WallClockDriver};
 use morph::{DeadReason, MetaServer, MorphReceiver, RetryPolicy, Transformation};
-use obs::{Registry, VirtualClock};
+use obs::{Registry, Snapshot, VirtualClock};
 use pbio::{Encoder, FormatBuilder, Value};
 
 /// v2 format, v1 receiver: exactly one miss, then only hits.
@@ -162,16 +162,81 @@ fn a_process_reports_into_one_registry() {
     // plane morphed, one per channel joined.
     let control = registry.counter("morph.messages").get();
     assert_eq!(control, 2);
-    for (n, ch) in (0..5).zip(channels.into_iter().cycle()) {
+    for (n, ch) in (0..120).zip(channels.into_iter().cycle()) {
         sys.publish(publisher, ch, &fmt, &Value::Record(vec![Value::Int(n)])).unwrap();
     }
     sys.run();
     let events = sys.take_events(sink);
-    assert_eq!(events.len(), 5);
-    assert_eq!(events.iter().filter(|(ch, _)| *ch == channels[1]).count(), 2);
+    assert_eq!(events.len(), 120);
+    assert_eq!(events.iter().filter(|(ch, _)| *ch == channels[1]).count(), 60);
+    // The publisher, the second process, numbers its frames and trace ids
+    // from 1 << 48. Its two subscribes took four, and each traced publish
+    // takes a trace id and then its frame's seq: publish n travels under
+    // seq (1 << 48) + 5 + 2n, on channel n % 2. The sampled ones land on
+    // both channels.
+    let timed: Vec<i64> =
+        (0..120).filter(|n| echo::proto::sampled((1 << 48) + 5 + 2 * *n as u64)).collect();
+    assert!(timed.iter().any(|n| n % 2 == 0) && timed.iter().any(|n| n % 2 == 1));
     let snap = registry.snapshot();
-    assert_eq!(snap.counter("morph.messages"), Some(control + 5));
-    assert_eq!(snap.histogram("echo.stage.deliver.ns").unwrap().count, 5);
+    assert_eq!(snap.counter("morph.messages"), Some(control + 120));
+    assert_eq!(snap.histogram("echo.stage.deliver.ns").unwrap().count, timed.len() as u64);
+}
+
+/// The timers sample by message seq (`echo::proto::sampled`), the counters
+/// count every message: after 200 untraced publishes, each sink's
+/// `morph.messages` has grown by 200, while its stage and morph timers —
+/// and the publisher's encode timer — hold one sample per sampled message,
+/// the same messages everywhere.
+#[test]
+fn timers_sample_by_seq_and_counters_count_every_message() {
+    let new = FormatBuilder::record("Tick").int("n").int("scale").build_arc().unwrap();
+    let old = FormatBuilder::record("Tick").int("n").build_arc().unwrap();
+    let retro = Transformation::new(new.clone(), old.clone(), "old.n = new.n * new.scale;");
+    let mut sys = EchoSystem::new();
+    let creator = sys.add_process("creator", EchoVersion::V2);
+    let publisher = sys.add_process("pub", EchoVersion::V2);
+    let morphing = sys.add_process("morphing-sink", EchoVersion::V2);
+    let exact = sys.add_process("exact-sink", EchoVersion::V2);
+    sys.connect_all(simnet::LinkParams::lan());
+    sys.distribute_metadata(&[new.clone(), old.clone()], &[retro]);
+    let ch = sys.create_channel(creator);
+    sys.subscribe(publisher, ch, Role::source(), None).unwrap();
+    sys.subscribe(morphing, ch, Role::sink(), Some(&old)).unwrap();
+    sys.subscribe(exact, ch, Role::sink(), Some(&new)).unwrap();
+    sys.run();
+    sys.set_tracing(false);
+
+    let sinks = [morphing, exact];
+    let before: Vec<Snapshot> = sinks.iter().map(|&p| sys.control_registry(p).snapshot()).collect();
+    for n in 0..200 {
+        sys.publish(publisher, ch, &new, &Value::Record(vec![Value::Int(n), Value::Int(3)]))
+            .unwrap();
+    }
+    sys.run();
+
+    // The publisher, the second process, numbers its frames and trace ids
+    // from 1 << 48. Its subscribe took two, and an untraced publish takes
+    // one: publish n travels under seq (1 << 48) + 2 + n.
+    let timed = |publishes: std::ops::Range<u64>| {
+        publishes.filter(|n| echo::proto::sampled((1 << 48) + 2 + n)).count() as u64
+    };
+    let (all, warm) = (timed(0..200), timed(1..200));
+    assert!(warm > 0 && all < 200);
+    let encode = sys.control_registry(publisher).snapshot();
+    assert_eq!(encode.histogram("echo.stage.encode.ns").unwrap().count, all);
+    for (&sink, before) in sinks.iter().zip(&before) {
+        assert_eq!(sys.take_events(sink).len(), 200);
+        let after = sys.control_registry(sink).snapshot();
+        let delta = after.delta(before);
+        let grew = |name: &str| delta.histogram_counts.iter().find(|(n, _)| n == name).unwrap().1;
+        assert_eq!(delta.counter("morph.messages"), Some(200), "{sink:?}");
+        assert_eq!(grew("echo.stage.unframe.ns"), all, "{sink:?}");
+        assert_eq!(grew("echo.stage.deliver.ns"), all, "{sink:?}");
+        // The first event of the stream is cold: no replay to time.
+        assert_eq!(grew("morph.process_ns"), warm, "{sink:?}");
+        let decode = after.histogram("pbio.decode_ns").unwrap().count;
+        assert_eq!(decode, if sink == morphing { warm } else { 0 }, "{sink:?}");
+    }
 }
 
 /// Names registered under `registry`, as the snapshot lists them.

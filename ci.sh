@@ -168,7 +168,7 @@ FRAME_SEED="$frame" cargo test -q -p echo --lib node::tests::resealed_header
 
 echo "==> examples (offline smoke runs; each asserts its own output)"
 for ex in quickstart stats_dump echo_evolution trace_dump qos_telemetry self_telemetry vm_dump \
-    b2b_broker format_server load_monitor weighted_matching; do
+    b2b_broker format_server load_monitor; do
     echo "    cargo run --release --example $ex"
     cargo run -q --release --example "$ex" >/dev/null
 done

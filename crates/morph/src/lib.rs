@@ -10,7 +10,7 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | `diff` (Algorithm 1), weight `W_f`, Mismatch Ratio | [`diff`], [`type_weight`], [`mismatch_ratio`] |
+//! | `diff` (Algorithm 1), weight `W_f` (basic fields, each counting 1), Mismatch Ratio | [`diff`], [`type_weight`], [`mismatch_ratio`] |
 //! | `MaxMatch` with `DIFF_THRESHOLD` / `MISMATCH_THRESHOLD` | [`max_match`], [`MatchConfig`] |
 //! | Retro-transformations attached to formats (Fig. 1, Fig. 5) | [`Transformation`], [`TransformationRegistry`] |
 //! | Receiver-side processing with caching (Algorithm 2) | [`MorphReceiver`] |
@@ -52,7 +52,6 @@ mod error;
 mod matching;
 pub mod metaserver;
 mod receiver;
-pub mod weighted;
 mod xform;
 
 pub use deadletter::{DeadLetter, DeadLetterQueue, DeadReason};
@@ -61,9 +60,7 @@ pub use matching::{
     diff, max_match, mismatch_ratio, type_weight, MatchConfig, MatchQuality, MaxMatch,
 };
 pub use metaserver::{process_with_resolution, MetaClient, MetaServer, RetryPolicy};
-pub use receiver::{
-    DecisionCache, DefaultHandler, Delivery, Explanation, Handler, MorphReceiver, MorphStats,
-};
+pub use receiver::{DecisionCache, Delivery, Explanation, MorphReceiver, MorphStats};
 pub use xform::{
     CompiledChain, CompiledXform, ReachableFormat, Transformation, TransformationRegistry,
 };

@@ -24,16 +24,15 @@ use pbio::{
 
 use crate::error::{MorphError, Result};
 use crate::matching::{max_match, MatchConfig, MaxMatch};
-use crate::weighted::{weighted_max_match, WeightProfile, WeightedConfig};
 use crate::xform::{fuel_for, CompiledChain, Transformation, TransformationRegistry};
 
 /// A message handler: receives the decoded (and possibly morphed) value,
 /// shaped by the reader format it was registered for.
-pub type Handler = Box<dyn FnMut(Value) + Send>;
+type Handler = Box<dyn FnMut(Value) + Send>;
 
 /// The default handler: receives messages no reader format admitted, along
 /// with the wire format they were decoded by.
-pub type DefaultHandler = Box<dyn FnMut(&Arc<RecordFormat>, Value) + Send>;
+type DefaultHandler = Box<dyn FnMut(&Arc<RecordFormat>, Value) + Send>;
 
 /// How a processed message was disposed of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,19 +91,6 @@ impl std::fmt::Display for Explanation {
             Explanation::DefaultHandler => write!(f, "default handler"),
             Explanation::Rejected => write!(f, "rejected"),
         }
-    }
-}
-
-/// A chosen (incoming, reader) pair, policy-independent.
-struct Selected {
-    from: usize,
-    to: usize,
-    perfect: bool,
-}
-
-impl<M: PartialOrd> From<MaxMatch<M>> for Selected {
-    fn from(m: MaxMatch<M>) -> Selected {
-        Selected { from: m.from, to: m.to, perfect: m.quality.is_perfect() }
     }
 }
 
@@ -339,9 +325,6 @@ impl RxMetrics {
 /// ```
 pub struct MorphReceiver {
     config: MatchConfig,
-    /// When set, MaxMatch runs importance-weighted (the paper's §6 future
-    /// work) instead of field-count-based.
-    weights: Option<(WeightProfile, WeightedConfig)>,
     /// Out-of-band meta-data: wire formats this receiver has learned.
     known: FormatRegistry,
     /// Out-of-band meta-data: retro-transformations keyed by source format.
@@ -423,7 +406,6 @@ impl MorphReceiver {
     fn with_config_and_registry(config: MatchConfig, registry: Arc<Registry>) -> MorphReceiver {
         MorphReceiver {
             config,
-            weights: None,
             known: FormatRegistry::new(),
             xforms: TransformationRegistry::new(),
             readers: Vec::new(),
@@ -509,9 +491,6 @@ impl MorphReceiver {
     /// (`morph.decision.shared_insert`). Receivers only ever see entries
     /// computed under their own compatibility fingerprint, so attaching
     /// one cache to heterogeneous receivers is safe.
-    ///
-    /// Weighted receivers ([`MorphReceiver::set_weight_profile`]) never
-    /// consult or populate the shared cache.
     pub fn set_shared_decisions(&mut self, cache: DecisionCache) {
         self.shared = Some(cache);
     }
@@ -626,28 +605,14 @@ impl MorphReceiver {
         })
     }
 
-    /// Switches format matching to the importance-weighted variant: fields
-    /// matching heavier patterns dominate admission and ranking decisions
-    /// (see [`crate::weighted`]). Clears cached decisions.
-    pub fn set_weight_profile(&mut self, profile: WeightProfile, config: WeightedConfig) {
-        self.weights = Some((profile, config));
-        self.cache.clear();
-        self.fingerprint = None;
-    }
-
-    /// The paper's MaxMatch under the receiver's active policy: the one
-    /// traversal, weighing by field count or by the importance profile.
-    /// "Perfect" is structural under both, so zero-weight differences still
-    /// route through the adapting plan.
-    fn select(&self, set1: &[Arc<RecordFormat>], set2: &[Arc<RecordFormat>]) -> Option<Selected> {
+    /// The paper's MaxMatch under the receiver's thresholds, counted and
+    /// timed.
+    fn select(&self, set1: &[Arc<RecordFormat>], set2: &[Arc<RecordFormat>]) -> Option<MaxMatch> {
         // Search cost scales with the candidate cross-product (every
         // (incoming, reader) pair is diffed), so that is what we count.
         self.metrics.maxmatch_candidates.add((set1.len() * set2.len()) as u64);
         let _span = self.metrics.timer(&self.metrics.maxmatch_ns);
-        match &self.weights {
-            None => max_match(set1, set2, &self.config).map(Into::into),
-            Some((profile, cfg)) => weighted_max_match(set1, set2, profile, cfg).map(Into::into),
-        }
+        max_match(set1, set2, &self.config)
     }
 
     /// Processes one incoming wire message (Algorithm 2).
@@ -743,9 +708,8 @@ impl MorphReceiver {
         }
 
         // L2: another receiver with the same compatibility fingerprint may
-        // already have paid for this decision. Weighted matching is excluded
-        // (profiles are per-receiver and not part of the fingerprint).
-        if self.shared.is_some() && self.weights.is_none() {
+        // already have paid for this decision.
+        if self.shared.is_some() {
             let fp = self.compat_fingerprint();
             let cached = self.shared.as_ref().and_then(|s| s.get(fp, id));
             if let Some(decision) = cached {
@@ -768,12 +732,10 @@ impl MorphReceiver {
             Arc::new(self.decide(id)?)
         };
         self.cache.insert(id, Arc::clone(&decision));
-        if self.weights.is_none() {
-            if let Some(shared) = self.shared.clone() {
-                let fp = self.compat_fingerprint();
-                shared.insert(fp, id, Arc::clone(&decision));
-                self.metrics.shared_inserts.inc();
-            }
+        if let Some(shared) = self.shared.clone() {
+            let fp = self.compat_fingerprint();
+            shared.insert(fp, id, Arc::clone(&decision));
+            self.metrics.shared_inserts.inc();
         }
         self.split().1.apply(&decision, msg, Pass::Cold)
     }
@@ -824,7 +786,7 @@ impl MorphReceiver {
         // Line 11: MaxMatch(fm, Fr) — perfect match short-circuit.
         let mm_span = self.tspan("morph.maxmatch", dparent);
         if let Some(m) = self.select(std::slice::from_ref(&fm), &readers) {
-            if m.perfect {
+            if m.quality.is_perfect() {
                 if let Some(s) = mm_span {
                     s.finish();
                 }
@@ -907,8 +869,11 @@ impl MorphReceiver {
         let routes = program.routes(&decode);
         // Lines 28–30: a near match of the reader is default-filled by the
         // plan near matches of the wire format take, shared the same way.
-        let adapter =
-            if m.perfect { None } else { Some(self.plans.get_or_compile(&chosen.format, target)?) };
+        let adapter = if m.quality.is_perfect() {
+            None
+        } else {
+            Some(self.plans.get_or_compile(&chosen.format, target)?)
+        };
         if let Some(s) = decide_span.as_mut() {
             s.tag("outcome", "morph");
         }
@@ -1432,96 +1397,6 @@ mod tests {
         // A new reader, by contrast, clears them.
         rx.register_handler(&v2(), |_| {});
         assert_eq!(rx.cached_decisions(), 0);
-    }
-
-    #[test]
-    fn weighted_policy_changes_admission() {
-        use crate::weighted::{WeightProfile, WeightedConfig};
-        // The incoming format is missing the reader's critical field; only
-        // unimportant fields match.
-        let incoming = FormatBuilder::record("Load")
-            .int("debug_a")
-            .int("debug_b")
-            .int("debug_c")
-            .build_arc()
-            .unwrap();
-        let reader = FormatBuilder::record("Load")
-            .int("price")
-            .int("debug_a")
-            .int("debug_b")
-            .int("debug_c")
-            .build_arc()
-            .unwrap();
-        let wire = Encoder::new(&incoming)
-            .encode(&Value::Record(vec![Value::Int(1), Value::Int(2), Value::Int(3)]))
-            .unwrap();
-
-        // Unweighted, permissive thresholds: 1 missing field out of 4 -> Mr
-        // 0.25, admitted.
-        let (got, h) = sink();
-        let mut rx = MorphReceiver::with_config(crate::matching::MatchConfig {
-            diff_threshold: 8,
-            mismatch_threshold: 0.3,
-        });
-        rx.register_handler(&reader, h);
-        rx.import_format(incoming.clone());
-        assert!(matches!(rx.process(&wire).unwrap(), Delivery::Delivered(_)));
-        assert_eq!(got.lock().unwrap().len(), 1);
-
-        // Weighted: price carries almost all the importance, so the same
-        // message is now inadmissible.
-        let (got2, h2) = sink();
-        let mut rx2 = MorphReceiver::new();
-        rx2.register_handler(&reader, h2);
-        rx2.import_format(incoming.clone());
-        rx2.set_weight_profile(
-            WeightProfile::new().weight("price", 100.0).weight("debug_*", 0.1),
-            WeightedConfig { diff_threshold: 8.0, mismatch_threshold: 0.3 },
-        );
-        assert_eq!(rx2.process(&wire).unwrap(), Delivery::Rejected);
-        assert!(got2.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn weighted_policy_still_short_circuits_perfect_matches() {
-        use crate::weighted::{WeightProfile, WeightedConfig};
-        let fmt = FormatBuilder::record("M").int("a").int("b").build_arc().unwrap();
-        let (got, h) = sink();
-        let mut rx = MorphReceiver::new();
-        rx.register_handler(&fmt, h);
-        rx.set_weight_profile(
-            WeightProfile::new().weight("a", 5.0),
-            WeightedConfig { diff_threshold: 0.0, mismatch_threshold: 0.0 },
-        );
-        let wire =
-            Encoder::new(&fmt).encode(&Value::Record(vec![Value::Int(1), Value::Int(2)])).unwrap();
-        assert!(matches!(rx.process(&wire).unwrap(), Delivery::Delivered(_)));
-        assert_eq!(rx.stats().exact_matches, 1);
-        drop(got);
-    }
-
-    #[test]
-    fn setting_weights_invalidates_cache() {
-        use crate::weighted::{WeightProfile, WeightedConfig};
-        let incoming = FormatBuilder::record("M").int("junk").int("keep").build_arc().unwrap();
-        let reader = FormatBuilder::record("M").int("keep").int("vital").build_arc().unwrap();
-        let wire = Encoder::new(&incoming)
-            .encode(&Value::Record(vec![Value::Int(1), Value::Int(2)]))
-            .unwrap();
-        let (_, h) = sink();
-        let mut rx = MorphReceiver::new();
-        rx.register_handler(&reader, h);
-        rx.import_format(incoming);
-        // Default policy admits (Mr = 0.5 at the default threshold).
-        assert!(matches!(rx.process(&wire).unwrap(), Delivery::Delivered(_)));
-        assert_eq!(rx.cached_decisions(), 1);
-        // Tight weighted policy: vital dominates -> reject from now on.
-        rx.set_weight_profile(
-            WeightProfile::new().weight("vital", 50.0),
-            WeightedConfig { diff_threshold: 10.0, mismatch_threshold: 0.2 },
-        );
-        assert_eq!(rx.cached_decisions(), 0);
-        assert_eq!(rx.process(&wire).unwrap(), Delivery::Rejected);
     }
 
     #[test]
@@ -2087,20 +1962,6 @@ mod tests {
         assert_eq!(b.registry().snapshot().counter("morph.decision.shared_hit"), Some(0));
         assert_eq!(b.registry().snapshot().counter("morph.decision.shared_insert"), Some(1));
         assert_eq!(shared.len(), 2);
-    }
-
-    #[test]
-    fn weighted_receivers_bypass_the_shared_cache() {
-        use crate::weighted::{WeightProfile, WeightedConfig};
-        let shared = DecisionCache::new();
-        let (_, mut a) = v1_subscriber(&shared);
-        a.set_weight_profile(
-            WeightProfile::new().weight("member_count", 1.0),
-            WeightedConfig { diff_threshold: 100.0, mismatch_threshold: 1.0 },
-        );
-        a.process(&v2_message(1)).unwrap();
-        assert_eq!(shared.len(), 0, "weighted decisions must stay private");
-        assert_eq!(a.registry().snapshot().counter("morph.decision.shared_insert"), Some(0));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 # detached benchmark/ workspace has an external dependency, so every step
 # runs with no network access: format, the pin on the one `unsafe` block
 # (the frame CRC's call into its carry-less-multiply kernel), lints, docs,
-# every test (the paper's exact Table 1 and link-latency figures among
-# them, tests/paper.rs), the chaos seed matrix, and ten loops on fresh
+# the heap bounds of tests/heap.rs on the release build, every test (the
+# paper's exact Table 1 and link-latency figures among them,
+# tests/paper.rs), the chaos seed matrix, and ten loops on fresh
 # seeds — chaos, the seeded sharded-runtime scenario, the pbio and
 # meta-data mutation loops, the engine differentials, the dedup window's
 # oracle test, the fragment reassembly model test, the histogram's model
@@ -58,6 +59,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 echo "==> cargo build --release (offline-capable)"
 cargo build --release
+
+echo "==> heap bounds, release build (the test step below runs them unoptimised)"
+# tests/heap.rs pins what a fan-out sink holds, among other byte counts, in
+# both profiles; this step holds the optimised build to them.
+cargo test -q --release --test heap
 
 echo "==> cargo test -q --workspace (every crate: units, integration, properties)"
 cargo test -q --workspace

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use morph::{
-    deadletter, DeadLetterQueue, DeadReason, DecisionCache, Delivery, MorphReceiver, Transformation,
+    deadletter, Catalog, DeadLetterQueue, DeadReason, DecisionCache, Delivery, MorphReceiver,
 };
 use obs::{ActiveSpan, FlightRecorder, Histogram, Registry, TraceCtx, TraceId};
 use pbio::{Encoder, RecordFormat, Value, WireBytes};
@@ -185,9 +185,14 @@ pub(crate) struct NodeState {
     /// every event receiver report `morph.*` / `pbio.*` into it, beside
     /// the process's stage timings.
     registry: Arc<Registry>,
-    control_rx: MorphReceiver,
-    requests: ControlInbox,
-    responses: ControlInbox,
+    /// The control-plane receiver and its inboxes, made by the first
+    /// control frame this process handles: a sink that only receives
+    /// events never has one.
+    control: Option<Box<ControlPlane>>,
+    /// The out-of-band meta-data every receiver of this process is seeded
+    /// from — in an [`crate::EchoSystem`], the one catalog all its
+    /// processes share.
+    catalog: Arc<Catalog>,
     /// One record per channel this process knows of, sorted by id: a
     /// frame resolves its channel's slot once and indexes from there on.
     channels: Vec<ChannelState>,
@@ -200,9 +205,6 @@ pub(crate) struct NodeState {
     deliver_ns: Arc<Histogram>,
     events: EventInbox,
     next_member_id: i64,
-    /// Transformations to seed into future per-channel event receivers.
-    shared_xforms: Vec<Transformation>,
-    shared_formats: Vec<Arc<RecordFormat>>,
     /// Next outgoing frame sequence number.
     pub(crate) next_seq: u64,
     /// This process's incarnation number, stamped on every outgoing frame.
@@ -236,6 +238,38 @@ pub(crate) struct NodeState {
     /// is paid once per compatible receiver population instead of once per
     /// receiver.
     shared_decisions: Option<DecisionCache>,
+}
+
+/// The control plane of a process: the receiver its `ChannelOpenRequest`s
+/// and `ChannelOpenResponse`s morph through, and the inboxes its handlers
+/// fill for [`NodeState::handle_control`] to drain.
+struct ControlPlane {
+    rx: MorphReceiver,
+    requests: ControlInbox,
+    responses: ControlInbox,
+}
+
+impl ControlPlane {
+    /// A control plane reading `version`'s response format, reporting into
+    /// `registry`.
+    fn new(version: EchoVersion, registry: &Arc<Registry>) -> ControlPlane {
+        let requests: ControlInbox = Arc::new(Mutex::new(Vec::new()));
+        let responses: ControlInbox = Arc::new(Mutex::new(Vec::new()));
+        let mut rx = MorphReceiver::with_registry(Arc::clone(registry));
+        let req_sink = Arc::clone(&requests);
+        rx.register_handler(&proto::channel_open_request(), move |v| {
+            req_sink.lock().expect("inbox lock").push(v);
+        });
+        let resp_fmt = match version {
+            EchoVersion::V1 => proto::channel_open_response_v1(),
+            EchoVersion::V2 => proto::channel_open_response_v2(),
+        };
+        let resp_sink = Arc::clone(&responses);
+        rx.register_handler(&resp_fmt, move |v| {
+            resp_sink.lock().expect("inbox lock").push(v);
+        });
+        ControlPlane { rx, requests, responses }
+    }
 }
 
 /// Everything a process keeps about one channel.
@@ -303,21 +337,6 @@ impl NodeState {
         books: Arc<DeadLetterBooks>,
         registry: Arc<Registry>,
     ) -> NodeState {
-        let requests: ControlInbox = Arc::new(Mutex::new(Vec::new()));
-        let responses: ControlInbox = Arc::new(Mutex::new(Vec::new()));
-        let mut control_rx = MorphReceiver::with_registry(Arc::clone(&registry));
-        let req_sink = Arc::clone(&requests);
-        control_rx.register_handler(&proto::channel_open_request(), move |v| {
-            req_sink.lock().expect("inbox lock").push(v);
-        });
-        let resp_fmt = match version {
-            EchoVersion::V1 => proto::channel_open_response_v1(),
-            EchoVersion::V2 => proto::channel_open_response_v2(),
-        };
-        let resp_sink = Arc::clone(&responses);
-        control_rx.register_handler(&resp_fmt, move |v| {
-            resp_sink.lock().expect("inbox lock").push(v);
-        });
         NodeState {
             name,
             version,
@@ -325,14 +344,11 @@ impl NodeState {
             unframe_ns: registry.histogram("echo.stage.unframe.ns"),
             deliver_ns: registry.histogram("echo.stage.deliver.ns"),
             registry,
-            control_rx,
-            requests,
-            responses,
+            control: None,
+            catalog: Arc::default(),
             channels: Vec::new(),
             events: Arc::new(Mutex::new(Vec::new())),
             next_member_id: 1,
-            shared_xforms: Vec::new(),
-            shared_formats: Vec::new(),
             next_seq: 0,
             epoch: 0,
             peer_epochs: HashMap::new(),
@@ -353,11 +369,32 @@ impl NodeState {
     /// receivers with different readers or transformations never exchange
     /// decisions.
     pub fn enable_shared_caches(&mut self, decisions: DecisionCache) {
-        self.control_rx.set_shared_decisions(decisions.clone());
-        for rx in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
+        for rx in self.receivers_mut() {
             rx.set_shared_decisions(decisions.clone());
         }
         self.shared_decisions = Some(decisions);
+    }
+
+    /// Every receiver this process has made: its control plane's, if it
+    /// handled a control frame, and each channel's event plane.
+    fn receivers_mut(&mut self) -> impl Iterator<Item = &mut MorphReceiver> {
+        let control = self.control.as_deref_mut().map(|c| &mut c.rx);
+        control.into_iter().chain(self.channels.iter_mut().filter_map(|c| c.plane.as_mut()))
+    }
+
+    /// The control plane, made on first use and seeded then from the
+    /// process's catalog and the shared decision cache.
+    fn control_plane(&mut self) -> &mut ControlPlane {
+        let (version, registry) = (self.version, &self.registry);
+        let (catalog, decisions) = (&self.catalog, &self.shared_decisions);
+        self.control.get_or_insert_with(|| {
+            let mut plane = ControlPlane::new(version, registry);
+            plane.rx.import_catalog(catalog);
+            if let Some(decisions) = decisions {
+                plane.rx.set_shared_decisions(decisions.clone());
+            }
+            Box::new(plane)
+        })
     }
 
     /// Attaches the system flight recorder: incoming frames that carry a
@@ -454,13 +491,12 @@ impl NodeState {
         let dedup = self.dedup.forget();
         self.peer_epochs.clear();
         let (mut watermarks, mut partials) = (0, 0u16);
-        let mut decisions = self.control_rx.invalidate_decisions();
+        let decisions = self.receivers_mut().map(MorphReceiver::invalidate_decisions).sum();
         for at in 0..self.channels.len() {
             let ch = &mut self.channels[at];
             watermarks += ch.latest_seq.len();
             ch.latest_seq.clear();
             ch.sink_index = None;
-            decisions += ch.plane.as_mut().map_or(0, MorphReceiver::invalidate_decisions);
             for p in ch.reassembly.drain_all() {
                 self.dead_letter_partial(DeadReason::CrashLost, "crash", &p, "crash");
                 partials += 1;
@@ -559,22 +595,14 @@ impl NodeState {
         &self.dlq
     }
 
-    /// Learns out-of-band meta-data (formats + transformations), seeding
-    /// both the control receiver and every event receiver.
-    pub fn import_metadata(&mut self, formats: &[Arc<RecordFormat>], xforms: &[Transformation]) {
-        for f in formats {
-            self.control_rx.import_format(Arc::clone(f));
-            for rx in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
-                rx.import_format(Arc::clone(f));
-            }
-            self.shared_formats.push(Arc::clone(f));
-        }
-        for t in xforms {
-            self.control_rx.import_transformation(t.clone());
-            for rx in self.channels.iter_mut().filter_map(|c| c.plane.as_mut()) {
-                rx.import_transformation(t.clone());
-            }
-            self.shared_xforms.push(t.clone());
+    /// Learns out-of-band meta-data: everything `catalog` holds, which the
+    /// process and every receiver it has made or will make then share
+    /// (see [`MorphReceiver::import_catalog`]).
+    pub fn import_metadata(&mut self, catalog: &Arc<Catalog>) {
+        Catalog::import_all(&mut self.catalog, catalog);
+        let catalog = Arc::clone(&self.catalog);
+        for rx in self.receivers_mut() {
+            rx.import_catalog(&catalog);
         }
     }
 
@@ -597,12 +625,7 @@ impl NodeState {
         rx.register_handler(format, move |v| {
             sink.lock().expect("event lock").push((channel, v));
         });
-        for f in &self.shared_formats {
-            rx.import_format(Arc::clone(f));
-        }
-        for t in &self.shared_xforms {
-            rx.import_transformation(t.clone());
-        }
+        rx.import_catalog(&self.catalog);
     }
 
     /// The slot of `channel`'s record, or where it would be inserted.
@@ -988,12 +1011,14 @@ impl NodeState {
         frame: &proto::Frame<'_>,
         ctx: Option<TraceCtx>,
     ) -> Result<Vec<Outgoing>, EchoError> {
-        let (traced, sampled) = (self.recorder.as_ref().zip(ctx), proto::sampled(frame.seq));
-        self.control_rx.process_timed(frame.payload, traced, sampled).0?;
+        let (traced, sampled) = (self.recorder.clone(), proto::sampled(frame.seq));
+        let control = self.control_plane();
+        control.rx.process_timed(frame.payload, traced.as_ref().zip(ctx), sampled).0?;
+        let reqs: Vec<Value> = control.requests.lock().expect("inbox lock").drain(..).collect();
+        let resps: Vec<Value> = control.responses.lock().expect("inbox lock").drain(..).collect();
         let mut out = Vec::new();
 
         // Requests: only meaningful at channel creators.
-        let reqs: Vec<Value> = self.requests.lock().expect("inbox lock").drain(..).collect();
         for req in reqs {
             let fmt = proto::channel_open_request();
             let channel = proto::channel_of(&req, &fmt).ok_or(EchoError::MalformedFrame)?;
@@ -1044,7 +1069,6 @@ impl NodeState {
 
         // Responses: refresh membership views (a creator's own list stays
         // authoritative).
-        let resps: Vec<Value> = self.responses.lock().expect("inbox lock").drain(..).collect();
         for resp in resps {
             let (fmt, members) = match self.version {
                 EchoVersion::V1 => {
@@ -1467,8 +1491,11 @@ mod tests {
             NodeState::with_registry("sink".into(), EchoVersion::V2, books(), registry.clone());
         let old = pbio::FormatBuilder::record("Tick").int("n").build_arc().unwrap();
         let new = pbio::FormatBuilder::record("Tick").int("n").int("scale").build_arc().unwrap();
-        let retro = Transformation::new(new.clone(), old.clone(), "old.n = new.n * new.scale;");
-        node.import_metadata(&[old.clone(), new.clone()], &[retro]);
+        let retro =
+            morph::Transformation::new(new.clone(), old.clone(), "old.n = new.n * new.scale;");
+        let mut catalog = Catalog::new();
+        catalog.import_transformation(retro);
+        node.import_metadata(&Arc::new(catalog));
         node.expect_events(ChannelId(1), &old);
         let event = Value::Record(vec![Value::Int(2), Value::Int(3)]);
         let event = Encoder::new(&new).encode(&event).unwrap();
@@ -1499,18 +1526,69 @@ mod tests {
         assert_eq!(node.take_events().len(), 4);
     }
 
+    /// A creator, a sink subscribed by the handshake and a provisioned
+    /// one, on one channel whose events morph from `Tick` v2 to v1 through
+    /// distributed meta-data; one event published and run.
+    fn subscribed_and_provisioned() -> (crate::EchoSystem, [usize; 3]) {
+        let mut sys = crate::EchoSystem::new();
+        let creator = sys.add_process("creator", EchoVersion::V2);
+        let [subscribed, provisioned] =
+            ["subscribed", "provisioned"].map(|n| sys.add_process(n, EchoVersion::V1));
+        sys.connect_all(simnet::LinkParams::lan());
+        let old = pbio::FormatBuilder::record("Tick").int("n").build_arc().unwrap();
+        let new = pbio::FormatBuilder::record("Tick").int("n").int("scale").build_arc().unwrap();
+        let retro =
+            morph::Transformation::new(new.clone(), old.clone(), "old.n = new.n * new.scale;");
+        sys.distribute_metadata(&[old.clone(), new.clone()], &[retro]);
+        let ch = sys.create_channel(creator);
+        sys.subscribe(subscribed, ch, Role::sink(), Some(&old)).unwrap();
+        sys.run();
+        // Provisioned after the handshake's response broadcast.
+        sys.provision_sink(provisioned, ch, &old).unwrap();
+        let event = Value::Record(vec![Value::Int(2), Value::Int(3)]);
+        sys.publish(creator, ch, &new, &event).unwrap();
+        sys.run();
+        for sink in [subscribed, provisioned] {
+            let got = sys.take_events(sink);
+            assert_eq!(got, [(ch, Value::Record(vec![Value::Int(6)]))], "{sink:?}");
+        }
+        (sys, [creator, subscribed, provisioned].map(|p| p.0))
+    }
+
     #[test]
-    fn processes_share_one_text_of_a_transformation() {
-        // Every process imports the control-plane transformations, as
-        // `EchoSystem::add_process` does; none copies the Ecode text.
-        let [a, b] = ["a", "b"].map(|name| {
-            let mut node = NodeState::new(name.into(), EchoVersion::V1, books());
-            node.import_metadata(&[], &[proto::response_retro_transformation()]);
-            node
-        });
-        let text = |node: &NodeState| node.shared_xforms[0].source().as_ptr();
-        assert_eq!(text(&a), text(&b));
-        assert_eq!(text(&a), proto::response_retro_transformation().source().as_ptr());
+    fn only_a_process_that_handles_a_control_frame_builds_a_control_plane() {
+        let (sys, [creator, subscribed, provisioned]) = subscribed_and_provisioned();
+        // The creator handled the request, the subscriber its response;
+        // the provisioned sink only ever received an event.
+        assert!(sys.nodes[creator].control.is_some());
+        assert!(sys.nodes[subscribed].control.is_some());
+        assert!(sys.nodes[provisioned].control.is_none());
+    }
+
+    #[test]
+    fn processes_share_one_catalog() {
+        // Every process and every receiver it made holds the system's one
+        // catalog — the control-plane set `add_process` ships plus what
+        // `distribute_metadata` added — and none copies a transformation's
+        // Ecode text.
+        let (mut sys, [creator, ..]) = subscribed_and_provisioned();
+        let catalog = Arc::clone(&sys.nodes[creator].catalog);
+        assert_eq!(catalog.transformations().iter().count(), 3);
+        let mut receivers = 0;
+        for node in &mut sys.nodes {
+            let name = node.name.clone();
+            assert!(Arc::ptr_eq(&node.catalog, &catalog), "{name}");
+            for rx in node.receivers_mut() {
+                assert!(Arc::ptr_eq(rx.catalog(), &catalog), "{name}");
+                receivers += 1;
+            }
+        }
+        // Two control planes, two event planes.
+        assert_eq!(receivers, 4);
+        let retro = proto::response_retro_transformation();
+        let held = catalog.transformations().outgoing(retro.from_id());
+        let text = held.iter().find(|t| t.to_id() == retro.to_id()).unwrap().source();
+        assert_eq!(text.as_ptr(), retro.source().as_ptr());
     }
 
     #[test]

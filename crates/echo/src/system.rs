@@ -7,9 +7,11 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use morph::{DeadLetter, DeadReason, DecisionCache, MorphStats, RetryPolicy, Transformation};
+use morph::{
+    Catalog, DeadLetter, DeadReason, DecisionCache, MorphStats, RetryPolicy, Transformation,
+};
 use obs::{FlightRecorder, Registry, TraceCtx, TraceId};
-use pbio::{Encoder, RecordFormat, Value, WireBytes};
+use pbio::{format_id, Encoder, RecordFormat, Value, WireBytes};
 use simnet::{FaultPlan, FaultStats, LinkParams, NetError, Network, NodeId};
 
 use crate::frag;
@@ -94,6 +96,10 @@ pub struct EchoSystem {
     /// transition names its process directly.
     pub(crate) net_ids: Vec<NodeId>,
     pub(crate) by_contact: HashMap<String, usize>,
+    /// The out-of-band meta-data every process knows — the control-plane
+    /// set plus whatever [`EchoSystem::distribute_metadata`] added — as
+    /// one catalog that every process and receiver shares.
+    catalog: Arc<Catalog>,
     /// Channel directory: which process created each channel.
     directory: HashMap<ChannelId, usize>,
     next_channel: u32,
@@ -179,11 +185,18 @@ impl EchoSystem {
         let recorder = Arc::new(FlightRecorder::new(TRACE_CAPACITY, Arc::new(net.virtual_clock())));
         net.attach_recorder(Arc::clone(&recorder));
         let retry = RetryQueue::new(config.retry_policy, config.retry_queue_capacity);
+        // The standard control-plane meta-data, shipped with every process.
+        let mut catalog = Catalog::new();
+        catalog.import_format(proto::channel_open_response_v1());
+        catalog.import_format(proto::channel_open_response_v2());
+        catalog.import_transformation(proto::response_retro_transformation());
+        catalog.import_transformation(proto::response_forward_transformation());
         EchoSystem {
             net,
             nodes: Vec::new(),
             net_ids: Vec::new(),
             by_contact: HashMap::new(),
+            catalog: Arc::new(catalog),
             directory: HashMap::new(),
             next_channel: 1,
             journals: Journals::new(&registry),
@@ -216,11 +229,7 @@ impl EchoSystem {
         let name = name.into();
         let books = Arc::clone(&self.metrics.deadletters);
         let mut node = NodeState::new(name.clone(), version, books);
-        // Ship the standard control-plane meta-data with every process.
-        node.import_metadata(
-            &[proto::channel_open_response_v1(), proto::channel_open_response_v2()],
-            &[proto::response_retro_transformation(), proto::response_forward_transformation()],
-        );
+        node.import_metadata(&self.catalog);
         // Disjoint 2^48-wide sequence ranges make frame seqs sender-unique.
         node.next_seq = (self.nodes.len() as u64) << 48;
         node.set_recorder(Arc::clone(&self.recorder));
@@ -258,14 +267,28 @@ impl EchoSystem {
     }
 
     /// Distributes out-of-band meta-data (event formats and their
-    /// retro-transformations) to every process — the format-server role.
+    /// retro-transformations) to every process, and to every process added
+    /// later — the format-server role. All of them share one catalog.
     pub fn distribute_metadata(
         &mut self,
         formats: &[Arc<RecordFormat>],
         xforms: &[Transformation],
     ) {
+        let known = &self.catalog;
+        let fresh = formats.iter().any(|f| !known.formats().contains(format_id(f)))
+            || xforms.iter().any(|t| !known.transformations().contains(t));
+        if !fresh {
+            return;
+        }
+        let catalog = Arc::make_mut(&mut self.catalog);
+        for f in formats {
+            catalog.import_format(Arc::clone(f));
+        }
+        for t in xforms {
+            catalog.import_transformation(t.clone());
+        }
         for node in &mut self.nodes {
-            node.import_metadata(formats, xforms);
+            node.import_metadata(&self.catalog);
         }
     }
 

@@ -62,5 +62,5 @@ pub use matching::{
 pub use metaserver::{process_with_resolution, MetaClient, MetaServer, RetryPolicy};
 pub use receiver::{DecisionCache, Delivery, Explanation, MorphReceiver, MorphStats};
 pub use xform::{
-    CompiledChain, CompiledXform, ReachableFormat, Transformation, TransformationRegistry,
+    Catalog, CompiledChain, CompiledXform, ReachableFormat, Transformation, TransformationRegistry,
 };

@@ -8,6 +8,7 @@
 //! that format replays the cached, fully specialized decision (Algorithm 2
 //! lines 6–9).
 
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -18,13 +19,12 @@ use obs::{
     ActiveSpan, Clock, Counter, FlightRecorder, Histogram, Registry, SpanId, Timer, TraceCtx,
 };
 use pbio::{
-    format_id, parse_header, ConversionPlan, FormatId, FormatRegistry, PlanCache, RecordFormat,
-    Tape, Value,
+    format_id, parse_header, ConversionPlan, FormatId, PlanCache, RecordFormat, Tape, Value,
 };
 
 use crate::error::{MorphError, Result};
 use crate::matching::{max_match, MatchConfig, MaxMatch};
-use crate::xform::{fuel_for, CompiledChain, Transformation, TransformationRegistry};
+use crate::xform::{fuel_for, Catalog, CompiledChain, Transformation};
 
 /// A message handler: receives the decoded (and possibly morphed) value,
 /// shaped by the reader format it was registered for.
@@ -325,11 +325,12 @@ impl RxMetrics {
 /// ```
 pub struct MorphReceiver {
     config: MatchConfig,
-    /// Out-of-band meta-data: wire formats this receiver has learned.
-    known: FormatRegistry,
-    /// Out-of-band meta-data: retro-transformations keyed by source format.
-    xforms: TransformationRegistry,
-    /// Reader formats, in registration order.
+    /// Out-of-band meta-data: the wire formats and retro-transformations
+    /// this receiver has learned, shared with every receiver seeded from
+    /// the same set and copied only when this one learns something new.
+    catalog: Arc<Catalog>,
+    /// Reader formats, in registration order. A wire format is known when
+    /// the catalog holds it or it is a reader's.
     readers: Vec<Arc<RecordFormat>>,
     /// One handler per reader format id — a short vector scanned per
     /// delivery: a receiver registers a handful of formats, and a compare
@@ -351,14 +352,26 @@ pub struct MorphReceiver {
     /// Trace sink for the message currently inside
     /// [`MorphReceiver::process_timed`]; cleared on exit.
     trace: Option<TraceSink>,
-    /// The register VM's working memory and the morph program's root
-    /// vector, reused message after message; both are left empty by every
-    /// exit of a morph, cold or warm, errors included.
+}
+
+/// The working memory of a morph pass: the register VM's scratch, the
+/// program's root vector and the offset tape the message is read through.
+/// One per thread, reused message after message by every receiver the
+/// thread runs; every exit of a morph, cold or warm, errors included,
+/// leaves the roots empty and the VM scratch cleared. The tape holds
+/// offsets only, never a value.
+#[derive(Default)]
+struct MorphScratch {
     vm: VmScratch,
     roots: Vec<Value>,
-    /// The offset tape a morph reads its message through, reused message
-    /// after message. It holds offsets only, never a value.
     tape: Tape,
+}
+
+thread_local! {
+    /// This thread's [`MorphScratch`], borrowed for the morph pass alone:
+    /// the borrow ends before the handler runs, so a handler may morph a
+    /// message through another receiver.
+    static SCRATCH: RefCell<MorphScratch> = RefCell::new(MorphScratch::default());
 }
 
 /// Where the currently processed message's trace events go.
@@ -406,8 +419,7 @@ impl MorphReceiver {
     fn with_config_and_registry(config: MatchConfig, registry: Arc<Registry>) -> MorphReceiver {
         MorphReceiver {
             config,
-            known: FormatRegistry::new(),
-            xforms: TransformationRegistry::new(),
+            catalog: Arc::default(),
             readers: Vec::new(),
             handlers: Vec::new(),
             default_handler: None,
@@ -417,9 +429,6 @@ impl MorphReceiver {
             plans: PlanCache::new(Arc::clone(&registry)),
             metrics: RxMetrics::new(registry),
             trace: None,
-            vm: VmScratch::default(),
-            roots: Vec::new(),
-            tape: Tape::default(),
         }
     }
 
@@ -461,7 +470,7 @@ impl MorphReceiver {
         format: &Arc<RecordFormat>,
         handler: impl FnMut(Value) + Send + 'static,
     ) -> FormatId {
-        let id = self.known.register(Arc::clone(format));
+        let id = format_id(format);
         if !self.readers.iter().any(|r| format_id(r) == id) {
             self.readers.push(Arc::clone(format));
             self.cache.clear();
@@ -526,7 +535,8 @@ impl MorphReceiver {
         // deployments distribute metadata identically to every node, so
         // set equality implies decision equality in practice.
         let mut edges: Vec<(u64, u64, u64)> = self
-            .xforms
+            .catalog
+            .transformations()
             .iter()
             .map(|t| {
                 let mut ch = DefaultHasher::new();
@@ -546,7 +556,11 @@ impl MorphReceiver {
 
     /// Learns a wire format (out-of-band meta-data arrival).
     pub fn import_format(&mut self, format: Arc<RecordFormat>) -> FormatId {
-        self.known.register(format)
+        let id = format_id(&format);
+        if !self.catalog.formats().contains(id) {
+            Arc::make_mut(&mut self.catalog).import_format(format);
+        }
+        id
     }
 
     /// Learns a retro-transformation. Both endpoint formats become known.
@@ -557,21 +571,60 @@ impl MorphReceiver {
     /// dropped. Warm decisions for unrelated formats survive the import,
     /// and a transformation the receiver already holds changes nothing.
     pub fn import_transformation(&mut self, t: Transformation) {
-        let new_src = t.from_id();
-        self.known.register(Arc::clone(t.from_format()));
-        self.known.register(Arc::clone(t.to_format()));
-        if !self.xforms.register(t) {
+        if self.catalog.transformations().contains(&t) {
             return;
         }
+        let new_src = t.from_id();
+        Arc::make_mut(&mut self.catalog).import_transformation(t);
+        self.forget_decisions_reaching(&[new_src]);
+    }
+
+    /// Learns everything `catalog` holds, with the targeted invalidation of
+    /// [`MorphReceiver::import_transformation`]. When everything this
+    /// receiver knew is in `catalog`, the receiver shares it instead of
+    /// copying: receivers seeded from one set hold one catalog.
+    pub fn import_catalog(&mut self, catalog: &Arc<Catalog>) {
+        if Arc::ptr_eq(&self.catalog, catalog) {
+            return;
+        }
+        let held = self.catalog.transformations();
+        let new_srcs: Vec<FormatId> = catalog
+            .transformations()
+            .iter()
+            .filter(|t| !held.contains(t))
+            .map(Transformation::from_id)
+            .collect();
+        Catalog::import_all(&mut self.catalog, catalog);
+        if !new_srcs.is_empty() {
+            self.forget_decisions_reaching(&new_srcs);
+        }
+    }
+
+    /// The catalog this receiver reads its out-of-band meta-data from.
+    pub fn catalog(&self) -> &Arc<Catalog> {
+        &self.catalog
+    }
+
+    /// A wire format this receiver knows: learned, or a reader's.
+    fn lookup(&self, id: FormatId) -> Option<Arc<RecordFormat>> {
+        let reader = || self.readers.iter().find(|r| format_id(r) == id).map(Arc::clone);
+        self.catalog.formats().lookup(id).ok().or_else(reader)
+    }
+
+    /// After new transformation edges out of `srcs`: moves to a fresh
+    /// fingerprint and drops the cached decision of every wire format
+    /// whose transformation closure reaches one of them.
+    fn forget_decisions_reaching(&mut self, srcs: &[FormatId]) {
         self.fingerprint = None;
-        let known = &self.known;
-        let xforms = &self.xforms;
-        self.cache.retain(|id, _| match known.lookup(*id) {
-            Ok(fm) => !xforms.closure(&fm).iter().any(|r| format_id(&r.format) == new_src),
+        let mut cache = std::mem::take(&mut self.cache);
+        let xforms = self.catalog.transformations();
+        cache.retain(|id, _| match self.lookup(*id) {
+            Some(fm) => !xforms.closure(&fm).iter().any(|r| srcs.contains(&format_id(&r.format))),
             // A cached decision whose format is no longer resolvable is
             // stale by definition; drop it.
-            Err(_) => false,
+            None => false,
         });
+        self.cache = cache;
     }
 
     /// Activity counters, read off the registry: with
@@ -749,20 +802,9 @@ impl MorphReceiver {
     }
 
     fn split(&mut self) -> (&HashMap<FormatId, Arc<Decision>>, Applier<'_>) {
-        let MorphReceiver {
-            cache, metrics, trace, handlers, default_handler, vm, roots, tape, ..
-        } = self;
+        let MorphReceiver { cache, metrics, trace, handlers, default_handler, .. } = self;
         let trace = trace.as_ref();
-        let applier = Applier {
-            metrics,
-            trace,
-            handlers,
-            default_handler,
-            vm,
-            roots,
-            tape,
-            apply_span: None,
-        };
+        let applier = Applier { metrics, trace, handlers, default_handler, apply_span: None };
         (cache, applier)
     }
 
@@ -777,7 +819,7 @@ impl MorphReceiver {
     fn decide(&mut self, id: FormatId) -> Result<Decision> {
         let mut decide_span = self.tspan("morph.decide", None);
         let dparent = decide_span.as_ref().map(|s| s.id());
-        let fm = self.known.lookup(id).map_err(|_| MorphError::UnknownWireFormat(id))?;
+        let fm = self.lookup(id).ok_or(MorphError::UnknownWireFormat(id))?;
 
         // Line 4: Fr = reader formats with the same name as fm.
         let readers: Vec<Arc<RecordFormat>> =
@@ -804,7 +846,7 @@ impl MorphReceiver {
         }
 
         // Line 5/16: Ft = formats reachable through transformations, incl. fm.
-        let reachable = self.xforms.closure(&fm);
+        let reachable = self.catalog.transformations().closure(&fm);
         let candidates: Vec<Arc<RecordFormat>> =
             reachable.iter().map(|r| Arc::clone(&r.format)).collect();
 
@@ -916,18 +958,16 @@ enum Pass {
     Warm(Option<u64>),
 }
 
-/// What applying a decision touches — metrics, the in-flight trace, the
-/// handlers and the VM's working memory — borrowed apart from the decision
-/// cache ([`MorphReceiver::cached`]). Handlers must not recursively call
-/// `process` (they receive values, not the receiver).
+/// What applying a decision touches — metrics, the in-flight trace and the
+/// handlers — borrowed apart from the decision cache
+/// ([`MorphReceiver::cached`]). Handlers must not recursively call
+/// `process` on their own receiver (they receive values, not the
+/// receiver); another receiver they may.
 struct Applier<'a> {
     metrics: &'a RxMetrics,
     trace: Option<&'a TraceSink>,
     handlers: &'a mut Vec<(FormatId, Handler)>,
     default_handler: &'a mut Option<DefaultHandler>,
-    vm: &'a mut VmScratch,
-    roots: &'a mut Vec<Value>,
-    tape: &'a mut Tape,
     /// The cold pass's `morph.apply` span, open while its stages run.
     apply_span: Option<ActiveSpan>,
 }
@@ -993,10 +1033,13 @@ impl Applier<'_> {
                 if let Some(s) = replay_span.as_mut() {
                     s.tag("steps", &m.templates.len().to_string());
                 }
-                let value = self.morph(m, msg, pass);
-                // Emptied on every exit: a failed message's values do not
-                // outlive it here.
-                self.roots.clear();
+                let value = SCRATCH.with_borrow_mut(|scratch| {
+                    let value = self.morph(scratch, m, msg, pass);
+                    // Emptied on every exit: a failed message's values do
+                    // not outlive it here.
+                    scratch.roots.clear();
+                    value
+                });
                 self.invoke(m.target, value?);
                 Ok(Delivery::Delivered(m.target))
             }
@@ -1016,32 +1059,39 @@ impl Applier<'_> {
     }
 
     /// The single pass of a morph decision, `wire bytes → Value(target)`, in
-    /// the receiver's reused root vector, tape and VM scratch: the projected
+    /// the thread's reused root vector, tape and VM scratch: the projected
     /// index pass, one run of the whole chain reading the message in place
     /// under the message's instruction budget, then the adapting plan if
     /// the decision has one. The first message of a format runs it under the
     /// cold pass's stage spans; on a sampled warm replay the index pass's
     /// share (timed from the replay's start) is read off the clock once and
     /// recorded as `pbio.decode_ns`.
-    fn morph(&mut self, m: &MorphPlan, msg: &[u8], pass: Pass) -> Result<Value> {
+    fn morph(
+        &self,
+        scratch: &mut MorphScratch,
+        m: &MorphPlan,
+        msg: &[u8],
+        pass: Pass,
+    ) -> Result<Value> {
+        let MorphScratch { vm, roots, tape } = scratch;
         let view = {
             let _s = self.stage("morph.decode");
-            m.decode.index(msg, self.tape)?
+            m.decode.index(msg, tape)?
         };
         if let Pass::Warm(Some(since_ns)) = pass {
             self.metrics.decode_ns.record(self.metrics.clock.now_ns().saturating_sub(since_ns));
         }
-        self.roots.clear();
-        self.roots.extend(m.templates.iter().cloned());
+        roots.clear();
+        roots.extend(m.templates.iter().cloned());
         {
             let mut s = stage_in(self.trace, self.apply_span.as_ref(), "morph.transform");
             if let Some(s) = s.as_mut() {
                 s.tag("steps", &m.templates.len().to_string());
             }
-            m.program.run_view(&view, &m.routes, self.roots, fuel_for(msg.len()), self.vm)?;
+            m.program.run_view(&view, &m.routes, roots, fuel_for(msg.len()), vm)?;
         }
         self.metrics.vm_register_applies.inc();
-        let value = self.roots.pop().expect("fused program keeps its roots");
+        let value = roots.pop().expect("fused program keeps its roots");
         Ok(match &m.adapter {
             Some(plan) => {
                 let _s = self.stage("morph.default_fill");
@@ -1065,6 +1115,12 @@ mod tests {
     use std::sync::{Arc as SArc, Mutex};
 
     type Sink = SArc<Mutex<Vec<Value>>>;
+
+    /// True when this thread's morph scratch holds no root value — what
+    /// every exit of a morph leaves behind.
+    fn thread_roots_empty() -> bool {
+        SCRATCH.with_borrow(|s| s.roots.is_empty())
+    }
 
     fn sink() -> (Sink, impl FnMut(Value) + Send + 'static) {
         let s: Sink = SArc::new(Mutex::new(Vec::new()));
@@ -1169,6 +1225,40 @@ mod tests {
         drop(vals);
         assert_eq!(rx.stats().morphs, 1);
         assert_eq!(rx.stats().compiles, 1);
+    }
+
+    /// A handler may morph a second message through another receiver on
+    /// the same thread, inside its own delivery: the thread's scratch is
+    /// borrowed for the morph pass alone, never across the handler.
+    #[test]
+    fn a_handler_may_morph_through_another_receiver() {
+        let subscriber = |handler| {
+            let mut rx = MorphReceiver::new();
+            rx.register_handler(&v1(), handler);
+            rx.import_transformation(Transformation::new(v2(), v1(), FIG5));
+            rx
+        };
+        let (inner_got, h) = sink();
+        let mut inner = subscriber(Box::new(h) as Handler);
+        let (outer_got, mut h) = sink();
+        let mut outer = subscriber(Box::new(move |v| {
+            inner.process(&v2_message(2)).expect("the inner morph runs");
+            h(v);
+        }));
+        for _ in 0..2 {
+            // Cold, then a warm replay.
+            outer.process(&v2_message(3)).unwrap();
+        }
+        assert!(thread_roots_empty());
+        let count = |got: &Sink, n: i64| {
+            let got = got.lock().unwrap();
+            assert_eq!(got.len(), 2);
+            for v in got.iter() {
+                assert_eq!(v.field(&v1(), "member_count"), Some(&Value::Int(n)));
+            }
+        };
+        count(&outer_got, 3);
+        count(&inner_got, 2);
     }
 
     #[test]
@@ -1583,7 +1673,7 @@ mod tests {
         let out_of_bounds = |rx: &mut MorphReceiver| {
             let err = rx.process(&message(7)).unwrap_err();
             assert!(err.to_string().contains("array index 7 out of bounds"), "{err}");
-            assert!(rx.roots.is_empty(), "the failed message's roots were dropped");
+            assert!(thread_roots_empty(), "the failed message's roots were dropped");
         };
 
         let (got, mut rx) = subscriber();
@@ -1631,7 +1721,7 @@ mod tests {
             assert!(matches!(err, MorphError::Ecode(_)), "{pass}: {err}");
             assert!(err.to_string().contains("instruction budget exhausted"), "{pass}: {err}");
             assert_eq!(crate::deadletter::reason_for(&err), crate::DeadReason::TransformFailed);
-            assert!(rx.roots.is_empty(), "{pass}: roots left behind");
+            assert!(thread_roots_empty(), "{pass}: roots left behind");
         }
         assert_eq!(rx.registry().snapshot().counter("morph.vm.register.apply"), Some(0));
         rx.process(&v2_message(3)).unwrap();
@@ -1673,7 +1763,7 @@ mod tests {
                 assert!(matches!(err, MorphError::Ecode(_)), "{field}, {pass}: {err}");
                 assert!(err.to_string().contains("instruction budget exhausted"), "{field}: {err}");
                 assert_eq!(crate::deadletter::reason_for(&err), crate::DeadReason::TransformFailed);
-                assert!(rx.roots.is_empty(), "{field}, {pass}: roots left behind");
+                assert!(thread_roots_empty(), "{field}, {pass}: roots left behind");
             }
         }
         assert_eq!(rx.registry().snapshot().counter("morph.vm.register.apply"), Some(0));

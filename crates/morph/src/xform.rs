@@ -7,7 +7,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use ecode::{EcodeCompiler, EcodeProgram};
-use pbio::{format_id, put_chunk, take_chunk, FormatId, RecordFormat, Value};
+use pbio::{format_id, put_chunk, take_chunk, FormatId, FormatRegistry, RecordFormat, Value};
 
 use crate::error::{MorphError, Result};
 
@@ -195,12 +195,19 @@ impl TransformationRegistry {
     /// registering nothing, when the registry already holds it (same
     /// source and target format, same source text): it is a set.
     pub fn register(&mut self, t: Transformation) -> bool {
-        let held = self.by_from.entry(t.from_id()).or_default();
-        let known = held.iter().any(|h| h.to_id() == t.to_id() && h.source() == t.source());
-        if !known {
-            held.push(t);
+        if self.contains(&t) {
+            return false;
         }
-        !known
+        self.by_from.entry(t.from_id()).or_default().push(t);
+        true
+    }
+
+    /// True when the registry holds `t`: same source and target format,
+    /// same source text.
+    pub fn contains(&self, t: &Transformation) -> bool {
+        self.outgoing(t.from_id())
+            .iter()
+            .any(|h| h.to_id() == t.to_id() && h.source() == t.source())
     }
 
     /// Transformations whose source is `from`.
@@ -243,6 +250,67 @@ impl TransformationRegistry {
             }
         }
         out
+    }
+}
+
+/// The out-of-band meta-data a receiver knows: wire formats, and
+/// retro-transformations with both of their endpoint formats. Receivers
+/// seeded from the same set hold one catalog behind an `Arc`
+/// ([`MorphReceiver::import_catalog`](crate::MorphReceiver::import_catalog));
+/// a receiver that learns something new alone copies it then.
+#[derive(Debug, Clone, Default)]
+pub struct Catalog {
+    formats: FormatRegistry,
+    xforms: TransformationRegistry,
+}
+
+impl Catalog {
+    /// Creates an empty catalog.
+    pub fn new() -> Catalog {
+        Catalog::default()
+    }
+
+    /// Learns a wire format (idempotent), returning its identity.
+    pub fn import_format(&mut self, format: Arc<RecordFormat>) -> FormatId {
+        self.formats.register(format)
+    }
+
+    /// Learns a transformation and both of its endpoint formats. Returns
+    /// false when the catalog already held the transformation.
+    pub fn import_transformation(&mut self, t: Transformation) -> bool {
+        self.formats.register(Arc::clone(t.from_format()));
+        self.formats.register(Arc::clone(t.to_format()));
+        self.xforms.register(t)
+    }
+
+    /// The wire formats learned, endpoint formats of transformations
+    /// included.
+    pub fn formats(&self) -> &FormatRegistry {
+        &self.formats
+    }
+
+    /// The transformations learned.
+    pub fn transformations(&self) -> &TransformationRegistry {
+        &self.xforms
+    }
+
+    /// Learns everything `other` holds into `this`. When `this` held
+    /// nothing `other` lacks, `this` becomes `other`, shared and not
+    /// copied; otherwise `this` is copied, if it is shared, and extended.
+    pub fn import_all(this: &mut Arc<Catalog>, other: &Arc<Catalog>) {
+        let within = this.formats.iter().all(|f| other.formats.contains(format_id(f)))
+            && this.xforms.iter().all(|t| other.xforms.contains(t));
+        if within {
+            *this = Arc::clone(other);
+            return;
+        }
+        let own = Arc::make_mut(this);
+        for f in other.formats.iter() {
+            own.import_format(Arc::clone(f));
+        }
+        for t in other.xforms.iter() {
+            own.import_transformation(t.clone());
+        }
     }
 }
 

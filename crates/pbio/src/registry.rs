@@ -31,7 +31,7 @@ use crate::types::RecordFormat;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FormatRegistry {
     formats: HashMap<FormatId, Arc<RecordFormat>>,
 }
@@ -57,6 +57,16 @@ impl FormatRegistry {
     /// registered.
     pub fn lookup(&self, id: FormatId) -> Result<Arc<RecordFormat>> {
         self.formats.get(&id).cloned().ok_or(PbioError::UnknownFormat(id))
+    }
+
+    /// True when a format with this wire identity is registered.
+    pub fn contains(&self, id: FormatId) -> bool {
+        self.formats.contains_key(&id)
+    }
+
+    /// Every registered format (no defined order).
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<RecordFormat>> {
+        self.formats.values()
     }
 }
 

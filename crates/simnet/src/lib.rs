@@ -205,8 +205,9 @@ struct LinkState {
     down: bool,
     /// Maximum payload size accepted by the link; 0 means unlimited.
     mtu: usize,
-    /// Fault-injection state, when a [`FaultPlan`] is attached.
-    fault: Option<FaultState>,
+    /// Fault-injection state, when a [`FaultPlan`] is attached — boxed, as
+    /// most links carry none and it is most of a link's size.
+    fault: Option<Box<FaultState>>,
     /// `simnet.link.<from>-><to>.bytes` / `.messages` in the attached
     /// registry, created on the link's first send — kept with the link so
     /// a send finds them with the lookup it makes anyway.
@@ -341,7 +342,7 @@ impl Network {
     pub fn set_fault_plan(&mut self, a: NodeId, b: NodeId, plan: FaultPlan) {
         for key in [(a, b), (b, a)] {
             if let Some(link) = self.links.get_mut(&key) {
-                link.fault = Some(FaultState::new(plan.clone(), key.0 .0, key.1 .0));
+                link.fault = Some(Box::new(FaultState::new(plan.clone(), key.0 .0, key.1 .0)));
             }
         }
     }

@@ -114,8 +114,8 @@ META_FUZZ_SEED="$meta" cargo test -q --test proptests metadata_mutations
 
 echo "==> engine differentials, fresh seed (the test step above ran the fixed stream)"
 # Every property in tests/proptests.rs — the register VM, reading its
-# input in place, against the tree-walker on generated expressions, loops,
-# functions and rows, fused chains against the oracle, and the VM's partial
+# input in place, against the tree-walker on generated expressions, loops
+# and rows, fused chains against the oracle, and the VM's partial
 # states under a sweep of budgets against the tree-walker's — on a stream
 # mixed from a new seed. A failure here reproduces with the printed
 # command.

@@ -82,14 +82,10 @@ pub enum ExprKind {
     Assign(AssignOp, Box<Expr>, Box<Expr>),
     Binary(BinOp, Box<Expr>, Box<Expr>),
     Unary(UnOp, Box<Expr>),
-    /// `cond ? then : else`
-    Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `expr++` / `expr--` (postfix); the bool is true for increment.
     PostIncDec(Box<Expr>, bool),
     /// `++expr` / `--expr` (prefix); the bool is true for increment.
     PreIncDec(Box<Expr>, bool),
-    /// Builtin call `name(args...)`.
-    Call(String, Vec<Expr>),
 }
 
 /// A statement with its source position.
@@ -112,39 +108,8 @@ pub enum StmtKind {
     If(Expr, Box<Stmt>, Option<Box<Stmt>>),
     /// `for (init; cond; step) body` — any clause may be absent.
     For(Option<Box<Stmt>>, Option<Expr>, Option<Expr>, Box<Stmt>),
-    /// `while (cond) body`
-    While(Expr, Box<Stmt>),
     /// `{ ... }`
     Block(Vec<Stmt>),
-    /// `return expr?;`
-    Return(Option<Expr>),
-    Break,
-    Continue,
     /// `;`
     Empty,
-}
-
-/// A user-defined function definition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FnDef {
-    /// Position of the definition.
-    pub pos: Pos,
-    /// Function name.
-    pub name: String,
-    /// Return type; `None` is `void`.
-    pub ret: Option<DeclTy>,
-    /// Parameters (scalar types only).
-    pub params: Vec<(DeclTy, String)>,
-    /// Function body.
-    pub body: Vec<Stmt>,
-}
-
-/// A whole program: function definitions plus a statement list (the "main"
-/// body) executed top to bottom.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Program {
-    /// User-defined functions, in declaration order.
-    pub funcs: Vec<FnDef>,
-    /// Top-level statements.
-    pub stmts: Vec<Stmt>,
 }

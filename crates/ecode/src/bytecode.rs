@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use crate::tast::{ArithOp, Builtin, CmpOp};
+use crate::tast::{ArithOp, CmpOp};
 
 /// One compiled segment of a fused access path. Field indices are resolved
 /// at compile time; `Index` consumes the next of the instruction's index
@@ -88,9 +88,10 @@ pub struct CopyRow {
     pub whole: bool,
 }
 
-/// One register-machine instruction. Registers are indices into a per-frame
-/// file of `Value` slots; locals occupy the low registers, expression
-/// temporaries the rest (compacted by linear scan after lowering).
+/// One register-machine instruction. Registers are indices into the
+/// program's file of `Value` slots; locals occupy the low registers,
+/// expression temporaries the rest (compacted by linear scan after
+/// lowering).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RInsn {
     /// `dst = <int constant>`.
@@ -144,17 +145,6 @@ pub enum RInsn {
     Store {
         /// Source register.
         src: u32,
-        /// Root binding index.
-        root: u8,
-        /// Compiled path segments.
-        segs: Arc<[CSeg]>,
-        /// Registers holding the dynamic indices.
-        idx: Arc<[u32]>,
-    },
-    /// Fused array-length read: `dst = len(root.segs)`.
-    LenOf {
-        /// Destination register.
-        dst: u32,
         /// Root binding index.
         root: u8,
         /// Compiled path segments.
@@ -307,32 +297,8 @@ pub enum RInsn {
         /// Jump target.
         target: u32,
     },
-    /// `dst = builtin(args...)`.
-    Call {
-        /// The builtin.
-        f: Builtin,
-        /// Destination register.
-        dst: u32,
-        /// Argument registers, in order.
-        args: Arc<[u32]>,
-    },
-    /// `dst = funcs[f](args...)` — arguments are copied into the callee's
-    /// first registers (Lua-style register windows).
-    CallFn {
-        /// Function index into [`RCode::funcs`].
-        f: u32,
-        /// Destination register (receives the return value; int 0 for void).
-        dst: u32,
-        /// Argument registers, in order.
-        args: Arc<[u32]>,
-    },
-    /// Return. In the main body, finishes the program with `src`'s value
-    /// (or no value). In a function, returns to the caller, writing the
-    /// value into the caller's `CallFn` destination register.
-    Ret {
-        /// Register holding the return value, if any.
-        src: Option<u32>,
-    },
+    /// End of the program.
+    Ret,
     /// Re-synchronize the length-field invariant of this root binding (see
     /// [`pbio::sync_length_fields`]). Only emitted by chain fusion — the
     /// one-instruction trailer between inlined steps.
@@ -345,32 +311,20 @@ pub enum RInsn {
     CopyPath(CopyRow),
 }
 
-/// Frame layout of one compiled user function in the register ISA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RFnCode {
-    /// Absolute instruction index of the function's first instruction.
-    pub entry: u32,
-    /// Number of parameters (registers `0..n_params` of the frame).
-    pub n_params: u32,
-    /// Total frame registers including parameters and temporaries.
-    pub n_regs: u32,
-}
-
-/// A compiled register-machine program: instructions plus constant pools
-/// and frame layout. Produced by the lowering pass from the typed AST and
-/// checked against the tree-walking interpreter by differential tests.
+/// A compiled register-machine program: instructions plus the string
+/// constant pool and register-file size. Produced by the lowering pass from
+/// the typed AST and checked against the tree-walking interpreter by
+/// differential tests.
 #[derive(Debug, Clone)]
 pub struct RCode {
-    /// Instruction stream (main body first, then each function).
+    /// Instruction stream, ending in [`RInsn::Ret`].
     pub insns: Vec<RInsn>,
     /// String constant pool.
     pub strings: Vec<String>,
-    /// Register-file size of the main body.
+    /// Register-file size.
     pub n_regs: usize,
     /// Number of root bindings expected at run time.
     pub n_roots: usize,
-    /// User-function frame layouts, indexed by `RInsn::CallFn`.
-    pub funcs: Vec<RFnCode>,
 }
 
 impl RCode {
@@ -385,26 +339,20 @@ impl RCode {
     }
 
     /// Renders a human-readable disassembly of the register program — one
-    /// instruction per line with `rN` register operands, function entry
-    /// markers, and superinstructions spelled out.
+    /// instruction per line with `rN` register operands, and
+    /// superinstructions spelled out.
     pub fn disassemble(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(self.insns.len() * 32);
         let _ = writeln!(
             out,
-            "; register ISA: {} insns, {} regs, {} roots, {} strings, {} fns",
+            "; register ISA: {} insns, {} regs, {} roots, {} strings",
             self.insns.len(),
             self.n_regs,
             self.n_roots,
-            self.strings.len(),
-            self.funcs.len()
+            self.strings.len()
         );
         for (pc, insn) in self.insns.iter().enumerate() {
-            for (fi, f) in self.funcs.iter().enumerate() {
-                if f.entry as usize == pc {
-                    let _ = writeln!(out, "fn#{fi}: ; {} params, {} regs", f.n_params, f.n_regs);
-                }
-            }
             let _ = writeln!(out, "{pc:4}  {}", render_rinsn(insn, &self.strings));
         }
         out
@@ -425,14 +373,11 @@ fn render_segs(segs: &[CSeg]) -> String {
     s
 }
 
-fn render_regs(idx: &[u32]) -> String {
-    idx.iter().map(|r| format!("r{r}")).collect::<Vec<_>>().join(",")
-}
-
 fn render_path(root: u8, segs: &[CSeg], idx: &[u32]) -> String {
     let mut s = format!("root{root}{}", render_segs(segs));
     if !idx.is_empty() {
-        s.push_str(&format!(" [{}]", render_regs(idx)));
+        let regs: Vec<String> = idx.iter().map(|r| format!("r{r}")).collect();
+        s.push_str(&format!(" [{}]", regs.join(",")));
     }
     s
 }
@@ -453,9 +398,6 @@ fn render_rinsn(insn: &RInsn, strings: &[String]) -> String {
         RInsn::Store { src, root, segs, idx } => {
             format!("Store {} = r{src}", render_path(*root, segs, idx))
         }
-        RInsn::LenOf { dst, root, segs, idx } => {
-            format!("r{dst} = LenOf {}", render_path(*root, segs, idx))
-        }
         RInsn::IArith { op, dst, a, b } => format!("r{dst} = IArith.{op:?} r{a}, r{b}"),
         RInsn::FArith { op, dst, a, b } => format!("r{dst} = FArith.{op:?} r{a}, r{b}"),
         RInsn::AddImmI { dst, src, imm } => format!("r{dst} = r{src} + {imm}"),
@@ -474,10 +416,7 @@ fn render_rinsn(insn: &RInsn, strings: &[String]) -> String {
         RInsn::Jmp(t) => format!("Jmp {t}"),
         RInsn::Jz { cond, target } => format!("Jz r{cond} -> {target}"),
         RInsn::Jnz { cond, target } => format!("Jnz r{cond} -> {target}"),
-        RInsn::Call { f, dst, args } => format!("r{dst} = Call {f:?}({})", render_regs(args)),
-        RInsn::CallFn { f, dst, args } => format!("r{dst} = CallFn #{f}({})", render_regs(args)),
-        RInsn::Ret { src: Some(r) } => format!("Ret r{r}"),
-        RInsn::Ret { src: None } => "Ret".to_string(),
+        RInsn::Ret => "Ret".to_string(),
         RInsn::SyncRoot(r) => format!("SyncRoot root{r}"),
         RInsn::CopyPath(CopyRow { dst_root, dst_segs, dst_idx, entries, .. }) => {
             let conv = |e: &CopyEntry| e.conv.map(|c| format!(" conv={c:?}")).unwrap_or_default();
@@ -511,7 +450,7 @@ fn render_rinsn(insn: &RInsn, strings: &[String]) -> String {
 
 /// Rewrites every register operand of `insn` through `f` — used by linear
 /// scan (virtual → physical remap) and by chain fusion (shifting each
-/// step's main-body registers into its slice of the composed frame).
+/// step's registers into its slice of the composed file).
 pub(crate) fn map_registers(insn: &RInsn, f: impl Fn(u32) -> u32) -> RInsn {
     let map_list = |l: &Arc<[u32]>| -> Arc<[u32]> { l.iter().map(|&r| f(r)).collect() };
     match insn {
@@ -525,9 +464,6 @@ pub(crate) fn map_registers(insn: &RInsn, f: impl Fn(u32) -> u32) -> RInsn {
         }
         RInsn::Store { src, root, segs, idx } => {
             RInsn::Store { src: f(*src), root: *root, segs: Arc::clone(segs), idx: map_list(idx) }
-        }
-        RInsn::LenOf { dst, root, segs, idx } => {
-            RInsn::LenOf { dst: f(*dst), root: *root, segs: Arc::clone(segs), idx: map_list(idx) }
         }
         RInsn::IArith { op, dst, a, b } => {
             RInsn::IArith { op: *op, dst: f(*dst), a: f(*a), b: f(*b) }
@@ -553,13 +489,7 @@ pub(crate) fn map_registers(insn: &RInsn, f: impl Fn(u32) -> u32) -> RInsn {
         RInsn::Jmp(t) => RInsn::Jmp(*t),
         RInsn::Jz { cond, target } => RInsn::Jz { cond: f(*cond), target: *target },
         RInsn::Jnz { cond, target } => RInsn::Jnz { cond: f(*cond), target: *target },
-        RInsn::Call { f: b, dst, args } => {
-            RInsn::Call { f: *b, dst: f(*dst), args: map_list(args) }
-        }
-        RInsn::CallFn { f: fi, dst, args } => {
-            RInsn::CallFn { f: *fi, dst: f(*dst), args: map_list(args) }
-        }
-        RInsn::Ret { src } => RInsn::Ret { src: src.map(&f) },
+        RInsn::Ret => RInsn::Ret,
         RInsn::SyncRoot(r) => RInsn::SyncRoot(*r),
         RInsn::CopyPath(row) => RInsn::CopyPath(CopyRow {
             dst_idx: map_list(&row.dst_idx),
@@ -595,18 +525,16 @@ mod tests {
                     segs: vec![CSeg::Field(2), CSeg::Index].into(),
                     idx: vec![0].into(),
                 },
-                RInsn::Ret { src: None },
+                RInsn::Ret,
             ],
             strings: vec!["hello".into()],
             n_regs: 2,
             n_roots: 1,
-            funcs: vec![RFnCode { entry: 3, n_params: 0, n_regs: 0 }],
         };
         let text = code.disassemble();
-        assert_eq!(text.lines().count(), 1 + code.insns.len() + 1 /* fn marker */);
+        assert_eq!(text.lines().count(), 1 + code.insns.len());
         assert!(text.contains("r1 = \"hello\""));
         assert!(text.contains("r1 = Load root0.2[*] [r0]"));
-        assert!(text.contains("fn#0:"));
         assert_eq!(code.to_string(), text);
     }
 
@@ -643,12 +571,11 @@ mod tests {
                     .into(),
                     whole: true,
                 }),
-                RInsn::Ret { src: None },
+                RInsn::Ret,
             ],
             strings: vec![],
             n_regs: 2,
             n_roots: 2,
-            funcs: vec![],
         };
         let text = code.disassemble();
         assert_eq!(text.lines().count(), 1 + code.insns.len());
@@ -663,9 +590,10 @@ mod tests {
 
     #[test]
     fn map_registers_rewrites_every_operand() {
-        let insn = RInsn::CallFn { f: 3, dst: 1, args: vec![0, 2].into() };
+        let segs: Arc<[CSeg]> = vec![CSeg::Index, CSeg::Field(1), CSeg::Index].into();
+        let insn = RInsn::Load { dst: 1, root: 0, segs: Arc::clone(&segs), idx: vec![0, 2].into() };
         let shifted = map_registers(&insn, |r| r + 10);
-        assert_eq!(shifted, RInsn::CallFn { f: 3, dst: 11, args: vec![10, 12].into() });
+        assert_eq!(shifted, RInsn::Load { dst: 11, root: 0, segs, idx: vec![10, 12].into() });
         // Jump targets and roots are not register operands.
         assert_eq!(map_registers(&RInsn::Jmp(5), |r| r + 10), RInsn::Jmp(5));
         assert_eq!(map_registers(&RInsn::SyncRoot(2), |r| r + 10), RInsn::SyncRoot(2));

@@ -15,20 +15,17 @@
 //!
 //! The rewrite is purely mechanical, which is what makes it safe:
 //!
-//! * jump targets, function entries, string-pool and function indices are
-//!   shifted by each step's placement offset;
+//! * jump targets and string-pool indices are shifted by each step's
+//!   placement offset;
 //! * root indices shift by the step's position (step *i* reads root *i*,
-//!   writes root *i + 1*) — on `Load`/`Store`/`LenOf`, and on a `CopyPath`
-//!   row and each of its entries;
-//! * *main-body* registers rebase by the sum of preceding steps' main
-//!   frames (function frames are window-relative and need no shift);
-//! * *main-body* `Ret` becomes a jump to the step's trailer — a chain
-//!   ignores step return values, and a value left in a register needs no
-//!   cleanup; function-body returns are untouched, they pop call frames.
+//!   writes root *i + 1*) — on `Load`/`Store`, and on a `CopyPath` row and
+//!   each of its entries;
+//! * registers rebase by the sum of preceding steps' register files;
+//! * a step's closing `Ret` becomes a jump to the step's trailer.
 
 use pbio::format_id;
 
-use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RFnCode, RInsn};
+use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RInsn};
 use crate::error::{EcodeError, Result};
 use crate::rvm::{self, Routed, ViewRoutes, VmScratch};
 use crate::tast::Binding;
@@ -42,7 +39,7 @@ use pbio::Value;
 /// [`FusedProgram::run_view`]: root 0 is the incoming message, read in place
 /// and never written, and roots 1 to `m` are one record per step's target
 /// format, in chain order. On return, the last root holds the final morphed
-/// value. A step's main-body `return` ends that step; its value is not read.
+/// value.
 #[derive(Debug, Clone)]
 pub struct FusedProgram {
     rcode: RCode,
@@ -93,7 +90,6 @@ impl FusedProgram {
 
         let mut insns: Vec<RInsn> = Vec::new();
         let mut strings: Vec<String> = Vec::new();
-        let mut funcs: Vec<RFnCode> = Vec::new();
         let mut reg_base: u32 = 0;
         let last = steps.len() - 1;
 
@@ -101,26 +97,15 @@ impl FusedProgram {
             let rc = p.rcode();
             let off = insns.len() as u32;
             let string_base = strings.len() as u32;
-            let func_base = funcs.len() as u32;
-            // Everything before the first function entry is the main body
-            // (lowering lays out main first, terminated by a `Ret`).
-            let main_end =
-                rc.funcs.iter().map(|f| f.entry as usize).min().unwrap_or(rc.insns.len());
-            // The trailer sits right after the step's body; main-body
-            // returns jump to it (any return value simply stays in its
-            // register).
+            // The trailer sits right after the step's body.
             let tail = off + rc.insns.len() as u32;
 
-            for (pc, insn) in rc.insns.iter().enumerate() {
-                let in_main = pc < main_end;
+            for insn in &rc.insns {
                 let shifted = match insn {
                     RInsn::Jmp(t) => RInsn::Jmp(t + off),
                     RInsn::Jz { cond, target } => RInsn::Jz { cond: *cond, target: target + off },
                     RInsn::Jnz { cond, target } => RInsn::Jnz { cond: *cond, target: target + off },
                     RInsn::ConstS { dst, s } => RInsn::ConstS { dst: *dst, s: s + string_base },
-                    RInsn::CallFn { f, dst, args } => {
-                        RInsn::CallFn { f: f + func_base, dst: *dst, args: args.clone() }
-                    }
                     RInsn::Load { dst, root, segs, idx } => RInsn::Load {
                         dst: *dst,
                         root: root + i as u8,
@@ -129,12 +114,6 @@ impl FusedProgram {
                     },
                     RInsn::Store { src, root, segs, idx } => RInsn::Store {
                         src: *src,
-                        root: root + i as u8,
-                        segs: segs.clone(),
-                        idx: idx.clone(),
-                    },
-                    RInsn::LenOf { dst, root, segs, idx } => RInsn::LenOf {
-                        dst: *dst,
                         root: root + i as u8,
                         segs: segs.clone(),
                         idx: idx.clone(),
@@ -148,27 +127,21 @@ impl FusedProgram {
                             .collect(),
                         ..row.clone()
                     }),
-                    RInsn::Ret { .. } if in_main => RInsn::Jmp(tail),
+                    RInsn::Ret => RInsn::Jmp(tail),
                     other => other.clone(),
                 };
-                insns.push(if in_main {
-                    map_registers(&shifted, |r| r + reg_base)
-                } else {
-                    shifted
-                });
+                insns.push(map_registers(&shifted, |r| r + reg_base));
             }
             insns.push(RInsn::SyncRoot((i + 1) as u8));
             if i == last {
-                insns.push(RInsn::Ret { src: None });
+                insns.push(RInsn::Ret);
             }
 
             strings.extend(rc.strings.iter().cloned());
-            funcs.extend(rc.funcs.iter().map(|f| RFnCode { entry: f.entry + off, ..*f }));
             reg_base += rc.n_regs as u32;
         }
 
-        let rcode =
-            RCode { insns, strings, n_regs: reg_base as usize, n_roots: bindings.len(), funcs };
+        let rcode = RCode { insns, strings, n_regs: reg_base as usize, n_roots: bindings.len() };
         Ok(FusedProgram { rcode, bindings })
     }
 
@@ -276,9 +249,9 @@ pub fn root_used_fields(code: &RCode, root: u8, n_fields: usize) -> Vec<bool> {
         // No wildcard arm: a new instruction has to be sorted into "names a
         // root" or "does not" before this compiles.
         match insn {
-            RInsn::Load { root: r, segs, .. }
-            | RInsn::Store { root: r, segs, .. }
-            | RInsn::LenOf { root: r, segs, .. } => touch(*r, segs.first()),
+            RInsn::Load { root: r, segs, .. } | RInsn::Store { root: r, segs, .. } => {
+                touch(*r, segs.first())
+            }
             RInsn::CopyPath(row) => {
                 for e in row.entries.iter() {
                     touch(row.dst_root, row.dst_segs.first().or(Some(&e.dst_leaf)));
@@ -309,9 +282,7 @@ pub fn root_used_fields(code: &RCode, root: u8, n_fields: usize) -> Vec<bool> {
             | RInsn::Jmp(_)
             | RInsn::Jz { .. }
             | RInsn::Jnz { .. }
-            | RInsn::Call { .. }
-            | RInsn::CallFn { .. }
-            | RInsn::Ret { .. } => {}
+            | RInsn::Ret => {}
         }
     }
     used
@@ -381,26 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_handles_mid_body_returns_and_functions() {
-        let a = fmt("M", &["x"]);
-        let b = fmt("M", &["y"]);
-        let c = fmt("M", &["z"]);
-        // Step 1 returns early from the main body; step 2 calls a function
-        // that both returns a value and writes a root.
-        let s1 = step(&a, &b, "old.y = new.x; if (new.x > 0) return 1; old.y = -1;");
-        let s2 = step(
-            &b,
-            &c,
-            "int bump(int v) { old.z = v + 1; return v; } int t = bump(new.y); t = bump(t + 10);",
-        );
-        for x in [-5i64, 0, 7] {
-            let input = Value::Record(vec![Value::Int(x)]);
-            let chain = [&s1, &s2];
-            assert_eq!(fused(&chain, &input), staged(&chain, &input), "x = {x}");
-        }
-    }
-
-    #[test]
     fn fused_syncs_length_fields_between_steps() {
         let member = FormatBuilder::record("E").int("ID").build_arc().unwrap();
         let a = FormatBuilder::record("M")
@@ -441,7 +392,7 @@ mod tests {
         let a = fmt("M", &["x"]);
         let b = fmt("M", &["y"]);
         let c = fmt("M", &["z"]);
-        // Both steps use a main-body local named/slotted identically; slot
+        // Both steps use a local named/slotted identically; slot
         // rebasing must keep them distinct.
         let s1 = step(&a, &b, "int t = new.x * 2; old.y = t;");
         let s2 = step(&b, &c, "int t = new.y + 5; old.z = t;");
@@ -478,7 +429,7 @@ mod tests {
     fn fuel_budget_applies_to_fused_programs() {
         let a = fmt("M", &["x"]);
         let b = fmt("M", &["y"]);
-        let s1 = step(&a, &b, "while (1) {}");
+        let s1 = step(&a, &b, "for (;;) {}");
         let fp = FusedProgram::compose(&[&s1]).unwrap();
         let input = Value::Record(vec![Value::Int(1)]);
         assert!(run_vm(&fp, &input, &mut [Value::default_record(&b)], 1_000).is_err());
@@ -536,14 +487,12 @@ mod tests {
             .build_arc()
             .unwrap();
         let b = fmt("M", &["total"]);
-        let s1 = step(
-            &a,
-            &b,
-            "int i; for (i = 0; i < len(new.items); i++) { old.total += new.items[i].ID; }",
-        );
+        let s1 =
+            step(&a, &b, "int i; for (i = 0; i < new.n; i++) { old.total += new.items[i].ID; }");
         let fp = FusedProgram::compose(&[&s1]).unwrap();
-        // `n` and `junk` are never touched; `items` is read via len + index.
-        assert_eq!(root_used_fields(fp.rcode(), 0, 3), vec![false, true, false]);
+        // `junk` is never touched; `items` is read by index, up to its
+        // length field `n`.
+        assert_eq!(root_used_fields(fp.rcode(), 0, 3), vec![true, true, false]);
     }
 
     /// The fused chain reading the message through the plan projected to
@@ -572,9 +521,7 @@ mod tests {
         let b = FormatBuilder::record("M").int("spare").nested("pair", pair).build_arc().unwrap();
         let s1 = step(&a, &b, "old.pair.a = new.x; old.pair.b = new.y;");
         let insns = &s1.rcode().insns;
-        assert!(
-            matches!(&insns[..], [RInsn::CopyPath(r), RInsn::Ret { .. }] if r.entries.len() == 2)
-        );
+        assert!(matches!(&insns[..], [RInsn::CopyPath(r), RInsn::Ret] if r.entries.len() == 2));
         // A step's own code has no `SyncRoot`, so its destination mask shows
         // the row's `dst_root`.
         assert_eq!(root_used_fields(s1.rcode(), 1, 2), vec![false, true]);
@@ -596,7 +543,7 @@ mod tests {
         let b = vals(FormatBuilder::record("M")).build_arc().unwrap();
         let s1 = step(&a, &b, "int i; for (i = 0; i < new.n; i++) old.vals[i] = new.vals[i];");
         let names_vals = |i: &&RInsn| match i {
-            RInsn::Load { segs, .. } | RInsn::LenOf { segs, .. } | RInsn::Store { segs, .. } => {
+            RInsn::Load { segs, .. } | RInsn::Store { segs, .. } => {
                 segs.first() == Some(&CSeg::Field(1))
             }
             RInsn::CopyPath(_) => true,

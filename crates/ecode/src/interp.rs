@@ -19,30 +19,13 @@ fn rt_err(msg: impl Into<String>) -> EcodeError {
     EcodeError::runtime(msg)
 }
 
-/// Control-flow signal from statement execution.
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-    Return(Option<Value>),
-}
-
-/// Maximum user-function call depth (matches the VM's limit).
-const MAX_CALL_DEPTH: usize = 64;
-
 struct Interp<'p> {
     program: &'p TProgram,
     locals: Vec<Value>,
     fuel: u64,
-    depth: usize,
 }
 
-/// A resolved runtime path (indices evaluated).
-struct EvalPath {
-    root: usize,
-    segs: Vec<PathStep>,
-}
-
+/// One step of a path whose subscripts are evaluated.
 enum PathStep {
     Field(usize),
     Index(usize),
@@ -96,17 +79,11 @@ impl<'p> Interp<'p> {
         Ok(v.clone())
     }
 
-    /// The value at a path, its subscripts evaluated.
-    fn locate<'r>(
-        &mut self,
-        roots: &'r mut [Value],
-        root: usize,
-        segs: &[TSeg],
-    ) -> Result<&'r Value> {
-        let p = EvalPath { root, segs: self.eval_segs(roots, segs)? };
-        let roots: &'r [Value] = roots;
-        let mut cur: &Value = &roots[p.root];
-        for s in &p.segs {
+    /// A clone of the value at a path, its subscripts evaluated.
+    fn read(&mut self, roots: &mut [Value], root: usize, segs: &[TSeg]) -> Result<Value> {
+        let steps = self.eval_segs(roots, segs)?;
+        let mut cur: &Value = &roots[root];
+        for s in &steps {
             cur = match s {
                 PathStep::Field(i) => cur
                     .as_record()
@@ -120,19 +97,7 @@ impl<'p> Interp<'p> {
                 }
             };
         }
-        Ok(cur)
-    }
-
-    fn read(&mut self, roots: &mut [Value], root: usize, segs: &[TSeg]) -> Result<Value> {
-        let v = self.locate(roots, root, segs)?;
-        self.paid_clone(v)
-    }
-
-    fn len_of(&mut self, roots: &mut [Value], root: usize, segs: &[TSeg]) -> Result<Value> {
-        self.locate(roots, root, segs)?
-            .as_array()
-            .map(|a| Value::Int(a.len() as i64))
-            .ok_or_else(|| rt_err("len() target is not an array"))
+        self.paid_clone(cur)
     }
 
     fn write(
@@ -220,7 +185,6 @@ impl<'p> Interp<'p> {
             }
             TExprKind::ReadLocal(slot) => self.read_local(*slot),
             TExprKind::ReadPath { root, segs } => self.read(roots, *root, segs),
-            TExprKind::LenOf { root, segs } => self.len_of(roots, *root, segs),
             TExprKind::Assign { place, op, rhs } => {
                 // Compound assignment reads the place *before* evaluating
                 // the right-hand side, matching the VM's evaluation order.
@@ -300,16 +264,6 @@ impl<'p> Interp<'p> {
                 };
                 Ok(Value::Int(i64::from(v == 0)))
             }
-            TExprKind::Ternary(c, t, f) => {
-                let Value::Int(cv) = self.eval(roots, c)? else {
-                    return Err(rt_err("ternary condition is not an int"));
-                };
-                if cv != 0 {
-                    self.eval(roots, t)
-                } else {
-                    self.eval(roots, f)
-                }
-            }
             TExprKind::IncDec { place, inc, post } => {
                 let cur = self.read_place(roots, place)?;
                 let is_char = e.ty == Ty::Char;
@@ -331,118 +285,51 @@ impl<'p> Interp<'p> {
                     (k, v) => return Err(rt_err(format!("bad cast {k:?} on {}", v.kind_name()))),
                 })
             }
-            TExprKind::Call(builtin, args) => {
-                let mut vs = Vec::with_capacity(args.len());
-                for a in args {
-                    vs.push(self.eval(roots, a)?);
-                }
-                if let (Builtin::Strcat, [a, b]) = (builtin, &vs[..]) {
-                    self.charge_concat(TBinOp::Concat, a, b)?;
-                }
-                call_builtin(*builtin, vs)
-            }
-            TExprKind::CallUser(idx, args) => {
-                if self.depth >= MAX_CALL_DEPTH {
-                    return Err(rt_err("call stack overflow"));
-                }
-                let f = &self.program.funcs[*idx];
-                let mut frame: Vec<Value> = Vec::with_capacity(f.n_locals);
-                for a in args {
-                    frame.push(self.eval(roots, a)?);
-                }
-                frame.resize(f.n_locals, Value::Int(0));
-                let saved = std::mem::replace(&mut self.locals, frame);
-                self.depth += 1;
-                let mut result = None;
-                for s in &f.stmts {
-                    match self.exec(roots, s) {
-                        Ok(Flow::Normal) => {}
-                        Ok(Flow::Return(v)) => {
-                            result = v;
-                            break;
-                        }
-                        Ok(Flow::Break | Flow::Continue) => {
-                            unreachable!("checker rejects stray break/continue")
-                        }
-                        Err(e) => {
-                            self.locals = saved;
-                            self.depth -= 1;
-                            return Err(e);
-                        }
-                    }
-                }
-                self.locals = saved;
-                self.depth -= 1;
-                Ok(result.unwrap_or_else(|| crate::tast::zero_value(&f.ret)))
-            }
         }
     }
 
-    fn exec(&mut self, roots: &mut [Value], s: &TStmt) -> Result<Flow> {
+    fn exec(&mut self, roots: &mut [Value], s: &TStmt) -> Result<()> {
         self.burn()?;
         match s {
-            TStmt::Empty => Ok(Flow::Normal),
+            TStmt::Empty => {}
             TStmt::Init(slot, e) => {
                 let v = self.eval(roots, e)?;
                 self.locals[*slot] = v;
-                Ok(Flow::Normal)
             }
             TStmt::Expr(e) => {
                 self.eval(roots, e)?;
-                Ok(Flow::Normal)
             }
             TStmt::If(c, t, f) => {
                 let Value::Int(cv) = self.eval(roots, c)? else {
                     return Err(rt_err("if condition is not an int"));
                 };
                 if cv != 0 {
-                    self.exec(roots, t)
+                    self.exec(roots, t)?;
                 } else if let Some(f) = f {
-                    self.exec(roots, f)
-                } else {
-                    Ok(Flow::Normal)
+                    self.exec(roots, f)?;
                 }
             }
-            TStmt::Loop { cond, body, step } => {
-                loop {
-                    if let Some(c) = cond {
-                        let Value::Int(cv) = self.eval(roots, c)? else {
-                            return Err(rt_err("loop condition is not an int"));
-                        };
-                        if cv == 0 {
-                            break;
-                        }
-                    }
-                    match self.exec(roots, body)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        r @ Flow::Return(_) => return Ok(r),
-                    }
-                    if let Some(step) = step {
-                        self.eval(roots, step)?;
+            TStmt::Loop { cond, body, step } => loop {
+                if let Some(c) = cond {
+                    let Value::Int(cv) = self.eval(roots, c)? else {
+                        return Err(rt_err("loop condition is not an int"));
+                    };
+                    if cv == 0 {
+                        break;
                     }
                 }
-                Ok(Flow::Normal)
-            }
+                self.exec(roots, body)?;
+                if let Some(step) = step {
+                    self.eval(roots, step)?;
+                }
+            },
             TStmt::Block(stmts) => {
                 for s in stmts {
-                    match self.exec(roots, s)? {
-                        Flow::Normal => {}
-                        other => return Ok(other),
-                    }
+                    self.exec(roots, s)?;
                 }
-                Ok(Flow::Normal)
             }
-            TStmt::Return(e) => {
-                let v = match e {
-                    Some(e) => Some(self.eval(roots, e)?),
-                    None => None,
-                };
-                Ok(Flow::Return(v))
-            }
-            TStmt::Break => Ok(Flow::Break),
-            TStmt::Continue => Ok(Flow::Continue),
         }
+        Ok(())
     }
 }
 
@@ -497,78 +384,13 @@ fn fcmp_val(op: CmpOp, a: f64, b: f64) -> i64 {
     cmp(op, &a, &b)
 }
 
-fn call_builtin(b: Builtin, mut args: Vec<Value>) -> Result<Value> {
-    let bad = || rt_err(format!("bad builtin arguments for {b:?}"));
-    match b {
-        Builtin::Strlen => match args.pop() {
-            Some(Value::Str(s)) => Ok(Value::Int(s.len() as i64)),
-            _ => Err(bad()),
-        },
-        Builtin::Strcat => match (args.remove(0), args.remove(0)) {
-            (Value::Str(mut a), Value::Str(b)) => {
-                a.push_str(&b);
-                Ok(Value::Str(a))
-            }
-            _ => Err(bad()),
-        },
-        Builtin::AbsI => match args.pop() {
-            Some(Value::Int(v)) => Ok(Value::Int(v.wrapping_abs())),
-            _ => Err(bad()),
-        },
-        Builtin::AbsF => match args.pop() {
-            Some(Value::Float(v)) => Ok(Value::Float(v.abs())),
-            _ => Err(bad()),
-        },
-        Builtin::MinI | Builtin::MaxI => match (args.remove(0), args.remove(0)) {
-            (Value::Int(a), Value::Int(x)) => {
-                Ok(Value::Int(if b == Builtin::MinI { a.min(x) } else { a.max(x) }))
-            }
-            _ => Err(bad()),
-        },
-        Builtin::MinF | Builtin::MaxF => match (args.remove(0), args.remove(0)) {
-            (Value::Float(a), Value::Float(x)) => {
-                Ok(Value::Float(if b == Builtin::MinF { a.min(x) } else { a.max(x) }))
-            }
-            _ => Err(bad()),
-        },
-        Builtin::Sqrt => match args.pop() {
-            Some(Value::Float(v)) => Ok(Value::Float(v.sqrt())),
-            _ => Err(bad()),
-        },
-        Builtin::Floor => match args.pop() {
-            Some(Value::Float(v)) => Ok(Value::Float(v.floor())),
-            _ => Err(bad()),
-        },
-        Builtin::Ceil => match args.pop() {
-            Some(Value::Float(v)) => Ok(Value::Float(v.ceil())),
-            _ => Err(bad()),
-        },
-        Builtin::Atoi => match args.pop() {
-            Some(Value::Str(s)) => Ok(Value::Int(crate::rvm::atoi(&s))),
-            _ => Err(bad()),
-        },
-        Builtin::Itoa => match args.pop() {
-            Some(Value::Int(v)) => Ok(Value::Str(v.to_string())),
-            _ => Err(bad()),
-        },
-        Builtin::Atof => match args.pop() {
-            Some(Value::Str(s)) => Ok(Value::Float(crate::rvm::atof(&s))),
-            _ => Err(bad()),
-        },
-        Builtin::Ftoa => match args.pop() {
-            Some(Value::Float(v)) => Ok(Value::Str(v.to_string())),
-            _ => Err(bad()),
-        },
-    }
-}
-
 /// Interprets the typed AST directly. The register VM's semantics match
 /// this function exactly; differential tests enforce the agreement.
 ///
 /// # Errors
 ///
 /// Returns [`EcodeError::Runtime`] in the same situations as the VM.
-pub fn run(program: &TProgram, roots: &mut [Value]) -> Result<Option<Value>> {
+pub fn run(program: &TProgram, roots: &mut [Value]) -> Result<()> {
     run_with_fuel(program, roots, u64::MAX)
 }
 
@@ -577,7 +399,7 @@ pub fn run(program: &TProgram, roots: &mut [Value]) -> Result<Option<Value>> {
 /// # Errors
 ///
 /// As [`run`], plus fuel exhaustion.
-pub fn run_with_fuel(program: &TProgram, roots: &mut [Value], fuel: u64) -> Result<Option<Value>> {
+pub fn run_with_fuel(program: &TProgram, roots: &mut [Value], fuel: u64) -> Result<()> {
     if roots.len() != program.bindings.len() {
         return Err(rt_err(format!(
             "program expects {} root record(s), got {}",
@@ -585,13 +407,6 @@ pub fn run_with_fuel(program: &TProgram, roots: &mut [Value], fuel: u64) -> Resu
             roots.len()
         )));
     }
-    let mut it = Interp { program, locals: vec![Value::Int(0); program.n_locals], fuel, depth: 0 };
-    for s in &program.stmts {
-        match it.exec(roots, s)? {
-            Flow::Normal => {}
-            Flow::Return(v) => return Ok(v),
-            Flow::Break | Flow::Continue => unreachable!("checker rejects stray break/continue"),
-        }
-    }
-    Ok(None)
+    let mut it = Interp { program, locals: vec![Value::Int(0); program.n_locals], fuel };
+    program.stmts.iter().try_for_each(|s| it.exec(roots, s))
 }

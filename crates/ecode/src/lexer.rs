@@ -3,9 +3,8 @@
 use crate::error::{EcodeError, Pos, Result};
 
 /// A lexical token.
-#[allow(missing_docs)] // token names mirror their lexemes
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     // literals
     IntLit(i64),
     FloatLit(f64),
@@ -18,14 +17,9 @@ pub enum Tok {
     KwDouble,
     KwChar,
     KwString,
-    KwVoid,
     KwIf,
     KwElse,
     KwFor,
-    KwWhile,
-    KwReturn,
-    KwBreak,
-    KwContinue,
     // punctuation / operators
     LParen,
     RParen,
@@ -36,8 +30,6 @@ pub enum Tok {
     Semi,
     Comma,
     Dot,
-    Question,
-    Colon,
     Assign,
     PlusAssign,
     MinusAssign,
@@ -65,7 +57,7 @@ pub enum Tok {
 
 impl Tok {
     /// A short description used in parse errors.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Tok::IntLit(v) => format!("integer literal {v}"),
             Tok::FloatLit(v) => format!("float literal {v}"),
@@ -85,14 +77,9 @@ fn token_text(t: &Tok) -> &'static str {
         Tok::KwDouble => "double",
         Tok::KwChar => "char",
         Tok::KwString => "string",
-        Tok::KwVoid => "void",
         Tok::KwIf => "if",
         Tok::KwElse => "else",
         Tok::KwFor => "for",
-        Tok::KwWhile => "while",
-        Tok::KwReturn => "return",
-        Tok::KwBreak => "break",
-        Tok::KwContinue => "continue",
         Tok::LParen => "(",
         Tok::RParen => ")",
         Tok::LBrace => "{",
@@ -102,8 +89,6 @@ fn token_text(t: &Tok) -> &'static str {
         Tok::Semi => ";",
         Tok::Comma => ",",
         Tok::Dot => ".",
-        Tok::Question => "?",
-        Tok::Colon => ":",
         Tok::Assign => "=",
         Tok::PlusAssign => "+=",
         Tok::MinusAssign => "-=",
@@ -132,11 +117,11 @@ fn token_text(t: &Tok) -> &'static str {
 
 /// A token paired with its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token.
-    pub tok: Tok,
+    pub(crate) tok: Tok,
     /// Start position.
-    pub pos: Pos,
+    pub(crate) pos: Pos,
 }
 
 struct Lexer<'a> {
@@ -314,14 +299,9 @@ impl<'a> Lexer<'a> {
             "double" => Tok::KwDouble,
             "char" => Tok::KwChar,
             "string" => Tok::KwString,
-            "void" => Tok::KwVoid,
             "if" => Tok::KwIf,
             "else" => Tok::KwElse,
             "for" => Tok::KwFor,
-            "while" => Tok::KwWhile,
-            "return" => Tok::KwReturn,
-            "break" => Tok::KwBreak,
-            "continue" => Tok::KwContinue,
             _ => Tok::Ident(text.to_string()),
         }
     }
@@ -347,8 +327,6 @@ impl<'a> Lexer<'a> {
             b';' => Tok::Semi,
             b',' => Tok::Comma,
             b'.' => Tok::Dot,
-            b'?' => Tok::Question,
-            b':' => Tok::Colon,
             b'+' => match self.peek() {
                 Some(b'+') => {
                     self.bump();
@@ -407,7 +385,7 @@ impl<'a> Lexer<'a> {
 ///
 /// Returns [`EcodeError::Lex`] on invalid characters, unterminated
 /// strings/comments, or out-of-range numeric literals.
-pub fn lex(src: &str) -> Result<Vec<Spanned>> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Spanned>> {
     let mut lx = Lexer::new(src);
     let mut out = Vec::new();
     loop {

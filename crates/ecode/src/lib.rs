@@ -45,7 +45,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ast;
+mod ast;
 mod bytecode;
 mod error;
 mod fuse;
@@ -64,10 +64,9 @@ use pbio::{RecordFormat, Value};
 pub use bytecode::{CopyEntry, CopyRow, RCode, RInsn, ScalarConv};
 pub use error::{EcodeError, Pos, Result};
 pub use fuse::{root_used_fields, FusedProgram};
-pub use lexer::{lex, Spanned, Tok};
-pub use parser::parse;
 pub use rvm::{ViewRoutes, VmScratch};
-pub use tast::{Binding, TProgram, Ty};
+pub use tast::Binding;
+use tast::TProgram;
 
 /// Compiler for Ecode programs: binds root records, then compiles source.
 ///
@@ -132,14 +131,13 @@ impl EcodeProgram {
     /// Executes on the reference tree-walking interpreter — the language's
     /// specification, which the register VM is differentially tested
     /// against. `roots` must match the bindings in order and shape;
-    /// writable roots are mutated in place. Returns the program's `return`
-    /// value, if any.
+    /// writable roots are mutated in place.
     ///
     /// # Errors
     ///
     /// Returns [`EcodeError::Runtime`] on division by zero, out-of-bounds
     /// reads, or shape mismatches between roots and bound formats.
-    pub fn run_interp(&self, roots: &mut [Value]) -> Result<Option<Value>> {
+    pub fn run_interp(&self, roots: &mut [Value]) -> Result<()> {
         interp::run(&self.typed, roots)
     }
 
@@ -152,7 +150,7 @@ impl EcodeProgram {
     /// # Errors
     ///
     /// As [`EcodeProgram::run_interp`], plus fuel exhaustion.
-    pub fn run_interp_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<Option<Value>> {
+    pub fn run_interp_with_fuel(&self, roots: &mut [Value], fuel: u64) -> Result<()> {
         interp::run_with_fuel(&self.typed, roots, fuel)
     }
 
@@ -305,12 +303,11 @@ mod tests {
     fn loops_and_control_flow() {
         assert_eq!(int_of("int s = 0; int i; for (i = 1; i <= 10; i++) s += i; r.i = s;"), 55);
         assert_eq!(
-            int_of("int s = 0; int i = 0; while (i < 5) { i++; if (i == 3) continue; s += i; } r.i = s;"),
+            int_of("int s = 0; int i = 0; for (; i < 5;) { i++; if (i != 3) s += i; } r.i = s;"),
             12
         );
-        assert_eq!(int_of("int i; for (i = 0; ; i++) { if (i == 7) break; } r.i = i;"), 7);
-        // A main-body `return` ends the run where it stands.
-        assert_eq!(int_of("r.i = 1; if (r.i == 1) return; r.i = 2;"), 1);
+        assert_eq!(int_of("int i; for (i = 0; i != 7; i++) {} r.i = i;"), 7);
+        assert_eq!(int_of("r.i = 1; if (r.i == 1) r.i = 3; else r.i = 2;"), 3);
     }
 
     #[test]
@@ -327,19 +324,8 @@ mod tests {
     }
 
     #[test]
-    fn ternary() {
-        assert_eq!(int_of("r.i = 3 > 2 ? 10 : 20;"), 10);
-        assert_eq!(int_of("r.i = 3 < 2 ? 10 : 20;"), 20);
-        // An int branch beside a double one makes a double: halving it is
-        // not integer division.
-        assert_eq!(run_both("r.d = (1 ? 1 : 2.5) / 2;")[1], Value::Float(0.5));
-    }
-
-    #[test]
     fn strings() {
         assert_eq!(run_both(r#"r.s = "foo" + "bar";"#)[2], Value::str("foobar"));
-        assert_eq!(int_of(r#"r.i = strlen("hello");"#), 5);
-        assert_eq!(run_both(r#"r.s = strcat("a", "b");"#)[2], Value::str("ab"));
         assert_eq!(run_both(r#"r.s = "x"; r.s += "y";"#)[2], Value::str("xy"));
     }
 
@@ -358,31 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn builtins() {
-        assert_eq!(int_of("r.i = abs(-5);"), 5);
-        assert_eq!(int_of("r.i = min(3, 7) + max(3, 7);"), 10);
-        assert_eq!(run_both("r.d = sqrt(9.0);")[1], Value::Float(3.0));
-        assert_eq!(run_both("r.d = floor(2.7) + ceil(2.1);")[1], Value::Float(5.0));
-        assert_eq!(run_both("r.d = fabs(-2.5);")[1], Value::Float(2.5));
-        assert_eq!(run_both("r.d = min(1.5, 2) + max(1, 0.5);")[1], Value::Float(2.5));
-    }
-
-    #[test]
-    fn string_number_conversions() {
-        assert_eq!(int_of(r#"r.i = atoi("42");"#), 42);
-        assert_eq!(int_of(r#"r.i = atoi("  -17 trailing");"#), -17);
-        assert_eq!(int_of(r#"r.i = atoi("+8");"#), 8);
-        assert_eq!(int_of(r#"r.i = atoi("nope");"#), 0);
-        assert_eq!(run_both(r#"r.s = itoa(-5) + "!";"#)[2], Value::str("-5!"));
-        assert_eq!(run_both(r#"r.d = atof("2.5xyz") * 2;"#)[1], Value::Float(5.0));
-        assert_eq!(run_both(r#"r.d = atof("garbage");"#)[1], Value::Float(0.0));
-        assert_eq!(run_both("r.s = ftoa(1.25);")[2], Value::str("1.25"));
-        // The evolution use case: a string id becomes an int id.
-        assert_eq!(int_of(r#"r.i = atoi("id-42");"#), 0);
-        assert_eq!(int_of(r#"r.i = atoi("1234") % 100;"#), 34);
-    }
-
-    #[test]
     fn division_by_zero_is_runtime_error() {
         for (src, what) in [("r.i = 1 / 0;", "division"), ("r.i = 1 % 0;", "modulo")] {
             let (roots, result) = both_engines(&scalar_program(src), &scalar_roots());
@@ -393,10 +354,47 @@ mod tests {
 
     #[test]
     fn fuel_limits_runaway_loops() {
-        let prog = scalar_program("while (1) {}");
+        let prog = scalar_program("for (;;) {}");
         for (name, engine) in ENGINES {
             let err = engine(&prog, &mut scalar_roots(), 10_000).unwrap_err();
             assert_eq!(err.to_string(), "runtime error: instruction budget exhausted", "{name}");
+        }
+    }
+
+    /// Ecode is what format transformations use: no calls (user functions
+    /// or builtins), no ternary, no `while`, `return`, `break` or
+    /// `continue`. Each is a typed compile error, never a panic.
+    #[test]
+    fn constructs_outside_the_language_are_compile_errors() {
+        let fmt = FormatBuilder::record("T")
+            .int("a")
+            .int("b")
+            .int("c")
+            .int("n")
+            .var_array_basic("l", pbio::BasicType::Int(pbio::Width::W8), "n")
+            .build_arc()
+            .unwrap();
+        let compiler = EcodeCompiler::new().bind_input("new", &fmt).bind_output("r", &fmt);
+        for src in [
+            "r.a = f(new.a);",
+            "r.a = max(new.a, new.b);",
+            "r.n = len(new.l);",
+            "r.a = new.a ? new.b : new.c;",
+            "while (1) {}",
+            "return;",
+            "for (;;) { break; }",
+            "for (;;) { continue; }",
+            "int f(int a) { return a + 1; } r.a = f(new.a);",
+            "void f() {} f();",
+        ] {
+            let err = compiler.compile(src).expect_err(src);
+            assert!(
+                matches!(
+                    err,
+                    EcodeError::Lex { .. } | EcodeError::Parse { .. } | EcodeError::Type { .. }
+                ),
+                "{src}: {err}"
+            );
         }
     }
 
@@ -496,31 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn len_builtin_runs() {
-        let member = FormatBuilder::record("M").string("info").int("ID").build_arc().unwrap();
-        let fmt = FormatBuilder::record("R")
-            .int("count")
-            .var_array_of("list", member, "count")
-            .build_arc()
-            .unwrap();
-        let prog = EcodeCompiler::new()
-            .bind_input("r", &fmt)
-            .bind_output("o", &scalar_fmt())
-            .compile("o.i = len(r.list);")
-            .unwrap();
-        let input = Value::Record(vec![
-            Value::Int(2),
-            Value::Array(vec![
-                Value::Record(vec![Value::str("a"), Value::Int(1)]),
-                Value::Record(vec![Value::str("b"), Value::Int(2)]),
-            ]),
-        ]);
-        let (roots, result) = both_engines(&prog, &[input, Value::default_record(&scalar_fmt())]);
-        assert_eq!(result, Ok(()));
-        assert_eq!(roots[1].as_record().unwrap()[0], Value::Int(2));
-    }
-
-    #[test]
     fn read_out_of_bounds_is_error_but_write_extends() {
         let member = FormatBuilder::record("M").int("ID").build_arc().unwrap();
         let fmt = FormatBuilder::record("R")
@@ -544,93 +517,6 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2], Value::Record(vec![Value::Int(9)]));
         after[1].check(&fmt).unwrap();
-    }
-
-    #[test]
-    fn user_functions_basic() {
-        assert_eq!(int_of("int add(int a, int b) { return a + b; } r.i = add(2, 3);"), 5);
-        assert_eq!(int_of("int twice(int x) { return x * 2; } r.i = twice(twice(twice(1)));"), 8);
-        let half = "double half(double x) { return x / 2.0; } r.d = half(5);";
-        assert_eq!(run_both(half)[1], Value::Float(2.5));
-        let greet = r#"string greet(string who) { return "hi " + who; } r.s = greet("bob");"#;
-        assert_eq!(run_both(greet)[2], Value::str("hi bob"));
-    }
-
-    #[test]
-    fn user_functions_recursion() {
-        assert_eq!(
-            int_of("int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); } r.i = fib(12);"),
-            144
-        );
-        // Mutual recursion works because signatures are collected first.
-        assert_eq!(
-            int_of(
-                "int is_even(int n) { if (n == 0) return 1; return is_odd(n - 1); }
-                 int is_odd(int n) { if (n == 0) return 0; return is_even(n - 1); }
-                 r.i = is_even(10) * 10 + is_odd(7);"
-            ),
-            11
-        );
-    }
-
-    #[test]
-    fn user_functions_side_effects_on_roots() {
-        assert_eq!(int_of("void bump() { r.i = r.i + 1; } bump(); bump(); bump();"), 3);
-    }
-
-    #[test]
-    fn user_functions_shadow_builtins_and_fall_off_end() {
-        // A user `max` wins over the builtin.
-        assert_eq!(int_of("int max(int a, int b) { return a * b; } r.i = max(3, 4);"), 12);
-        // Falling off the end of a non-void function yields zero.
-        assert_eq!(int_of("int f() { } r.i = f() + 7;"), 7);
-    }
-
-    #[test]
-    fn user_function_arg_coercion() {
-        assert_eq!(
-            run_both("double f(double x) { return x + 0.5; } r.d = f(2);")[1],
-            Value::Float(2.5)
-        );
-        assert_eq!(int_of("int f(int x) { return x; } r.i = f('A');"), 65);
-    }
-
-    #[test]
-    fn user_function_errors() {
-        let fmt = scalar_fmt();
-        let c = EcodeCompiler::new().bind_output("r", &fmt);
-        // Duplicate definition.
-        assert!(c.compile("int f() { return 1; } int f() { return 2; }").is_err());
-        // Wrong arity.
-        assert!(c.compile("int f(int a) { return a; } return f();").is_err());
-        // Void returning a value / non-void bare return.
-        assert!(c.compile("void f() { return 1; }").is_err());
-        assert!(c.compile("int f() { return; } return f();").is_err());
-        // Using a void call as a value.
-        assert!(c.compile("void f() { } return f() + 1;").is_err());
-        // Definitions after statements.
-        assert!(c.compile("r.i = 1; int f() { return 1; }").is_err());
-        // Unknown parameter type syntax.
-        assert!(c.compile("int f(bogus a) { return 0; }").is_err());
-    }
-
-    #[test]
-    fn runaway_recursion_overflows_cleanly() {
-        let prog = scalar_program("int f(int n) { return f(n + 1); } r.i = f(0);");
-        let (_, result) = both_engines(&prog, &scalar_roots());
-        assert_eq!(result, Err("runtime error: call stack overflow".into()));
-    }
-
-    #[test]
-    fn function_locals_are_isolated() {
-        // Function locals must not clobber main-body locals or other frames.
-        assert_eq!(
-            int_of(
-                "int f(int x) { int a = x * 10; return a; }
-                 int a = 1; int b = f(2); int c = f(3); r.i = a + b + c;"
-            ),
-            51
-        );
     }
 
     #[test]
@@ -711,7 +597,7 @@ mod tests {
 
     #[test]
     fn register_vm_honours_fuel() {
-        let prog = scalar_program("while (1) {}");
+        let prog = scalar_program("for (;;) {}");
         assert!(vm(&prog, &mut scalar_roots(), 10_000).is_err());
     }
 
@@ -731,8 +617,7 @@ mod tests {
 
     /// What a run allocates is charged to its budget, on both engines: a
     /// write `k` elements past an array's end costs `k` more than a write
-    /// that adds one; `+`, `+=` and `strcat` one unit per byte of their
-    /// result; and every copy of a string one unit per byte copied — the
+    /// that adds one; `+` and `+=` one unit per byte of their result; and every copy of a string one unit per byte copied — the
     /// constant, and each read, move and store of it, as each engine makes
     /// them.
     #[test]
@@ -748,7 +633,6 @@ mod tests {
         let templates = [
             ("r.s = T + T;", [9 + 9 + 18 + 18, 9 + 18 + 18 + 18]),
             ("r.s = T; r.s += T;", [9 + 9 + 9 + 9 + 18 + 18, 9 + 9 + 9 + 9 + 9 + 18 + 18]),
-            ("r.s = strcat(T, T);", [9 + 9 + 18 + 18, 9 + 18 + 18 + 18]),
             ("string u = T; r.s = u;", [9 + 9 + 9 + 9, 9 + 9 + 9 + 9]),
         ];
         for (e, (name, engine)) in ENGINES.into_iter().enumerate() {
@@ -770,7 +654,7 @@ mod tests {
 
     #[test]
     fn register_vm_runtime_errors_match_tree_walker() {
-        for src in ["r.i = 1 / 0;", "r.i = 1 % 0;", "r.s = r.s + itoa(1 / 0);"] {
+        for src in ["r.i = 1 / 0;", "r.i = 1 % 0;", "r.s = r.s + \"x\"; r.i = 1 % r.i;"] {
             let (_, result) = both_engines(&scalar_program(src), &scalar_roots());
             assert!(result.is_err(), "{src}");
         }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use pbio::FieldType;
 
-use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RFnCode, RInsn, ScalarConv};
+use crate::bytecode::{map_registers, CSeg, CopyEntry, CopyRow, RCode, RInsn, ScalarConv};
 use crate::tast::{
     Binding, CastKind, CmpOp, TBinOp, TExpr, TExprKind, TPlace, TProgram, TSeg, TStmt, Ty,
 };
@@ -56,7 +56,7 @@ fn any_node(e: &TExpr, f: &mut dyn FnMut(&TExprKind) -> bool) -> bool {
         | TExprKind::ConstC(_)
         | TExprKind::ConstS(_)
         | TExprKind::ReadLocal(_) => false,
-        TExprKind::ReadPath { segs, .. } | TExprKind::LenOf { segs, .. } => segs_any(segs, f),
+        TExprKind::ReadPath { segs, .. } => segs_any(segs, f),
         TExprKind::Assign { place, rhs, .. } => place_any(place, f) || any_node(rhs, f),
         TExprKind::Binary(_, l, r) | TExprKind::LogicalAnd(l, r) | TExprKind::LogicalOr(l, r) => {
             any_node(l, f) || any_node(r, f)
@@ -64,17 +64,11 @@ fn any_node(e: &TExpr, f: &mut dyn FnMut(&TExprKind) -> bool) -> bool {
         TExprKind::NegI(x) | TExprKind::NegF(x) | TExprKind::Not(x) | TExprKind::Cast(_, x) => {
             any_node(x, f)
         }
-        TExprKind::Ternary(c, t, e2) => any_node(c, f) || any_node(t, f) || any_node(e2, f),
         TExprKind::IncDec { place, .. } => place_any(place, f),
-        TExprKind::Call(_, args) | TExprKind::CallUser(_, args) => {
-            args.iter().any(|a| any_node(a, f))
-        }
     }
 }
 
-/// True if evaluating `e` can write any local of the current frame. User
-/// functions cannot touch the caller's locals, so `CallUser` itself does not
-/// count (its argument expressions are still walked).
+/// True if evaluating `e` can write any local.
 fn writes_locals(e: &TExpr) -> bool {
     any_node(e, &mut |k| {
         matches!(
@@ -85,31 +79,26 @@ fn writes_locals(e: &TExpr) -> bool {
     })
 }
 
-/// True if `e` has no side effects at all (no assignments, no increments,
-/// no user-function calls — builtins are pure).
+/// True if `e` has no side effects at all (no assignments, no increments).
 fn is_pure(e: &TExpr) -> bool {
-    !any_node(e, &mut |k| {
-        matches!(k, TExprKind::Assign { .. } | TExprKind::IncDec { .. } | TExprKind::CallUser(..))
-    })
+    !any_node(e, &mut |k| matches!(k, TExprKind::Assign { .. } | TExprKind::IncDec { .. }))
 }
 
 // ---------------------------------------------------------------------------
-// Per-frame lowering
+// Lowering
 // ---------------------------------------------------------------------------
 
-struct FnLower<'a> {
-    insns: &'a mut Vec<RInsn>,
-    strings: &'a mut Vec<String>,
+struct Lower<'a> {
+    insns: Vec<RInsn>,
+    strings: Vec<String>,
     bindings: &'a [Binding],
-    /// Locals (including parameters) are pinned to registers `0..n_locals`.
+    /// Locals are pinned to registers `0..n_locals`.
     n_locals: u32,
     /// Next free virtual temporary (stack discipline, reset per statement).
     next_temp: u32,
-    break_patches: Vec<Vec<usize>>,
-    continue_patches: Vec<Vec<usize>>,
 }
 
-impl FnLower<'_> {
+impl Lower<'_> {
     fn emit(&mut self, i: RInsn) -> usize {
         self.insns.push(i);
         self.insns.len() - 1
@@ -161,7 +150,7 @@ impl FnLower<'_> {
     /// Lowers `e`, returning the register holding its value. The register
     /// may be a pinned local (for plain local reads and local-assignment
     /// results) — callers that evaluate something with local side effects
-    /// *afterwards* must stabilize it via [`FnLower::operand`].
+    /// *afterwards* must stabilize it via [`Lower::operand`].
     fn expr(&mut self, e: &TExpr) -> u32 {
         match &e.kind {
             TExprKind::ConstI(v) => {
@@ -190,12 +179,6 @@ impl FnLower<'_> {
                 let (segs, idx) = self.path(segs);
                 let t = self.alloc_temp();
                 self.emit(RInsn::Load { dst: t, root: *root as u8, segs, idx });
-                t
-            }
-            TExprKind::LenOf { root, segs } => {
-                let (segs, idx) = self.path(segs);
-                let t = self.alloc_temp();
-                self.emit(RInsn::LenOf { dst: t, root: *root as u8, segs, idx });
                 t
             }
             TExprKind::Assign { place, op, rhs } => self
@@ -259,25 +242,6 @@ impl FnLower<'_> {
                 self.emit(RInsn::Not { dst, src: s });
                 dst
             }
-            TExprKind::Ternary(c, t, f) => {
-                let res = self.alloc_temp();
-                let cv = self.expr(c);
-                let jz = self.emit(RInsn::Jz { cond: cv, target: 0 });
-                let tv = self.expr(t);
-                if tv != res {
-                    self.emit(RInsn::Move { dst: res, src: tv });
-                }
-                let done = self.emit(RInsn::Jmp(0));
-                let fpos = self.here();
-                self.patch(jz, fpos);
-                let fv = self.expr(f);
-                if fv != res {
-                    self.emit(RInsn::Move { dst: res, src: fv });
-                }
-                let end = self.here();
-                self.patch(done, end);
-                res
-            }
             TExprKind::IncDec { place, inc, post } => {
                 let is_char = e.ty == Ty::Char;
                 let old = self.alloc_temp();
@@ -320,18 +284,6 @@ impl FnLower<'_> {
                 });
                 dst
             }
-            TExprKind::Call(builtin, args) => {
-                let regs = self.arg_regs(args);
-                let dst = self.alloc_temp();
-                self.emit(RInsn::Call { f: *builtin, dst, args: regs });
-                dst
-            }
-            TExprKind::CallUser(idx, args) => {
-                let regs = self.arg_regs(args);
-                let dst = self.alloc_temp();
-                self.emit(RInsn::CallFn { f: *idx as u32, dst, args: regs });
-                dst
-            }
         }
     }
 
@@ -348,17 +300,6 @@ impl FnLower<'_> {
         } else {
             r
         }
-    }
-
-    /// Lowers call arguments left-to-right, stabilizing any local-aliasing
-    /// argument that a later argument could clobber.
-    fn arg_regs(&mut self, args: &[TExpr]) -> Arc<[u32]> {
-        let mut regs = Vec::with_capacity(args.len());
-        for (k, a) in args.iter().enumerate() {
-            let later = args[k + 1..].iter().any(writes_locals);
-            regs.push(self.operand(a, later));
-        }
-        regs.into()
     }
 
     /// Lowers a path's dynamic indices left-to-right into registers and
@@ -607,8 +548,6 @@ impl FnLower<'_> {
                 }
             }
             TStmt::Loop { cond, body, step } => {
-                self.break_patches.push(Vec::new());
-                self.continue_patches.push(Vec::new());
                 let top = self.here();
                 let exit_jump = cond.as_ref().map(|c| {
                     let mark = self.next_temp;
@@ -618,7 +557,6 @@ impl FnLower<'_> {
                     j
                 });
                 self.stmt(body);
-                let step_pos = self.here();
                 if let Some(step) = step {
                     self.expr_stmt(step);
                 }
@@ -627,35 +565,8 @@ impl FnLower<'_> {
                 if let Some(j) = exit_jump {
                     self.patch(j, end);
                 }
-                for j in self.break_patches.pop().expect("pushed above") {
-                    self.patch(j, end);
-                }
-                for j in self.continue_patches.pop().expect("pushed above") {
-                    self.patch(j, step_pos);
-                }
             }
             TStmt::Block(stmts) => self.stmts(stmts),
-            TStmt::Return(e) => {
-                let mark = self.next_temp;
-                match e {
-                    Some(e) => {
-                        let v = self.expr(e);
-                        self.emit(RInsn::Ret { src: Some(v) });
-                    }
-                    None => {
-                        self.emit(RInsn::Ret { src: None });
-                    }
-                }
-                self.next_temp = mark;
-            }
-            TStmt::Break => {
-                let j = self.emit(RInsn::Jmp(0));
-                self.break_patches.last_mut().expect("checker validated loop depth").push(j);
-            }
-            TStmt::Continue => {
-                let j = self.emit(RInsn::Jmp(0));
-                self.continue_patches.last_mut().expect("checker validated loop depth").push(j);
-            }
         }
     }
 }
@@ -692,7 +603,7 @@ fn field_copy(e: &TExpr) -> Option<FieldCopy<'_>> {
 
 /// A field copy that may join a [`RInsn::CopyPath`] row, split into the
 /// copy, its destination prefix and its leaf field. See
-/// [`FnLower::try_copy_row`] for why subscripts must be plain.
+/// [`Lower::try_copy_row`] for why subscripts must be plain.
 fn row_copy(s: &TStmt) -> Option<(FieldCopy<'_>, &[TSeg], usize)> {
     let TStmt::Expr(e) = s else { return None };
     let copy = field_copy(e)?;
@@ -737,18 +648,18 @@ fn binop_insn(op: TBinOp, dst: u32, a: u32, b: u32) -> RInsn {
 // Linear-scan register compaction
 // ---------------------------------------------------------------------------
 
-/// Remaps the virtual temporaries of the instruction region `[start, end)`
-/// onto a minimal physical set via linear scan. Pinned registers
-/// (`0..n_pinned` — the frame's locals) keep their identity; temporary live
-/// intervals span `[first occurrence, last occurrence]`, extended to the
-/// jump site of any backward jump they overlap so loop-carried values are
-/// not clobbered across iterations. Returns the frame's register count.
-fn compact(insns: &mut [RInsn], start: usize, end: usize, n_pinned: u32) -> u32 {
+/// Remaps the virtual temporaries of `insns` onto a minimal physical set
+/// via linear scan. Pinned registers (`0..n_pinned` — the locals) keep their
+/// identity; temporary live intervals span `[first occurrence, last
+/// occurrence]`, extended to the jump site of any backward jump they overlap
+/// so loop-carried values are not clobbered across iterations. Returns the
+/// register count.
+fn compact(insns: &mut [RInsn], n_pinned: u32) -> u32 {
     use std::collections::HashMap;
 
     let mut occ: HashMap<u32, (usize, usize)> = HashMap::new();
     let mut loops: Vec<(usize, usize)> = Vec::new();
-    for (pos, insn) in insns.iter().enumerate().take(end).skip(start) {
+    for (pos, insn) in insns.iter().enumerate() {
         let seen = std::cell::RefCell::new(Vec::new());
         let _ = map_registers(insn, |r| {
             seen.borrow_mut().push(r);
@@ -811,7 +722,7 @@ fn compact(insns: &mut [RInsn], start: usize, end: usize, n_pinned: u32) -> u32 
         map.insert(r, phys);
     }
 
-    for insn in insns.iter_mut().take(end).skip(start) {
+    for insn in insns.iter_mut() {
         *insn = map_registers(insn, |r| if r < n_pinned { r } else { *map.get(&r).unwrap_or(&r) });
     }
     next
@@ -821,77 +732,20 @@ fn compact(insns: &mut [RInsn], start: usize, end: usize, n_pinned: u32) -> u32 
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Lowers a type-checked program to register bytecode: the main body first,
-/// then each function, each frame compacted by linear scan.
+/// Lowers a type-checked program to register bytecode, compacted by linear
+/// scan.
 pub(crate) fn lower(program: &TProgram) -> RCode {
-    let mut insns: Vec<RInsn> = Vec::new();
-    let mut strings: Vec<String> = Vec::new();
-
-    {
-        let mut fl = FnLower {
-            insns: &mut insns,
-            strings: &mut strings,
-            bindings: &program.bindings,
-            n_locals: program.n_locals as u32,
-            next_temp: program.n_locals as u32,
-            break_patches: Vec::new(),
-            continue_patches: Vec::new(),
-        };
-        fl.stmts(&program.stmts);
-        fl.emit(RInsn::Ret { src: None });
-    }
-    let main_end = insns.len();
-
-    let mut regions: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for f in &program.funcs {
-        let entry = insns.len();
-        let mut fl = FnLower {
-            insns: &mut insns,
-            strings: &mut strings,
-            bindings: &program.bindings,
-            n_locals: f.n_locals as u32,
-            next_temp: f.n_locals as u32,
-            break_patches: Vec::new(),
-            continue_patches: Vec::new(),
-        };
-        fl.stmts(&f.stmts);
-        // Implicit return for falling off the end: zero of the return type
-        // for non-void.
-        match &f.ret {
-            Ty::Void => {
-                fl.emit(RInsn::Ret { src: None });
-            }
-            Ty::Double => {
-                let t = fl.alloc_temp();
-                fl.emit(RInsn::ConstF { dst: t, v: 0.0 });
-                fl.emit(RInsn::Ret { src: Some(t) });
-            }
-            Ty::Char => {
-                let t = fl.alloc_temp();
-                fl.emit(RInsn::ConstC { dst: t, v: 0 });
-                fl.emit(RInsn::Ret { src: Some(t) });
-            }
-            Ty::Str => {
-                let idx = fl.string_const("");
-                let t = fl.alloc_temp();
-                fl.emit(RInsn::ConstS { dst: t, s: idx });
-                fl.emit(RInsn::Ret { src: Some(t) });
-            }
-            _ => {
-                let t = fl.alloc_temp();
-                fl.emit(RInsn::ConstI { dst: t, v: 0 });
-                fl.emit(RInsn::Ret { src: Some(t) });
-            }
-        }
-        regions.push((entry, insns.len(), f.n_params, f.n_locals));
-    }
-
-    let n_regs = compact(&mut insns, 0, main_end, program.n_locals as u32) as usize;
-    let mut funcs = Vec::with_capacity(regions.len());
-    for (entry, end, n_params, n_locals) in regions {
-        let n_regs_f = compact(&mut insns, entry, end, n_locals as u32);
-        funcs.push(RFnCode { entry: entry as u32, n_params: n_params as u32, n_regs: n_regs_f });
-    }
-
-    RCode { insns, strings, n_regs, n_roots: program.bindings.len(), funcs }
+    let n_locals = program.n_locals as u32;
+    let mut lo = Lower {
+        insns: Vec::new(),
+        strings: Vec::new(),
+        bindings: &program.bindings,
+        n_locals,
+        next_temp: n_locals,
+    };
+    lo.stmts(&program.stmts);
+    lo.emit(RInsn::Ret);
+    let Lower { mut insns, strings, .. } = lo;
+    let n_regs = compact(&mut insns, n_locals) as usize;
+    RCode { insns, strings, n_regs, n_roots: program.bindings.len() }
 }

@@ -74,70 +74,12 @@ impl Parser {
 
     // -- statements ---------------------------------------------------------
 
-    fn program(&mut self) -> Result<Program> {
-        let mut funcs = Vec::new();
+    fn program(&mut self) -> Result<Vec<Stmt>> {
         let mut stmts = Vec::new();
         while self.peek() != &Tok::Eof {
-            if let Some(f) = self.try_fndef()? {
-                if !stmts.is_empty() {
-                    return Err(EcodeError::parse(
-                        f.pos,
-                        "function definitions must precede the program body",
-                    ));
-                }
-                funcs.push(f);
-            } else {
-                stmts.push(self.stmt()?);
-            }
+            stmts.push(self.stmt()?);
         }
-        Ok(Program { funcs, stmts })
-    }
-
-    /// Parses a function definition if the upcoming tokens are
-    /// `type ident (` or `void ident (`; otherwise rewinds and returns
-    /// `None`.
-    fn try_fndef(&mut self) -> Result<Option<FnDef>> {
-        let save = self.pos;
-        let pos = self.peek_pos();
-        let ret = if self.eat(&Tok::KwVoid) {
-            None
-        } else {
-            match self.decl_ty() {
-                Some(t) => Some(t),
-                None => return Ok(None),
-            }
-        };
-        let Ok(name) = self.ident() else {
-            self.pos = save;
-            return Ok(None);
-        };
-        if !self.eat(&Tok::LParen) {
-            self.pos = save;
-            return Ok(None);
-        }
-        let mut params = Vec::new();
-        if !self.eat(&Tok::RParen) {
-            loop {
-                let ty = self.decl_ty().ok_or_else(|| {
-                    EcodeError::parse(self.peek_pos(), "expected a parameter type")
-                })?;
-                let pname = self.ident()?;
-                params.push((ty, pname));
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
-            self.expect(&Tok::RParen)?;
-        }
-        self.expect(&Tok::LBrace)?;
-        let mut body = Vec::new();
-        while !self.eat(&Tok::RBrace) {
-            if self.peek() == &Tok::Eof {
-                return Err(EcodeError::parse(pos, "unterminated function body"));
-            }
-            body.push(self.stmt()?);
-        }
-        Ok(Some(FnDef { pos, name, ret, params, body }))
+        Ok(stmts)
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
@@ -167,13 +109,6 @@ impl Parser {
                 let els = if self.eat(&Tok::KwElse) { Some(Box::new(self.stmt()?)) } else { None };
                 StmtKind::If(cond, then, els)
             }
-            Tok::KwWhile => {
-                self.bump();
-                self.expect(&Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(&Tok::RParen)?;
-                StmtKind::While(cond, Box::new(self.stmt()?))
-            }
             Tok::KwFor => {
                 self.bump();
                 self.expect(&Tok::LParen)?;
@@ -188,22 +123,6 @@ impl Parser {
                 let step = if self.peek() == &Tok::RParen { None } else { Some(self.expr()?) };
                 self.expect(&Tok::RParen)?;
                 StmtKind::For(init, cond, step, Box::new(self.stmt()?))
-            }
-            Tok::KwReturn => {
-                self.bump();
-                let e = if self.peek() == &Tok::Semi { None } else { Some(self.expr()?) };
-                self.expect(&Tok::Semi)?;
-                StmtKind::Return(e)
-            }
-            Tok::KwBreak => {
-                self.bump();
-                self.expect(&Tok::Semi)?;
-                StmtKind::Break
-            }
-            Tok::KwContinue => {
-                self.bump();
-                self.expect(&Tok::Semi)?;
-                StmtKind::Continue
             }
             _ => return self.simple_stmt(),
         };
@@ -239,7 +158,7 @@ impl Parser {
     }
 
     fn assignment(&mut self) -> Result<Expr> {
-        let lhs = self.ternary()?;
+        let lhs = self.logic_or()?;
         let op = match self.peek() {
             Tok::Assign => AssignOp::Set,
             Tok::PlusAssign => AssignOp::Add,
@@ -253,19 +172,6 @@ impl Parser {
         self.bump();
         let rhs = self.assignment()?; // right-associative
         Ok(Expr { pos, kind: ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)) })
-    }
-
-    fn ternary(&mut self) -> Result<Expr> {
-        let cond = self.logic_or()?;
-        if self.peek() != &Tok::Question {
-            return Ok(cond);
-        }
-        let pos = self.peek_pos();
-        self.bump();
-        let then = self.expr()?;
-        self.expect(&Tok::Colon)?;
-        let els = self.ternary()?;
-        Ok(Expr { pos, kind: ExprKind::Ternary(Box::new(cond), Box::new(then), Box::new(els)) })
     }
 
     fn binary_level<F>(&mut self, next: F, table: &[(Tok, BinOp)]) -> Result<Expr>
@@ -402,22 +308,7 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 self.bump();
-                if self.peek() == &Tok::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(&Tok::RParen)?;
-                    }
-                    ExprKind::Call(name, args)
-                } else {
-                    ExprKind::Ident(name)
-                }
+                ExprKind::Ident(name)
             }
             Tok::LParen => {
                 self.bump();
@@ -436,13 +327,13 @@ impl Parser {
     }
 }
 
-/// Parses Ecode source text into an AST.
+/// Parses Ecode source text into its statement list.
 ///
 /// # Errors
 ///
 /// Returns [`EcodeError::Lex`] or [`EcodeError::Parse`] with the position of
 /// the failure.
-pub fn parse(src: &str) -> Result<Program> {
+pub(crate) fn parse(src: &str) -> Result<Vec<Stmt>> {
     let toks = lex(src)?;
     let mut p = Parser { toks, pos: 0 };
     p.program()
@@ -452,7 +343,7 @@ pub fn parse(src: &str) -> Result<Program> {
 mod tests {
     use super::*;
 
-    fn ok(src: &str) -> Program {
+    fn ok(src: &str) -> Vec<Stmt> {
         parse(src).unwrap()
     }
 
@@ -483,14 +374,14 @@ mod tests {
             }
         "#;
         let prog = ok(src);
-        assert_eq!(prog.stmts.len(), 5);
-        assert!(matches!(prog.stmts[4].kind, StmtKind::For(..)));
+        assert_eq!(prog.len(), 5);
+        assert!(matches!(prog[4].kind, StmtKind::For(..)));
     }
 
     #[test]
     fn precedence_mul_over_add() {
         let p = ok("x = 1 + 2 * 3;");
-        let StmtKind::Expr(e) = &p.stmts[0].kind else { panic!() };
+        let StmtKind::Expr(e) = &p[0].kind else { panic!() };
         let ExprKind::Assign(AssignOp::Set, _, rhs) = &e.kind else { panic!() };
         let ExprKind::Binary(BinOp::Add, _, r) = &rhs.kind else { panic!() };
         assert!(matches!(r.kind, ExprKind::Binary(BinOp::Mul, _, _)));
@@ -499,23 +390,15 @@ mod tests {
     #[test]
     fn assignment_right_associative() {
         let p = ok("a = b = 1;");
-        let StmtKind::Expr(e) = &p.stmts[0].kind else { panic!() };
+        let StmtKind::Expr(e) = &p[0].kind else { panic!() };
         let ExprKind::Assign(_, _, rhs) = &e.kind else { panic!() };
         assert!(matches!(rhs.kind, ExprKind::Assign(..)));
     }
 
     #[test]
-    fn ternary_parses() {
-        let p = ok("x = a > b ? a : b;");
-        let StmtKind::Expr(e) = &p.stmts[0].kind else { panic!() };
-        let ExprKind::Assign(_, _, rhs) = &e.kind else { panic!() };
-        assert!(matches!(rhs.kind, ExprKind::Ternary(..)));
-    }
-
-    #[test]
     fn member_and_index_chains() {
         let p = ok("v = a.b[i + 1].c;");
-        let StmtKind::Expr(e) = &p.stmts[0].kind else { panic!() };
+        let StmtKind::Expr(e) = &p[0].kind else { panic!() };
         let ExprKind::Assign(_, _, rhs) = &e.kind else { panic!() };
         let ExprKind::Member(inner, c) = &rhs.kind else { panic!() };
         assert_eq!(c, "c");
@@ -525,45 +408,35 @@ mod tests {
     #[test]
     fn multi_declarations() {
         let p = ok("int a = 1, b, c = 3;");
-        let StmtKind::Decl(DeclTy::Int, vars) = &p.stmts[0].kind else { panic!() };
+        let StmtKind::Decl(DeclTy::Int, vars) = &p[0].kind else { panic!() };
         assert_eq!(vars.len(), 3);
         assert!(vars[1].1.is_none());
     }
 
     #[test]
     fn for_clauses_optional() {
-        ok("for (;;) break;");
-        ok("for (i = 0; ; i++) break;");
+        ok("for (;;) {}");
+        ok("for (i = 0; ; i++) ;");
         ok("for (int i = 0; i < 3; ) {}");
     }
 
     #[test]
     fn dangling_else_binds_inner() {
         let p = ok("if (a) if (b) x = 1; else x = 2;");
-        let StmtKind::If(_, then, els) = &p.stmts[0].kind else { panic!() };
+        let StmtKind::If(_, then, els) = &p[0].kind else { panic!() };
         assert!(els.is_none());
         assert!(matches!(then.kind, StmtKind::If(_, _, Some(_))));
-    }
-
-    #[test]
-    fn calls_parse() {
-        let p = ok("x = max(a, b + 1);");
-        let StmtKind::Expr(e) = &p.stmts[0].kind else { panic!() };
-        let ExprKind::Assign(_, _, rhs) = &e.kind else { panic!() };
-        let ExprKind::Call(name, args) = &rhs.kind else { panic!() };
-        assert_eq!(name, "max");
-        assert_eq!(args.len(), 2);
     }
 
     #[test]
     fn prefix_incdec() {
         let p = ok("++i; --j;");
         assert!(matches!(
-            &p.stmts[0].kind,
+            &p[0].kind,
             StmtKind::Expr(Expr { kind: ExprKind::PreIncDec(_, true), .. })
         ));
         assert!(matches!(
-            &p.stmts[1].kind,
+            &p[1].kind,
             StmtKind::Expr(Expr { kind: ExprKind::PreIncDec(_, false), .. })
         ));
     }

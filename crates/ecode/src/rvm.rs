@@ -7,8 +7,7 @@
 //! when a write extends an array (the `old.src_list[src_count] = ...`
 //! pattern of the paper's Fig. 5, where the output list grows as the
 //! transformation discovers sources). The register file lives in one flat
-//! `Vec<Value>`; user-function calls open a fresh window at the top
-//! (Lua-style), with arguments cloned into the callee's low registers.
+//! `Vec<Value>`.
 //!
 //! Root 0 — the incoming message — is read-only and always read in place
 //! from the wire ([`pbio::WireView`], along routes compiled once per plan);
@@ -29,28 +28,18 @@
 //! what it dispatches: a write that extends an array by *k* elements costs
 //! *k* units, a concatenation one unit per byte of its result, and every
 //! copy of a string — a constant, a move, a load, a store, a copy-row
-//! entry, a call's arguments and its return value — one unit per byte
-//! copied, each charged before the allocation is made (a whole record or
-//! array read in place is built from the message's bytes first, and paid
-//! before it is stored).
+//! entry — one unit per byte copied, each charged before the allocation
+//! is made (a whole record or array read in place is built from the
+//! message's bytes first, and paid before it is stored).
 
 use pbio::{FieldType, RecordFormat, Value};
 
 use crate::bytecode::{CSeg, CopyEntry, CopyRow, RCode, RInsn, ScalarConv};
 use crate::error::{EcodeError, Result};
-use crate::tast::{ArithOp, Binding, Builtin, CmpOp};
+use crate::tast::{ArithOp, Binding, CmpOp};
 
-/// Maximum user-function call depth (independent of fuel).
-const MAX_CALL_DEPTH: usize = 64;
-
-struct Frame {
-    ret_pc: usize,
-    ret_dst: u32,
-    prev_base: usize,
-}
-
-/// The register VM's working memory — register file, call stack, subscript
-/// scratch — kept by a caller that runs programs message after message
+/// The register VM's working memory — register file and subscript scratch —
+/// kept by a caller that runs programs message after message
 /// ([`FusedProgram::run_view`](crate::FusedProgram::run_view)),
 /// so a run on warm scratch allocates nothing. Every run leaves the scratch
 /// empty again, whether it returned or failed: no value of one message
@@ -58,7 +47,6 @@ struct Frame {
 #[derive(Default)]
 pub struct VmScratch {
     regs: Vec<Value>,
-    frames: Vec<Frame>,
     idx: Vec<usize>,
 }
 
@@ -71,7 +59,6 @@ impl std::fmt::Debug for VmScratch {
 impl VmScratch {
     fn clear(&mut self) {
         self.regs.clear();
-        self.frames.clear();
         self.idx.clear();
     }
 }
@@ -312,15 +299,6 @@ impl Src<'_> {
         }
         Ok(())
     }
-
-    /// The length of the array at `segs`; `None` when no array is there.
-    #[inline]
-    fn len_of(self, at: Site, segs: &[CSeg], idx: &[usize]) -> Result<Option<usize>> {
-        match self {
-            Src::Tree(root) => Ok(nav_from(root, segs, idx)?.as_array().map(<[Value]>::len)),
-            Src::View(r) => r.view.len(r.route(at)?, idx).map_err(miss),
-        }
-    }
 }
 
 /// A fused program's reads of root 0, each path compiled against the plan
@@ -364,9 +342,7 @@ impl ViewRoutes {
         for insn in &code.insns {
             first.push(sites.len() as u32);
             match insn {
-                RInsn::Load { root: 0, segs, .. } | RInsn::LenOf { root: 0, segs, .. } => {
-                    sites.push(route(segs));
-                }
+                RInsn::Load { root: 0, segs, .. } => sites.push(route(segs)),
                 // One site per entry, so an entry finds its route by
                 // position.
                 RInsn::CopyPath(row) => {
@@ -548,66 +524,6 @@ fn write_path(
     Ok(())
 }
 
-/// C `atoi` semantics: optional whitespace, optional sign, leading digits;
-/// anything unparsable is 0.
-pub(crate) fn atoi(s: &str) -> i64 {
-    let t = s.trim_start();
-    let (neg, t) = match t.strip_prefix('-') {
-        Some(rest) => (true, rest),
-        None => (false, t.strip_prefix('+').unwrap_or(t)),
-    };
-    let digits: String = t.chars().take_while(char::is_ascii_digit).collect();
-    let v = digits.parse::<i64>().unwrap_or(0);
-    if neg {
-        v.wrapping_neg()
-    } else {
-        v
-    }
-}
-
-/// C `atof`-ish semantics: after leading whitespace, the longest prefix
-/// Rust's float parser accepts, found in one scan ([`float_prefix`]) and
-/// parsed once; 0.0 when no prefix parses.
-pub(crate) fn atof(s: &str) -> f64 {
-    let t = s.trim_start();
-    t[..float_prefix(t.as_bytes())].parse().unwrap_or(0.0)
-}
-
-/// The length of the longest prefix of `b` in the grammar of `f64`'s
-/// `FromStr`: an optional sign, then `inf`, `infinity` or `nan` in any case,
-/// or a number — digits with an optional `.` and fraction, at least one
-/// digit in all, and an exponent (`e`, optional sign, digits) only when it
-/// has a digit. Every byte of the grammar is ASCII, so the prefix ends on a
-/// character boundary.
-fn float_prefix(b: &[u8]) -> usize {
-    let digits = |from: usize| from + b[from..].iter().take_while(|c| c.is_ascii_digit()).count();
-    let sign = usize::from(matches!(b.first(), Some(b'+' | b'-')));
-    let word =
-        |w: &str| b.get(sign..sign + w.len()).is_some_and(|p| p.eq_ignore_ascii_case(w.as_bytes()));
-    if let Some(w) = ["infinity", "inf", "nan"].into_iter().find(|w| word(w)) {
-        return sign + w.len();
-    }
-    let mut end = digits(sign);
-    let whole = end > sign;
-    if b.get(end) == Some(&b'.') {
-        let frac_end = digits(end + 1);
-        if whole || frac_end > end + 1 {
-            end = frac_end;
-        }
-    }
-    if end == sign {
-        return 0;
-    }
-    if matches!(b.get(end), Some(b'e' | b'E')) {
-        let exp = end + 1 + usize::from(matches!(b.get(end + 1), Some(b'+' | b'-')));
-        let exp_end = digits(exp);
-        if exp_end > exp {
-            end = exp_end;
-        }
-    }
-    end
-}
-
 /// `a` followed by `b`, its bytes paid from `fuel` first.
 fn concat(a: &str, b: &str, fuel: &mut u64) -> Result<Value> {
     charge(fuel, (a.len() + b.len()) as u64)?;
@@ -617,47 +533,23 @@ fn concat(a: &str, b: &str, fuel: &mut u64) -> Result<Value> {
     Ok(Value::Str(s))
 }
 
-/// `builtin(args...)`, the arguments read from the `args` registers of
-/// `frame`; `strcat` pays for its result from `fuel`.
-fn call_builtin(b: Builtin, args: &[u32], frame: &[Value], fuel: &mut u64) -> Result<Value> {
-    let arg = |k: usize| &frame[args[k] as usize];
-    Ok(match (b, args.len()) {
-        (Builtin::Strlen, 1) => Value::Int(as_str(arg(0))?.len() as i64),
-        (Builtin::Strcat, 2) => concat(as_str(arg(0))?, as_str(arg(1))?, fuel)?,
-        (Builtin::AbsI, 1) => Value::Int(as_int(arg(0))?.wrapping_abs()),
-        (Builtin::AbsF, 1) => Value::Float(as_float(arg(0))?.abs()),
-        (Builtin::MinI, 2) => Value::Int(as_int(arg(0))?.min(as_int(arg(1))?)),
-        (Builtin::MaxI, 2) => Value::Int(as_int(arg(0))?.max(as_int(arg(1))?)),
-        (Builtin::MinF, 2) => Value::Float(as_float(arg(0))?.min(as_float(arg(1))?)),
-        (Builtin::MaxF, 2) => Value::Float(as_float(arg(0))?.max(as_float(arg(1))?)),
-        (Builtin::Sqrt, 1) => Value::Float(as_float(arg(0))?.sqrt()),
-        (Builtin::Floor, 1) => Value::Float(as_float(arg(0))?.floor()),
-        (Builtin::Ceil, 1) => Value::Float(as_float(arg(0))?.ceil()),
-        (Builtin::Atoi, 1) => Value::Int(atoi(as_str(arg(0))?)),
-        (Builtin::Itoa, 1) => Value::Str(as_int(arg(0))?.to_string()),
-        (Builtin::Atof, 1) => Value::Float(atof(as_str(arg(0))?)),
-        (Builtin::Ftoa, 1) => Value::Str(as_float(arg(0))?.to_string()),
-        (b, n) => return Err(rt_err(format!("builtin {b:?} called with {n} arguments"))),
-    })
-}
-
 /// One row entry's value — its source, read (its string bytes paid from
 /// `fuel`) and converted — into `out`, which is left alone when the read,
-/// the payment or the conversion fails. `frame` is the current register
-/// window.
+/// the payment or the conversion fails. Its subscripts are read from
+/// `regs`.
 #[inline(always)]
 fn read_entry(
     src: Src<'_>,
     at: Site,
     e: &CopyEntry,
-    frame: &[Value],
+    regs: &[Value],
     fuel: &mut u64,
     idx_scratch: &mut Vec<usize>,
     out: &mut Value,
 ) -> Result<()> {
     idx_scratch.clear();
     for &r in e.src_idx.iter() {
-        idx_scratch.push(to_index(&frame[r as usize])?);
+        idx_scratch.push(to_index(&regs[r as usize])?);
     }
     match e.conv {
         None => src.load_into(at, &e.src_segs, idx_scratch, out, fuel),
@@ -677,13 +569,13 @@ fn next_entry(
     around: &Around<'_>,
     at: Site,
     e: &CopyEntry,
-    frame: &[Value],
+    regs: &[Value],
     fuel: &mut u64,
     idx_scratch: &mut Vec<usize>,
     out: &mut Value,
 ) -> Result<()> {
     charge(fuel, 1)?;
-    read_entry(around.get(e.src_root)?, at, e, frame, fuel, idx_scratch, out)
+    read_entry(around.get(e.src_root)?, at, e, regs, fuel, idx_scratch, out)
 }
 
 /// Executes one [`RInsn::CopyPath`]; see [`CopyRow`] for the contract. Entry
@@ -694,7 +586,7 @@ fn copy_row(
     pc: usize,
     roots: &mut Roots<'_>,
     bindings: &[Binding],
-    frame: &[Value],
+    regs: &[Value],
     fuel: &mut u64,
     idx_scratch: &mut Vec<usize>,
 ) -> Result<()> {
@@ -703,10 +595,10 @@ fn copy_row(
     // (and, alone, may read the destination's own root).
     let mut v0 = Value::Int(0);
     let at = Site { pc, entry: 0 };
-    read_entry(roots.get(first.src_root)?, at, first, frame, fuel, idx_scratch, &mut v0)?;
+    read_entry(roots.get(first.src_root)?, at, first, regs, fuel, idx_scratch, &mut v0)?;
     idx_scratch.clear();
     for &r in row.dst_idx.iter() {
-        idx_scratch.push(to_index(&frame[r as usize])?);
+        idx_scratch.push(to_index(&regs[r as usize])?);
     }
     let mut it = idx_scratch.iter();
     let binding = bindings.get(row.dst_root as usize).ok_or_else(|| no_root(row.dst_root))?;
@@ -740,7 +632,7 @@ fn copy_row(
                     let at = Site { pc, entry: j };
                     fields.push(Value::Int(0));
                     let slot = fields.last_mut().expect("just pushed");
-                    if let Err(err) = next_entry(&around, at, e, frame, fuel, idx_scratch, slot) {
+                    if let Err(err) = next_entry(&around, at, e, regs, fuel, idx_scratch, slot) {
                         fields.pop();
                         let mut elem = Value::default_for(elem_ty);
                         if let Some(slots) = elem.as_record_mut() {
@@ -760,7 +652,7 @@ fn copy_row(
     *leaf_of(first, rec, ty)? = v0;
     for (j, e) in (1..).zip(rest) {
         let out = leaf_of(e, rec, ty)?;
-        next_entry(&around, Site { pc, entry: j }, e, frame, fuel, idx_scratch, out)?;
+        next_entry(&around, Site { pc, entry: j }, e, regs, fuel, idx_scratch, out)?;
     }
     Ok(())
 }
@@ -814,13 +706,12 @@ fn execute(
     mut fuel: u64,
     scratch: &mut VmScratch,
 ) -> Result<()> {
-    let VmScratch { regs, frames, idx: idx_scratch } = scratch;
-    let mut base: usize = 0;
+    let VmScratch { regs, idx: idx_scratch } = scratch;
     let mut pc: usize = 0;
 
     macro_rules! reg {
         ($r:expr) => {
-            regs[base + $r as usize]
+            regs[$r as usize]
         };
     }
 
@@ -867,17 +758,6 @@ fn execute(
                     .get(*root as usize)
                     .ok_or_else(|| rt_err(format!("no root #{root}")))?;
                 write_path(roots.split(*root)?.0, binding, segs, idx_scratch, v, &mut fuel)?;
-            }
-            RInsn::LenOf { dst, root, segs, idx } => {
-                idx_scratch.clear();
-                for &r in idx.iter() {
-                    idx_scratch.push(to_index(&reg!(r))?);
-                }
-                let n = roots
-                    .get(*root)?
-                    .len_of(Site { pc: at, entry: 0 }, segs, idx_scratch)?
-                    .ok_or_else(|| rt_err("len applied to a non-array value"))?;
-                reg!(*dst) = Value::Int(n as i64);
             }
             RInsn::IArith { op, dst, a, b } => {
                 let x = as_int(&reg!(*a))?;
@@ -958,50 +838,14 @@ fn execute(
                     pc = *target as usize;
                 }
             }
-            RInsn::Call { f, dst, args } => {
-                let v = call_builtin(*f, args, &regs[base..], &mut fuel)?;
-                reg!(*dst) = v;
-            }
-            RInsn::CallFn { f, dst, args } => {
-                if frames.len() >= MAX_CALL_DEPTH {
-                    return Err(rt_err("call stack overflow"));
-                }
-                let fc = code
-                    .funcs
-                    .get(*f as usize)
-                    .ok_or_else(|| rt_err(format!("no function #{f}")))?;
-                if args.len() > fc.n_regs as usize {
-                    return Err(rt_err("function call passes more arguments than registers"));
-                }
-                let new_base = regs.len();
-                regs.resize(new_base + fc.n_regs as usize, Value::Int(0));
-                for (k, &r) in args.iter().enumerate() {
-                    let v = paid_clone(&regs[base + r as usize], &mut fuel)?;
-                    regs[new_base + k] = v;
-                }
-                frames.push(Frame { ret_pc: pc, ret_dst: *dst, prev_base: base });
-                base = new_base;
-                pc = fc.entry as usize;
-            }
-            RInsn::Ret { src } => {
-                // The main body's return value is not read.
-                let Some(frame) = frames.pop() else { return Ok(()) };
-                let v = match src {
-                    Some(r) => paid_clone(&reg!(*r), &mut fuel)?,
-                    None => Value::Int(0),
-                };
-                regs.truncate(base);
-                base = frame.prev_base;
-                pc = frame.ret_pc;
-                regs[base + frame.ret_dst as usize] = v;
-            }
+            RInsn::Ret => return Ok(()),
             RInsn::SyncRoot(r) => {
                 let ri = *r as usize;
                 let binding = bindings.get(ri).ok_or_else(|| rt_err(format!("no root #{r}")))?;
                 pbio::sync_length_fields(roots.split(*r)?.0, &binding.format);
             }
             RInsn::CopyPath(row) => {
-                copy_row(row, at, &mut roots, bindings, &regs[base..], &mut fuel, idx_scratch)?;
+                copy_row(row, at, &mut roots, bindings, regs, &mut fuel, idx_scratch)?;
             }
         }
     }
@@ -1064,7 +908,6 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(code.funcs.is_empty(), "the programs below declare no functions");
         RCode { insns, ..code.clone() }
     }
 
@@ -1139,53 +982,9 @@ mod tests {
         assert!(budget_stops > 50, "the sweep never reached the end: {budget_stops}");
     }
 
-    /// The prefix-retry `atof` that [`atof`] replaces: every prefix parsed,
-    /// the longest that parses kept — quadratic in the string, and the
-    /// definition of the result.
-    fn atof_by_retry(s: &str) -> f64 {
-        let t = s.trim_start();
-        let mut best = 0.0;
-        for (i, c) in t.char_indices() {
-            if let Ok(v) = t[..i + c.len_utf8()].parse::<f64>() {
-                best = v;
-            }
-        }
-        best
-    }
-
-    /// One scan finds what retrying every prefix finds, on strings built
-    /// from the grammar's pieces and from junk: signs, `.5`, `1.`,
-    /// exponents with and without digits, `inf`/`infinity`/`nan` in any
-    /// case, junk tails and multibyte characters.
-    #[test]
-    fn atof_matches_the_prefix_retry_oracle() {
-        const PIECES: &[&str] = &[
-            "", " ", "\t", "\u{3000}", "+", "-", "0", "7", "42", "0009", ".", ".5", "1.", "e", "E",
-            "e5", "E-3", "e+", "e-", "inf", "INF", "Infinity", "iNfInItY", "infinit", "nan", "NaN",
-            "nAn", "x", "_", "é", "日本", "1e308", "9e999", "..", "++", "--",
-        ];
-        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
-        let mut next = |n: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % n as u64) as usize
-        };
-        let mut cases: Vec<String> = PIECES.iter().map(|p| p.to_string()).collect();
-        for _ in 0..20_000 {
-            let len = 1 + next(6);
-            cases.push((0..len).map(|_| PIECES[next(PIECES.len())]).collect());
-        }
-        for s in &cases {
-            let (got, want) = (atof(s), atof_by_retry(s));
-            assert!(got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(), "{s:?}");
-        }
-    }
-
-    /// A run that fails part-way — out of fuel inside a user function, with
-    /// call frames open and the register file grown, or on a bad index —
-    /// leaves the scratch as good as new: the next run in it returns what a
-    /// run in fresh scratch returns, under every budget.
+    /// A run that fails part-way — out of fuel inside a nested loop, or on
+    /// a bad index — leaves the scratch as good as new: the next run in it
+    /// returns what a run in fresh scratch returns, under every budget.
     #[test]
     fn scratch_that_saw_a_failed_run_behaves_like_fresh_scratch() {
         let list = FormatBuilder::record("L")
@@ -1199,9 +998,10 @@ mod tests {
             .bind_input("new", &list)
             .bind_output("old", &out)
             .compile(
-                "int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); } \
-                 int i; int sum = 0; \
-                 for (i = 0; i < new.n; i++) { sum = sum + fib(new.ids[i].id); } \
+                "int i; int j; int sum = 0; \
+                 for (i = 0; i < new.n; i++) { \
+                     for (j = 0; j < new.ids[i].id; j++) { sum = sum + j; } \
+                 } \
                  old.sum = sum; old.picked = new.ids[new.pick].id;",
             )
             .unwrap();
@@ -1213,18 +1013,18 @@ mod tests {
         };
         let fresh = |pick, fuel| run(&mut VmScratch::default(), pick, fuel);
         let good = fresh(2, u64::MAX);
-        assert_eq!(good.1[0], Value::Record(vec![Value::Int(2 + 3 + 5 + 8 + 13), Value::Int(5)]));
+        assert_eq!(good.1[0], Value::Record(vec![Value::Int(3 + 6 + 10 + 15 + 21), Value::Int(5)]));
 
         let mut scratch = VmScratch::default();
-        let mut stopped_in_a_call = 0;
+        let mut starved = 0;
         for fuel in (0..600).step_by(7) {
-            let starved = run(&mut scratch, 2, fuel);
-            assert_eq!(starved, fresh(2, fuel), "budget {fuel}");
-            stopped_in_a_call += u64::from(starved.0.is_err());
-            assert!(scratch.regs.is_empty() && scratch.frames.is_empty() && scratch.idx.is_empty());
+            let got = run(&mut scratch, 2, fuel);
+            assert_eq!(got, fresh(2, fuel), "budget {fuel}");
+            starved += u64::from(got.0.is_err());
+            assert!(scratch.regs.is_empty() && scratch.idx.is_empty());
             assert_eq!(run(&mut scratch, 2, u64::MAX), good, "after running out at {fuel}");
         }
-        assert!(stopped_in_a_call > 20, "the sweep must starve runs: {stopped_in_a_call}");
+        assert!(starved > 20, "the sweep must starve runs: {starved}");
         let bad_index = run(&mut scratch, 9, u64::MAX);
         assert_eq!(bad_index, fresh(9, u64::MAX));
         assert_eq!(bad_index.0, Err("runtime error: array index 9 out of bounds (len 5)".into()));

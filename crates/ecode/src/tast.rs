@@ -22,8 +22,6 @@ pub enum Ty {
     Record(Arc<RecordFormat>),
     /// An array of elements.
     Array(Box<Ty>),
-    /// No value (void returns).
-    Void,
 }
 
 impl Ty {
@@ -42,7 +40,6 @@ impl fmt::Display for Ty {
             Ty::Str => write!(f, "string"),
             Ty::Record(r) => write!(f, "record {}", r.name()),
             Ty::Array(e) => write!(f, "{e}[]"),
-            Ty::Void => write!(f, "void"),
         }
     }
 }
@@ -101,41 +98,6 @@ pub enum CastKind {
     DoubleToBool,
 }
 
-/// Builtin functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Builtin {
-    /// `strlen(string) -> int`
-    Strlen,
-    /// `strcat(string, string) -> string`
-    Strcat,
-    /// `abs(int) -> int`
-    AbsI,
-    /// `abs(double) -> double` (spelled `abs` or `fabs`).
-    AbsF,
-    /// `min(int, int) -> int`
-    MinI,
-    /// `max(int, int) -> int`
-    MaxI,
-    /// `min(double, double) -> double`
-    MinF,
-    /// `max(double, double) -> double`
-    MaxF,
-    /// `sqrt(double) -> double`
-    Sqrt,
-    /// `floor(double) -> double`
-    Floor,
-    /// `ceil(double) -> double`
-    Ceil,
-    /// `atoi(string) -> int` (0 when unparsable, like C's atoi).
-    Atoi,
-    /// `itoa(int) -> string`.
-    Itoa,
-    /// `atof(string) -> double` (0.0 when unparsable).
-    Atof,
-    /// `ftoa(double) -> string` (shortest round-trip form).
-    Ftoa,
-}
-
 /// One segment of an access path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TSeg {
@@ -184,13 +146,6 @@ pub enum TExprKind {
         /// Segments from the root.
         segs: Vec<TSeg>,
     },
-    /// Array length of a root path without cloning the array (`len(...)`).
-    LenOf {
-        /// Index of the root binding.
-        root: usize,
-        /// Segments from the root.
-        segs: Vec<TSeg>,
-    },
     /// Assignment; the expression value is the stored value.
     Assign {
         /// Target location.
@@ -211,7 +166,6 @@ pub enum TExprKind {
     NegF(Box<TExpr>),
     /// Logical not (int operand).
     Not(Box<TExpr>),
-    Ternary(Box<TExpr>, Box<TExpr>, Box<TExpr>),
     /// `place++` / `place--` etc. on an int or char place; value has the
     /// place's type.
     IncDec {
@@ -223,10 +177,6 @@ pub enum TExprKind {
         post: bool,
     },
     Cast(CastKind, Box<TExpr>),
-    Call(Builtin, Vec<TExpr>),
-    /// Call of a user-defined function by index into [`TProgram::funcs`];
-    /// arguments are already coerced to the parameter types.
-    CallUser(usize, Vec<TExpr>),
 }
 
 /// A typed statement.
@@ -236,19 +186,17 @@ pub enum TStmt {
     Init(usize, TExpr),
     Expr(TExpr),
     If(TExpr, Box<TStmt>, Option<Box<TStmt>>),
-    /// `while`-style loop with an optional trailing step (from `for`).
+    /// A `for` loop's condition, body and step (its initializer is the
+    /// statement before it).
     Loop {
         /// `None` means `true`.
         cond: Option<TExpr>,
         /// Loop body.
         body: Box<TStmt>,
-        /// Executed after the body and on `continue`.
+        /// Executed after the body.
         step: Option<TExpr>,
     },
     Block(Vec<TStmt>),
-    Return(Option<TExpr>),
-    Break,
-    Continue,
     Empty,
 }
 
@@ -264,44 +212,14 @@ pub struct Binding {
     pub writable: bool,
 }
 
-/// A type-checked user-defined function.
-#[derive(Debug, Clone)]
-pub struct TFnDef {
-    /// Function name (diagnostics only; calls are by index).
-    pub name: String,
-    /// Return type ([`Ty::Void`] for `void`).
-    pub ret: Ty,
-    /// Number of parameters (they occupy local slots `0..n_params`).
-    pub n_params: usize,
-    /// Total local slots including parameters.
-    pub n_locals: usize,
-    /// Body statements.
-    pub stmts: Vec<TStmt>,
-}
-
 /// A fully type-checked program.
 #[derive(Debug, Clone)]
 pub struct TProgram {
     /// Root bindings, in binding order (execution receives the root values
     /// in the same order).
     pub bindings: Vec<Binding>,
-    /// Number of local slots used by the main body.
+    /// Number of local slots the program uses.
     pub n_locals: usize,
-    /// User-defined functions, in declaration order.
-    pub funcs: Vec<TFnDef>,
     /// Top-level statements.
     pub stmts: Vec<TStmt>,
-}
-
-/// The canonical zero [`pbio::Value`] for a scalar type (used for implicit
-/// returns and fresh locals).
-pub fn zero_value(ty: &Ty) -> pbio::Value {
-    use pbio::Value;
-    match ty {
-        Ty::Double => Value::Float(0.0),
-        Ty::Char => Value::Char(0),
-        Ty::Str => Value::Str(String::new()),
-        // Void placeholders and anything else default to an int zero.
-        _ => Value::Int(0),
-    }
 }

@@ -17,22 +17,10 @@ struct Scope {
     names: Vec<(String, usize, Ty)>,
 }
 
-/// A collected function signature (pass 1).
-struct FnSig {
-    name: String,
-    params: Vec<Ty>,
-    ret: Ty,
-}
-
 struct Checker<'a> {
     bindings: &'a [Binding],
-    sigs: &'a [FnSig],
     scopes: Vec<Scope>,
     n_locals: usize,
-    loop_depth: usize,
-    /// `Some(ret)` while checking a function body; `None` in the main body
-    /// (which may return any value).
-    current_ret: Option<Ty>,
 }
 
 fn ty_of_field_type(ft: &FieldType) -> Ty {
@@ -158,32 +146,8 @@ impl<'a> Checker<'a> {
                 let te = self.as_cond(te, pos)?;
                 Ok(TExpr { ty: Ty::Int, kind: TExprKind::Not(Box::new(te)) })
             }
-            ExprKind::Ternary(c, t, f) => {
-                let tc = self.expr(c)?;
-                let tc = self.as_cond(tc, pos)?;
-                let tt = self.expr(t)?;
-                let tf = self.expr(f)?;
-                let (tt, tf) = if tt.ty == tf.ty {
-                    (tt, tf)
-                } else if tt.ty.is_numeric() && tf.ty.is_numeric() {
-                    let want = if tt.ty == Ty::Double || tf.ty == Ty::Double {
-                        Ty::Double
-                    } else {
-                        Ty::Int
-                    };
-                    (self.coerce(tt, &want, pos)?, self.coerce(tf, &want, pos)?)
-                } else {
-                    return Err(EcodeError::ty(
-                        pos,
-                        format!("ternary arms have incompatible types {} and {}", tt.ty, tf.ty),
-                    ));
-                };
-                let ty = tt.ty.clone();
-                Ok(TExpr { ty, kind: TExprKind::Ternary(Box::new(tc), Box::new(tt), Box::new(tf)) })
-            }
             ExprKind::PostIncDec(target, inc) => self.incdec(pos, target, *inc, true),
             ExprKind::PreIncDec(target, inc) => self.incdec(pos, target, *inc, false),
-            ExprKind::Call(name, args) => self.call(pos, name, args),
         }
     }
 
@@ -429,124 +393,6 @@ impl<'a> Checker<'a> {
         Ok(TExpr { ty, kind: TExprKind::IncDec { place, inc, post } })
     }
 
-    fn call(&mut self, pos: Pos, name: &str, args: &[Expr]) -> Result<TExpr> {
-        // User-defined functions shadow builtins.
-        if let Some(idx) = self.sigs.iter().position(|s| s.name == name) {
-            let sig = &self.sigs[idx];
-            if args.len() != sig.params.len() {
-                return Err(EcodeError::ty(
-                    pos,
-                    format!("{name}() takes {} argument(s), got {}", sig.params.len(), args.len()),
-                ));
-            }
-            let param_tys: Vec<Ty> = sig.params.clone();
-            let ret = sig.ret.clone();
-            let mut targs = Vec::with_capacity(args.len());
-            for (a, want) in args.iter().zip(&param_tys) {
-                let t = self.expr(a)?;
-                targs.push(self.coerce(t, want, a.pos)?);
-            }
-            return Ok(TExpr { ty: ret, kind: TExprKind::CallUser(idx, targs) });
-        }
-        // `len(path)` is special: it needs a place, not a value.
-        if name == "len" {
-            if args.len() != 1 {
-                return Err(EcodeError::ty(pos, "len() takes exactly one argument"));
-            }
-            let (place, ty) = self.resolve_place(&args[0])?;
-            let Ty::Array(_) = ty else {
-                return Err(EcodeError::ty(pos, format!("len() needs an array, found {ty}")));
-            };
-            let TPlace::Path { root, segs } = place else {
-                return Err(EcodeError::ty(pos, "len() needs an array inside a root record"));
-            };
-            return Ok(TExpr { ty: Ty::Int, kind: TExprKind::LenOf { root, segs } });
-        }
-
-        let mut targs = Vec::with_capacity(args.len());
-        for a in args {
-            targs.push(self.expr(a)?);
-        }
-        let arity = |n: usize| -> Result<()> {
-            if targs.len() == n {
-                Ok(())
-            } else {
-                Err(EcodeError::ty(pos, format!("{name}() takes {n} argument(s)")))
-            }
-        };
-        let all_int = targs.iter().all(|a| matches!(a.ty, Ty::Int | Ty::Char));
-        match name {
-            "strlen" => {
-                arity(1)?;
-                let a = self.coerce(targs.remove(0), &Ty::Str, pos)?;
-                Ok(TExpr { ty: Ty::Int, kind: TExprKind::Call(Builtin::Strlen, vec![a]) })
-            }
-            "strcat" => {
-                arity(2)?;
-                let b = self.coerce(targs.pop().expect("arity 2"), &Ty::Str, pos)?;
-                let a = self.coerce(targs.pop().expect("arity 2"), &Ty::Str, pos)?;
-                Ok(TExpr { ty: Ty::Str, kind: TExprKind::Call(Builtin::Strcat, vec![a, b]) })
-            }
-            "abs" | "fabs" => {
-                arity(1)?;
-                let a = targs.remove(0);
-                if matches!(a.ty, Ty::Int | Ty::Char) && name == "abs" {
-                    let a = self.coerce(a, &Ty::Int, pos)?;
-                    Ok(TExpr { ty: Ty::Int, kind: TExprKind::Call(Builtin::AbsI, vec![a]) })
-                } else {
-                    let a = self.coerce(a, &Ty::Double, pos)?;
-                    Ok(TExpr { ty: Ty::Double, kind: TExprKind::Call(Builtin::AbsF, vec![a]) })
-                }
-            }
-            "min" | "max" => {
-                arity(2)?;
-                let (b, a) = (targs.pop().expect("arity 2"), targs.pop().expect("arity 2"));
-                if all_int {
-                    let a = self.coerce(a, &Ty::Int, pos)?;
-                    let b = self.coerce(b, &Ty::Int, pos)?;
-                    let bi = if name == "min" { Builtin::MinI } else { Builtin::MaxI };
-                    Ok(TExpr { ty: Ty::Int, kind: TExprKind::Call(bi, vec![a, b]) })
-                } else {
-                    let a = self.coerce(a, &Ty::Double, pos)?;
-                    let b = self.coerce(b, &Ty::Double, pos)?;
-                    let bi = if name == "min" { Builtin::MinF } else { Builtin::MaxF };
-                    Ok(TExpr { ty: Ty::Double, kind: TExprKind::Call(bi, vec![a, b]) })
-                }
-            }
-            "atoi" => {
-                arity(1)?;
-                let a = self.coerce(targs.remove(0), &Ty::Str, pos)?;
-                Ok(TExpr { ty: Ty::Int, kind: TExprKind::Call(Builtin::Atoi, vec![a]) })
-            }
-            "itoa" => {
-                arity(1)?;
-                let a = self.coerce(targs.remove(0), &Ty::Int, pos)?;
-                Ok(TExpr { ty: Ty::Str, kind: TExprKind::Call(Builtin::Itoa, vec![a]) })
-            }
-            "atof" => {
-                arity(1)?;
-                let a = self.coerce(targs.remove(0), &Ty::Str, pos)?;
-                Ok(TExpr { ty: Ty::Double, kind: TExprKind::Call(Builtin::Atof, vec![a]) })
-            }
-            "ftoa" => {
-                arity(1)?;
-                let a = self.coerce(targs.remove(0), &Ty::Double, pos)?;
-                Ok(TExpr { ty: Ty::Str, kind: TExprKind::Call(Builtin::Ftoa, vec![a]) })
-            }
-            "sqrt" | "floor" | "ceil" => {
-                arity(1)?;
-                let a = self.coerce(targs.remove(0), &Ty::Double, pos)?;
-                let bi = match name {
-                    "sqrt" => Builtin::Sqrt,
-                    "floor" => Builtin::Floor,
-                    _ => Builtin::Ceil,
-                };
-                Ok(TExpr { ty: Ty::Double, kind: TExprKind::Call(bi, vec![a]) })
-            }
-            other => Err(EcodeError::ty(pos, format!("unknown function `{other}`"))),
-        }
-    }
-
     // -- statements ----------------------------------------------------------
 
     fn stmt(&mut self, s: &Stmt) -> Result<TStmt> {
@@ -579,14 +425,6 @@ impl<'a> Checker<'a> {
                 };
                 Ok(TStmt::If(tc, tt, tf))
             }
-            StmtKind::While(c, body) => {
-                let tc = self.expr(c)?;
-                let tc = self.as_cond(tc, c.pos)?;
-                self.loop_depth += 1;
-                let tb = self.stmt(body)?;
-                self.loop_depth -= 1;
-                Ok(TStmt::Loop { cond: Some(tc), body: Box::new(tb), step: None })
-            }
             StmtKind::For(init, cond, step, body) => {
                 self.scopes.push(Scope { names: Vec::new() });
                 let tinit = match init {
@@ -604,9 +442,7 @@ impl<'a> Checker<'a> {
                     Some(e) => Some(self.expr(e)?),
                     None => None,
                 };
-                self.loop_depth += 1;
                 let tbody = self.stmt(body)?;
-                self.loop_depth -= 1;
                 self.scopes.pop();
                 let mut out = Vec::new();
                 if let Some(i) = tinit {
@@ -623,41 +459,6 @@ impl<'a> Checker<'a> {
                 }
                 self.scopes.pop();
                 Ok(TStmt::Block(out))
-            }
-            StmtKind::Return(e) => {
-                let te = match (e, self.current_ret.clone()) {
-                    (Some(e), Some(ret)) => {
-                        if ret == Ty::Void {
-                            return Err(EcodeError::ty(
-                                e.pos,
-                                "void function cannot return a value",
-                            ));
-                        }
-                        let t = self.expr(e)?;
-                        Some(self.coerce(t, &ret, e.pos)?)
-                    }
-                    (Some(e), None) => Some(self.expr(e)?),
-                    (None, Some(ret)) if ret != Ty::Void => {
-                        return Err(EcodeError::ty(
-                            s.pos,
-                            format!("function must return a value of type {ret}"),
-                        ))
-                    }
-                    (None, _) => None,
-                };
-                Ok(TStmt::Return(te))
-            }
-            StmtKind::Break => {
-                if self.loop_depth == 0 {
-                    return Err(EcodeError::ty(s.pos, "`break` outside a loop"));
-                }
-                Ok(TStmt::Break)
-            }
-            StmtKind::Continue => {
-                if self.loop_depth == 0 {
-                    return Err(EcodeError::ty(s.pos, "`continue` outside a loop"));
-                }
-                Ok(TStmt::Continue)
             }
         }
     }
@@ -691,62 +492,12 @@ fn zero_of(ty: &Ty) -> TExpr {
 ///
 /// Returns [`EcodeError::Type`] with the position of the first ill-typed
 /// construct.
-pub fn check(program: &Program, bindings: Vec<Binding>) -> Result<TProgram> {
-    // Pass 1: collect signatures (enables mutual recursion).
-    let mut sigs: Vec<FnSig> = Vec::with_capacity(program.funcs.len());
-    for f in &program.funcs {
-        if sigs.iter().any(|s| s.name == f.name) {
-            return Err(EcodeError::ty(f.pos, format!("function `{}` defined twice", f.name)));
-        }
-        sigs.push(FnSig {
-            name: f.name.clone(),
-            params: f.params.iter().map(|(t, _)| decl_ty(*t)).collect(),
-            ret: f.ret.map_or(Ty::Void, decl_ty),
-        });
-    }
-
-    // Pass 2: check function bodies.
-    let mut funcs = Vec::with_capacity(program.funcs.len());
-    for (f, sig) in program.funcs.iter().zip(&sigs) {
-        let mut ck = Checker {
-            bindings: &bindings,
-            sigs: &sigs,
-            scopes: vec![Scope { names: Vec::new() }],
-            n_locals: 0,
-            loop_depth: 0,
-            current_ret: Some(sig.ret.clone()),
-        };
-        for ((_, pname), pty) in f.params.iter().zip(&sig.params) {
-            ck.declare(pname, pty.clone());
-        }
-        let mut stmts = Vec::with_capacity(f.body.len());
-        for s in &f.body {
-            stmts.push(ck.stmt(s)?);
-        }
-        funcs.push(TFnDef {
-            name: f.name.clone(),
-            ret: sig.ret.clone(),
-            n_params: f.params.len(),
-            n_locals: ck.n_locals,
-            stmts,
-        });
-    }
-
-    // Pass 3: the main body.
-    let mut ck = Checker {
-        bindings: &bindings,
-        sigs: &sigs,
-        scopes: vec![Scope { names: Vec::new() }],
-        n_locals: 0,
-        loop_depth: 0,
-        current_ret: None,
-    };
-    let mut stmts = Vec::with_capacity(program.stmts.len());
-    for s in &program.stmts {
-        stmts.push(ck.stmt(s)?);
-    }
+pub fn check(program: &[Stmt], bindings: Vec<Binding>) -> Result<TProgram> {
+    let mut ck =
+        Checker { bindings: &bindings, scopes: vec![Scope { names: Vec::new() }], n_locals: 0 };
+    let stmts = program.iter().map(|s| ck.stmt(s)).collect::<Result<Vec<_>>>()?;
     let n_locals = ck.n_locals;
-    Ok(TProgram { bindings, n_locals, funcs, stmts })
+    Ok(TProgram { bindings, n_locals, stmts })
 }
 
 #[cfg(test)]
@@ -840,32 +591,11 @@ mod tests {
     }
 
     #[test]
-    fn break_outside_loop_rejected() {
-        assert!(check_src("break;").is_err());
-        assert!(check_src("continue;").is_err());
-        assert!(check_src("while (1) break;").is_ok());
-    }
-
-    #[test]
     fn record_assignment_requires_same_structure() {
         // member_list elements of old/new differ (extra flags) → rejected.
         assert!(check_src("old.member_list[0] = new.member_list[0];").is_err());
         // src_list and sink_list elements share a structure → accepted.
         assert!(check_src("old.src_list[0] = old.sink_list[0];").is_ok());
-    }
-
-    #[test]
-    fn len_builtin() {
-        assert!(check_src("int n = len(new.member_list);").is_ok());
-        assert!(check_src("int n = len(new.member_count);").is_err());
-        assert!(check_src("int n = len(1 + 2);").is_err());
-    }
-
-    #[test]
-    fn builtin_arity_checked() {
-        assert!(check_src("int n = strlen();").is_err());
-        assert!(check_src("int n = strlen(\"a\", \"b\");").is_err());
-        assert!(check_src("int n = nosuch(1);").is_err());
     }
 
     #[test]

@@ -1715,7 +1715,7 @@ mod tests {
             (got, rx)
         };
         let (got, mut rx) = subscriber();
-        rx.import_transformation(Transformation::new(spin.clone(), v1(), "while (1) {}"));
+        rx.import_transformation(Transformation::new(spin.clone(), v1(), "for (;;) {}"));
         for pass in ["cold", "warm"] {
             let err = rx.process(&spinning).unwrap_err();
             assert!(matches!(err, MorphError::Ecode(_)), "{pass}: {err}");
@@ -1748,10 +1748,7 @@ mod tests {
         };
         let (got, mut rx) = subscriber();
         let programs = [
-            (
-                "doubling",
-                "string t = \"xy\"; while (1) { t = t + t; old.member_list[0].info = t; }",
-            ),
+            ("doubling", "string t = \"xy\"; for (;;) { t = t + t; old.member_list[0].info = t; }"),
             ("far_write", "old.member_list[10000000].ID = 1;"),
         ];
         for (field, src) in programs {

@@ -15,7 +15,7 @@ use crate::error::{MorphError, Result};
 /// over a message of `bytes` bytes: a constant, growing with the message —
 /// Fig. 5 spends about one instruction per byte it converts, a loop nested in
 /// a loop over the same array a few hundred. Code that has not finished by
-/// then (`while (1) {}`) fails with [`MorphError::Ecode`] and costs its
+/// then (`for (;;) {}`) fails with [`MorphError::Ecode`] and costs its
 /// message, not the thread that ran it.
 pub(crate) fn fuel_for(bytes: usize) -> u64 {
     const BASE: u64 = 1 << 20;
@@ -427,8 +427,11 @@ mod tests {
     fn compile_error_surfaces() {
         let from = fmt("M", &["a"]);
         let to = fmt("M", &["b"]);
-        let t = Transformation::new(from, to, "old.nosuch = 1;");
-        assert!(matches!(t.compile(), Err(MorphError::Ecode(_))));
+        // An unknown field, and a construct outside the language.
+        for code in ["old.nosuch = 1;", "old.b = new.a > 0 ? new.a : 0;"] {
+            let t = Transformation::new(from.clone(), to.clone(), code);
+            assert!(matches!(t.compile(), Err(MorphError::Ecode(_))), "{code}");
+        }
     }
 
     #[test]
@@ -521,7 +524,7 @@ mod tests {
     /// error under every form, the oracle's included.
     #[test]
     fn a_transformation_that_never_finishes_spends_its_budget_and_errs() {
-        let t = Transformation::new(fmt("M", &["a"]), fmt("M", &["b"]), "while (1) {}");
+        let t = Transformation::new(fmt("M", &["a"]), fmt("M", &["b"]), "for (;;) {}");
         let cx = t.compile().unwrap();
         let input = Value::Record(vec![Value::Int(1)]);
         for result in [apply_vm(&cx, &input), cx.apply_interp(&input)] {
@@ -549,7 +552,7 @@ mod tests {
             .unwrap();
         let fuel = fuel_for(64);
         let programs = [
-            ("doubling", "string t = new.s; while (1) { t = t + t; old.s = t; }"),
+            ("doubling", "string t = new.s; for (;;) { t = t + t; old.s = t; }"),
             ("far write", "old.vals[10000000] = 1;"),
         ];
         for (what, src) in programs {

@@ -420,18 +420,14 @@ enum End {
     Scalar(Scalar),
     /// A string's slot.
     Str,
-    /// A variable-size array's slot: its length is on the tape.
-    Array,
-    /// A fixed-size array of `n` elements.
-    Fixed(usize),
     /// Anything else: walked step by step.
     Walk,
 }
 
 impl ConversionPlan {
-    /// Compiles `path` against this plan, for [`WireView::get`] and
-    /// [`WireView::len`] on the views [`ConversionPlan::index`] returns. A
-    /// route of another plan reads whatever its hops land on.
+    /// Compiles `path` against this plan, for [`WireView::get`] on the views
+    /// [`ConversionPlan::index`] returns. A route of another plan reads
+    /// whatever its hops land on.
     pub fn route(&self, path: &[PathStep]) -> Route {
         let (hops, end) = compile_route(&self.root, path).unwrap_or((Vec::new(), End::Walk));
         let start = match hops[..] {
@@ -447,7 +443,7 @@ impl ConversionPlan {
         };
         // Only a route that walks needs its path again.
         let path = match end {
-            End::Array | End::Fixed(_) | End::Walk => path.into(),
+            End::Walk => path.into(),
             _ => Box::default(),
         };
         Route { start, end, path }
@@ -496,8 +492,6 @@ fn compile_route(root: &ElemPlan, path: &[PathStep]) -> Option<(Vec<Hop>, End)> 
         (ElemPlan::Char, true) => End::Scalar(Scalar::Char),
         (ElemPlan::Enum, true) => End::Scalar(Scalar::Enum),
         (ElemPlan::Str, false) => End::Str,
-        (ElemPlan::Array { .. }, false) => End::Array,
-        (ElemPlan::Array { len: LenPlan::Fixed(n), .. }, true) => End::Fixed(*n),
         _ => End::Walk,
     };
     Some((hops, end))
@@ -596,25 +590,6 @@ impl<'v> WireView<'v> {
     #[inline(always)]
     fn text_at(&self, p: u32) -> std::result::Result<&'v str, Miss> {
         self.texts.get(self.word(p + 1) as usize).copied().ok_or(Miss::Unchecked)
-    }
-
-    /// The length of the array at `route`; `None` when no array is there.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireView::get`].
-    #[inline]
-    pub fn len(
-        &self,
-        route: &Route,
-        subscripts: &[usize],
-    ) -> std::result::Result<Option<usize>, Miss> {
-        match route.end {
-            End::Array => Ok(Some(self.count(self.follow(route, subscripts)?))),
-            End::Fixed(n) => self.follow(route, subscripts).map(|_| Some(n)),
-            End::Walk => self.walk(&route.path, subscripts).map(|node| self.node_len(node)),
-            _ => self.follow(route, subscripts).map(|_| None),
-        }
     }
 
     /// Where `route`'s hops end: a tape word, or a payload offset past a
@@ -883,11 +858,11 @@ mod tests {
         let plan = ConversionPlan::identity(&fmt).unwrap();
         let mut tape = Tape::default();
         let view = plan.index(&msg, &mut tape).unwrap();
-        let rows = plan.route(&[PathStep::Field(2)]);
+        let (cols, n) = (plan.route(&[PathStep::Field(0)]), plan.route(&[PathStep::Field(1)]));
         let row = plan.route(&[PathStep::Field(2), PathStep::Index]);
-        assert_eq!(view.len(&rows, &[]), Ok(Some(100_000)));
+        assert_eq!(view.get(&n, &[]), Ok(Value::Int(100_000)));
         assert_eq!(view.get(&row, &[99_999]), Ok(empty));
-        assert_eq!(view.len(&row, &[5]), Ok(Some(0)));
+        assert_eq!(view.get(&cols, &[]), Ok(Value::Int(0)));
         assert_eq!(view.get(&plan.route(&[]), &[]), Ok(plan.execute(&msg).unwrap()));
         // The root block (two counts, the rows' five words), one row's slot
         // (an array of fixed-size elements: three words), one table entry.

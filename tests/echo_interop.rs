@@ -178,7 +178,7 @@ fn a_looping_retro_transformation_is_quarantined_and_the_next_event_flows() {
     let new_evt = FormatBuilder::record("Sample").int("seq").string("unit").build_arc().unwrap();
     sys.distribute_metadata(
         &[old_evt.clone(), new_evt.clone()],
-        &[Transformation::new(new_evt.clone(), old_evt.clone(), "while (1) {}")],
+        &[Transformation::new(new_evt.clone(), old_evt.clone(), "for (;;) {}")],
     );
     let ch = sys.create_channel(c);
     sys.subscribe(publisher, ch, Role::source(), None).unwrap();

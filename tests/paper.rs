@@ -139,7 +139,7 @@ fn members_for_size_hits_targets() {
 /// Fig. 5's register code as compiled: the listing `examples/vm_dump.rs`
 /// prints for its one step.
 const FIG5_STEP_LISTING: &str = concat!(
-    "; register ISA: 28 insns, 4 regs, 2 roots, 0 strings, 0 fns\n",
+    "; register ISA: 28 insns, 4 regs, 2 roots, 0 strings\n",
     "   0  r3 = 0\n",
     "   1  r0 = r3\n",
     "   2  r3 = 0\n",
@@ -171,10 +171,10 @@ const FIG5_STEP_LISTING: &str = concat!(
 );
 
 /// Fig. 5 fused into a chain of one, as the receiver runs it: the step's
-/// code, its main-body `Ret` turned into a jump to the trailer that syncs
+/// code, its closing `Ret` turned into a jump to the trailer that syncs
 /// the output's length fields.
 const FIG5_FUSED_LISTING: &str = concat!(
-    "; register ISA: 30 insns, 4 regs, 2 roots, 0 strings, 0 fns\n",
+    "; register ISA: 30 insns, 4 regs, 2 roots, 0 strings\n",
     "   0  r3 = 0\n",
     "   1  r0 = r3\n",
     "   2  r3 = 0\n",
